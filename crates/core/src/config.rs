@@ -54,13 +54,15 @@ impl StepSchedule {
     }
 }
 
-/// Configuration of the shared process-wide cut cache (materialized DMTM
-/// fronts and MSDN line bands, shared across concurrent queries).
+/// Configuration of the shared process-wide cut cache (DMTM front data
+/// resident per lattice tile, MSDN crossing lines resident per line,
+/// shared across concurrent queries).
 ///
 /// Results are bit-identical with the cache enabled or disabled: fetch
 /// regions are canonicalized (padded by `pad_tiles` and snapped to a
-/// `tiles × tiles` lattice) in both modes, and cached cuts are byte-equal
-/// to freshly extracted ones, so the cache only removes repeated work.
+/// `tiles × tiles` lattice) in both modes, and cuts derived from resident
+/// units are byte-equal to freshly extracted ones, so the cache only
+/// removes repeated work.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CutCacheConfig {
     /// Master switch.
@@ -68,29 +70,18 @@ pub struct CutCacheConfig {
     /// Total resident-weight budget in approximate bytes, split 3:1
     /// between the DMTM front cache and the MSDN line cache.
     pub capacity_bytes: usize,
-    /// Tiles per side of the region-canonicalization lattice.
+    /// Tiles per side of the region-canonicalization lattice; one tile at
+    /// one resolution step is the DMTM residency unit.
     pub tiles: usize,
     /// Loading-radius hysteresis: fetch regions are padded by this many
     /// tiles before snapping, so repeat traffic around a hot spot lands
-    /// inside already-materialized cuts.
+    /// inside already-resident tiles.
     pub pad_tiles: f64,
-    /// Extractions admitted per tick, prioritized by query demand;
-    /// `0` = unlimited (no admission control).
-    pub extract_budget: usize,
-    /// Admission tick length in milliseconds.
-    pub tick_ms: u64,
 }
 
 impl Default for CutCacheConfig {
     fn default() -> Self {
-        Self {
-            enabled: true,
-            capacity_bytes: 64 << 20,
-            tiles: 16,
-            pad_tiles: 0.5,
-            extract_budget: 0,
-            tick_ms: 10,
-        }
+        Self { enabled: true, capacity_bytes: 64 << 20, tiles: 16, pad_tiles: 0.5 }
     }
 }
 
@@ -207,6 +198,5 @@ mod tests {
         assert_eq!(c.io_merge_threshold, 0.8);
         assert_eq!(c.msdn_levels.len(), 5);
         assert!(c.cut_cache.enabled);
-        assert_eq!(c.cut_cache.extract_budget, 0, "admission control off by default");
     }
 }

@@ -11,10 +11,11 @@ use std::time::Duration;
 
 /// Wall-clock time spent in each MR3 step of one query, in microseconds.
 ///
-/// Measured unconditionally (four `Instant::now()` reads per query —
-/// noise next to a Dijkstra pass), so the serving layer can report
-/// per-stage latency even with tracing off. The fields mirror the four
-/// step spans of the trace (`step1_knn2d` … `step4_rank`).
+/// Measured unconditionally (a few `Instant::now()` reads per ranking
+/// group — noise next to a Dijkstra pass), so the serving layer can report
+/// per-stage latency even with tracing off. The first four fields mirror
+/// the four step spans of the trace (`step1_knn2d` … `step4_rank`); the
+/// `rank_*` fields split the two ranking steps (2 and 4) by phase.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageTimes {
     /// Step 1: 2D k-NN seeding on the projection R-tree.
@@ -25,11 +26,23 @@ pub struct StageTimes {
     pub range_us: u64,
     /// Step 4: iterative multi-resolution ranking of the candidate set.
     pub rank_us: u64,
+    /// Inside steps 2 + 4: cut materialisation — DMTM front fetches, MSDN
+    /// line fetches and the pathnet's leaf-page charge.
+    pub rank_fetch_us: u64,
+    /// Inside steps 2 + 4: upper bounds over fetched fronts (embedding,
+    /// graph build, Dijkstra runs).
+    pub rank_ub_us: u64,
+    /// Inside steps 2 + 4: lower bounds over fetched lines (slicing,
+    /// network build, Dijkstra runs).
+    pub rank_lb_us: u64,
+    /// Inside steps 2 + 4: pathnet build and its Dijkstra run.
+    pub rank_pathnet_us: u64,
 }
 
 impl StageTimes {
-    /// Sum of all stage times (≤ the query's wall time: stages exclude
-    /// setup, result assembly, and trace drain).
+    /// Sum of the four step times (≤ the query's wall time: steps exclude
+    /// setup, result assembly, and trace drain). The `rank_*` phases are
+    /// parts of steps 2 and 4, not additional stages.
     pub fn total_us(&self) -> u64 {
         self.knn2d_us + self.radius_us + self.range_us + self.rank_us
     }

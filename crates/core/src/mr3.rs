@@ -12,7 +12,7 @@
 //! to be within that bound.
 
 use crate::config::Mr3Config;
-use crate::metrics::{CpuTimer, Neighbor, QueryResult, QueryStats};
+use crate::metrics::{CpuTimer, Neighbor, QueryResult, QueryStats, StageTimes};
 use crate::objects::{ObjectSnapshot, ObjectStore, WriteStats};
 use crate::ranking::{Candidate, RankScratch, RankingContext};
 use crate::resilience::{FaultLog, QueryError};
@@ -25,7 +25,7 @@ use sknn_terrain::mesh::TerrainMesh;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Default ring capacity when tracing is enabled: comfortably holds the
 /// spans, iteration events and I/O roll-up of one query.
@@ -97,7 +97,8 @@ impl<'s, 'm> Mr3Engine<'s, 'm> {
             let _tag = pager.tag_scope(StructureTag::Msdn);
             PagedMsdn::build(&pager, &structures.msdn)
         };
-        let (cut_cache, line_cache) = Self::build_caches(cfg);
+        let cut_grid = CutGrid::new(mesh.extent(), cfg.cut_cache.tiles, cfg.cut_cache.pad_tiles);
+        let (cut_cache, line_cache) = Self::build_caches(cfg, cut_grid);
         let objects = ObjectStore::genesis(scene.objects(), cfg.pool_pages, None);
         Self {
             mesh,
@@ -108,7 +109,7 @@ impl<'s, 'm> Mr3Engine<'s, 'm> {
             pager,
             cfg: cfg.clone(),
             ring: None,
-            cut_grid: CutGrid::new(mesh.extent(), cfg.cut_cache.tiles, cfg.cut_cache.pad_tiles),
+            cut_grid,
             cut_cache,
             line_cache,
             scratch_pool: Mutex::new(Vec::new()),
@@ -119,20 +120,15 @@ impl<'s, 'm> Mr3Engine<'s, 'm> {
     }
 
     /// Build (or skip) the shared cut caches per the config. The weight
-    /// budget splits 3:1 between fronts and line bands — extracted fronts
-    /// are the larger objects by far.
-    fn build_caches(cfg: &Mr3Config) -> (Option<CutCache>, Option<LineCutCache>) {
+    /// budget splits 3:1 between front tiles and crossing lines.
+    fn build_caches(cfg: &Mr3Config, grid: CutGrid) -> (Option<CutCache>, Option<LineCutCache>) {
         if !cfg.cut_cache.enabled {
             return (None, None);
         }
         let cc = &cfg.cut_cache;
-        let tick = Duration::from_millis(cc.tick_ms.max(1));
         let front_cap = (cc.capacity_bytes / 4 * 3).max(1);
         let line_cap = (cc.capacity_bytes / 4).max(1);
-        (
-            Some(CutCache::new(front_cap, cc.extract_budget, tick)),
-            Some(LineCutCache::new(line_cap, cc.extract_budget, tick)),
-        )
+        (Some(CutCache::new(front_cap, grid)), Some(LineCutCache::new(line_cap)))
     }
 
     /// Whether the shared cut caches are active.
@@ -145,7 +141,7 @@ impl<'s, 'm> Mr3Engine<'s, 'm> {
     /// bit-identical either way — only the work profile changes.
     pub fn set_cut_cache(&mut self, enabled: bool) {
         self.cfg.cut_cache.enabled = enabled;
-        let (cut, line) = Self::build_caches(&self.cfg);
+        let (cut, line) = Self::build_caches(&self.cfg, self.cut_grid);
         self.cut_cache = cut;
         self.line_cache = line;
     }
@@ -164,7 +160,6 @@ impl<'s, 'm> Mr3Engine<'s, 'm> {
                 s.singleflight_waits += stats.singleflight_waits;
                 s.evictions += stats.evictions;
                 s.failed_loads += stats.failed_loads;
-                s.budget_deferrals += stats.budget_deferrals;
                 s.warm_entries += gauges.warm;
                 s.cooling_entries += gauges.cooling;
                 s.loading += gauges.loading;
@@ -306,7 +301,6 @@ impl<'s, 'm> Mr3Engine<'s, 'm> {
                     field("misses", cc.misses),
                     field("sf_waits", cc.singleflight_waits),
                     field("evictions", cc.evictions),
-                    field("deferrals", cc.budget_deferrals),
                     field("warm", cc.warm_entries),
                     field("cooling", cc.cooling_entries),
                     field("in_flight", cc.in_flight),
@@ -548,12 +542,12 @@ impl<'s, 'm> Mr3Engine<'s, 'm> {
             let radius = ctx.estimate_radius(&q, &mut seed_cands, &mut stats);
             search_radius = radius;
             stats.stages.radius_us = step.elapsed().as_micros() as u64;
+            let radius_phases = stats.stages;
             if traced {
-                rec.span(
-                    "step2_radius",
-                    qid,
-                    vec![field("dur_us", stats.stages.radius_us), field("radius", radius)],
-                );
+                let mut fields =
+                    vec![field("dur_us", stats.stages.radius_us), field("radius", radius)];
+                fields.extend(rank_phase_fields(&StageTimes::default(), &radius_phases));
+                rec.span("step2_radius", qid, fields);
             }
 
             // Step 3: planar range query with the safe radius.
@@ -603,15 +597,13 @@ impl<'s, 'm> Mr3Engine<'s, 'm> {
             let resolved = ctx.rank_top_k(&q, &mut cands, k, &mut stats);
             stats.stages.rank_us = step.elapsed().as_micros() as u64;
             if traced {
-                rec.span(
-                    "step4_rank",
-                    qid,
-                    vec![
-                        field("dur_us", stats.stages.rank_us),
-                        field("resolved", resolved),
-                        field("iterations", stats.iterations),
-                    ],
-                );
+                let mut fields = vec![
+                    field("dur_us", stats.stages.rank_us),
+                    field("resolved", resolved),
+                    field("iterations", stats.iterations),
+                ];
+                fields.extend(rank_phase_fields(&radius_phases, &stats.stages));
+                rec.span("step4_rank", qid, fields);
             }
 
             let mut alive: Vec<&Candidate> = cands.iter().filter(|c| !c.out).collect();
@@ -833,12 +825,12 @@ impl<'s, 'm> Mr3Engine<'s, 'm> {
                 seeds.iter().map(|&(id, p)| Candidate::new(&q, id, p, &terrain)).collect();
             search_radius = ctx.estimate_radius(&q, &mut seed_cands, &mut stats);
             stats.stages.radius_us = step.elapsed().as_micros() as u64;
+            let radius_phases = stats.stages;
             if traced {
-                rec.span(
-                    "step2_radius",
-                    qid,
-                    vec![field("dur_us", stats.stages.radius_us), field("radius", search_radius)],
-                );
+                let mut fields =
+                    vec![field("dur_us", stats.stages.radius_us), field("radius", search_radius)];
+                fields.extend(rank_phase_fields(&StageTimes::default(), &radius_phases));
+                rec.span("step2_radius", qid, fields);
             }
 
             let step = Instant::now();
@@ -856,15 +848,13 @@ impl<'s, 'm> Mr3Engine<'s, 'm> {
             let resolved = ctx.rank_top_k(&q, &mut cl, k, &mut stats);
             stats.stages.rank_us = step.elapsed().as_micros() as u64;
             if traced {
-                rec.span(
-                    "step4_rank",
-                    qid,
-                    vec![
-                        field("dur_us", stats.stages.rank_us),
-                        field("resolved", resolved),
-                        field("iterations", stats.iterations),
-                    ],
-                );
+                let mut fields = vec![
+                    field("dur_us", stats.stages.rank_us),
+                    field("resolved", resolved),
+                    field("iterations", stats.iterations),
+                ];
+                fields.extend(rank_phase_fields(&radius_phases, &stats.stages));
+                rec.span("step4_rank", qid, fields);
             }
 
             let mut alive: Vec<&Candidate> = cl.iter().filter(|c| !c.out).collect();
@@ -1003,37 +993,38 @@ impl<'s, 'm> Mr3Engine<'s, 'm> {
 }
 
 /// Combined counter/occupancy snapshot of the engine's shared cut caches
-/// (DMTM fronts + MSDN line bands summed), as returned by
+/// (DMTM front tiles + MSDN lines summed), as returned by
 /// [`Mr3Engine::cut_cache_snapshot`]. Counters are cumulative since engine
-/// build (or the last reset); gauges describe the current instant.
+/// build (or the last reset) and count residency *units* — a fetch touches
+/// one unit per tile or line of its region; per-fetch hits and misses are
+/// in [`QueryStats`]. Gauges describe the current instant.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CutCacheSnapshot {
-    /// Fetches served from a resident cut.
+    /// Units served from memory.
     pub hits: u64,
-    /// Fetches that led an extraction.
+    /// Units loaded from storage.
     pub misses: u64,
-    /// Fetches that waited on another query's in-flight extraction.
+    /// Units a fetch waited for while another query's load of them was in
+    /// flight.
     pub singleflight_waits: u64,
-    /// Resident cuts evicted to stay within the weight budget.
+    /// Resident units evicted to stay within the weight budget.
     pub evictions: u64,
-    /// Extractions that failed (storage faults); no entry was published.
+    /// Unit loads that failed (storage faults); nothing was published.
     pub failed_loads: u64,
-    /// Extractions delayed by the per-tick admission budget.
-    pub budget_deferrals: u64,
-    /// Resident cuts currently marked warm (recently used).
+    /// Resident units currently marked warm (recently used).
     pub warm_entries: u64,
-    /// Resident cuts cooled by the CLOCK hand (eviction candidates).
+    /// Resident units cooled by the CLOCK hand (eviction candidates).
     pub cooling_entries: u64,
-    /// Keys currently holding a loading latch.
+    /// Units currently holding a loading latch.
     pub loading: u64,
-    /// Approximate bytes of resident cut data.
+    /// Approximate bytes of resident unit data.
     pub resident_bytes: u64,
-    /// Extractions running right now.
+    /// Unit loads running right now.
     pub in_flight: u64,
 }
 
 impl CutCacheSnapshot {
-    /// Hit rate over all fetches so far (0 when none).
+    /// Hit rate over all unit lookups so far (0 when none).
     pub fn hit_rate(&self) -> f64 {
         let total = self.hits + self.misses;
         if total == 0 {
@@ -1060,6 +1051,18 @@ pub struct RangeResult {
     /// Set when storage faults were absorbed: classifications remain
     /// bound-correct, but more objects may be left `undecided`.
     pub degraded: Option<crate::resilience::Degraded>,
+}
+
+/// The ranking-phase split (`rank_*` of [`StageTimes`]) accumulated between
+/// two readings, as span fields: what one ranking step spent fetching
+/// cuts, on upper bounds, on lower bounds and in the pathnet.
+fn rank_phase_fields(before: &StageTimes, after: &StageTimes) -> Vec<sknn_obs::Field> {
+    vec![
+        field("fetch_us", after.rank_fetch_us - before.rank_fetch_us),
+        field("ub_us", after.rank_ub_us - before.rank_ub_us),
+        field("lb_us", after.rank_lb_us - before.rank_lb_us),
+        field("pathnet_us", after.rank_pathnet_us - before.rank_pathnet_us),
+    ]
 }
 
 /// Canonically *selected and ordered* 2-D seed set: the `k` nearest live

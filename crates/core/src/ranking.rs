@@ -22,7 +22,7 @@ use sknn_geodesic::graph::{Dijkstra, DijkstraScratch, Graph, QueueCounters, Queu
 use sknn_geodesic::pathnet::Pathnet;
 use sknn_geom::Axis;
 use sknn_geom::{Aabb3, Ellipse2, Rect2};
-use sknn_multires::{CutCache, CutGrid, FetchScratch, FrontGraph, PagedDmtm};
+use sknn_multires::{CutCache, CutGrid, FetchScratch, FrontGraph, PagedDmtm, TileSpan};
 use sknn_obs::{field, Recorder};
 use sknn_sdn::network::{corridor_mask, lower_bound_with, LbScratch};
 use sknn_sdn::{LineCutCache, Msdn, PagedMsdn, SimplifiedLine};
@@ -61,6 +61,7 @@ pub struct RankingContext<'a, 'm> {
     /// Shared process-wide DMTM cut cache, `None` when disabled. Fetch
     /// regions are canonicalized through [`grid`](Self::grid) *regardless*
     /// of this being set, so results are bit-identical cache on or off.
+    /// Must have been built over the same lattice as `grid`.
     pub cuts: Option<&'a CutCache>,
     /// Shared process-wide MSDN line cache, `None` when disabled.
     pub lines: Option<&'a LineCutCache>,
@@ -123,48 +124,18 @@ pub struct RankScratch {
     pathnet: DijkstraScratch,
 }
 
+/// A front owned by this query — paged extraction with the cache off,
+/// derived from the shared cache's resident units with it on.
 #[derive(Debug)]
 struct CachedFront {
     step: u32,
     roi: Rect2,
-    graph: FrontHandle,
+    graph: FrontGraph,
 }
 
-/// A front either owned by this query (paged extraction, cache off) or
-/// shared out of the process-wide cut cache. Read-only either way.
-#[derive(Debug)]
-enum FrontHandle {
-    Owned(FrontGraph),
-    Shared(Arc<FrontGraph>),
-}
-
-impl FrontHandle {
-    fn get(&self) -> &FrontGraph {
-        match self {
-            FrontHandle::Owned(g) => g,
-            FrontHandle::Shared(g) => g,
-        }
-    }
-}
-
-/// Line sets mirroring [`FrontHandle`] for the lower-bound phase.
-#[derive(Debug, Default)]
-enum LineSet {
-    #[default]
-    Empty,
-    Owned(Vec<SimplifiedLine>),
-    Shared(Arc<Vec<SimplifiedLine>>),
-}
-
-impl LineSet {
-    fn as_slice(&self) -> &[SimplifiedLine] {
-        match self {
-            LineSet::Empty => &[],
-            LineSet::Owned(v) => v,
-            LineSet::Shared(v) => v,
-        }
-    }
-}
+/// The lines of one axis band: `Arc`s out of the shared line cache, or
+/// freshly fetched lines wrapped the same way with it off.
+type LineSet = Vec<Arc<SimplifiedLine>>;
 
 impl RankScratch {
     /// Prepare the scratch for reuse by a *different* query (the engine's
@@ -175,9 +146,7 @@ impl RankScratch {
     /// (and all the Dijkstra/fetch buffers) are worth keeping warm.
     pub fn reset_for_reuse(&mut self) {
         if let Some(old) = self.front_cache.take() {
-            if let FrontHandle::Owned(g) = old.graph {
-                self.fetch.recycle(g);
-            }
+            self.fetch.recycle(old.graph);
         }
     }
 
@@ -500,7 +469,11 @@ impl<'a, 'm> RankingContext<'a, 'm> {
     /// actual VA-file termination quantity (minimum lower bound among
     /// alive candidates ranked beyond k by upper bound); it is what
     /// `kth_ub` must drop below, but is not itself monotone because the
-    /// set it minimises over shrinks.
+    /// set it minimises over shrinks. `pages` is the shared pager's
+    /// physical-read delta over the iteration: exact for a query running
+    /// alone, approximate under concurrency (other queries' reads and
+    /// stat resets land in it) until the per-query ledger of ROADMAP
+    /// item 1 exists.
     #[allow(clippy::too_many_arguments)]
     fn emit_iter(
         &self,
@@ -544,7 +517,10 @@ impl<'a, 'm> RankingContext<'a, 'm> {
                 field("lb_est", stats.lb_estimations - snap.lb_estimations),
                 field("dummy_lb", stats.dummy_lb_hits - snap.dummy_lb_hits),
                 field("settled", stats.settled - snap.settled),
-                field("pages", self.pager.stats().physical_reads - snap.physical_reads),
+                field(
+                    "pages",
+                    self.pager.stats().physical_reads.saturating_sub(snap.physical_reads),
+                ),
             ],
         );
     }
@@ -588,10 +564,20 @@ impl<'a, 'm> RankingContext<'a, 'm> {
                 return;
             }
             let members: Vec<usize> = group.members.iter().map(|&gi| active[gi]).collect();
+            // The phases time their own fetches into `rank_fetch_us`; the
+            // rest of the group's time is bound computation.
+            let start = Instant::now();
+            let fetch_before = stats.stages.rank_fetch_us;
             if frac <= 1.0 {
                 self.ub_phase_front(q, cands, &members, group.region, frac, stats);
             } else {
                 self.ub_phase_pathnet(q, cands, &members, group.region, stats);
+            }
+            let compute = us_since(start).saturating_sub(stats.stages.rank_fetch_us - fetch_before);
+            if frac <= 1.0 {
+                stats.stages.rank_ub_us += compute;
+            } else {
+                stats.stages.rank_pathnet_us += compute;
             }
         }
 
@@ -605,7 +591,7 @@ impl<'a, 'm> RankingContext<'a, 'm> {
                     return;
                 }
                 let members: Vec<usize> = group.members.iter().map(|&gi| active[gi]).collect();
-                let mut axis_lines: [LineSet; 2] = [LineSet::Empty, LineSet::Empty];
+                let mut axis_lines: [LineSet; 2] = [Vec::new(), Vec::new()];
                 // A failed axis fetch degrades: its members skip this
                 // round's lower-bound tightening and keep their current
                 // (valid) lower bounds.
@@ -627,23 +613,18 @@ impl<'a, 'm> RankingContext<'a, 'm> {
                     }
                     if lo < hi {
                         let (blo, bhi) = self.grid.snap_band(slot, lo, hi);
-                        match self.fetch_lines_shared(
-                            lvl,
-                            axis,
-                            blo,
-                            bhi,
-                            &roi_c,
-                            members.len(),
-                            stats,
-                        ) {
+                        let start = Instant::now();
+                        match self.fetch_lines_shared(lvl, axis, blo, bhi, &roi_c, stats) {
                             Ok(lines) => axis_lines[slot] = lines,
                             Err(e) => {
                                 self.absorb_fault("lb", e);
                                 axis_ok[slot] = false;
                             }
                         }
+                        stats.stages.rank_fetch_us += us_since(start);
                     }
                 }
+                let start = Instant::now();
                 for &ci in &members {
                     let axis = Msdn::axis_for(q.pos, cands[ci].point.pos);
                     let slot = if axis == Axis::X { 0 } else { 1 };
@@ -652,6 +633,7 @@ impl<'a, 'm> RankingContext<'a, 'm> {
                     }
                     self.lb_phase(q, cands, ci, &axis_lines, stats);
                 }
+                stats.stages.rank_lb_us += us_since(start);
             }
         }
     }
@@ -672,7 +654,8 @@ impl<'a, 'm> RankingContext<'a, 'm> {
         // or not the shared cache is on, so extraction inputs are
         // identical in both modes and hot neighbourhoods converge onto a
         // small set of reusable keys.
-        let region = self.grid.snap(&region);
+        let span = self.grid.span(&region);
+        let region = self.grid.span_rect(span);
         let scratch = &mut *self.scratch.borrow_mut();
         let RankScratch { front_cache, bufs, shared, fetch, .. } = scratch;
 
@@ -688,40 +671,22 @@ impl<'a, 'm> RankingContext<'a, 'm> {
             // Recycle the replaced front's buffers into the fetch scratch
             // so steady-state refinement allocates nothing per fetch.
             if let Some(old) = front_cache.take() {
-                if let FrontHandle::Owned(g) = old.graph {
-                    fetch.recycle(g);
+                fetch.recycle(old.graph);
+            }
+            let start = Instant::now();
+            let fetched = self.fetch_front_shared(m, span, fetch, stats);
+            stats.stages.rank_fetch_us += us_since(start);
+            match fetched {
+                Ok(graph) => *front_cache = Some(CachedFront { step: m, roi: region, graph }),
+                Err(e) => {
+                    // Degrade: this group keeps its previous upper bounds
+                    // (still valid, just looser) and no front is cached.
+                    self.absorb_fault("ub", e);
+                    return;
                 }
             }
-            let graph = if let Some(cache) = self.cuts {
-                match cache.get_or_extract(self.dmtm, self.pager, m, Some(&region), members.len()) {
-                    Ok(out) => {
-                        if out.hit {
-                            stats.cut_cache_hits += 1;
-                        } else {
-                            stats.cut_cache_misses += 1;
-                        }
-                        FrontHandle::Shared(out.value)
-                    }
-                    Err(e) => {
-                        // Degrade: this group keeps its previous upper
-                        // bounds (still valid, just looser) and no front
-                        // is cached.
-                        self.absorb_fault("ub", e);
-                        return;
-                    }
-                }
-            } else {
-                match self.dmtm.fetch_front_with(self.pager, m, Some(&region), fetch) {
-                    Ok(g) => FrontHandle::Owned(g),
-                    Err(e) => {
-                        self.absorb_fault("ub", e);
-                        return;
-                    }
-                }
-            };
-            *front_cache = Some(CachedFront { step: m, roi: region, graph });
         }
-        let fg = front_cache.as_ref().expect("front cache populated above").graph.get();
+        let fg = &front_cache.as_ref().expect("front cache populated above").graph;
         if fg.num_nodes() == 0 {
             return;
         }
@@ -854,38 +819,28 @@ impl<'a, 'm> RankingContext<'a, 'm> {
     ) {
         // Charge the I/O of reading the original-resolution terrain in the
         // (canonical) region — the pathnet is derived from it on the fly.
-        // The graph itself is unused, so in owned mode its buffers go
-        // straight back to scratch; under the shared cache repeat charges
-        // for a hot region are served residently.
+        // No graph is needed: under the shared cache the region's leaf
+        // units are made resident (repeat charges for a hot region cost
+        // nothing); with it off the fetched front's buffers go straight
+        // back to scratch.
         {
-            let charge_roi = self.grid.snap(&region);
-            if let Some(cache) = self.cuts {
-                match cache.get_or_extract(
-                    self.dmtm,
-                    self.pager,
-                    0,
-                    Some(&charge_roi),
-                    members.len(),
-                ) {
-                    Ok(out) => {
-                        if out.hit {
-                            stats.cut_cache_hits += 1;
-                        } else {
-                            stats.cut_cache_misses += 1;
-                        }
-                    }
-                    // The pathnet itself is derived in memory, so a failed
-                    // leaf-page charge degrades the accounting, not the
-                    // bound.
-                    Err(e) => self.absorb_fault("ub", e),
-                }
+            let start = Instant::now();
+            let span = self.grid.span(&region);
+            let charged = if let Some(cache) = self.cuts {
+                cache.touch(self.dmtm, self.pager, 0, span).map(|hit| count_cut_fetch(stats, hit))
             } else {
                 let fetch = &mut self.scratch.borrow_mut().fetch;
-                match self.dmtm.fetch_front_with(self.pager, 0, Some(&charge_roi), fetch) {
-                    Ok(leafs) => fetch.recycle(leafs),
-                    Err(e) => self.absorb_fault("ub", e),
-                }
+                let charge_roi = self.grid.span_rect(span);
+                self.dmtm
+                    .fetch_front_with(self.pager, 0, Some(&charge_roi), fetch)
+                    .map(|leafs| fetch.recycle(leafs))
+            };
+            // The pathnet itself is derived in memory, so a failed
+            // leaf-page charge degrades the accounting, not the bound.
+            if let Err(e) = charged {
+                self.absorb_fault("ub", e);
             }
+            stats.stages.rank_fetch_us += us_since(start);
         }
         let mesh = self.mesh;
         let filter = |t: sknn_terrain::mesh::TriId| -> bool {
@@ -908,9 +863,28 @@ impl<'a, 'm> RankingContext<'a, 'm> {
         }
     }
 
+    /// Fetch the front at step `m` over the canonical region `span`
+    /// through the shared cut cache when enabled, falling back to paged
+    /// retrieval.
+    fn fetch_front_shared(
+        &self,
+        m: u32,
+        span: TileSpan,
+        fetch: &mut FetchScratch,
+        stats: &mut QueryStats,
+    ) -> StoreResult<FrontGraph> {
+        if let Some(cache) = self.cuts {
+            let (graph, hit) = cache.get_or_extract(self.dmtm, self.pager, m, span, fetch)?;
+            count_cut_fetch(stats, hit);
+            Ok(graph)
+        } else {
+            let region = self.grid.span_rect(span);
+            self.dmtm.fetch_front_with(self.pager, m, Some(&region), fetch)
+        }
+    }
+
     /// Fetch an axis line band through the shared line cache when enabled,
     /// falling back to paged retrieval. Inputs must already be canonical.
-    #[allow(clippy::too_many_arguments)]
     fn fetch_lines_shared(
         &self,
         lvl: usize,
@@ -918,21 +892,16 @@ impl<'a, 'm> RankingContext<'a, 'm> {
         lo: f64,
         hi: f64,
         roi: &Rect2,
-        demand: usize,
         stats: &mut QueryStats,
     ) -> StoreResult<LineSet> {
         if let Some(cache) = self.lines {
-            let out =
-                cache.get_or_fetch(self.msdn, self.pager, lvl, axis, lo, hi, Some(roi), demand)?;
-            if out.hit {
-                stats.cut_cache_hits += 1;
-            } else {
-                stats.cut_cache_misses += 1;
-            }
-            Ok(LineSet::Shared(out.value))
+            let (lines, hit) =
+                cache.get_or_fetch(self.msdn, self.pager, lvl, axis, lo, hi, Some(roi))?;
+            count_cut_fetch(stats, hit);
+            Ok(lines)
         } else {
             let lines = self.msdn.fetch_lines_axis(self.pager, lvl, axis, lo, hi, Some(roi))?;
-            Ok(LineSet::Owned(lines))
+            Ok(lines.into_iter().map(Arc::new).collect())
         }
     }
 
@@ -957,8 +926,8 @@ impl<'a, 'm> RankingContext<'a, 'm> {
         // contribute nothing to `lower_bound` (their segments fail its ROI
         // filter), so the widening never changes the computed bound.
         let mut lines: Vec<&SimplifiedLine> = axis_lines[slot]
-            .as_slice()
             .iter()
+            .map(|l| &**l)
             .filter(|l| l.plane.value > lo && l.plane.value < hi)
             .collect();
         if ca > cb {
@@ -1006,33 +975,22 @@ impl<'a, 'm> RankingContext<'a, 'm> {
         // Upper bound.
         if dmtm_frac <= 1.0 {
             let m = self.dmtm.tree().step_for_fraction(dmtm_frac);
-            let fetched: StoreResult<FrontHandle> = if let Some(cache) = self.cuts {
-                cache.get_or_extract(self.dmtm, self.pager, m, None, 1).map(|out| {
-                    if out.hit {
-                        stats.cut_cache_hits += 1;
-                    } else {
-                        stats.cut_cache_misses += 1;
-                    }
-                    FrontHandle::Shared(out.value)
-                })
-            } else {
-                self.dmtm.fetch_front(self.pager, m, None).map(FrontHandle::Owned)
-            };
-            match fetched {
-                Ok(handle) => {
-                    let fg = handle.get();
-                    let src = self.dmtm.embed(fg, self.mesh, a.tri, a.pos);
-                    let dst = self.dmtm.embed(fg, self.mesh, b.tri, b.pos);
+            let scratch = &mut *self.scratch.borrow_mut();
+            let whole = self.grid.full_span();
+            match self.fetch_front_shared(m, whole, &mut scratch.fetch, stats) {
+                Ok(fg) => {
+                    let src = self.dmtm.embed(&fg, self.mesh, a.tri, a.pos);
+                    let dst = self.dmtm.embed(&fg, self.mesh, b.tri, b.pos);
                     if !src.is_empty() && !dst.is_empty() {
-                        let mut scratch = self.scratch.borrow_mut();
                         let (d, settled, queue, _) =
-                            filtered_dijkstra(fg, &|_| true, &src, &dst, &mut scratch.bufs);
+                            filtered_dijkstra(&fg, &|_| true, &src, &dst, &mut scratch.bufs);
                         stats.settled += settled;
                         stats.absorb_queue(&queue);
                         if d.is_finite() {
                             range.tighten_ub(d);
                         }
                     }
+                    scratch.fetch.recycle(fg);
                 }
                 // Degrade: the pair keeps an unbounded (valid) upper bound.
                 Err(e) => self.absorb_fault("pair_ub", e),
@@ -1056,6 +1014,20 @@ impl<'a, 'm> RankingContext<'a, 'm> {
         }
         range
     }
+}
+
+/// Count one fetch through a shared cut cache: a hit iff it loaded no
+/// unit.
+fn count_cut_fetch(stats: &mut QueryStats, hit: bool) {
+    if hit {
+        stats.cut_cache_hits += 1;
+    } else {
+        stats.cut_cache_misses += 1;
+    }
+}
+
+fn us_since(start: Instant) -> u64 {
+    start.elapsed().as_micros() as u64
 }
 
 fn max_ub(cands: &[Candidate]) -> f64 {

@@ -1,35 +1,61 @@
-//! Process-wide cache of materialized DMTM cuts.
+//! Process-wide cache of DMTM front data, resident by lattice tile.
 //!
 //! Extracting a front — scanning live ids, walking the clustering B+-tree,
-//! decoding payloads, sorting edges — dominates MR3's CPU-bound cost, and
-//! concurrent queries over hot terrain redo the exact same extractions.
-//! [`CutCache`] memoizes extracted [`FrontGraph`]s keyed by `(resolution
-//! step, fetch region)`, with single-flight extraction, CLOCK eviction and
-//! an optional per-tick extraction budget (all provided by
-//! [`SingleFlightCache`] in `sknn-store`).
+//! decoding payloads — dominates MR3's CPU-bound cost, and concurrent
+//! queries over hot terrain ask for overlapping regions of the same few
+//! resolution steps. [`CutCache`] keeps that data resident in
+//! **non-overlapping units**, one [`FrontUnit`] per `(resolution step,
+//! lattice tile)`, and *derives* each requested front from the units of
+//! its region — so overlapping requests share every byte they have in
+//! common instead of each holding a private copy of it. Single-flight
+//! loading and CLOCK eviction come from [`SingleFlightCache`] in
+//! `sknn-store`.
 //!
 //! ## Region canonicalization and bit-identity
 //!
-//! A cache keyed by raw query-dependent regions would never hit: every
-//! query computes slightly different candidate MBRs. [`CutGrid`] therefore
-//! canonicalizes fetch regions *before* they reach the store layer —
-//! padding them by a loading-radius fraction of a tile (hysteresis: repeat
-//! traffic in a hot neighbourhood lands inside an already-materialized
-//! cut) and snapping the result outward to a fixed tile lattice over the
-//! terrain extent. Crucially the ranking layer applies the same
-//! canonicalization **whether the cache is on or off**: extraction is a
-//! pure function of `(step, canonical region)`, a superset region only
-//! adds nodes that ROI filtering would admit anyway, and so query results
-//! are bit-identical in both modes — the cache can only change *when* work
-//! happens, never *what* it produces. Keys match exactly (`f64::to_bits`
-//! of the snapped bounds); there is no containment-based reuse across
-//! different keys, which would change Dijkstra inputs per query ordering.
+//! [`CutGrid`] canonicalizes fetch regions *before* they reach the store
+//! layer — padding them by a loading-radius fraction of a tile
+//! (hysteresis: repeat traffic in a hot neighbourhood lands inside
+//! already-resident tiles) and snapping the result outward to a fixed
+//! tile lattice over the terrain extent. Every canonical region is
+//! therefore a union of whole tiles, and because node MBRs and regions
+//! are compared as closed rectangles, a node's MBR meets the region iff
+//! it meets one of the region's tiles: the ids of a region are exactly
+//! the union of its tiles' ids. The ranking layer applies the same
+//! canonicalization **whether the cache is on or off**, and a derived
+//! front equals [`PagedDmtm::fetch_front`] of the same region bit for bit
+//! (see [`PagedDmtm::derive_front`]), so query results are bit-identical
+//! in both modes — the cache can only change *when* work happens, never
+//! *what* it produces.
 
-use crate::front::FrontGraph;
-use crate::paged::PagedDmtm;
+use crate::front::{FrontGraph, FrontUnit};
+use crate::paged::{FetchScratch, PagedDmtm};
 use sknn_geom::{Point2, Rect2};
-use sknn_store::{CacheGauges, CacheOutcome, CacheStats, Pager, SingleFlightCache, StoreResult};
-use std::time::Duration;
+use sknn_store::{CacheGauges, CacheStats, ManyOutcome, Pager, SingleFlightCache, StoreResult};
+use std::ops::Range;
+
+/// A canonical fetch region as half-open ranges of lattice tile indices.
+/// Never empty: [`CutGrid::span`] always covers at least one tile per
+/// axis.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TileSpan {
+    /// First tile column.
+    pub x0: usize,
+    /// One past the last tile column.
+    pub x1: usize,
+    /// First tile row.
+    pub y0: usize,
+    /// One past the last tile row.
+    pub y1: usize,
+}
+
+impl TileSpan {
+    /// The span's tiles as `row * side + column` indices into a lattice
+    /// of `side` tiles per axis, row-major.
+    pub fn tiles(self, side: usize) -> impl Iterator<Item = u32> {
+        (self.y0..self.y1).flat_map(move |y| (self.x0..self.x1).map(move |x| (y * side + x) as u32))
+    }
+}
 
 /// Fixed tile lattice over the terrain extent used to canonicalize fetch
 /// regions (see module docs). Copy-cheap; the engine builds one and hands
@@ -59,48 +85,137 @@ impl CutGrid {
     }
 
     /// Canonicalize a fetch region: pad by the loading radius, snap
-    /// outward to tile boundaries, clamp to the extent. Snapped bounds are
-    /// computed from integer tile indices so equal inputs produce
-    /// bit-equal outputs on any machine. Returns the full extent for
-    /// regions that cover it (the common first-iteration case, where the
-    /// candidate upper bound is still infinite). Apply exactly once per
-    /// raw region — with a nonzero pad, re-snapping a snapped region grows
-    /// it by another tile (the pad always extends).
-    pub fn snap(&self, r: &Rect2) -> Rect2 {
+    /// outward to tile boundaries, clamp to the extent. Returns the full
+    /// span for regions that cover the extent (the common first-iteration
+    /// case, where the candidate upper bound is still infinite). Apply
+    /// exactly once per raw region — with a nonzero pad, re-snapping a
+    /// snapped region grows it by another tile (the pad always extends).
+    pub fn span(&self, r: &Rect2) -> TileSpan {
         if r.contains_rect(&self.extent) {
-            return self.extent;
+            return self.full_span();
         }
-        let (x0, x1) =
-            self.snap_axis(r.lo.x, r.hi.x, self.extent.lo.x, self.extent.hi.x, self.tile_w);
-        let (y0, y1) =
-            self.snap_axis(r.lo.y, r.hi.y, self.extent.lo.y, self.extent.hi.y, self.tile_h);
-        Rect2::new(Point2::new(x0, y0), Point2::new(x1, y1))
+        let (x0, x1) = self.snap_axis(r.lo.x, r.hi.x, self.extent.lo.x, self.tile_w);
+        let (y0, y1) = self.snap_axis(r.lo.y, r.hi.y, self.extent.lo.y, self.tile_h);
+        TileSpan { x0, x1, y0, y1 }
+    }
+
+    /// The span covering the whole extent.
+    pub fn full_span(&self) -> TileSpan {
+        TileSpan { x0: 0, x1: self.tiles, y0: 0, y1: self.tiles }
+    }
+
+    /// The rectangle a span covers. Bounds are computed from integer tile
+    /// indices so equal spans produce bit-equal rectangles on any machine.
+    pub fn span_rect(&self, s: TileSpan) -> Rect2 {
+        Rect2::new(
+            Point2::new(self.edge_x(s.x0), self.edge_y(s.y0)),
+            Point2::new(self.edge_x(s.x1), self.edge_y(s.y1)),
+        )
+    }
+
+    /// [`span`](Self::span) as a rectangle.
+    pub fn snap(&self, r: &Rect2) -> Rect2 {
+        self.span_rect(self.span(r))
     }
 
     /// Canonicalize a 1-D band (an MSDN plane-coordinate interval) along
     /// `axis` (0 = x, 1 = y) with the same pad-and-snap rule.
     pub fn snap_band(&self, axis: usize, lo: f64, hi: f64) -> (f64, f64) {
         if axis == 0 {
-            self.snap_axis(lo, hi, self.extent.lo.x, self.extent.hi.x, self.tile_w)
+            let (i0, i1) = self.snap_axis(lo, hi, self.extent.lo.x, self.tile_w);
+            (self.edge_x(i0), self.edge_x(i1))
         } else {
-            self.snap_axis(lo, hi, self.extent.lo.y, self.extent.hi.y, self.tile_h)
+            let (i0, i1) = self.snap_axis(lo, hi, self.extent.lo.y, self.tile_h);
+            (self.edge_y(i0), self.edge_y(i1))
         }
     }
 
-    fn snap_axis(&self, lo: f64, hi: f64, origin: f64, end: f64, tile: f64) -> (f64, f64) {
+    /// Tile index range `[i0, i1)` covering the padded interval, at least
+    /// one tile wide.
+    fn snap_axis(&self, lo: f64, hi: f64, origin: f64, tile: f64) -> (usize, usize) {
         if tile <= 0.0 || !lo.is_finite() || !hi.is_finite() {
             // Degenerate extent or unbounded band: the whole axis range.
-            return (origin, end);
+            return (0, self.tiles);
         }
         let pad = self.pad_tiles * tile;
-        let i0 = ((((lo - pad) - origin) / tile).floor().max(0.0) as usize).min(self.tiles);
+        let i0 = ((((lo - pad) - origin) / tile).floor().max(0.0) as usize).min(self.tiles - 1);
         let i1 =
-            (((((hi + pad) - origin) / tile).ceil()).max(0.0) as usize).min(self.tiles).max(i0);
-        // Tile indices 0 and `tiles` resolve to the exact extent bounds so
-        // clamped regions share bit patterns with the full extent.
-        let a = if i0 == 0 { origin } else { origin + i0 as f64 * tile };
-        let b = if i1 >= self.tiles { end } else { origin + i1 as f64 * tile };
-        (a, b)
+            ((((hi + pad) - origin) / tile).ceil().max(0.0) as usize).min(self.tiles).max(i0 + 1);
+        (i0, i1)
+    }
+
+    /// Coordinate of lattice line `i` along an axis. Indices 0 and `tiles`
+    /// resolve to the exact extent bounds so clamped regions share bit
+    /// patterns with the full extent.
+    fn edge(&self, i: usize, origin: f64, end: f64, tile: f64) -> f64 {
+        if i == 0 {
+            origin
+        } else if i >= self.tiles {
+            end
+        } else {
+            origin + i as f64 * tile
+        }
+    }
+
+    fn edge_x(&self, i: usize) -> f64 {
+        self.edge(i, self.extent.lo.x, self.extent.hi.x, self.tile_w)
+    }
+
+    fn edge_y(&self, i: usize) -> f64 {
+        self.edge(i, self.extent.lo.y, self.extent.hi.y, self.tile_h)
+    }
+
+    /// Tile columns and rows whose closed rectangle intersects `mbr`, with
+    /// exactly [`Rect2::intersects`]'s comparisons against the same edge
+    /// coordinates [`span_rect`](Self::span_rect) produces — so a node
+    /// assigned to tiles here is in a region's id set iff the region
+    /// contains one of those tiles.
+    pub fn tiles_meeting(&self, mbr: &Rect2) -> (Range<usize>, Range<usize>) {
+        (
+            self.axis_meeting(mbr.lo.x, mbr.hi.x, self.tile_w, |i| self.edge_x(i)),
+            self.axis_meeting(mbr.lo.y, mbr.hi.y, self.tile_h, |i| self.edge_y(i)),
+        )
+    }
+
+    /// Tiles `i` with `lo <= edge(i + 1) && edge(i) <= hi`: an index
+    /// estimate by division, corrected against the exact edge values.
+    fn axis_meeting(
+        &self,
+        lo: f64,
+        hi: f64,
+        tile: f64,
+        edge: impl Fn(usize) -> f64,
+    ) -> Range<usize> {
+        if tile <= 0.0 {
+            // Degenerate extent: every tile is the same (closed) segment.
+            return if lo <= edge(self.tiles) && edge(0) <= hi { 0..self.tiles } else { 0..0 };
+        }
+        let last = self.tiles - 1;
+        let estimate = |v: f64| (((v - edge(0)) / tile).floor().max(0.0) as usize).min(last);
+        let mut a = estimate(lo);
+        while a > 0 && edge(a) >= lo {
+            a -= 1;
+        }
+        while a < last && edge(a + 1) < lo {
+            a += 1;
+        }
+        let mut b = estimate(hi);
+        while b < last && edge(b + 1) <= hi {
+            b += 1;
+        }
+        while b > 0 && edge(b) > hi {
+            b -= 1;
+        }
+        if lo <= edge(a + 1) && edge(b) <= hi && a <= b {
+            a..b + 1
+        } else {
+            0..0
+        }
+    }
+
+    /// Tiles per side.
+    pub fn tiles(&self) -> usize {
+        self.tiles
     }
 
     /// The terrain extent the lattice covers.
@@ -109,68 +224,83 @@ impl CutGrid {
     }
 }
 
-/// Exact identity of a materialized cut: resolution step plus the bit
-/// patterns of the canonical fetch region (`None` = unrestricted).
+/// Identity of a residency unit: resolution step plus lattice tile
+/// (`row * tiles + column`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct CutKey {
-    /// Collapse step of the front.
-    pub step: u32,
-    /// `[lo.x, lo.y, hi.x, hi.y]` as `f64::to_bits`, or `None` for a
-    /// whole-terrain cut.
-    pub roi: Option<[u64; 4]>,
+struct UnitKey {
+    step: u32,
+    tile: u32,
 }
 
-impl CutKey {
-    /// Key for a (already canonicalized) fetch.
-    pub fn new(step: u32, roi: Option<&Rect2>) -> Self {
-        Self {
-            step,
-            roi: roi
-                .map(|r| [r.lo.x.to_bits(), r.lo.y.to_bits(), r.hi.x.to_bits(), r.hi.y.to_bits()]),
-        }
-    }
-}
-
-/// Approximate resident bytes of a front (cache weight).
-fn front_weight(fg: &FrontGraph) -> usize {
-    64 + fg.ids.len() * 4 + fg.index.len() * 16 + fg.edges.len() * 24 + fg.rep_pos.len() * 24
-}
-
-/// The shared DMTM cut cache. See the module docs for semantics; pass
-/// canonical ([`CutGrid::snap`]ped) regions only.
+/// The shared DMTM cut cache. See the module docs for semantics.
 pub struct CutCache {
-    inner: SingleFlightCache<CutKey, FrontGraph>,
+    inner: SingleFlightCache<UnitKey, FrontUnit>,
+    grid: CutGrid,
 }
 
 impl CutCache {
-    /// A cache bounded by `capacity_bytes`, admitting at most
-    /// `budget_per_tick` extractions per `tick` (`0` = unlimited).
-    pub fn new(capacity_bytes: usize, budget_per_tick: usize, tick: Duration) -> Self {
-        Self { inner: SingleFlightCache::new(capacity_bytes, budget_per_tick, tick) }
+    /// A cache of the units of `grid`'s tiles, bounded by
+    /// `capacity_bytes`.
+    pub fn new(capacity_bytes: usize, grid: CutGrid) -> Self {
+        Self { inner: SingleFlightCache::new(capacity_bytes), grid }
     }
 
-    /// Fetch the front at step `m` restricted to (canonical) `roi`,
-    /// extracting through `dmtm`/`pager` under single-flight on a cold
-    /// key. `demand` is the number of candidates the requesting group
-    /// resolves from this cut (extraction-budget priority). I/O cost is
-    /// charged to `pager` only when an extraction actually runs.
+    /// Make every unit of `span` at step `m` resident and return them in
+    /// row-major tile order. The units nobody holds yet are loaded through
+    /// `dmtm`/`pager` in one storage batch; I/O is charged to `pager` only
+    /// for those.
+    fn units(
+        &self,
+        dmtm: &PagedDmtm,
+        pager: &Pager,
+        m: u32,
+        span: TileSpan,
+    ) -> StoreResult<ManyOutcome<FrontUnit>> {
+        let keys: Vec<UnitKey> =
+            span.tiles(self.grid.tiles()).map(|tile| UnitKey { step: m, tile }).collect();
+        self.inner.get_many(&keys, |claimed| {
+            let tiles: Vec<u32> = claimed.iter().map(|&i| keys[i].tile).collect();
+            let units = dmtm.fetch_units(pager, m, &self.grid, &tiles)?;
+            Ok(units
+                .into_iter()
+                .map(|u| {
+                    let weight = u.weight();
+                    (u, weight)
+                })
+                .collect())
+        })
+    }
+
+    /// The front at step `m` restricted to `span`, derived from resident
+    /// units (loading the missing ones first) into buffers recycled from
+    /// `scratch`. Equal to `dmtm.fetch_front` of the span's rectangle bit
+    /// for bit. The flag is `true` when no unit had to be loaded.
     pub fn get_or_extract(
         &self,
         dmtm: &PagedDmtm,
         pager: &Pager,
         m: u32,
-        roi: Option<&Rect2>,
-        demand: usize,
-    ) -> StoreResult<CacheOutcome<FrontGraph>> {
-        let key = CutKey::new(m, roi);
-        self.inner.get_or_load(key, demand, || {
-            let fg = dmtm.fetch_front(pager, m, roi)?;
-            let weight = front_weight(&fg);
-            Ok((fg, weight))
-        })
+        span: TileSpan,
+        scratch: &mut FetchScratch,
+    ) -> StoreResult<(FrontGraph, bool)> {
+        let out = self.units(dmtm, pager, m, span)?;
+        Ok((dmtm.derive_front(m, &out.values, scratch), out.hit))
     }
 
-    /// Counter snapshot.
+    /// Make the units of `span` at step `m` resident without deriving a
+    /// front — the page charge of a region whose data the caller reads
+    /// elsewhere. Returns whether no unit had to be loaded.
+    pub fn touch(
+        &self,
+        dmtm: &PagedDmtm,
+        pager: &Pager,
+        m: u32,
+        span: TileSpan,
+    ) -> StoreResult<bool> {
+        Ok(self.units(dmtm, pager, m, span)?.hit)
+    }
+
+    /// Counter snapshot (per unit, not per fetch).
     pub fn stats(&self) -> CacheStats {
         self.inner.stats()
     }
@@ -180,12 +310,12 @@ impl CutCache {
         self.inner.gauges()
     }
 
-    /// Extractions currently running.
+    /// Unit loads currently running.
     pub fn loads_in_flight(&self) -> u64 {
         self.inner.loads_in_flight()
     }
 
-    /// Drop every resident cut (cold-cache mode between queries).
+    /// Drop every resident unit (cold-cache mode between queries).
     pub fn clear(&self) {
         self.inner.clear();
     }
@@ -195,12 +325,12 @@ impl CutCache {
         self.inner.reset_stats();
     }
 
-    /// Resident cuts.
+    /// Resident units.
     pub fn len(&self) -> usize {
         self.inner.len()
     }
 
-    /// Whether no cut is resident.
+    /// Whether no unit is resident.
     pub fn is_empty(&self) -> bool {
         self.inner.is_empty()
     }
@@ -253,16 +383,45 @@ mod tests {
     }
 
     #[test]
-    fn keys_discriminate_step_and_region() {
+    fn spans_are_never_empty_and_match_their_rect() {
         let g = grid();
-        let a = g.snap(&Rect2::new(Point2::new(100.0, 100.0), Point2::new(200.0, 200.0)));
-        let b = g.snap(&Rect2::new(Point2::new(900.0, 100.0), Point2::new(1100.0, 200.0)));
-        assert_ne!(CutKey::new(3, Some(&a)), CutKey::new(3, Some(&b)));
-        assert_ne!(CutKey::new(3, Some(&a)), CutKey::new(4, Some(&a)));
-        assert_ne!(CutKey::new(3, Some(&a)), CutKey::new(3, None));
-        // Two regions snapping to the same tiles share a key: that is the
+        // Two regions snapping to the same tiles share a span: that is the
         // whole point of canonicalization.
-        let a2 = g.snap(&Rect2::new(Point2::new(101.0, 101.0), Point2::new(199.0, 199.0)));
-        assert_eq!(CutKey::new(3, Some(&a)), CutKey::new(3, Some(&a2)));
+        let a = g.span(&Rect2::new(Point2::new(100.0, 100.0), Point2::new(200.0, 200.0)));
+        let a2 = g.span(&Rect2::new(Point2::new(101.0, 101.0), Point2::new(199.0, 199.0)));
+        assert_eq!(a, a2);
+        assert_eq!(a, TileSpan { x0: 0, x1: 3, y0: 1, y1: 5 });
+        // A region beyond the extent still names the nearest tile.
+        let out = g.span(&Rect2::new(Point2::new(9000.0, -90.0), Point2::new(9001.0, -80.0)));
+        assert_eq!(out, TileSpan { x0: 15, x1: 16, y0: 0, y1: 1 });
+        assert_eq!(g.span_rect(g.full_span()), g.extent());
+    }
+
+    #[test]
+    fn tiles_meeting_agrees_with_rect_intersection() {
+        // Odd extent so lattice lines are not exactly representable.
+        let g =
+            CutGrid::new(Rect2::new(Point2::new(0.1, -3.3), Point2::new(1000.7, 777.7)), 16, 0.5);
+        let tile =
+            |x: usize, y: usize| g.span_rect(TileSpan { x0: x, x1: x + 1, y0: y, y1: y + 1 });
+        let edge = tile(5, 7).hi; // a lattice corner, bit-exact
+        let probes = [
+            Rect2::new(Point2::new(10.0, 10.0), Point2::new(10.0, 10.0)),
+            Rect2::new(edge, edge),
+            Rect2::new(Point2::new(edge.x, 0.0), Point2::new(edge.x + 200.0, edge.y)),
+            Rect2::new(Point2::new(0.1, -3.3), Point2::new(1000.7, 777.7)),
+            Rect2::new(Point2::new(1000.7, 777.7), Point2::new(1000.7, 777.7)),
+            Rect2::new(Point2::new(-50.0, -50.0), Point2::new(-40.0, -40.0)),
+        ];
+        for mbr in &probes {
+            let (xs, ys) = g.tiles_meeting(mbr);
+            for y in 0..16 {
+                for x in 0..16 {
+                    let want = tile(x, y).intersects(mbr);
+                    let got = xs.contains(&x) && ys.contains(&y);
+                    assert_eq!(got, want, "tile ({x},{y}) vs {mbr:?}");
+                }
+            }
+        }
     }
 }

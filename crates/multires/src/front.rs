@@ -18,10 +18,9 @@ use std::collections::HashMap;
 /// between node representatives.
 #[derive(Debug, Clone)]
 pub struct FrontGraph {
-    /// Tree node ids, ascending.
+    /// Tree node ids, ascending — a node's local index is its position
+    /// here ([`FrontGraph::local_of`] binary-searches it).
     pub ids: Vec<u32>,
-    /// Tree node id -> local index.
-    pub index: HashMap<u32, u32>,
     /// Edges in local indices, `a < b`.
     pub edges: Vec<(u32, u32, f64)>,
     /// Representative positions, per local node.
@@ -30,7 +29,40 @@ pub struct FrontGraph {
     pub step: u32,
 }
 
+/// One residency unit of the shared cut cache: the front at one collapse
+/// step as seen from one lattice tile. Units of different tiles overlap in
+/// ids (a coarse node's MBR meets many tiles) but never in space, and any
+/// ROI-restricted front is derivable from the units of the ROI's tiles
+/// alone — see `PagedDmtm::derive_front`.
+#[derive(Debug, Clone, Default)]
+pub struct FrontUnit {
+    /// Node ids live at the step whose MBR meets the tile, ascending.
+    pub ids: Vec<u32>,
+    /// CSR offsets into `nbr`/`dist`: id `ids[i]` owns entries
+    /// `offsets[i]..offsets[i + 1]` (`ids.len() + 1` offsets).
+    pub offsets: Vec<u32>,
+    /// Per id, its recorded neighbours that are live at the step and have
+    /// a larger id (the only direction extraction emits an edge from),
+    /// ascending by neighbour id, duplicates collapsed to the tighter
+    /// record.
+    pub nbr: Vec<u32>,
+    /// Recorded distance of each `nbr` entry.
+    pub dist: Vec<f64>,
+}
+
+impl FrontUnit {
+    /// Approximate resident bytes (cache weight).
+    pub fn weight(&self) -> usize {
+        48 + (self.ids.len() + self.offsets.len() + self.nbr.len()) * 4 + self.dist.len() * 8
+    }
+}
+
 impl FrontGraph {
+    /// Local index of tree node `id`, if it is part of this front.
+    pub fn local_of(&self, id: u32) -> Option<u32> {
+        self.ids.binary_search(&id).ok().map(|i| i as u32)
+    }
+
     /// Extract the front after `m` collapses; when `roi` is given, only
     /// nodes whose descendant MBR intersects it are included (the paper's
     /// ROI-restricted retrieval).
@@ -50,8 +82,7 @@ impl FrontGraph {
         Self::from_ids(tree, m, ids)
     }
 
-    /// Build the graph over an explicit live node set (used by the paged
-    /// layer, which fetches records itself).
+    /// Build the graph over an explicit live node set, ascending by id.
     pub fn from_ids(tree: &DmtmTree, m: u32, ids: Vec<u32>) -> Self {
         let index: HashMap<u32, u32> =
             ids.iter().enumerate().map(|(i, &id)| (id, i as u32)).collect();
@@ -67,10 +98,10 @@ impl FrontGraph {
         }
         // Entries exist on both endpoints, so each edge may appear twice
         // (once from each side); keep the tighter record.
-        edges.sort_by(|a, b| (a.0, a.1).cmp(&(b.0, b.1)).then(a.2.partial_cmp(&b.2).unwrap()));
+        edges.sort_by(|a, b| (a.0, a.1).cmp(&(b.0, b.1)).then(a.2.total_cmp(&b.2)));
         edges.dedup_by(|a, b| a.0 == b.0 && a.1 == b.1);
         let rep_pos = ids.iter().map(|&id| tree.node(id).rep_pos).collect();
-        Self { ids, index, edges, rep_pos, step: m }
+        Self { ids, edges, rep_pos, step: m }
     }
 
     /// Num nodes.
@@ -191,12 +222,12 @@ impl FrontGraph {
                 }
             }
         }
-        edges.sort_by(|a, b| (a.0, a.1).cmp(&(b.0, b.1)).then(a.2.partial_cmp(&b.2).unwrap()));
+        edges.sort_by(|a, b| (a.0, a.1).cmp(&(b.0, b.1)).then(a.2.total_cmp(&b.2)));
         edges.dedup_by(|a, b| a.0 == b.0 && a.1 == b.1);
         let rep_pos = ids.iter().map(|&id| tree.node(id).rep_pos).collect();
         // `step` is the fine step: embedding lifts leaves until they hit a
         // cut member, which `embed_cut` below handles explicitly.
-        Self { ids, index, edges, rep_pos, step: fine }
+        Self { ids, edges, rep_pos, step: fine }
     }
 
     /// Embed a surface point into a *mixed* cut (see
@@ -214,7 +245,7 @@ impl FrontGraph {
             let mut id = corner;
             let mut off = 0.0;
             let found = loop {
-                if let Some(&local) = self.index.get(&id) {
+                if let Some(local) = self.local_of(id) {
                     break Some((local, off));
                 }
                 off += tree.node(id).rep_offset;
@@ -249,7 +280,7 @@ impl FrontGraph {
         let mut out: Vec<(u32, f64)> = Vec::with_capacity(3);
         for &corner in &mesh.triangle_ids(tri) {
             let (anc, off) = tree.lift_to_front(corner, self.step);
-            if let Some(&local) = self.index.get(&anc) {
+            if let Some(local) = self.local_of(anc) {
                 let w = pos.dist(mesh.vertex(corner)) + off;
                 match out.iter_mut().find(|(l, _)| *l == local) {
                     Some(entry) => entry.1 = entry.1.min(w),
@@ -295,10 +326,10 @@ mod tests {
         // Distances equal plain network distances at full resolution.
         let g = Graph::from_undirected(fg.num_nodes(), &fg.edges);
         let net = MeshNetwork::build(&mesh);
-        let d_fg = Dijkstra::run(&g, fg.index[&0]);
+        let d_fg = Dijkstra::run(&g, fg.local_of(0).unwrap());
         let d_net = Dijkstra::run(net.graph(), 0);
         for v in [5usize, 40, 80] {
-            let local = fg.index[&(v as u32)] as usize;
+            let local = fg.local_of(v as u32).unwrap() as usize;
             assert!((d_fg.dist[local] - d_net.dist[v]).abs() < 1e-9);
         }
     }

@@ -45,8 +45,8 @@ pub mod quadric;
 pub mod simplify;
 pub mod tree;
 
-pub use cache::{CutCache, CutGrid, CutKey};
-pub use front::FrontGraph;
+pub use cache::{CutCache, CutGrid, TileSpan};
+pub use front::{FrontGraph, FrontUnit};
 pub use paged::{FetchScratch, PagedDmtm};
 pub use simplify::build_dmtm;
 pub use tree::{DmtmNode, DmtmTree};

@@ -12,17 +12,19 @@
 //! plays the role of DM's resident directory: deciding *which* records to
 //! fetch is free, fetching them is charged.
 
-use crate::front::FrontGraph;
+use crate::cache::CutGrid;
+use crate::front::{FrontGraph, FrontUnit};
 use crate::tree::DmtmTree;
 use sknn_geom::{Point3, Rect2};
 use sknn_store::{BPlusTree, Pager, StoreResult};
 use sknn_terrain::mesh::{TerrainMesh, TriId};
 use std::collections::HashMap;
+use std::sync::Arc;
 
-/// Reusable buffers for [`PagedDmtm::fetch_ids_with`] /
-/// [`PagedDmtm::fetch_front_with`], mirroring the `RankScratch` pattern:
-/// a caller that fetches fronts in a loop keeps one of these around and
-/// the per-fetch allocations (key ordering, the id→local index, edge and
+/// Reusable buffers for [`PagedDmtm::fetch_front_with`] and
+/// [`PagedDmtm::derive_front`], mirroring the `RankScratch` pattern: a
+/// caller that fetches fronts in a loop keeps one of these around and the
+/// per-fetch allocations (key ordering, the id→local map, edge and
 /// position buffers) disappear after warm-up. [`FetchScratch::recycle`]
 /// harvests the buffers of a [`FrontGraph`] that is being replaced.
 #[derive(Debug, Default)]
@@ -31,25 +33,40 @@ pub struct FetchScratch {
     order: Vec<(u64, u32)>,
     /// The sorted keys handed to `BPlusTree::get_many`.
     sorted_keys: Vec<u64>,
-    /// Recycled `FrontGraph` buffers.
+    /// id→local index of the paged extraction.
     index: HashMap<u32, u32>,
+    /// Recycled `FrontGraph` buffers.
     edges: Vec<(u32, u32, f64)>,
     rep_pos: Vec<Point3>,
-    /// Spare id buffer for `fetch_front_with`.
     ids: Vec<u32>,
+    /// Dense per-tree-node map of the derivation, valid where
+    /// `slot.stamp == stamp` — stamping makes "clear" free.
+    slots: Vec<Slot>,
+    stamp: u32,
+    /// One bit per tree node: dedups the units' ids and yields them back
+    /// in ascending order. All zero between derivations.
+    bits: Vec<u64>,
+}
+
+/// Where the derivation found a node (which unit, at which position) and
+/// the local index it assigned to it.
+#[derive(Debug, Clone, Copy, Default)]
+struct Slot {
+    stamp: u32,
+    local: u32,
+    unit: u32,
+    pos: u32,
 }
 
 impl FetchScratch {
     /// Take back the buffers of a front that is no longer needed so the
     /// next fetch reuses them instead of allocating.
     pub fn recycle(&mut self, fg: FrontGraph) {
-        let FrontGraph { ids, index, edges, rep_pos, .. } = fg;
+        let FrontGraph { ids, edges, rep_pos, .. } = fg;
         if ids.capacity() > self.ids.capacity() {
             self.ids = ids;
             self.ids.clear();
         }
-        self.index = index;
-        self.index.clear();
         self.edges = edges;
         self.edges.clear();
         self.rep_pos = rep_pos;
@@ -139,38 +156,31 @@ impl PagedDmtm {
         }));
     }
 
-    /// Fetch an explicit id set (the integrated-I/O path: ids from several
-    /// merged candidate regions, deduplicated, fetched once).
-    pub fn fetch_ids(&self, pager: &Pager, m: u32, ids: Vec<u32>) -> StoreResult<FrontGraph> {
-        self.fetch_ids_with(pager, m, ids, &mut FetchScratch::default())
-    }
-
-    /// [`PagedDmtm::fetch_ids`] with caller-provided scratch buffers: the
-    /// id set is taken by value (no defensive clone), the id→local index
-    /// and edge/position buffers are recycled from previous fronts, and
-    /// the payload lookups go through [`BPlusTree::get_many`] — one
+    /// Fetch the payloads of an ascending id set and assemble the front:
+    /// the id set is taken by value (no defensive clone), the id→local
+    /// index and edge/position buffers are recycled from previous fronts,
+    /// and the payload lookups go through [`BPlusTree::get_many`] — one
     /// descent per leaf run of Morton-adjacent keys instead of one per
     /// node, which can only lower the page-access count.
-    pub fn fetch_ids_with(
+    fn fetch_ids_with(
         &self,
         pager: &Pager,
         m: u32,
         ids: Vec<u32>,
         scratch: &mut FetchScratch,
     ) -> StoreResult<FrontGraph> {
-        scratch.order.clear();
-        scratch.order.extend(ids.iter().map(|&id| (self.keys[id as usize], id)));
-        scratch.order.sort_unstable_by_key(|&(k, _)| k);
-        scratch.sorted_keys.clear();
-        scratch.sorted_keys.extend(scratch.order.iter().map(|&(k, _)| k));
-        let mut index = std::mem::take(&mut scratch.index);
+        let FetchScratch { order, sorted_keys, index, .. } = scratch;
+        order.clear();
+        order.extend(ids.iter().map(|&id| (self.keys[id as usize], id)));
+        order.sort_unstable_by_key(|&(k, _)| k);
+        sorted_keys.clear();
+        sorted_keys.extend(order.iter().map(|&(k, _)| k));
         index.clear();
         index.extend(ids.iter().enumerate().map(|(i, &id)| (id, i as u32)));
         let mut edges = std::mem::take(&mut scratch.edges);
         edges.clear();
-        let order = &scratch.order;
         let mut cursor = 0usize;
-        let fetched = self.btree.get_many(pager, &scratch.sorted_keys, |_, payload| {
+        let fetched = self.btree.get_many(pager, sorted_keys, |_, payload| {
             let id = order[cursor].1;
             cursor += 1;
             let local = index[&id];
@@ -190,21 +200,174 @@ impl PagedDmtm {
             Err(e) => {
                 // Return the partially-filled buffers to the scratch so a
                 // degraded caller's next fetch still reuses them.
-                index.clear();
                 edges.clear();
-                scratch.index = index;
                 scratch.edges = edges;
                 scratch.ids = ids;
                 scratch.ids.clear();
                 return Err(e);
             }
         }
-        edges.sort_by(|a, b| (a.0, a.1).cmp(&(b.0, b.1)).then(a.2.partial_cmp(&b.2).unwrap()));
+        edges.sort_by(|a, b| (a.0, a.1).cmp(&(b.0, b.1)).then(a.2.total_cmp(&b.2)));
         edges.dedup_by(|a, b| a.0 == b.0 && a.1 == b.1);
         let mut rep_pos = std::mem::take(&mut scratch.rep_pos);
         rep_pos.clear();
         rep_pos.extend(ids.iter().map(|&id| self.tree.node(id).rep_pos));
-        Ok(FrontGraph { ids, index, edges, rep_pos, step: m })
+        Ok(FrontGraph { ids, edges, rep_pos, step: m })
+    }
+
+    /// Load the residency units of lattice `tiles` (`row * side + column`
+    /// indices into `grid`) at step `m`: one scan of the resident
+    /// directory assigns every live node to the requested tiles its MBR
+    /// meets, and the payloads of the union of those nodes are read in a
+    /// single [`BPlusTree::get_many`] batch — a subset of what
+    /// [`fetch_front`](Self::fetch_front) reads for any region containing
+    /// the tiles. Units come back in `tiles` order.
+    pub fn fetch_units(
+        &self,
+        pager: &Pager,
+        m: u32,
+        grid: &CutGrid,
+        tiles: &[u32],
+    ) -> StoreResult<Vec<FrontUnit>> {
+        let side = grid.tiles();
+        let mut unit_of_tile = vec![u32::MAX; side * side];
+        for (u, &t) in tiles.iter().enumerate() {
+            unit_of_tile[t as usize] = u as u32;
+        }
+        let mut units = vec![FrontUnit::default(); tiles.len()];
+        // (storage key, node id) of every node some requested tile holds.
+        let mut order: Vec<(u64, u32)> = Vec::new();
+        for (id, node) in self.tree.nodes().iter().enumerate() {
+            let id = id as u32;
+            if !self.tree.live_at(id, m) {
+                continue;
+            }
+            let (xs, ys) = grid.tiles_meeting(&node.mbr);
+            let mut wanted = false;
+            for y in ys {
+                for x in xs.clone() {
+                    let u = unit_of_tile[y * side + x];
+                    if u != u32::MAX {
+                        units[u as usize].ids.push(id);
+                        wanted = true;
+                    }
+                }
+            }
+            if wanted {
+                order.push((self.keys[id as usize], id));
+            }
+        }
+        order.sort_unstable_by_key(|&(k, _)| k);
+        let sorted_keys: Vec<u64> = order.iter().map(|&(k, _)| k).collect();
+
+        // Per fetched node `(id, start, end)` into `adj`: its neighbours
+        // in the form the units store them.
+        let mut runs: Vec<(u32, u32, u32)> = Vec::with_capacity(order.len());
+        let mut adj: Vec<(u32, f64)> = Vec::new();
+        let mut one: Vec<(u32, f64)> = Vec::new();
+        let mut cursor = 0usize;
+        let found = self.btree.get_many(pager, &sorted_keys, |_, payload| {
+            let id = order[cursor].1;
+            cursor += 1;
+            one.clear();
+            one.extend(
+                payload_neighbors(&payload).filter(|&(w, _)| w > id && self.tree.live_at(w, m)),
+            );
+            one.sort_unstable_by(|a, b| a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)));
+            one.dedup_by_key(|e| e.0);
+            runs.push((id, adj.len() as u32, (adj.len() + one.len()) as u32));
+            adj.extend_from_slice(&one);
+        })?;
+        assert_eq!(found, order.len(), "node payload missing");
+        runs.sort_unstable_by_key(|r| r.0);
+
+        // Unit ids and `runs` are both ascending by id: a merge walk.
+        for unit in &mut units {
+            let mut r = 0usize;
+            unit.offsets.push(0);
+            for &id in &unit.ids {
+                while runs[r].0 < id {
+                    r += 1;
+                }
+                for &(w, d) in &adj[runs[r].1 as usize..runs[r].2 as usize] {
+                    unit.nbr.push(w);
+                    unit.dist.push(d);
+                }
+                unit.offsets.push(unit.nbr.len() as u32);
+            }
+        }
+        Ok(units)
+    }
+
+    /// Derive the front at step `m` over the region whose tiles `units`
+    /// hold (every tile of the region, any order) — equal to
+    /// [`fetch_front`](Self::fetch_front) of that region bit for bit,
+    /// without a hash lookup or a sort:
+    ///
+    /// * ids: the union of the units' ids, deduplicated and ordered
+    ///   through a bitmap (a node whose MBR spans several tiles is in
+    ///   several units);
+    /// * edges: extraction emits an edge only from its lower endpoint
+    ///   (`local < wl`, and locals ascend with ids), keeping the tightest
+    ///   of duplicate records. Units store exactly those entries per id,
+    ///   sorted by neighbour, so walking ids in order and each id's
+    ///   entries in order emits the edge list already in `(a, b)` order.
+    pub fn derive_front(
+        &self,
+        m: u32,
+        units: &[Arc<FrontUnit>],
+        scratch: &mut FetchScratch,
+    ) -> FrontGraph {
+        let n = self.tree.nodes().len();
+        if scratch.slots.len() != n {
+            scratch.slots = vec![Slot::default(); n];
+            scratch.bits = vec![0; n.div_ceil(64)];
+            scratch.stamp = 0;
+        }
+        scratch.stamp = scratch.stamp.wrapping_add(1);
+        if scratch.stamp == 0 {
+            scratch.slots.fill(Slot::default());
+            scratch.stamp = 1;
+        }
+        let FetchScratch { slots, stamp, bits, .. } = scratch;
+        let stamp = *stamp;
+        for (u, unit) in units.iter().enumerate() {
+            for (pos, &id) in unit.ids.iter().enumerate() {
+                let slot = &mut slots[id as usize];
+                if slot.stamp != stamp {
+                    *slot = Slot { stamp, local: 0, unit: u as u32, pos: pos as u32 };
+                    bits[id as usize / 64] |= 1 << (id % 64);
+                }
+            }
+        }
+        let mut ids = std::mem::take(&mut scratch.ids);
+        ids.clear();
+        for (w, word) in bits.iter_mut().enumerate() {
+            let mut rest = std::mem::take(word);
+            while rest != 0 {
+                let id = (w * 64) as u32 + rest.trailing_zeros();
+                slots[id as usize].local = ids.len() as u32;
+                ids.push(id);
+                rest &= rest - 1;
+            }
+        }
+        let mut edges = std::mem::take(&mut scratch.edges);
+        edges.clear();
+        for (local, &id) in ids.iter().enumerate() {
+            let slot = slots[id as usize];
+            let unit = &units[slot.unit as usize];
+            let (a, b) = (unit.offsets[slot.pos as usize], unit.offsets[slot.pos as usize + 1]);
+            for k in a as usize..b as usize {
+                let w = slots[unit.nbr[k] as usize];
+                if w.stamp == stamp {
+                    edges.push((local as u32, w.local, unit.dist[k]));
+                }
+            }
+        }
+        let mut rep_pos = std::mem::take(&mut scratch.rep_pos);
+        rep_pos.clear();
+        rep_pos.extend(ids.iter().map(|&id| self.tree.node(id).rep_pos));
+        FrontGraph { ids, edges, rep_pos, step: m }
     }
 
     /// Embed a surface point into a fetched front (metadata only; the
@@ -353,6 +516,41 @@ mod tests {
             assert_eq!(fresh.edges, reused.edges);
             assert_eq!(fresh.step, reused.step);
             prev = Some(reused);
+        }
+    }
+
+    #[test]
+    fn derived_front_equals_paged_fetch() {
+        use crate::cache::TileSpan;
+        let (pager, paged) = setup();
+        let extent = paged.tree().nodes().iter().fold(Rect2::EMPTY, |r, n| r.union(&n.mbr));
+        let grid = CutGrid::new(extent, 4, 0.5);
+        let mut scratch = FetchScratch::default();
+        let spans = [
+            grid.full_span(),
+            TileSpan { x0: 1, x1: 2, y0: 2, y1: 3 },
+            TileSpan { x0: 0, x1: 3, y0: 1, y1: 4 },
+        ];
+        for frac in [0.02, 0.3, 1.0] {
+            let m = paged.tree().step_for_fraction(frac);
+            for span in spans {
+                let tiles: Vec<u32> = span.tiles(4).collect();
+                let units: Vec<Arc<FrontUnit>> = paged
+                    .fetch_units(&pager, m, &grid, &tiles)
+                    .unwrap()
+                    .into_iter()
+                    .map(Arc::new)
+                    .collect();
+                let derived = paged.derive_front(m, &units, &mut scratch);
+                let oracle = paged.fetch_front(&pager, m, Some(&grid.span_rect(span))).unwrap();
+                assert_eq!(derived.ids, oracle.ids, "frac {frac} span {span:?}");
+                assert_eq!(derived.rep_pos, oracle.rep_pos);
+                let bits = |e: &[(u32, u32, f64)]| -> Vec<(u32, u32, u64)> {
+                    e.iter().map(|&(a, b, w)| (a, b, w.to_bits())).collect()
+                };
+                assert_eq!(bits(&derived.edges), bits(&oracle.edges), "frac {frac} span {span:?}");
+                scratch.recycle(derived);
+            }
         }
     }
 

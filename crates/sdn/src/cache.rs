@@ -1,12 +1,14 @@
-//! Process-wide cache of materialized MSDN crossing-line cuts.
+//! Process-wide cache of MSDN crossing lines, resident by line.
 //!
 //! The lower-bound phase repeatedly fetches the simplified crossing lines
 //! of a plane-coordinate band at some resolution level — decoded from heap
 //! files and filtered per region — and concurrent queries over the same
 //! hot band redo that work. This mirrors the DMTM [`CutCache`]
-//! (`sknn-multires`): line sets are memoized under single-flight keyed by
-//! `(level, axis, canonical band, canonical region)`, with the same CLOCK
-//! eviction and extraction-budget machinery from `sknn-store`.
+//! (`sknn-multires`): the residency unit is one crossing line, keyed
+//! `(level, axis, line)`, held as an `Arc<SimplifiedLine>`. A band fetch
+//! selects its lines from the resident directory and hands out `Arc`s, so
+//! overlapping bands and regions share every line they have in common;
+//! single-flight loading and CLOCK eviction come from `sknn-store`.
 //!
 //! Bands and regions must be canonicalized (padded + tile-snapped) by the
 //! caller **identically with the cache on or off** — see the
@@ -17,60 +19,39 @@
 use crate::paged::PagedMsdn;
 use crate::simplify::SimplifiedLine;
 use sknn_geom::{Axis, Rect2};
-use sknn_store::{CacheGauges, CacheOutcome, CacheStats, Pager, SingleFlightCache, StoreResult};
-use std::time::Duration;
+use sknn_store::{CacheGauges, CacheStats, Pager, SingleFlightCache, StoreResult};
+use std::sync::Arc;
 
-/// Exact identity of a materialized line set: resolution level, sweep
-/// axis, and the bit patterns of the canonical band and region.
+/// Identity of a residency unit: resolution level, sweep axis, and the
+/// line's index in that level's directory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct LineKey {
-    /// Resolution level index.
-    pub level: u32,
-    /// Sweep axis (0 = X, 1 = Y).
-    pub axis: u8,
-    /// Canonical band `(lo, hi)` as `f64::to_bits`.
-    pub band: [u64; 2],
-    /// Canonical region bits, or `None` for unrestricted.
-    pub roi: Option<[u64; 4]>,
+struct LineKey {
+    level: u32,
+    axis: Axis,
+    line: u32,
 }
 
-impl LineKey {
-    /// Key for an (already canonicalized) band fetch.
-    pub fn new(level: usize, axis: Axis, lo: f64, hi: f64, roi: Option<&Rect2>) -> Self {
-        Self {
-            level: level as u32,
-            axis: match axis {
-                Axis::X => 0,
-                Axis::Y => 1,
-            },
-            band: [lo.to_bits(), hi.to_bits()],
-            roi: roi
-                .map(|r| [r.lo.x.to_bits(), r.lo.y.to_bits(), r.hi.x.to_bits(), r.hi.y.to_bits()]),
-        }
-    }
-}
-
-/// Approximate resident bytes of a line set (cache weight).
-fn lines_weight(lines: &[SimplifiedLine]) -> usize {
-    64 + lines.iter().map(|l| 64 + l.segments.len() * 96).sum::<usize>()
+/// Approximate resident bytes of a line (cache weight).
+fn line_weight(line: &SimplifiedLine) -> usize {
+    64 + line.segments.len() * 96
 }
 
 /// The shared MSDN line cache; pass canonical bands/regions only.
 pub struct LineCutCache {
-    inner: SingleFlightCache<LineKey, Vec<SimplifiedLine>>,
+    inner: SingleFlightCache<LineKey, SimplifiedLine>,
 }
 
 impl LineCutCache {
-    /// A cache bounded by `capacity_bytes`, admitting at most
-    /// `budget_per_tick` fetches per `tick` (`0` = unlimited).
-    pub fn new(capacity_bytes: usize, budget_per_tick: usize, tick: Duration) -> Self {
-        Self { inner: SingleFlightCache::new(capacity_bytes, budget_per_tick, tick) }
+    /// A cache bounded by `capacity_bytes`.
+    pub fn new(capacity_bytes: usize) -> Self {
+        Self { inner: SingleFlightCache::new(capacity_bytes) }
     }
 
-    /// Fetch the simplified lines of `axis` with plane coordinate in the
-    /// open (canonical) band `(lo, hi)` intersecting (canonical) `roi`,
-    /// loading through `msdn`/`pager` under single-flight on a cold key.
-    /// `demand` prioritizes extraction-budget admission.
+    /// The simplified lines of `axis` with plane coordinate in the open
+    /// (canonical) band `(lo, hi)` intersecting (canonical) `roi` — the
+    /// lines and order of `msdn.fetch_lines_axis`. Lines nobody holds yet
+    /// are read through `msdn`/`pager` in one batched heap read. The flag
+    /// is `true` when no line had to be loaded.
     #[allow(clippy::too_many_arguments)]
     pub fn get_or_fetch(
         &self,
@@ -81,17 +62,27 @@ impl LineCutCache {
         lo: f64,
         hi: f64,
         roi: Option<&Rect2>,
-        demand: usize,
-    ) -> StoreResult<CacheOutcome<Vec<SimplifiedLine>>> {
-        let key = LineKey::new(level_idx, axis, lo, hi, roi);
-        self.inner.get_or_load(key, demand, || {
-            let lines = msdn.fetch_lines_axis(pager, level_idx, axis, lo, hi, roi)?;
-            let weight = lines_weight(&lines);
-            Ok((lines, weight))
-        })
+    ) -> StoreResult<(Vec<Arc<SimplifiedLine>>, bool)> {
+        let keys: Vec<LineKey> = msdn
+            .select_lines(level_idx, axis, lo, hi, roi)
+            .into_iter()
+            .map(|line| LineKey { level: level_idx as u32, axis, line })
+            .collect();
+        let out = self.inner.get_many(&keys, |claimed| {
+            let wanted: Vec<u32> = claimed.iter().map(|&i| keys[i].line).collect();
+            let lines = msdn.fetch_lines(pager, level_idx, axis, &wanted)?;
+            Ok(lines
+                .into_iter()
+                .map(|l| {
+                    let weight = line_weight(&l);
+                    (l, weight)
+                })
+                .collect())
+        })?;
+        Ok((out.values, out.hit))
     }
 
-    /// Counter snapshot.
+    /// Counter snapshot (per line, not per fetch).
     pub fn stats(&self) -> CacheStats {
         self.inner.stats()
     }
@@ -101,12 +92,12 @@ impl LineCutCache {
         self.inner.gauges()
     }
 
-    /// Fetches currently running.
+    /// Line loads currently running.
     pub fn loads_in_flight(&self) -> u64 {
         self.inner.loads_in_flight()
     }
 
-    /// Drop every resident line set (cold-cache mode between queries).
+    /// Drop every resident line (cold-cache mode between queries).
     pub fn clear(&self) {
         self.inner.clear();
     }
@@ -116,29 +107,13 @@ impl LineCutCache {
         self.inner.reset_stats();
     }
 
-    /// Resident line sets.
+    /// Resident lines.
     pub fn len(&self) -> usize {
         self.inner.len()
     }
 
-    /// Whether no line set is resident.
+    /// Whether no line is resident.
     pub fn is_empty(&self) -> bool {
         self.inner.is_empty()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn keys_discriminate_every_dimension() {
-        let r = Rect2::new(sknn_geom::Point2::new(0.0, 0.0), sknn_geom::Point2::new(10.0, 10.0));
-        let base = LineKey::new(1, Axis::X, 2.0, 8.0, Some(&r));
-        assert_eq!(base, LineKey::new(1, Axis::X, 2.0, 8.0, Some(&r)));
-        assert_ne!(base, LineKey::new(2, Axis::X, 2.0, 8.0, Some(&r)));
-        assert_ne!(base, LineKey::new(1, Axis::Y, 2.0, 8.0, Some(&r)));
-        assert_ne!(base, LineKey::new(1, Axis::X, 2.5, 8.0, Some(&r)));
-        assert_ne!(base, LineKey::new(1, Axis::X, 2.0, 8.0, None));
     }
 }

@@ -48,7 +48,7 @@ pub mod network;
 pub mod paged;
 pub mod simplify;
 
-pub use cache::{LineCutCache, LineKey};
+pub use cache::LineCutCache;
 pub use crossing::CrossingLine;
 pub use msdn::{Msdn, MsdnConfig};
 pub use network::{corridor_mask, lower_bound, LowerBound};

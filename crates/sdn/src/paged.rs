@@ -89,27 +89,11 @@ impl PagedMsdn {
     ) -> StoreResult<Vec<SimplifiedLine>> {
         let axis = Msdn::axis_for(a, b);
         let (ca, cb) = (axis.coord(a), axis.coord(b));
-        let (lo, hi) = (ca.min(cb), ca.max(cb));
-        let level = self.level(axis, level_idx);
-        let mut wanted: Vec<&PagedLine> = level
-            .lines
-            .iter()
-            .filter(|l| l.plane.value > lo && l.plane.value < hi)
-            .filter(|l| roi.is_none_or(|r| r.intersects(&l.mbr_xy)))
-            .collect();
-        wanted.sort_by(|p, q| p.plane.value.partial_cmp(&q.plane.value).unwrap());
+        let mut wanted = self.select_lines(level_idx, axis, ca.min(cb), ca.max(cb), roi);
         if ca > cb {
             wanted.reverse();
         }
-
-        let fetched = fetch_segments(pager, level, &wanted)?;
-        Ok(wanted
-            .into_iter()
-            .map(|line| SimplifiedLine {
-                plane: line.plane,
-                segments: line.rids.iter().map(|rid| fetched[rid]).collect(),
-            })
-            .collect())
+        self.fetch_lines(pager, level_idx, axis, &wanted)
     }
 
     /// Fetch all lines of one axis with plane value in `(lo, hi)`,
@@ -126,15 +110,47 @@ impl PagedMsdn {
         hi: f64,
         roi: Option<&Rect2>,
     ) -> StoreResult<Vec<SimplifiedLine>> {
-        let level = self.level(axis, level_idx);
-        let mut wanted: Vec<&PagedLine> = level
-            .lines
-            .iter()
-            .filter(|l| l.plane.value > lo && l.plane.value < hi)
-            .filter(|l| roi.is_none_or(|r| r.intersects(&l.mbr_xy)))
-            .collect();
-        wanted.sort_by(|p, q| p.plane.value.partial_cmp(&q.plane.value).unwrap());
+        let wanted = self.select_lines(level_idx, axis, lo, hi, roi);
+        self.fetch_lines(pager, level_idx, axis, &wanted)
+    }
 
+    /// The directory half of [`fetch_lines_axis`](Self::fetch_lines_axis):
+    /// which lines (indices into the level's directory) the fetch returns,
+    /// in the order it returns them. No I/O.
+    pub fn select_lines(
+        &self,
+        level_idx: usize,
+        axis: Axis,
+        lo: f64,
+        hi: f64,
+        roi: Option<&Rect2>,
+    ) -> Vec<u32> {
+        let lines = &self.level(axis, level_idx).lines;
+        let mut wanted: Vec<u32> = (0..lines.len() as u32)
+            .filter(|&i| {
+                let l = &lines[i as usize];
+                l.plane.value > lo
+                    && l.plane.value < hi
+                    && roi.is_none_or(|r| r.intersects(&l.mbr_xy))
+            })
+            .collect();
+        wanted.sort_by(|&p, &q| {
+            lines[p as usize].plane.value.total_cmp(&lines[q as usize].plane.value)
+        });
+        wanted
+    }
+
+    /// The storage half: read the segments of the given directory lines in
+    /// one batched heap read, charging one page read per distinct page.
+    pub fn fetch_lines(
+        &self,
+        pager: &Pager,
+        level_idx: usize,
+        axis: Axis,
+        wanted: &[u32],
+    ) -> StoreResult<Vec<SimplifiedLine>> {
+        let level = self.level(axis, level_idx);
+        let wanted: Vec<&PagedLine> = wanted.iter().map(|&i| &level.lines[i as usize]).collect();
         let fetched = fetch_segments(pager, level, &wanted)?;
         Ok(wanted
             .into_iter()

@@ -261,52 +261,47 @@ impl<'e, 's, 'm> Server<'e, 's, 'm> {
         let cut = move || engine.cut_cache_snapshot().unwrap_or_default();
         registry.counter_fn(
             "sknn_cutcache_hits_total",
-            "Cut fetches served from a resident materialized cut",
+            "Cut-cache units (front tiles, crossing lines) served from memory",
             move || cut().hits,
         );
         registry.counter_fn(
             "sknn_cutcache_misses_total",
-            "Cut fetches that led an extraction",
+            "Cut-cache units loaded from storage",
             move || cut().misses,
         );
         registry.counter_fn(
             "sknn_cutcache_singleflight_waits_total",
-            "Cut fetches that waited on another query's extraction",
+            "Cut-cache units waited for while another query loaded them",
             move || cut().singleflight_waits,
         );
         registry.counter_fn(
             "sknn_cutcache_evictions_total",
-            "Resident cuts evicted to stay within the weight budget",
+            "Resident units evicted to stay within the weight budget",
             move || cut().evictions,
         );
         registry.counter_fn(
             "sknn_cutcache_failed_loads_total",
-            "Cut extractions that failed without publishing an entry",
+            "Unit loads that failed without publishing anything",
             move || cut().failed_loads,
-        );
-        registry.counter_fn(
-            "sknn_cutcache_budget_deferrals_total",
-            "Cut extractions delayed by the per-tick admission budget",
-            move || cut().budget_deferrals,
         );
         registry.gauge_fn(
             "sknn_cutcache_warm_entries",
-            "Resident cuts marked warm (recently used)",
+            "Resident units marked warm (recently used)",
             move || cut().warm_entries as f64,
         );
         registry.gauge_fn(
             "sknn_cutcache_cooling_entries",
-            "Resident cuts cooled by the CLOCK hand",
+            "Resident units cooled by the CLOCK hand",
             move || cut().cooling_entries as f64,
         );
         registry.gauge_fn(
             "sknn_cutcache_resident_bytes",
-            "Approximate bytes of resident cut data",
+            "Approximate bytes of resident unit data",
             move || cut().resident_bytes as f64,
         );
         registry.gauge_fn(
             "sknn_cutcache_extractions_in_flight",
-            "Cut extractions running right now",
+            "Unit loads running right now",
             move || cut().in_flight as f64,
         );
         registry.gauge_fn(

@@ -1,43 +1,43 @@
 //! A generic process-wide single-flight object cache.
 //!
 //! This is the storage-layer core of the shared LOD cut cache: a sharded
-//! map from a key (a canonicalized region + resolution step, in the
-//! callers) to an immutable, `Arc`-shared value, with the same
-//! concurrency discipline as the buffer pool in [`pager`](crate::pager):
+//! map from a key (one non-overlapping residency unit — a DMTM lattice
+//! tile at a resolution step, or one MSDN crossing line — in the callers)
+//! to an immutable, `Arc`-shared value, with the same concurrency
+//! discipline as the buffer pool in [`pager`](crate::pager):
 //!
 //! * **Entry state machine** — every key is *Absent* (not in the map),
 //!   *Loading* (one thread is materializing it), *Warm* (resident,
 //!   recently used) or *Cooling* (resident, reference bit cleared by the
 //!   CLOCK hand; next sweep evicts it). A hit on a Cooling entry warms it
 //!   back up.
-//! * **Single-flight loading** — the first thread to miss a key becomes
-//!   its leader and runs the load closure; concurrent requests for the
-//!   same key wait on the shard's condvar (latch + condvar, exactly the
-//!   buffer pool's in-flight protocol) and are served the leader's value.
-//!   A failing or panicking leader removes its *Loading* entry through a
-//!   drop guard before waking waiters, so no poisoned entry survives and
-//!   nobody is stranded: waiters re-check and lead the load themselves.
+//! * **Batched single-flight loading** — [`SingleFlightCache::get_many`]
+//!   is the one load path. A request names every key it needs; one lock
+//!   pass classifies each as resident, *Loading* elsewhere, or *claimed*
+//!   (Absent: this thread latches it); **one** loader call materializes
+//!   all claimed keys, so the caller can fetch them in a single storage
+//!   batch; the values are published and waiters woken; only then does
+//!   the thread wait on the keys other threads lead. A leader therefore
+//!   never blocks while holding unpublished latches, which is what makes
+//!   overlapping, unequal key sets deadlock-free. A failing or panicking
+//!   leader removes *all* its latches through a drop guard and publishes
+//!   nothing; its waiters wake, find the keys Absent and claim them.
 //! * **Bounded weight with CLOCK eviction** — each shard carries a weight
 //!   budget (the callers pass approximate byte sizes). Inserting over
 //!   budget sweeps the shard's clock ring: Warm entries cool, Cooling
 //!   entries are evicted. *Loading* entries are never on the ring and
 //!   never evicted.
-//! * **Extraction budget** — an optional token bucket refilled per tick
-//!   bounds how many loads may *start* per tick, admitting queued loads
-//!   in priority order of caller-declared demand (how many candidates a
-//!   query resolves from the cut). Zero budget (the default) disables
-//!   admission control entirely.
 //!
 //! Values are immutable once published: a load must be deterministic for
 //! a given key, which is what lets the query layer keep results
 //! bit-identical whether it hits the cache or re-extracts.
 
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Number of cache shards — fixed (like [`POOL_SHARDS`]
 /// (crate::pager::POOL_SHARDS)) so behaviour does not depend on the host.
@@ -75,24 +75,23 @@ struct CacheShard<K, V> {
 }
 
 /// Counter snapshot of a [`SingleFlightCache`]; cumulative since
-/// construction (or the last [`SingleFlightCache::reset_stats`]).
+/// construction (or the last [`SingleFlightCache::reset_stats`]). All
+/// counters are per *key*, not per request.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Requests served from a resident entry (including single-flight
-    /// waiters served by their leader's load).
+    /// Keys served from a resident entry (including single-flight waiters
+    /// served by their leader's load).
     pub hits: u64,
-    /// Loads actually performed (cold keys).
+    /// Keys actually loaded (cold keys).
     pub misses: u64,
-    /// Times a thread waited for another thread's in-flight load of the
-    /// same key instead of running its own.
+    /// Keys a thread found *Loading* under another thread and waited for
+    /// instead of loading itself.
     pub singleflight_waits: u64,
     /// Cooled entries pushed out by the CLOCK sweep.
     pub evictions: u64,
-    /// Loads that returned an error (their *Loading* entry was removed —
-    /// never published).
+    /// Loader calls that returned an error (every key they had claimed
+    /// was unlatched — none published).
     pub failed_loads: u64,
-    /// Loads that had to queue behind the per-tick extraction budget.
-    pub budget_deferrals: u64,
 }
 
 /// Occupancy snapshot of a [`SingleFlightCache`], read by locking every
@@ -118,105 +117,23 @@ pub struct CacheOutcome<V> {
     pub hit: bool,
 }
 
-/// One queued load admission: max-heap by demand, FIFO among equals.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Ticket {
-    demand: usize,
-    seq: u64,
+/// What a [`SingleFlightCache::get_many`] returned and how.
+pub struct ManyOutcome<V> {
+    /// The shared values, one per requested key, in request order.
+    pub values: Vec<Arc<V>>,
+    /// `true` when this request ran no load: every key was resident or
+    /// arrived through another thread's load.
+    pub hit: bool,
 }
 
-impl Ord for Ticket {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.demand.cmp(&other.demand).then(other.seq.cmp(&self.seq))
-    }
-}
-
-impl PartialOrd for Ticket {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-struct BudgetState {
-    tick_start: Instant,
-    used: usize,
-    seq: u64,
-    queue: BinaryHeap<Ticket>,
-}
-
-/// Token-bucket admission for loads: at most `per_tick` loads may start
-/// per `tick`, admitted in descending demand order. `per_tick == 0`
-/// disables the budget.
-struct ExtractionBudget {
-    per_tick: usize,
-    tick: Duration,
-    state: Mutex<BudgetState>,
-    cv: Condvar,
-}
-
-impl ExtractionBudget {
-    fn new(per_tick: usize, tick: Duration) -> Self {
-        Self {
-            per_tick,
-            tick: tick.max(Duration::from_millis(1)),
-            state: Mutex::new(BudgetState {
-                tick_start: Instant::now(),
-                used: 0,
-                seq: 0,
-                queue: BinaryHeap::new(),
-            }),
-            cv: Condvar::new(),
-        }
-    }
-
-    /// Block until this load is admitted. Returns whether it had to queue
-    /// (a budget deferral). Highest demand goes first within a tick;
-    /// equal demand is FIFO, so admission is starvation-free as long as
-    /// arrival demand is bounded.
-    fn acquire(&self, demand: usize) -> bool {
-        if self.per_tick == 0 {
-            return false;
-        }
-        let mut st = lock_recover(&self.state);
-        st.seq += 1;
-        let me = Ticket { demand, seq: st.seq };
-        st.queue.push(me);
-        let mut deferred = false;
-        loop {
-            let now = Instant::now();
-            if now.duration_since(st.tick_start) >= self.tick {
-                st.tick_start = now;
-                st.used = 0;
-            }
-            if st.used < self.per_tick && st.queue.peek() == Some(&me) {
-                st.queue.pop();
-                st.used += 1;
-                drop(st);
-                self.cv.notify_all();
-                return deferred;
-            }
-            deferred = true;
-            let elapsed = now.duration_since(st.tick_start);
-            let wait = self.tick.saturating_sub(elapsed).max(Duration::from_millis(1));
-            let (guard, _) = self.cv.wait_timeout(st, wait).unwrap_or_else(|e| e.into_inner());
-            st = guard;
-        }
-    }
-}
-
-/// Removes a key's *Loading* entry (waking waiters) unless disarmed, so a
-/// failing — or panicking — leader can never leave a latched entry behind:
-/// waiters wake, find the key Absent, and lead the load themselves.
+/// Removes the *Loading* entries of every claimed key (waking waiters)
+/// unless disarmed, so a failing — or panicking — leader can never leave a
+/// latched entry behind: waiters wake, find the keys Absent, and claim
+/// them themselves.
 struct LoadGuard<'c, K: Hash + Eq + Clone, V> {
     cache: &'c SingleFlightCache<K, V>,
-    key: K,
+    keys: Vec<K>,
     armed: bool,
-}
-
-impl<K: Hash + Eq + Clone, V> LoadGuard<'_, K, V> {
-    fn disarm(mut self) {
-        self.armed = false;
-    }
 }
 
 impl<K: Hash + Eq + Clone, V> Drop for LoadGuard<'_, K, V> {
@@ -224,15 +141,17 @@ impl<K: Hash + Eq + Clone, V> Drop for LoadGuard<'_, K, V> {
         if !self.armed {
             return;
         }
-        let shard = self.cache.shard(&self.key);
-        let mut st = lock_recover(&shard.state);
-        // Remove only a Loading latch — never a Resident entry another
-        // (post-clear) leader may have published meanwhile.
-        if matches!(st.map.get(&self.key), Some(Entry::Loading)) {
-            st.map.remove(&self.key);
+        for key in &self.keys {
+            let shard = self.cache.shard(key);
+            let mut st = lock_recover(&shard.state);
+            // Remove only a Loading latch — never a Resident entry another
+            // (post-clear) leader may have published meanwhile.
+            if matches!(st.map.get(key), Some(Entry::Loading)) {
+                st.map.remove(key);
+            }
+            drop(st);
+            shard.done.notify_all();
         }
-        drop(st);
-        shard.done.notify_all();
     }
 }
 
@@ -242,21 +161,17 @@ pub struct SingleFlightCache<K, V> {
     shards: Vec<CacheShard<K, V>>,
     /// Weight budget per shard (total capacity split evenly).
     shard_capacity: usize,
-    budget: ExtractionBudget,
     hits: AtomicU64,
     misses: AtomicU64,
     waits: AtomicU64,
     evictions: AtomicU64,
     failed_loads: AtomicU64,
-    deferrals: AtomicU64,
     in_flight: AtomicU64,
 }
 
 impl<K: Hash + Eq + Clone, V> SingleFlightCache<K, V> {
-    /// A cache bounded by `capacity_weight` (split over [`CACHE_SHARDS`]),
-    /// admitting at most `budget_per_tick` loads per `tick`
-    /// (`0` = unlimited).
-    pub fn new(capacity_weight: usize, budget_per_tick: usize, tick: Duration) -> Self {
+    /// A cache bounded by `capacity_weight` (split over [`CACHE_SHARDS`]).
+    pub fn new(capacity_weight: usize) -> Self {
         let shard_capacity = (capacity_weight / CACHE_SHARDS).max(1);
         let shards = (0..CACHE_SHARDS)
             .map(|_| CacheShard {
@@ -272,99 +187,163 @@ impl<K: Hash + Eq + Clone, V> SingleFlightCache<K, V> {
         Self {
             shards,
             shard_capacity,
-            budget: ExtractionBudget::new(budget_per_tick, tick),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             waits: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             failed_loads: AtomicU64::new(0),
-            deferrals: AtomicU64::new(0),
             in_flight: AtomicU64::new(0),
         }
     }
 
-    fn shard(&self, key: &K) -> &CacheShard<K, V> {
+    fn shard_index(&self, key: &K) -> usize {
         // A fixed-key hasher (not the per-map randomized one) so shard
         // placement is stable across runs and machines.
         let mut h = DefaultHasher::new();
         key.hash(&mut h);
-        &self.shards[(h.finish() % self.shards.len() as u64) as usize]
+        (h.finish() % self.shards.len() as u64) as usize
     }
 
-    /// Fetch `key`, running `load` under single-flight if it is Absent.
-    /// `load` returns the value and its weight; it runs with no cache
-    /// locks held. `demand` prioritizes budget admission (see
-    /// [`ExtractionBudget`]); pass the number of consumers this load
-    /// unblocks. On `Err` the latch is released and nothing is published.
+    fn shard(&self, key: &K) -> &CacheShard<K, V> {
+        &self.shards[self.shard_index(key)]
+    }
+
+    /// Fetch `key`, running `load` under single-flight if it is Absent: a
+    /// [`get_many`](Self::get_many) of one key. `load` returns the value
+    /// and its weight; it runs with no cache locks held. On `Err` the
+    /// latch is released and nothing is published.
     pub fn get_or_load<E>(
         &self,
         key: K,
-        demand: usize,
         load: impl FnOnce() -> Result<(V, usize), E>,
     ) -> Result<CacheOutcome<V>, E> {
-        let shard = self.shard(&key);
-        let mut counted_wait = false;
+        // One key is claimed at most once per request, so the loader runs
+        // at most once.
+        let mut load = Some(load);
+        let out = self.get_many(std::slice::from_ref(&key), |_| {
+            (load.take().expect("a single key is claimed at most once"))().map(|v| vec![v])
+        })?;
+        let value = out.values.into_iter().next().expect("one value per key");
+        Ok(CacheOutcome { value, hit: out.hit })
+    }
+
+    /// Fetch every key of `keys` (distinct), loading the Absent ones under
+    /// single-flight — see the module docs for the protocol. `load` is
+    /// handed the indices (into `keys`) of the keys this thread claimed
+    /// and returns their `(value, weight)` in the same order; it runs with
+    /// no cache locks held. It is called once per request, and again only
+    /// for keys whose leader on another thread failed. On `Err` every
+    /// claimed key is unlatched and nothing of that load is published.
+    pub fn get_many<E>(
+        &self,
+        keys: &[K],
+        mut load: impl FnMut(&[usize]) -> Result<Vec<(V, usize)>, E>,
+    ) -> Result<ManyOutcome<V>, E> {
+        let shard_of: Vec<usize> = keys.iter().map(|k| self.shard_index(k)).collect();
+        let mut values: Vec<Option<Arc<V>>> = keys.iter().map(|_| None).collect();
+        // Keys still to resolve; after the first round, the keys that were
+        // Loading under another thread.
+        let mut todo: Vec<usize> = (0..keys.len()).collect();
+        let mut first_round = true;
+        let mut loaded = false;
         loop {
-            let mut st = lock_recover(&shard.state);
-            match st.map.get_mut(&key) {
-                Some(Entry::Resident { value, warm, .. }) => {
-                    *warm = true; // Cooling -> Warm (and Warm stays Warm)
-                    self.hits.fetch_add(1, Relaxed);
-                    return Ok(CacheOutcome { value: value.clone(), hit: true });
-                }
-                Some(Entry::Loading) => {
-                    if !counted_wait {
-                        self.waits.fetch_add(1, Relaxed);
-                        counted_wait = true;
+            // One lock pass per shard: classify resident / loading
+            // elsewhere / claimed.
+            let mut claimed: Vec<usize> = Vec::new();
+            let mut pending: Vec<usize> = Vec::new();
+            for (s, shard) in self.shards.iter().enumerate() {
+                let mut st: Option<MutexGuard<'_, ShardState<K, V>>> = None;
+                for &i in todo.iter().filter(|&&i| shard_of[i] == s) {
+                    let st = st.get_or_insert_with(|| lock_recover(&shard.state));
+                    match st.map.get_mut(&keys[i]) {
+                        Some(Entry::Resident { value, warm, .. }) => {
+                            *warm = true; // Cooling -> Warm (and Warm stays Warm)
+                            values[i] = Some(value.clone());
+                        }
+                        Some(Entry::Loading) => pending.push(i),
+                        None => {
+                            st.map.insert(keys[i].clone(), Entry::Loading);
+                            claimed.push(i);
+                        }
                     }
-                    // Bounded wait so a lost notification degrades to a
-                    // re-check instead of a hang; state is re-examined on
-                    // every wake-up either way.
-                    let (guard, _) = shard
-                        .done
-                        .wait_timeout(st, Duration::from_millis(50))
-                        .unwrap_or_else(|e| e.into_inner());
-                    drop(guard);
-                    continue;
-                }
-                None => {
-                    st.map.insert(key.clone(), Entry::Loading);
-                    break;
                 }
             }
+            self.hits.fetch_add((todo.len() - claimed.len() - pending.len()) as u64, Relaxed);
+            if first_round {
+                self.waits.fetch_add(pending.len() as u64, Relaxed);
+                first_round = false;
+            }
+            if !claimed.is_empty() {
+                loaded = true;
+                self.lead(keys, &shard_of, &claimed, &mut load, &mut values)?;
+            }
+            let Some(&first) = pending.first() else { break };
+            // Everything this thread leads is published; now wait for one
+            // key led elsewhere to leave the Loading state, then re-classify
+            // the rest (most will have landed meanwhile).
+            let shard = &self.shards[shard_of[first]];
+            let mut st = lock_recover(&shard.state);
+            while matches!(st.map.get(&keys[first]), Some(Entry::Loading)) {
+                // Bounded wait so a lost notification degrades to a
+                // re-check instead of a hang.
+                let (guard, _) = shard
+                    .done
+                    .wait_timeout(st, Duration::from_millis(50))
+                    .unwrap_or_else(|e| e.into_inner());
+                st = guard;
+            }
+            drop(st);
+            todo = pending;
         }
-        // We lead the load. The guard unlatches on every exit path that
-        // does not publish (error or panic).
-        if self.budget.acquire(demand) {
-            self.deferrals.fetch_add(1, Relaxed);
-        }
-        let guard = LoadGuard { cache: self, key: key.clone(), armed: true };
+        let values = values.into_iter().map(|v| v.expect("every key resolved")).collect();
+        Ok(ManyOutcome { values, hit: !loaded })
+    }
+
+    /// Run one loader call for the `claimed` keys (already latched by this
+    /// thread) and publish its values. The guard unlatches every claimed
+    /// key on the exit paths that do not publish (error or panic).
+    fn lead<E>(
+        &self,
+        keys: &[K],
+        shard_of: &[usize],
+        claimed: &[usize],
+        load: &mut impl FnMut(&[usize]) -> Result<Vec<(V, usize)>, E>,
+        values: &mut [Option<Arc<V>>],
+    ) -> Result<(), E> {
+        let mut guard = LoadGuard {
+            cache: self,
+            keys: claimed.iter().map(|&i| keys[i].clone()).collect(),
+            armed: true,
+        };
         self.in_flight.fetch_add(1, Relaxed);
-        let result = load();
+        let result = load(claimed);
         self.in_flight.fetch_sub(1, Relaxed);
-        match result {
-            Ok((value, weight)) => {
-                let value = Arc::new(value);
-                let mut st = lock_recover(&shard.state);
-                self.evict_for(&mut st, weight);
-                st.map.insert(
-                    key.clone(),
-                    Entry::Resident { value: value.clone(), weight, warm: true },
-                );
-                st.ring.push(key);
-                st.weight += weight;
-                drop(st);
-                shard.done.notify_all();
-                guard.disarm();
-                self.misses.fetch_add(1, Relaxed);
-                Ok(CacheOutcome { value, hit: false })
-            }
+        let loaded = match result {
+            Ok(loaded) => loaded,
             Err(e) => {
                 self.failed_loads.fetch_add(1, Relaxed);
-                drop(guard); // unlatch + notify: waiters re-claim
-                Err(e)
+                return Err(e); // guard drop: unlatch + notify, waiters re-claim
             }
+        };
+        assert_eq!(loaded.len(), claimed.len(), "loader must return one value per claimed key");
+        for (&i, (value, weight)) in claimed.iter().zip(loaded) {
+            let value = Arc::new(value);
+            let shard = &self.shards[shard_of[i]];
+            let mut st = lock_recover(&shard.state);
+            self.evict_for(&mut st, weight);
+            st.map.insert(
+                keys[i].clone(),
+                Entry::Resident { value: value.clone(), weight, warm: true },
+            );
+            st.ring.push(keys[i].clone());
+            st.weight += weight;
+            drop(st);
+            shard.done.notify_all();
+            values[i] = Some(value);
         }
+        guard.armed = false;
+        self.misses.fetch_add(claimed.len() as u64, Relaxed);
+        Ok(())
     }
 
     /// CLOCK sweep making room for `incoming` weight: Warm entries cool,
@@ -406,7 +385,6 @@ impl<K: Hash + Eq + Clone, V> SingleFlightCache<K, V> {
             singleflight_waits: self.waits.load(Relaxed),
             evictions: self.evictions.load(Relaxed),
             failed_loads: self.failed_loads.load(Relaxed),
-            budget_deferrals: self.deferrals.load(Relaxed),
         }
     }
 
@@ -417,7 +395,6 @@ impl<K: Hash + Eq + Clone, V> SingleFlightCache<K, V> {
         self.waits.store(0, Relaxed);
         self.evictions.store(0, Relaxed);
         self.failed_loads.store(0, Relaxed);
-        self.deferrals.store(0, Relaxed);
     }
 
     /// Loads currently running (a gauge; moves fast under load).
@@ -487,16 +464,16 @@ mod tests {
     use super::*;
 
     fn cache(capacity: usize) -> SingleFlightCache<u64, u64> {
-        SingleFlightCache::new(capacity, 0, Duration::from_millis(10))
+        SingleFlightCache::new(capacity)
     }
 
     #[test]
     fn miss_then_hit() {
         let c = cache(1024);
-        let out = c.get_or_load::<()>(7, 1, || Ok((70, 8))).unwrap();
+        let out = c.get_or_load::<()>(7, || Ok((70, 8))).unwrap();
         assert!(!out.hit);
         assert_eq!(*out.value, 70);
-        let out = c.get_or_load::<()>(7, 1, || panic!("must not reload")).unwrap();
+        let out = c.get_or_load::<()>(7, || panic!("must not reload")).unwrap();
         assert!(out.hit);
         assert_eq!(*out.value, 70);
         let s = c.stats();
@@ -506,12 +483,12 @@ mod tests {
     #[test]
     fn failed_load_leaves_no_entry() {
         let c = cache(1024);
-        let r = c.get_or_load(3, 1, || Err::<(u64, usize), &str>("boom"));
+        let r = c.get_or_load(3, || Err::<(u64, usize), &str>("boom"));
         assert_eq!(r.err(), Some("boom"));
         assert_eq!(c.len(), 0);
         assert_eq!(c.stats().failed_loads, 1);
         // The key is loadable again — no poisoned latch.
-        let out = c.get_or_load::<()>(3, 1, || Ok((30, 8))).unwrap();
+        let out = c.get_or_load::<()>(3, || Ok((30, 8))).unwrap();
         assert!(!out.hit);
         assert_eq!(c.gauges().loading, 0);
     }
@@ -522,7 +499,7 @@ mod tests {
         // weight-8 entries means each shard holds at most one entry.
         let c = cache(8 * CACHE_SHARDS);
         for k in 0..64u64 {
-            let _ = c.get_or_load::<()>(k, 1, || Ok((k, 8))).unwrap();
+            let _ = c.get_or_load::<()>(k, || Ok((k, 8))).unwrap();
         }
         let g = c.gauges();
         assert!(g.resident_weight <= c.capacity() as u64, "{g:?}");
@@ -533,8 +510,7 @@ mod tests {
     fn clock_prefers_cooling_victims() {
         // Capacity for exactly two weight-1 entries per shard; keys chosen
         // on one shard via probing.
-        let c: SingleFlightCache<u64, u64> =
-            SingleFlightCache::new(2 * CACHE_SHARDS, 0, Duration::from_millis(10));
+        let c = cache(2 * CACHE_SHARDS);
         // Find three keys on the same shard.
         let mut same = Vec::new();
         let mut h0 = None;
@@ -555,16 +531,16 @@ mod tests {
             }
         }
         let (a, b, x, y) = (same[0], same[1], same[2], same[3]);
-        let _ = c.get_or_load::<()>(a, 1, || Ok((a, 1))).unwrap();
-        let _ = c.get_or_load::<()>(b, 1, || Ok((b, 1))).unwrap();
+        let _ = c.get_or_load::<()>(a, || Ok((a, 1))).unwrap();
+        let _ = c.get_or_load::<()>(b, || Ok((b, 1))).unwrap();
         // Inserting `x` over budget sweeps: both Warm entries cool, the
         // hand wraps and evicts `a`; `b` is left *Cooling*, `x` Warm.
-        let _ = c.get_or_load::<()>(x, 1, || Ok((x, 1))).unwrap();
+        let _ = c.get_or_load::<()>(x, || Ok((x, 1))).unwrap();
         // Inserting `y` must now take the Cooling `b`, not the Warm `x`.
-        let _ = c.get_or_load::<()>(y, 1, || Ok((y, 1))).unwrap();
-        let out = c.get_or_load::<()>(x, 1, || Ok((999, 1))).unwrap();
+        let _ = c.get_or_load::<()>(y, || Ok((y, 1))).unwrap();
+        let out = c.get_or_load::<()>(x, || Ok((999, 1))).unwrap();
         assert_eq!(*out.value, x, "warm entry must survive the sweep");
-        let out = c.get_or_load::<()>(b, 1, || Ok((999, 1))).unwrap();
+        let out = c.get_or_load::<()>(b, || Ok((999, 1))).unwrap();
         assert_eq!(*out.value, 999, "cooling entry must have been evicted");
     }
 
@@ -578,7 +554,7 @@ mod tests {
                 let loads = Arc::clone(&loads);
                 s.spawn(move || {
                     let out = c
-                        .get_or_load::<()>(42, 1, || {
+                        .get_or_load::<()>(42, || {
                             loads.fetch_add(1, Relaxed);
                             // Stretch the flight window so peers really wait.
                             std::thread::sleep(Duration::from_millis(30));
@@ -596,37 +572,88 @@ mod tests {
     }
 
     #[test]
-    fn budget_admits_in_demand_order() {
-        // Budget 1/tick with a long tick: the first load takes the slot,
-        // the rest queue; the highest-demand queued load is admitted next
-        // tick. We only assert that deferrals happen and everyone finishes.
-        let c: Arc<SingleFlightCache<u64, u64>> =
-            Arc::new(SingleFlightCache::new(4096, 1, Duration::from_millis(5)));
+    fn get_many_loads_the_absent_keys_in_one_call() {
+        let c = cache(4096);
+        let _ = c.get_or_load::<()>(2, || Ok((20, 8))).unwrap();
+        let mut calls = 0;
+        let out = c
+            .get_many::<()>(&[1, 2, 3], |claimed| {
+                calls += 1;
+                // Key 2 is resident: only 1 and 3 are claimed.
+                let mut idx = claimed.to_vec();
+                idx.sort_unstable();
+                assert_eq!(idx, [0, 2]);
+                Ok(claimed.iter().map(|&i| ([1u64, 2, 3][i] * 10, 8)).collect())
+            })
+            .unwrap();
+        assert_eq!(calls, 1);
+        assert!(!out.hit);
+        assert_eq!(out.values.iter().map(|v| **v).collect::<Vec<_>>(), [10, 20, 30]);
+        let s = c.stats();
+        assert_eq!((s.hits, s.misses), (1, 3));
+        // Everything resident now: a pure hit, no loader call.
+        let out = c.get_many::<()>(&[3, 1], |_| panic!("must not reload")).unwrap();
+        assert!(out.hit);
+        assert_eq!(out.values.iter().map(|v| **v).collect::<Vec<_>>(), [30, 10]);
+    }
+
+    #[test]
+    fn failed_get_many_unlatches_every_claimed_key() {
+        let c = cache(4096);
+        let r = c.get_many(&[1, 2, 3], |_| Err::<Vec<(u64, usize)>, &str>("boom"));
+        assert_eq!(r.err(), Some("boom"));
+        assert_eq!(c.len(), 0);
+        assert_eq!(c.gauges().loading, 0, "a failed load must leave no latch");
+        assert_eq!(c.stats().failed_loads, 1);
+        let out = c.get_many::<()>(&[3, 2, 1], |cl| Ok(cl.iter().map(|_| (7, 8)).collect()));
+        assert!(!out.unwrap().hit);
+        assert_eq!(c.len(), 3);
+    }
+
+    #[test]
+    fn overlapping_key_sets_load_each_key_once() {
+        // Four threads ask for sliding windows over 0..12; every key must
+        // be loaded by exactly one of them and nobody may deadlock waiting
+        // on a key whose leader in turn waits on one of theirs.
+        let c = Arc::new(cache(1 << 20));
+        let loads = Arc::new(AtomicU64::new(0));
         std::thread::scope(|s| {
-            for k in 0..4u64 {
+            for t in 0..4u64 {
                 let c = Arc::clone(&c);
+                let loads = Arc::clone(&loads);
                 s.spawn(move || {
-                    let out = c.get_or_load::<()>(k, k as usize, || Ok((k, 8))).unwrap();
-                    assert_eq!(*out.value, k);
+                    let keys: Vec<u64> = (t * 2..t * 2 + 6).collect();
+                    let out = c
+                        .get_many::<()>(&keys, |claimed| {
+                            loads.fetch_add(claimed.len() as u64, Relaxed);
+                            std::thread::sleep(Duration::from_millis(20));
+                            Ok(claimed.iter().map(|&i| (keys[i] * 10, 8)).collect())
+                        })
+                        .unwrap();
+                    for (k, v) in keys.iter().zip(&out.values) {
+                        assert_eq!(**v, k * 10);
+                    }
                 });
             }
         });
-        assert_eq!(c.stats().misses, 4);
-        assert_eq!(c.len(), 4);
+        assert_eq!(loads.load(Relaxed), 12, "each of the 12 distinct keys loads once");
+        let s = c.stats();
+        assert_eq!(s.misses, 12);
+        assert_eq!(s.hits + s.misses, 24);
     }
 
     #[test]
     fn clear_empties_residents() {
         let c = cache(4096);
         for k in 0..5u64 {
-            let _ = c.get_or_load::<()>(k, 1, || Ok((k, 8))).unwrap();
+            let _ = c.get_or_load::<()>(k, || Ok((k, 8))).unwrap();
         }
         assert_eq!(c.len(), 5);
         c.clear();
         assert!(c.is_empty());
         assert_eq!(c.gauges().resident_weight, 0);
         // Reload works.
-        let out = c.get_or_load::<()>(1, 1, || Ok((11, 8))).unwrap();
+        let out = c.get_or_load::<()>(1, || Ok((11, 8))).unwrap();
         assert!(!out.hit);
         assert_eq!(*out.value, 11);
     }

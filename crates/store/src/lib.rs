@@ -54,7 +54,9 @@ pub mod pager;
 pub mod wal;
 
 pub use bptree::BPlusTree;
-pub use cache::{CacheGauges, CacheOutcome, CacheStats, SingleFlightCache, CACHE_SHARDS};
+pub use cache::{
+    CacheGauges, CacheOutcome, CacheStats, ManyOutcome, SingleFlightCache, CACHE_SHARDS,
+};
 pub use error::{StoreError, StoreResult};
 pub use fault::{FaultInjector, FaultKind, FaultProfile, FaultStats, RetryPolicy};
 pub use heapfile::{HeapFile, RecordId};

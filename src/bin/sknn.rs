@@ -275,6 +275,22 @@ fn main() {
                 elapsed.as_secs_f64(),
                 qs.len() as f64 / elapsed.as_secs_f64().max(1e-9)
             );
+            // Where the ranking steps (2 + 4) spent their time, mean per
+            // answered query.
+            let answered: Vec<_> = results.iter().flatten().map(|r| r.stats.stages).collect();
+            if !answered.is_empty() {
+                let mean = |f: fn(&surface_knn::core::metrics::StageTimes) -> u64| {
+                    answered.iter().map(f).sum::<u64>() / answered.len() as u64
+                };
+                println!(
+                    "ranking phases (mean us/query): cut fetch {}, upper bounds {}, \
+                     lower bounds {}, pathnet {}",
+                    mean(|s| s.rank_fetch_us),
+                    mean(|s| s.rank_ub_us),
+                    mean(|s| s.rank_lb_us),
+                    mean(|s| s.rank_pathnet_us),
+                );
+            }
             if threads > 1 {
                 // Per-query stat resets race across workers, so these
                 // counters cover the tail window of the batch — enough to
@@ -293,14 +309,13 @@ fn main() {
                 match engine.cut_cache_snapshot() {
                     Some(s) => println!(
                         "cut cache: {} hits, {} misses ({:.1}% hit rate), \
-                         {} single-flight waits, {} evictions, {} deferrals, \
-                         {} warm + {} cooling resident ({} KiB)",
+                         {} single-flight waits, {} evictions, \
+                         {} warm + {} cooling units resident ({} KiB)",
                         s.hits,
                         s.misses,
                         s.hit_rate() * 100.0,
                         s.singleflight_waits,
                         s.evictions,
-                        s.budget_deferrals,
                         s.warm_entries,
                         s.cooling_entries,
                         s.resident_bytes / 1024,

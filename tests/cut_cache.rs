@@ -1,44 +1,72 @@
-//! The shared cut cache's four contracts (DESIGN.md §16).
+//! The shared cut cache's contracts (DESIGN.md §16).
 //!
-//! * **Single-flight** — N threads hitting the same cold key pay exactly
-//!   one extraction; the rest either wait on the leader's latch or hit the
-//!   published entry.
-//! * **Bounded memory** — inserting past the weight budget evicts cooled
-//!   entries instead of growing.
-//! * **Bit-identity** — query results with the cache on are bit-identical
-//!   to the cache-off run at any thread count (proptest over scenes and
-//!   query sets), and a cached cut is byte-equal to a freshly extracted
-//!   one.
-//! * **Fault interaction** — a failed extraction publishes nothing: no
-//!   poisoned Warm entry, and the next request after the fault clears
-//!   re-runs the extraction and succeeds.
+//! * **Bit-identity** — a front derived from resident tile units equals
+//!   `PagedDmtm::fetch_front` of the same region, and a line set handed
+//!   out of the line cache equals `PagedMsdn::fetch_lines_axis`, byte for
+//!   byte (proptests over steps, lattice regions, levels, axes and bands);
+//!   query results with the cache on are bit-identical to the cache-off
+//!   run at any thread count.
+//! * **Single-flight** — threads fetching overlapping, unequal regions
+//!   load each unit exactly once between them, and nobody deadlocks.
+//! * **Bounded memory** — a budget far below the working set evicts
+//!   instead of growing, and what is derived stays equal to the oracle.
+//! * **Fault interaction** — a failed load publishes none of the units it
+//!   had claimed, and the next request after the fault clears loads them
+//!   fresh and correctly.
+//! * **Warm means resident** — with the default budget a repeated query
+//!   pool reads no page and evicts nothing on its second pass, in a
+//!   fraction of the memory rectangle-keyed cuts needed.
 
 use proptest::prelude::*;
+use std::sync::mpsc;
 use std::time::Duration;
 use surface_knn::core::config::Mr3Config;
 use surface_knn::core::metrics::QueryResult;
 use surface_knn::core::mr3::Mr3Engine;
 use surface_knn::core::workload::{SceneBuilder, SurfacePoint};
-use surface_knn::multires::{build_dmtm, CutCache, FrontGraph, PagedDmtm};
+use surface_knn::geom::Axis;
+use surface_knn::multires::{
+    build_dmtm, CutCache, CutGrid, FetchScratch, FrontGraph, PagedDmtm, TileSpan,
+};
 use surface_knn::prelude::*;
-use surface_knn::store::Pager;
+use surface_knn::sdn::{LineCutCache, Msdn, MsdnConfig, PagedMsdn, SimplifiedLine};
+use surface_knn::store::{FaultKind, Pager};
 
-fn dmtm_fixture(grid: usize, seed: u64) -> (Pager, PagedDmtm) {
+const TILES: usize = 8;
+
+struct DmtmFixture {
+    pager: Pager,
+    dmtm: PagedDmtm,
+    grid: CutGrid,
+}
+
+fn dmtm_fixture(grid: usize, seed: u64) -> DmtmFixture {
     let mesh = TerrainConfig::bh().with_grid(grid).build_mesh(seed);
     let pager = Pager::new(256);
     let dmtm = PagedDmtm::build(&pager, build_dmtm(&mesh));
-    (pager, dmtm)
+    DmtmFixture { pager, dmtm, grid: CutGrid::new(mesh.extent(), TILES, 0.5) }
+}
+
+struct MsdnFixture {
+    pager: Pager,
+    msdn: PagedMsdn,
+    grid: CutGrid,
+}
+
+fn msdn_fixture(grid: usize, seed: u64) -> MsdnFixture {
+    let mesh = TerrainConfig::bh().with_grid(grid).build_mesh(seed);
+    let pager = Pager::new(256);
+    let cfg = Mr3Config::default();
+    let msdn = Msdn::build(&mesh, &MsdnConfig { levels: cfg.msdn_levels, plane_spacing: None });
+    let msdn = PagedMsdn::build(&pager, &msdn);
+    MsdnFixture { pager, msdn, grid: CutGrid::new(mesh.extent(), TILES, 0.5) }
 }
 
 type FrontFingerprint = (u32, Vec<u32>, Vec<(u32, u32, u64)>, Vec<[u64; 3]>);
 
-/// All `f64`s compared by bit pattern: byte-equality, not tolerance. The
-/// id→local index map is checked for agreement with `ids` rather than
-/// fingerprinted — it is derived data with unordered iteration.
+/// All `f64`s compared by bit pattern: byte-equality, not tolerance.
 fn front_fingerprint(fg: &FrontGraph) -> FrontFingerprint {
-    for (&id, &local) in &fg.index {
-        assert_eq!(fg.ids[local as usize], id, "index disagrees with ids");
-    }
+    assert!(fg.ids.windows(2).all(|w| w[0] < w[1]), "ids must ascend (embed binary-searches)");
     (
         fg.step,
         fg.ids.clone(),
@@ -47,90 +75,301 @@ fn front_fingerprint(fg: &FrontGraph) -> FrontFingerprint {
     )
 }
 
-#[test]
-fn single_flight_one_extraction_across_four_threads() {
-    let (pager, dmtm) = dmtm_fixture(25, 301);
-    let cache = CutCache::new(64 << 20, 0, Duration::from_millis(10));
-    let step = dmtm.tree().num_steps() / 2;
+type LineFingerprint = Vec<(u64, Vec<[u64; 12]>)>;
 
-    std::thread::scope(|s| {
-        for _ in 0..4 {
-            s.spawn(|| {
-                cache.get_or_extract(&dmtm, &pager, step, None, 1).expect("extraction failed");
-            });
+/// Line order, plane values and every segment coordinate, by bit pattern.
+fn line_fingerprint<'a>(lines: impl Iterator<Item = &'a SimplifiedLine>) -> LineFingerprint {
+    lines
+        .map(|l| {
+            let segs = l
+                .segments
+                .iter()
+                .map(|s| {
+                    let (a, b, lo, hi) = (s.seg.a, s.seg.b, s.mbr.lo, s.mbr.hi);
+                    [a.x, a.y, a.z, b.x, b.y, b.z, lo.x, lo.y, lo.z, hi.x, hi.y, hi.z]
+                        .map(f64::to_bits)
+                })
+                .collect();
+            (l.plane.value.to_bits(), segs)
+        })
+        .collect()
+}
+
+/// A non-empty span from four lattice coordinates in `0..=TILES`.
+fn span_from(a: usize, b: usize, c: usize, d: usize) -> TileSpan {
+    let order = |p: usize, q: usize| {
+        let (lo, hi) = (p.min(q), p.max(q));
+        if lo == hi {
+            (lo.min(TILES - 1), lo.min(TILES - 1) + 1)
+        } else {
+            (lo, hi)
         }
+    };
+    let ((x0, x1), (y0, y1)) = (order(a, b), order(c, d));
+    TileSpan { x0, x1, y0, y1 }
+}
+
+/// The steps a default engine asks for (its schedule's fronts and the
+/// pathnet's leaf charge), then arbitrary ones.
+fn pick_step(dmtm: &PagedDmtm, pick: usize, random: u32) -> u32 {
+    let schedule = [0.005, 0.25, 0.5, 0.75, 1.0];
+    match schedule.get(pick) {
+        Some(&frac) => dmtm.tree().step_for_fraction(frac),
+        None => random % (dmtm.tree().num_steps() + 1),
+    }
+}
+
+fn assert_front_matches_oracle(
+    f: &DmtmFixture,
+    cache: &CutCache,
+    step: u32,
+    span: TileSpan,
+    scratch: &mut FetchScratch,
+) {
+    let (derived, _) = cache.get_or_extract(&f.dmtm, &f.pager, step, span, scratch).unwrap();
+    let oracle = f.dmtm.fetch_front(&f.pager, step, Some(&f.grid.span_rect(span))).unwrap();
+    assert_eq!(
+        front_fingerprint(&derived),
+        front_fingerprint(&oracle),
+        "derived front at step {step} over {span:?} differs from the paged fetch"
+    );
+    scratch.recycle(derived);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Derived fronts equal the paged oracle over schedule and random
+    /// steps and every kind of lattice region — with a roomy budget (units
+    /// accumulate and are reused across cases) and with one so small that
+    /// every fetch evicts.
+    #[test]
+    fn derived_fronts_equal_paged_fetch(
+        step_pick in 0usize..8,
+        random_step in 0u32..100_000,
+        corners in (0usize..=TILES, 0usize..=TILES, 0usize..=TILES, 0usize..=TILES),
+        shape in 0usize..4,
+    ) {
+        let f = dmtm_fixture(25, 305);
+        let roomy = CutCache::new(64 << 20, f.grid);
+        let tiny = CutCache::new(512, f.grid);
+        let mut scratch = FetchScratch::default();
+        let step = pick_step(&f.dmtm, step_pick, random_step);
+        let span = match shape {
+            0 => f.grid.full_span(),
+            1 => span_from(corners.0, corners.0, corners.2, corners.2), // single tile
+            _ => span_from(corners.0, corners.1, corners.2, corners.3),
+        };
+        // Another fetch first, so the span under test is assembled from a
+        // mix of resident and newly loaded units: a neighbouring region
+        // under the roomy budget, the whole terrain (64 units through 8
+        // shards of 64 bytes — most are evicted on the way in) under the
+        // tiny one.
+        let neighbour = span_from(corners.1, corners.3, corners.0, corners.2);
+        for (cache, warmup) in [(&roomy, neighbour), (&tiny, f.grid.full_span())] {
+            assert_front_matches_oracle(&f, cache, step, warmup, &mut scratch);
+            assert_front_matches_oracle(&f, cache, step, span, &mut scratch);
+            // And once more, now entirely from memory.
+            assert_front_matches_oracle(&f, cache, step, span, &mut scratch);
+        }
+        prop_assert_eq!(roomy.stats().evictions, 0);
+        prop_assert!(tiny.stats().evictions > 0, "a 512-byte budget must evict");
+        // At most one over-budget unit per shard survives a sweep.
+        prop_assert!(tiny.len() <= 8, "tiny cache grew to {} units", tiny.len());
+    }
+
+    /// Line sets out of the line cache equal the paged oracle: same lines,
+    /// same order, same segments — roomy and evicting budgets alike.
+    #[test]
+    fn cached_lines_equal_paged_fetch(
+        level in 0usize..5,
+        axis_pick in 0usize..2,
+        band in (0.0f64..1.0, 0.0f64..1.0),
+        corners in (0usize..=TILES, 0usize..=TILES, 0usize..=TILES, 0usize..=TILES),
+        whole in 0usize..3,
+    ) {
+        let f = msdn_fixture(25, 311);
+        let roomy = LineCutCache::new(16 << 20);
+        let tiny = LineCutCache::new(512);
+        let axis = [Axis::X, Axis::Y][axis_pick];
+        let e = f.grid.extent();
+        let (origin, width) = if axis == Axis::X { (e.lo.x, e.width()) } else { (e.lo.y, e.height()) };
+        let (lo, hi) = (band.0.min(band.1), band.0.max(band.1));
+        let (lo, hi) = f.grid.snap_band(axis_pick, origin + lo * width, origin + hi * width);
+        let roi = if whole == 0 {
+            e
+        } else {
+            f.grid.span_rect(span_from(corners.0, corners.1, corners.2, corners.3))
+        };
+        let oracle = f.msdn.fetch_lines_axis(&f.pager, level, axis, lo, hi, Some(&roi)).unwrap();
+        for cache in [&roomy, &tiny] {
+            for _ in 0..2 {
+                let (lines, _) =
+                    cache.get_or_fetch(&f.msdn, &f.pager, level, axis, lo, hi, Some(&roi)).unwrap();
+                prop_assert_eq!(
+                    line_fingerprint(lines.iter().map(|l| &**l)),
+                    line_fingerprint(oracle.iter())
+                );
+            }
+        }
+        prop_assert_eq!(roomy.stats().evictions, 0);
+        // The second roomy pass loaded nothing.
+        prop_assert_eq!(roomy.stats().misses as usize, oracle.len());
+    }
+}
+
+#[test]
+fn overlapping_regions_load_each_unit_once_across_four_threads() {
+    let f = dmtm_fixture(33, 301);
+    let cache = CutCache::new(64 << 20, f.grid);
+    let step = f.dmtm.tree().step_for_fraction(0.5);
+    // Four unequal, mutually overlapping regions; between them they cover
+    // columns 0..7 × rows 1..7.
+    let spans = [
+        TileSpan { x0: 0, x1: 4, y0: 1, y1: 5 },
+        TileSpan { x0: 2, x1: 7, y0: 2, y1: 6 },
+        TileSpan { x0: 1, x1: 5, y0: 3, y1: 7 },
+        TileSpan { x0: 3, x1: 6, y0: 1, y1: 7 },
+    ];
+    let mut distinct = std::collections::BTreeSet::new();
+    for s in &spans {
+        for y in s.y0..s.y1 {
+            for x in s.x0..s.x1 {
+                distinct.insert((x, y));
+            }
+        }
+    }
+
+    // Watchdog: a leader waiting on a unit whose leader waits on one of
+    // its own would hang forever; fail loudly instead.
+    let (done_tx, done_rx) = mpsc::channel();
+    std::thread::scope(|s| {
+        let workers: Vec<_> = spans
+            .iter()
+            .map(|&span| {
+                let (f, cache) = (&f, &cache);
+                s.spawn(move || {
+                    let mut scratch = FetchScratch::default();
+                    for _ in 0..3 {
+                        assert_front_matches_oracle(f, cache, step, span, &mut scratch);
+                    }
+                })
+            })
+            .collect();
+        s.spawn(move || {
+            for w in workers {
+                w.join().expect("fetch thread panicked");
+            }
+            done_tx.send(()).unwrap();
+        });
+        done_rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("overlapping fetches did not finish within 10 s: deadlock");
     });
 
     let stats = cache.stats();
-    assert_eq!(stats.misses, 1, "exactly one thread must lead the extraction");
-    // Every non-leader is ultimately served from the published entry (a
-    // waiter records both a latch wait and the hit it wakes to).
-    assert_eq!(stats.hits, 3, "the other three must hit the published entry: {stats:?}");
-    assert!(stats.singleflight_waits <= 3, "more waiters than threads: {stats:?}");
+    assert_eq!(stats.misses as usize, distinct.len(), "every unit loads exactly once: {stats:?}");
+    assert_eq!(cache.len(), distinct.len());
     assert_eq!(stats.failed_loads, 0);
-    assert_eq!(cache.len(), 1);
+    assert_eq!(stats.evictions, 0);
 }
 
 #[test]
-fn eviction_at_capacity_bounds_residency() {
-    let (pager, dmtm) = dmtm_fixture(25, 303);
-    // A budget far below one front's weight: every insert must evict.
-    let cache = CutCache::new(512, 0, Duration::from_millis(10));
-    let steps = dmtm.tree().num_steps();
-    for step in 0..steps.min(6) {
-        cache.get_or_extract(&dmtm, &pager, step, None, 1).expect("extraction failed");
-    }
-    let stats = cache.stats();
-    assert!(stats.evictions > 0, "no evictions despite a 512-byte budget: {stats:?}");
-    // Residency stays bounded: at most one over-budget entry per shard
-    // (an entry is admitted, then evicted when the next one arrives).
-    assert!(cache.len() <= 8, "cache grew unboundedly: {} resident", cache.len());
-}
+fn failed_load_publishes_none_of_its_claimed_units() {
+    let f = dmtm_fixture(25, 307);
+    let cache = CutCache::new(64 << 20, f.grid);
+    let step = f.dmtm.tree().num_steps() / 2;
+    let mut scratch = FetchScratch::default();
+    // One resident neighbour, so the failing request mixes resident and
+    // claimed units.
+    let resident = TileSpan { x0: 0, x1: 2, y0: 0, y1: 2 };
+    assert_front_matches_oracle(&f, &cache, step, resident, &mut scratch);
+    let before = cache.len();
 
-#[test]
-fn cached_cut_is_byte_equal_to_fresh_extraction() {
-    let (pager, dmtm) = dmtm_fixture(25, 305);
-    let cache = CutCache::new(64 << 20, 0, Duration::from_millis(10));
-    for step in [0, dmtm.tree().num_steps() / 3, dmtm.tree().num_steps() - 1] {
-        // Twice through the cache: the second is a hit serving the cached
-        // value.
-        let first = cache.get_or_extract(&dmtm, &pager, step, None, 1).unwrap();
-        let second = cache.get_or_extract(&dmtm, &pager, step, None, 1).unwrap();
-        assert!(!first.hit && second.hit);
-        let fresh = dmtm.fetch_front(&pager, step, None).unwrap();
-        assert_eq!(
-            front_fingerprint(&second.value),
-            front_fingerprint(&fresh),
-            "cached cut at step {step} differs from a fresh extraction"
-        );
-    }
-}
-
-#[test]
-fn failed_extraction_leaves_no_poisoned_entry() {
-    let (pager, dmtm) = dmtm_fixture(25, 307);
-    let cache = CutCache::new(64 << 20, 0, Duration::from_millis(10));
-    let step = dmtm.tree().num_steps() / 2;
-
-    // Permanent faults at rate 1: the extraction must fail...
-    pager.set_fault_injector(Some(FaultInjector::seeded(
-        99,
-        1.0,
-        surface_knn::store::FaultKind::Permanent,
-    )));
-    let err = cache.get_or_extract(&dmtm, &pager, step, None, 1);
-    assert!(err.is_err(), "extraction under permanent faults must fail");
+    // Permanent faults at rate 1: the load must fail...
+    f.pager.clear_pool();
+    f.pager.set_fault_injector(Some(FaultInjector::seeded(99, 1.0, FaultKind::Permanent)));
+    let span = TileSpan { x0: 1, x1: 5, y0: 1, y1: 4 };
+    let err = cache.get_or_extract(&f.dmtm, &f.pager, step, span, &mut scratch);
+    assert!(err.is_err(), "a load under permanent faults must fail");
     let stats = cache.stats();
     assert!(stats.failed_loads >= 1, "failed load not counted: {stats:?}");
-    // ...and publish nothing: no Warm entry holding a partial front.
-    assert_eq!(cache.len(), 0, "failed extraction left a resident entry");
+    // ...and publish nothing: no unit holding a partial adjacency, no
+    // latch left behind.
+    assert_eq!(cache.len(), before, "failed load left resident units");
+    assert_eq!(cache.gauges().loading, 0, "failed load left a latch");
 
-    // After the fault clears, the same key extracts fresh and correctly.
-    pager.set_fault_injector(None);
-    let ok = cache.get_or_extract(&dmtm, &pager, step, None, 1).unwrap();
-    assert!(!ok.hit, "a failed load must not satisfy later requests");
-    let fresh = dmtm.fetch_front(&pager, step, None).unwrap();
-    assert_eq!(front_fingerprint(&ok.value), front_fingerprint(&fresh));
+    // After the fault clears, the same region loads fresh and correctly.
+    f.pager.set_fault_injector(None);
+    let (front, hit) = cache.get_or_extract(&f.dmtm, &f.pager, step, span, &mut scratch).unwrap();
+    assert!(!hit, "a failed load must not satisfy later requests");
+    let fresh = f.dmtm.fetch_front(&f.pager, step, Some(&f.grid.span_rect(span))).unwrap();
+    assert_eq!(front_fingerprint(&front), front_fingerprint(&fresh));
+}
+
+#[test]
+fn warm_means_resident() {
+    let mesh = TerrainConfig::bh().with_grid(33).build_mesh(17);
+    let scene = SceneBuilder::new(&mesh).object_count(40).seed(5).build();
+    let cfg = Mr3Config::default();
+    let mut engine = Mr3Engine::build(&mesh, &scene, &cfg);
+    engine.cold_cache = false;
+    let pool = scene.random_queries(32, 9);
+
+    let first: Vec<QueryResult> = pool.iter().map(|&q| engine.query(q, 4)).collect();
+    let evictions_after_first = engine.cut_cache_snapshot().unwrap().evictions;
+    let mut second = Vec::new();
+    for &q in &pool {
+        second.push(engine.query(q, 4));
+        // Pager stats are reset at query start, so this is the query's own
+        // read count.
+        assert_eq!(engine.pager().stats().physical_reads, 0, "a warm query read a page");
+    }
+    assert_eq!(fingerprint(&first), fingerprint(&second));
+    assert!(second.iter().all(|r| r.stats.cut_cache_misses == 0));
+    let snap = engine.cut_cache_snapshot().unwrap();
+    assert_eq!(evictions_after_first, 0);
+    assert_eq!(snap.evictions, 0, "the default budget must hold the whole working set");
+
+    // Everything the schedule can ever ask for: every tile of every front
+    // step (plus the pathnet's leaf charge at step 0) and every line.
+    let pager = Pager::new(cfg.pool_pages);
+    let dmtm = PagedDmtm::build(&pager, build_dmtm(&mesh));
+    let msdn = Msdn::build(
+        &mesh,
+        &MsdnConfig { levels: cfg.msdn_levels.clone(), plane_spacing: cfg.plane_spacing },
+    );
+    let msdn = PagedMsdn::build(&pager, &msdn);
+    let grid = CutGrid::new(mesh.extent(), cfg.cut_cache.tiles, cfg.cut_cache.pad_tiles);
+    let all_fronts = CutCache::new(usize::MAX, grid);
+    let mut steps: Vec<u32> = cfg
+        .schedule
+        .dmtm
+        .iter()
+        .filter(|&&frac| frac <= 1.0)
+        .map(|&frac| dmtm.tree().step_for_fraction(frac))
+        .chain([0])
+        .collect();
+    steps.sort_unstable();
+    steps.dedup();
+    for step in steps {
+        all_fronts.touch(&dmtm, &pager, step, grid.full_span()).unwrap();
+    }
+    let all_lines = LineCutCache::new(usize::MAX);
+    for level in 0..msdn.num_levels() {
+        for axis in [Axis::X, Axis::Y] {
+            all_lines
+                .get_or_fetch(&msdn, &pager, level, axis, f64::NEG_INFINITY, f64::INFINITY, None)
+                .unwrap();
+        }
+    }
+    let everything = all_fronts.gauges().resident_weight + all_lines.gauges().resident_weight;
+    assert!(snap.resident_bytes > 0);
+    assert!(
+        snap.resident_bytes <= everything * 2,
+        "{} bytes resident, the whole terrain at every schedule step is {everything}",
+        snap.resident_bytes
+    );
 }
 
 /// Neighbour ids and the exact f64 bit patterns of both bounds.
