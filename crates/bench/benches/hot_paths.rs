@@ -1,8 +1,9 @@
-//! Microbenchmarks of the three compute kernels the hot-path overhaul
-//! targets: the Dijkstra priority queue (Dial buckets vs binary heap),
-//! multi-source Dijkstra over the three graph shapes MR3 actually runs
-//! (DMTM front, pathnet, corridor-restricted front), and the batched
-//! point–MBR distance kernel behind R-tree descent.
+//! Microbenchmarks of the compute kernels under the ranking loop: the
+//! Dijkstra priority queue (Dial buckets vs binary heap), multi-source
+//! Dijkstra over the three graph shapes MR3 actually runs (DMTM front,
+//! pathnet, corridor-restricted front — the last both over its own graph
+//! and masked over the whole front's), pathnet construction over a group
+//! region, and the batched point–MBR distance kernel behind R-tree descent.
 //!
 //! Runs under `cargo bench --bench hot_paths`. Beyond the criterion-style
 //! human report, two extra modes back the committed artifacts and CI:
@@ -23,6 +24,7 @@ use sknn_geom::{Point2, Rect2};
 use sknn_multires::{build_dmtm, FrontGraph};
 use sknn_spatial::kernel::{min_dists_point, min_dists_point_sq, MAX_BATCH};
 use sknn_terrain::dem::TerrainConfig;
+use sknn_terrain::locate::TriangleLocator;
 use std::time::{Duration, Instant};
 
 /// One benchmark measurement: mean wall time per iteration.
@@ -186,6 +188,46 @@ fn main() {
             });
         }
     }
+
+    // The corridor the way ranking runs it: no graph per restriction, a
+    // masked run over the whole front's adjacency that enters only the
+    // band's nodes, from the same three sources.
+    let in_band: Vec<bool> =
+        front.ids.iter().map(|id| corridor.ids.binary_search(id).is_ok()).collect();
+    let nc = corridor.num_nodes();
+    let band_sources: Vec<(u32, f64)> = [0, nc / 3, 2 * nc / 3]
+        .iter()
+        .map(|&c| (front.local_of(corridor.ids[c]).expect("band node is a front node"), 0.0))
+        .collect();
+    for policy in [QueuePolicy::Heap, QueuePolicy::Bucket] {
+        let mut scratch = DijkstraScratch::with_policy(policy);
+        h.bench(&format!("dijkstra/masked_corridor/{policy}"), || {
+            let run = Dijkstra::run_masked_scratch(
+                &front_graph,
+                &band_sources,
+                &[],
+                |v| in_band[v as usize],
+                &mut scratch,
+            );
+            black_box((run.settled, run.queue.pushes))
+        });
+    }
+
+    // --- Pathnet over a group region --------------------------------------
+    // A tenth of the terrain each way: the whole-mesh constructor under a
+    // facet filter against the region constructor over the locator's list.
+    let locator = TriangleLocator::build(&mesh);
+    let c = ext.center();
+    let (hw, hh) = (0.05 * ext.width(), 0.05 * ext.height());
+    let region = Rect2::new(Point2::new(c.x - hw, c.y - hh), Point2::new(c.x + hw, c.y + hh));
+    h.bench("pathnet/build_filter", || {
+        let filter = |t: u32| mesh.triangle(t).mbr_xy().intersects(&region);
+        black_box(Pathnet::build(&mesh, 1, Some(&filter)).num_nodes())
+    });
+    h.bench("pathnet/build_region", || {
+        let facets = locator.triangles_meeting(&mesh, &region);
+        black_box(Pathnet::build_region(&mesh, 1, facets).num_nodes())
+    });
 
     // --- Batched point–MBR mindist kernel --------------------------------
     let rects: Vec<Rect2> = (0..16)

@@ -411,6 +411,7 @@ impl<'s, 'm> Mr3Engine<'s, 'm> {
         scratch.set_queue_policy(self.cfg.queue);
         RankingContext {
             mesh: self.mesh,
+            locator: self.scene.locator(),
             dmtm: &self.dmtm,
             msdn: &self.msdn,
             pager: &self.pager,
@@ -608,11 +609,7 @@ impl<'s, 'm> Mr3Engine<'s, 'm> {
 
             let mut alive: Vec<&Candidate> = cands.iter().filter(|c| !c.out).collect();
             alive.sort_by(|a, b| {
-                a.range
-                    .ub
-                    .partial_cmp(&b.range.ub)
-                    .unwrap()
-                    .then(a.range.lb.partial_cmp(&b.range.lb).unwrap())
+                a.range.ub.total_cmp(&b.range.ub).then(a.range.lb.total_cmp(&b.range.lb))
             });
             neighbors =
                 alive.into_iter().take(k).map(|c| Neighbor { id: c.id, range: c.range }).collect();
@@ -859,11 +856,7 @@ impl<'s, 'm> Mr3Engine<'s, 'm> {
 
             let mut alive: Vec<&Candidate> = cl.iter().filter(|c| !c.out).collect();
             alive.sort_by(|a, b| {
-                a.range
-                    .ub
-                    .partial_cmp(&b.range.ub)
-                    .unwrap()
-                    .then(a.range.lb.partial_cmp(&b.range.lb).unwrap())
+                a.range.ub.total_cmp(&b.range.ub).then(a.range.lb.total_cmp(&b.range.lb))
             });
             neighbors = alive
                 .into_iter()
@@ -1398,5 +1391,24 @@ mod tests {
         let ids = |r: &QueryResult| r.neighbors.iter().map(|n| n.id).collect::<Vec<_>>();
         assert_eq!(ids(&a), ids(&b));
         assert_eq!(a.stats.pages, b.stats.pages);
+    }
+
+    #[test]
+    fn ranking_settles_what_it_touches_not_the_terrain() {
+        // What this query settled while every filtered run went to
+        // exhaustion over a rebuilt front and every pathnet member was
+        // charged the whole mesh's vertex count.
+        const SETTLED_BEFORE: usize = 52_696;
+        let mesh = TerrainConfig::bh().with_grid(65).build_mesh(7);
+        let scene = SceneBuilder::new(&mesh).object_count(40).seed(5).build();
+        let engine = Mr3Engine::build(&mesh, &scene, &Mr3Config::default());
+        let res = engine.query(scene.random_query(3), 5);
+        let ids: Vec<u32> = res.neighbors.iter().map(|n| n.id).collect();
+        assert_eq!(ids, [31, 29, 30, 3, 34]);
+        assert!(
+            res.stats.settled * 2 < SETTLED_BEFORE,
+            "settled {} of {SETTLED_BEFORE} before",
+            res.stats.settled
+        );
     }
 }

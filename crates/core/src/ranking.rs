@@ -27,6 +27,7 @@ use sknn_obs::{field, Recorder};
 use sknn_sdn::network::{corridor_mask, lower_bound_with, LbScratch};
 use sknn_sdn::{LineCutCache, Msdn, PagedMsdn, SimplifiedLine};
 use sknn_store::{Pager, StoreResult};
+use sknn_terrain::locate::TriangleLocator;
 use sknn_terrain::mesh::TerrainMesh;
 use std::cell::{Cell, RefCell};
 use std::sync::Arc;
@@ -40,6 +41,9 @@ use std::time::Instant;
 pub struct RankingContext<'a, 'm> {
     /// The mesh.
     pub mesh: &'m TerrainMesh,
+    /// Bucket grid over the mesh's facets: the pathnet level asks it for
+    /// the facets meeting a group region instead of testing every facet.
+    pub locator: &'a TriangleLocator,
     /// The dmtm.
     pub dmtm: &'a PagedDmtm,
     /// The msdn.
@@ -52,8 +56,8 @@ pub struct RankingContext<'a, 'm> {
     pub rec: &'a dyn Recorder,
     /// Query sequence number stamped on emitted records.
     pub query: u64,
-    /// Reusable hot-path state (Dijkstra scratch, filtered-graph buffers,
-    /// the cached front graph). Per-query, so it never crosses threads.
+    /// Reusable hot-path state (Dijkstra scratches, fetch buffers, the
+    /// cached front and its CSR). Per-query, so it never crosses threads.
     pub scratch: RefCell<RankScratch>,
     /// Absorbed storage faults of this query (graceful degradation: a
     /// failed finer-resolution fetch keeps the last resolution's bounds).
@@ -111,10 +115,14 @@ pub struct RankScratch {
     /// bounds. Invalidated by fetching at a different step (resolution
     /// advance) or a region the cached one does not contain.
     front_cache: Option<CachedFront>,
-    /// Buffers for per-candidate corridor/ellipse-filtered Dijkstra runs.
-    bufs: DijkstraBufs,
-    /// Buffers for the per-group shared unrestricted Dijkstra run.
-    shared: SharedBufs,
+    /// CSR buffers of the last replaced cached front, rebuilt in place for
+    /// the next one.
+    spare_csr: Graph,
+    /// Dijkstra state of the per-candidate corridor/ellipse-masked runs.
+    masked: DijkstraScratch,
+    /// Dijkstra state of the per-group shared unrestricted run — its own,
+    /// so its distances stay readable while the masked runs recycle theirs.
+    shared: DijkstraScratch,
     /// Buffers for DMTM front fetches (key ordering, id→local index,
     /// edge/position vectors), recycled from replaced cached fronts.
     fetch: FetchScratch,
@@ -125,12 +133,14 @@ pub struct RankScratch {
 }
 
 /// A front owned by this query — paged extraction with the cache off,
-/// derived from the shared cache's resident units with it on.
+/// derived from the shared cache's resident units with it on — and the one
+/// CSR adjacency every Dijkstra over it runs on, built when it is fetched.
 #[derive(Debug)]
 struct CachedFront {
     step: u32,
     roi: Rect2,
     graph: FrontGraph,
+    csr: Graph,
 }
 
 /// The lines of one axis band: `Arc`s out of the shared line cache, or
@@ -145,39 +155,26 @@ impl RankScratch {
     /// execution order, breaking bit-reproducibility — but its buffers
     /// (and all the Dijkstra/fetch buffers) are worth keeping warm.
     pub fn reset_for_reuse(&mut self) {
+        self.retire_front();
+    }
+
+    /// Drop the cached front, keeping its buffers for the next fetch so
+    /// steady-state refinement allocates nothing per fetch.
+    fn retire_front(&mut self) {
         if let Some(old) = self.front_cache.take() {
             self.fetch.recycle(old.graph);
+            self.spare_csr = old.csr;
         }
     }
 
     /// Pin every embedded Dijkstra scratch to `policy` (the engine applies
     /// the config knob here when handing a scratch to a query).
     pub fn set_queue_policy(&mut self, policy: QueuePolicy) {
-        self.bufs.dij.set_policy(policy);
-        self.shared.dij.set_policy(policy);
+        self.masked.set_policy(policy);
+        self.shared.set_policy(policy);
         self.pathnet.set_policy(policy);
         self.lb.set_queue_policy(policy);
     }
-}
-
-/// Mask/edge/source buffers plus a CSR graph and Dijkstra scratch, reused
-/// across every filtered bound estimation of a query.
-#[derive(Debug, Default)]
-struct DijkstraBufs {
-    mask: Vec<bool>,
-    edges: Vec<(u32, u32, f64)>,
-    srcs: Vec<(u32, f64)>,
-    graph: Graph,
-    dij: DijkstraScratch,
-}
-
-/// Separate graph + scratch for the shared unrestricted run, so its
-/// distances stay readable while per-candidate filtered runs recycle
-/// [`DijkstraBufs`].
-#[derive(Debug, Default)]
-struct SharedBufs {
-    graph: Graph,
-    dij: DijkstraScratch,
 }
 
 /// Per-iteration deltas of the cost counters, captured before a
@@ -422,7 +419,7 @@ impl<'a, 'm> RankingContext<'a, 'm> {
         // Only the k-th order statistic is needed, not the full order:
         // quickselect is O(n) against the old sort's O(n log n), and this
         // runs every iteration over every candidate set.
-        let (_, kth, _) = ubs.select_nth_unstable_by(k - 1, |a, b| a.partial_cmp(b).unwrap());
+        let (_, kth, _) = ubs.select_nth_unstable_by(k - 1, f64::total_cmp);
         *kth
     }
 
@@ -442,17 +439,26 @@ impl<'a, 'm> RankingContext<'a, 'm> {
     /// The VA-file termination test: the k-th upper bound does not exceed
     /// the (k+1)-th lower bound.
     fn is_resolved(&self, cands: &[Candidate], k: usize) -> bool {
-        let alive: Vec<&Candidate> = cands.iter().filter(|c| !c.out).collect();
+        let mut alive: Vec<(f64, usize)> = cands
+            .iter()
+            .enumerate()
+            .filter(|(_, c)| !c.out)
+            .map(|(i, c)| (c.range.ub, i))
+            .collect();
         if alive.len() <= k {
             return true;
         }
-        let mut by_ub: Vec<&&Candidate> = alive.iter().collect();
-        by_ub.sort_by(|a, b| a.range.ub.partial_cmp(&b.range.ub).unwrap());
-        let kth_ub = by_ub[k - 1].range.ub;
+        // Only the split at rank k is needed, not the order: ties in the
+        // upper bound break by position, so `rest` is what a stable sort
+        // would leave beyond the first k.
+        let (_, kth, rest) =
+            alive.select_nth_unstable_by(k - 1, |a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        let kth_ub = kth.0;
         if !kth_ub.is_finite() {
             return false;
         }
-        let min_rest_lb = by_ub[k..].iter().map(|c| c.range.lb).fold(f64::INFINITY, f64::min);
+        let min_rest_lb =
+            rest.iter().map(|&(_, i)| cands[i].range.lb).fold(f64::INFINITY, f64::min);
         kth_ub <= min_rest_lb + 1e-9
     }
 
@@ -487,17 +493,17 @@ impl<'a, 'm> RankingContext<'a, 'm> {
     ) {
         let alive = cands.iter().filter(|c| !c.out).count();
         let mut alive_ubs: Vec<f64> = cands.iter().filter(|c| !c.out).map(|c| c.range.ub).collect();
-        alive_ubs.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        alive_ubs.sort_by(f64::total_cmp);
         let kth_ub = match alive_ubs.len() {
             0 => f64::INFINITY,
             n => alive_ubs[k.clamp(1, n) - 1],
         };
         let mut all_lbs: Vec<f64> = cands.iter().map(|c| c.range.lb).collect();
-        all_lbs.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        all_lbs.sort_by(f64::total_cmp);
         let next_lb = all_lbs.get(k).copied().unwrap_or(f64::INFINITY);
         let resolve_lb = {
             let mut by_ub: Vec<&Candidate> = cands.iter().filter(|c| !c.out).collect();
-            by_ub.sort_by(|a, b| a.range.ub.partial_cmp(&b.range.ub).unwrap());
+            by_ub.sort_by(|a, b| a.range.ub.total_cmp(&b.range.ub));
             by_ub.get(k..).unwrap_or(&[]).iter().map(|c| c.range.lb).fold(f64::INFINITY, f64::min)
         };
         self.rec.event(
@@ -657,27 +663,26 @@ impl<'a, 'm> RankingContext<'a, 'm> {
         let span = self.grid.span(&region);
         let region = self.grid.span_rect(span);
         let scratch = &mut *self.scratch.borrow_mut();
-        let RankScratch { front_cache, bufs, shared, fetch, .. } = scratch;
 
         // Front cache: rebuilding the front per group per iteration is the
         // dominant redundant work — the step repeats across consecutive
         // schedule levels and regions only shrink, so a previously fetched
         // front frequently covers the request outright.
-        let hit = matches!(front_cache.as_ref(),
+        let hit = matches!(scratch.front_cache.as_ref(),
             Some(c) if c.step == m && c.roi.contains_rect(&region));
         if hit {
             stats.front_cache_hits += 1;
         } else {
-            // Recycle the replaced front's buffers into the fetch scratch
-            // so steady-state refinement allocates nothing per fetch.
-            if let Some(old) = front_cache.take() {
-                fetch.recycle(old.graph);
-            }
+            scratch.retire_front();
             let start = Instant::now();
-            let fetched = self.fetch_front_shared(m, span, fetch, stats);
+            let fetched = self.fetch_front_shared(m, span, &mut scratch.fetch, stats);
             stats.stages.rank_fetch_us += us_since(start);
             match fetched {
-                Ok(graph) => *front_cache = Some(CachedFront { step: m, roi: region, graph }),
+                Ok(graph) => {
+                    let mut csr = std::mem::take(&mut scratch.spare_csr);
+                    csr.rebuild_undirected(graph.num_nodes(), &graph.edges);
+                    scratch.front_cache = Some(CachedFront { step: m, roi: region, graph, csr });
+                }
                 Err(e) => {
                     // Degrade: this group keeps its previous upper bounds
                     // (still valid, just looser) and no front is cached.
@@ -686,7 +691,9 @@ impl<'a, 'm> RankingContext<'a, 'm> {
                 }
             }
         }
-        let fg = &front_cache.as_ref().expect("front cache populated above").graph;
+        let RankScratch { front_cache, masked, shared, .. } = scratch;
+        let CachedFront { graph: fg, csr, .. } =
+            front_cache.as_ref().expect("front cache populated above");
         if fg.num_nodes() == 0 {
             return;
         }
@@ -704,8 +711,7 @@ impl<'a, 'm> RankingContext<'a, 'm> {
                 && (!self.cfg.corridor_refinement || c.corridor.is_empty())
         };
         let shared_run = if members.iter().any(|&ci| unrestricted(&cands[ci])) {
-            shared.graph.rebuild_undirected(fg.num_nodes(), &fg.edges);
-            let run = Dijkstra::run_multi_scratch(&shared.graph, &q_emb, None, &mut shared.dij);
+            let run = Dijkstra::run_multi_scratch(csr, &q_emb, None, shared);
             stats.settled += run.settled;
             stats.absorb_queue(&run.queue);
             Some(run)
@@ -713,13 +719,13 @@ impl<'a, 'm> RankingContext<'a, 'm> {
             None
         };
 
+        let pad = self.mesh.mean_edge_length();
         for &ci in members {
             let exits = self.dmtm.embed(fg, self.mesh, cands[ci].point.tri, cands[ci].point.pos);
             if exits.is_empty() {
                 continue;
             }
             stats.ub_estimations += 1;
-            let pad = self.mesh.mean_edge_length();
             let ellipse = if self.cfg.ellipse_prune && cands[ci].range.ub.is_finite() {
                 Some(Ellipse2::new(q.pos.xy(), cands[ci].point.pos.xy(), cands[ci].range.ub))
             } else {
@@ -730,15 +736,7 @@ impl<'a, 'm> RankingContext<'a, 'm> {
             if ellipse.is_none() && !has_corr {
                 // Read this candidate's answer off the shared run.
                 let run = shared_run.as_ref().expect("shared run covers unrestricted candidates");
-                let mut best = f64::INFINITY;
-                let mut best_node = None;
-                for &(x, exit_cost) in &exits {
-                    let total = run.dist(x) + exit_cost;
-                    if total < best {
-                        best = total;
-                        best_node = Some(x);
-                    }
-                }
+                let (best, best_node) = run.best_exit(&exits);
                 if best.is_finite() {
                     cands[ci].range.tighten_ub(best);
                     let path = best_node.map(|x| run.path_to(x)).unwrap_or_default();
@@ -781,7 +779,7 @@ impl<'a, 'm> RankingContext<'a, 'm> {
                         }
                         true
                     };
-                    filtered_dijkstra(fg, &allowed, &q_emb, &exits, bufs)
+                    filtered_dijkstra(fg, csr, allowed, &q_emb, &exits, masked)
                 };
                 stats.settled += settled;
                 stats.absorb_queue(&queue);
@@ -843,23 +841,21 @@ impl<'a, 'm> RankingContext<'a, 'm> {
             stats.stages.rank_fetch_us += us_since(start);
         }
         let mesh = self.mesh;
-        let filter = |t: sknn_terrain::mesh::TriId| -> bool {
-            mesh.triangle(t).mbr_xy().intersects(&region)
-        };
-        let net = Pathnet::build(mesh, self.cfg.pathnet_steiner, Some(&filter));
+        let facets = self.locator.triangles_meeting(mesh, &region);
+        let net = Pathnet::build_region(mesh, self.cfg.pathnet_steiner, facets);
         // Every member shares the query as source, so one Dijkstra serves
         // the whole group; per-destination distances are embedding
         // read-offs, bit-identical to per-pair `Pathnet::distance` calls.
         let scratch = &mut *self.scratch.borrow_mut();
         let run = net.run_from(mesh, q.to_mesh_point(), &mut scratch.pathnet);
         stats.absorb_queue(&run.queue_counters());
+        stats.settled += run.settled();
         for &ci in members {
             stats.ub_estimations += 1;
             let d = run.distance_to(mesh, cands[ci].point.to_mesh_point());
             if d.is_finite() {
                 cands[ci].range.tighten_ub(d);
             }
-            stats.settled += net.num_nodes();
         }
     }
 
@@ -982,8 +978,9 @@ impl<'a, 'm> RankingContext<'a, 'm> {
                     let src = self.dmtm.embed(&fg, self.mesh, a.tri, a.pos);
                     let dst = self.dmtm.embed(&fg, self.mesh, b.tri, b.pos);
                     if !src.is_empty() && !dst.is_empty() {
+                        let csr = Graph::from_undirected(fg.num_nodes(), &fg.edges);
                         let (d, settled, queue, _) =
-                            filtered_dijkstra(&fg, &|_| true, &src, &dst, &mut scratch.bufs);
+                            filtered_dijkstra(&fg, &csr, |_| true, &src, &dst, &mut scratch.masked);
                         stats.settled += settled;
                         stats.absorb_queue(&queue);
                         if d.is_finite() {
@@ -1038,43 +1035,22 @@ fn max_ub(cands: &[Candidate]) -> f64 {
 /// best source-to-exit distance, settled count, queue counters, and the
 /// tree-node-id path.
 ///
-/// Allocation-free on the hot path: the node mask, filtered edge list,
-/// source list, CSR graph and Dijkstra working state all live in `bufs`
-/// and are recycled run to run.
+/// No graph is built: the run is masked over `csr`, the front's own
+/// adjacency, asks `allowed` only of the nodes it reaches, and stops once
+/// no exit still queued can matter — so its cost is what it settles, not
+/// the size of the front.
 fn filtered_dijkstra(
     fg: &FrontGraph,
-    allowed: &dyn Fn(usize) -> bool,
+    csr: &Graph,
+    allowed: impl Fn(usize) -> bool,
     sources: &[(u32, f64)],
     exits: &[(u32, f64)],
-    bufs: &mut DijkstraBufs,
+    dij: &mut DijkstraScratch,
 ) -> (f64, usize, QueueCounters, Vec<u32>) {
-    let n = fg.num_nodes();
-    let DijkstraBufs { mask, edges, srcs, graph, dij } = bufs;
-    mask.clear();
-    mask.extend((0..n).map(allowed));
-    edges.clear();
-    edges.extend(
-        fg.edges.iter().filter(|&&(a, b, _)| mask[a as usize] && mask[b as usize]).copied(),
-    );
-    graph.rebuild_undirected(n, edges);
-    srcs.clear();
-    srcs.extend(sources.iter().filter(|&&(s, _)| mask[s as usize]).copied());
-    if srcs.is_empty() {
-        return (f64::INFINITY, 0, QueueCounters::default(), Vec::new());
-    }
-    let run = Dijkstra::run_multi_scratch(graph, srcs, None, dij);
-    let mut best = f64::INFINITY;
-    let mut best_node = None;
-    for &(x, exit_cost) in exits {
-        if !mask[x as usize] {
-            continue;
-        }
-        let total = run.dist(x) + exit_cost;
-        if total < best {
-            best = total;
-            best_node = Some(x);
-        }
-    }
+    let run = Dijkstra::run_masked_scratch(csr, sources, exits, |v| allowed(v as usize), dij);
+    // A node the mask rejects is never entered and reads as infinitely
+    // far, so the mask needs no second look here.
+    let (best, best_node) = run.best_exit(exits);
     let path = best_node
         .map(|x| run.path_to(x).into_iter().map(|local| fg.ids[local as usize]).collect())
         .unwrap_or_default();
@@ -1091,6 +1067,7 @@ mod tests {
 
     struct Fixture {
         mesh: &'static TerrainMesh,
+        locator: TriangleLocator,
         dmtm: PagedDmtm,
         msdn: PagedMsdn,
         pager: Pager,
@@ -1098,19 +1075,23 @@ mod tests {
     }
 
     fn fixture() -> Fixture {
-        let mesh: &'static TerrainMesh =
-            Box::leak(Box::new(TerrainConfig::ep().with_grid(17).build_mesh(77)));
+        fixture_of(TerrainConfig::ep().with_grid(17), 77)
+    }
+
+    fn fixture_of(terrain: TerrainConfig, seed: u64) -> Fixture {
+        let mesh: &'static TerrainMesh = Box::leak(Box::new(terrain.build_mesh(seed)));
         let pager = Pager::new(256);
         let dmtm = PagedDmtm::build(&pager, build_dmtm(mesh));
         let cfg = Mr3Config::default();
         let msdn_cfg = MsdnConfig { levels: cfg.msdn_levels.clone(), plane_spacing: None };
         let msdn = PagedMsdn::build(&pager, &Msdn::build(mesh, &msdn_cfg));
-        Fixture { mesh, dmtm, msdn, pager, cfg }
+        Fixture { mesh, locator: TriangleLocator::build(mesh), dmtm, msdn, pager, cfg }
     }
 
     fn ctx<'a>(f: &'a Fixture) -> RankingContext<'a, 'static> {
         RankingContext {
             mesh: f.mesh,
+            locator: &f.locator,
             dmtm: &f.dmtm,
             msdn: &f.msdn,
             pager: &f.pager,
@@ -1241,6 +1222,131 @@ mod tests {
         for cd in &cands {
             if cd.out {
                 assert!(!true_top.contains(&cd.id), "true neighbor {} was eliminated", cd.id);
+            }
+        }
+    }
+
+    /// The form [`filtered_dijkstra`] replaced, kept as its oracle: ask
+    /// the mask of every front node, copy the edges between admitted
+    /// nodes, build a graph from them and run it to exhaustion.
+    fn filter_and_rebuild(
+        fg: &FrontGraph,
+        allowed: &dyn Fn(usize) -> bool,
+        sources: &[(u32, f64)],
+        exits: &[(u32, f64)],
+        policy: QueuePolicy,
+    ) -> (f64, usize, Vec<u32>) {
+        let n = fg.num_nodes();
+        let mask: Vec<bool> = (0..n).map(allowed).collect();
+        let edges: Vec<(u32, u32, f64)> = fg
+            .edges
+            .iter()
+            .filter(|&&(a, b, _)| mask[a as usize] && mask[b as usize])
+            .copied()
+            .collect();
+        let graph = Graph::from_undirected(n, &edges);
+        let srcs: Vec<(u32, f64)> =
+            sources.iter().filter(|&&(s, _)| mask[s as usize]).copied().collect();
+        if srcs.is_empty() {
+            return (f64::INFINITY, 0, Vec::new());
+        }
+        let run = Dijkstra::run_multi_with(&graph, &srcs, None, policy);
+        let mut best = f64::INFINITY;
+        let mut best_node = None;
+        for &(x, exit_cost) in exits {
+            if !mask[x as usize] {
+                continue;
+            }
+            let total = run.dist[x as usize] + exit_cost;
+            if total < best {
+                best = total;
+                best_node = Some(x);
+            }
+        }
+        let path = best_node
+            .map(|x| run.path_to(x).into_iter().map(|local| fg.ids[local as usize]).collect())
+            .unwrap_or_default();
+        (best, run.settled, path)
+    }
+
+    mod properties {
+        use super::*;
+        use proptest::prelude::*;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        use std::sync::OnceLock;
+
+        fn shared_fixture() -> &'static Fixture {
+            static FIX: OnceLock<Fixture> = OnceLock::new();
+            FIX.get_or_init(|| fixture_of(TerrainConfig::bh().with_grid(33), 5))
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(40))]
+            /// The masked run over the front's own CSR returns the bound,
+            /// the path — hence the next round's corridor — and no more
+            /// settled nodes than filtering and rebuilding did, on every
+            /// attempt of the relaxation ladder and under both queues.
+            #[test]
+            fn masked_run_matches_filter_and_rebuild(
+                seed in any::<u64>(),
+                frac_idx in 0usize..4,
+                whole_front in any::<bool>(),
+                slack in 1.0f64..1.5,
+                hole in 0usize..4,
+                heap in any::<bool>(),
+            ) {
+                let f = shared_fixture();
+                let policy = if heap { QueuePolicy::Heap } else { QueuePolicy::Bucket };
+                let scene = SceneBuilder::new(f.mesh).object_count(1).seed(1).build();
+                let (a, b) = (scene.random_query(seed), scene.random_query(seed ^ 0xB));
+                let mut rng = StdRng::seed_from_u64(seed);
+
+                let m = f.dmtm.tree().step_for_fraction([0.1, 0.4, 0.7, 1.0][frac_idx]);
+                let roi = Rect2::from_points([a.pos.xy(), b.pos.xy()].into_iter())
+                    .expanded(rng.gen_range(5.0..60.0));
+                let roi = if whole_front { None } else { Some(roi) };
+                let fg = f.dmtm.fetch_front(&f.pager, m, roi.as_ref()).expect("fault-free pager");
+                let src = f.dmtm.embed(&fg, f.mesh, a.tri, a.pos);
+                let dst = f.dmtm.embed(&fg, f.mesh, b.tri, b.pos);
+                prop_assume!(!src.is_empty() && !dst.is_empty());
+                let csr = Graph::from_undirected(fg.num_nodes(), &fg.edges);
+                let mut dij = DijkstraScratch::with_policy(policy);
+
+                // The unrestricted run (`estimate_pair`'s), whose path
+                // seeds a corridor with `hole` rectangles missing from its
+                // middle, so some corridors hold and some disconnect.
+                let (free, free_settled, free_path) =
+                    filter_and_rebuild(&fg, &|_| true, &src, &dst, policy);
+                let (got, settled, _, path) =
+                    filtered_dijkstra(&fg, &csr, |_| true, &src, &dst, &mut dij);
+                prop_assert_eq!(got.to_bits(), free.to_bits());
+                prop_assert_eq!(&path, &free_path);
+                prop_assert!(settled <= free_settled);
+                prop_assume!(free.is_finite());
+
+                let pad = f.mesh.mean_edge_length();
+                let corridor: Vec<Rect2> = free_path
+                    .iter()
+                    .enumerate()
+                    .filter(|(i, _)| i.abs_diff(free_path.len() / 2) >= hole)
+                    .map(|(_, &id)| f.dmtm.tree().node(id).mbr.expanded(pad))
+                    .collect();
+                let ellipse = Ellipse2::new(a.pos.xy(), b.pos.xy(), free * slack);
+                for (use_corr, use_ell) in [(true, true), (false, true), (false, false)] {
+                    let allowed = |local: usize| -> bool {
+                        let p = fg.rep_pos[local].xy();
+                        (!use_ell || ellipse.contains(p))
+                            && (!use_corr || corridor.iter().any(|r| r.contains_point(p)))
+                    };
+                    let (want, want_settled, want_path) =
+                        filter_and_rebuild(&fg, &allowed, &src, &dst, policy);
+                    let (got, settled, _, path) =
+                        filtered_dijkstra(&fg, &csr, allowed, &src, &dst, &mut dij);
+                    prop_assert_eq!(got.to_bits(), want.to_bits());
+                    prop_assert_eq!(&path, &want_path);
+                    prop_assert!(settled <= want_settled);
+                }
             }
         }
     }

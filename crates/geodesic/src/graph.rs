@@ -111,9 +111,10 @@ impl Graph {
     }
 
     /// Rebuild in place from an undirected edge list, reusing the CSR
-    /// allocations of the previous build (the batch-query hot path builds
-    /// a filtered graph per bound estimation; this keeps that free of
-    /// fresh allocations once the buffers have grown to a working size).
+    /// allocations of the previous build (ranking builds one graph per
+    /// fetched front and the SDN lower bound one per estimation; this
+    /// keeps both free of fresh allocations once the buffers have grown to
+    /// a working size).
     ///
     /// # Panics
     /// Panics on NaN or negative weights or out-of-range endpoints.
@@ -506,6 +507,10 @@ pub struct DijkstraScratch {
     seen: Vec<u32>,
     /// Generation at which the node was settled, per node.
     done: Vec<u32>,
+    /// Generation at which a masked run last asked whether the node is
+    /// admitted, and the answer it got, per node.
+    asked: Vec<u32>,
+    admitted: Vec<bool>,
     generation: u32,
     heap: BinaryHeap<QueueItem>,
     bucket: BucketQueue,
@@ -543,6 +548,8 @@ impl DijkstraScratch {
             self.prev.resize(n, u32::MAX);
             self.seen.resize(n, 0);
             self.done.resize(n, 0);
+            self.asked.resize(n, 0);
+            self.admitted.resize(n, false);
         }
         // Generation 0 is reserved as "never written" for freshly grown
         // entries; on wrap-around all stamps are hard-reset once.
@@ -550,6 +557,7 @@ impl DijkstraScratch {
         if self.generation == 0 {
             self.seen.fill(0);
             self.done.fill(0);
+            self.asked.fill(0);
             self.generation = 1;
         }
     }
@@ -591,6 +599,20 @@ impl ScratchRun<'_> {
         }
     }
 
+    /// The first of `exits`, in order, with the strictly smallest
+    /// `dist(x) + cost`, and that total; `(f64::INFINITY, None)` when no
+    /// exit was reached.
+    pub fn best_exit(&self, exits: &[(u32, f64)]) -> (f64, Option<u32>) {
+        let mut best = (f64::INFINITY, None);
+        for &(x, cost) in exits {
+            let total = self.dist(x) + cost;
+            if total < best.0 {
+                best = (total, Some(x));
+            }
+        }
+        best
+    }
+
     /// Reconstruct the node path ending at `target` (source first). Empty
     /// when `target` is unreachable.
     pub fn path_to(&self, target: u32) -> Vec<u32> {
@@ -614,6 +636,16 @@ impl ScratchRun<'_> {
 /// stamped with `gen`), generic over the queue so each policy gets a
 /// monomorphized, fully inlined loop.
 ///
+/// Nodes `admit` rejects are never entered, as sources or as neighbours —
+/// the run equals one over the subgraph induced by the admitted nodes,
+/// because skipping a neighbour leaves the order of the others as
+/// filtering the edge list would. `admit` is consulted only for a node the
+/// run is about to enter. With `exits` given, the run stops at the first
+/// popped key *strictly* above the best settled `dist + exit cost`: every
+/// node still queued is at least that far, so no unsettled exit can beat or
+/// tie the best total, and the state of every settled node — distance,
+/// predecessor, path — is what the run to exhaustion would have left.
+///
 /// # Safety invariants (all checked at build / begin time)
 /// * `graph` CSR is well-formed: `offsets` is non-decreasing with
 ///   `offsets[n] == edges.len()`, every edge target `< n` (validated by
@@ -627,6 +659,8 @@ fn run_core<Q: Pq>(
     graph: &Graph,
     sources: &[(u32, f64)],
     target: Option<u32>,
+    exits: &[(u32, f64)],
+    mut admit: impl FnMut(u32) -> bool,
     dist: &mut [f64],
     prev: &mut [u32],
     seen: &mut [u32],
@@ -640,7 +674,7 @@ fn run_core<Q: Pq>(
         let si = s as usize;
         assert!(si < n, "source {s} out of range (num_nodes {n})");
         let cur = if seen[si] == gen { dist[si] } else { f64::INFINITY };
-        if d0 < cur {
+        if d0 < cur && admit(s) {
             dist[si] = d0;
             prev[si] = u32::MAX;
             seen[si] = gen;
@@ -649,8 +683,12 @@ fn run_core<Q: Pq>(
         }
     }
     let mut settled = 0usize;
+    let mut best_exit = f64::INFINITY;
     while let Some((d, node)) = q.pop() {
         counters.pops += 1;
+        if d > best_exit {
+            break;
+        }
         let u = node as usize;
         debug_assert!(u < n);
         // SAFETY: u < n (sources asserted above, edge targets validated at
@@ -663,6 +701,11 @@ fn run_core<Q: Pq>(
         settled += 1;
         if target == Some(node) {
             break;
+        }
+        for &(x, exit_cost) in exits {
+            if x == node {
+                best_exit = best_exit.min(d + exit_cost);
+            }
         }
         // SAFETY: u < n and the CSR is well-formed (offsets non-decreasing,
         // terminated at edges.len()), so the slice bounds are in range.
@@ -682,7 +725,7 @@ fn run_core<Q: Pq>(
                 } else {
                     f64::INFINITY
                 };
-                if nd < cur {
+                if nd < cur && admit(nb) {
                     *dist.get_unchecked_mut(v) = nd;
                     *prev.get_unchecked_mut(v) = node;
                     *seen.get_unchecked_mut(v) = gen;
@@ -693,6 +736,55 @@ fn run_core<Q: Pq>(
         }
     }
     (settled, counters)
+}
+
+/// One run against `scratch` under its queue policy. `MASKED` routes
+/// admission through `allowed`, memoised per node in the scratch; without
+/// it every node is admitted and `allowed` is never called.
+fn run_scratch<'s, const MASKED: bool>(
+    graph: &Graph,
+    sources: &[(u32, f64)],
+    target: Option<u32>,
+    exits: &[(u32, f64)],
+    allowed: impl Fn(u32) -> bool,
+    scratch: &'s mut DijkstraScratch,
+) -> ScratchRun<'s> {
+    scratch.begin(graph.num_nodes());
+    let DijkstraScratch {
+        dist,
+        prev,
+        seen,
+        done,
+        asked,
+        admitted,
+        generation,
+        heap,
+        bucket,
+        policy,
+    } = &mut *scratch;
+    let gen = *generation;
+    let admit = |v: u32| {
+        if !MASKED {
+            return true;
+        }
+        let i = v as usize;
+        if asked[i] != gen {
+            asked[i] = gen;
+            admitted[i] = allowed(v);
+        }
+        admitted[i]
+    };
+    let (settled, queue) = match policy {
+        QueuePolicy::Heap => {
+            heap.clear();
+            run_core(graph, sources, target, exits, admit, dist, prev, seen, done, gen, heap)
+        }
+        QueuePolicy::Bucket => {
+            bucket.reset(graph.min_pos_weight);
+            run_core(graph, sources, target, exits, admit, dist, prev, seen, done, gen, bucket)
+        }
+    };
+    ScratchRun { scratch, settled, queue }
 }
 
 impl Dijkstra {
@@ -743,22 +835,29 @@ impl Dijkstra {
         target: Option<u32>,
         scratch: &'s mut DijkstraScratch,
     ) -> ScratchRun<'s> {
-        let n = graph.num_nodes();
-        scratch.begin(n);
-        let DijkstraScratch { dist, prev, seen, done, generation, heap, bucket, policy } =
-            &mut *scratch;
-        let gen = *generation;
-        let (settled, queue) = match policy {
-            QueuePolicy::Heap => {
-                heap.clear();
-                run_core(graph, sources, target, dist, prev, seen, done, gen, heap)
-            }
-            QueuePolicy::Bucket => {
-                bucket.reset(graph.min_pos_weight);
-                run_core(graph, sources, target, dist, prev, seen, done, gen, bucket)
-            }
-        };
-        ScratchRun { scratch, settled, queue }
+        run_scratch::<false>(graph, sources, target, &[], |_| true, scratch)
+    }
+
+    /// Multi-source Dijkstra over the subgraph induced by the nodes
+    /// `allowed` admits, stopped once nothing still queued can beat the
+    /// best `dist(x) + cost` over `exits`: the run that filtering the edge
+    /// list and rebuilding the graph would give, at a cost set by what the
+    /// run touches and not by the graph. `allowed` is evaluated lazily, at
+    /// most once per node.
+    ///
+    /// Of a settled node, [`ScratchRun::dist`] and [`ScratchRun::path_to`]
+    /// are final; of an unsettled one, `dist` is a tentative value above
+    /// the best exit total (infinite when never reached or not admitted),
+    /// so [`ScratchRun::best_exit`] picks the exit the exhaustive run
+    /// would.
+    pub fn run_masked_scratch<'s>(
+        graph: &Graph,
+        sources: &[(u32, f64)],
+        exits: &[(u32, f64)],
+        allowed: impl Fn(u32) -> bool,
+        scratch: &'s mut DijkstraScratch,
+    ) -> ScratchRun<'s> {
+        run_scratch::<true>(graph, sources, None, exits, allowed, scratch)
     }
 
     /// Reconstruct the node path ending at `target` (source first). Empty
@@ -931,6 +1030,32 @@ mod tests {
     }
 
     #[test]
+    fn masked_run_stops_strictly_above_the_best_exit() {
+        // Exit 1 settles at 1.0. Exit 3 also totals 1.0, but only through
+        // node 2 (itself at 1.0) and a zero-weight edge: a run that stopped
+        // at the first key *equal* to the best total would leave exit 3 at
+        // its tentative 5.0 and pick exit 1, where the exhaustive run picks
+        // exit 3, first in exit order.
+        let g = Graph::from_undirected(4, &[(0, 1, 1.0), (0, 2, 1.0), (2, 3, 0.0), (0, 3, 5.0)]);
+        let exits = [(3u32, 0.0), (1u32, 0.0)];
+        for policy in [QueuePolicy::Heap, QueuePolicy::Bucket] {
+            let mut scratch = DijkstraScratch::with_policy(policy);
+            let run = Dijkstra::run_masked_scratch(&g, &[(0, 0.0)], &exits, |_| true, &mut scratch);
+            assert_eq!(run.dist(3), 1.0, "{policy}");
+            assert_eq!(run.path_to(3), vec![0, 2, 3], "{policy}");
+        }
+        // And it does stop: the far side of a long chain is never entered.
+        let chain: Vec<(u32, u32, f64)> = (0..9).map(|i| (i, i + 1, 1.0)).collect();
+        let g = Graph::from_undirected(10, &chain);
+        let mut scratch = DijkstraScratch::new();
+        let run =
+            Dijkstra::run_masked_scratch(&g, &[(0, 0.0)], &[(2, 0.5)], |_| true, &mut scratch);
+        assert_eq!(run.dist(2), 2.0);
+        assert_eq!(run.settled, 3);
+        assert!(run.dist(4).is_infinite());
+    }
+
+    #[test]
     fn scratch_run_matches_fresh_on_diamond() {
         let g = diamond();
         let mut scratch = DijkstraScratch::new();
@@ -983,9 +1108,11 @@ mod tests {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
 
-        fn random_graph(seed: u64, n: usize, m: usize) -> (Graph, Vec<(u32, f64)>) {
+        type Edges = Vec<(u32, u32, f64)>;
+
+        fn random_edges(seed: u64, n: usize, m: usize) -> (Edges, Vec<(u32, f64)>) {
             let mut rng = StdRng::seed_from_u64(seed);
-            let edges: Vec<(u32, u32, f64)> = (0..m)
+            let edges: Edges = (0..m)
                 .map(|_| {
                     (
                         rng.gen_range(0usize..n) as u32,
@@ -998,7 +1125,24 @@ mod tests {
             let sources: Vec<(u32, f64)> = (0..rng.gen_range(1usize..4))
                 .map(|_| (rng.gen_range(0usize..n) as u32, rng.gen_range(0.0..3.0f64)))
                 .collect();
+            (edges, sources)
+        }
+
+        fn random_graph(seed: u64, n: usize, m: usize) -> (Graph, Vec<(u32, f64)>) {
+            let (edges, sources) = random_edges(seed, n, m);
             (Graph::from_undirected(n, &edges), sources)
+        }
+
+        /// First exit, in order, with the strictly smallest `dist + cost`.
+        fn best_exit(exits: &[(u32, f64)], dist: impl Fn(u32) -> f64) -> (f64, Option<u32>) {
+            let mut best = (f64::INFINITY, None);
+            for &(x, cost) in exits {
+                let total = dist(x) + cost;
+                if total < best.0 {
+                    best = (total, Some(x));
+                }
+            }
+            best
         }
 
         proptest! {
@@ -1052,6 +1196,67 @@ mod tests {
                         bucket.dist[v as usize].to_bits()
                     );
                     prop_assert_eq!(heap.prev[v as usize], bucket.prev[v as usize]);
+                }
+            }
+
+            /// A masked run over the whole graph equals an exhaustive run
+            /// over the graph rebuilt from the edges between admitted
+            /// nodes: same best exit, same total, same path, same state at
+            /// every node no farther than that total — and it settles no
+            /// more, whatever mask, exits and queue.
+            #[test]
+            fn masked_run_matches_filter_and_rebuild(
+                seed in any::<u64>(),
+                n in 1usize..48,
+                m in 0usize..160,
+                admit_pct in 0u32..101,
+                heap in any::<bool>(),
+            ) {
+                let (edges, sources) = random_edges(seed, n, m);
+                let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED);
+                let mask: Vec<bool> = (0..n).map(|_| rng.gen_range(0u32..100) < admit_pct).collect();
+                let exits: Vec<(u32, f64)> = (0..rng.gen_range(0usize..4))
+                    .map(|_| (rng.gen_range(0usize..n) as u32, rng.gen_range(0.0..4.0f64)))
+                    .collect();
+                let policy = if heap { QueuePolicy::Heap } else { QueuePolicy::Bucket };
+
+                let kept: Edges = edges
+                    .iter()
+                    .filter(|&&(a, b, _)| mask[a as usize] && mask[b as usize])
+                    .copied()
+                    .collect();
+                let kept_sources: Vec<(u32, f64)> =
+                    sources.iter().filter(|&&(s, _)| mask[s as usize]).copied().collect();
+                let oracle = Dijkstra::run_multi_with(
+                    &Graph::from_undirected(n, &kept),
+                    &kept_sources,
+                    None,
+                    policy,
+                );
+                let (want, want_exit) =
+                    best_exit(&exits, |x| if mask[x as usize] { oracle.dist[x as usize] } else { f64::INFINITY });
+
+                let full = Graph::from_undirected(n, &edges);
+                let mut scratch = DijkstraScratch::with_policy(policy);
+                // Dirty the memo with a run under the opposite mask.
+                let _ = Dijkstra::run_masked_scratch(&full, &sources, &[], |v| !mask[v as usize], &mut scratch);
+                let run = Dijkstra::run_masked_scratch(&full, &sources, &exits, |v| mask[v as usize], &mut scratch);
+                let (got, got_exit) = run.best_exit(&exits);
+                prop_assert_eq!(got.to_bits(), want.to_bits());
+                prop_assert_eq!(got_exit, want_exit);
+                if let Some(x) = want_exit {
+                    prop_assert_eq!(run.path_to(x), oracle.path_to(x));
+                }
+                prop_assert!(run.settled <= oracle.settled);
+                prop_assert!(run.queue.pushes <= oracle.queue.pushes);
+                for v in 0..n as u32 {
+                    if oracle.dist[v as usize] <= want {
+                        prop_assert_eq!(run.dist(v).to_bits(), oracle.dist[v as usize].to_bits());
+                        prop_assert_eq!(run.prev(v), oracle.prev[v as usize]);
+                    }
+                    if !mask[v as usize] {
+                        prop_assert!(run.dist(v).is_infinite());
+                    }
                 }
             }
         }

@@ -29,6 +29,8 @@ pub struct TerrainMesh {
     /// `(v[i], v[(i+1)%3])`, if any.
     tri_neighbors: Vec<[Option<TriId>; 3]>,
     extent: Rect2,
+    /// Average 3-D edge length, summed once at construction.
+    mean_edge_length: f64,
 }
 
 impl TerrainMesh {
@@ -81,7 +83,16 @@ impl TerrainMesh {
             nb.dedup();
         }
         let extent = Rect2::from_points(vertices.iter().map(|p| p.xy()));
-        Self { vertices, triangles, vertex_neighbors, vertex_triangles, tri_neighbors, extent }
+        let mean_edge_length = scan_mean_edge_length(&vertices, &vertex_neighbors);
+        Self {
+            vertices,
+            triangles,
+            vertex_neighbors,
+            vertex_triangles,
+            tri_neighbors,
+            extent,
+            mean_edge_length,
+        }
     }
 
     /// Num vertices.
@@ -152,23 +163,10 @@ impl TerrainMesh {
     }
 
     /// Average 3-D edge length. The paper places the densest MSDN planes at
-    /// this spacing (§3.3).
+    /// this spacing (§3.3). Ranking reads it per candidate per round, so it
+    /// is a field, not a scan.
     pub fn mean_edge_length(&self) -> f64 {
-        let mut sum = 0.0;
-        let mut cnt = 0usize;
-        for (v, nbs) in self.vertex_neighbors.iter().enumerate() {
-            for &w in nbs {
-                if (v as VertexId) < w {
-                    sum += self.edge_length(v as VertexId, w);
-                    cnt += 1;
-                }
-            }
-        }
-        if cnt == 0 {
-            0.0
-        } else {
-            sum / cnt as f64
-        }
+        self.mean_edge_length
     }
 
     /// Exhaustive structural validation; used by tests and debug assertions.
@@ -238,6 +236,27 @@ impl TerrainMesh {
     }
 }
 
+/// Mean length over the undirected edges, each visited once from its
+/// smaller endpoint in ascending `(v, w)` order (the summation order is
+/// part of the value's bits).
+fn scan_mean_edge_length(vertices: &[Point3], vertex_neighbors: &[Vec<VertexId>]) -> f64 {
+    let mut sum = 0.0;
+    let mut cnt = 0usize;
+    for (v, nbs) in vertex_neighbors.iter().enumerate() {
+        for &w in nbs {
+            if (v as VertexId) < w {
+                sum += vertices[v].dist(vertices[w as usize]);
+                cnt += 1;
+            }
+        }
+    }
+    if cnt == 0 {
+        0.0
+    } else {
+        sum / cnt as f64
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -282,6 +301,26 @@ mod tests {
         let m = square();
         assert!((m.edge_length(0, 2) - 3f64.sqrt()).abs() < 1e-12);
         assert_eq!(m.edge_length(0, 1), 1.0);
+    }
+
+    #[test]
+    fn mean_edge_length_equals_the_scan_bit_for_bit() {
+        let scan = |m: &TerrainMesh| {
+            let (mut sum, mut cnt) = (0.0, 0usize);
+            for (a, b) in m.edges() {
+                sum += m.edge_length(a, b);
+                cnt += 1;
+            }
+            if cnt == 0 {
+                0.0
+            } else {
+                sum / cnt as f64
+            }
+        };
+        let grid = crate::dem::TerrainConfig::bh().with_grid(17).build_mesh(5);
+        for m in [square(), grid, TerrainMesh::new(Vec::new(), Vec::new())] {
+            assert_eq!(m.mean_edge_length().to_bits(), scan(&m).to_bits());
+        }
     }
 
     #[test]

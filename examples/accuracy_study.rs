@@ -31,6 +31,7 @@ fn main() {
     let msdn = PagedMsdn::build(&pager, &Msdn::build(&mesh, &msdn_cfg));
     let ctx = RankingContext {
         mesh: &mesh,
+        locator: scene.locator(),
         dmtm: &dmtm,
         msdn: &msdn,
         pager: &pager,

@@ -72,7 +72,7 @@ proptest! {
         let ds = exact().distance(a.to_mesh_point(), b.to_mesh_point());
         let fracs = [0.005, 0.25, 0.5, 0.75, 1.0, 2.0];
         let ctx = RankingContext {
-            mesh: &f.mesh, dmtm: &f.dmtm, msdn: &f.msdn, pager: &f.pager, cfg: &f.cfg,
+            mesh: &f.mesh, locator: &f.locator, dmtm: &f.dmtm, msdn: &f.msdn, pager: &f.pager, cfg: &f.cfg,
             rec: &sknn_obs::NOOP, query: 0,
             scratch: std::cell::RefCell::new(Default::default()),
             cuts: None,
