@@ -42,7 +42,7 @@ impl Args {
         Self::from_argv(std::env::args().skip(1).collect())
     }
 
-    /// Parse an explicit argument vector (testable core of [`parse`]).
+    /// Parse an explicit argument vector (testable core of [`parse`](Self::parse)).
     pub fn from_argv(argv: Vec<String>) -> Self {
         let mut pairs = Vec::new();
         let mut i = 0;

@@ -1,4 +1,4 @@
-//! The exact baseline — the role Chen–Han [1] plays in the paper.
+//! The exact baseline — the role Chen–Han \[1\] plays in the paper.
 //!
 //! Computes true surface distances with the exact geodesic engine and
 //! answers k-NN queries by ranking them. Exponentially more expensive than

@@ -25,13 +25,16 @@ pub struct DbscanConfig {
     pub min_pts: usize,
 }
 
-/// A clustering of the scene's objects.
+/// A clustering of the engine's live objects.
 #[derive(Debug, Clone)]
 pub struct Clustering {
-    /// Per object: `Some(cluster id)` or `None` for noise.
+    /// Per object id: `Some(cluster id)`, or `None` for noise and for ids
+    /// that were not live when the clustering ran.
     pub labels: Vec<Option<u32>>,
     /// The num clusters.
     pub num_clusters: u32,
+    /// Live objects in the snapshot that was clustered.
+    pub live: usize,
     /// Aggregate cost of all the surface range queries issued.
     pub stats: QueryStats,
 }
@@ -48,14 +51,18 @@ impl Clustering {
 
     /// Number of noise objects.
     pub fn noise_count(&self) -> usize {
-        self.labels.iter().filter(|l| l.is_none()).count()
+        self.live - self.labels.iter().flatten().count()
     }
 }
 
-/// Density-based clustering of the engine's scene by surface distance.
+/// Density-based clustering of the engine's live objects by surface
+/// distance. The object set is one pinned snapshot: objects deleted before
+/// the call are not clustered, and the ε-neighbourhoods (each its own
+/// range query) are restricted to that snapshot's ids, so a concurrent
+/// insert cannot join a cluster half-way through.
 pub fn surface_dbscan(engine: &Mr3Engine<'_, '_>, cfg: &DbscanConfig) -> Clustering {
-    let scene = engine.scene();
-    let n = scene.num_objects();
+    let objs = engine.objects().snapshot();
+    let n = objs.id_bound() as usize;
     let mut labels: Vec<Option<u32>> = vec![None; n];
     let mut visited = vec![false; n];
     let mut stats = QueryStats::default();
@@ -63,12 +70,13 @@ pub fn surface_dbscan(engine: &Mr3Engine<'_, '_>, cfg: &DbscanConfig) -> Cluster
 
     // ε-neighbourhood via a surface range query (includes the point).
     let neighbourhood = |id: u32, stats: &mut QueryStats| -> Vec<u32> {
-        let r = engine.range_query(scene.object(id).point, cfg.eps);
+        let mut r = engine.range_query(objs.point(id), cfg.eps);
         accumulate(stats, &r.stats);
+        r.inside.retain(|&p| objs.get(p).is_some());
         r.inside
     };
 
-    for start in 0..n as u32 {
+    for start in objs.live_ids() {
         if visited[start as usize] {
             continue;
         }
@@ -99,7 +107,7 @@ pub fn surface_dbscan(engine: &Mr3Engine<'_, '_>, cfg: &DbscanConfig) -> Cluster
             }
         }
     }
-    Clustering { labels, num_clusters: next_cluster, stats }
+    Clustering { labels, num_clusters: next_cluster, live: objs.live(), stats }
 }
 
 /// Incremental sighting assignment: classify each new point by its surface
@@ -116,7 +124,9 @@ pub fn assign_sightings(
         .map(|&s| {
             let res = engine.query(s, 1);
             match res.neighbors.first() {
-                Some(n) if n.range.ub <= eps => clustering.labels[n.id as usize],
+                Some(n) if n.range.ub <= eps => {
+                    clustering.labels.get(n.id as usize).copied().flatten()
+                }
                 _ => None,
             }
         })
@@ -188,6 +198,28 @@ mod tests {
         let none = surface_dbscan(&engine, &DbscanConfig { eps: 1e-3, min_pts: 2 });
         assert_eq!(none.num_clusters, 0);
         assert_eq!(none.noise_count(), 12);
+    }
+
+    #[test]
+    fn clusters_the_live_objects_not_the_genesis_scene() {
+        let mesh = TerrainConfig::ep().with_grid(17).build_mesh(77);
+        let scene = SceneBuilder::new(&mesh).objects_at(two_groups(&mesh)).build();
+        let engine = Mr3Engine::build(&mesh, &scene, &Mr3Config::default());
+        // Remove the second group (odd ids) and add one member to the first.
+        for id in [1u32, 3, 5, 7, 9] {
+            assert!(engine.delete(id).unwrap());
+        }
+        let extra = scene.surface_point(Point2::new(30.0, 30.0)).unwrap();
+        let new_id = engine.insert(extra).unwrap();
+        let c = surface_dbscan(&engine, &DbscanConfig { eps: 40.0, min_pts: 3 });
+        assert_eq!(c.num_clusters, 1, "labels: {:?}", c.labels);
+        assert_eq!(c.noise_count(), 0);
+        assert_eq!(c.members(0), vec![0, 2, 4, 6, 8, new_id]);
+        // A sighting next to an object inserted after the clustering ran
+        // is unaffiliated, not an index out of bounds.
+        let far = scene.surface_point(Point2::new(135.0, 132.0)).unwrap();
+        engine.insert(far).unwrap();
+        assert_eq!(assign_sightings(&engine, &c, &[far], 40.0), vec![None]);
     }
 
     #[test]

@@ -123,7 +123,7 @@ pub struct Mr3Config {
     /// materialised resolution's bounds bracket the exact distance, so an
     /// expired query still answers correctly, just less tightly. `None`
     /// (the default) runs to convergence. The serving layer overrides this
-    /// per request via `Mr3Engine::try_query_at`.
+    /// per request via [`QueryOpts::deadline`](crate::mr3::QueryOpts).
     pub deadline: Option<std::time::Duration>,
     /// Shared cut cache (process-wide materialized-cut reuse).
     pub cut_cache: CutCacheConfig,

@@ -48,7 +48,7 @@ pub use config::{CutCacheConfig, Mr3Config, StepSchedule};
 pub use constrained::{ConstrainedEngine, ObstacleMask};
 pub use ea::EaEngine;
 pub use metrics::{QueryResult, QueryStats};
-pub use mr3::{CutCacheSnapshot, Mr3Engine, RangeResult};
+pub use mr3::{CutCacheSnapshot, Mr3Engine, QueryOpts, RangeResult};
 pub use objects::{ObjOp, ObjectSnapshot, ObjectStore, RecoveryReport, WriteStats};
 pub use pairs::ClosestPair;
 pub use persist::Structures;

@@ -36,8 +36,8 @@ const TRACE_RING_CAPACITY: usize = 4096;
 /// The engine is `Sync`: every query-path structure is either immutable
 /// (mesh, scene, DMTM, MSDN) or internally synchronised (the mutex-backed
 /// [`Pager`], the ring recorder, atomic counters), so independent queries
-/// may run concurrently through `&self` — see [`query_batch`]
-/// (Self::query_batch). Query *results* depend only on the immutable
+/// may run concurrently through `&self` — see
+/// [`query_batch`](Self::query_batch). Query *results* depend only on the immutable
 /// structures; the shared mutable state only feeds cost counters, which
 /// become aggregate (not per-query-exact) under concurrency.
 pub struct Mr3Engine<'s, 'm> {
@@ -218,17 +218,6 @@ impl<'s, 'm> Mr3Engine<'s, 'm> {
         self.ring.is_some()
     }
 
-    fn recorder(&self) -> &dyn Recorder {
-        match &self.ring {
-            Some(r) => r.as_ref(),
-            None => &NOOP,
-        }
-    }
-
-    fn next_query_id(&self) -> u64 {
-        self.query_seq.fetch_add(1, Ordering::Relaxed)
-    }
-
     /// Emit per-structure I/O attribution and the buffer-pool roll-up for
     /// the query that just ran (pager stats are per-query: they were reset
     /// at query start).
@@ -382,65 +371,93 @@ impl<'s, 'm> Mr3Engine<'s, 'm> {
         self.objects.write_stats()
     }
 
-    /// Ranking context over this engine's structures (shared by the k-NN,
-    /// range and closest-pair front ends).
-    pub(crate) fn ranking_context(&self) -> RankingContext<'_, 'm> {
-        self.ctx()
-    }
-
-    fn ctx(&self) -> RankingContext<'_, 'm> {
-        // `query_seq` counts queries *started*; the in-flight query's id is
-        // one less (0 before any query runs). Only approximate once
-        // queries run concurrently — the concurrent entry points pass
-        // their own id via `ctx_for`.
-        self.ctx_for(self.query_seq.load(Ordering::Relaxed).saturating_sub(1))
-    }
-
-    fn ctx_for(&self, qid: u64) -> RankingContext<'_, 'm> {
-        self.ctx_at(qid, None)
-    }
-
-    /// Ranking context with an explicit wall-clock deadline; falls back to
-    /// the config's per-query budget when the caller passes `None`.
-    fn ctx_at(&self, qid: u64, deadline: Option<Instant>) -> RankingContext<'_, 'm> {
-        let deadline = deadline.or_else(|| self.cfg.deadline.map(|d| Instant::now() + d));
+    /// Run one query op inside the engine's single query scope: the only
+    /// owner of the per-query prologue (mint or adopt the query id, cold
+    /// clears, counter resets, snapshot pin, timers) and epilogue (cpu,
+    /// wall, pages, I/O roll-up, the closing `root` span, trace drain,
+    /// degraded marker, fault error). `body` composes the stage functions
+    /// of [`Scope`] and returns the op's own output.
+    pub(crate) fn scoped<T>(
+        &self,
+        opts: &QueryOpts,
+        root: &'static str,
+        body: impl FnOnce(&mut Scope<'_, 'm>) -> T,
+    ) -> Scoped<T> {
+        let qid = match opts.trace_id {
+            0 => self.query_seq.fetch_add(1, Ordering::Relaxed),
+            id => id,
+        };
+        if self.cold_cache {
+            self.pager.clear_pool();
+            self.clear_cut_caches();
+        }
+        self.pager.reset_stats();
+        // Pin the object snapshot for the whole query: concurrent
+        // mutations publish new snapshots without disturbing this one.
+        let objs: Arc<ObjectSnapshot> = self.objects.snapshot();
+        objs.rtree().reset_accesses();
+        let timer = CpuTimer::start();
+        let start = Instant::now();
+        let rec: &dyn Recorder = match &self.ring {
+            Some(r) => r.as_ref(),
+            None => &NOOP,
+        };
         let mut scratch: RankScratch =
             self.scratch_pool.lock().unwrap_or_else(|e| e.into_inner()).pop().unwrap_or_default();
         // A pooled scratch may have served a query under a different
         // (CLI-overridden) policy; re-pin it to this engine's config.
         scratch.set_queue_policy(self.cfg.queue);
-        RankingContext {
+        let ctx = RankingContext {
             mesh: self.mesh,
             locator: self.scene.locator(),
             dmtm: &self.dmtm,
             msdn: &self.msdn,
             pager: &self.pager,
             cfg: &self.cfg,
-            rec: self.recorder(),
+            rec,
             query: qid,
             scratch: RefCell::new(scratch),
             cuts: self.cut_cache.as_ref(),
             lines: self.line_cache.as_ref(),
             grid: self.cut_grid,
             faults: FaultLog::new(self.cfg.fault_budget),
-            deadline,
+            deadline: opts.deadline.or_else(|| self.cfg.deadline.map(|d| Instant::now() + d)),
             deadline_hit: std::cell::Cell::new(false),
             pool: Some(&self.scratch_pool),
-        }
-    }
+        };
+        let mut scope = Scope { objs, ctx, stats: QueryStats::default(), root: Vec::new() };
 
-    /// Degradation marker combining absorbed faults and deadline expiry.
-    /// Deadline expiry dominates the reported reason — it explains why the
-    /// bounds are looser than scheduled even when faults also occurred.
-    fn degraded_marker(ctx: &RankingContext<'_, 'm>) -> Option<crate::resilience::Degraded> {
-        if ctx.deadline_hit.get() {
-            return Some(crate::resilience::Degraded {
+        let out = body(&mut scope);
+
+        let Scope { objs, ctx, mut stats, root: root_fields } = scope;
+        timer.stop_into(&mut stats.cpu);
+        stats.wall = start.elapsed();
+        stats.pages = self.pager.stats().physical_reads + objs.rtree().accesses();
+        let trace = if rec.enabled() {
+            self.emit_io(rec, qid, &stats, objs.rtree().accesses());
+            let mut fields = vec![field("dur_us", start.elapsed().as_micros() as u64)];
+            fields.extend(root_fields);
+            fields.push(field("pages", stats.pages));
+            rec.span(root, qid, fields);
+            // Drained on every exit, error included, so the next query's
+            // trace never inherits this one's records.
+            self.ring.as_ref().map(|r| r.drain())
+        } else {
+            None
+        };
+        // Deadline expiry dominates the reported reason — it explains why
+        // the bounds are looser than scheduled even when faults also
+        // occurred.
+        let degraded = if ctx.deadline_hit.get() {
+            Some(crate::resilience::Degraded {
                 phase: "deadline",
                 faults: ctx.faults.count(),
                 reason: "DeadlineExpired".to_string(),
-            });
-        }
-        ctx.faults.degraded()
+            })
+        } else {
+            ctx.faults.degraded()
+        };
+        Scoped { out, stats, trace, degraded, error: ctx.faults.error() }
     }
 
     /// Answer a surface k-NN query.
@@ -459,190 +476,30 @@ impl<'s, 'm> Mr3Engine<'s, 'm> {
     /// last materialised resolution's bounds are correct, just looser),
     /// and the result carries a [`Degraded`](crate::Degraded) marker.
     pub fn try_query(&self, q: SurfacePoint, k: usize) -> Result<QueryResult, QueryError> {
-        self.try_query_at(q, k, None)
+        self.try_query_with(q, k, &QueryOpts::default())
     }
 
-    /// [`try_query`](Self::try_query) with an explicit per-query deadline
-    /// (the serving layer's per-request budget). The deadline is checked
-    /// between refinement iterations: on expiry the query stops escalating
-    /// resolution and returns its current valid bounds with a `Degraded`
-    /// reason of `DeadlineExpired`. `None` falls back to
-    /// [`Mr3Config::deadline`], then to running to convergence.
-    pub fn try_query_at(
+    /// [`try_query`](Self::try_query) under explicit [`QueryOpts`] (the
+    /// serving layer's per-request deadline and wire trace id): the four
+    /// MR3 steps composed over the pinned snapshot's own objects.
+    pub fn try_query_with(
         &self,
         q: SurfacePoint,
         k: usize,
-        deadline: Option<Instant>,
+        opts: &QueryOpts,
     ) -> Result<QueryResult, QueryError> {
-        self.try_query_traced(q, k, deadline, 0)
-    }
-
-    /// [`try_query_at`](Self::try_query_at) with an explicit request trace
-    /// id. When `trace_id` is non-zero it stamps every obs record the
-    /// query emits — step spans, iteration events, I/O attribution, fault
-    /// events — in place of the engine's own sequence number, so a
-    /// serving-layer request keeps its records attributable even when
-    /// batched with strangers. `0` means "no external id" and falls back
-    /// to the engine's sequence.
-    pub fn try_query_traced(
-        &self,
-        q: SurfacePoint,
-        k: usize,
-        deadline: Option<Instant>,
-        trace_id: u64,
-    ) -> Result<QueryResult, QueryError> {
-        let qid = if trace_id != 0 { trace_id } else { self.next_query_id() };
-        let mut stats = QueryStats::default();
-        if self.cold_cache {
-            self.pager.clear_pool();
-            self.clear_cut_caches();
-        }
-        self.pager.reset_stats();
-        // Pin the object snapshot for the whole query: concurrent
-        // mutations publish new snapshots without disturbing this one.
-        let objs: Arc<ObjectSnapshot> = self.objects.snapshot();
-        objs.rtree().reset_accesses();
-        let timer = CpuTimer::start();
-        let rec = self.recorder();
-        let traced = rec.enabled();
-        let query_start = Instant::now();
-
-        let k = k.min(objs.live());
-        let terrain = self.mesh.extent();
-        let ctx = self.ctx_at(qid, deadline);
-        let mut neighbors = Vec::new();
-        let mut search_radius = 0.0f64;
-
-        if k > 0 {
-            // Step 1: 2D k-NN on the projections, canonically selected
-            // and ordered (see `canonical_seeds2d`) so the seed list —
-            // and every order-sensitive bound downstream — is a pure
-            // function of the object set, which is what lets a sharding
-            // router reproduce this run from per-shard partial lists.
-            let step = Instant::now();
-            let seeds = canonical_seeds2d(&objs, q.pos.xy(), k);
-            stats.stages.knn2d_us = step.elapsed().as_micros() as u64;
-            if traced {
-                rec.span(
-                    "step1_knn2d",
-                    qid,
-                    vec![
-                        field("dur_us", stats.stages.knn2d_us),
-                        field("k", k),
-                        field("seeds", seeds.len()),
-                    ],
-                );
+        self.scoped(opts, "query", |s| {
+            let k = k.min(s.objs.live());
+            s.root.push(field("k", k));
+            if k == 0 {
+                return (Vec::new(), 0.0);
             }
-
-            // Step 2: rank the seeds to bound the k-th neighbour's distance.
-            let step = Instant::now();
-            let mut seed_cands: Vec<Candidate> = seeds
-                .iter()
-                .map(|&(_, id)| Candidate::new(&q, id, objs.point(id), &terrain))
-                .collect();
-            let radius = ctx.estimate_radius(&q, &mut seed_cands, &mut stats);
-            search_radius = radius;
-            stats.stages.radius_us = step.elapsed().as_micros() as u64;
-            let radius_phases = stats.stages;
-            if traced {
-                let mut fields =
-                    vec![field("dur_us", stats.stages.radius_us), field("radius", radius)];
-                fields.extend(rank_phase_fields(&StageTimes::default(), &radius_phases));
-                rec.span("step2_radius", qid, fields);
-            }
-
-            // Step 3: planar range query with the safe radius.
-            let step = Instant::now();
-            let mut in_range: Vec<u32> = if radius.is_finite() {
-                objs.rtree()
-                    .within_distance(q.pos.xy(), radius)
-                    .into_iter()
-                    .map(|(_, id)| id)
-                    .collect()
-            } else {
-                // Radius estimation failed (degenerate scene); fall back to
-                // ranking everything.
-                objs.live_ids()
-            };
-            // Canonical candidate order: ascending id (the R-tree range
-            // query yields DFS tree order, which depends on insertion
-            // history). Candidate order steers region grouping in step 4,
-            // so it must be reproducible from the object set alone.
-            in_range.sort_unstable();
-            stats.stages.range_us = step.elapsed().as_micros() as u64;
-            if traced {
-                rec.span(
-                    "step3_range",
-                    qid,
-                    vec![
-                        field("dur_us", stats.stages.range_us),
-                        field("candidates", in_range.len()),
-                    ],
-                );
-            }
-
-            // Step 4: rank C2. Seed bounds carry over so step-2 work is
-            // not repeated.
-            let step = Instant::now();
-            let mut cands: Vec<Candidate> = in_range
-                .iter()
-                .map(|&id| {
-                    seed_cands
-                        .iter()
-                        .find(|c| c.id == id)
-                        .cloned()
-                        .unwrap_or_else(|| Candidate::new(&q, id, objs.point(id), &terrain))
-                })
-                .collect();
-            stats.candidates = cands.len();
-            let resolved = ctx.rank_top_k(&q, &mut cands, k, &mut stats);
-            stats.stages.rank_us = step.elapsed().as_micros() as u64;
-            if traced {
-                let mut fields = vec![
-                    field("dur_us", stats.stages.rank_us),
-                    field("resolved", resolved),
-                    field("iterations", stats.iterations),
-                ];
-                fields.extend(rank_phase_fields(&radius_phases, &stats.stages));
-                rec.span("step4_rank", qid, fields);
-            }
-
-            let mut alive: Vec<&Candidate> = cands.iter().filter(|c| !c.out).collect();
-            alive.sort_by(|a, b| {
-                a.range.ub.total_cmp(&b.range.ub).then(a.range.lb.total_cmp(&b.range.lb))
-            });
-            neighbors =
-                alive.into_iter().take(k).map(|c| Neighbor { id: c.id, range: c.range }).collect();
-        }
-
-        timer.stop_into(&mut stats.cpu);
-        stats.wall = query_start.elapsed();
-        stats.pages = self.pager.stats().physical_reads + objs.rtree().accesses();
-        if let Some(err) = ctx.faults.error() {
-            return Err(err);
-        }
-        let trace = if traced {
-            self.emit_io(rec, qid, &stats, objs.rtree().accesses());
-            rec.span(
-                "query",
-                qid,
-                vec![
-                    field("dur_us", query_start.elapsed().as_micros() as u64),
-                    field("k", k),
-                    field("pages", stats.pages),
-                ],
-            );
-            self.drain_trace()
-        } else {
-            None
-        };
-        Ok(QueryResult {
-            neighbors,
-            stats,
-            trace,
-            degraded: Self::degraded_marker(&ctx),
-            radius: search_radius,
+            let seeds = s.seeds(&q, k);
+            let (radius, refined) = s.radius(&q, &seeds);
+            let cands = s.range(&q, radius);
+            (s.rank(&q, &cands, &refined, k, k), radius)
         })
+        .into_knn()
     }
 
     /// Answer a batch of independent k-NN queries on `threads` worker
@@ -675,37 +532,6 @@ impl<'s, 'm> Mr3Engine<'s, 'm> {
         sknn_exec::par_map(threads, batch, |_, &(q, k)| self.try_query(q, k))
     }
 
-    /// [`try_query_batch`](Self::try_query_batch) with a per-request
-    /// wall-clock deadline per element — the serving layer's micro-batch
-    /// entry point, where coalesced requests arrived with different
-    /// deadlines. Elements with `None` run to convergence (or the config's
-    /// budget); see [`try_query_at`](Self::try_query_at).
-    pub fn try_query_batch_at(
-        &self,
-        batch: &[(SurfacePoint, usize, Option<Instant>)],
-        threads: usize,
-    ) -> Vec<Result<QueryResult, QueryError>> {
-        sknn_exec::par_map(threads, batch, |_, &(q, k, dl)| self.try_query_at(q, k, dl))
-    }
-
-    /// [`try_query_batch_at`](Self::try_query_batch_at) with a request
-    /// trace id per element (see
-    /// [`try_query_traced`](Self::try_query_traced)): the serving layer's
-    /// telemetry entry point, where each coalesced request keeps its own
-    /// wire-propagated id. Under tracing the ring is drained per query, so
-    /// each result's trace holds *some* complete set of records and the
-    /// union over the batch holds them all — every record stamped with the
-    /// id of the request that emitted it.
-    pub fn try_query_batch_traced(
-        &self,
-        batch: &[(SurfacePoint, usize, Option<Instant>, u64)],
-        threads: usize,
-    ) -> Vec<Result<QueryResult, QueryError>> {
-        sknn_exec::par_map(threads, batch, |_, &(q, k, dl, tid)| {
-            self.try_query_traced(q, k, dl, tid)
-        })
-    }
-
     // -----------------------------------------------------------------
     // Decomposed MR3 steps for sharded serving. A router that partitions
     // the object set across engines reconstructs a single-engine run by
@@ -721,9 +547,7 @@ impl<'s, 'm> Mr3Engine<'s, 'm> {
     /// each with its located surface point (so a peer without this
     /// shard's object table can rebuild the candidate).
     pub fn seeds2d(&self, xy: sknn_geom::Point2, k: usize) -> Vec<(f64, u32, SurfacePoint)> {
-        let objs = self.objects.snapshot();
-        let k = k.min(objs.live());
-        canonical_seeds2d(&objs, xy, k).into_iter().map(|(d, id)| (d, id, objs.point(id))).collect()
+        seeds_of(&self.objects.snapshot(), xy, k)
     }
 
     /// MR3 step 3 in isolation: every live object within 2D plan distance
@@ -731,44 +555,23 @@ impl<'s, 'm> Mr3Engine<'s, 'm> {
     /// every live object — the degenerate fallback
     /// [`try_query`](Self::try_query) takes when radius estimation fails.
     pub fn range2d(&self, xy: sknn_geom::Point2, radius: f64) -> Vec<(u32, SurfacePoint)> {
-        let objs = self.objects.snapshot();
-        let mut ids: Vec<u32> = if radius.is_finite() {
-            objs.rtree().within_distance(xy, radius).into_iter().map(|(_, id)| id).collect()
-        } else {
-            objs.live_ids()
-        };
-        ids.sort_unstable();
-        ids.into_iter().map(|id| (id, objs.point(id))).collect()
+        range_of(&self.objects.snapshot(), xy, radius)
     }
 
     /// MR3 step 2 with an explicit seed list: estimates the search radius
     /// exactly as a full query would if step 1 had produced `seeds` (in
     /// the given order — pass them in canonical `(distance, id)` order to
     /// match). Seed points travel with their ids because the seeds may
-    /// live on other shards, absent from this engine's object table.
+    /// live on other shards, absent from this engine's object table. The
+    /// result carries the radius, cost counters and trace; its neighbour
+    /// list is empty.
     pub fn estimate_radius_for(
         &self,
         q: SurfacePoint,
         seeds: &[(u32, SurfacePoint)],
-        deadline: Option<Instant>,
-        trace_id: u64,
-    ) -> Result<f64, QueryError> {
-        let qid = if trace_id != 0 { trace_id } else { self.next_query_id() };
-        let mut stats = QueryStats::default();
-        if self.cold_cache {
-            self.pager.clear_pool();
-            self.clear_cut_caches();
-        }
-        self.pager.reset_stats();
-        let terrain = self.mesh.extent();
-        let ctx = self.ctx_at(qid, deadline);
-        let mut cands: Vec<Candidate> =
-            seeds.iter().map(|&(id, p)| Candidate::new(&q, id, p, &terrain)).collect();
-        let radius = ctx.estimate_radius(&q, &mut cands, &mut stats);
-        if let Some(err) = ctx.faults.error() {
-            return Err(err);
-        }
-        Ok(radius)
+        opts: &QueryOpts,
+    ) -> Result<QueryResult, QueryError> {
+        self.scoped(opts, "radius", |s| (Vec::new(), s.radius(&q, seeds).0)).into_knn()
     }
 
     /// MR3 steps 2 + 4 with explicit seed and candidate lists: the
@@ -790,150 +593,60 @@ impl<'s, 'm> Mr3Engine<'s, 'm> {
         k: usize,
         seeds: &[(u32, SurfacePoint)],
         cands: &[(u32, SurfacePoint)],
-        deadline: Option<Instant>,
-        trace_id: u64,
+        opts: &QueryOpts,
     ) -> Result<QueryResult, QueryError> {
-        let qid = if trace_id != 0 { trace_id } else { self.next_query_id() };
-        let mut stats = QueryStats::default();
-        if self.cold_cache {
-            self.pager.clear_pool();
-            self.clear_cut_caches();
-        }
-        self.pager.reset_stats();
-        let objs: Arc<ObjectSnapshot> = self.objects.snapshot();
-        objs.rtree().reset_accesses();
-        let timer = CpuTimer::start();
-        let rec = self.recorder();
-        let traced = rec.enabled();
-        let query_start = Instant::now();
-
-        let terrain = self.mesh.extent();
-        let ctx = self.ctx_at(qid, deadline);
-        let mut neighbors = Vec::new();
-        let mut search_radius = 0.0f64;
-
-        if k > 0 {
-            // Step 2 re-runs here (not reused from a prior
+        self.scoped(opts, "exec", |s| {
+            s.root.push(field("k", k));
+            if k == 0 {
+                return (Vec::new(), 0.0);
+            }
+            // Step 2 runs here too (not reused from a prior
             // `estimate_radius_for` call) because the refined seed bounds
             // must carry over into step 4's candidates, exactly as in a
             // single-engine run.
-            let step = Instant::now();
-            let mut seed_cands: Vec<Candidate> =
-                seeds.iter().map(|&(id, p)| Candidate::new(&q, id, p, &terrain)).collect();
-            search_radius = ctx.estimate_radius(&q, &mut seed_cands, &mut stats);
-            stats.stages.radius_us = step.elapsed().as_micros() as u64;
-            let radius_phases = stats.stages;
-            if traced {
-                let mut fields =
-                    vec![field("dur_us", stats.stages.radius_us), field("radius", search_radius)];
-                fields.extend(rank_phase_fields(&StageTimes::default(), &radius_phases));
-                rec.span("step2_radius", qid, fields);
-            }
-
-            let step = Instant::now();
-            let mut cl: Vec<Candidate> = cands
-                .iter()
-                .map(|&(id, p)| {
-                    seed_cands
-                        .iter()
-                        .find(|c| c.id == id)
-                        .cloned()
-                        .unwrap_or_else(|| Candidate::new(&q, id, p, &terrain))
-                })
-                .collect();
-            stats.candidates = cl.len();
-            let resolved = ctx.rank_top_k(&q, &mut cl, k, &mut stats);
-            stats.stages.rank_us = step.elapsed().as_micros() as u64;
-            if traced {
-                let mut fields = vec![
-                    field("dur_us", stats.stages.rank_us),
-                    field("resolved", resolved),
-                    field("iterations", stats.iterations),
-                ];
-                fields.extend(rank_phase_fields(&radius_phases, &stats.stages));
-                rec.span("step4_rank", qid, fields);
-            }
-
-            let mut alive: Vec<&Candidate> = cl.iter().filter(|c| !c.out).collect();
-            alive.sort_by(|a, b| {
-                a.range.ub.total_cmp(&b.range.ub).then(a.range.lb.total_cmp(&b.range.lb))
-            });
-            neighbors = alive
-                .into_iter()
-                .take(k + 1)
-                .map(|c| Neighbor { id: c.id, range: c.range })
-                .collect();
-        }
-
-        timer.stop_into(&mut stats.cpu);
-        stats.wall = query_start.elapsed();
-        stats.pages = self.pager.stats().physical_reads + objs.rtree().accesses();
-        if let Some(err) = ctx.faults.error() {
-            return Err(err);
-        }
-        let trace = if traced {
-            self.emit_io(rec, qid, &stats, objs.rtree().accesses());
-            self.drain_trace()
-        } else {
-            None
-        };
-        Ok(QueryResult {
-            neighbors,
-            stats,
-            trace,
-            degraded: Self::degraded_marker(&ctx),
-            radius: search_radius,
+            let (radius, refined) = s.radius(&q, seeds);
+            (s.rank(&q, cands, &refined, k, k + 1), radius)
         })
-    }
-
-    fn drain_trace(&self) -> Option<QueryTrace> {
-        self.ring.as_ref().map(|r| r.drain())
+        .into_knn()
     }
 
     /// Progressive distance estimation (paper §5.3): "a query like 'what
     /// is the surface distance between a and b within accuracy 95%' can be
     /// directly processed". Refines the pair's distance range level by
     /// level and stops as soon as `lb/ub >= accuracy` (or the schedule is
-    /// exhausted — the achieved accuracy is in the returned range).
+    /// exhausted — the achieved accuracy is in the returned range). The
+    /// third element is the execution trace, when tracing is enabled.
     pub fn distance_with_accuracy(
         &self,
         a: SurfacePoint,
         b: SurfacePoint,
         accuracy: f64,
-    ) -> (crate::bounds::DistRange, QueryStats) {
-        let mut stats = QueryStats::default();
-        if self.cold_cache {
-            self.pager.clear_pool();
-            self.clear_cut_caches();
-        }
-        self.pager.reset_stats();
-        let timer = CpuTimer::start();
-        let start = Instant::now();
-        let ctx = self.ctx();
-        let mut range = crate::bounds::DistRange::unbounded();
-        range.tighten_lb(a.pos.dist(b.pos));
-        if a.tri == b.tri {
-            range.tighten_ub(a.pos.dist(b.pos));
-        }
-        for i in 0..self.cfg.schedule.len() {
-            if range.accuracy() >= accuracy {
-                break;
+    ) -> (crate::bounds::DistRange, QueryStats, Option<QueryTrace>) {
+        let s = self.scoped(&QueryOpts::default(), "distance", |s| {
+            s.root.push(field("accuracy", accuracy));
+            let mut range = crate::bounds::DistRange::unbounded();
+            range.tighten_lb(a.pos.dist(b.pos));
+            if a.tri == b.tri {
+                range.tighten_ub(a.pos.dist(b.pos));
             }
-            let est = ctx.estimate_pair(
-                &a,
-                &b,
-                self.cfg.schedule.dmtm[i],
-                self.cfg.schedule.msdn_level(i),
-                &mut stats,
-            );
-            range.tighten_lb(est.lb);
-            range.tighten_ub(est.ub);
-            stats.iterations += 1;
-        }
-        timer.stop_into(&mut stats.cpu);
-        stats.wall = start.elapsed();
-        stats.pages = self.pager.stats().physical_reads;
-        (range, stats)
+            for i in 0..self.cfg.schedule.len() {
+                if range.accuracy() >= accuracy {
+                    break;
+                }
+                let est = s.ctx.estimate_pair(
+                    &a,
+                    &b,
+                    self.cfg.schedule.dmtm[i],
+                    self.cfg.schedule.msdn_level(i),
+                    &mut s.stats,
+                );
+                range.tighten_lb(est.lb);
+                range.tighten_ub(est.ub);
+                s.stats.iterations += 1;
+            }
+            range
+        });
+        (s.out, s.stats, s.trace)
     }
 
     /// Surface *range query* (paper §6): all objects whose surface distance
@@ -942,46 +655,188 @@ impl<'s, 'm> Mr3Engine<'s, 'm> {
     /// a superset, since `dE <= dS`), then distance-range ranking classifies
     /// each one. Returns ids ascending plus the usual cost counters.
     pub fn range_query(&self, q: SurfacePoint, radius: f64) -> RangeResult {
-        let qid = self.next_query_id();
-        let mut stats = QueryStats::default();
-        if self.cold_cache {
-            self.pager.clear_pool();
-            self.clear_cut_caches();
+        let s = self.scoped(&QueryOpts::default(), "range_query", |s| {
+            s.root.push(field("radius", radius));
+            let terrain = s.ctx.mesh.extent();
+            let mut cands: Vec<Candidate> = s
+                .objs
+                .rtree()
+                .within_distance(q.pos.xy(), radius)
+                .iter()
+                .map(|&(_, id)| Candidate::new(&q, id, s.objs.point(id), &terrain))
+                .collect();
+            s.stats.candidates = cands.len();
+            s.ctx.resolve_within(&q, &mut cands, radius, &mut s.stats)
+        });
+        let (inside, undecided) = s.out;
+        RangeResult { inside, undecided, stats: s.stats, trace: s.trace, degraded: s.degraded }
+    }
+}
+
+/// Per-query options of the engine's entry points. The default — no
+/// deadline beyond [`Mr3Config::deadline`], engine-minted query id — is
+/// what [`Mr3Engine::try_query`] runs under.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct QueryOpts {
+    /// Wall-clock deadline, checked between refinement iterations: on
+    /// expiry the query stops escalating resolution and returns its
+    /// current valid bounds with a `Degraded` reason of `DeadlineExpired`.
+    /// `None` falls back to [`Mr3Config::deadline`], then to running to
+    /// convergence.
+    pub deadline: Option<Instant>,
+    /// When non-zero, stamps every obs record the query emits — step
+    /// spans, iteration events, I/O attribution, fault events — in place
+    /// of the engine's own sequence number, so a serving-layer request
+    /// keeps its records attributable even when batched with strangers.
+    pub trace_id: u64,
+}
+
+/// The state of one query between the prologue and epilogue of
+/// [`Mr3Engine::scoped`]: the pinned object snapshot, the ranking context
+/// and the cost counters. The MR3 steps are its four stage methods; every
+/// query op is a composition of them.
+pub(crate) struct Scope<'e, 'm> {
+    /// The object snapshot pinned for this query.
+    pub(crate) objs: Arc<ObjectSnapshot>,
+    /// Ranking context stamped with this query's id and deadline.
+    pub(crate) ctx: RankingContext<'e, 'm>,
+    /// Cost counters, finished by the epilogue.
+    pub(crate) stats: QueryStats,
+    /// Op-specific fields of the closing root span (`k`, `radius`, …).
+    pub(crate) root: Vec<sknn_obs::Field>,
+}
+
+/// What [`Mr3Engine::scoped`] hands back: the op's output plus everything
+/// the epilogue produced.
+pub(crate) struct Scoped<T> {
+    pub(crate) out: T,
+    pub(crate) stats: QueryStats,
+    pub(crate) trace: Option<QueryTrace>,
+    pub(crate) degraded: Option<crate::resilience::Degraded>,
+    /// Set when the query exceeded its storage-fault budget.
+    pub(crate) error: Option<QueryError>,
+}
+
+impl Scoped<(Vec<Neighbor>, f64)> {
+    fn into_knn(self) -> Result<QueryResult, QueryError> {
+        if let Some(err) = self.error {
+            return Err(err);
         }
-        self.pager.reset_stats();
-        let objs = self.objects.snapshot();
-        objs.rtree().reset_accesses();
-        let timer = CpuTimer::start();
-        let rec = self.recorder();
-        let query_start = Instant::now();
+        let (neighbors, radius) = self.out;
+        Ok(QueryResult {
+            neighbors,
+            stats: self.stats,
+            trace: self.trace,
+            degraded: self.degraded,
+            radius,
+        })
+    }
+}
 
-        let terrain = self.mesh.extent();
-        let seeds = objs.rtree().within_distance(q.pos.xy(), radius);
-        stats.candidates = seeds.len();
-        let mut cands: Vec<Candidate> =
-            seeds.iter().map(|&(_, id)| Candidate::new(&q, id, objs.point(id), &terrain)).collect();
-        let ctx = self.ctx_for(qid);
-        let (inside, undecided) = ctx.resolve_within(&q, &mut cands, radius, &mut stats);
-
-        timer.stop_into(&mut stats.cpu);
-        stats.wall = query_start.elapsed();
-        stats.pages = self.pager.stats().physical_reads + objs.rtree().accesses();
-        let trace = if rec.enabled() {
-            self.emit_io(rec, qid, &stats, objs.rtree().accesses());
-            rec.span(
-                "range_query",
-                qid,
+impl Scope<'_, '_> {
+    /// Step 1: 2D k-NN on the projections, canonically selected and
+    /// ordered (see [`seeds_of`]) so the seed list — and every
+    /// order-sensitive bound downstream — is a pure function of the
+    /// object set, which is what lets a sharding router reproduce this
+    /// run from per-shard partial lists.
+    fn seeds(&mut self, q: &SurfacePoint, k: usize) -> Vec<(u32, SurfacePoint)> {
+        let step = Instant::now();
+        let seeds: Vec<(u32, SurfacePoint)> =
+            seeds_of(&self.objs, q.pos.xy(), k).into_iter().map(|(_, id, p)| (id, p)).collect();
+        self.stats.stages.knn2d_us = step.elapsed().as_micros() as u64;
+        if self.ctx.rec.enabled() {
+            self.ctx.rec.span(
+                "step1_knn2d",
+                self.ctx.query,
                 vec![
-                    field("dur_us", query_start.elapsed().as_micros() as u64),
-                    field("radius", radius),
-                    field("pages", stats.pages),
+                    field("dur_us", self.stats.stages.knn2d_us),
+                    field("k", k),
+                    field("seeds", seeds.len()),
                 ],
             );
-            self.drain_trace()
-        } else {
-            None
-        };
-        RangeResult { inside, undecided, stats, trace, degraded: Self::degraded_marker(&ctx) }
+        }
+        seeds
+    }
+
+    /// Step 2: rank the seeds to bound the k-th neighbour's distance.
+    /// Returns the search radius and the refined seed candidates, whose
+    /// bounds [`rank`](Self::rank) carries over.
+    fn radius(&mut self, q: &SurfacePoint, seeds: &[(u32, SurfacePoint)]) -> (f64, Vec<Candidate>) {
+        let step = Instant::now();
+        let before = self.stats.stages;
+        let terrain = self.ctx.mesh.extent();
+        let mut cands: Vec<Candidate> =
+            seeds.iter().map(|&(id, p)| Candidate::new(q, id, p, &terrain)).collect();
+        let radius = self.ctx.estimate_radius(q, &mut cands, &mut self.stats);
+        self.stats.stages.radius_us = step.elapsed().as_micros() as u64;
+        if self.ctx.rec.enabled() {
+            let mut fields =
+                vec![field("dur_us", self.stats.stages.radius_us), field("radius", radius)];
+            fields.extend(rank_phase_fields(&before, &self.stats.stages));
+            self.ctx.rec.span("step2_radius", self.ctx.query, fields);
+        }
+        (radius, cands)
+    }
+
+    /// Step 3: planar range query with the safe radius.
+    fn range(&mut self, q: &SurfacePoint, radius: f64) -> Vec<(u32, SurfacePoint)> {
+        let step = Instant::now();
+        let in_range = range_of(&self.objs, q.pos.xy(), radius);
+        self.stats.stages.range_us = step.elapsed().as_micros() as u64;
+        if self.ctx.rec.enabled() {
+            self.ctx.rec.span(
+                "step3_range",
+                self.ctx.query,
+                vec![
+                    field("dur_us", self.stats.stages.range_us),
+                    field("candidates", in_range.len()),
+                ],
+            );
+        }
+        in_range
+    }
+
+    /// Step 4: rank `cands` until the top `k` separate, and return the
+    /// best `keep`. Bounds of the `refined` step-2 seeds carry over so
+    /// that work is not repeated.
+    fn rank(
+        &mut self,
+        q: &SurfacePoint,
+        cands: &[(u32, SurfacePoint)],
+        refined: &[Candidate],
+        k: usize,
+        keep: usize,
+    ) -> Vec<Neighbor> {
+        let step = Instant::now();
+        let before = self.stats.stages;
+        let terrain = self.ctx.mesh.extent();
+        let mut cands: Vec<Candidate> = cands
+            .iter()
+            .map(|&(id, p)| {
+                refined
+                    .iter()
+                    .find(|c| c.id == id)
+                    .cloned()
+                    .unwrap_or_else(|| Candidate::new(q, id, p, &terrain))
+            })
+            .collect();
+        self.stats.candidates = cands.len();
+        let resolved = self.ctx.rank_top_k(q, &mut cands, k, &mut self.stats);
+        self.stats.stages.rank_us = step.elapsed().as_micros() as u64;
+        if self.ctx.rec.enabled() {
+            let mut fields = vec![
+                field("dur_us", self.stats.stages.rank_us),
+                field("resolved", resolved),
+                field("iterations", self.stats.iterations),
+            ];
+            fields.extend(rank_phase_fields(&before, &self.stats.stages));
+            self.ctx.rec.span("step4_rank", self.ctx.query, fields);
+        }
+        let mut alive: Vec<&Candidate> = cands.iter().filter(|c| !c.out).collect();
+        alive.sort_by(|a, b| {
+            a.range.ub.total_cmp(&b.range.ub).then(a.range.lb.total_cmp(&b.range.lb))
+        });
+        alive.into_iter().take(keep).map(|c| Neighbor { id: c.id, range: c.range }).collect()
     }
 }
 
@@ -1058,9 +913,9 @@ fn rank_phase_fields(before: &StageTimes, after: &StageTimes) -> Vec<sknn_obs::F
     ]
 }
 
-/// Canonically *selected and ordered* 2-D seed set: the `k` nearest live
-/// objects by the total order (plan distance, then id), as
-/// `(distance, id)` pairs in that order.
+/// The bare step 1: the canonically *selected and ordered* 2-D seed set —
+/// the `k` nearest live objects by the total order (plan distance, then
+/// id), as `(distance, id, point)` triples in that order.
 ///
 /// `knn` alone resolves equal-distance ties at the selection boundary in
 /// best-first heap order, which depends on tree shape — so a shard's
@@ -1071,7 +926,12 @@ fn rank_phase_fields(before: &StageTimes, after: &StageTimes) -> Vec<sknn_obs::F
 /// re-fetched by a range probe at the k-th distance and the winners
 /// picked by id. The selected set is then a pure function of the object
 /// set, which is what sharded serving's exact-merge guarantee rests on.
-fn canonical_seeds2d(objs: &ObjectSnapshot, xy: sknn_geom::Point2, k: usize) -> Vec<(f64, u32)> {
+fn seeds_of(
+    objs: &ObjectSnapshot,
+    xy: sknn_geom::Point2,
+    k: usize,
+) -> Vec<(f64, u32, SurfacePoint)> {
+    let k = k.min(objs.live());
     let mut seeds: Vec<(f64, u32)> =
         objs.rtree().knn(xy, k + 1).into_iter().map(|(d, _, id)| (d, id)).collect();
     seeds.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
@@ -1089,7 +949,25 @@ fn canonical_seeds2d(objs: &ObjectSnapshot, xy: sknn_geom::Point2, k: usize) -> 
         seeds.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
     }
     seeds.truncate(k);
-    seeds
+    seeds.into_iter().map(|(d, id)| (d, id, objs.point(id))).collect()
+}
+
+/// The bare step 3: every live object within 2D plan distance `radius`
+/// of `xy`, or every live object when the radius is not finite (radius
+/// estimation failed on a degenerate scene; rank everything).
+///
+/// Ascending by id: the R-tree range query yields DFS tree order, which
+/// depends on insertion history, and candidate order steers region
+/// grouping in step 4 — so it must be reproducible from the object set
+/// alone.
+fn range_of(objs: &ObjectSnapshot, xy: sknn_geom::Point2, radius: f64) -> Vec<(u32, SurfacePoint)> {
+    let mut ids: Vec<u32> = if radius.is_finite() {
+        objs.rtree().within_distance(xy, radius).into_iter().map(|(_, id)| id).collect()
+    } else {
+        objs.live_ids()
+    };
+    ids.sort_unstable();
+    ids.into_iter().map(|id| (id, objs.point(id))).collect()
 }
 
 /// Compile-time seal of the thread-safety contract `query_batch` relies
@@ -1160,56 +1038,167 @@ mod tests {
         }
     }
 
+    /// Record names of a trace, as a name → count multiset.
+    fn names(trace: &QueryTrace) -> std::collections::BTreeMap<&'static str, usize> {
+        let mut m = std::collections::BTreeMap::new();
+        for r in &trace.records {
+            *m.entry(r.name).or_insert(0) += 1;
+        }
+        m
+    }
+
+    fn bits(ns: &[Neighbor]) -> Vec<(u32, u64, u64)> {
+        ns.iter().map(|n| (n.id, n.range.lb.to_bits(), n.range.ub.to_bits())).collect()
+    }
+
+    /// Run `q` through both compositions of the stage functions — the
+    /// monolithic `try_query_with` and the router's `seeds2d` →
+    /// `estimate_radius_for` → `range2d` → `exec_ranked` — and check the
+    /// contract between them: same radius bits, `exec_ranked` returns
+    /// `min(k + 1, alive)` neighbours whose first `k` match the monolithic
+    /// answer bit for bit.
+    fn both_compositions(
+        engine: &Mr3Engine<'_, '_>,
+        q: SurfacePoint,
+        k: usize,
+        opts: &QueryOpts,
+    ) -> (QueryResult, QueryResult) {
+        let whole = engine.try_query_with(q, k, opts).unwrap();
+
+        let kc = k.min(engine.objects().snapshot().live());
+        let seeds: Vec<(u32, SurfacePoint)> =
+            engine.seeds2d(q.pos.xy(), k).into_iter().map(|(_, id, p)| (id, p)).collect();
+        assert_eq!(seeds.len(), kc);
+        let (cands, split) = if kc == 0 {
+            (Vec::new(), engine.exec_ranked(q, kc, &seeds, &[], opts).unwrap())
+        } else {
+            let radius = engine.estimate_radius_for(q, &seeds, opts).unwrap();
+            assert!(radius.neighbors.is_empty());
+            assert_eq!(radius.radius.to_bits(), whole.radius.to_bits(), "radius differs");
+            let cands = engine.range2d(q.pos.xy(), radius.radius);
+            let split = engine.exec_ranked(q, kc, &seeds, &cands, opts).unwrap();
+            (cands, split)
+        };
+
+        assert_eq!(split.radius.to_bits(), whole.radius.to_bits());
+        assert_eq!(whole.neighbors.len(), kc);
+        // `min(k + 1, alive)`: ranking keeps at least k candidates alive
+        // and may eliminate every one past them.
+        let n = split.neighbors.len();
+        assert!(kc.min(cands.len()) <= n && n <= (kc + 1).min(cands.len()), "{n} of k {kc}");
+        assert_eq!(bits(&whole.neighbors), bits(&split.neighbors[..kc.min(n)]));
+        (whole, split)
+    }
+
     /// The sharded-serving keystone: reconstructing a query from the
-    /// decomposed steps (`seeds2d` → `estimate_radius_for` → `range2d` →
-    /// `exec_ranked`) is bit-identical to the monolithic path — same ids,
-    /// same bound bits, same radius bits.
+    /// decomposed steps is bit-identical to the monolithic path — same
+    /// ids, same bound bits, same radius bits — and, traced, the
+    /// monolithic query emits exactly the records it always has.
     #[test]
     fn decomposed_steps_match_monolithic_query_bit_exact() {
         let mesh = mesh();
         let scene = SceneBuilder::new(&mesh).object_count(30).seed(9).build();
-        let engine = Mr3Engine::build(&mesh, &scene, &Mr3Config::default());
-        for qseed in [1u64, 4, 8] {
+        let mut engine = Mr3Engine::build(&mesh, &scene, &Mr3Config::default());
+        engine.enable_tracing();
+        let opts = QueryOpts::default();
+        // (query seed, ranking iterations it has always taken)
+        for (qseed, iterations) in [(1u64, 10), (4, 4), (8, 3)] {
             let q = scene.random_query(qseed);
-            let k = 4;
-            let whole = engine.try_query(q, k).unwrap();
+            let (whole, split) = both_compositions(&engine, q, 4, &opts);
+            assert_eq!(whole.stats.iterations, iterations, "q{qseed}");
 
-            let seeds: Vec<(u32, SurfacePoint)> =
-                engine.seeds2d(q.pos.xy(), k).into_iter().map(|(_, id, p)| (id, p)).collect();
-            let radius = engine.estimate_radius_for(q, &seeds, None, 0).unwrap();
-            assert_eq!(radius.to_bits(), whole.radius.to_bits(), "q{qseed}: radius differs");
-            let cands = engine.range2d(q.pos.xy(), radius);
-            let split = engine.exec_ranked(q, k, &seeds, &cands, None, 0).unwrap();
+            // One span per step, the iteration and roll-up events, one
+            // closing `query` span — and nothing else, all under one id.
+            let trace = whole.trace.as_ref().expect("tracing on");
+            let mut want = std::collections::BTreeMap::from([
+                ("step1_knn2d", 1),
+                ("step2_radius", 1),
+                ("step3_range", 1),
+                ("step4_rank", 1),
+                ("query", 1),
+                ("dijkstra", 1),
+                ("pool", 1),
+                ("cutcache", 1),
+                ("iter", whole.stats.iterations),
+                ("io", trace.io_by_structure().len()),
+            ]);
+            assert_eq!(names(trace), want, "q{qseed}");
+            assert_eq!(trace.records.last().unwrap().name, "query");
+            let qid = trace.records[0].query;
+            assert!(trace.records.iter().all(|r| r.query == qid));
 
-            assert_eq!(split.radius.to_bits(), whole.radius.to_bits());
-            // exec_ranked returns up to k + 1 neighbors; the first k must
-            // match the monolithic answer bit for bit.
-            assert!(split.neighbors.len() >= whole.neighbors.len());
-            for (a, b) in whole.neighbors.iter().zip(&split.neighbors) {
-                assert_eq!(a.id, b.id, "q{qseed}: id order differs");
-                assert_eq!(a.range.lb.to_bits(), b.range.lb.to_bits());
-                assert_eq!(a.range.ub.to_bits(), b.range.ub.to_bits());
+            // EXEC is radius → rank(k + 1): no step 1 or 3, its own root.
+            let trace = split.trace.as_ref().expect("tracing on");
+            for gone in ["step1_knn2d", "step3_range", "query"] {
+                want.remove(gone);
             }
+            want.insert("exec", 1);
+            want.insert("iter", split.stats.iterations);
+            want.insert("io", trace.io_by_structure().len());
+            assert_eq!(names(trace), want, "q{qseed} exec");
         }
     }
 
     #[test]
-    fn k_larger_than_object_count() {
+    fn compositions_agree_on_degenerate_k_and_expired_deadline() {
         let mesh = mesh();
-        let scene = SceneBuilder::new(&mesh).object_count(4).seed(5).build();
+        let scene = SceneBuilder::new(&mesh).object_count(6).seed(9).build();
         let engine = Mr3Engine::build(&mesh, &scene, &Mr3Config::default());
-        let q = scene.random_query(1);
-        let res = engine.query(q, 10);
-        assert_eq!(res.neighbors.len(), 4);
+        let q = scene.random_query(4);
+        let opts = QueryOpts::default();
+
+        let (whole, split) = both_compositions(&engine, q, 0, &opts);
+        assert!(whole.neighbors.is_empty() && split.neighbors.is_empty());
+        assert_eq!(whole.radius, 0.0);
+
+        // k beyond the live count clamps to it; every object is a seed,
+        // so EXEC has no (k + 1)-th neighbour to return.
+        let (whole, split) = both_compositions(&engine, q, 10, &opts);
+        assert_eq!((whole.neighbors.len(), split.neighbors.len()), (6, 6));
+
+        // An already-expired explicit deadline degrades both compositions
+        // to the same seed-resolution bounds, though the config itself has
+        // no budget.
+        let expired = QueryOpts { deadline: Some(Instant::now()), trace_id: 0 };
+        let (whole, split) = both_compositions(&engine, q, 3, &expired);
+        for r in [&whole, &split] {
+            assert_eq!(r.degraded.as_ref().expect("must degrade").reason, "DeadlineExpired");
+        }
     }
 
+    /// Every op runs in the one query scope: it mints its own id, closes
+    /// with its own root span, and leaves the ring empty for the next.
     #[test]
-    fn k_zero() {
+    fn every_traced_op_closes_its_own_scope() {
         let mesh = mesh();
-        let scene = SceneBuilder::new(&mesh).object_count(5).seed(5).build();
-        let engine = Mr3Engine::build(&mesh, &scene, &Mr3Config::default());
-        let res = engine.query(scene.random_query(1), 0);
-        assert!(res.neighbors.is_empty());
+        let scene = SceneBuilder::new(&mesh).object_count(12).seed(3).build();
+        let mut engine = Mr3Engine::build(&mesh, &scene, &Mr3Config::default());
+        engine.enable_tracing();
+        let (a, b) = (scene.random_query(1), scene.random_query(2));
+        let opts = QueryOpts::default();
+        let seeds: Vec<(u32, SurfacePoint)> =
+            engine.seeds2d(a.pos.xy(), 3).into_iter().map(|(_, id, p)| (id, p)).collect();
+
+        let traces = [
+            ("query", engine.query(a, 3).trace),
+            ("radius", engine.estimate_radius_for(a, &seeds, &opts).unwrap().trace),
+            ("exec", engine.exec_ranked(a, 3, &seeds, &seeds, &opts).unwrap().trace),
+            ("range_query", engine.range_query(a, 60.0).trace),
+            ("distance", engine.distance_with_accuracy(a, b, 0.9).2),
+            ("closest_pair", engine.closest_pair().unwrap().trace),
+        ];
+        let mut ids = Vec::new();
+        for (root, trace) in traces {
+            let trace = trace.expect("tracing on");
+            let last = trace.records.last().unwrap();
+            assert_eq!(last.name, root);
+            assert!(trace.records.iter().all(|r| r.query == last.query), "{root}: foreign record");
+            let n = names(&trace);
+            assert_eq!((n[root], n["dijkstra"], n["pool"]), (1, 1, 1), "{root}");
+            ids.push(last.query);
+        }
+        ids.dedup();
+        assert_eq!(ids.len(), 6, "each op mints its own query id: {ids:?}");
     }
 
     #[test]
@@ -1287,8 +1276,8 @@ mod tests {
         let b = scene.random_query(9);
         let exact = ChEngine::new(&scene);
         let ds = exact.pair_distance(a, b);
-        let (loose, loose_stats) = engine.distance_with_accuracy(a, b, 0.5);
-        let (tight, tight_stats) = engine.distance_with_accuracy(a, b, 0.95);
+        let (loose, loose_stats, _) = engine.distance_with_accuracy(a, b, 0.5);
+        let (tight, tight_stats, _) = engine.distance_with_accuracy(a, b, 0.95);
         for r in [loose, tight] {
             assert!(r.lb <= ds + 1e-6 && ds <= r.ub + 1e-6, "range {r:?} misses {ds}");
         }
@@ -1365,19 +1354,6 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         assert_eq!(ids(&a), ids(&b));
-    }
-
-    #[test]
-    fn explicit_deadline_overrides_config() {
-        let mesh = mesh();
-        let scene = SceneBuilder::new(&mesh).object_count(10).seed(47).build();
-        let engine = Mr3Engine::build(&mesh, &scene, &Mr3Config::default());
-        let q = scene.random_query(2);
-        // An already-expired explicit deadline degrades even though the
-        // config itself has no budget.
-        let res = engine.try_query_at(q, 3, Some(Instant::now())).unwrap();
-        let d = res.degraded.expect("expired explicit deadline must degrade");
-        assert_eq!(d.reason, "DeadlineExpired");
     }
 
     #[test]

@@ -9,9 +9,9 @@
 //! other pair's lower bound.
 
 use crate::bounds::DistRange;
-use crate::metrics::{CpuTimer, QueryStats};
-use crate::mr3::Mr3Engine;
-use crate::ranking::RankingContext;
+use crate::metrics::QueryStats;
+use crate::mr3::{Mr3Engine, QueryOpts};
+use sknn_obs::{field, QueryTrace};
 
 /// Result of a closest-pair query.
 #[derive(Debug, Clone)]
@@ -28,6 +28,8 @@ pub struct ClosestPair {
     pub proven: bool,
     /// Cost counters of the whole pair search.
     pub stats: QueryStats,
+    /// Execution trace, when the engine has tracing enabled.
+    pub trace: Option<QueryTrace>,
 }
 
 struct PairState {
@@ -38,91 +40,87 @@ struct PairState {
 }
 
 impl<'s, 'm> Mr3Engine<'s, 'm> {
-    /// Find the two objects closest by surface distance.
+    /// Find the two live objects closest by surface distance (`None` with
+    /// fewer than two). Like every query op it runs over one pinned
+    /// object snapshot: a deleted object cannot be returned, an inserted
+    /// one can.
     pub fn closest_pair(&self) -> Option<ClosestPair> {
-        let scene = self.scene();
-        let n = scene.num_objects();
-        if n < 2 {
-            return None;
-        }
-        let mut stats = QueryStats::default();
-        if self.cold_cache {
-            self.pager().clear_pool();
-        }
-        self.pager().reset_stats();
-        let timer = CpuTimer::start();
-        let ctx: RankingContext<'_, 'm> = self.ranking_context();
+        let s = self.scoped(&QueryOpts::default(), "closest_pair", |s| {
+            let ids = s.objs.live_ids();
+            if ids.len() < 2 {
+                return None;
+            }
+            // All pairs, seeded with the Euclidean lower bound.
+            let mut pairs: Vec<PairState> = Vec::with_capacity(ids.len() * (ids.len() - 1) / 2);
+            for (n, &i) in ids.iter().enumerate() {
+                for &j in &ids[n + 1..] {
+                    let (pi, pj) = (s.objs.point(i), s.objs.point(j));
+                    let d = pi.pos.dist(pj.pos);
+                    let mut range = DistRange::unbounded();
+                    range.tighten_lb(d);
+                    if pi.tri == pj.tri {
+                        range.tighten_ub(d);
+                    }
+                    pairs.push(PairState { a: i, b: j, range, alive: true });
+                }
+            }
+            s.stats.candidates = pairs.len();
+            s.root.push(field("pairs", pairs.len()));
 
-        // All pairs, seeded with the Euclidean lower bound.
-        let mut pairs: Vec<PairState> = Vec::with_capacity(n * (n - 1) / 2);
-        for i in 0..n as u32 {
-            for j in i + 1..n as u32 {
-                let d = scene.object(i).point.pos.dist(scene.object(j).point.pos);
-                let mut range = DistRange::unbounded();
-                range.tighten_lb(d);
-                if scene.object(i).point.tri == scene.object(j).point.tri {
-                    range.tighten_ub(d);
+            let schedule = &self.config().schedule;
+            let mut best_ub = f64::INFINITY;
+            for iter in 0..schedule.len() {
+                // Prune: a pair whose lower bound exceeds the best upper
+                // bound can never win.
+                for p in pairs.iter_mut() {
+                    if p.alive && p.range.lb > best_ub + 1e-9 {
+                        p.alive = false;
+                    }
                 }
-                pairs.push(PairState { a: i, b: j, range, alive: true });
+                // Termination: one pair's ub at or below every other's lb.
+                if self.pair_winner(&pairs).is_some() {
+                    break;
+                }
+                let frac = schedule.dmtm[iter];
+                let lvl = schedule.msdn_level(iter);
+                for p in pairs.iter_mut() {
+                    if !p.alive || p.range.width() <= 1e-9 {
+                        continue;
+                    }
+                    // Only refine pairs that could still win.
+                    if p.range.lb > best_ub + 1e-9 {
+                        continue;
+                    }
+                    let est = s.ctx.estimate_pair(
+                        &s.objs.point(p.a),
+                        &s.objs.point(p.b),
+                        frac,
+                        lvl,
+                        &mut s.stats,
+                    );
+                    p.range.tighten_lb(est.lb);
+                    p.range.tighten_ub(est.ub);
+                    best_ub = best_ub.min(p.range.ub);
+                }
+                s.stats.iterations += 1;
             }
-        }
-        stats.candidates = pairs.len();
 
-        let schedule = &self.config().schedule;
-        let mut best_ub = f64::INFINITY;
-        for iter in 0..schedule.len() {
-            // Prune: a pair whose lower bound exceeds the best upper bound
-            // can never win.
-            for p in pairs.iter_mut() {
-                if p.alive && p.range.lb > best_ub + 1e-9 {
-                    p.alive = false;
-                }
-            }
-            // Termination: one pair's ub at or below every other's lb.
-            if self.pair_winner(&pairs).is_some() {
-                break;
-            }
-            let frac = schedule.dmtm[iter];
-            let lvl = schedule.msdn_level(iter);
-            for p in pairs.iter_mut() {
-                if !p.alive || p.range.width() <= 1e-9 {
-                    continue;
-                }
-                // Only refine pairs that could still win.
-                if p.range.lb > best_ub + 1e-9 {
-                    continue;
-                }
-                let est = ctx.estimate_pair(
-                    &scene.object(p.a).point,
-                    &scene.object(p.b).point,
-                    frac,
-                    lvl,
-                    &mut stats,
-                );
-                p.range.tighten_lb(est.lb);
-                p.range.tighten_ub(est.ub);
-                best_ub = best_ub.min(p.range.ub);
-            }
-            stats.iterations += 1;
-        }
-
-        // Pick the winner (proven or by midpoint).
-        let proven = self.pair_winner(&pairs);
-        let winner = proven.unwrap_or_else(|| {
-            pairs
-                .iter()
-                .enumerate()
-                .filter(|(_, p)| p.alive)
-                .min_by(|(_, x), (_, y)| {
-                    x.range.estimate().partial_cmp(&y.range.estimate()).unwrap()
-                })
-                .map(|(i, _)| i)
-                .expect("at least one pair alive")
+            // Pick the winner (proven or by midpoint).
+            let proven = self.pair_winner(&pairs);
+            let winner = proven.unwrap_or_else(|| {
+                pairs
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, p)| p.alive)
+                    .min_by(|(_, x), (_, y)| x.range.estimate().total_cmp(&y.range.estimate()))
+                    .map(|(i, _)| i)
+                    .expect("at least one pair alive")
+            });
+            let w = &pairs[winner];
+            Some((w.a, w.b, w.range, proven.is_some()))
         });
-        let w = &pairs[winner];
-        timer.stop_into(&mut stats.cpu);
-        stats.pages = self.pager().stats().physical_reads;
-        Some(ClosestPair { a: w.a, b: w.b, range: w.range, proven: proven.is_some(), stats })
+        let (a, b, range, proven) = s.out?;
+        Some(ClosestPair { a, b, range, proven, stats: s.stats, trace: s.trace })
     }
 
     /// Index of a pair whose ub is at or below every other alive pair's lb.
@@ -190,6 +188,37 @@ mod tests {
         let engine = Mr3Engine::build(&mesh, &two, &Mr3Config::default());
         let cp = engine.closest_pair().unwrap();
         assert_eq!((cp.a, cp.b), (0, 1));
+    }
+
+    #[test]
+    fn closest_pair_follows_deletes_and_inserts() {
+        let mesh = TerrainConfig::ep().with_grid(17).build_mesh(55);
+        let scene = SceneBuilder::new(&mesh).object_count(12).seed(9).build();
+        let engine = Mr3Engine::build(&mesh, &scene, &Mr3Config::default());
+        let first = engine.closest_pair().unwrap();
+
+        // A deleted object cannot be returned.
+        assert!(engine.delete(first.a).unwrap());
+        let second = engine.closest_pair().unwrap();
+        assert!(second.a != first.a && second.b != first.a, "deleted {} returned", first.a);
+        assert_eq!(second.stats.candidates, 11 * 10 / 2);
+
+        // An inserted one can: a twin of a live object is at distance 0.
+        let twin = engine.insert(scene.object(second.a).point).unwrap();
+        let third = engine.closest_pair().unwrap();
+        assert_eq!((third.a, third.b), (second.a, twin));
+        assert_eq!(third.range.ub, 0.0);
+    }
+
+    #[test]
+    fn cold_closest_pair_costs_the_same_pages_every_time() {
+        let mesh = TerrainConfig::ep().with_grid(17).build_mesh(55);
+        let scene = SceneBuilder::new(&mesh).object_count(12).seed(9).build();
+        let engine = Mr3Engine::build(&mesh, &scene, &Mr3Config::default());
+        assert!(engine.cold_cache && engine.cut_cache_enabled());
+        let pages: Vec<u64> = (0..2).map(|_| engine.closest_pair().unwrap().stats.pages).collect();
+        assert!(pages[0] > 0);
+        assert_eq!(pages[0], pages[1], "a cold run must not see the last run's cuts");
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //! completes with a correct-by-bounds answer and a [`Degraded`] marker
 //! explaining what was skipped.
 //!
-//! A per-query fault budget ([`Mr3Config::fault_budget`]
-//! (crate::Mr3Config::fault_budget)) caps how much absorption one query
+//! A per-query fault budget
+//! ([`Mr3Config::fault_budget`](crate::Mr3Config::fault_budget)) caps how much absorption one query
 //! tolerates; past it, resolution escalation halts and the fallible entry
 //! points ([`Mr3Engine::try_query`](crate::Mr3Engine::try_query)) return a
 //! typed [`QueryError`] instead of looping against dead media.

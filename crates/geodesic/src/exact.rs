@@ -1,8 +1,8 @@
 //! Exact polyhedral shortest paths by continuous-Dijkstra window
 //! propagation.
 //!
-//! This engine plays the role the Chen–Han algorithm [1] (via the
-//! Kaneva–O'Rourke implementation [10]) plays in the paper: the exact — and
+//! This engine plays the role the Chen–Han algorithm \[1\] (via the
+//! Kaneva–O'Rourke implementation \[10\]) plays in the paper: the exact — and
 //! expensive — reference for surface distance `dS`. Like MMP/Chen–Han it
 //! maintains *windows* on mesh edges: intervals whose points share a
 //! shortest-path edge sequence back to a (pseudo)source, with the source

@@ -2,7 +2,7 @@
 //!
 //! Used by DMTM upper-bound estimation (front meshes are graphs), the SDN
 //! lower-bound networks, the pathnet, and the EA benchmark — everywhere the
-//! paper says "Dijkstra's shortest path algorithm [3]".
+//! paper says "Dijkstra's shortest path algorithm \[3\]".
 //!
 //! Two priority-queue implementations drive the runs, selected by
 //! [`QueuePolicy`]: the classic binary heap and a Dial-style monotone

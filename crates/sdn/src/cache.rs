@@ -3,7 +3,7 @@
 //! The lower-bound phase repeatedly fetches the simplified crossing lines
 //! of a plane-coordinate band at some resolution level — decoded from heap
 //! files and filtered per region — and concurrent queries over the same
-//! hot band redo that work. This mirrors the DMTM [`CutCache`]
+//! hot band redo that work. This mirrors the DMTM `CutCache`
 //! (`sknn-multires`): the residency unit is one crossing line, keyed
 //! `(level, axis, line)`, held as an `Arc<SimplifiedLine>`. A band fetch
 //! selects its lines from the resident directory and hands out `Arc`s, so

@@ -1,6 +1,6 @@
 //! The adaptive micro-batcher: a single dispatcher thread that drains the
 //! bounded admission queue, coalescing whatever is waiting into one
-//! `Mr3Engine::try_query_batch_traced` call.
+//! `par_map` over the engine's entry points.
 //!
 //! The coalescing rule is the classic linger: the first job is taken the
 //! moment it is available, then the dispatcher gathers more until the
@@ -25,72 +25,26 @@
 //! delivered first. The server shuts down by stopping the producers, and
 //! every admitted request still gets its reply.
 
-use crate::lanes::Lanes;
+use crate::conn::ConnWriter;
+use crate::lanes::{Lanes, Queued};
 use crate::protocol::{
-    write_frame_v, ErrorCode, ErrorFrame, Frame, RadiusFrame, RangeFrame, ResponseFrame,
-    SeedsFrame, ServerTiming, WireNeighbor, WireObject,
+    ErrorCode, Frame, RadiusFrame, RangeFrame, ResponseFrame, SeedsFrame, ServerTiming,
+    WireNeighbor, WireObject,
 };
 use crate::slowlog::{SlowEntry, SlowOutcome, SlowQueryLog};
 use crate::stats::ServeStats;
 use sknn_core::metrics::QueryResult;
-use sknn_core::mr3::Mr3Engine;
+use sknn_core::mr3::{Mr3Engine, QueryOpts};
 use sknn_core::resilience::QueryError;
 use sknn_core::workload::SurfacePoint;
 use sknn_geom::Point2;
 use sknn_obs::{field, Recorder};
-use std::net::TcpStream;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
-/// Shared write half of a connection. The dispatcher and the
-/// connection's reader thread both reply on the same socket (responses
-/// vs. admission rejections), so writes go through a mutex and each
-/// frame is a single `write_all` — frames never interleave.
-#[derive(Debug)]
-pub(crate) struct ConnWriter {
-    /// `None` is the null sink (tests and internal jobs): every send
-    /// succeeds and goes nowhere.
-    stream: Mutex<Option<TcpStream>>,
-    /// Latched on the first failed write: the client is gone, so further
-    /// replies are skipped instead of erroring one by one.
-    dead: AtomicBool,
-}
-
-impl ConnWriter {
-    pub(crate) fn new(stream: TcpStream) -> Self {
-        Self { stream: Mutex::new(Some(stream)), dead: AtomicBool::new(false) }
-    }
-
-    /// A writer that discards every frame (unit tests).
-    #[cfg(test)]
-    pub(crate) fn null() -> Self {
-        Self { stream: Mutex::new(None), dead: AtomicBool::new(false) }
-    }
-
-    /// Writes one frame encoded at `version` (the wire version the
-    /// request being answered arrived in — a v1 client must never see a
-    /// v2 layout); returns whether the client is still reachable.
-    pub(crate) fn send(&self, stats: &ServeStats, frame: &Frame, version: u16) -> bool {
-        if self.dead.load(Ordering::Relaxed) {
-            return false;
-        }
-        let mut stream = self.stream.lock().unwrap_or_else(|e| e.into_inner());
-        let Some(stream) = stream.as_mut() else { return true };
-        match write_frame_v(stream, frame, version) {
-            Ok(()) => true,
-            Err(_) => {
-                self.dead.store(true, Ordering::Relaxed);
-                stats.write_errors.inc();
-                false
-            }
-        }
-    }
-}
-
 /// What an admitted request asks the engine for. `Query` is the whole
-/// MR3 pipeline; the rest are the decomposed shard ops of protocol v3
-/// (a router reconstructing one query across a fleet). All ops flow
+/// MR3 pipeline; the rest are the decomposed shard ops (a router
+/// reconstructing one query across a fleet). All ops flow
 /// through the same lanes and batches, so every op is cancellable while
 /// queued and every reply carries the same timing envelope.
 pub(crate) enum JobOp {
@@ -127,9 +81,21 @@ pub(crate) struct Job {
     /// When the dispatcher pulled this job off the lanes. Initialized
     /// to `enqueued` at admission and overwritten at pickup.
     pub recv_at: Instant,
-    /// Protocol version the request frame arrived in; replies use it.
-    pub wire_version: u16,
     pub writer: std::sync::Arc<ConnWriter>,
+}
+
+impl Queued for Job {
+    fn deadline(&self) -> Option<Instant> {
+        self.deadline
+    }
+
+    fn enqueued(&self) -> Instant {
+        self.enqueued
+    }
+
+    fn ids(&self) -> (u64, u64) {
+        (self.req_id, self.trace_id)
+    }
 }
 
 /// Batching knobs, copied out of the server config.
@@ -144,7 +110,7 @@ pub(crate) struct BatchPolicy {
 /// lanes are closed and empty.
 pub(crate) fn dispatch_loop(
     engine: &Mr3Engine<'_, '_>,
-    lanes: &Lanes,
+    lanes: &Lanes<Job>,
     policy: BatchPolicy,
     stats: &ServeStats,
     slow: &SlowQueryLog,
@@ -155,24 +121,9 @@ pub(crate) fn dispatch_loop(
         let mut jobs = vec![first];
         let linger_until = Instant::now() + policy.max_wait;
         while jobs.len() < policy.max_batch {
-            match lanes.try_pop() {
-                Some(mut job) => {
-                    job.recv_at = Instant::now();
-                    jobs.push(job);
-                }
-                None => {
-                    if Instant::now() >= linger_until {
-                        break;
-                    }
-                    match lanes.pop_until(linger_until) {
-                        Some(mut job) => {
-                            job.recv_at = Instant::now();
-                            jobs.push(job);
-                        }
-                        None => break,
-                    }
-                }
-            }
+            let Some(mut job) = lanes.pop_until(linger_until) else { break };
+            job.recv_at = Instant::now();
+            jobs.push(job);
         }
         run_batch(engine, jobs, policy, stats, slow, rec);
     }
@@ -189,8 +140,8 @@ enum OpOut {
     Seeds(Vec<(f64, u32, SurfacePoint)>),
     /// `Range`: local in-range objects, ascending by id.
     Range(Vec<(u32, SurfacePoint)>),
-    /// `Radius`: the estimated search radius.
-    Radius(Result<f64, QueryError>),
+    /// `Radius`: the estimated search radius (no neighbours).
+    Radius(Result<QueryResult, QueryError>),
 }
 
 fn wire_object(id: u32, p: &SurfacePoint) -> WireObject {
@@ -238,13 +189,12 @@ fn run_batch(
                 });
             }
             job.writer.send(
-                stats,
-                &Frame::Error(ErrorFrame {
-                    req_id: job.req_id,
-                    code: ErrorCode::DeadlineExpired,
-                    detail: "deadline expired while queued".to_string(),
-                }),
-                job.wire_version,
+                &stats.write_errors,
+                &Frame::error(
+                    job.req_id,
+                    ErrorCode::DeadlineExpired,
+                    "deadline expired while queued",
+                ),
             );
             continue;
         }
@@ -256,28 +206,22 @@ fn run_batch(
 
     let stall_before_ns = engine.pager().stall_ns();
     let exec_start = Instant::now();
-    // Per-element dispatch on the op keeps the bit-identity contract of
-    // `try_query_batch_traced`: each element is an independent engine
-    // call, so results do not depend on what rode along in the batch.
-    let results: Vec<OpOut> =
-        sknn_exec::par_map(policy.exec_threads, &live, |_, job| match &job.op {
-            JobOp::Query { point, k } => {
-                OpOut::Ranked(engine.try_query_traced(*point, *k, job.deadline, job.trace_id))
+    // Each element is an independent engine call, so results do not
+    // depend on what rode along in the batch.
+    let results: Vec<OpOut> = sknn_exec::par_map(policy.exec_threads, &live, |_, job| {
+        let opts = QueryOpts { deadline: job.deadline, trace_id: job.trace_id };
+        match &job.op {
+            JobOp::Query { point, k } => OpOut::Ranked(engine.try_query_with(*point, *k, &opts)),
+            JobOp::Exec { point, k, seeds, cands } => {
+                OpOut::Ranked(engine.exec_ranked(*point, *k, seeds, cands, &opts))
             }
-            JobOp::Exec { point, k, seeds, cands } => OpOut::Ranked(engine.exec_ranked(
-                *point,
-                *k,
-                seeds,
-                cands,
-                job.deadline,
-                job.trace_id,
-            )),
             JobOp::Seeds { xy, k } => OpOut::Seeds(engine.seeds2d(*xy, *k)),
             JobOp::Range { xy, radius } => OpOut::Range(engine.range2d(*xy, *radius)),
             JobOp::Radius { point, seeds } => {
-                OpOut::Radius(engine.estimate_radius_for(*point, seeds, job.deadline, job.trace_id))
+                OpOut::Radius(engine.estimate_radius_for(*point, seeds, &opts))
             }
-        });
+        }
+    });
     let exec_us = micros_u32(exec_start.elapsed());
     // The pager's stall clock is cumulative; the difference across the
     // engine call is this batch's stall wall time. Stalls of concurrent
@@ -305,7 +249,15 @@ fn run_batch(
         );
     }
 
-    for (job, result) in live.into_iter().zip(results) {
+    for (job, mut result) in live.into_iter().zip(results) {
+        // Fold the engine's per-query trace (records stamped with the
+        // trace id) into the server's ring, so one drain tells the whole
+        // request-scoped story.
+        if let OpOut::Ranked(Ok(res)) | OpOut::Radius(Ok(res)) = &mut result {
+            if let (true, Some(trace)) = (rec.enabled(), res.trace.take()) {
+                rec.absorb(trace);
+            }
+        }
         let latency = micros_u64(Instant::now().duration_since(job.enqueued));
         stats.latency_us.record(latency);
         let queue_us = micros_u32(job.recv_at.duration_since(job.enqueued));
@@ -337,19 +289,19 @@ fn run_batch(
                     objects: objs.iter().map(|(id, p)| wire_object(*id, p)).collect(),
                 })
             }
-            OpOut::Radius(Ok(radius)) => {
+            OpOut::Radius(Ok(res)) => {
                 stats.completed.inc();
-                Frame::Radius(RadiusFrame { req_id: job.req_id, trace_id: job.trace_id, radius })
+                Frame::Radius(RadiusFrame {
+                    req_id: job.req_id,
+                    trace_id: job.trace_id,
+                    radius: res.radius,
+                })
             }
             OpOut::Radius(Err(e)) => {
                 stats.query_errors.inc();
-                Frame::Error(ErrorFrame {
-                    req_id: job.req_id,
-                    code: ErrorCode::FaultBudgetExceeded,
-                    detail: e.to_string(),
-                })
+                Frame::error(job.req_id, ErrorCode::FaultBudgetExceeded, &e.to_string())
             }
-            OpOut::Ranked(Ok(mut res)) => {
+            OpOut::Ranked(Ok(res)) => {
                 stats.completed.inc();
                 let stages = res.stats.stages;
                 timing.knn2d_us = stages.knn2d_us.min(u32::MAX as u64) as u32;
@@ -366,14 +318,6 @@ fn run_batch(
                 stats.dijkstra_settled.add(res.stats.settled as u64);
                 if res.degraded.is_some() {
                     stats.degraded.inc();
-                }
-                // Fold the engine's per-query trace (records stamped with
-                // the trace id) into the server's ring, so one drain tells
-                // the whole request-scoped story.
-                if rec.enabled() {
-                    if let Some(trace) = res.trace.take() {
-                        rec.absorb(trace);
-                    }
                 }
                 let outcome =
                     if res.degraded.is_some() { SlowOutcome::Degraded } else { SlowOutcome::Ok };
@@ -412,11 +356,7 @@ fn run_batch(
                         outcome: SlowOutcome::Error,
                     });
                 }
-                Frame::Error(ErrorFrame {
-                    req_id: job.req_id,
-                    code: ErrorCode::FaultBudgetExceeded,
-                    detail: e.to_string(),
-                })
+                Frame::error(job.req_id, ErrorCode::FaultBudgetExceeded, &e.to_string())
             }
         };
         if rec.enabled() {
@@ -432,6 +372,6 @@ fn run_batch(
                 ],
             );
         }
-        job.writer.send(stats, &frame, job.wire_version);
+        job.writer.send(&stats.write_errors, &frame);
     }
 }

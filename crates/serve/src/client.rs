@@ -2,9 +2,7 @@
 //! generator, the end-to-end tests, and anyone scripting against a
 //! running server.
 
-use crate::protocol::{
-    read_frame, write_frame_v, Frame, QueryFrame, RecvError, LOCATE_TRI, VERSION,
-};
+use crate::protocol::{read_frame, write_frame, Frame, QueryFrame, RecvError, LOCATE_TRI};
 use sknn_core::workload::SurfacePoint;
 use std::io;
 use std::net::{TcpStream, ToSocketAddrs};
@@ -16,9 +14,6 @@ use std::time::Duration;
 #[derive(Debug)]
 pub struct Client {
     stream: TcpStream,
-    /// Wire version frames are encoded at (default: current). Tests pin
-    /// this to exercise old-client/new-server compatibility.
-    version: u16,
 }
 
 impl Client {
@@ -36,25 +31,18 @@ impl Client {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
         stream.set_read_timeout(Some(read_timeout))?;
-        Ok(Self { stream, version: VERSION })
-    }
-
-    /// Pins the wire version this client encodes at (the server replies
-    /// in kind). Useful for compatibility tests; outside them the
-    /// default current version is right.
-    pub fn set_wire_version(&mut self, version: u16) {
-        self.version = version;
+        Ok(Self { stream })
     }
 
     /// Clones the underlying socket (shared kernel buffers), so one half
     /// can send while the other receives.
     pub fn try_clone(&self) -> io::Result<Self> {
-        Ok(Self { stream: self.stream.try_clone()?, version: self.version })
+        Ok(Self { stream: self.stream.try_clone()? })
     }
 
     /// Sends one frame.
     pub fn send(&mut self, frame: &Frame) -> io::Result<()> {
-        write_frame_v(&mut self.stream, frame, self.version)
+        write_frame(&mut self.stream, frame)
     }
 
     /// Receives one frame (blocking, up to the read timeout).
@@ -133,7 +121,7 @@ impl Client {
     }
 
     /// Round-trips a `TRACE_DUMP` request, returning the server's
-    /// slow-query reservoir as JSONL (v2 servers only). Same caveat as
+    /// slow-query reservoir as JSONL. Same caveat as
     /// [`fetch_stats`](Self::fetch_stats): no queries in flight.
     pub fn fetch_trace_dump(&mut self) -> Result<String, RecvError> {
         self.send(&Frame::TraceDumpRequest).map_err(RecvError::Io)?;

@@ -1,6 +1,7 @@
 //! Deadline-aware admission lanes: the bounded queue between connection
-//! readers and the micro-batch dispatcher, replacing the original FIFO
-//! `sync_channel`.
+//! readers and whatever executes the admitted jobs — the micro-batch
+//! dispatcher of a shard [`Server`](crate::Server), the orchestration
+//! workers of the `sknn-shard` router. One queue, generic over the job.
 //!
 //! Scheduling is earliest-deadline-first with a starvation floor:
 //!
@@ -21,37 +22,47 @@
 //!
 //! [`cancel`]: Lanes::cancel
 
-use crate::batch::Job;
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// Why a push was refused. The job is handed back so the caller can
-/// answer it with the right typed error.
-pub(crate) enum PushError {
-    /// The queue is at capacity; shed the job (`Overloaded`).
-    Full(Job),
-    /// The lanes are closed (server draining); reject (`ShuttingDown`).
-    Closed(Job),
+/// What the lanes need to see of a job to schedule and withdraw it.
+pub trait Queued {
+    /// Absolute deadline, if the request carries one.
+    fn deadline(&self) -> Option<Instant>;
+    /// When the job was admitted.
+    fn enqueued(&self) -> Instant;
+    /// The `(req_id, trace_id)` pair a `CANCEL` names.
+    fn ids(&self) -> (u64, u64);
 }
 
-struct Inner {
-    jobs: Vec<Job>,
+/// Why a push was refused (and the job dropped): the caller answers the
+/// request with the matching typed error.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PushError {
+    /// The queue is at capacity; shed the job (`Overloaded`).
+    Full,
+    /// The lanes are closed (server draining); reject (`ShuttingDown`).
+    Closed,
+}
+
+struct Inner<J> {
+    jobs: Vec<J>,
     closed: bool,
 }
 
 /// The shared admission queue. Producers (`try_push`, `cancel`) are the
-/// per-connection readers; the single consumer is the dispatcher.
-pub(crate) struct Lanes {
-    inner: Mutex<Inner>,
+/// per-connection readers; consumers pop the scheduled-next job.
+pub struct Lanes<J> {
+    inner: Mutex<Inner<J>>,
     cond: Condvar,
     capacity: usize,
     floor: Duration,
 }
 
-impl Lanes {
+impl<J: Queued> Lanes<J> {
     /// An empty queue bounded at `capacity` with the given starvation
     /// floor (a zero floor disables the floor — pure EDF).
-    pub(crate) fn new(capacity: usize, floor: Duration) -> Self {
+    pub fn new(capacity: usize, floor: Duration) -> Self {
         Self {
             inner: Mutex::new(Inner { jobs: Vec::new(), closed: false }),
             cond: Condvar::new(),
@@ -60,17 +71,14 @@ impl Lanes {
         }
     }
 
-    /// Offers a job; never blocks. On refusal the job comes back in the
-    /// error so the caller can reply to it — the error is as big as the
-    /// job on purpose.
-    #[allow(clippy::result_large_err)]
-    pub(crate) fn try_push(&self, job: Job) -> Result<(), PushError> {
+    /// Offers a job; never blocks.
+    pub fn try_push(&self, job: J) -> Result<(), PushError> {
         let mut g = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         if g.closed {
-            return Err(PushError::Closed(job));
+            return Err(PushError::Closed);
         }
         if g.jobs.len() >= self.capacity {
-            return Err(PushError::Full(job));
+            return Err(PushError::Full);
         }
         g.jobs.push(job);
         drop(g);
@@ -82,43 +90,33 @@ impl Lanes {
     /// recycled `req_id` cannot kill a stranger's request). Returns the
     /// job — with its reply writer — when the cancel lands; `None` is a
     /// cancel miss (already dispatched, unknown, or already answered).
-    pub(crate) fn cancel(&self, req_id: u64, trace_id: u64) -> Option<Job> {
+    pub fn cancel(&self, req_id: u64, trace_id: u64) -> Option<J> {
         let mut g = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        let i = g.jobs.iter().position(|j| j.req_id == req_id && j.trace_id == trace_id)?;
+        let i = g.jobs.iter().position(|j| j.ids() == (req_id, trace_id))?;
         Some(g.jobs.remove(i))
     }
 
     /// Closes the lanes: future pushes fail with [`PushError::Closed`],
     /// queued jobs keep draining, and poppers see `None` once empty.
-    pub(crate) fn close(&self) {
+    pub fn close(&self) {
         self.inner.lock().unwrap_or_else(|e| e.into_inner()).closed = true;
         self.cond.notify_all();
     }
 
     /// Blocking pop: the scheduled-next job, or `None` once the lanes
-    /// are closed and empty (the dispatcher's exit condition).
-    pub(crate) fn pop(&self) -> Option<Job> {
-        let mut g = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            if let Some(i) = self.pick(&g.jobs) {
-                return Some(g.jobs.remove(i));
-            }
-            if g.closed {
-                return None;
-            }
-            g = self.cond.wait(g).unwrap_or_else(|e| e.into_inner());
-        }
-    }
-
-    /// Non-blocking pop.
-    pub(crate) fn try_pop(&self) -> Option<Job> {
-        let mut g = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        self.pick(&g.jobs).map(|i| g.jobs.remove(i))
+    /// are closed and empty (the consumer's exit condition).
+    pub fn pop(&self) -> Option<J> {
+        self.pop_by(None)
     }
 
     /// Pop that waits at most until `until` (the dispatcher's linger
-    /// window). `None` on timeout or on closed-and-empty.
-    pub(crate) fn pop_until(&self, until: Instant) -> Option<Job> {
+    /// window; a job already queued is returned even when `until` has
+    /// passed). `None` on timeout or on closed-and-empty.
+    pub fn pop_until(&self, until: Instant) -> Option<J> {
+        self.pop_by(Some(until))
+    }
+
+    fn pop_by(&self, until: Option<Instant>) -> Option<J> {
         let mut g = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         loop {
             if let Some(i) = self.pick(&g.jobs) {
@@ -127,29 +125,22 @@ impl Lanes {
             if g.closed {
                 return None;
             }
-            let now = Instant::now();
-            if now >= until {
-                return None;
-            }
-            let (guard, timeout) =
-                self.cond.wait_timeout(g, until - now).unwrap_or_else(|e| e.into_inner());
-            g = guard;
-            if timeout.timed_out() && self.pick(&g.jobs).is_none() {
-                return None;
-            }
+            g = match until {
+                None => self.cond.wait(g).unwrap_or_else(|e| e.into_inner()),
+                Some(until) => {
+                    let left = until.checked_duration_since(Instant::now())?;
+                    self.cond.wait_timeout(g, left).unwrap_or_else(|e| e.into_inner()).0
+                }
+            };
         }
     }
 
     /// The scheduling rule. Returns the index to dispatch next.
-    fn pick(&self, jobs: &[Job]) -> Option<usize> {
-        if jobs.is_empty() {
-            return None;
-        }
+    fn pick(&self, jobs: &[J]) -> Option<usize> {
         // Starvation floor: once the oldest arrival has waited past the
         // floor, it goes next no matter what deadlines are queued.
-        let (oldest, job) =
-            jobs.iter().enumerate().min_by_key(|(_, j)| j.enqueued).expect("non-empty");
-        if !self.floor.is_zero() && job.enqueued.elapsed() >= self.floor {
+        let (oldest, job) = jobs.iter().enumerate().min_by_key(|(_, j)| j.enqueued())?;
+        if !self.floor.is_zero() && job.enqueued().elapsed() >= self.floor {
             return Some(oldest);
         }
         // EDF: earliest absolute deadline first; deadline-less jobs sort
@@ -157,26 +148,80 @@ impl Lanes {
         // keeps the first of equals, so equal deadlines are FIFO too.
         jobs.iter()
             .enumerate()
-            .min_by(|(_, a), (_, b)| match (a.deadline, b.deadline) {
+            .min_by(|(_, a), (_, b)| match (a.deadline(), b.deadline()) {
                 (Some(x), Some(y)) => x.cmp(&y),
                 (Some(_), None) => std::cmp::Ordering::Less,
                 (None, Some(_)) => std::cmp::Ordering::Greater,
-                (None, None) => a.enqueued.cmp(&b.enqueued),
+                (None, None) => a.enqueued().cmp(&b.enqueued()),
             })
             .map(|(i, _)| i)
     }
 }
 
+/// The lanes' scheduling contract as executable checks over any job type:
+/// EDF order, FIFO among the deadline-less, the starvation floor beating
+/// EDF, shedding at capacity, cancel by id pair, and the closed-and-empty
+/// exit. Each crate that instantiates [`Lanes`] calls this from a unit
+/// test with a constructor `job(req_id, deadline, enqueued)` for its own
+/// job type whose `ids()` are `(req_id, req_id + 1000)`. Panics on the
+/// first violated expectation.
+pub fn check_scheduling_contract<J: Queued>(job: impl Fn(u64, Option<Instant>, Instant) -> J) {
+    let req = |j: Option<J>| j.expect("a job is queued").ids().0;
+    let t0 = Instant::now();
+    let secs = |s| Some(t0 + Duration::from_secs(s));
+
+    // EDF orders by deadline, not arrival; no deadline sorts last.
+    let lanes = Lanes::new(8, Duration::from_secs(60));
+    for (id, deadline) in [(1, secs(30)), (2, None), (3, secs(1)), (4, secs(10))] {
+        assert!(lanes.try_push(job(id, deadline, t0)).is_ok());
+    }
+    let order: Vec<u64> = (0..4).map(|_| req(lanes.pop())).collect();
+    assert_eq!(order, [3, 4, 1, 2]);
+
+    // Deadline-less jobs stay FIFO among themselves.
+    for i in 0..4 {
+        assert!(lanes.try_push(job(i, None, t0 + Duration::from_micros(i))).is_ok());
+    }
+    let until = Instant::now();
+    let order: Vec<u64> = (0..4).map(|_| req(lanes.pop_until(until))).collect();
+    assert_eq!(order, [0, 1, 2, 3]);
+
+    // The starvation floor overrides EDF: alone, EDF would pick the only
+    // deadlined job (2); the floor forces the starved 1 first.
+    let lanes = Lanes::new(8, Duration::from_millis(1));
+    let old = Instant::now() - Duration::from_millis(50);
+    assert!(lanes.try_push(job(1, None, old)).is_ok());
+    assert!(lanes.try_push(job(2, Some(Instant::now()), Instant::now())).is_ok());
+    assert_eq!((req(lanes.pop()), req(lanes.pop())), (1, 2));
+
+    // A full queue sheds; cancel needs both ids and lands once.
+    let lanes = Lanes::new(2, Duration::ZERO);
+    assert!(lanes.try_push(job(1, None, t0)).is_ok());
+    assert!(lanes.try_push(job(2, None, t0)).is_ok());
+    assert_eq!(lanes.try_push(job(3, None, t0)), Err(PushError::Full));
+    assert!(lanes.cancel(1, 0).is_none(), "trace id must match");
+    assert_eq!(req(lanes.cancel(1, 1001)), 1);
+    assert!(lanes.cancel(1, 1001).is_none(), "second cancel is a miss");
+
+    // Closing refuses pushes, drains what is queued, then ends.
+    lanes.close();
+    assert_eq!(lanes.try_push(job(4, None, t0)), Err(PushError::Closed));
+    assert_eq!(req(lanes.pop()), 2);
+    assert!(lanes.pop().is_none());
+    assert!(lanes.pop_until(Instant::now() + Duration::from_millis(5)).is_none());
+}
+
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::batch::{ConnWriter, Job, JobOp};
+    use crate::batch::{Job, JobOp};
+    use crate::conn::ConnWriter;
     use sknn_core::workload::SurfacePoint;
     use sknn_geom::Point3;
     use std::sync::Arc;
 
-    fn job(req_id: u64, deadline: Option<Instant>, enqueued: Instant) -> Job {
-        Job {
+    #[test]
+    fn serve_jobs_obey_the_scheduling_contract() {
+        super::check_scheduling_contract(|req_id, deadline, enqueued| Job {
             req_id,
             trace_id: req_id + 1000,
             op: JobOp::Query {
@@ -186,80 +231,7 @@ mod tests {
             deadline,
             enqueued,
             recv_at: enqueued,
-            wire_version: 3,
             writer: Arc::new(ConnWriter::null()),
-        }
-    }
-
-    #[test]
-    fn edf_orders_by_deadline_not_arrival() {
-        let lanes = Lanes::new(8, Duration::from_secs(60));
-        let t0 = Instant::now();
-        let late = t0 + Duration::from_secs(30);
-        let soon = t0 + Duration::from_secs(1);
-        let mid = t0 + Duration::from_secs(10);
-        lanes.try_push(job(1, Some(late), t0)).ok().unwrap();
-        lanes.try_push(job(2, None, t0)).ok().unwrap();
-        lanes.try_push(job(3, Some(soon), t0)).ok().unwrap();
-        lanes.try_push(job(4, Some(mid), t0)).ok().unwrap();
-        let order: Vec<u64> = (0..4).map(|_| lanes.pop().unwrap().req_id).collect();
-        assert_eq!(order, vec![3, 4, 1, 2]);
-    }
-
-    #[test]
-    fn deadline_less_jobs_stay_fifo() {
-        let lanes = Lanes::new(8, Duration::from_secs(60));
-        let t0 = Instant::now();
-        for i in 0..4 {
-            lanes.try_push(job(i, None, t0 + Duration::from_micros(i))).ok().unwrap();
-        }
-        let order: Vec<u64> = (0..4).map(|_| lanes.pop().unwrap().req_id).collect();
-        assert_eq!(order, vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn starvation_floor_overrides_edf() {
-        let lanes = Lanes::new(8, Duration::from_millis(1));
-        // Enqueued far enough in the past to be past the floor already.
-        let old = Instant::now() - Duration::from_millis(50);
-        lanes.try_push(job(1, None, old)).ok().unwrap();
-        lanes.try_push(job(2, Some(Instant::now()), Instant::now())).ok().unwrap();
-        // EDF alone would pick 2 (only deadlined job); the floor forces
-        // the starved deadline-less 1 first.
-        assert_eq!(lanes.pop().unwrap().req_id, 1);
-        assert_eq!(lanes.pop().unwrap().req_id, 2);
-    }
-
-    #[test]
-    fn full_queue_sheds_and_cancel_withdraws() {
-        let lanes = Lanes::new(2, Duration::ZERO);
-        let t0 = Instant::now();
-        lanes.try_push(job(1, None, t0)).ok().unwrap();
-        lanes.try_push(job(2, None, t0)).ok().unwrap();
-        match lanes.try_push(job(3, None, t0)) {
-            Err(PushError::Full(j)) => assert_eq!(j.req_id, 3),
-            _ => panic!("expected Full"),
-        }
-        // Wrong trace id: miss. Right pair: withdrawn.
-        assert!(lanes.cancel(1, 0).is_none());
-        let withdrawn = lanes.cancel(1, 1001).unwrap();
-        assert_eq!(withdrawn.req_id, 1);
-        assert!(lanes.cancel(1, 1001).is_none(), "second cancel is a miss");
-        assert_eq!(lanes.pop().unwrap().req_id, 2);
-    }
-
-    #[test]
-    fn close_drains_then_ends() {
-        let lanes = Lanes::new(4, Duration::ZERO);
-        let t0 = Instant::now();
-        lanes.try_push(job(1, None, t0)).ok().unwrap();
-        lanes.close();
-        match lanes.try_push(job(2, None, t0)) {
-            Err(PushError::Closed(j)) => assert_eq!(j.req_id, 2),
-            _ => panic!("expected Closed"),
-        }
-        assert_eq!(lanes.pop().unwrap().req_id, 1);
-        assert!(lanes.pop().is_none());
-        assert!(lanes.pop_until(Instant::now() + Duration::from_millis(5)).is_none());
+        });
     }
 }

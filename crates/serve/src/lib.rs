@@ -11,10 +11,13 @@
 //!   query/response/error/stats frames, `f64` as IEEE bit patterns so
 //!   round trips are exact). Decoding is total: malformed input yields
 //!   typed errors, never panics or unbounded allocations.
-//! * [`batch`] (internal) — the adaptive micro-batcher: one dispatcher
-//!   thread drains a bounded admission queue, coalescing concurrent
-//!   arrivals into single `Engine::try_query_batch_at` calls (up to
-//!   `max_batch`, with a short `max_wait` linger under light load).
+//! * `batch` (internal) — the adaptive micro-batcher: one dispatcher
+//!   thread drains the bounded admission [`lanes`], coalescing concurrent
+//!   arrivals into single parallel engine batches (up to `max_batch`,
+//!   with a short `max_wait` linger under light load).
+//! * [`lanes`] / [`conn`] — the EDF admission queue, the interruptible
+//!   frame reader and the mutex'd reply writer, shared with the shard
+//!   router in `sknn-shard`.
 //! * [`server`] — accept loop, per-connection readers, admission
 //!   control (bounded queue; a full queue is an immediate typed
 //!   `Overloaded`, never a hang), per-request deadlines enforced at
@@ -25,7 +28,7 @@
 //!   load generator that measures latency percentiles and verifies
 //!   responses bit-for-bit against direct engine calls.
 //!
-//! Request telemetry (protocol v2) rides on top:
+//! Request telemetry rides on top:
 //!
 //! * [`slowlog`] — an always-on bounded reservoir of slow / degraded /
 //!   failed requests, dumped as JSONL via the `TRACE_DUMP` frame and at
@@ -40,6 +43,8 @@
 //! `sync_channel` — matching the workspace's no-new-dependencies rule.
 
 pub mod client;
+pub mod conn;
+pub mod lanes;
 pub mod loadgen;
 pub mod metrics_http;
 pub mod pool;
@@ -50,7 +55,6 @@ pub mod slowlog;
 pub mod stats;
 
 mod batch;
-mod lanes;
 
 pub use client::Client;
 pub use loadgen::{LoadgenConfig, RunReport};

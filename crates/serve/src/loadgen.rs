@@ -20,7 +20,7 @@ use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 /// Stage names, in request-path order, for the server-side breakdown
-/// table. Indices match [`stage_values`].
+/// table. Indices match `stage_values`.
 pub const STAGE_NAMES: [&str; 8] =
     ["queue", "linger", "exec", "knn2d", "radius", "range", "rank", "stall"];
 

@@ -5,7 +5,7 @@
 //! ```text
 //! offset  size  field
 //!      0     4  magic  b"SKNN"
-//!      4     2  protocol version (little-endian u16, 1..=3)
+//!      4     2  protocol version (little-endian u16, must be 3)
 //!      6     1  frame type tag
 //!      7     1  reserved (must be 0 on send, ignored on receive)
 //!      8     4  payload length (little-endian u32, <= MAX_PAYLOAD)
@@ -19,38 +19,14 @@
 //!
 //! # Versioning
 //!
-//! The version travels per frame, and both ends accept the whole
-//! [`MIN_VERSION`]`..=`[`VERSION`] range. Version 2 extends version 1
-//! with request telemetry:
-//!
-//! * [`QueryFrame`] carries a `trace_id` (appended; 0 = "server mints"),
-//! * [`ResponseFrame`] echoes the `trace_id` and carries the full
-//!   per-stage [`ServerTiming`] breakdown (v1 encodes only
-//!   queue/exec/batch),
-//! * the `TRACE_DUMP_REQUEST` / `TRACE_DUMP` frames (slow-query JSONL
-//!   retrieval) exist only in v2.
-//!
-//! Negotiation is implicit: the server replies to each request in the
-//! version the request arrived in, so an old client never sees fields it
-//! cannot parse, and a new client talking to an old server gets a typed
-//! [`ProtocolError::BadVersion`] rejection it can downgrade on. Decoding
-//! a v1 payload fills the v2-only fields with their zero values.
-//!
-//! Version 3 adds the sharded-serving vocabulary:
-//!
-//! * [`CancelFrame`] — withdraw a queued request (router cancels fan-out
-//!   legs whose answer the merged bound already proves irrelevant); a
-//!   cancelled request is answered with [`ErrorCode::Cancelled`],
-//! * [`ResponseFrame`] carries the step-2 search `radius` (`0.0` from
-//!   older frames), the router's straddle test,
-//! * the shard-op frames ([`SeedsRequestFrame`]/[`SeedsFrame`],
-//!   [`RangeRequestFrame`]/[`RangeFrame`], [`RadiusRequestFrame`]/
-//!   [`RadiusFrame`], [`ExecRequestFrame`]) that decompose MR3 across a
-//!   fleet: per-shard 2D seeding and range collection, then one coupled
-//!   ranking run over the merged candidate list on the home shard.
-//!
-//! None of the v3 tags are valid in a v1/v2 header — a forged one is a
-//! typed [`ProtocolError::UnknownFrameType`].
+//! The version travels per frame and exactly one is spoken:
+//! [`MIN_VERSION`]` = `[`VERSION`]` = 3`. [`parse_header`] rejects every
+//! other version with a typed [`ProtocolError::BadVersion`] before looking
+//! at the tag or the payload, and a server answers it with one
+//! [`ErrorCode::BadRequest`] frame before hanging up — a foreign peer gets
+//! a reason, never a hang or a misparse. (Versions 1 and 2 — no trace
+//! ids, three-field timing, no shard ops — had no deployed client left
+//! and their encode/decode branches are gone.)
 //!
 //! Decoding is total: any byte string produces either a frame or a typed
 //! [`ProtocolError`], never a panic. The payload-length cap bounds every
@@ -63,14 +39,13 @@ use std::io::{self, Read, Write};
 /// Frame magic: the first four bytes of every frame.
 pub const MAGIC: [u8; 4] = *b"SKNN";
 
-/// Current (highest supported) protocol version. Frames carrying any
+/// The protocol version every frame is encoded at. Frames carrying any
 /// version in [`MIN_VERSION`]`..=VERSION` are accepted; others are
 /// rejected with [`ProtocolError::BadVersion`].
 pub const VERSION: u16 = 3;
 
-/// Oldest protocol version still decoded (v1: no trace ids, three-field
-/// timing, no trace-dump frames).
-pub const MIN_VERSION: u16 = 1;
+/// Oldest protocol version still decoded — the current one.
+pub const MIN_VERSION: u16 = VERSION;
 
 /// Size of the fixed frame header in bytes.
 pub const HEADER_LEN: usize = 12;
@@ -123,7 +98,7 @@ pub struct QueryFrame {
     pub deadline_ms: u32,
     /// Client-supplied trace id stamping every obs record this request
     /// produces; `0` asks the server to mint one (echoed in the reply
-    /// either way). v2 only — decoding a v1 frame yields 0.
+    /// either way).
     pub trace_id: u64,
 }
 
@@ -139,10 +114,7 @@ pub struct WireNeighbor {
     pub ub: f64,
 }
 
-/// Server-side timing attached to every successful response.
-///
-/// v1 carries only `queue_us`, `exec_us`, and `batch`; the per-stage
-/// fields are a v2 extension and decode as 0 from a v1 frame. The four
+/// Server-side timing attached to every successful response. The four
 /// engine-stage fields are per-request wall time inside the engine call;
 /// `stall_us` is the pager stall of the whole batch (stalls overlap
 /// across batch members, so per-request attribution is not defined).
@@ -154,7 +126,7 @@ pub struct ServerTiming {
     /// Microseconds between dispatcher pickup and batch execution start —
     /// the micro-batcher's linger share of this request's latency.
     pub linger_us: u32,
-    /// Microseconds the micro-batch spent in `Engine::try_query_batch_at`.
+    /// Microseconds the micro-batch spent inside the engine.
     pub exec_us: u32,
     /// Engine step 1 (2D k-NN seeding) wall time for this request.
     pub knn2d_us: u32,
@@ -177,7 +149,6 @@ pub struct ResponseFrame {
     pub req_id: u64,
     /// The request's trace id (client-supplied or server-minted) — the
     /// key into metrics-endpoint slow-query dumps and server traces.
-    /// v2 only; 0 when decoded from a v1 frame.
     pub trace_id: u64,
     /// The k nearest objects, ascending by distance estimate.
     pub neighbors: Vec<WireNeighbor>,
@@ -188,8 +159,8 @@ pub struct ResponseFrame {
     pub timing: ServerTiming,
     /// The MR3 step-2 search radius this answer was computed under — the
     /// router's straddle test (a query whose radius-circle stays inside
-    /// one tile is fully answered by that tile's shard). v3 only; `0.0`
-    /// when decoded from an older frame or when the engine reported none.
+    /// one tile is fully answered by that tile's shard). `0.0` when the
+    /// engine reported none.
     pub radius: f64,
 }
 
@@ -211,7 +182,7 @@ pub struct WireObject {
 
 const WIRE_OBJECT_LEN: usize = 28;
 
-/// Withdraw a queued request (v3 only). The target removes the request
+/// Withdraw a queued request. The target removes the request
 /// from its admission lanes if still queued and answers it with
 /// [`ErrorCode::Cancelled`]; a request already executing runs to
 /// completion (a cancel miss — counted, not an error).
@@ -225,7 +196,7 @@ pub struct CancelFrame {
 }
 
 /// Shard op: return the k nearest *live objects by 2D plan distance* to
-/// `(x, y)` (MR3 step 1 restricted to this shard's tile). v3 only.
+/// `(x, y)` (MR3 step 1 restricted to this shard's tile).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SeedsRequestFrame {
     /// Correlation id, echoed in the [`SeedsFrame`] reply.
@@ -244,7 +215,7 @@ pub struct SeedsRequestFrame {
 
 /// Reply to [`SeedsRequestFrame`]: this shard's local 2D k-NN seeds,
 /// ascending by `(dist, id)` — the canonical order the router's merge
-/// preserves. v3 only.
+/// preserves.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SeedsFrame {
     /// Echo of the request's correlation id.
@@ -258,7 +229,7 @@ pub struct SeedsFrame {
 /// Shard op: return every live object within 2D plan distance `radius`
 /// of `(x, y)` (MR3 step 3 restricted to this shard's tile). A
 /// non-finite radius means "every live object" — the engine's degenerate
-/// fallback when radius estimation hit its deadline. v3 only.
+/// fallback when radius estimation hit its deadline.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RangeRequestFrame {
     /// Correlation id, echoed in the [`RangeFrame`] reply.
@@ -276,7 +247,7 @@ pub struct RangeRequestFrame {
 }
 
 /// Reply to [`RangeRequestFrame`]: the in-range objects ascending by id
-/// (canonical order; the router's k-way merge preserves it). v3 only.
+/// (canonical order; the router's k-way merge preserves it).
 #[derive(Debug, Clone, PartialEq)]
 pub struct RangeFrame {
     /// Echo of the request's correlation id.
@@ -290,7 +261,7 @@ pub struct RangeFrame {
 /// Shard op: run MR3 step 2 (radius estimation) on the home shard with
 /// an explicit, already-merged seed list — the candidate population and
 /// order are the router's, so the estimate is bit-identical to a single
-/// engine seeded the same way. v3 only.
+/// engine seeded the same way.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RadiusRequestFrame {
     /// Correlation id, echoed in the [`RadiusFrame`] reply.
@@ -311,7 +282,7 @@ pub struct RadiusRequestFrame {
     pub seeds: Vec<WireObject>,
 }
 
-/// Reply to [`RadiusRequestFrame`]. v3 only.
+/// Reply to [`RadiusRequestFrame`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RadiusFrame {
     /// Echo of the request's correlation id.
@@ -326,7 +297,7 @@ pub struct RadiusFrame {
 /// shard over explicit, router-merged seed and candidate lists, replying
 /// with a [`ResponseFrame`] whose neighbors carry up to `k + 1` entries
 /// so the router can re-check the `ub(p_k) ≤ lb(p_{k+1})` termination
-/// bound itself. v3 only.
+/// bound itself.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExecRequestFrame {
     /// Correlation id, echoed in the reply.
@@ -370,8 +341,8 @@ pub enum ErrorCode {
     /// unexpected frame type).
     BadRequest,
     /// The request was withdrawn by a [`CancelFrame`] while still queued;
-    /// it was never executed (v3 only — a router cancelling a losing
-    /// fan-out leg is the expected producer).
+    /// it was never executed (a router cancelling a losing fan-out leg
+    /// is the expected producer).
     Cancelled,
 }
 
@@ -435,7 +406,7 @@ pub struct StatsFrame {
 }
 
 /// The slow-query reservoir as JSONL, one object per captured request
-/// (v2 only). The text is truncated at a char boundary if it would
+///. The text is truncated at a char boundary if it would
 /// exceed [`MAX_PAYLOAD`]; each line is self-contained, so truncation
 /// loses whole oldest-entries, never syntax.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -457,26 +428,26 @@ pub enum Frame {
     StatsRequest,
     /// Server → client: the statistics snapshot.
     Stats(StatsFrame),
-    /// Client → server: ask for the slow-query JSONL dump (v2 only).
+    /// Client → server: ask for the slow-query JSONL dump.
     TraceDumpRequest,
-    /// Server → client: the slow-query JSONL dump (v2 only).
+    /// Server → client: the slow-query JSONL dump.
     TraceDump(TraceDumpFrame),
-    /// Client → server: withdraw a queued request (v3 only).
+    /// Client → server: withdraw a queued request.
     Cancel(CancelFrame),
-    /// Router → shard: local 2D k-NN seeds (v3 only).
+    /// Router → shard: local 2D k-NN seeds.
     SeedsRequest(SeedsRequestFrame),
-    /// Shard → router: the local seeds (v3 only).
+    /// Shard → router: the local seeds.
     Seeds(SeedsFrame),
-    /// Router → shard: local 2D range collection (v3 only).
+    /// Router → shard: local 2D range collection.
     RangeRequest(RangeRequestFrame),
-    /// Shard → router: the in-range objects (v3 only).
+    /// Shard → router: the in-range objects.
     Range(RangeFrame),
-    /// Router → home shard: radius estimation over merged seeds (v3 only).
+    /// Router → home shard: radius estimation over merged seeds.
     RadiusRequest(RadiusRequestFrame),
-    /// Home shard → router: the estimated radius (v3 only).
+    /// Home shard → router: the estimated radius.
     Radius(RadiusFrame),
     /// Router → home shard: coupled ranking over merged candidates; the
-    /// reply is a [`Frame::Response`] (v3 only).
+    /// reply is a [`Frame::Response`].
     ExecRequest(ExecRequestFrame),
 }
 
@@ -614,23 +585,7 @@ impl Frame {
         }
     }
 
-    /// Lowest protocol version whose wire format can carry this frame.
-    pub fn min_version(&self) -> u16 {
-        match self {
-            Frame::Cancel(_)
-            | Frame::SeedsRequest(_)
-            | Frame::Seeds(_)
-            | Frame::RangeRequest(_)
-            | Frame::Range(_)
-            | Frame::RadiusRequest(_)
-            | Frame::Radius(_)
-            | Frame::ExecRequest(_) => 3,
-            Frame::TraceDumpRequest | Frame::TraceDump(_) => 2,
-            _ => 1,
-        }
-    }
-
-    fn encode_payload(&self, version: u16, out: &mut Vec<u8>) {
+    fn encode_payload(&self, out: &mut Vec<u8>) {
         match self {
             Frame::Query(q) => {
                 put_u64(out, q.req_id);
@@ -640,30 +595,20 @@ impl Frame {
                 put_f64(out, q.z);
                 put_u32(out, q.k);
                 put_u32(out, q.deadline_ms);
-                if version >= 2 {
-                    put_u64(out, q.trace_id);
-                }
+                put_u64(out, q.trace_id);
             }
             Frame::Response(r) => {
                 put_u64(out, r.req_id);
-                if version >= 2 {
-                    put_u64(out, r.trace_id);
-                }
-                if version >= 3 {
-                    put_f64(out, r.radius);
-                }
+                put_u64(out, r.trace_id);
+                put_f64(out, r.radius);
                 put_u32(out, r.timing.queue_us);
-                if version >= 2 {
-                    put_u32(out, r.timing.linger_us);
-                }
+                put_u32(out, r.timing.linger_us);
                 put_u32(out, r.timing.exec_us);
-                if version >= 2 {
-                    put_u32(out, r.timing.knn2d_us);
-                    put_u32(out, r.timing.radius_us);
-                    put_u32(out, r.timing.range_us);
-                    put_u32(out, r.timing.rank_us);
-                    put_u32(out, r.timing.stall_us);
-                }
+                put_u32(out, r.timing.knn2d_us);
+                put_u32(out, r.timing.radius_us);
+                put_u32(out, r.timing.range_us);
+                put_u32(out, r.timing.rank_us);
+                put_u32(out, r.timing.stall_us);
                 put_u16(out, r.timing.batch);
                 match &r.degraded {
                     Some(s) => {
@@ -761,26 +706,20 @@ impl Frame {
         }
     }
 
-    /// Serializes the frame at the current protocol [`VERSION`].
-    pub fn encode(&self) -> Vec<u8> {
-        self.encode_v(VERSION)
+    /// A typed error reply to request `req_id`.
+    pub fn error(req_id: u64, code: ErrorCode, detail: &str) -> Frame {
+        Frame::Error(ErrorFrame { req_id, code, detail: detail.to_string() })
     }
 
-    /// Serializes the frame at a specific protocol version — the server
-    /// replies in the version each request arrived in, so old clients
-    /// never see v2 fields. Out-of-range versions are clamped into
-    /// [`MIN_VERSION`]`..=`[`VERSION`], and a frame that does not exist
-    /// below some version (trace dumps) is raised to it, so the output is
-    /// always a decodable frame.
-    pub fn encode_v(&self, version: u16) -> Vec<u8> {
-        let version = version.clamp(MIN_VERSION, VERSION).max(self.min_version());
+    /// Serializes the frame (header at [`VERSION`] plus payload).
+    pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(HEADER_LEN + 64);
         out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&version.to_le_bytes());
+        out.extend_from_slice(&VERSION.to_le_bytes());
         out.push(self.tag());
         out.push(0); // reserved
         out.extend_from_slice(&0u32.to_le_bytes()); // length back-patched
-        self.encode_payload(version, &mut out);
+        self.encode_payload(&mut out);
         let len = (out.len() - HEADER_LEN) as u32;
         out[8..12].copy_from_slice(&len.to_le_bytes());
         out
@@ -790,34 +729,27 @@ impl Frame {
     /// frame and the number of bytes it occupied. Trailing bytes beyond
     /// the frame are the caller's business (the next frame, typically).
     pub fn decode(bytes: &[u8]) -> Result<(Frame, usize), ProtocolError> {
-        let (frame, _version, used) = Self::decode_versioned(bytes)?;
-        Ok((frame, used))
-    }
-
-    /// [`decode`](Self::decode), also returning the wire version the
-    /// frame arrived in (what a server echoes back).
-    pub fn decode_versioned(bytes: &[u8]) -> Result<(Frame, u16, usize), ProtocolError> {
         if bytes.len() < HEADER_LEN {
             return Err(ProtocolError::Truncated { needed: HEADER_LEN, got: bytes.len() });
         }
         let mut header = [0u8; HEADER_LEN];
         header.copy_from_slice(&bytes[..HEADER_LEN]);
-        let (version, tag, len) = parse_header(&header)?;
+        let (tag, len) = parse_header(&header)?;
         let total = HEADER_LEN + len as usize;
         if bytes.len() < total {
             return Err(ProtocolError::Truncated { needed: total, got: bytes.len() });
         }
-        let frame = decode_payload(version, tag, &bytes[HEADER_LEN..total])?;
-        Ok((frame, version, total))
+        let frame = decode_payload(tag, &bytes[HEADER_LEN..total])?;
+        Ok((frame, total))
     }
 }
 
-/// Validates a frame header, returning the wire version, frame type tag,
-/// and payload length. Shared by the one-shot [`Frame::decode`] and the
-/// incremental socket readers (which need to size the payload read before
-/// it exists). The valid tag range is version-dependent: the trace-dump
-/// tags do not exist in v1 headers.
-pub fn parse_header(header: &[u8; HEADER_LEN]) -> Result<(u16, u8, u32), ProtocolError> {
+/// Validates a frame header, returning the frame type tag and payload
+/// length. Shared by the one-shot [`Frame::decode`] and the incremental
+/// socket readers (which need to size the payload read before it exists).
+/// The version is checked right after the magic, so a foreign dialect is
+/// a [`ProtocolError::BadVersion`] whatever its tag and length say.
+pub fn parse_header(header: &[u8; HEADER_LEN]) -> Result<(u8, u32), ProtocolError> {
     if header[..4] != MAGIC {
         let mut m = [0u8; 4];
         m.copy_from_slice(&header[..4]);
@@ -828,21 +760,14 @@ pub fn parse_header(header: &[u8; HEADER_LEN]) -> Result<(u16, u8, u32), Protoco
         return Err(ProtocolError::BadVersion(version));
     }
     let tag = header[6];
-    let max_tag = if version >= 3 {
-        TAG_EXEC_REQUEST
-    } else if version == 2 {
-        TAG_TRACE_DUMP
-    } else {
-        TAG_STATS
-    };
-    if !(TAG_QUERY..=max_tag).contains(&tag) {
+    if !(TAG_QUERY..=TAG_EXEC_REQUEST).contains(&tag) {
         return Err(ProtocolError::UnknownFrameType(tag));
     }
     let len = u32::from_le_bytes([header[8], header[9], header[10], header[11]]);
     if len > MAX_PAYLOAD {
         return Err(ProtocolError::Oversized { len });
     }
-    Ok((version, tag, len))
+    Ok((tag, len))
 }
 
 /// Cursor over a payload with bounds-checked little-endian reads.
@@ -932,12 +857,8 @@ impl<'a> Rd<'a> {
 
 /// Decodes a validated-header payload into a frame. The payload must be
 /// consumed exactly; trailing bytes are malformed (they would silently
-/// desynchronize a stream under a future layout change). `version` is the
-/// wire version from the header: v1 payloads fill the v2-only fields
-/// (trace ids, per-stage timing) with zeros.
-pub fn decode_payload(version: u16, tag: u8, payload: &[u8]) -> Result<Frame, ProtocolError> {
-    let v2 = version >= 2;
-    let v3 = version >= 3;
+/// desynchronize a stream under a future layout change).
+pub fn decode_payload(tag: u8, payload: &[u8]) -> Result<Frame, ProtocolError> {
     let mut rd = Rd { buf: payload, pos: 0 };
     let frame = match tag {
         TAG_QUERY => Frame::Query(QueryFrame {
@@ -948,21 +869,21 @@ pub fn decode_payload(version: u16, tag: u8, payload: &[u8]) -> Result<Frame, Pr
             z: rd.f64()?,
             k: rd.u32()?,
             deadline_ms: rd.u32()?,
-            trace_id: if v2 { rd.u64()? } else { 0 },
+            trace_id: rd.u64()?,
         }),
         TAG_RESPONSE => {
             let req_id = rd.u64()?;
-            let trace_id = if v2 { rd.u64()? } else { 0 };
-            let radius = if v3 { rd.f64()? } else { 0.0 };
+            let trace_id = rd.u64()?;
+            let radius = rd.f64()?;
             let timing = ServerTiming {
                 queue_us: rd.u32()?,
-                linger_us: if v2 { rd.u32()? } else { 0 },
+                linger_us: rd.u32()?,
                 exec_us: rd.u32()?,
-                knn2d_us: if v2 { rd.u32()? } else { 0 },
-                radius_us: if v2 { rd.u32()? } else { 0 },
-                range_us: if v2 { rd.u32()? } else { 0 },
-                rank_us: if v2 { rd.u32()? } else { 0 },
-                stall_us: if v2 { rd.u32()? } else { 0 },
+                knn2d_us: rd.u32()?,
+                radius_us: rd.u32()?,
+                range_us: rd.u32()?,
+                rank_us: rd.u32()?,
+                stall_us: rd.u32()?,
                 batch: rd.u16()?,
             };
             let degraded = match rd.u8()? {
@@ -1004,10 +925,10 @@ pub fn decode_payload(version: u16, tag: u8, payload: &[u8]) -> Result<Frame, Pr
             }
             Frame::Stats(StatsFrame { entries })
         }
-        TAG_TRACE_DUMP_REQUEST if v2 => Frame::TraceDumpRequest,
-        TAG_TRACE_DUMP if v2 => Frame::TraceDump(TraceDumpFrame { jsonl: rd.str32()? }),
-        TAG_CANCEL if v3 => Frame::Cancel(CancelFrame { req_id: rd.u64()?, trace_id: rd.u64()? }),
-        TAG_SEEDS_REQUEST if v3 => Frame::SeedsRequest(SeedsRequestFrame {
+        TAG_TRACE_DUMP_REQUEST => Frame::TraceDumpRequest,
+        TAG_TRACE_DUMP => Frame::TraceDump(TraceDumpFrame { jsonl: rd.str32()? }),
+        TAG_CANCEL => Frame::Cancel(CancelFrame { req_id: rd.u64()?, trace_id: rd.u64()? }),
+        TAG_SEEDS_REQUEST => Frame::SeedsRequest(SeedsRequestFrame {
             req_id: rd.u64()?,
             trace_id: rd.u64()?,
             x: rd.f64()?,
@@ -1015,7 +936,7 @@ pub fn decode_payload(version: u16, tag: u8, payload: &[u8]) -> Result<Frame, Pr
             k: rd.u32()?,
             deadline_ms: rd.u32()?,
         }),
-        TAG_SEEDS if v3 => {
+        TAG_SEEDS => {
             let req_id = rd.u64()?;
             let trace_id = rd.u64()?;
             let n = rd.u32()? as usize;
@@ -1032,7 +953,7 @@ pub fn decode_payload(version: u16, tag: u8, payload: &[u8]) -> Result<Frame, Pr
             }
             Frame::Seeds(SeedsFrame { req_id, trace_id, seeds })
         }
-        TAG_RANGE_REQUEST if v3 => Frame::RangeRequest(RangeRequestFrame {
+        TAG_RANGE_REQUEST => Frame::RangeRequest(RangeRequestFrame {
             req_id: rd.u64()?,
             trace_id: rd.u64()?,
             x: rd.f64()?,
@@ -1040,12 +961,12 @@ pub fn decode_payload(version: u16, tag: u8, payload: &[u8]) -> Result<Frame, Pr
             radius: rd.f64()?,
             deadline_ms: rd.u32()?,
         }),
-        TAG_RANGE if v3 => Frame::Range(RangeFrame {
+        TAG_RANGE => Frame::Range(RangeFrame {
             req_id: rd.u64()?,
             trace_id: rd.u64()?,
             objects: rd.objects()?,
         }),
-        TAG_RADIUS_REQUEST if v3 => Frame::RadiusRequest(RadiusRequestFrame {
+        TAG_RADIUS_REQUEST => Frame::RadiusRequest(RadiusRequestFrame {
             req_id: rd.u64()?,
             trace_id: rd.u64()?,
             tri: rd.u32()?,
@@ -1055,10 +976,10 @@ pub fn decode_payload(version: u16, tag: u8, payload: &[u8]) -> Result<Frame, Pr
             deadline_ms: rd.u32()?,
             seeds: rd.objects()?,
         }),
-        TAG_RADIUS if v3 => {
+        TAG_RADIUS => {
             Frame::Radius(RadiusFrame { req_id: rd.u64()?, trace_id: rd.u64()?, radius: rd.f64()? })
         }
-        TAG_EXEC_REQUEST if v3 => Frame::ExecRequest(ExecRequestFrame {
+        TAG_EXEC_REQUEST => Frame::ExecRequest(ExecRequestFrame {
             req_id: rd.u64()?,
             trace_id: rd.u64()?,
             tri: rd.u32()?,
@@ -1111,26 +1032,15 @@ pub fn write_frame<W: Write>(w: &mut W, frame: &Frame) -> io::Result<()> {
     w.write_all(&frame.encode())
 }
 
-/// [`write_frame`] at a specific wire version (see [`Frame::encode_v`]).
-pub fn write_frame_v<W: Write>(w: &mut W, frame: &Frame, version: u16) -> io::Result<()> {
-    w.write_all(&frame.encode_v(version))
-}
-
 /// Blocking read of exactly one frame. EOF at a frame boundary is
 /// [`RecvError::Closed`]; EOF mid-frame is a protocol truncation.
 pub fn read_frame<R: Read>(r: &mut R) -> Result<Frame, RecvError> {
-    Ok(read_frame_versioned(r)?.0)
-}
-
-/// [`read_frame`], also returning the wire version the frame arrived in.
-pub fn read_frame_versioned<R: Read>(r: &mut R) -> Result<(Frame, u16), RecvError> {
     let mut header = [0u8; HEADER_LEN];
     read_exact_or(r, &mut header, true)?;
-    let (version, tag, len) = parse_header(&header).map_err(RecvError::Protocol)?;
+    let (tag, len) = parse_header(&header).map_err(RecvError::Protocol)?;
     let mut payload = vec![0u8; len as usize];
     read_exact_or(r, &mut payload, false)?;
-    let frame = decode_payload(version, tag, &payload).map_err(RecvError::Protocol)?;
-    Ok((frame, version))
+    decode_payload(tag, &payload).map_err(RecvError::Protocol)
 }
 
 /// `read_exact` that distinguishes clean EOF before the first byte
@@ -1199,116 +1109,6 @@ mod tests {
     }
 
     #[test]
-    fn v1_query_decodes_with_zero_trace_id() {
-        let f = Frame::Query(QueryFrame {
-            req_id: 9,
-            tri: 2,
-            x: 1.0,
-            y: 2.0,
-            z: 3.0,
-            k: 5,
-            deadline_ms: 10,
-            trace_id: 0x1234,
-        });
-        let bytes = f.encode_v(1);
-        let (back, version, _) = Frame::decode_versioned(&bytes).unwrap();
-        assert_eq!(version, 1);
-        match back {
-            Frame::Query(q) => {
-                assert_eq!(q.trace_id, 0, "v1 wire cannot carry a trace id");
-                assert_eq!(q.req_id, 9);
-            }
-            other => panic!("expected query, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn v1_response_drops_stage_fields_v2_keeps_them() {
-        let f = Frame::Response(ResponseFrame {
-            req_id: 11,
-            trace_id: 77,
-            neighbors: vec![WireNeighbor { id: 1, lb: 0.5, ub: 1.5 }],
-            degraded: None,
-            timing: ServerTiming {
-                queue_us: 10,
-                linger_us: 20,
-                exec_us: 30,
-                knn2d_us: 1,
-                radius_us: 2,
-                range_us: 3,
-                rank_us: 4,
-                stall_us: 5,
-                batch: 6,
-            },
-            radius: 0.0,
-        });
-        let (v1, _) = Frame::decode(&f.encode_v(1)).unwrap();
-        match &v1 {
-            Frame::Response(r) => {
-                assert_eq!(r.trace_id, 0);
-                assert_eq!(
-                    r.timing,
-                    ServerTiming { queue_us: 10, exec_us: 30, batch: 6, ..Default::default() }
-                );
-            }
-            other => panic!("expected response, got {other:?}"),
-        }
-        let (v2, _) = Frame::decode(&f.encode_v(2)).unwrap();
-        assert_eq!(v2, f);
-    }
-
-    #[test]
-    fn trace_dump_round_trips_and_is_v2_only() {
-        let f = Frame::TraceDump(TraceDumpFrame { jsonl: "{\"a\":1}\n{\"b\":2}\n".into() });
-        // Asking for v1 is raised to the frame's minimum version.
-        let bytes = f.encode_v(1);
-        let (back, version, _) = Frame::decode_versioned(&bytes).unwrap();
-        assert_eq!(version, 2);
-        assert_eq!(back, f);
-        // A v1 header with a trace-dump tag is an unknown frame type.
-        let mut forged = Frame::TraceDumpRequest.encode();
-        forged[4..6].copy_from_slice(&1u16.to_le_bytes());
-        assert_eq!(
-            Frame::decode(&forged),
-            Err(ProtocolError::UnknownFrameType(TAG_TRACE_DUMP_REQUEST))
-        );
-    }
-
-    #[test]
-    fn response_radius_is_v3_only() {
-        let f = Frame::Response(ResponseFrame {
-            req_id: 1,
-            trace_id: 2,
-            neighbors: vec![],
-            degraded: None,
-            timing: ServerTiming::default(),
-            radius: 42.5,
-        });
-        let (v3, version, _) = Frame::decode_versioned(&f.encode_v(3)).unwrap();
-        assert_eq!(version, 3);
-        assert_eq!(v3, f);
-        let (v2, _) = Frame::decode(&f.encode_v(2)).unwrap();
-        match v2 {
-            Frame::Response(r) => assert_eq!(r.radius, 0.0, "v2 wire cannot carry a radius"),
-            other => panic!("expected response, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn cancel_round_trips_and_is_v3_only() {
-        let f = Frame::Cancel(CancelFrame { req_id: 5, trace_id: 0xABCD });
-        // Asking for v2 is raised to the frame's minimum version.
-        let bytes = f.encode_v(2);
-        let (back, version, _) = Frame::decode_versioned(&bytes).unwrap();
-        assert_eq!(version, 3);
-        assert_eq!(back, f);
-        // A v2 header with a cancel tag is an unknown frame type.
-        let mut forged = f.encode();
-        forged[4..6].copy_from_slice(&2u16.to_le_bytes());
-        assert_eq!(Frame::decode(&forged), Err(ProtocolError::UnknownFrameType(TAG_CANCEL)));
-    }
-
-    #[test]
     fn shard_op_frames_round_trip_bit_exact() {
         let obj = |id: u32| WireObject {
             id,
@@ -1366,8 +1166,7 @@ mod tests {
         ];
         for f in frames {
             let bytes = f.encode();
-            let (back, version, used) = Frame::decode_versioned(&bytes).unwrap();
-            assert_eq!(version, 3);
+            let (back, used) = Frame::decode(&bytes).unwrap();
             assert_eq!(used, bytes.len());
             assert_eq!(back.encode(), bytes, "{f:?}");
             assert_eq!(back, f);

@@ -14,7 +14,7 @@
 //! reader `try_push`es each request, and a full queue means an immediate
 //! typed `Overloaded` reply — load shedding is a fast "no", never a hang
 //! or an unbounded buffer. Queued requests can be withdrawn by a `CANCEL`
-//! frame (protocol v3) before dispatch.
+//! frame before dispatch.
 //!
 //! Graceful drain is ordering, not machinery: setting the shutdown flag
 //! stops the accept loop and makes every reader exit at its next frame
@@ -24,20 +24,18 @@
 //! therefore answered, new ones refused, and `run` returns when the last
 //! reply is written.
 
-use crate::batch::{dispatch_loop, BatchPolicy, ConnWriter, Job, JobOp};
+use crate::batch::{dispatch_loop, BatchPolicy, Job, JobOp};
+use crate::conn::{read_frame_interruptible, ConnWriter, ReadOutcome};
 use crate::lanes::{Lanes, PushError};
 use crate::metrics_http::{bind_metrics, metrics_loop};
-use crate::protocol::{
-    decode_payload, parse_header, ErrorCode, ErrorFrame, Frame, ProtocolError, TraceDumpFrame,
-    WireObject, HEADER_LEN, LOCATE_TRI, MIN_VERSION,
-};
+use crate::protocol::{ErrorCode, Frame, TraceDumpFrame, WireObject, LOCATE_TRI};
 use crate::slowlog::SlowQueryLog;
 use crate::stats::ServeStats;
 use sknn_core::mr3::Mr3Engine;
 use sknn_core::workload::SurfacePoint;
 use sknn_geom::Point2;
 use sknn_obs::{mint_trace_id, QueryTrace, Recorder, Registry, RingRecorder, NOOP};
-use std::io::{self, Read};
+use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -58,7 +56,7 @@ pub struct ServeConfig {
     pub max_wait: Duration,
     /// Admission queue bound; arrivals beyond it are shed.
     pub queue_depth: usize,
-    /// Threads handed to `try_query_batch_at` for each batch.
+    /// Threads each batch's engine calls are spread over.
     pub exec_threads: usize,
     /// Socket read timeout — the granularity at which blocked readers
     /// notice the shutdown flag.
@@ -433,79 +431,60 @@ impl<'e, 's, 'm> Server<'e, 's, 'm> {
     }
 
     /// Reader thread for one connection.
-    fn serve_conn(&self, stream: TcpStream, lanes: &Lanes) {
+    fn serve_conn(&self, stream: TcpStream, lanes: &Lanes<Job>) {
         let _ = stream.set_nodelay(true);
         let _ = stream.set_read_timeout(Some(self.cfg.poll_interval));
         let writer = match stream.try_clone() {
             Ok(w) => Arc::new(ConnWriter::new(w)),
             Err(_) => return,
         };
+        let reply = |frame: &Frame| writer.send(&self.stats.write_errors, frame);
+        let bad_request = |req_id, why| reply(&Frame::error(req_id, ErrorCode::BadRequest, why));
         let mut stream = stream;
         loop {
             match read_frame_interruptible(&mut stream, &self.shutdown) {
-                ReadOutcome::Frame(Frame::Query(q), version) => {
-                    let op = match self.resolve_surface(q.tri, q.x, q.y, q.z) {
-                        Ok(point) => JobOp::Query { point, k: q.k as usize },
-                        Err(why) => {
-                            writer.send(
-                                &self.stats,
-                                &error_frame(q.req_id, ErrorCode::BadRequest, why),
-                                version,
-                            );
-                            continue;
+                ReadOutcome::Frame(Frame::Query(q)) => {
+                    match self.resolve_surface(q.tri, q.x, q.y, q.z) {
+                        Ok(point) => {
+                            let op = JobOp::Query { point, k: q.k as usize };
+                            self.admit(q.req_id, q.trace_id, q.deadline_ms, op, lanes, &writer);
                         }
-                    };
-                    self.admit(q.req_id, q.trace_id, q.deadline_ms, op, version, lanes, &writer);
+                        Err(why) => {
+                            bad_request(q.req_id, why);
+                        }
+                    }
                 }
-                ReadOutcome::Frame(Frame::SeedsRequest(s), version) => {
+                ReadOutcome::Frame(Frame::SeedsRequest(s)) => {
                     if !(s.x.is_finite() && s.y.is_finite()) {
-                        writer.send(
-                            &self.stats,
-                            &error_frame(s.req_id, ErrorCode::BadRequest, "non-finite coordinates"),
-                            version,
-                        );
+                        bad_request(s.req_id, "non-finite coordinates");
                         continue;
                     }
                     let op = JobOp::Seeds { xy: Point2::new(s.x, s.y), k: s.k as usize };
-                    self.admit(s.req_id, s.trace_id, s.deadline_ms, op, version, lanes, &writer);
+                    self.admit(s.req_id, s.trace_id, s.deadline_ms, op, lanes, &writer);
                 }
-                ReadOutcome::Frame(Frame::RangeRequest(r), version) => {
+                ReadOutcome::Frame(Frame::RangeRequest(r)) => {
                     if !(r.x.is_finite() && r.y.is_finite()) || r.radius.is_nan() || r.radius < 0.0
                     {
-                        writer.send(
-                            &self.stats,
-                            &error_frame(r.req_id, ErrorCode::BadRequest, "bad range parameters"),
-                            version,
-                        );
+                        bad_request(r.req_id, "bad range parameters");
                         continue;
                     }
                     let op = JobOp::Range { xy: Point2::new(r.x, r.y), radius: r.radius };
-                    self.admit(r.req_id, r.trace_id, r.deadline_ms, op, version, lanes, &writer);
+                    self.admit(r.req_id, r.trace_id, r.deadline_ms, op, lanes, &writer);
                 }
-                ReadOutcome::Frame(Frame::RadiusRequest(r), version) => {
+                ReadOutcome::Frame(Frame::RadiusRequest(r)) => {
                     let op = self.resolve_surface(r.tri, r.x, r.y, r.z).and_then(|point| {
                         Ok(JobOp::Radius { point, seeds: self.resolve_objs(&r.seeds)? })
                     });
                     match op {
-                        Ok(op) => self.admit(
-                            r.req_id,
-                            r.trace_id,
-                            r.deadline_ms,
-                            op,
-                            version,
-                            lanes,
-                            &writer,
-                        ),
+                        Ok(op) => {
+                            self.admit(r.req_id, r.trace_id, r.deadline_ms, op, lanes, &writer)
+                        }
                         Err(why) => {
-                            writer.send(
-                                &self.stats,
-                                &error_frame(r.req_id, ErrorCode::BadRequest, why),
-                                version,
-                            );
+                            bad_request(r.req_id, why);
                         }
                     }
                 }
-                ReadOutcome::Frame(Frame::ExecRequest(e), version) => {
+                ReadOutcome::Frame(Frame::ExecRequest(e)) => {
                     let op = self.resolve_surface(e.tri, e.x, e.y, e.z).and_then(|point| {
                         Ok(JobOp::Exec {
                             point,
@@ -515,44 +494,33 @@ impl<'e, 's, 'm> Server<'e, 's, 'm> {
                         })
                     });
                     match op {
-                        Ok(op) => self.admit(
-                            e.req_id,
-                            e.trace_id,
-                            e.deadline_ms,
-                            op,
-                            version,
-                            lanes,
-                            &writer,
-                        ),
+                        Ok(op) => {
+                            self.admit(e.req_id, e.trace_id, e.deadline_ms, op, lanes, &writer)
+                        }
                         Err(why) => {
-                            writer.send(
-                                &self.stats,
-                                &error_frame(e.req_id, ErrorCode::BadRequest, why),
-                                version,
-                            );
+                            bad_request(e.req_id, why);
                         }
                     }
                 }
-                ReadOutcome::Frame(Frame::Cancel(c), _version) => {
+                ReadOutcome::Frame(Frame::Cancel(c)) => {
                     // Withdraw the queued job if the cancel wins the race.
                     // The typed `Cancelled` reply goes to the *cancelled
-                    // request's* connection (its own writer and wire
-                    // version) so every admitted request still gets
-                    // exactly one reply on its own stream. A miss means
-                    // the job is already executing (or finished); its
-                    // real reply is coming, so a cancel is silent here.
+                    // request's* connection (its own writer) so every
+                    // admitted request still gets exactly one reply on
+                    // its own stream. A miss means the job is already
+                    // executing (or finished); its real reply is coming,
+                    // so a cancel is silent here.
                     match lanes.cancel(c.req_id, c.trace_id) {
                         Some(job) => {
                             self.stats.cancelled.inc();
                             self.stats.queue_depth.fetch_sub(1, Ordering::Relaxed);
                             job.writer.send(
-                                &self.stats,
-                                &error_frame(
+                                &self.stats.write_errors,
+                                &Frame::error(
                                     job.req_id,
                                     ErrorCode::Cancelled,
                                     "cancelled while queued",
                                 ),
-                                job.wire_version,
                             );
                         }
                         None => {
@@ -560,7 +528,7 @@ impl<'e, 's, 'm> Server<'e, 's, 'm> {
                         }
                     }
                 }
-                ReadOutcome::Frame(Frame::StatsRequest, version) => {
+                ReadOutcome::Frame(Frame::StatsRequest) => {
                     let mut snap = self.stats.snapshot();
                     // Live object count: the sharding router sums these
                     // to clamp `k` exactly like a single engine over the
@@ -569,62 +537,46 @@ impl<'e, 's, 'm> Server<'e, 's, 'm> {
                         "objects".to_string(),
                         self.engine.write_stats().live_objects as u64,
                     ));
-                    writer.send(&self.stats, &Frame::Stats(snap), version);
+                    reply(&Frame::Stats(snap));
                 }
-                ReadOutcome::Frame(Frame::TraceDumpRequest, version) => {
-                    let dump = TraceDumpFrame { jsonl: self.slow.to_jsonl() };
-                    writer.send(&self.stats, &Frame::TraceDump(dump), version);
+                ReadOutcome::Frame(Frame::TraceDumpRequest) => {
+                    reply(&Frame::TraceDump(TraceDumpFrame { jsonl: self.slow.to_jsonl() }));
                 }
-                ReadOutcome::Frame(_, version) => {
+                ReadOutcome::Frame(_) => {
                     // Response/Error/Stats/TraceDump only flow server → client.
                     self.stats.protocol_errors.inc();
-                    writer.send(
-                        &self.stats,
-                        &error_frame(0, ErrorCode::BadRequest, "unexpected frame type"),
-                        version,
-                    );
+                    bad_request(0, "unexpected frame type");
                 }
                 ReadOutcome::Protocol(e) => {
-                    // A framing error means the stream position is no
-                    // longer trustworthy; reply once and hang up. The
-                    // sender's version is unknown (the header may be the
-                    // corrupt part), so use the oldest layout — the error
-                    // frame's body is identical across versions and every
-                    // supported peer decodes v1.
+                    // A framing error (a foreign protocol version
+                    // included) means the stream position is no longer
+                    // trustworthy; reply once and hang up.
                     self.stats.protocol_errors.inc();
-                    writer.send(
-                        &self.stats,
-                        &error_frame(0, ErrorCode::BadRequest, &e.to_string()),
-                        MIN_VERSION,
-                    );
+                    bad_request(0, &e.to_string());
                     return;
                 }
-                ReadOutcome::Closed | ReadOutcome::Io => return,
-                ReadOutcome::Shutdown => return,
+                ReadOutcome::Closed | ReadOutcome::Io | ReadOutcome::Shutdown => return,
             }
         }
     }
 
     /// Offers a validated operation to the admission lanes, replying with
     /// the right typed error when it cannot be queued.
-    #[allow(clippy::too_many_arguments)]
     fn admit(
         &self,
         req_id: u64,
         raw_trace_id: u64,
         deadline_ms: u32,
         op: JobOp,
-        version: u16,
-        lanes: &Lanes,
+        lanes: &Lanes<Job>,
         writer: &Arc<ConnWriter>,
     ) {
+        let refuse = |writer: &ConnWriter, code, why| {
+            writer.send(&self.stats.write_errors, &Frame::error(req_id, code, why));
+        };
         if self.shutdown.load(Ordering::Relaxed) {
             self.stats.rejected_shutdown.inc();
-            writer.send(
-                &self.stats,
-                &error_frame(req_id, ErrorCode::ShuttingDown, "server is draining"),
-                version,
-            );
+            refuse(writer, ErrorCode::ShuttingDown, "server is draining");
             return;
         }
         let enqueued = Instant::now();
@@ -644,7 +596,6 @@ impl<'e, 's, 'm> Server<'e, 's, 'm> {
             deadline,
             enqueued,
             recv_at: enqueued,
-            wire_version: version,
             writer: Arc::clone(writer),
         };
         match lanes.try_push(job) {
@@ -652,21 +603,13 @@ impl<'e, 's, 'm> Server<'e, 's, 'm> {
                 self.stats.accepted.inc();
                 self.stats.queue_depth.fetch_add(1, Ordering::Relaxed);
             }
-            Err(PushError::Full(job)) => {
+            Err(PushError::Full) => {
                 self.stats.shed.inc();
-                job.writer.send(
-                    &self.stats,
-                    &error_frame(job.req_id, ErrorCode::Overloaded, "admission queue full"),
-                    job.wire_version,
-                );
+                refuse(writer, ErrorCode::Overloaded, "admission queue full");
             }
-            Err(PushError::Closed(job)) => {
+            Err(PushError::Closed) => {
                 self.stats.rejected_shutdown.inc();
-                job.writer.send(
-                    &self.stats,
-                    &error_frame(job.req_id, ErrorCode::ShuttingDown, "server is draining"),
-                    job.wire_version,
-                );
+                refuse(writer, ErrorCode::ShuttingDown, "server is draining");
             }
         }
     }
@@ -716,88 +659,4 @@ impl<'e, 's, 'm> Server<'e, 's, 'm> {
         }
         Ok(out)
     }
-}
-
-fn error_frame(req_id: u64, code: ErrorCode, detail: &str) -> Frame {
-    Frame::Error(ErrorFrame { req_id, code, detail: detail.to_string() })
-}
-
-enum ReadOutcome {
-    /// A decoded frame plus the wire version it arrived in (replies echo
-    /// that version so old clients never see new layouts).
-    Frame(Frame, u16),
-    /// Clean close at a frame boundary.
-    Closed,
-    /// Shutdown observed at a frame boundary.
-    Shutdown,
-    Protocol(ProtocolError),
-    Io,
-}
-
-/// Reads one frame off a socket with a read timeout, re-arming on
-/// timeouts so the reader can poll the shutdown flag. The flag is only
-/// honored *between* frames: a frame whose bytes have started arriving
-/// is finished and then rejected by the caller, keeping the stream
-/// framing intact for the final replies.
-fn read_frame_interruptible(stream: &mut TcpStream, shutdown: &AtomicBool) -> ReadOutcome {
-    let mut header = [0u8; HEADER_LEN];
-    match fill(stream, &mut header, Some(shutdown)) {
-        Fill::Done => {}
-        Fill::Eof(0) => return ReadOutcome::Closed,
-        Fill::Eof(got) => {
-            return ReadOutcome::Protocol(ProtocolError::Truncated { needed: HEADER_LEN, got })
-        }
-        Fill::Shutdown => return ReadOutcome::Shutdown,
-        Fill::Io => return ReadOutcome::Io,
-    }
-    let (version, tag, len) = match parse_header(&header) {
-        Ok(v) => v,
-        Err(e) => return ReadOutcome::Protocol(e),
-    };
-    let mut payload = vec![0u8; len as usize];
-    match fill(stream, &mut payload, None) {
-        Fill::Done => {}
-        Fill::Eof(got) => {
-            return ReadOutcome::Protocol(ProtocolError::Truncated { needed: len as usize, got })
-        }
-        Fill::Shutdown => unreachable!("shutdown not polled mid-frame"),
-        Fill::Io => return ReadOutcome::Io,
-    }
-    match decode_payload(version, tag, &payload) {
-        Ok(frame) => ReadOutcome::Frame(frame, version),
-        Err(e) => ReadOutcome::Protocol(e),
-    }
-}
-
-enum Fill {
-    Done,
-    /// EOF after this many bytes.
-    Eof(usize),
-    Shutdown,
-    Io,
-}
-
-/// Fills `buf` from the socket, treating timeouts as poll ticks. When
-/// `shutdown` is provided it is checked before the first byte — i.e. at
-/// a frame boundary only.
-fn fill(stream: &mut TcpStream, buf: &mut [u8], shutdown: Option<&AtomicBool>) -> Fill {
-    let mut filled = 0;
-    while filled < buf.len() {
-        if filled == 0 && shutdown.is_some_and(|flag| flag.load(Ordering::Relaxed)) {
-            return Fill::Shutdown;
-        }
-        match stream.read(&mut buf[filled..]) {
-            Ok(0) => return Fill::Eof(filled),
-            Ok(n) => filled += n,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock
-                        | io::ErrorKind::TimedOut
-                        | io::ErrorKind::Interrupted
-                ) => {}
-            Err(_) => return Fill::Io,
-        }
-    }
-    Fill::Done
 }

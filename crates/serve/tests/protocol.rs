@@ -2,10 +2,9 @@
 //!
 //! Three families: round trips (every frame re-encodes to the identical
 //! byte string after a decode — the bit-exactness the end-to-end
-//! determinism check rests on), cross-version compatibility (v1 clients
-//! against v2 servers and vice versa stay mutually decodable, with v2
-//! extension fields either preserved byte-identically or dropped to
-//! zero), and malformed-input fuzzing (arbitrary and corrupted byte
+//! determinism check rests on), version negotiation (exactly one version
+//! is spoken; any other is a typed rejection decided on the header
+//! alone), and malformed-input fuzzing (arbitrary and corrupted byte
 //! strings produce typed errors, never panics, and never allocations
 //! beyond the length cap).
 
@@ -15,7 +14,7 @@ use sknn_serve::protocol::{
     parse_header, CancelFrame, ErrorCode, ErrorFrame, ExecRequestFrame, Frame, ProtocolError,
     QueryFrame, RadiusFrame, RadiusRequestFrame, RangeFrame, RangeRequestFrame, ResponseFrame,
     SeedsFrame, SeedsRequestFrame, ServerTiming, StatsFrame, TraceDumpFrame, WireNeighbor,
-    WireObject, HEADER_LEN, MAX_PAYLOAD, MIN_VERSION, VERSION,
+    WireObject, HEADER_LEN, MAX_PAYLOAD, VERSION,
 };
 
 fn short_string() -> impl Strategy<Value = String> {
@@ -168,98 +167,8 @@ proptest! {
         assert_round_trip(&Frame::TraceDump(TraceDumpFrame { jsonl }))?;
     }
 
-    /// Old-client/new-server direction: a frame encoded at v1 (what an
-    /// old client sends) must decode on a v2 peer, with every v2
-    /// extension field read back as zero.
-    #[test]
-    fn v1_query_decodes_on_v2_peer_with_zero_trace(q in query_frame()) {
-        let bytes = Frame::Query(q.clone()).encode_v(MIN_VERSION);
-        let (decoded, version, used) =
-            Frame::decode_versioned(&bytes).expect("v1 frame must decode");
-        prop_assert_eq!(version, MIN_VERSION);
-        prop_assert_eq!(used, bytes.len());
-        match decoded {
-            Frame::Query(d) => {
-                prop_assert_eq!(d.req_id, q.req_id);
-                prop_assert_eq!(d.tri, q.tri);
-                prop_assert_eq!(d.x.to_bits(), q.x.to_bits());
-                prop_assert_eq!(d.y.to_bits(), q.y.to_bits());
-                prop_assert_eq!(d.z.to_bits(), q.z.to_bits());
-                prop_assert_eq!(d.k, q.k);
-                prop_assert_eq!(d.deadline_ms, q.deadline_ms);
-                // The v2 extension is absent from v1 bytes: zero-filled.
-                prop_assert_eq!(d.trace_id, 0);
-            }
-            other => prop_assert!(false, "decoded to {:?}", other),
-        }
-    }
-
-    /// New-client/old-server direction: a v2 server replying to a v1
-    /// client encodes the response at v1. Those bytes must round-trip
-    /// with the v1-visible fields intact and the v2 stage fields dropped
-    /// to zero — never a decode error.
-    #[test]
-    fn v2_response_downgraded_to_v1_stays_decodable(r in response_frame()) {
-        let bytes = Frame::Response(r.clone()).encode_v(MIN_VERSION);
-        let (decoded, version, used) =
-            Frame::decode_versioned(&bytes).expect("v1 response must decode");
-        prop_assert_eq!(version, MIN_VERSION);
-        prop_assert_eq!(used, bytes.len());
-        match decoded {
-            Frame::Response(d) => {
-                prop_assert_eq!(d.req_id, r.req_id);
-                prop_assert_eq!(d.neighbors.len(), r.neighbors.len());
-                for (a, b) in d.neighbors.iter().zip(r.neighbors.iter()) {
-                    prop_assert_eq!(a.id, b.id);
-                    prop_assert_eq!(a.lb.to_bits(), b.lb.to_bits());
-                    prop_assert_eq!(a.ub.to_bits(), b.ub.to_bits());
-                }
-                prop_assert_eq!(&d.degraded, &r.degraded);
-                // v1 carries only queue/exec/batch; everything v2 is dropped.
-                let expected = ServerTiming {
-                    queue_us: r.timing.queue_us,
-                    exec_us: r.timing.exec_us,
-                    batch: r.timing.batch,
-                    ..Default::default()
-                };
-                prop_assert_eq!(d.timing, expected);
-                prop_assert_eq!(d.trace_id, 0);
-            }
-            other => prop_assert!(false, "decoded to {:?}", other),
-        }
-    }
-
-    /// v2 → v2: the trace id and every stage-latency field survive the
-    /// wire byte-identically (the re-encode equality in the round-trip
-    /// family covers the raw bytes; this pins the field semantics).
-    #[test]
-    fn v2_trace_and_stage_fields_survive_byte_identically(
-        q in query_frame(),
-        r in response_frame(),
-    ) {
-        let qb = Frame::Query(q.clone()).encode_v(VERSION);
-        let (qd, qv, _) = Frame::decode_versioned(&qb).expect("v2 query must decode");
-        prop_assert_eq!(qv, VERSION);
-        match qd {
-            Frame::Query(d) => prop_assert_eq!(d.trace_id, q.trace_id),
-            other => prop_assert!(false, "decoded to {:?}", other),
-        }
-        let rb = Frame::Response(r.clone()).encode_v(VERSION);
-        let (rd, rv, _) = Frame::decode_versioned(&rb).expect("v2 response must decode");
-        prop_assert_eq!(rv, VERSION);
-        match rd {
-            Frame::Response(d) => {
-                prop_assert_eq!(d.trace_id, r.trace_id);
-                prop_assert_eq!(d.timing, r.timing);
-                prop_assert_eq!(Frame::Response(d).encode_v(VERSION), rb);
-            }
-            other => prop_assert!(false, "decoded to {:?}", other),
-        }
-    }
-
-    /// Every strict prefix of a valid v2 frame is a typed truncation
-    /// error — the new trace/stage bytes introduce no position where a
-    /// cut is silently accepted.
+    /// Every strict prefix of a valid frame is a typed truncation error —
+    /// there is no position where a cut is silently accepted.
     #[test]
     fn truncated_frames_are_typed_errors(
         r in response_frame(),
@@ -273,19 +182,23 @@ proptest! {
         }
     }
 
-    /// Same property for v1-encoded frames: a v2 peer truncating a v1
-    /// stream still reports typed truncation.
+    /// Negotiation: any header version other than the one spoken is a
+    /// typed `BadVersion`, decided on the header alone — whatever the
+    /// tag and length fields claim, and with no payload behind it.
     #[test]
-    fn truncated_v1_frames_are_typed_errors(
-        q in query_frame(),
-        cut_seed in any::<u64>(),
+    fn foreign_versions_are_bad_version_without_reading_the_payload(
+        version in any::<u16>(),
+        tag in any::<u8>(),
+        len in any::<u32>(),
     ) {
-        let bytes = Frame::Query(q).encode_v(MIN_VERSION);
-        let cut = (cut_seed % bytes.len() as u64) as usize;
-        match Frame::decode(&bytes[..cut]) {
-            Err(ProtocolError::Truncated { .. }) => {}
-            other => prop_assert!(false, "prefix of len {} gave {:?}", cut, other),
-        }
+        prop_assume!(version != VERSION);
+        let mut header = [0u8; HEADER_LEN];
+        header[..4].copy_from_slice(b"SKNN");
+        header[4..6].copy_from_slice(&version.to_le_bytes());
+        header[6] = tag;
+        header[8..12].copy_from_slice(&len.to_le_bytes());
+        prop_assert_eq!(parse_header(&header), Err(ProtocolError::BadVersion(version)));
+        prop_assert_eq!(Frame::decode(&header), Err(ProtocolError::BadVersion(version)));
     }
 
     /// Arbitrary bytes never panic the decoder; whatever comes back is a
@@ -295,35 +208,15 @@ proptest! {
         let _ = Frame::decode(&bytes);
     }
 
-    /// v3 cancel frames round-trip byte-identically, are raised from a
-    /// requested v2 encoding to v3 (their minimum version), and a forged
-    /// v2 header around the cancel tag is a typed rejection — an old
-    /// peer can never misparse a cancel as something else.
     #[test]
-    fn cancel_frames_round_trip_and_are_invalid_at_v2(
-        req_id in any::<u64>(),
-        trace_id in any::<u64>(),
-    ) {
-        let frame = Frame::Cancel(CancelFrame { req_id, trace_id });
-        assert_round_trip(&frame)?;
-        let bytes = frame.encode_v(2);
-        let (decoded, version, _) =
-            Frame::decode_versioned(&bytes).expect("raised frame decodes");
-        prop_assert_eq!(version, 3);
-        prop_assert_eq!(decoded.encode_v(3), bytes);
-        let mut forged = bytes.clone();
-        forged[4..6].copy_from_slice(&2u16.to_le_bytes());
-        match Frame::decode(&forged) {
-            Err(ProtocolError::UnknownFrameType(_)) => {}
-            other => prop_assert!(false, "forged v2 cancel gave {:?}", other),
-        }
+    fn cancel_frames_round_trip(req_id in any::<u64>(), trace_id in any::<u64>()) {
+        assert_round_trip(&Frame::Cancel(CancelFrame { req_id, trace_id }))?;
     }
 
     /// Every shard-operation frame (seeds / range / radius / exec, both
-    /// directions) round-trips byte-identically at v3 and is rejected
-    /// with a typed unknown-frame error under a forged v2 header.
+    /// directions) round-trips byte-identically.
     #[test]
-    fn shard_op_frames_round_trip_and_are_invalid_at_v2(
+    fn shard_op_frames_round_trip(
         req_id in any::<u64>(),
         trace_id in any::<u64>(),
         xy in (wire_f64(), wire_f64()),
@@ -352,41 +245,6 @@ proptest! {
         ];
         for frame in &frames {
             assert_round_trip(frame)?;
-            let bytes = frame.encode();
-            let mut forged = bytes.clone();
-            forged[4..6].copy_from_slice(&2u16.to_le_bytes());
-            match Frame::decode(&forged) {
-                Err(ProtocolError::UnknownFrameType(_)) => {}
-                other => prop_assert!(false, "forged v2 shard op gave {:?}", other),
-            }
-        }
-    }
-
-    /// A v3 response downgraded to v2 keeps every v2 field byte-exact
-    /// and drops only the radius (read back as 0.0) — v2 routers and v3
-    /// shards stay mutually intelligible.
-    #[test]
-    fn v3_response_downgraded_to_v2_drops_only_radius(r in response_frame()) {
-        let bytes = Frame::Response(r.clone()).encode_v(2);
-        let (decoded, version, used) =
-            Frame::decode_versioned(&bytes).expect("v2 response must decode");
-        prop_assert_eq!(version, 2);
-        prop_assert_eq!(used, bytes.len());
-        match decoded {
-            Frame::Response(d) => {
-                prop_assert_eq!(d.req_id, r.req_id);
-                prop_assert_eq!(d.trace_id, r.trace_id);
-                prop_assert_eq!(d.timing, r.timing);
-                prop_assert_eq!(&d.degraded, &r.degraded);
-                prop_assert_eq!(d.neighbors.len(), r.neighbors.len());
-                for (a, b) in d.neighbors.iter().zip(r.neighbors.iter()) {
-                    prop_assert_eq!(a.id, b.id);
-                    prop_assert_eq!(a.lb.to_bits(), b.lb.to_bits());
-                    prop_assert_eq!(a.ub.to_bits(), b.ub.to_bits());
-                }
-                prop_assert_eq!(d.radius.to_bits(), 0.0f64.to_bits());
-            }
-            other => prop_assert!(false, "decoded to {:?}", other),
         }
     }
 
@@ -425,7 +283,7 @@ proptest! {
 fn oversized_length_rejected_before_allocation() {
     let mut header = [0u8; HEADER_LEN];
     header[..4].copy_from_slice(b"SKNN");
-    header[4..6].copy_from_slice(&1u16.to_le_bytes());
+    header[4..6].copy_from_slice(&VERSION.to_le_bytes());
     header[6] = 1;
     header[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
     assert_eq!(parse_header(&header), Err(ProtocolError::Oversized { len: u32::MAX }));
@@ -443,19 +301,4 @@ fn bad_version_and_magic_are_typed() {
     let mut bytes = Frame::StatsRequest.encode();
     bytes[6] = 200;
     assert_eq!(Frame::decode(&bytes), Err(ProtocolError::UnknownFrameType(200)));
-}
-
-/// The trace-dump tags are v2-only: a v1 header carrying them is an
-/// unknown frame type, so old peers reject rather than misparse.
-#[test]
-fn trace_dump_tags_are_invalid_at_v1() {
-    let dump = Frame::TraceDump(TraceDumpFrame { jsonl: "{}\n".to_string() });
-    // encode_v(1) is raised to the frame's minimum version (2).
-    let bytes = dump.encode_v(MIN_VERSION);
-    let (_, version, _) = Frame::decode_versioned(&bytes).expect("raised frame decodes");
-    assert_eq!(version, 2);
-    // Forge a v1 header around the same tag: typed rejection.
-    let mut forged = bytes.clone();
-    forged[4..6].copy_from_slice(&MIN_VERSION.to_le_bytes());
-    assert!(matches!(Frame::decode(&forged), Err(ProtocolError::UnknownFrameType(_))));
 }

@@ -18,8 +18,6 @@ pub mod map;
 pub mod router;
 pub mod stats;
 
-mod lanes;
-
 pub use map::{ShardMap, ShardSpec};
 pub use router::{Router, RouterConfig, RouterHandle};
 pub use stats::RouterStats;

@@ -36,28 +36,29 @@
 //!
 //! # Admission
 //!
-//! The router runs the same EDF-with-starvation-floor admission lanes as
-//! the shards, a bounded queue, typed `Overloaded`/`ShuttingDown`/
-//! `DeadlineExpired` errors, client-facing `CANCEL`, and graceful drain.
+//! The router runs the shards' own EDF-with-starvation-floor admission
+//! lanes ([`sknn_serve::lanes`]), a bounded queue, typed
+//! `Overloaded`/`ShuttingDown`/`DeadlineExpired` errors, client-facing
+//! `CANCEL`, and graceful drain.
 //! Shard connections are persistent multiplexed [`PoolClient`]s.
 
-use crate::lanes::{PushError, RouterLanes};
 use crate::map::ShardMap;
 use crate::stats::RouterStats;
 use sknn_geom::Point2;
 use sknn_obs::{field, mint_trace_id, QueryTrace, Recorder, Registry, RingRecorder, NOOP};
+use sknn_serve::conn::{read_frame_interruptible, ConnWriter, ReadOutcome};
+use sknn_serve::lanes::{Lanes, PushError, Queued};
 use sknn_serve::metrics_http::{bind_metrics, metrics_loop};
 use sknn_serve::pool::{InFlight, PoolClient, PoolError};
 use sknn_serve::protocol::{
-    decode_payload, parse_header, write_frame_v, ErrorCode, ErrorFrame, ExecRequestFrame, Frame,
-    ProtocolError, QueryFrame, RadiusRequestFrame, RangeRequestFrame, ResponseFrame,
-    SeedsRequestFrame, TraceDumpFrame, WireObject, HEADER_LEN, MIN_VERSION,
+    ErrorCode, ErrorFrame, ExecRequestFrame, Frame, QueryFrame, RadiusRequestFrame,
+    RangeRequestFrame, ResponseFrame, SeedsRequestFrame, TraceDumpFrame, WireObject,
 };
 use sknn_serve::Client;
-use std::io::{self, Read};
+use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// How long the metrics endpoint keeps answering `/healthz` as draining
@@ -122,39 +123,6 @@ impl RouterHandle {
     }
 }
 
-/// Reply half of a client connection, shared between the reader (typed
-/// admission errors) and the worker that answers the query.
-pub(crate) struct ReplyWriter {
-    stream: Mutex<Option<TcpStream>>,
-}
-
-impl ReplyWriter {
-    fn new(stream: TcpStream) -> Self {
-        Self { stream: Mutex::new(Some(stream)) }
-    }
-
-    /// A writer with no socket — every send fails. Test scaffolding.
-    #[cfg(test)]
-    pub(crate) fn null() -> Self {
-        Self { stream: Mutex::new(None) }
-    }
-
-    /// Writes one frame at `version`; a failed write poisons the writer
-    /// (the client is gone — later replies would interleave garbage).
-    pub(crate) fn send(&self, stats: &RouterStats, frame: &Frame, version: u16) -> bool {
-        let mut g = self.stream.lock().unwrap_or_else(|e| e.into_inner());
-        let Some(stream) = g.as_mut() else { return false };
-        match write_frame_v(stream, frame, version) {
-            Ok(()) => true,
-            Err(_) => {
-                stats.write_errors.inc();
-                *g = None;
-                false
-            }
-        }
-    }
-}
-
 /// One admitted query waiting for (or being driven by) a worker.
 pub(crate) struct RouterJob {
     pub(crate) req_id: u64,
@@ -162,8 +130,21 @@ pub(crate) struct RouterJob {
     pub(crate) query: QueryFrame,
     pub(crate) deadline: Option<Instant>,
     pub(crate) enqueued: Instant,
-    pub(crate) wire_version: u16,
-    pub(crate) writer: Arc<ReplyWriter>,
+    pub(crate) writer: Arc<ConnWriter>,
+}
+
+impl Queued for RouterJob {
+    fn deadline(&self) -> Option<Instant> {
+        self.deadline
+    }
+
+    fn enqueued(&self) -> Instant {
+        self.enqueued
+    }
+
+    fn ids(&self) -> (u64, u64) {
+        (self.req_id, self.trace_id)
+    }
 }
 
 /// Why a shard leg ended without a usable partial result.
@@ -291,7 +272,7 @@ impl Router {
         };
         let registry = self.build_registry();
         let metrics_stop = AtomicBool::new(false);
-        let lanes = RouterLanes::new(self.cfg.queue_depth.max(1), self.cfg.starvation_floor);
+        let lanes = Lanes::new(self.cfg.queue_depth.max(1), self.cfg.starvation_floor);
         std::thread::scope(|scope| {
             let lanes = &lanes;
             let workers: Vec<_> = (0..self.cfg.workers.max(1))
@@ -329,43 +310,40 @@ impl Router {
     }
 
     /// Reader thread for one client connection.
-    fn serve_conn(&self, stream: TcpStream, lanes: &RouterLanes) {
+    fn serve_conn(&self, stream: TcpStream, lanes: &Lanes<RouterJob>) {
         let _ = stream.set_nodelay(true);
         let _ = stream.set_read_timeout(Some(self.cfg.poll_interval));
         let writer = match stream.try_clone() {
-            Ok(w) => Arc::new(ReplyWriter::new(w)),
+            Ok(w) => Arc::new(ConnWriter::new(w)),
             Err(_) => return,
         };
+        let reply = |frame: &Frame| writer.send(&self.stats.write_errors, frame);
+        let bad_request = |req_id, why| reply(&Frame::error(req_id, ErrorCode::BadRequest, why));
         let mut stream = stream;
         loop {
             match read_frame_interruptible(&mut stream, &self.shutdown) {
-                ReadOutcome::Frame(Frame::Query(q), version) => {
+                ReadOutcome::Frame(Frame::Query(q)) => {
                     if !(q.x.is_finite() && q.y.is_finite() && q.z.is_finite()) {
-                        writer.send(
-                            &self.stats,
-                            &error_frame(q.req_id, ErrorCode::BadRequest, "non-finite coordinates"),
-                            version,
-                        );
+                        bad_request(q.req_id, "non-finite coordinates");
                         continue;
                     }
-                    self.admit(q, version, lanes, &writer);
+                    self.admit(q, lanes, &writer);
                 }
-                ReadOutcome::Frame(Frame::Cancel(c), _version) => {
+                ReadOutcome::Frame(Frame::Cancel(c)) => {
                     // Same one-reply-per-request rule as the shards: a
                     // landed cancel answers the *cancelled* query on its
-                    // own connection at its own wire version.
+                    // own connection.
                     match lanes.cancel(c.req_id, c.trace_id) {
                         Some(job) => {
                             self.stats.cancelled.inc();
                             self.stats.queue_depth.fetch_sub(1, Ordering::Relaxed);
-                            job.writer.send(
-                                &self.stats,
-                                &error_frame(
+                            self.reply(
+                                &job,
+                                &Frame::error(
                                     job.req_id,
                                     ErrorCode::Cancelled,
                                     "cancelled while queued",
                                 ),
-                                job.wire_version,
                             );
                         }
                         None => {
@@ -373,38 +351,24 @@ impl Router {
                         }
                     }
                 }
-                ReadOutcome::Frame(Frame::StatsRequest, version) => {
-                    writer.send(&self.stats, &Frame::Stats(self.stats.snapshot()), version);
+                ReadOutcome::Frame(Frame::StatsRequest) => {
+                    reply(&Frame::Stats(self.stats.snapshot()));
                 }
-                ReadOutcome::Frame(Frame::TraceDumpRequest, version) => {
+                ReadOutcome::Frame(Frame::TraceDumpRequest) => {
                     // The router keeps no slow-query reservoir (that is
                     // engine-side state owned by the shards); an empty
                     // dump keeps fleet tooling uniform.
-                    writer.send(
-                        &self.stats,
-                        &Frame::TraceDump(TraceDumpFrame { jsonl: String::new() }),
-                        version,
-                    );
+                    reply(&Frame::TraceDump(TraceDumpFrame { jsonl: String::new() }));
                 }
-                ReadOutcome::Frame(_, version) => {
+                ReadOutcome::Frame(_) => {
                     self.stats.protocol_errors.inc();
-                    writer.send(
-                        &self.stats,
-                        &error_frame(
-                            0,
-                            ErrorCode::BadRequest,
-                            "router accepts QUERY, CANCEL, STATS, TRACE_DUMP",
-                        ),
-                        version,
-                    );
+                    bad_request(0, "router accepts QUERY, CANCEL, STATS, TRACE_DUMP");
                 }
                 ReadOutcome::Protocol(e) => {
+                    // Framing is lost (or the peer speaks a foreign
+                    // protocol version): one typed reply, then hang up.
                     self.stats.protocol_errors.inc();
-                    writer.send(
-                        &self.stats,
-                        &error_frame(0, ErrorCode::BadRequest, &e.to_string()),
-                        MIN_VERSION,
-                    );
+                    bad_request(0, &e.to_string());
                     return;
                 }
                 ReadOutcome::Closed | ReadOutcome::Io | ReadOutcome::Shutdown => return,
@@ -414,14 +378,14 @@ impl Router {
 
     /// Offers a query to the admission lanes, replying with the right
     /// typed error when it cannot be queued.
-    fn admit(&self, q: QueryFrame, version: u16, lanes: &RouterLanes, writer: &Arc<ReplyWriter>) {
+    fn admit(&self, q: QueryFrame, lanes: &Lanes<RouterJob>, writer: &Arc<ConnWriter>) {
+        let req_id = q.req_id;
+        let refuse = |code, why| {
+            writer.send(&self.stats.write_errors, &Frame::error(req_id, code, why));
+        };
         if self.shutdown.load(Ordering::Relaxed) {
             self.stats.rejected_shutdown.inc();
-            writer.send(
-                &self.stats,
-                &error_frame(q.req_id, ErrorCode::ShuttingDown, "router is draining"),
-                version,
-            );
+            refuse(ErrorCode::ShuttingDown, "router is draining");
             return;
         }
         let enqueued = Instant::now();
@@ -434,53 +398,48 @@ impl Router {
         // per-shard slow logs be joined on one id.
         let trace_id = if q.trace_id != 0 { q.trace_id } else { mint_trace_id() };
         let job = RouterJob {
-            req_id: q.req_id,
+            req_id,
             trace_id,
             query: q,
             deadline,
             enqueued,
-            wire_version: version,
             writer: Arc::clone(writer),
         };
         match lanes.try_push(job) {
             Ok(()) => {
                 self.stats.queue_depth.fetch_add(1, Ordering::Relaxed);
             }
-            Err(PushError::Full(job)) => {
+            Err(PushError::Full) => {
                 self.stats.shed.inc();
-                job.writer.send(
-                    &self.stats,
-                    &error_frame(job.req_id, ErrorCode::Overloaded, "router queue full"),
-                    job.wire_version,
-                );
+                refuse(ErrorCode::Overloaded, "router queue full");
             }
-            Err(PushError::Closed(job)) => {
+            Err(PushError::Closed) => {
                 self.stats.rejected_shutdown.inc();
-                job.writer.send(
-                    &self.stats,
-                    &error_frame(job.req_id, ErrorCode::ShuttingDown, "router is draining"),
-                    job.wire_version,
-                );
+                refuse(ErrorCode::ShuttingDown, "router is draining");
             }
         }
     }
 
+    /// Writes `frame` on the connection `job` arrived on.
+    fn reply(&self, job: &RouterJob, frame: &Frame) -> bool {
+        job.writer.send(&self.stats.write_errors, frame)
+    }
+
     /// One orchestration worker: pops scheduled queries and drives their
     /// shard legs end to end.
-    fn worker_loop(&self, lanes: &RouterLanes, rec: &dyn Recorder) {
+    fn worker_loop(&self, lanes: &Lanes<RouterJob>, rec: &dyn Recorder) {
         while let Some(job) = lanes.pop() {
             self.stats.queue_depth.fetch_sub(1, Ordering::Relaxed);
             self.stats.queue_us.record(job.enqueued.elapsed().as_micros() as u64);
             if job.deadline.is_some_and(|d| Instant::now() >= d) {
                 self.stats.expired.inc();
-                job.writer.send(
-                    &self.stats,
-                    &error_frame(
+                self.reply(
+                    &job,
+                    &Frame::error(
                         job.req_id,
                         ErrorCode::DeadlineExpired,
                         "deadline expired in router queue",
                     ),
-                    job.wire_version,
                 );
                 continue;
             }
@@ -505,14 +464,13 @@ impl Router {
         let q = job.query.clone();
         let xy = Point2::new(q.x, q.y);
         let Some(home) = self.map.home(xy) else {
-            job.writer.send(
-                &self.stats,
-                &error_frame(
+            self.reply(
+                &job,
+                &Frame::error(
                     job.req_id,
                     ErrorCode::BadRequest,
                     "query point outside the shard map",
                 ),
-                job.wire_version,
             );
             return;
         };
@@ -534,7 +492,7 @@ impl Router {
         });
         let home_leg = match pool.begin(hq, &home_frame) {
             Ok(leg) => leg,
-            Err(e) => return self.leg_failed(&job, "home query", &e),
+            Err(e) => return self.fail(&job, LegFail::Transport("home query", e)),
         };
         // Speculative SEEDS to every shard, home included: QUERY does
         // not return seeds, and a straddle merge needs home's list too.
@@ -554,7 +512,7 @@ impl Router {
                     Ok(leg) => spec.push((i, rid, leg)),
                     Err(e) => {
                         self.cancel_legs(job.trace_id, spec);
-                        return self.leg_failed(&job, "speculative seeds", &e);
+                        return self.fail(&job, LegFail::Transport("speculative seeds", e));
                     }
                 }
             }
@@ -767,7 +725,7 @@ impl Router {
     /// Sends the final reply and records end-to-end latency.
     fn finish(&self, job: &RouterJob, frame: Frame) {
         self.stats.latency_us.record(job.enqueued.elapsed().as_micros() as u64);
-        if job.writer.send(&self.stats, &frame, job.wire_version) {
+        if self.reply(job, &frame) {
             self.stats.completed.inc();
         }
     }
@@ -785,30 +743,15 @@ impl Router {
                     PoolError::Timeout if job.deadline.is_some() => ErrorCode::DeadlineExpired,
                     _ => ErrorCode::Overloaded,
                 };
-                error_frame(job.req_id, code, &format!("{what} failed: {e}"))
+                Frame::error(job.req_id, code, &format!("{what} failed: {e}"))
             }
-            LegFail::Unexpected(what) => error_frame(
+            LegFail::Unexpected(what) => Frame::error(
                 job.req_id,
                 ErrorCode::Overloaded,
                 &format!("{what}: unexpected shard reply"),
             ),
         };
-        job.writer.send(&self.stats, &frame, job.wire_version);
-    }
-
-    /// [`fail`](Self::fail) for the transport case, saving a construction
-    /// at call sites that have not built a `LegFail` yet.
-    fn leg_failed(&self, job: &RouterJob, what: &'static str, e: &PoolError) {
-        self.stats.leg_failures.inc();
-        let code = match e {
-            PoolError::Timeout if job.deadline.is_some() => ErrorCode::DeadlineExpired,
-            _ => ErrorCode::Overloaded,
-        };
-        job.writer.send(
-            &self.stats,
-            &error_frame(job.req_id, code, &format!("{what} failed: {e}")),
-            job.wire_version,
-        );
+        self.reply(job, &frame);
     }
 }
 
@@ -819,89 +762,32 @@ fn prefixed(what: &str, mut e: ErrorFrame) -> ErrorFrame {
     e
 }
 
-fn error_frame(req_id: u64, code: ErrorCode, detail: &str) -> Frame {
-    Frame::Error(ErrorFrame { req_id, code, detail: detail.to_string() })
-}
-
-enum ReadOutcome {
-    /// A decoded frame plus the wire version it arrived in (replies echo
-    /// that version so old clients never see new layouts).
-    Frame(Frame, u16),
-    /// Clean close at a frame boundary.
-    Closed,
-    /// Shutdown observed at a frame boundary.
-    Shutdown,
-    Protocol(ProtocolError),
-    Io,
-}
-
-/// Reads one frame off a socket with a read timeout, re-arming on
-/// timeouts so the reader can poll the shutdown flag between frames.
-/// (A sibling of the shard server's private reader; duplicated because
-/// it is small and the two servers' poll semantics evolve separately.)
-fn read_frame_interruptible(stream: &mut TcpStream, shutdown: &AtomicBool) -> ReadOutcome {
-    let mut header = [0u8; HEADER_LEN];
-    match fill(stream, &mut header, Some(shutdown)) {
-        Fill::Done => {}
-        Fill::Eof(0) => return ReadOutcome::Closed,
-        Fill::Eof(got) => {
-            return ReadOutcome::Protocol(ProtocolError::Truncated { needed: HEADER_LEN, got })
-        }
-        Fill::Shutdown => return ReadOutcome::Shutdown,
-        Fill::Io => return ReadOutcome::Io,
-    }
-    let (version, tag, len) = match parse_header(&header) {
-        Ok(v) => v,
-        Err(e) => return ReadOutcome::Protocol(e),
-    };
-    let mut payload = vec![0u8; len as usize];
-    match fill(stream, &mut payload, None) {
-        Fill::Done => {}
-        Fill::Eof(got) => {
-            return ReadOutcome::Protocol(ProtocolError::Truncated { needed: len as usize, got })
-        }
-        Fill::Shutdown => unreachable!("shutdown not polled mid-frame"),
-        Fill::Io => return ReadOutcome::Io,
-    }
-    match decode_payload(version, tag, &payload) {
-        Ok(frame) => ReadOutcome::Frame(frame, version),
-        Err(e) => ReadOutcome::Protocol(e),
-    }
-}
-
-enum Fill {
-    Done,
-    /// EOF after this many bytes.
-    Eof(usize),
-    Shutdown,
-    Io,
-}
-
-/// Fills `buf` from the socket, treating timeouts as poll ticks. When
-/// `shutdown` is provided it is checked before the first byte — i.e. at
-/// a frame boundary only.
-fn fill(stream: &mut TcpStream, buf: &mut [u8], shutdown: Option<&AtomicBool>) -> Fill {
-    let mut filled = 0;
-    while filled < buf.len() {
-        if filled == 0 && shutdown.is_some_and(|flag| flag.load(Ordering::Relaxed)) {
-            return Fill::Shutdown;
-        }
-        match stream.read(&mut buf[filled..]) {
-            Ok(0) => return Fill::Eof(filled),
-            Ok(n) => filled += n,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock
-                        | io::ErrorKind::TimedOut
-                        | io::ErrorKind::Interrupted
-                ) => {}
-            Err(_) => return Fill::Io,
-        }
-    }
-    Fill::Done
-}
-
 fn other(msg: String) -> io::Error {
     io::Error::other(msg)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn router_jobs_obey_the_scheduling_contract() {
+        sknn_serve::lanes::check_scheduling_contract(|req_id, deadline, enqueued| RouterJob {
+            req_id,
+            trace_id: req_id + 1000,
+            query: QueryFrame {
+                req_id,
+                tri: 0,
+                x: 0.0,
+                y: 0.0,
+                z: 0.0,
+                k: 1,
+                deadline_ms: 0,
+                trace_id: 0,
+            },
+            deadline,
+            enqueued,
+            writer: Arc::new(ConnWriter::null()),
+        });
+    }
 }

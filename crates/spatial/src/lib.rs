@@ -22,7 +22,6 @@
 //! assert!(nearest[0].0 <= nearest[2].0); // ascending by distance
 //! ```
 
-pub mod grid;
 pub mod kernel;
 pub mod rtree;
 

@@ -39,8 +39,8 @@ use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
-/// Number of cache shards — fixed (like [`POOL_SHARDS`]
-/// (crate::pager::POOL_SHARDS)) so behaviour does not depend on the host.
+/// Number of cache shards — fixed (like
+/// [`POOL_SHARDS`](crate::pager::POOL_SHARDS)) so behaviour does not depend on the host.
 pub const CACHE_SHARDS: usize = 8;
 
 /// See `pager::lock_recover`: every critical section here leaves the data

@@ -158,7 +158,7 @@ impl StructureTag {
         }
     }
 
-    /// Inverse of [`idx`](Self::idx) — decodes the tag byte of a WAL
+    /// Inverse of `idx` — decodes the tag byte of a WAL
     /// `Alloc` record at recovery. Unknown bytes map to `Other`.
     pub fn from_idx(i: u8) -> StructureTag {
         *Self::ALL.get(i as usize).unwrap_or(&StructureTag::Other)

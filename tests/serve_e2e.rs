@@ -218,3 +218,41 @@ fn graceful_shutdown_drains_admitted_requests() {
     drop(server);
     assert!(Client::connect(addr).is_err(), "listener should be closed after drain");
 }
+
+/// Version negotiation end to end: a peer speaking a dead dialect (a v1
+/// header) gets exactly one typed `BadRequest` naming the version, then
+/// the server hangs up — the peer is never left waiting.
+#[test]
+fn foreign_protocol_version_gets_a_typed_error_and_a_closed_socket() {
+    use std::io::{Read, Write};
+    use surface_knn::serve::protocol::read_frame;
+
+    let (mesh, cfg) = test_world();
+    let scene = SceneBuilder::new(&mesh).object_count(10).seed(7).build();
+    let engine = Mr3Engine::build(&mesh, &scene, &cfg);
+    let server = Server::bind(&engine, "127.0.0.1:0", ServeConfig::default()).unwrap();
+    let addr = server.local_addr();
+    let handle = server.handle();
+    let stats = server.stats();
+
+    std::thread::scope(|scope| {
+        let run = scope.spawn(|| server.run());
+        let mut sock = std::net::TcpStream::connect(addr).unwrap();
+        sock.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let mut v1 = Frame::StatsRequest.encode();
+        v1[4..6].copy_from_slice(&1u16.to_le_bytes());
+        sock.write_all(&v1).unwrap();
+        match read_frame(&mut sock).expect("a typed reply, not a hang") {
+            Frame::Error(e) => {
+                assert_eq!(e.code, ErrorCode::BadRequest);
+                assert!(e.detail.contains("version 1"), "detail: {}", e.detail);
+            }
+            other => panic!("expected an error frame, got {other:?}"),
+        }
+        // The server closed its end: EOF, not a read timeout.
+        assert_eq!(sock.read(&mut [0u8; 1]).expect("clean close"), 0);
+        handle.shutdown();
+        run.join().unwrap();
+    });
+    assert_eq!(stats.protocol_errors.get(), 1);
+}
