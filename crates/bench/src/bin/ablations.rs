@@ -9,7 +9,7 @@
 use sknn_bench::{bh_mesh, mean, queries, scene_with_density, start_figure, Args};
 use sknn_core::config::Mr3Config;
 use sknn_core::mr3::Mr3Engine;
-use sknn_store::DiskModel;
+use std::time::Duration;
 
 fn main() {
     let args = Args::parse();
@@ -22,7 +22,7 @@ fn main() {
     // CPUs are ~20x faster, so the default scales the disk down by the
     // same factor to preserve the regime. Use --disk-ms 8 for the raw
     // 2002 disk.
-    let disk = DiskModel { per_read_ms: args.get("disk-ms", 0.4) };
+    let disk = Duration::from_secs_f64(args.get("disk-ms", 0.4) / 1e3);
 
     let mesh = bh_mesh(grid, seed);
     let scene = scene_with_density(&mesh, 4.0, seed + 1);
@@ -58,7 +58,7 @@ fn main() {
         let mut settled = Vec::new();
         for &q in &qs {
             let r = engine.query(q, k);
-            total.push(r.stats.total_time(&disk).as_secs_f64());
+            total.push(r.stats.total_time(disk).as_secs_f64());
             cpu.push(r.stats.cpu.as_secs_f64());
             pages.push(r.stats.pages as f64);
             settled.push(r.stats.settled as f64);

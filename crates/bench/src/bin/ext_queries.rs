@@ -9,14 +9,14 @@ use sknn_bench::{bh_mesh, mean, queries, scene_with_density, start_figure, Args}
 use sknn_core::config::Mr3Config;
 use sknn_core::constrained::{ConstrainedEngine, ObstacleMask};
 use sknn_core::mr3::Mr3Engine;
-use sknn_store::DiskModel;
+use std::time::Duration;
 
 fn main() {
     let args = Args::parse();
     let grid: usize = args.get("grid", 65);
     let seed: u64 = args.get("seed", 23);
     let nq: usize = args.get("queries", 3);
-    let disk = DiskModel { per_read_ms: args.get("disk-ms", 0.4) };
+    let disk = Duration::from_secs_f64(args.get("disk-ms", 0.4) / 1e3);
 
     let mesh = bh_mesh(grid, seed);
     let scene = scene_with_density(&mesh, 4.0, seed + 1);
@@ -36,7 +36,7 @@ fn main() {
         let mut size = Vec::new();
         for &q in &qs {
             let r = engine.range_query(q, radius);
-            total.push(r.stats.total_time(&disk).as_secs_f64());
+            total.push(r.stats.total_time(disk).as_secs_f64());
             cpu.push(r.stats.cpu.as_secs_f64());
             pages.push(r.stats.pages as f64);
             size.push(r.inside.len() as f64);
@@ -55,7 +55,7 @@ fn main() {
     println!(
         "closest_pair,{},{:.4},{:.4},{},2",
         scene.num_objects(),
-        cp.stats.total_time(&disk).as_secs_f64(),
+        cp.stats.total_time(disk).as_secs_f64(),
         cp.stats.cpu.as_secs_f64(),
         cp.stats.pages
     );
@@ -71,7 +71,7 @@ fn main() {
         let mut size = Vec::new();
         for &q in &qs {
             let r = con.query(q, 10);
-            total.push(r.stats.total_time(&disk).as_secs_f64());
+            total.push(r.stats.total_time(disk).as_secs_f64());
             cpu.push(r.stats.cpu.as_secs_f64());
             pages.push(r.stats.pages as f64);
             size.push(r.neighbors.len() as f64);

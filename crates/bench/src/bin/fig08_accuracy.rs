@@ -30,6 +30,10 @@ fn main() {
     let dmtm = PagedDmtm::build(&pager, build_dmtm(&mesh));
     let msdn_cfg = MsdnConfig { levels: cfg.msdn_levels.clone(), plane_spacing: None };
     let msdn = PagedMsdn::build(&pager, &Msdn::build(&mesh, &msdn_cfg));
+    let grid =
+        sknn_multires::CutGrid::new(mesh.extent(), cfg.cut_cache.tiles, cfg.cut_cache.pad_tiles);
+    let cuts = sknn_multires::CutCache::new(cfg.cut_cache.capacity_bytes, grid);
+    let lines = sknn_sdn::LineCutCache::new(cfg.cut_cache.capacity_bytes);
     let ctx = RankingContext {
         mesh: &mesh,
         locator: scene.locator(),
@@ -40,13 +44,9 @@ fn main() {
         rec: &sknn_obs::NOOP,
         query: 0,
         scratch: std::cell::RefCell::new(Default::default()),
-        cuts: None,
-        lines: None,
-        grid: sknn_multires::CutGrid::new(
-            mesh.extent(),
-            cfg.cut_cache.tiles,
-            cfg.cut_cache.pad_tiles,
-        ),
+        cuts: &cuts,
+        lines: &lines,
+        grid,
         faults: sknn_core::FaultLog::new(cfg.fault_budget),
         deadline: None,
         deadline_hit: std::cell::Cell::new(false),

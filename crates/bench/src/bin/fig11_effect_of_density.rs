@@ -12,7 +12,7 @@ use sknn_bench::{bh_mesh, ep_mesh, mean, queries, scene_with_density, start_figu
 use sknn_core::config::{Mr3Config, StepSchedule};
 use sknn_core::ea::EaEngine;
 use sknn_core::mr3::Mr3Engine;
-use sknn_store::DiskModel;
+use std::time::Duration;
 
 fn main() {
     let args = Args::parse();
@@ -25,7 +25,7 @@ fn main() {
     // CPUs are ~20x faster, so the default scales the disk down by the
     // same factor to preserve the regime. Use --disk-ms 8 for the raw
     // 2002 disk.
-    let disk = DiskModel { per_read_ms: args.get("disk-ms", 0.4) };
+    let disk = Duration::from_secs_f64(args.get("disk-ms", 0.4) / 1e3);
 
     // The paper's densities are 1..10 per km² on a 150 km² map. Scaled
     // grids cover less area, so we express density in objects per km² but
@@ -55,7 +55,7 @@ fn main() {
                 let mut pages = Vec::new();
                 for &q in &qs {
                     let r = engine.query(q, k);
-                    total.push(r.stats.total_time(&disk).as_secs_f64());
+                    total.push(r.stats.total_time(disk).as_secs_f64());
                     cpu.push(r.stats.cpu.as_secs_f64());
                     pages.push(r.stats.pages as f64);
                 }
@@ -72,7 +72,7 @@ fn main() {
             let mut pages = Vec::new();
             for &q in &qs {
                 let r = ea.query(q, k);
-                total.push(r.stats.total_time(&disk).as_secs_f64());
+                total.push(r.stats.total_time(disk).as_secs_f64());
                 cpu.push(r.stats.cpu.as_secs_f64());
                 pages.push(r.stats.pages as f64);
             }

@@ -9,7 +9,7 @@ use sknn_bench::{bh_mesh, mean, queries, scene_with_density, start_figure, time_
 use sknn_core::config::Mr3Config;
 use sknn_core::ea::EaEngine;
 use sknn_core::mr3::Mr3Engine;
-use sknn_store::DiskModel;
+use std::time::Duration;
 
 fn main() {
     let args = Args::parse();
@@ -17,7 +17,7 @@ fn main() {
     let seed: u64 = args.get("seed", 5);
     let nq: usize = args.get("queries", 2);
     let k: usize = args.get("k", 10);
-    let disk = DiskModel { per_read_ms: args.get("disk-ms", 0.4) };
+    let disk = Duration::from_secs_f64(args.get("disk-ms", 0.4) / 1e3);
 
     start_figure(
         "Model-size scalability: MR3 vs EA",
@@ -42,7 +42,7 @@ fn main() {
             let mut pages = Vec::new();
             for &q in &qs {
                 let r = run(q);
-                total.push(r.stats.total_time(&disk).as_secs_f64());
+                total.push(r.stats.total_time(disk).as_secs_f64());
                 cpu.push(r.stats.cpu.as_secs_f64());
                 pages.push(r.stats.pages as f64);
             }

@@ -58,15 +58,12 @@ impl StepSchedule {
 /// resident per lattice tile, MSDN crossing lines resident per line,
 /// shared across concurrent queries).
 ///
-/// Results are bit-identical with the cache enabled or disabled: fetch
-/// regions are canonicalized (padded by `pad_tiles` and snapped to a
-/// `tiles × tiles` lattice) in both modes, and cuts derived from resident
-/// units are byte-equal to freshly extracted ones, so the cache only
-/// removes repeated work.
+/// Results do not depend on the budget: fetch regions are canonicalized
+/// (padded by `pad_tiles` and snapped to a `tiles × tiles` lattice), and
+/// cuts derived from resident units are byte-equal to freshly extracted
+/// ones, so the cache only removes repeated work.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CutCacheConfig {
-    /// Master switch.
-    pub enabled: bool,
     /// Total resident-weight budget in approximate bytes, split 3:1
     /// between the DMTM front cache and the MSDN line cache.
     pub capacity_bytes: usize,
@@ -81,7 +78,7 @@ pub struct CutCacheConfig {
 
 impl Default for CutCacheConfig {
     fn default() -> Self {
-        Self { enabled: true, capacity_bytes: 64 << 20, tiles: 16, pad_tiles: 0.5 }
+        Self { capacity_bytes: 64 << 20, tiles: 16, pad_tiles: 0.5 }
     }
 }
 
@@ -116,22 +113,8 @@ pub struct Mr3Config {
     /// materialised resolution's bounds) before the fallible entry points
     /// return [`QueryError`](crate::QueryError) instead.
     pub fault_budget: usize,
-    /// Per-query wall-clock budget. Checked between MR3 refinement
-    /// iterations: on expiry the query stops escalating resolution and
-    /// returns its current valid-but-looser bounds with a
-    /// [`Degraded`](crate::Degraded) reason of `DeadlineExpired` — every
-    /// materialised resolution's bounds bracket the exact distance, so an
-    /// expired query still answers correctly, just less tightly. `None`
-    /// (the default) runs to convergence. The serving layer overrides this
-    /// per request via [`QueryOpts::deadline`](crate::mr3::QueryOpts).
-    pub deadline: Option<std::time::Duration>,
     /// Shared cut cache (process-wide materialized-cut reuse).
     pub cut_cache: CutCacheConfig,
-    /// Priority-queue implementation for every Dijkstra run (bound
-    /// estimation, constrained paths, SDN lower bounds). `Bucket` is the
-    /// monotone Dial-style queue and the default; `Heap` keeps the binary
-    /// heap for comparison. Both produce bit-identical distances.
-    pub queue: sknn_geodesic::graph::QueuePolicy,
 }
 
 impl Default for Mr3Config {
@@ -148,9 +131,7 @@ impl Default for Mr3Config {
             pathnet_steiner: 1,
             plane_spacing: None,
             fault_budget: 16,
-            deadline: None,
             cut_cache: CutCacheConfig::default(),
-            queue: sknn_geodesic::graph::QueuePolicy::default(),
         }
     }
 }
@@ -197,6 +178,5 @@ mod tests {
         assert!(c.integrated_io && c.ellipse_prune && c.corridor_refinement && c.dummy_lower_bound);
         assert_eq!(c.io_merge_threshold, 0.8);
         assert_eq!(c.msdn_levels.len(), 5);
-        assert!(c.cut_cache.enabled);
     }
 }

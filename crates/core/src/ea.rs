@@ -20,7 +20,7 @@ use sknn_geodesic::{kanai_suzuki, KanaiConfig};
 use sknn_geom::Rect2;
 use sknn_multires::{build_dmtm, PagedDmtm};
 use sknn_sdn::{Msdn, MsdnConfig, PagedMsdn};
-use sknn_store::{DiskModel, Pager};
+use sknn_store::Pager;
 use sknn_terrain::mesh::TerrainMesh;
 
 /// The EA benchmark engine.
@@ -35,8 +35,6 @@ pub struct EaEngine<'s, 'm> {
     kanai: KanaiConfig,
     /// The cold cache.
     pub cold_cache: bool,
-    /// The disk.
-    pub disk: DiskModel,
 }
 
 impl<'s, 'm> EaEngine<'s, 'm> {
@@ -57,7 +55,6 @@ impl<'s, 'm> EaEngine<'s, 'm> {
             // accuracy)".
             kanai: KanaiConfig { tolerance: 0.03, ..KanaiConfig::default() },
             cold_cache: true,
-            disk: DiskModel::default(),
         }
     }
 

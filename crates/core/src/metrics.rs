@@ -2,11 +2,10 @@
 //!
 //! The paper reports three metrics per experiment: total response time,
 //! CPU time, and disk pages accessed. We measure CPU time directly and
-//! derive I/O time from the physical page-read count and a disk model, so
-//! `total = cpu + io` decomposes exactly as in the paper's figures.
+//! derive I/O time from the physical page-read count and a per-read cost,
+//! so `total = cpu + io` decomposes exactly as in the paper's figures.
 
 use crate::bounds::DistRange;
-use sknn_store::DiskModel;
 use std::time::Duration;
 
 /// Wall-clock time spent in each MR3 step of one query, in microseconds.
@@ -98,14 +97,14 @@ impl QueryStats {
         self.stale_pops += q.stale_pops;
     }
 
-    /// Simulated I/O time under `model`.
-    pub fn io_time(&self, model: &DiskModel) -> Duration {
-        Duration::from_secs_f64(self.pages as f64 * model.per_read_ms / 1000.0)
+    /// Computed I/O time when every page read costs `per_read`.
+    pub fn io_time(&self, per_read: Duration) -> Duration {
+        per_read.mul_f64(self.pages as f64)
     }
 
-    /// Total response time under `model`.
-    pub fn total_time(&self, model: &DiskModel) -> Duration {
-        self.cpu + self.io_time(model)
+    /// Total response time when every page read costs `per_read`.
+    pub fn total_time(&self, per_read: Duration) -> Duration {
+        self.cpu + self.io_time(per_read)
     }
 }
 
@@ -204,9 +203,9 @@ mod tests {
     fn time_decomposition() {
         let stats =
             QueryStats { cpu: Duration::from_millis(100), pages: 500, ..Default::default() };
-        let model = DiskModel { per_read_ms: 8.0 };
-        assert_eq!(stats.io_time(&model), Duration::from_secs(4));
-        assert_eq!(stats.total_time(&model), Duration::from_millis(4100));
+        let per_read = Duration::from_millis(8);
+        assert_eq!(stats.io_time(per_read), Duration::from_secs(4));
+        assert_eq!(stats.total_time(per_read), Duration::from_millis(4100));
     }
 
     #[test]

@@ -20,7 +20,7 @@ use crate::workload::{Scene, SurfacePoint};
 use sknn_multires::{CutCache, CutGrid, PagedDmtm};
 use sknn_obs::{field, QueryTrace, Recorder, RingRecorder, NOOP};
 use sknn_sdn::{LineCutCache, PagedMsdn};
-use sknn_store::{DiskModel, Pager, StructureTag};
+use sknn_store::{Pager, StructureTag};
 use sknn_terrain::mesh::TerrainMesh;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -53,14 +53,13 @@ pub struct Mr3Engine<'s, 'm> {
     cfg: Mr3Config,
     /// Trace sink; `None` means tracing off (no-op recorder, no overhead).
     ring: Option<Arc<RingRecorder>>,
-    /// Fetch-region canonicalizer shared by every query context; applied
-    /// whether or not the cut caches are enabled (bit-identity, see
+    /// Fetch-region canonicalizer shared by every query context (see
     /// [`CutCacheConfig`](crate::config::CutCacheConfig)).
     cut_grid: CutGrid,
-    /// Shared process-wide DMTM front cache (`None` = disabled).
-    cut_cache: Option<CutCache>,
-    /// Shared process-wide MSDN line cache (`None` = disabled).
-    line_cache: Option<LineCutCache>,
+    /// Shared process-wide DMTM front cache.
+    cut_cache: CutCache,
+    /// Shared process-wide MSDN line cache.
+    line_cache: LineCutCache,
     /// Recycled per-query ranking scratches (see
     /// [`RankingContext::pool`](crate::ranking::RankingContext)).
     scratch_pool: Mutex<Vec<RankScratch>>,
@@ -69,8 +68,6 @@ pub struct Mr3Engine<'s, 'm> {
     /// Drop cached pages before each query (cold-cache measurement, the
     /// regime of the paper's figures).
     pub cold_cache: bool,
-    /// Disk model used when reporting response times.
-    pub disk: DiskModel,
 }
 
 impl<'s, 'm> Mr3Engine<'s, 'm> {
@@ -98,7 +95,11 @@ impl<'s, 'm> Mr3Engine<'s, 'm> {
             PagedMsdn::build(&pager, &structures.msdn)
         };
         let cut_grid = CutGrid::new(mesh.extent(), cfg.cut_cache.tiles, cfg.cut_cache.pad_tiles);
-        let (cut_cache, line_cache) = Self::build_caches(cfg, cut_grid);
+        // The weight budget splits 3:1 between front tiles and crossing
+        // lines.
+        let budget = cfg.cut_cache.capacity_bytes;
+        let cut_cache = CutCache::new((budget / 4 * 3).max(1), cut_grid);
+        let line_cache = LineCutCache::new((budget / 4).max(1));
         let objects = ObjectStore::genesis(scene.objects(), cfg.pool_pages, None);
         Self {
             mesh,
@@ -115,43 +116,13 @@ impl<'s, 'm> Mr3Engine<'s, 'm> {
             scratch_pool: Mutex::new(Vec::new()),
             query_seq: AtomicU64::new(0),
             cold_cache: true,
-            disk: DiskModel::default(),
         }
     }
 
-    /// Build (or skip) the shared cut caches per the config. The weight
-    /// budget splits 3:1 between front tiles and crossing lines.
-    fn build_caches(cfg: &Mr3Config, grid: CutGrid) -> (Option<CutCache>, Option<LineCutCache>) {
-        if !cfg.cut_cache.enabled {
-            return (None, None);
-        }
-        let cc = &cfg.cut_cache;
-        let front_cap = (cc.capacity_bytes / 4 * 3).max(1);
-        let line_cap = (cc.capacity_bytes / 4).max(1);
-        (Some(CutCache::new(front_cap, grid)), Some(LineCutCache::new(line_cap)))
-    }
-
-    /// Whether the shared cut caches are active.
-    pub fn cut_cache_enabled(&self) -> bool {
-        self.cut_cache.is_some()
-    }
-
-    /// Enable or disable the shared cut caches at runtime (rebuilds them
-    /// from the config; disabling drops every resident cut). Results are
-    /// bit-identical either way — only the work profile changes.
-    pub fn set_cut_cache(&mut self, enabled: bool) {
-        self.cfg.cut_cache.enabled = enabled;
-        let (cut, line) = Self::build_caches(&self.cfg, self.cut_grid);
-        self.cut_cache = cut;
-        self.line_cache = line;
-    }
-
-    /// Combined counter/occupancy snapshot of the shared cut caches, or
-    /// `None` when disabled.
+    /// Combined counter/occupancy snapshot of the shared cut caches.
+    /// Always `Some`: the `Option` is the signature the benchmark harness
+    /// was written against.
     pub fn cut_cache_snapshot(&self) -> Option<CutCacheSnapshot> {
-        if self.cut_cache.is_none() && self.line_cache.is_none() {
-            return None;
-        }
         let mut s = CutCacheSnapshot::default();
         let mut absorb =
             |stats: sknn_store::CacheStats, gauges: sknn_store::CacheGauges, in_flight: u64| {
@@ -166,37 +137,18 @@ impl<'s, 'm> Mr3Engine<'s, 'm> {
                 s.resident_bytes += gauges.resident_weight;
                 s.in_flight += in_flight;
             };
-        if let Some(c) = &self.cut_cache {
-            absorb(c.stats(), c.gauges(), c.loads_in_flight());
-        }
-        if let Some(c) = &self.line_cache {
-            absorb(c.stats(), c.gauges(), c.loads_in_flight());
-        }
+        let (cuts, lines) = (&self.cut_cache, &self.line_cache);
+        absorb(cuts.stats(), cuts.gauges(), cuts.loads_in_flight());
+        absorb(lines.stats(), lines.gauges(), lines.loads_in_flight());
         Some(s)
-    }
-
-    /// Zero the shared caches' cumulative counters (hit/miss/wait/…),
-    /// leaving resident cuts in place. For scoping measurements; a no-op
-    /// when the caches are disabled.
-    pub fn reset_cut_cache_stats(&self) {
-        if let Some(c) = &self.cut_cache {
-            c.reset_stats();
-        }
-        if let Some(c) = &self.line_cache {
-            c.reset_stats();
-        }
     }
 
     /// Drop every resident cut from the shared caches (counters keep
     /// running). The cold-cache query path calls this alongside the buffer
     /// pool clear so page-count determinism holds per query.
     pub fn clear_cut_caches(&self) {
-        if let Some(c) = &self.cut_cache {
-            c.clear();
-        }
-        if let Some(c) = &self.line_cache {
-            c.clear();
-        }
+        self.cut_cache.clear();
+        self.line_cache.clear();
     }
 
     /// Turn on per-query tracing: subsequent queries carry a
@@ -211,11 +163,6 @@ impl<'s, 'm> Mr3Engine<'s, 'm> {
     /// Turn tracing back off (queries stop paying the recording cost).
     pub fn disable_tracing(&mut self) {
         self.ring = None;
-    }
-
-    /// Whether queries are currently traced.
-    pub fn tracing_enabled(&self) -> bool {
-        self.ring.is_some()
     }
 
     /// Emit per-structure I/O attribution and the buffer-pool roll-up for
@@ -233,7 +180,6 @@ impl<'s, 'm> Mr3Engine<'s, 'm> {
                 field("pushes", stats.queue_pushes),
                 field("pops", stats.queue_pops),
                 field("stale_pops", stats.stale_pops),
-                field("queue", self.cfg.queue.as_str()),
             ],
         );
         for (tag, io) in self.pager.io_by_structure() {
@@ -402,11 +348,8 @@ impl<'s, 'm> Mr3Engine<'s, 'm> {
             Some(r) => r.as_ref(),
             None => &NOOP,
         };
-        let mut scratch: RankScratch =
+        let scratch: RankScratch =
             self.scratch_pool.lock().unwrap_or_else(|e| e.into_inner()).pop().unwrap_or_default();
-        // A pooled scratch may have served a query under a different
-        // (CLI-overridden) policy; re-pin it to this engine's config.
-        scratch.set_queue_policy(self.cfg.queue);
         let ctx = RankingContext {
             mesh: self.mesh,
             locator: self.scene.locator(),
@@ -417,11 +360,11 @@ impl<'s, 'm> Mr3Engine<'s, 'm> {
             rec,
             query: qid,
             scratch: RefCell::new(scratch),
-            cuts: self.cut_cache.as_ref(),
-            lines: self.line_cache.as_ref(),
+            cuts: &self.cut_cache,
+            lines: &self.line_cache,
             grid: self.cut_grid,
             faults: FaultLog::new(self.cfg.fault_budget),
-            deadline: opts.deadline.or_else(|| self.cfg.deadline.map(|d| Instant::now() + d)),
+            deadline: opts.deadline,
             deadline_hit: std::cell::Cell::new(false),
             pool: Some(&self.scratch_pool),
         };
@@ -674,15 +617,16 @@ impl<'s, 'm> Mr3Engine<'s, 'm> {
 }
 
 /// Per-query options of the engine's entry points. The default — no
-/// deadline beyond [`Mr3Config::deadline`], engine-minted query id — is
-/// what [`Mr3Engine::try_query`] runs under.
+/// deadline, engine-minted query id — is what [`Mr3Engine::try_query`]
+/// runs under.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct QueryOpts {
     /// Wall-clock deadline, checked between refinement iterations: on
     /// expiry the query stops escalating resolution and returns its
-    /// current valid bounds with a `Degraded` reason of `DeadlineExpired`.
-    /// `None` falls back to [`Mr3Config::deadline`], then to running to
-    /// convergence.
+    /// current valid bounds with a [`Degraded`](crate::Degraded) reason of
+    /// `DeadlineExpired` — every materialised resolution's bounds bracket
+    /// the exact distance, so an expired query still answers correctly,
+    /// just less tightly. `None` runs to convergence.
     pub deadline: Option<Instant>,
     /// When non-zero, stamps every obs record the query emits — step
     /// spans, iteration events, I/O attribution, fault events — in place
@@ -1156,9 +1100,8 @@ mod tests {
         let (whole, split) = both_compositions(&engine, q, 10, &opts);
         assert_eq!((whole.neighbors.len(), split.neighbors.len()), (6, 6));
 
-        // An already-expired explicit deadline degrades both compositions
-        // to the same seed-resolution bounds, though the config itself has
-        // no budget.
+        // An already-expired deadline degrades both compositions to the
+        // same seed-resolution bounds.
         let expired = QueryOpts { deadline: Some(Instant::now()), trace_id: 0 };
         let (whole, split) = both_compositions(&engine, q, 3, &expired);
         for r in [&whole, &split] {
@@ -1317,10 +1260,10 @@ mod tests {
         // query must still answer, with Euclidean/seed bounds that bracket
         // the exact surface distances, and carry the DeadlineExpired
         // degradation marker.
-        let cfg = Mr3Config { deadline: Some(std::time::Duration::ZERO), ..Mr3Config::default() };
-        let engine = Mr3Engine::build(&mesh, &scene, &cfg);
+        let engine = Mr3Engine::build(&mesh, &scene, &Mr3Config::default());
         let q = scene.random_query(6);
-        let res = engine.query(q, 4);
+        let expired = QueryOpts { deadline: Some(Instant::now()), ..QueryOpts::default() };
+        let res = engine.try_query_with(q, 4, &expired).unwrap();
         assert_eq!(res.neighbors.len(), 4);
         let d = res.degraded.expect("zero deadline must degrade");
         assert_eq!(d.phase, "deadline");
@@ -1337,15 +1280,14 @@ mod tests {
     fn generous_deadline_matches_unbounded_query() {
         let mesh = mesh();
         let scene = SceneBuilder::new(&mesh).object_count(15).seed(43).build();
-        let free = Mr3Engine::build(&mesh, &scene, &Mr3Config::default());
-        let budgeted_cfg = Mr3Config {
-            deadline: Some(std::time::Duration::from_secs(600)),
-            ..Mr3Config::default()
-        };
-        let budgeted = Mr3Engine::build(&mesh, &scene, &budgeted_cfg);
+        let engine = Mr3Engine::build(&mesh, &scene, &Mr3Config::default());
         let q = scene.random_query(8);
-        let a = free.query(q, 3);
-        let b = budgeted.query(q, 3);
+        let a = engine.query(q, 3);
+        let generous = QueryOpts {
+            deadline: Some(Instant::now() + std::time::Duration::from_secs(600)),
+            ..QueryOpts::default()
+        };
+        let b = engine.try_query_with(q, 3, &generous).unwrap();
         assert!(b.degraded.is_none(), "generous deadline must not degrade");
         let ids = |r: &QueryResult| {
             r.neighbors

@@ -215,7 +215,7 @@ mod tests {
         let mesh = TerrainConfig::ep().with_grid(17).build_mesh(55);
         let scene = SceneBuilder::new(&mesh).object_count(12).seed(9).build();
         let engine = Mr3Engine::build(&mesh, &scene, &Mr3Config::default());
-        assert!(engine.cold_cache && engine.cut_cache_enabled());
+        assert!(engine.cold_cache);
         let pages: Vec<u64> = (0..2).map(|_| engine.closest_pair().unwrap().stats.pages).collect();
         assert!(pages[0] > 0);
         assert_eq!(pages[0], pages[1], "a cold run must not see the last run's cuts");

@@ -18,15 +18,15 @@ use crate::metrics::QueryStats;
 use crate::regions::{candidate_region, merge_regions, IoGroup};
 use crate::resilience::FaultLog;
 use crate::workload::SurfacePoint;
-use sknn_geodesic::graph::{Dijkstra, DijkstraScratch, Graph, QueueCounters, QueuePolicy};
+use sknn_geodesic::graph::{Dijkstra, DijkstraScratch, Graph, QueueCounters};
 use sknn_geodesic::pathnet::Pathnet;
 use sknn_geom::Axis;
 use sknn_geom::{Aabb3, Ellipse2, Rect2};
-use sknn_multires::{CutCache, CutGrid, FetchScratch, FrontGraph, PagedDmtm, TileSpan};
+use sknn_multires::{CutCache, CutGrid, FetchScratch, FrontGraph, PagedDmtm};
 use sknn_obs::{field, Recorder};
 use sknn_sdn::network::{corridor_mask, lower_bound_with, LbScratch};
 use sknn_sdn::{LineCutCache, Msdn, PagedMsdn, SimplifiedLine};
-use sknn_store::{Pager, StoreResult};
+use sknn_store::Pager;
 use sknn_terrain::locate::TriangleLocator;
 use sknn_terrain::mesh::TerrainMesh;
 use std::cell::{Cell, RefCell};
@@ -62,16 +62,14 @@ pub struct RankingContext<'a, 'm> {
     /// Absorbed storage faults of this query (graceful degradation: a
     /// failed finer-resolution fetch keeps the last resolution's bounds).
     pub faults: FaultLog,
-    /// Shared process-wide DMTM cut cache, `None` when disabled. Fetch
-    /// regions are canonicalized through [`grid`](Self::grid) *regardless*
-    /// of this being set, so results are bit-identical cache on or off.
-    /// Must have been built over the same lattice as `grid`.
-    pub cuts: Option<&'a CutCache>,
-    /// Shared process-wide MSDN line cache, `None` when disabled.
-    pub lines: Option<&'a LineCutCache>,
-    /// Fetch-region canonicalizer (pad + tile-snap). Always applied, so
-    /// extraction inputs — and therefore results — do not depend on
-    /// whether the shared caches are consulted.
+    /// Shared process-wide DMTM cut cache. Must have been built over the
+    /// same lattice as [`grid`](Self::grid).
+    pub cuts: &'a CutCache,
+    /// Shared process-wide MSDN line cache.
+    pub lines: &'a LineCutCache,
+    /// Fetch-region canonicalizer (pad + tile-snap): every fetch asks for
+    /// a canonical region, so what a cut contains — and therefore every
+    /// result — does not depend on what the shared caches hold.
     pub grid: CutGrid,
     /// Wall-clock deadline of this query, checked between refinement
     /// iterations. `None` runs to convergence.
@@ -93,6 +91,11 @@ pub const SCRATCH_POOL_CAP: usize = 32;
 impl Drop for RankingContext<'_, '_> {
     fn drop(&mut self) {
         let Some(pool) = self.pool else { return };
+        // A panicking query may have left its scratch mid-update; let it
+        // drop with the context instead of handing it to the next query.
+        if std::thread::panicking() {
+            return;
+        }
         let mut s = std::mem::take(&mut *self.scratch.borrow_mut());
         s.reset_for_reuse();
         let mut pool = pool.lock().unwrap_or_else(|e| e.into_inner());
@@ -132,9 +135,9 @@ pub struct RankScratch {
     pathnet: DijkstraScratch,
 }
 
-/// A front owned by this query — paged extraction with the cache off,
-/// derived from the shared cache's resident units with it on — and the one
-/// CSR adjacency every Dijkstra over it runs on, built when it is fetched.
+/// A front owned by this query — derived from the shared cache's resident
+/// units — and the one CSR adjacency every Dijkstra over it runs on, built
+/// when it is fetched.
 #[derive(Debug)]
 struct CachedFront {
     step: u32,
@@ -143,8 +146,7 @@ struct CachedFront {
     csr: Graph,
 }
 
-/// The lines of one axis band: `Arc`s out of the shared line cache, or
-/// freshly fetched lines wrapped the same way with it off.
+/// The lines of one axis band: `Arc`s out of the shared line cache.
 type LineSet = Vec<Arc<SimplifiedLine>>;
 
 impl RankScratch {
@@ -165,15 +167,6 @@ impl RankScratch {
             self.fetch.recycle(old.graph);
             self.spare_csr = old.csr;
         }
-    }
-
-    /// Pin every embedded Dijkstra scratch to `policy` (the engine applies
-    /// the config knob here when handing a scratch to a query).
-    pub fn set_queue_policy(&mut self, policy: QueuePolicy) {
-        self.masked.set_policy(policy);
-        self.shared.set_policy(policy);
-        self.pathnet.set_policy(policy);
-        self.lb.set_queue_policy(policy);
     }
 }
 
@@ -602,10 +595,9 @@ impl<'a, 'm> RankingContext<'a, 'm> {
                 // round's lower-bound tightening and keep their current
                 // (valid) lower bounds.
                 let mut axis_ok = [true, true];
-                // Canonical fetch region, shared with the cache-off path
-                // (see `ub_phase_front`); per-candidate slicing in
-                // `lb_phase` keeps the widened band/region transparent to
-                // the lower-bound math.
+                // Canonical fetch region (see `ub_phase_front`);
+                // per-candidate slicing in `lb_phase` keeps the widened
+                // band/region transparent to the lower-bound math.
                 let roi_c = self.grid.snap(&group.region);
                 for (slot, axis) in [(0, Axis::X), (1, Axis::Y)] {
                     let mut lo = f64::INFINITY;
@@ -620,8 +612,20 @@ impl<'a, 'm> RankingContext<'a, 'm> {
                     if lo < hi {
                         let (blo, bhi) = self.grid.snap_band(slot, lo, hi);
                         let start = Instant::now();
-                        match self.fetch_lines_shared(lvl, axis, blo, bhi, &roi_c, stats) {
-                            Ok(lines) => axis_lines[slot] = lines,
+                        let fetched = self.lines.get_or_fetch(
+                            self.msdn,
+                            self.pager,
+                            lvl,
+                            axis,
+                            blo,
+                            bhi,
+                            Some(&roi_c),
+                        );
+                        match fetched {
+                            Ok((lines, hit)) => {
+                                count_cut_fetch(stats, hit);
+                                axis_lines[slot] = lines;
+                            }
                             Err(e) => {
                                 self.absorb_fault("lb", e);
                                 axis_ok[slot] = false;
@@ -656,10 +660,8 @@ impl<'a, 'm> RankingContext<'a, 'm> {
         stats: &mut QueryStats,
     ) {
         let m = self.dmtm.tree().step_for_fraction(frac);
-        // Canonicalize the fetch region (pad + tile-snap) — done whether
-        // or not the shared cache is on, so extraction inputs are
-        // identical in both modes and hot neighbourhoods converge onto a
-        // small set of reusable keys.
+        // Canonicalize the fetch region (pad + tile-snap), so hot
+        // neighbourhoods converge onto a small set of reusable keys.
         let span = self.grid.span(&region);
         let region = self.grid.span_rect(span);
         let scratch = &mut *self.scratch.borrow_mut();
@@ -675,10 +677,12 @@ impl<'a, 'm> RankingContext<'a, 'm> {
         } else {
             scratch.retire_front();
             let start = Instant::now();
-            let fetched = self.fetch_front_shared(m, span, &mut scratch.fetch, stats);
+            let fetched =
+                self.cuts.get_or_extract(self.dmtm, self.pager, m, span, &mut scratch.fetch);
             stats.stages.rank_fetch_us += us_since(start);
             match fetched {
-                Ok(graph) => {
+                Ok((graph, hit)) => {
+                    count_cut_fetch(stats, hit);
                     let mut csr = std::mem::take(&mut scratch.spare_csr);
                     csr.rebuild_undirected(graph.num_nodes(), &graph.edges);
                     scratch.front_cache = Some(CachedFront { step: m, roi: region, graph, csr });
@@ -817,29 +821,16 @@ impl<'a, 'm> RankingContext<'a, 'm> {
     ) {
         // Charge the I/O of reading the original-resolution terrain in the
         // (canonical) region — the pathnet is derived from it on the fly.
-        // No graph is needed: under the shared cache the region's leaf
-        // units are made resident (repeat charges for a hot region cost
-        // nothing); with it off the fetched front's buffers go straight
-        // back to scratch.
-        {
-            let start = Instant::now();
-            let span = self.grid.span(&region);
-            let charged = if let Some(cache) = self.cuts {
-                cache.touch(self.dmtm, self.pager, 0, span).map(|hit| count_cut_fetch(stats, hit))
-            } else {
-                let fetch = &mut self.scratch.borrow_mut().fetch;
-                let charge_roi = self.grid.span_rect(span);
-                self.dmtm
-                    .fetch_front_with(self.pager, 0, Some(&charge_roi), fetch)
-                    .map(|leafs| fetch.recycle(leafs))
-            };
+        // No graph is needed: the region's leaf units are made resident
+        // (repeat charges for a hot region cost nothing).
+        let start = Instant::now();
+        match self.cuts.touch(self.dmtm, self.pager, 0, self.grid.span(&region)) {
+            Ok(hit) => count_cut_fetch(stats, hit),
             // The pathnet itself is derived in memory, so a failed
             // leaf-page charge degrades the accounting, not the bound.
-            if let Err(e) = charged {
-                self.absorb_fault("ub", e);
-            }
-            stats.stages.rank_fetch_us += us_since(start);
+            Err(e) => self.absorb_fault("ub", e),
         }
+        stats.stages.rank_fetch_us += us_since(start);
         let mesh = self.mesh;
         let facets = self.locator.triangles_meeting(mesh, &region);
         let net = Pathnet::build_region(mesh, self.cfg.pathnet_steiner, facets);
@@ -856,48 +847,6 @@ impl<'a, 'm> RankingContext<'a, 'm> {
             if d.is_finite() {
                 cands[ci].range.tighten_ub(d);
             }
-        }
-    }
-
-    /// Fetch the front at step `m` over the canonical region `span`
-    /// through the shared cut cache when enabled, falling back to paged
-    /// retrieval.
-    fn fetch_front_shared(
-        &self,
-        m: u32,
-        span: TileSpan,
-        fetch: &mut FetchScratch,
-        stats: &mut QueryStats,
-    ) -> StoreResult<FrontGraph> {
-        if let Some(cache) = self.cuts {
-            let (graph, hit) = cache.get_or_extract(self.dmtm, self.pager, m, span, fetch)?;
-            count_cut_fetch(stats, hit);
-            Ok(graph)
-        } else {
-            let region = self.grid.span_rect(span);
-            self.dmtm.fetch_front_with(self.pager, m, Some(&region), fetch)
-        }
-    }
-
-    /// Fetch an axis line band through the shared line cache when enabled,
-    /// falling back to paged retrieval. Inputs must already be canonical.
-    fn fetch_lines_shared(
-        &self,
-        lvl: usize,
-        axis: Axis,
-        lo: f64,
-        hi: f64,
-        roi: &Rect2,
-        stats: &mut QueryStats,
-    ) -> StoreResult<LineSet> {
-        if let Some(cache) = self.lines {
-            let (lines, hit) =
-                cache.get_or_fetch(self.msdn, self.pager, lvl, axis, lo, hi, Some(roi))?;
-            count_cut_fetch(stats, hit);
-            Ok(lines)
-        } else {
-            let lines = self.msdn.fetch_lines_axis(self.pager, lvl, axis, lo, hi, Some(roi))?;
-            Ok(lines.into_iter().map(Arc::new).collect())
         }
     }
 
@@ -973,8 +922,9 @@ impl<'a, 'm> RankingContext<'a, 'm> {
             let m = self.dmtm.tree().step_for_fraction(dmtm_frac);
             let scratch = &mut *self.scratch.borrow_mut();
             let whole = self.grid.full_span();
-            match self.fetch_front_shared(m, whole, &mut scratch.fetch, stats) {
-                Ok(fg) => {
+            match self.cuts.get_or_extract(self.dmtm, self.pager, m, whole, &mut scratch.fetch) {
+                Ok((fg, hit)) => {
+                    count_cut_fetch(stats, hit);
                     let src = self.dmtm.embed(&fg, self.mesh, a.tri, a.pos);
                     let dst = self.dmtm.embed(&fg, self.mesh, b.tri, b.pos);
                     if !src.is_empty() && !dst.is_empty() {
@@ -1061,6 +1011,7 @@ fn filtered_dijkstra(
 mod tests {
     use super::*;
     use crate::workload::SceneBuilder;
+    use sknn_geodesic::graph::QueuePolicy;
     use sknn_multires::build_dmtm;
     use sknn_sdn::{Msdn, MsdnConfig};
     use sknn_terrain::dem::TerrainConfig;
@@ -1072,6 +1023,9 @@ mod tests {
         msdn: PagedMsdn,
         pager: Pager,
         cfg: Mr3Config,
+        grid: CutGrid,
+        cuts: CutCache,
+        lines: LineCutCache,
     }
 
     fn fixture() -> Fixture {
@@ -1085,7 +1039,11 @@ mod tests {
         let cfg = Mr3Config::default();
         let msdn_cfg = MsdnConfig { levels: cfg.msdn_levels.clone(), plane_spacing: None };
         let msdn = PagedMsdn::build(&pager, &Msdn::build(mesh, &msdn_cfg));
-        Fixture { mesh, locator: TriangleLocator::build(mesh), dmtm, msdn, pager, cfg }
+        let grid = CutGrid::new(mesh.extent(), cfg.cut_cache.tiles, cfg.cut_cache.pad_tiles);
+        let budget = cfg.cut_cache.capacity_bytes;
+        let (cuts, lines) = (CutCache::new(budget, grid), LineCutCache::new(budget));
+        let locator = TriangleLocator::build(mesh);
+        Fixture { mesh, locator, dmtm, msdn, pager, cfg, grid, cuts, lines }
     }
 
     fn ctx<'a>(f: &'a Fixture) -> RankingContext<'a, 'static> {
@@ -1099,9 +1057,9 @@ mod tests {
             rec: &sknn_obs::NOOP,
             query: 0,
             scratch: RefCell::new(RankScratch::default()),
-            cuts: None,
-            lines: None,
-            grid: CutGrid::new(f.mesh.extent(), f.cfg.cut_cache.tiles, f.cfg.cut_cache.pad_tiles),
+            cuts: &f.cuts,
+            lines: &f.lines,
+            grid: f.grid,
             faults: FaultLog::new(f.cfg.fault_budget),
             deadline: None,
             deadline_hit: Cell::new(false),

@@ -84,12 +84,6 @@ impl MeshNetwork {
             dst.iter().map(|&(v, exit)| d.dist[v as usize] + exit).fold(f64::INFINITY, f64::min);
         through_net
     }
-
-    /// Single-source network distances from an embedded point to every
-    /// vertex.
-    pub fn distances_from(&self, mesh: &TerrainMesh, p: MeshPoint) -> Dijkstra {
-        Dijkstra::run_multi(&self.graph, &p.embedding(mesh), None)
-    }
 }
 
 #[cfg(test)]

@@ -21,12 +21,11 @@
 //! therefore a union of whole tiles, and because node MBRs and regions
 //! are compared as closed rectangles, a node's MBR meets the region iff
 //! it meets one of the region's tiles: the ids of a region are exactly
-//! the union of its tiles' ids. The ranking layer applies the same
-//! canonicalization **whether the cache is on or off**, and a derived
-//! front equals [`PagedDmtm::fetch_front`] of the same region bit for bit
-//! (see [`PagedDmtm::derive_front`]), so query results are bit-identical
-//! in both modes — the cache can only change *when* work happens, never
-//! *what* it produces.
+//! the union of its tiles' ids. A derived front equals
+//! [`PagedDmtm::fetch_front`] of the same region bit for bit (see
+//! [`PagedDmtm::derive_front`]), so query results do not depend on what is
+//! resident — the cache can only change *when* work happens, never *what*
+//! it produces.
 
 use crate::front::{FrontGraph, FrontUnit};
 use crate::paged::{FetchScratch, PagedDmtm};
@@ -318,11 +317,6 @@ impl CutCache {
     /// Drop every resident unit (cold-cache mode between queries).
     pub fn clear(&self) {
         self.inner.clear();
-    }
-
-    /// Zero the counters.
-    pub fn reset_stats(&self) {
-        self.inner.reset_stats();
     }
 
     /// Resident units.

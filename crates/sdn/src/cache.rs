@@ -11,10 +11,10 @@
 //! single-flight loading and CLOCK eviction come from `sknn-store`.
 //!
 //! Bands and regions must be canonicalized (padded + tile-snapped) by the
-//! caller **identically with the cache on or off** — see the
-//! bit-identity discussion in `sknn-multires::cache`. The ranking layer
-//! then slices each candidate's exact interval out of the (superset)
-//! cached band, so widening is transparent to the lower-bound math.
+//! caller — see the bit-identity discussion in `sknn-multires::cache`.
+//! The ranking layer then slices each candidate's exact interval out of
+//! the (superset) cached band, so widening is transparent to the
+//! lower-bound math.
 
 use crate::paged::PagedMsdn;
 use crate::simplify::SimplifiedLine;
@@ -100,11 +100,6 @@ impl LineCutCache {
     /// Drop every resident line (cold-cache mode between queries).
     pub fn clear(&self) {
         self.inner.clear();
-    }
-
-    /// Zero the counters.
-    pub fn reset_stats(&self) {
-        self.inner.reset_stats();
     }
 
     /// Resident lines.

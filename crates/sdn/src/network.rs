@@ -12,7 +12,7 @@
 //! between the corresponding segment MBRs.
 
 use crate::simplify::SimplifiedLine;
-use sknn_geodesic::graph::{Dijkstra, DijkstraScratch, Graph, QueueCounters, QueuePolicy};
+use sknn_geodesic::graph::{Dijkstra, DijkstraScratch, Graph, QueueCounters};
 use sknn_geom::{Aabb3, Point3, Rect2};
 
 /// Result of a lower-bound computation.
@@ -55,11 +55,6 @@ impl LbScratch {
     /// Empty scratch; buffers grow on first use.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Queue policy for the embedded Dijkstra runs.
-    pub fn set_queue_policy(&mut self, policy: QueuePolicy) {
-        self.dij.set_policy(policy);
     }
 }
 

@@ -142,6 +142,8 @@ enum OpOut {
     Range(Vec<(u32, SurfacePoint)>),
     /// `Radius`: the estimated search radius (no neighbours).
     Radius(Result<QueryResult, QueryError>),
+    /// The engine call panicked; the payload's message.
+    Panicked(String),
 }
 
 fn wire_object(id: u32, p: &SurfacePoint) -> WireObject {
@@ -210,7 +212,13 @@ fn run_batch(
     // depend on what rode along in the batch.
     let results: Vec<OpOut> = sknn_exec::par_map(policy.exec_threads, &live, |_, job| {
         let opts = QueryOpts { deadline: job.deadline, trace_id: job.trace_id };
-        match &job.op {
+        // A panic in one engine call fails that request only: `par_map`
+        // would re-raise it here and kill the dispatcher, leaving every
+        // client blocked on a reply. Everything the engine shares across
+        // queries recovers from an unwinding holder (poison-tolerant
+        // locks, drop-guarded single-flight latches, a scratch that is
+        // dropped rather than pooled), so serving on is sound.
+        let run = std::panic::AssertUnwindSafe(|| match &job.op {
             JobOp::Query { point, k } => OpOut::Ranked(engine.try_query_with(*point, *k, &opts)),
             JobOp::Exec { point, k, seeds, cands } => {
                 OpOut::Ranked(engine.exec_ranked(*point, *k, seeds, cands, &opts))
@@ -220,7 +228,14 @@ fn run_batch(
             JobOp::Radius { point, seeds } => {
                 OpOut::Radius(engine.estimate_radius_for(*point, seeds, &opts))
             }
-        }
+        });
+        std::panic::catch_unwind(run).unwrap_or_else(|payload| {
+            let msg = payload
+                .downcast_ref::<&str>()
+                .map(|s| s.to_string())
+                .or_else(|| payload.downcast_ref::<String>().cloned());
+            OpOut::Panicked(msg.unwrap_or_else(|| "non-string panic payload".to_string()))
+        })
     });
     let exec_us = micros_u32(exec_start.elapsed());
     // The pager's stall clock is cumulative; the difference across the
@@ -300,6 +315,10 @@ fn run_batch(
             OpOut::Radius(Err(e)) => {
                 stats.query_errors.inc();
                 Frame::error(job.req_id, ErrorCode::FaultBudgetExceeded, &e.to_string())
+            }
+            OpOut::Panicked(msg) => {
+                stats.panics.inc();
+                Frame::error(job.req_id, ErrorCode::Internal, &format!("engine panicked: {msg}"))
             }
             OpOut::Ranked(Ok(res)) => {
                 stats.completed.inc();

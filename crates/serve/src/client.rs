@@ -2,7 +2,7 @@
 //! generator, the end-to-end tests, and anyone scripting against a
 //! running server.
 
-use crate::protocol::{read_frame, write_frame, Frame, QueryFrame, RecvError, LOCATE_TRI};
+use crate::protocol::{read_frame, write_frame, Frame, QueryFrame, RecvError};
 use sknn_core::workload::SurfacePoint;
 use std::io;
 use std::net::{TcpStream, ToSocketAddrs};
@@ -80,21 +80,6 @@ impl Client {
             k,
             deadline_ms,
             trace_id,
-        }))
-    }
-
-    /// Sends a query by plan coordinates, leaving facet location to the
-    /// server.
-    pub fn send_query_xy(&mut self, req_id: u64, x: f64, y: f64, k: u32) -> io::Result<()> {
-        self.send(&Frame::Query(QueryFrame {
-            req_id,
-            tri: LOCATE_TRI,
-            x,
-            y,
-            z: 0.0,
-            k,
-            deadline_ms: 0,
-            trace_id: 0,
         }))
     }
 

@@ -84,7 +84,7 @@ pub struct RunReport {
     pub shutdown_rejected: u64,
     /// Typed `BadRequest` replies.
     pub bad_request: u64,
-    /// Typed `FaultBudgetExceeded` replies.
+    /// Typed `FaultBudgetExceeded` and `Internal` replies.
     pub fault_errors: u64,
     /// Typed `Cancelled` replies (v3; zero unless something cancelled
     /// this client's requests out from under it).
@@ -403,7 +403,7 @@ fn classify(tally: &mut ConnTally, frame: &Frame, expect: &[Option<Fingerprint>]
                 ErrorCode::DeadlineExpired => tally.expired += 1,
                 ErrorCode::ShuttingDown => tally.shutdown_rejected += 1,
                 ErrorCode::BadRequest => tally.bad_request += 1,
-                ErrorCode::FaultBudgetExceeded => tally.fault_errors += 1,
+                ErrorCode::FaultBudgetExceeded | ErrorCode::Internal => tally.fault_errors += 1,
                 ErrorCode::Cancelled => tally.cancelled += 1,
             }
             Some((e.req_id & 0xFFFF_FFFF) as usize)

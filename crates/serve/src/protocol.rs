@@ -344,6 +344,10 @@ pub enum ErrorCode {
     /// it was never executed (a router cancelling a losing fan-out leg
     /// is the expected producer).
     Cancelled,
+    /// The request's engine call panicked. Only this request failed: the
+    /// server caught the panic, counted it (`sknn_serve_panics_total`)
+    /// and keeps serving.
+    Internal,
 }
 
 impl ErrorCode {
@@ -355,6 +359,7 @@ impl ErrorCode {
             ErrorCode::ShuttingDown => 4,
             ErrorCode::BadRequest => 5,
             ErrorCode::Cancelled => 6,
+            ErrorCode::Internal => 7,
         }
     }
 
@@ -366,6 +371,7 @@ impl ErrorCode {
             4 => ErrorCode::ShuttingDown,
             5 => ErrorCode::BadRequest,
             6 => ErrorCode::Cancelled,
+            7 => ErrorCode::Internal,
             _ => return None,
         })
     }
@@ -380,6 +386,7 @@ impl std::fmt::Display for ErrorCode {
             ErrorCode::ShuttingDown => "ShuttingDown",
             ErrorCode::BadRequest => "BadRequest",
             ErrorCode::Cancelled => "Cancelled",
+            ErrorCode::Internal => "Internal",
         };
         f.write_str(s)
     }

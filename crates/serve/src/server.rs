@@ -211,27 +211,27 @@ impl<'e, 's, 'm> Server<'e, 's, 'm> {
         registry.counter_fn(
             "sknn_store_logical_reads_total",
             "Page read requests, hit or miss",
-            move || pager.stats().logical_reads,
+            move || pager.lifetime_stats().logical_reads,
         );
         registry.counter_fn(
             "sknn_store_physical_reads_total",
             "Buffer-pool misses fetched from disk",
-            move || pager.stats().physical_reads,
+            move || pager.lifetime_stats().physical_reads,
         );
         registry.counter_fn(
             "sknn_store_singleflight_waits_total",
             "Threads that waited on another's in-flight read",
-            move || pager.concurrency_stats().singleflight_waits,
+            move || pager.lifetime_concurrency_stats().singleflight_waits,
         );
         registry.counter_fn(
             "sknn_store_coalesced_misses_total",
             "Misses that did not pay their own stall",
-            move || pager.concurrency_stats().coalesced_misses,
+            move || pager.lifetime_concurrency_stats().coalesced_misses,
         );
         registry.counter_fn(
             "sknn_store_shard_contention_total",
             "Shard-lock acquisitions that found the lock held",
-            move || pager.concurrency_stats().shard_contention,
+            move || pager.lifetime_concurrency_stats().shard_contention,
         );
         registry.counter_fn(
             "sknn_store_faults_injected_total",
@@ -253,8 +253,7 @@ impl<'e, 's, 'm> Server<'e, 's, 'm> {
             "Checksum verification failures on physical reads",
             move || pager.fault_stats().checksum_failures,
         );
-        // Shared cut cache. All families render 0 when the cache is
-        // disabled so scrapers see a stable schema either way.
+        // Shared cut cache.
         let engine = self.engine;
         let cut = move || engine.cut_cache_snapshot().unwrap_or_default();
         registry.counter_fn(

@@ -34,6 +34,9 @@ pub struct ServeStats {
     pub protocol_errors: Counter,
     /// Queries that ran but returned a typed engine error.
     pub query_errors: Counter,
+    /// Engine calls that panicked; each was answered with a typed
+    /// `Internal` error and the dispatcher kept serving.
+    pub panics: Counter,
     /// Requests withdrawn from the queue by a `CANCEL` frame (v3).
     pub cancelled: Counter,
     /// `CANCEL` frames that missed (request already executing, unknown,
@@ -116,6 +119,7 @@ impl ServeStats {
             ("rejected_shutdown".to_string(), self.rejected_shutdown.get()),
             ("protocol_errors".to_string(), self.protocol_errors.get()),
             ("query_errors".to_string(), self.query_errors.get()),
+            ("panics".to_string(), self.panics.get()),
             ("cancelled".to_string(), self.cancelled.get()),
             ("cancel_misses".to_string(), self.cancel_misses.get()),
             ("degraded".to_string(), self.degraded.get()),
@@ -164,6 +168,7 @@ impl ServeStats {
             rejected_shutdown => "Requests rejected while draining",
             protocol_errors => "Malformed or unexpected frames received",
             query_errors => "Queries returning a typed engine error",
+            panics => "Engine calls that panicked (answered with a typed Internal error)",
             cancelled => "Requests withdrawn from the queue by CANCEL",
             cancel_misses => "CANCEL frames that missed a queued request",
             degraded => "Successful responses carrying a degradation marker",

@@ -28,7 +28,7 @@ fn wire_f64() -> impl Strategy<Value = f64> {
 }
 
 fn error_code() -> impl Strategy<Value = ErrorCode> {
-    (0u8..6).prop_map(|i| {
+    (0u8..7).prop_map(|i| {
         [
             ErrorCode::Overloaded,
             ErrorCode::DeadlineExpired,
@@ -36,6 +36,7 @@ fn error_code() -> impl Strategy<Value = ErrorCode> {
             ErrorCode::ShuttingDown,
             ErrorCode::BadRequest,
             ErrorCode::Cancelled,
+            ErrorCode::Internal,
         ][i as usize]
     })
 }

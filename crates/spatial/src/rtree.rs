@@ -503,11 +503,6 @@ impl<T: Clone> RTree<T> {
         }
     }
 
-    /// Node slots currently on the free list (tests pin arena reuse).
-    pub fn free_slots(&self) -> usize {
-        self.free.len()
-    }
-
     /// Total node slots in the arena, free or live.
     pub fn arena_size(&self) -> usize {
         self.nodes.len()

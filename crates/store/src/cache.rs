@@ -75,8 +75,7 @@ struct CacheShard<K, V> {
 }
 
 /// Counter snapshot of a [`SingleFlightCache`]; cumulative since
-/// construction (or the last [`SingleFlightCache::reset_stats`]). All
-/// counters are per *key*, not per request.
+/// construction. All counters are per *key*, not per request.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Keys served from a resident entry (including single-flight waiters
@@ -138,6 +137,9 @@ struct LoadGuard<'c, K: Hash + Eq + Clone, V> {
 
 impl<K: Hash + Eq + Clone, V> Drop for LoadGuard<'_, K, V> {
     fn drop(&mut self) {
+        // Here rather than after the loader call, so a panicking loader
+        // cannot leave the gauge raised.
+        self.cache.in_flight.fetch_sub(1, Relaxed);
         if !self.armed {
             return;
         }
@@ -310,15 +312,13 @@ impl<K: Hash + Eq + Clone, V> SingleFlightCache<K, V> {
         load: &mut impl FnMut(&[usize]) -> Result<Vec<(V, usize)>, E>,
         values: &mut [Option<Arc<V>>],
     ) -> Result<(), E> {
+        self.in_flight.fetch_add(1, Relaxed);
         let mut guard = LoadGuard {
             cache: self,
             keys: claimed.iter().map(|&i| keys[i].clone()).collect(),
             armed: true,
         };
-        self.in_flight.fetch_add(1, Relaxed);
-        let result = load(claimed);
-        self.in_flight.fetch_sub(1, Relaxed);
-        let loaded = match result {
+        let loaded = match load(claimed) {
             Ok(loaded) => loaded,
             Err(e) => {
                 self.failed_loads.fetch_add(1, Relaxed);
@@ -386,15 +386,6 @@ impl<K: Hash + Eq + Clone, V> SingleFlightCache<K, V> {
             evictions: self.evictions.load(Relaxed),
             failed_loads: self.failed_loads.load(Relaxed),
         }
-    }
-
-    /// Zero the counters (occupancy is untouched).
-    pub fn reset_stats(&self) {
-        self.hits.store(0, Relaxed);
-        self.misses.store(0, Relaxed);
-        self.waits.store(0, Relaxed);
-        self.evictions.store(0, Relaxed);
-        self.failed_loads.store(0, Relaxed);
     }
 
     /// Loads currently running (a gauge; moves fast under load).

@@ -279,12 +279,6 @@ impl FaultInjector {
         self
     }
 
-    /// Set the extra delay charged by `Latency` faults.
-    pub fn with_latency(mut self, latency: Duration) -> Self {
-        self.latency = latency;
-        self
-    }
-
     /// The delay a `Latency` fault charges.
     pub fn latency(&self) -> Duration {
         self.latency

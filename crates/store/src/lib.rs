@@ -21,9 +21,7 @@
 //!   bounded [`RetryPolicy`];
 //! * [`bptree`] — a clustering B+-tree (bulk-built, variable-length values
 //!   with overflow chains) used to store DMTM nodes keyed by node id;
-//! * [`heapfile`] — slotted-page heap files for SDN segments and objects;
-//! * [`latency`] — a disk-latency model so "response time = CPU + I/O" can
-//!   be reported the way the paper does.
+//! * [`heapfile`] — slotted-page heap files for SDN segments and objects.
 //!
 //! All structures are in memory; "disk" is an accounting fiction — which is
 //! exactly what makes page counts reproducible across runs and machines.
@@ -48,7 +46,6 @@ pub mod cache;
 pub mod error;
 pub mod fault;
 pub mod heapfile;
-pub mod latency;
 pub mod page;
 pub mod pager;
 pub mod wal;
@@ -60,7 +57,6 @@ pub use cache::{
 pub use error::{StoreError, StoreResult};
 pub use fault::{FaultInjector, FaultKind, FaultProfile, FaultStats, RetryPolicy};
 pub use heapfile::{HeapFile, RecordId};
-pub use latency::DiskModel;
 pub use page::{PageId, PAGE_SIZE};
 pub use pager::{
     page_checksum, ConcurrencyStats, CrashImage, ImagePage, IoStats, Pager, StructureTag, TagScope,

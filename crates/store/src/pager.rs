@@ -297,20 +297,44 @@ impl ShardPool {
     }
 }
 
-#[derive(Debug)]
-struct Shard {
-    pool: Mutex<ShardPool>,
-    /// Lock acquisitions that would have blocked.
-    contention: AtomicU64,
+/// A monotone event counter with a movable zero. `total` only ever rises
+/// — it is what `/metrics` exports as a Prometheus counter — and
+/// [`Pager::reset_stats`] records the current total as the baseline that
+/// the windowed readers subtract.
+#[derive(Debug, Default)]
+struct Counter {
+    total: AtomicU64,
+    base: AtomicU64,
 }
 
-/// Per-tag atomic counter block (global totals are derived by summing).
+impl Counter {
+    fn add(&self, n: u64) {
+        self.total.fetch_add(n, Relaxed);
+    }
+
+    /// Events since construction.
+    fn total(&self) -> u64 {
+        self.total.load(Relaxed)
+    }
+
+    /// Events since the last [`reset`](Self::reset). Saturating: a reset
+    /// racing this read may publish a baseline above the total just read.
+    fn since_reset(&self) -> u64 {
+        self.total().saturating_sub(self.base.load(Relaxed))
+    }
+
+    fn reset(&self) {
+        self.base.store(self.total(), Relaxed);
+    }
+}
+
+/// Per-tag counter block (global totals are derived by summing).
 #[derive(Debug, Default)]
 struct TagCounters {
-    logical: [AtomicU64; StructureTag::COUNT],
-    physical: [AtomicU64; StructureTag::COUNT],
-    writes: [AtomicU64; StructureTag::COUNT],
-    evictions: [AtomicU64; StructureTag::COUNT],
+    logical: [Counter; StructureTag::COUNT],
+    physical: [Counter; StructureTag::COUNT],
+    writes: [Counter; StructureTag::COUNT],
+    evictions: [Counter; StructureTag::COUNT],
 }
 
 /// Atomic backing of [`FaultStats`].
@@ -328,15 +352,17 @@ struct FaultCounters {
 #[derive(Debug)]
 pub struct Pager {
     store: RwLock<PageStore>,
-    shards: Vec<Shard>,
+    shards: Vec<Mutex<ShardPool>>,
     /// Pages with a read in flight. Guarded by its own mutex; the condvar
     /// wakes waiters when any in-flight read completes. Lock order: the
     /// flight mutex and a shard lock are never held at the same time.
     flight: Mutex<HashSet<u64>>,
     flight_done: Condvar,
     counters: TagCounters,
-    singleflight_waits: AtomicU64,
-    coalesced_misses: AtomicU64,
+    singleflight_waits: Counter,
+    coalesced_misses: Counter,
+    /// Shard-lock acquisitions that would have blocked.
+    shard_contention: Counter,
     /// Wall-clock penalty per physical read, in nanoseconds (zero by
     /// default). Slept with *no* pager locks held so concurrent reads
     /// overlap their stalls — the I/O-bound regime the paper's disk
@@ -444,10 +470,7 @@ impl Pager {
         // pool capacity and every shard holds at least one page.
         let (base, extra) = (capacity / shards, capacity % shards);
         let shards = (0..shards)
-            .map(|i| Shard {
-                pool: Mutex::new(ShardPool::new(base + usize::from(i < extra))),
-                contention: AtomicU64::new(0),
-            })
+            .map(|i| Mutex::new(ShardPool::new(base + usize::from(i < extra))))
             .collect();
         Self {
             store: RwLock::new(PageStore {
@@ -462,8 +485,9 @@ impl Pager {
             flight: Mutex::new(HashSet::new()),
             flight_done: Condvar::new(),
             counters: TagCounters::default(),
-            singleflight_waits: AtomicU64::new(0),
-            coalesced_misses: AtomicU64::new(0),
+            singleflight_waits: Counter::default(),
+            coalesced_misses: Counter::default(),
+            shard_contention: Counter::default(),
             read_stall_ns: AtomicU64::new(0),
             stall_ns: AtomicU64::new(0),
             fault: RwLock::new(None),
@@ -582,7 +606,7 @@ impl Pager {
         store.sums[id.0 as usize] = page_checksum(&store.pages[id.0 as usize]);
         let t = store.tags[id.0 as usize].idx();
         drop(store);
-        self.counters.writes[t].fetch_add(1, Relaxed);
+        self.counters.writes[t].add(1);
     }
 
     /// Flip one bit of a page *without* refreshing its checksum — latent
@@ -602,11 +626,11 @@ impl Pager {
     /// Lock a shard, counting acquisitions that would have blocked.
     fn lock_shard(&self, idx: usize) -> MutexGuard<'_, ShardPool> {
         let shard = &self.shards[idx];
-        match shard.pool.try_lock() {
+        match shard.try_lock() {
             Ok(guard) => guard,
             Err(std::sync::TryLockError::WouldBlock) => {
-                shard.contention.fetch_add(1, Relaxed);
-                lock_recover(&shard.pool)
+                self.shard_contention.add(1);
+                lock_recover(shard)
             }
             Err(std::sync::TryLockError::Poisoned(e)) => e.into_inner(),
         }
@@ -624,7 +648,7 @@ impl Pager {
         let victim = self.lock_shard(self.shard_of(page)).insert(page);
         if let Some(victim) = victim {
             let vt = self.tag_idx(victim);
-            self.counters.evictions[vt].fetch_add(1, Relaxed);
+            self.counters.evictions[vt].add(1);
         }
     }
 
@@ -768,7 +792,7 @@ impl Pager {
                     // Charged only on success: failed attempts are not
                     // pages served, and the paper metric must not drift
                     // under injected faults.
-                    self.counters.physical[tag_idx].fetch_add(1, Relaxed);
+                    self.counters.physical[tag_idx].add(1);
                     return Ok(());
                 }
                 Err(e @ StoreError::PermanentRead { .. }) => {
@@ -830,7 +854,7 @@ impl Pager {
                 FlightClaim::Lost => {
                     let mut flight = lock_recover(&self.flight);
                     if flight.contains(&page) {
-                        self.singleflight_waits.fetch_add(1, Relaxed);
+                        self.singleflight_waits.add(1);
                         let waited = Instant::now();
                         while flight.contains(&page) {
                             flight =
@@ -844,7 +868,7 @@ impl Pager {
                     // the page was already evicted, loop around and lead
                     // it ourselves.
                     if self.pool_touch(page) {
-                        self.coalesced_misses.fetch_add(1, Relaxed);
+                        self.coalesced_misses.add(1);
                         return Ok(());
                     }
                 }
@@ -858,7 +882,7 @@ impl Pager {
     /// write pages. Errors surface as [`StoreError`] without running `f`.
     pub fn with_page<R>(&self, id: PageId, f: impl FnOnce(&[u8]) -> R) -> StoreResult<R> {
         let t = self.tag_idx(id.0);
-        self.counters.logical[t].fetch_add(1, Relaxed);
+        self.counters.logical[t].add(1);
         self.wait_resident(id.0, t)?;
         let store = self.store_read();
         Ok(f(&store.pages[id.0 as usize]))
@@ -896,7 +920,7 @@ impl Pager {
         let mut misses: Vec<(u64, usize)> = Vec::new();
         for &id in ids {
             let t = self.tag_idx(id.0);
-            self.counters.logical[t].fetch_add(1, Relaxed);
+            self.counters.logical[t].add(1);
             if !self.pool_touch(id.0) {
                 misses.push((id.0, t));
             }
@@ -919,7 +943,7 @@ impl Pager {
             }
         }
         if !served.is_empty() {
-            self.coalesced_misses.fetch_add(served.len() as u64 - 1, Relaxed);
+            self.coalesced_misses.add(served.len() as u64 - 1);
             let stall = self.read_stall();
             if stall > Duration::ZERO {
                 std::thread::sleep(stall);
@@ -951,25 +975,48 @@ impl Pager {
         self.with_page(id, |b| b.to_vec())
     }
 
-    /// Current statistics snapshot (all structures combined).
-    pub fn stats(&self) -> IoStats {
-        let mut total = IoStats::default();
-        for t in 0..StructureTag::COUNT {
-            total.physical_reads += self.counters.physical[t].load(Relaxed);
-            total.logical_reads += self.counters.logical[t].load(Relaxed);
-            total.writes += self.counters.writes[t].load(Relaxed);
+    fn io_of(&self, t: usize, read: fn(&Counter) -> u64) -> IoStats {
+        IoStats {
+            physical_reads: read(&self.counters.physical[t]),
+            logical_reads: read(&self.counters.logical[t]),
+            writes: read(&self.counters.writes[t]),
         }
-        total
     }
 
-    /// Statistics for one structure's pages.
-    pub fn stats_for(&self, tag: StructureTag) -> IoStats {
-        let t = tag.idx();
-        IoStats {
-            physical_reads: self.counters.physical[t].load(Relaxed),
-            logical_reads: self.counters.logical[t].load(Relaxed),
-            writes: self.counters.writes[t].load(Relaxed),
+    fn io_all(&self, read: fn(&Counter) -> u64) -> IoStats {
+        (0..StructureTag::COUNT).map(|t| self.io_of(t, read)).fold(IoStats::default(), |a, b| {
+            IoStats {
+                physical_reads: a.physical_reads + b.physical_reads,
+                logical_reads: a.logical_reads + b.logical_reads,
+                writes: a.writes + b.writes,
+            }
+        })
+    }
+
+    fn concurrency(&self, read: fn(&Counter) -> u64) -> ConcurrencyStats {
+        ConcurrencyStats {
+            singleflight_waits: read(&self.singleflight_waits),
+            coalesced_misses: read(&self.coalesced_misses),
+            shard_contention: read(&self.shard_contention),
         }
+    }
+
+    /// Statistics since the last [`reset_stats`](Self::reset_stats), all
+    /// structures combined.
+    pub fn stats(&self) -> IoStats {
+        self.io_all(Counter::since_reset)
+    }
+
+    /// Statistics since construction, untouched by
+    /// [`reset_stats`](Self::reset_stats) — monotone, so a scraper may
+    /// export them as counters.
+    pub fn lifetime_stats(&self) -> IoStats {
+        self.io_all(Counter::total)
+    }
+
+    /// Statistics for one structure's pages since the last reset.
+    pub fn stats_for(&self, tag: StructureTag) -> IoStats {
+        self.io_of(tag.idx(), Counter::since_reset)
     }
 
     /// Per-structure statistics for every tag with any traffic, in
@@ -984,12 +1031,12 @@ impl Pager {
 
     /// Pages pushed out of the buffer pool since the last reset.
     pub fn evictions(&self) -> u64 {
-        (0..StructureTag::COUNT).map(|t| self.counters.evictions[t].load(Relaxed)).sum()
+        self.counters.evictions.iter().map(Counter::since_reset).sum()
     }
 
     /// Evictions of one structure's pages since the last reset.
     pub fn evictions_for(&self, tag: StructureTag) -> u64 {
-        self.counters.evictions[tag.idx()].load(Relaxed)
+        self.counters.evictions[tag.idx()].since_reset()
     }
 
     /// Buffer-pool hit rate since the last reset (0.0 when idle).
@@ -1005,16 +1052,13 @@ impl Pager {
     /// Concurrency counters since the last reset: single-flight waits,
     /// coalesced misses, and total shard-lock contention.
     pub fn concurrency_stats(&self) -> ConcurrencyStats {
-        ConcurrencyStats {
-            singleflight_waits: self.singleflight_waits.load(Relaxed),
-            coalesced_misses: self.coalesced_misses.load(Relaxed),
-            shard_contention: self.shards.iter().map(|s| s.contention.load(Relaxed)).sum(),
-        }
+        self.concurrency(Counter::since_reset)
     }
 
-    /// Per-shard lock-contention counts, in shard order.
-    pub fn contention_per_shard(&self) -> Vec<u64> {
-        self.shards.iter().map(|s| s.contention.load(Relaxed)).collect()
+    /// Concurrency counters since construction (monotone; see
+    /// [`lifetime_stats`](Self::lifetime_stats)).
+    pub fn lifetime_concurrency_stats(&self) -> ConcurrencyStats {
+        self.concurrency(Counter::total)
     }
 
     /// Number of buffer-pool shards.
@@ -1028,23 +1072,20 @@ impl Pager {
         (0..self.shards.len()).map(|i| self.lock_shard(i).map.len()).sum()
     }
 
-    /// Zero the counters (e.g. before timing a query), including the
-    /// per-structure breakdown, eviction counts, and concurrency
-    /// counters. The pool contents are kept: a warm cache across queries
-    /// is realistic. Page tags persist — they describe what a page *is*,
-    /// not traffic. Fault counters persist too: they describe the run,
-    /// not one query (see [`Pager::fault_stats`]).
+    /// Restart the window the stats readers report (e.g. before timing a
+    /// query): the per-structure breakdown, eviction counts and
+    /// concurrency counters all read zero afterwards, while the lifetime
+    /// totals keep rising. The pool contents are kept: a warm cache across
+    /// queries is realistic. Page tags persist — they describe what a page
+    /// *is*, not traffic. Fault counters persist too: they describe the
+    /// run, not one query (see [`Pager::fault_stats`]).
     pub fn reset_stats(&self) {
-        for t in 0..StructureTag::COUNT {
-            self.counters.logical[t].store(0, Relaxed);
-            self.counters.physical[t].store(0, Relaxed);
-            self.counters.writes[t].store(0, Relaxed);
-            self.counters.evictions[t].store(0, Relaxed);
+        let c = &self.counters;
+        for per_tag in [&c.logical, &c.physical, &c.writes, &c.evictions] {
+            per_tag.iter().for_each(Counter::reset);
         }
-        self.singleflight_waits.store(0, Relaxed);
-        self.coalesced_misses.store(0, Relaxed);
-        for s in &self.shards {
-            s.contention.store(0, Relaxed);
+        for counter in [&self.singleflight_waits, &self.coalesced_misses, &self.shard_contention] {
+            counter.reset();
         }
     }
 
@@ -1072,7 +1113,7 @@ impl Pager {
         let entry = store.dirty.entry(id.0).or_insert(0);
         *entry = (*entry).max(lsn);
         drop(store);
-        self.counters.writes[t].fetch_add(1, Relaxed);
+        self.counters.writes[t].add(1);
     }
 
     /// Record that every WAL byte up to commit LSN `lsn` is durable. Sets

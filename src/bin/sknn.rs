@@ -11,12 +11,8 @@
 //!                                      R in [0,1], kind K (transient|
 //!                                      permanent|bitflip|latency); prints
 //!                                      fault/retry/degradation counters
-//!          [--cache on|off]            shared cut cache (default on;
-//!                                      results are bit-identical either way)
 //!          [--cache-stats true]        print the cut-cache summary line
 //!                                      (hits, misses, hit rate, residency)
-//!          [--queue heap|bucket]       Dijkstra priority queue (default
-//!                                      bucket; bit-identical results)
 //! sknn trace --k 5 [--out t.jsonl]     traced k-NN: JSONL records + a
 //!                                      human convergence summary
 //! sknn range --radius 150              surface range query
@@ -201,20 +197,8 @@ fn main() {
             let threads: usize = args.get("threads", 1);
             let stall_ms: f64 = args.get("stall-ms", 0.0);
             let fault_spec: String = args.get("fault-profile", String::new());
-            let cache_mode: String = args.get("cache", "on".to_string());
             let cache_stats: bool = args.get("cache-stats", false);
-            let queue: String = args.get("queue", String::new());
-            let mut cfg = cfg.clone();
-            if !queue.is_empty() {
-                cfg.queue = queue.parse().unwrap_or_else(|e| panic!("--queue: {e}"));
-            }
-            let mut engine = build_engine(&cfg);
-            match cache_mode.as_str() {
-                "on" => {}
-                "off" => engine.set_cut_cache(false),
-                other => panic!("--cache must be on or off, not {other:?}"),
-            }
-            let engine = engine;
+            let engine = build_engine(&cfg);
             if stall_ms > 0.0 {
                 engine.pager().set_read_stall(std::time::Duration::from_secs_f64(stall_ms / 1e3));
             }
@@ -305,23 +289,20 @@ fn main() {
                     engine.pager().num_shards()
                 );
             }
-            if cache_stats {
-                match engine.cut_cache_snapshot() {
-                    Some(s) => println!(
-                        "cut cache: {} hits, {} misses ({:.1}% hit rate), \
-                         {} single-flight waits, {} evictions, \
-                         {} warm + {} cooling units resident ({} KiB)",
-                        s.hits,
-                        s.misses,
-                        s.hit_rate() * 100.0,
-                        s.singleflight_waits,
-                        s.evictions,
-                        s.warm_entries,
-                        s.cooling_entries,
-                        s.resident_bytes / 1024,
-                    ),
-                    None => println!("cut cache: disabled (--cache off)"),
-                }
+            if let (true, Some(s)) = (cache_stats, engine.cut_cache_snapshot()) {
+                println!(
+                    "cut cache: {} hits, {} misses ({:.1}% hit rate), \
+                     {} single-flight waits, {} evictions, \
+                     {} warm + {} cooling units resident ({} KiB)",
+                    s.hits,
+                    s.misses,
+                    s.hit_rate() * 100.0,
+                    s.singleflight_waits,
+                    s.evictions,
+                    s.warm_entries,
+                    s.cooling_entries,
+                    s.resident_bytes / 1024,
+                );
             }
             if !fault_spec.is_empty() {
                 let fs = engine.pager().fault_stats();

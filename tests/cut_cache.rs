@@ -4,8 +4,8 @@
 //!   `PagedDmtm::fetch_front` of the same region, and a line set handed
 //!   out of the line cache equals `PagedMsdn::fetch_lines_axis`, byte for
 //!   byte (proptests over steps, lattice regions, levels, axes and bands);
-//!   query results with the cache on are bit-identical to the cache-off
-//!   run at any thread count.
+//!   query results under a budget that evicts on every fetch are
+//!   bit-identical to the default budget's at any thread count.
 //! * **Single-flight** — threads fetching overlapping, unequal regions
 //!   load each unit exactly once between them, and nobody deadlocks.
 //! * **Bounded memory** — a budget far below the working set evicts
@@ -372,12 +372,16 @@ fn warm_means_resident() {
     );
 }
 
-/// Neighbour ids and the exact f64 bit patterns of both bounds.
-fn fingerprint(results: &[QueryResult]) -> Vec<Vec<(u32, u64, u64)>> {
+/// One answer: radius bits, then neighbour ids and the exact f64 bit
+/// patterns of both bounds.
+type AnswerBits = (u64, Vec<(u32, u64, u64)>);
+
+fn fingerprint(results: &[QueryResult]) -> Vec<AnswerBits> {
     results
         .iter()
         .map(|r| {
-            r.neighbors.iter().map(|n| (n.id, n.range.lb.to_bits(), n.range.ub.to_bits())).collect()
+            let ns = r.neighbors.iter().map(|n| (n.id, n.range.lb.to_bits(), n.range.ub.to_bits()));
+            (r.radius.to_bits(), ns.collect())
         })
         .collect()
 }
@@ -385,11 +389,13 @@ fn fingerprint(results: &[QueryResult]) -> Vec<Vec<(u32, u64, u64)>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// Query results are bit-identical with the cache on or off, at 1, 4
-    /// and 8 threads, in the warm service regime where the shared cache
-    /// actually carries state across queries.
+    /// Query results do not depend on what the shared cache holds: an
+    /// engine whose budget is below one unit per shard (every fetch
+    /// re-loads what it needs and evicts it again) answers bit-identically
+    /// to the default budget, sequentially and at 1, 4 and 8 threads, cold
+    /// and on a warm second pass.
     #[test]
-    fn cache_on_off_bit_identical_across_thread_counts(
+    fn starved_budget_bit_identical_across_thread_counts(
         mesh_seed in 0u64..1000,
         scene_seed in 0u64..1000,
         query_seed in 0u64..1000,
@@ -400,29 +406,35 @@ proptest! {
         let qs = scene.random_queries(6, query_seed);
         let batch: Vec<(SurfacePoint, usize)> = qs.iter().map(|&q| (q, k)).collect();
 
-        let mut off_cfg = Mr3Config::default();
-        off_cfg.cut_cache.enabled = false;
-        let mut off = Mr3Engine::build(&mesh, &scene, &off_cfg);
-        off.cold_cache = false;
-        let baseline: Vec<QueryResult> = qs.iter().map(|&q| off.query(q, k)).collect();
-        let expect = fingerprint(&baseline);
+        let mut roomy = Mr3Engine::build(&mesh, &scene, &Mr3Config::default());
+        roomy.cold_cache = false;
+        let mut starved_cfg = Mr3Config::default();
+        starved_cfg.cut_cache.capacity_bytes = 512;
+        let mut starved = Mr3Engine::build(&mesh, &scene, &starved_cfg);
+        starved.cold_cache = false;
 
-        let mut on = Mr3Engine::build(&mesh, &scene, &Mr3Config::default());
-        on.cold_cache = false;
-        prop_assert!(on.cut_cache_enabled());
-        for threads in [1usize, 4, 8] {
-            on.clear_cut_caches();
-            let got = on.query_batch(&batch, threads);
-            prop_assert!(
-                fingerprint(&got) == expect,
-                "cache-on at {} threads diverged from cache-off sequential",
-                threads
-            );
+        let baseline: Vec<QueryResult> = qs.iter().map(|&q| roomy.query(q, k)).collect();
+        let expect = fingerprint(&baseline);
+        let sequential: Vec<QueryResult> = qs.iter().map(|&q| starved.query(q, k)).collect();
+        prop_assert!(fingerprint(&sequential) == expect, "starved sequential diverged");
+        for (name, engine) in [("roomy", &roomy), ("starved", &starved)] {
+            for threads in [1usize, 4, 8] {
+                engine.clear_cut_caches();
+                let got = engine.query_batch(&batch, threads);
+                prop_assert!(
+                    fingerprint(&got) == expect,
+                    "{} at {} threads diverged from the sequential default",
+                    name,
+                    threads
+                );
+            }
+            // The warm path too: a second pass over whatever stayed resident.
+            let warm = engine.query_batch(&batch, 4);
+            prop_assert!(fingerprint(&warm) == expect, "{} warm pass diverged", name);
         }
-        // The warm path too: a second pass with everything resident.
-        let warm = on.query_batch(&batch, 4);
-        prop_assert_eq!(fingerprint(&warm), expect);
-        let snap = on.cut_cache_snapshot().unwrap();
-        prop_assert!(snap.hits > 0, "warm pass produced no cache hits: {:?}", snap);
+        let (roomy, starved) =
+            (roomy.cut_cache_snapshot().unwrap(), starved.cut_cache_snapshot().unwrap());
+        prop_assert!(roomy.hits > 0 && roomy.evictions == 0, "roomy: {:?}", roomy);
+        prop_assert!(starved.evictions > 0, "starved budget never evicted: {:?}", starved);
     }
 }

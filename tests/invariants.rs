@@ -10,9 +10,9 @@ use surface_knn::core::ranking::RankingContext;
 use surface_knn::core::workload::{SceneBuilder, SurfacePoint};
 use surface_knn::geodesic::ExactGeodesic;
 use surface_knn::geom::{Axis, AxisPlane, Point2};
-use surface_knn::multires::{build_dmtm, DmtmTree, PagedDmtm};
+use surface_knn::multires::{build_dmtm, CutCache, CutGrid, DmtmTree, PagedDmtm};
 use surface_knn::sdn::crossing::CrossingLine;
-use surface_knn::sdn::{simplify_line, Msdn, MsdnConfig, PagedMsdn};
+use surface_knn::sdn::{simplify_line, LineCutCache, Msdn, MsdnConfig, PagedMsdn};
 use surface_knn::store::Pager;
 use surface_knn::terrain::locate::TriangleLocator;
 use surface_knn::terrain::mesh::TerrainMesh;
@@ -25,6 +25,9 @@ struct Fixture {
     dmtm: PagedDmtm,
     msdn: PagedMsdn,
     cfg: Mr3Config,
+    grid: CutGrid,
+    cuts: CutCache,
+    lines: LineCutCache,
 }
 
 fn fixture() -> &'static Fixture {
@@ -37,7 +40,10 @@ fn fixture() -> &'static Fixture {
         let cfg = Mr3Config::default();
         let msdn_cfg = MsdnConfig { levels: cfg.msdn_levels.clone(), plane_spacing: None };
         let msdn = PagedMsdn::build(&pager, &Msdn::build(&mesh, &msdn_cfg));
-        Fixture { mesh, locator, pager, dmtm, msdn, cfg }
+        let grid = CutGrid::new(mesh.extent(), cfg.cut_cache.tiles, cfg.cut_cache.pad_tiles);
+        let cuts = CutCache::new(cfg.cut_cache.capacity_bytes, grid);
+        let lines = LineCutCache::new(cfg.cut_cache.capacity_bytes);
+        Fixture { mesh, locator, pager, dmtm, msdn, cfg, grid, cuts, lines }
     })
 }
 
@@ -75,13 +81,9 @@ proptest! {
             mesh: &f.mesh, locator: &f.locator, dmtm: &f.dmtm, msdn: &f.msdn, pager: &f.pager, cfg: &f.cfg,
             rec: &sknn_obs::NOOP, query: 0,
             scratch: std::cell::RefCell::new(Default::default()),
-            cuts: None,
-            lines: None,
-            grid: surface_knn::multires::CutGrid::new(
-                f.mesh.extent(),
-                f.cfg.cut_cache.tiles,
-                f.cfg.cut_cache.pad_tiles,
-            ),
+            cuts: &f.cuts,
+            lines: &f.lines,
+            grid: f.grid,
             faults: sknn_core::FaultLog::new(f.cfg.fault_budget),
             deadline: None,
             deadline_hit: std::cell::Cell::new(false),

@@ -1,20 +1,15 @@
-//! Queue-policy equivalence: the Dial bucket queue must be a drop-in,
-//! bit-identical replacement for the binary heap at every layer.
+//! Queue-policy equivalence: the Dial bucket queue every Dijkstra run
+//! uses is a bit-identical replacement for the binary heap it replaced.
 //!
-//! Two tiers: a property test over random bounded-weight graphs pins the
-//! Dijkstra core (distances, predecessors, settle and queue counters),
-//! and end-to-end batch runs pin the full MR3 pipeline — every Dijkstra
-//! consumer (front ranking, pathnet refinement, SDN lower bounds,
-//! constrained paths) must produce the same neighbour sets and bound bit
-//! patterns under either policy, at 1, 4 and 8 threads.
+//! The heap survives inside `geodesic::graph` as the oracle: a property
+//! test over random bounded-weight graphs pins the Dijkstra core
+//! (distances, predecessors, settle and queue counters) against it. Every
+//! Dijkstra consumer (front ranking, pathnet refinement, SDN lower bounds,
+//! constrained paths) runs that one core, so the engine has no policy to
+//! flip above it.
 
 use proptest::prelude::*;
-use surface_knn::core::config::Mr3Config;
-use surface_knn::core::metrics::QueryResult;
-use surface_knn::core::mr3::Mr3Engine;
-use surface_knn::core::workload::{SceneBuilder, SurfacePoint};
 use surface_knn::geodesic::graph::{Dijkstra, Graph, QueuePolicy};
-use surface_knn::prelude::*;
 
 fn graph_from(n: usize, raw: &[(u32, u32, f64)]) -> Graph {
     let edges: Vec<(u32, u32, f64)> =
@@ -52,44 +47,6 @@ proptest! {
                 bucket.dist[v as usize].to_bits()
             );
             prop_assert_eq!(heap.prev[v as usize], bucket.prev[v as usize]);
-        }
-    }
-}
-
-/// Neighbour ids and the exact f64 bit patterns of both bounds.
-fn fingerprint(results: &[QueryResult]) -> Vec<Vec<(u32, u64, u64)>> {
-    results
-        .iter()
-        .map(|r| {
-            r.neighbors.iter().map(|n| (n.id, n.range.lb.to_bits(), n.range.ub.to_bits())).collect()
-        })
-        .collect()
-}
-
-fn run_policy(policy: QueuePolicy, threads: usize) -> Vec<Vec<(u32, u64, u64)>> {
-    let mesh = TerrainConfig::bh().with_grid(25).build_mesh(1203);
-    let scene = SceneBuilder::new(&mesh).object_count(28).seed(1204).build();
-    let cfg = Mr3Config { queue: policy, ..Default::default() };
-    let engine = Mr3Engine::build(&mesh, &scene, &cfg);
-    let qs = scene.random_queries(10, 1205);
-    let batch: Vec<(SurfacePoint, usize)> = qs.iter().map(|&q| (q, 4)).collect();
-    fingerprint(&engine.query_batch(&batch, threads))
-}
-
-/// The full pipeline is bit-identical across queue policies at every
-/// thread count: results depend only on the input, never on which
-/// priority queue ordered the relaxations.
-#[test]
-fn query_batch_is_policy_invariant_across_thread_counts() {
-    let reference = run_policy(QueuePolicy::Heap, 1);
-    assert!(!reference.is_empty() && reference.iter().all(|r| !r.is_empty()));
-    for threads in [1usize, 4, 8] {
-        for policy in [QueuePolicy::Heap, QueuePolicy::Bucket] {
-            assert_eq!(
-                run_policy(policy, threads),
-                reference,
-                "{policy} at {threads} threads diverged from the heap sequential baseline"
-            );
         }
     }
 }

@@ -2,7 +2,8 @@
 //! ephemeral port, real TCP clients, and the three contracts the serving
 //! layer adds on top of the engine — bit-identical results under
 //! concurrent batched execution, typed load shedding instead of hangs,
-//! and graceful drain that answers everything admitted.
+//! graceful drain that answers everything admitted, and a panicking
+//! query that fails alone.
 
 use std::time::Duration;
 use surface_knn::prelude::*;
@@ -255,4 +256,78 @@ fn foreign_protocol_version_gets_a_typed_error_and_a_closed_socket() {
         run.join().unwrap();
     });
     assert_eq!(stats.protocol_errors.get(), 1);
+}
+
+/// A query that panics inside the engine fails alone: its client gets one
+/// typed `Internal` error, the dispatcher survives, later queries on the
+/// same connection answer bit-identically to an engine that never
+/// faulted, and the drain still completes. The client's read timeout is
+/// the watchdog — a dead dispatcher shows up as a timed-out `recv`, and
+/// the server is shut down before anything is asserted so a failure
+/// cannot wedge the scope.
+#[test]
+fn panicking_query_gets_a_typed_error_and_the_server_keeps_serving() {
+    use surface_knn::store::{FaultInjector, FaultKind};
+
+    let (mesh, cfg) = test_world();
+    let scene = SceneBuilder::new(&mesh).object_count(20).seed(11).build();
+    let mut clean = Mr3Engine::build(&mesh, &scene, &cfg);
+    clean.cold_cache = false;
+    let mut engine = Mr3Engine::build(&mesh, &scene, &cfg);
+    engine.cold_cache = false;
+    // The third physical read of the serving engine's life panics while
+    // leading its single-flight — inside the first query's cut load.
+    engine
+        .pager()
+        .set_fault_injector(Some(FaultInjector::script().fail_nth_read(3, FaultKind::Panic)));
+    let engine = engine;
+
+    let server = Server::bind(&engine, "127.0.0.1:0", ServeConfig::default()).unwrap();
+    let addr = server.local_addr();
+    let handle = server.handle();
+    let stats = server.stats();
+
+    const K: usize = 3;
+    let queries = scene.random_queries(3, 4000);
+    let replies: Result<Vec<Frame>, String> = std::thread::scope(|scope| {
+        let run = scope.spawn(|| server.run());
+        let mut client = Client::connect_with_timeout(addr, Duration::from_secs(20)).unwrap();
+        let replies = queries
+            .iter()
+            .enumerate()
+            .map(|(i, &q)| {
+                client.send_query(i as u64, q, K as u32, 0).map_err(|e| e.to_string())?;
+                client.recv().map_err(|e| format!("query {i}: no reply before the watchdog: {e}"))
+            })
+            .collect();
+        handle.shutdown();
+        run.join().unwrap();
+        replies
+    });
+
+    let replies = replies.unwrap();
+    match &replies[0] {
+        Frame::Error(e) => {
+            assert_eq!((e.req_id, e.code), (0, ErrorCode::Internal), "{e:?}");
+            assert!(e.detail.contains("injected fault"), "detail: {}", e.detail);
+        }
+        other => panic!("the panicking query must get an error frame, got {other:?}"),
+    }
+    for (i, frame) in replies.iter().enumerate().skip(1) {
+        let Frame::Response(resp) = frame else { panic!("query {i} got {frame:?}") };
+        assert!(resp.degraded.is_none());
+        let direct = clean.query(queries[i], K);
+        assert_eq!(resp.radius.to_bits(), direct.radius.to_bits());
+        assert_eq!(resp.neighbors.len(), direct.neighbors.len());
+        for (wire, local) in resp.neighbors.iter().zip(&direct.neighbors) {
+            assert_eq!(wire.id, local.id);
+            assert_eq!(wire.lb.to_bits(), local.range.lb.to_bits());
+            assert_eq!(wire.ub.to_bits(), local.range.ub.to_bits());
+        }
+    }
+    assert_eq!((stats.panics.get(), stats.completed.get()), (1, 2));
+    assert_eq!(stats.query_errors.get(), 0);
+    // The panic unwound through a cut-cache load: nothing stays latched.
+    let cuts = engine.cut_cache_snapshot().unwrap();
+    assert_eq!((cuts.loading, cuts.in_flight), (0, 0), "{cuts:?}");
 }

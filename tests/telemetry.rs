@@ -322,3 +322,59 @@ fn metrics_endpoint_parses_and_healthz_flips_during_drain() {
         std::thread::sleep(Duration::from_millis(20));
     }
 }
+
+/// The pager's `/metrics` families are Prometheus *counters*: every
+/// query's scope restarts the pager's stats window, and the exported
+/// totals must keep rising through that. Five identical queries, a scrape
+/// after each: the series never steps back, and ends at least five
+/// queries' worth of logical reads above where it started.
+#[test]
+fn store_counters_survive_per_query_stat_resets() {
+    let (mesh, cfg) = test_world();
+    let scene = SceneBuilder::new(&mesh).object_count(20).seed(9).build();
+    // Cold: a warm query finds every cut resident and reads no page at
+    // all, while a cold one reads the same pages every time.
+    let engine = Mr3Engine::build(&mesh, &scene, &cfg);
+    assert!(engine.cold_cache);
+    let q = scene.random_query(6100);
+    // One query's cost, off the pager's own (per-query) window.
+    engine.query(q, 3);
+    let per_query = engine.pager().stats().logical_reads;
+    assert!(per_query > 0);
+
+    let serve_cfg =
+        ServeConfig { metrics_addr: Some("127.0.0.1:0".to_string()), ..ServeConfig::default() };
+    let server = Server::bind(&engine, "127.0.0.1:0", serve_cfg).unwrap();
+    let addr = server.local_addr();
+    let metrics = server.metrics_addr().expect("metrics endpoint configured").to_string();
+    let handle = server.handle();
+    let scrape = || {
+        let text = promtext::http_get(&metrics, "/metrics", Duration::from_secs(5)).unwrap();
+        let samples = promtext::parse(&text).expect("parseable exposition");
+        let of = |name: &str| samples.iter().find(|s| s.name == name).expect(name).value;
+        (of("sknn_store_logical_reads_total"), of("sknn_store_physical_reads_total"))
+    };
+
+    std::thread::scope(|scope| {
+        let run = scope.spawn(|| server.run());
+        let mut client = Client::connect(addr).unwrap();
+        let first = scrape();
+        let mut last = first;
+        for i in 0..5 {
+            client.send_query(i, q, 3, 0).unwrap();
+            assert!(matches!(client.recv().unwrap(), Frame::Response(_)));
+            let now = scrape();
+            assert!(
+                now.0 >= last.0 && now.1 >= last.1,
+                "counter went backwards: {last:?} -> {now:?}"
+            );
+            last = now;
+        }
+        handle.shutdown();
+        run.join().unwrap();
+        assert!(
+            last.0 >= first.0 + 5.0 * per_query as f64,
+            "{first:?} -> {last:?} over five queries of {per_query} logical reads each"
+        );
+    });
+}
