@@ -111,7 +111,9 @@ impl<'a> Registry<'a> {
         self.value_fn(name, help, MetricKind::Gauge, f);
     }
 
-    fn value_fn(
+    /// Register a scalar of the given kind read through `f` at render
+    /// time — for tables of rows whose kind is data.
+    pub fn value_fn(
         &self,
         name: &str,
         help: &str,

@@ -13,20 +13,19 @@
 //!
 //! Each job carries three clocks from the same monotonic source:
 //! `enqueued` (admission), `recv_at` (dispatcher pickup — stamped at the
-//! moment the job leaves the channel, so queue time and linger time are
+//! moment the job leaves the lanes, so queue time and linger time are
 //! genuinely disjoint), and the batch-wide `exec_start`. The stage
 //! decomposition the response reports is therefore a partition of real
 //! wall time: queue (enqueued→recv) + linger (recv→exec) + engine stages
 //! ≤ end-to-end latency.
 //!
-//! Termination doubles as graceful drain: the loop exits when every
-//! sender handle has dropped *and* the queue is empty, which is exactly
-//! `std::sync::mpsc`'s disconnect contract — buffered messages are all
-//! delivered first. The server shuts down by stopping the producers, and
-//! every admitted request still gets its reply.
+//! Termination doubles as graceful drain: [`Lanes::close`] refuses new
+//! pushes but keeps handing out what is already queued, and `pop` returns
+//! `None` only once the lanes are closed *and* empty. The edge closes
+//! them after the readers have stopped, so every admitted request still
+//! gets its reply before the loop exits.
 
-use crate::conn::ConnWriter;
-use crate::lanes::{Lanes, Queued};
+use crate::edge::{Job, Lanes};
 use crate::protocol::{
     ErrorCode, Frame, RadiusFrame, RangeFrame, ResponseFrame, SeedsFrame, ServerTiming,
     WireNeighbor, WireObject,
@@ -39,7 +38,6 @@ use sknn_core::resilience::QueryError;
 use sknn_core::workload::SurfacePoint;
 use sknn_geom::Point2;
 use sknn_obs::{field, Recorder};
-use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
 /// What an admitted request asks the engine for. `Query` is the whole
@@ -47,7 +45,7 @@ use std::time::{Duration, Instant};
 /// reconstructing one query across a fleet). All ops flow
 /// through the same lanes and batches, so every op is cancellable while
 /// queued and every reply carries the same timing envelope.
-pub(crate) enum JobOp {
+pub enum JobOp {
     /// Full k-NN query (steps 1–4).
     Query { point: SurfacePoint, k: usize },
     /// Step 1 only: local 2D seeds.
@@ -65,39 +63,6 @@ pub(crate) enum JobOp {
     },
 }
 
-/// One admitted request, parked in the lanes until a batch picks it up.
-pub(crate) struct Job {
-    pub req_id: u64,
-    /// The request's trace id: client-supplied or minted at admission,
-    /// never 0 past that point. Doubles as the engine's query id so every
-    /// obs record of this request carries it.
-    pub trace_id: u64,
-    /// What to run.
-    pub op: JobOp,
-    /// Absolute deadline (arrival + `deadline_ms`); enforced at dequeue
-    /// and passed into the engine for mid-query enforcement.
-    pub deadline: Option<Instant>,
-    pub enqueued: Instant,
-    /// When the dispatcher pulled this job off the lanes. Initialized
-    /// to `enqueued` at admission and overwritten at pickup.
-    pub recv_at: Instant,
-    pub writer: std::sync::Arc<ConnWriter>,
-}
-
-impl Queued for Job {
-    fn deadline(&self) -> Option<Instant> {
-        self.deadline
-    }
-
-    fn enqueued(&self) -> Instant {
-        self.enqueued
-    }
-
-    fn ids(&self) -> (u64, u64) {
-        (self.req_id, self.trace_id)
-    }
-}
-
 /// Batching knobs, copied out of the server config.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct BatchPolicy {
@@ -110,7 +75,7 @@ pub(crate) struct BatchPolicy {
 /// lanes are closed and empty.
 pub(crate) fn dispatch_loop(
     engine: &Mr3Engine<'_, '_>,
-    lanes: &Lanes<Job>,
+    lanes: &Lanes<JobOp>,
     policy: BatchPolicy,
     stats: &ServeStats,
     slow: &SlowQueryLog,
@@ -125,7 +90,7 @@ pub(crate) fn dispatch_loop(
             job.recv_at = Instant::now();
             jobs.push(job);
         }
-        run_batch(engine, jobs, policy, stats, slow, rec);
+        run_batch(engine, jobs, lanes, policy, stats, slow, rec);
     }
 }
 
@@ -160,7 +125,8 @@ fn micros_u32(d: Duration) -> u32 {
 
 fn run_batch(
     engine: &Mr3Engine<'_, '_>,
-    jobs: Vec<Job>,
+    jobs: Vec<Job<JobOp>>,
+    lanes: &Lanes<JobOp>,
     policy: BatchPolicy,
     stats: &ServeStats,
     slow: &SlowQueryLog,
@@ -172,7 +138,6 @@ fn run_batch(
     let dequeued = Instant::now();
     let mut live = Vec::with_capacity(jobs.len());
     for job in jobs {
-        stats.queue_depth.fetch_sub(1, Ordering::Relaxed);
         stats.queue_us.record(micros_u64(job.recv_at.duration_since(job.enqueued)));
         if job.deadline.is_some_and(|d| dequeued >= d) {
             stats.expired.inc();
@@ -190,14 +155,7 @@ fn run_batch(
                     outcome: SlowOutcome::Expired,
                 });
             }
-            job.writer.send(
-                &stats.write_errors,
-                &Frame::error(
-                    job.req_id,
-                    ErrorCode::DeadlineExpired,
-                    "deadline expired while queued",
-                ),
-            );
+            job.refuse(stats, ErrorCode::DeadlineExpired, "deadline expired while queued");
             continue;
         }
         live.push(job);
@@ -218,7 +176,7 @@ fn run_batch(
         // queries recovers from an unwinding holder (poison-tolerant
         // locks, drop-guarded single-flight latches, a scratch that is
         // dropped rather than pooled), so serving on is sound.
-        let run = std::panic::AssertUnwindSafe(|| match &job.op {
+        let run = std::panic::AssertUnwindSafe(|| match &job.payload {
             JobOp::Query { point, k } => OpOut::Ranked(engine.try_query_with(*point, *k, &opts)),
             JobOp::Exec { point, k, seeds, cands } => {
                 OpOut::Ranked(engine.exec_ranked(*point, *k, seeds, cands, &opts))
@@ -259,7 +217,7 @@ fn run_batch(
                 field("size", size),
                 field("exec_us", exec_us as u64),
                 field("stall_us", stall_us as u64),
-                field("queue_depth", stats.queue_depth.load(Ordering::Relaxed)),
+                field("queue_depth", lanes.len()),
             ],
         );
     }
@@ -331,10 +289,10 @@ fn run_batch(
                 stats.stage_radius_us.record(stages.radius_us);
                 stats.stage_range_us.record(stages.range_us);
                 stats.stage_rank_us.record(stages.rank_us);
-                stats.dijkstra_pushes.add(res.stats.queue_pushes);
-                stats.dijkstra_pops.add(res.stats.queue_pops);
-                stats.dijkstra_stale_pops.add(res.stats.stale_pops);
-                stats.dijkstra_settled.add(res.stats.settled as u64);
+                stats.kernel.dijkstra_pushes.add(res.stats.queue_pushes);
+                stats.kernel.dijkstra_pops.add(res.stats.queue_pops);
+                stats.kernel.dijkstra_stale_pops.add(res.stats.stale_pops);
+                stats.kernel.dijkstra_settled.add(res.stats.settled as u64);
                 if res.degraded.is_some() {
                     stats.degraded.inc();
                 }
@@ -391,6 +349,6 @@ fn run_batch(
                 ],
             );
         }
-        job.writer.send(&stats.write_errors, &frame);
+        job.reply(stats, &frame);
     }
 }

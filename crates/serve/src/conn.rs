@@ -1,7 +1,6 @@
 //! The two halves of a served connection — the interruptible frame
-//! reader and the mutex'd reply writer — shared by the shard
-//! [`Server`](crate::Server) and the `sknn-shard` router, which speak the
-//! same protocol to their clients.
+//! reader and the mutex'd reply writer — as the [`edge`](crate::edge)
+//! uses them for every process that serves the protocol.
 
 use crate::protocol::{
     decode_payload, parse_header, write_frame, Frame, ProtocolError, HEADER_LEN,
@@ -32,6 +31,7 @@ impl ConnWriter {
     }
 
     /// A writer that discards every frame (unit tests).
+    #[cfg(test)]
     pub fn null() -> Self {
         Self { stream: Mutex::new(None), dead: AtomicBool::new(false) }
     }

@@ -1,7 +1,8 @@
-//! Deadline-aware admission lanes: the bounded queue between connection
-//! readers and whatever executes the admitted jobs — the micro-batch
-//! dispatcher of a shard [`Server`](crate::Server), the orchestration
-//! workers of the `sknn-shard` router. One queue, generic over the job.
+//! Deadline-aware admission lanes: the bounded queue between the
+//! [`edge`](crate::edge)'s connection readers and whatever executes the
+//! admitted jobs — the micro-batch dispatcher of a shard
+//! [`Server`](crate::Server), the orchestration workers of the
+//! `sknn-shard` router. One queue of [`Job`]s, generic over the payload.
 //!
 //! Scheduling is earliest-deadline-first with a starvation floor:
 //!
@@ -22,18 +23,9 @@
 //!
 //! [`cancel`]: Lanes::cancel
 
+use crate::edge::Job;
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
-
-/// What the lanes need to see of a job to schedule and withdraw it.
-pub trait Queued {
-    /// Absolute deadline, if the request carries one.
-    fn deadline(&self) -> Option<Instant>;
-    /// When the job was admitted.
-    fn enqueued(&self) -> Instant;
-    /// The `(req_id, trace_id)` pair a `CANCEL` names.
-    fn ids(&self) -> (u64, u64);
-}
 
 /// Why a push was refused (and the job dropped): the caller answers the
 /// request with the matching typed error.
@@ -45,24 +37,25 @@ pub enum PushError {
     Closed,
 }
 
-struct Inner<J> {
-    jobs: Vec<J>,
+struct Inner<P> {
+    jobs: Vec<Job<P>>,
     closed: bool,
 }
 
 /// The shared admission queue. Producers (`try_push`, `cancel`) are the
-/// per-connection readers; consumers pop the scheduled-next job.
-pub struct Lanes<J> {
-    inner: Mutex<Inner<J>>,
+/// edge's per-connection readers; consumers — a process's workers — pop
+/// the scheduled-next job.
+pub struct Lanes<P> {
+    inner: Mutex<Inner<P>>,
     cond: Condvar,
     capacity: usize,
     floor: Duration,
 }
 
-impl<J: Queued> Lanes<J> {
+impl<P> Lanes<P> {
     /// An empty queue bounded at `capacity` with the given starvation
     /// floor (a zero floor disables the floor — pure EDF).
-    pub fn new(capacity: usize, floor: Duration) -> Self {
+    pub(crate) fn new(capacity: usize, floor: Duration) -> Self {
         Self {
             inner: Mutex::new(Inner { jobs: Vec::new(), closed: false }),
             cond: Condvar::new(),
@@ -72,7 +65,7 @@ impl<J: Queued> Lanes<J> {
     }
 
     /// Offers a job; never blocks.
-    pub fn try_push(&self, job: J) -> Result<(), PushError> {
+    pub(crate) fn try_push(&self, job: Job<P>) -> Result<(), PushError> {
         let mut g = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         if g.closed {
             return Err(PushError::Closed);
@@ -90,33 +83,40 @@ impl<J: Queued> Lanes<J> {
     /// recycled `req_id` cannot kill a stranger's request). Returns the
     /// job — with its reply writer — when the cancel lands; `None` is a
     /// cancel miss (already dispatched, unknown, or already answered).
-    pub fn cancel(&self, req_id: u64, trace_id: u64) -> Option<J> {
+    pub(crate) fn cancel(&self, req_id: u64, trace_id: u64) -> Option<Job<P>> {
         let mut g = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        let i = g.jobs.iter().position(|j| j.ids() == (req_id, trace_id))?;
+        let i = g.jobs.iter().position(|j| (j.req_id, j.trace_id) == (req_id, trace_id))?;
         Some(g.jobs.remove(i))
+    }
+
+    /// Jobs queued right now — the one source of every `queue_depth`
+    /// reading (gauge, `STATS` key, `serve_batch` event).
+    #[allow(clippy::len_without_is_empty)]
+    pub fn len(&self) -> usize {
+        self.inner.lock().unwrap_or_else(|e| e.into_inner()).jobs.len()
     }
 
     /// Closes the lanes: future pushes fail with [`PushError::Closed`],
     /// queued jobs keep draining, and poppers see `None` once empty.
-    pub fn close(&self) {
+    pub(crate) fn close(&self) {
         self.inner.lock().unwrap_or_else(|e| e.into_inner()).closed = true;
         self.cond.notify_all();
     }
 
     /// Blocking pop: the scheduled-next job, or `None` once the lanes
     /// are closed and empty (the consumer's exit condition).
-    pub fn pop(&self) -> Option<J> {
+    pub fn pop(&self) -> Option<Job<P>> {
         self.pop_by(None)
     }
 
     /// Pop that waits at most until `until` (the dispatcher's linger
     /// window; a job already queued is returned even when `until` has
     /// passed). `None` on timeout or on closed-and-empty.
-    pub fn pop_until(&self, until: Instant) -> Option<J> {
+    pub fn pop_until(&self, until: Instant) -> Option<Job<P>> {
         self.pop_by(Some(until))
     }
 
-    fn pop_by(&self, until: Option<Instant>) -> Option<J> {
+    fn pop_by(&self, until: Option<Instant>) -> Option<Job<P>> {
         let mut g = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         loop {
             if let Some(i) = self.pick(&g.jobs) {
@@ -136,11 +136,11 @@ impl<J: Queued> Lanes<J> {
     }
 
     /// The scheduling rule. Returns the index to dispatch next.
-    fn pick(&self, jobs: &[J]) -> Option<usize> {
+    fn pick(&self, jobs: &[Job<P>]) -> Option<usize> {
         // Starvation floor: once the oldest arrival has waited past the
         // floor, it goes next no matter what deadlines are queued.
-        let (oldest, job) = jobs.iter().enumerate().min_by_key(|(_, j)| j.enqueued())?;
-        if !self.floor.is_zero() && job.enqueued().elapsed() >= self.floor {
+        let (oldest, job) = jobs.iter().enumerate().min_by_key(|(_, j)| j.enqueued)?;
+        if !self.floor.is_zero() && job.enqueued.elapsed() >= self.floor {
             return Some(oldest);
         }
         // EDF: earliest absolute deadline first; deadline-less jobs sort
@@ -148,90 +148,69 @@ impl<J: Queued> Lanes<J> {
         // keeps the first of equals, so equal deadlines are FIFO too.
         jobs.iter()
             .enumerate()
-            .min_by(|(_, a), (_, b)| match (a.deadline(), b.deadline()) {
+            .min_by(|(_, a), (_, b)| match (a.deadline, b.deadline) {
                 (Some(x), Some(y)) => x.cmp(&y),
                 (Some(_), None) => std::cmp::Ordering::Less,
                 (None, Some(_)) => std::cmp::Ordering::Greater,
-                (None, None) => a.enqueued().cmp(&b.enqueued()),
+                (None, None) => a.enqueued.cmp(&b.enqueued),
             })
             .map(|(i, _)| i)
     }
 }
 
-/// The lanes' scheduling contract as executable checks over any job type:
-/// EDF order, FIFO among the deadline-less, the starvation floor beating
-/// EDF, shedding at capacity, cancel by id pair, and the closed-and-empty
-/// exit. Each crate that instantiates [`Lanes`] calls this from a unit
-/// test with a constructor `job(req_id, deadline, enqueued)` for its own
-/// job type whose `ids()` are `(req_id, req_id + 1000)`. Panics on the
-/// first violated expectation.
-pub fn check_scheduling_contract<J: Queued>(job: impl Fn(u64, Option<Instant>, Instant) -> J) {
-    let req = |j: Option<J>| j.expect("a job is queued").ids().0;
-    let t0 = Instant::now();
-    let secs = |s| Some(t0 + Duration::from_secs(s));
-
-    // EDF orders by deadline, not arrival; no deadline sorts last.
-    let lanes = Lanes::new(8, Duration::from_secs(60));
-    for (id, deadline) in [(1, secs(30)), (2, None), (3, secs(1)), (4, secs(10))] {
-        assert!(lanes.try_push(job(id, deadline, t0)).is_ok());
-    }
-    let order: Vec<u64> = (0..4).map(|_| req(lanes.pop())).collect();
-    assert_eq!(order, [3, 4, 1, 2]);
-
-    // Deadline-less jobs stay FIFO among themselves.
-    for i in 0..4 {
-        assert!(lanes.try_push(job(i, None, t0 + Duration::from_micros(i))).is_ok());
-    }
-    let until = Instant::now();
-    let order: Vec<u64> = (0..4).map(|_| req(lanes.pop_until(until))).collect();
-    assert_eq!(order, [0, 1, 2, 3]);
-
-    // The starvation floor overrides EDF: alone, EDF would pick the only
-    // deadlined job (2); the floor forces the starved 1 first.
-    let lanes = Lanes::new(8, Duration::from_millis(1));
-    let old = Instant::now() - Duration::from_millis(50);
-    assert!(lanes.try_push(job(1, None, old)).is_ok());
-    assert!(lanes.try_push(job(2, Some(Instant::now()), Instant::now())).is_ok());
-    assert_eq!((req(lanes.pop()), req(lanes.pop())), (1, 2));
-
-    // A full queue sheds; cancel needs both ids and lands once.
-    let lanes = Lanes::new(2, Duration::ZERO);
-    assert!(lanes.try_push(job(1, None, t0)).is_ok());
-    assert!(lanes.try_push(job(2, None, t0)).is_ok());
-    assert_eq!(lanes.try_push(job(3, None, t0)), Err(PushError::Full));
-    assert!(lanes.cancel(1, 0).is_none(), "trace id must match");
-    assert_eq!(req(lanes.cancel(1, 1001)), 1);
-    assert!(lanes.cancel(1, 1001).is_none(), "second cancel is a miss");
-
-    // Closing refuses pushes, drains what is queued, then ends.
-    lanes.close();
-    assert_eq!(lanes.try_push(job(4, None, t0)), Err(PushError::Closed));
-    assert_eq!(req(lanes.pop()), 2);
-    assert!(lanes.pop().is_none());
-    assert!(lanes.pop_until(Instant::now() + Duration::from_millis(5)).is_none());
-}
-
 #[cfg(test)]
 mod tests {
-    use crate::batch::{Job, JobOp};
-    use crate::conn::ConnWriter;
-    use sknn_core::workload::SurfacePoint;
-    use sknn_geom::Point3;
-    use std::sync::Arc;
+    use super::*;
 
+    /// The scheduling contract: EDF order, FIFO among the deadline-less,
+    /// the starvation floor beating EDF, shedding at capacity, cancel by
+    /// id pair, and the closed-and-empty exit.
     #[test]
-    fn serve_jobs_obey_the_scheduling_contract() {
-        super::check_scheduling_contract(|req_id, deadline, enqueued| Job {
-            req_id,
-            trace_id: req_id + 1000,
-            op: JobOp::Query {
-                point: SurfacePoint { tri: 0, pos: Point3::new(0.0, 0.0, 0.0) },
-                k: 1,
-            },
-            deadline,
-            enqueued,
-            recv_at: enqueued,
-            writer: Arc::new(ConnWriter::null()),
-        });
+    fn lanes_obey_the_scheduling_contract() {
+        let job =
+            |req_id, deadline, enqueued| Job::detached(req_id, req_id + 1000, deadline, enqueued);
+        let req = |j: Option<Job<()>>| j.expect("a job is queued").req_id;
+        let t0 = Instant::now();
+        let secs = |s| Some(t0 + Duration::from_secs(s));
+
+        // EDF orders by deadline, not arrival; no deadline sorts last.
+        let lanes = Lanes::new(8, Duration::from_secs(60));
+        for (id, deadline) in [(1, secs(30)), (2, None), (3, secs(1)), (4, secs(10))] {
+            assert!(lanes.try_push(job(id, deadline, t0)).is_ok());
+        }
+        let order: Vec<u64> = (0..4).map(|_| req(lanes.pop())).collect();
+        assert_eq!(order, [3, 4, 1, 2]);
+
+        // Deadline-less jobs stay FIFO among themselves.
+        for i in 0..4 {
+            assert!(lanes.try_push(job(i, None, t0 + Duration::from_micros(i))).is_ok());
+        }
+        let until = Instant::now();
+        let order: Vec<u64> = (0..4).map(|_| req(lanes.pop_until(until))).collect();
+        assert_eq!(order, [0, 1, 2, 3]);
+
+        // The starvation floor overrides EDF: alone, EDF would pick the only
+        // deadlined job (2); the floor forces the starved 1 first.
+        let lanes = Lanes::new(8, Duration::from_millis(1));
+        let old = Instant::now() - Duration::from_millis(50);
+        assert!(lanes.try_push(job(1, None, old)).is_ok());
+        assert!(lanes.try_push(job(2, Some(Instant::now()), Instant::now())).is_ok());
+        assert_eq!((req(lanes.pop()), req(lanes.pop())), (1, 2));
+
+        // A full queue sheds; cancel needs both ids and lands once.
+        let lanes = Lanes::new(2, Duration::ZERO);
+        assert!(lanes.try_push(job(1, None, t0)).is_ok());
+        assert!(lanes.try_push(job(2, None, t0)).is_ok());
+        assert_eq!(lanes.try_push(job(3, None, t0)), Err(PushError::Full));
+        assert!(lanes.cancel(1, 0).is_none(), "trace id must match");
+        assert_eq!(req(lanes.cancel(1, 1001)), 1);
+        assert!(lanes.cancel(1, 1001).is_none(), "second cancel is a miss");
+
+        // Closing refuses pushes, drains what is queued, then ends.
+        lanes.close();
+        assert_eq!(lanes.try_push(job(4, None, t0)), Err(PushError::Closed));
+        assert_eq!(req(lanes.pop()), 2);
+        assert!(lanes.pop().is_none());
+        assert!(lanes.pop_until(Instant::now() + Duration::from_millis(5)).is_none());
     }
 }

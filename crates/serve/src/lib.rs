@@ -11,19 +11,23 @@
 //!   query/response/error/stats frames, `f64` as IEEE bit patterns so
 //!   round trips are exact). Decoding is total: malformed input yields
 //!   typed errors, never panics or unbounded allocations.
+//! * [`edge`] — the serving edge, shared with the shard router in
+//!   `sknn-shard`: accept loop, per-connection readers, admission
+//!   control over the EDF lanes (bounded queue; a full queue is an
+//!   immediate typed `Overloaded`, never a hang), `CANCEL`, the metrics
+//!   endpoint, and graceful drain: shutdown stops admission, answers
+//!   everything already admitted, then returns. The lanes, the
+//!   interruptible frame reader, the mutex'd reply writer and the
+//!   `/metrics` + `/healthz` listener are its internals.
 //! * `batch` (internal) — the adaptive micro-batcher: one dispatcher
-//!   thread drains the bounded admission [`lanes`], coalescing concurrent
-//!   arrivals into single parallel engine batches (up to `max_batch`,
-//!   with a short `max_wait` linger under light load).
-//! * [`lanes`] / [`conn`] — the EDF admission queue, the interruptible
-//!   frame reader and the mutex'd reply writer, shared with the shard
-//!   router in `sknn-shard`.
-//! * [`server`] — accept loop, per-connection readers, admission
-//!   control (bounded queue; a full queue is an immediate typed
-//!   `Overloaded`, never a hang), per-request deadlines enforced at
-//!   dequeue and between refinement iterations inside the engine, and
-//!   graceful drain: shutdown stops admission, answers everything
-//!   already admitted, then returns.
+//!   thread drains the edge's lanes, coalescing concurrent arrivals into
+//!   single parallel engine batches (up to `max_batch`, with a short
+//!   `max_wait` linger under light load).
+//! * [`server`] — the shard server: an edge whose jobs are engine ops,
+//!   with per-request deadlines enforced at dequeue and between
+//!   refinement iterations inside the engine.
+//! * [`stats`] — the one stats path: each metric is one table row from
+//!   which its field, `STATS` key and `/metrics` family are generated.
 //! * [`client`] / [`loadgen`] — a blocking client and a closed/open-loop
 //!   load generator that measures latency percentiles and verifies
 //!   responses bit-for-bit against direct engine calls.
@@ -33,20 +37,15 @@
 //! * [`slowlog`] — an always-on bounded reservoir of slow / degraded /
 //!   failed requests, dumped as JSONL via the `TRACE_DUMP` frame and at
 //!   drain.
-//! * [`metrics_http`] — a std-only HTTP listener serving Prometheus
-//!   text (`/metrics`) and drain-aware health (`/healthz`), shared with
-//!   the shard router in `sknn-shard`.
 //! * [`promtext`] — client-side Prometheus text parsing and quantile
 //!   estimation, powering `sknn top` and the CI scrape check.
 //!
-//! Everything is `std` — `TcpListener`, scoped threads, and
-//! `sync_channel` — matching the workspace's no-new-dependencies rule.
+//! Everything is `std` — `TcpListener`, scoped threads, a mutex and a
+//! condvar — matching the workspace's no-new-dependencies rule.
 
 pub mod client;
-pub mod conn;
-pub mod lanes;
+pub mod edge;
 pub mod loadgen;
-pub mod metrics_http;
 pub mod pool;
 pub mod promtext;
 pub mod protocol;
@@ -55,13 +54,17 @@ pub mod slowlog;
 pub mod stats;
 
 mod batch;
+mod conn;
+mod lanes;
+mod metrics_http;
 
 pub use client::Client;
+pub use edge::Handle;
 pub use loadgen::{LoadgenConfig, RunReport};
 pub use protocol::{
     ErrorCode, ErrorFrame, Frame, ProtocolError, QueryFrame, RecvError, ResponseFrame,
     ServerTiming, StatsFrame, TraceDumpFrame, WireNeighbor,
 };
-pub use server::{ServeConfig, Server, ServerHandle};
+pub use server::{ServeConfig, Server};
 pub use slowlog::{SlowEntry, SlowOutcome, SlowQueryLog};
 pub use stats::ServeStats;

@@ -1,49 +1,23 @@
-//! The TCP front end: accept loop, per-connection readers, admission
-//! control, and graceful drain.
-//!
-//! Threading model (all scoped, no detached threads):
-//!
-//! ```text
-//! run()
-//!  ├─ dispatcher thread      — crate::batch::dispatch_loop
-//!  ├─ accept loop (run itself) — nonblocking accept + shutdown poll
-//!  └─ one reader thread per connection
-//! ```
-//!
-//! Admission is the bounded deadline-aware [`crate::lanes`] queue: a
-//! reader `try_push`es each request, and a full queue means an immediate
-//! typed `Overloaded` reply — load shedding is a fast "no", never a hang
-//! or an unbounded buffer. Queued requests can be withdrawn by a `CANCEL`
-//! frame before dispatch.
-//!
-//! Graceful drain is ordering, not machinery: setting the shutdown flag
-//! stops the accept loop and makes every reader exit at its next frame
-//! boundary (rejecting frames that slip in mid-read with a typed
-//! `ShuttingDown`). Closing the lanes refuses new pushes while the
-//! dispatcher drains everything still queued. Admitted requests are
-//! therefore answered, new ones refused, and `run` returns when the last
-//! reply is written.
+//! The shard server: an [`Edge`] whose jobs are engine ops. The edge
+//! owns the sockets, admission and drain (see [`crate::edge`]); this
+//! module keeps what is the server's alone — validating request frames
+//! against the mesh, the micro-batch dispatcher it runs as its one
+//! worker, the slow-query log, and the engine-side metric families.
 
-use crate::batch::{dispatch_loop, BatchPolicy, Job, JobOp};
-use crate::conn::{read_frame_interruptible, ConnWriter, ReadOutcome};
-use crate::lanes::{Lanes, PushError};
-use crate::metrics_http::{bind_metrics, metrics_loop};
-use crate::protocol::{ErrorCode, Frame, TraceDumpFrame, WireObject, LOCATE_TRI};
+use crate::batch::{dispatch_loop, BatchPolicy, JobOp};
+use crate::edge::{Edge, EdgeConfig, EdgeStats, Handle, Lanes, Request, Service};
+use crate::protocol::{Frame, WireObject, LOCATE_TRI};
 use crate::slowlog::SlowQueryLog;
 use crate::stats::ServeStats;
 use sknn_core::mr3::Mr3Engine;
 use sknn_core::workload::SurfacePoint;
 use sknn_geom::Point2;
-use sknn_obs::{mint_trace_id, QueryTrace, Recorder, Registry, RingRecorder, NOOP};
+use sknn_obs::MetricKind::{Counter, Gauge};
+use sknn_obs::{MetricKind, QueryTrace, Recorder, Registry};
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
-
-/// How long the metrics endpoint keeps answering `/healthz` as draining
-/// after the drain itself completes (see the lame-duck note in `run`).
-const METRICS_DRAIN_GRACE: Duration = Duration::from_millis(250);
+use std::time::Duration;
 
 /// Serving knobs. The defaults suit an interactive service on a local
 /// machine; the load generator and tests override freely.
@@ -97,38 +71,96 @@ impl Default for ServeConfig {
     }
 }
 
-/// Remote handle on a running server: its address and a shutdown switch.
-/// Clonable across threads; `shutdown` is idempotent.
-#[derive(Debug, Clone)]
-pub struct ServerHandle {
-    addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-}
-
-impl ServerHandle {
-    /// The server's bound address (useful with port 0).
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Begins graceful drain: stop accepting, answer what was admitted,
-    /// then return from [`Server::run`].
-    pub fn shutdown(&self) {
-        self.shutdown.store(true, Ordering::Relaxed);
-    }
-}
-
 /// A bound (but not yet running) sk-NN query server.
 pub struct Server<'e, 's, 'm> {
     engine: &'e Mr3Engine<'s, 'm>,
-    listener: TcpListener,
+    edge: Edge,
     cfg: ServeConfig,
     stats: Arc<ServeStats>,
-    shutdown: Arc<AtomicBool>,
-    ring: Option<RingRecorder>,
     slow: SlowQueryLog,
-    metrics: Option<TcpListener>,
-    metrics_addr: Option<SocketAddr>,
+}
+
+type EngineRead = fn(&Mr3Engine<'_, '_>) -> f64;
+
+/// The engine-side families a server exports: pager pool, stall and
+/// fault counters, the shared cut cache, and the write path (WAL,
+/// writeback, recovery). One row per family — name, kind, help, and how
+/// to read it off the engine at scrape time.
+#[rustfmt::skip]
+const ENGINE_ROWS: &[(&str, MetricKind, &str, EngineRead)] = &[
+    ("sknn_store_stall_us_total", Counter, "Cumulative pager stall wall time, microseconds",
+        |e| (e.pager().stall_ns() / 1_000) as f64),
+    ("sknn_store_logical_reads_total", Counter, "Page read requests, hit or miss",
+        |e| e.pager().lifetime_stats().logical_reads as f64),
+    ("sknn_store_physical_reads_total", Counter, "Buffer-pool misses fetched from disk",
+        |e| e.pager().lifetime_stats().physical_reads as f64),
+    ("sknn_store_singleflight_waits_total", Counter,
+        "Threads that waited on another's in-flight read",
+        |e| e.pager().lifetime_concurrency_stats().singleflight_waits as f64),
+    ("sknn_store_coalesced_misses_total", Counter, "Misses that did not pay their own stall",
+        |e| e.pager().lifetime_concurrency_stats().coalesced_misses as f64),
+    ("sknn_store_shard_contention_total", Counter,
+        "Shard-lock acquisitions that found the lock held",
+        |e| e.pager().lifetime_concurrency_stats().shard_contention as f64),
+    ("sknn_store_faults_injected_total", Counter, "Storage faults fired by the injector",
+        |e| e.pager().fault_stats().injected as f64),
+    ("sknn_store_fault_retries_total", Counter, "Read attempts beyond a read's first",
+        |e| e.pager().fault_stats().retries as f64),
+    ("sknn_store_fault_exhausted_total", Counter, "Reads that exhausted the retry budget",
+        |e| e.pager().fault_stats().exhausted as f64),
+    ("sknn_store_checksum_failures_total", Counter,
+        "Checksum verification failures on physical reads",
+        |e| e.pager().fault_stats().checksum_failures as f64),
+    ("sknn_cutcache_hits_total", Counter,
+        "Cut-cache units (front tiles, crossing lines) served from memory",
+        |e| cut(e).hits as f64),
+    ("sknn_cutcache_misses_total", Counter, "Cut-cache units loaded from storage",
+        |e| cut(e).misses as f64),
+    ("sknn_cutcache_singleflight_waits_total", Counter,
+        "Cut-cache units waited for while another query loaded them",
+        |e| cut(e).singleflight_waits as f64),
+    ("sknn_cutcache_evictions_total", Counter,
+        "Resident units evicted to stay within the weight budget",
+        |e| cut(e).evictions as f64),
+    ("sknn_cutcache_failed_loads_total", Counter,
+        "Unit loads that failed without publishing anything",
+        |e| cut(e).failed_loads as f64),
+    ("sknn_cutcache_warm_entries", Gauge, "Resident units marked warm (recently used)",
+        |e| cut(e).warm_entries as f64),
+    ("sknn_cutcache_cooling_entries", Gauge, "Resident units cooled by the CLOCK hand",
+        |e| cut(e).cooling_entries as f64),
+    ("sknn_cutcache_resident_bytes", Gauge, "Approximate bytes of resident unit data",
+        |e| cut(e).resident_bytes as f64),
+    ("sknn_cutcache_extractions_in_flight", Gauge, "Unit loads running right now",
+        |e| cut(e).in_flight as f64),
+    ("sknn_cutcache_hit_rate", Gauge, "Lifetime hits / (hits + misses) of the cut cache",
+        |e| cut(e).hit_rate()),
+    ("sknn_wal_appends_total", Counter, "WAL records appended (pending or durable)",
+        |e| e.write_stats().wal.appends as f64),
+    ("sknn_wal_fsyncs_total", Counter, "Successful WAL fsyncs (one per committed mutation)",
+        |e| e.write_stats().wal.fsyncs as f64),
+    ("sknn_wal_failed_fsyncs_total", Counter,
+        "WAL fsyncs failed by the fault injector (aborted commits)",
+        |e| e.write_stats().wal.failed_fsyncs as f64),
+    ("sknn_wal_truncated_records_total", Counter,
+        "Pending WAL records withdrawn by aborted mutations",
+        |e| e.write_stats().wal.truncated as f64),
+    ("sknn_wal_flushed_pages_total", Counter, "Dirty pages written back to the durable image",
+        |e| e.write_stats().flushed_pages as f64),
+    ("sknn_wal_aborted_ops_total", Counter, "Mutations aborted by a failed commit fsync",
+        |e| e.write_stats().aborted_ops as f64),
+    ("sknn_wal_recoveries_total", Counter, "Times the object store was rebuilt from a crash image",
+        |e| e.write_stats().recoveries as f64),
+    ("sknn_wal_replay_records_total", Counter, "Committed WAL records redone by the last recovery",
+        |e| e.write_stats().replay_records as f64),
+    ("sknn_wal_dirty_pages", Gauge, "Pages currently dirty (awaiting writeback)",
+        |e| e.write_stats().dirty_pages as f64),
+    ("sknn_objects_live", Gauge, "Live objects in the current snapshot",
+        |e| e.write_stats().live_objects as f64),
+];
+
+fn cut(engine: &Mr3Engine<'_, '_>) -> sknn_core::mr3::CutCacheSnapshot {
+    engine.cut_cache_snapshot().unwrap_or_default()
 }
 
 impl<'e, 's, 'm> Server<'e, 's, 'm> {
@@ -139,41 +171,33 @@ impl<'e, 's, 'm> Server<'e, 's, 'm> {
         addr: A,
         cfg: ServeConfig,
     ) -> io::Result<Self> {
-        let listener = TcpListener::bind(addr)?;
-        let (metrics, metrics_addr) = match &cfg.metrics_addr {
-            Some(addr) => {
-                let (l, a) = bind_metrics(addr)?;
-                (Some(l), Some(a))
-            }
-            None => (None, None),
-        };
+        let edge = Edge::bind(
+            addr,
+            EdgeConfig {
+                queue_depth: cfg.queue_depth,
+                starvation_floor: cfg.starvation_floor,
+                poll_interval: cfg.poll_interval,
+                metrics_addr: cfg.metrics_addr.clone(),
+                instance: cfg.instance.clone(),
+            },
+        )?;
         let slow = SlowQueryLog::new(cfg.slow_threshold.as_micros() as u64, cfg.slow_capacity);
-        Ok(Self {
-            engine,
-            listener,
-            cfg,
-            stats: Arc::new(ServeStats::new()),
-            shutdown: Arc::new(AtomicBool::new(false)),
-            ring: None,
-            slow,
-            metrics,
-            metrics_addr,
-        })
+        Ok(Self { engine, edge, cfg, stats: Arc::default(), slow })
     }
 
     /// The bound address.
     pub fn local_addr(&self) -> SocketAddr {
-        self.listener.local_addr().expect("bound listener has an address")
+        self.edge.local_addr()
     }
 
     /// The metrics endpoint's bound address, when one is configured.
     pub fn metrics_addr(&self) -> Option<SocketAddr> {
-        self.metrics_addr
+        self.edge.metrics_addr()
     }
 
     /// Handle for shutting the server down from another thread.
-    pub fn handle(&self) -> ServerHandle {
-        ServerHandle { addr: self.local_addr(), shutdown: Arc::clone(&self.shutdown) }
+    pub fn handle(&self) -> Handle {
+        self.edge.handle()
     }
 
     /// The live counters (shared; updated while the server runs).
@@ -190,427 +214,13 @@ impl<'e, 's, 'm> Server<'e, 's, 'm> {
     /// Record per-request spans and per-batch events into a bounded ring,
     /// drained into the trace that [`run`](Self::run) returns.
     pub fn enable_tracing(&mut self, capacity: usize) {
-        self.ring = Some(RingRecorder::new(capacity));
+        self.edge.enable_tracing(capacity);
     }
 
-    /// Builds the metrics registry: serving counters and histograms, the
-    /// pager's pool/stall counters, and the fault-injection counters.
-    fn build_registry(&self) -> Registry<'_> {
-        let registry = if self.cfg.instance.is_empty() {
-            Registry::new()
-        } else {
-            Registry::with_instance(&self.cfg.instance)
-        };
-        self.stats.register_into(&registry);
-        let pager = self.engine.pager();
-        registry.counter_fn(
-            "sknn_store_stall_us_total",
-            "Cumulative pager stall wall time, microseconds",
-            move || pager.stall_ns() / 1_000,
-        );
-        registry.counter_fn(
-            "sknn_store_logical_reads_total",
-            "Page read requests, hit or miss",
-            move || pager.lifetime_stats().logical_reads,
-        );
-        registry.counter_fn(
-            "sknn_store_physical_reads_total",
-            "Buffer-pool misses fetched from disk",
-            move || pager.lifetime_stats().physical_reads,
-        );
-        registry.counter_fn(
-            "sknn_store_singleflight_waits_total",
-            "Threads that waited on another's in-flight read",
-            move || pager.lifetime_concurrency_stats().singleflight_waits,
-        );
-        registry.counter_fn(
-            "sknn_store_coalesced_misses_total",
-            "Misses that did not pay their own stall",
-            move || pager.lifetime_concurrency_stats().coalesced_misses,
-        );
-        registry.counter_fn(
-            "sknn_store_shard_contention_total",
-            "Shard-lock acquisitions that found the lock held",
-            move || pager.lifetime_concurrency_stats().shard_contention,
-        );
-        registry.counter_fn(
-            "sknn_store_faults_injected_total",
-            "Storage faults fired by the injector",
-            move || pager.fault_stats().injected,
-        );
-        registry.counter_fn(
-            "sknn_store_fault_retries_total",
-            "Read attempts beyond a read's first",
-            move || pager.fault_stats().retries,
-        );
-        registry.counter_fn(
-            "sknn_store_fault_exhausted_total",
-            "Reads that exhausted the retry budget",
-            move || pager.fault_stats().exhausted,
-        );
-        registry.counter_fn(
-            "sknn_store_checksum_failures_total",
-            "Checksum verification failures on physical reads",
-            move || pager.fault_stats().checksum_failures,
-        );
-        // Shared cut cache.
-        let engine = self.engine;
-        let cut = move || engine.cut_cache_snapshot().unwrap_or_default();
-        registry.counter_fn(
-            "sknn_cutcache_hits_total",
-            "Cut-cache units (front tiles, crossing lines) served from memory",
-            move || cut().hits,
-        );
-        registry.counter_fn(
-            "sknn_cutcache_misses_total",
-            "Cut-cache units loaded from storage",
-            move || cut().misses,
-        );
-        registry.counter_fn(
-            "sknn_cutcache_singleflight_waits_total",
-            "Cut-cache units waited for while another query loaded them",
-            move || cut().singleflight_waits,
-        );
-        registry.counter_fn(
-            "sknn_cutcache_evictions_total",
-            "Resident units evicted to stay within the weight budget",
-            move || cut().evictions,
-        );
-        registry.counter_fn(
-            "sknn_cutcache_failed_loads_total",
-            "Unit loads that failed without publishing anything",
-            move || cut().failed_loads,
-        );
-        registry.gauge_fn(
-            "sknn_cutcache_warm_entries",
-            "Resident units marked warm (recently used)",
-            move || cut().warm_entries as f64,
-        );
-        registry.gauge_fn(
-            "sknn_cutcache_cooling_entries",
-            "Resident units cooled by the CLOCK hand",
-            move || cut().cooling_entries as f64,
-        );
-        registry.gauge_fn(
-            "sknn_cutcache_resident_bytes",
-            "Approximate bytes of resident unit data",
-            move || cut().resident_bytes as f64,
-        );
-        registry.gauge_fn(
-            "sknn_cutcache_extractions_in_flight",
-            "Unit loads running right now",
-            move || cut().in_flight as f64,
-        );
-        registry.gauge_fn(
-            "sknn_cutcache_hit_rate",
-            "Lifetime hits / (hits + misses) of the cut cache",
-            move || cut().hit_rate(),
-        );
-        // Write path: WAL, writeback and recovery counters.
-        let wal = move || engine.write_stats();
-        registry.counter_fn(
-            "sknn_wal_appends_total",
-            "WAL records appended (pending or durable)",
-            move || wal().wal.appends,
-        );
-        registry.counter_fn(
-            "sknn_wal_fsyncs_total",
-            "Successful WAL fsyncs (one per committed mutation)",
-            move || wal().wal.fsyncs,
-        );
-        registry.counter_fn(
-            "sknn_wal_failed_fsyncs_total",
-            "WAL fsyncs failed by the fault injector (aborted commits)",
-            move || wal().wal.failed_fsyncs,
-        );
-        registry.counter_fn(
-            "sknn_wal_truncated_records_total",
-            "Pending WAL records withdrawn by aborted mutations",
-            move || wal().wal.truncated,
-        );
-        registry.counter_fn(
-            "sknn_wal_flushed_pages_total",
-            "Dirty pages written back to the durable image",
-            move || wal().flushed_pages,
-        );
-        registry.counter_fn(
-            "sknn_wal_aborted_ops_total",
-            "Mutations aborted by a failed commit fsync",
-            move || wal().aborted_ops,
-        );
-        registry.counter_fn(
-            "sknn_wal_recoveries_total",
-            "Times the object store was rebuilt from a crash image",
-            move || wal().recoveries,
-        );
-        registry.counter_fn(
-            "sknn_wal_replay_records_total",
-            "Committed WAL records redone by the last recovery",
-            move || wal().replay_records,
-        );
-        registry.gauge_fn(
-            "sknn_wal_dirty_pages",
-            "Pages currently dirty (awaiting writeback)",
-            move || wal().dirty_pages as f64,
-        );
-        registry.gauge_fn("sknn_objects_live", "Live objects in the current snapshot", move || {
-            wal().live_objects as f64
-        });
-        registry
-    }
-
-    /// Serves until [`ServerHandle::shutdown`] is called, then drains and
+    /// Serves until [`Handle::shutdown`] is called, then drains and
     /// returns the final observability trace (when tracing is enabled).
     pub fn run(&self) -> Option<QueryTrace> {
-        self.listener.set_nonblocking(true).expect("listener nonblocking");
-        let rec: &dyn Recorder = match &self.ring {
-            Some(ring) => ring,
-            None => &NOOP,
-        };
-        let policy = BatchPolicy {
-            max_batch: self.cfg.max_batch.max(1),
-            max_wait: self.cfg.max_wait,
-            exec_threads: self.cfg.exec_threads.max(1),
-        };
-        let registry = self.build_registry();
-        let metrics_stop = AtomicBool::new(false);
-        let lanes = Lanes::new(self.cfg.queue_depth.max(1), self.cfg.starvation_floor);
-        std::thread::scope(|scope| {
-            let lanes = &lanes;
-            let dispatcher = scope.spawn(move || {
-                dispatch_loop(self.engine, lanes, policy, &self.stats, &self.slow, rec)
-            });
-            if let Some(listener) = &self.metrics {
-                let registry = &registry;
-                let draining = &*self.shutdown;
-                let stop = &metrics_stop;
-                scope.spawn(move || metrics_loop(listener, registry, draining, stop));
-            }
-            while !self.shutdown.load(Ordering::Relaxed) {
-                match self.listener.accept() {
-                    Ok((stream, _peer)) => {
-                        self.stats.connections.inc();
-                        scope.spawn(move || self.serve_conn(stream, lanes));
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(2));
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                    Err(_) => break,
-                }
-            }
-            // Closing the lanes starts the drain clock: queued jobs keep
-            // draining, new pushes are refused with a typed
-            // `ShuttingDown`, and the dispatcher exits once the lanes
-            // run dry. The metrics endpoint keeps answering `/healthz`
-            // as "draining" for the whole window and stops only after
-            // the last reply is written.
-            lanes.close();
-            let _ = dispatcher.join();
-            // Lame-duck grace: even an instant drain keeps `/healthz`
-            // answering 503 briefly, so pollers observe the state
-            // transition instead of a vanished endpoint.
-            if self.metrics.is_some() {
-                std::thread::sleep(METRICS_DRAIN_GRACE);
-            }
-            metrics_stop.store(true, Ordering::Relaxed);
-        });
-        if rec.enabled() {
-            rec.event(
-                "serve_final",
-                0,
-                vec![
-                    sknn_obs::field("accepted", self.stats.accepted.get()),
-                    sknn_obs::field("completed", self.stats.completed.get()),
-                    sknn_obs::field("shed", self.stats.shed.get()),
-                ],
-            );
-        }
-        self.ring.as_ref().map(|r| r.drain())
-    }
-
-    /// Reader thread for one connection.
-    fn serve_conn(&self, stream: TcpStream, lanes: &Lanes<Job>) {
-        let _ = stream.set_nodelay(true);
-        let _ = stream.set_read_timeout(Some(self.cfg.poll_interval));
-        let writer = match stream.try_clone() {
-            Ok(w) => Arc::new(ConnWriter::new(w)),
-            Err(_) => return,
-        };
-        let reply = |frame: &Frame| writer.send(&self.stats.write_errors, frame);
-        let bad_request = |req_id, why| reply(&Frame::error(req_id, ErrorCode::BadRequest, why));
-        let mut stream = stream;
-        loop {
-            match read_frame_interruptible(&mut stream, &self.shutdown) {
-                ReadOutcome::Frame(Frame::Query(q)) => {
-                    match self.resolve_surface(q.tri, q.x, q.y, q.z) {
-                        Ok(point) => {
-                            let op = JobOp::Query { point, k: q.k as usize };
-                            self.admit(q.req_id, q.trace_id, q.deadline_ms, op, lanes, &writer);
-                        }
-                        Err(why) => {
-                            bad_request(q.req_id, why);
-                        }
-                    }
-                }
-                ReadOutcome::Frame(Frame::SeedsRequest(s)) => {
-                    if !(s.x.is_finite() && s.y.is_finite()) {
-                        bad_request(s.req_id, "non-finite coordinates");
-                        continue;
-                    }
-                    let op = JobOp::Seeds { xy: Point2::new(s.x, s.y), k: s.k as usize };
-                    self.admit(s.req_id, s.trace_id, s.deadline_ms, op, lanes, &writer);
-                }
-                ReadOutcome::Frame(Frame::RangeRequest(r)) => {
-                    if !(r.x.is_finite() && r.y.is_finite()) || r.radius.is_nan() || r.radius < 0.0
-                    {
-                        bad_request(r.req_id, "bad range parameters");
-                        continue;
-                    }
-                    let op = JobOp::Range { xy: Point2::new(r.x, r.y), radius: r.radius };
-                    self.admit(r.req_id, r.trace_id, r.deadline_ms, op, lanes, &writer);
-                }
-                ReadOutcome::Frame(Frame::RadiusRequest(r)) => {
-                    let op = self.resolve_surface(r.tri, r.x, r.y, r.z).and_then(|point| {
-                        Ok(JobOp::Radius { point, seeds: self.resolve_objs(&r.seeds)? })
-                    });
-                    match op {
-                        Ok(op) => {
-                            self.admit(r.req_id, r.trace_id, r.deadline_ms, op, lanes, &writer)
-                        }
-                        Err(why) => {
-                            bad_request(r.req_id, why);
-                        }
-                    }
-                }
-                ReadOutcome::Frame(Frame::ExecRequest(e)) => {
-                    let op = self.resolve_surface(e.tri, e.x, e.y, e.z).and_then(|point| {
-                        Ok(JobOp::Exec {
-                            point,
-                            k: e.k as usize,
-                            seeds: self.resolve_objs(&e.seeds)?,
-                            cands: self.resolve_objs(&e.cands)?,
-                        })
-                    });
-                    match op {
-                        Ok(op) => {
-                            self.admit(e.req_id, e.trace_id, e.deadline_ms, op, lanes, &writer)
-                        }
-                        Err(why) => {
-                            bad_request(e.req_id, why);
-                        }
-                    }
-                }
-                ReadOutcome::Frame(Frame::Cancel(c)) => {
-                    // Withdraw the queued job if the cancel wins the race.
-                    // The typed `Cancelled` reply goes to the *cancelled
-                    // request's* connection (its own writer) so every
-                    // admitted request still gets exactly one reply on
-                    // its own stream. A miss means the job is already
-                    // executing (or finished); its real reply is coming,
-                    // so a cancel is silent here.
-                    match lanes.cancel(c.req_id, c.trace_id) {
-                        Some(job) => {
-                            self.stats.cancelled.inc();
-                            self.stats.queue_depth.fetch_sub(1, Ordering::Relaxed);
-                            job.writer.send(
-                                &self.stats.write_errors,
-                                &Frame::error(
-                                    job.req_id,
-                                    ErrorCode::Cancelled,
-                                    "cancelled while queued",
-                                ),
-                            );
-                        }
-                        None => {
-                            self.stats.cancel_misses.inc();
-                        }
-                    }
-                }
-                ReadOutcome::Frame(Frame::StatsRequest) => {
-                    let mut snap = self.stats.snapshot();
-                    // Live object count: the sharding router sums these
-                    // to clamp `k` exactly like a single engine over the
-                    // union terrain would.
-                    snap.entries.push((
-                        "objects".to_string(),
-                        self.engine.write_stats().live_objects as u64,
-                    ));
-                    reply(&Frame::Stats(snap));
-                }
-                ReadOutcome::Frame(Frame::TraceDumpRequest) => {
-                    reply(&Frame::TraceDump(TraceDumpFrame { jsonl: self.slow.to_jsonl() }));
-                }
-                ReadOutcome::Frame(_) => {
-                    // Response/Error/Stats/TraceDump only flow server → client.
-                    self.stats.protocol_errors.inc();
-                    bad_request(0, "unexpected frame type");
-                }
-                ReadOutcome::Protocol(e) => {
-                    // A framing error (a foreign protocol version
-                    // included) means the stream position is no longer
-                    // trustworthy; reply once and hang up.
-                    self.stats.protocol_errors.inc();
-                    bad_request(0, &e.to_string());
-                    return;
-                }
-                ReadOutcome::Closed | ReadOutcome::Io | ReadOutcome::Shutdown => return,
-            }
-        }
-    }
-
-    /// Offers a validated operation to the admission lanes, replying with
-    /// the right typed error when it cannot be queued.
-    fn admit(
-        &self,
-        req_id: u64,
-        raw_trace_id: u64,
-        deadline_ms: u32,
-        op: JobOp,
-        lanes: &Lanes<Job>,
-        writer: &Arc<ConnWriter>,
-    ) {
-        let refuse = |writer: &ConnWriter, code, why| {
-            writer.send(&self.stats.write_errors, &Frame::error(req_id, code, why));
-        };
-        if self.shutdown.load(Ordering::Relaxed) {
-            self.stats.rejected_shutdown.inc();
-            refuse(writer, ErrorCode::ShuttingDown, "server is draining");
-            return;
-        }
-        let enqueued = Instant::now();
-        let deadline = match deadline_ms {
-            0 => None,
-            ms => Some(enqueued + Duration::from_millis(ms as u64)),
-        };
-        // Every admitted request has a nonzero trace id from here on:
-        // the client's, or one minted now. It becomes the engine's query
-        // id, so each obs record this request produces carries it even
-        // when the request rides a batch with strangers.
-        let trace_id = if raw_trace_id != 0 { raw_trace_id } else { mint_trace_id() };
-        let job = Job {
-            req_id,
-            trace_id,
-            op,
-            deadline,
-            enqueued,
-            recv_at: enqueued,
-            writer: Arc::clone(writer),
-        };
-        match lanes.try_push(job) {
-            Ok(()) => {
-                self.stats.accepted.inc();
-                self.stats.queue_depth.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(PushError::Full) => {
-                self.stats.shed.inc();
-                refuse(writer, ErrorCode::Overloaded, "admission queue full");
-            }
-            Err(PushError::Closed) => {
-                self.stats.rejected_shutdown.inc();
-                refuse(writer, ErrorCode::ShuttingDown, "server is draining");
-            }
-        }
+        self.edge.run(self)
     }
 
     /// Lifts wire coordinates onto the surface: either trust the client's
@@ -657,5 +267,118 @@ impl<'e, 's, 'm> Server<'e, 's, 'm> {
             ));
         }
         Ok(out)
+    }
+}
+
+impl Service for Server<'_, '_, '_> {
+    type Payload = JobOp;
+    const PREFIX: &'static str = "sknn_serve_";
+
+    fn edge_stats(&self) -> &EdgeStats {
+        &self.stats.edge
+    }
+
+    /// Every request frame a shard takes — the full query and the four
+    /// decomposed shard ops — validated against the mesh.
+    fn claim(&self, frame: Frame) -> Option<Request<JobOp>> {
+        let finite = |x: f64, y: f64| x.is_finite() && y.is_finite();
+        let (req_id, trace_id, deadline_ms, payload) = match frame {
+            Frame::Query(q) => {
+                let op = self
+                    .resolve_surface(q.tri, q.x, q.y, q.z)
+                    .map(|point| JobOp::Query { point, k: q.k as usize });
+                (q.req_id, q.trace_id, q.deadline_ms, op)
+            }
+            Frame::SeedsRequest(s) => {
+                let op = if finite(s.x, s.y) {
+                    Ok(JobOp::Seeds { xy: Point2::new(s.x, s.y), k: s.k as usize })
+                } else {
+                    Err("non-finite coordinates")
+                };
+                (s.req_id, s.trace_id, s.deadline_ms, op)
+            }
+            Frame::RangeRequest(r) => {
+                let op = if finite(r.x, r.y) && r.radius >= 0.0 {
+                    Ok(JobOp::Range { xy: Point2::new(r.x, r.y), radius: r.radius })
+                } else {
+                    Err("bad range parameters")
+                };
+                (r.req_id, r.trace_id, r.deadline_ms, op)
+            }
+            Frame::RadiusRequest(r) => {
+                let op = self.resolve_surface(r.tri, r.x, r.y, r.z).and_then(|point| {
+                    Ok(JobOp::Radius { point, seeds: self.resolve_objs(&r.seeds)? })
+                });
+                (r.req_id, r.trace_id, r.deadline_ms, op)
+            }
+            Frame::ExecRequest(e) => {
+                let op = self.resolve_surface(e.tri, e.x, e.y, e.z).and_then(|point| {
+                    Ok(JobOp::Exec {
+                        point,
+                        k: e.k as usize,
+                        seeds: self.resolve_objs(&e.seeds)?,
+                        cands: self.resolve_objs(&e.cands)?,
+                    })
+                });
+                (e.req_id, e.trace_id, e.deadline_ms, op)
+            }
+            _ => return None,
+        };
+        Some(Request { req_id, trace_id, deadline_ms, payload })
+    }
+
+    fn accepted(&self) {
+        self.stats.accepted.inc();
+    }
+
+    fn stats_rows(&self, out: &mut Vec<(String, u64)>) {
+        let stats = &self.stats;
+        stats.stats_rows(out);
+        stats.kernel.stats_rows(out);
+        // Scaled by 1000 to survive the integer wire format.
+        out.push(("mean_batch_x1000".to_string(), (stats.mean_batch() * 1000.0).round() as u64));
+        out.push(("queue_p50_us".to_string(), stats.queue_us.quantile(0.5).unwrap_or(0)));
+        out.push(("queue_us_n".to_string(), stats.queue_us.count()));
+        // Live object count: the sharding router sums these to clamp `k`
+        // exactly like a single engine over the union terrain would.
+        out.push(("objects".to_string(), self.engine.write_stats().live_objects as u64));
+    }
+
+    fn trace_dump(&self) -> String {
+        self.slow.to_jsonl()
+    }
+
+    fn register<'a>(&'a self, reg: &Registry<'a>) {
+        self.stats.register_rows(reg, Self::PREFIX);
+        self.stats.kernel.register_rows(reg, "sknn_");
+        let engine = self.engine;
+        for &(name, kind, help, read) in ENGINE_ROWS {
+            reg.value_fn(name, help, kind, move || read(engine));
+        }
+    }
+
+    fn workers(&self) -> usize {
+        1
+    }
+
+    /// The one worker is the micro-batch dispatcher.
+    fn work(&self, lanes: &Lanes<JobOp>, rec: &dyn Recorder) {
+        let policy = BatchPolicy {
+            max_batch: self.cfg.max_batch.max(1),
+            max_wait: self.cfg.max_wait,
+            exec_threads: self.cfg.exec_threads.max(1),
+        };
+        dispatch_loop(self.engine, lanes, policy, &self.stats, &self.slow, rec);
+        if rec.enabled() {
+            rec.event(
+                "serve_final",
+                0,
+                vec![
+                    sknn_obs::field("accepted", self.stats.accepted.get()),
+                    sknn_obs::field("completed", self.stats.completed.get()),
+                    sknn_obs::field("shed", self.stats.shed.get()),
+                ],
+            );
+        }
     }
 }

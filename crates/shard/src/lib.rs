@@ -19,5 +19,5 @@ pub mod router;
 pub mod stats;
 
 pub use map::{ShardMap, ShardSpec};
-pub use router::{Router, RouterConfig, RouterHandle};
+pub use router::{Router, RouterConfig};
 pub use stats::RouterStats;

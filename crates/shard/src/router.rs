@@ -36,34 +36,28 @@
 //!
 //! # Admission
 //!
-//! The router runs the shards' own EDF-with-starvation-floor admission
-//! lanes ([`sknn_serve::lanes`]), a bounded queue, typed
-//! `Overloaded`/`ShuttingDown`/`DeadlineExpired` errors, client-facing
-//! `CANCEL`, and graceful drain.
+//! The router binds the same serving edge as its shards
+//! ([`sknn_serve::edge`]): EDF-with-starvation-floor admission lanes, a
+//! bounded queue, typed `Overloaded`/`ShuttingDown`/`DeadlineExpired`
+//! errors, client-facing `CANCEL`, and graceful drain. It takes `QUERY`
+//! frames only and runs `workers` orchestration threads over the lanes.
 //! Shard connections are persistent multiplexed [`PoolClient`]s.
 
 use crate::map::ShardMap;
 use crate::stats::RouterStats;
 use sknn_geom::Point2;
-use sknn_obs::{field, mint_trace_id, QueryTrace, Recorder, Registry, RingRecorder, NOOP};
-use sknn_serve::conn::{read_frame_interruptible, ConnWriter, ReadOutcome};
-use sknn_serve::lanes::{Lanes, PushError, Queued};
-use sknn_serve::metrics_http::{bind_metrics, metrics_loop};
+use sknn_obs::{field, QueryTrace, Recorder, Registry};
+use sknn_serve::edge::{Edge, EdgeConfig, EdgeStats, Handle, Job, Lanes, Request, Service};
 use sknn_serve::pool::{InFlight, PoolClient, PoolError};
 use sknn_serve::protocol::{
     ErrorCode, ErrorFrame, ExecRequestFrame, Frame, QueryFrame, RadiusRequestFrame,
-    RangeRequestFrame, ResponseFrame, SeedsRequestFrame, TraceDumpFrame, WireObject,
+    RangeRequestFrame, ResponseFrame, SeedsRequestFrame, WireObject,
 };
 use sknn_serve::Client;
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// How long the metrics endpoint keeps answering `/healthz` as draining
-/// after the drain completes (mirrors the shard server's lame duck).
-const METRICS_DRAIN_GRACE: Duration = Duration::from_millis(250);
 
 /// Router knobs. Defaults suit a local fleet; tests override freely.
 #[derive(Debug, Clone)]
@@ -102,50 +96,8 @@ impl Default for RouterConfig {
     }
 }
 
-/// Remote handle on a running router: its address and a shutdown
-/// switch. Clonable across threads; `shutdown` is idempotent.
-#[derive(Debug, Clone)]
-pub struct RouterHandle {
-    addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-}
-
-impl RouterHandle {
-    /// The router's bound address (useful with port 0).
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Begins graceful drain: stop accepting, answer what was admitted,
-    /// then return from [`Router::run`].
-    pub fn shutdown(&self) {
-        self.shutdown.store(true, Ordering::Relaxed);
-    }
-}
-
 /// One admitted query waiting for (or being driven by) a worker.
-pub(crate) struct RouterJob {
-    pub(crate) req_id: u64,
-    pub(crate) trace_id: u64,
-    pub(crate) query: QueryFrame,
-    pub(crate) deadline: Option<Instant>,
-    pub(crate) enqueued: Instant,
-    pub(crate) writer: Arc<ConnWriter>,
-}
-
-impl Queued for RouterJob {
-    fn deadline(&self) -> Option<Instant> {
-        self.deadline
-    }
-
-    fn enqueued(&self) -> Instant {
-        self.enqueued
-    }
-
-    fn ids(&self) -> (u64, u64) {
-        (self.req_id, self.trace_id)
-    }
-}
+type RouterJob = Job<QueryFrame>;
 
 /// Why a shard leg ended without a usable partial result.
 enum LegFail {
@@ -157,20 +109,18 @@ enum LegFail {
     Transport(&'static str, PoolError),
     /// The shard replied with a frame type the leg cannot use.
     Unexpected(&'static str),
+    /// The query's deadline passed before the leg could be sent.
+    Expired(&'static str),
 }
 
 /// A bound (but not yet running) shard router.
 pub struct Router {
     map: ShardMap,
-    listener: TcpListener,
+    edge: Edge,
     cfg: RouterConfig,
     pools: Vec<PoolClient>,
     total_objects: u64,
     stats: Arc<RouterStats>,
-    shutdown: Arc<AtomicBool>,
-    ring: Option<RingRecorder>,
-    metrics: Option<TcpListener>,
-    metrics_addr: Option<SocketAddr>,
 }
 
 impl Router {
@@ -180,14 +130,16 @@ impl Router {
     /// would. Fails if any shard is unreachable: a router that cannot
     /// see its fleet cannot promise union semantics.
     pub fn bind<A: ToSocketAddrs>(map: ShardMap, addr: A, cfg: RouterConfig) -> io::Result<Self> {
-        let listener = TcpListener::bind(addr)?;
-        let (metrics, metrics_addr) = match &cfg.metrics_addr {
-            Some(addr) => {
-                let (l, a) = bind_metrics(addr)?;
-                (Some(l), Some(a))
-            }
-            None => (None, None),
-        };
+        let edge = Edge::bind(
+            addr,
+            EdgeConfig {
+                queue_depth: cfg.queue_depth,
+                starvation_floor: cfg.starvation_floor,
+                poll_interval: cfg.poll_interval,
+                metrics_addr: cfg.metrics_addr.clone(),
+                instance: cfg.instance.clone(),
+            },
+        )?;
         let pools: Vec<PoolClient> =
             map.shards().iter().map(|s| PoolClient::new(s.addr.clone())).collect();
         let mut total_objects = 0u64;
@@ -203,36 +155,22 @@ impl Router {
                 .ok_or_else(|| other(format!("shard {} reports no object count", s.addr)))?;
             total_objects += objects;
         }
-        let stats = Arc::new(RouterStats::new());
-        stats.shard_map_size.store(map.len() as u64, Ordering::Relaxed);
-        stats.objects.store(total_objects, Ordering::Relaxed);
-        Ok(Self {
-            map,
-            listener,
-            cfg,
-            pools,
-            total_objects,
-            stats,
-            shutdown: Arc::new(AtomicBool::new(false)),
-            ring: None,
-            metrics,
-            metrics_addr,
-        })
+        Ok(Self { map, edge, cfg, pools, total_objects, stats: Arc::default() })
     }
 
     /// The bound address.
     pub fn local_addr(&self) -> SocketAddr {
-        self.listener.local_addr().expect("bound listener has an address")
+        self.edge.local_addr()
     }
 
     /// The metrics endpoint's bound address, when one is configured.
     pub fn metrics_addr(&self) -> Option<SocketAddr> {
-        self.metrics_addr
+        self.edge.metrics_addr()
     }
 
     /// Handle for shutting the router down from another thread.
-    pub fn handle(&self) -> RouterHandle {
-        RouterHandle { addr: self.local_addr(), shutdown: Arc::clone(&self.shutdown) }
+    pub fn handle(&self) -> Handle {
+        self.edge.handle()
     }
 
     /// The live counters (shared; updated while the router runs).
@@ -248,203 +186,19 @@ impl Router {
     /// Record per-query route/fanout/merge spans into a bounded ring,
     /// drained into the trace that [`run`](Self::run) returns.
     pub fn enable_tracing(&mut self, capacity: usize) {
-        self.ring = Some(RingRecorder::new(capacity));
+        self.edge.enable_tracing(capacity);
     }
 
-    fn build_registry(&self) -> Registry<'_> {
-        let registry = if self.cfg.instance.is_empty() {
-            Registry::new()
-        } else {
-            Registry::with_instance(&self.cfg.instance)
-        };
-        self.stats.register_into(&registry);
-        registry
-    }
-
-    /// Serves until [`RouterHandle::shutdown`] is called, then drains
-    /// (queued queries are answered, their shard legs run to completion)
-    /// and returns the trace when tracing is enabled.
+    /// Serves until [`Handle::shutdown`] is called, then drains (queued
+    /// queries are answered, their shard legs run to completion) and
+    /// returns the trace when tracing is enabled.
     pub fn run(&self) -> Option<QueryTrace> {
-        self.listener.set_nonblocking(true).expect("listener nonblocking");
-        let rec: &dyn Recorder = match &self.ring {
-            Some(ring) => ring,
-            None => &NOOP,
-        };
-        let registry = self.build_registry();
-        let metrics_stop = AtomicBool::new(false);
-        let lanes = Lanes::new(self.cfg.queue_depth.max(1), self.cfg.starvation_floor);
-        std::thread::scope(|scope| {
-            let lanes = &lanes;
-            let workers: Vec<_> = (0..self.cfg.workers.max(1))
-                .map(|_| scope.spawn(move || self.worker_loop(lanes, rec)))
-                .collect();
-            if let Some(listener) = &self.metrics {
-                let registry = &registry;
-                let draining = &*self.shutdown;
-                let stop = &metrics_stop;
-                scope.spawn(move || metrics_loop(listener, registry, draining, stop));
-            }
-            while !self.shutdown.load(Ordering::Relaxed) {
-                match self.listener.accept() {
-                    Ok((stream, _peer)) => {
-                        self.stats.connections.inc();
-                        scope.spawn(move || self.serve_conn(stream, lanes));
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(2));
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                    Err(_) => break,
-                }
-            }
-            lanes.close();
-            for w in workers {
-                let _ = w.join();
-            }
-            if self.metrics.is_some() {
-                std::thread::sleep(METRICS_DRAIN_GRACE);
-            }
-            metrics_stop.store(true, Ordering::Relaxed);
-        });
-        self.ring.as_ref().map(|r| r.drain())
-    }
-
-    /// Reader thread for one client connection.
-    fn serve_conn(&self, stream: TcpStream, lanes: &Lanes<RouterJob>) {
-        let _ = stream.set_nodelay(true);
-        let _ = stream.set_read_timeout(Some(self.cfg.poll_interval));
-        let writer = match stream.try_clone() {
-            Ok(w) => Arc::new(ConnWriter::new(w)),
-            Err(_) => return,
-        };
-        let reply = |frame: &Frame| writer.send(&self.stats.write_errors, frame);
-        let bad_request = |req_id, why| reply(&Frame::error(req_id, ErrorCode::BadRequest, why));
-        let mut stream = stream;
-        loop {
-            match read_frame_interruptible(&mut stream, &self.shutdown) {
-                ReadOutcome::Frame(Frame::Query(q)) => {
-                    if !(q.x.is_finite() && q.y.is_finite() && q.z.is_finite()) {
-                        bad_request(q.req_id, "non-finite coordinates");
-                        continue;
-                    }
-                    self.admit(q, lanes, &writer);
-                }
-                ReadOutcome::Frame(Frame::Cancel(c)) => {
-                    // Same one-reply-per-request rule as the shards: a
-                    // landed cancel answers the *cancelled* query on its
-                    // own connection.
-                    match lanes.cancel(c.req_id, c.trace_id) {
-                        Some(job) => {
-                            self.stats.cancelled.inc();
-                            self.stats.queue_depth.fetch_sub(1, Ordering::Relaxed);
-                            self.reply(
-                                &job,
-                                &Frame::error(
-                                    job.req_id,
-                                    ErrorCode::Cancelled,
-                                    "cancelled while queued",
-                                ),
-                            );
-                        }
-                        None => {
-                            self.stats.cancel_misses.inc();
-                        }
-                    }
-                }
-                ReadOutcome::Frame(Frame::StatsRequest) => {
-                    reply(&Frame::Stats(self.stats.snapshot()));
-                }
-                ReadOutcome::Frame(Frame::TraceDumpRequest) => {
-                    // The router keeps no slow-query reservoir (that is
-                    // engine-side state owned by the shards); an empty
-                    // dump keeps fleet tooling uniform.
-                    reply(&Frame::TraceDump(TraceDumpFrame { jsonl: String::new() }));
-                }
-                ReadOutcome::Frame(_) => {
-                    self.stats.protocol_errors.inc();
-                    bad_request(0, "router accepts QUERY, CANCEL, STATS, TRACE_DUMP");
-                }
-                ReadOutcome::Protocol(e) => {
-                    // Framing is lost (or the peer speaks a foreign
-                    // protocol version): one typed reply, then hang up.
-                    self.stats.protocol_errors.inc();
-                    bad_request(0, &e.to_string());
-                    return;
-                }
-                ReadOutcome::Closed | ReadOutcome::Io | ReadOutcome::Shutdown => return,
-            }
-        }
-    }
-
-    /// Offers a query to the admission lanes, replying with the right
-    /// typed error when it cannot be queued.
-    fn admit(&self, q: QueryFrame, lanes: &Lanes<RouterJob>, writer: &Arc<ConnWriter>) {
-        let req_id = q.req_id;
-        let refuse = |code, why| {
-            writer.send(&self.stats.write_errors, &Frame::error(req_id, code, why));
-        };
-        if self.shutdown.load(Ordering::Relaxed) {
-            self.stats.rejected_shutdown.inc();
-            refuse(ErrorCode::ShuttingDown, "router is draining");
-            return;
-        }
-        let enqueued = Instant::now();
-        let deadline = match q.deadline_ms {
-            0 => None,
-            ms => Some(enqueued + Duration::from_millis(ms as u64)),
-        };
-        // Nonzero from here on: the same trace id stamps every shard leg
-        // of this query, which is what lets `sknn_shard_*` metrics and
-        // per-shard slow logs be joined on one id.
-        let trace_id = if q.trace_id != 0 { q.trace_id } else { mint_trace_id() };
-        let job = RouterJob {
-            req_id,
-            trace_id,
-            query: q,
-            deadline,
-            enqueued,
-            writer: Arc::clone(writer),
-        };
-        match lanes.try_push(job) {
-            Ok(()) => {
-                self.stats.queue_depth.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(PushError::Full) => {
-                self.stats.shed.inc();
-                refuse(ErrorCode::Overloaded, "router queue full");
-            }
-            Err(PushError::Closed) => {
-                self.stats.rejected_shutdown.inc();
-                refuse(ErrorCode::ShuttingDown, "router is draining");
-            }
-        }
+        self.edge.run(self)
     }
 
     /// Writes `frame` on the connection `job` arrived on.
     fn reply(&self, job: &RouterJob, frame: &Frame) -> bool {
-        job.writer.send(&self.stats.write_errors, frame)
-    }
-
-    /// One orchestration worker: pops scheduled queries and drives their
-    /// shard legs end to end.
-    fn worker_loop(&self, lanes: &Lanes<RouterJob>, rec: &dyn Recorder) {
-        while let Some(job) = lanes.pop() {
-            self.stats.queue_depth.fetch_sub(1, Ordering::Relaxed);
-            self.stats.queue_us.record(job.enqueued.elapsed().as_micros() as u64);
-            if job.deadline.is_some_and(|d| Instant::now() >= d) {
-                self.stats.expired.inc();
-                self.reply(
-                    &job,
-                    &Frame::error(
-                        job.req_id,
-                        ErrorCode::DeadlineExpired,
-                        "deadline expired in router queue",
-                    ),
-                );
-                continue;
-            }
-            self.handle_query(job, rec);
-        }
+        job.reply(&self.stats, frame)
     }
 
     /// A leg's wait budget: the query's remaining slack, capped at the
@@ -456,28 +210,40 @@ impl Router {
         }
     }
 
+    /// The `deadline_ms` a leg sent now carries: the query's remaining
+    /// slack, not its original budget — the shard restarts the clock at
+    /// arrival, so the original would hand it time the client has already
+    /// spent. Rounded up to a whole millisecond so a live query never
+    /// sends 0 ("no deadline"); with nothing left the leg is not sent at
+    /// all, rather than ranked for a reply nobody will read.
+    fn leg_deadline_ms(&self, job: &RouterJob, what: &'static str) -> Result<u32, LegFail> {
+        let Some(deadline) = job.deadline else { return Ok(0) };
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(LegFail::Expired(what));
+        }
+        Ok(left.as_micros().div_ceil(1_000).min(u32::MAX as u128) as u32)
+    }
+
     /// Routes one query: home QUERY plus speculative SEEDS fan-out, then
     /// either the interior fast path (cancel the speculation) or the
     /// full straddle merge.
     fn handle_query(&self, job: RouterJob, rec: &dyn Recorder) {
         let t_route = Instant::now();
-        let q = job.query.clone();
+        let q = job.payload.clone();
         let xy = Point2::new(q.x, q.y);
         let Some(home) = self.map.home(xy) else {
-            self.reply(
-                &job,
-                &Frame::error(
-                    job.req_id,
-                    ErrorCode::BadRequest,
-                    "query point outside the shard map",
-                ),
-            );
+            job.refuse(&self.stats, ErrorCode::BadRequest, "query point outside the shard map");
             return;
         };
         self.stats.routed.inc();
         // Single-shard fleets, k = 0, and an empty fleet all reduce to
         // "the home answer is the union answer" with nothing to merge.
         let trivial = self.map.len() == 1 || q.k == 0 || self.total_objects == 0;
+        let deadline_ms = match self.leg_deadline_ms(&job, "home query") {
+            Ok(ms) => ms,
+            Err(fail) => return self.fail(&job, fail),
+        };
         let pool = &self.pools[home];
         let hq = pool.next_req_id();
         let home_frame = Frame::Query(QueryFrame {
@@ -487,7 +253,7 @@ impl Router {
             y: q.y,
             z: q.z,
             k: q.k,
-            deadline_ms: q.deadline_ms,
+            deadline_ms,
             trace_id: job.trace_id,
         });
         let home_leg = match pool.begin(hq, &home_frame) {
@@ -506,7 +272,7 @@ impl Router {
                     x: q.x,
                     y: q.y,
                     k: q.k,
-                    deadline_ms: q.deadline_ms,
+                    deadline_ms,
                 });
                 match p.begin(rid, &f) {
                     Ok(leg) => spec.push((i, rid, leg)),
@@ -605,7 +371,7 @@ impl Router {
             x: q.x,
             y: q.y,
             z: q.z,
-            deadline_ms: q.deadline_ms,
+            deadline_ms: self.leg_deadline_ms(job, "radius leg")?,
             seeds: seed_objs.clone(),
         });
         let radius = match pool.call(rid, &rf, self.remaining(job)) {
@@ -617,6 +383,7 @@ impl Router {
         // Step 3 fan-out. NaN sanitizes to ∞ — both mean "range
         // everything" to the engine, and RANGE rejects NaN on the wire.
         let fan_radius = if radius.is_nan() { f64::INFINITY } else { radius };
+        let deadline_ms = self.leg_deadline_ms(job, "range leg")?;
         let mut range_legs = Vec::new();
         for i in self.map.overlapping(xy, fan_radius) {
             let p = &self.pools[i];
@@ -627,7 +394,7 @@ impl Router {
                 x: q.x,
                 y: q.y,
                 radius: fan_radius,
-                deadline_ms: q.deadline_ms,
+                deadline_ms,
             });
             match p.begin(rid, &f) {
                 Ok(leg) => range_legs.push(leg),
@@ -670,7 +437,7 @@ impl Router {
             y: q.y,
             z: q.z,
             k: kc as u32,
-            deadline_ms: q.deadline_ms,
+            deadline_ms: self.leg_deadline_ms(job, "exec leg")?,
             seeds: seed_objs,
             cands,
         });
@@ -750,8 +517,76 @@ impl Router {
                 ErrorCode::Overloaded,
                 &format!("{what}: unexpected shard reply"),
             ),
+            LegFail::Expired(what) => Frame::error(
+                job.req_id,
+                ErrorCode::DeadlineExpired,
+                &format!("{what}: deadline expired before the leg was sent"),
+            ),
         };
         self.reply(job, &frame);
+    }
+}
+
+impl Service for Router {
+    type Payload = QueryFrame;
+    const PREFIX: &'static str = "sknn_shard_";
+
+    fn edge_stats(&self) -> &EdgeStats {
+        &self.stats.edge
+    }
+
+    /// The router takes `QUERY` only; where the point lies is decided at
+    /// routing time.
+    fn claim(&self, frame: Frame) -> Option<Request<QueryFrame>> {
+        let Frame::Query(q) = frame else { return None };
+        let finite = q.x.is_finite() && q.y.is_finite() && q.z.is_finite();
+        Some(Request {
+            req_id: q.req_id,
+            trace_id: q.trace_id,
+            deadline_ms: q.deadline_ms,
+            payload: if finite { Ok(q) } else { Err("non-finite coordinates") },
+        })
+    }
+
+    /// The `objects` entry is the fleet-wide live-object count at bind
+    /// time, mirroring the entry a single shard reports, so `loadgen
+    /// --verify` clamps `k` identically against a router or a shard.
+    fn stats_rows(&self, out: &mut Vec<(String, u64)>) {
+        self.stats.stats_rows(out);
+        out.push(("shards".to_string(), self.map.len() as u64));
+        out.push(("objects".to_string(), self.total_objects));
+    }
+
+    fn register<'a>(&'a self, reg: &Registry<'a>) {
+        self.stats.register_rows(reg, Self::PREFIX);
+        reg.gauge_fn("sknn_shard_map_size", "Number of shards in the routing map", move || {
+            self.map.len() as f64
+        });
+        reg.gauge_fn("sknn_shard_objects", "Fleet-wide live objects at bind time", move || {
+            self.total_objects as f64
+        });
+    }
+
+    fn workers(&self) -> usize {
+        self.cfg.workers
+    }
+
+    /// One orchestration worker: pops scheduled queries and drives their
+    /// shard legs end to end.
+    fn work(&self, lanes: &Lanes<QueryFrame>, rec: &dyn Recorder) {
+        while let Some(job) = lanes.pop() {
+            self.stats.queue_us.record(job.enqueued.elapsed().as_micros() as u64);
+            if job.deadline.is_some_and(|d| Instant::now() >= d) {
+                self.stats.expired.inc();
+                job.refuse(
+                    &self.stats,
+                    ErrorCode::DeadlineExpired,
+                    "deadline expired in router queue",
+                );
+                continue;
+            }
+            self.handle_query(job, rec);
+        }
     }
 }
 
@@ -769,25 +604,62 @@ fn other(msg: String) -> io::Error {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::map::ShardSpec;
+    use sknn_core::workload::SurfacePoint;
+    use sknn_geom::{Point3, Rect2};
+    use sknn_serve::protocol::{read_frame, write_frame, StatsFrame};
+    use std::net::TcpListener;
 
+    /// A recording fake shard behind a one-worker router: it answers the
+    /// bind-time `STATS`, then notes each `QUERY` leg's `deadline_ms` and
+    /// sits on the first for `DELAY` (any reply will do — a typed error
+    /// is relayed like an answer). The second query spends that long in
+    /// the router queue, so its leg must carry that much less than the
+    /// client's budget — not a fresh copy of it.
     #[test]
-    fn router_jobs_obey_the_scheduling_contract() {
-        sknn_serve::lanes::check_scheduling_contract(|req_id, deadline, enqueued| RouterJob {
-            req_id,
-            trace_id: req_id + 1000,
-            query: QueryFrame {
-                req_id,
-                tri: 0,
-                x: 0.0,
-                y: 0.0,
-                z: 0.0,
-                k: 1,
-                deadline_ms: 0,
-                trace_id: 0,
-            },
-            deadline,
-            enqueued,
-            writer: Arc::new(ConnWriter::null()),
+    fn legs_carry_the_remaining_slack_not_the_original_budget() {
+        const BUDGET_MS: u32 = 5_000;
+        const DELAY: Duration = Duration::from_millis(250);
+        let port = TcpListener::bind("127.0.0.1:0").unwrap();
+        let shard_addr = port.local_addr().unwrap().to_string();
+        let (seen_tx, seen) = std::sync::mpsc::channel::<u32>();
+        let shard = std::thread::spawn(move || {
+            let (mut s, _) = port.accept().unwrap();
+            assert!(matches!(read_frame(&mut s), Ok(Frame::StatsRequest)));
+            let stats = StatsFrame { entries: vec![("objects".to_string(), 1)] };
+            write_frame(&mut s, &Frame::Stats(stats)).unwrap();
+            let (mut s, _) = port.accept().unwrap();
+            for delay in [DELAY, Duration::ZERO] {
+                let Ok(Frame::Query(q)) = read_frame(&mut s) else {
+                    panic!("expected a QUERY leg")
+                };
+                seen_tx.send(q.deadline_ms).unwrap();
+                std::thread::sleep(delay);
+                let reply = Frame::error(q.req_id, ErrorCode::Overloaded, "fake shard");
+                write_frame(&mut s, &reply).unwrap();
+            }
         });
+        let tile = Rect2::new(Point2::new(0.0, 0.0), Point2::new(100.0, 100.0));
+        let map = ShardMap::new(vec![ShardSpec { tile, addr: shard_addr }]);
+        let cfg = RouterConfig { workers: 1, ..RouterConfig::default() };
+        let router = Router::bind(map, "127.0.0.1:0", cfg).unwrap();
+        let handle = router.handle();
+        std::thread::scope(|scope| {
+            let run = scope.spawn(|| router.run());
+            let mut client = Client::connect(handle.addr()).unwrap();
+            let q = SurfacePoint { tri: 0, pos: Point3::new(50.0, 50.0, 0.0) };
+            for req_id in [1, 2] {
+                client.send_query(req_id, q, 1, BUDGET_MS).unwrap();
+            }
+            let replies = [client.recv(), client.recv()];
+            handle.shutdown();
+            run.join().unwrap();
+            assert!(replies.iter().all(|r| matches!(r, Ok(Frame::Error(_)))), "{replies:?}");
+        });
+        shard.join().unwrap();
+        let (first, second) = (seen.recv().unwrap(), seen.recv().unwrap());
+        assert!((1..=BUDGET_MS).contains(&first), "first leg carried {first} ms");
+        let ceiling = BUDGET_MS - DELAY.as_millis() as u32 + 50;
+        assert!(second <= ceiling, "second leg carried {second} ms, ceiling {ceiling}");
     }
 }

@@ -2,184 +2,63 @@
 //! a tile boundary and fanned out, how many speculative legs were
 //! cancelled, and the router's own stage latencies — exported under the
 //! `sknn_shard_` prefix so a fleet dashboard can tell router work from
-//! shard work at a glance.
+//! shard work at a glance. Declared once, in a
+//! [`metrics_table!`](sknn_serve::metrics_table); the rows every serving
+//! process shares are [`EdgeStats`].
 
-use sknn_obs::{Counter, LogHistogram, Registry};
-use sknn_serve::protocol::StatsFrame;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use sknn_serve::edge::EdgeStats;
 
-/// Counters shared by the router's accept loop, connection readers, and
-/// worker pool. Everything is monotonic except the gauges.
-#[derive(Debug, Default)]
-pub struct RouterStats {
-    /// Connections accepted on the router port.
-    pub connections: Counter,
-    /// Queries admitted and routed to a home shard.
-    pub routed: Counter,
-    /// Queries answered by the home shard's interior fast path (the
-    /// query circle stayed inside one tile).
-    pub interior: Counter,
-    /// Queries that straddled a tile boundary and fanned out.
-    pub fanned_out: Counter,
-    /// Straddling queries whose partial results were merged, re-ranked,
-    /// and bound-verified into a final answer.
-    pub merged: Counter,
-    /// Speculative fan-out legs withdrawn by CANCEL after the interior
-    /// test proved their answers irrelevant.
-    pub cancelled_legs: Counter,
-    /// Shard legs that failed (transport error, timeout, or a typed
-    /// shard error relayed to the client).
-    pub leg_failures: Counter,
-    /// Merged answers whose `ub(p_k) ≤ lb(p_{k+1})` separation test did
-    /// not hold (to the engine's own 1e-9 margin) — the top-k is correct
-    /// by upper-bound order but not provably separated from the
-    /// runner-up, the same terminal state the union engine reports when
-    /// its refinement schedule ends first. A resolution-quality signal,
-    /// not an error.
-    pub bound_violations: Counter,
-    /// Queries answered successfully (interior or merged).
-    pub completed: Counter,
-    /// Queries shed at admission because the router queue was full.
-    pub shed: Counter,
-    /// Queries dropped at dequeue because their deadline had expired.
-    pub expired: Counter,
-    /// Queries rejected because the router was draining.
-    pub rejected_shutdown: Counter,
-    /// Malformed or unexpected frames received on the router port.
-    pub protocol_errors: Counter,
-    /// Client CANCELs that withdrew a queued query.
-    pub cancelled: Counter,
-    /// Client CANCELs that missed (already dispatched or unknown).
-    pub cancel_misses: Counter,
-    /// Reply writes that failed (client gone mid-flight).
-    pub write_errors: Counter,
-    /// Queries currently queued at the router (gauge).
-    pub queue_depth: AtomicU64,
-    /// Number of shards in the map (gauge; set at bind).
-    pub shard_map_size: AtomicU64,
-    /// Live objects across the fleet at bind time (gauge).
-    pub objects: AtomicU64,
-    /// Router admission-queue wait, microseconds.
-    pub queue_us: LogHistogram,
-    /// Route stage: dequeue → home leg (and speculative legs) sent, µs.
-    pub route_us: LogHistogram,
-    /// Fan-out stage: seed gather → radius → range gather, µs
-    /// (straddling queries only).
-    pub fanout_us: LogHistogram,
-    /// Merge stage: candidate merge → EXEC leg → bound check, µs
-    /// (straddling queries only).
-    pub merge_us: LogHistogram,
-    /// End-to-end router-side latency (enqueue to reply), microseconds.
-    pub latency_us: LogHistogram,
+sknn_serve::metrics_table! {
+    /// Everything the router counts, shared by its connection readers
+    /// and worker pool: the [`EdgeStats`] rows every serving process has
+    /// (read through `Deref`, so `stats.shed` and `stats.routed` sit side
+    /// by side) and the routing rows below. The gauges — queue depth, map
+    /// size, fleet objects — are not stored: the lanes and the router
+    /// already hold those values.
+    pub struct RouterStats {
+        parts {
+            /// The rows every serving process has.
+            edge: EdgeStats,
+        }
+        counters {
+            routed: "Queries admitted and routed to a home shard",
+            /// The query circle stayed inside one tile.
+            interior: "Queries answered by the interior fast path",
+            fanned_out: "Queries that straddled a boundary and fanned out",
+            /// Partial results merged, re-ranked and bound-verified.
+            merged: "Straddling queries merged into a verified answer",
+            /// Withdrawn by CANCEL after the interior test proved their
+            /// answers irrelevant.
+            cancelled_legs: "Speculative fan-out legs cancelled",
+            /// Transport error, timeout, or a typed shard error relayed
+            /// to the client.
+            leg_failures: "Shard legs that failed",
+            /// The `ub(p_k) ≤ lb(p_{k+1})` separation test did not hold
+            /// (to the engine's own 1e-9 margin) — the top-k is correct
+            /// by upper-bound order but not provably separated from the
+            /// runner-up, the same terminal state the union engine
+            /// reports when its refinement schedule ends first. A
+            /// resolution-quality signal, not an error.
+            bound_violations: "Merged answers not provably separated from the runner-up",
+        }
+        hists {
+            route_us: "Route stage (dequeue to legs sent), microseconds",
+            /// Straddling queries only.
+            fanout_us: "Fan-out stage (seeds, radius, range), microseconds",
+            /// Straddling queries only.
+            merge_us: "Merge stage (merge, exec, bound check), microseconds",
+        }
+    }
+}
+
+impl std::ops::Deref for RouterStats {
+    type Target = EdgeStats;
+    fn deref(&self) -> &EdgeStats {
+        &self.edge
+    }
 }
 
 impl RouterStats {
-    /// Fresh, all-zero stats.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Snapshot for the `STATS` frame. The `objects` entry is the
-    /// fleet-wide live-object count, mirroring the entry a single shard
-    /// reports, so `loadgen --verify` clamps `k` identically against a
-    /// router or a shard.
-    pub fn snapshot(&self) -> StatsFrame {
-        let q = |h: &LogHistogram, p: f64| h.quantile(p).unwrap_or(0);
-        let entries = vec![
-            ("connections".to_string(), self.connections.get()),
-            ("routed".to_string(), self.routed.get()),
-            ("interior".to_string(), self.interior.get()),
-            ("fanned_out".to_string(), self.fanned_out.get()),
-            ("merged".to_string(), self.merged.get()),
-            ("cancelled_legs".to_string(), self.cancelled_legs.get()),
-            ("leg_failures".to_string(), self.leg_failures.get()),
-            ("bound_violations".to_string(), self.bound_violations.get()),
-            ("completed".to_string(), self.completed.get()),
-            ("shed".to_string(), self.shed.get()),
-            ("expired".to_string(), self.expired.get()),
-            ("rejected_shutdown".to_string(), self.rejected_shutdown.get()),
-            ("protocol_errors".to_string(), self.protocol_errors.get()),
-            ("cancelled".to_string(), self.cancelled.get()),
-            ("cancel_misses".to_string(), self.cancel_misses.get()),
-            ("write_errors".to_string(), self.write_errors.get()),
-            ("queue_depth".to_string(), self.queue_depth.load(Ordering::Relaxed)),
-            ("shards".to_string(), self.shard_map_size.load(Ordering::Relaxed)),
-            ("objects".to_string(), self.objects.load(Ordering::Relaxed)),
-            ("latency_p50_us".to_string(), q(&self.latency_us, 0.5)),
-            ("latency_p95_us".to_string(), q(&self.latency_us, 0.95)),
-            ("latency_p99_us".to_string(), q(&self.latency_us, 0.99)),
-            ("latency_us_n".to_string(), self.latency_us.count()),
-        ];
-        StatsFrame { entries }
-    }
-
-    /// Registers every counter, the gauges, and the stage histograms
-    /// into `reg` under the `sknn_shard_` prefix. Sources are `Arc`
-    /// clones, so the registry may outlive the router loop.
-    pub fn register_into(self: &Arc<Self>, reg: &Registry<'_>) {
-        macro_rules! counters {
-            ($($field:ident => $help:expr),+ $(,)?) => {$(
-                let s = Arc::clone(self);
-                reg.counter_fn(
-                    concat!("sknn_shard_", stringify!($field), "_total"),
-                    $help,
-                    move || s.$field.get(),
-                );
-            )+};
-        }
-        counters! {
-            connections => "Connections accepted on the router port",
-            routed => "Queries admitted and routed to a home shard",
-            interior => "Queries answered by the interior fast path",
-            fanned_out => "Queries that straddled a boundary and fanned out",
-            merged => "Straddling queries merged into a verified answer",
-            cancelled_legs => "Speculative fan-out legs cancelled",
-            leg_failures => "Shard legs that failed",
-            bound_violations => "Merged answers not provably separated from the runner-up",
-            completed => "Queries answered successfully",
-            shed => "Queries shed at admission (router queue full)",
-            expired => "Queries dropped at dequeue (deadline expired)",
-            rejected_shutdown => "Queries rejected while draining",
-            protocol_errors => "Malformed or unexpected frames received",
-            cancelled => "Client CANCELs that withdrew a queued query",
-            cancel_misses => "Client CANCELs that missed",
-            write_errors => "Reply writes that failed",
-        }
-        let s = Arc::clone(self);
-        reg.gauge_fn(
-            "sknn_shard_queue_depth",
-            "Queries currently queued at the router",
-            move || s.queue_depth.load(Ordering::Relaxed) as f64,
-        );
-        let s = Arc::clone(self);
-        reg.gauge_fn("sknn_shard_map_size", "Number of shards in the routing map", move || {
-            s.shard_map_size.load(Ordering::Relaxed) as f64
-        });
-        let s = Arc::clone(self);
-        reg.gauge_fn("sknn_shard_objects", "Fleet-wide live objects at bind time", move || {
-            s.objects.load(Ordering::Relaxed) as f64
-        });
-        macro_rules! hists {
-            ($($field:ident => $help:expr),+ $(,)?) => {$(
-                let s = Arc::clone(self);
-                reg.histogram_fn(
-                    concat!("sknn_shard_", stringify!($field)),
-                    $help,
-                    "",
-                    move || s.$field.snapshot(),
-                );
-            )+};
-        }
-        hists! {
-            queue_us => "Router admission-queue wait, microseconds",
-            route_us => "Route stage (dequeue to legs sent), microseconds",
-            fanout_us => "Fan-out stage (seeds, radius, range), microseconds",
-            merge_us => "Merge stage (merge, exec, bound check), microseconds",
-            latency_us => "End-to-end router-side latency, microseconds",
-        }
-    }
-
     /// One-line human summary for the shutdown log.
     pub fn summary(&self) -> String {
         format!(
@@ -201,31 +80,22 @@ impl RouterStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sknn_obs::Registry;
 
     #[test]
     fn registry_exposes_the_shard_families() {
-        let s = Arc::new(RouterStats::new());
+        let s = RouterStats::default();
         s.routed.inc();
         s.fanned_out.inc();
         s.cancelled_legs.add(3);
-        s.shard_map_size.store(4, Ordering::Relaxed);
         let reg = Registry::new();
-        s.register_into(&reg);
+        s.edge.register_rows(&reg, "sknn_shard_");
+        s.register_rows(&reg, "sknn_shard_");
         let text = reg.render();
         assert!(text.contains("sknn_shard_routed_total 1"), "{text}");
         assert!(text.contains("sknn_shard_fanned_out_total 1"), "{text}");
         assert!(text.contains("sknn_shard_merged_total 0"), "{text}");
         assert!(text.contains("sknn_shard_cancelled_legs_total 3"), "{text}");
-        assert!(text.contains("sknn_shard_map_size 4"), "{text}");
-    }
-
-    #[test]
-    fn snapshot_reports_objects_like_a_shard_does() {
-        let s = RouterStats::new();
-        s.objects.store(123, Ordering::Relaxed);
-        let snap = s.snapshot();
-        let get = |name: &str| snap.entries.iter().find(|(n, _)| n == name).unwrap().1;
-        assert_eq!(get("objects"), 123);
-        assert_eq!(get("routed"), 0);
+        assert!(text.contains("sknn_shard_shed_total 0"), "{text}");
     }
 }

@@ -70,7 +70,6 @@
 //!                                      against the single merged-terrain
 //!                                      engine regardless of local flags
 //!          [--expect-coalescing true]  fail unless mean batch size > 1
-//!          [--out BENCH_serve.json]    write the JSON report
 //! sknn top --metrics HOST:PORT         live server telemetry: polls the
 //!          [--interval-ms 1000]        metrics endpoint and redraws qps,
 //!          [--iterations 0]            queue depth, cut-cache gauges,
@@ -99,8 +98,10 @@ use sknn_bench::Args;
 use surface_knn::core::config::StepSchedule;
 use surface_knn::core::constrained::{ConstrainedEngine, ObstacleMask};
 use surface_knn::prelude::*;
-use surface_knn::serve::{LoadgenConfig, ServeConfig, Server, ServerHandle};
+use surface_knn::serve::promtext::{self, Sample};
+use surface_knn::serve::{Handle, LoadgenConfig, ServeConfig, Server};
 use surface_knn::shard::{Router, RouterConfig, ShardMap, ShardSpec};
+use surface_knn::store::{FaultInjector, FaultProfile};
 use surface_knn::terrain::stats::MeshStats;
 
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -195,20 +196,11 @@ fn main() {
             let k: usize = args.get("k", 5);
             let nq: usize = args.get("queries", 1);
             let threads: usize = args.get("threads", 1);
-            let stall_ms: f64 = args.get("stall-ms", 0.0);
-            let fault_spec: String = args.get("fault-profile", String::new());
             let cache_stats: bool = args.get("cache-stats", false);
             let engine = build_engine(&cfg);
-            if stall_ms > 0.0 {
-                engine.pager().set_read_stall(std::time::Duration::from_secs_f64(stall_ms / 1e3));
-            }
-            if !fault_spec.is_empty() {
-                let profile = surface_knn::store::FaultProfile::parse(&fault_spec)
-                    .expect("--fault-profile must be seed:rate:kind");
-                engine.pager().set_fault_injector(Some(
-                    surface_knn::store::FaultInjector::from_profile(&profile),
-                ));
-            }
+            let faults = fault_injector(&args, false);
+            let faults_on = faults.is_some();
+            set_io_regime(&engine, args.get("stall-ms", 0.0), faults);
             let qs = scene.random_queries(nq, seed ^ 7);
             // Build the batch vector outside the timed region so 1-thread
             // and N-thread qps lines measure the same work.
@@ -304,7 +296,7 @@ fn main() {
                     s.resident_bytes / 1024,
                 );
             }
-            if !fault_spec.is_empty() {
+            if faults_on {
                 let fs = engine.pager().fault_stats();
                 let degraded = results
                     .iter()
@@ -470,27 +462,16 @@ fn main() {
             let max_seconds: f64 = args.get("max-seconds", 0.0);
             let trace_out: String = args.get("trace-out", String::new());
             let slow_log_out: String = args.get("slow-log", String::new());
-            let stall_ms: f64 = args.get("stall-ms", 0.0);
-            // `--fault-profile` wins; the env var is how CI wires fault
-            // injection through without touching the command line.
-            let fault_spec: String =
-                args.get("fault-profile", std::env::var("SKNN_FAULT_PROFILE").unwrap_or_default());
 
             let mut engine = build_engine(&cfg);
             // Serving is the warm regime: the buffer pool persists across
             // requests instead of being wiped per query.
             engine.cold_cache = false;
-            if stall_ms > 0.0 {
-                engine.pager().set_read_stall(Duration::from_secs_f64(stall_ms / 1e3));
+            let faults = fault_injector(&args, true);
+            if let Some((spec, _)) = &faults {
+                eprintln!("# fault injection active: {spec}");
             }
-            if !fault_spec.is_empty() {
-                let profile = surface_knn::store::FaultProfile::parse(&fault_spec)
-                    .expect("fault profile must be seed:rate:kind");
-                engine.pager().set_fault_injector(Some(
-                    surface_knn::store::FaultInjector::from_profile(&profile),
-                ));
-                eprintln!("# fault injection active: {fault_spec}");
-            }
+            set_io_regime(&engine, args.get("stall-ms", 0.0), faults);
 
             let mut server = Server::bind(&engine, (host.as_str(), port), serve_cfg)
                 .expect("cannot bind server address");
@@ -533,8 +514,6 @@ fn main() {
             let max_seconds: f64 = args.get("max-seconds", 0.0);
             let metrics_port: Option<u16> = args.get_opt("metrics-port");
             let trace_out: String = args.get("trace-out", String::new());
-            let fault_spec: String =
-                args.get("fault-profile", std::env::var("SKNN_FAULT_PROFILE").unwrap_or_default());
 
             // Partition via the same tiles (and the same `home` rule) the
             // router will route with, so ownership agrees bit-for-bit.
@@ -546,13 +525,7 @@ fn main() {
             for i in 0..n {
                 let mut engine = build_engine(&cfg);
                 engine.cold_cache = false;
-                if !fault_spec.is_empty() {
-                    let profile = surface_knn::store::FaultProfile::parse(&fault_spec)
-                        .expect("fault profile must be seed:rate:kind");
-                    engine.pager().set_fault_injector(Some(
-                        surface_knn::store::FaultInjector::from_profile(&profile),
-                    ));
-                }
+                set_io_regime(&engine, 0.0, fault_injector(&args, true));
                 // Restrict the object store to the tile; ids stay global,
                 // so the union of the shards is exactly the full scene.
                 let store = engine.objects();
@@ -564,8 +537,8 @@ fn main() {
                 }
                 engines.push(engine);
             }
-            if !fault_spec.is_empty() {
-                eprintln!("# fault injection active on every shard: {fault_spec}");
+            if let Some((spec, _)) = fault_injector(&args, true) {
+                eprintln!("# fault injection active on every shard: {spec}");
             }
 
             let servers: Vec<Server<'_, '_, '_>> = engines
@@ -599,7 +572,7 @@ fn main() {
             }
 
             std::thread::scope(|scope| {
-                let shard_handles: Vec<ServerHandle> = servers.iter().map(|s| s.handle()).collect();
+                let shard_handles: Vec<Handle> = servers.iter().map(|s| s.handle()).collect();
                 for server in &servers {
                     scope.spawn(move || {
                         server.run();
@@ -630,13 +603,9 @@ fn main() {
                         println!("shard {i} metrics on http://{addr}/metrics");
                     }
                 }
-                install_shutdown_watcher_with(
-                    {
-                        let handle = router.handle();
-                        move || handle.shutdown()
-                    },
-                    max_seconds,
-                );
+                // Draining the router drains the fleet: the shards are
+                // shut down once it returns.
+                install_shutdown_watcher(router.handle(), max_seconds);
                 let trace = router.run();
                 println!("router drained: {}", stats.summary());
                 // The router is fully drained: no query still holds shard
@@ -657,20 +626,15 @@ fn main() {
             let nq: usize = args.get("queries", 5);
             let threads: usize = args.get("threads", 1);
             let checkpoint_every: usize = args.get("checkpoint-every", 0);
-            let fault_spec: String = args.get("fault-profile", String::new());
 
             let mut engine = build_engine(&cfg);
-            if !fault_spec.is_empty() {
-                let profile = surface_knn::store::FaultProfile::parse(&fault_spec)
-                    .expect("--fault-profile must be seed:rate:kind");
-                let injector =
-                    std::sync::Arc::new(surface_knn::store::FaultInjector::from_profile(&profile));
+            if let Some((spec, injector)) = fault_injector(&args, false) {
                 engine = engine.with_object_store(ObjectStore::genesis(
                     scene.objects(),
                     cfg.pool_pages,
-                    Some(injector),
+                    Some(std::sync::Arc::new(injector)),
                 ));
-                eprintln!("# write-fault injection active: {fault_spec}");
+                eprintln!("# write-fault injection active: {spec}");
             }
             let engine = engine;
             let store = engine.objects();
@@ -777,7 +741,6 @@ fn main() {
             let qps_list: String = args.get("qps", "0".to_string());
             let verify: bool = args.get("verify", false);
             let expect_coalescing: bool = args.get("expect-coalescing", false);
-            let out: String = args.get("out", String::new());
             let base = LoadgenConfig {
                 addr,
                 connections: args.get("connections", 8),
@@ -871,11 +834,6 @@ fn main() {
                     failed = true;
                 }
             }
-            if !out.is_empty() {
-                let json = render_loadgen_json(grid, seed, scene.num_objects(), &base, &reports);
-                std::fs::write(&out, &json).expect("cannot write --out file");
-                eprintln!("# wrote {out}");
-            }
             if failed {
                 std::process::exit(1);
             }
@@ -889,6 +847,81 @@ fn main() {
     }
 }
 
+/// The `--fault-profile seed:rate:kind` injector and the spec it came
+/// from, if one is asked for. With `env_fallback` an absent flag falls
+/// back to `SKNN_FAULT_PROFILE` — how CI wires fault injection into the
+/// serving commands without touching their command lines.
+fn fault_injector(args: &Args, env_fallback: bool) -> Option<(String, FaultInjector)> {
+    let fallback = if env_fallback {
+        std::env::var("SKNN_FAULT_PROFILE").unwrap_or_default()
+    } else {
+        String::new()
+    };
+    let spec: String = args.get("fault-profile", fallback);
+    if spec.is_empty() {
+        return None;
+    }
+    let profile = FaultProfile::parse(&spec).expect("fault profile must be seed:rate:kind");
+    Some((spec, FaultInjector::from_profile(&profile)))
+}
+
+/// Puts an engine's pager in the requested I/O regime: `stall_ms` of
+/// simulated disk latency per buffer-pool miss, and read-side faults.
+fn set_io_regime(
+    engine: &Mr3Engine<'_, '_>,
+    stall_ms: f64,
+    faults: Option<(String, FaultInjector)>,
+) {
+    if stall_ms > 0.0 {
+        engine.pager().set_read_stall(Duration::from_secs_f64(stall_ms / 1e3));
+    }
+    if let Some((_, injector)) = faults {
+        engine.pager().set_fault_injector(Some(injector));
+    }
+}
+
+/// One parsed scrape of a metrics endpoint and when it was taken — what
+/// both `top` modes read values and rates from.
+struct Scrape {
+    samples: Vec<Sample>,
+    at: std::time::Instant,
+}
+
+impl Scrape {
+    fn fetch(endpoint: &str) -> Result<Self, String> {
+        let body = promtext::http_get(endpoint, "/metrics", Duration::from_secs(2))
+            .map_err(|e| format!("scrape of {endpoint} failed: {e}"))?;
+        let samples = promtext::parse(&body).map_err(|line| {
+            format!("{endpoint}: metrics line {line} does not parse as Prometheus text exposition")
+        })?;
+        Ok(Self { samples, at: std::time::Instant::now() })
+    }
+
+    /// [`fetch`](Self::fetch), or report the failure and exit nonzero.
+    fn fetch_or_exit(endpoint: &str) -> Self {
+        Self::fetch(endpoint).unwrap_or_else(|e| {
+            eprintln!("# ERROR: {e}");
+            std::process::exit(1);
+        })
+    }
+
+    fn has(&self, name: &str) -> bool {
+        self.samples.iter().any(|s| s.name == name)
+    }
+
+    fn value(&self, name: &str) -> f64 {
+        self.samples.iter().find(|s| s.name == name).map(|s| s.value).unwrap_or(0.0)
+    }
+
+    /// Per-second increase of `name` since `prev` (0 on the first scrape).
+    fn rate(&self, prev: Option<&Scrape>, name: &str) -> f64 {
+        prev.map_or(0.0, |old| {
+            let dt = self.at.duration_since(old.at).as_secs_f64().max(1e-9);
+            (self.value(name) - old.value(name)).max(0.0) / dt
+        })
+    }
+}
+
 /// `sknn top`: poll the metrics endpoint and redraw a one-screen summary.
 ///
 /// Quantiles come from the cumulative (lifetime) histograms the endpoint
@@ -897,8 +930,6 @@ fn main() {
 /// metric families are present, and exits nonzero otherwise — the CI
 /// smoke test runs exactly that.
 fn run_top(args: &Args) {
-    use surface_knn::serve::promtext::{self, Sample};
-
     let endpoints: String = args.get("endpoints", String::new());
     if !endpoints.is_empty() {
         run_top_fleet(args, &endpoints);
@@ -912,29 +943,13 @@ fn run_top(args: &Args) {
     let check: bool = args.get("check", false);
     let timeout = Duration::from_secs(2);
 
-    let scrape = || -> Result<Vec<Sample>, String> {
-        let body = promtext::http_get(&metrics, "/metrics", timeout)
-            .map_err(|e| format!("scrape of {metrics} failed: {e}"))?;
-        promtext::parse(&body).map_err(|line| {
-            format!("metrics line {line} does not parse as Prometheus text exposition")
-        })
-    };
-    let value = |samples: &[Sample], name: &str| -> f64 {
-        samples.iter().find(|s| s.name == name).map(|s| s.value).unwrap_or(0.0)
-    };
-    let buckets = |samples: &[Sample], hist: &str| -> Vec<Sample> {
+    let buckets = |scrape: &Scrape, hist: &str| -> Vec<Sample> {
         let bucket_name = format!("{hist}_bucket");
-        samples.iter().filter(|s| s.name == bucket_name).cloned().collect()
+        scrape.samples.iter().filter(|s| s.name == bucket_name).cloned().collect()
     };
 
     if check {
-        let samples = match scrape() {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("# ERROR: {e}");
-                std::process::exit(1);
-            }
-        };
+        let scrape = Scrape::fetch_or_exit(&metrics);
         let required = [
             "sknn_serve_accepted_total",
             "sknn_serve_completed_total",
@@ -956,19 +971,18 @@ fn run_top(args: &Args) {
             "sknn_cutcache_misses_total",
             "sknn_cutcache_hit_rate",
         ];
-        let mut missing = Vec::new();
-        for name in required {
-            if !samples.iter().any(|s| s.name == name) {
-                missing.push(name);
-            }
-        }
+        let missing: Vec<&str> = required.into_iter().filter(|name| !scrape.has(name)).collect();
         if !missing.is_empty() {
             eprintln!("# ERROR: metrics endpoint is missing families: {missing:?}");
             std::process::exit(1);
         }
         match promtext::http_get_status(&metrics, "/healthz", timeout) {
             Ok((status, body)) => {
-                println!("metrics OK: {} samples, healthz {status} {}", samples.len(), body.trim())
+                println!(
+                    "metrics OK: {} samples, healthz {status} {}",
+                    scrape.samples.len(),
+                    body.trim()
+                )
             }
             Err(e) => {
                 eprintln!("# ERROR: healthz fetch failed: {e}");
@@ -989,32 +1003,17 @@ fn run_top(args: &Args) {
         ("stall", "sknn_serve_stall_us"),
         ("latency", "sknn_serve_latency_us"),
     ];
-    let mut prev: Option<(Vec<Sample>, std::time::Instant)> = None;
+    let mut prev: Option<Scrape> = None;
     let mut tick = 0usize;
     loop {
-        let samples = match scrape() {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("# {e}");
-                std::process::exit(1);
-            }
-        };
-        let now = std::time::Instant::now();
+        let scrape = Scrape::fetch_or_exit(&metrics);
         let health = promtext::http_get_status(&metrics, "/healthz", timeout)
             .map(|(status, _)| if status == 200 { "serving" } else { "draining" })
             .unwrap_or("unreachable");
-        let rate = |name: &str| -> f64 {
-            match &prev {
-                Some((old, at)) => {
-                    let dt = now.duration_since(*at).as_secs_f64().max(1e-9);
-                    (value(&samples, name) - value(old, name)).max(0.0) / dt
-                }
-                None => 0.0,
-            }
-        };
-        let batches = value(&samples, "sknn_serve_batches_total");
+        let rate = |name: &str| scrape.rate(prev.as_ref(), name);
+        let batches = scrape.value("sknn_serve_batches_total");
         let mean_batch = if batches > 0.0 {
-            value(&samples, "sknn_serve_batched_requests_total") / batches
+            scrape.value("sknn_serve_batched_requests_total") / batches
         } else {
             0.0
         };
@@ -1026,9 +1025,9 @@ fn run_top(args: &Args) {
         out.push_str(&format!(
             "qps {:8.1}   queue depth {:4.0}   mean batch {:5.2}   connections {:6.0}\n",
             rate("sknn_serve_completed_total"),
-            value(&samples, "sknn_serve_queue_depth"),
+            scrape.value("sknn_serve_queue_depth"),
             mean_batch,
-            value(&samples, "sknn_serve_connections_total"),
+            scrape.value("sknn_serve_connections_total"),
         ));
         out.push_str(&format!(
             "shed {:6.1}/s   expired {:6.1}/s   degraded {:6.1}/s   errors {:6.1}/s\n",
@@ -1040,14 +1039,14 @@ fn run_top(args: &Args) {
         out.push_str(&format!(
             "cut cache: hit rate {:5.1}%   warm {:5.0}   cooling {:4.0}   \
              in-flight {:2.0}   resident {:6.0} KiB\n\n",
-            value(&samples, "sknn_cutcache_hit_rate") * 100.0,
-            value(&samples, "sknn_cutcache_warm_entries"),
-            value(&samples, "sknn_cutcache_cooling_entries"),
-            value(&samples, "sknn_cutcache_extractions_in_flight"),
-            value(&samples, "sknn_cutcache_resident_bytes") / 1024.0,
+            scrape.value("sknn_cutcache_hit_rate") * 100.0,
+            scrape.value("sknn_cutcache_warm_entries"),
+            scrape.value("sknn_cutcache_cooling_entries"),
+            scrape.value("sknn_cutcache_extractions_in_flight"),
+            scrape.value("sknn_cutcache_resident_bytes") / 1024.0,
         ));
-        let stale = value(&samples, "sknn_dijkstra_stale_pops_total");
-        let pops = value(&samples, "sknn_dijkstra_pops_total");
+        let stale = scrape.value("sknn_dijkstra_stale_pops_total");
+        let pops = scrape.value("sknn_dijkstra_pops_total");
         out.push_str(&format!(
             "dijkstra: settled {:8.1}/s   pushes {:8.1}/s   pops {:8.1}/s   stale {:4.1}%\n\n",
             rate("sknn_dijkstra_settled_total"),
@@ -1060,7 +1059,7 @@ fn run_top(args: &Args) {
             "stage", "p50", "p95", "p99", "count"
         ));
         for (label, hist) in stage_hists {
-            let b = buckets(&samples, hist);
+            let b = buckets(&scrape, hist);
             let q = |p: f64| {
                 promtext::histogram_quantile(&b, p)
                     .map(|v| if v.is_infinite() { "inf".to_string() } else { format!("{v:.0}") })
@@ -1071,7 +1070,7 @@ fn run_top(args: &Args) {
                 q(0.5),
                 q(0.95),
                 q(0.99),
-                value(&samples, &format!("{hist}_count")),
+                scrape.value(&format!("{hist}_count")),
             ));
         }
         if !query_addr.is_empty() {
@@ -1101,7 +1100,7 @@ fn run_top(args: &Args) {
         if iterations > 0 && tick >= iterations {
             return;
         }
-        prev = Some((samples, now));
+        prev = Some(scrape);
         std::thread::sleep(interval);
     }
 }
@@ -1114,8 +1113,6 @@ fn run_top(args: &Args) {
 /// endpoint parses and at least one router exposes the full
 /// `sknn_shard_*` family set.
 fn run_top_fleet(args: &Args, endpoints: &str) {
-    use surface_knn::serve::promtext::{self, Sample};
-
     let eps: Vec<String> =
         endpoints.split(',').map(str::trim).filter(|s| !s.is_empty()).map(String::from).collect();
     if eps.is_empty() {
@@ -1125,21 +1122,11 @@ fn run_top_fleet(args: &Args, endpoints: &str) {
     let interval = Duration::from_millis(args.get("interval-ms", 1000));
     let iterations: usize = args.get("iterations", 0);
     let check: bool = args.get("check", false);
-    let timeout = Duration::from_secs(2);
 
-    let scrape = |ep: &str| -> Result<Vec<Sample>, String> {
-        let body = promtext::http_get(ep, "/metrics", timeout)
-            .map_err(|e| format!("scrape of {ep} failed: {e}"))?;
-        promtext::parse(&body).map_err(|line| format!("{ep}: metrics line {line} does not parse"))
-    };
-    let value = |samples: &[Sample], name: &str| -> f64 {
-        samples.iter().find(|s| s.name == name).map(|s| s.value).unwrap_or(0.0)
-    };
-    let is_router = |samples: &[Sample]| -> bool {
-        samples.iter().any(|s| s.name == "sknn_shard_routed_total")
-    };
-    let instance_of = |samples: &[Sample]| -> String {
-        samples
+    let is_router = |scrape: &Scrape| scrape.has("sknn_shard_routed_total");
+    let instance_of = |scrape: &Scrape| -> String {
+        scrape
+            .samples
             .iter()
             .find_map(|s| s.labels.get("instance").cloned())
             .unwrap_or_else(|| "-".to_string())
@@ -1158,38 +1145,29 @@ fn run_top_fleet(args: &Args, endpoints: &str) {
         ];
         let mut routers = 0usize;
         for ep in &eps {
-            let samples = match scrape(ep) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("# ERROR: {e}");
-                    std::process::exit(1);
-                }
-            };
-            if is_router(&samples) {
+            let scrape = Scrape::fetch_or_exit(ep);
+            if is_router(&scrape) {
                 routers += 1;
-                let missing: Vec<&str> = shard_required
-                    .iter()
-                    .filter(|name| !samples.iter().any(|s| s.name == **name))
-                    .copied()
-                    .collect();
+                let missing: Vec<&str> =
+                    shard_required.iter().filter(|name| !scrape.has(name)).copied().collect();
                 if !missing.is_empty() {
                     eprintln!("# ERROR: router {ep} is missing families: {missing:?}");
                     std::process::exit(1);
                 }
-            } else if !samples.iter().any(|s| s.name == "sknn_serve_completed_total") {
+            } else if !scrape.has("sknn_serve_completed_total") {
                 eprintln!("# ERROR: {ep} exposes neither sknn_shard_* nor sknn_serve_* families");
                 std::process::exit(1);
             }
-            if instance_of(&samples) == "-" {
+            if instance_of(&scrape) == "-" {
                 eprintln!("# ERROR: {ep} exports no instance label");
                 std::process::exit(1);
             }
             println!(
                 "{} OK: {} ({} samples, instance {})",
                 ep,
-                if is_router(&samples) { "router" } else { "shard" },
-                samples.len(),
-                instance_of(&samples),
+                if is_router(&scrape) { "router" } else { "shard" },
+                scrape.samples.len(),
+                instance_of(&scrape),
             );
         }
         if routers == 0 {
@@ -1200,7 +1178,7 @@ fn run_top_fleet(args: &Args, endpoints: &str) {
         return;
     }
 
-    let mut prev: Vec<Option<(Vec<Sample>, std::time::Instant)>> = vec![None; eps.len()];
+    let mut prev: Vec<Option<Scrape>> = eps.iter().map(|_| None).collect();
     let mut tick = 0usize;
     loop {
         let mut out = String::new();
@@ -1217,32 +1195,22 @@ fn run_top_fleet(args: &Args, endpoints: &str) {
         let mut fleet_expired = 0.0;
         let mut router_line = String::new();
         for (i, ep) in eps.iter().enumerate() {
-            let samples = match scrape(ep) {
-                Ok(s) => s,
-                Err(_) => {
-                    out.push_str(&format!("{ep:<22} {:<9} unreachable\n", "-"));
-                    prev[i] = None;
-                    continue;
-                }
+            let Ok(scrape) = Scrape::fetch(ep) else {
+                out.push_str(&format!("{ep:<22} {:<9} unreachable\n", "-"));
+                prev[i] = None;
+                continue;
             };
-            let now = std::time::Instant::now();
-            let prefix = if is_router(&samples) { "sknn_shard" } else { "sknn_serve" };
+            let prefix = if is_router(&scrape) { "sknn_shard" } else { "sknn_serve" };
             let completed_name = format!("{prefix}_completed_total");
-            let qps = match &prev[i] {
-                Some((old, at)) => {
-                    let dt = now.duration_since(*at).as_secs_f64().max(1e-9);
-                    (value(&samples, &completed_name) - value(old, &completed_name)).max(0.0) / dt
-                }
-                None => 0.0,
-            };
-            let queue = value(&samples, &format!("{prefix}_queue_depth"));
-            let completed = value(&samples, &completed_name);
-            let shed = value(&samples, &format!("{prefix}_shed_total"));
-            let expired = value(&samples, &format!("{prefix}_expired_total"));
+            let qps = scrape.rate(prev[i].as_ref(), &completed_name);
+            let queue = scrape.value(&format!("{prefix}_queue_depth"));
+            let completed = scrape.value(&completed_name);
+            let shed = scrape.value(&format!("{prefix}_shed_total"));
+            let expired = scrape.value(&format!("{prefix}_expired_total"));
             out.push_str(&format!(
                 "{:<22} {:<9} {:<7} {:>8.1} {:>6.0} {:>10.0} {:>6.0} {:>8.0}\n",
                 ep,
-                instance_of(&samples),
+                instance_of(&scrape),
                 if prefix == "sknn_shard" { "router" } else { "shard" },
                 qps,
                 queue,
@@ -1263,18 +1231,18 @@ fn run_top_fleet(args: &Args, endpoints: &str) {
                     "router: {:.0} routed ({:.0} interior, {:.0} fanned out, {:.0} merged), \
                      {:.0} legs cancelled, {:.0} leg failures, {:.0} bound violations, \
                      map size {:.0}, {:.0} fleet objects\n",
-                    value(&samples, "sknn_shard_routed_total"),
-                    value(&samples, "sknn_shard_interior_total"),
-                    value(&samples, "sknn_shard_fanned_out_total"),
-                    value(&samples, "sknn_shard_merged_total"),
-                    value(&samples, "sknn_shard_cancelled_legs_total"),
-                    value(&samples, "sknn_shard_leg_failures_total"),
-                    value(&samples, "sknn_shard_bound_violations_total"),
-                    value(&samples, "sknn_shard_map_size"),
-                    value(&samples, "sknn_shard_objects"),
+                    scrape.value("sknn_shard_routed_total"),
+                    scrape.value("sknn_shard_interior_total"),
+                    scrape.value("sknn_shard_fanned_out_total"),
+                    scrape.value("sknn_shard_merged_total"),
+                    scrape.value("sknn_shard_cancelled_legs_total"),
+                    scrape.value("sknn_shard_leg_failures_total"),
+                    scrape.value("sknn_shard_bound_violations_total"),
+                    scrape.value("sknn_shard_map_size"),
+                    scrape.value("sknn_shard_objects"),
                 );
             }
-            prev[i] = Some((samples, now));
+            prev[i] = Some(scrape);
         }
         out.push_str(&format!(
             "{:<22} {:<9} {:<7} {:>8.1} {:>6.0} {:>10.0} {:>6.0} {:>8.0}\n",
@@ -1317,36 +1285,6 @@ fn fetch_slow_lines(addr: &str, limit: usize) -> Result<Vec<String>, String> {
         .collect())
 }
 
-/// JSON report for `sknn loadgen --out` (the `BENCH_serve.json` format).
-fn render_loadgen_json(
-    grid: usize,
-    seed: u64,
-    objects: usize,
-    base: &LoadgenConfig,
-    reports: &[surface_knn::serve::RunReport],
-) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"bench\": \"serve_loadgen\",\n");
-    s.push_str("  \"terrain\": \"BH\",\n");
-    s.push_str(&format!("  \"grid\": {grid},\n"));
-    s.push_str(&format!("  \"seed\": {seed},\n"));
-    s.push_str(&format!("  \"objects\": {objects},\n"));
-    s.push_str(&format!("  \"connections\": {},\n", base.connections));
-    s.push_str(&format!("  \"requests_per_conn\": {},\n", base.requests_per_conn));
-    s.push_str(&format!("  \"k\": {},\n", base.k));
-    s.push_str(&format!("  \"deadline_ms\": {},\n", base.deadline_ms));
-    s.push_str(&format!("  \"host_threads\": {},\n", surface_knn::exec::available_threads()));
-    s.push_str("  \"runs\": [\n");
-    for (i, report) in reports.iter().enumerate() {
-        s.push_str(&report.to_json("    "));
-        s.push_str(if i + 1 < reports.len() { ",\n" } else { "\n" });
-    }
-    s.push_str("  ]\n");
-    s.push_str("}\n");
-    s
-}
-
 /// Latched by the signal handler; polled by the watcher thread. An
 /// atomic store is async-signal-safe, which is all the handler does.
 static SIGNALLED: AtomicBool = AtomicBool::new(false);
@@ -1374,13 +1312,7 @@ fn install_signal_flag() {}
 
 /// Triggers graceful drain on SIGINT/SIGTERM, or after `max_seconds`
 /// when positive (0 = run until signalled).
-fn install_shutdown_watcher(handle: ServerHandle, max_seconds: f64) {
-    install_shutdown_watcher_with(move || handle.shutdown(), max_seconds);
-}
-
-/// [`install_shutdown_watcher`] generalized over what "shut down" means —
-/// the shard deployment drains its router (and through it, the fleet).
-fn install_shutdown_watcher_with(shutdown: impl FnOnce() + Send + 'static, max_seconds: f64) {
+fn install_shutdown_watcher(handle: Handle, max_seconds: f64) {
     install_signal_flag();
     let deadline = (max_seconds > 0.0)
         .then(|| std::time::Instant::now() + Duration::from_secs_f64(max_seconds));
@@ -1388,7 +1320,7 @@ fn install_shutdown_watcher_with(shutdown: impl FnOnce() + Send + 'static, max_s
         if SIGNALLED.load(Ordering::Relaxed)
             || deadline.is_some_and(|d| std::time::Instant::now() >= d)
         {
-            shutdown();
+            handle.shutdown();
             return;
         }
         std::thread::sleep(Duration::from_millis(50));

@@ -3,10 +3,13 @@
 //! layer adds on top of the engine — bit-identical results under
 //! concurrent batched execution, typed load shedding instead of hangs,
 //! graceful drain that answers everything admitted, and a panicking
-//! query that fails alone.
+//! query that fails alone — plus the serving edge's own contract suite,
+//! run here against a `Server`.
 
 use std::time::Duration;
 use surface_knn::prelude::*;
+use surface_knn::serve::edge::{check_edge_contract, Contract};
+use surface_knn::serve::promtext;
 use surface_knn::serve::protocol::{ErrorCode, Frame};
 use surface_knn::serve::{Client, ServeConfig, Server};
 
@@ -79,10 +82,14 @@ fn responses_bit_identical_to_direct_queries() {
     assert_eq!(stats.batched_requests.get(), total);
 }
 
-/// With the admission queue bounded at one and a single-slot batcher,
+/// With the admission queue bounded at three and a single-slot batcher,
 /// pipelined requests must be shed with a typed `Overloaded` — and every
 /// single request still gets exactly one reply (no hangs: the client
-/// read timeout turns a dropped reply into a test failure).
+/// read timeout turns a dropped reply into a test failure). First, with
+/// the dispatcher held on a stalled query, the queue depth must read
+/// exactly what is parked — in the `STATS` frame and on `/metrics` alike
+/// — and 0 once drained: both are the lanes' own length, not a second
+/// count kept beside them.
 #[test]
 fn full_queue_sheds_with_typed_overloaded() {
     let (mesh, cfg) = test_world();
@@ -91,15 +98,18 @@ fn full_queue_sheds_with_typed_overloaded() {
     engine.cold_cache = false;
     let engine = engine;
 
+    const PARKED: u64 = 3;
     let serve_cfg = ServeConfig {
-        queue_depth: 1,
+        queue_depth: PARKED as usize,
         max_batch: 1,
         max_wait: Duration::ZERO,
         exec_threads: 1,
+        metrics_addr: Some("127.0.0.1:0".to_string()),
         ..ServeConfig::default()
     };
     let server = Server::bind(&engine, "127.0.0.1:0", serve_cfg).unwrap();
     let addr = server.local_addr();
+    let metrics = server.metrics_addr().unwrap().to_string();
     let handle = server.handle();
     let stats = server.stats();
 
@@ -107,6 +117,37 @@ fn full_queue_sheds_with_typed_overloaded() {
     const PER_CLIENT: usize = 20;
     let outcomes: Vec<(u64, u64)> = std::thread::scope(|scope| {
         let run = scope.spawn(|| server.run());
+
+        // Every miss of the first query (a cold pool) stalls, so the
+        // dispatcher is held until the stall is lifted. Frames are
+        // processed in order per connection: once STATS reads an empty
+        // queue the first query is admitted *and* picked up.
+        engine.pager().set_read_stall(Duration::from_millis(100));
+        let mut client = Client::connect_with_timeout(addr, Duration::from_secs(30)).unwrap();
+        let depths = |client: &mut Client| {
+            let entries = client.fetch_stats().unwrap();
+            let stat = entries.iter().find(|(n, _)| n == "queue_depth").unwrap().1;
+            let text = promtext::http_get(&metrics, "/metrics", Duration::from_secs(5)).unwrap();
+            let samples = promtext::parse(&text).unwrap();
+            let gauge = samples.iter().find(|s| s.name == "sknn_serve_queue_depth").unwrap().value;
+            (stat, gauge as u64)
+        };
+        let warmup = scene.random_queries(1 + PARKED as usize, 1999);
+        client.send_query(0, warmup[0], 3, 0).unwrap();
+        while depths(&mut client).0 != 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        for (i, &q) in warmup.iter().enumerate().skip(1) {
+            client.send_query(i as u64, q, 3, 0).unwrap();
+        }
+        let parked = depths(&mut client);
+        engine.pager().set_read_stall(Duration::ZERO);
+        for _ in 0..=PARKED {
+            assert!(matches!(client.recv(), Ok(Frame::Response(_))));
+        }
+        assert_eq!(parked, (PARKED, PARKED), "(STATS key, gauge) with the dispatcher held");
+        assert_eq!(depths(&mut client), (0, 0), "(STATS key, gauge) after the drain");
+        drop(client);
         let clients: Vec<_> = (0..CLIENTS)
             .map(|c| {
                 let scene = &scene;
@@ -115,8 +156,8 @@ fn full_queue_sheds_with_typed_overloaded() {
                         Client::connect_with_timeout(addr, Duration::from_secs(30)).unwrap();
                     let mut receiver = sender.try_clone().unwrap();
                     let queries = scene.random_queries(PER_CLIENT, 2000 + c as u64);
-                    // Pipeline everything without waiting: the queue (one
-                    // slot) cannot absorb this, so most must be shed.
+                    // Pipeline everything without waiting: the queue
+                    // (three slots) cannot absorb this, so most must be shed.
                     for (i, &q) in queries.iter().enumerate() {
                         sender.send_query(((c as u64) << 32) | i as u64, q, 3, 0).unwrap();
                     }
@@ -144,10 +185,10 @@ fn full_queue_sheds_with_typed_overloaded() {
 
     let (ok, shed): (u64, u64) = outcomes.iter().fold((0, 0), |(a, b), &(x, y)| (a + x, b + y));
     assert_eq!(ok + shed, (CLIENTS * PER_CLIENT) as u64);
-    assert!(shed > 0, "a one-slot queue must shed under {CLIENTS} pipelining clients");
+    assert!(shed > 0, "a three-slot queue must shed under {CLIENTS} pipelining clients");
     assert!(ok > 0, "some requests must still be served");
     assert_eq!(stats.shed.get(), shed);
-    assert_eq!(stats.completed.get(), ok);
+    assert_eq!(stats.completed.get(), ok + 1 + PARKED);
 }
 
 /// Requests admitted before shutdown are all answered; the drain never
@@ -330,4 +371,38 @@ fn panicking_query_gets_a_typed_error_and_the_server_keeps_serving() {
     // The panic unwound through a cut-cache load: nothing stays latched.
     let cuts = engine.cut_cache_snapshot().unwrap();
     assert_eq!((cuts.loading, cuts.in_flight), (0, 0), "{cuts:?}");
+}
+
+/// The edge contract suite (`serve::edge::check_edge_contract`) against
+/// a shard server: one dispatcher slot, held by a per-miss read stall on
+/// a cold pool.
+#[test]
+fn server_obeys_the_edge_contract() {
+    let (mesh, cfg) = test_world();
+    let scene = SceneBuilder::new(&mesh).object_count(20).seed(12).build();
+    let engine = Mr3Engine::build(&mesh, &scene, &cfg); // cold cache: every query pays misses
+    const PARKED: u64 = 3;
+    let serve_cfg = ServeConfig {
+        queue_depth: PARKED as usize,
+        max_batch: 1,
+        max_wait: Duration::ZERO,
+        exec_threads: 1,
+        metrics_addr: Some("127.0.0.1:0".to_string()),
+        ..ServeConfig::default()
+    };
+    let server = Server::bind(&engine, "127.0.0.1:0", serve_cfg).unwrap();
+    std::thread::scope(|scope| {
+        let run = scope.spawn(|| server.run());
+        check_edge_contract(&Contract {
+            handle: server.handle(),
+            metrics: server.metrics_addr().unwrap(),
+            parked: PARKED,
+            query: scene.random_query(5000),
+            hold: &|on| {
+                let stall = if on { Duration::from_millis(100) } else { Duration::ZERO };
+                engine.pager().set_read_stall(stall);
+            },
+        });
+        run.join().unwrap();
+    });
 }

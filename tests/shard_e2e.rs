@@ -8,6 +8,8 @@
 
 use std::time::Duration;
 use surface_knn::prelude::*;
+use surface_knn::serve::edge::{check_edge_contract, Contract};
+use surface_knn::serve::promtext;
 use surface_knn::serve::protocol::{ErrorCode, Frame};
 use surface_knn::serve::{Client, ServeConfig, Server};
 use surface_knn::shard::{Router, RouterConfig, ShardMap, ShardSpec};
@@ -418,5 +420,126 @@ fn edf_orders_a_full_router_queue_and_sheds_overflow() {
         assert_eq!(stats.shed.get(), 1);
         assert_eq!(stats.expired.get(), 0);
         assert_eq!(stats.leg_failures.get(), 0);
+    });
+}
+
+/// Every family a router exports and every key of its `STATS` frame, as
+/// of `f586151` — the twin of the server's pinned lists in
+/// `tests/telemetry.rs`.
+const ROUTER_FAMILIES: [&str; 24] = [
+    "sknn_shard_bound_violations_total",
+    "sknn_shard_cancel_misses_total",
+    "sknn_shard_cancelled_legs_total",
+    "sknn_shard_cancelled_total",
+    "sknn_shard_completed_total",
+    "sknn_shard_connections_total",
+    "sknn_shard_expired_total",
+    "sknn_shard_fanned_out_total",
+    "sknn_shard_fanout_us",
+    "sknn_shard_interior_total",
+    "sknn_shard_latency_us",
+    "sknn_shard_leg_failures_total",
+    "sknn_shard_map_size",
+    "sknn_shard_merge_us",
+    "sknn_shard_merged_total",
+    "sknn_shard_objects",
+    "sknn_shard_protocol_errors_total",
+    "sknn_shard_queue_depth",
+    "sknn_shard_queue_us",
+    "sknn_shard_rejected_shutdown_total",
+    "sknn_shard_route_us",
+    "sknn_shard_routed_total",
+    "sknn_shard_shed_total",
+    "sknn_shard_write_errors_total",
+];
+const ROUTER_STATS_KEYS: [&str; 23] = [
+    "bound_violations",
+    "cancel_misses",
+    "cancelled",
+    "cancelled_legs",
+    "completed",
+    "connections",
+    "expired",
+    "fanned_out",
+    "interior",
+    "latency_p50_us",
+    "latency_p95_us",
+    "latency_p99_us",
+    "latency_us_n",
+    "leg_failures",
+    "merged",
+    "objects",
+    "protocol_errors",
+    "queue_depth",
+    "rejected_shutdown",
+    "routed",
+    "shards",
+    "shed",
+    "write_errors",
+];
+
+/// A one-shard fleet whose router has a single worker and a three-slot
+/// queue: first the router's exported names are compared with the pinned
+/// lists (every sample labelled `instance="router"`), then the edge
+/// contract suite (`serve::edge::check_edge_contract`) runs against it,
+/// the worker held by a per-miss read stall on the shard's cold pool.
+#[test]
+fn router_keeps_its_metric_names_and_obeys_the_edge_contract() {
+    let (mesh, cfg) = test_world();
+    let scene = SceneBuilder::new(&mesh).object_count(16).seed(13).build();
+    let engine = Mr3Engine::build(&mesh, &scene, &cfg); // cold cache: every query pays misses
+    let tiles = ShardMap::vertical_slabs(mesh.extent(), 1);
+    let server = Server::bind(&engine, "127.0.0.1:0", ServeConfig::default()).unwrap();
+    let map =
+        ShardMap::new(vec![ShardSpec { tile: tiles[0], addr: server.local_addr().to_string() }]);
+    const PARKED: u64 = 3;
+
+    std::thread::scope(|outer| {
+        let srun = outer.spawn(|| server.run());
+        let router = Router::bind(
+            map,
+            "127.0.0.1:0",
+            RouterConfig {
+                workers: 1,
+                queue_depth: PARKED as usize,
+                metrics_addr: Some("127.0.0.1:0".to_string()),
+                ..RouterConfig::default()
+            },
+        )
+        .unwrap();
+        let metrics = router.metrics_addr().unwrap();
+        std::thread::scope(|inner| {
+            let rrun = inner.spawn(|| router.run());
+
+            let timeout = Duration::from_secs(5);
+            let scrape = promtext::http_get(&metrics.to_string(), "/metrics", timeout).unwrap();
+            let mut families: Vec<&str> = scrape
+                .lines()
+                .filter_map(|l| l.strip_prefix("# TYPE ")?.split(' ').next())
+                .collect();
+            families.sort_unstable();
+            assert_eq!(families, ROUTER_FAMILIES, "exported families changed:\n{scrape}");
+            for s in promtext::parse(&scrape).expect("parseable exposition") {
+                assert_eq!(s.labels.get("instance").map(String::as_str), Some("router"), "{s:?}");
+            }
+            let entries = Client::connect(router.local_addr()).unwrap().fetch_stats().unwrap();
+            let mut keys: Vec<&str> = entries.iter().map(|(k, _)| k.as_str()).collect();
+            keys.sort_unstable();
+            assert_eq!(keys, ROUTER_STATS_KEYS, "STATS keys changed");
+
+            check_edge_contract(&Contract {
+                handle: router.handle(),
+                metrics,
+                parked: PARKED,
+                query: scene.random_query(17_100),
+                hold: &|on| {
+                    let stall = if on { Duration::from_millis(100) } else { Duration::ZERO };
+                    engine.pager().set_read_stall(stall);
+                },
+            });
+            rrun.join().unwrap();
+        });
+        server.handle().shutdown();
+        srun.join().unwrap();
     });
 }

@@ -187,10 +187,112 @@ fn slow_query_dump_returns_valid_jsonl_with_trace_ids() {
     });
 }
 
+/// Every family a shard server exports and every key of its `STATS`
+/// frame, as of `f586151`: the metric tables may be reorganised, but not
+/// one name may change or go missing (dashboards, `sknn top --check` and
+/// the router's `objects` lookup read them by name).
+const SERVER_FAMILIES: [&str; 61] = [
+    "sknn_cutcache_cooling_entries",
+    "sknn_cutcache_evictions_total",
+    "sknn_cutcache_extractions_in_flight",
+    "sknn_cutcache_failed_loads_total",
+    "sknn_cutcache_hit_rate",
+    "sknn_cutcache_hits_total",
+    "sknn_cutcache_misses_total",
+    "sknn_cutcache_resident_bytes",
+    "sknn_cutcache_singleflight_waits_total",
+    "sknn_cutcache_warm_entries",
+    "sknn_dijkstra_pops_total",
+    "sknn_dijkstra_pushes_total",
+    "sknn_dijkstra_settled_total",
+    "sknn_dijkstra_stale_pops_total",
+    "sknn_objects_live",
+    "sknn_serve_accepted_total",
+    "sknn_serve_batch_size",
+    "sknn_serve_batched_requests_total",
+    "sknn_serve_batches_total",
+    "sknn_serve_cancel_misses_total",
+    "sknn_serve_cancelled_total",
+    "sknn_serve_completed_total",
+    "sknn_serve_connections_total",
+    "sknn_serve_degraded_total",
+    "sknn_serve_exec_us",
+    "sknn_serve_expired_total",
+    "sknn_serve_latency_us",
+    "sknn_serve_linger_us",
+    "sknn_serve_panics_total",
+    "sknn_serve_protocol_errors_total",
+    "sknn_serve_query_errors_total",
+    "sknn_serve_queue_depth",
+    "sknn_serve_queue_us",
+    "sknn_serve_rejected_shutdown_total",
+    "sknn_serve_shed_total",
+    "sknn_serve_slow_captured_total",
+    "sknn_serve_stage_knn2d_us",
+    "sknn_serve_stage_radius_us",
+    "sknn_serve_stage_range_us",
+    "sknn_serve_stage_rank_us",
+    "sknn_serve_stall_us",
+    "sknn_serve_write_errors_total",
+    "sknn_store_checksum_failures_total",
+    "sknn_store_coalesced_misses_total",
+    "sknn_store_fault_exhausted_total",
+    "sknn_store_fault_retries_total",
+    "sknn_store_faults_injected_total",
+    "sknn_store_logical_reads_total",
+    "sknn_store_physical_reads_total",
+    "sknn_store_shard_contention_total",
+    "sknn_store_singleflight_waits_total",
+    "sknn_store_stall_us_total",
+    "sknn_wal_aborted_ops_total",
+    "sknn_wal_appends_total",
+    "sknn_wal_dirty_pages",
+    "sknn_wal_failed_fsyncs_total",
+    "sknn_wal_flushed_pages_total",
+    "sknn_wal_fsyncs_total",
+    "sknn_wal_recoveries_total",
+    "sknn_wal_replay_records_total",
+    "sknn_wal_truncated_records_total",
+];
+const SERVER_STATS_KEYS: [&str; 31] = [
+    "accepted",
+    "batched_requests",
+    "batches",
+    "cancel_misses",
+    "cancelled",
+    "completed",
+    "connections",
+    "degraded",
+    "dijkstra_pops",
+    "dijkstra_pushes",
+    "dijkstra_settled",
+    "dijkstra_stale_pops",
+    "expired",
+    "latency_p50_us",
+    "latency_p95_us",
+    "latency_p99_us",
+    "latency_us_n",
+    "linger_p50_us",
+    "linger_us_n",
+    "mean_batch_x1000",
+    "objects",
+    "panics",
+    "protocol_errors",
+    "query_errors",
+    "queue_depth",
+    "queue_p50_us",
+    "queue_us_n",
+    "rejected_shutdown",
+    "shed",
+    "slow_captured",
+    "write_errors",
+];
+
 /// The metrics endpoint serves parseable Prometheus text containing the
-/// per-stage histograms and pool counters while queries run, and its
-/// `/healthz` flips to 503 the moment graceful drain begins — while the
-/// admitted backlog is still being answered.
+/// per-stage histograms and pool counters while queries run — exactly
+/// the pinned families, each carrying the configured `instance` label —
+/// and its `/healthz` flips to 503 the moment graceful drain begins,
+/// while the admitted backlog is still being answered.
 #[test]
 fn metrics_endpoint_parses_and_healthz_flips_during_drain() {
     let (mesh, cfg) = test_world();
@@ -207,6 +309,7 @@ fn metrics_endpoint_parses_and_healthz_flips_during_drain() {
         max_batch: 1, // serialize the backlog: one slow query at a time
         max_wait: Duration::ZERO,
         exec_threads: 1,
+        instance: "shard7".to_string(),
         ..ServeConfig::default()
     };
     let server = Server::bind(&engine, "127.0.0.1:0", serve_cfg).unwrap();
@@ -234,23 +337,12 @@ fn metrics_endpoint_parses_and_healthz_flips_during_drain() {
         let scrape = promtext::http_get(&metrics, "/metrics", timeout).unwrap();
         let samples = promtext::parse(&scrape)
             .unwrap_or_else(|line| panic!("unparseable exposition at line {line}:\n{scrape}"));
-        for family in [
-            "sknn_serve_completed_total",
-            "sknn_serve_queue_depth",
-            "sknn_serve_queue_us_bucket",
-            "sknn_serve_linger_us_bucket",
-            "sknn_serve_exec_us_bucket",
-            "sknn_serve_stage_knn2d_us_bucket",
-            "sknn_serve_stage_radius_us_bucket",
-            "sknn_serve_stage_range_us_bucket",
-            "sknn_serve_stage_rank_us_bucket",
-            "sknn_serve_stall_us_bucket",
-            "sknn_serve_latency_us_bucket",
-            "sknn_store_logical_reads_total",
-            "sknn_store_stall_us_total",
-            "sknn_store_faults_injected_total",
-        ] {
-            assert!(samples.iter().any(|s| s.name == family), "scrape lacks {family}:\n{scrape}");
+        let mut families: Vec<&str> =
+            scrape.lines().filter_map(|l| l.strip_prefix("# TYPE ")?.split(' ').next()).collect();
+        families.sort_unstable();
+        assert_eq!(families, SERVER_FAMILIES, "exported families changed:\n{scrape}");
+        for s in &samples {
+            assert_eq!(s.labels.get("instance").map(String::as_str), Some("shard7"), "{s:?}");
         }
         // The completed query put a sample in the exec histogram, and the
         // stall clock advanced (cold pool + injected read stall).
@@ -273,7 +365,12 @@ fn metrics_endpoint_parses_and_healthz_flips_during_drain() {
         let mut responses = 0usize;
         loop {
             match client.recv().unwrap() {
-                Frame::Stats(_) => break,
+                Frame::Stats(s) => {
+                    let mut keys: Vec<&str> = s.entries.iter().map(|(k, _)| k.as_str()).collect();
+                    keys.sort_unstable();
+                    assert_eq!(keys, SERVER_STATS_KEYS, "STATS keys changed");
+                    break;
+                }
                 Frame::Response(_) => responses += 1,
                 other => panic!("unexpected frame {other:?}"),
             }
