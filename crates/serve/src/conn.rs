@@ -11,8 +11,8 @@ use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
-/// Shared write half of a connection. The dispatcher and the
-/// connection's reader thread both reply on the same socket (responses
+/// Shared write half of a connection. The workers and the
+/// connection's reader thread all reply on the same socket (responses
 /// vs. admission rejections), so writes go through a mutex and each
 /// frame is a single `write_all` — frames never interleave.
 #[derive(Debug)]

@@ -2,18 +2,21 @@
 //! once. A shard [`Server`](crate::Server) and the `sknn-shard` router
 //! both bind an [`Edge`] and hand it a [`Service`]; the edge owns the
 //! listener (and the optional metrics listener), the accept loop, one
-//! reader thread per connection, admission into the [`Lanes`], `CANCEL`,
+//! reader thread per connection, admission into the EDF lanes, `CANCEL`,
 //! `STATS`, `TRACE_DUMP`, framing errors, the shutdown [`Handle`] and
 //! the drain. It asks the process one question per request frame —
 //! [`Service::claim`]: *is this yours, and if so what are its ids,
-//! deadline and payload, or why is it a `BadRequest`* — and hands it the
-//! admitted [`Job`]s through [`Service::work`].
+//! deadline and payload, or why is it a `BadRequest`* — and runs the one
+//! worker loop both processes share: pop the lanes, stamp the pickup,
+//! refuse what expired while queued, and hand the rest to
+//! [`Service::serve`] one job at a time, a panic in which fails that
+//! request alone.
 //!
 //! Threading model (all scoped, no detached threads):
 //!
 //! ```text
 //! Edge::run()
-//!  ├─ Service::workers() × Service::work   — pop the lanes until closed and empty
+//!  ├─ Service::workers() × (pop → serve → reply)   — until the lanes are closed and empty
 //!  ├─ metrics thread (when configured)
 //!  ├─ accept loop (run itself)             — nonblocking accept + shutdown poll
 //!  └─ one reader thread per connection
@@ -35,14 +38,14 @@
 //! refused, and `run` returns when the last reply is written.
 
 use crate::conn::{read_frame_interruptible, ConnWriter, ReadOutcome};
-pub use crate::lanes::Lanes;
-use crate::lanes::PushError;
+use crate::lanes::{Lanes, PushError};
 use crate::metrics_http::{bind_metrics, metrics_loop};
 use crate::protocol::{ErrorCode, Frame, StatsFrame, TraceDumpFrame};
 use sknn_core::workload::SurfacePoint;
 use sknn_obs::{mint_trace_id, QueryTrace, Recorder, Registry, RingRecorder, NOOP};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -55,8 +58,8 @@ const METRICS_DRAIN_GRACE: Duration = Duration::from_millis(250);
 
 crate::metrics_table! {
     /// The metrics every serving process has, declared once and stamped
-    /// under the process's own prefix ([`Service::PREFIX`]). The tenth —
-    /// the `queue_depth` gauge — is not stored: it is [`Lanes::len`].
+    /// under the process's own prefix ([`Service::PREFIX`]). One more —
+    /// the `queue_depth` gauge — is not stored: it is the lanes' own length.
     pub struct EdgeStats {
         counters {
             connections: "Connections accepted",
@@ -70,6 +73,9 @@ crate::metrics_table! {
             cancel_misses: "CANCEL frames that missed a queued request",
             /// The client was gone mid-flight.
             write_errors: "Reply writes that failed",
+            /// Each was answered with a typed `Internal` error and the
+            /// worker kept serving.
+            panics: "Jobs that panicked (answered with a typed Internal error)",
         }
         hists {
             /// Arrival → worker pickup.
@@ -114,9 +120,8 @@ pub struct Job<P> {
     pub deadline: Option<Instant>,
     /// When the job was admitted.
     pub enqueued: Instant,
-    /// When a worker pulled this job off the lanes. Initialized to
-    /// `enqueued` at admission; a worker that reports queue time apart
-    /// from what follows overwrites it at pickup.
+    /// When a worker pulled this job off the lanes (`enqueued` until
+    /// then): queue time ends and the process's own time starts here.
     pub recv_at: Instant,
     writer: Arc<ConnWriter>,
     /// What the process asked to be handed back.
@@ -164,8 +169,8 @@ pub struct Request<P> {
     pub payload: Result<P, &'static str>,
 }
 
-/// What a process does with the edge: which frames it takes, what runs
-/// the admitted jobs, and what it reports beyond the shared rows.
+/// What a process does with the edge: which frames it takes, how it
+/// answers an admitted job, and what it reports beyond the shared rows.
 pub trait Service: Sync {
     /// What an admitted job carries.
     type Payload: Send;
@@ -194,12 +199,16 @@ pub trait Service: Sync {
     /// Registers the process's families beyond the edge's own.
     fn register<'a>(&'a self, reg: &Registry<'a>);
 
-    /// How many threads run [`work`](Self::work).
+    /// How many jobs are served concurrently (worker threads).
     fn workers(&self) -> usize;
 
-    /// One worker: pops `lanes` until they are closed and empty, and
-    /// answers every job it pops exactly once.
-    fn work(&self, lanes: &Lanes<Self::Payload>, rec: &dyn Recorder);
+    /// Called for a job whose deadline passed while it was queued, before
+    /// the edge answers it `DeadlineExpired`.
+    fn expired(&self, _job: &Job<Self::Payload>) {}
+
+    /// Answers one live job exactly once. A panic in here is caught by
+    /// the worker loop and answered with a typed `Internal`.
+    fn serve(&self, job: Job<Self::Payload>, rec: &dyn Recorder);
 }
 
 /// The five values [`crate::ServeConfig`] and the router's config have
@@ -280,7 +289,7 @@ impl Edge {
         std::thread::scope(|scope| {
             let (lanes, registry) = (&lanes, &registry);
             let workers: Vec<_> = (0..svc.workers().max(1))
-                .map(|_| scope.spawn(move || svc.work(lanes, rec)))
+                .map(|_| scope.spawn(move || work(svc, lanes, rec)))
                 .collect();
             if let Some((listener, _)) = &self.metrics {
                 let (draining, stop) = (&*self.shutdown, &metrics_stop);
@@ -427,6 +436,42 @@ impl Edge {
     }
 }
 
+/// One worker: pops the lanes until they are closed and empty and sees
+/// every job it pops answered exactly once.
+fn work<S: Service>(svc: &S, lanes: &Lanes<S::Payload>, rec: &dyn Recorder) {
+    let stats = svc.edge_stats();
+    while let Some(mut job) = lanes.pop() {
+        job.recv_at = Instant::now();
+        stats.queue_us.record(job.recv_at.duration_since(job.enqueued).as_micros() as u64);
+        // A request whose budget burned away in the queue is answered
+        // now instead of occupying a worker to produce a reply nobody
+        // wants.
+        if job.deadline.is_some_and(|d| job.recv_at >= d) {
+            stats.expired.inc();
+            svc.expired(&job);
+            job.refuse(stats, ErrorCode::DeadlineExpired, "deadline expired while queued");
+            continue;
+        }
+        // A panic fails this request only: unanswered, its client would
+        // block for good, and a dead worker is capacity lost until
+        // restart. Everything the engine shares across queries recovers
+        // from an unwinding holder (poison-tolerant locks, drop-guarded
+        // single-flight latches, a scratch that is dropped rather than
+        // pooled), so serving on is sound.
+        let (req_id, writer) = (job.req_id, Arc::clone(&job.writer));
+        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| svc.serve(job, rec))) {
+            stats.panics.inc();
+            let msg = payload
+                .downcast_ref::<&str>()
+                .map(|s| s.to_string())
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "non-string panic payload".to_string());
+            let frame = Frame::error(req_id, ErrorCode::Internal, &format!("job panicked: {msg}"));
+            writer.send(&stats.write_errors, &frame);
+        }
+    }
+}
+
 /// The `queue_depth` gauge reads the lanes: there is no second copy of
 /// the count to drift from them.
 fn register_queue_depth<'a, P: Send>(reg: &Registry<'a>, prefix: &str, lanes: &'a Lanes<P>) {
@@ -453,24 +498,28 @@ pub struct Contract<'a> {
 }
 
 /// The edge's contract as executable checks over any process that runs
-/// one: a foreign header version gets one `BadRequest` then EOF; with the
-/// worker held, the `STATS` `queue_depth` reads exactly what is parked
-/// and the next arrival is `Overloaded`; a landed `CANCEL` answers the
-/// *cancelled* request's connection; `/healthz` flips to 503 while the
-/// admitted backlog is still unanswered and a frame finished after the
-/// flip is `ShuttingDown`; every admitted request gets exactly one reply
-/// on its own connection, then EOF. Begins the drain itself; the caller
-/// joins `run` afterwards. Panics on the first violated expectation.
+/// one: a foreign header version gets one `BadRequest` then EOF; a
+/// request whose deadline passes while it is parked behind the held
+/// worker is answered `DeadlineExpired` on its own connection and
+/// counted; with the worker held, the `STATS` `queue_depth` reads exactly
+/// what is parked and the next arrival is `Overloaded`; a landed `CANCEL`
+/// answers the *cancelled* request's connection; `/healthz` flips to 503
+/// while the admitted backlog is still unanswered and a frame finished
+/// after the flip is `ShuttingDown`; every admitted request gets exactly
+/// one reply on its own connection, then EOF. Begins the drain itself;
+/// the caller joins `run` afterwards. Panics on the first violated
+/// expectation.
 pub fn check_edge_contract(p: &Contract<'_>) {
     use crate::protocol::{read_frame, CancelFrame, QueryFrame, RecvError};
     use crate::{promtext, Client};
     use std::io::{Read, Write};
 
-    let request = |req_id: u64| {
+    let deadlined = |req_id: u64, deadline_ms: u32| {
         let (tri, p) = (p.query.tri, p.query.pos);
         let (x, y, z, trace_id) = (p.x, p.y, p.z, req_id + 1000);
-        Frame::Query(QueryFrame { req_id, tri, x, y, z, k: 2, deadline_ms: 0, trace_id })
+        Frame::Query(QueryFrame { req_id, tri, x, y, z, k: 2, deadline_ms, trace_id })
     };
+    let request = |req_id: u64| deadlined(req_id, 0);
     let addr = p.handle.addr();
     let timeout = Duration::from_secs(30);
     let connect = || Client::connect_with_timeout(addr, timeout).expect("connect");
@@ -483,10 +532,11 @@ pub fn check_edge_contract(p: &Contract<'_>) {
         Frame::Error(e) => (e.req_id, e.code),
         other => panic!("expected a typed error, got {other:?}"),
     };
-    let queue_depth = |c: &mut Client| {
+    let stat = |c: &mut Client, key: &str| {
         let entries = c.fetch_stats().expect("stats round trip");
-        entries.iter().find(|(n, _)| n == "queue_depth").expect("queue_depth key").1
+        entries.iter().find(|(n, _)| n == key).unwrap_or_else(|| panic!("no {key} key")).1
     };
+    let queue_depth = |c: &mut Client| stat(c, "queue_depth");
 
     let mut foreign = raw();
     let mut v1 = Frame::StatsRequest.encode();
@@ -496,11 +546,26 @@ pub fn check_edge_contract(p: &Contract<'_>) {
     assert_eq!(error_of(reply), (0, ErrorCode::BadRequest));
     assert_eq!(foreign.read(&mut [0u8; 1]).expect("clean close"), 0);
 
-    // Request 0 holds the worker; frames are processed in order per
+    // Request 50 holds the worker; frames are processed in order per
     // connection, so once STATS on the same connection reads an empty
-    // queue, request 0 has been admitted *and* picked up.
+    // queue, request 50 has been admitted *and* picked up. Request 51
+    // parks behind it with a budget shorter than the hold.
     (p.hold)(true);
     let mut a = connect();
+    a.send(&request(50)).expect("send");
+    while queue_depth(&mut a) != 0 {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let mut b = connect();
+    b.send(&deadlined(51, 20)).expect("send");
+    std::thread::sleep(Duration::from_millis(60));
+    (p.hold)(false);
+    assert!(matches!(a.recv(), Ok(Frame::Response(r)) if r.req_id == 50), "the holder is served");
+    assert_eq!(error_of(b.recv().expect("expiry reply")), (51, ErrorCode::DeadlineExpired));
+    assert_eq!(stat(&mut b, "expired"), 1, "dropped at dequeue, and counted");
+
+    // Request 0 holds the worker the same way.
+    (p.hold)(true);
     a.send(&request(0)).expect("send");
     while queue_depth(&mut a) != 0 {
         std::thread::sleep(Duration::from_millis(1));
@@ -510,7 +575,6 @@ pub fn check_edge_contract(p: &Contract<'_>) {
     }
     assert_eq!(queue_depth(&mut a), p.parked, "queue_depth is what is parked");
 
-    let mut b = connect();
     b.send(&request(99)).expect("send");
     assert_eq!(error_of(b.recv().expect("shed reply")), (99, ErrorCode::Overloaded));
 
@@ -553,6 +617,92 @@ pub fn check_edge_contract(p: &Contract<'_>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::{QueryFrame, RadiusFrame};
+    use crate::Client;
+    use std::sync::atomic::AtomicU64;
+
+    /// A process whose first job panics and whose every later job is
+    /// answered with a `RADIUS` frame.
+    #[derive(Default)]
+    struct FirstJobPanics {
+        stats: EdgeStats,
+        served: AtomicU64,
+    }
+
+    impl Service for FirstJobPanics {
+        type Payload = ();
+        const PREFIX: &'static str = "sknn_test_";
+
+        fn edge_stats(&self) -> &EdgeStats {
+            &self.stats
+        }
+
+        fn claim(&self, frame: Frame) -> Option<Request<()>> {
+            let Frame::Query(q) = frame else { return None };
+            let (req_id, trace_id, deadline_ms) = (q.req_id, q.trace_id, q.deadline_ms);
+            Some(Request { req_id, trace_id, deadline_ms, payload: Ok(()) })
+        }
+
+        fn stats_rows(&self, _out: &mut Vec<(String, u64)>) {}
+
+        fn register<'a>(&'a self, _reg: &Registry<'a>) {}
+
+        fn workers(&self) -> usize {
+            1
+        }
+
+        fn serve(&self, job: Job<()>, _rec: &dyn Recorder) {
+            if self.served.fetch_add(1, Ordering::Relaxed) == 0 {
+                panic!("first job blew up");
+            }
+            let (req_id, trace_id) = (job.req_id, job.trace_id);
+            job.reply(&self.stats, &Frame::Radius(RadiusFrame { req_id, trace_id, radius: 1.0 }));
+        }
+    }
+
+    /// A panic inside `serve` fails that request alone: its client gets a
+    /// typed `Internal` naming the panic, the one worker answers the next
+    /// request, and the drain still completes. The client's read timeout
+    /// is the watchdog against a dead worker.
+    #[test]
+    fn a_panicking_job_fails_alone_and_its_worker_serves_on() {
+        let cfg = EdgeConfig {
+            queue_depth: 4,
+            starvation_floor: Duration::ZERO,
+            poll_interval: Duration::from_millis(20),
+            metrics_addr: None,
+            instance: String::new(),
+        };
+        let edge = Edge::bind("127.0.0.1:0", cfg).unwrap();
+        let handle = edge.handle();
+        let svc = FirstJobPanics::default();
+        let replies: Vec<_> = std::thread::scope(|scope| {
+            let run = scope.spawn(|| edge.run(&svc));
+            let mut client =
+                Client::connect_with_timeout(handle.addr(), Duration::from_secs(10)).unwrap();
+            let replies = [1, 2]
+                .map(|req_id| {
+                    let (tri, x, y, z, k) = (0, 0.0, 0.0, 0.0, 1);
+                    let q = QueryFrame { req_id, tri, x, y, z, k, deadline_ms: 0, trace_id: 0 };
+                    client.send(&Frame::Query(q)).unwrap();
+                    client.recv()
+                })
+                .into_iter()
+                .collect();
+            handle.shutdown();
+            run.join().unwrap();
+            replies
+        });
+        match &replies[0] {
+            Ok(Frame::Error(e)) => {
+                assert_eq!((e.req_id, e.code), (1, ErrorCode::Internal), "{e:?}");
+                assert!(e.detail.contains("first job blew up"), "detail: {}", e.detail);
+            }
+            other => panic!("the panicking job must get a typed error, got {other:?}"),
+        }
+        assert!(matches!(&replies[1], Ok(Frame::Radius(r)) if r.req_id == 2), "{:?}", replies[1]);
+        assert_eq!((svc.stats.panics.get(), svc.stats.write_errors.get()), (1, 0));
+    }
 
     /// The gauge has no state of its own: it follows the lanes through
     /// push, cancel and pop.

@@ -1,8 +1,8 @@
 //! Deadline-aware admission lanes: the bounded queue between the
-//! [`edge`](crate::edge)'s connection readers and whatever executes the
-//! admitted jobs — the micro-batch dispatcher of a shard
-//! [`Server`](crate::Server), the orchestration workers of the
-//! `sknn-shard` router. One queue of [`Job`]s, generic over the payload.
+//! [`edge`](crate::edge)'s connection readers and its workers, which
+//! hand each popped job to the process — a shard
+//! [`Server`](crate::Server)'s engine call, the `sknn-shard` router's
+//! orchestration. One queue of [`Job`]s, generic over the payload.
 //!
 //! Scheduling is earliest-deadline-first with a starvation floor:
 //!
@@ -17,7 +17,7 @@
 //!   arrivals can park a patient request, so EDF cannot starve.
 //!
 //! The lanes also support withdrawal: a queued job can be [`cancel`]led
-//! by `(req_id, trace_id)` before the dispatcher picks it up — the hook
+//! by `(req_id, trace_id)` before a worker picks it up — the hook
 //! the sharding router uses to kill speculative fan-out legs whose
 //! answer the merged bound has already proven irrelevant.
 //!
@@ -25,7 +25,7 @@
 
 use crate::edge::Job;
 use std::sync::{Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Why a push was refused (and the job dropped): the caller answers the
 /// request with the matching typed error.
@@ -43,7 +43,7 @@ struct Inner<P> {
 }
 
 /// The shared admission queue. Producers (`try_push`, `cancel`) are the
-/// edge's per-connection readers; consumers — a process's workers — pop
+/// edge's per-connection readers; consumers — the edge's workers — pop
 /// the scheduled-next job.
 pub struct Lanes<P> {
     inner: Mutex<Inner<P>>,
@@ -90,9 +90,9 @@ impl<P> Lanes<P> {
     }
 
     /// Jobs queued right now — the one source of every `queue_depth`
-    /// reading (gauge, `STATS` key, `serve_batch` event).
+    /// reading (gauge, `STATS` key).
     #[allow(clippy::len_without_is_empty)]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.inner.lock().unwrap_or_else(|e| e.into_inner()).jobs.len()
     }
 
@@ -105,18 +105,7 @@ impl<P> Lanes<P> {
 
     /// Blocking pop: the scheduled-next job, or `None` once the lanes
     /// are closed and empty (the consumer's exit condition).
-    pub fn pop(&self) -> Option<Job<P>> {
-        self.pop_by(None)
-    }
-
-    /// Pop that waits at most until `until` (the dispatcher's linger
-    /// window; a job already queued is returned even when `until` has
-    /// passed). `None` on timeout or on closed-and-empty.
-    pub fn pop_until(&self, until: Instant) -> Option<Job<P>> {
-        self.pop_by(Some(until))
-    }
-
-    fn pop_by(&self, until: Option<Instant>) -> Option<Job<P>> {
+    pub(crate) fn pop(&self) -> Option<Job<P>> {
         let mut g = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         loop {
             if let Some(i) = self.pick(&g.jobs) {
@@ -125,13 +114,7 @@ impl<P> Lanes<P> {
             if g.closed {
                 return None;
             }
-            g = match until {
-                None => self.cond.wait(g).unwrap_or_else(|e| e.into_inner()),
-                Some(until) => {
-                    let left = until.checked_duration_since(Instant::now())?;
-                    self.cond.wait_timeout(g, left).unwrap_or_else(|e| e.into_inner()).0
-                }
-            };
+            g = self.cond.wait(g).unwrap_or_else(|e| e.into_inner());
         }
     }
 
@@ -161,6 +144,7 @@ impl<P> Lanes<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Instant;
 
     /// The scheduling contract: EDF order, FIFO among the deadline-less,
     /// the starvation floor beating EDF, shedding at capacity, cancel by
@@ -185,8 +169,7 @@ mod tests {
         for i in 0..4 {
             assert!(lanes.try_push(job(i, None, t0 + Duration::from_micros(i))).is_ok());
         }
-        let until = Instant::now();
-        let order: Vec<u64> = (0..4).map(|_| req(lanes.pop_until(until))).collect();
+        let order: Vec<u64> = (0..4).map(|_| req(lanes.pop())).collect();
         assert_eq!(order, [0, 1, 2, 3]);
 
         // The starvation floor overrides EDF: alone, EDF would pick the only
@@ -211,6 +194,5 @@ mod tests {
         assert_eq!(lanes.try_push(job(4, None, t0)), Err(PushError::Closed));
         assert_eq!(req(lanes.pop()), 2);
         assert!(lanes.pop().is_none());
-        assert!(lanes.pop_until(Instant::now() + Duration::from_millis(5)).is_none());
     }
 }

@@ -1,11 +1,10 @@
 #![warn(missing_docs)]
 //! Networked surface k-NN query service (`sknn-serve`).
 //!
-//! The MR3 engine (PR 2/3) answers batches of queries on a thread pool
-//! with bit-identical results regardless of interleaving — but only for
-//! callers that already *have* a batch. A network service receives
-//! requests one at a time, on independent connections, at whatever rate
-//! clients feel like. This crate closes that gap with four pieces:
+//! The MR3 engine answers concurrent queries with bit-identical results
+//! regardless of interleaving. A network service receives requests one at
+//! a time, on independent connections, at whatever rate clients feel
+//! like. This crate puts the engine behind a socket with four pieces:
 //!
 //! * [`protocol`] — a length-prefixed binary protocol (versioned header,
 //!   query/response/error/stats frames, `f64` as IEEE bit patterns so
@@ -15,17 +14,17 @@
 //!   `sknn-shard`: accept loop, per-connection readers, admission
 //!   control over the EDF lanes (bounded queue; a full queue is an
 //!   immediate typed `Overloaded`, never a hang), `CANCEL`, the metrics
-//!   endpoint, and graceful drain: shutdown stops admission, answers
-//!   everything already admitted, then returns. The lanes, the
+//!   endpoint, the worker loop (`workers × (pop → serve → reply)`, a
+//!   deadline spent in the queue refused at dequeue, a panicking job
+//!   answered `Internal`), and graceful drain: shutdown stops admission,
+//!   answers everything already admitted, then returns. The lanes, the
 //!   interruptible frame reader, the mutex'd reply writer and the
 //!   `/metrics` + `/healthz` listener are its internals.
-//! * `batch` (internal) — the adaptive micro-batcher: one dispatcher
-//!   thread drains the edge's lanes, coalescing concurrent arrivals into
-//!   single parallel engine batches (up to `max_batch`, with a short
-//!   `max_wait` linger under light load).
+//! * `batch` (internal) — engine ops: one `JobOp` → one engine call →
+//!   one reply frame.
 //! * [`server`] — the shard server: an edge whose jobs are engine ops,
-//!   with per-request deadlines enforced at dequeue and between
-//!   refinement iterations inside the engine.
+//!   with per-request deadlines also enforced between refinement
+//!   iterations inside the engine.
 //! * [`stats`] — the one stats path: each metric is one table row from
 //!   which its field, `STATS` key and `/metrics` family are generated.
 //! * [`client`] / [`loadgen`] — a blocking client and a closed/open-loop

@@ -1,8 +1,8 @@
 //! Load generation against a running server: closed-loop (one request
-//! in flight per connection — measures service latency and the batcher's
-//! coalescing yield) and open-loop (requests launched on a fixed
-//! schedule regardless of completions — the arrival process that
-//! saturates the admission queue and exercises load shedding).
+//! in flight per connection — measures service latency) and open-loop
+//! (requests launched on a fixed schedule regardless of completions — the
+//! arrival process that saturates the admission queue and exercises load
+//! shedding).
 //!
 //! Every request is classified by its typed reply; a missing reply is a
 //! protocol failure, not a statistic. With a verification engine the
@@ -21,11 +21,10 @@ use std::time::{Duration, Instant};
 
 /// Stage names, in request-path order, for the server-side breakdown
 /// table. Indices match `stage_values`.
-pub const STAGE_NAMES: [&str; 8] =
-    ["queue", "linger", "exec", "knn2d", "radius", "range", "rank", "stall"];
+pub const STAGE_NAMES: [&str; 7] = ["queue", "exec", "knn2d", "radius", "range", "rank", "stall"];
 
-fn stage_values(t: &ServerTiming) -> [u32; 8] {
-    [t.queue_us, t.linger_us, t.exec_us, t.knn2d_us, t.radius_us, t.range_us, t.rank_us, t.stall_us]
+fn stage_values(t: &ServerTiming) -> [u32; 7] {
+    [t.queue_us, t.exec_us, t.knn2d_us, t.radius_us, t.range_us, t.rank_us, t.stall_us]
 }
 
 /// What to run against the server.
@@ -89,29 +88,17 @@ pub struct RunReport {
     pub achieved_qps: f64,
     /// Latency of successful responses.
     pub latency: LatencyMs,
-    /// Server-reported per-stage latency summaries (protocol v2), in
-    /// [`STAGE_NAMES`] order. Empty when the server spoke v1.
+    /// Server-reported per-stage latency summaries, in [`STAGE_NAMES`]
+    /// order. Empty when no request succeeded.
     pub stages: Vec<(String, LatencyMs)>,
-    /// Responses whose server-reported stage sum (queue + linger + exec)
+    /// Responses whose server-reported stage sum (queue + exec)
     /// exceeded the client-measured round trip — should be zero; both
     /// come from monotonic clocks and the client span contains the
     /// server span.
     pub stage_sum_violations: u64,
-    /// Server `STATS` snapshot taken after the pass.
-    pub server: Vec<(String, u64)>,
 }
 
 impl RunReport {
-    /// A named counter from the post-run server snapshot.
-    pub fn server_stat(&self, name: &str) -> u64 {
-        self.server.iter().find(|(n, _)| n == name).map(|(_, v)| *v).unwrap_or(0)
-    }
-
-    /// Mean micro-batch size observed by the server.
-    pub fn server_mean_batch(&self) -> f64 {
-        self.server_stat("mean_batch_x1000") as f64 / 1000.0
-    }
-
     /// The per-stage breakdown as an aligned text table (empty string
     /// when the server reported no stage timing).
     pub fn stage_table(&self) -> String {
@@ -147,7 +134,7 @@ struct ConnTally {
     mismatches: u64,
     latencies_ms: Vec<f64>,
     /// Per-stage server-reported times, ms, in [`STAGE_NAMES`] order.
-    stage_ms: [Vec<f64>; 8],
+    stage_ms: [Vec<f64>; 7],
     stage_sum_violations: u64,
 }
 
@@ -155,19 +142,10 @@ impl ConnTally {
     /// Folds one response's server timing into the stage vectors and
     /// checks the containment invariant against the client round trip.
     fn record_stages(&mut self, timing: &ServerTiming, e2e_ms: f64) {
-        // A v1 server reports no stage split; skip rather than pollute
-        // the table with zeros (queue/exec alone are still reported via
-        // the plain latency stats).
-        if timing.linger_us == 0 && timing.knn2d_us == 0 && timing.rank_us == 0 {
-            // Either a v1 reply or a genuinely sub-µs request; the latter
-            // also carries nothing worth tabulating.
-            return;
-        }
         for (vec, us) in self.stage_ms.iter_mut().zip(stage_values(timing)) {
             vec.push(us as f64 / 1e3);
         }
-        let server_path_ms =
-            (timing.queue_us as u64 + timing.linger_us as u64 + timing.exec_us as u64) as f64 / 1e3;
+        let server_path_ms = (timing.queue_us as u64 + timing.exec_us as u64) as f64 / 1e3;
         // Allow a microsecond of rounding slack: each stage is truncated
         // to whole µs independently of the client's clock read.
         if server_path_ms > e2e_ms + 0.001 {
@@ -242,7 +220,7 @@ pub fn run(
         ..Default::default()
     };
     let mut latencies: Vec<f64> = Vec::new();
-    let mut stage_ms: [Vec<f64>; 8] = Default::default();
+    let mut stage_ms: [Vec<f64>; 7] = Default::default();
     for tally in tallies {
         let t = tally?;
         report.sent += t.sent;
@@ -269,9 +247,6 @@ pub fn run(
             .map(|(name, vals)| (name.to_string(), summarize(vals)))
             .collect();
     }
-    report.server = Client::connect(&cfg.addr)?
-        .fetch_stats()
-        .map_err(|e| io::Error::other(format!("stats fetch failed: {e}")))?;
     Ok(report)
 }
 
@@ -367,8 +342,8 @@ fn run_closed_conn(
 }
 
 /// Open loop: a sender thread fires on a fixed schedule while the main
-/// thread collects replies, matching on `req_id` (micro-batches complete
-/// out of order).
+/// thread collects replies, matching on `req_id` (concurrent requests
+/// complete out of order).
 fn run_open_conn(
     cfg: &LoadgenConfig,
     conn: u64,

@@ -80,7 +80,7 @@ const TAG_EXEC_REQUEST: u8 = 15;
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryFrame {
     /// Client-chosen correlation id, echoed verbatim in the reply. Replies
-    /// may arrive out of order (different micro-batches finish at
+    /// may arrive out of order (requests run concurrently and finish at
     /// different times), so clients match on this, not on arrival order.
     pub req_id: u64,
     /// Containing facet of the query point, or [`LOCATE_TRI`] to have the
@@ -114,19 +114,21 @@ pub struct WireNeighbor {
     pub ub: f64,
 }
 
-/// Server-side timing attached to every successful response. The four
+/// Server-side timing attached to every successful response: queue +
+/// exec partition the request's time in the server. The four
 /// engine-stage fields are per-request wall time inside the engine call;
-/// `stall_us` is the pager stall of the whole batch (stalls overlap
-/// across batch members, so per-request attribution is not defined).
+/// `stall_us` is the pager's shared stall clock differenced around it
+/// (stalls of concurrent requests overlap, so per-request attribution is
+/// not defined).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ServerTiming {
     /// Microseconds the request waited in the admission queue (arrival to
-    /// dispatcher pickup).
+    /// worker pickup).
     pub queue_us: u32,
-    /// Microseconds between dispatcher pickup and batch execution start —
-    /// the micro-batcher's linger share of this request's latency.
+    /// Reserved: always 0 (no stage sits between pickup and the engine
+    /// call). Kept for the wire layout.
     pub linger_us: u32,
-    /// Microseconds the micro-batch spent inside the engine.
+    /// Microseconds this request's engine call took.
     pub exec_us: u32,
     /// Engine step 1 (2D k-NN seeding) wall time for this request.
     pub knn2d_us: u32,
@@ -136,9 +138,10 @@ pub struct ServerTiming {
     pub range_us: u32,
     /// Engine step 4 (iterative ranking) wall time for this request.
     pub rank_us: u32,
-    /// Pager stall wall time of the batch this request rode in.
+    /// Pager stall wall time that passed during this request's engine call.
     pub stall_us: u32,
-    /// Number of requests coalesced into the batch that served this one.
+    /// Reserved: always 1 (a request is executed on its own). Kept for
+    /// the wire layout.
     pub batch: u16,
 }
 

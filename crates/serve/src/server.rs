@@ -1,11 +1,11 @@
 //! The shard server: an [`Edge`] whose jobs are engine ops. The edge
 //! owns the sockets, admission and drain (see [`crate::edge`]); this
 //! module keeps what is the server's alone — validating request frames
-//! against the mesh, the micro-batch dispatcher it runs as its one
-//! worker, the slow-query log, and the engine-side metric families.
+//! against the mesh, the slow-query log, and the engine-side metric
+//! families; answering a job is the `batch` module's one engine call.
 
-use crate::batch::{dispatch_loop, BatchPolicy, JobOp};
-use crate::edge::{Edge, EdgeConfig, EdgeStats, Handle, Lanes, Request, Service};
+use crate::batch::JobOp;
+use crate::edge::{Edge, EdgeConfig, EdgeStats, Handle, Job, Request, Service};
 use crate::protocol::{Frame, WireObject, LOCATE_TRI};
 use crate::slowlog::SlowQueryLog;
 use crate::stats::ServeStats;
@@ -23,14 +23,10 @@ use std::time::Duration;
 /// machine; the load generator and tests override freely.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Most requests coalesced into one engine batch.
-    pub max_batch: usize,
-    /// How long the dispatcher lingers for more work after the first
-    /// request of a batch arrives.
-    pub max_wait: Duration,
     /// Admission queue bound; arrivals beyond it are shed.
     pub queue_depth: usize,
-    /// Threads each batch's engine calls are spread over.
+    /// Requests executed concurrently: the worker threads, each running
+    /// one request's engine call at a time.
     pub exec_threads: usize,
     /// Socket read timeout — the granularity at which blocked readers
     /// notice the shutdown flag.
@@ -57,8 +53,6 @@ pub struct ServeConfig {
 impl Default for ServeConfig {
     fn default() -> Self {
         Self {
-            max_batch: 16,
-            max_wait: Duration::from_millis(1),
             queue_depth: 64,
             exec_threads: sknn_exec::available_threads(),
             poll_interval: Duration::from_millis(20),
@@ -73,11 +67,11 @@ impl Default for ServeConfig {
 
 /// A bound (but not yet running) sk-NN query server.
 pub struct Server<'e, 's, 'm> {
-    engine: &'e Mr3Engine<'s, 'm>,
+    pub(crate) engine: &'e Mr3Engine<'s, 'm>,
     edge: Edge,
     cfg: ServeConfig,
-    stats: Arc<ServeStats>,
-    slow: SlowQueryLog,
+    pub(crate) stats: Arc<ServeStats>,
+    pub(crate) slow: SlowQueryLog,
 }
 
 type EngineRead = fn(&Mr3Engine<'_, '_>) -> f64;
@@ -211,8 +205,8 @@ impl<'e, 's, 'm> Server<'e, 's, 'm> {
         &self.slow
     }
 
-    /// Record per-request spans and per-batch events into a bounded ring,
-    /// drained into the trace that [`run`](Self::run) returns.
+    /// Record per-request spans into a bounded ring, drained into the
+    /// trace that [`run`](Self::run) returns.
     pub fn enable_tracing(&mut self, capacity: usize) {
         self.edge.enable_tracing(capacity);
     }
@@ -335,8 +329,6 @@ impl Service for Server<'_, '_, '_> {
         let stats = &self.stats;
         stats.stats_rows(out);
         stats.kernel.stats_rows(out);
-        // Scaled by 1000 to survive the integer wire format.
-        out.push(("mean_batch_x1000".to_string(), (stats.mean_batch() * 1000.0).round() as u64));
         out.push(("queue_p50_us".to_string(), stats.queue_us.quantile(0.5).unwrap_or(0)));
         out.push(("queue_us_n".to_string(), stats.queue_us.count()));
         // Live object count: the sharding router sums these to clamp `k`
@@ -358,27 +350,14 @@ impl Service for Server<'_, '_, '_> {
     }
 
     fn workers(&self) -> usize {
-        1
+        self.cfg.exec_threads
     }
 
-    /// The one worker is the micro-batch dispatcher.
-    fn work(&self, lanes: &Lanes<JobOp>, rec: &dyn Recorder) {
-        let policy = BatchPolicy {
-            max_batch: self.cfg.max_batch.max(1),
-            max_wait: self.cfg.max_wait,
-            exec_threads: self.cfg.exec_threads.max(1),
-        };
-        dispatch_loop(self.engine, lanes, policy, &self.stats, &self.slow, rec);
-        if rec.enabled() {
-            rec.event(
-                "serve_final",
-                0,
-                vec![
-                    sknn_obs::field("accepted", self.stats.accepted.get()),
-                    sknn_obs::field("completed", self.stats.completed.get()),
-                    sknn_obs::field("shed", self.stats.shed.get()),
-                ],
-            );
-        }
+    fn expired(&self, job: &Job<JobOp>) {
+        self.capture_expired(job);
+    }
+
+    fn serve(&self, job: Job<JobOp>, rec: &dyn Recorder) {
+        self.serve_op(job, rec);
     }
 }

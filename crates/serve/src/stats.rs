@@ -5,11 +5,10 @@
 //! every serving process shares; [`ServeStats`] adds the shard server's.
 //!
 //! The server's per-stage histograms decompose `latency_us` along the
-//! request's path: admission queue wait → micro-batch linger → engine
-//! execution (itself split into the four MR3 steps) — plus the pager
-//! stall time of the batch the request rode in. Stage sums are ≤ the
-//! end-to-end latency; the remainder is dispatch overhead and reply
-//! writing.
+//! request's path: admission queue wait → engine execution (itself split
+//! into the four MR3 steps) — plus the pager stall time that passed
+//! during the engine call. Stage sums are ≤ the end-to-end latency; the
+//! remainder is dispatch overhead and reply writing.
 
 use crate::edge::EdgeStats;
 
@@ -93,7 +92,7 @@ metrics_table! {
 
 metrics_table! {
     /// Everything a shard server counts, shared by the connection readers
-    /// and the dispatcher: the [`EdgeStats`] rows every serving process
+    /// and the workers: the [`EdgeStats`] rows every serving process
     /// has (read through `Deref`, so `stats.shed` and `stats.accepted`
     /// sit side by side), the kernel counters, and its own rows. The
     /// queue depth is not here — the lanes know their own length.
@@ -107,27 +106,22 @@ metrics_table! {
         counters {
             accepted: "Requests admitted to the queue",
             query_errors: "Queries returning a typed engine error",
-            /// Each was answered with a typed `Internal` error and the
-            /// dispatcher kept serving.
-            panics: "Engine calls that panicked (answered with a typed Internal error)",
             degraded: "Successful responses carrying a degradation marker",
             slow_captured: "Requests captured by the slow-query log",
-            batches: "Micro-batches dispatched to the engine",
-            /// `batched_requests / batches` is the mean coalescing factor
-            /// — the adaptive batcher's yield.
-            batched_requests: "Requests executed across all batches",
+            /// Both count executed jobs — a job is a batch of one. Kept
+            /// only because the frozen benchmark harness divides them.
+            batches: "Jobs executed (one engine call each)",
+            batched_requests: "Requests executed (equals batches)",
         }
         hists {
-            linger_us: "Micro-batch linger share of latency, microseconds" [50],
-            /// Recorded once per request.
-            exec_us: "Engine batch execution time per request, microseconds",
+            exec_us: "Engine call wall time per request, microseconds",
             stage_knn2d_us: "MR3 step 1 (2D k-NN seeding) wall time, microseconds",
             stage_radius_us: "MR3 step 2 (radius estimation) wall time, microseconds",
             stage_range_us: "MR3 step 3 (planar range query) wall time, microseconds",
             stage_rank_us: "MR3 step 4 (iterative ranking) wall time, microseconds",
-            /// Recorded once per batch.
-            stall_us: "Pager stall wall time per batch, microseconds",
-            batch_size: "Micro-batch sizes",
+            /// The shared stall clock differenced around the engine call,
+            /// so overlapping requests each see the other's stalls too.
+            stall_us: "Pager stall wall time during the engine call, microseconds",
         }
     }
 }
@@ -140,22 +134,11 @@ impl std::ops::Deref for ServeStats {
 }
 
 impl ServeStats {
-    /// Mean requests per dispatched micro-batch (0 before any batch).
-    pub fn mean_batch(&self) -> f64 {
-        let batches = self.batches.get();
-        if batches == 0 {
-            0.0
-        } else {
-            self.batched_requests.get() as f64 / batches as f64
-        }
-    }
-
     /// One-line human summary for the shutdown log.
     pub fn summary(&self) -> String {
         format!(
             "{} conns, {} accepted, {} completed, {} shed, {} expired, \
-             {} shutdown-rejected, {} protocol errors; {} batches \
-             (mean size {:.2}), latency {}",
+             {} shutdown-rejected, {} protocol errors; latency {}",
             self.connections.get(),
             self.accepted.get(),
             self.completed.get(),
@@ -163,8 +146,6 @@ impl ServeStats {
             self.expired.get(),
             self.rejected_shutdown.get(),
             self.protocol_errors.get(),
-            self.batches.get(),
-            self.mean_batch(),
             self.latency_us.summary(),
         )
     }
@@ -184,18 +165,6 @@ mod tests {
 
     fn get(rows: &[(String, u64)], name: &str) -> u64 {
         rows.iter().find(|(n, _)| n == name).unwrap_or_else(|| panic!("no {name} entry")).1
-    }
-
-    #[test]
-    fn mean_batch_and_stats_rows() {
-        let s = ServeStats::default();
-        assert_eq!(s.mean_batch(), 0.0);
-        s.batches.add(2);
-        s.batched_requests.add(7);
-        let snap = rows(&s);
-        assert_eq!(get(&snap, "batches"), 2);
-        assert_eq!(get(&snap, "batched_requests"), 7);
-        assert_eq!(s.mean_batch(), 3.5);
     }
 
     /// The `_n` entries disambiguate the quantile fallback: an empty

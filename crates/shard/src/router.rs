@@ -40,14 +40,15 @@
 //! ([`sknn_serve::edge`]): EDF-with-starvation-floor admission lanes, a
 //! bounded queue, typed `Overloaded`/`ShuttingDown`/`DeadlineExpired`
 //! errors, client-facing `CANCEL`, and graceful drain. It takes `QUERY`
-//! frames only and runs `workers` orchestration threads over the lanes.
+//! frames only; each of the edge's `workers` threads drives one query's
+//! orchestration at a time.
 //! Shard connections are persistent multiplexed [`PoolClient`]s.
 
 use crate::map::ShardMap;
 use crate::stats::RouterStats;
 use sknn_geom::Point2;
 use sknn_obs::{field, QueryTrace, Recorder, Registry};
-use sknn_serve::edge::{Edge, EdgeConfig, EdgeStats, Handle, Job, Lanes, Request, Service};
+use sknn_serve::edge::{Edge, EdgeConfig, EdgeStats, Handle, Job, Request, Service};
 use sknn_serve::pool::{InFlight, PoolClient, PoolError};
 use sknn_serve::protocol::{
     ErrorCode, ErrorFrame, ExecRequestFrame, Frame, QueryFrame, RadiusRequestFrame,
@@ -571,22 +572,9 @@ impl Service for Router {
         self.cfg.workers
     }
 
-    /// One orchestration worker: pops scheduled queries and drives their
-    /// shard legs end to end.
-    fn work(&self, lanes: &Lanes<QueryFrame>, rec: &dyn Recorder) {
-        while let Some(job) = lanes.pop() {
-            self.stats.queue_us.record(job.enqueued.elapsed().as_micros() as u64);
-            if job.deadline.is_some_and(|d| Instant::now() >= d) {
-                self.stats.expired.inc();
-                job.refuse(
-                    &self.stats,
-                    ErrorCode::DeadlineExpired,
-                    "deadline expired in router queue",
-                );
-                continue;
-            }
-            self.handle_query(job, rec);
-        }
+    /// Drives one query's shard legs end to end.
+    fn serve(&self, job: RouterJob, rec: &dyn Recorder) {
+        self.handle_query(job, rec);
     }
 }
 

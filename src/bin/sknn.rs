@@ -21,13 +21,14 @@
 //! sknn export --out terrain.obj [--resolution 0.25]
 //!                                      export terrain (or a DMTM front) as OBJ
 //! sknn prepare --structures t.sknn     prebuild + save the DMTM/MSDN bundle
-//! sknn serve --port 7070               networked query service (micro-
-//!          [--max-batch 16]            batching; SIGINT/SIGTERM drains
-//!          [--max-wait-us 1000]        gracefully). --fault-profile or the
-//!          [--queue-depth 64]          SKNN_FAULT_PROFILE env var injects
-//!          [--threads N]               storage faults into the serving
-//!          [--max-seconds S]           engine; --trace-out FILE writes the
-//!          [--trace-out s.jsonl]       final observability trace
+//! sknn serve --port 7070               networked query service (SIGINT/
+//!          [--queue-depth 64]          SIGTERM drains gracefully).
+//!          [--threads N]               --threads: requests executed
+//!          [--max-seconds S]           concurrently. --fault-profile or the
+//!          [--trace-out s.jsonl]       SKNN_FAULT_PROFILE env var injects
+//!                                      storage faults into the serving
+//!                                      engine; --trace-out FILE writes the
+//!                                      final observability trace
 //!          [--metrics-port P]          Prometheus /metrics + /healthz on
 //!                                      port P (0 = ephemeral, printed)
 //!          [--slow-ms 100]             slow-query capture threshold
@@ -69,7 +70,6 @@
 //!                                      verifying a sharded deployment
 //!                                      against the single merged-terrain
 //!                                      engine regardless of local flags
-//!          [--expect-coalescing true]  fail unless mean batch size > 1
 //! sknn top --metrics HOST:PORT         live server telemetry: polls the
 //!          [--interval-ms 1000]        metrics endpoint and redraws qps,
 //!          [--iterations 0]            queue depth, cut-cache gauges,
@@ -447,8 +447,6 @@ fn main() {
             let host: String = args.get("host", "127.0.0.1".to_string());
             let port: u16 = args.get("port", 7070);
             let serve_cfg = ServeConfig {
-                max_batch: args.get("max-batch", 16),
-                max_wait: Duration::from_micros(args.get("max-wait-us", 1000)),
                 queue_depth: args.get("queue-depth", 64),
                 exec_threads: match args.get("threads", 0usize) {
                     0 => surface_knn::exec::available_threads(),
@@ -740,7 +738,6 @@ fn main() {
             let addr: String = args.get("addr", "127.0.0.1:7070".to_string());
             let qps_list: String = args.get("qps", "0".to_string());
             let verify: bool = args.get("verify", false);
-            let expect_coalescing: bool = args.get("expect-coalescing", false);
             let base = LoadgenConfig {
                 addr,
                 connections: args.get("connections", 8),
@@ -777,7 +774,6 @@ fn main() {
                 (&vscene, Some(Mr3Engine::build(&vmesh, &vscene, &cfg)))
             };
 
-            let mut reports = Vec::new();
             let mut failed = false;
             for qps_raw in qps_list.split(',').map(str::trim).filter(|s| !s.is_empty()) {
                 let qps: f64 = qps_raw.parse().expect("--qps must be a comma list of numbers");
@@ -787,8 +783,7 @@ fn main() {
                         .expect("loadgen pass failed");
                 println!(
                     "{}{}: {} sent, {} ok ({} degraded), {} overloaded, {} expired, \
-                     {:.1} qps, p50 {:.2} ms, p95 {:.2} ms, p99 {:.2} ms, \
-                     mean batch {:.2}{}",
+                     {:.1} qps, p50 {:.2} ms, p95 {:.2} ms, p99 {:.2} ms{}",
                     report.mode,
                     if qps > 0.0 { format!("@{qps:.0}") } else { String::new() },
                     report.sent,
@@ -800,7 +795,6 @@ fn main() {
                     report.latency.p50,
                     report.latency.p95,
                     report.latency.p99,
-                    report.server_mean_batch(),
                     if verify_engine.is_some() {
                         format!(", {} verified / {} mismatches", report.verified, report.mismatches)
                     } else {
@@ -823,14 +817,6 @@ fn main() {
                         "# ERROR: {} responses with stage sum > end-to-end latency",
                         report.stage_sum_violations
                     );
-                    failed = true;
-                }
-                reports.push(report);
-            }
-            if expect_coalescing {
-                let mean = reports.last().map(|r| r.server_mean_batch()).unwrap_or(0.0);
-                if mean <= 1.0 {
-                    eprintln!("# ERROR: expected coalescing but mean batch size is {mean:.2}");
                     failed = true;
                 }
             }
@@ -955,7 +941,6 @@ fn run_top(args: &Args) {
             "sknn_serve_completed_total",
             "sknn_serve_queue_depth",
             "sknn_serve_queue_us_bucket",
-            "sknn_serve_linger_us_bucket",
             "sknn_serve_exec_us_bucket",
             "sknn_serve_stage_knn2d_us_bucket",
             "sknn_serve_stage_rank_us_bucket",
@@ -994,7 +979,6 @@ fn run_top(args: &Args) {
 
     let stage_hists = [
         ("queue", "sknn_serve_queue_us"),
-        ("linger", "sknn_serve_linger_us"),
         ("exec", "sknn_serve_exec_us"),
         ("knn2d", "sknn_serve_stage_knn2d_us"),
         ("radius", "sknn_serve_stage_radius_us"),
@@ -1011,22 +995,15 @@ fn run_top(args: &Args) {
             .map(|(status, _)| if status == 200 { "serving" } else { "draining" })
             .unwrap_or("unreachable");
         let rate = |name: &str| scrape.rate(prev.as_ref(), name);
-        let batches = scrape.value("sknn_serve_batches_total");
-        let mean_batch = if batches > 0.0 {
-            scrape.value("sknn_serve_batched_requests_total") / batches
-        } else {
-            0.0
-        };
         // Full-screen redraw (clear + home); plain append when piped is
         // still readable since each frame is self-contained.
         let mut out = String::new();
         out.push_str("\x1b[2J\x1b[H");
         out.push_str(&format!("sknn top — {metrics} — {health} — scrape #{tick}\n\n"));
         out.push_str(&format!(
-            "qps {:8.1}   queue depth {:4.0}   mean batch {:5.2}   connections {:6.0}\n",
+            "qps {:8.1}   queue depth {:4.0}   connections {:6.0}\n",
             rate("sknn_serve_completed_total"),
             scrape.value("sknn_serve_queue_depth"),
-            mean_batch,
             scrape.value("sknn_serve_connections_total"),
         ));
         out.push_str(&format!(

@@ -19,8 +19,8 @@
 //! * [`core`] — MR3, the EA benchmark and CH baseline, workloads, metrics
 //! * [`obs`] — query tracing and metrics: recorders, histograms, JSONL traces
 //! * [`exec`] — the scoped thread pool behind batch queries
-//! * [`serve`] — the networked query service: wire protocol, micro-batching
-//!   server, client, and load generator
+//! * [`serve`] — the networked query service: wire protocol, serving edge,
+//!   shard server, client, and load generator
 //! * [`shard`] — spatially sharded serving: the shard map, the router
 //!   process, and the boundary fan-out / exact ranked merge
 //!

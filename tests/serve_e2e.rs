@@ -1,10 +1,10 @@
 //! End-to-end tests of the networked query service: a real server on an
 //! ephemeral port, real TCP clients, and the three contracts the serving
 //! layer adds on top of the engine — bit-identical results under
-//! concurrent batched execution, typed load shedding instead of hangs,
-//! graceful drain that answers everything admitted, and a panicking
-//! query that fails alone — plus the serving edge's own contract suite,
-//! run here against a `Server`.
+//! concurrent execution, typed load shedding instead of hangs, graceful
+//! drain that answers everything admitted, a panicking query that fails
+//! alone, and no reply waiting for a stranger's — plus the serving
+//! edge's own contract suite, run here against a `Server`.
 
 use std::time::Duration;
 use surface_knn::prelude::*;
@@ -17,9 +17,9 @@ fn test_world() -> (TerrainMesh, Mr3Config) {
     (TerrainConfig::bh().with_grid(21).build_mesh(42), Mr3Config::default())
 }
 
-/// Eight concurrent client threads, each firing queries the server
-/// micro-batches; every response must match a direct `Engine::query`
-/// call bit for bit, and the batcher must actually coalesce.
+/// Eight concurrent client threads, each firing queries the server runs
+/// side by side; every response must match a direct `Engine::query`
+/// call bit for bit.
 #[test]
 fn responses_bit_identical_to_direct_queries() {
     let (mesh, cfg) = test_world();
@@ -54,9 +54,9 @@ fn responses_bit_identical_to_direct_queries() {
                         };
                         assert_eq!(resp.req_id, req_id);
                         assert!(resp.degraded.is_none());
-                        // The parallel-batch determinism guarantee, now
-                        // measured across a network hop: identical ids
-                        // and bit-identical bounds.
+                        // The engine's determinism guarantee, measured
+                        // across a network hop: identical ids and
+                        // bit-identical bounds.
                         let direct = engine.query(q, K);
                         assert_eq!(resp.neighbors.len(), direct.neighbors.len());
                         for (wire, local) in resp.neighbors.iter().zip(&direct.neighbors) {
@@ -82,11 +82,11 @@ fn responses_bit_identical_to_direct_queries() {
     assert_eq!(stats.batched_requests.get(), total);
 }
 
-/// With the admission queue bounded at three and a single-slot batcher,
+/// With the admission queue bounded at three and a single worker,
 /// pipelined requests must be shed with a typed `Overloaded` — and every
 /// single request still gets exactly one reply (no hangs: the client
 /// read timeout turns a dropped reply into a test failure). First, with
-/// the dispatcher held on a stalled query, the queue depth must read
+/// the worker held on a stalled query, the queue depth must read
 /// exactly what is parked — in the `STATS` frame and on `/metrics` alike
 /// — and 0 once drained: both are the lanes' own length, not a second
 /// count kept beside them.
@@ -101,8 +101,6 @@ fn full_queue_sheds_with_typed_overloaded() {
     const PARKED: u64 = 3;
     let serve_cfg = ServeConfig {
         queue_depth: PARKED as usize,
-        max_batch: 1,
-        max_wait: Duration::ZERO,
         exec_threads: 1,
         metrics_addr: Some("127.0.0.1:0".to_string()),
         ..ServeConfig::default()
@@ -119,7 +117,7 @@ fn full_queue_sheds_with_typed_overloaded() {
         let run = scope.spawn(|| server.run());
 
         // Every miss of the first query (a cold pool) stalls, so the
-        // dispatcher is held until the stall is lifted. Frames are
+        // worker is held until the stall is lifted. Frames are
         // processed in order per connection: once STATS reads an empty
         // queue the first query is admitted *and* picked up.
         engine.pager().set_read_stall(Duration::from_millis(100));
@@ -145,7 +143,7 @@ fn full_queue_sheds_with_typed_overloaded() {
         for _ in 0..=PARKED {
             assert!(matches!(client.recv(), Ok(Frame::Response(_))));
         }
-        assert_eq!(parked, (PARKED, PARKED), "(STATS key, gauge) with the dispatcher held");
+        assert_eq!(parked, (PARKED, PARKED), "(STATS key, gauge) with the worker held");
         assert_eq!(depths(&mut client), (0, 0), "(STATS key, gauge) after the drain");
         drop(client);
         let clients: Vec<_> = (0..CLIENTS)
@@ -203,14 +201,9 @@ fn graceful_shutdown_drains_admitted_requests() {
     engine.cold_cache = false;
     let engine = engine;
 
-    // A deep queue and a slow-filling batcher so requests are still
-    // queued (not yet executed) when shutdown lands.
-    let serve_cfg = ServeConfig {
-        queue_depth: 64,
-        max_batch: 4,
-        max_wait: Duration::from_millis(1),
-        ..ServeConfig::default()
-    };
+    // A deep queue so requests are still queued (not yet executed) when
+    // shutdown lands.
+    let serve_cfg = ServeConfig { queue_depth: 64, ..ServeConfig::default() };
     let server = Server::bind(&engine, "127.0.0.1:0", serve_cfg).unwrap();
     let addr = server.local_addr();
     let handle = server.handle();
@@ -300,10 +293,10 @@ fn foreign_protocol_version_gets_a_typed_error_and_a_closed_socket() {
 }
 
 /// A query that panics inside the engine fails alone: its client gets one
-/// typed `Internal` error, the dispatcher survives, later queries on the
+/// typed `Internal` error, the worker survives, later queries on the
 /// same connection answer bit-identically to an engine that never
 /// faulted, and the drain still completes. The client's read timeout is
-/// the watchdog — a dead dispatcher shows up as a timed-out `recv`, and
+/// the watchdog — a dead worker shows up as a timed-out `recv`, and
 /// the server is shut down before anything is asserted so a failure
 /// cannot wedge the scope.
 #[test]
@@ -373,9 +366,52 @@ fn panicking_query_gets_a_typed_error_and_the_server_keeps_serving() {
     assert_eq!((cuts.loading, cuts.in_flight), (0, 0), "{cuts:?}");
 }
 
+/// No reply waits for a stranger. One connection sends a `QUERY` that
+/// stalls on every miss of a cold pool and then a `SEEDS` request, which
+/// reads only the in-memory object snapshot: with two workers the `SEEDS`
+/// reply overtakes the query's, well inside a single stall — it is not
+/// held back until whatever was picked up around the same time returns.
+#[test]
+fn a_fast_reply_does_not_wait_for_a_stalled_stranger() {
+    use std::time::Instant;
+    use surface_knn::serve::protocol::SeedsRequestFrame;
+
+    const STALL: Duration = Duration::from_millis(100);
+    let (mesh, cfg) = test_world();
+    let scene = SceneBuilder::new(&mesh).object_count(20).seed(14).build();
+    let engine = Mr3Engine::build(&mesh, &scene, &cfg); // cold cache: every query pays misses
+    engine.pager().set_read_stall(STALL);
+    let serve_cfg = ServeConfig { exec_threads: 2, ..ServeConfig::default() };
+    let server = Server::bind(&engine, "127.0.0.1:0", serve_cfg).unwrap();
+    let addr = server.local_addr();
+    let handle = server.handle();
+
+    let (first, waited, second) = std::thread::scope(|scope| {
+        let run = scope.spawn(|| server.run());
+        let mut client = Client::connect_with_timeout(addr, Duration::from_secs(30)).unwrap();
+        let q = scene.random_query(7000);
+        let (x, y) = (q.pos.x, q.pos.y);
+        let sent = Instant::now();
+        client.send_query(1, q, 3, 0).unwrap();
+        let seeds = SeedsRequestFrame { req_id: 2, trace_id: 0, x, y, k: 3, deadline_ms: 0 };
+        client.send(&Frame::SeedsRequest(seeds)).unwrap();
+        let first = client.recv();
+        let waited = sent.elapsed();
+        // Measured; now let the query finish without paying for every miss.
+        engine.pager().set_read_stall(Duration::ZERO);
+        let second = client.recv();
+        handle.shutdown();
+        run.join().unwrap();
+        (first, waited, second)
+    });
+    assert!(matches!(&first, Ok(Frame::Seeds(s)) if s.req_id == 2), "first reply: {first:?}");
+    assert!(matches!(&second, Ok(Frame::Response(r)) if r.req_id == 1), "then: {second:?}");
+    assert!(waited < STALL / 2, "SEEDS took {waited:?} beside a query stalling {STALL:?} a miss");
+}
+
 /// The edge contract suite (`serve::edge::check_edge_contract`) against
-/// a shard server: one dispatcher slot, held by a per-miss read stall on
-/// a cold pool.
+/// a shard server: one worker, held by a per-miss read stall on a cold
+/// pool.
 #[test]
 fn server_obeys_the_edge_contract() {
     let (mesh, cfg) = test_world();
@@ -384,8 +420,6 @@ fn server_obeys_the_edge_contract() {
     const PARKED: u64 = 3;
     let serve_cfg = ServeConfig {
         queue_depth: PARKED as usize,
-        max_batch: 1,
-        max_wait: Duration::ZERO,
         exec_threads: 1,
         metrics_addr: Some("127.0.0.1:0".to_string()),
         ..ServeConfig::default()

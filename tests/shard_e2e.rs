@@ -192,7 +192,7 @@ fn sharded_answers_bit_identical_to_union_engine() {
 
 /// Cancellation stops a slow leg: shard 1 is made slow (cold cache plus
 /// injected per-miss read latency) and wedged behind a long-running
-/// direct query on a single-slot dispatcher. An interior query homed on
+/// direct query on the shard's single worker. An interior query homed on
 /// shard 0 still fans a speculative SEEDS leg to shard 1 — which must be
 /// withdrawn by CANCEL *while queued there* (shard 1's own `cancelled`
 /// counter is the proof), the answer staying correct and untouched by
@@ -229,18 +229,13 @@ fn cancel_withdraws_a_slow_speculative_leg() {
         .expect("an interior query homed on shard 0");
 
     let server0 = Server::bind(&engines[0], "127.0.0.1:0", ServeConfig::default()).unwrap();
-    // Single-slot dispatch on the slow shard: while the blocker query
+    // A single worker on the slow shard: while the blocker query
     // executes, anything else queues in the admission lanes — where a
     // CANCEL can still withdraw it.
     let server1 = Server::bind(
         &engines[1],
         "127.0.0.1:0",
-        ServeConfig {
-            max_batch: 1,
-            max_wait: Duration::ZERO,
-            exec_threads: 1,
-            ..ServeConfig::default()
-        },
+        ServeConfig { exec_threads: 1, ..ServeConfig::default() },
     )
     .unwrap();
     let handles = [server0.handle(), server1.handle()];
@@ -280,7 +275,7 @@ fn cancel_withdraws_a_slow_speculative_leg() {
                 Frame::Stats(_) => {}
                 other => panic!("barrier produced {other:?}"),
             }
-            // The single dispatcher was parked on the lanes, so by now it
+            // The single worker was parked on the lanes, so by now it
             // is inside the blocker's first 60 ms page stall.
             std::thread::sleep(Duration::from_millis(100));
 
@@ -424,9 +419,9 @@ fn edf_orders_a_full_router_queue_and_sheds_overflow() {
 }
 
 /// Every family a router exports and every key of its `STATS` frame, as
-/// of `f586151` — the twin of the server's pinned lists in
-/// `tests/telemetry.rs`.
-const ROUTER_FAMILIES: [&str; 24] = [
+/// of `f586151` plus the edge's `panics` row — the twin of the server's
+/// pinned lists in `tests/telemetry.rs`.
+const ROUTER_FAMILIES: [&str; 25] = [
     "sknn_shard_bound_violations_total",
     "sknn_shard_cancel_misses_total",
     "sknn_shard_cancelled_legs_total",
@@ -443,6 +438,7 @@ const ROUTER_FAMILIES: [&str; 24] = [
     "sknn_shard_merge_us",
     "sknn_shard_merged_total",
     "sknn_shard_objects",
+    "sknn_shard_panics_total",
     "sknn_shard_protocol_errors_total",
     "sknn_shard_queue_depth",
     "sknn_shard_queue_us",
@@ -452,7 +448,7 @@ const ROUTER_FAMILIES: [&str; 24] = [
     "sknn_shard_shed_total",
     "sknn_shard_write_errors_total",
 ];
-const ROUTER_STATS_KEYS: [&str; 23] = [
+const ROUTER_STATS_KEYS: [&str; 24] = [
     "bound_violations",
     "cancel_misses",
     "cancelled",
@@ -469,6 +465,7 @@ const ROUTER_STATS_KEYS: [&str; 23] = [
     "leg_failures",
     "merged",
     "objects",
+    "panics",
     "protocol_errors",
     "queue_depth",
     "rejected_shutdown",

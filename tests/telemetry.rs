@@ -1,5 +1,5 @@
 //! End-to-end tests of the request-scoped telemetry pipeline: wire-
-//! propagated trace ids surviving micro-batched execution, per-stage
+//! propagated trace ids surviving concurrent execution, per-stage
 //! clocks that partition (never exceed) the end-to-end latency, the
 //! Prometheus metrics endpoint with its drain-aware health check, and
 //! the slow-query capture dumped over the wire as JSONL.
@@ -15,12 +15,11 @@ fn test_world() -> (TerrainMesh, Mr3Config) {
     (TerrainConfig::bh().with_grid(21).build_mesh(42), Mr3Config::default())
 }
 
-/// N concurrent clients send traced queries that the server coalesces
-/// into shared micro-batches. Every obs record drained afterwards (bar
-/// the per-batch `serve_batch` events, which aggregate strangers) must
-/// carry exactly one of the N issued trace ids, every issued id must
-/// appear, and the server-reported stage clocks must fit inside the
-/// client-observed round trip.
+/// N concurrent clients send traced queries that the server executes
+/// side by side. Every obs record drained afterwards must carry exactly
+/// one of the N issued trace ids, every issued id must appear, and the
+/// server-reported stage clocks must fit inside the client-observed
+/// round trip.
 #[test]
 fn trace_ids_survive_batching_and_stages_partition_latency() {
     let (mesh, cfg) = test_world();
@@ -106,9 +105,6 @@ fn trace_ids_survive_batching_and_stages_partition_latency() {
     let mut seen = std::collections::BTreeSet::new();
     let mut attributed = 0usize;
     for rec in &trace.records {
-        if rec.name == "serve_batch" || rec.name == "serve_final" {
-            continue; // keyed by batch id / drain summary: not per-request
-        }
         assert!(
             valid.contains(&rec.query),
             "record {:?} carries foreign id {:#x}",
@@ -188,10 +184,12 @@ fn slow_query_dump_returns_valid_jsonl_with_trace_ids() {
 }
 
 /// Every family a shard server exports and every key of its `STATS`
-/// frame, as of `f586151`: the metric tables may be reorganised, but not
-/// one name may change or go missing (dashboards, `sknn top --check` and
-/// the router's `objects` lookup read them by name).
-const SERVER_FAMILIES: [&str; 61] = [
+/// frame, as of `f586151` less the micro-batcher's rows (batch size,
+/// linger, mean batch), which left with it: the metric tables may be
+/// reorganised, but not one name may change or go missing (dashboards,
+/// `sknn top --check` and the router's `objects` lookup read them by
+/// name).
+const SERVER_FAMILIES: [&str; 59] = [
     "sknn_cutcache_cooling_entries",
     "sknn_cutcache_evictions_total",
     "sknn_cutcache_extractions_in_flight",
@@ -208,7 +206,6 @@ const SERVER_FAMILIES: [&str; 61] = [
     "sknn_dijkstra_stale_pops_total",
     "sknn_objects_live",
     "sknn_serve_accepted_total",
-    "sknn_serve_batch_size",
     "sknn_serve_batched_requests_total",
     "sknn_serve_batches_total",
     "sknn_serve_cancel_misses_total",
@@ -219,7 +216,6 @@ const SERVER_FAMILIES: [&str; 61] = [
     "sknn_serve_exec_us",
     "sknn_serve_expired_total",
     "sknn_serve_latency_us",
-    "sknn_serve_linger_us",
     "sknn_serve_panics_total",
     "sknn_serve_protocol_errors_total",
     "sknn_serve_query_errors_total",
@@ -254,7 +250,7 @@ const SERVER_FAMILIES: [&str; 61] = [
     "sknn_wal_replay_records_total",
     "sknn_wal_truncated_records_total",
 ];
-const SERVER_STATS_KEYS: [&str; 31] = [
+const SERVER_STATS_KEYS: [&str; 28] = [
     "accepted",
     "batched_requests",
     "batches",
@@ -272,9 +268,6 @@ const SERVER_STATS_KEYS: [&str; 31] = [
     "latency_p95_us",
     "latency_p99_us",
     "latency_us_n",
-    "linger_p50_us",
-    "linger_us_n",
-    "mean_batch_x1000",
     "objects",
     "panics",
     "protocol_errors",
@@ -306,9 +299,7 @@ fn metrics_endpoint_parses_and_healthz_flips_during_drain() {
 
     let serve_cfg = ServeConfig {
         metrics_addr: Some("127.0.0.1:0".to_string()),
-        max_batch: 1, // serialize the backlog: one slow query at a time
-        max_wait: Duration::ZERO,
-        exec_threads: 1,
+        exec_threads: 1, // serialize the backlog: one slow query at a time
         instance: "shard7".to_string(),
         ..ServeConfig::default()
     };
