@@ -3,7 +3,8 @@
 //! Dijkstra over the three graph shapes MR3 actually runs (DMTM front,
 //! pathnet, corridor-restricted front — the last both over its own graph
 //! and masked over the whole front's), pathnet construction over a group
-//! region, and the batched point–MBR distance kernel behind R-tree descent.
+//! region, the SDN lower bound in the three shapes its callers give it, and
+//! the batched point–MBR distance kernel behind R-tree descent.
 //!
 //! Runs under `cargo bench --bench hot_paths`. Beyond the criterion-style
 //! human report, two extra modes back the committed artifacts and CI:
@@ -20,8 +21,10 @@
 use criterion::black_box;
 use sknn_geodesic::graph::{Dijkstra, DijkstraScratch, Graph, QueuePolicy};
 use sknn_geodesic::Pathnet;
-use sknn_geom::{Point2, Rect2};
+use sknn_geom::{Ellipse2, Point2, Rect2};
 use sknn_multires::{build_dmtm, FrontGraph};
+use sknn_sdn::network::{lower_bound, lower_bound_with, LbScratch};
+use sknn_sdn::{Msdn, MsdnConfig};
 use sknn_spatial::kernel::{min_dists_point, min_dists_point_sq, MAX_BATCH};
 use sknn_terrain::dem::TerrainConfig;
 use sknn_terrain::locate::TriangleLocator;
@@ -228,6 +231,34 @@ fn main() {
         let facets = locator.triangles_meeting(&mesh, &region);
         black_box(Pathnet::build_region(&mesh, 1, facets).num_nodes())
     });
+
+    // --- SDN lower bound ---------------------------------------------------
+    // One pair a third of the terrain apart at the full-resolution level
+    // (every segment exact, the dearest weights). `roi` and `roi_corridor`
+    // are ranking's two calls per candidate — the separating lines under
+    // the candidate's ellipse MBR, the second also under the corridor of
+    // the previous level's witness chain, both on the engine's scratch;
+    // `whole_line` is the one-shot call of `estimate_pair` and the EA
+    // baseline: no region, a fresh scratch.
+    let msdn = Msdn::build(&mesh, &MsdnConfig::default());
+    let lift = |fx: f64, fy: f64| {
+        let p = Point2::new(ext.lo.x + fx * ext.width(), ext.lo.y + fy * ext.height());
+        locator.lift(&mesh, p).expect("point inside the terrain")
+    };
+    let (a, b) = (lift(0.30, 0.42), lift(0.64, 0.55));
+    let top = msdn.num_levels() - 1;
+    let lines = msdn.lines_between(top, a, b);
+    let roi = Ellipse2::new(a.xy(), b.xy(), a.dist(b) * 1.2).mbr();
+    let prior = lower_bound(&msdn.lines_between(top - 1, a, b), a, b, Some(&roi), None).path_mbrs;
+    let width = mesh.mean_edge_length() * 2.0;
+    let mut scratch = LbScratch::new();
+    h.bench("sdn/lower_bound/roi", || {
+        lower_bound_with(&lines, a, b, Some(&roi), None, &mut scratch).value
+    });
+    h.bench("sdn/lower_bound/roi_corridor", || {
+        lower_bound_with(&lines, a, b, Some(&roi), Some((&prior, width)), &mut scratch).value
+    });
+    h.bench("sdn/lower_bound/whole_line", || lower_bound(&lines, a, b, None, None).value);
 
     // --- Batched point–MBR mindist kernel --------------------------------
     let rects: Vec<Rect2> = (0..16)

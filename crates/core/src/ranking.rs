@@ -24,7 +24,7 @@ use sknn_geom::Axis;
 use sknn_geom::{Aabb3, Ellipse2, Rect2};
 use sknn_multires::{CutCache, CutGrid, FetchScratch, FrontGraph, PagedDmtm};
 use sknn_obs::{field, Recorder};
-use sknn_sdn::network::{corridor_mask, lower_bound_with, LbScratch};
+use sknn_sdn::network::{lower_bound_with, LbScratch};
 use sknn_sdn::{LineCutCache, Msdn, PagedMsdn, SimplifiedLine};
 use sknn_store::Pager;
 use sknn_terrain::locate::TriangleLocator;
@@ -129,7 +129,7 @@ pub struct RankScratch {
     /// Buffers for DMTM front fetches (key ordering, id→local index,
     /// edge/position vectors), recycled from replaced cached fronts.
     fetch: FetchScratch,
-    /// Layered-graph and Dijkstra buffers for SDN lower bounds.
+    /// Layer table and Dijkstra buffers for SDN lower bounds.
     lb: LbScratch,
     /// Dijkstra state for the per-group shared pathnet run.
     pathnet: DijkstraScratch,
@@ -882,9 +882,9 @@ impl<'a, 'm> RankingContext<'a, 'm> {
         let lb = &mut self.scratch.borrow_mut().lb;
 
         if self.cfg.dummy_lower_bound && !cands[ci].lb_path.is_empty() {
-            let mask = corridor_mask(&lines, &cands[ci].lb_path, width);
+            let corridor = Some((&cands[ci].lb_path[..], width));
             let dummy =
-                lower_bound_with(&lines, q.pos, cands[ci].point.pos, Some(&roi), Some(&mask), lb);
+                lower_bound_with(&lines, q.pos, cands[ci].point.pos, Some(&roi), corridor, lb);
             stats.settled += dummy.nodes_settled;
             stats.absorb_queue(&dummy.queue);
             // The dummy bound over-estimates the true lower bound. If even

@@ -1,8 +1,10 @@
 //! Edge-weighted graphs and Dijkstra's algorithm.
 //!
-//! Used by DMTM upper-bound estimation (front meshes are graphs), the SDN
-//! lower-bound networks, the pathnet, and the EA benchmark — everywhere the
-//! paper says "Dijkstra's shortest path algorithm \[3\]".
+//! Used by DMTM upper-bound estimation (front meshes are graphs), the
+//! pathnet, and the EA benchmark — everywhere the paper says "Dijkstra's
+//! shortest path algorithm \[3\]" over a graph that exists. The SDN lower
+//! bound runs the same algorithm over layers it never materialises
+//! (`sknn_sdn::network`) and keeps this module as its test oracle.
 //!
 //! Two priority-queue implementations drive the runs, selected by
 //! [`QueuePolicy`]: the classic binary heap and a Dial-style monotone
@@ -112,9 +114,8 @@ impl Graph {
 
     /// Rebuild in place from an undirected edge list, reusing the CSR
     /// allocations of the previous build (ranking builds one graph per
-    /// fetched front and the SDN lower bound one per estimation; this
-    /// keeps both free of fresh allocations once the buffers have grown to
-    /// a working size).
+    /// fetched front; this keeps it free of fresh allocations once the
+    /// buffers have grown to a working size).
     ///
     /// # Panics
     /// Panics on NaN or negative weights or out-of-range endpoints.
@@ -324,8 +325,8 @@ impl Pq for BinaryHeap<QueueItem> {
 
 /// Number of ring buckets before keys spill to the overflow band. At the
 /// default width (minimum positive edge weight) this covers a distance
-/// range of 2048 minimal edges per ring epoch, which holds every front,
-/// pathnet and SDN graph in the test terrains without a single re-seed.
+/// range of 2048 minimal edges per ring epoch, which holds every front
+/// and pathnet graph in the test terrains without a single re-seed.
 const RING_BUCKETS: usize = 2048;
 
 /// Dial-style monotone bucket queue (calendar queue).

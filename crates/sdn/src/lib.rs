@@ -17,7 +17,8 @@
 //!   lower-bound proof needs);
 //! * [`network`] — the support distance network: segment nodes, edges
 //!   between *neighbouring* crossing lines weighted by minimum MBR-to-MBR
-//!   distance, query-point embedding, Dijkstra lower bounds, and the
+//!   distance, query-point embedding, Dijkstra lower bounds run in place
+//!   over the layers (the network is never materialised), and the
 //!   corridor-restricted "dummy lower bound" optimisation (§4.2.2);
 //! * [`msdn`] — the resolution stack over both axes with the plane-set
 //!   selection heuristic;
@@ -51,6 +52,6 @@ pub mod simplify;
 pub use cache::LineCutCache;
 pub use crossing::CrossingLine;
 pub use msdn::{Msdn, MsdnConfig};
-pub use network::{corridor_mask, lower_bound, LowerBound};
+pub use network::{lower_bound, LowerBound};
 pub use paged::PagedMsdn;
 pub use simplify::{simplify_line, SimplifiedLine, SimplifiedSegment};

@@ -14,7 +14,7 @@
 //! 45°-angle heuristic, stated here in its geometrically effective form).
 
 use crate::crossing::{plane_positions, CrossingLine};
-use crate::network::{corridor_mask, lower_bound, LowerBound};
+use crate::network::{lower_bound, LowerBound};
 use crate::simplify::{simplify_line, SimplifiedLine};
 use sknn_geom::{Aabb3, Axis, AxisPlane, Point3, Rect2};
 use sknn_terrain::mesh::TerrainMesh;
@@ -130,7 +130,7 @@ impl Msdn {
             .iter()
             .filter(|l| l.plane.value > lo && l.plane.value < hi)
             .collect();
-        lines.sort_by(|p, q| p.plane.value.partial_cmp(&q.plane.value).unwrap());
+        lines.sort_by(|p, q| p.plane.value.total_cmp(&q.plane.value));
         if ca > cb {
             lines.reverse();
         }
@@ -166,8 +166,7 @@ impl Msdn {
             return None;
         }
         let lines = self.lines_between(level_idx, a, b);
-        let mask = corridor_mask(&lines, prior_path, width);
-        Some(lower_bound(&lines, a, b, roi, Some(&mask)))
+        Some(lower_bound(&lines, a, b, roi, Some((prior_path, width))))
     }
 
     /// Total segments stored at a level (both axes) — a size diagnostic.

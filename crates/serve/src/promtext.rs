@@ -149,16 +149,27 @@ pub fn histogram_quantile(buckets: &[Sample], q: f64) -> Option<f64> {
     Some(series.last()?.0)
 }
 
+/// Send one GET and read the whole raw response. The request goes out in
+/// a single write: the endpoint answers and closes as soon as it has the
+/// request line, so a request still being written piecewise (`write!` on a
+/// socket is one syscall per fragment) can meet a closed peer and fail
+/// with `BrokenPipe`.
+fn exchange(addr: &str, path: &str, timeout: Duration) -> std::io::Result<String> {
+    let mut stream = TcpStream::connect(addr)?;
+    stream.set_read_timeout(Some(timeout))?;
+    stream.set_write_timeout(Some(timeout))?;
+    let request = format!("GET {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n");
+    stream.write_all(request.as_bytes())?;
+    let mut raw = String::new();
+    stream.read_to_string(&mut raw)?;
+    Ok(raw)
+}
+
 /// Plain HTTP/1.1 GET returning the response body; `addr` is
 /// `host:port`. Follows no redirects, speaks no TLS — it exists so the
 /// CI smoke test and `sknn top` need no HTTP dependency.
 pub fn http_get(addr: &str, path: &str, timeout: Duration) -> std::io::Result<String> {
-    let mut stream = TcpStream::connect(addr)?;
-    stream.set_read_timeout(Some(timeout))?;
-    stream.set_write_timeout(Some(timeout))?;
-    write!(stream, "GET {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n")?;
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw)?;
+    let raw = exchange(addr, path, timeout)?;
     match raw.split_once("\r\n\r\n") {
         Some((_head, body)) => Ok(body.to_string()),
         None => Err(std::io::Error::new(
@@ -175,12 +186,7 @@ pub fn http_get_status(
     path: &str,
     timeout: Duration,
 ) -> std::io::Result<(u16, String)> {
-    let mut stream = TcpStream::connect(addr)?;
-    stream.set_read_timeout(Some(timeout))?;
-    stream.set_write_timeout(Some(timeout))?;
-    write!(stream, "GET {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n")?;
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw)?;
+    let raw = exchange(addr, path, timeout)?;
     let status =
         raw.split(' ').nth(1).and_then(|c| c.parse().ok()).ok_or_else(|| {
             std::io::Error::new(std::io::ErrorKind::InvalidData, "no status code")

@@ -5,6 +5,7 @@ use proptest::prelude::*;
 use std::sync::OnceLock;
 use surface_knn::core::config::Mr3Config;
 use surface_knn::core::metrics::QueryStats;
+use surface_knn::core::mr3::Mr3Engine;
 use surface_knn::core::objects::ObjectStore;
 use surface_knn::core::ranking::RankingContext;
 use surface_knn::core::workload::{SceneBuilder, SurfacePoint};
@@ -58,6 +59,35 @@ fn surface_point(f: &Fixture, x: f64, y: f64) -> SurfacePoint {
     let tri = f.locator.locate(&f.mesh, p).unwrap();
     let pos = f.mesh.triangle(tri).lift_xy(p).unwrap();
     SurfacePoint { tri, pos }
+}
+
+/// Invariant 1 at the ranking call site: every neighbour `try_query`
+/// returns carries `lb <= dS` against the exact geodesic engine — and the
+/// SDN, not only the Euclidean seed, set some of those lower bounds, so
+/// `lb_phase`'s calls into the kernel are what is being checked.
+#[test]
+fn ranked_lower_bounds_stay_below_the_exact_geodesic() {
+    let f = fixture();
+    let scene = SceneBuilder::new(&f.mesh).object_count(30).seed(9).build();
+    let engine = Mr3Engine::build(&f.mesh, &scene, &f.cfg);
+    let mut above_euclid = 0;
+    for qseed in [3u64, 14, 15, 92, 65] {
+        let q = scene.random_query(qseed);
+        let res = engine.try_query(q, 5).expect("fault-free query");
+        assert_eq!(res.neighbors.len(), 5);
+        for n in &res.neighbors {
+            let p = scene.object(n.id).point;
+            let ds = exact().distance(q.to_mesh_point(), p.to_mesh_point());
+            assert!(
+                n.range.lb <= ds + 1e-6,
+                "query {qseed} object {}: lb {} > exact {ds}",
+                n.id,
+                n.range.lb
+            );
+            above_euclid += usize::from(n.range.lb > q.pos.dist(p.pos) + 1e-9);
+        }
+    }
+    assert!(above_euclid > 0, "no returned lower bound came from the SDN");
 }
 
 proptest! {
