@@ -1213,4 +1213,168 @@ mod tests {
             Err(ProtocolError::Malformed("trailing bytes in payload"))
         );
     }
+
+    /// One fixed instance per frame type (some twice, to cover empty and
+    /// non-empty lists and both `degraded` states), in tag order.
+    fn golden_frames() -> Vec<Frame> {
+        let nan = f64::from_bits(0x7ff8_dead_beef_0001);
+        let obj = |id: u32| WireObject { id, tri: id * 3, x: id as f64 + 0.25, y: -0.0, z: nan };
+        let timing = ServerTiming {
+            queue_us: 1,
+            linger_us: 2,
+            exec_us: 3,
+            knn2d_us: 4,
+            radius_us: 5,
+            range_us: 6,
+            rank_us: 7,
+            stall_us: 8,
+            batch: 9,
+        };
+        vec![
+            Frame::Query(QueryFrame {
+                req_id: 0x0102_0304_0506_0708,
+                tri: LOCATE_TRI,
+                x: nan,
+                y: -0.0,
+                z: 99.5,
+                k: 4,
+                deadline_ms: 250,
+                trace_id: 0xDEAD_BEEF,
+            }),
+            Frame::Response(ResponseFrame {
+                req_id: 7,
+                trace_id: 9,
+                neighbors: vec![
+                    WireNeighbor { id: 3, lb: 1.5, ub: 2.5 },
+                    WireNeighbor { id: u32::MAX, lb: -0.0, ub: nan },
+                ],
+                degraded: Some("DeadlineExpired — 期限".to_string()),
+                timing,
+                radius: 12.25,
+            }),
+            Frame::Response(ResponseFrame {
+                req_id: 8,
+                trace_id: 10,
+                neighbors: vec![],
+                degraded: None,
+                timing: ServerTiming::default(),
+                radius: f64::INFINITY,
+            }),
+            Frame::error(11, ErrorCode::Cancelled, "détail ✓ 雪"),
+            Frame::StatsRequest,
+            Frame::Stats(StatsFrame {
+                entries: vec![("accepted".to_string(), 12), ("größe".to_string(), u64::MAX)],
+            }),
+            Frame::Stats(StatsFrame::default()),
+            Frame::TraceDumpRequest,
+            Frame::TraceDump(TraceDumpFrame {
+                jsonl: "{\"trace_id\":1}\n{\"détail\":\"✓\"}\n".into(),
+            }),
+            Frame::Cancel(CancelFrame { req_id: 13, trace_id: 14 }),
+            Frame::SeedsRequest(SeedsRequestFrame {
+                req_id: 15,
+                trace_id: 16,
+                x: 3.5,
+                y: -0.0,
+                k: 8,
+                deadline_ms: 100,
+            }),
+            Frame::Seeds(SeedsFrame {
+                req_id: 15,
+                trace_id: 16,
+                seeds: vec![(0.5, obj(7)), (f64::INFINITY, obj(9))],
+            }),
+            Frame::Seeds(SeedsFrame { req_id: 17, trace_id: 18, seeds: vec![] }),
+            Frame::RangeRequest(RangeRequestFrame {
+                req_id: 19,
+                trace_id: 20,
+                x: nan,
+                y: 2.0,
+                radius: f64::INFINITY,
+                deadline_ms: 0,
+            }),
+            Frame::Range(RangeFrame { req_id: 19, trace_id: 20, objects: vec![obj(1), obj(2)] }),
+            Frame::Range(RangeFrame { req_id: 21, trace_id: 22, objects: vec![] }),
+            Frame::RadiusRequest(RadiusRequestFrame {
+                req_id: 23,
+                trace_id: 24,
+                tri: 11,
+                x: 0.0,
+                y: -0.0,
+                z: 9.0,
+                deadline_ms: 50,
+                seeds: vec![obj(4)],
+            }),
+            Frame::Radius(RadiusFrame { req_id: 23, trace_id: 24, radius: nan }),
+            Frame::ExecRequest(ExecRequestFrame {
+                req_id: 25,
+                trace_id: 26,
+                tri: LOCATE_TRI,
+                x: 1.5,
+                y: 2.5,
+                z: -0.0,
+                k: 3,
+                deadline_ms: 250,
+                seeds: vec![obj(1)],
+                cands: vec![obj(1), obj(5)],
+            }),
+            Frame::ExecRequest(ExecRequestFrame {
+                req_id: 27,
+                trace_id: 28,
+                tri: 2,
+                x: 1.5,
+                y: 2.5,
+                z: 3.5,
+                k: 0,
+                deadline_ms: 0,
+                seeds: vec![],
+                cands: vec![],
+            }),
+        ]
+    }
+
+    /// `encode()` of each [`golden_frames`] entry, generated at commit
+    /// `372efae` (the hand-written codec). A field-order, count-width or
+    /// tag change moves these bytes; a round-trip test cannot see one.
+    #[rustfmt::skip]
+    const GOLDEN_HEX: &[&str] = &[
+        "534b4e4e03000100340000000807060504030201ffffffff0100efbeaddef87f00000000000000800000000000e0584004000000fa000000efbeadde00000000",
+        "534b4e4e030002008100000007000000000000000900000000000000000000000080284001000000020000000300000004000000050000000600000007000000080000000900011a00446561646c696e654578706972656420e2809420e69c9fe99990020003000000000000000000f83f0000000000000440ffffffff00000000000000800100efbeaddef87f",
+        "534b4e4e030002003d00000008000000000000000a00000000000000000000000000f07f00000000000000000000000000000000000000000000000000000000000000000000000000",
+        "534b4e4e030003001a0000000b00000000000000060f0064c3a97461696c20e29c9320e99baa",
+        "534b4e4e0300040000000000",
+        "534b4e4e03000500250000000200080061636365707465640c0000000000000007006772c3b6c39f65ffffffffffffffff",
+        "534b4e4e03000500020000000000",
+        "534b4e4e0300060000000000",
+        "534b4e4e0300070025000000210000007b2274726163655f6964223a317d0a7b2264c3a97461696c223a22e29c93227d0a",
+        "534b4e4e03000800100000000d000000000000000e00000000000000",
+        "534b4e4e03000900280000000f0000000000000010000000000000000000000000000c4000000000000000800800000064000000",
+        "534b4e4e03000a00640000000f00000000000000100000000000000002000000000000000000e03f07000000150000000000000000001d4000000000000000800100efbeaddef87f000000000000f07f090000001b000000000000000080224000000000000000800100efbeaddef87f",
+        "534b4e4e03000a00140000001100000000000000120000000000000000000000",
+        "534b4e4e03000b002c000000130000000000000014000000000000000100efbeaddef87f0000000000000040000000000000f07f00000000",
+        "534b4e4e03000c005400000013000000000000001400000000000000020000000100000003000000000000000000f43f00000000000000800100efbeaddef87f0200000006000000000000000000024000000000000000800100efbeaddef87f",
+        "534b4e4e03000c00140000001500000000000000160000000000000000000000",
+        "534b4e4e03000d0054000000170000000000000018000000000000000b0000000000000000000000000000000000008000000000000022403200000001000000040000000c000000000000000000114000000000000000800100efbeaddef87f",
+        "534b4e4e03000e0018000000170000000000000018000000000000000100efbeaddef87f",
+        "534b4e4e03000f009c00000019000000000000001a00000000000000ffffffff000000000000f83f0000000000000440000000000000008003000000fa000000010000000100000003000000000000000000f43f00000000000000800100efbeaddef87f020000000100000003000000000000000000f43f00000000000000800100efbeaddef87f050000000f000000000000000000154000000000000000800100efbeaddef87f",
+        "534b4e4e03000f003c0000001b000000000000001c0000000000000002000000000000000000f83f00000000000004400000000000000c4000000000000000000000000000000000",
+    ];
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    #[test]
+    fn golden_wire_bytes() {
+        let frames = golden_frames();
+        assert_eq!(frames.len(), GOLDEN_HEX.len());
+        for (frame, want) in frames.iter().zip(GOLDEN_HEX) {
+            let bytes = frame.encode();
+            assert_eq!(hex(&bytes), *want, "{frame:?}");
+            let (back, used) = Frame::decode(&bytes).unwrap();
+            assert_eq!(used, bytes.len());
+            // NaN != NaN, so compare the re-encoding byte-for-byte.
+            assert_eq!(back.encode(), bytes, "{frame:?}");
+        }
+    }
 }
