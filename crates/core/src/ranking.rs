@@ -472,7 +472,7 @@ impl<'a, 'm> RankingContext<'a, 'm> {
     /// physical-read delta over the iteration: exact for a query running
     /// alone, approximate under concurrency (other queries' reads and
     /// stat resets land in it) until the per-query ledger of ROADMAP
-    /// item 1 exists.
+    /// item 3 exists.
     #[allow(clippy::too_many_arguments)]
     fn emit_iter(
         &self,

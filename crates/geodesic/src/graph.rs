@@ -17,7 +17,6 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::fmt;
-use std::str::FromStr;
 
 /// Typed graph-construction failure.
 ///
@@ -218,7 +217,7 @@ pub enum QueuePolicy {
 }
 
 impl QueuePolicy {
-    /// Canonical lowercase name (CLI/config value).
+    /// Canonical lowercase name (what `Display` prints: bench row names).
     pub fn as_str(&self) -> &'static str {
         match self {
             Self::Heap => "heap",
@@ -230,18 +229,6 @@ impl QueuePolicy {
 impl fmt::Display for QueuePolicy {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.as_str())
-    }
-}
-
-impl FromStr for QueuePolicy {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "heap" => Ok(Self::Heap),
-            "bucket" => Ok(Self::Bucket),
-            other => Err(format!("unknown queue policy '{other}' (expected heap|bucket)")),
-        }
     }
 }
 
@@ -528,17 +515,6 @@ impl DijkstraScratch {
     /// An empty scratch pinned to `policy`.
     pub fn with_policy(policy: QueuePolicy) -> Self {
         Self { policy, ..Self::default() }
-    }
-
-    /// Queue policy future runs will use.
-    pub fn policy(&self) -> QueuePolicy {
-        self.policy
-    }
-
-    /// Switch the queue policy for future runs (both queues' storage is
-    /// retained, so flipping back and forth stays allocation-free).
-    pub fn set_policy(&mut self, policy: QueuePolicy) {
-        self.policy = policy;
     }
 
     /// Prepare for a run over `n` nodes: grow the arrays if needed and

@@ -93,12 +93,9 @@ impl Client {
                 // Late query replies may still be draining past the
                 // stats request; skip them.
                 Frame::Response(_) | Frame::Error(_) => continue,
-                other => {
+                _ => {
                     return Err(RecvError::Protocol(crate::protocol::ProtocolError::Malformed(
-                        match other {
-                            Frame::Query(_) => "server sent a query frame",
-                            _ => "unexpected frame awaiting stats",
-                        },
+                        "unexpected frame awaiting stats",
                     )))
                 }
             }

@@ -4,9 +4,10 @@
 //! listener (and the optional metrics listener), the accept loop, one
 //! reader thread per connection, admission into the EDF lanes, `CANCEL`,
 //! `STATS`, `TRACE_DUMP`, framing errors, the shutdown [`Handle`] and
-//! the drain. It asks the process one question per request frame —
-//! [`Service::claim`]: *is this yours, and if so what are its ids,
-//! deadline and payload, or why is it a `BadRequest`* — and runs the one
+//! the drain. It reads a request frame's ids and deadline itself
+//! ([`Frame::request_header`]) and asks the process one question —
+//! [`Service::claim`]: *is this yours, and if so what is its payload, or
+//! why is it a `BadRequest`* — and runs the one
 //! worker loop both processes share: pop the lanes, stamp the pickup,
 //! refuse what expired while queued, and hand the rest to
 //! [`Service::serve`] one job at a time, a panic in which fails that
@@ -155,20 +156,6 @@ impl Job<()> {
     }
 }
 
-/// A process's answer to "is this request frame yours": the envelope the
-/// edge admits by, and either the payload to queue or the reason the
-/// frame is a `BadRequest`.
-pub struct Request<P> {
-    /// The client's request id.
-    pub req_id: u64,
-    /// The client's trace id (0 = mint one).
-    pub trace_id: u64,
-    /// Relative deadline in milliseconds (0 = none).
-    pub deadline_ms: u32,
-    /// The validated payload, or why validation failed.
-    pub payload: Result<P, &'static str>,
-}
-
 /// What a process does with the edge: which frames it takes, how it
 /// answers an admitted job, and what it reports beyond the shared rows.
 pub trait Service: Sync {
@@ -181,8 +168,9 @@ pub trait Service: Sync {
     fn edge_stats(&self) -> &EdgeStats;
 
     /// The one question: `None` if `frame` is not a request this process
-    /// takes (it is answered as a protocol error).
-    fn claim(&self, frame: Frame) -> Option<Request<Self::Payload>>;
+    /// takes (it is answered as a protocol error); else the validated
+    /// payload to queue, or why validation failed.
+    fn claim(&self, frame: Frame) -> Option<Result<Self::Payload, &'static str>>;
 
     /// Called once per request that entered the lanes.
     fn accepted(&self) {}
@@ -365,8 +353,8 @@ impl Edge {
                 ReadOutcome::Frame(Frame::TraceDumpRequest) => {
                     reply(&Frame::TraceDump(TraceDumpFrame { jsonl: svc.trace_dump() }));
                 }
-                ReadOutcome::Frame(frame) => match svc.claim(frame) {
-                    Some(request) => self.admit(svc, lanes, &writer, request),
+                ReadOutcome::Frame(frame) => match frame.request_header().zip(svc.claim(frame)) {
+                    Some((header, payload)) => self.admit(svc, lanes, &writer, header, payload),
                     None => {
                         // Replies only flow process → client, and a
                         // request the process does not take is no better.
@@ -394,9 +382,9 @@ impl Edge {
         svc: &S,
         lanes: &Lanes<S::Payload>,
         writer: &Arc<ConnWriter>,
-        request: Request<S::Payload>,
+        (req_id, raw_trace_id, deadline_ms): (u64, u64, u32),
+        payload: Result<S::Payload, &'static str>,
     ) {
-        let Request { req_id, trace_id: raw_trace_id, deadline_ms, payload } = request;
         let stats = svc.edge_stats();
         let refuse = |code, why| {
             writer.send(&stats.write_errors, &Frame::error(req_id, code, why));
@@ -637,10 +625,8 @@ mod tests {
             &self.stats
         }
 
-        fn claim(&self, frame: Frame) -> Option<Request<()>> {
-            let Frame::Query(q) = frame else { return None };
-            let (req_id, trace_id, deadline_ms) = (q.req_id, q.trace_id, q.deadline_ms);
-            Some(Request { req_id, trace_id, deadline_ms, payload: Ok(()) })
+        fn claim(&self, frame: Frame) -> Option<Result<(), &'static str>> {
+            matches!(frame, Frame::Query(_)).then_some(Ok(()))
         }
 
         fn stats_rows(&self, _out: &mut Vec<(String, u64)>) {}

@@ -20,7 +20,7 @@
 //!   answers everything already admitted, then returns. The lanes, the
 //!   interruptible frame reader, the mutex'd reply writer and the
 //!   `/metrics` + `/healthz` listener are its internals.
-//! * `batch` (internal) — engine ops: one `JobOp` → one engine call →
+//! * `ops` (internal) — engine ops: one `JobOp` → one engine call →
 //!   one reply frame.
 //! * [`server`] — the shard server: an edge whose jobs are engine ops,
 //!   with per-request deadlines also enforced between refinement
@@ -52,10 +52,10 @@ pub mod server;
 pub mod slowlog;
 pub mod stats;
 
-mod batch;
 mod conn;
 mod lanes;
 mod metrics_http;
+mod ops;
 
 pub use client::Client;
 pub use edge::Handle;

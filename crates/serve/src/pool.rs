@@ -160,11 +160,6 @@ impl PoolClient {
         Ok(InFlight { shared: Arc::clone(&self.shared), req_id, rx })
     }
 
-    /// [`begin`](Self::begin) + [`wait`](InFlight::wait): one round trip.
-    pub fn call(&self, req_id: u64, frame: &Frame, timeout: Duration) -> Result<Frame, PoolError> {
-        self.begin(req_id, frame)?.wait(timeout)
-    }
-
     /// Fire-and-forget `CANCEL` for a request previously begun on this
     /// pool. Does not consume the pending slot: the reply (a typed
     /// `Cancelled` error if the cancel won, the real answer if it lost)
@@ -258,7 +253,7 @@ fn reader_loop(shared: Arc<Shared>, mut stream: TcpStream, epoch: u64) {
     let fatal: PoolError = loop {
         match read_frame(&mut stream) {
             Ok(frame) => {
-                let Some(req_id) = frame_req_id(&frame) else {
+                let Some(req_id) = frame.reply_to() else {
                     // Stats / trace dumps carry no request id; a pooled
                     // connection never asks for them, so drop silently.
                     continue;
@@ -297,18 +292,6 @@ fn reader_loop(shared: Arc<Shared>, mut stream: TcpStream, epoch: u64) {
     }
 }
 
-/// The request id a server→client frame answers, if it carries one.
-fn frame_req_id(frame: &Frame) -> Option<u64> {
-    match frame {
-        Frame::Response(r) => Some(r.req_id),
-        Frame::Error(e) => Some(e.req_id),
-        Frame::Seeds(s) => Some(s.req_id),
-        Frame::Range(r) => Some(r.req_id),
-        Frame::Radius(r) => Some(r.req_id),
-        _ => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -327,7 +310,7 @@ mod tests {
             loop {
                 match read_frame(&mut s) {
                     Ok(f) => {
-                        if let Some(id) = frame_req_id_req(&f) {
+                        if let Some((id, ..)) = f.request_header() {
                             pending.push(id);
                         }
                         let flush = if reorder { pending.len() >= 2 } else { true };
@@ -350,15 +333,6 @@ mod tests {
             }
         });
         (addr, h)
-    }
-
-    /// Request-side req_id (test peer helper).
-    fn frame_req_id_req(frame: &Frame) -> Option<u64> {
-        match frame {
-            Frame::Query(q) => Some(q.req_id),
-            Frame::SeedsRequest(s) => Some(s.req_id),
-            _ => None,
-        }
     }
 
     fn query(req_id: u64) -> Frame {
@@ -410,7 +384,7 @@ mod tests {
             // Second connection: behave.
             let (mut s, _) = l2.accept().unwrap();
             if let Ok(f) = read_frame(&mut s) {
-                if let Some(id) = frame_req_id_req(&f) {
+                if let Some((id, ..)) = f.request_header() {
                     let reply = Frame::Error(ErrorFrame {
                         req_id: id,
                         code: ErrorCode::BadRequest,
@@ -432,7 +406,7 @@ mod tests {
         assert!(!pool.last_healthy());
         // Lazy reconnect on the next begin.
         let id2 = pool.next_req_id();
-        let reply = pool.call(id2, &query(id2), Duration::from_secs(5)).unwrap();
+        let reply = pool.begin(id2, &query(id2)).unwrap().wait(Duration::from_secs(5)).unwrap();
         match reply {
             Frame::Error(e) => assert_eq!(e.req_id, id2),
             other => panic!("unexpected: {other:?}"),

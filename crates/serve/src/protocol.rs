@@ -11,11 +11,27 @@
 //!      8     4  payload length (little-endian u32, <= MAX_PAYLOAD)
 //! ```
 //!
-//! All integers are little-endian; `f64` values travel as their IEEE-754
-//! bit patterns (`to_bits`/`from_bits`), so a decoded frame re-encodes to
-//! the identical byte string — the property the round-trip proptests pin
-//! down, and what makes the end-to-end "server result == direct engine
-//! call" comparison exact rather than approximate.
+//! # One declaration per frame
+//!
+//! The frames are the rows of the `wire_table!` invocation below, and
+//! nothing else: a row gives the tag, the payload's fields **in wire
+//! order** with how each travels, and whether the frame is a request
+//! (and which frame answers it) or a reply. The public struct, the
+//! [`Frame`] variant, the encoder, the decoder, the tag range
+//! [`parse_header`] accepts, the [`Request`] pairing and
+//! [`Frame::request_header`] / [`Frame::reply_to`] are all generated from
+//! that row, so a layout is written once. How a field travels:
+//!
+//! * `u8`/`u16`/`u32`/`u64` — little-endian; `f64` — its IEEE-754 bit
+//!   pattern as a `u64`, so a decoded frame re-encodes to the identical
+//!   byte string (the property the round-trip proptests pin down, and
+//!   what makes the end-to-end "server result == direct engine call"
+//!   comparison exact rather than approximate);
+//! * `String` — u16 byte length + UTF-8; `str32` — the same behind a u32
+//!   length; `Option<String>` — a 0/1 flag byte, then the string if 1;
+//! * `list16<T>` / `list32<T>` — a u16 / u32 count, then the elements;
+//! * a record ([`ServerTiming`], [`WireObject`], [`WireNeighbor`]) or a
+//!   pair — its fields one after the other.
 //!
 //! # Versioning
 //!
@@ -28,11 +44,17 @@
 //! ids, three-field timing, no shard ops — had no deployed client left
 //! and their encode/decode branches are gone.)
 //!
+//! # Bounds
+//!
 //! Decoding is total: any byte string produces either a frame or a typed
 //! [`ProtocolError`], never a panic. The payload-length cap bounds every
-//! allocation before it happens, including the per-list counts inside
-//! payloads (a claimed element count is checked against the bytes actually
-//! present before a vector is reserved).
+//! allocation before it happens, including the lists inside payloads: the
+//! one list decoder checks a claimed count against the bytes actually
+//! present before it reserves a vector. Encoding is bounded the same way
+//! from the other side: the one list encoder stops at the last element
+//! that still fits this frame's [`MAX_PAYLOAD`] beside everything else
+//! the frame carries, so `encode` cannot produce a frame its peer would
+//! reject as oversized — an over-long list arrives truncated instead.
 
 use std::io::{self, Read, Write};
 
@@ -60,405 +82,40 @@ pub const MAX_PAYLOAD: u32 = 4 << 20;
 /// directly and `z` must be the surface height.
 pub const LOCATE_TRI: u32 = u32::MAX;
 
-const TAG_QUERY: u8 = 1;
-const TAG_RESPONSE: u8 = 2;
-const TAG_ERROR: u8 = 3;
-const TAG_STATS_REQUEST: u8 = 4;
-const TAG_STATS: u8 = 5;
-const TAG_TRACE_DUMP_REQUEST: u8 = 6;
-const TAG_TRACE_DUMP: u8 = 7;
-const TAG_CANCEL: u8 = 8;
-const TAG_SEEDS_REQUEST: u8 = 9;
-const TAG_SEEDS: u8 = 10;
-const TAG_RANGE_REQUEST: u8 = 11;
-const TAG_RANGE: u8 = 12;
-const TAG_RADIUS_REQUEST: u8 = 13;
-const TAG_RADIUS: u8 = 14;
-const TAG_EXEC_REQUEST: u8 = 15;
-
-/// A surface k-NN request.
-#[derive(Debug, Clone, PartialEq)]
-pub struct QueryFrame {
-    /// Client-chosen correlation id, echoed verbatim in the reply. Replies
-    /// may arrive out of order (requests run concurrently and finish at
-    /// different times), so clients match on this, not on arrival order.
-    pub req_id: u64,
-    /// Containing facet of the query point, or [`LOCATE_TRI`] to have the
-    /// server locate it from `(x, y)`.
-    pub tri: u32,
-    /// Query point x (bit-exact f64).
-    pub x: f64,
-    /// Query point y.
-    pub y: f64,
-    /// Query point z (surface height; ignored when `tri` is [`LOCATE_TRI`]).
-    pub z: f64,
-    /// Number of neighbors requested.
-    pub k: u32,
-    /// Per-request deadline in milliseconds from arrival; `0` means none.
-    pub deadline_ms: u32,
-    /// Client-supplied trace id stamping every obs record this request
-    /// produces; `0` asks the server to mint one (echoed in the reply
-    /// either way).
-    pub trace_id: u64,
-}
-
-/// One ranked neighbor on the wire: object id plus its surface-distance
-/// range `[lb, ub]`, bit-exact.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WireNeighbor {
-    /// Object id.
-    pub id: u32,
-    /// Surface distance lower bound.
-    pub lb: f64,
-    /// Surface distance upper bound.
-    pub ub: f64,
-}
-
-/// Server-side timing attached to every successful response: queue +
-/// exec partition the request's time in the server. The four
-/// engine-stage fields are per-request wall time inside the engine call;
-/// `stall_us` is the pager's shared stall clock differenced around it
-/// (stalls of concurrent requests overlap, so per-request attribution is
-/// not defined).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ServerTiming {
-    /// Microseconds the request waited in the admission queue (arrival to
-    /// worker pickup).
-    pub queue_us: u32,
-    /// Reserved: always 0 (no stage sits between pickup and the engine
-    /// call). Kept for the wire layout.
-    pub linger_us: u32,
-    /// Microseconds this request's engine call took.
-    pub exec_us: u32,
-    /// Engine step 1 (2D k-NN seeding) wall time for this request.
-    pub knn2d_us: u32,
-    /// Engine step 2 (radius estimation) wall time for this request.
-    pub radius_us: u32,
-    /// Engine step 3 (planar range query) wall time for this request.
-    pub range_us: u32,
-    /// Engine step 4 (iterative ranking) wall time for this request.
-    pub rank_us: u32,
-    /// Pager stall wall time that passed during this request's engine call.
-    pub stall_us: u32,
-    /// Reserved: always 1 (a request is executed on its own). Kept for
-    /// the wire layout.
-    pub batch: u16,
-}
-
-/// A successful k-NN reply.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ResponseFrame {
-    /// Echo of the request's correlation id.
-    pub req_id: u64,
-    /// The request's trace id (client-supplied or server-minted) — the
-    /// key into metrics-endpoint slow-query dumps and server traces.
-    pub trace_id: u64,
-    /// The k nearest objects, ascending by distance estimate.
-    pub neighbors: Vec<WireNeighbor>,
-    /// Set when the result is valid but looser than a fault-free,
-    /// deadline-free run would deliver (e.g. `"DeadlineExpired"`).
-    pub degraded: Option<String>,
-    /// Queue/execution timing and batch size for this request.
-    pub timing: ServerTiming,
-    /// The MR3 step-2 search radius this answer was computed under — the
-    /// router's straddle test (a query whose radius-circle stays inside
-    /// one tile is fully answered by that tile's shard). `0.0` when the
-    /// engine reported none.
-    pub radius: f64,
-}
-
-/// One object on the wire: id plus its located surface point, enough for
-/// a peer to rebuild the engine's candidate without a local object table.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WireObject {
-    /// Object id (global across the fleet — shards keep genesis ids).
-    pub id: u32,
-    /// Containing facet of the object's surface point.
-    pub tri: u32,
-    /// Surface point x (bit-exact f64).
-    pub x: f64,
-    /// Surface point y.
-    pub y: f64,
-    /// Surface point z.
-    pub z: f64,
-}
-
-const WIRE_OBJECT_LEN: usize = 28;
-
-/// Withdraw a queued request. The target removes the request
-/// from its admission lanes if still queued and answers it with
-/// [`ErrorCode::Cancelled`]; a request already executing runs to
-/// completion (a cancel miss — counted, not an error).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CancelFrame {
-    /// Correlation id of the request to withdraw.
-    pub req_id: u64,
-    /// Trace id the request carried — both must match for the cancel to
-    /// land, so a recycled `req_id` cannot kill a stranger's request.
-    pub trace_id: u64,
-}
-
-/// Shard op: return the k nearest *live objects by 2D plan distance* to
-/// `(x, y)` (MR3 step 1 restricted to this shard's tile).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SeedsRequestFrame {
-    /// Correlation id, echoed in the [`SeedsFrame`] reply.
-    pub req_id: u64,
-    /// Trace id stamping the shard's obs records for this leg.
-    pub trace_id: u64,
-    /// Query plan x.
-    pub x: f64,
-    /// Query plan y.
-    pub y: f64,
-    /// Number of seeds requested.
-    pub k: u32,
-    /// Per-request deadline in milliseconds from arrival; `0` means none.
-    pub deadline_ms: u32,
-}
-
-/// Reply to [`SeedsRequestFrame`]: this shard's local 2D k-NN seeds,
-/// ascending by `(dist, id)` — the canonical order the router's merge
-/// preserves.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SeedsFrame {
-    /// Echo of the request's correlation id.
-    pub req_id: u64,
-    /// Echo of the request's trace id.
-    pub trace_id: u64,
-    /// `(2D plan distance, object)` pairs, ascending by `(dist, id)`.
-    pub seeds: Vec<(f64, WireObject)>,
-}
-
-/// Shard op: return every live object within 2D plan distance `radius`
-/// of `(x, y)` (MR3 step 3 restricted to this shard's tile). A
-/// non-finite radius means "every live object" — the engine's degenerate
-/// fallback when radius estimation hit its deadline.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RangeRequestFrame {
-    /// Correlation id, echoed in the [`RangeFrame`] reply.
-    pub req_id: u64,
-    /// Trace id stamping the shard's obs records for this leg.
-    pub trace_id: u64,
-    /// Query plan x.
-    pub x: f64,
-    /// Query plan y.
-    pub y: f64,
-    /// 2D search radius (bit-exact; may be non-finite).
-    pub radius: f64,
-    /// Per-request deadline in milliseconds from arrival; `0` means none.
-    pub deadline_ms: u32,
-}
-
-/// Reply to [`RangeRequestFrame`]: the in-range objects ascending by id
-/// (canonical order; the router's k-way merge preserves it).
-#[derive(Debug, Clone, PartialEq)]
-pub struct RangeFrame {
-    /// Echo of the request's correlation id.
-    pub req_id: u64,
-    /// Echo of the request's trace id.
-    pub trace_id: u64,
-    /// In-range objects, ascending by id.
-    pub objects: Vec<WireObject>,
-}
-
-/// Shard op: run MR3 step 2 (radius estimation) on the home shard with
-/// an explicit, already-merged seed list — the candidate population and
-/// order are the router's, so the estimate is bit-identical to a single
-/// engine seeded the same way.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RadiusRequestFrame {
-    /// Correlation id, echoed in the [`RadiusFrame`] reply.
-    pub req_id: u64,
-    /// Trace id stamping the shard's obs records.
-    pub trace_id: u64,
-    /// Containing facet of the query point, or [`LOCATE_TRI`].
-    pub tri: u32,
-    /// Query point x.
-    pub x: f64,
-    /// Query point y.
-    pub y: f64,
-    /// Query point z.
-    pub z: f64,
-    /// Per-request deadline in milliseconds from arrival; `0` means none.
-    pub deadline_ms: u32,
-    /// The globally merged seeds, in canonical `(dist, id)` order.
-    pub seeds: Vec<WireObject>,
-}
-
-/// Reply to [`RadiusRequestFrame`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RadiusFrame {
-    /// Echo of the request's correlation id.
-    pub req_id: u64,
-    /// Echo of the request's trace id.
-    pub trace_id: u64,
-    /// The estimated search radius (bit-exact; may be non-finite).
-    pub radius: f64,
-}
-
-/// Shard op: run MR3 steps 2+4 (radius + coupled ranking) on the home
-/// shard over explicit, router-merged seed and candidate lists, replying
-/// with a [`ResponseFrame`] whose neighbors carry up to `k + 1` entries
-/// so the router can re-check the `ub(p_k) ≤ lb(p_{k+1})` termination
-/// bound itself.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ExecRequestFrame {
-    /// Correlation id, echoed in the reply.
-    pub req_id: u64,
-    /// Trace id stamping the shard's obs records.
-    pub trace_id: u64,
-    /// Containing facet of the query point, or [`LOCATE_TRI`].
-    pub tri: u32,
-    /// Query point x.
-    pub x: f64,
-    /// Query point y.
-    pub y: f64,
-    /// Query point z.
-    pub z: f64,
-    /// Number of neighbors requested.
-    pub k: u32,
-    /// Per-request deadline in milliseconds from arrival; `0` means none.
-    pub deadline_ms: u32,
-    /// The globally merged seeds, in canonical `(dist, id)` order.
-    pub seeds: Vec<WireObject>,
-    /// The globally merged in-range candidates, ascending by id.
-    pub cands: Vec<WireObject>,
-}
-
 /// Why a request was answered with an [`ErrorFrame`] instead of a result.
+/// The discriminant is the code's byte on the wire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ErrorCode {
     /// The admission queue was full; the request was shed without being
     /// executed. Retry against a less-loaded server (or later).
-    Overloaded,
+    Overloaded = 1,
     /// The deadline expired while the request was still queued; it was
     /// dropped at dequeue without being executed.
-    DeadlineExpired,
+    DeadlineExpired = 2,
     /// The query ran but storage faults exceeded the engine's per-query
     /// budget (`QueryError::FaultBudgetExceeded`).
-    FaultBudgetExceeded,
+    FaultBudgetExceeded = 3,
     /// The server is draining and no longer admits new requests.
-    ShuttingDown,
+    ShuttingDown = 4,
     /// The frame was well-formed but semantically invalid (facet id out of
     /// range, non-finite coordinates, point outside the terrain, or an
     /// unexpected frame type).
-    BadRequest,
+    BadRequest = 5,
     /// The request was withdrawn by a [`CancelFrame`] while still queued;
     /// it was never executed (a router cancelling a losing fan-out leg
     /// is the expected producer).
-    Cancelled,
+    Cancelled = 6,
     /// The request's engine call panicked. Only this request failed: the
     /// server caught the panic, counted it (`sknn_serve_panics_total`)
     /// and keeps serving.
-    Internal,
-}
-
-impl ErrorCode {
-    fn as_u8(self) -> u8 {
-        match self {
-            ErrorCode::Overloaded => 1,
-            ErrorCode::DeadlineExpired => 2,
-            ErrorCode::FaultBudgetExceeded => 3,
-            ErrorCode::ShuttingDown => 4,
-            ErrorCode::BadRequest => 5,
-            ErrorCode::Cancelled => 6,
-            ErrorCode::Internal => 7,
-        }
-    }
-
-    fn from_u8(v: u8) -> Option<Self> {
-        Some(match v {
-            1 => ErrorCode::Overloaded,
-            2 => ErrorCode::DeadlineExpired,
-            3 => ErrorCode::FaultBudgetExceeded,
-            4 => ErrorCode::ShuttingDown,
-            5 => ErrorCode::BadRequest,
-            6 => ErrorCode::Cancelled,
-            7 => ErrorCode::Internal,
-            _ => return None,
-        })
-    }
+    Internal = 7,
 }
 
 impl std::fmt::Display for ErrorCode {
+    /// The variant's name.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = match self {
-            ErrorCode::Overloaded => "Overloaded",
-            ErrorCode::DeadlineExpired => "DeadlineExpired",
-            ErrorCode::FaultBudgetExceeded => "FaultBudgetExceeded",
-            ErrorCode::ShuttingDown => "ShuttingDown",
-            ErrorCode::BadRequest => "BadRequest",
-            ErrorCode::Cancelled => "Cancelled",
-            ErrorCode::Internal => "Internal",
-        };
-        f.write_str(s)
+        write!(f, "{self:?}")
     }
-}
-
-/// A typed error reply. Every admitted or rejected request gets exactly
-/// one reply — an error frame is the "no" that prevents client hangs.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ErrorFrame {
-    /// Echo of the request's correlation id (0 when the error is not
-    /// attributable to a specific request, e.g. a malformed frame).
-    pub req_id: u64,
-    /// Machine-readable reason.
-    pub code: ErrorCode,
-    /// Human-readable detail.
-    pub detail: String,
-}
-
-/// A server statistics snapshot: ordered `(name, value)` counters.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct StatsFrame {
-    /// Counter name/value pairs, in server-defined order.
-    pub entries: Vec<(String, u64)>,
-}
-
-/// The slow-query reservoir as JSONL, one object per captured request
-///. The text is truncated at a char boundary if it would
-/// exceed [`MAX_PAYLOAD`]; each line is self-contained, so truncation
-/// loses whole oldest-entries, never syntax.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct TraceDumpFrame {
-    /// JSONL body: newline-separated JSON objects.
-    pub jsonl: String,
-}
-
-/// Any protocol frame.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Frame {
-    /// Client → server: a k-NN request.
-    Query(QueryFrame),
-    /// Server → client: a successful reply.
-    Response(ResponseFrame),
-    /// Server → client: a typed failure reply.
-    Error(ErrorFrame),
-    /// Client → server: ask for a statistics snapshot.
-    StatsRequest,
-    /// Server → client: the statistics snapshot.
-    Stats(StatsFrame),
-    /// Client → server: ask for the slow-query JSONL dump.
-    TraceDumpRequest,
-    /// Server → client: the slow-query JSONL dump.
-    TraceDump(TraceDumpFrame),
-    /// Client → server: withdraw a queued request.
-    Cancel(CancelFrame),
-    /// Router → shard: local 2D k-NN seeds.
-    SeedsRequest(SeedsRequestFrame),
-    /// Shard → router: the local seeds.
-    Seeds(SeedsFrame),
-    /// Router → shard: local 2D range collection.
-    RangeRequest(RangeRequestFrame),
-    /// Shard → router: the in-range objects.
-    Range(RangeFrame),
-    /// Router → home shard: radius estimation over merged seeds.
-    RadiusRequest(RadiusRequestFrame),
-    /// Home shard → router: the estimated radius.
-    Radius(RadiusFrame),
-    /// Router → home shard: coupled ranking over merged candidates; the
-    /// reply is a [`Frame::Response`].
-    ExecRequest(ExecRequestFrame),
 }
 
 /// Why a byte string failed to decode as a frame.
@@ -510,229 +167,716 @@ impl std::fmt::Display for ProtocolError {
 impl std::error::Error for ProtocolError {}
 
 // ---------------------------------------------------------------------------
-// Encoding
+// Codecs: how each kind of field travels
 // ---------------------------------------------------------------------------
 
-fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_le_bytes());
+/// Largest value a `width`-byte unsigned integer can state.
+fn uint_max(width: usize) -> usize {
+    (u64::MAX >> (64 - 8 * width)) as usize
 }
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
+/// The frame being written: the header, then the payload behind it.
+struct Enc(Vec<u8>);
 
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    put_u64(out, v.to_bits());
-}
-
-/// Writes `s` as a u16 length prefix plus UTF-8 bytes, truncating at a
-/// char boundary if it exceeds the prefix's range (our strings are short
-/// degradation reasons and error details; truncation is a non-event).
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    let mut end = s.len().min(u16::MAX as usize);
-    while !s.is_char_boundary(end) {
-        end -= 1;
+impl Enc {
+    /// Payload bytes still free once `owed` — what the fields behind the
+    /// current one need at the least — is set aside; `None` when the
+    /// frame has already outgrown [`MAX_PAYLOAD`].
+    fn room(&self, owed: usize) -> Option<usize> {
+        (HEADER_LEN + MAX_PAYLOAD as usize).checked_sub(self.0.len() + owed)
     }
-    put_u16(out, end as u16);
-    out.extend_from_slice(&s.as_bytes()[..end]);
-}
 
-/// Writes `s` as a u32 length prefix plus UTF-8 bytes, truncating at a
-/// char boundary so the payload stays within [`MAX_PAYLOAD`] (used by the
-/// JSONL trace dump, whose lines are independently parseable — dropping a
-/// tail loses entries, never syntax).
-fn put_str32(out: &mut Vec<u8>, s: &str) {
-    let mut end = s.len().min(MAX_PAYLOAD as usize - 4);
-    while !s.is_char_boundary(end) {
-        end -= 1;
+    /// The low `width` bytes of `v`, little-endian.
+    fn uint(&mut self, width: usize, v: u64) {
+        self.0.extend_from_slice(&v.to_le_bytes()[..width]);
     }
-    put_u32(out, end as u32);
-    out.extend_from_slice(&s.as_bytes()[..end]);
-}
 
-fn put_object(out: &mut Vec<u8>, o: &WireObject) {
-    put_u32(out, o.id);
-    put_u32(out, o.tri);
-    put_f64(out, o.x);
-    put_f64(out, o.y);
-    put_f64(out, o.z);
-}
-
-/// Writes a u32 count followed by the objects. Lists this long only occur
-/// inside frames whose totals stay under [`MAX_PAYLOAD`]; the count is
-/// nevertheless clamped so encoding can never produce an undecodable
-/// frame.
-fn put_objects(out: &mut Vec<u8>, objs: &[WireObject]) {
-    let n = objs.len().min((MAX_PAYLOAD as usize - 4) / WIRE_OBJECT_LEN);
-    put_u32(out, n as u32);
-    for o in &objs[..n] {
-        put_object(out, o);
+    /// A `width`-byte length, then UTF-8 — cut at a char boundary where
+    /// the length's range or the frame's room ends. (u16 strings are
+    /// short reasons and details; the u32 one is the JSONL trace dump,
+    /// whose lines parse independently — a cut loses entries, not syntax.)
+    fn str(&mut self, width: usize, s: &str, owed: usize) {
+        let mut end = s.len().min(uint_max(width)).min(self.room(owed + width).unwrap_or(0));
+        while !s.is_char_boundary(end) {
+            end -= 1;
+        }
+        self.uint(width, end as u64);
+        self.0.extend_from_slice(&s.as_bytes()[..end]);
     }
+
+    /// A `width`-byte count, then the elements — as many as the count can
+    /// state *and* this frame can still hold beside the `owed` bytes of
+    /// its later fields, so no list can push a frame past the cap.
+    fn list<T: Wire>(&mut self, width: usize, items: &[T], owed: usize) {
+        let count_at = self.0.len();
+        self.uint(width, 0);
+        let most = uint_max(width).min(self.room(owed).unwrap_or(0) / T::MIN_LEN);
+        let mut n = 0u64;
+        for item in items.iter().take(most) {
+            let mark = self.0.len();
+            item.put(self);
+            // Only an element longer than its minimum can overshoot.
+            if self.room(owed).is_none() {
+                self.0.truncate(mark);
+                break;
+            }
+            n += 1;
+        }
+        self.0[count_at..count_at + width].copy_from_slice(&n.to_le_bytes()[..width]);
+    }
+}
+
+/// Cursor over a payload with bounds-checked reads.
+struct Rd<'a> {
+    buf: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> Rd<'a> {
+    fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
+    fn bytes(&mut self, n: usize) -> Result<&'a [u8], ProtocolError> {
+        if self.remaining() < n {
+            return Err(ProtocolError::Truncated { needed: n, got: self.remaining() });
+        }
+        let s = &self.buf[self.pos..self.pos + n];
+        self.pos += n;
+        Ok(s)
+    }
+
+    fn uint(&mut self, width: usize) -> Result<u64, ProtocolError> {
+        let mut le = [0u8; 8];
+        le[..width].copy_from_slice(self.bytes(width)?);
+        Ok(u64::from_le_bytes(le))
+    }
+
+    fn str(&mut self, width: usize) -> Result<String, ProtocolError> {
+        let len = self.uint(width)? as usize;
+        String::from_utf8(self.bytes(len)?.to_vec())
+            .map_err(|_| ProtocolError::Malformed("invalid utf-8 in string"))
+    }
+
+    /// Reads a counted list, rejecting a count the remaining payload
+    /// cannot hold before reserving anything.
+    fn list<T: Wire>(&mut self, width: usize) -> Result<Vec<T>, ProtocolError> {
+        let n = self.uint(width)? as usize;
+        let needed = n.saturating_mul(T::MIN_LEN);
+        if self.remaining() < needed {
+            return Err(ProtocolError::Truncated { needed, got: self.remaining() });
+        }
+        let mut items = Vec::with_capacity(n);
+        for _ in 0..n {
+            items.push(T::get(self)?);
+        }
+        Ok(items)
+    }
+}
+
+/// A value whose Rust type alone says how it travels.
+trait Wire: Sized {
+    /// The fewest bytes one value occupies (all of them, unless it holds
+    /// a string).
+    const MIN_LEN: usize;
+    fn put(&self, w: &mut Enc);
+    fn get(r: &mut Rd<'_>) -> Result<Self, ProtocolError>;
+}
+
+macro_rules! wire_uint {
+    ($($t:ty),*) => {$(
+        impl Wire for $t {
+            const MIN_LEN: usize = size_of::<$t>();
+            fn put(&self, w: &mut Enc) {
+                w.uint(Self::MIN_LEN, *self as u64);
+            }
+            fn get(r: &mut Rd<'_>) -> Result<Self, ProtocolError> {
+                Ok(r.uint(Self::MIN_LEN)? as $t)
+            }
+        }
+    )*};
+}
+wire_uint!(u8, u16, u32, u64);
+
+impl Wire for f64 {
+    const MIN_LEN: usize = 8;
+    fn put(&self, w: &mut Enc) {
+        self.to_bits().put(w);
+    }
+    fn get(r: &mut Rd<'_>) -> Result<Self, ProtocolError> {
+        Ok(f64::from_bits(u64::get(r)?))
+    }
+}
+
+impl Wire for ErrorCode {
+    const MIN_LEN: usize = 1;
+    fn put(&self, w: &mut Enc) {
+        (*self as u8).put(w);
+    }
+    fn get(r: &mut Rd<'_>) -> Result<Self, ProtocolError> {
+        use ErrorCode::*;
+        let code = u8::get(r)?;
+        [
+            Overloaded,
+            DeadlineExpired,
+            FaultBudgetExceeded,
+            ShuttingDown,
+            BadRequest,
+            Cancelled,
+            Internal,
+        ]
+        .into_iter()
+        .find(|c| *c as u8 == code)
+        .ok_or(ProtocolError::Malformed("unknown error code"))
+    }
+}
+
+impl Wire for String {
+    const MIN_LEN: usize = 2;
+    fn put(&self, w: &mut Enc) {
+        w.str(2, self, 0);
+    }
+    fn get(r: &mut Rd<'_>) -> Result<Self, ProtocolError> {
+        r.str(2)
+    }
+}
+
+impl Wire for Option<String> {
+    const MIN_LEN: usize = 1;
+    fn put(&self, w: &mut Enc) {
+        match self {
+            Some(s) => {
+                1u8.put(w);
+                s.put(w);
+            }
+            None => 0u8.put(w),
+        }
+    }
+    fn get(r: &mut Rd<'_>) -> Result<Self, ProtocolError> {
+        match u8::get(r)? {
+            0 => Ok(None),
+            1 => Ok(Some(String::get(r)?)),
+            _ => Err(ProtocolError::Malformed("bad degraded flag")),
+        }
+    }
+}
+
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    const MIN_LEN: usize = A::MIN_LEN + B::MIN_LEN;
+    fn put(&self, w: &mut Enc) {
+        self.0.put(w);
+        self.1.put(w);
+    }
+    fn get(r: &mut Rd<'_>) -> Result<Self, ProtocolError> {
+        Ok((A::get(r)?, B::get(r)?))
+    }
+}
+
+/// Declares a record: the public struct and its [`Wire`] impl, fields in
+/// wire order, each `name: codec` (the module doc lists the codecs).
+macro_rules! wire_record {
+    (
+        $(#[$meta:meta])*
+        pub struct $name:ident {
+            $( $(#[$fm:meta])* $f:ident: $c:ident $(<$e:ty>)? ),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, PartialEq)]
+        pub struct $name {
+            $( $(#[$fm])* pub $f: wire_record!(@ty $c $(<$e>)?), )*
+        }
+
+        impl Wire for $name {
+            const MIN_LEN: usize = 0 $( + wire_record!(@min $c $(<$e>)?) )*;
+            // `owed` is what the fields behind the current one need at
+            // the least; only the clamping codecs read it.
+            #[allow(unused_variables, unused_assignments)]
+            fn put(&self, w: &mut Enc) {
+                let mut owed = Self::MIN_LEN;
+                $(
+                    owed -= wire_record!(@min $c $(<$e>)?);
+                    wire_record!(@put w, &self.$f, owed, $c $(<$e>)?);
+                )*
+            }
+            fn get(r: &mut Rd<'_>) -> Result<Self, ProtocolError> {
+                Ok(Self { $( $f: wire_record!(@get r, $c $(<$e>)?), )* })
+            }
+        }
+    };
+    // Per codec: the Rust type it carries, its fewest bytes, how it is
+    // written and how it is read.
+    (@ty str32) => { String };
+    (@ty list16<$e:ty>) => { Vec<$e> };
+    (@ty list32<$e:ty>) => { Vec<$e> };
+    (@ty $t:ident $(<$e:ty>)?) => { $t $(<$e>)? };
+    (@min str32) => { 4 };
+    (@min list16<$e:ty>) => { 2 };
+    (@min list32<$e:ty>) => { 4 };
+    (@min $t:ident $(<$e:ty>)?) => { <$t $(<$e>)? as Wire>::MIN_LEN };
+    (@put $w:ident, $v:expr, $owed:ident, str32) => { $w.str(4, $v, $owed) };
+    (@put $w:ident, $v:expr, $owed:ident, list16<$e:ty>) => { $w.list(2, $v, $owed) };
+    (@put $w:ident, $v:expr, $owed:ident, list32<$e:ty>) => { $w.list(4, $v, $owed) };
+    (@put $w:ident, $v:expr, $owed:ident, $t:ident $(<$e:ty>)?) => { Wire::put($v, $w) };
+    (@get $r:ident, str32) => { $r.str(4)? };
+    (@get $r:ident, list16<$e:ty>) => { $r.list(2)? };
+    (@get $r:ident, list32<$e:ty>) => { $r.list(4)? };
+    (@get $r:ident, $t:ident $(<$e:ty>)?) => { <$t $(<$e>)? as Wire>::get($r)? };
+}
+
+wire_record! {
+    /// One ranked neighbor on the wire: object id plus its surface-distance
+    /// range `[lb, ub]`, bit-exact.
+    #[derive(Copy)]
+    pub struct WireNeighbor {
+        /// Object id.
+        id: u32,
+        /// Surface distance lower bound.
+        lb: f64,
+        /// Surface distance upper bound.
+        ub: f64,
+    }
+}
+
+wire_record! {
+    /// One object on the wire: id plus its located surface point, enough for
+    /// a peer to rebuild the engine's candidate without a local object table.
+    #[derive(Copy)]
+    pub struct WireObject {
+        /// Object id (global across the fleet — shards keep genesis ids).
+        id: u32,
+        /// Containing facet of the object's surface point.
+        tri: u32,
+        /// Surface point x (bit-exact f64).
+        x: f64,
+        /// Surface point y.
+        y: f64,
+        /// Surface point z.
+        z: f64,
+    }
+}
+
+wire_record! {
+    /// Server-side timing attached to every successful response: queue +
+    /// exec partition the request's time in the server. The four
+    /// engine-stage fields are per-request wall time inside the engine call;
+    /// `stall_us` is the pager's shared stall clock differenced around it
+    /// (stalls of concurrent requests overlap, so per-request attribution is
+    /// not defined).
+    #[derive(Copy, Eq, Default)]
+    pub struct ServerTiming {
+        /// Microseconds the request waited in the admission queue (arrival to
+        /// worker pickup).
+        queue_us: u32,
+        /// Reserved: always 0 (no stage sits between pickup and the engine
+        /// call). Kept for the wire layout.
+        linger_us: u32,
+        /// Microseconds this request's engine call took.
+        exec_us: u32,
+        /// Engine step 1 (2D k-NN seeding) wall time for this request.
+        knn2d_us: u32,
+        /// Engine step 2 (radius estimation) wall time for this request.
+        radius_us: u32,
+        /// Engine step 3 (planar range query) wall time for this request.
+        range_us: u32,
+        /// Engine step 4 (iterative ranking) wall time for this request.
+        rank_us: u32,
+        /// Pager stall wall time that passed during this request's engine call.
+        stall_us: u32,
+        /// Reserved: always 1 (a request is executed on its own). Kept for
+        /// the wire layout.
+        batch: u16,
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The frames
+// ---------------------------------------------------------------------------
+
+/// The ids a payload carries by its kind in the table.
+enum Ids {
+    /// A request's correlation id, trace id and relative deadline (ms).
+    Request(u64, u64, u32),
+    /// The correlation id a reply answers.
+    Reply(u64),
+}
+
+/// A request frame, paired with the frame that answers it when it
+/// succeeds ([`ErrorFrame`] may answer any request).
+pub trait Request: Into<Frame> {
+    /// The successful reply.
+    type Reply: TryFrom<Frame, Error = Frame>;
+}
+
+/// Declares the protocol: one row per frame, `tag => Variant` for an
+/// empty payload or `tag => Variant(Payload: kind { fields })` — a
+/// [`wire_record!`] with an optional kind, `request -> Reply` (the fields
+/// include a correlation id, a trace id and a relative deadline, and
+/// `Reply` answers it) or `reply` (they include the correlation id it
+/// answers). Tags are dense from 1.
+macro_rules! wire_table {
+    ($(
+        $(#[$vm:meta])*
+        $tag:literal => $variant:ident $((
+            $(#[$pm:meta])*
+            $payload:ident $(: $kind:ident $(-> $reply:ident)?)? { $($fields:tt)* }
+        ))?
+    ),* $(,)?) => {
+        $($(
+            wire_record! { $(#[$pm])* pub struct $payload { $($fields)* } }
+            $($( impl Request for $payload { type Reply = $reply; } )?)?
+
+            impl From<$payload> for Frame {
+                fn from(payload: $payload) -> Frame {
+                    Frame::$variant(payload)
+                }
+            }
+
+            impl TryFrom<Frame> for $payload {
+                type Error = Frame;
+                /// The payload if `frame` is this kind, `frame` back if not.
+                fn try_from(frame: Frame) -> Result<Self, Frame> {
+                    match frame {
+                        Frame::$variant(payload) => Ok(payload),
+                        other => Err(other),
+                    }
+                }
+            }
+        )?)*
+
+        /// Any protocol frame.
+        #[derive(Debug, Clone, PartialEq)]
+        pub enum Frame {
+            $( $(#[$vm])* $variant $(($payload))?, )*
+        }
+
+        /// The highest frame type tag; every tag in `1..=MAX_TAG` is a frame.
+        const MAX_TAG: u8 = [$($tag),*].len() as u8;
+
+        impl Frame {
+            fn tag(&self) -> u8 {
+                match self {
+                    $( Frame::$variant { .. } => $tag, )*
+                }
+            }
+
+            fn put_payload(&self, w: &mut Enc) {
+                match self {
+                    $($( Frame::$variant(payload) => $payload::put(payload, w), )?)*
+                    _ => {}
+                }
+            }
+
+            fn ids(&self) -> Option<Ids> {
+                match self {
+                    $($($( Frame::$variant(p) => Some(wire_table!(@ids p $kind)), )?)?)*
+                    _ => None,
+                }
+            }
+        }
+
+        /// Decodes a validated-header payload into a frame. The payload must be
+        /// consumed exactly; trailing bytes are malformed (they would silently
+        /// desynchronize a stream under a future layout change).
+        pub fn decode_payload(tag: u8, payload: &[u8]) -> Result<Frame, ProtocolError> {
+            let mut rd = Rd { buf: payload, pos: 0 };
+            let frame = match tag {
+                $( $tag => Frame::$variant $(($payload::get(&mut rd)?))?, )*
+                other => return Err(ProtocolError::UnknownFrameType(other)),
+            };
+            if rd.pos != payload.len() {
+                return Err(ProtocolError::Malformed("trailing bytes in payload"));
+            }
+            Ok(frame)
+        }
+    };
+    (@ids $p:ident request) => { Ids::Request($p.req_id, $p.trace_id, $p.deadline_ms) };
+    (@ids $p:ident reply) => { Ids::Reply($p.req_id) };
+}
+
+wire_table! {
+    /// Client → server: a k-NN request.
+    1 => Query(
+        /// A surface k-NN request.
+        QueryFrame: request -> ResponseFrame {
+            /// Client-chosen correlation id, echoed verbatim in the reply. Replies
+            /// may arrive out of order (requests run concurrently and finish at
+            /// different times), so clients match on this, not on arrival order.
+            req_id: u64,
+            /// Containing facet of the query point, or [`LOCATE_TRI`] to have the
+            /// server locate it from `(x, y)`.
+            tri: u32,
+            /// Query point x (bit-exact f64).
+            x: f64,
+            /// Query point y.
+            y: f64,
+            /// Query point z (surface height; ignored when `tri` is [`LOCATE_TRI`]).
+            z: f64,
+            /// Number of neighbors requested.
+            k: u32,
+            /// Per-request deadline in milliseconds from arrival; `0` means none.
+            deadline_ms: u32,
+            /// Client-supplied trace id stamping every obs record this request
+            /// produces; `0` asks the server to mint one (echoed in the reply
+            /// either way).
+            trace_id: u64,
+        }
+    ),
+    /// Server → client: a successful reply.
+    2 => Response(
+        /// A successful k-NN reply.
+        ResponseFrame: reply {
+            /// Echo of the request's correlation id.
+            req_id: u64,
+            /// The request's trace id (client-supplied or server-minted) — the
+            /// key into metrics-endpoint slow-query dumps and server traces.
+            trace_id: u64,
+            /// The MR3 step-2 search radius this answer was computed under — the
+            /// router's straddle test (a query whose radius-circle stays inside
+            /// one tile is fully answered by that tile's shard). `0.0` when the
+            /// engine reported none.
+            radius: f64,
+            /// Queue/execution timing and batch size for this request.
+            timing: ServerTiming,
+            /// Set when the result is valid but looser than a fault-free,
+            /// deadline-free run would deliver (e.g. `"DeadlineExpired"`).
+            degraded: Option<String>,
+            /// The k nearest objects, ascending by distance estimate.
+            neighbors: list16<WireNeighbor>,
+        }
+    ),
+    /// Server → client: a typed failure reply.
+    3 => Error(
+        /// A typed error reply. Every admitted or rejected request gets exactly
+        /// one reply — an error frame is the "no" that prevents client hangs.
+        ErrorFrame: reply {
+            /// Echo of the request's correlation id (0 when the error is not
+            /// attributable to a specific request, e.g. a malformed frame).
+            req_id: u64,
+            /// Machine-readable reason.
+            code: ErrorCode,
+            /// Human-readable detail.
+            detail: String,
+        }
+    ),
+    /// Client → server: ask for a statistics snapshot.
+    4 => StatsRequest,
+    /// Server → client: the statistics snapshot.
+    5 => Stats(
+        /// A server statistics snapshot: ordered `(name, value)` counters.
+        #[derive(Eq, Default)]
+        StatsFrame {
+            /// Counter name/value pairs, in server-defined order.
+            entries: list16<(String, u64)>,
+        }
+    ),
+    /// Client → server: ask for the slow-query JSONL dump.
+    6 => TraceDumpRequest,
+    /// Server → client: the slow-query JSONL dump.
+    7 => TraceDump(
+        /// The slow-query reservoir as JSONL, one object per captured request.
+        /// The text is truncated at a char boundary if it would
+        /// exceed [`MAX_PAYLOAD`]; each line is self-contained, so truncation
+        /// loses whole oldest-entries, never syntax.
+        #[derive(Eq, Default)]
+        TraceDumpFrame {
+            /// JSONL body: newline-separated JSON objects.
+            jsonl: str32,
+        }
+    ),
+    /// Client → server: withdraw a queued request.
+    8 => Cancel(
+        /// Withdraw a queued request. The target removes the request
+        /// from its admission lanes if still queued and answers it with
+        /// [`ErrorCode::Cancelled`]; a request already executing runs to
+        /// completion (a cancel miss — counted, not an error).
+        #[derive(Copy, Eq)]
+        CancelFrame {
+            /// Correlation id of the request to withdraw.
+            req_id: u64,
+            /// Trace id the request carried — both must match for the cancel to
+            /// land, so a recycled `req_id` cannot kill a stranger's request.
+            trace_id: u64,
+        }
+    ),
+    /// Router → shard: local 2D k-NN seeds.
+    9 => SeedsRequest(
+        /// Shard op: return the k nearest *live objects by 2D plan distance* to
+        /// `(x, y)` (MR3 step 1 restricted to this shard's tile).
+        #[derive(Copy)]
+        SeedsRequestFrame: request -> SeedsFrame {
+            /// Correlation id, echoed in the [`SeedsFrame`] reply.
+            req_id: u64,
+            /// Trace id stamping the shard's obs records for this leg.
+            trace_id: u64,
+            /// Query plan x.
+            x: f64,
+            /// Query plan y.
+            y: f64,
+            /// Number of seeds requested.
+            k: u32,
+            /// Per-request deadline in milliseconds from arrival; `0` means none.
+            deadline_ms: u32,
+        }
+    ),
+    /// Shard → router: the local seeds.
+    10 => Seeds(
+        /// Reply to [`SeedsRequestFrame`]: this shard's local 2D k-NN seeds,
+        /// ascending by `(dist, id)` — the canonical order the router's merge
+        /// preserves.
+        SeedsFrame: reply {
+            /// Echo of the request's correlation id.
+            req_id: u64,
+            /// Echo of the request's trace id.
+            trace_id: u64,
+            /// `(2D plan distance, object)` pairs, ascending by `(dist, id)`.
+            seeds: list32<(f64, WireObject)>,
+        }
+    ),
+    /// Router → shard: local 2D range collection.
+    11 => RangeRequest(
+        /// Shard op: return every live object within 2D plan distance `radius`
+        /// of `(x, y)` (MR3 step 3 restricted to this shard's tile). A
+        /// non-finite radius means "every live object" — the engine's degenerate
+        /// fallback when radius estimation hit its deadline.
+        #[derive(Copy)]
+        RangeRequestFrame: request -> RangeFrame {
+            /// Correlation id, echoed in the [`RangeFrame`] reply.
+            req_id: u64,
+            /// Trace id stamping the shard's obs records for this leg.
+            trace_id: u64,
+            /// Query plan x.
+            x: f64,
+            /// Query plan y.
+            y: f64,
+            /// 2D search radius (bit-exact; may be non-finite).
+            radius: f64,
+            /// Per-request deadline in milliseconds from arrival; `0` means none.
+            deadline_ms: u32,
+        }
+    ),
+    /// Shard → router: the in-range objects.
+    12 => Range(
+        /// Reply to [`RangeRequestFrame`]: the in-range objects ascending by id
+        /// (canonical order; the router's k-way merge preserves it).
+        RangeFrame: reply {
+            /// Echo of the request's correlation id.
+            req_id: u64,
+            /// Echo of the request's trace id.
+            trace_id: u64,
+            /// In-range objects, ascending by id.
+            objects: list32<WireObject>,
+        }
+    ),
+    /// Router → home shard: radius estimation over merged seeds.
+    13 => RadiusRequest(
+        /// Shard op: run MR3 step 2 (radius estimation) on the home shard with
+        /// an explicit, already-merged seed list — the candidate population and
+        /// order are the router's, so the estimate is bit-identical to a single
+        /// engine seeded the same way.
+        RadiusRequestFrame: request -> RadiusFrame {
+            /// Correlation id, echoed in the [`RadiusFrame`] reply.
+            req_id: u64,
+            /// Trace id stamping the shard's obs records.
+            trace_id: u64,
+            /// Containing facet of the query point, or [`LOCATE_TRI`].
+            tri: u32,
+            /// Query point x.
+            x: f64,
+            /// Query point y.
+            y: f64,
+            /// Query point z.
+            z: f64,
+            /// Per-request deadline in milliseconds from arrival; `0` means none.
+            deadline_ms: u32,
+            /// The globally merged seeds, in canonical `(dist, id)` order.
+            seeds: list32<WireObject>,
+        }
+    ),
+    /// Home shard → router: the estimated radius.
+    14 => Radius(
+        /// Reply to [`RadiusRequestFrame`].
+        #[derive(Copy)]
+        RadiusFrame: reply {
+            /// Echo of the request's correlation id.
+            req_id: u64,
+            /// Echo of the request's trace id.
+            trace_id: u64,
+            /// The estimated search radius (bit-exact; may be non-finite).
+            radius: f64,
+        }
+    ),
+    /// Router → home shard: coupled ranking over merged candidates; the
+    /// reply is a [`Frame::Response`].
+    15 => ExecRequest(
+        /// Shard op: run MR3 steps 2+4 (radius + coupled ranking) on the home
+        /// shard over explicit, router-merged seed and candidate lists, replying
+        /// with a [`ResponseFrame`] whose neighbors carry up to `k + 1` entries
+        /// so the router can re-check the `ub(p_k) ≤ lb(p_{k+1})` termination
+        /// bound itself.
+        ExecRequestFrame: request -> ResponseFrame {
+            /// Correlation id, echoed in the reply.
+            req_id: u64,
+            /// Trace id stamping the shard's obs records.
+            trace_id: u64,
+            /// Containing facet of the query point, or [`LOCATE_TRI`].
+            tri: u32,
+            /// Query point x.
+            x: f64,
+            /// Query point y.
+            y: f64,
+            /// Query point z.
+            z: f64,
+            /// Number of neighbors requested.
+            k: u32,
+            /// Per-request deadline in milliseconds from arrival; `0` means none.
+            deadline_ms: u32,
+            /// The globally merged seeds, in canonical `(dist, id)` order.
+            seeds: list32<WireObject>,
+            /// The globally merged in-range candidates, ascending by id.
+            cands: list32<WireObject>,
+        }
+    ),
 }
 
 impl Frame {
-    fn tag(&self) -> u8 {
-        match self {
-            Frame::Query(_) => TAG_QUERY,
-            Frame::Response(_) => TAG_RESPONSE,
-            Frame::Error(_) => TAG_ERROR,
-            Frame::StatsRequest => TAG_STATS_REQUEST,
-            Frame::Stats(_) => TAG_STATS,
-            Frame::TraceDumpRequest => TAG_TRACE_DUMP_REQUEST,
-            Frame::TraceDump(_) => TAG_TRACE_DUMP,
-            Frame::Cancel(_) => TAG_CANCEL,
-            Frame::SeedsRequest(_) => TAG_SEEDS_REQUEST,
-            Frame::Seeds(_) => TAG_SEEDS,
-            Frame::RangeRequest(_) => TAG_RANGE_REQUEST,
-            Frame::Range(_) => TAG_RANGE,
-            Frame::RadiusRequest(_) => TAG_RADIUS_REQUEST,
-            Frame::Radius(_) => TAG_RADIUS,
-            Frame::ExecRequest(_) => TAG_EXEC_REQUEST,
-        }
-    }
-
-    fn encode_payload(&self, out: &mut Vec<u8>) {
-        match self {
-            Frame::Query(q) => {
-                put_u64(out, q.req_id);
-                put_u32(out, q.tri);
-                put_f64(out, q.x);
-                put_f64(out, q.y);
-                put_f64(out, q.z);
-                put_u32(out, q.k);
-                put_u32(out, q.deadline_ms);
-                put_u64(out, q.trace_id);
-            }
-            Frame::Response(r) => {
-                put_u64(out, r.req_id);
-                put_u64(out, r.trace_id);
-                put_f64(out, r.radius);
-                put_u32(out, r.timing.queue_us);
-                put_u32(out, r.timing.linger_us);
-                put_u32(out, r.timing.exec_us);
-                put_u32(out, r.timing.knn2d_us);
-                put_u32(out, r.timing.radius_us);
-                put_u32(out, r.timing.range_us);
-                put_u32(out, r.timing.rank_us);
-                put_u32(out, r.timing.stall_us);
-                put_u16(out, r.timing.batch);
-                match &r.degraded {
-                    Some(s) => {
-                        out.push(1);
-                        put_str(out, s);
-                    }
-                    None => out.push(0),
-                }
-                let n = r.neighbors.len().min(u16::MAX as usize);
-                put_u16(out, n as u16);
-                for nb in &r.neighbors[..n] {
-                    put_u32(out, nb.id);
-                    put_f64(out, nb.lb);
-                    put_f64(out, nb.ub);
-                }
-            }
-            Frame::Error(e) => {
-                put_u64(out, e.req_id);
-                out.push(e.code.as_u8());
-                put_str(out, &e.detail);
-            }
-            Frame::StatsRequest => {}
-            Frame::Stats(s) => {
-                let n = s.entries.len().min(u16::MAX as usize);
-                put_u16(out, n as u16);
-                for (name, value) in &s.entries[..n] {
-                    put_str(out, name);
-                    put_u64(out, *value);
-                }
-            }
-            Frame::TraceDumpRequest => {}
-            Frame::TraceDump(t) => put_str32(out, &t.jsonl),
-            Frame::Cancel(c) => {
-                put_u64(out, c.req_id);
-                put_u64(out, c.trace_id);
-            }
-            Frame::SeedsRequest(s) => {
-                put_u64(out, s.req_id);
-                put_u64(out, s.trace_id);
-                put_f64(out, s.x);
-                put_f64(out, s.y);
-                put_u32(out, s.k);
-                put_u32(out, s.deadline_ms);
-            }
-            Frame::Seeds(s) => {
-                put_u64(out, s.req_id);
-                put_u64(out, s.trace_id);
-                let n = s.seeds.len().min((MAX_PAYLOAD as usize - 4) / (WIRE_OBJECT_LEN + 8));
-                put_u32(out, n as u32);
-                for (dist, obj) in &s.seeds[..n] {
-                    put_f64(out, *dist);
-                    put_object(out, obj);
-                }
-            }
-            Frame::RangeRequest(r) => {
-                put_u64(out, r.req_id);
-                put_u64(out, r.trace_id);
-                put_f64(out, r.x);
-                put_f64(out, r.y);
-                put_f64(out, r.radius);
-                put_u32(out, r.deadline_ms);
-            }
-            Frame::Range(r) => {
-                put_u64(out, r.req_id);
-                put_u64(out, r.trace_id);
-                put_objects(out, &r.objects);
-            }
-            Frame::RadiusRequest(r) => {
-                put_u64(out, r.req_id);
-                put_u64(out, r.trace_id);
-                put_u32(out, r.tri);
-                put_f64(out, r.x);
-                put_f64(out, r.y);
-                put_f64(out, r.z);
-                put_u32(out, r.deadline_ms);
-                put_objects(out, &r.seeds);
-            }
-            Frame::Radius(r) => {
-                put_u64(out, r.req_id);
-                put_u64(out, r.trace_id);
-                put_f64(out, r.radius);
-            }
-            Frame::ExecRequest(e) => {
-                put_u64(out, e.req_id);
-                put_u64(out, e.trace_id);
-                put_u32(out, e.tri);
-                put_f64(out, e.x);
-                put_f64(out, e.y);
-                put_f64(out, e.z);
-                put_u32(out, e.k);
-                put_u32(out, e.deadline_ms);
-                put_objects(out, &e.seeds);
-                put_objects(out, &e.cands);
-            }
-        }
-    }
-
     /// A typed error reply to request `req_id`.
     pub fn error(req_id: u64, code: ErrorCode, detail: &str) -> Frame {
         Frame::Error(ErrorFrame { req_id, code, detail: detail.to_string() })
     }
 
+    /// For a request frame, what admission needs of it whatever its
+    /// payload: `(correlation id, trace id, relative deadline in
+    /// milliseconds)`. `None` for every other frame.
+    pub fn request_header(&self) -> Option<(u64, u64, u32)> {
+        match self.ids()? {
+            Ids::Request(req_id, trace_id, deadline) => Some((req_id, trace_id, deadline)),
+            Ids::Reply(_) => None,
+        }
+    }
+
+    /// For a reply frame, the correlation id of the request it answers.
+    /// `None` for every other frame (`STATS` and `TRACE_DUMP` carry no
+    /// id: they are matched by arrival order).
+    pub fn reply_to(&self) -> Option<u64> {
+        match self.ids()? {
+            Ids::Reply(req_id) => Some(req_id),
+            Ids::Request(..) => None,
+        }
+    }
+
     /// Serializes the frame (header at [`VERSION`] plus payload).
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(HEADER_LEN + 64);
-        out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&VERSION.to_le_bytes());
-        out.push(self.tag());
-        out.push(0); // reserved
-        out.extend_from_slice(&0u32.to_le_bytes()); // length back-patched
-        self.encode_payload(&mut out);
-        let len = (out.len() - HEADER_LEN) as u32;
-        out[8..12].copy_from_slice(&len.to_le_bytes());
-        out
+        let mut w = Enc(Vec::with_capacity(HEADER_LEN + 64));
+        w.0.extend_from_slice(&MAGIC);
+        w.0.extend_from_slice(&VERSION.to_le_bytes());
+        w.0.push(self.tag());
+        w.0.push(0); // reserved
+        w.0.extend_from_slice(&0u32.to_le_bytes()); // length back-patched
+        self.put_payload(&mut w);
+        let len = (w.0.len() - HEADER_LEN) as u32;
+        w.0[8..12].copy_from_slice(&len.to_le_bytes());
+        w.0
     }
 
     /// Parses exactly one frame from the front of `bytes`, returning the
@@ -770,7 +914,7 @@ pub fn parse_header(header: &[u8; HEADER_LEN]) -> Result<(u8, u32), ProtocolErro
         return Err(ProtocolError::BadVersion(version));
     }
     let tag = header[6];
-    if !(TAG_QUERY..=TAG_EXEC_REQUEST).contains(&tag) {
+    if !(1..=MAX_TAG).contains(&tag) {
         return Err(ProtocolError::UnknownFrameType(tag));
     }
     let len = u32::from_le_bytes([header[8], header[9], header[10], header[11]]);
@@ -778,235 +922,6 @@ pub fn parse_header(header: &[u8; HEADER_LEN]) -> Result<(u8, u32), ProtocolErro
         return Err(ProtocolError::Oversized { len });
     }
     Ok((tag, len))
-}
-
-/// Cursor over a payload with bounds-checked little-endian reads.
-struct Rd<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Rd<'a> {
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    fn bytes(&mut self, n: usize) -> Result<&'a [u8], ProtocolError> {
-        if self.remaining() < n {
-            return Err(ProtocolError::Truncated { needed: n, got: self.remaining() });
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, ProtocolError> {
-        Ok(self.bytes(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, ProtocolError> {
-        let b = self.bytes(2)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
-    }
-
-    fn u32(&mut self) -> Result<u32, ProtocolError> {
-        let b = self.bytes(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self) -> Result<u64, ProtocolError> {
-        let b = self.bytes(8)?;
-        Ok(u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
-    }
-
-    fn f64(&mut self) -> Result<f64, ProtocolError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    fn str16(&mut self) -> Result<String, ProtocolError> {
-        let len = self.u16()? as usize;
-        let bytes = self.bytes(len)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| ProtocolError::Malformed("invalid utf-8 in string"))
-    }
-
-    fn str32(&mut self) -> Result<String, ProtocolError> {
-        let len = self.u32()? as usize;
-        let bytes = self.bytes(len)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| ProtocolError::Malformed("invalid utf-8 in string"))
-    }
-
-    fn object(&mut self) -> Result<WireObject, ProtocolError> {
-        Ok(WireObject {
-            id: self.u32()?,
-            tri: self.u32()?,
-            x: self.f64()?,
-            y: self.f64()?,
-            z: self.f64()?,
-        })
-    }
-
-    /// Reads a u32-counted object list, rejecting counts the remaining
-    /// payload cannot hold before reserving anything.
-    fn objects(&mut self) -> Result<Vec<WireObject>, ProtocolError> {
-        let n = self.u32()? as usize;
-        if self.remaining() < n * WIRE_OBJECT_LEN {
-            return Err(ProtocolError::Truncated {
-                needed: n * WIRE_OBJECT_LEN,
-                got: self.remaining(),
-            });
-        }
-        let mut objs = Vec::with_capacity(n);
-        for _ in 0..n {
-            objs.push(self.object()?);
-        }
-        Ok(objs)
-    }
-}
-
-/// Decodes a validated-header payload into a frame. The payload must be
-/// consumed exactly; trailing bytes are malformed (they would silently
-/// desynchronize a stream under a future layout change).
-pub fn decode_payload(tag: u8, payload: &[u8]) -> Result<Frame, ProtocolError> {
-    let mut rd = Rd { buf: payload, pos: 0 };
-    let frame = match tag {
-        TAG_QUERY => Frame::Query(QueryFrame {
-            req_id: rd.u64()?,
-            tri: rd.u32()?,
-            x: rd.f64()?,
-            y: rd.f64()?,
-            z: rd.f64()?,
-            k: rd.u32()?,
-            deadline_ms: rd.u32()?,
-            trace_id: rd.u64()?,
-        }),
-        TAG_RESPONSE => {
-            let req_id = rd.u64()?;
-            let trace_id = rd.u64()?;
-            let radius = rd.f64()?;
-            let timing = ServerTiming {
-                queue_us: rd.u32()?,
-                linger_us: rd.u32()?,
-                exec_us: rd.u32()?,
-                knn2d_us: rd.u32()?,
-                radius_us: rd.u32()?,
-                range_us: rd.u32()?,
-                rank_us: rd.u32()?,
-                stall_us: rd.u32()?,
-                batch: rd.u16()?,
-            };
-            let degraded = match rd.u8()? {
-                0 => None,
-                1 => Some(rd.str16()?),
-                _ => return Err(ProtocolError::Malformed("bad degraded flag")),
-            };
-            let n = rd.u16()? as usize;
-            // Each neighbor is 20 bytes; reject counts the payload cannot
-            // hold before reserving anything.
-            if rd.remaining() < n * 20 {
-                return Err(ProtocolError::Truncated { needed: n * 20, got: rd.remaining() });
-            }
-            let mut neighbors = Vec::with_capacity(n);
-            for _ in 0..n {
-                neighbors.push(WireNeighbor { id: rd.u32()?, lb: rd.f64()?, ub: rd.f64()? });
-            }
-            Frame::Response(ResponseFrame { req_id, trace_id, neighbors, degraded, timing, radius })
-        }
-        TAG_ERROR => {
-            let req_id = rd.u64()?;
-            let code = ErrorCode::from_u8(rd.u8()?)
-                .ok_or(ProtocolError::Malformed("unknown error code"))?;
-            let detail = rd.str16()?;
-            Frame::Error(ErrorFrame { req_id, code, detail })
-        }
-        TAG_STATS_REQUEST => Frame::StatsRequest,
-        TAG_STATS => {
-            let n = rd.u16()? as usize;
-            // Each entry is at least 10 bytes (empty name + u64 value).
-            if rd.remaining() < n * 10 {
-                return Err(ProtocolError::Truncated { needed: n * 10, got: rd.remaining() });
-            }
-            let mut entries = Vec::with_capacity(n);
-            for _ in 0..n {
-                let name = rd.str16()?;
-                let value = rd.u64()?;
-                entries.push((name, value));
-            }
-            Frame::Stats(StatsFrame { entries })
-        }
-        TAG_TRACE_DUMP_REQUEST => Frame::TraceDumpRequest,
-        TAG_TRACE_DUMP => Frame::TraceDump(TraceDumpFrame { jsonl: rd.str32()? }),
-        TAG_CANCEL => Frame::Cancel(CancelFrame { req_id: rd.u64()?, trace_id: rd.u64()? }),
-        TAG_SEEDS_REQUEST => Frame::SeedsRequest(SeedsRequestFrame {
-            req_id: rd.u64()?,
-            trace_id: rd.u64()?,
-            x: rd.f64()?,
-            y: rd.f64()?,
-            k: rd.u32()?,
-            deadline_ms: rd.u32()?,
-        }),
-        TAG_SEEDS => {
-            let req_id = rd.u64()?;
-            let trace_id = rd.u64()?;
-            let n = rd.u32()? as usize;
-            if rd.remaining() < n * (WIRE_OBJECT_LEN + 8) {
-                return Err(ProtocolError::Truncated {
-                    needed: n * (WIRE_OBJECT_LEN + 8),
-                    got: rd.remaining(),
-                });
-            }
-            let mut seeds = Vec::with_capacity(n);
-            for _ in 0..n {
-                let dist = rd.f64()?;
-                seeds.push((dist, rd.object()?));
-            }
-            Frame::Seeds(SeedsFrame { req_id, trace_id, seeds })
-        }
-        TAG_RANGE_REQUEST => Frame::RangeRequest(RangeRequestFrame {
-            req_id: rd.u64()?,
-            trace_id: rd.u64()?,
-            x: rd.f64()?,
-            y: rd.f64()?,
-            radius: rd.f64()?,
-            deadline_ms: rd.u32()?,
-        }),
-        TAG_RANGE => Frame::Range(RangeFrame {
-            req_id: rd.u64()?,
-            trace_id: rd.u64()?,
-            objects: rd.objects()?,
-        }),
-        TAG_RADIUS_REQUEST => Frame::RadiusRequest(RadiusRequestFrame {
-            req_id: rd.u64()?,
-            trace_id: rd.u64()?,
-            tri: rd.u32()?,
-            x: rd.f64()?,
-            y: rd.f64()?,
-            z: rd.f64()?,
-            deadline_ms: rd.u32()?,
-            seeds: rd.objects()?,
-        }),
-        TAG_RADIUS => {
-            Frame::Radius(RadiusFrame { req_id: rd.u64()?, trace_id: rd.u64()?, radius: rd.f64()? })
-        }
-        TAG_EXEC_REQUEST => Frame::ExecRequest(ExecRequestFrame {
-            req_id: rd.u64()?,
-            trace_id: rd.u64()?,
-            tri: rd.u32()?,
-            x: rd.f64()?,
-            y: rd.f64()?,
-            z: rd.f64()?,
-            k: rd.u32()?,
-            deadline_ms: rd.u32()?,
-            seeds: rd.objects()?,
-            cands: rd.objects()?,
-        }),
-        other => return Err(ProtocolError::UnknownFrameType(other)),
-    };
-    if rd.pos != payload.len() {
-        return Err(ProtocolError::Malformed("trailing bytes in payload"));
-    }
-    Ok(frame)
 }
 
 // ---------------------------------------------------------------------------
@@ -1376,5 +1291,82 @@ mod tests {
             // NaN != NaN, so compare the re-encoding byte-for-byte.
             assert_eq!(back.encode(), bytes, "{frame:?}");
         }
+    }
+
+    /// Every tag the header check admits is a frame with a golden entry,
+    /// and the first tag past the table is not — so a sixteenth row cannot
+    /// be added without `parse_header` and the fixture following.
+    #[test]
+    fn every_tag_up_to_max_decodes_and_the_next_is_unknown() {
+        let golden = golden_frames();
+        for tag in 1..=MAX_TAG {
+            let frame = golden.iter().find(|f| f.tag() == tag);
+            let bytes = frame.unwrap_or_else(|| panic!("no golden frame for tag {tag}")).encode();
+            assert_eq!(bytes[6], tag);
+            let payload = &bytes[HEADER_LEN..];
+            assert_eq!(decode_payload(tag, payload).unwrap().encode(), bytes, "tag {tag}");
+        }
+        let mut bytes = Frame::StatsRequest.encode();
+        bytes[6] = MAX_TAG + 1;
+        assert_eq!(Frame::decode(&bytes), Err(ProtocolError::UnknownFrameType(MAX_TAG + 1)));
+        let past = MAX_TAG + 1;
+        assert_eq!(decode_payload(past, &[]), Err(ProtocolError::UnknownFrameType(past)));
+    }
+
+    /// A list is clamped against what is left of *this frame's* payload,
+    /// not against the cap on its own (and an object is 32 bytes, not the
+    /// 28 the hand-written clamp divided by): each of these used to encode
+    /// to more than `MAX_PAYLOAD`, and must come out decodable, holding a
+    /// prefix of what went in.
+    #[test]
+    fn over_long_lists_are_clamped_to_what_the_frame_can_still_hold() {
+        const CAP: usize = MAX_PAYLOAD as usize;
+        let obj = |id: u32| WireObject { id, tri: 0, x: id as f64, y: 0.0, z: 0.0 };
+        let objs = |n: usize| (0..n as u32).map(obj).collect::<Vec<_>>();
+        let decoded = |f: Frame| {
+            let bytes = f.encode();
+            assert!(bytes.len() <= HEADER_LEN + CAP, "{} bytes", bytes.len());
+            Frame::decode(&bytes).unwrap_or_else(|e| panic!("undecodable: {e}")).0
+        };
+        // Two ids and the count, then 32 bytes an object.
+        let Frame::Range(r) =
+            decoded(Frame::Range(RangeFrame { req_id: 1, trace_id: 2, objects: objs(149_796) }))
+        else {
+            panic!("not a RANGE")
+        };
+        assert!(r.objects == objs((CAP - 20) / 32), "{} objects", r.objects.len());
+        let seeds: Vec<_> = objs(116_508).into_iter().map(|o| (o.x, o)).collect();
+        let Frame::Seeds(s) =
+            decoded(Frame::Seeds(SeedsFrame { req_id: 1, trace_id: 2, seeds: seeds.clone() }))
+        else {
+            panic!("not a SEEDS")
+        };
+        assert!(s.seeds[..] == seeds[..(CAP - 20) / 40], "{} seeds", s.seeds.len());
+        // 60 fixed bytes (both counts included); the seeds go in full and
+        // the candidates get what is left.
+        let Frame::ExecRequest(e) = decoded(Frame::ExecRequest(ExecRequestFrame {
+            req_id: 1,
+            trace_id: 2,
+            tri: 3,
+            x: 0.0,
+            y: 0.0,
+            z: 0.0,
+            k: 4,
+            deadline_ms: 5,
+            seeds: objs(74_898),
+            cands: objs(74_898),
+        })) else {
+            panic!("not an EXEC")
+        };
+        assert_eq!((e.seeds.len(), e.k), (74_898, 4));
+        assert!(e.cands == objs((CAP - 60) / 32 - 74_898), "{} cands", e.cands.len());
+        // u16::MAX entries is what the count can state; at 70 bytes each
+        // they do not fit, and the entry that would cross the cap is
+        // dropped whole.
+        let entries: Vec<_> = (0..u16::MAX as u64).map(|i| ("x".repeat(60), i)).collect();
+        let Frame::Stats(s) = decoded(Frame::Stats(StatsFrame { entries: entries.clone() })) else {
+            panic!("not a STATS")
+        };
+        assert!(s.entries[..] == entries[..(CAP - 2) / 70], "{} entries", s.entries.len());
     }
 }

@@ -2,10 +2,10 @@
 //! owns the sockets, admission and drain (see [`crate::edge`]); this
 //! module keeps what is the server's alone — validating request frames
 //! against the mesh, the slow-query log, and the engine-side metric
-//! families; answering a job is the `batch` module's one engine call.
+//! families; answering a job is the `ops` module's one engine call.
 
-use crate::batch::JobOp;
-use crate::edge::{Edge, EdgeConfig, EdgeStats, Handle, Job, Request, Service};
+use crate::edge::{Edge, EdgeConfig, EdgeStats, Handle, Job, Service};
+use crate::ops::JobOp;
 use crate::protocol::{Frame, WireObject, LOCATE_TRI};
 use crate::slowlog::SlowQueryLog;
 use crate::stats::ServeStats;
@@ -274,51 +274,39 @@ impl Service for Server<'_, '_, '_> {
 
     /// Every request frame a shard takes — the full query and the four
     /// decomposed shard ops — validated against the mesh.
-    fn claim(&self, frame: Frame) -> Option<Request<JobOp>> {
+    fn claim(&self, frame: Frame) -> Option<Result<JobOp, &'static str>> {
         let finite = |x: f64, y: f64| x.is_finite() && y.is_finite();
-        let (req_id, trace_id, deadline_ms, payload) = match frame {
-            Frame::Query(q) => {
-                let op = self
-                    .resolve_surface(q.tri, q.x, q.y, q.z)
-                    .map(|point| JobOp::Query { point, k: q.k as usize });
-                (q.req_id, q.trace_id, q.deadline_ms, op)
-            }
+        Some(match frame {
+            Frame::Query(q) => self
+                .resolve_surface(q.tri, q.x, q.y, q.z)
+                .map(|point| JobOp::Query { point, k: q.k as usize }),
             Frame::SeedsRequest(s) => {
-                let op = if finite(s.x, s.y) {
+                if finite(s.x, s.y) {
                     Ok(JobOp::Seeds { xy: Point2::new(s.x, s.y), k: s.k as usize })
                 } else {
                     Err("non-finite coordinates")
-                };
-                (s.req_id, s.trace_id, s.deadline_ms, op)
+                }
             }
             Frame::RangeRequest(r) => {
-                let op = if finite(r.x, r.y) && r.radius >= 0.0 {
+                if finite(r.x, r.y) && r.radius >= 0.0 {
                     Ok(JobOp::Range { xy: Point2::new(r.x, r.y), radius: r.radius })
                 } else {
                     Err("bad range parameters")
-                };
-                (r.req_id, r.trace_id, r.deadline_ms, op)
+                }
             }
-            Frame::RadiusRequest(r) => {
-                let op = self.resolve_surface(r.tri, r.x, r.y, r.z).and_then(|point| {
-                    Ok(JobOp::Radius { point, seeds: self.resolve_objs(&r.seeds)? })
-                });
-                (r.req_id, r.trace_id, r.deadline_ms, op)
-            }
-            Frame::ExecRequest(e) => {
-                let op = self.resolve_surface(e.tri, e.x, e.y, e.z).and_then(|point| {
-                    Ok(JobOp::Exec {
-                        point,
-                        k: e.k as usize,
-                        seeds: self.resolve_objs(&e.seeds)?,
-                        cands: self.resolve_objs(&e.cands)?,
-                    })
-                });
-                (e.req_id, e.trace_id, e.deadline_ms, op)
-            }
+            Frame::RadiusRequest(r) => self
+                .resolve_surface(r.tri, r.x, r.y, r.z)
+                .and_then(|point| Ok(JobOp::Radius { point, seeds: self.resolve_objs(&r.seeds)? })),
+            Frame::ExecRequest(e) => self.resolve_surface(e.tri, e.x, e.y, e.z).and_then(|point| {
+                Ok(JobOp::Exec {
+                    point,
+                    k: e.k as usize,
+                    seeds: self.resolve_objs(&e.seeds)?,
+                    cands: self.resolve_objs(&e.cands)?,
+                })
+            }),
             _ => return None,
-        };
-        Some(Request { req_id, trace_id, deadline_ms, payload })
+        })
     }
 
     fn accepted(&self) {

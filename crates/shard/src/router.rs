@@ -48,14 +48,15 @@ use crate::map::ShardMap;
 use crate::stats::RouterStats;
 use sknn_geom::Point2;
 use sknn_obs::{field, QueryTrace, Recorder, Registry};
-use sknn_serve::edge::{Edge, EdgeConfig, EdgeStats, Handle, Job, Request, Service};
+use sknn_serve::edge::{Edge, EdgeConfig, EdgeStats, Handle, Job, Service};
 use sknn_serve::pool::{InFlight, PoolClient, PoolError};
 use sknn_serve::protocol::{
     ErrorCode, ErrorFrame, ExecRequestFrame, Frame, QueryFrame, RadiusRequestFrame,
-    RangeRequestFrame, ResponseFrame, SeedsRequestFrame, WireObject,
+    RangeRequestFrame, Request, ResponseFrame, SeedsRequestFrame, WireObject,
 };
 use sknn_serve::Client;
 use std::io;
+use std::marker::PhantomData;
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -112,6 +113,15 @@ enum LegFail {
     Unexpected(&'static str),
     /// The query's deadline passed before the leg could be sent.
     Expired(&'static str),
+}
+
+/// One request in flight to one shard; `R` is the request it carries,
+/// hence (by the wire table's pairing) the reply it waits for.
+struct Leg<R> {
+    what: &'static str,
+    shard: usize,
+    flight: InFlight,
+    request: PhantomData<R>,
 }
 
 /// A bound (but not yet running) shard router.
@@ -226,6 +236,46 @@ impl Router {
         Ok(left.as_micros().div_ceil(1_000).min(u32::MAX as u128) as u32)
     }
 
+    /// Starts a leg on `shard`: `make` builds the request around a fresh
+    /// wire id and the deadline a leg sent now carries.
+    fn send<R: Request>(
+        &self,
+        job: &RouterJob,
+        what: &'static str,
+        shard: usize,
+        make: impl FnOnce(u64, u32) -> R,
+    ) -> Result<Leg<R>, LegFail> {
+        let deadline_ms = self.leg_deadline_ms(job, what)?;
+        let pool = &self.pools[shard];
+        let req_id = pool.next_req_id();
+        match pool.begin(req_id, &make(req_id, deadline_ms).into()) {
+            Ok(flight) => Ok(Leg { what, shard, flight, request: PhantomData }),
+            Err(e) => Err(LegFail::Transport(what, e)),
+        }
+    }
+
+    /// Awaits a leg's reply as the type its request is answered with —
+    /// the one place a shard's answer is sorted into usable, a typed
+    /// error to relay, a frame the leg cannot use, or a transport failure.
+    fn wait<R: Request>(&self, job: &RouterJob, leg: Leg<R>) -> Result<R::Reply, LegFail> {
+        match leg.flight.wait(self.remaining(job)) {
+            Ok(Frame::Error(e)) => Err(LegFail::Relay(prefixed(leg.what, e))),
+            Ok(frame) => R::Reply::try_from(frame).map_err(|_| LegFail::Unexpected(leg.what)),
+            Err(e) => Err(LegFail::Transport(leg.what, e)),
+        }
+    }
+
+    /// [`send`](Self::send) + [`wait`](Self::wait): one round trip.
+    fn leg<R: Request>(
+        &self,
+        job: &RouterJob,
+        what: &'static str,
+        shard: usize,
+        make: impl FnOnce(u64, u32) -> R,
+    ) -> Result<R::Reply, LegFail> {
+        self.wait(job, self.send(job, what, shard, make)?)
+    }
+
     /// Routes one query: home QUERY plus speculative SEEDS fan-out, then
     /// either the interior fast path (cancel the speculation) or the
     /// full straddle merge.
@@ -241,45 +291,33 @@ impl Router {
         // Single-shard fleets, k = 0, and an empty fleet all reduce to
         // "the home answer is the union answer" with nothing to merge.
         let trivial = self.map.len() == 1 || q.k == 0 || self.total_objects == 0;
-        let deadline_ms = match self.leg_deadline_ms(&job, "home query") {
-            Ok(ms) => ms,
-            Err(fail) => return self.fail(&job, fail),
-        };
-        let pool = &self.pools[home];
-        let hq = pool.next_req_id();
-        let home_frame = Frame::Query(QueryFrame {
-            req_id: hq,
-            tri: q.tri,
-            x: q.x,
-            y: q.y,
-            z: q.z,
-            k: q.k,
+        let trace_id = job.trace_id;
+        let home_leg = match self.send(&job, "home query", home, |req_id, deadline_ms| QueryFrame {
+            req_id,
             deadline_ms,
-            trace_id: job.trace_id,
-        });
-        let home_leg = match pool.begin(hq, &home_frame) {
+            trace_id,
+            ..q.clone()
+        }) {
             Ok(leg) => leg,
-            Err(e) => return self.fail(&job, LegFail::Transport("home query", e)),
+            Err(fail) => return self.fail(&job, fail),
         };
         // Speculative SEEDS to every shard, home included: QUERY does
         // not return seeds, and a straddle merge needs home's list too.
-        let mut spec: Vec<(usize, u64, InFlight)> = Vec::new();
+        let mut spec: Vec<Leg<SeedsRequestFrame>> = Vec::new();
         if !trivial {
-            for (i, p) in self.pools.iter().enumerate() {
-                let rid = p.next_req_id();
-                let f = Frame::SeedsRequest(SeedsRequestFrame {
-                    req_id: rid,
-                    trace_id: job.trace_id,
+            for shard in 0..self.pools.len() {
+                match self.send(&job, "seeds leg", shard, |req_id, deadline_ms| SeedsRequestFrame {
+                    req_id,
+                    trace_id,
                     x: q.x,
                     y: q.y,
                     k: q.k,
                     deadline_ms,
-                });
-                match p.begin(rid, &f) {
-                    Ok(leg) => spec.push((i, rid, leg)),
-                    Err(e) => {
-                        self.cancel_legs(job.trace_id, spec);
-                        return self.fail(&job, LegFail::Transport("speculative seeds", e));
+                }) {
+                    Ok(leg) => spec.push(leg),
+                    Err(fail) => {
+                        self.cancel_legs(trace_id, spec);
+                        return self.fail(&job, fail);
                     }
                 }
             }
@@ -288,7 +326,7 @@ impl Router {
         if rec.enabled() {
             rec.span(
                 "router_route",
-                job.trace_id,
+                trace_id,
                 vec![
                     field("dur_us", t_route.elapsed().as_micros() as u64),
                     field("home", home as u64),
@@ -296,36 +334,27 @@ impl Router {
                 ],
             );
         }
-        match home_leg.wait(self.remaining(&job)) {
-            Ok(Frame::Response(mut r)) => {
-                // Interior fast path. The full-k condition guards the
-                // k > home-population case: a short home answer means the
-                // union holds objects this shard cannot see.
+        match self.wait(&job, home_leg) {
+            // Interior fast path. The full-k condition guards the
+            // k > home-population case: a short home answer means the
+            // union holds objects this shard cannot see.
+            Ok(mut r)
                 if trivial
-                    || (r.neighbors.len() == q.k as usize && self.map.interior(home, xy, r.radius))
-                {
-                    self.cancel_legs(job.trace_id, spec);
-                    self.stats.interior.inc();
-                    r.req_id = job.req_id;
-                    self.finish(&job, Frame::Response(r));
-                } else {
-                    match self.straddle(&job, home, &q, spec, rec) {
-                        Ok(resp) => self.finish(&job, Frame::Response(resp)),
-                        Err(fail) => self.fail(&job, fail),
-                    }
-                }
+                    || (r.neighbors.len() == q.k as usize
+                        && self.map.interior(home, xy, r.radius)) =>
+            {
+                self.cancel_legs(trace_id, spec);
+                self.stats.interior.inc();
+                r.req_id = job.req_id;
+                self.finish(&job, Frame::Response(r));
             }
-            Ok(Frame::Error(e)) => {
-                self.cancel_legs(job.trace_id, spec);
-                self.fail(&job, LegFail::Relay(prefixed("home query", e)));
-            }
-            Ok(_) => {
-                self.cancel_legs(job.trace_id, spec);
-                self.fail(&job, LegFail::Unexpected("home query"));
-            }
-            Err(e) => {
-                self.cancel_legs(job.trace_id, spec);
-                self.fail(&job, LegFail::Transport("home query", e));
+            Ok(_) => match self.straddle(&job, home, &q, spec, rec) {
+                Ok(resp) => self.finish(&job, Frame::Response(resp)),
+                Err(fail) => self.fail(&job, fail),
+            },
+            Err(fail) => {
+                self.cancel_legs(trace_id, spec);
+                self.fail(&job, fail);
             }
         }
     }
@@ -337,12 +366,13 @@ impl Router {
         job: &RouterJob,
         home: usize,
         q: &QueryFrame,
-        spec: Vec<(usize, u64, InFlight)>,
+        spec: Vec<Leg<SeedsRequestFrame>>,
         rec: &dyn Recorder,
     ) -> Result<ResponseFrame, LegFail> {
         self.stats.fanned_out.inc();
         let t_fan = Instant::now();
         let xy = Point2::new(q.x, q.y);
+        let (trace_id, tri, x, y, z) = (job.trace_id, q.tri, q.x, q.y, q.z);
         // Clamp k to the union population — exactly the clamp a single
         // engine applies against its own live count.
         let kc = (q.k as u64).min(self.total_objects) as usize;
@@ -351,65 +381,37 @@ impl Router {
         // the union's top-k is a subset of the concatenation and the sort
         // recovers it exactly.
         let mut seeds: Vec<(f64, WireObject)> = Vec::new();
-        for (_, _, leg) in spec {
-            match leg.wait(self.remaining(job)) {
-                Ok(Frame::Seeds(s)) => seeds.extend(s.seeds),
-                Ok(Frame::Error(e)) => return Err(LegFail::Relay(prefixed("seeds leg", e))),
-                Ok(_) => return Err(LegFail::Unexpected("seeds leg")),
-                Err(e) => return Err(LegFail::Transport("seeds leg", e)),
-            }
+        for leg in spec {
+            seeds.extend(self.wait(job, leg)?.seeds);
         }
         seeds.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.id.cmp(&b.1.id)));
         seeds.truncate(kc);
         let seed_objs: Vec<WireObject> = seeds.iter().map(|&(_, o)| o).collect();
         // Step 2 on the home shard over the merged seeds.
-        let pool = &self.pools[home];
-        let rid = pool.next_req_id();
-        let rf = Frame::RadiusRequest(RadiusRequestFrame {
-            req_id: rid,
-            trace_id: job.trace_id,
-            tri: q.tri,
-            x: q.x,
-            y: q.y,
-            z: q.z,
-            deadline_ms: self.leg_deadline_ms(job, "radius leg")?,
-            seeds: seed_objs.clone(),
-        });
-        let radius = match pool.call(rid, &rf, self.remaining(job)) {
-            Ok(Frame::Radius(r)) => r.radius,
-            Ok(Frame::Error(e)) => return Err(LegFail::Relay(prefixed("radius leg", e))),
-            Ok(_) => return Err(LegFail::Unexpected("radius leg")),
-            Err(e) => return Err(LegFail::Transport("radius leg", e)),
-        };
+        let radius = self
+            .leg(job, "radius leg", home, |req_id, deadline_ms| RadiusRequestFrame {
+                req_id,
+                trace_id,
+                tri,
+                x,
+                y,
+                z,
+                deadline_ms,
+                seeds: seed_objs.clone(),
+            })?
+            .radius;
         // Step 3 fan-out. NaN sanitizes to ∞ — both mean "range
         // everything" to the engine, and RANGE rejects NaN on the wire.
-        let fan_radius = if radius.is_nan() { f64::INFINITY } else { radius };
-        let deadline_ms = self.leg_deadline_ms(job, "range leg")?;
+        let radius = if radius.is_nan() { f64::INFINITY } else { radius };
         let mut range_legs = Vec::new();
-        for i in self.map.overlapping(xy, fan_radius) {
-            let p = &self.pools[i];
-            let rid = p.next_req_id();
-            let f = Frame::RangeRequest(RangeRequestFrame {
-                req_id: rid,
-                trace_id: job.trace_id,
-                x: q.x,
-                y: q.y,
-                radius: fan_radius,
-                deadline_ms,
-            });
-            match p.begin(rid, &f) {
-                Ok(leg) => range_legs.push(leg),
-                Err(e) => return Err(LegFail::Transport("range leg", e)),
-            }
+        for shard in self.map.overlapping(xy, radius) {
+            range_legs.push(self.send(job, "range leg", shard, |req_id, deadline_ms| {
+                RangeRequestFrame { req_id, trace_id, x, y, radius, deadline_ms }
+            })?);
         }
         let mut cands: Vec<WireObject> = Vec::new();
         for leg in range_legs {
-            match leg.wait(self.remaining(job)) {
-                Ok(Frame::Range(r)) => cands.extend(r.objects),
-                Ok(Frame::Error(e)) => return Err(LegFail::Relay(prefixed("range leg", e))),
-                Ok(_) => return Err(LegFail::Unexpected("range leg")),
-                Err(e) => return Err(LegFail::Transport("range leg", e)),
-            }
+            cands.extend(self.wait(job, leg)?.objects);
         }
         // Ownership is a partition, so per-shard lists are disjoint and
         // their id-sorted concatenation is the union engine's candidate
@@ -419,7 +421,7 @@ impl Router {
         if rec.enabled() {
             rec.span(
                 "router_fanout",
-                job.trace_id,
+                trace_id,
                 vec![
                     field("dur_us", t_fan.elapsed().as_micros() as u64),
                     field("seeds", seed_objs.len() as u64),
@@ -429,25 +431,18 @@ impl Router {
         }
         // Steps 2+4, coupled, on the home shard over the merged lists.
         let t_merge = Instant::now();
-        let eid = pool.next_req_id();
-        let ef = Frame::ExecRequest(ExecRequestFrame {
-            req_id: eid,
-            trace_id: job.trace_id,
-            tri: q.tri,
-            x: q.x,
-            y: q.y,
-            z: q.z,
+        let mut resp = self.leg(job, "exec leg", home, |req_id, deadline_ms| ExecRequestFrame {
+            req_id,
+            trace_id,
+            tri,
+            x,
+            y,
+            z,
             k: kc as u32,
-            deadline_ms: self.leg_deadline_ms(job, "exec leg")?,
+            deadline_ms,
             seeds: seed_objs,
             cands,
-        });
-        let mut resp = match pool.call(eid, &ef, self.remaining(job)) {
-            Ok(Frame::Response(r)) => r,
-            Ok(Frame::Error(e)) => return Err(LegFail::Relay(prefixed("exec leg", e))),
-            Ok(_) => return Err(LegFail::Unexpected("exec leg")),
-            Err(e) => return Err(LegFail::Transport("exec leg", e)),
-        };
+        })?;
         // Termination re-check over the k+1 ranked intervals, with the
         // same 1e-9 margin as the engine's own VA-file test
         // (`is_resolved`). Failing it is NOT a merge error — the union
@@ -470,7 +465,7 @@ impl Router {
         if rec.enabled() {
             rec.span(
                 "router_merge",
-                job.trace_id,
+                trace_id,
                 vec![field("dur_us", t_merge.elapsed().as_micros() as u64), field("k", kc as u64)],
             );
         }
@@ -482,11 +477,10 @@ impl Router {
     /// releases the demux slot, so a reply racing the cancel is dropped
     /// silently; a landed cancel shows up in the shard's `cancelled`
     /// counter.
-    fn cancel_legs(&self, trace_id: u64, legs: Vec<(usize, u64, InFlight)>) {
-        for (shard, rid, leg) in legs {
-            self.pools[shard].cancel(rid, trace_id);
+    fn cancel_legs(&self, trace_id: u64, legs: Vec<Leg<SeedsRequestFrame>>) {
+        for leg in legs {
+            self.pools[leg.shard].cancel(leg.flight.req_id, trace_id);
             self.stats.cancelled_legs.inc();
-            drop(leg);
         }
     }
 
@@ -538,15 +532,10 @@ impl Service for Router {
 
     /// The router takes `QUERY` only; where the point lies is decided at
     /// routing time.
-    fn claim(&self, frame: Frame) -> Option<Request<QueryFrame>> {
+    fn claim(&self, frame: Frame) -> Option<Result<QueryFrame, &'static str>> {
         let Frame::Query(q) = frame else { return None };
         let finite = q.x.is_finite() && q.y.is_finite() && q.z.is_finite();
-        Some(Request {
-            req_id: q.req_id,
-            trace_id: q.trace_id,
-            deadline_ms: q.deadline_ms,
-            payload: if finite { Ok(q) } else { Err("non-finite coordinates") },
-        })
+        Some(if finite { Ok(q) } else { Err("non-finite coordinates") })
     }
 
     /// The `objects` entry is the fleet-wide live-object count at bind
