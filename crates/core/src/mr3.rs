@@ -43,7 +43,7 @@ const TRACE_RING_CAPACITY: usize = 4096;
 pub struct Mr3Engine<'s, 'm> {
     mesh: &'m TerrainMesh,
     scene: &'s Scene<'m>,
-    /// The dynamic object set: durable heap + WAL behind copy-on-write
+    /// The dynamic object set: a durable WAL behind copy-on-write
     /// snapshots. Queries pin one snapshot for their whole run, so
     /// concurrent mutations never shift the ground mid-ranking.
     objects: ObjectStore,

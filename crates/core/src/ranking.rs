@@ -247,7 +247,6 @@ impl<'a, 'm> RankingContext<'a, 'm> {
                 sknn_store::StoreError::Checksum { .. } => "checksum",
                 sknn_store::StoreError::TransientRead { .. } => "transient",
                 sknn_store::StoreError::PermanentRead { .. } => "permanent",
-                sknn_store::StoreError::WriteFault { .. } => "write",
                 sknn_store::StoreError::FsyncFailed { .. } => "fsync",
             };
             self.rec.event(

@@ -78,7 +78,7 @@ type EngineRead = fn(&Mr3Engine<'_, '_>) -> f64;
 
 /// The engine-side families a server exports: pager pool, stall and
 /// fault counters, the shared cut cache, and the write path (WAL,
-/// writeback, recovery). One row per family — name, kind, help, and how
+/// recovery). One row per family — name, kind, help, and how
 /// to read it off the engine at scrape time.
 #[rustfmt::skip]
 const ENGINE_ROWS: &[(&str, MetricKind, &str, EngineRead)] = &[
@@ -139,16 +139,13 @@ const ENGINE_ROWS: &[(&str, MetricKind, &str, EngineRead)] = &[
     ("sknn_wal_truncated_records_total", Counter,
         "Pending WAL records withdrawn by aborted mutations",
         |e| e.write_stats().wal.truncated as f64),
-    ("sknn_wal_flushed_pages_total", Counter, "Dirty pages written back to the durable image",
-        |e| e.write_stats().flushed_pages as f64),
     ("sknn_wal_aborted_ops_total", Counter, "Mutations aborted by a failed commit fsync",
         |e| e.write_stats().aborted_ops as f64),
     ("sknn_wal_recoveries_total", Counter, "Times the object store was rebuilt from a crash image",
         |e| e.write_stats().recoveries as f64),
-    ("sknn_wal_replay_records_total", Counter, "Committed WAL records redone by the last recovery",
+    ("sknn_wal_replay_records_total", Counter,
+        "Committed WAL op records replayed by the last recovery",
         |e| e.write_stats().replay_records as f64),
-    ("sknn_wal_dirty_pages", Gauge, "Pages currently dirty (awaiting writeback)",
-        |e| e.write_stats().dirty_pages as f64),
     ("sknn_objects_live", Gauge, "Live objects in the current snapshot",
         |e| e.write_stats().live_objects as f64),
 ];

@@ -41,12 +41,6 @@ pub enum StoreError {
         /// Page whose read failed.
         page: u64,
     },
-    /// A durable page write (dirty-page flush) failed: nothing reached the
-    /// disk and the page stays dirty.
-    WriteFault {
-        /// Page whose flush failed.
-        page: u64,
-    },
     /// A WAL fsync failed: no pending log byte became durable, so the
     /// committing operation must abort and withdraw its records.
     FsyncFailed {
@@ -62,8 +56,7 @@ impl StoreError {
         match *self {
             StoreError::Checksum { page, .. }
             | StoreError::TransientRead { page, .. }
-            | StoreError::PermanentRead { page }
-            | StoreError::WriteFault { page } => page,
+            | StoreError::PermanentRead { page } => page,
             StoreError::FsyncFailed { .. } => u64::MAX,
         }
     }
@@ -87,9 +80,6 @@ impl fmt::Display for StoreError {
             }
             StoreError::PermanentRead { page } => {
                 write!(f, "permanent read failure on page {page}")
-            }
-            StoreError::WriteFault { page } => {
-                write!(f, "durable write of page {page} failed; page stays dirty")
             }
             StoreError::FsyncFailed { lsn } => {
                 write!(f, "WAL fsync for commit lsn {lsn} failed; operation aborted")

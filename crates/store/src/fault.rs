@@ -1,9 +1,9 @@
-//! Deterministic fault injection for the physical read *and* write paths.
+//! Deterministic fault injection for the physical read path and the WAL.
 //!
 //! A [`FaultInjector`] is installed on a [`Pager`](crate::Pager) and
 //! consulted once per physical read *attempt* (initial read or retry),
-//! once per durable page write (a dirty-page flush), and once per WAL
-//! fsync. Every decision is a pure function of the injector's seed, the
+//! and handed to the object store to be consulted once per WAL fsync.
+//! Every decision is a pure function of the injector's seed, the
 //! page id, and the operation's cumulative attempt number — never of
 //! wall-clock time or thread scheduling — so a failing run is reproducible
 //! from its `seed:rate:kind` profile alone, at any thread count.
@@ -15,12 +15,12 @@
 //!   Rate-driven *transient* and *bit-flip* read faults are guaranteed to
 //!   clear by a page's next attempt-multiple-of-three, so any read
 //!   sequence succeeds within three attempts — a fault that never clears
-//!   is not transient. Use `permanent` to model faults that stick. Write
-//!   kinds (`write`, `fsync`, `torn`) fire on the write side only.
+//!   is not transient. Use `permanent` to model faults that stick. The
+//!   write kind (`fsync`) fires on WAL fsyncs only.
 //! * **Scripts** ([`FaultInjector::script`] plus `fail_nth_read` /
-//!   `fail_page` / `fail_nth_write` / `fail_nth_fsync` / `kill_at_lsn`
-//!   rules): exact schedules for deterministic tests — *these* can exhaust
-//!   the retry budget or schedule a crash at an exact WAL position.
+//!   `fail_page` / `fail_nth_fsync` / `kill_at_lsn` rules): exact
+//!   schedules for deterministic tests — *these* can exhaust the retry
+//!   budget or schedule a crash at an exact WAL position.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -43,18 +43,9 @@ pub enum FaultKind {
     /// The reading thread panics mid-read — exercises the single-flight
     /// lease's panic guard. Only sensible from test scripts.
     Panic,
-    /// A durable page write fails cleanly: nothing reaches the disk, the
-    /// page stays dirty, and the flush surfaces a typed error.
-    WriteFault,
     /// A WAL fsync fails: no pending log byte becomes durable and the
     /// committing operation must abort (the commit record is withdrawn).
     FsyncFault,
-    /// A durable page write tears mid-page: a prefix of the page reaches
-    /// the disk, the rest keeps its pre-write content, and the stored
-    /// checksum no longer matches — the torn state only ever becomes
-    /// visible through a crash, so deciding this kind also raises the
-    /// injector's kill flag (see [`FaultInjector::kill_requested`]).
-    TornWrite,
 }
 
 impl FaultKind {
@@ -66,9 +57,7 @@ impl FaultKind {
             FaultKind::BitFlip => "bitflip",
             FaultKind::Latency => "latency",
             FaultKind::Panic => "panic",
-            FaultKind::WriteFault => "write",
             FaultKind::FsyncFault => "fsync",
-            FaultKind::TornWrite => "torn",
         }
     }
 
@@ -80,20 +69,18 @@ impl FaultKind {
             "bitflip" => Ok(FaultKind::BitFlip),
             "latency" => Ok(FaultKind::Latency),
             "panic" => Ok(FaultKind::Panic),
-            "write" => Ok(FaultKind::WriteFault),
             "fsync" => Ok(FaultKind::FsyncFault),
-            "torn" => Ok(FaultKind::TornWrite),
             other => Err(format!(
                 "unknown fault kind {other:?} (expected \
-                 transient|permanent|bitflip|latency|panic|write|fsync|torn)"
+                 transient|permanent|bitflip|latency|panic|fsync)"
             )),
         }
     }
 
-    /// Whether this kind fires on the write side (durable page writes and
-    /// WAL fsyncs) rather than the read side.
+    /// Whether this kind fires on the write side (WAL fsyncs) rather than
+    /// the read side.
     pub fn is_write_side(self) -> bool {
-        matches!(self, FaultKind::WriteFault | FaultKind::FsyncFault | FaultKind::TornWrite)
+        self == FaultKind::FsyncFault
     }
 }
 
@@ -169,9 +156,6 @@ enum FaultRule {
     /// Fire on reads of one page: the next `remaining` attempts
     /// (`None` = every attempt, forever).
     Page { page: u64, kind: FaultKind, remaining: Option<u32> },
-    /// Fire on the `n`-th durable page write (dirty-page flush), globally
-    /// (1-based).
-    NthWrite { n: u64, kind: FaultKind },
     /// Fire on the `n`-th WAL fsync, globally (1-based).
     NthFsync { n: u64 },
     /// Raise the kill flag once a WAL record with `lsn` or beyond becomes
@@ -202,12 +186,10 @@ pub struct FaultInjector {
     attempts: Mutex<HashMap<u64, u64>>,
     /// Global attempt counter driving `NthRead` rules.
     reads: Mutex<u64>,
-    /// Global durable-write counter driving `NthWrite` rules.
-    writes: Mutex<u64>,
     /// Global fsync counter driving `NthFsync` rules.
     fsyncs: Mutex<u64>,
-    /// Set by `KillAtLsn` rules and `TornWrite` decisions: the harness
-    /// should simulate a crash at its next poll point.
+    /// Set by `KillAtLsn` rules: the harness should simulate a crash at
+    /// its next poll point.
     kill: AtomicBool,
 }
 
@@ -228,7 +210,6 @@ impl FaultInjector {
             rules: Mutex::new(Vec::new()),
             attempts: Mutex::new(HashMap::new()),
             reads: Mutex::new(0),
-            writes: Mutex::new(0),
             fsyncs: Mutex::new(0),
             kill: AtomicBool::new(false),
         }
@@ -254,14 +235,6 @@ impl FaultInjector {
             kind,
             remaining: times,
         });
-        self
-    }
-
-    /// Add a rule: fault the `n`-th durable page write (1-based, counted
-    /// globally). `kind` must be a write-side kind.
-    pub fn fail_nth_write(self, n: u64, kind: FaultKind) -> Self {
-        assert!(kind.is_write_side(), "fail_nth_write needs a write-side kind, got {kind:?}");
-        self.rules.lock().unwrap_or_else(|e| e.into_inner()).push(FaultRule::NthWrite { n, kind });
         self
     }
 
@@ -344,58 +317,6 @@ impl FaultInjector {
     /// Deterministically pick the byte a `BitFlip` fault corrupts.
     pub fn flip_offset(&self, page: u64, modulus: usize) -> usize {
         (splitmix64(self.seed ^ page.wrapping_mul(0xD134_2543_DE82_EF95)) % modulus as u64) as usize
-    }
-
-    /// Decide the fate of one durable page write (a dirty-page flush) of
-    /// `page`. Advances the global write counter; `None` means the write
-    /// lands intact. A `TornWrite` decision also raises the kill flag: a
-    /// torn page is only ever observable through a crash.
-    pub fn decide_write(&self, page: u64) -> Option<FaultKind> {
-        let write_no = {
-            let mut writes = self.writes.lock().unwrap_or_else(|e| e.into_inner());
-            *writes += 1;
-            *writes
-        };
-        let mut decision = None;
-        {
-            let rules = self.rules.lock().unwrap_or_else(|e| e.into_inner());
-            for rule in rules.iter() {
-                if let FaultRule::NthWrite { n, kind } = rule {
-                    if *n == write_no {
-                        decision = Some(*kind);
-                        break;
-                    }
-                }
-            }
-        }
-        if decision.is_none()
-            && self.rate > 0.0
-            && matches!(self.kind, FaultKind::WriteFault | FaultKind::TornWrite)
-        {
-            let h = splitmix64(
-                self.seed
-                    ^ splitmix64(page.wrapping_mul(0xA24B_AED4_963E_E407) ^ write_no ^ 0x77C6_1B1F),
-            );
-            let unit = (h >> 11) as f64 / (1u64 << 53) as f64;
-            if unit < self.rate {
-                decision = Some(self.kind);
-            }
-        }
-        if decision == Some(FaultKind::TornWrite) {
-            self.kill.store(true, Ordering::SeqCst);
-        }
-        decision
-    }
-
-    /// Deterministically pick how many bytes of a torn write reach the
-    /// durable image: somewhere in `[1, page_len)`, so a torn page is
-    /// always partially but never fully written.
-    pub fn torn_prefix(&self, page: u64, page_len: usize) -> usize {
-        if page_len <= 1 {
-            return page_len;
-        }
-        let h = splitmix64(self.seed ^ page.wrapping_mul(0x2545_F491_4F6C_DD1D));
-        1 + (h % (page_len as u64 - 1)) as usize
     }
 
     /// Decide the fate of one WAL fsync. Advances the global fsync
@@ -519,52 +440,33 @@ mod tests {
     }
 
     #[test]
-    fn write_side_profile_kinds_parse() {
-        assert_eq!(FaultProfile::parse("3:0.1:write").unwrap().kind, FaultKind::WriteFault);
+    fn fsync_is_the_only_write_side_kind() {
         assert_eq!(FaultProfile::parse("3:0.1:fsync").unwrap().kind, FaultKind::FsyncFault);
-        assert_eq!(FaultProfile::parse("3:0.1:torn").unwrap().kind, FaultKind::TornWrite);
-        assert!(FaultKind::WriteFault.is_write_side());
+        for gone in ["3:0.1:write", "3:0.1:torn"] {
+            assert!(FaultProfile::parse(gone).is_err(), "{gone:?} names no fault kind");
+        }
+        assert!(FaultKind::FsyncFault.is_write_side());
         assert!(!FaultKind::Transient.is_write_side());
     }
 
     #[test]
-    fn write_side_kinds_never_fire_on_reads() {
-        // A write-kind profile at rate 1.0 must leave every read clean.
-        let inj = FaultInjector::seeded(4, 1.0, FaultKind::WriteFault);
+    fn fsync_kinds_never_fire_on_reads() {
+        // An fsync profile at rate 1.0 must leave every read clean...
+        let inj = FaultInjector::seeded(4, 1.0, FaultKind::FsyncFault);
         for page in 0..16u64 {
             assert_eq!(inj.decide(page), None);
         }
-        // ...and a scripted write rule never leaks into the read path.
-        let inj = FaultInjector::script().fail_nth_write(1, FaultKind::WriteFault);
-        assert_eq!(inj.decide(0), None);
-        assert_eq!(inj.decide_write(0), Some(FaultKind::WriteFault));
+        // ...while failing every fsync.
+        assert!(inj.decide_fsync());
     }
 
     #[test]
-    fn scripted_write_and_fsync_rules_fire_exactly() {
-        let inj =
-            FaultInjector::script().fail_nth_write(2, FaultKind::WriteFault).fail_nth_fsync(3);
-        assert_eq!(inj.decide_write(7), None); // write 1
-        assert_eq!(inj.decide_write(7), Some(FaultKind::WriteFault)); // write 2
-        assert_eq!(inj.decide_write(7), None); // write 3
+    fn scripted_fsync_rules_fire_exactly() {
+        let inj = FaultInjector::script().fail_nth_fsync(3);
         assert!(!inj.decide_fsync()); // fsync 1
         assert!(!inj.decide_fsync()); // fsync 2
         assert!(inj.decide_fsync()); // fsync 3
         assert!(!inj.decide_fsync()); // fsync 4
-    }
-
-    #[test]
-    fn torn_write_raises_kill_flag_and_tears_partially() {
-        let inj = FaultInjector::script().fail_nth_write(1, FaultKind::TornWrite);
-        assert!(!inj.kill_requested());
-        assert_eq!(inj.decide_write(9), Some(FaultKind::TornWrite));
-        assert!(inj.kill_requested());
-        inj.clear_kill();
-        assert!(!inj.kill_requested());
-        for page in 0..32u64 {
-            let cut = inj.torn_prefix(page, 8192);
-            assert!((1..8192).contains(&cut), "torn prefix {cut} out of range");
-        }
     }
 
     #[test]
@@ -576,13 +478,15 @@ mod tests {
         assert!(!inj.kill_requested());
         inj.observe_lsn(5);
         assert!(inj.kill_requested());
+        inj.clear_kill();
+        assert!(!inj.kill_requested());
     }
 
     #[test]
-    fn rate_driven_write_faults_are_deterministic() {
+    fn rate_driven_fsync_faults_are_deterministic() {
         let roll = |seed: u64| -> Vec<bool> {
-            let inj = FaultInjector::seeded(seed, 0.5, FaultKind::WriteFault);
-            (0..64).map(|p| inj.decide_write(p % 8).is_some()).collect()
+            let inj = FaultInjector::seeded(seed, 0.5, FaultKind::FsyncFault);
+            (0..64).map(|_| inj.decide_fsync()).collect()
         };
         assert_eq!(roll(1), roll(1), "same seed, same schedule");
         assert_ne!(roll(1), roll(2), "different seeds diverge");

@@ -1,9 +1,9 @@
 //! Slotted-page heap files.
 //!
-//! SDN crossing-line segments and the object table are stored in heap files:
-//! records are appended into slotted pages and addressed by a stable
-//! [`RecordId`]. Consecutive appends land on the same page, so data written
-//! in a spatially coherent order (the SDN writes per plane, in line order)
+//! SDN crossing-line segments are stored in heap files: records are
+//! appended into slotted pages and addressed by a stable [`RecordId`].
+//! Consecutive appends land on the same page, so data written in a
+//! spatially coherent order (the SDN writes per plane, in line order)
 //! exhibits the locality the paper's integrated-I/O-region optimisation
 //! exploits.
 
@@ -11,7 +11,6 @@ use crate::error::StoreResult;
 use crate::page::codec::*;
 use crate::page::{PageId, PAGE_SIZE};
 use crate::pager::Pager;
-use crate::wal::{Wal, WalRecord};
 
 // Page layout: [count u16] then per record: [len u16][bytes].
 const HDR: usize = 2;
@@ -167,125 +166,6 @@ impl HeapFile {
     pub fn pages(&self) -> &[PageId] {
         &self.pages
     }
-
-    /// Append a record under WAL protection: the page allocation (if the
-    /// tail spills) and the full rewritten page prefix are logged as
-    /// pending records of transaction `txn` *before* the volatile page is
-    /// touched, and the page is marked dirty at the `PageWrite` record's
-    /// LSN. Because every append rewrites the whole used prefix, redoing
-    /// the last committed `PageWrite` of a page reconstructs it entirely —
-    /// a torn flush of the page is repaired by redo alone.
-    pub fn append_logged(
-        &mut self,
-        pager: &Pager,
-        wal: &mut Wal,
-        txn: u64,
-        record: &[u8],
-    ) -> RecordId {
-        let need = 2 + record.len();
-        assert!(need + HDR <= PAGE_SIZE, "record larger than a page");
-        if self.pages.is_empty() || self.tail_used + need > PAGE_SIZE {
-            let page = pager.alloc();
-            wal.append(txn, &WalRecord::Alloc { page: page.0, tag: pager.tag_of(page).as_idx() });
-            self.pages.push(page);
-            self.tail_used = HDR;
-            self.tail_count = 0;
-            self.tail_buf.iter_mut().for_each(|b| *b = 0);
-        }
-        let page = *self.pages.last().unwrap();
-        put_u16(&mut self.tail_buf, self.tail_used, record.len() as u16);
-        self.tail_buf[self.tail_used + 2..self.tail_used + 2 + record.len()]
-            .copy_from_slice(record);
-        self.tail_used += need;
-        self.tail_count += 1;
-        put_u16(&mut self.tail_buf, 0, self.tail_count);
-        let lsn = wal.append(
-            txn,
-            &WalRecord::PageWrite {
-                page: page.0,
-                offset: 0,
-                bytes: self.tail_buf[..self.tail_used].to_vec(),
-            },
-        );
-        pager.write_logged(page, 0, &self.tail_buf[..self.tail_used], lsn);
-        self.len += 1;
-        RecordId { page, slot: self.tail_count - 1 }
-    }
-
-    /// Snapshot the file's volatile state before an operation, so a
-    /// failed commit can roll the heap back to exactly this point with
-    /// [`rollback_to`](Self::rollback_to).
-    pub fn state_mark(&self, pager: &Pager) -> HeapMark {
-        HeapMark {
-            pages_len: self.pages.len(),
-            tail_used: self.tail_used,
-            tail_count: self.tail_count,
-            len: self.len,
-            tail_buf: self.tail_buf.clone(),
-            tail_dirty_lsn: self.pages.last().and_then(|p| pager.dirty_lsn_of(p.0)),
-        }
-    }
-
-    /// Undo every volatile effect of an aborted operation: pages the op
-    /// allocated are zeroed, marked clean, and dropped from the file (the
-    /// pager slot is leaked — recovery gap-fills it), and the pre-op tail
-    /// page's bytes *and dirty LSN* are restored exactly. Must be paired
-    /// with [`Wal::truncate_pending`] so the op's log records are
-    /// withdrawn too.
-    pub fn rollback_to(&mut self, pager: &Pager, mark: HeapMark) {
-        for &p in &self.pages[mark.pages_len..] {
-            pager.rollback_page(p, None, None);
-        }
-        self.pages.truncate(mark.pages_len);
-        if let Some(&tail) = self.pages.last() {
-            pager.rollback_page(tail, Some(&mark.tail_buf), mark.tail_dirty_lsn);
-        }
-        self.tail_used = mark.tail_used;
-        self.tail_count = mark.tail_count;
-        self.len = mark.len;
-        self.tail_buf = mark.tail_buf;
-    }
-
-    /// Rebuild a heap file's volatile bookkeeping from its pages after a
-    /// restart: record counts come from each page's slot directory, and
-    /// the last page's contents become the tail buffer.
-    pub fn reopen(pager: &Pager, pages: Vec<PageId>) -> StoreResult<Self> {
-        let mut hf = Self::new();
-        if pages.is_empty() {
-            return Ok(hf);
-        }
-        let mut total = 0usize;
-        for &p in &pages[..pages.len() - 1] {
-            total += pager.with_page(p, |buf| get_u16(buf, 0) as usize)?;
-        }
-        let last = *pages.last().unwrap();
-        let (count, used, buf) = pager.with_page(last, |buf| {
-            let count = get_u16(buf, 0);
-            let mut off = HDR;
-            for _ in 0..count {
-                off += 2 + get_u16(buf, off) as usize;
-            }
-            (count, off, buf.to_vec())
-        })?;
-        hf.pages = pages;
-        hf.len = total + count as usize;
-        hf.tail_count = count;
-        hf.tail_used = used;
-        hf.tail_buf = buf;
-        Ok(hf)
-    }
-}
-
-/// Pre-operation snapshot of a heap file's volatile state (see
-/// [`HeapFile::state_mark`]).
-#[derive(Debug, Clone)]
-pub struct HeapMark {
-    pages_len: usize,
-    tail_used: usize,
-    tail_count: u16,
-    len: usize,
-    tail_buf: Vec<u8>,
-    tail_dirty_lsn: Option<u64>,
 }
 
 impl Default for HeapFile {
@@ -386,123 +266,5 @@ mod tests {
         let pager = Pager::new(4);
         let mut hf = HeapFile::new();
         hf.append(&pager, &vec![0u8; PAGE_SIZE]);
-    }
-
-    #[test]
-    fn logged_appends_match_plain_appends_and_log_allocs() {
-        let plain_pager = Pager::new(32);
-        let mut plain = HeapFile::new();
-        let logged_pager = Pager::new(32);
-        let mut logged = HeapFile::new();
-        let mut wal = Wal::new();
-        for i in 0..700u32 {
-            let rec = format!("r{i}");
-            let a = plain.append(&plain_pager, rec.as_bytes());
-            let b = logged.append_logged(&logged_pager, &mut wal, u64::from(i), rec.as_bytes());
-            assert_eq!(a, b, "logged and plain appends assign the same record ids");
-        }
-        assert_eq!(plain.pages(), logged.pages());
-        // Every page got one Alloc record; every append one PageWrite.
-        wal.sync(None).unwrap();
-        let (entries, _) = Wal::scan(wal.durable_bytes());
-        let allocs = entries.iter().filter(|e| matches!(e.record, WalRecord::Alloc { .. }));
-        let writes = entries.iter().filter(|e| matches!(e.record, WalRecord::PageWrite { .. }));
-        assert_eq!(allocs.count(), logged.num_pages());
-        assert_eq!(writes.count(), 700);
-        // The pages are dirty at their last write's LSN until writeback.
-        assert_eq!(logged_pager.dirty_pages().len(), logged.num_pages());
-        logged_pager.observe_wal_lsn(u64::MAX);
-        logged_pager.flush_dirty(None).unwrap();
-        assert!(logged_pager.dirty_pages().is_empty());
-    }
-
-    #[test]
-    fn rollback_erases_an_aborted_append_exactly() {
-        let pager = Pager::new(16);
-        let mut hf = HeapFile::new();
-        let mut wal = Wal::new();
-        for i in 0..10u32 {
-            hf.append_logged(&pager, &mut wal, u64::from(i), &i.to_le_bytes());
-        }
-        wal.sync(None).unwrap();
-        let tail = *hf.pages().last().unwrap();
-        let before_bytes = {
-            let mut store_copy = Vec::new();
-            hf.scan(&pager, |_, rec| store_copy.push(rec.to_vec())).unwrap();
-            store_copy
-        };
-        let before_dirty = pager.dirty_lsn_of(tail.0);
-
-        // An append whose commit will fail...
-        let wal_mark = wal.mark();
-        let heap_mark = hf.state_mark(&pager);
-        hf.append_logged(&pager, &mut wal, 99, b"aborted");
-        assert_eq!(hf.len(), 11);
-        // ...is rolled back without a trace.
-        wal.truncate_pending(wal_mark);
-        hf.rollback_to(&pager, heap_mark);
-        assert_eq!(hf.len(), 10);
-        let mut after_bytes = Vec::new();
-        hf.scan(&pager, |_, rec| after_bytes.push(rec.to_vec())).unwrap();
-        assert_eq!(after_bytes, before_bytes);
-        assert_eq!(pager.dirty_lsn_of(tail.0), before_dirty, "dirty LSN restored");
-
-        // The next append behaves as if the aborted one never happened.
-        let rid = hf.append_logged(&pager, &mut wal, 100, b"next");
-        assert_eq!(hf.get(&pager, rid).unwrap().unwrap(), b"next");
-        assert_eq!(hf.len(), 11);
-    }
-
-    #[test]
-    fn rollback_cleans_a_page_the_aborted_op_allocated() {
-        let pager = Pager::new(16);
-        let mut hf = HeapFile::new();
-        let mut wal = Wal::new();
-        // Fill the tail page so the next append must allocate.
-        let big = vec![7u8; PAGE_SIZE - HDR - 2];
-        hf.append_logged(&pager, &mut wal, 1, &big[..PAGE_SIZE - HDR - 2]);
-        wal.sync(None).unwrap();
-        assert_eq!(hf.num_pages(), 1);
-
-        let wal_mark = wal.mark();
-        let heap_mark = hf.state_mark(&pager);
-        hf.append_logged(&pager, &mut wal, 2, b"spills");
-        assert_eq!(hf.num_pages(), 2);
-        let leaked = *hf.pages().last().unwrap();
-
-        wal.truncate_pending(wal_mark);
-        hf.rollback_to(&pager, heap_mark);
-        assert_eq!(hf.num_pages(), 1);
-        // The leaked page is zeroed and clean: no uncommitted byte can
-        // ever reach the durable image through it.
-        assert_eq!(pager.dirty_lsn_of(leaked.0), None);
-        assert!(pager.read_page(leaked).unwrap().iter().all(|&b| b == 0));
-    }
-
-    #[test]
-    fn reopen_restores_bookkeeping_and_appends_continue() {
-        let pager = Pager::new(32);
-        let mut hf = HeapFile::new();
-        let mut wal = Wal::new();
-        for i in 0..333u32 {
-            hf.append_logged(&pager, &mut wal, u64::from(i), &i.to_le_bytes());
-        }
-        let reopened = HeapFile::reopen(&pager, hf.pages().to_vec()).unwrap();
-        assert_eq!(reopened.len(), hf.len());
-        assert_eq!(reopened.num_pages(), hf.num_pages());
-        assert_eq!(reopened.tail_used, hf.tail_used);
-        assert_eq!(reopened.tail_count, hf.tail_count);
-        assert_eq!(reopened.tail_buf, hf.tail_buf);
-
-        // Appends through the reopened file continue the same layout the
-        // original would have used, and every old record stays readable.
-        let mut b = reopened;
-        let rid = b.append_logged(&pager, &mut wal, 1000, b"cont");
-        assert_eq!(rid.page, *b.pages().last().unwrap());
-        assert_eq!(b.get(&pager, rid).unwrap().unwrap(), b"cont");
-        let mut seen = Vec::new();
-        b.scan(&pager, |_, rec| seen.push(rec.to_vec())).unwrap();
-        assert_eq!(seen.len(), 334);
-        assert_eq!(seen[17], 17u32.to_le_bytes().to_vec());
     }
 }

@@ -21,7 +21,9 @@
 //!   bounded [`RetryPolicy`];
 //! * [`bptree`] — a clustering B+-tree (bulk-built, variable-length values
 //!   with overflow chains) used to store DMTM nodes keyed by node id;
-//! * [`heapfile`] — slotted-page heap files for SDN segments and objects.
+//! * [`heapfile`] — slotted-page heap files for SDN segments;
+//! * [`wal`] — the checksummed, fsync-on-commit log that is the dynamic
+//!   object set's only durable copy.
 //!
 //! All structures are in memory; "disk" is an accounting fiction — which is
 //! exactly what makes page counts reproducible across runs and machines.
@@ -59,7 +61,6 @@ pub use fault::{FaultInjector, FaultKind, FaultProfile, FaultStats, RetryPolicy}
 pub use heapfile::{HeapFile, RecordId};
 pub use page::{PageId, PAGE_SIZE};
 pub use pager::{
-    page_checksum, ConcurrencyStats, CrashImage, ImagePage, IoStats, Pager, StructureTag, TagScope,
-    POOL_SHARDS,
+    page_checksum, ConcurrencyStats, IoStats, Pager, StructureTag, TagScope, POOL_SHARDS,
 };
-pub use wal::{Lsn, RedoPlan, Wal, WalEntry, WalMark, WalRecord, WalStats};
+pub use wal::{CrashImage, Lsn, RedoPlan, Wal, WalEntry, WalMark, WalRecord, WalStats};

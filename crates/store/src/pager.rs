@@ -112,9 +112,6 @@ pub enum StructureTag {
     /// R-tree counts its own node accesses rather than paging through
     /// the pool, but traces report it under this tag).
     Rtree,
-    /// The dynamic object heap — pages mutated by the write path and
-    /// covered by the WAL.
-    Objects,
     /// Pages allocated outside any tag scope.
     #[default]
     Other,
@@ -122,7 +119,7 @@ pub enum StructureTag {
 
 impl StructureTag {
     /// Number of distinct tags (array-index domain).
-    pub const COUNT: usize = 6;
+    pub const COUNT: usize = 5;
 
     /// All tags, in index order.
     pub const ALL: [StructureTag; Self::COUNT] = [
@@ -130,7 +127,6 @@ impl StructureTag {
         StructureTag::Msdn,
         StructureTag::Heap,
         StructureTag::Rtree,
-        StructureTag::Objects,
         StructureTag::Other,
     ];
 
@@ -142,7 +138,6 @@ impl StructureTag {
             StructureTag::Msdn => "msdn",
             StructureTag::Heap => "heap",
             StructureTag::Rtree => "rtree",
-            StructureTag::Objects => "objects",
             StructureTag::Other => "other",
         }
     }
@@ -153,20 +148,8 @@ impl StructureTag {
             StructureTag::Msdn => 1,
             StructureTag::Heap => 2,
             StructureTag::Rtree => 3,
-            StructureTag::Objects => 4,
-            StructureTag::Other => 5,
+            StructureTag::Other => 4,
         }
-    }
-
-    /// Inverse of `idx` — decodes the tag byte of a WAL
-    /// `Alloc` record at recovery. Unknown bytes map to `Other`.
-    pub fn from_idx(i: u8) -> StructureTag {
-        *Self::ALL.get(i as usize).unwrap_or(&StructureTag::Other)
-    }
-
-    /// The tag byte a WAL `Alloc` record carries.
-    pub fn as_idx(self) -> u8 {
-        self.idx() as u8
     }
 }
 
@@ -218,15 +201,6 @@ struct PageStore {
     tags: Vec<StructureTag>,
     /// Tag applied to new allocations (see [`Pager::tag_scope`]).
     alloc_tag: StructureTag,
-    /// The durable page image — what a crash preserves. `None` = the page
-    /// was never flushed. Each entry is `(bytes, checksum)` as of the last
-    /// flush; a torn flush leaves the checksum disagreeing with the
-    /// bytes, exactly like a real torn sector.
-    durable: Vec<Option<(Box<[u8]>, u64)>>,
-    /// Dirty pages: volatile bytes differ from the durable image. Maps
-    /// page id → LSN of the WAL record covering its latest logged write
-    /// (the flush-ordering bound).
-    dirty: HashMap<u64, u64>,
 }
 
 /// One CLOCK ring: `slots` holds (page, referenced) pairs, `map` finds a
@@ -380,14 +354,6 @@ pub struct Pager {
     /// Retry budget for transient faults.
     retry: Mutex<RetryPolicy>,
     fault_counters: FaultCounters,
-    /// Highest WAL commit LSN known durable (set by
-    /// [`Pager::observe_wal_lsn`]) — the flush-ordering bound: a dirty
-    /// page may be flushed only once the commit covering its last logged
-    /// write is at or below this.
-    wal_commit_lsn: AtomicU64,
-    /// Dirty pages flushed to the durable image (the
-    /// `sknn_wal_flushed_pages_total` metric).
-    flushed_pages: AtomicU64,
 }
 
 /// Recover a mutex guard even when a holder panicked: every critical
@@ -478,8 +444,6 @@ impl Pager {
                 sums: Vec::new(),
                 tags: Vec::new(),
                 alloc_tag: StructureTag::Other,
-                durable: Vec::new(),
-                dirty: HashMap::new(),
             }),
             shards,
             flight: Mutex::new(HashSet::new()),
@@ -493,8 +457,6 @@ impl Pager {
             fault: RwLock::new(None),
             retry: Mutex::new(RetryPolicy::default()),
             fault_counters: FaultCounters::default(),
-            wal_commit_lsn: AtomicU64::new(0),
-            flushed_pages: AtomicU64::new(0),
         }
     }
 
@@ -578,7 +540,6 @@ impl Pager {
         store.sums.push(page_checksum(&page));
         store.pages.push(page);
         store.tags.push(tag);
-        store.durable.push(None);
         PageId(store.pages.len() as u64 - 1)
     }
 
@@ -781,11 +742,9 @@ impl Pager {
                 Some(FaultKind::Panic) => {
                     panic!("injected fault: panic while leading the read of page {page}")
                 }
-                // Write-side kinds never reach the read path (the injector
-                // filters them out of `decide`); treat them as clean reads.
-                Some(FaultKind::WriteFault | FaultKind::FsyncFault | FaultKind::TornWrite) => {
-                    self.verify_page(page)
-                }
+                // The write-side kind never reaches the read path (the
+                // injector filters it out of `decide`); treat it as clean.
+                Some(FaultKind::FsyncFault) => self.verify_page(page),
             };
             match outcome {
                 Ok(()) => {
@@ -1095,253 +1054,6 @@ impl Pager {
             self.lock_shard(i).clear();
         }
     }
-
-    // ---- write path: dirty tracking, writeback, durable image ----
-
-    /// Overwrite bytes within a page *and* mark it dirty under WAL
-    /// protection: `lsn` is the WAL record covering this write, and the
-    /// page cannot be flushed until that record's commit is durable
-    /// (see [`Pager::flush_page`]). The volatile page and its checksum
-    /// update immediately — readers through the buffer pool see the new
-    /// bytes; the durable image does not change until writeback.
-    pub fn write_logged(&self, id: PageId, offset: usize, bytes: &[u8], lsn: u64) {
-        assert!(offset + bytes.len() <= PAGE_SIZE, "write past page end");
-        let mut store = self.store_write();
-        store.pages[id.0 as usize][offset..offset + bytes.len()].copy_from_slice(bytes);
-        store.sums[id.0 as usize] = page_checksum(&store.pages[id.0 as usize]);
-        let t = store.tags[id.0 as usize].idx();
-        let entry = store.dirty.entry(id.0).or_insert(0);
-        *entry = (*entry).max(lsn);
-        drop(store);
-        self.counters.writes[t].add(1);
-    }
-
-    /// Record that every WAL byte up to commit LSN `lsn` is durable. Sets
-    /// the flush-ordering bound monotonically.
-    pub fn observe_wal_lsn(&self, lsn: u64) {
-        self.wal_commit_lsn.fetch_max(lsn, Relaxed);
-    }
-
-    /// The flush-ordering bound last observed.
-    pub fn wal_commit_lsn(&self) -> u64 {
-        self.wal_commit_lsn.load(Relaxed)
-    }
-
-    /// Write one dirty page back to the durable image.
-    ///
-    /// Enforces write-ahead ordering by assertion: flushing a page whose
-    /// last logged write's LSN exceeds the durable commit bound is a
-    /// protocol bug (the page would hit disk before its log record), not
-    /// a runtime condition.
-    ///
-    /// The fault injector may interfere: a `WriteFault` leaves the durable
-    /// image untouched and the page dirty, surfacing
-    /// [`StoreError::WriteFault`]; a `TornWrite` writes only a prefix of
-    /// the page over the old durable bytes while recording the *new*
-    /// checksum — the OS believes the write landed (the page is marked
-    /// clean, `Ok` is returned) and the tear is only discoverable after
-    /// the crash the injector's kill flag now requests.
-    pub fn flush_page(&self, page: u64, fault: Option<&FaultInjector>) -> StoreResult<()> {
-        let mut store = self.store_write();
-        let Some(&page_lsn) = store.dirty.get(&page) else {
-            return Ok(()); // clean — nothing to write back
-        };
-        let bound = self.wal_commit_lsn.load(Relaxed);
-        assert!(
-            page_lsn <= bound,
-            "WAL ordering violated: flushing page {page} at lsn {page_lsn} \
-             but only commits ≤ {bound} are durable"
-        );
-        let decision = fault.and_then(|inj| inj.decide_write(page));
-        if decision.is_some() {
-            self.fault_counters.injected.fetch_add(1, Relaxed);
-        }
-        match decision {
-            Some(FaultKind::TornWrite) => {
-                let cut = fault.map_or(1, |inj| inj.torn_prefix(page, PAGE_SIZE));
-                let new_sum = store.sums[page as usize];
-                let fresh = store.pages[page as usize].clone();
-                let slot = &mut store.durable[page as usize];
-                let mut torn = match slot.take() {
-                    Some((old, _)) => old,
-                    None => vec![0u8; PAGE_SIZE].into_boxed_slice(),
-                };
-                torn[..cut].copy_from_slice(&fresh[..cut]);
-                *slot = Some((torn, new_sum));
-                store.dirty.remove(&page);
-                drop(store);
-                self.flushed_pages.fetch_add(1, Relaxed);
-                Ok(())
-            }
-            // Any other write-side decision fails the flush cleanly:
-            // nothing reaches the durable image, the page stays dirty.
-            Some(_) => Err(StoreError::WriteFault { page }),
-            None => {
-                let bytes = store.pages[page as usize].clone();
-                let sum = store.sums[page as usize];
-                store.durable[page as usize] = Some((bytes, sum));
-                store.dirty.remove(&page);
-                drop(store);
-                self.flushed_pages.fetch_add(1, Relaxed);
-                Ok(())
-            }
-        }
-    }
-
-    /// Write back every dirty page whose covering commit is durable, in
-    /// ascending page order (deterministic writeback schedule). Pages
-    /// dirtied by an in-progress (uncommitted) operation are skipped —
-    /// no-steal. Returns the number of pages flushed; stops at the first
-    /// flush error, leaving the rest dirty.
-    pub fn flush_dirty(&self, fault: Option<&FaultInjector>) -> StoreResult<u64> {
-        let bound = self.wal_commit_lsn.load(Relaxed);
-        let mut eligible: Vec<u64> = {
-            let store = self.store_read();
-            store.dirty.iter().filter(|&(_, &lsn)| lsn <= bound).map(|(&p, _)| p).collect()
-        };
-        eligible.sort_unstable();
-        let mut flushed = 0u64;
-        for page in eligible {
-            self.flush_page(page, fault)?;
-            flushed += 1;
-        }
-        Ok(flushed)
-    }
-
-    /// Seal the current volatile contents of every page as the durable
-    /// base image and mark everything clean. Called once after genesis
-    /// (the initial build + checkpoint): the freshly built structures are
-    /// the recovery baseline.
-    pub fn seal_base_image(&self) {
-        let mut store = self.store_write();
-        for i in 0..store.pages.len() {
-            let bytes = store.pages[i].clone();
-            let sum = store.sums[i];
-            store.durable[i] = Some((bytes, sum));
-        }
-        store.dirty.clear();
-    }
-
-    /// Snapshot the durable image — the pages a crash preserves, with the
-    /// checksums recorded at flush time (a torn page's checksum disagrees
-    /// with its bytes, exactly as it would on disk).
-    pub fn durable_image(&self) -> Vec<ImagePage> {
-        let store = self.store_read();
-        store
-            .durable
-            .iter()
-            .enumerate()
-            .filter_map(|(i, slot)| {
-                slot.as_ref().map(|(bytes, sum)| ImagePage {
-                    id: i as u64,
-                    tag: store.tags[i],
-                    bytes: bytes.clone(),
-                    sum: *sum,
-                })
-            })
-            .collect()
-    }
-
-    /// Make sure pages `0..=page` exist (recovery gap-fill: a crashed
-    /// incarnation may have allocated pages whose records never
-    /// committed; redo of a later `Alloc` must land on the same id).
-    /// Newly created pages are zeroed, clean, and tagged `tag`.
-    pub fn ensure_allocated(&self, page: u64, tag: StructureTag) {
-        let mut store = self.store_write();
-        while store.pages.len() <= page as usize {
-            let fresh: Box<[u8]> = vec![0u8; PAGE_SIZE].into_boxed_slice();
-            store.sums.push(page_checksum(&fresh));
-            store.pages.push(fresh);
-            store.tags.push(tag);
-            store.durable.push(None);
-        }
-        store.tags[page as usize] = tag;
-    }
-
-    /// Load a crash-preserved page into the volatile store during
-    /// recovery, recomputing the checksum from the bytes (a torn page
-    /// becomes self-consistent again; redo then overwrites the torn
-    /// region from committed WAL records). The durable slot is restored
-    /// verbatim.
-    pub fn restore_page(&self, img: &ImagePage) {
-        self.ensure_allocated(img.id, img.tag);
-        let mut store = self.store_write();
-        store.pages[img.id as usize] = img.bytes.clone();
-        store.sums[img.id as usize] = page_checksum(&img.bytes);
-        store.durable[img.id as usize] = Some((img.bytes.clone(), img.sum));
-        store.dirty.remove(&img.id);
-    }
-
-    /// The dirty-entry LSN of one page (`None` = clean).
-    pub fn dirty_lsn_of(&self, page: u64) -> Option<u64> {
-        self.store_read().dirty.get(&page).copied()
-    }
-
-    /// Restore a page's full volatile image during an *abort*: overwrite
-    /// the whole page with `bytes` (`None` = zeros), recompute the
-    /// checksum, and set the dirty entry to exactly `dirty_lsn` (`None` =
-    /// clean). Unlike [`write_logged`](Self::write_logged) this can lower
-    /// or clear the dirty LSN — required because a failed commit's LSNs
-    /// are reused, so an aborted page left dirty at such an LSN would
-    /// become flush-eligible once an unrelated later commit reaches it,
-    /// leaking uncommitted bytes into the durable image.
-    pub fn rollback_page(&self, id: PageId, bytes: Option<&[u8]>, dirty_lsn: Option<u64>) {
-        let mut store = self.store_write();
-        match bytes {
-            Some(b) => {
-                assert!(b.len() == PAGE_SIZE, "rollback_page needs a full page image");
-                store.pages[id.0 as usize].copy_from_slice(b);
-            }
-            None => store.pages[id.0 as usize].iter_mut().for_each(|x| *x = 0),
-        }
-        store.sums[id.0 as usize] = page_checksum(&store.pages[id.0 as usize]);
-        match dirty_lsn {
-            Some(lsn) => {
-                store.dirty.insert(id.0, lsn);
-            }
-            None => {
-                store.dirty.remove(&id.0);
-            }
-        }
-    }
-
-    /// Dirty pages and the LSN bound of each, in ascending page order.
-    pub fn dirty_pages(&self) -> Vec<(u64, u64)> {
-        let store = self.store_read();
-        let mut v: Vec<(u64, u64)> = store.dirty.iter().map(|(&p, &l)| (p, l)).collect();
-        v.sort_unstable();
-        v
-    }
-
-    /// Dirty pages written back since construction (cumulative, like the
-    /// fault counters — `reset_stats` does not clear it).
-    pub fn flushed_pages(&self) -> u64 {
-        self.flushed_pages.load(Relaxed)
-    }
-}
-
-/// One page of the durable image: what a crash preserves.
-#[derive(Debug, Clone)]
-pub struct ImagePage {
-    /// Page id (stable across incarnations).
-    pub id: u64,
-    /// Structure the page belongs to.
-    pub tag: StructureTag,
-    /// The durable bytes.
-    pub bytes: Box<[u8]>,
-    /// Checksum recorded at flush time. Disagrees with `bytes` for a
-    /// torn page.
-    pub sum: u64,
-}
-
-/// Everything a simulated crash preserves: the durable WAL prefix and the
-/// durable page image. Recovery rebuilds a working store from this alone.
-#[derive(Debug, Clone)]
-pub struct CrashImage {
-    /// The fsynced WAL bytes (possibly with a torn tail).
-    pub wal: Vec<u8>,
-    /// The durable page image.
-    pub pages: Vec<ImagePage>,
 }
 
 #[cfg(test)]
@@ -1437,114 +1149,6 @@ mod tests {
         assert_eq!(p.tag_of(msdn_page), StructureTag::Msdn);
         // Scope fully unwound.
         assert_eq!(p.tag_of(p.alloc()), StructureTag::Other);
-    }
-
-    #[test]
-    fn logged_writes_flush_only_behind_the_wal() {
-        let p = Pager::new(8);
-        let a = p.alloc();
-        p.write_logged(a, 0, b"committed", 3);
-        assert_eq!(p.dirty_pages(), vec![(a.0, 3)]);
-        assert!(p.durable_image().is_empty(), "nothing flushed yet");
-
-        // Commit lsn 2 < page lsn 3: the page is not eligible.
-        p.observe_wal_lsn(2);
-        assert_eq!(p.flush_dirty(None).unwrap(), 0);
-        assert_eq!(p.dirty_pages().len(), 1);
-
-        // Commit lsn 3: now it flushes, and the image matches.
-        p.observe_wal_lsn(3);
-        assert_eq!(p.flush_dirty(None).unwrap(), 1);
-        assert!(p.dirty_pages().is_empty());
-        let img = p.durable_image();
-        assert_eq!(img.len(), 1);
-        assert_eq!(&img[0].bytes[..9], b"committed");
-        assert_eq!(img[0].sum, page_checksum(&img[0].bytes));
-        assert_eq!(p.flushed_pages(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "WAL ordering violated")]
-    fn flushing_ahead_of_the_wal_panics() {
-        let p = Pager::new(4);
-        let a = p.alloc();
-        p.write_logged(a, 0, b"x", 5);
-        p.flush_page(a.0, None).unwrap(); // commit 5 not durable
-    }
-
-    #[test]
-    fn write_fault_leaves_page_dirty_and_image_untouched() {
-        let p = Pager::new(4);
-        let a = p.alloc();
-        p.write_logged(a, 0, b"v1", 1);
-        p.observe_wal_lsn(1);
-        p.flush_dirty(None).unwrap();
-
-        p.write_logged(a, 0, b"v2", 2);
-        p.observe_wal_lsn(2);
-        let inj = FaultInjector::script().fail_nth_write(1, FaultKind::WriteFault);
-        assert_eq!(p.flush_page(a.0, Some(&inj)), Err(StoreError::WriteFault { page: a.0 }));
-        assert_eq!(p.dirty_pages(), vec![(a.0, 2)], "failed flush keeps the page dirty");
-        assert_eq!(&p.durable_image()[0].bytes[..2], b"v1", "old image intact");
-        // The retry (no rule left) succeeds.
-        p.flush_page(a.0, Some(&inj)).unwrap();
-        assert_eq!(&p.durable_image()[0].bytes[..2], b"v2");
-    }
-
-    #[test]
-    fn torn_write_is_detectable_in_the_durable_image() {
-        let p = Pager::new(4);
-        let a = p.alloc();
-        p.write_logged(a, 0, &[0xAA; PAGE_SIZE], 1);
-        p.observe_wal_lsn(1);
-        p.flush_dirty(None).unwrap();
-
-        p.write_logged(a, 0, &[0xBB; PAGE_SIZE], 2);
-        p.observe_wal_lsn(2);
-        let inj = FaultInjector::script().fail_nth_write(1, FaultKind::TornWrite);
-        p.flush_page(a.0, Some(&inj)).unwrap(); // the OS thinks it landed
-        assert!(inj.kill_requested(), "a torn write schedules the crash");
-        assert!(p.dirty_pages().is_empty(), "page looks clean until the crash");
-        let img = p.durable_image();
-        let torn = &img[0];
-        assert!(torn.bytes.contains(&0xBB) && torn.bytes.contains(&0xAA), "partial write");
-        assert_ne!(torn.sum, page_checksum(&torn.bytes), "checksum exposes the tear");
-    }
-
-    #[test]
-    fn seal_restore_roundtrip_rebuilds_the_store() {
-        let p = Pager::new(8);
-        let a = {
-            let _s = p.tag_scope(StructureTag::Objects);
-            p.alloc()
-        };
-        let b = p.alloc();
-        p.write(a, 0, b"alpha");
-        p.write(b, 10, b"beta");
-        p.seal_base_image();
-        let image = p.durable_image();
-        assert_eq!(image.len(), 2);
-
-        let q = Pager::new(8);
-        for img in &image {
-            q.restore_page(img);
-        }
-        assert_eq!(q.num_pages(), 2);
-        assert_eq!(q.tag_of(a), StructureTag::Objects);
-        assert_eq!(&q.read_page(a).unwrap()[..5], b"alpha");
-        assert_eq!(&q.read_page(b).unwrap()[10..14], b"beta");
-        assert!(q.dirty_pages().is_empty());
-    }
-
-    #[test]
-    fn ensure_allocated_gap_fills() {
-        let p = Pager::new(4);
-        p.ensure_allocated(3, StructureTag::Objects);
-        assert_eq!(p.num_pages(), 4);
-        assert_eq!(p.tag_of(PageId(3)), StructureTag::Objects);
-        // Pre-existing pages are untouched by a smaller bound.
-        p.ensure_allocated(1, StructureTag::Objects);
-        assert_eq!(p.num_pages(), 4);
     }
 
     #[test]

@@ -1,16 +1,15 @@
-//! Page-level redo write-ahead log.
+//! The object set's write-ahead log — its only durable copy.
 //!
-//! The write path's durability contract: every mutation appends its
-//! physical effects (page allocations + page writes) and one logical
-//! [`WalRecord::Op`] record to the log, then a [`WalRecord::Commit`], and
-//! only *after* the commit record is fsynced may any of the dirty pages
-//! reach the durable image (`flush ordering`: no page hits disk before its
-//! log record — see [`Pager::flush_page`](crate::Pager::flush_page)).
-//! Recovery is redo-only, ARIES-lite: scan the durable log, find the last
-//! [`WalRecord::Checkpoint`], replay the physical records of *committed*
-//! transactions from there, and ignore everything else. There is no undo —
-//! the pager never flushes a page carrying uncommitted bytes (no-steal),
-//! so an uncommitted transaction leaves no trace on disk.
+//! The write path's durability contract: every mutation appends one
+//! logical [`WalRecord::Op`] record and a [`WalRecord::Commit`], then
+//! fsyncs; only a successful fsync may publish the mutation. Recovery is
+//! redo-only: scan the durable log, collect the committed transactions,
+//! and replay their `Op` records in LSN order ([`Wal::redo_plan`]). There
+//! is no undo — a failed fsync withdraws the operation's pending records
+//! ([`Wal::truncate_pending`]), and records a crash left durable without
+//! their `Commit` are cut off when the log is reopened
+//! ([`RedoPlan::committed_len`]), so an uncommitted transaction never
+//! reaches a later incarnation.
 //!
 //! # Record framing
 //!
@@ -29,9 +28,9 @@
 //! Like the pager, the log is in memory: `durable` models bytes that have
 //! survived an fsync, `pending` models bytes still in the OS write cache.
 //! A simulated crash keeps `durable` and drops everything else. The
-//! [`FaultInjector`](crate::FaultInjector) can fail an fsync
-//! (`decide_fsync`), forcing the committing operation to abort and
-//! withdraw its pending records via [`Wal::truncate_pending`].
+//! [`FaultInjector`] can fail an fsync (`decide_fsync`), forcing the
+//! committing operation to abort and withdraw its pending records via
+//! [`Wal::truncate_pending`].
 
 use std::collections::HashSet;
 
@@ -51,24 +50,8 @@ const BODY_HDR: usize = 8 + 8 + 1;
 /// Logical content of one WAL record.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WalRecord {
-    /// A page was allocated (redo re-allocates it with the same id/tag).
-    Alloc {
-        /// Allocated page id.
-        page: u64,
-        /// [`StructureTag`](crate::StructureTag) index of the allocation.
-        tag: u8,
-    },
-    /// Physical redo: `bytes` were written to `page` at `offset`.
-    PageWrite {
-        /// Target page id.
-        page: u64,
-        /// Byte offset within the page.
-        offset: u32,
-        /// The bytes written.
-        bytes: Vec<u8>,
-    },
     /// Logical description of the mutation (opaque to the log; the object
-    /// store uses it to rebuild in-memory indexes in LSN order).
+    /// store replays it to rebuild the object set in LSN order).
     Op {
         /// Encoded logical operation.
         payload: Vec<u8>,
@@ -76,86 +59,35 @@ pub enum WalRecord {
     /// The transaction's effects are complete; fsync-on-commit makes this
     /// record the transaction's durability point.
     Commit,
-    /// All committed effects up to this point are reflected in the durable
-    /// page image; redo may start after the last one.
-    Checkpoint,
 }
 
 impl WalRecord {
     fn kind_byte(&self) -> u8 {
         match self {
-            WalRecord::Alloc { .. } => 1,
-            WalRecord::PageWrite { .. } => 2,
-            WalRecord::Op { .. } => 3,
-            WalRecord::Commit => 4,
-            WalRecord::Checkpoint => 5,
+            WalRecord::Op { .. } => 1,
+            WalRecord::Commit => 2,
         }
     }
 
     /// Stable lower-case name (trace fields, test output).
     pub fn kind_name(&self) -> &'static str {
         match self {
-            WalRecord::Alloc { .. } => "alloc",
-            WalRecord::PageWrite { .. } => "page_write",
             WalRecord::Op { .. } => "op",
             WalRecord::Commit => "commit",
-            WalRecord::Checkpoint => "checkpoint",
         }
     }
 
-    fn payload_len(&self) -> usize {
+    fn payload(&self) -> &[u8] {
         match self {
-            WalRecord::Alloc { .. } => 9,
-            WalRecord::PageWrite { bytes, .. } => 8 + 4 + 4 + bytes.len(),
-            WalRecord::Op { payload } => payload.len(),
-            WalRecord::Commit | WalRecord::Checkpoint => 0,
+            WalRecord::Op { payload } => payload,
+            WalRecord::Commit => &[],
         }
     }
 
-    fn encode_payload(&self, out: &mut Vec<u8>) {
-        match self {
-            WalRecord::Alloc { page, tag } => {
-                out.extend_from_slice(&page.to_le_bytes());
-                out.push(*tag);
-            }
-            WalRecord::PageWrite { page, offset, bytes } => {
-                out.extend_from_slice(&page.to_le_bytes());
-                out.extend_from_slice(&offset.to_le_bytes());
-                out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-                out.extend_from_slice(bytes);
-            }
-            WalRecord::Op { payload } => out.extend_from_slice(payload),
-            WalRecord::Commit | WalRecord::Checkpoint => {}
-        }
-    }
-
-    fn decode_payload(kind: u8, payload: &[u8]) -> Option<Self> {
-        let u64_at = |off: usize| -> Option<u64> {
-            payload.get(off..off + 8).map(|b| u64::from_le_bytes(b.try_into().unwrap()))
-        };
-        let u32_at = |off: usize| -> Option<u32> {
-            payload.get(off..off + 4).map(|b| u32::from_le_bytes(b.try_into().unwrap()))
-        };
+    fn decode(kind: u8, payload: &[u8]) -> Option<Self> {
         match kind {
-            1 => {
-                if payload.len() != 9 {
-                    return None;
-                }
-                Some(WalRecord::Alloc { page: u64_at(0)?, tag: payload[8] })
-            }
-            2 => {
-                let page = u64_at(0)?;
-                let offset = u32_at(8)?;
-                let len = u32_at(12)? as usize;
-                let bytes = payload.get(16..)?;
-                if bytes.len() != len {
-                    return None;
-                }
-                Some(WalRecord::PageWrite { page, offset, bytes: bytes.to_vec() })
-            }
-            3 => Some(WalRecord::Op { payload: payload.to_vec() }),
-            4 if payload.is_empty() => Some(WalRecord::Commit),
-            5 if payload.is_empty() => Some(WalRecord::Checkpoint),
+            1 => Some(WalRecord::Op { payload: payload.to_vec() }),
+            2 if payload.is_empty() => Some(WalRecord::Commit),
             _ => None,
         }
     }
@@ -197,34 +129,42 @@ pub struct WalMark {
     appends: u64,
 }
 
-/// The redo plan recovery executes: the valid prefix's entries, where to
-/// start, and which transactions committed.
+/// The redo plan recovery executes: the valid prefix's entries, which
+/// transactions committed, and where the committed log ends.
 #[derive(Debug)]
 pub struct RedoPlan {
     /// All entries decoded from the valid prefix, in LSN order.
     pub entries: Vec<WalEntry>,
-    /// Index into `entries` of the first record to redo (just past the
-    /// last checkpoint).
-    pub start: usize,
     /// Transactions with a durable commit record.
     pub committed: HashSet<u64>,
     /// Bytes of the valid prefix (everything past it is a torn tail).
     pub valid_len: usize,
+    /// Bytes up to the end of the last `Commit` record — the prefix a
+    /// reopened log keeps. Whole records past it belong to a transaction
+    /// whose commit never became durable; a log reopened with them would
+    /// let the next commit, which reuses that transaction id, adopt them.
+    pub committed_len: usize,
 }
 
-/// The redo write-ahead log. See the module docs for the protocol.
+/// A crash image: everything a simulated crash preserves — the durable
+/// WAL prefix. Recovery rebuilds a working store from this alone.
+#[derive(Debug, Clone)]
+pub struct CrashImage {
+    /// The fsynced WAL bytes (possibly with a torn tail).
+    pub wal: Vec<u8>,
+}
+
+/// The write-ahead log. See the module docs for the protocol.
 #[derive(Debug, Default)]
 pub struct Wal {
     /// Bytes that survived an fsync — what a crash preserves.
     durable: Vec<u8>,
     /// Appended but not yet fsynced — what a crash drops.
     pending: Vec<u8>,
+    /// LSN the next appended record gets; `next_lsn - 1` is the highest
+    /// LSN appended, pending or durable.
     next_lsn: Lsn,
     durable_lsn: Lsn,
-    durable_commit_lsn: Lsn,
-    /// Highest lsn / commit-lsn in `pending`, promoted on sync.
-    pending_lsn: Lsn,
-    pending_commit_lsn: Lsn,
     stats: WalStats,
 }
 
@@ -241,15 +181,8 @@ impl Wal {
         let (entries, valid_len) = Self::scan(bytes);
         let mut wal = Self::new();
         wal.durable = bytes[..valid_len].to_vec();
-        for e in &entries {
-            wal.durable_lsn = e.lsn;
-            if matches!(e.record, WalRecord::Commit) {
-                wal.durable_commit_lsn = e.lsn;
-            }
-        }
+        wal.durable_lsn = entries.last().map_or(0, |e| e.lsn);
         wal.next_lsn = wal.durable_lsn + 1;
-        wal.pending_lsn = wal.durable_lsn;
-        wal.pending_commit_lsn = wal.durable_commit_lsn;
         wal
     }
 
@@ -258,21 +191,18 @@ impl Wal {
     pub fn append(&mut self, txn: u64, rec: &WalRecord) -> Lsn {
         let lsn = self.next_lsn;
         self.next_lsn += 1;
-        let body_len = BODY_HDR + rec.payload_len();
+        let payload = rec.payload();
+        let body_len = BODY_HDR + payload.len();
         self.pending.reserve(FRAME + body_len);
         self.pending.extend_from_slice(&(body_len as u32).to_le_bytes());
         let body_start = self.pending.len();
         self.pending.extend_from_slice(&lsn.to_le_bytes());
         self.pending.extend_from_slice(&txn.to_le_bytes());
         self.pending.push(rec.kind_byte());
-        rec.encode_payload(&mut self.pending);
+        self.pending.extend_from_slice(payload);
         let crc = page_checksum(&self.pending[body_start..]);
         self.pending.extend_from_slice(&crc.to_le_bytes());
         self.stats.appends += 1;
-        self.pending_lsn = lsn;
-        if matches!(rec, WalRecord::Commit) {
-            self.pending_commit_lsn = lsn;
-        }
         lsn
     }
 
@@ -291,16 +221,6 @@ impl Wal {
         self.stats.truncated += self.stats.appends - mark.appends;
         self.pending.truncate(mark.bytes);
         self.next_lsn = mark.lsn;
-        // Recompute the pending high-water marks from what remains.
-        self.pending_lsn = self.durable_lsn;
-        self.pending_commit_lsn = self.durable_commit_lsn;
-        let (entries, _) = Self::scan(&self.pending);
-        for e in &entries {
-            self.pending_lsn = e.lsn;
-            if matches!(e.record, WalRecord::Commit) {
-                self.pending_commit_lsn = e.lsn;
-            }
-        }
     }
 
     /// Fsync: promote every pending byte to durable. The fault injector
@@ -314,12 +234,11 @@ impl Wal {
         if let Some(inj) = fault {
             if inj.decide_fsync() {
                 self.stats.failed_fsyncs += 1;
-                return Err(StoreError::FsyncFailed { lsn: self.pending_lsn });
+                return Err(StoreError::FsyncFailed { lsn: self.next_lsn - 1 });
             }
         }
         self.durable.append(&mut self.pending);
-        self.durable_lsn = self.pending_lsn;
-        self.durable_commit_lsn = self.pending_commit_lsn;
+        self.durable_lsn = self.next_lsn - 1;
         self.stats.fsyncs += 1;
         if let Some(inj) = fault {
             inj.observe_lsn(self.durable_lsn);
@@ -335,13 +254,6 @@ impl Wal {
     /// Highest durable LSN (0 = empty log).
     pub fn durable_lsn(&self) -> Lsn {
         self.durable_lsn
-    }
-
-    /// Highest durable *commit* LSN — the flush-ordering bound: a dirty
-    /// page may reach the durable image only if the commit covering its
-    /// last write has LSN ≤ this.
-    pub fn durable_commit_lsn(&self) -> Lsn {
-        self.durable_commit_lsn
     }
 
     /// LSN the next appended record will get.
@@ -380,7 +292,7 @@ impl Wal {
             }
             let lsn = u64::from_le_bytes(body[0..8].try_into().unwrap());
             let txn = u64::from_le_bytes(body[8..16].try_into().unwrap());
-            let Some(record) = WalRecord::decode_payload(body[16], &body[BODY_HDR..]) else {
+            let Some(record) = WalRecord::decode(body[16], &body[BODY_HDR..]) else {
                 break;
             };
             off = crc_start + 8;
@@ -390,24 +302,21 @@ impl Wal {
     }
 
     /// Build the redo plan for `bytes` (the durable log a crash
-    /// preserved): decode the valid prefix, locate the last checkpoint,
-    /// and collect the committed transaction set. Redo = for every entry
-    /// in `entries[start..]` whose `txn` is in `committed`, reapply its
-    /// physical records in order.
+    /// preserved): decode the valid prefix, collect the committed
+    /// transaction set, and find where the last commit ends. Redo = for
+    /// every entry whose `txn` is in `committed`, replay its `Op` in
+    /// order.
     pub fn redo_plan(bytes: &[u8]) -> RedoPlan {
         let (entries, valid_len) = Self::scan(bytes);
-        let mut start = 0usize;
         let mut committed = HashSet::new();
-        for (i, e) in entries.iter().enumerate() {
-            match e.record {
-                WalRecord::Checkpoint => start = i + 1,
-                WalRecord::Commit => {
-                    committed.insert(e.txn);
-                }
-                _ => {}
+        let mut committed_len = 0;
+        for e in &entries {
+            if e.record == WalRecord::Commit {
+                committed.insert(e.txn);
+                committed_len = e.end;
             }
         }
-        RedoPlan { entries, start, committed, valid_len }
+        RedoPlan { entries, committed, valid_len, committed_len }
     }
 }
 
@@ -418,14 +327,14 @@ mod tests {
 
     fn sample_records() -> Vec<(u64, WalRecord)> {
         vec![
-            (1, WalRecord::Alloc { page: 7, tag: 3 }),
-            (1, WalRecord::PageWrite { page: 7, offset: 16, bytes: vec![1, 2, 3, 4] }),
-            (1, WalRecord::Op { payload: b"ins:42".to_vec() }),
+            (1, WalRecord::Op { payload: b"gen:0".to_vec() }),
+            (1, WalRecord::Op { payload: b"gen:1".to_vec() }),
             (1, WalRecord::Commit),
-            (0, WalRecord::Checkpoint),
-            (2, WalRecord::PageWrite { page: 9, offset: 0, bytes: vec![9; 64] }),
-            (2, WalRecord::Op { payload: b"del:11".to_vec() }),
+            (2, WalRecord::Op { payload: b"ins:42".to_vec() }),
             (2, WalRecord::Commit),
+            (3, WalRecord::Op { payload: vec![9; 64] }),
+            (3, WalRecord::Op { payload: b"del:11".to_vec() }),
+            (3, WalRecord::Commit),
         ]
     }
 
@@ -450,7 +359,7 @@ mod tests {
         }
         // `end` offsets partition the log exactly.
         assert_eq!(entries.last().unwrap().end, consumed);
-        assert_eq!(wal.durable_commit_lsn(), 8);
+        assert_eq!(wal.durable_lsn(), 8);
         assert_eq!(wal.stats().appends, 8);
         assert_eq!(wal.stats().fsyncs, 1);
     }
@@ -494,7 +403,6 @@ mod tests {
 
         let reopened = Wal::from_durable(&full);
         assert_eq!(reopened.durable_lsn(), 8);
-        assert_eq!(reopened.durable_commit_lsn(), 8);
         assert_eq!(reopened.next_lsn(), 9);
 
         // A torn tail: reopen keeps only the valid prefix.
@@ -502,7 +410,6 @@ mod tests {
         let cut = entries[5].end + 3;
         let reopened = Wal::from_durable(&full[..cut]);
         assert_eq!(reopened.durable_lsn(), 6);
-        assert_eq!(reopened.durable_commit_lsn(), 4);
         assert_eq!(reopened.next_lsn(), 7);
         assert_eq!(reopened.durable_bytes(), &full[..entries[5].end]);
     }
@@ -530,30 +437,30 @@ mod tests {
         // The next operation proceeds as if the aborted one never was.
         wal.append(3, &WalRecord::Op { payload: b"c".to_vec() });
         wal.append(3, &WalRecord::Commit);
-        wal.sync(Some(&inj)).unwrap();
+        assert_eq!(wal.sync(Some(&inj)).unwrap(), 3, "lsns stay dense across the abort");
         let (entries, _) = Wal::scan(wal.durable_bytes());
         let txns: Vec<u64> = entries.iter().map(|e| e.txn).collect();
         assert_eq!(txns, vec![1, 3, 3], "txn 2 left no trace");
     }
 
     #[test]
-    fn redo_plan_starts_after_checkpoint_and_tracks_commits() {
+    fn redo_plan_tracks_commits_and_where_they_end() {
         let mut wal = Wal::new();
         for (txn, rec) in sample_records() {
             wal.append(txn, &rec);
         }
+        let committed_end = wal.pending.len();
         // An uncommitted trailing transaction: its records must be
-        // scanned but never redone.
-        wal.append(3, &WalRecord::PageWrite { page: 4, offset: 0, bytes: vec![1] });
+        // scanned but never replayed, and a reopened log drops them.
+        wal.append(4, &WalRecord::Op { payload: vec![1] });
         wal.sync(None).unwrap();
 
         let plan = Wal::redo_plan(wal.durable_bytes());
         assert_eq!(plan.entries.len(), 9);
-        assert_eq!(plan.start, 5, "redo starts just past the checkpoint");
-        assert!(plan.committed.contains(&1));
-        assert!(plan.committed.contains(&2));
-        assert!(!plan.committed.contains(&3), "txn 3 never committed");
+        assert_eq!(plan.committed, HashSet::from([1, 2, 3]), "txn 4 never committed");
         assert_eq!(plan.valid_len, wal.durable_bytes().len());
+        assert_eq!(plan.committed_len, committed_end);
+        assert_eq!(Wal::redo_plan(&[]).committed_len, 0);
     }
 
     #[test]

@@ -35,12 +35,12 @@
 //!          [--slow-log slow.jsonl]     write the slow-query log at drain
 //!          [--stall-ms MS]             per-miss read stall (I/O regime)
 //! sknn mutate --ops 200                dynamic-object write workload:
-//!          [--checkpoint-every 0]      seeded insert/move/delete mix through
-//!          [--k 5] [--queries 5]       the WAL'd object store, write-
-//!          [--threads 1]               throughput summary, then crash +
-//!          [--fault-profile S:R:K]     recovery with bit-identical k-NN
+//!          [--k 5] [--queries 5]       seeded insert/move/delete mix through
+//!          [--threads 1]               the WAL'd object store, write-
+//!          [--fault-profile S:R:K]     throughput summary, then crash +
+//!                                      recovery with bit-identical k-NN
 //!                                      verification (K may be the write-side
-//!                                      kinds write|fsync|torn)
+//!                                      kind fsync)
 //! sknn shard --shards 2 --port 7070    sharded deployment in one process:
 //!          [--max-seconds S]           N engine shards on ephemeral ports
 //!          [--metrics-port P]          (vertical terrain slabs, disjoint
@@ -623,7 +623,6 @@ fn main() {
             let k: usize = args.get("k", 5);
             let nq: usize = args.get("queries", 5);
             let threads: usize = args.get("threads", 1);
-            let checkpoint_every: usize = args.get("checkpoint-every", 0);
 
             let mut engine = build_engine(&cfg);
             if let Some((spec, injector)) = fault_injector(&args, false) {
@@ -669,11 +668,6 @@ fn main() {
                         eprintln!("# op {i} aborted: {e}");
                     }
                 }
-                if checkpoint_every > 0 && (i + 1) % checkpoint_every == 0 {
-                    if let Err(e) = store.checkpoint() {
-                        eprintln!("# checkpoint after op {i} failed: {e}");
-                    }
-                }
             }
             let elapsed = start.elapsed();
             let ws = engine.write_stats();
@@ -684,12 +678,13 @@ fn main() {
                 done as f64 / elapsed.as_secs_f64().max(1e-9)
             );
             println!(
-                "wal: {} appends, {} fsyncs ({} failed), {} records truncated",
-                ws.wal.appends, ws.wal.fsyncs, ws.wal.failed_fsyncs, ws.wal.truncated
-            );
-            println!(
-                "pages: {} flushed, {} dirty; objects live: {}",
-                ws.flushed_pages, ws.dirty_pages, ws.live_objects
+                "wal: {} appends, {} fsyncs ({} failed), {} records truncated; \
+                 objects live: {}",
+                ws.wal.appends,
+                ws.wal.fsyncs,
+                ws.wal.failed_fsyncs,
+                ws.wal.truncated,
+                ws.live_objects
             );
 
             // Crash, recover, and verify bit-identical k-NN answers.
@@ -699,8 +694,8 @@ fn main() {
                 ObjectStore::recover(&image, cfg.pool_pages, None).expect("recovery failed");
             let rec_elapsed = rec_start.elapsed();
             println!(
-                "recovery: {} WAL records redone, {} ops replayed, {} txns committed, \
-                 {} torn tail bytes, {:.1} ms",
+                "recovery: {} WAL op records replayed ({} after genesis), {} txns \
+                 committed, {} torn tail bytes, {:.1} ms",
                 report.replay_records,
                 report.replayed_ops,
                 report.committed_txns,

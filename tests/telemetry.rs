@@ -185,11 +185,12 @@ fn slow_query_dump_returns_valid_jsonl_with_trace_ids() {
 
 /// Every family a shard server exports and every key of its `STATS`
 /// frame, as of `f586151` less the micro-batcher's rows (batch size,
-/// linger, mean batch), which left with it: the metric tables may be
-/// reorganised, but not one name may change or go missing (dashboards,
-/// `sknn top --check` and the router's `objects` lookup read them by
-/// name).
-const SERVER_FAMILIES: [&str; 59] = [
+/// linger, mean batch), which left with it, and the writeback rows
+/// (flushed and dirty pages), which left with the paged object heap: the
+/// metric tables may be reorganised, but not one name may change or go
+/// missing (dashboards, `sknn top --check` and the router's `objects`
+/// lookup read them by name).
+const SERVER_FAMILIES: [&str; 57] = [
     "sknn_cutcache_cooling_entries",
     "sknn_cutcache_evictions_total",
     "sknn_cutcache_extractions_in_flight",
@@ -242,9 +243,7 @@ const SERVER_FAMILIES: [&str; 59] = [
     "sknn_store_stall_us_total",
     "sknn_wal_aborted_ops_total",
     "sknn_wal_appends_total",
-    "sknn_wal_dirty_pages",
     "sknn_wal_failed_fsyncs_total",
-    "sknn_wal_flushed_pages_total",
     "sknn_wal_fsyncs_total",
     "sknn_wal_recoveries_total",
     "sknn_wal_replay_records_total",
