@@ -3,11 +3,13 @@
 //! Dijkstra over the three graph shapes MR3 actually runs (DMTM front,
 //! pathnet, corridor-restricted front — the last both over its own graph
 //! and masked over the whole front's), pathnet construction over a group
-//! region, the SDN lower bound in the three shapes its callers give it, and
-//! the batched point–MBR distance kernel behind R-tree descent.
+//! region, the SDN lower bound in the three shapes its callers give it, the
+//! batched point–MBR distance kernel behind R-tree descent, and the R-tree
+//! bulk load behind every object-store genesis and recovery.
 //!
-//! Runs under `cargo bench --bench hot_paths`. Beyond the criterion-style
-//! human report, two extra modes back the committed artifacts and CI:
+//! Runs under `cargo bench --bench hot_paths`. Beyond the human report (one
+//! `bench <name> <ns> ns/iter` line per row), two extra modes back the
+//! committed artifacts and CI:
 //!
 //! * `-- --out BENCH_kernels.json` writes every measurement as JSON
 //!   (the committed `BENCH_kernels.json`).
@@ -15,10 +17,10 @@
 //!   slower than the heap on the front shape — the CI regression gate
 //!   that keeps the default queue policy honest.
 //!
-//! A positional argument filters benchmarks by substring, like upstream
-//! criterion. `--budget-ms N` sets the per-benchmark measurement budget.
+//! A positional argument filters benchmarks by substring. `--budget-ms N`
+//! sets the per-benchmark measurement budget.
 
-use criterion::black_box;
+use sknn_core::workload::SceneBuilder;
 use sknn_geodesic::graph::{Dijkstra, DijkstraScratch, Graph, QueuePolicy};
 use sknn_geodesic::Pathnet;
 use sknn_geom::{Ellipse2, Point2, Rect2};
@@ -26,8 +28,10 @@ use sknn_multires::{build_dmtm, FrontGraph};
 use sknn_sdn::network::{lower_bound, lower_bound_with, LbScratch};
 use sknn_sdn::{Msdn, MsdnConfig};
 use sknn_spatial::kernel::{min_dists_point, min_dists_point_sq, MAX_BATCH};
+use sknn_spatial::RTree;
 use sknn_terrain::dem::TerrainConfig;
 use sknn_terrain::locate::TriangleLocator;
+use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 /// One benchmark measurement: mean wall time per iteration.
@@ -285,6 +289,14 @@ fn main() {
         let n = min_dists_point_sq(p, &rects, &mut lanes);
         lanes[..n].iter().sum::<f64>()
     });
+
+    // --- R-tree bulk load ---------------------------------------------------
+    // STR packing of 2 000 object points, as `ObjectStore` genesis and
+    // recovery replay do it.
+    let scene = SceneBuilder::new(&mesh).object_count(2000).seed(1).build();
+    let points: Vec<(Rect2, u32)> =
+        scene.objects().iter().map(|o| (Rect2::from_point(o.point.pos.xy()), o.id)).collect();
+    h.bench("rtree/bulk_load_2000", || RTree::bulk_load(points.clone()));
 
     if let Some(path) = out {
         std::fs::write(&path, h.json()).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));

@@ -11,11 +11,7 @@
 
 use sknn_bench::{bh_mesh, mean, scene_with_density, start_figure, Args};
 use sknn_core::config::Mr3Config;
-use sknn_core::metrics::QueryStats;
-use sknn_core::ranking::RankingContext;
-use sknn_multires::{build_dmtm, PagedDmtm};
-use sknn_sdn::{Msdn, MsdnConfig, PagedMsdn};
-use sknn_store::Pager;
+use sknn_core::mr3::Mr3Engine;
 
 fn main() {
     let args = Args::parse();
@@ -25,33 +21,9 @@ fn main() {
 
     let mesh = bh_mesh(grid, seed);
     let scene = scene_with_density(&mesh, 4.0, seed + 1);
-    let cfg = Mr3Config::default();
-    let pager = Pager::new(cfg.pool_pages);
-    let dmtm = PagedDmtm::build(&pager, build_dmtm(&mesh));
-    let msdn_cfg = MsdnConfig { levels: cfg.msdn_levels.clone(), plane_spacing: None };
-    let msdn = PagedMsdn::build(&pager, &Msdn::build(&mesh, &msdn_cfg));
-    let grid =
-        sknn_multires::CutGrid::new(mesh.extent(), cfg.cut_cache.tiles, cfg.cut_cache.pad_tiles);
-    let cuts = sknn_multires::CutCache::new(cfg.cut_cache.capacity_bytes, grid);
-    let lines = sknn_sdn::LineCutCache::new(cfg.cut_cache.capacity_bytes);
-    let ctx = RankingContext {
-        mesh: &mesh,
-        locator: scene.locator(),
-        dmtm: &dmtm,
-        msdn: &msdn,
-        pager: &pager,
-        cfg: &cfg,
-        rec: &sknn_obs::NOOP,
-        query: 0,
-        scratch: std::cell::RefCell::new(Default::default()),
-        cuts: &cuts,
-        lines: &lines,
-        grid,
-        faults: sknn_core::FaultLog::new(cfg.fault_budget),
-        deadline: None,
-        deadline_hit: std::cell::Cell::new(false),
-        pool: None,
-    };
+    let mut engine = Mr3Engine::build(&mesh, &scene, &Mr3Config::default());
+    // Only ε is reported: keep the caches warm across pairs.
+    engine.cold_cache = false;
 
     // Deterministic long-range pairs.
     let points: Vec<_> =
@@ -69,8 +41,7 @@ fn main() {
         for &frac in &dmtm_levels {
             let mut eps = Vec::new();
             for &(a, b) in &pair_list {
-                let mut stats = QueryStats::default();
-                let range = ctx.estimate_pair(&a, &b, frac, lvl, &mut stats);
+                let range = engine.estimate_pair(a, b, frac, lvl);
                 eps.push(range.accuracy());
             }
             println!("{label},{},{:.4}", (frac * 100.0) as u32, mean(&eps));
@@ -80,8 +51,7 @@ fn main() {
     for &frac in &dmtm_levels {
         let mut eps = Vec::new();
         for &(a, b) in &pair_list {
-            let mut stats = QueryStats::default();
-            let range = ctx.estimate_pair(&a, &b, frac, 0, &mut stats);
+            let range = engine.estimate_pair(a, b, frac, 0);
             let euclid = a.pos.dist(b.pos);
             if range.ub.is_finite() && range.ub > 0.0 {
                 eps.push((euclid / range.ub).clamp(0.0, 1.0));

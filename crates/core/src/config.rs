@@ -89,9 +89,6 @@ pub struct Mr3Config {
     pub schedule: StepSchedule,
     /// MSDN resolution levels to materialise (ascending fractions).
     pub msdn_levels: Vec<f64>,
-    /// Overlap fraction above which candidate I/O regions merge (§4.2:
-    /// "significantly overlapped (e.g., over 80%)").
-    pub io_merge_threshold: f64,
     /// Master switch for integrated I/O regions (Fig. 9's experiment).
     pub integrated_io: bool,
     /// Prune search regions to the ellipse of foci (q, candidate) with
@@ -109,10 +106,6 @@ pub struct Mr3Config {
     pub pathnet_steiner: usize,
     /// MSDN plane spacing override, metres (`None` = mean edge length).
     pub plane_spacing: Option<f64>,
-    /// Storage faults one query may absorb (degrading to the last
-    /// materialised resolution's bounds) before the fallible entry points
-    /// return [`QueryError`](crate::QueryError) instead.
-    pub fault_budget: usize,
     /// Shared cut cache (process-wide materialized-cut reuse).
     pub cut_cache: CutCacheConfig,
 }
@@ -122,7 +115,6 @@ impl Default for Mr3Config {
         Self {
             schedule: StepSchedule::s1(),
             msdn_levels: vec![0.25, 0.375, 0.5, 0.75, 1.0],
-            io_merge_threshold: 0.8,
             integrated_io: true,
             ellipse_prune: true,
             corridor_refinement: true,
@@ -130,7 +122,6 @@ impl Default for Mr3Config {
             pool_pages: 256,
             pathnet_steiner: 1,
             plane_spacing: None,
-            fault_budget: 16,
             cut_cache: CutCacheConfig::default(),
         }
     }
@@ -176,7 +167,6 @@ mod tests {
     fn default_config_is_fully_enabled() {
         let c = Mr3Config::default();
         assert!(c.integrated_io && c.ellipse_prune && c.corridor_refinement && c.dummy_lower_bound);
-        assert_eq!(c.io_merge_threshold, 0.8);
         assert_eq!(c.msdn_levels.len(), 5);
     }
 }

@@ -36,8 +36,8 @@ pub mod mr3;
 pub mod objects;
 pub mod pairs;
 pub mod persist;
-pub mod ranking;
-pub mod regions;
+mod ranking;
+mod regions;
 pub mod resilience;
 pub mod workload;
 
@@ -52,5 +52,5 @@ pub use mr3::{CutCacheSnapshot, Mr3Engine, QueryOpts, RangeResult};
 pub use objects::{ObjOp, ObjectSnapshot, ObjectStore, RecoveryReport, WriteStats};
 pub use pairs::ClosestPair;
 pub use persist::Structures;
-pub use resilience::{Degraded, FaultLog, QueryError};
+pub use resilience::{Degraded, QueryError};
 pub use workload::{Scene, SceneBuilder, SurfacePoint};

@@ -15,7 +15,7 @@ use crate::config::Mr3Config;
 use crate::metrics::{CpuTimer, Neighbor, QueryResult, QueryStats, StageTimes};
 use crate::objects::{ObjectSnapshot, ObjectStore, WriteStats};
 use crate::ranking::{Candidate, RankScratch, RankingContext};
-use crate::resilience::{FaultLog, QueryError};
+use crate::resilience::{FaultLog, QueryError, FAULT_BUDGET};
 use crate::workload::{Scene, SurfacePoint};
 use sknn_multires::{CutCache, CutGrid, PagedDmtm};
 use sknn_obs::{field, QueryTrace, Recorder, RingRecorder, NOOP};
@@ -27,19 +27,20 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-/// Default ring capacity when tracing is enabled: comfortably holds the
-/// spans, iteration events and I/O roll-up of one query.
+/// Ring capacity of one traced query: comfortably holds its spans,
+/// iteration events and I/O roll-up.
 const TRACE_RING_CAPACITY: usize = 4096;
 
 /// The MR3 surface k-NN query engine.
 ///
 /// The engine is `Sync`: every query-path structure is either immutable
 /// (mesh, scene, DMTM, MSDN) or internally synchronised (the mutex-backed
-/// [`Pager`], the ring recorder, atomic counters), so independent queries
+/// [`Pager`], the cut caches, atomic counters), so independent queries
 /// may run concurrently through `&self` — see
 /// [`query_batch`](Self::query_batch). Query *results* depend only on the immutable
 /// structures; the shared mutable state only feeds cost counters, which
-/// become aggregate (not per-query-exact) under concurrency.
+/// become aggregate (not per-query-exact) under concurrency. Each traced
+/// query records into a ring of its own.
 pub struct Mr3Engine<'s, 'm> {
     mesh: &'m TerrainMesh,
     scene: &'s Scene<'m>,
@@ -51,8 +52,9 @@ pub struct Mr3Engine<'s, 'm> {
     msdn: PagedMsdn,
     pager: Pager,
     cfg: Mr3Config,
-    /// Trace sink; `None` means tracing off (no-op recorder, no overhead).
-    ring: Option<Arc<RingRecorder>>,
+    /// Whether queries record a trace (off: the no-op recorder, no
+    /// overhead).
+    tracing: bool,
     /// Fetch-region canonicalizer shared by every query context (see
     /// [`CutCacheConfig`](crate::config::CutCacheConfig)).
     cut_grid: CutGrid,
@@ -60,8 +62,8 @@ pub struct Mr3Engine<'s, 'm> {
     cut_cache: CutCache,
     /// Shared process-wide MSDN line cache.
     line_cache: LineCutCache,
-    /// Recycled per-query ranking scratches (see
-    /// [`RankingContext::pool`](crate::ranking::RankingContext)).
+    /// Recycled per-query ranking scratches, returned by each query's
+    /// ranking context when it drops.
     scratch_pool: Mutex<Vec<RankScratch>>,
     /// Query sequence number stamped on trace records.
     query_seq: AtomicU64,
@@ -109,7 +111,7 @@ impl<'s, 'm> Mr3Engine<'s, 'm> {
             msdn,
             pager,
             cfg: cfg.clone(),
-            ring: None,
+            tracing: false,
             cut_grid,
             cut_cache,
             line_cache,
@@ -155,14 +157,12 @@ impl<'s, 'm> Mr3Engine<'s, 'm> {
     /// [`QueryTrace`] in their results (spans for the four MR3 steps, one
     /// event per ranking iteration, and per-structure I/O attribution).
     pub fn enable_tracing(&mut self) {
-        if self.ring.is_none() {
-            self.ring = Some(Arc::new(RingRecorder::new(TRACE_RING_CAPACITY)));
-        }
+        self.tracing = true;
     }
 
     /// Turn tracing back off (queries stop paying the recording cost).
     pub fn disable_tracing(&mut self) {
-        self.ring = None;
+        self.tracing = false;
     }
 
     /// Emit per-structure I/O attribution and the buffer-pool roll-up for
@@ -319,7 +319,8 @@ impl<'s, 'm> Mr3Engine<'s, 'm> {
 
     /// Run one query op inside the engine's single query scope: the only
     /// owner of the per-query prologue (mint or adopt the query id, cold
-    /// clears, counter resets, snapshot pin, timers) and epilogue (cpu,
+    /// clears, counter resets, snapshot pin, timers, the query's trace ring
+    /// and its ranking context — built nowhere else) and epilogue (cpu,
     /// wall, pages, I/O roll-up, the closing `root` span, trace drain,
     /// degraded marker, fault error). `body` composes the stage functions
     /// of [`Scope`] and returns the op's own output.
@@ -344,8 +345,11 @@ impl<'s, 'm> Mr3Engine<'s, 'm> {
         objs.rtree().reset_accesses();
         let timer = CpuTimer::start();
         let start = Instant::now();
-        let rec: &dyn Recorder = match &self.ring {
-            Some(r) => r.as_ref(),
+        // One ring per traced query: concurrent queries never see each
+        // other's records.
+        let ring = self.tracing.then(|| RingRecorder::new(TRACE_RING_CAPACITY));
+        let rec: &dyn Recorder = match &ring {
+            Some(r) => r,
             None => &NOOP,
         };
         let scratch: RankScratch =
@@ -363,10 +367,10 @@ impl<'s, 'm> Mr3Engine<'s, 'm> {
             cuts: &self.cut_cache,
             lines: &self.line_cache,
             grid: self.cut_grid,
-            faults: FaultLog::new(self.cfg.fault_budget),
+            faults: FaultLog::new(FAULT_BUDGET),
             deadline: opts.deadline,
             deadline_hit: std::cell::Cell::new(false),
-            pool: Some(&self.scratch_pool),
+            pool: &self.scratch_pool,
         };
         let mut scope = Scope { objs, ctx, stats: QueryStats::default(), root: Vec::new() };
 
@@ -376,18 +380,14 @@ impl<'s, 'm> Mr3Engine<'s, 'm> {
         timer.stop_into(&mut stats.cpu);
         stats.wall = start.elapsed();
         stats.pages = self.pager.stats().physical_reads + objs.rtree().accesses();
-        let trace = if rec.enabled() {
-            self.emit_io(rec, qid, &stats, objs.rtree().accesses());
+        let trace = ring.as_ref().map(|ring| {
+            self.emit_io(ring, qid, &stats, objs.rtree().accesses());
             let mut fields = vec![field("dur_us", start.elapsed().as_micros() as u64)];
             fields.extend(root_fields);
             fields.push(field("pages", stats.pages));
-            rec.span(root, qid, fields);
-            // Drained on every exit, error included, so the next query's
-            // trace never inherits this one's records.
-            self.ring.as_ref().map(|r| r.drain())
-        } else {
-            None
-        };
+            ring.span(root, qid, fields);
+            ring.drain()
+        });
         // Deadline expiry dominates the reported reason — it explains why
         // the bounds are looser than scheduled even when faults also
         // occurred.
@@ -453,8 +453,7 @@ impl<'s, 'm> Mr3Engine<'s, 'm> {
     /// the engine's immutable structures, and each query carries its own
     /// ranking scratch. The shared buffer pool and access counters do race
     /// under concurrency, so the *cost* fields (`stats.pages`, pager
-    /// stats) describe the batch in aggregate rather than any one query;
-    /// the same applies to trace attribution when tracing is enabled.
+    /// stats) describe the batch in aggregate rather than any one query.
     ///
     /// Panics if any query exceeds its storage-fault budget; use
     /// [`try_query_batch`](Self::try_query_batch) to handle failures
@@ -590,6 +589,21 @@ impl<'s, 'm> Mr3Engine<'s, 'm> {
             range
         });
         (s.out, s.stats, s.trace)
+    }
+
+    /// Fig.-8 support: one-shot range estimation of the pair `(a, b)` at a
+    /// fixed DMTM resolution and MSDN level — no iteration, no pruning.
+    pub fn estimate_pair(
+        &self,
+        a: SurfacePoint,
+        b: SurfacePoint,
+        dmtm_frac: f64,
+        msdn_level: usize,
+    ) -> crate::bounds::DistRange {
+        self.scoped(&QueryOpts::default(), "pair", |s| {
+            s.ctx.estimate_pair(&a, &b, dmtm_frac, msdn_level, &mut s.stats)
+        })
+        .out
     }
 
     /// Surface *range query* (paper §6): all objects whose surface distance
@@ -1109,8 +1123,8 @@ mod tests {
         }
     }
 
-    /// Every op runs in the one query scope: it mints its own id, closes
-    /// with its own root span, and leaves the ring empty for the next.
+    /// Every op runs in the one query scope: it mints its own id and
+    /// closes with its own root span.
     #[test]
     fn every_traced_op_closes_its_own_scope() {
         let mesh = mesh();

@@ -30,14 +30,15 @@ use sknn_store::Pager;
 use sknn_terrain::locate::TriangleLocator;
 use sknn_terrain::mesh::TerrainMesh;
 use std::cell::{Cell, RefCell};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Shared immutable state for ranking runs.
 ///
-/// A context belongs to one query on one thread (the engine creates one
-/// per query); batch parallelism shares the engine, never a context, which
-/// is why the per-query [`RankScratch`] can live here in a `RefCell`.
+/// A context belongs to one query on one thread: `Mr3Engine::scoped` is
+/// the only place one is built. Batch parallelism shares the engine,
+/// never a context, which is why the per-query [`RankScratch`] can live
+/// here in a `RefCell`.
 pub struct RankingContext<'a, 'm> {
     /// The mesh.
     pub mesh: &'m TerrainMesh,
@@ -81,7 +82,7 @@ pub struct RankingContext<'a, 'm> {
     /// drop (after [`RankScratch::reset_for_reuse`]). Pooling removes the
     /// per-query allocation burst of fresh Dijkstra/fetch buffers — a
     /// measurable allocator contention point under multi-threaded batches.
-    pub pool: Option<&'a std::sync::Mutex<Vec<RankScratch>>>,
+    pub pool: &'a Mutex<Vec<RankScratch>>,
 }
 
 /// Upper bound on pooled scratches — enough for any realistic thread
@@ -90,7 +91,6 @@ pub const SCRATCH_POOL_CAP: usize = 32;
 
 impl Drop for RankingContext<'_, '_> {
     fn drop(&mut self) {
-        let Some(pool) = self.pool else { return };
         // A panicking query may have left its scratch mid-update; let it
         // drop with the context instead of handing it to the next query.
         if std::thread::panicking() {
@@ -98,7 +98,7 @@ impl Drop for RankingContext<'_, '_> {
         }
         let mut s = std::mem::take(&mut *self.scratch.borrow_mut());
         s.reset_for_reuse();
-        let mut pool = pool.lock().unwrap_or_else(|e| e.into_inner());
+        let mut pool = self.pool.lock().unwrap_or_else(|e| e.into_inner());
         if pool.len() < SCRATCH_POOL_CAP {
             pool.push(s);
         }
@@ -547,10 +547,12 @@ impl<'a, 'm> RankingContext<'a, 'm> {
             };
         }
 
-        // Integrated I/O regions.
+        // Integrated I/O regions: merged once "significantly overlapped
+        // (e.g., over 80%)" (§4.2).
+        const IO_MERGE_THRESHOLD: f64 = 0.8;
         let regions: Vec<Rect2> = active.iter().map(|&i| cands[i].region).collect();
         let threshold = if self.cfg.integrated_io {
-            self.cfg.io_merge_threshold
+            IO_MERGE_THRESHOLD
         } else {
             2.0 // never merges
         };
@@ -1009,178 +1011,141 @@ fn filtered_dijkstra(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::workload::SceneBuilder;
+    use crate::mr3::{Mr3Engine, QueryOpts};
+    use crate::workload::{Scene, SceneBuilder};
     use sknn_geodesic::graph::QueuePolicy;
-    use sknn_multires::build_dmtm;
-    use sknn_sdn::{Msdn, MsdnConfig};
     use sknn_terrain::dem::TerrainConfig;
 
-    struct Fixture {
-        mesh: &'static TerrainMesh,
-        locator: TriangleLocator,
-        dmtm: PagedDmtm,
-        msdn: PagedMsdn,
-        pager: Pager,
-        cfg: Mr3Config,
-        grid: CutGrid,
-        cuts: CutCache,
-        lines: LineCutCache,
-    }
-
-    fn fixture() -> Fixture {
-        fixture_of(TerrainConfig::ep().with_grid(17), 77)
-    }
-
-    fn fixture_of(terrain: TerrainConfig, seed: u64) -> Fixture {
-        let mesh: &'static TerrainMesh = Box::leak(Box::new(terrain.build_mesh(seed)));
-        let pager = Pager::new(256);
-        let dmtm = PagedDmtm::build(&pager, build_dmtm(mesh));
-        let cfg = Mr3Config::default();
-        let msdn_cfg = MsdnConfig { levels: cfg.msdn_levels.clone(), plane_spacing: None };
-        let msdn = PagedMsdn::build(&pager, &Msdn::build(mesh, &msdn_cfg));
-        let grid = CutGrid::new(mesh.extent(), cfg.cut_cache.tiles, cfg.cut_cache.pad_tiles);
-        let budget = cfg.cut_cache.capacity_bytes;
-        let (cuts, lines) = (CutCache::new(budget, grid), LineCutCache::new(budget));
-        let locator = TriangleLocator::build(mesh);
-        Fixture { mesh, locator, dmtm, msdn, pager, cfg, grid, cuts, lines }
-    }
-
-    fn ctx<'a>(f: &'a Fixture) -> RankingContext<'a, 'static> {
-        RankingContext {
-            mesh: f.mesh,
-            locator: &f.locator,
-            dmtm: &f.dmtm,
-            msdn: &f.msdn,
-            pager: &f.pager,
-            cfg: &f.cfg,
-            rec: &sknn_obs::NOOP,
-            query: 0,
-            scratch: RefCell::new(RankScratch::default()),
-            cuts: &f.cuts,
-            lines: &f.lines,
-            grid: f.grid,
-            faults: FaultLog::new(f.cfg.fault_budget),
-            deadline: None,
-            deadline_hit: Cell::new(false),
-            pool: None,
-        }
+    /// Run `body` over a scene of `objects` objects on the small EP
+    /// fixture, with the ranking context the engine's query scope builds.
+    fn with_ctx<T>(
+        objects: usize,
+        seed: u64,
+        body: impl FnOnce(&Scene<'_>, &RankingContext<'_, '_>) -> T,
+    ) -> T {
+        let mesh = TerrainConfig::ep().with_grid(17).build_mesh(77);
+        let scene = SceneBuilder::new(&mesh).object_count(objects).seed(seed).build();
+        let engine = Mr3Engine::build(&mesh, &scene, &Mr3Config::default());
+        engine.scoped(&QueryOpts::default(), "test", |s| body(&scene, &s.ctx)).out
     }
 
     #[test]
     fn ranking_brackets_exact_distances() {
-        let f = fixture();
-        let c = ctx(&f);
-        let scene = SceneBuilder::new(f.mesh).object_count(12).seed(3).build();
-        let q = scene.random_query(5);
-        let terrain = f.mesh.extent();
-        let mut cands: Vec<Candidate> =
-            scene.objects().iter().map(|o| Candidate::new(&q, o.id, o.point, &terrain)).collect();
-        let mut stats = QueryStats::default();
-        let resolved = c.rank_top_k(&q, &mut cands, 3, &mut stats);
-        assert!(stats.iterations >= 1);
-        // Bounds must bracket the exact distances.
-        let geo = sknn_geodesic::ExactGeodesic::new(f.mesh);
-        for cand in &cands {
-            let exact = geo.distance(q.to_mesh_point(), cand.point.to_mesh_point());
-            assert!(
-                cand.range.lb <= exact + 1e-6,
-                "cand {}: lb {} > exact {exact}",
-                cand.id,
-                cand.range.lb
-            );
-            if cand.range.ub.is_finite() {
+        with_ctx(12, 3, |scene, c| {
+            let q = scene.random_query(5);
+            let terrain = c.mesh.extent();
+            let mut cands: Vec<Candidate> = scene
+                .objects()
+                .iter()
+                .map(|o| Candidate::new(&q, o.id, o.point, &terrain))
+                .collect();
+            let mut stats = QueryStats::default();
+            let resolved = c.rank_top_k(&q, &mut cands, 3, &mut stats);
+            assert!(stats.iterations >= 1);
+            // Bounds must bracket the exact distances.
+            let geo = sknn_geodesic::ExactGeodesic::new(c.mesh);
+            for cand in &cands {
+                let exact = geo.distance(q.to_mesh_point(), cand.point.to_mesh_point());
                 assert!(
-                    cand.range.ub >= exact - 1e-6,
-                    "cand {}: ub {} < exact {exact}",
+                    cand.range.lb <= exact + 1e-6,
+                    "cand {}: lb {} > exact {exact}",
                     cand.id,
-                    cand.range.ub
+                    cand.range.lb
                 );
+                if cand.range.ub.is_finite() {
+                    assert!(
+                        cand.range.ub >= exact - 1e-6,
+                        "cand {}: ub {} < exact {exact}",
+                        cand.id,
+                        cand.range.ub
+                    );
+                }
             }
-        }
-        // If the engine reports resolution, the chosen top-3 must be the
-        // true top-3 up to bound ties.
-        if resolved {
+            // If the engine reports resolution, the chosen top-3 must be the
+            // true top-3 up to bound ties.
+            if resolved {
+                let mut by_exact: Vec<(f64, u32)> = cands
+                    .iter()
+                    .map(|cd| (geo.distance(q.to_mesh_point(), cd.point.to_mesh_point()), cd.id))
+                    .collect();
+                by_exact.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
+                let mut by_ub: Vec<&Candidate> = cands.iter().filter(|cd| !cd.out).collect();
+                by_ub.sort_by(|a, b| a.range.ub.partial_cmp(&b.range.ub).unwrap());
+                let kth_exact = by_exact[2].0;
+                for chosen in by_ub.iter().take(3) {
+                    let exact = geo.distance(q.to_mesh_point(), chosen.point.to_mesh_point());
+                    assert!(
+                        exact <= kth_exact + 1e-6,
+                        "chosen {} at {exact} vs kth {kth_exact}",
+                        chosen.id
+                    );
+                }
+            }
+        });
+    }
+
+    #[test]
+    fn radius_estimation_is_safe_and_finite() {
+        with_ctx(10, 9, |scene, c| {
+            let q = scene.random_query(2);
+            let terrain = c.mesh.extent();
+            let seeds = scene.dxy().knn(q.pos.xy(), 4);
+            let mut cands: Vec<Candidate> = seeds
+                .iter()
+                .map(|&(_, _, id)| Candidate::new(&q, id, scene.object(id).point, &terrain))
+                .collect();
+            let mut stats = QueryStats::default();
+            let radius = c.estimate_radius(&q, &mut cands, &mut stats);
+            assert!(radius.is_finite() && radius > 0.0);
+            // The radius must cover the 4 seeds' exact distances.
+            let geo = sknn_geodesic::ExactGeodesic::new(c.mesh);
+            for cand in &cands {
+                let exact = geo.distance(q.to_mesh_point(), cand.point.to_mesh_point());
+                assert!(exact <= radius + 1e-6, "seed {} at {exact} > radius {radius}", cand.id);
+            }
+        });
+    }
+
+    #[test]
+    fn estimate_pair_accuracy_improves_with_resolution() {
+        with_ctx(2, 13, |scene, c| {
+            let a = scene.random_query(1);
+            let b = scene.random_query(7);
+            let mut stats = QueryStats::default();
+            let coarse = c.estimate_pair(&a, &b, 0.005, 0, &mut stats);
+            let fine = c.estimate_pair(&a, &b, 2.0, 4, &mut stats);
+            assert!(fine.accuracy() >= coarse.accuracy() - 0.02);
+            assert!(fine.accuracy() > 0.5, "final accuracy {}", fine.accuracy());
+            assert!(fine.lb <= fine.ub);
+        });
+    }
+
+    #[test]
+    fn out_marking_never_drops_a_true_neighbor() {
+        with_ctx(15, 21, |scene, c| {
+            let q = scene.random_query(11);
+            let terrain = c.mesh.extent();
+            let mut cands: Vec<Candidate> = scene
+                .objects()
+                .iter()
+                .map(|o| Candidate::new(&q, o.id, o.point, &terrain))
+                .collect();
+            let mut stats = QueryStats::default();
+            let k = 4;
+            c.rank_top_k(&q, &mut cands, k, &mut stats);
+            let geo = sknn_geodesic::ExactGeodesic::new(c.mesh);
             let mut by_exact: Vec<(f64, u32)> = cands
                 .iter()
                 .map(|cd| (geo.distance(q.to_mesh_point(), cd.point.to_mesh_point()), cd.id))
                 .collect();
             by_exact.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
-            let mut by_ub: Vec<&Candidate> = cands.iter().filter(|cd| !cd.out).collect();
-            by_ub.sort_by(|a, b| a.range.ub.partial_cmp(&b.range.ub).unwrap());
-            let kth_exact = by_exact[2].0;
-            for chosen in by_ub.iter().take(3) {
-                let exact = geo.distance(q.to_mesh_point(), chosen.point.to_mesh_point());
-                assert!(
-                    exact <= kth_exact + 1e-6,
-                    "chosen {} at {exact} vs kth {kth_exact}",
-                    chosen.id
-                );
+            let true_top: Vec<u32> = by_exact.iter().take(k).map(|&(_, id)| id).collect();
+            for cd in &cands {
+                if cd.out {
+                    assert!(!true_top.contains(&cd.id), "true neighbor {} was eliminated", cd.id);
+                }
             }
-        }
-    }
-
-    #[test]
-    fn radius_estimation_is_safe_and_finite() {
-        let f = fixture();
-        let c = ctx(&f);
-        let scene = SceneBuilder::new(f.mesh).object_count(10).seed(9).build();
-        let q = scene.random_query(2);
-        let terrain = f.mesh.extent();
-        let seeds = scene.dxy().knn(q.pos.xy(), 4);
-        let mut cands: Vec<Candidate> = seeds
-            .iter()
-            .map(|&(_, _, id)| Candidate::new(&q, id, scene.object(id).point, &terrain))
-            .collect();
-        let mut stats = QueryStats::default();
-        let radius = c.estimate_radius(&q, &mut cands, &mut stats);
-        assert!(radius.is_finite() && radius > 0.0);
-        // The radius must cover the 4 seeds' exact distances.
-        let geo = sknn_geodesic::ExactGeodesic::new(f.mesh);
-        for cand in &cands {
-            let exact = geo.distance(q.to_mesh_point(), cand.point.to_mesh_point());
-            assert!(exact <= radius + 1e-6, "seed {} at {exact} > radius {radius}", cand.id);
-        }
-    }
-
-    #[test]
-    fn estimate_pair_accuracy_improves_with_resolution() {
-        let f = fixture();
-        let c = ctx(&f);
-        let scene = SceneBuilder::new(f.mesh).object_count(2).seed(13).build();
-        let a = scene.random_query(1);
-        let b = scene.random_query(7);
-        let mut stats = QueryStats::default();
-        let coarse = c.estimate_pair(&a, &b, 0.005, 0, &mut stats);
-        let fine = c.estimate_pair(&a, &b, 2.0, 4, &mut stats);
-        assert!(fine.accuracy() >= coarse.accuracy() - 0.02);
-        assert!(fine.accuracy() > 0.5, "final accuracy {}", fine.accuracy());
-        assert!(fine.lb <= fine.ub);
-    }
-
-    #[test]
-    fn out_marking_never_drops_a_true_neighbor() {
-        let f = fixture();
-        let c = ctx(&f);
-        let scene = SceneBuilder::new(f.mesh).object_count(15).seed(21).build();
-        let q = scene.random_query(11);
-        let terrain = f.mesh.extent();
-        let mut cands: Vec<Candidate> =
-            scene.objects().iter().map(|o| Candidate::new(&q, o.id, o.point, &terrain)).collect();
-        let mut stats = QueryStats::default();
-        let k = 4;
-        c.rank_top_k(&q, &mut cands, k, &mut stats);
-        let geo = sknn_geodesic::ExactGeodesic::new(f.mesh);
-        let mut by_exact: Vec<(f64, u32)> = cands
-            .iter()
-            .map(|cd| (geo.distance(q.to_mesh_point(), cd.point.to_mesh_point()), cd.id))
-            .collect();
-        by_exact.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
-        let true_top: Vec<u32> = by_exact.iter().take(k).map(|&(_, id)| id).collect();
-        for cd in &cands {
-            if cd.out {
-                assert!(!true_top.contains(&cd.id), "true neighbor {} was eliminated", cd.id);
-            }
-        }
+        });
     }
 
     /// The form [`filtered_dijkstra`] replaced, kept as its oracle: ask
@@ -1229,13 +1194,20 @@ mod tests {
     mod properties {
         use super::*;
         use proptest::prelude::*;
+        use proptest::test_runner::CaseError;
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         use std::sync::OnceLock;
 
-        fn shared_fixture() -> &'static Fixture {
-            static FIX: OnceLock<Fixture> = OnceLock::new();
-            FIX.get_or_init(|| fixture_of(TerrainConfig::bh().with_grid(33), 5))
+        fn shared() -> &'static Mr3Engine<'static, 'static> {
+            static ENGINE: OnceLock<Mr3Engine<'static, 'static>> = OnceLock::new();
+            ENGINE.get_or_init(|| {
+                let mesh: &'static TerrainMesh =
+                    Box::leak(Box::new(TerrainConfig::bh().with_grid(33).build_mesh(5)));
+                let scene: &'static Scene<'static> =
+                    Box::leak(Box::new(SceneBuilder::new(mesh).object_count(1).seed(1).build()));
+                Mr3Engine::build(mesh, scene, &Mr3Config::default())
+            })
         }
 
         proptest! {
@@ -1253,17 +1225,19 @@ mod tests {
                 hole in 0usize..4,
                 heap in any::<bool>(),
             ) {
-                let f = shared_fixture();
+                let engine = shared();
                 let policy = if heap { QueuePolicy::Heap } else { QueuePolicy::Bucket };
-                let scene = SceneBuilder::new(f.mesh).object_count(1).seed(1).build();
+                let scene = engine.scene();
                 let (a, b) = (scene.random_query(seed), scene.random_query(seed ^ 0xB));
                 let mut rng = StdRng::seed_from_u64(seed);
+                engine.scoped(&QueryOpts::default(), "test", |s| -> Result<(), CaseError> {
+                let f = &s.ctx;
 
                 let m = f.dmtm.tree().step_for_fraction([0.1, 0.4, 0.7, 1.0][frac_idx]);
                 let roi = Rect2::from_points([a.pos.xy(), b.pos.xy()].into_iter())
                     .expanded(rng.gen_range(5.0..60.0));
                 let roi = if whole_front { None } else { Some(roi) };
-                let fg = f.dmtm.fetch_front(&f.pager, m, roi.as_ref()).expect("fault-free pager");
+                let fg = f.dmtm.fetch_front(f.pager, m, roi.as_ref()).expect("fault-free pager");
                 let src = f.dmtm.embed(&fg, f.mesh, a.tri, a.pos);
                 let dst = f.dmtm.embed(&fg, f.mesh, b.tri, b.pos);
                 prop_assume!(!src.is_empty() && !dst.is_empty());
@@ -1304,6 +1278,8 @@ mod tests {
                     prop_assert_eq!(&path, &want_path);
                     prop_assert!(settled <= want_settled);
                 }
+                Ok(())
+                }).out?;
             }
         }
     }

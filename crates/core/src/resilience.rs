@@ -9,15 +9,19 @@
 //! completes with a correct-by-bounds answer and a [`Degraded`] marker
 //! explaining what was skipped.
 //!
-//! A per-query fault budget
-//! ([`Mr3Config::fault_budget`](crate::Mr3Config::fault_budget)) caps how much absorption one query
-//! tolerates; past it, resolution escalation halts and the fallible entry
-//! points ([`Mr3Engine::try_query`](crate::Mr3Engine::try_query)) return a
-//! typed [`QueryError`] instead of looping against dead media.
+//! A per-query fault budget ([`FAULT_BUDGET`]) caps how much absorption
+//! one query tolerates; past it, resolution escalation halts and the
+//! fallible entry points ([`Mr3Engine::try_query`](crate::Mr3Engine::try_query))
+//! return a typed [`QueryError`] instead of looping against dead media.
 
 use sknn_store::StoreError;
 use std::cell::RefCell;
 use std::fmt;
+
+/// Storage faults one query may absorb (degrading to the last
+/// materialised resolution's bounds) before the fallible entry points
+/// return [`QueryError::FaultBudgetExceeded`] instead.
+pub const FAULT_BUDGET: usize = 16;
 
 /// Marker that a query completed with valid but looser-than-scheduled
 /// bounds because storage faults were absorbed along the way.
@@ -71,11 +75,11 @@ impl std::error::Error for QueryError {}
 
 /// Per-query accumulator of absorbed storage faults.
 ///
-/// Lives inside the [`RankingContext`](crate::ranking::RankingContext)
-/// (one per query per thread), so interior mutability via `RefCell` is
-/// safe — a context never crosses threads.
+/// Lives inside the query's ranking context (one per query per thread),
+/// so interior mutability via `RefCell` is safe — a context never crosses
+/// threads.
 #[derive(Debug)]
-pub struct FaultLog {
+pub(crate) struct FaultLog {
     budget: usize,
     events: RefCell<Vec<(&'static str, StoreError)>>,
 }

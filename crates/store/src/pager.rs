@@ -165,9 +165,10 @@ pub struct IoStats {
 }
 
 impl IoStats {
-    /// Buffer-pool hits.
+    /// Buffer-pool hits. Saturates at 0: a concurrent query's stat reset
+    /// can land between the reads of the two windowed counters.
     pub fn hits(&self) -> u64 {
-        self.logical_reads - self.physical_reads
+        self.logical_reads.saturating_sub(self.physical_reads)
     }
 }
 

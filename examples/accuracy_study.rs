@@ -9,14 +9,8 @@
 //! cargo run --release --example accuracy_study
 //! ```
 
-use surface_knn::core::config::Mr3Config;
-use surface_knn::core::metrics::QueryStats;
-use surface_knn::core::ranking::{RankScratch, RankingContext};
 use surface_knn::geodesic::ExactGeodesic;
-use surface_knn::multires::{build_dmtm, PagedDmtm};
 use surface_knn::prelude::*;
-use surface_knn::sdn::{Msdn, MsdnConfig, PagedMsdn};
-use surface_knn::store::Pager;
 
 fn main() {
     let mesh = TerrainConfig::bh().with_grid(33).build_mesh(88);
@@ -25,35 +19,8 @@ fn main() {
     let b = scene.random_query(17);
 
     let cfg = Mr3Config::default();
-    let pager = Pager::new(cfg.pool_pages);
-    let dmtm = PagedDmtm::build(&pager, build_dmtm(&mesh));
-    let msdn_cfg = MsdnConfig { levels: cfg.msdn_levels.clone(), plane_spacing: None };
-    let msdn = PagedMsdn::build(&pager, &Msdn::build(&mesh, &msdn_cfg));
-    let grid = surface_knn::multires::CutGrid::new(
-        mesh.extent(),
-        cfg.cut_cache.tiles,
-        cfg.cut_cache.pad_tiles,
-    );
-    let cuts = surface_knn::multires::CutCache::new(cfg.cut_cache.capacity_bytes, grid);
-    let lines = surface_knn::sdn::LineCutCache::new(cfg.cut_cache.capacity_bytes);
-    let ctx = RankingContext {
-        mesh: &mesh,
-        locator: scene.locator(),
-        dmtm: &dmtm,
-        msdn: &msdn,
-        pager: &pager,
-        cfg: &cfg,
-        rec: &sknn_obs::NOOP,
-        query: 0,
-        scratch: std::cell::RefCell::new(RankScratch::default()),
-        cuts: &cuts,
-        lines: &lines,
-        grid,
-        faults: sknn_core::FaultLog::new(cfg.fault_budget),
-        deadline: None,
-        deadline_hit: std::cell::Cell::new(false),
-        pool: None,
-    };
+    let mut engine = Mr3Engine::build(&mesh, &scene, &cfg);
+    engine.cold_cache = false;
 
     let exact = ExactGeodesic::new(&mesh).distance(a.to_mesh_point(), b.to_mesh_point());
     let euclid = a.pos.dist(b.pos);
@@ -63,9 +30,8 @@ fn main() {
     let dmtm_levels = [0.005, 0.25, 0.5, 0.75, 1.0, 2.0];
     let msdn_levels = [0.25, 0.375, 0.5, 0.75, 1.0, 1.0];
     for (i, (&df, &mf)) in dmtm_levels.iter().zip(&msdn_levels).enumerate() {
-        let mut stats = QueryStats::default();
         let lvl = i.min(cfg.msdn_levels.len() - 1);
-        let range = ctx.estimate_pair(&a, &b, df, lvl, &mut stats);
+        let range = engine.estimate_pair(a, b, df, lvl);
         let ok = range.lb <= exact + 1e-6 && exact <= range.ub + 1e-6;
         println!(
             "{:>5.1}  {:>5.1}  {:>9.2}  {:>9.2}   {:>8.3}     {}",

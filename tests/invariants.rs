@@ -4,17 +4,14 @@
 use proptest::prelude::*;
 use std::sync::OnceLock;
 use surface_knn::core::config::Mr3Config;
-use surface_knn::core::metrics::QueryStats;
 use surface_knn::core::mr3::Mr3Engine;
 use surface_knn::core::objects::ObjectStore;
-use surface_knn::core::ranking::RankingContext;
-use surface_knn::core::workload::{SceneBuilder, SurfacePoint};
+use surface_knn::core::workload::{Scene, SceneBuilder, SurfacePoint};
 use surface_knn::geodesic::ExactGeodesic;
 use surface_knn::geom::{Axis, AxisPlane, Point2};
-use surface_knn::multires::{build_dmtm, CutCache, CutGrid, DmtmTree, PagedDmtm};
+use surface_knn::multires::{build_dmtm, DmtmTree};
 use surface_knn::sdn::crossing::CrossingLine;
-use surface_knn::sdn::{simplify_line, LineCutCache, Msdn, MsdnConfig, PagedMsdn};
-use surface_knn::store::Pager;
+use surface_knn::sdn::simplify_line;
 use surface_knn::terrain::locate::TriangleLocator;
 use surface_knn::terrain::mesh::TerrainMesh;
 use surface_knn::terrain::TerrainConfig;
@@ -22,13 +19,8 @@ use surface_knn::terrain::TerrainConfig;
 struct Fixture {
     mesh: TerrainMesh,
     locator: TriangleLocator,
-    pager: Pager,
-    dmtm: PagedDmtm,
-    msdn: PagedMsdn,
+    tree: DmtmTree,
     cfg: Mr3Config,
-    grid: CutGrid,
-    cuts: CutCache,
-    lines: LineCutCache,
 }
 
 fn fixture() -> &'static Fixture {
@@ -36,15 +28,21 @@ fn fixture() -> &'static Fixture {
     FIX.get_or_init(|| {
         let mesh = TerrainConfig::bh().with_grid(17).build_mesh(4242);
         let locator = TriangleLocator::build(&mesh);
-        let pager = Pager::new(256);
-        let dmtm = PagedDmtm::build(&pager, build_dmtm(&mesh));
-        let cfg = Mr3Config::default();
-        let msdn_cfg = MsdnConfig { levels: cfg.msdn_levels.clone(), plane_spacing: None };
-        let msdn = PagedMsdn::build(&pager, &Msdn::build(&mesh, &msdn_cfg));
-        let grid = CutGrid::new(mesh.extent(), cfg.cut_cache.tiles, cfg.cut_cache.pad_tiles);
-        let cuts = CutCache::new(cfg.cut_cache.capacity_bytes, grid);
-        let lines = LineCutCache::new(cfg.cut_cache.capacity_bytes);
-        Fixture { mesh, locator, pager, dmtm, msdn, cfg, grid, cuts, lines }
+        let tree = build_dmtm(&mesh);
+        Fixture { mesh, locator, tree, cfg: Mr3Config::default() }
+    })
+}
+
+/// An engine over the fixture's mesh, for the ops that need its paged
+/// structures.
+fn engine() -> &'static Mr3Engine<'static, 'static> {
+    static SCENE: OnceLock<Scene<'static>> = OnceLock::new();
+    static ENGINE: OnceLock<Mr3Engine<'static, 'static>> = OnceLock::new();
+    ENGINE.get_or_init(|| {
+        let f = fixture();
+        let scene =
+            SCENE.get_or_init(|| SceneBuilder::new(&f.mesh).object_count(1).seed(1).build());
+        Mr3Engine::build(&f.mesh, scene, &f.cfg)
     })
 }
 
@@ -107,20 +105,7 @@ proptest! {
         prop_assume!(a.pos.dist(b.pos) > 1.0);
         let ds = exact().distance(a.to_mesh_point(), b.to_mesh_point());
         let fracs = [0.005, 0.25, 0.5, 0.75, 1.0, 2.0];
-        let ctx = RankingContext {
-            mesh: &f.mesh, locator: &f.locator, dmtm: &f.dmtm, msdn: &f.msdn, pager: &f.pager, cfg: &f.cfg,
-            rec: &sknn_obs::NOOP, query: 0,
-            scratch: std::cell::RefCell::new(Default::default()),
-            cuts: &f.cuts,
-            lines: &f.lines,
-            grid: f.grid,
-            faults: sknn_core::FaultLog::new(f.cfg.fault_budget),
-            deadline: None,
-            deadline_hit: std::cell::Cell::new(false),
-            pool: None,
-        };
-        let mut stats = QueryStats::default();
-        let range = ctx.estimate_pair(&a, &b, fracs[dmtm_idx], level, &mut stats);
+        let range = engine().estimate_pair(a, b, fracs[dmtm_idx], level);
         prop_assert!(range.lb <= ds + 1e-6, "lb {} > exact {}", range.lb, ds);
         if range.ub.is_finite() {
             prop_assert!(range.ub >= ds - 1e-6, "ub {} < exact {}", range.ub, ds);
@@ -155,7 +140,7 @@ proptest! {
     #[test]
     fn dmtm_front_partitions_leaves(step_frac in 0.0f64..=1.0) {
         let f = fixture();
-        let tree: &DmtmTree = f.dmtm.tree();
+        let tree = &f.tree;
         let m = (tree.num_steps() as f64 * step_frac) as u32;
         let front = tree.front_at_step(m);
         prop_assert_eq!(front.len(), tree.front_size(m));

@@ -3,7 +3,9 @@
 //! `sknn_obs::trace` — valid JSONL, one span per MR3 step, monotone
 //! bound convergence, and per-structure page attribution that adds up.
 
+use std::collections::{BTreeMap, BTreeSet};
 use surface_knn::obs::json;
+use surface_knn::obs::QueryTrace;
 use surface_knn::prelude::*;
 
 /// Seeded fixture matching the paper's BH terrain, small enough for CI.
@@ -104,4 +106,35 @@ fn io_attribution_sums_to_query_pages() {
 
     let query_span = trace.records.iter().find(|r| r.name == "query").expect("closing query span");
     assert_eq!(query_span.get_u64("pages"), Some(res.stats.pages));
+}
+
+/// A trace belongs to its query: in a traced 4-thread batch every result
+/// carries one query id, one closing `query` span, and the same record
+/// names its sequential run emits. `io` events are left out — which
+/// structures a query charges reads to depends on what the shared pool
+/// held when it ran.
+#[test]
+fn concurrent_traced_queries_keep_their_own_records() {
+    let (mesh, seed) = fixture();
+    let scene = SceneBuilder::new(&mesh).object_count(40).seed(seed ^ 1).build();
+    let mut engine = Mr3Engine::build(&mesh, &scene, &Mr3Config::default());
+    engine.enable_tracing();
+    let batch: Vec<(SurfacePoint, usize)> =
+        scene.random_queries(16, seed ^ 3).into_iter().map(|q| (q, 5)).collect();
+    let names = |trace: &QueryTrace| {
+        let mut m = BTreeMap::new();
+        for r in trace.records.iter().filter(|r| r.name != "io") {
+            *m.entry(r.name).or_insert(0usize) += 1;
+        }
+        m
+    };
+    let sequential: Vec<_> =
+        batch.iter().map(|&(q, k)| names(&engine.query(q, k).trace.expect("trace"))).collect();
+    for (i, res) in engine.try_query_batch(&batch, 4).into_iter().enumerate() {
+        let trace = res.expect("fault-free query").trace.expect("trace");
+        let ids: BTreeSet<u64> = trace.records.iter().map(|r| r.query).collect();
+        assert_eq!(ids.len(), 1, "query {i}: records of {} queries: {ids:?}", ids.len());
+        assert_eq!(names(&trace).get("query"), Some(&1), "query {i}");
+        assert_eq!(names(&trace), sequential[i], "query {i}");
+    }
 }
