@@ -3,9 +3,10 @@
 //! Dijkstra over the three graph shapes MR3 actually runs (DMTM front,
 //! pathnet, corridor-restricted front — the last both over its own graph
 //! and masked over the whole front's), pathnet construction over a group
-//! region, the SDN lower bound in the three shapes its callers give it, the
-//! batched point–MBR distance kernel behind R-tree descent, and the R-tree
-//! bulk load behind every object-store genesis and recovery.
+//! region and one group's run to its members, the SDN lower bound in the
+//! three shapes its callers give it, the batched point–MBR distance kernel
+//! behind R-tree descent, and the R-tree bulk load behind every
+//! object-store genesis and recovery.
 //!
 //! Runs under `cargo bench --bench hot_paths`. Beyond the human report (one
 //! `bench <name> <ns> ns/iter` line per row), two extra modes back the
@@ -22,7 +23,7 @@
 
 use sknn_core::workload::SceneBuilder;
 use sknn_geodesic::graph::{Dijkstra, DijkstraScratch, Graph, QueuePolicy};
-use sknn_geodesic::Pathnet;
+use sknn_geodesic::{MeshPoint, Pathnet};
 use sknn_geom::{Ellipse2, Point2, Rect2};
 use sknn_multires::{build_dmtm, FrontGraph};
 use sknn_sdn::network::{lower_bound, lower_bound_with, LbScratch};
@@ -221,19 +222,40 @@ fn main() {
     }
 
     // --- Pathnet over a group region --------------------------------------
-    // A tenth of the terrain each way: the whole-mesh constructor under a
-    // facet filter against the region constructor over the locator's list.
-    let locator = TriangleLocator::build(&mesh);
-    let c = ext.center();
-    let (hw, hh) = (0.05 * ext.width(), 0.05 * ext.height());
-    let region = Rect2::new(Point2::new(c.x - hw, c.y - hh), Point2::new(c.x + hw, c.y + hh));
+    // Ranking's shape: a 16 × 16-cell rectangle (512 facets) on the
+    // benchmark's 129² terrain, where a group region holds ≈ 525. The
+    // whole-mesh constructor under a facet filter against the region
+    // constructor over the locator's list; then one group's run from the
+    // region's centre to eight members around it, stopped at the members.
+    let terrain = TerrainConfig::bh().with_grid(129).build_mesh(2);
+    let terrain_locator = TriangleLocator::build(&terrain);
+    let tc = terrain.extent().center();
+    let region =
+        Rect2::new(Point2::new(tc.x - 79.0, tc.y - 79.0), Point2::new(tc.x + 79.0, tc.y + 79.0));
     h.bench("pathnet/build_filter", || {
-        let filter = |t: u32| mesh.triangle(t).mbr_xy().intersects(&region);
-        black_box(Pathnet::build(&mesh, 1, Some(&filter)).num_nodes())
+        let filter = |t: u32| terrain.triangle(t).mbr_xy().intersects(&region);
+        black_box(Pathnet::build(&terrain, 1, Some(&filter)).num_nodes())
     });
     h.bench("pathnet/build_region", || {
-        let facets = locator.triangles_meeting(&mesh, &region);
-        black_box(Pathnet::build_region(&mesh, 1, facets).num_nodes())
+        let facets = terrain_locator.triangles_meeting(&terrain, &region);
+        black_box(Pathnet::build_region(&terrain, 1, facets).num_nodes())
+    });
+    let group_net =
+        Pathnet::build_region(&terrain, 1, terrain_locator.triangles_meeting(&terrain, &region));
+    let surface = |p: Point2| {
+        let tri = terrain_locator.locate(&terrain, p).expect("point inside the terrain");
+        MeshPoint::Interior { tri, pos: terrain_locator.lift(&terrain, p).expect("located") }
+    };
+    let query = surface(Point2::new(tc.x + 3.0, tc.y + 4.0));
+    let members: Vec<MeshPoint> = (0..8)
+        .map(|i| {
+            let a = i as f64 * std::f64::consts::FRAC_PI_4 + 0.3;
+            surface(Point2::new(tc.x + 60.0 * a.cos(), tc.y + 60.0 * a.sin()))
+        })
+        .collect();
+    let mut scratch = DijkstraScratch::new();
+    h.bench("pathnet/run_members", || {
+        black_box(group_net.distances(&terrain, query, &members, &mut scratch).settled)
     });
 
     // --- SDN lower bound ---------------------------------------------------
@@ -245,6 +267,7 @@ fn main() {
     // `whole_line` is the one-shot call of `estimate_pair` and the EA
     // baseline: no region, a fresh scratch.
     let msdn = Msdn::build(&mesh, &MsdnConfig::default());
+    let locator = TriangleLocator::build(&mesh);
     let lift = |fx: f64, fy: f64| {
         let p = Point2::new(ext.lo.x + fx * ext.width(), ext.lo.y + fy * ext.height());
         locator.lift(&mesh, p).expect("point inside the terrain")

@@ -20,6 +20,7 @@ use crate::resilience::FaultLog;
 use crate::workload::SurfacePoint;
 use sknn_geodesic::graph::{Dijkstra, DijkstraScratch, Graph, QueueCounters};
 use sknn_geodesic::pathnet::Pathnet;
+use sknn_geodesic::MeshPoint;
 use sknn_geom::Axis;
 use sknn_geom::{Aabb3, Ellipse2, Rect2};
 use sknn_multires::{CutCache, CutGrid, FetchScratch, FrontGraph, PagedDmtm};
@@ -836,15 +837,17 @@ impl<'a, 'm> RankingContext<'a, 'm> {
         let facets = self.locator.triangles_meeting(mesh, &region);
         let net = Pathnet::build_region(mesh, self.cfg.pathnet_steiner, facets);
         // Every member shares the query as source, so one Dijkstra serves
-        // the whole group; per-destination distances are embedding
-        // read-offs, bit-identical to per-pair `Pathnet::distance` calls.
+        // the whole group and stops once the members' nodes are settled;
+        // the distances are bit-identical to per-pair `Pathnet::distance`
+        // calls.
+        let dests: Vec<MeshPoint> =
+            members.iter().map(|&ci| cands[ci].point.to_mesh_point()).collect();
         let scratch = &mut *self.scratch.borrow_mut();
-        let run = net.run_from(mesh, q.to_mesh_point(), &mut scratch.pathnet);
-        stats.absorb_queue(&run.queue_counters());
-        stats.settled += run.settled();
-        for &ci in members {
+        let run = net.distances(mesh, q.to_mesh_point(), &dests, &mut scratch.pathnet);
+        stats.absorb_queue(&run.queue);
+        stats.settled += run.settled;
+        for (&ci, &d) in members.iter().zip(&run.dist) {
             stats.ub_estimations += 1;
-            let d = run.distance_to(mesh, cands[ci].point.to_mesh_point());
             if d.is_finite() {
                 cands[ci].range.tighten_ub(d);
             }

@@ -495,6 +495,8 @@ pub struct DijkstraScratch {
     seen: Vec<u32>,
     /// Generation at which the node was settled, per node.
     done: Vec<u32>,
+    /// Generation at which a run listed the node as a target, per node.
+    wanted: Vec<u32>,
     /// Generation at which a masked run last asked whether the node is
     /// admitted, and the answer it got, per node.
     asked: Vec<u32>,
@@ -525,6 +527,7 @@ impl DijkstraScratch {
             self.prev.resize(n, u32::MAX);
             self.seen.resize(n, 0);
             self.done.resize(n, 0);
+            self.wanted.resize(n, 0);
             self.asked.resize(n, 0);
             self.admitted.resize(n, false);
         }
@@ -534,6 +537,7 @@ impl DijkstraScratch {
         if self.generation == 0 {
             self.seen.fill(0);
             self.done.fill(0);
+            self.wanted.fill(0);
             self.asked.fill(0);
             self.generation = 1;
         }
@@ -622,6 +626,9 @@ impl ScratchRun<'_> {
 /// node still queued is at least that far, so no unsettled exit can beat or
 /// tie the best total, and the state of every settled node — distance,
 /// predecessor, path — is what the run to exhaustion would have left.
+/// With `left = Some(k)`, the run stops once the `k` nodes stamped `gen` in
+/// `wanted` are all settled (at once for `k = 0`): a settled node's state
+/// is final, so each of them reads as after the run to exhaustion.
 ///
 /// # Safety invariants (all checked at build / begin time)
 /// * `graph` CSR is well-formed: `offsets` is non-decreasing with
@@ -635,7 +642,8 @@ impl ScratchRun<'_> {
 fn run_core<Q: Pq>(
     graph: &Graph,
     sources: &[(u32, f64)],
-    target: Option<u32>,
+    mut left: Option<usize>,
+    wanted: &[u32],
     exits: &[(u32, f64)],
     mut admit: impl FnMut(u32) -> bool,
     dist: &mut [f64],
@@ -647,6 +655,9 @@ fn run_core<Q: Pq>(
 ) -> (usize, QueueCounters) {
     let n = graph.num_nodes();
     let mut counters = QueueCounters::default();
+    if left == Some(0) {
+        return (0, counters);
+    }
     for &(s, d0) in sources {
         let si = s as usize;
         assert!(si < n, "source {s} out of range (num_nodes {n})");
@@ -676,8 +687,13 @@ fn run_core<Q: Pq>(
         }
         unsafe { *done.get_unchecked_mut(u) = gen };
         settled += 1;
-        if target == Some(node) {
-            break;
+        if let Some(k) = left.as_mut() {
+            if wanted[u] == gen {
+                *k -= 1;
+                if *k == 0 {
+                    break;
+                }
+            }
         }
         for &(x, exit_cost) in exits {
             if x == node {
@@ -717,21 +733,24 @@ fn run_core<Q: Pq>(
 
 /// One run against `scratch` under its queue policy. `MASKED` routes
 /// admission through `allowed`, memoised per node in the scratch; without
-/// it every node is admitted and `allowed` is never called.
+/// it every node is admitted and `allowed` is never called. `targets` are
+/// stamped in the scratch and counted once each, however often listed.
 fn run_scratch<'s, const MASKED: bool>(
     graph: &Graph,
     sources: &[(u32, f64)],
-    target: Option<u32>,
+    targets: Option<&[u32]>,
     exits: &[(u32, f64)],
     allowed: impl Fn(u32) -> bool,
     scratch: &'s mut DijkstraScratch,
 ) -> ScratchRun<'s> {
-    scratch.begin(graph.num_nodes());
+    let n = graph.num_nodes();
+    scratch.begin(n);
     let DijkstraScratch {
         dist,
         prev,
         seen,
         done,
+        wanted,
         asked,
         admitted,
         generation,
@@ -740,6 +759,17 @@ fn run_scratch<'s, const MASKED: bool>(
         policy,
     } = &mut *scratch;
     let gen = *generation;
+    let left = targets.map(|ts| {
+        let mut k = 0;
+        for &t in ts {
+            assert!((t as usize) < n, "target {t} out of range (num_nodes {n})");
+            if wanted[t as usize] != gen {
+                wanted[t as usize] = gen;
+                k += 1;
+            }
+        }
+        k
+    });
     let admit = |v: u32| {
         if !MASKED {
             return true;
@@ -754,11 +784,13 @@ fn run_scratch<'s, const MASKED: bool>(
     let (settled, queue) = match policy {
         QueuePolicy::Heap => {
             heap.clear();
-            run_core(graph, sources, target, exits, admit, dist, prev, seen, done, gen, heap)
+            run_core(graph, sources, left, wanted, exits, admit, dist, prev, seen, done, gen, heap)
         }
         QueuePolicy::Bucket => {
             bucket.reset(graph.min_pos_weight);
-            run_core(graph, sources, target, exits, admit, dist, prev, seen, done, gen, bucket)
+            run_core(
+                graph, sources, left, wanted, exits, admit, dist, prev, seen, done, gen, bucket,
+            )
         }
     };
     ScratchRun { scratch, settled, queue }
@@ -792,7 +824,8 @@ impl Dijkstra {
         policy: QueuePolicy,
     ) -> Self {
         let mut scratch = DijkstraScratch::with_policy(policy);
-        let run = Self::run_multi_scratch(graph, sources, target, &mut scratch);
+        let targets = target.as_ref().map(std::slice::from_ref);
+        let run = Self::run_multi_scratch(graph, sources, targets, &mut scratch);
         let settled = run.settled;
         let queue = run.queue;
         let n = graph.num_nodes();
@@ -806,13 +839,20 @@ impl Dijkstra {
     /// same distances, predecessors and settled count as the fresh
     /// allocation path and as either queue policy (property tests in this
     /// module and `tests/queue_equivalence.rs` pin both).
+    ///
+    /// `None` runs to exhaustion. `Some(targets)` stops as soon as every
+    /// listed node is settled — at once for an empty list, at exhaustion
+    /// when one is unreachable — at O(1) per pop (a per-node stamp in the
+    /// scratch). A settled node's distance, predecessor and path are final,
+    /// so every listed node reads as after the exhaustive run; an unlisted
+    /// one may hold a tentative distance.
     pub fn run_multi_scratch<'s>(
         graph: &Graph,
         sources: &[(u32, f64)],
-        target: Option<u32>,
+        targets: Option<&[u32]>,
         scratch: &'s mut DijkstraScratch,
     ) -> ScratchRun<'s> {
-        run_scratch::<false>(graph, sources, target, &[], |_| true, scratch)
+        run_scratch::<false>(graph, sources, targets, &[], |_| true, scratch)
     }
 
     /// Multi-source Dijkstra over the subgraph induced by the nodes
@@ -1057,7 +1097,7 @@ mod tests {
         assert_eq!(run.dist(0), 3.0);
         assert_eq!(run.path_to(0), vec![1, 0]);
         // And back to the larger graph.
-        let run = Dijkstra::run_multi_scratch(&big, &[(0, 0.0)], Some(2), &mut scratch);
+        let run = Dijkstra::run_multi_scratch(&big, &[(0, 0.0)], Some(&[2]), &mut scratch);
         assert_eq!(run.dist(2), 2.0);
     }
 
@@ -1139,7 +1179,7 @@ mod tests {
                 let (decoy, dsrc) = random_graph(seed ^ 0xABCD, (n * 2).max(3), m / 2 + 3);
                 let mut scratch = DijkstraScratch::new();
                 let _ = Dijkstra::run_multi_scratch(&decoy, &dsrc, None, &mut scratch);
-                let _ = Dijkstra::run_multi_scratch(&g, &sources, Some(0), &mut scratch);
+                let _ = Dijkstra::run_multi_scratch(&g, &sources, Some(&[0]), &mut scratch);
 
                 let fresh = Dijkstra::run_multi(&g, &sources, None);
                 let run = Dijkstra::run_multi_scratch(&g, &sources, None, &mut scratch);
@@ -1173,6 +1213,35 @@ mod tests {
                         bucket.dist[v as usize].to_bits()
                     );
                     prop_assert_eq!(heap.prev[v as usize], bucket.prev[v as usize]);
+                }
+            }
+
+            /// A run stopped at a target list leaves every listed node —
+            /// repeated, unreachable, or none listed at all — as the run to
+            /// exhaustion does, and settles no more, under either queue.
+            #[test]
+            fn target_list_stop_matches_exhaustive_run(
+                seed in any::<u64>(),
+                n in 1usize..48,
+                m in 0usize..128,
+                heap in any::<bool>(),
+            ) {
+                let (g, sources) = random_graph(seed, n, m);
+                let mut rng = StdRng::seed_from_u64(seed ^ 0x7A26);
+                let targets: Vec<u32> =
+                    (0..rng.gen_range(0usize..6)).map(|_| rng.gen_range(0usize..n) as u32).collect();
+                let policy = if heap { QueuePolicy::Heap } else { QueuePolicy::Bucket };
+                let full = Dijkstra::run_multi_with(&g, &sources, None, policy);
+                let mut scratch = DijkstraScratch::with_policy(policy);
+                let run = Dijkstra::run_multi_scratch(&g, &sources, Some(&targets), &mut scratch);
+                for &t in &targets {
+                    prop_assert_eq!(run.dist(t).to_bits(), full.dist[t as usize].to_bits());
+                    prop_assert_eq!(run.path_to(t), full.path_to(t));
+                }
+                prop_assert!(run.settled <= full.settled);
+                prop_assert!(run.queue.pushes <= full.queue.pushes);
+                if targets.is_empty() {
+                    prop_assert_eq!(run.settled, 0);
                 }
             }
 

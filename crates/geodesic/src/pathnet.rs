@@ -11,26 +11,32 @@
 //! The DMTM's ">100 % resolution" levels are pathnets over the original
 //! mesh (paper §3.2), and the Kanai–Suzuki engine refines pathnets locally.
 
-use crate::graph::{Dijkstra, DijkstraScratch, Graph, QueueCounters, ScratchRun};
+use crate::graph::{Dijkstra, DijkstraScratch, Graph, QueueCounters};
 use crate::mesh_net::MeshPoint;
 use sknn_geom::Point3;
 use sknn_terrain::mesh::{TerrainMesh, TriId, VertexId};
 
-/// Sorted-vector map from a subdivided mesh edge `(lo, hi)` to its first
-/// Steiner node id. The build path is the ranking hot loop (one pathnet
-/// per candidate group at the >100 % level), so lookups are binary
-/// searches over two dense arrays instead of hashing — and iteration
-/// order is deterministic, which also pins the Steiner node numbering.
+/// The subdivided mesh edges of a pathnet, ascending by `(lo, hi)` mesh
+/// vertex ids: the `i`-th edge's Steiner nodes are `base + i·m ..
+/// base + (i + 1)·m`, ordered from `lo` to `hi`. The sorted keys pin the
+/// Steiner numbering; an embedding finds a facet's edges by binary search.
 #[derive(Debug, Clone, Default)]
 struct EdgeSteinerMap {
-    keys: Vec<(u32, u32)>,
-    first: Vec<u32>,
+    keys: Vec<(VertexId, VertexId)>,
+    base: u32,
+    m: u32,
 }
 
 impl EdgeSteinerMap {
+    /// First Steiner node of the `i`-th edge.
     #[inline]
-    fn get(&self, key: (u32, u32)) -> Option<u32> {
-        self.keys.binary_search(&key).ok().map(|i| self.first[i])
+    fn first(&self, i: usize) -> u32 {
+        self.base + i as u32 * self.m
+    }
+
+    #[inline]
+    fn get(&self, key: (VertexId, VertexId)) -> Option<u32> {
+        self.keys.binary_search(&key).ok().map(|i| self.first(i))
     }
 }
 
@@ -53,11 +59,32 @@ pub struct Pathnet {
     /// Positions of all nodes: the scope's vertex nodes first, Steiner
     /// nodes after them.
     node_pos: Vec<Point3>,
-    /// `edge -> first steiner node id` for each subdivided mesh edge,
-    /// keyed by mesh vertex ids.
+    /// The subdivided mesh edges and their Steiner nodes.
     edge_steiner: EdgeSteinerMap,
     steiner_per_edge: usize,
     scope: Scope,
+}
+
+/// Distances from one source to a destination list (see
+/// [`Pathnet::distances`]).
+#[derive(Debug, Clone)]
+pub struct Distances {
+    /// Approximate surface distance to each destination, in list order;
+    /// `f64::INFINITY` for one the net does not connect to the source.
+    pub dist: Vec<f64>,
+    /// Nodes settled by the run.
+    pub settled: usize,
+    /// Queue-operation counters of the run.
+    pub queue: QueueCounters,
+}
+
+/// How a destination is read off a run: the straight segment when it
+/// shares the source's facet, else through its embedding.
+enum Exit {
+    Straight(f64),
+    /// On-net `(node, exit cost)` pairs and off-net `(mesh vertex, exit
+    /// cost)` corners.
+    Embedded(Vec<(u32, f64)>, Vec<(VertexId, f64)>),
 }
 
 impl Pathnet {
@@ -66,7 +93,9 @@ impl Pathnet {
     /// `tri_filter` is given, only facets accepted by it contribute; edges
     /// bordering no included facet get no Steiner nodes. Costs O(mesh)
     /// whatever the filter admits — [`build_region`](Self::build_region)
-    /// is the constructor for a region.
+    /// is the constructor for a region. Every node pair is linked once:
+    /// each collinear pair by its mesh edge, each other pair by the one
+    /// facet whose two sides it spans.
     pub fn build(
         mesh: &TerrainMesh,
         steiner_per_edge: usize,
@@ -74,12 +103,12 @@ impl Pathnet {
     ) -> Self {
         let included: Option<Vec<bool>> =
             tri_filter.map(|f| (0..mesh.num_triangles() as TriId).map(f).collect());
-        let facets = (0..mesh.num_triangles() as TriId)
-            .filter(|&t| included.as_ref().is_none_or(|v| v[t as usize]));
-        let (node_pos, edge_steiner, mut edges) =
-            assemble(mesh, steiner_per_edge, mesh.vertices().to_vec(), facets, |v| v);
-        edges.sort_unstable_by(|a, b| (a.0, a.1).cmp(&(b.0, b.1)).then(a.2.total_cmp(&b.2)));
-        edges.dedup_by(|a, b| a.0 == b.0 && a.1 == b.1);
+        let facets: Vec<TriId> = (0..mesh.num_triangles() as TriId)
+            .filter(|&t| included.as_ref().is_none_or(|v| v[t as usize]))
+            .collect();
+        let corner_node: Vec<u32> = facets.iter().flat_map(|&t| mesh.triangle_ids(t)).collect();
+        let (node_pos, edge_steiner, edges) =
+            assemble(mesh, steiner_per_edge, mesh.vertices().to_vec(), &facets, &corner_node);
         Self {
             graph: Graph::from_undirected(node_pos.len(), &edges),
             node_pos,
@@ -91,30 +120,44 @@ impl Pathnet {
 
     /// Build a pathnet over the ascending facet list `facets` alone, at a
     /// cost set by the list and not by the mesh: nodes are numbered
-    /// locally (the facets' corners ascending, then Steiner points) and
-    /// the edge list goes to the graph as generated.
+    /// locally — the facets' corners ascending, then Steiner points — by
+    /// one sort of the facets' corners, and every node pair is linked once,
+    /// as in [`build`](Self::build).
     ///
     /// Distances equal those of [`build`](Self::build) under a filter
-    /// admitting the same facets, bit for bit. Dijkstra's final distance
-    /// is the minimum over paths of the left-to-right float sum, which
-    /// depends on neither node numbering nor adjacency order, and every
-    /// duplicate the unsorted list keeps (a corner–Steiner or
-    /// corner–corner pair seen from both facets of an edge, or beside the
-    /// edge's own chain) carries a bit-equal weight because
-    /// [`Point3::dist`] is symmetric in bits. A corner of a facet outside
-    /// the region is not a node here where `build` keeps it as an isolated
-    /// one; [`run_from`](Self::run_from) carries such source corners
-    /// beside the run so they read the same.
+    /// admitting the same facets, bit for bit. Both link the same pairs at
+    /// the same weights, and Dijkstra's final distance is the minimum over
+    /// paths of the left-to-right float sum, which depends on neither node
+    /// numbering nor adjacency order. A corner of a facet outside the
+    /// region is not a node here where `build` keeps it as an isolated one;
+    /// [`distances`](Self::distances) matches such source and destination
+    /// corners beside the run, so they read the same.
     pub fn build_region(mesh: &TerrainMesh, steiner_per_edge: usize, facets: Vec<TriId>) -> Self {
         debug_assert!(facets.windows(2).all(|w| w[0] < w[1]), "facet list must ascend");
-        let mut verts: Vec<VertexId> = facets.iter().flat_map(|&t| mesh.triangle_ids(t)).collect();
-        verts.sort_unstable();
-        verts.dedup();
+        // One row per facet corner, `vertex << 32 | 3f + c`: sorted, the
+        // rows number the region's vertices ascending and name each
+        // corner's node.
+        let mut corners: Vec<u64> = facets
+            .iter()
+            .enumerate()
+            .flat_map(|(f, &t)| {
+                let ids = mesh.triangle_ids(t);
+                (0..3).map(move |c| (ids[c] as u64) << 32 | (3 * f + c) as u64)
+            })
+            .collect();
+        corners.sort_unstable();
+        let mut verts: Vec<VertexId> = Vec::new();
+        let mut corner_node = vec![0u32; corners.len()];
+        for row in corners {
+            let v = (row >> 32) as VertexId;
+            if verts.last() != Some(&v) {
+                verts.push(v);
+            }
+            corner_node[row as u32 as usize] = verts.len() as u32 - 1;
+        }
         let vertex_pos = verts.iter().map(|&v| mesh.vertex(v)).collect();
         let (node_pos, edge_steiner, edges) =
-            assemble(mesh, steiner_per_edge, vertex_pos, facets.iter().copied(), |v| {
-                verts.binary_search(&v).expect("corner of a region facet") as u32
-            });
+            assemble(mesh, steiner_per_edge, vertex_pos, &facets, &corner_node);
         Self {
             graph: Graph::from_undirected(node_pos.len(), &edges),
             node_pos,
@@ -208,26 +251,72 @@ impl Pathnet {
 
     /// Approximate surface distance between two surface points.
     pub fn distance(&self, mesh: &TerrainMesh, a: MeshPoint, b: MeshPoint) -> f64 {
-        let mut scratch = DijkstraScratch::new();
-        self.run_from(mesh, a, &mut scratch).distance_to(mesh, b)
+        self.distances(mesh, a, &[b], &mut DijkstraScratch::new()).dist[0]
     }
 
-    /// Materialize one single-source Dijkstra from `a` over the pathnet,
-    /// reusable across many destinations: the ranking engine runs one per
-    /// candidate *group* instead of one per candidate, and each
-    /// [`PathnetRun::distance_to`] is then a cheap embedding read-off.
-    /// Distances are bit-identical to per-pair [`distance`](Self::distance)
-    /// calls (same source embedding, same run).
-    pub fn run_from<'n, 's>(
-        &'n self,
+    /// Approximate surface distances from `a` to each of `dests`, from one
+    /// Dijkstra run that stops once every on-net node of every listed
+    /// destination's embedding is settled: the ranking engine runs one per
+    /// candidate *group*, listing the group's members.
+    ///
+    /// A destination in `a`'s own facet reads the straight segment and
+    /// lists no node. Any other reads the least `dist(v) + exit` over its
+    /// embedding and, where `a` and it both connect to a corner that is not
+    /// a node of this net, the sum of their two entry costs (in the
+    /// whole-mesh net that corner is an isolated node, reached from the
+    /// source at its entry cost and from nowhere else). Only listed nodes
+    /// are read, and a settled label is final, so every distance is
+    /// bit-identical to the one the run to exhaustion gives; only
+    /// `settled` and the queue counters are smaller.
+    pub fn distances(
+        &self,
         mesh: &TerrainMesh,
         a: MeshPoint,
-        scratch: &'s mut DijkstraScratch,
-    ) -> PathnetRun<'n, 's> {
-        let mut off_net = Vec::new();
-        let src = self.embed(mesh, a, &mut off_net);
-        let run = Dijkstra::run_multi_scratch(&self.graph, &src, None, scratch);
-        PathnetRun { net: self, a, run, off_net }
+        dests: &[MeshPoint],
+        scratch: &mut DijkstraScratch,
+    ) -> Distances {
+        let mut src_off = Vec::new();
+        let src = self.embed(mesh, a, &mut src_off);
+        let exits: Vec<Exit> = dests
+            .iter()
+            .map(|&b| match (a, b) {
+                (
+                    MeshPoint::Interior { tri: ta, pos: pa },
+                    MeshPoint::Interior { tri: tb, pos: pb },
+                ) if ta == tb => Exit::Straight(pa.dist(pb)),
+                _ => {
+                    let mut off = Vec::new();
+                    Exit::Embedded(self.embed(mesh, b, &mut off), off)
+                }
+            })
+            .collect();
+        let targets: Vec<u32> = exits
+            .iter()
+            .flat_map(|e| match e {
+                Exit::Straight(_) => &[][..],
+                Exit::Embedded(on, _) => &on[..],
+            })
+            .map(|&(v, _)| v)
+            .collect();
+        let run = Dijkstra::run_multi_scratch(&self.graph, &src, Some(&targets), scratch);
+        let dist = exits
+            .iter()
+            .map(|e| match e {
+                Exit::Straight(d) => *d,
+                Exit::Embedded(on, off) => {
+                    let on_net = on
+                        .iter()
+                        .map(|&(v, exit)| run.dist(v) + exit)
+                        .fold(f64::INFINITY, f64::min);
+                    off.iter()
+                        .flat_map(|&(v, exit)| {
+                            src_off.iter().filter(move |s| s.0 == v).map(move |s| s.1 + exit)
+                        })
+                        .fold(on_net, f64::min)
+                }
+            })
+            .collect();
+        Distances { dist, settled: run.settled, queue: run.queue }
     }
 
     /// Node path between two embedded points (positions), for corridor
@@ -253,129 +342,103 @@ impl Pathnet {
     }
 }
 
-/// A shared single-source pathnet run (see [`Pathnet::run_from`]).
-#[derive(Debug)]
-pub struct PathnetRun<'n, 's> {
-    net: &'n Pathnet,
-    a: MeshPoint,
-    run: ScratchRun<'s>,
-    /// Source connections to corners outside a region net. In the
-    /// whole-mesh net such a corner is an isolated node, reached at its
-    /// entry cost and from nowhere else.
-    off_net: Vec<(VertexId, f64)>,
-}
-
-impl PathnetRun<'_, '_> {
-    /// Approximate surface distance from the run's source to `b`.
-    pub fn distance_to(&self, mesh: &TerrainMesh, b: MeshPoint) -> f64 {
-        if let (
-            MeshPoint::Interior { tri: ta, pos: pa },
-            MeshPoint::Interior { tri: tb, pos: pb },
-        ) = (self.a, b)
-        {
-            if ta == tb {
-                return pa.dist(pb);
-            }
-        }
-        let mut off_net = Vec::new();
-        let dst = self.net.embed(mesh, b, &mut off_net);
-        let on_net =
-            dst.iter().map(|&(v, exit)| self.run.dist(v) + exit).fold(f64::INFINITY, f64::min);
-        off_net
-            .iter()
-            .flat_map(|&(v, exit)| {
-                self.off_net.iter().filter(move |s| s.0 == v).map(move |s| s.1 + exit)
-            })
-            .fold(on_net, f64::min)
-    }
-
-    /// Queue-operation counters of the underlying Dijkstra run.
-    pub fn queue_counters(&self) -> QueueCounters {
-        self.run.queue
-    }
-
-    /// Nodes settled by the underlying Dijkstra run.
-    pub fn settled(&self) -> usize {
-        self.run.settled
-    }
-}
-
 /// The positions of all nodes, the Steiner map and the undirected edge list
-/// of a pathnet over `facets`: vertex nodes sit at `vertex_pos` and
-/// `node_of` maps a facet corner to its node. The edge list is unsorted and
-/// repeats a pair seen from two facets.
+/// of a pathnet over `facets`, every node pair listed once. Vertex nodes sit
+/// at `vertex_pos` and ascend with their mesh ids; `corner_node[3f + c]` is
+/// the node of corner `c` of `facets[f]`.
+///
+/// The net links every two nodes on different sides of a facet, and each
+/// edge's chain `lo – s₁ – … – sₘ – hi`, at [`Point3::dist`] of the ends. Such
+/// a pair either lies on one mesh edge or spans two sides of exactly one
+/// facet, so the list is emitted without repeats and without lookups. One
+/// sort of the facet sides by their `(lo, hi)` key numbers the mesh edges
+/// (and so the Steiner nodes) ascending and names each side's edge; each
+/// edge then links its collinear pairs once — the chain, every Steiner
+/// point to the corner it is not chained to, and the corner pair: `3m`
+/// pairs, or the corner pair alone for `m = 0`. Each facet links only the
+/// pairs that share no mesh edge — Steiner points of two different sides,
+/// and a side's Steiner points to the opposite corner: `3m(m + 1)` pairs.
 fn assemble(
     mesh: &TerrainMesh,
     m: usize,
     vertex_pos: Vec<Point3>,
-    facets: impl Iterator<Item = TriId> + Clone,
-    node_of: impl Fn(VertexId) -> u32 + Copy,
+    facets: &[TriId],
+    corner_node: &[u32],
 ) -> (Vec<Point3>, EdgeSteinerMap, Vec<(u32, u32, f64)>) {
+    // One row per facet side, `(lo << 32 | hi, 3f + s)`.
+    let mut sides: Vec<(u64, u32)> = Vec::with_capacity(corner_node.len());
+    for (f, &t) in facets.iter().enumerate() {
+        let c = mesh.triangle_ids(t);
+        for s in 0..3 {
+            let (u, v) = (c[s], c[(s + 1) % 3]);
+            sides.push(((u.min(v) as u64) << 32 | u.max(v) as u64, (3 * f + s) as u32));
+        }
+    }
+    sides.sort_unstable_by_key(|&(key, _)| key);
+    let num_edges = sides.chunk_by(|x, y| x.0 == y.0).count();
+
     let mut node_pos = vertex_pos;
-    let mut edges: Vec<(u32, u32, f64)> = Vec::new();
+    node_pos.reserve(num_edges * m);
+    let mut steiner = EdgeSteinerMap {
+        keys: Vec::with_capacity(num_edges),
+        base: node_pos.len() as u32,
+        m: m as u32,
+    };
+    let mut side_edge = vec![0u32; sides.len()];
+    let mut edges: Vec<(u32, u32, f64)> =
+        Vec::with_capacity(num_edges * (3 * m).max(1) + facets.len() * 3 * m * (m + 1));
+    let link = |edges: &mut Vec<(u32, u32, f64)>, pos: &[Point3], u: u32, v: u32| {
+        edges.push((u, v, pos[u as usize].dist(pos[v as usize])));
+    };
+    let m32 = m as u32;
 
-    // Subdivide each edge that borders an included facet. Sorted-dedup
-    // (rather than a hash set) keeps the Steiner numbering deterministic
-    // and the per-build cost branch-light.
-    let mut edge_in: Vec<(u32, u32)> = Vec::new();
-    for t in facets.clone() {
-        let [a, b, c] = mesh.triangle_ids(t);
-        for (u, v) in [(a, b), (b, c), (c, a)] {
-            edge_in.push((u.min(v), u.max(v)));
+    for (e, group) in sides.chunk_by(|x, y| x.0 == y.0).enumerate() {
+        let (a, b) = ((group[0].0 >> 32) as VertexId, group[0].0 as VertexId);
+        for &(_, slot) in group {
+            side_edge[slot as usize] = e as u32;
         }
-    }
-    edge_in.sort_unstable();
-    edge_in.dedup();
-    let mut edge_steiner =
-        EdgeSteinerMap { keys: Vec::new(), first: Vec::with_capacity(edge_in.len()) };
-    for &(a, b) in &edge_in {
-        let pa = mesh.vertex(a);
-        let pb = mesh.vertex(b);
-        let (na, nb) = (node_of(a), node_of(b));
+        steiner.keys.push((a, b));
+        // The nodes of the side's two corners; vertex nodes ascend with
+        // mesh ids, so the smaller is `a`'s.
+        let (f, side) = (group[0].1 as usize / 3, group[0].1 as usize % 3);
+        let (x, y) = (corner_node[3 * f + side], corner_node[3 * f + (side + 1) % 3]);
+        let (na, nb) = (x.min(y), x.max(y));
+        let first = node_pos.len() as u32;
+        let (pa, pb) = (mesh.vertex(a), mesh.vertex(b));
+        node_pos.extend((1..=m).map(|i| pa.lerp(pb, i as f64 / (m + 1) as f64)));
+        let mut prev = na;
+        for s in first..first + m32 {
+            link(&mut edges, &node_pos, prev, s);
+            prev = s;
+        }
+        link(&mut edges, &node_pos, prev, nb);
         if m > 0 {
-            let first = node_pos.len() as u32;
-            for i in 1..=m {
-                let t = i as f64 / (m + 1) as f64;
-                node_pos.push(pa.lerp(pb, t));
+            for s in first + 1..first + m32 {
+                link(&mut edges, &node_pos, na, s);
             }
-            edge_steiner.first.push(first);
-            // Chain along the original edge: a - s1 - ... - sm - b.
-            let mut prev = na;
-            for i in 0..m {
-                let s = first + i as u32;
-                edges.push((prev, s, node_pos[prev as usize].dist(node_pos[s as usize])));
-                prev = s;
+            for s in first..first + m32 - 1 {
+                link(&mut edges, &node_pos, s, nb);
             }
-            edges.push((prev, nb, node_pos[prev as usize].dist(pb)));
-        } else {
-            edges.push((na, nb, pa.dist(pb)));
+            link(&mut edges, &node_pos, na, nb);
         }
     }
-    if m > 0 {
-        edge_steiner.keys = edge_in;
-    }
 
-    // Within each included facet, connect boundary nodes across edges.
-    let mut sides: [Vec<u32>; 3] = Default::default();
-    for t in facets {
-        facet_sides_into(mesh, &edge_steiner, m, t, node_of, &mut sides);
-        // Pairwise links between nodes on different sides. Corner nodes
-        // appear on two sides; dedupe with an ordered guard.
-        for i in 0..3 {
-            for j in i + 1..3 {
-                for &u in &sides[i] {
-                    for &v in &sides[j] {
-                        if u == v {
-                            continue;
-                        }
-                        let w = node_pos[u as usize].dist(node_pos[v as usize]);
-                        edges.push((u.min(v), u.max(v), w));
-                    }
+    for f in 0..facets.len() {
+        let run = |s: usize| {
+            let first = steiner.first(side_edge[3 * f + s] as usize);
+            first..first + m32
+        };
+        for s in 0..3 {
+            let opposite = corner_node[3 * f + (s + 2) % 3];
+            for u in run(s) {
+                link(&mut edges, &node_pos, opposite, u);
+                for v in run((s + 1) % 3) {
+                    link(&mut edges, &node_pos, u, v);
                 }
             }
         }
     }
-    (node_pos, edge_steiner, edges)
+    (node_pos, steiner, edges)
 }
 
 /// Fill `out` with the node lists of a facet's three sides
@@ -497,12 +560,11 @@ mod tests {
         let mesh = TerrainConfig::bh().with_grid(9).build_mesh(3);
         let net = Pathnet::build(&mesh, 1, None);
         let a = MeshPoint::Vertex(0);
-        let mut scratch = DijkstraScratch::new();
-        let run = net.run_from(&mesh, a, &mut scratch);
-        for v in [5u32, 17, 40, 80] {
-            let shared = run.distance_to(&mesh, MeshPoint::Vertex(v));
-            let pair = net.distance(&mesh, a, MeshPoint::Vertex(v));
-            assert_eq!(shared.to_bits(), pair.to_bits(), "v{v}");
+        let dests: Vec<MeshPoint> = [5u32, 17, 40, 80].map(MeshPoint::Vertex).to_vec();
+        let shared = net.distances(&mesh, a, &dests, &mut DijkstraScratch::new());
+        for (&b, d) in dests.iter().zip(&shared.dist) {
+            let pair = net.distance(&mesh, a, b);
+            assert_eq!(d.to_bits(), pair.to_bits(), "{b:?}");
         }
     }
 
@@ -520,28 +582,46 @@ mod tests {
         (facets, region, Pathnet::build(mesh, m, Some(&filter)))
     }
 
+    /// Distinct mesh edges of `facets`.
+    fn mesh_edges(mesh: &TerrainMesh, facets: &[TriId]) -> usize {
+        let mut edges: Vec<(VertexId, VertexId)> = facets
+            .iter()
+            .flat_map(|&t| {
+                let [a, b, c] = mesh.triangle_ids(t);
+                [(a, b), (b, c), (c, a)].map(|(u, v)| (u.min(v), u.max(v)))
+            })
+            .collect();
+        edges.sort_unstable();
+        edges.dedup();
+        edges.len()
+    }
+
     #[test]
     fn region_net_size_follows_the_region_not_the_terrain() {
         // The same 8 × 8-cell rectangle (cells are 10 m on every grid).
         let rect = Rect2::new(Point2::new(101.0, 101.0), Point2::new(179.0, 179.0));
-        let m = 1;
-        let mut sizes = Vec::new();
-        for grid in [33usize, 129] {
-            let mesh = TerrainConfig::bh().with_grid(grid).build_mesh(4);
-            let loc = TriangleLocator::build(&mesh);
-            let (facets, region, oracle) = region_and_oracle(&mesh, &loc, m, &rect);
-            let f = facets.len();
-            assert_eq!(f, 2 * 8 * 8);
-            // Corners + one Steiner point per edge: at most 3 + 3 per facet.
-            assert!(region.num_nodes() <= 4 * f + 64, "{grid}: {} nodes", region.num_nodes());
-            // Per facet 3(m+2)² − 3 links between sides and 3(m+1) chain
-            // segments, nothing per mesh vertex.
-            let per_facet = 3 * (m + 2) * (m + 2) - 3 + 3 * (m + 1);
-            assert!(region.graph().num_edges() <= per_facet * f);
-            assert!(oracle.num_nodes() >= mesh.num_vertices());
-            sizes.push((region.num_nodes(), region.graph().num_edges()));
+        for m in 0..=3 {
+            let mut sizes = Vec::new();
+            for grid in [33usize, 129] {
+                let mesh = TerrainConfig::bh().with_grid(grid).build_mesh(4);
+                let loc = TriangleLocator::build(&mesh);
+                let (facets, region, oracle) = region_and_oracle(&mesh, &loc, m, &rect);
+                let (f, e) = (facets.len(), mesh_edges(&mesh, &facets));
+                assert_eq!(f, 2 * 8 * 8);
+                // Corners, then m Steiner points per mesh edge.
+                assert_eq!(region.num_nodes(), 9 * 9 + m * e, "{grid}, m = {m}");
+                // 3m collinear pairs per mesh edge (the corner pair alone
+                // for m = 0) and 3m(m + 1) pairs across sides per facet,
+                // nothing per mesh vertex; the filtered whole-mesh net links
+                // exactly the same pairs.
+                let links = if m == 0 { e } else { 3 * m * e + 3 * m * (m + 1) * f };
+                assert_eq!(region.graph().num_edges(), links, "{grid}, m = {m}");
+                assert_eq!(oracle.graph().num_edges(), links, "{grid}, m = {m}");
+                assert!(oracle.num_nodes() >= mesh.num_vertices());
+                sizes.push((region.num_nodes(), region.graph().num_edges()));
+            }
+            assert_eq!(sizes[0], sizes[1]);
         }
-        assert_eq!(sizes[0], sizes[1]);
     }
 
     mod properties {
@@ -571,6 +651,163 @@ mod tests {
             }
         }
 
+        /// A 17² terrain, a rectangle on it (hanging over the west edge
+        /// when `over_edge`), the facets meeting it, the region net and the
+        /// filtered whole-mesh net over them, and endpoints: over the
+        /// rectangle and a margin around it, so a good share sits in facets
+        /// the region does not hold; a vertex certainly outside the region
+        /// and a point in one of its facets (source and exit share an
+        /// off-region corner, and in the whole-mesh net the vertex is an
+        /// isolated node); a second point in the facet of every interior
+        /// endpoint; and the first endpoint again.
+        struct Case {
+            mesh: TerrainMesh,
+            facets: Vec<TriId>,
+            region: Pathnet,
+            whole: Pathnet,
+            ends: Vec<MeshPoint>,
+        }
+
+        fn case(seed: u64, m: usize, over_edge: bool) -> Case {
+            let mesh = TerrainConfig::bh().with_grid(17).build_mesh(seed % 5);
+            let loc = TriangleLocator::build(&mesh);
+            let e = mesh.extent();
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (w, h) = (rng.gen_range(5.0..90.0), rng.gen_range(5.0..90.0));
+            let lo = if over_edge {
+                Point2::new(e.lo.x - w / 2.0, rng.gen_range(e.lo.y..e.hi.y - h))
+            } else {
+                Point2::new(rng.gen_range(e.lo.x..e.hi.x - w), rng.gen_range(e.lo.y..e.hi.y - h))
+            };
+            let rect = Rect2::new(lo, Point2::new(lo.x + w, lo.y + h));
+            let (facets, region, whole) = region_and_oracle(&mesh, &loc, m, &rect);
+
+            let around = rect.expanded(25.0).intersection(&e);
+            let mut ends: Vec<MeshPoint> =
+                (0..6).map(|_| random_point(&mut rng, &mesh, &loc, &around)).collect();
+            let outside = (0..mesh.num_vertices() as u32)
+                .find(|&v| {
+                    mesh.vertex_triangles(v).iter().all(|t| facets.binary_search(t).is_err())
+                })
+                .expect("a 17² terrain is larger than any 90 m rectangle");
+            let tri = mesh.vertex_triangles(outside)[0];
+            ends.push(MeshPoint::Vertex(outside));
+            let [a, b, c] = mesh.triangle(tri).vertices();
+            ends.push(MeshPoint::Interior { tri, pos: a.lerp(b, 0.3).lerp(c, 0.3) });
+            for i in 0..ends.len() {
+                if let MeshPoint::Interior { tri, .. } = ends[i] {
+                    let [a, b, c] = mesh.triangle(tri).vertices();
+                    ends.push(MeshPoint::Interior { tri, pos: a.lerp(b, 0.6).lerp(c, 0.2) });
+                }
+            }
+            ends.push(ends[0]);
+            Case { mesh, facets, region, whole, ends }
+        }
+
+        /// The pair rule before each pair was linked once, kept as the
+        /// oracle of `assemble`: the node lists of every facet's three
+        /// sides (each side's chain with them), every pair of nodes on two
+        /// different sides, then sort + dedup, as `(min, max, weight bits)`.
+        fn pair_rule(mesh: &TerrainMesh, net: &Pathnet, facets: &[TriId]) -> Vec<(u32, u32, u64)> {
+            let pos = |n: u32| net.node_pos[n as usize];
+            let link = |u: u32, v: u32| (u.min(v), u.max(v), pos(u).dist(pos(v)).to_bits());
+            let node = |v| net.vertex_node(v).expect("corner of a net facet");
+            let mut edges = Vec::new();
+            let mut sides: [Vec<u32>; 3] = Default::default();
+            for &t in facets {
+                facet_sides_into(
+                    mesh,
+                    &net.edge_steiner,
+                    net.steiner_per_edge,
+                    t,
+                    node,
+                    &mut sides,
+                );
+                for side in &sides {
+                    edges.extend(side.windows(2).map(|w| link(w[0], w[1])));
+                }
+                for i in 0..3 {
+                    for j in i + 1..3 {
+                        for &u in &sides[i] {
+                            for &v in &sides[j] {
+                                if u != v {
+                                    edges.push(link(u, v));
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+            edges.sort_unstable();
+            edges.dedup();
+            edges
+        }
+
+        /// The net's links as `(min, max, weight bits)`, each undirected
+        /// link once, sorted.
+        fn links(net: &Pathnet) -> Vec<(u32, u32, u64)> {
+            let g = net.graph();
+            let mut out: Vec<(u32, u32, u64)> = (0..g.num_nodes() as u32)
+                .flat_map(|u| {
+                    g.neighbors(u)
+                        .iter()
+                        .filter(move |&&(v, _)| u < v)
+                        .map(move |&(v, w)| (u, v, w.to_bits()))
+                })
+                .collect();
+            out.sort_unstable();
+            out
+        }
+
+        /// What the run to exhaustion reads for each destination (the
+        /// read-off before the member stop): the straight segment within
+        /// the source's facet, else the least `dist(v) + exit` over the
+        /// destination's embedding and the least sum of entry costs at an
+        /// off-net corner both connect to. Also its settled count.
+        fn exhaustive(
+            net: &Pathnet,
+            mesh: &TerrainMesh,
+            a: MeshPoint,
+            dests: &[MeshPoint],
+        ) -> (Vec<u64>, usize) {
+            let mut a_off = Vec::new();
+            let src = net.embed(mesh, a, &mut a_off);
+            let mut scratch = DijkstraScratch::new();
+            let run = Dijkstra::run_multi_scratch(&net.graph, &src, None, &mut scratch);
+            let dist = dests
+                .iter()
+                .map(|&b| {
+                    if let (
+                        MeshPoint::Interior { tri: ta, pos: pa },
+                        MeshPoint::Interior { tri: tb, pos: pb },
+                    ) = (a, b)
+                    {
+                        if ta == tb {
+                            return pa.dist(pb).to_bits();
+                        }
+                    }
+                    let mut b_off = Vec::new();
+                    let on = net
+                        .embed(mesh, b, &mut b_off)
+                        .iter()
+                        .map(|&(v, exit)| run.dist(v) + exit)
+                        .fold(f64::INFINITY, f64::min);
+                    b_off
+                        .iter()
+                        .flat_map(|&(v, exit)| {
+                            a_off.iter().filter(move |s| s.0 == v).map(move |s| s.1 + exit)
+                        })
+                        .fold(on, f64::min)
+                        .to_bits()
+                })
+                .collect();
+            (dist, run.settled)
+        }
+
+        fn bits(d: &Distances) -> Vec<u64> {
+            d.dist.iter().map(|x| x.to_bits()).collect()
+        }
+
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(48))]
             /// The region net reads the same distances, bit for bit, as the
@@ -584,48 +821,61 @@ mod tests {
                 m in 0usize..3,
                 over_edge in any::<bool>(),
             ) {
-                let mesh = TerrainConfig::bh().with_grid(17).build_mesh(seed % 5);
-                let loc = TriangleLocator::build(&mesh);
-                let e = mesh.extent();
-                let mut rng = StdRng::seed_from_u64(seed);
-                let (w, h) = (rng.gen_range(5.0..90.0), rng.gen_range(5.0..90.0));
-                let lo = if over_edge {
-                    Point2::new(e.lo.x - w / 2.0, rng.gen_range(e.lo.y..e.hi.y - h))
-                } else {
-                    Point2::new(rng.gen_range(e.lo.x..e.hi.x - w), rng.gen_range(e.lo.y..e.hi.y - h))
-                };
-                let rect = Rect2::new(lo, Point2::new(lo.x + w, lo.y + h));
-                let (facets, region, oracle) = region_and_oracle(&mesh, &loc, m, &rect);
+                let Case { mesh, facets, region, whole, ends } = case(seed, m, over_edge);
                 prop_assert!(!facets.is_empty());
-                prop_assert!(region.num_nodes() < oracle.num_nodes());
-
-                // Endpoints over the region and a margin around it, so a
-                // good share sits in facets the region does not hold.
-                let around = rect.expanded(25.0).intersection(&e);
-                let mut ends: Vec<MeshPoint> =
-                    (0..6).map(|_| random_point(&mut rng, &mesh, &loc, &around)).collect();
-                // A vertex certainly outside the region, and a point in one
-                // of its facets: source and exit share an off-region corner.
-                let outside = (0..mesh.num_vertices() as u32)
-                    .find(|&v| mesh.vertex_triangles(v).iter().all(|t| facets.binary_search(t).is_err()))
-                    .expect("a 17² terrain is larger than any 90 m rectangle");
-                let tri = mesh.vertex_triangles(outside)[0];
-                ends.push(MeshPoint::Vertex(outside));
-                let [a, b, c] = mesh.triangle(tri).vertices();
-                let pos = a.lerp(b, 0.3).lerp(c, 0.3);
-                ends.push(MeshPoint::Interior { tri, pos });
-
+                prop_assert!(region.num_nodes() < whole.num_nodes());
                 let (mut s1, mut s2) = (DijkstraScratch::new(), DijkstraScratch::new());
                 for &a in &ends {
-                    let got = region.run_from(&mesh, a, &mut s1);
-                    let want = oracle.run_from(&mesh, a, &mut s2);
-                    for &b in &ends {
-                        prop_assert_eq!(
-                            got.distance_to(&mesh, b).to_bits(),
-                            want.distance_to(&mesh, b).to_bits()
-                        );
+                    let got = region.distances(&mesh, a, &ends, &mut s1);
+                    let want = whole.distances(&mesh, a, &ends, &mut s2);
+                    prop_assert_eq!(bits(&got), bits(&want));
+                    prop_assert!(got.settled <= want.settled);
+                }
+            }
+
+            /// Both constructors link every node pair once, and exactly the
+            /// pairs — at the same weight bits — of the rule they replace.
+            #[test]
+            fn each_pair_is_linked_once_and_the_pair_rule_holds(
+                seed in any::<u64>(),
+                m in 0usize..=3,
+                over_edge in any::<bool>(),
+            ) {
+                let Case { mesh, facets, region, whole, .. } = case(seed, m, over_edge);
+                for net in [&region, &whole] {
+                    let got = links(net);
+                    prop_assert!(got.windows(2).all(|w| (w[0].0, w[0].1) != (w[1].0, w[1].1)));
+                    prop_assert_eq!(got, pair_rule(&mesh, net, &facets));
+                }
+            }
+
+            /// Stopping once the listed destinations' nodes are settled
+            /// reads every distance the run to exhaustion reads, bit for
+            /// bit, and settles no more — for destinations in the source's
+            /// facet, outside the region (off-net corners), isolated and
+            /// so unreachable (in the whole-mesh net), repeated, and for an
+            /// empty list, which settles nothing.
+            #[test]
+            fn member_stop_matches_the_exhaustive_run(
+                seed in any::<u64>(),
+                m in 0usize..3,
+                over_edge in any::<bool>(),
+            ) {
+                let Case { mesh, region, whole, ends, .. } = case(seed, m, over_edge);
+                let mut scratch = DijkstraScratch::new();
+                for net in [&region, &whole] {
+                    for &a in &ends {
+                        let (want, full) = exhaustive(net, &mesh, a, &ends);
+                        let got = net.distances(&mesh, a, &ends, &mut scratch);
+                        prop_assert_eq!(bits(&got), want);
+                        prop_assert!(got.settled <= full);
+                        let one = net.distances(&mesh, a, &ends[..1], &mut scratch);
+                        prop_assert_eq!(bits(&one)[0], bits(&got)[0]);
+                        prop_assert!(one.settled <= got.settled);
+                        let none = net.distances(&mesh, a, &[], &mut scratch);
+                        prop_assert!(none.dist.is_empty());
+                        prop_assert_eq!(none.settled, 0);
                     }
-                    prop_assert!(got.settled() <= want.settled());
                 }
             }
         }
