@@ -4,8 +4,9 @@
 //! pathnet, corridor-restricted front — the last both over its own graph
 //! and masked over the whole front's), pathnet construction over a group
 //! region and one group's run to its members, the SDN lower bound in the
-//! three shapes its callers give it, the batched point–MBR distance kernel
-//! behind R-tree descent, and the R-tree bulk load behind every
+//! three shapes its callers give it, the MSDN's layout on pages, the page
+//! checksum every physical read verifies, the batched point–MBR distance
+//! kernel behind R-tree descent, and the R-tree bulk load behind every
 //! object-store genesis and recovery.
 //!
 //! Runs under `cargo bench --bench hot_paths`. Beyond the human report (one
@@ -27,9 +28,10 @@ use sknn_geodesic::{MeshPoint, Pathnet};
 use sknn_geom::{Ellipse2, Point2, Rect2};
 use sknn_multires::{build_dmtm, FrontGraph};
 use sknn_sdn::network::{lower_bound, lower_bound_with, LbScratch};
-use sknn_sdn::{Msdn, MsdnConfig};
+use sknn_sdn::{Msdn, MsdnConfig, PagedMsdn};
 use sknn_spatial::kernel::{min_dists_point, min_dists_point_sq, MAX_BATCH};
 use sknn_spatial::RTree;
+use sknn_store::{page_checksum, Pager, PAGE_SIZE};
 use sknn_terrain::dem::TerrainConfig;
 use sknn_terrain::locate::TriangleLocator;
 use std::hint::black_box;
@@ -286,6 +288,20 @@ fn main() {
         lower_bound_with(&lines, a, b, Some(&roi), Some((&prior, width)), &mut scratch).value
     });
     h.bench("sdn/lower_bound/whole_line", || lower_bound(&lines, a, b, None, None).value);
+    // The MSDN laid out on pages, as every engine build does it: one heap
+    // file per (axis, level), each page written (and checksummed) once.
+    h.bench("sdn/paged_msdn_build", || {
+        let pager = Pager::new(256);
+        PagedMsdn::build(&pager, &msdn).num_levels()
+    });
+
+    // --- Page checksum -------------------------------------------------------
+    // The sidecar every physical read verifies before admission, over one
+    // 8 KiB page of pseudo-random bytes.
+    let page: Vec<u8> = (0..PAGE_SIZE as u64)
+        .map(|i| (i.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 56) as u8)
+        .collect();
+    h.bench("store/page_checksum_8k", || page_checksum(black_box(&page)));
 
     // --- Batched point–MBR mindist kernel --------------------------------
     let rects: Vec<Rect2> = (0..16)

@@ -16,16 +16,27 @@ use crate::simplify::{SimplifiedLine, SimplifiedSegment};
 use sknn_geom::{Aabb3, Axis, AxisPlane, Point3, Rect2, Segment3};
 use sknn_store::{HeapFile, Pager, RecordId, StoreResult};
 use std::collections::HashMap;
+use std::ops::Range;
 
 struct PagedLine {
     plane: AxisPlane,
     mbr_xy: Rect2,
-    rids: Vec<RecordId>,
+    /// The line's segments: a run of its level's `rids`.
+    rids: Range<usize>,
 }
 
 struct PagedLevel {
     file: HeapFile,
+    /// Every segment's record address, in line order, as
+    /// [`HeapFile::build`] returned them.
+    rids: Vec<RecordId>,
     lines: Vec<PagedLine>,
+}
+
+impl PagedLevel {
+    fn rids_of(&self, line: &PagedLine) -> &[RecordId] {
+        &self.rids[line.rids.clone()]
+    }
 }
 
 /// MSDN with segment payloads resident on the simulated disk.
@@ -36,23 +47,35 @@ pub struct PagedMsdn {
 }
 
 impl PagedMsdn {
-    /// Serialise an in-memory MSDN into pages.
+    /// Serialise an in-memory MSDN into pages: one heap file per (axis,
+    /// level), bulk-built from the level's segments in line order, so
+    /// each page is written once.
     pub fn build(pager: &Pager, msdn: &Msdn) -> Self {
         let write_axis = |axis: Axis| -> Vec<PagedLevel> {
             (0..msdn.num_levels())
                 .map(|lvl| {
-                    let mut file = HeapFile::new();
-                    let mut lines = Vec::new();
-                    for line in msdn.level_lines(axis, lvl) {
-                        let mut rids = Vec::with_capacity(line.segments.len());
-                        let mut mbr_xy = Rect2::EMPTY;
-                        for seg in &line.segments {
-                            rids.push(file.append(pager, &encode_segment(seg)));
-                            mbr_xy = mbr_xy.union(&seg.mbr.xy());
-                        }
-                        lines.push(PagedLine { plane: line.plane, mbr_xy, rids });
-                    }
-                    PagedLevel { file, lines }
+                    let level = msdn.level_lines(axis, lvl);
+                    let (file, rids) = HeapFile::build(
+                        pager,
+                        level.iter().flat_map(|line| line.segments.iter().map(encode_segment)),
+                    );
+                    let mut start = 0;
+                    let lines = level
+                        .iter()
+                        .map(|line| {
+                            let rids = start..start + line.segments.len();
+                            start = rids.end;
+                            PagedLine {
+                                plane: line.plane,
+                                mbr_xy: line
+                                    .segments
+                                    .iter()
+                                    .fold(Rect2::EMPTY, |mbr, seg| mbr.union(&seg.mbr.xy())),
+                                rids,
+                            }
+                        })
+                        .collect();
+                    PagedLevel { file, rids, lines }
                 })
                 .collect()
         };
@@ -156,7 +179,7 @@ impl PagedMsdn {
             .into_iter()
             .map(|line| SimplifiedLine {
                 plane: line.plane,
-                segments: line.rids.iter().map(|rid| fetched[rid]).collect(),
+                segments: level.rids_of(line).iter().map(|rid| fetched[rid]).collect(),
             })
             .collect())
     }
@@ -189,7 +212,7 @@ fn fetch_segments(
     wanted: &[&PagedLine],
 ) -> StoreResult<HashMap<RecordId, SimplifiedSegment>> {
     let want: std::collections::HashSet<RecordId> =
-        wanted.iter().flat_map(|l| l.rids.iter().copied()).collect();
+        wanted.iter().flat_map(|l| level.rids_of(l).iter().copied()).collect();
     let mut pages: Vec<sknn_store::PageId> = want.iter().map(|rid| rid.page).collect();
     pages.sort_unstable();
     pages.dedup();
@@ -202,9 +225,12 @@ fn fetch_segments(
     Ok(fetched)
 }
 
-fn encode_segment(seg: &SimplifiedSegment) -> Vec<u8> {
-    let mut out = Vec::with_capacity(96);
-    for v in [
+/// Bytes of one encoded segment record: twelve little-endian `f64`s.
+const SEGMENT_BYTES: usize = 96;
+
+fn encode_segment(seg: &SimplifiedSegment) -> [u8; SEGMENT_BYTES] {
+    let mut out = [0u8; SEGMENT_BYTES];
+    for (slot, v) in out.chunks_exact_mut(8).zip([
         seg.seg.a.x,
         seg.seg.a.y,
         seg.seg.a.z,
@@ -217,8 +243,8 @@ fn encode_segment(seg: &SimplifiedSegment) -> Vec<u8> {
         seg.mbr.hi.x,
         seg.mbr.hi.y,
         seg.mbr.hi.z,
-    ] {
-        out.extend_from_slice(&v.to_le_bytes());
+    ]) {
+        slot.copy_from_slice(&v.to_le_bytes());
     }
     out
 }
@@ -249,6 +275,18 @@ mod tests {
         let pager = Pager::new(128);
         let paged = PagedMsdn::build(&pager, &msdn);
         (pager, msdn, paged, mesh)
+    }
+
+    /// The build writes each page it allocates exactly once: its checksum
+    /// is computed once, not once per record.
+    #[test]
+    fn build_writes_each_page_once() {
+        let (pager, msdn, _, _) = setup();
+        let (writes, pages) = (pager.lifetime_stats().writes, pager.num_pages());
+        let paged = PagedMsdn::build(&pager, &msdn);
+        let allocated = (pager.num_pages() - pages) as u64;
+        assert!(allocated > 2 * paged.num_levels() as u64, "levels span several pages");
+        assert_eq!(pager.lifetime_stats().writes - writes, allocated);
     }
 
     #[test]

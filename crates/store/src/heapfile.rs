@@ -1,11 +1,15 @@
 //! Slotted-page heap files.
 //!
-//! SDN crossing-line segments are stored in heap files: records are
-//! appended into slotted pages and addressed by a stable [`RecordId`].
-//! Consecutive appends land on the same page, so data written in a
-//! spatially coherent order (the SDN writes per plane, in line order)
-//! exhibits the locality the paper's integrated-I/O-region optimisation
-//! exploits.
+//! SDN crossing-line segments are stored in heap files: a file is
+//! bulk-built from its records, which fill slotted pages greedily in
+//! record order and are addressed by a stable [`RecordId`]. Consecutive
+//! records land on the same page, so data given in a spatially coherent
+//! order (the SDN writes per plane, in line order) exhibits the locality
+//! the paper's integrated-I/O-region optimisation exploits.
+//!
+//! Each page is allocated when the fill reaches it and written exactly
+//! once, with its final bytes, so its checksum is computed once; like the
+//! B+-tree, a heap file is read-only after [`HeapFile::build`].
 
 use crate::error::StoreResult;
 use crate::page::codec::*;
@@ -24,29 +28,59 @@ pub struct RecordId {
     pub slot: u16,
 }
 
-/// An append-only slotted-page heap file.
+/// A read-only, bulk-built slotted-page heap file.
 #[derive(Debug)]
 pub struct HeapFile {
     pages: Vec<PageId>,
-    /// Bytes used in the last page.
-    tail_used: usize,
-    tail_count: u16,
     len: usize,
-    /// In-memory mirror of the tail page (flushed on every append; kept to
-    /// avoid read-modify-write charging during builds).
-    tail_buf: Vec<u8>,
 }
 
 impl HeapFile {
-    /// Creates the value from its parts.
-    pub fn new() -> Self {
-        Self {
-            pages: Vec::new(),
-            tail_used: HDR,
-            tail_count: 0,
-            len: 0,
-            tail_buf: vec![0u8; PAGE_SIZE],
+    /// Bulk-build a file from `records`, returning it with each record's
+    /// address, in record order. Records fill pages greedily: a record
+    /// goes on the current page while it fits, else a new page is
+    /// allocated. Each page is written once, with its final bytes, when
+    /// the fill moves past it. No records ⇒ no pages.
+    ///
+    /// # Panics
+    /// Panics when a record cannot fit in one page.
+    pub fn build<R: AsRef<[u8]>>(
+        pager: &Pager,
+        records: impl IntoIterator<Item = R>,
+    ) -> (Self, Vec<RecordId>) {
+        let mut pages: Vec<PageId> = Vec::new();
+        let mut rids = Vec::new();
+        let mut buf = vec![0u8; PAGE_SIZE];
+        let mut used = HDR;
+        let mut count: u16 = 0;
+        // Records overwrite every byte below `used`, so the buffer needs
+        // no clearing between pages.
+        let write = |page: PageId, buf: &mut [u8], used: usize, count: u16| {
+            put_u16(buf, 0, count);
+            pager.write(page, 0, &buf[..used]);
+        };
+        for record in records {
+            let record = record.as_ref();
+            let need = 2 + record.len();
+            assert!(need + HDR <= PAGE_SIZE, "record larger than a page");
+            if pages.is_empty() || used + need > PAGE_SIZE {
+                if let Some(&full) = pages.last() {
+                    write(full, &mut buf, used, count);
+                }
+                pages.push(pager.alloc());
+                used = HDR;
+                count = 0;
+            }
+            put_u16(&mut buf, used, record.len() as u16);
+            buf[used + 2..used + need].copy_from_slice(record);
+            used += need;
+            rids.push(RecordId { page: *pages.last().expect("a page is open"), slot: count });
+            count += 1;
         }
+        if let Some(&last) = pages.last() {
+            write(last, &mut buf, used, count);
+        }
+        (Self { pages, len: rids.len() }, rids)
     }
 
     /// Number of contained items.
@@ -62,31 +96,6 @@ impl HeapFile {
     /// Num pages.
     pub fn num_pages(&self) -> usize {
         self.pages.len()
-    }
-
-    /// Append a record; returns its address.
-    ///
-    /// # Panics
-    /// Panics when the record cannot fit in one page.
-    pub fn append(&mut self, pager: &Pager, record: &[u8]) -> RecordId {
-        let need = 2 + record.len();
-        assert!(need + HDR <= PAGE_SIZE, "record larger than a page");
-        if self.pages.is_empty() || self.tail_used + need > PAGE_SIZE {
-            self.pages.push(pager.alloc());
-            self.tail_used = HDR;
-            self.tail_count = 0;
-            self.tail_buf.iter_mut().for_each(|b| *b = 0);
-        }
-        let page = *self.pages.last().unwrap();
-        put_u16(&mut self.tail_buf, self.tail_used, record.len() as u16);
-        self.tail_buf[self.tail_used + 2..self.tail_used + 2 + record.len()]
-            .copy_from_slice(record);
-        self.tail_used += need;
-        self.tail_count += 1;
-        put_u16(&mut self.tail_buf, 0, self.tail_count);
-        pager.write(page, 0, &self.tail_buf[..self.tail_used]);
-        self.len += 1;
-        RecordId { page, slot: self.tail_count - 1 }
     }
 
     /// Fetch one record, charging the page read. Read failures surface as
@@ -154,7 +163,7 @@ impl HeapFile {
         })
     }
 
-    /// Visit every record in the file in append order.
+    /// Visit every record in the file in record order.
     pub fn scan(&self, pager: &Pager, mut visit: impl FnMut(RecordId, &[u8])) -> StoreResult<()> {
         for &page in &self.pages {
             self.visit_page(pager, page, |rid, rec| visit(rid, rec))?;
@@ -168,28 +177,19 @@ impl HeapFile {
     }
 }
 
-impl Default for HeapFile {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn append_and_get_roundtrip() {
+    fn build_and_get_roundtrip() {
         let pager = Pager::new(16);
-        let mut hf = HeapFile::new();
-        let mut rids = Vec::new();
-        for i in 0..1000u32 {
-            let rec = format!("record-{i}-{}", "x".repeat((i % 50) as usize));
-            rids.push((hf.append(&pager, rec.as_bytes()), rec));
-        }
+        let recs: Vec<String> =
+            (0..1000u32).map(|i| format!("record-{i}-{}", "x".repeat((i % 50) as usize))).collect();
+        let (hf, rids) = HeapFile::build(&pager, &recs);
         assert_eq!(hf.len(), 1000);
         assert!(hf.num_pages() > 1);
-        for (rid, want) in &rids {
+        for (rid, want) in rids.iter().zip(&recs) {
             assert_eq!(hf.get(&pager, *rid).unwrap().unwrap(), want.as_bytes());
         }
     }
@@ -197,19 +197,34 @@ mod tests {
     #[test]
     fn get_missing_slot_or_page() {
         let pager = Pager::new(4);
-        let mut hf = HeapFile::new();
-        let rid = hf.append(&pager, b"a");
-        assert!(hf.get(&pager, RecordId { page: rid.page, slot: 99 }).unwrap().is_none());
+        let (hf, rids) = HeapFile::build(&pager, [b"a"]);
+        assert!(hf.get(&pager, RecordId { page: rids[0].page, slot: 99 }).unwrap().is_none());
         assert!(hf.get(&pager, RecordId { page: PageId(9999), slot: 0 }).unwrap().is_none());
     }
 
+    /// A record that fills its page to the last byte stays on it.
     #[test]
-    fn scan_order_matches_append_order() {
+    fn exact_fit_stays_on_its_page() {
+        let pager = Pager::new(4);
+        let recs = [vec![1u8; 4094], vec![2u8; PAGE_SIZE - HDR - 4096 - 2], vec![3u8]];
+        let (hf, rids) = HeapFile::build(&pager, &recs);
+        assert_eq!(rids.iter().map(|r| r.slot).collect::<Vec<_>>(), [0, 1, 0]);
+        assert_eq!(hf.num_pages(), 2);
+    }
+
+    #[test]
+    fn empty_build_allocates_nothing() {
+        let pager = Pager::new(4);
+        let (hf, rids) = HeapFile::build(&pager, std::iter::empty::<&[u8]>());
+        assert!(hf.is_empty() && rids.is_empty());
+        assert_eq!((hf.num_pages(), pager.num_pages()), (0, 0));
+    }
+
+    #[test]
+    fn scan_order_matches_record_order() {
         let pager = Pager::new(16);
-        let mut hf = HeapFile::new();
-        for i in 0..500u32 {
-            hf.append(&pager, &i.to_le_bytes());
-        }
+        let recs: Vec<[u8; 4]> = (0..500u32).map(u32::to_le_bytes).collect();
+        let (hf, _) = HeapFile::build(&pager, &recs);
         let mut seen = Vec::new();
         hf.scan(&pager, |_, rec| {
             seen.push(u32::from_le_bytes(rec.try_into().unwrap()));
@@ -221,16 +236,12 @@ mod tests {
     #[test]
     fn batch_page_visit_charges_one_read() {
         let pager = Pager::new(16);
-        let mut hf = HeapFile::new();
-        let mut first_page = None;
-        for i in 0..100u32 {
-            let rid = hf.append(&pager, &i.to_le_bytes());
-            first_page.get_or_insert(rid.page);
-        }
+        let recs: Vec<[u8; 4]> = (0..100u32).map(u32::to_le_bytes).collect();
+        let (hf, rids) = HeapFile::build(&pager, &recs);
         pager.clear_pool();
         pager.reset_stats();
         let mut n = 0;
-        hf.visit_page(&pager, first_page.unwrap(), |_, _| n += 1).unwrap();
+        hf.visit_page(&pager, rids[0].page, |_, _| n += 1).unwrap();
         assert!(n > 1);
         assert_eq!(pager.stats().physical_reads, 1);
     }
@@ -238,10 +249,8 @@ mod tests {
     #[test]
     fn visit_pages_matches_per_page_visits() {
         let pager = Pager::new(64);
-        let mut hf = HeapFile::new();
-        for i in 0..800u32 {
-            hf.append(&pager, &i.to_le_bytes());
-        }
+        let recs: Vec<[u8; 4]> = (0..800u32).map(u32::to_le_bytes).collect();
+        let (hf, _) = HeapFile::build(&pager, &recs);
         let pages: Vec<_> = hf.pages().to_vec();
         pager.clear_pool();
         pager.reset_stats();
@@ -264,7 +273,6 @@ mod tests {
     #[should_panic(expected = "larger than a page")]
     fn oversized_record_panics() {
         let pager = Pager::new(4);
-        let mut hf = HeapFile::new();
-        hf.append(&pager, &vec![0u8; PAGE_SIZE]);
+        HeapFile::build(&pager, &[vec![0u8; PAGE_SIZE]]);
     }
 }

@@ -15,13 +15,13 @@
 //!   overlap their simulated stalls without changing the page counts;
 //! * [`error`] / [`fault`] — the failure model: the physical read path
 //!   returns typed [`StoreError`]s instead of panicking, every page is
-//!   checksummed (FNV-1a, verified on each physical read), and a seeded
-//!   deterministic [`FaultInjector`] can fail, corrupt, delay, or panic
-//!   reads for resilience testing, with transient faults absorbed by a
-//!   bounded [`RetryPolicy`];
+//!   checksummed ([`page_checksum`], verified on each physical read), and
+//!   a seeded deterministic [`FaultInjector`] can fail, corrupt, delay, or
+//!   panic reads for resilience testing, with transient faults absorbed by
+//!   a bounded [`RetryPolicy`];
 //! * [`bptree`] — a clustering B+-tree (bulk-built, variable-length values
 //!   with overflow chains) used to store DMTM nodes keyed by node id;
-//! * [`heapfile`] — slotted-page heap files for SDN segments;
+//! * [`heapfile`] — bulk-built slotted-page heap files for SDN segments;
 //! * [`wal`] — the checksummed, fsync-on-commit log that is the dynamic
 //!   object set's only durable copy.
 //!

@@ -41,9 +41,11 @@
 //!
 //! The physical read path returns [`StoreResult`] instead of panicking:
 //!
-//! * every page keeps an FNV-1a checksum in a pager-maintained frame
+//! * every page keeps a [`page_checksum`] in a pager-maintained frame
 //!   sidecar, recomputed on write and verified on every physical read —
-//!   corrupt bytes are never admitted to the pool or served to a caller;
+//!   corrupt bytes are never admitted to the pool or served to a caller
+//!   (any change inside one aligned 8-byte word, so any bit flip, is
+//!   always detected);
 //! * an optional, seeded [`FaultInjector`] decides per read *attempt*
 //!   whether it faults (transient, permanent, bit flip, latency, panic);
 //! * transient faults (including checksum failures from injected bit
@@ -69,7 +71,7 @@ use crate::fault::{FaultInjector, FaultKind, FaultStats, RetryPolicy};
 use crate::page::{PageId, PAGE_SIZE};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::sync::{Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::{Duration, Instant};
 
 /// Number of buffer-pool shards (capped by the pool capacity so every
@@ -77,24 +79,74 @@ use std::time::{Duration, Instant};
 /// with it the paper's disk-page metric — machine-independent.
 pub const POOL_SHARDS: usize = 8;
 
-/// FNV-1a 64-bit checksum over a page's bytes. Dependency-free, fast
-/// enough for 8 KiB frames, and sensitive to any single-byte change —
-/// exactly what the torn/bit-rot detection here needs.
-pub fn page_checksum(bytes: &[u8]) -> u64 {
-    fnv1a(bytes, usize::MAX)
+const P1: u64 = 0x9E37_79B1_85EB_CA87;
+const P2: u64 = 0xC2B2_AE3D_27D4_EB4F;
+const P3: u64 = 0x1656_67B1_9E37_79F9;
+const P4: u64 = 0x85EB_CA77_C2B2_AE63;
+const P5: u64 = 0x27D4_EB2F_1656_67C5;
+
+/// One xxHash64 round. For a fixed `acc` it is a bijection in `w`, and for
+/// a fixed `w` a bijection in `acc`: the multipliers are odd (invertible
+/// mod 2⁶⁴), and add and rotate are invertible.
+#[inline(always)]
+fn round(acc: u64, w: u64) -> u64 {
+    acc.wrapping_add(w.wrapping_mul(P2)).rotate_left(31).wrapping_mul(P1)
 }
 
-/// FNV-1a with one byte XOR-flipped at `flip` (out-of-range = no flip):
-/// computes the checksum a bit-flipped wire read would observe without
-/// copying the page.
-fn fnv1a(bytes: &[u8], flip: usize) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for (i, &b) in bytes.iter().enumerate() {
-        let b = if i == flip { b ^ 0x01 } else { b };
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+/// Absorb one 64-bit value into the running sum; a bijection in `h` for a
+/// fixed `v` and in `v` for a fixed `h` (xor of a bijection of `v`, then
+/// an odd multiply and an add).
+#[inline(always)]
+fn absorb(h: u64, v: u64) -> u64 {
+    (h ^ round(0, v)).wrapping_mul(P1).wrapping_add(P4)
+}
+
+/// The store's one checksum: page sidecars and WAL record CRCs. A
+/// word-wide, xxHash64-style sum — four independent lanes of the round
+/// `acc = rotl(acc + w·P2, 31)·P1` over the 8-byte little-endian words of
+/// each 32-byte stripe, the lanes then absorbed one by one after the input
+/// length, the remaining whole words next, and the byte tail last as one
+/// zero-padded word. Word-wide with independent lanes because every
+/// physical read pays it: ≈ 0.75 µs per 8 KiB page on a 2-core Xeon
+/// host, where a byte-serial sum with one dependent multiply per byte
+/// costs ≈ 11.5 µs.
+///
+/// **Detection guarantee:** a change confined to one aligned 8-byte word
+/// of the input — so any single-bit flip and any single-byte change —
+/// always changes the sum. Every step the word passes through is a
+/// bijection in that word with everything else fixed, and every later
+/// step is a bijection in the state it changed, so two inputs differing
+/// in that word alone can never meet. (The padded tail word is injective
+/// because the length is already absorbed.) It is not a cryptographic
+/// hash: changes spanning several words are caught only with high
+/// probability.
+pub fn page_checksum(bytes: &[u8]) -> u64 {
+    let word = |b: &[u8]| u64::from_le_bytes(b.try_into().expect("an 8-byte word"));
+    let mut lanes = [P1.wrapping_add(P2), P2, 0, P1.wrapping_neg()];
+    let stripes = bytes.chunks_exact(32);
+    let rest = stripes.remainder();
+    for stripe in stripes {
+        for (lane, w) in lanes.iter_mut().zip(stripe.chunks_exact(8)) {
+            *lane = round(*lane, word(w));
+        }
     }
-    h
+    let mut h = lanes.into_iter().fold(P5.wrapping_add(bytes.len() as u64), absorb);
+    let words = rest.chunks_exact(8);
+    let tail = words.remainder();
+    for w in words {
+        h = absorb(h, word(w));
+    }
+    if !tail.is_empty() {
+        let mut padded = [0u8; 8];
+        padded[..tail.len()].copy_from_slice(tail);
+        h = absorb(h, u64::from_le_bytes(padded));
+    }
+    // Final avalanche: xor-shifts and odd multiplies, each invertible.
+    h ^= h >> 33;
+    h = h.wrapping_mul(P2);
+    h ^= h >> 29;
+    h = h.wrapping_mul(P3);
+    h ^ (h >> 32)
 }
 
 /// Which on-disk structure a page belongs to. Assigned when the page is
@@ -194,7 +246,7 @@ pub struct ConcurrencyStats {
 #[derive(Debug)]
 struct PageStore {
     pages: Vec<Box<[u8]>>,
-    /// FNV-1a checksum per page (the pager-maintained frame sidecar),
+    /// [`page_checksum`] per page (the pager-maintained frame sidecar),
     /// parallel to `pages`. Recomputed on write, verified on every
     /// physical read.
     sums: Vec<u64>,
@@ -537,9 +589,9 @@ impl Pager {
     pub fn alloc(&self) -> PageId {
         let mut store = self.store_write();
         let tag = store.alloc_tag;
-        let page: Box<[u8]> = vec![0u8; PAGE_SIZE].into_boxed_slice();
-        store.sums.push(page_checksum(&page));
-        store.pages.push(page);
+        static ZERO_PAGE_SUM: OnceLock<u64> = OnceLock::new();
+        store.sums.push(*ZERO_PAGE_SUM.get_or_init(|| page_checksum(&[0; PAGE_SIZE])));
+        store.pages.push(vec![0u8; PAGE_SIZE].into_boxed_slice());
         store.tags.push(tag);
         PageId(store.pages.len() as u64 - 1)
     }
@@ -724,16 +776,20 @@ impl Pager {
                     self.verify_page(page)
                 }
                 Some(FaultKind::BitFlip) => {
-                    // The wire flipped a byte: the checksum the reader
-                    // computes disagrees with the sidecar. Detected before
-                    // the page is admitted; retried like a transient fault.
-                    let store = self.store_read();
+                    // The wire flipped a bit: the checksum the reader
+                    // computes over the bytes it received disagrees with
+                    // the sidecar. Detected before the page is admitted;
+                    // retried like a transient fault.
                     let flip = {
                         let guard = self.fault.read().unwrap_or_else(|e| e.into_inner());
                         guard.as_ref().map_or(0, |inj| inj.flip_offset(page, PAGE_SIZE))
                     };
+                    let store = self.store_read();
                     let stored = store.sums[page as usize];
-                    let computed = fnv1a(&store.pages[page as usize], flip);
+                    let mut received = store.pages[page as usize].to_vec();
+                    drop(store);
+                    received[flip] ^= 0x01;
+                    let computed = page_checksum(&received);
                     Err(StoreError::Checksum { page, stored, computed })
                 }
                 Some(FaultKind::Transient) => {
@@ -1281,6 +1337,82 @@ mod tests {
             p.with_page(b, |_| ()).unwrap(); // hit on another page
             assert!(t.elapsed() < Duration::from_millis(40), "hit blocked behind a stalling miss");
         });
+    }
+
+    /// `len` deterministic pseudo-random bytes.
+    fn noise(len: usize, seed: u64) -> Vec<u8> {
+        (0..len as u64).map(|i| crate::fault::splitmix64(seed ^ i.wrapping_mul(P1)) as u8).collect()
+    }
+
+    #[test]
+    fn checksum_detects_every_single_bit_flip_of_a_page() {
+        let mut page = noise(PAGE_SIZE, 1);
+        let sum = page_checksum(&page);
+        for bit in 0..PAGE_SIZE * 8 {
+            page[bit / 8] ^= 1 << (bit % 8);
+            assert_ne!(page_checksum(&page), sum, "flip of bit {bit} went undetected");
+            page[bit / 8] ^= 1 << (bit % 8);
+        }
+    }
+
+    /// Every value of a byte at the edges of words, stripes and halves.
+    #[test]
+    fn checksum_detects_every_byte_change_at_word_edges() {
+        let mut page = noise(PAGE_SIZE, 2);
+        let sum = page_checksum(&page);
+        for off in [0, 7, 8, 31, 32, 4095, 8191] {
+            let orig = page[off];
+            for delta in 1..=255u8 {
+                page[off] = orig ^ delta;
+                assert_ne!(page_checksum(&page), sum, "byte {off} ^ {delta:#04x} went undetected");
+            }
+            page[off] = orig;
+        }
+    }
+
+    /// WAL bodies are short and leave a byte tail: a change at any offset
+    /// of any length up to 100 (stripes, whole tail words, padded tail).
+    #[test]
+    fn checksum_detects_byte_changes_in_short_inputs() {
+        for len in 0..=100 {
+            let mut input = noise(len, 3 + len as u64);
+            let sum = page_checksum(&input);
+            for off in 0..len {
+                for delta in [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0xFF] {
+                    input[off] ^= delta;
+                    assert_ne!(page_checksum(&input), sum, "len {len} off {off} ^ {delta:#04x}");
+                    input[off] ^= delta;
+                }
+            }
+        }
+    }
+
+    /// Swapped words, within one stripe, between lanes and along one lane.
+    #[test]
+    fn checksum_detects_swapped_words() {
+        let page = noise(PAGE_SIZE, 4);
+        let sum = page_checksum(&page);
+        let words = PAGE_SIZE / 8;
+        for (i, j) in (0..words).flat_map(|i| [(i, (i + 1) % words), (i, (i + 4) % words)]) {
+            let (a, b) = (i.min(j) * 8, i.max(j) * 8);
+            let mut swapped = page.clone();
+            if swapped[a..a + 8] == swapped[b..b + 8] {
+                continue;
+            }
+            let (lo, hi) = swapped.split_at_mut(b);
+            lo[a..a + 8].swap_with_slice(&mut hi[..8]);
+            assert_ne!(page_checksum(&swapped), sum, "swap of words {i} and {j} went undetected");
+        }
+    }
+
+    /// Pins the kernel: any change to it — constants, lane order, tail
+    /// rule — changes these values and must be deliberate.
+    #[test]
+    fn checksum_known_answers() {
+        let page: Vec<u8> = (0..PAGE_SIZE).map(|i| (i * 31 % 251) as u8).collect();
+        assert_eq!(page_checksum(&[]), 0xc162_0d0a_2dca_a9d2);
+        assert_eq!(page_checksum(&page), 0x3554_e1dd_7d4b_bf38);
+        assert_eq!(page_checksum(b"surface k-NN"), 0xc589_6dfc_fae9_b51a);
     }
 
     #[test]

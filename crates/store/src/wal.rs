@@ -18,10 +18,14 @@
 //!          |<------------- body (len bytes) ----->|
 //! ```
 //!
-//! `crc` is FNV-1a over the body. The torn-tolerant scanner
-//! ([`Wal::scan`]) stops at the first record whose frame is incomplete or
-//! whose checksum disagrees — a crash mid-append tears only the tail, and
-//! the torn tail is exactly the part that never committed.
+//! `crc` is the store's one checksum, [`page_checksum`], over the body:
+//! any change confined to one aligned 8-byte word of the body — so any
+//! bit flip or single-byte change, the body's byte tail included — always
+//! changes it (each step of the sum is a bijection in the word it takes).
+//! The torn-tolerant scanner ([`Wal::scan`]) stops at the first record
+//! whose frame is incomplete or whose checksum disagrees — a crash
+//! mid-append tears only the tail, and the torn tail is exactly the part
+//! that never committed.
 //!
 //! # Simulated disk
 //!

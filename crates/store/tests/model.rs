@@ -43,8 +43,8 @@ proptest! {
         prop_assert_eq!(got, want);
     }
 
-    /// Heap files return exactly what was appended, in order, and every
-    /// record is retrievable by its id.
+    /// Heap files return exactly what they were built from, in order, and
+    /// every record is retrievable by its id.
     #[test]
     fn heapfile_agrees_with_vec(
         recs in proptest::collection::vec(
@@ -53,8 +53,7 @@ proptest! {
         ),
     ) {
         let pager = Pager::new(32);
-        let mut hf = HeapFile::new();
-        let rids: Vec<_> = recs.iter().map(|r| hf.append(&pager, r)).collect();
+        let (hf, rids) = HeapFile::build(&pager, &recs);
         prop_assert_eq!(hf.len(), recs.len());
         for (rid, want) in rids.iter().zip(&recs) {
             let got = hf.get(&pager, *rid).unwrap();
@@ -63,6 +62,53 @@ proptest! {
         let mut scanned = Vec::new();
         hf.scan(&pager, |_, bytes| scanned.push(bytes.to_vec())).unwrap();
         prop_assert_eq!(scanned, recs);
+    }
+
+    /// The bulk build places every record where one-record-at-a-time
+    /// greedy appending did — same (page, slot), same page count, same
+    /// page bytes — and writes each page exactly once. The oracle is the
+    /// append loop over the documented layout (`[count u16]`, then
+    /// `[len u16][bytes]` per record).
+    #[test]
+    fn heapfile_build_matches_greedy_append(
+        recs in proptest::collection::vec(
+            proptest::collection::vec(any::<u8>(), 0..3000),
+            0..40,
+        ),
+        allocated_before in 0usize..3,
+    ) {
+        let pager = Pager::new(8);
+        for _ in 0..allocated_before {
+            pager.alloc();
+        }
+        let writes = pager.lifetime_stats().writes;
+        let (hf, rids) = HeapFile::build(&pager, &recs);
+
+        let mut images: Vec<Vec<u8>> = Vec::new();
+        let mut want = Vec::new();
+        let mut used = PAGE_SIZE;
+        for r in &recs {
+            if images.is_empty() || used + 2 + r.len() > PAGE_SIZE {
+                images.push(vec![0u8; PAGE_SIZE]);
+                used = 2;
+            }
+            let page = images.last_mut().unwrap();
+            let slot = u16::from_le_bytes([page[0], page[1]]);
+            page[used..used + 2].copy_from_slice(&(r.len() as u16).to_le_bytes());
+            page[used + 2..used + 2 + r.len()].copy_from_slice(r);
+            page[..2].copy_from_slice(&(slot + 1).to_le_bytes());
+            used += 2 + r.len();
+            want.push((allocated_before + images.len() - 1, slot));
+        }
+
+        let got: Vec<(usize, u16)> = rids.iter().map(|r| (r.page.0 as usize, r.slot)).collect();
+        prop_assert_eq!(got, want);
+        prop_assert_eq!(hf.num_pages(), images.len());
+        prop_assert_eq!(pager.num_pages(), allocated_before + images.len());
+        prop_assert_eq!(pager.lifetime_stats().writes - writes, images.len() as u64);
+        for (&page, image) in hf.pages().iter().zip(&images) {
+            prop_assert_eq!(&pager.read_page(page).unwrap(), image);
+        }
     }
 
     /// Buffer-pool accounting: physical <= logical, hits + physical ==
