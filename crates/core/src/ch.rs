@@ -52,7 +52,7 @@ impl<'s, 'm> ChEngine<'s, 'm> {
             .iter()
             .map(|o| (self.geo.distance(q.to_mesh_point(), o.point.to_mesh_point()), o.id))
             .collect();
-        dists.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap().then(a.1.cmp(&b.1)));
+        dists.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
         let neighbors = dists
             .into_iter()
             .take(k)

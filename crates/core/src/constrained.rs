@@ -172,7 +172,7 @@ impl<'s, 'm> ConstrainedEngine<'s, 'm> {
             .filter(|(_, d)| d.is_finite())
             .map(|(i, &d)| (d, i as u32))
             .collect();
-        order.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap().then(a.1.cmp(&b.1)));
+        order.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
         order.truncate(k);
 
         // Lower bounds for the winners: the unconstrained SDN bound is a

@@ -141,7 +141,7 @@ impl<'s, 'm> EaEngine<'s, 'm> {
                 .iter()
                 .map(|&id| (q.pos.dist(self.scene.object(id).point.pos), id))
                 .collect();
-            order.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
+            order.sort_by(|a, b| a.0.total_cmp(&b.0));
             let mut known: Vec<(u32, f64)> = Vec::new();
             for (euclid, id) in order {
                 let kth = kth_smallest(&known, k);
@@ -165,7 +165,7 @@ impl<'s, 'm> EaEngine<'s, 'm> {
                 };
                 known.push((id, ub));
             }
-            known.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap().then(a.0.cmp(&b.0)));
+            known.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
             neighbors = known
                 .into_iter()
                 .take(k)
@@ -188,7 +188,7 @@ fn kth_smallest(known: &[(u32, f64)], k: usize) -> f64 {
         return f64::INFINITY;
     }
     let mut v: Vec<f64> = known.iter().map(|&(_, d)| d).collect();
-    v.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    v.sort_by(f64::total_cmp);
     v[k - 1]
 }
 
@@ -226,6 +226,16 @@ mod tests {
         // EA touches the whole model at least once.
         assert!(res.stats.pages > 10, "pages {}", res.stats.pages);
         assert!(res.stats.ub_estimations >= 3);
+    }
+
+    /// A NaN upper bound sorts after every number instead of panicking
+    /// the sort.
+    #[test]
+    fn kth_smallest_survives_a_nan_bound() {
+        let known = [(0, 1.0), (1, f64::NAN), (2, 0.5)];
+        assert_eq!(kth_smallest(&known, 2), 1.0);
+        assert!(kth_smallest(&known, 3).is_nan());
+        assert_eq!(kth_smallest(&known, 4), f64::INFINITY);
     }
 
     #[test]

@@ -17,6 +17,7 @@ use crate::objects::{ObjectSnapshot, ObjectStore, WriteStats};
 use crate::ranking::{Candidate, RankScratch, RankingContext};
 use crate::resilience::{FaultLog, QueryError, FAULT_BUDGET};
 use crate::workload::{Scene, SurfacePoint};
+use sknn_geom::Rect2;
 use sknn_multires::{CutCache, CutGrid, PagedDmtm};
 use sknn_obs::{field, QueryTrace, Recorder, RingRecorder, NOOP};
 use sknn_sdn::{LineCutCache, PagedMsdn};
@@ -423,22 +424,40 @@ impl<'s, 'm> Mr3Engine<'s, 'm> {
     }
 
     /// [`try_query`](Self::try_query) under explicit [`QueryOpts`] (the
-    /// serving layer's per-request deadline and wire trace id): the four
-    /// MR3 steps composed over the pinned snapshot's own objects.
+    /// serving layer's per-request deadline, wire trace id and tile): the
+    /// four MR3 steps composed over the pinned snapshot's own objects.
+    ///
+    /// A bounded [`within`](QueryOpts::within) stops the query early —
+    /// with no neighbours, the radius it reached, and a `stopped` field on
+    /// its `query` span — at step 1 when the snapshot holds fewer than `k`
+    /// live objects, and after step 2 when the step-2 circle is not
+    /// strictly inside the tile ([`Rect2::contains_disc`]). Otherwise
+    /// steps 3–4 run exactly as they do without it.
     pub fn try_query_with(
         &self,
         q: SurfacePoint,
         k: usize,
         opts: &QueryOpts,
     ) -> Result<QueryResult, QueryError> {
+        // The whole plane leaves no object beyond it: nothing to stop for.
+        let within = opts.within.filter(|w| *w != Rect2::UNBOUNDED);
         self.scoped(opts, "query", |s| {
-            let k = k.min(s.objs.live());
+            let live = s.objs.live();
+            if within.is_some() && k > live {
+                s.root.extend([field("k", k), field("stopped", "step1")]);
+                return (Vec::new(), 0.0);
+            }
+            let k = k.min(live);
             s.root.push(field("k", k));
             if k == 0 {
                 return (Vec::new(), 0.0);
             }
             let seeds = s.seeds(&q, k);
             let (radius, refined) = s.radius(&q, &seeds);
+            if within.is_some_and(|w| !w.contains_disc(q.pos.xy(), radius)) {
+                s.root.push(field("stopped", "step2"));
+                return (Vec::new(), radius);
+            }
             let cands = s.range(&q, radius);
             (s.rank(&q, &cands, &refined, k, k), radius)
         })
@@ -647,6 +666,10 @@ pub struct QueryOpts {
     /// of the engine's own sequence number, so a serving-layer request
     /// keeps its records attributable even when batched with strangers.
     pub trace_id: u64,
+    /// The tile [`Mr3Engine::try_query_with`]'s answer must stay inside:
+    /// a shard's objects are the whole population only within its tile.
+    /// `None` — or [`Rect2::UNBOUNDED`] — is the full query.
+    pub within: Option<Rect2>,
 }
 
 /// The state of one query between the prologue and epilogue of
@@ -942,6 +965,7 @@ mod tests {
     use crate::ch::ChEngine;
     use crate::config::StepSchedule;
     use crate::workload::SceneBuilder;
+    use sknn_geom::Point2;
     use sknn_terrain::dem::TerrainConfig;
 
     fn mesh() -> TerrainMesh {
@@ -1116,11 +1140,35 @@ mod tests {
 
         // An already-expired deadline degrades both compositions to the
         // same seed-resolution bounds.
-        let expired = QueryOpts { deadline: Some(Instant::now()), trace_id: 0 };
+        let expired = QueryOpts { deadline: Some(Instant::now()), ..QueryOpts::default() };
         let (whole, split) = both_compositions(&engine, q, 3, &expired);
         for r in [&whole, &split] {
             assert_eq!(r.degraded.as_ref().expect("must degrade").reason, "DeadlineExpired");
         }
+
+        // An unbounded tile is no tile: the same answer, bit for bit,
+        // also when k exceeds the live count.
+        let within = |w: Rect2| QueryOpts { within: Some(w), ..QueryOpts::default() };
+        for k in [3, 10] {
+            let free = engine.try_query(q, k).unwrap();
+            let open = engine.try_query_with(q, k, &within(Rect2::UNBOUNDED)).unwrap();
+            assert_eq!(bits(&open.neighbors), bits(&free.neighbors), "k {k}");
+            assert_eq!(open.radius.to_bits(), free.radius.to_bits(), "k {k}");
+        }
+
+        // A tile the step-2 circle crosses stops the query after step 2:
+        // no neighbours, the same radius; one it clears changes nothing.
+        let free = engine.try_query(q, 3).unwrap();
+        let (c, r) = (q.pos.xy(), free.radius);
+        let tile = |half: f64| Rect2::new(c - Point2::new(half, half), c + Point2::new(half, half));
+        let crossed = engine.try_query_with(q, 3, &within(tile(r / 2.0))).unwrap();
+        assert!(crossed.neighbors.is_empty());
+        assert_eq!(crossed.radius.to_bits(), free.radius.to_bits());
+        let cleared = engine.try_query_with(q, 3, &within(tile(2.0 * r))).unwrap();
+        assert_eq!(bits(&cleared.neighbors), bits(&free.neighbors));
+        // More objects asked for than the tile holds: stopped at step 1.
+        let short = engine.try_query_with(q, 10, &within(tile(2.0 * r))).unwrap();
+        assert!(short.neighbors.is_empty() && short.radius == 0.0);
     }
 
     /// Every op runs in the one query scope: it mints its own id and

@@ -667,7 +667,7 @@ fn dominates(a: &Window, b: &Window, lo: f64, hi: f64) -> bool {
     } else if q1.abs() > 1e-12 {
         push_root(-q0 / q1);
     }
-    cuts.sort_by(|x, y| x.partial_cmp(y).unwrap());
+    cuts.sort_by(f64::total_cmp);
     // Sample the ends and each sub-interval midpoint.
     let mut samples = vec![lo, hi];
     for pair in cuts.windows(2) {

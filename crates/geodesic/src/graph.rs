@@ -802,11 +802,6 @@ impl Dijkstra {
         Self::run_multi(graph, &[(source, 0.0)], None)
     }
 
-    /// Shortest path from `source` to `target` with early exit.
-    pub fn run_to(graph: &Graph, source: u32, target: u32) -> Self {
-        Self::run_multi(graph, &[(source, 0.0)], Some(target))
-    }
-
     /// Multi-source Dijkstra with optional early exit at `target`, using
     /// the default [`QueuePolicy`].
     ///
@@ -929,7 +924,7 @@ mod tests {
     fn early_exit_settles_fewer() {
         let g = diamond();
         let full = Dijkstra::run(&g, 0);
-        let early = Dijkstra::run_to(&g, 0, 1);
+        let early = Dijkstra::run_multi(&g, &[(0, 0.0)], Some(1));
         assert!(early.settled < full.settled);
         assert_eq!(early.dist[1], 1.0);
     }

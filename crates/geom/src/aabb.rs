@@ -23,9 +23,28 @@ impl Rect2 {
         hi: Point2::new(f64::NEG_INFINITY, f64::NEG_INFINITY),
     };
 
+    /// The whole plane: every edge open at `±∞`.
+    pub const UNBOUNDED: Rect2 = Rect2 {
+        lo: Point2::new(f64::NEG_INFINITY, f64::NEG_INFINITY),
+        hi: Point2::new(f64::INFINITY, f64::INFINITY),
+    };
+
     /// Creates the value from its parts.
     pub fn new(lo: Point2, hi: Point2) -> Self {
         Self { lo, hi }
+    }
+
+    /// Whether the disc of `radius` around `c` lies *strictly* inside:
+    /// it clears every edge, so a disc touching an edge is not inside. A
+    /// `±∞` edge is open — every finite disc clears it. A non-finite or
+    /// negative radius is never inside.
+    pub fn contains_disc(&self, c: Point2, radius: f64) -> bool {
+        radius.is_finite()
+            && radius >= 0.0
+            && c.x - radius > self.lo.x
+            && c.x + radius < self.hi.x
+            && c.y - radius > self.lo.y
+            && c.y + radius < self.hi.y
     }
 
     /// Rectangle covering a single point.
@@ -249,6 +268,23 @@ mod tests {
         assert_eq!(a.union(&Rect2::EMPTY), a);
         assert!(Rect2::EMPTY.is_empty());
         assert!(!Rect2::EMPTY.intersects(&a));
+    }
+
+    #[test]
+    fn contains_disc_is_strict_and_open_at_infinite_edges() {
+        let a = r(0.0, 0.0, 10.0, 10.0);
+        let c = Point2::new(5.0, 5.0);
+        assert!(a.contains_disc(c, 4.0));
+        assert!(a.contains_disc(c, 0.0));
+        assert!(!a.contains_disc(c, 5.0), "touching an edge is not inside");
+        for bad in [f64::INFINITY, f64::NAN, -1.0] {
+            assert!(!a.contains_disc(c, bad), "radius {bad}");
+            assert!(!Rect2::UNBOUNDED.contains_disc(c, bad), "radius {bad}");
+        }
+        let open_right = r(0.0, 0.0, f64::INFINITY, 10.0);
+        assert!(open_right.contains_disc(Point2::new(1e12, 5.0), 4.0));
+        assert!(!open_right.contains_disc(Point2::new(1e12, 5.0), 5.0));
+        assert!(Rect2::UNBOUNDED.contains_disc(c, 1e300));
     }
 
     #[test]

@@ -169,16 +169,6 @@ impl Msdn {
         Some(lower_bound(&lines, a, b, roi, Some((prior_path, width))))
     }
 
-    /// Total segments stored at a level (both axes) — a size diagnostic.
-    pub fn level_segments(&self, level_idx: usize) -> usize {
-        self.x_levels[level_idx]
-            .lines
-            .iter()
-            .chain(self.y_levels[level_idx].lines.iter())
-            .map(|l| l.segments.len())
-            .sum()
-    }
-
     /// Borrow a level's lines for external storage layers.
     pub fn level_lines(&self, axis: Axis, level_idx: usize) -> &[SimplifiedLine] {
         &self.level(axis, level_idx).lines
@@ -212,8 +202,13 @@ mod tests {
     #[test]
     fn levels_grow_in_size() {
         let (_, _, msdn) = setup();
+        // Segments stored at a level, both axes.
+        let segments = |i: usize| -> usize {
+            let lines = msdn.x_levels[i].lines.iter().chain(&msdn.y_levels[i].lines);
+            lines.map(|l| l.segments.len()).sum()
+        };
         for i in 1..msdn.num_levels() {
-            assert!(msdn.level_segments(i) > msdn.level_segments(i - 1), "level {i} not larger");
+            assert!(segments(i) > segments(i - 1), "level {i} not larger");
         }
     }
 

@@ -4,6 +4,7 @@
 
 use crate::protocol::{read_frame, write_frame, Frame, QueryFrame, RecvError};
 use sknn_core::workload::SurfacePoint;
+use sknn_geom::Rect2;
 use std::io;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
@@ -50,7 +51,8 @@ impl Client {
         read_frame(&mut self.stream)
     }
 
-    /// Sends a query for `k` neighbors of a known surface point.
+    /// Sends a query for `k` neighbors of a known surface point — the full
+    /// query: its tile is [`Rect2::UNBOUNDED`].
     pub fn send_query(
         &mut self,
         req_id: u64,
@@ -80,6 +82,7 @@ impl Client {
             k,
             deadline_ms,
             trace_id,
+            within: Rect2::UNBOUNDED,
         }))
     }
 

@@ -2,8 +2,8 @@
 //! once. A shard [`Server`](crate::Server) and the `sknn-shard` router
 //! both bind an [`Edge`] and hand it a [`Service`]; the edge owns the
 //! listener (and the optional metrics listener), the accept loop, one
-//! reader thread per connection, admission into the EDF lanes, `CANCEL`,
-//! `STATS`, `TRACE_DUMP`, framing errors, the shutdown [`Handle`] and
+//! reader thread per connection, admission into the EDF lanes, `STATS`,
+//! `TRACE_DUMP`, framing errors, the shutdown [`Handle`] and
 //! the drain. It reads a request frame's ids and deadline itself
 //! ([`Frame::request_header`]) and asks the process one question —
 //! [`Service::claim`]: *is this yours, and if so what is its payload, or
@@ -26,8 +26,8 @@
 //! Admission is the bounded deadline-aware queue: a reader `try_push`es
 //! each request, and a full queue means an immediate typed `Overloaded`
 //! reply — load shedding is a fast "no", never a hang or an unbounded
-//! buffer. Queued requests can be withdrawn by a `CANCEL` frame before a
-//! worker picks them up.
+//! buffer. An admitted request is answered exactly once: nothing
+//! withdraws it from the queue.
 //!
 //! Graceful drain is ordering, not machinery: setting the shutdown flag
 //! stops the accept loop and makes every reader exit at its next frame
@@ -69,9 +69,6 @@ crate::metrics_table! {
             expired: "Requests dropped at dequeue (deadline expired)",
             rejected_shutdown: "Requests rejected while draining",
             protocol_errors: "Malformed or unexpected frames received",
-            cancelled: "Requests withdrawn from the queue by CANCEL",
-            /// The request was already executing, unknown, or answered.
-            cancel_misses: "CANCEL frames that missed a queued request",
             /// The client was gone mid-flight.
             write_errors: "Reply writes that failed",
             /// Each was answered with a typed `Internal` error and the
@@ -327,22 +324,6 @@ impl Edge {
         let mut stream = stream;
         loop {
             match read_frame_interruptible(&mut stream, &self.shutdown) {
-                ReadOutcome::Frame(Frame::Cancel(c)) => {
-                    // Withdraw the queued job if the cancel wins the race.
-                    // The typed `Cancelled` reply goes to the *cancelled
-                    // request's* connection (its own writer) so every
-                    // admitted request still gets exactly one reply on
-                    // its own stream. A miss means the job is already
-                    // executing (or finished); its real reply is coming,
-                    // so a cancel is silent here.
-                    match lanes.cancel(c.req_id, c.trace_id) {
-                        Some(job) => {
-                            stats.cancelled.inc();
-                            job.refuse(stats, ErrorCode::Cancelled, "cancelled while queued");
-                        }
-                        None => stats.cancel_misses.inc(),
-                    }
-                }
                 ReadOutcome::Frame(Frame::StatsRequest) => {
                     let mut entries = Vec::new();
                     stats.stats_rows(&mut entries);
@@ -490,22 +471,22 @@ pub struct Contract<'a> {
 /// request whose deadline passes while it is parked behind the held
 /// worker is answered `DeadlineExpired` on its own connection and
 /// counted; with the worker held, the `STATS` `queue_depth` reads exactly
-/// what is parked and the next arrival is `Overloaded`; a landed `CANCEL`
-/// answers the *cancelled* request's connection; `/healthz` flips to 503
+/// what is parked and the next arrival is `Overloaded`; `/healthz` flips to 503
 /// while the admitted backlog is still unanswered and a frame finished
 /// after the flip is `ShuttingDown`; every admitted request gets exactly
 /// one reply on its own connection, then EOF. Begins the drain itself;
 /// the caller joins `run` afterwards. Panics on the first violated
 /// expectation.
 pub fn check_edge_contract(p: &Contract<'_>) {
-    use crate::protocol::{read_frame, CancelFrame, QueryFrame, RecvError};
+    use crate::protocol::{read_frame, QueryFrame, RecvError};
     use crate::{promtext, Client};
     use std::io::{Read, Write};
 
     let deadlined = |req_id: u64, deadline_ms: u32| {
         let (tri, p) = (p.query.tri, p.query.pos);
         let (x, y, z, trace_id) = (p.x, p.y, p.z, req_id + 1000);
-        Frame::Query(QueryFrame { req_id, tri, x, y, z, k: 2, deadline_ms, trace_id })
+        let within = sknn_geom::Rect2::UNBOUNDED;
+        Frame::Query(QueryFrame { req_id, tri, x, y, z, k: 2, deadline_ms, trace_id, within })
     };
     let request = |req_id: u64| deadlined(req_id, 0);
     let addr = p.handle.addr();
@@ -566,11 +547,6 @@ pub fn check_edge_contract(p: &Contract<'_>) {
     b.send(&request(99)).expect("send");
     assert_eq!(error_of(b.recv().expect("shed reply")), (99, ErrorCode::Overloaded));
 
-    b.send(&Frame::Cancel(CancelFrame { req_id: 1, trace_id: 1001 })).expect("send");
-    assert_eq!(error_of(a.recv().expect("cancelled reply")), (1, ErrorCode::Cancelled));
-    b.send(&Frame::StatsRequest).expect("send");
-    assert!(matches!(b.recv(), Ok(Frame::Stats(_))), "the canceller hears nothing of it");
-
     // The shutdown flag is honoured between frames only, so a frame
     // whose first bytes the reader already holds is finished and then
     // refused. The pause lets the reader take those bytes.
@@ -590,15 +566,14 @@ pub fn check_edge_contract(p: &Contract<'_>) {
     assert_eq!(error_of(reply), (77, ErrorCode::ShuttingDown));
 
     (p.hold)(false);
-    let mut answered: Vec<u64> = (0..p.parked)
+    let mut answered: Vec<u64> = (0..=p.parked)
         .map(|_| match a.recv().expect("drain answers what was admitted") {
             Frame::Response(r) => r.req_id,
             other => panic!("expected a response, got {other:?}"),
         })
         .collect();
     answered.sort_unstable();
-    let admitted: Vec<u64> = std::iter::once(0).chain(2..=p.parked).collect();
-    assert_eq!(answered, admitted, "one reply per admitted request");
+    assert!(answered.into_iter().eq(0..=p.parked), "one reply per admitted request");
     assert!(matches!(a.recv(), Err(RecvError::Closed)), "then the connection closes");
 }
 
@@ -669,7 +644,9 @@ mod tests {
             let replies = [1, 2]
                 .map(|req_id| {
                     let (tri, x, y, z, k) = (0, 0.0, 0.0, 0.0, 1);
-                    let q = QueryFrame { req_id, tri, x, y, z, k, deadline_ms: 0, trace_id: 0 };
+                    let within = sknn_geom::Rect2::UNBOUNDED;
+                    let (deadline_ms, trace_id) = (0, 0);
+                    let q = QueryFrame { req_id, tri, x, y, z, k, deadline_ms, trace_id, within };
                     client.send(&Frame::Query(q)).unwrap();
                     client.recv()
                 })
@@ -691,7 +668,7 @@ mod tests {
     }
 
     /// The gauge has no state of its own: it follows the lanes through
-    /// push, cancel and pop.
+    /// push and pop.
     #[test]
     fn queue_depth_gauge_is_the_lanes_length() {
         let lanes = Lanes::new(4, Duration::ZERO);
@@ -708,11 +685,9 @@ mod tests {
             lanes.try_push(Job::detached(id, id + 1000, None, now)).unwrap();
             assert_eq!((gauge(), lanes.len()), (id as usize + 1, id as usize + 1));
         }
-        assert!(lanes.cancel(1, 1001).is_some());
-        assert_eq!((gauge(), lanes.len()), (2, 2));
-        assert!(lanes.pop().is_some());
-        assert_eq!((gauge(), lanes.len()), (1, 1));
-        assert!(lanes.pop().is_some());
-        assert_eq!((gauge(), lanes.len()), (0, 0));
+        for left in (0..3).rev() {
+            assert!(lanes.pop().is_some());
+            assert_eq!((gauge(), lanes.len()), (left, left));
+        }
     }
 }

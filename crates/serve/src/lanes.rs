@@ -15,13 +15,6 @@
 //!   not) has waited longer than the floor, in which case it is taken
 //!   next regardless. The floor bounds how long a stream of urgent
 //!   arrivals can park a patient request, so EDF cannot starve.
-//!
-//! The lanes also support withdrawal: a queued job can be [`cancel`]led
-//! by `(req_id, trace_id)` before a worker picks it up — the hook
-//! the sharding router uses to kill speculative fan-out legs whose
-//! answer the merged bound has already proven irrelevant.
-//!
-//! [`cancel`]: Lanes::cancel
 
 use crate::edge::Job;
 use std::sync::{Condvar, Mutex};
@@ -42,8 +35,8 @@ struct Inner<P> {
     closed: bool,
 }
 
-/// The shared admission queue. Producers (`try_push`, `cancel`) are the
-/// edge's per-connection readers; consumers — the edge's workers — pop
+/// The shared admission queue. Producers (`try_push`) are the edge's
+/// per-connection readers; consumers — the edge's workers — pop
 /// the scheduled-next job.
 pub struct Lanes<P> {
     inner: Mutex<Inner<P>>,
@@ -77,16 +70,6 @@ impl<P> Lanes<P> {
         drop(g);
         self.cond.notify_one();
         Ok(())
-    }
-
-    /// Withdraws a queued job matching both ids (the pair must match so a
-    /// recycled `req_id` cannot kill a stranger's request). Returns the
-    /// job — with its reply writer — when the cancel lands; `None` is a
-    /// cancel miss (already dispatched, unknown, or already answered).
-    pub(crate) fn cancel(&self, req_id: u64, trace_id: u64) -> Option<Job<P>> {
-        let mut g = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        let i = g.jobs.iter().position(|j| (j.req_id, j.trace_id) == (req_id, trace_id))?;
-        Some(g.jobs.remove(i))
     }
 
     /// Jobs queued right now — the one source of every `queue_depth`
@@ -147,8 +130,8 @@ mod tests {
     use std::time::Instant;
 
     /// The scheduling contract: EDF order, FIFO among the deadline-less,
-    /// the starvation floor beating EDF, shedding at capacity, cancel by
-    /// id pair, and the closed-and-empty exit.
+    /// the starvation floor beating EDF, shedding at capacity, and the
+    /// closed-and-empty exit.
     #[test]
     fn lanes_obey_the_scheduling_contract() {
         let job =
@@ -180,19 +163,16 @@ mod tests {
         assert!(lanes.try_push(job(2, Some(Instant::now()), Instant::now())).is_ok());
         assert_eq!((req(lanes.pop()), req(lanes.pop())), (1, 2));
 
-        // A full queue sheds; cancel needs both ids and lands once.
+        // A full queue sheds.
         let lanes = Lanes::new(2, Duration::ZERO);
         assert!(lanes.try_push(job(1, None, t0)).is_ok());
         assert!(lanes.try_push(job(2, None, t0)).is_ok());
         assert_eq!(lanes.try_push(job(3, None, t0)), Err(PushError::Full));
-        assert!(lanes.cancel(1, 0).is_none(), "trace id must match");
-        assert_eq!(req(lanes.cancel(1, 1001)), 1);
-        assert!(lanes.cancel(1, 1001).is_none(), "second cancel is a miss");
 
         // Closing refuses pushes, drains what is queued, then ends.
         lanes.close();
         assert_eq!(lanes.try_push(job(4, None, t0)), Err(PushError::Closed));
-        assert_eq!(req(lanes.pop()), 2);
+        assert_eq!((req(lanes.pop()), req(lanes.pop())), (1, 2));
         assert!(lanes.pop().is_none());
     }
 }

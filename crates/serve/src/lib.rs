@@ -13,8 +13,8 @@
 //! * [`edge`] — the serving edge, shared with the shard router in
 //!   `sknn-shard`: accept loop, per-connection readers, admission
 //!   control over the EDF lanes (bounded queue; a full queue is an
-//!   immediate typed `Overloaded`, never a hang), `CANCEL`, the metrics
-//!   endpoint, the worker loop (`workers × (pop → serve → reply)`, a
+//!   immediate typed `Overloaded`, never a hang), the metrics endpoint,
+//!   the worker loop (`workers × (pop → serve → reply)`, a
 //!   deadline spent in the queue refused at dequeue, a panicking job
 //!   answered `Internal`), and graceful drain: shutdown stops admission,
 //!   answers everything already admitted, then returns. The lanes, the

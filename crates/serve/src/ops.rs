@@ -23,18 +23,18 @@ use sknn_core::metrics::QueryResult;
 use sknn_core::mr3::QueryOpts;
 use sknn_core::resilience::QueryError;
 use sknn_core::workload::SurfacePoint;
-use sknn_geom::Point2;
+use sknn_geom::{Point2, Rect2};
 use sknn_obs::{field, Recorder};
 use std::time::{Duration, Instant};
 
 /// What an admitted request asks the engine for. `Query` is the whole
 /// MR3 pipeline; the rest are the decomposed shard ops (a router
 /// reconstructing one query across a fleet). All ops flow through the
-/// same lanes and workers, so every op is cancellable while queued and
-/// obeys the same deadline.
+/// same lanes and workers and obey the same deadline.
 pub enum JobOp {
-    /// Full k-NN query (steps 1–4).
-    Query { point: SurfacePoint, k: usize },
+    /// Full k-NN query (steps 1–4), stopped after step 2 when its circle
+    /// leaves `within` ([`QueryOpts::within`]).
+    Query { point: SurfacePoint, k: usize, within: Rect2 },
     /// Step 1 only: local 2D seeds.
     Seeds { xy: Point2, k: usize },
     /// Step 3 only: local 2D range collection.
@@ -70,7 +70,8 @@ impl Server<'_, '_, '_> {
     /// Runs `job`'s one engine call and writes its one reply.
     pub(crate) fn serve_op(&self, job: Job<JobOp>, rec: &dyn Recorder) {
         let (engine, stats) = (self.engine, &*self.stats);
-        let opts = QueryOpts { deadline: job.deadline, trace_id: job.trace_id };
+        let opts =
+            QueryOpts { deadline: job.deadline, trace_id: job.trace_id, ..QueryOpts::default() };
         let stall_before_ns = engine.pager().stall_ns();
         let exec_start = Instant::now();
         // Read by each arm the moment its engine call returns. The pager's
@@ -127,7 +128,10 @@ impl Server<'_, '_, '_> {
         // Each arm: the engine call, the clock, the frame — and, for the
         // ranked ops, how the slow log should file the request.
         let (timing, outcome, frame) = match &job.payload {
-            JobOp::Query { point, k } => ranked(engine.try_query_with(*point, *k, &opts)),
+            JobOp::Query { point, k, within } => {
+                let opts = QueryOpts { within: Some(*within), ..opts };
+                ranked(engine.try_query_with(*point, *k, &opts))
+            }
             JobOp::Exec { point, k, seeds, cands } => {
                 ranked(engine.exec_ranked(*point, *k, seeds, cands, &opts))
             }
@@ -191,8 +195,12 @@ impl Server<'_, '_, '_> {
         timing.rank_us = stages.rank_us.min(u32::MAX as u64) as u32;
         stats.stage_knn2d_us.record(stages.knn2d_us);
         stats.stage_radius_us.record(stages.radius_us);
-        stats.stage_range_us.record(stages.range_us);
-        stats.stage_rank_us.record(stages.rank_us);
+        // Steps 3-4 ran only for an answer: a query stopped at its tile's
+        // edge (or asked for no neighbours) returns none.
+        if !res.neighbors.is_empty() {
+            stats.stage_range_us.record(stages.range_us);
+            stats.stage_rank_us.record(stages.rank_us);
+        }
         stats.kernel.dijkstra_pushes.add(res.stats.queue_pushes);
         stats.kernel.dijkstra_pops.add(res.stats.queue_pops);
         stats.kernel.dijkstra_stale_pops.add(res.stats.stale_pops);

@@ -15,11 +15,7 @@
 //! * reconnection is lazy: a dead socket fails all in-flight requests
 //!   with [`PoolError::ConnectionLost`], and the next send dials afresh.
 //!   An epoch counter keeps a stale reader (from a replaced connection)
-//!   from failing requests that belong to its successor;
-//! * [`PoolClient::cancel`] is fire-and-forget: it writes a `CANCEL`
-//!   frame (protocol v3) without consuming the pending slot — if the
-//!   cancel wins, the reply is a typed `Cancelled` error; if it loses,
-//!   the real answer arrives. Either way exactly one frame lands.
+//!   from failing requests that belong to its successor.
 //!
 //! Only frames that carry a `req_id` (responses, errors, and the shard
 //! operation replies) can ride a pooled connection; `STATS` and
@@ -27,11 +23,11 @@
 //!
 //! [`Client`]: crate::client::Client
 
-use crate::protocol::{read_frame, write_frame, CancelFrame, Frame, ProtocolError, RecvError};
+use crate::protocol::{read_frame, write_frame, Frame, ProtocolError, RecvError};
 use std::collections::HashMap;
 use std::io;
 use std::net::{Shutdown, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -83,8 +79,6 @@ struct Shared {
     epoch: AtomicU64,
     /// Monotonic request-id source (wire-unique per pool).
     req_ids: AtomicU64,
-    /// Whether the pool believes the peer reachable (last dial/IO).
-    healthy: AtomicBool,
 }
 
 /// One persistent, multiplexed connection to a peer. Cheap to share
@@ -113,7 +107,6 @@ impl PoolClient {
                 pending: Mutex::new(HashMap::new()),
                 epoch: AtomicU64::new(0),
                 req_ids: AtomicU64::new(1),
-                healthy: AtomicBool::new(false),
             }),
         }
     }
@@ -127,18 +120,6 @@ impl PoolClient {
     /// stamp it into the frame they pass to [`begin`](Self::begin).
     pub fn next_req_id(&self) -> u64 {
         self.shared.req_ids.fetch_add(1, Ordering::Relaxed)
-    }
-
-    /// Whether the peer is reachable: reuses the live connection or
-    /// dials. A `false` marks the pool unhealthy until a dial succeeds.
-    pub fn health(&self) -> bool {
-        let mut w = self.shared.write.lock().unwrap_or_else(|e| e.into_inner());
-        ensure_conn(&self.shared, &mut w).is_ok()
-    }
-
-    /// Whether the last dial or write succeeded (no I/O performed).
-    pub fn last_healthy(&self) -> bool {
-        self.shared.healthy.load(Ordering::Relaxed)
     }
 
     /// Sends `frame` (which must carry a `req_id` from
@@ -160,26 +141,9 @@ impl PoolClient {
         Ok(InFlight { shared: Arc::clone(&self.shared), req_id, rx })
     }
 
-    /// Fire-and-forget `CANCEL` for a request previously begun on this
-    /// pool. Does not consume the pending slot: the reply (a typed
-    /// `Cancelled` error if the cancel won, the real answer if it lost)
-    /// still resolves the original [`InFlight`]. Write errors are
-    /// swallowed — a dead connection has already failed the flight.
-    pub fn cancel(&self, req_id: u64, trace_id: u64) {
-        let mut w = self.shared.write.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(stream) = w.as_mut() {
-            let frame = Frame::Cancel(CancelFrame { req_id, trace_id });
-            if write_frame(stream, &frame).is_err() {
-                drop(w);
-                self.drop_conn();
-            }
-        }
-    }
-
     /// Tears down the current connection (reader exits; in-flight
     /// requests fail with [`PoolError::ConnectionLost`]).
     fn drop_conn(&self) {
-        self.shared.healthy.store(false, Ordering::Relaxed);
         let stream = self.shared.write.lock().unwrap_or_else(|e| e.into_inner()).take();
         if let Some(s) = stream {
             let _ = s.shutdown(Shutdown::Both);
@@ -226,13 +190,7 @@ fn ensure_conn(shared: &Arc<Shared>, w: &mut Option<TcpStream>) -> io::Result<()
         }
         Err(last)
     };
-    let stream = match dial() {
-        Ok(s) => s,
-        Err(e) => {
-            shared.healthy.store(false, Ordering::Relaxed);
-            return Err(e);
-        }
-    };
+    let stream = dial()?;
     stream.set_nodelay(true)?;
     let read_half = stream.try_clone()?;
     let epoch = shared.epoch.fetch_add(1, Ordering::SeqCst) + 1;
@@ -242,7 +200,6 @@ fn ensure_conn(shared: &Arc<Shared>, w: &mut Option<TcpStream>) -> io::Result<()
         .spawn(move || reader_loop(reader_shared, read_half, epoch))
         .map_err(io::Error::other)?;
     *w = Some(stream);
-    shared.healthy.store(true, Ordering::Relaxed);
     Ok(())
 }
 
@@ -277,7 +234,6 @@ fn reader_loop(shared: Arc<Shared>, mut stream: TcpStream, epoch: u64) {
         return;
     }
     *w = None;
-    shared.healthy.store(false, Ordering::Relaxed);
     drop(w);
     let drained: Vec<_> = {
         let mut p = shared.pending.lock().unwrap_or_else(|e| e.into_inner());
@@ -345,6 +301,7 @@ mod tests {
             k: 1,
             deadline_ms: 0,
             trace_id: req_id,
+            within: sknn_geom::Rect2::UNBOUNDED,
         })
     }
 
@@ -403,7 +360,6 @@ mod tests {
             Err(PoolError::ConnectionLost) => {}
             other => panic!("expected ConnectionLost, got {other:?}"),
         }
-        assert!(!pool.last_healthy());
         // Lazy reconnect on the next begin.
         let id2 = pool.next_req_id();
         let reply = pool.begin(id2, &query(id2)).unwrap().wait(Duration::from_secs(5)).unwrap();
@@ -411,7 +367,6 @@ mod tests {
             Frame::Error(e) => assert_eq!(e.req_id, id2),
             other => panic!("unexpected: {other:?}"),
         }
-        assert!(pool.last_healthy());
         peer.join().unwrap();
     }
 

@@ -5,7 +5,7 @@
 //! ```text
 //! offset  size  field
 //!      0     4  magic  b"SKNN"
-//!      4     2  protocol version (little-endian u16, must be 3)
+//!      4     2  protocol version (little-endian u16, must be 4)
 //!      6     1  frame type tag
 //!      7     1  reserved (must be 0 on send, ignored on receive)
 //!      8     4  payload length (little-endian u32, <= MAX_PAYLOAD)
@@ -30,19 +30,22 @@
 //! * `String` — u16 byte length + UTF-8; `str32` — the same behind a u32
 //!   length; `Option<String>` — a 0/1 flag byte, then the string if 1;
 //! * `list16<T>` / `list32<T>` — a u16 / u32 count, then the elements;
-//! * a record ([`ServerTiming`], [`WireObject`], [`WireNeighbor`]) or a
-//!   pair — its fields one after the other.
+//! * a record ([`ServerTiming`], [`WireObject`], [`WireNeighbor`], a
+//!   `Rect2` tile) or a pair — its fields one after the other.
 //!
 //! # Versioning
 //!
 //! The version travels per frame and exactly one is spoken:
-//! [`MIN_VERSION`]` = `[`VERSION`]` = 3`. [`parse_header`] rejects every
+//! [`MIN_VERSION`]` = `[`VERSION`]` = 4`. [`parse_header`] rejects every
 //! other version with a typed [`ProtocolError::BadVersion`] before looking
 //! at the tag or the payload, and a server answers it with one
 //! [`ErrorCode::BadRequest`] frame before hanging up — a foreign peer gets
 //! a reason, never a hang or a misparse. (Versions 1 and 2 — no trace
 //! ids, three-field timing, no shard ops — had no deployed client left
-//! and their encode/decode branches are gone.)
+//! and their encode/decode branches are gone. Version 3 had a `CANCEL`
+//! frame at tag 8 and no tile on `QUERY`; version 4 moved tags 9–15 down
+//! by one, so a mixed fleet fails at the header instead of reading a
+//! renumbered tag as the wrong frame.)
 //!
 //! # Bounds
 //!
@@ -56,6 +59,7 @@
 //! the frame carries, so `encode` cannot produce a frame its peer would
 //! reject as oversized — an over-long list arrives truncated instead.
 
+use sknn_geom::{Point2, Rect2};
 use std::io::{self, Read, Write};
 
 /// Frame magic: the first four bytes of every frame.
@@ -64,7 +68,7 @@ pub const MAGIC: [u8; 4] = *b"SKNN";
 /// The protocol version every frame is encoded at. Frames carrying any
 /// version in [`MIN_VERSION`]`..=VERSION` are accepted; others are
 /// rejected with [`ProtocolError::BadVersion`].
-pub const VERSION: u16 = 3;
+pub const VERSION: u16 = 4;
 
 /// Oldest protocol version still decoded — the current one.
 pub const MIN_VERSION: u16 = VERSION;
@@ -98,16 +102,13 @@ pub enum ErrorCode {
     /// The server is draining and no longer admits new requests.
     ShuttingDown = 4,
     /// The frame was well-formed but semantically invalid (facet id out of
-    /// range, non-finite coordinates, point outside the terrain, or an
-    /// unexpected frame type).
+    /// range, non-finite coordinates, a NaN tile bound, point outside the
+    /// terrain, or an unexpected frame type).
     BadRequest = 5,
-    /// The request was withdrawn by a [`CancelFrame`] while still queued;
-    /// it was never executed (a router cancelling a losing fan-out leg
-    /// is the expected producer).
-    Cancelled = 6,
     /// The request's engine call panicked. Only this request failed: the
     /// server caught the panic, counted it (`sknn_serve_panics_total`)
-    /// and keeps serving.
+    /// and keeps serving. (Byte 6, version 3's `Cancelled`, stays
+    /// unassigned.)
     Internal = 7,
 }
 
@@ -316,18 +317,22 @@ impl Wire for ErrorCode {
     fn get(r: &mut Rd<'_>) -> Result<Self, ProtocolError> {
         use ErrorCode::*;
         let code = u8::get(r)?;
-        [
-            Overloaded,
-            DeadlineExpired,
-            FaultBudgetExceeded,
-            ShuttingDown,
-            BadRequest,
-            Cancelled,
-            Internal,
-        ]
-        .into_iter()
-        .find(|c| *c as u8 == code)
-        .ok_or(ProtocolError::Malformed("unknown error code"))
+        [Overloaded, DeadlineExpired, FaultBudgetExceeded, ShuttingDown, BadRequest, Internal]
+            .into_iter()
+            .find(|c| *c as u8 == code)
+            .ok_or(ProtocolError::Malformed("unknown error code"))
+    }
+}
+
+/// A tile travels as its four bounds, `lo.x`, `lo.y`, `hi.x`, `hi.y`.
+impl Wire for Rect2 {
+    const MIN_LEN: usize = 32;
+    fn put(&self, w: &mut Enc) {
+        [self.lo.x, self.lo.y, self.hi.x, self.hi.y].iter().for_each(|v| v.put(w));
+    }
+    fn get(r: &mut Rd<'_>) -> Result<Self, ProtocolError> {
+        let lo = Point2::new(f64::get(r)?, f64::get(r)?);
+        Ok(Rect2::new(lo, Point2::new(f64::get(r)?, f64::get(r)?)))
     }
 }
 
@@ -620,6 +625,14 @@ wire_table! {
             /// produces; `0` asks the server to mint one (echoed in the reply
             /// either way).
             trace_id: u64,
+            /// The tile the answer must stay inside (`lo.x`, `lo.y`, `hi.x`,
+            /// `hi.y`). [`Rect2::UNBOUNDED`] — what a direct client sends — is
+            /// the full query. A router sends a home shard its open tile: the
+            /// shard stops after step 2, and replies with no neighbours and
+            /// the radius it reached, unless the step-2 circle stays strictly
+            /// inside it (and the shard holds at least `k` objects). A NaN
+            /// bound is a `BadRequest`.
+            within: Rect2,
         }
     ),
     /// Server → client: a successful reply.
@@ -631,10 +644,9 @@ wire_table! {
             /// The request's trace id (client-supplied or server-minted) — the
             /// key into metrics-endpoint slow-query dumps and server traces.
             trace_id: u64,
-            /// The MR3 step-2 search radius this answer was computed under — the
-            /// router's straddle test (a query whose radius-circle stays inside
-            /// one tile is fully answered by that tile's shard). `0.0` when the
-            /// engine reported none.
+            /// The MR3 step-2 search radius this answer was computed under — or,
+            /// for a query stopped at its tile's edge, the radius it reached.
+            /// `0.0` when the engine reported none.
             radius: f64,
             /// Queue/execution timing and batch size for this request.
             timing: ServerTiming,
@@ -684,23 +696,8 @@ wire_table! {
             jsonl: str32,
         }
     ),
-    /// Client → server: withdraw a queued request.
-    8 => Cancel(
-        /// Withdraw a queued request. The target removes the request
-        /// from its admission lanes if still queued and answers it with
-        /// [`ErrorCode::Cancelled`]; a request already executing runs to
-        /// completion (a cancel miss — counted, not an error).
-        #[derive(Copy, Eq)]
-        CancelFrame {
-            /// Correlation id of the request to withdraw.
-            req_id: u64,
-            /// Trace id the request carried — both must match for the cancel to
-            /// land, so a recycled `req_id` cannot kill a stranger's request.
-            trace_id: u64,
-        }
-    ),
     /// Router → shard: local 2D k-NN seeds.
-    9 => SeedsRequest(
+    8 => SeedsRequest(
         /// Shard op: return the k nearest *live objects by 2D plan distance* to
         /// `(x, y)` (MR3 step 1 restricted to this shard's tile).
         #[derive(Copy)]
@@ -720,7 +717,7 @@ wire_table! {
         }
     ),
     /// Shard → router: the local seeds.
-    10 => Seeds(
+    9 => Seeds(
         /// Reply to [`SeedsRequestFrame`]: this shard's local 2D k-NN seeds,
         /// ascending by `(dist, id)` — the canonical order the router's merge
         /// preserves.
@@ -734,7 +731,7 @@ wire_table! {
         }
     ),
     /// Router → shard: local 2D range collection.
-    11 => RangeRequest(
+    10 => RangeRequest(
         /// Shard op: return every live object within 2D plan distance `radius`
         /// of `(x, y)` (MR3 step 3 restricted to this shard's tile). A
         /// non-finite radius means "every live object" — the engine's degenerate
@@ -756,7 +753,7 @@ wire_table! {
         }
     ),
     /// Shard → router: the in-range objects.
-    12 => Range(
+    11 => Range(
         /// Reply to [`RangeRequestFrame`]: the in-range objects ascending by id
         /// (canonical order; the router's k-way merge preserves it).
         RangeFrame: reply {
@@ -769,7 +766,7 @@ wire_table! {
         }
     ),
     /// Router → home shard: radius estimation over merged seeds.
-    13 => RadiusRequest(
+    12 => RadiusRequest(
         /// Shard op: run MR3 step 2 (radius estimation) on the home shard with
         /// an explicit, already-merged seed list — the candidate population and
         /// order are the router's, so the estimate is bit-identical to a single
@@ -794,7 +791,7 @@ wire_table! {
         }
     ),
     /// Home shard → router: the estimated radius.
-    14 => Radius(
+    13 => Radius(
         /// Reply to [`RadiusRequestFrame`].
         #[derive(Copy)]
         RadiusFrame: reply {
@@ -808,7 +805,7 @@ wire_table! {
     ),
     /// Router → home shard: coupled ranking over merged candidates; the
     /// reply is a [`Frame::Response`].
-    15 => ExecRequest(
+    14 => ExecRequest(
         /// Shard op: run MR3 steps 2+4 (radius + coupled ranking) on the home
         /// shard over explicit, router-merged seed and candidate lists, replying
         /// with a [`ResponseFrame`] whose neighbors carry up to `k + 1` entries
@@ -1007,6 +1004,7 @@ mod tests {
             k: 4,
             deadline_ms: 250,
             trace_id: 0xDEAD_BEEF,
+            within: Rect2::new(Point2::new(0.0, -1.5), Point2::new(20.0, f64::INFINITY)),
         });
         let bytes = f.encode();
         let (back, used) = Frame::decode(&bytes).unwrap();
@@ -1026,6 +1024,7 @@ mod tests {
             k: 1,
             deadline_ms: 0,
             trace_id: 0,
+            within: Rect2::UNBOUNDED,
         });
         let bytes = f.encode();
         let (back, _) = Frame::decode(&bytes).unwrap();
@@ -1155,6 +1154,7 @@ mod tests {
                 k: 4,
                 deadline_ms: 250,
                 trace_id: 0xDEAD_BEEF,
+                within: Rect2::new(Point2::new(-1.5, -0.0), Point2::new(37.25, 64.0)),
             }),
             Frame::Response(ResponseFrame {
                 req_id: 7,
@@ -1175,7 +1175,7 @@ mod tests {
                 timing: ServerTiming::default(),
                 radius: f64::INFINITY,
             }),
-            Frame::error(11, ErrorCode::Cancelled, "détail ✓ 雪"),
+            Frame::error(11, ErrorCode::Internal, "détail ✓ 雪"),
             Frame::StatsRequest,
             Frame::Stats(StatsFrame {
                 entries: vec![("accepted".to_string(), 12), ("größe".to_string(), u64::MAX)],
@@ -1185,7 +1185,6 @@ mod tests {
             Frame::TraceDump(TraceDumpFrame {
                 jsonl: "{\"trace_id\":1}\n{\"détail\":\"✓\"}\n".into(),
             }),
-            Frame::Cancel(CancelFrame { req_id: 13, trace_id: 14 }),
             Frame::SeedsRequest(SeedsRequestFrame {
                 req_id: 15,
                 trace_id: 16,
@@ -1249,30 +1248,32 @@ mod tests {
     }
 
     /// `encode()` of each [`golden_frames`] entry, generated at commit
-    /// `372efae` (the hand-written codec). A field-order, count-width or
-    /// tag change moves these bytes; a round-trip test cannot see one.
+    /// `372efae` (the hand-written codec) and carried to version 4 by
+    /// hand: every header's version bytes, tags 9–15 down by one, the
+    /// `Query` row's tile appended, the error row's code byte 6 → 7. A
+    /// field-order, count-width or tag change moves these bytes; a
+    /// round-trip test cannot see one.
     #[rustfmt::skip]
     const GOLDEN_HEX: &[&str] = &[
-        "534b4e4e03000100340000000807060504030201ffffffff0100efbeaddef87f00000000000000800000000000e0584004000000fa000000efbeadde00000000",
-        "534b4e4e030002008100000007000000000000000900000000000000000000000080284001000000020000000300000004000000050000000600000007000000080000000900011a00446561646c696e654578706972656420e2809420e69c9fe99990020003000000000000000000f83f0000000000000440ffffffff00000000000000800100efbeaddef87f",
-        "534b4e4e030002003d00000008000000000000000a00000000000000000000000000f07f00000000000000000000000000000000000000000000000000000000000000000000000000",
-        "534b4e4e030003001a0000000b00000000000000060f0064c3a97461696c20e29c9320e99baa",
-        "534b4e4e0300040000000000",
-        "534b4e4e03000500250000000200080061636365707465640c0000000000000007006772c3b6c39f65ffffffffffffffff",
-        "534b4e4e03000500020000000000",
-        "534b4e4e0300060000000000",
-        "534b4e4e0300070025000000210000007b2274726163655f6964223a317d0a7b2264c3a97461696c223a22e29c93227d0a",
-        "534b4e4e03000800100000000d000000000000000e00000000000000",
-        "534b4e4e03000900280000000f0000000000000010000000000000000000000000000c4000000000000000800800000064000000",
-        "534b4e4e03000a00640000000f00000000000000100000000000000002000000000000000000e03f07000000150000000000000000001d4000000000000000800100efbeaddef87f000000000000f07f090000001b000000000000000080224000000000000000800100efbeaddef87f",
-        "534b4e4e03000a00140000001100000000000000120000000000000000000000",
-        "534b4e4e03000b002c000000130000000000000014000000000000000100efbeaddef87f0000000000000040000000000000f07f00000000",
-        "534b4e4e03000c005400000013000000000000001400000000000000020000000100000003000000000000000000f43f00000000000000800100efbeaddef87f0200000006000000000000000000024000000000000000800100efbeaddef87f",
-        "534b4e4e03000c00140000001500000000000000160000000000000000000000",
-        "534b4e4e03000d0054000000170000000000000018000000000000000b0000000000000000000000000000000000008000000000000022403200000001000000040000000c000000000000000000114000000000000000800100efbeaddef87f",
-        "534b4e4e03000e0018000000170000000000000018000000000000000100efbeaddef87f",
-        "534b4e4e03000f009c00000019000000000000001a00000000000000ffffffff000000000000f83f0000000000000440000000000000008003000000fa000000010000000100000003000000000000000000f43f00000000000000800100efbeaddef87f020000000100000003000000000000000000f43f00000000000000800100efbeaddef87f050000000f000000000000000000154000000000000000800100efbeaddef87f",
-        "534b4e4e03000f003c0000001b000000000000001c0000000000000002000000000000000000f83f00000000000004400000000000000c4000000000000000000000000000000000",
+        "534b4e4e04000100540000000807060504030201ffffffff0100efbeaddef87f00000000000000800000000000e0584004000000fa000000efbeadde00000000000000000000f8bf00000000000000800000000000a042400000000000005040",
+        "534b4e4e040002008100000007000000000000000900000000000000000000000080284001000000020000000300000004000000050000000600000007000000080000000900011a00446561646c696e654578706972656420e2809420e69c9fe99990020003000000000000000000f83f0000000000000440ffffffff00000000000000800100efbeaddef87f",
+        "534b4e4e040002003d00000008000000000000000a00000000000000000000000000f07f00000000000000000000000000000000000000000000000000000000000000000000000000",
+        "534b4e4e040003001a0000000b00000000000000070f0064c3a97461696c20e29c9320e99baa",
+        "534b4e4e0400040000000000",
+        "534b4e4e04000500250000000200080061636365707465640c0000000000000007006772c3b6c39f65ffffffffffffffff",
+        "534b4e4e04000500020000000000",
+        "534b4e4e0400060000000000",
+        "534b4e4e0400070025000000210000007b2274726163655f6964223a317d0a7b2264c3a97461696c223a22e29c93227d0a",
+        "534b4e4e04000800280000000f0000000000000010000000000000000000000000000c4000000000000000800800000064000000",
+        "534b4e4e04000900640000000f00000000000000100000000000000002000000000000000000e03f07000000150000000000000000001d4000000000000000800100efbeaddef87f000000000000f07f090000001b000000000000000080224000000000000000800100efbeaddef87f",
+        "534b4e4e04000900140000001100000000000000120000000000000000000000",
+        "534b4e4e04000a002c000000130000000000000014000000000000000100efbeaddef87f0000000000000040000000000000f07f00000000",
+        "534b4e4e04000b005400000013000000000000001400000000000000020000000100000003000000000000000000f43f00000000000000800100efbeaddef87f0200000006000000000000000000024000000000000000800100efbeaddef87f",
+        "534b4e4e04000b00140000001500000000000000160000000000000000000000",
+        "534b4e4e04000c0054000000170000000000000018000000000000000b0000000000000000000000000000000000008000000000000022403200000001000000040000000c000000000000000000114000000000000000800100efbeaddef87f",
+        "534b4e4e04000d0018000000170000000000000018000000000000000100efbeaddef87f",
+        "534b4e4e04000e009c00000019000000000000001a00000000000000ffffffff000000000000f83f0000000000000440000000000000008003000000fa000000010000000100000003000000000000000000f43f00000000000000800100efbeaddef87f020000000100000003000000000000000000f43f00000000000000800100efbeaddef87f050000000f000000000000000000154000000000000000800100efbeaddef87f",
+        "534b4e4e04000e003c0000001b000000000000001c0000000000000002000000000000000000f83f00000000000004400000000000000c4000000000000000000000000000000000",
     ];
 
     fn hex(bytes: &[u8]) -> String {
@@ -1294,7 +1295,7 @@ mod tests {
     }
 
     /// Every tag the header check admits is a frame with a golden entry,
-    /// and the first tag past the table is not — so a sixteenth row cannot
+    /// and the first tag past the table is not — so a fifteenth row cannot
     /// be added without `parse_header` and the fixture following.
     #[test]
     fn every_tag_up_to_max_decodes_and_the_next_is_unknown() {

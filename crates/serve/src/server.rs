@@ -11,7 +11,7 @@ use crate::slowlog::SlowQueryLog;
 use crate::stats::ServeStats;
 use sknn_core::mr3::Mr3Engine;
 use sknn_core::workload::SurfacePoint;
-use sknn_geom::Point2;
+use sknn_geom::{Point2, Rect2};
 use sknn_obs::MetricKind::{Counter, Gauge};
 use sknn_obs::{MetricKind, QueryTrace, Recorder, Registry};
 use std::io;
@@ -273,10 +273,12 @@ impl Service for Server<'_, '_, '_> {
     /// decomposed shard ops — validated against the mesh.
     fn claim(&self, frame: Frame) -> Option<Result<JobOp, &'static str>> {
         let finite = |x: f64, y: f64| x.is_finite() && y.is_finite();
+        let nan = |w: Rect2| [w.lo.x, w.lo.y, w.hi.x, w.hi.y].iter().any(|b| b.is_nan());
         Some(match frame {
+            Frame::Query(q) if nan(q.within) => Err("NaN tile bound"),
             Frame::Query(q) => self
                 .resolve_surface(q.tri, q.x, q.y, q.z)
-                .map(|point| JobOp::Query { point, k: q.k as usize }),
+                .map(|point| JobOp::Query { point, k: q.k as usize, within: q.within }),
             Frame::SeedsRequest(s) => {
                 if finite(s.x, s.y) {
                     Ok(JobOp::Seeds { xy: Point2::new(s.x, s.y), k: s.k as usize })

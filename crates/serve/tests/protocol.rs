@@ -10,11 +10,12 @@
 
 use proptest::collection::vec;
 use proptest::prelude::*;
+use sknn_geom::{Point2, Rect2};
 use sknn_serve::protocol::{
-    parse_header, CancelFrame, ErrorCode, ErrorFrame, ExecRequestFrame, Frame, ProtocolError,
-    QueryFrame, RadiusFrame, RadiusRequestFrame, RangeFrame, RangeRequestFrame, ResponseFrame,
-    SeedsFrame, SeedsRequestFrame, ServerTiming, StatsFrame, TraceDumpFrame, WireNeighbor,
-    WireObject, HEADER_LEN, MAX_PAYLOAD, VERSION,
+    parse_header, ErrorCode, ErrorFrame, ExecRequestFrame, Frame, ProtocolError, QueryFrame,
+    RadiusFrame, RadiusRequestFrame, RangeFrame, RangeRequestFrame, ResponseFrame, SeedsFrame,
+    SeedsRequestFrame, ServerTiming, StatsFrame, TraceDumpFrame, WireNeighbor, WireObject,
+    HEADER_LEN, MAX_PAYLOAD, VERSION,
 };
 
 fn short_string() -> impl Strategy<Value = String> {
@@ -28,14 +29,13 @@ fn wire_f64() -> impl Strategy<Value = f64> {
 }
 
 fn error_code() -> impl Strategy<Value = ErrorCode> {
-    (0u8..7).prop_map(|i| {
+    (0u8..6).prop_map(|i| {
         [
             ErrorCode::Overloaded,
             ErrorCode::DeadlineExpired,
             ErrorCode::FaultBudgetExceeded,
             ErrorCode::ShuttingDown,
             ErrorCode::BadRequest,
-            ErrorCode::Cancelled,
             ErrorCode::Internal,
         ][i as usize]
     })
@@ -70,24 +70,13 @@ fn server_timing() -> impl Strategy<Value = ServerTiming> {
 
 fn query_frame() -> impl Strategy<Value = QueryFrame> {
     (
-        any::<u64>(),
-        any::<u32>(),
-        wire_f64(),
-        wire_f64(),
-        wire_f64(),
-        any::<u32>(),
-        any::<u32>(),
-        any::<u64>(),
+        (any::<u64>(), any::<u32>(), wire_f64(), wire_f64(), wire_f64()),
+        (any::<u32>(), any::<u32>(), any::<u64>()),
+        (wire_f64(), wire_f64(), wire_f64(), wire_f64()),
     )
-        .prop_map(|(req_id, tri, x, y, z, k, deadline_ms, trace_id)| QueryFrame {
-            req_id,
-            tri,
-            x,
-            y,
-            z,
-            k,
-            deadline_ms,
-            trace_id,
+        .prop_map(|((req_id, tri, x, y, z), (k, deadline_ms, trace_id), (lx, ly, hx, hy))| {
+            let within = Rect2::new(Point2::new(lx, ly), Point2::new(hx, hy));
+            QueryFrame { req_id, tri, x, y, z, k, deadline_ms, trace_id, within }
         })
 }
 
@@ -209,11 +198,6 @@ proptest! {
         let _ = Frame::decode(&bytes);
     }
 
-    #[test]
-    fn cancel_frames_round_trip(req_id in any::<u64>(), trace_id in any::<u64>()) {
-        assert_round_trip(&Frame::Cancel(CancelFrame { req_id, trace_id }))?;
-    }
-
     /// Every shard-operation frame (seeds / range / radius / exec, both
     /// directions) round-trips byte-identically.
     #[test]
@@ -266,6 +250,7 @@ proptest! {
             k: 4,
             deadline_ms: 5,
             trace_id: 6,
+            within: Rect2::UNBOUNDED,
         })
         .encode();
         let original = bytes[pos];

@@ -6,8 +6,9 @@
 //! and fronts the fleet with a [`Router`] that speaks the ordinary query
 //! protocol. The router's contract is exactness: the final top-k ids,
 //! `lb`/`ub` intervals, and termination guarantee are **bit-identical**
-//! to a single engine over the union terrain — for interior queries via
-//! a one-round-trip fast path, and for boundary-straddling queries via
+//! to a single engine over the union terrain — for interior queries, which
+//! their home shard answers in one leg once it has seen that its step-2
+//! circle stays inside its tile, and for boundary-straddling queries via
 //! the decomposed seed/radius/range/exec plan merged across shards (see
 //! [`router`] for the orchestration and [`map`] for the geometric
 //! predicates that make it sound).

@@ -1,6 +1,7 @@
 //! The shard map: which tile of the terrain each engine shard owns, plus
-//! the three routing predicates the router needs — home lookup, the
-//! interior (fast-path) test, and the range-overlap test for fan-out.
+//! what the router routes with — home lookup, the open tile a home query
+//! must stay inside (and the interior test over it), and the
+//! range-overlap test for fan-out.
 //!
 //! Ownership is a *partition*: tiles are rectangles covering the terrain
 //! extent, and a plan point belongs to exactly one shard under a
@@ -15,8 +16,9 @@
 //!
 //! * [`interior`](ShardMap::interior) uses *strict* inequalities against
 //!   tile edges (except edges on the global extent, where nothing can
-//!   live outside), so a query circle touching a boundary always takes
-//!   the straddle path — which is correct for any query;
+//!   live outside: the [open tile](ShardMap::open_tile) puts them at
+//!   `±∞`), so a query circle touching a boundary always takes the
+//!   straddle path — which is correct for any query;
 //! * [`overlapping`](ShardMap::overlapping) uses the same squared
 //!   min-distance predicate (`d² ≤ r²`) as the R-tree's
 //!   `within_distance`, so a shard owning any in-range object is always
@@ -120,29 +122,38 @@ impl ShardMap {
         })
     }
 
-    /// The interior fast-path test: is the circle of `radius` around
-    /// `xy` *strictly* inside shard `idx`'s tile? When it is, every
-    /// object the engine's candidate gathering can reach (seeds are
-    /// within the step-2 radius because the radius is the max seed upper
-    /// bound, and plan distance ≤ surface distance; range candidates are
-    /// within it by definition) lives on this shard, so the shard's
-    /// local answer *is* the union answer, bit for bit.
+    /// Shard `idx`'s tile with every edge that lies on the global extent
+    /// opened to `±∞` — no object exists beyond those edges, so a query
+    /// circle may poke past them. This is the tile a home `QUERY`
+    /// carries: the shard stops after step 2 unless its circle stays
+    /// strictly inside it.
+    pub fn open_tile(&self, idx: usize) -> Rect2 {
+        let (t, e) = (&self.shards[idx].tile, &self.extent);
+        let lo = |edge: f64, extent: f64| if edge <= extent { f64::NEG_INFINITY } else { edge };
+        let hi = |edge: f64, extent: f64| if edge >= extent { f64::INFINITY } else { edge };
+        Rect2::new(
+            Point2::new(lo(t.lo.x, e.lo.x), lo(t.lo.y, e.lo.y)),
+            Point2::new(hi(t.hi.x, e.hi.x), hi(t.hi.y, e.hi.y)),
+        )
+    }
+
+    /// The interior test: is the circle of `radius` around `xy`
+    /// *strictly* inside shard `idx`'s [open tile](Self::open_tile)
+    /// ([`Rect2::contains_disc`])? When it is, every object the engine's
+    /// candidate gathering can reach (seeds are within the step-2 radius
+    /// because the radius is the max seed upper bound, and plan distance
+    /// ≤ surface distance; range candidates are within it by definition)
+    /// lives on this shard, so the shard's local answer *is* the union
+    /// answer, bit for bit. The home shard applies the same predicate to
+    /// the same tile itself, right after step 2.
     ///
     /// Strictness matters at the half-open ownership boundary: an object
     /// sitting exactly on a tile's right edge belongs to the *next*
-    /// shard, so the circle must stay strictly clear of the edge.
-    /// Edges coinciding with the global extent are exempt — no object
-    /// exists beyond them. A non-finite radius (the engine's degenerate
-    /// "rank everything" fallback) is never interior.
+    /// shard, so the circle must stay strictly clear of the edge. A
+    /// non-finite radius (the engine's degenerate "rank everything"
+    /// fallback) is never interior.
     pub fn interior(&self, idx: usize, xy: Point2, radius: f64) -> bool {
-        if !radius.is_finite() || radius < 0.0 {
-            return false;
-        }
-        let t = &self.shards[idx].tile;
-        (t.lo.x <= self.extent.lo.x || xy.x - radius > t.lo.x)
-            && (t.hi.x >= self.extent.hi.x || xy.x + radius < t.hi.x)
-            && (t.lo.y <= self.extent.lo.y || xy.y - radius > t.lo.y)
-            && (t.hi.y >= self.extent.hi.y || xy.y + radius < t.hi.y)
+        self.open_tile(idx).contains_disc(xy, radius)
     }
 
     /// Shards whose tile could own an object within plan distance
@@ -239,6 +250,11 @@ mod tests {
         // Non-finite radius is never interior.
         assert!(!m.interior(1, center, f64::INFINITY));
         assert!(!m.interior(1, center, f64::NAN));
+        // The open tile keeps the inner cut lines and opens the rest.
+        let inf = f64::INFINITY;
+        assert_eq!(m.open_tile(1), Rect2::new(Point2::new(25.0, -inf), Point2::new(50.0, inf)));
+        assert_eq!(m.open_tile(0).lo.x, -inf);
+        assert_eq!(map(1).open_tile(0), Rect2::UNBOUNDED);
     }
 
     #[test]

@@ -4,20 +4,23 @@
 //!
 //! # Orchestration
 //!
-//! Every query is sent to its **home shard** (the tile owning the query
-//! point) as a plain `QUERY`, and — speculatively, in parallel — a
-//! `SEEDS` request fans out to every shard. When the home answer's
-//! step-2 radius circle lies strictly inside the home tile
-//! ([`ShardMap::interior`]), no other shard can own a candidate, the
-//! home answer *is* the union answer, and the speculative legs are
-//! withdrawn with `CANCEL` — one round trip for interior queries, which
-//! dominate when tiles are large relative to query radii.
+//! **The home shard decides.** Every query is sent to its home shard
+//! (the tile owning the query point) as one `QUERY` carrying the home's
+//! [open tile](ShardMap::open_tile). The shard applies the interior test
+//! itself, right after step 2: when the step-2 circle lies strictly
+//! inside the tile (and the shard holds at least `k` objects), no other
+//! shard can own a candidate, the shard ranks, and its answer *is* the
+//! union answer — one leg for interior queries, which dominate when
+//! tiles are large relative to query radii. Otherwise it stops and
+//! replies with no neighbours. Nothing is sent speculatively, so nothing
+//! is ever withdrawn.
 //!
 //! A query that straddles a boundary switches to the decomposed plan:
 //!
-//! 1. merge the per-shard seed lists by `(distance, id)` — the same
-//!    total order the engines' canonical seed selection uses, so the
-//!    merged top-k is exactly the union engine's seed list;
+//! 1. `SEEDS` to every shard in parallel; merge the per-shard seed lists
+//!    by `(distance, id)` — the same total order the engines' canonical
+//!    seed selection uses, so the merged top-k is exactly the union
+//!    engine's seed list;
 //! 2. `RADIUS` on the home shard over the merged seeds → the union
 //!    step-2 radius, bit-exact (the estimate is a deterministic function
 //!    of the seed list);
@@ -39,14 +42,13 @@
 //! The router binds the same serving edge as its shards
 //! ([`sknn_serve::edge`]): EDF-with-starvation-floor admission lanes, a
 //! bounded queue, typed `Overloaded`/`ShuttingDown`/`DeadlineExpired`
-//! errors, client-facing `CANCEL`, and graceful drain. It takes `QUERY`
-//! frames only; each of the edge's `workers` threads drives one query's
-//! orchestration at a time.
+//! errors, and graceful drain. It takes `QUERY` frames only; each of the
+//! edge's `workers` threads drives one query's orchestration at a time.
 //! Shard connections are persistent multiplexed [`PoolClient`]s.
 
 use crate::map::ShardMap;
 use crate::stats::RouterStats;
-use sknn_geom::Point2;
+use sknn_geom::{Point2, Rect2};
 use sknn_obs::{field, QueryTrace, Recorder, Registry};
 use sknn_serve::edge::{Edge, EdgeConfig, EdgeStats, Handle, Job, Service};
 use sknn_serve::pool::{InFlight, PoolClient, PoolError};
@@ -119,7 +121,6 @@ enum LegFail {
 /// hence (by the wire table's pairing) the reply it waits for.
 struct Leg<R> {
     what: &'static str,
-    shard: usize,
     flight: InFlight,
     request: PhantomData<R>,
 }
@@ -249,7 +250,7 @@ impl Router {
         let pool = &self.pools[shard];
         let req_id = pool.next_req_id();
         match pool.begin(req_id, &make(req_id, deadline_ms).into()) {
-            Ok(flight) => Ok(Leg { what, shard, flight, request: PhantomData }),
+            Ok(flight) => Ok(Leg { what, flight, request: PhantomData }),
             Err(e) => Err(LegFail::Transport(what, e)),
         }
     }
@@ -276,9 +277,25 @@ impl Router {
         self.wait(job, self.send(job, what, shard, make)?)
     }
 
-    /// Routes one query: home QUERY plus speculative SEEDS fan-out, then
-    /// either the interior fast path (cancel the speculation) or the
-    /// full straddle merge.
+    /// Sends one leg to each of `shards`, then awaits the replies in that
+    /// order — the legs run on the shards side by side.
+    fn fan_out<R: Request>(
+        &self,
+        job: &RouterJob,
+        what: &'static str,
+        shards: impl IntoIterator<Item = usize>,
+        make: impl Fn(u64, u32) -> R,
+    ) -> Result<Vec<R::Reply>, LegFail> {
+        let legs: Vec<Leg<R>> = shards
+            .into_iter()
+            .map(|shard| self.send(job, what, shard, &make))
+            .collect::<Result<_, _>>()?;
+        legs.into_iter().map(|leg| self.wait(job, leg)).collect()
+    }
+
+    /// Routes one query: a single home `QUERY` bounded by the home's open
+    /// tile. The home answers in full when the query is interior and
+    /// stops after step 2 when it is not — then the straddle plan runs.
     fn handle_query(&self, job: RouterJob, rec: &dyn Recorder) {
         let t_route = Instant::now();
         let q = job.payload.clone();
@@ -289,101 +306,73 @@ impl Router {
         };
         self.stats.routed.inc();
         // Single-shard fleets, k = 0, and an empty fleet all reduce to
-        // "the home answer is the union answer" with nothing to merge.
+        // "the home answer is the union answer" with nothing to merge, so
+        // the home answers them in full.
         let trivial = self.map.len() == 1 || q.k == 0 || self.total_objects == 0;
+        let within = if trivial { Rect2::UNBOUNDED } else { self.map.open_tile(home) };
         let trace_id = job.trace_id;
         let home_leg = match self.send(&job, "home query", home, |req_id, deadline_ms| QueryFrame {
             req_id,
             deadline_ms,
             trace_id,
+            within,
             ..q.clone()
         }) {
             Ok(leg) => leg,
             Err(fail) => return self.fail(&job, fail),
         };
-        // Speculative SEEDS to every shard, home included: QUERY does
-        // not return seeds, and a straddle merge needs home's list too.
-        let mut spec: Vec<Leg<SeedsRequestFrame>> = Vec::new();
-        if !trivial {
-            for shard in 0..self.pools.len() {
-                match self.send(&job, "seeds leg", shard, |req_id, deadline_ms| SeedsRequestFrame {
-                    req_id,
-                    trace_id,
-                    x: q.x,
-                    y: q.y,
-                    k: q.k,
-                    deadline_ms,
-                }) {
-                    Ok(leg) => spec.push(leg),
-                    Err(fail) => {
-                        self.cancel_legs(trace_id, spec);
-                        return self.fail(&job, fail);
-                    }
-                }
-            }
-        }
         self.stats.route_us.record(t_route.elapsed().as_micros() as u64);
         if rec.enabled() {
-            rec.span(
-                "router_route",
-                trace_id,
-                vec![
-                    field("dur_us", t_route.elapsed().as_micros() as u64),
-                    field("home", home as u64),
-                    field("spec_legs", spec.len() as u64),
-                ],
-            );
+            let fields = vec![
+                field("dur_us", t_route.elapsed().as_micros() as u64),
+                field("home", home as u64),
+            ];
+            rec.span("router_route", trace_id, fields);
         }
         match self.wait(&job, home_leg) {
-            // Interior fast path. The full-k condition guards the
-            // k > home-population case: a short home answer means the
-            // union holds objects this shard cannot see.
-            Ok(mut r)
-                if trivial
-                    || (r.neighbors.len() == q.k as usize
-                        && self.map.interior(home, xy, r.radius)) =>
-            {
-                self.cancel_legs(trace_id, spec);
+            // A full answer means the home's step-2 circle stayed strictly
+            // inside its tile and it holds at least k objects: no other
+            // shard can own a candidate, so it is the union answer. A
+            // stopped home replies with no neighbours instead.
+            Ok(mut r) if trivial || r.neighbors.len() == q.k as usize => {
                 self.stats.interior.inc();
                 r.req_id = job.req_id;
                 self.finish(&job, Frame::Response(r));
             }
-            Ok(_) => match self.straddle(&job, home, &q, spec, rec) {
+            Ok(_) => match self.straddle(&job, home, &q, rec) {
                 Ok(resp) => self.finish(&job, Frame::Response(resp)),
                 Err(fail) => self.fail(&job, fail),
             },
-            Err(fail) => {
-                self.cancel_legs(trace_id, spec);
-                self.fail(&job, fail);
-            }
+            Err(fail) => self.fail(&job, fail),
         }
     }
 
-    /// The decomposed plan for a boundary-straddling query. Consumes the
-    /// speculative seed legs (their answers are exactly step 1).
+    /// The decomposed plan for a boundary-straddling query.
     fn straddle(
         &self,
         job: &RouterJob,
         home: usize,
         q: &QueryFrame,
-        spec: Vec<Leg<SeedsRequestFrame>>,
         rec: &dyn Recorder,
     ) -> Result<ResponseFrame, LegFail> {
         self.stats.fanned_out.inc();
         let t_fan = Instant::now();
         let xy = Point2::new(q.x, q.y);
-        let (trace_id, tri, x, y, z) = (job.trace_id, q.tri, q.x, q.y, q.z);
+        let (trace_id, tri, x, y, z, k) = (job.trace_id, q.tri, q.x, q.y, q.z, q.k);
         // Clamp k to the union population — exactly the clamp a single
         // engine applies against its own live count.
-        let kc = (q.k as u64).min(self.total_objects) as usize;
+        let kc = (k as u64).min(self.total_objects) as usize;
         // Step 1: merge the per-shard canonical seed lists by (dist, id).
         // Each shard's list is its local top-k under that total order, so
         // the union's top-k is a subset of the concatenation and the sort
         // recovers it exactly.
-        let mut seeds: Vec<(f64, WireObject)> = Vec::new();
-        for leg in spec {
-            seeds.extend(self.wait(job, leg)?.seeds);
-        }
+        let mut seeds: Vec<(f64, WireObject)> = self
+            .fan_out(job, "seeds leg", 0..self.pools.len(), |req_id, deadline_ms| {
+                SeedsRequestFrame { req_id, trace_id, x, y, k, deadline_ms }
+            })?
+            .into_iter()
+            .flat_map(|reply| reply.seeds)
+            .collect();
         seeds.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.id.cmp(&b.1.id)));
         seeds.truncate(kc);
         let seed_objs: Vec<WireObject> = seeds.iter().map(|&(_, o)| o).collect();
@@ -403,16 +392,13 @@ impl Router {
         // Step 3 fan-out. NaN sanitizes to ∞ — both mean "range
         // everything" to the engine, and RANGE rejects NaN on the wire.
         let radius = if radius.is_nan() { f64::INFINITY } else { radius };
-        let mut range_legs = Vec::new();
-        for shard in self.map.overlapping(xy, radius) {
-            range_legs.push(self.send(job, "range leg", shard, |req_id, deadline_ms| {
+        let mut cands: Vec<WireObject> = self
+            .fan_out(job, "range leg", self.map.overlapping(xy, radius), |req_id, deadline_ms| {
                 RangeRequestFrame { req_id, trace_id, x, y, radius, deadline_ms }
-            })?);
-        }
-        let mut cands: Vec<WireObject> = Vec::new();
-        for leg in range_legs {
-            cands.extend(self.wait(job, leg)?.objects);
-        }
+            })?
+            .into_iter()
+            .flat_map(|reply| reply.objects)
+            .collect();
         // Ownership is a partition, so per-shard lists are disjoint and
         // their id-sorted concatenation is the union engine's candidate
         // list element for element.
@@ -472,18 +458,6 @@ impl Router {
         Ok(resp)
     }
 
-    /// Withdraws speculative legs whose answers the interior test (or an
-    /// earlier failure) has made irrelevant. Dropping the `InFlight`
-    /// releases the demux slot, so a reply racing the cancel is dropped
-    /// silently; a landed cancel shows up in the shard's `cancelled`
-    /// counter.
-    fn cancel_legs(&self, trace_id: u64, legs: Vec<Leg<SeedsRequestFrame>>) {
-        for leg in legs {
-            self.pools[leg.shard].cancel(leg.flight.req_id, trace_id);
-            self.stats.cancelled_legs.inc();
-        }
-    }
-
     /// Sends the final reply and records end-to-end latency.
     fn finish(&self, job: &RouterJob, frame: Frame) {
         self.stats.latency_us.record(job.enqueued.elapsed().as_micros() as u64);
@@ -531,7 +505,8 @@ impl Service for Router {
     }
 
     /// The router takes `QUERY` only; where the point lies is decided at
-    /// routing time.
+    /// routing time. A client's tile is not read: the router answers the
+    /// whole query and bounds only its own home leg.
     fn claim(&self, frame: Frame) -> Option<Result<QueryFrame, &'static str>> {
         let Frame::Query(q) = frame else { return None };
         let finite = q.x.is_finite() && q.y.is_finite() && q.z.is_finite();

@@ -1,8 +1,7 @@
 //! Router-side metrics: how many queries were routed, how many straddled
-//! a tile boundary and fanned out, how many speculative legs were
-//! cancelled, and the router's own stage latencies — exported under the
-//! `sknn_shard_` prefix so a fleet dashboard can tell router work from
-//! shard work at a glance. Declared once, in a
+//! a tile boundary and fanned out, and the router's own stage latencies —
+//! exported under the `sknn_shard_` prefix so a fleet dashboard can tell
+//! router work from shard work at a glance. Declared once, in a
 //! [`metrics_table!`](sknn_serve::metrics_table); the rows every serving
 //! process shares are [`EdgeStats`].
 
@@ -27,9 +26,10 @@ sknn_serve::metrics_table! {
             fanned_out: "Queries that straddled a boundary and fanned out",
             /// Partial results merged, re-ranked and bound-verified.
             merged: "Straddling queries merged into a verified answer",
-            /// Withdrawn by CANCEL after the interior test proved their
-            /// answers irrelevant.
-            cancelled_legs: "Speculative fan-out legs cancelled",
+            /// Always 0: the router sends no speculative legs, so it has
+            /// none to withdraw. Kept only because the frozen benchmark
+            /// harness reads it.
+            cancelled_legs: "Speculative fan-out legs cancelled (always 0)",
             /// Transport error, timeout, or a typed shard error relayed
             /// to the client.
             leg_failures: "Shard legs that failed",
@@ -42,7 +42,7 @@ sknn_serve::metrics_table! {
             bound_violations: "Merged answers not provably separated from the runner-up",
         }
         hists {
-            route_us: "Route stage (dequeue to legs sent), microseconds",
+            route_us: "Route stage (dequeue to home leg sent), microseconds",
             /// Straddling queries only.
             fanout_us: "Fan-out stage (seeds, radius, range), microseconds",
             /// Straddling queries only.
@@ -63,13 +63,12 @@ impl RouterStats {
     pub fn summary(&self) -> String {
         format!(
             "{} conns, {} routed ({} interior, {} fanned out, {} merged), \
-             {} legs cancelled, {} leg failures, {} bound violations; latency {}",
+             {} leg failures, {} bound violations; latency {}",
             self.connections.get(),
             self.routed.get(),
             self.interior.get(),
             self.fanned_out.get(),
             self.merged.get(),
-            self.cancelled_legs.get(),
             self.leg_failures.get(),
             self.bound_violations.get(),
             self.latency_us.summary(),

@@ -364,11 +364,6 @@ impl FaultInjector {
     pub fn kill_requested(&self) -> bool {
         self.kill.load(Ordering::SeqCst)
     }
-
-    /// Clear the kill flag (a restarted incarnation reuses the injector).
-    pub fn clear_kill(&self) {
-        self.kill.store(false, Ordering::SeqCst);
-    }
 }
 
 #[cfg(test)]
@@ -478,8 +473,6 @@ mod tests {
         assert!(!inj.kill_requested());
         inj.observe_lsn(5);
         assert!(inj.kill_requested());
-        inj.clear_kill();
-        assert!(!inj.kill_requested());
     }
 
     #[test]

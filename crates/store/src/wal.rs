@@ -265,11 +265,6 @@ impl Wal {
         self.next_lsn
     }
 
-    /// Whether any appended record is still pending (not fsynced).
-    pub fn has_pending(&self) -> bool {
-        !self.pending.is_empty()
-    }
-
     /// Cumulative counters.
     pub fn stats(&self) -> WalStats {
         self.stats
@@ -348,11 +343,11 @@ mod tests {
         for (txn, rec) in sample_records() {
             wal.append(txn, &rec);
         }
-        assert!(wal.has_pending());
+        assert_eq!((wal.durable_lsn(), wal.next_lsn()), (0, 9), "eight records pending");
         assert_eq!(wal.durable_bytes().len(), 0, "nothing durable before sync");
         let lsn = wal.sync(None).unwrap();
         assert_eq!(lsn, 8);
-        assert!(!wal.has_pending());
+        assert_eq!(wal.next_lsn(), wal.durable_lsn() + 1, "nothing pending");
         let (entries, consumed) = Wal::scan(wal.durable_bytes());
         assert_eq!(consumed, wal.durable_bytes().len());
         assert_eq!(entries.len(), 8);
@@ -434,7 +429,7 @@ mod tests {
         assert_eq!(wal.durable_bytes(), &before[..], "failed fsync made nothing durable");
 
         wal.truncate_pending(mark);
-        assert!(!wal.has_pending());
+        assert_eq!(wal.next_lsn(), wal.durable_lsn() + 1, "nothing pending");
         assert_eq!(wal.next_lsn(), mark.lsn, "aborted lsns are reused");
         assert_eq!(wal.stats().truncated, 2);
 

@@ -1110,7 +1110,6 @@ fn run_top_fleet(args: &Args, endpoints: &str) {
             "sknn_shard_interior_total",
             "sknn_shard_fanned_out_total",
             "sknn_shard_merged_total",
-            "sknn_shard_cancelled_legs_total",
             "sknn_shard_leg_failures_total",
             "sknn_shard_bound_violations_total",
             "sknn_shard_map_size",
@@ -1201,13 +1200,12 @@ fn run_top_fleet(args: &Args, endpoints: &str) {
             if prefix == "sknn_shard" {
                 router_line = format!(
                     "router: {:.0} routed ({:.0} interior, {:.0} fanned out, {:.0} merged), \
-                     {:.0} legs cancelled, {:.0} leg failures, {:.0} bound violations, \
+                     {:.0} leg failures, {:.0} bound violations, \
                      map size {:.0}, {:.0} fleet objects\n",
                     scrape.value("sknn_shard_routed_total"),
                     scrape.value("sknn_shard_interior_total"),
                     scrape.value("sknn_shard_fanned_out_total"),
                     scrape.value("sknn_shard_merged_total"),
-                    scrape.value("sknn_shard_cancelled_legs_total"),
                     scrape.value("sknn_shard_leg_failures_total"),
                     scrape.value("sknn_shard_bound_violations_total"),
                     scrape.value("sknn_shard_map_size"),

@@ -292,6 +292,56 @@ fn foreign_protocol_version_gets_a_typed_error_and_a_closed_socket() {
     assert_eq!(stats.protocol_errors.get(), 1);
 }
 
+/// The `QUERY` tile over the wire: a tile the step-2 circle crosses is
+/// answered with no neighbours and the radius the full query reports; a
+/// NaN bound is a typed `BadRequest` that never reaches the engine.
+#[test]
+fn a_query_tile_stops_the_engine_and_a_nan_bound_is_a_bad_request() {
+    use surface_knn::geom::Rect2;
+    use surface_knn::serve::QueryFrame;
+
+    let (mesh, cfg) = test_world();
+    let scene = SceneBuilder::new(&mesh).object_count(12).seed(7).build();
+    let engine = Mr3Engine::build(&mesh, &scene, &cfg);
+    let server = Server::bind(&engine, "127.0.0.1:0", ServeConfig::default()).unwrap();
+    let (addr, handle, stats) = (server.local_addr(), server.handle(), server.stats());
+    let q = scene.random_query(3);
+    let full = engine.query(q, 3);
+    let c = Point2::new(q.pos.x, q.pos.y);
+    let half = Point2::new(full.radius / 2.0, full.radius / 2.0);
+    let query = |req_id, within| {
+        let (tri, x, y, z, k, deadline_ms, trace_id) = (q.tri, c.x, c.y, q.pos.z, 3, 0, 0);
+        Frame::Query(QueryFrame { req_id, tri, x, y, z, k, deadline_ms, trace_id, within })
+    };
+    let nan = Rect2::new(Point2::new(f64::NAN, 0.0), Point2::new(1.0, 1.0));
+
+    let replies = std::thread::scope(|scope| {
+        let run = scope.spawn(|| server.run());
+        let mut client = Client::connect(addr).unwrap();
+        let replies: Vec<Frame> = [(1, Rect2::new(c - half, c + half)), (2, nan)]
+            .map(|(req_id, within)| {
+                client.send(&query(req_id, within)).unwrap();
+                client.recv().unwrap()
+            })
+            .into();
+        handle.shutdown();
+        run.join().unwrap();
+        replies
+    });
+    match &replies[0] {
+        Frame::Response(r) => {
+            assert!(r.neighbors.is_empty(), "stopped after step 2");
+            assert_eq!(r.radius.to_bits(), full.radius.to_bits());
+        }
+        other => panic!("expected a response, got {other:?}"),
+    }
+    match &replies[1] {
+        Frame::Error(e) => assert_eq!((e.req_id, e.code), (2, ErrorCode::BadRequest), "{e:?}"),
+        other => panic!("expected a typed error, got {other:?}"),
+    }
+    assert_eq!(stats.accepted.get(), 1, "the NaN tile is refused before admission");
+}
+
 /// A query that panics inside the engine fails alone: its client gets one
 /// typed `Internal` error, the worker survives, later queries on the
 /// same connection answer bit-identically to an engine that never
