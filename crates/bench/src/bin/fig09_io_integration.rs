@@ -41,7 +41,7 @@ fn main() {
     let run = |engine: &Mr3Engine, k: usize, sink: &mut Option<TraceSink>| -> Vec<f64> {
         qs.iter()
             .map(|&q| {
-                let r = engine.query(q, k);
+                let r = engine.try_query(q, k).expect("sknn query failed");
                 if let (Some(sink), Some(trace)) = (sink.as_mut(), r.trace.as_ref()) {
                     sink.record(trace);
                 }

@@ -54,7 +54,7 @@ fn main() {
                 let mut cpu = Vec::new();
                 let mut pages = Vec::new();
                 for &q in &qs {
-                    let r = engine.query(q, k);
+                    let r = engine.try_query(q, k).expect("sknn query failed");
                     total.push(r.stats.total_time(disk).as_secs_f64());
                     cpu.push(r.stats.cpu.as_secs_f64());
                     pages.push(r.stats.pages as f64);

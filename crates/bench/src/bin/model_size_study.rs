@@ -33,7 +33,11 @@ fn main() {
         type Runner<'a> =
             Box<dyn Fn(sknn_core::workload::SurfacePoint) -> sknn_core::metrics::QueryResult + 'a>;
         let runners: Vec<(&str, Runner, f64)> = vec![
-            ("MR3 s=1", Box::new(|q| mr3.query(q, k)), t_mr3_build.as_secs_f64()),
+            (
+                "MR3 s=1",
+                Box::new(|q| mr3.try_query(q, k).expect("sknn query failed")),
+                t_mr3_build.as_secs_f64(),
+            ),
             ("EA", Box::new(|q| ea.query(q, k)), t_ea_build.as_secs_f64()),
         ];
         for (name, run, build) in runners {

@@ -113,6 +113,8 @@ pub fn surface_dbscan(engine: &Mr3Engine<'_, '_>, cfg: &DbscanConfig) -> Cluster
 /// Incremental sighting assignment: classify each new point by its surface
 /// nearest neighbour's cluster, provided it lies within `eps` (otherwise
 /// `None` — a potential new grouping). Returns one label per sighting.
+///
+/// Panics if a sighting's query exceeds its storage-fault budget.
 pub fn assign_sightings(
     engine: &Mr3Engine<'_, '_>,
     clustering: &Clustering,
@@ -122,7 +124,7 @@ pub fn assign_sightings(
     sightings
         .iter()
         .map(|&s| {
-            let res = engine.query(s, 1);
+            let res = engine.try_query(s, 1).expect("sknn query failed");
             match res.neighbors.first() {
                 Some(n) if n.range.ub <= eps => {
                     clustering.labels.get(n.id as usize).copied().flatten()
@@ -207,10 +209,10 @@ mod tests {
         let engine = Mr3Engine::build(&mesh, &scene, &Mr3Config::default());
         // Remove the second group (odd ids) and add one member to the first.
         for id in [1u32, 3, 5, 7, 9] {
-            assert!(engine.delete(id).unwrap());
+            assert!(engine.objects().delete(id).unwrap());
         }
         let extra = scene.surface_point(Point2::new(30.0, 30.0)).unwrap();
-        let new_id = engine.insert(extra).unwrap();
+        let new_id = engine.objects().insert(extra).unwrap();
         let c = surface_dbscan(&engine, &DbscanConfig { eps: 40.0, min_pts: 3 });
         assert_eq!(c.num_clusters, 1, "labels: {:?}", c.labels);
         assert_eq!(c.noise_count(), 0);
@@ -218,7 +220,7 @@ mod tests {
         // A sighting next to an object inserted after the clustering ran
         // is unaffiliated, not an index out of bounds.
         let far = scene.surface_point(Point2::new(135.0, 132.0)).unwrap();
-        engine.insert(far).unwrap();
+        engine.objects().insert(far).unwrap();
         assert_eq!(assign_sightings(&engine, &c, &[far], 40.0), vec![None]);
     }
 

@@ -38,7 +38,7 @@ const TRACE_RING_CAPACITY: usize = 4096;
 /// (mesh, scene, DMTM, MSDN) or internally synchronised (the mutex-backed
 /// [`Pager`], the cut caches, atomic counters), so independent queries
 /// may run concurrently through `&self` — see
-/// [`query_batch`](Self::query_batch). Query *results* depend only on the immutable
+/// [`try_query_batch`](Self::try_query_batch). Query *results* depend only on the immutable
 /// structures; the shared mutable state only feeds cost counters, which
 /// become aggregate (not per-query-exact) under concurrency. Each traced
 /// query records into a ring of its own.
@@ -296,24 +296,8 @@ impl<'s, 'm> Mr3Engine<'s, 'm> {
         self
     }
 
-    /// Insert an object at a surface point; returns its id. Durable (WAL
-    /// commit fsynced) once this returns.
-    pub fn insert(&self, point: SurfacePoint) -> sknn_store::StoreResult<u32> {
-        self.objects.insert(point)
-    }
-
-    /// Delete an object. `Ok(false)` if the id is not live.
-    pub fn delete(&self, id: u32) -> sknn_store::StoreResult<bool> {
-        self.objects.delete(id)
-    }
-
-    /// Move an object to a new surface position. `Ok(false)` if the id is
-    /// not live.
-    pub fn move_object(&self, id: u32, point: SurfacePoint) -> sknn_store::StoreResult<bool> {
-        self.objects.move_object(id, point)
-    }
-
-    /// Write-path counters (`sknn_wal_*` metric families).
+    /// Write-path counters of the object store (WAL, recovery, live
+    /// objects).
     pub fn write_stats(&self) -> WriteStats {
         self.objects.write_stats()
     }
@@ -404,14 +388,6 @@ impl<'s, 'm> Mr3Engine<'s, 'm> {
         Scoped { out, stats, trace, degraded, error: ctx.faults.error() }
     }
 
-    /// Answer a surface k-NN query.
-    ///
-    /// Panics if the query exceeds its storage-fault budget; use
-    /// [`try_query`](Self::try_query) to handle that case as a value.
-    pub fn query(&self, q: SurfacePoint, k: usize) -> QueryResult {
-        self.try_query(q, k).unwrap_or_else(|e| panic!("sknn query failed: {e}"))
-    }
-
     /// Answer a surface k-NN query, surfacing storage-fault exhaustion as
     /// a typed error.
     ///
@@ -465,26 +441,15 @@ impl<'s, 'm> Mr3Engine<'s, 'm> {
     }
 
     /// Answer a batch of independent k-NN queries on `threads` worker
-    /// threads, returning results in batch order.
+    /// threads: each query's result or typed error, in batch order.
     ///
     /// Neighbour sets and distance ranges are bit-identical to calling
-    /// [`query`](Self::query) in a sequential loop: results depend only on
-    /// the engine's immutable structures, and each query carries its own
-    /// ranking scratch. The shared buffer pool and access counters do race
-    /// under concurrency, so the *cost* fields (`stats.pages`, pager
-    /// stats) describe the batch in aggregate rather than any one query.
-    ///
-    /// Panics if any query exceeds its storage-fault budget; use
-    /// [`try_query_batch`](Self::try_query_batch) to handle failures
-    /// per query.
-    pub fn query_batch(&self, batch: &[(SurfacePoint, usize)], threads: usize) -> Vec<QueryResult> {
-        sknn_exec::par_map(threads, batch, |_, &(q, k)| self.query(q, k))
-    }
-
-    /// Fallible batch variant: each query independently returns its result
-    /// or its typed error, in batch order. One failing query does not
-    /// disturb the others — the determinism guarantee of
-    /// [`query_batch`](Self::query_batch) holds per element.
+    /// [`try_query`](Self::try_query) in a sequential loop: results depend
+    /// only on the engine's immutable structures, and each query carries
+    /// its own ranking scratch, so one failing query does not disturb the
+    /// others. The shared buffer pool and access counters do race under
+    /// concurrency, so the *cost* fields (`stats.pages`, pager stats)
+    /// describe the batch in aggregate rather than any one query.
     pub fn try_query_batch(
         &self,
         batch: &[(SurfacePoint, usize)],
@@ -497,8 +462,9 @@ impl<'s, 'm> Mr3Engine<'s, 'm> {
     // Decomposed MR3 steps for sharded serving. A router that partitions
     // the object set across engines reconstructs a single-engine run by
     // merging per-shard `seeds2d`/`range2d` lists in canonical order and
-    // handing the merged lists back to one engine via
-    // `estimate_radius_for`/`exec_ranked`. Bounds in the ranking phase
+    // handing the merged lists back to one engine via `exec_ranked` —
+    // first with no candidates, which returns the step-2 radius and no
+    // neighbours, then with the merged range. Bounds in the ranking phase
     // depend on the candidate population *and order*, so the guarantee
     // is: same lists in, bit-identical bounds out.
     // -----------------------------------------------------------------
@@ -519,22 +485,6 @@ impl<'s, 'm> Mr3Engine<'s, 'm> {
         range_of(&self.objects.snapshot(), xy, radius)
     }
 
-    /// MR3 step 2 with an explicit seed list: estimates the search radius
-    /// exactly as a full query would if step 1 had produced `seeds` (in
-    /// the given order — pass them in canonical `(distance, id)` order to
-    /// match). Seed points travel with their ids because the seeds may
-    /// live on other shards, absent from this engine's object table. The
-    /// result carries the radius, cost counters and trace; its neighbour
-    /// list is empty.
-    pub fn estimate_radius_for(
-        &self,
-        q: SurfacePoint,
-        seeds: &[(u32, SurfacePoint)],
-        opts: &QueryOpts,
-    ) -> Result<QueryResult, QueryError> {
-        self.scoped(opts, "radius", |s| (Vec::new(), s.radius(&q, seeds).0)).into_knn()
-    }
-
     /// MR3 steps 2 + 4 with explicit seed and candidate lists: the
     /// coupled ranking run of a sharded query, executed on the query's
     /// home shard over the router-merged global lists. `seeds` must be in
@@ -542,12 +492,16 @@ impl<'s, 'm> Mr3Engine<'s, 'm> {
     /// the orders [`try_query`](Self::try_query) itself produces — and
     /// `k` must already be clamped to the *union* live-object count (this
     /// method cannot see other shards' objects, so it does not clamp).
+    /// Seed and candidate points travel with their ids because they may
+    /// live on other shards, absent from this engine's object table.
     ///
     /// Returns up to `k + 1` neighbors (one past the answer) so the
     /// caller can re-verify the `ub(p_k) ≤ lb(p_{k+1})` termination
     /// bound itself before truncating; every returned id, `lb`, `ub`,
     /// and the radius are bit-identical to a single engine over the
-    /// union object set running the same query.
+    /// union object set running the same query. With `cands` empty, the
+    /// result is step 2 alone: the radius of `seeds`, no neighbours, no
+    /// ranking iteration.
     pub fn exec_ranked(
         &self,
         q: SurfacePoint,
@@ -561,10 +515,10 @@ impl<'s, 'm> Mr3Engine<'s, 'm> {
             if k == 0 {
                 return (Vec::new(), 0.0);
             }
-            // Step 2 runs here too (not reused from a prior
-            // `estimate_radius_for` call) because the refined seed bounds
-            // must carry over into step 4's candidates, exactly as in a
-            // single-engine run.
+            // Step 2 runs here even when a radius-only call over the same
+            // seeds came first, because the refined seed bounds must carry
+            // over into step 4's candidates, exactly as in a single-engine
+            // run.
             let (radius, refined) = s.radius(&q, seeds);
             (s.rank(&q, cands, &refined, k, k + 1), radius)
         })
@@ -951,7 +905,7 @@ fn range_of(objs: &ObjectSnapshot, xy: sknn_geom::Point2, radius: f64) -> Vec<(u
     ids.into_iter().map(|id| (id, objs.point(id))).collect()
 }
 
-/// Compile-time seal of the thread-safety contract `query_batch` relies
+/// Compile-time seal of the thread-safety contract `try_query_batch` relies
 /// on: if any engine component regresses to unsynchronised interior
 /// mutability (`Cell`, `RefCell`, raw pointers), this stops compiling.
 #[allow(dead_code)]
@@ -978,7 +932,7 @@ mod tests {
         let scene = SceneBuilder::new(&mesh).object_count(25).seed(1).build();
         let engine = Mr3Engine::build(&mesh, &scene, &Mr3Config::default());
         let q = scene.random_query(3);
-        let res = engine.query(q, 5);
+        let res = engine.try_query(q, 5).unwrap();
         assert_eq!(res.neighbors.len(), 5);
         assert!(res.stats.pages > 0);
         assert!(res.stats.candidates >= 5);
@@ -1000,7 +954,7 @@ mod tests {
         for qseed in [1u64, 2, 3] {
             let q = scene.random_query(qseed);
             let k = 4;
-            let got = engine.query(q, k);
+            let got = engine.try_query(q, k).unwrap();
             let truth = exact.query(q, k);
             let kth_exact = truth.neighbors.last().unwrap().range.ub;
             // Every returned neighbour's true distance must be within the
@@ -1035,32 +989,30 @@ mod tests {
 
     /// Run `q` through both compositions of the stage functions — the
     /// monolithic `try_query_with` and the router's `seeds2d` →
-    /// `estimate_radius_for` → `range2d` → `exec_ranked` — and check the
-    /// contract between them: same radius bits, `exec_ranked` returns
-    /// `min(k + 1, alive)` neighbours whose first `k` match the monolithic
-    /// answer bit for bit.
+    /// `exec_ranked` over no candidates → `range2d` → `exec_ranked` — and
+    /// check the contract between them: the candidate-free call is step 2
+    /// alone (same radius bits, no neighbours, nothing ranked), and
+    /// `exec_ranked` returns `min(k + 1, alive)` neighbours whose first
+    /// `k` match the monolithic answer bit for bit. Returns the monolithic
+    /// result, the radius-only one and the ranked one.
     fn both_compositions(
         engine: &Mr3Engine<'_, '_>,
         q: SurfacePoint,
         k: usize,
         opts: &QueryOpts,
-    ) -> (QueryResult, QueryResult) {
+    ) -> (QueryResult, QueryResult, QueryResult) {
         let whole = engine.try_query_with(q, k, opts).unwrap();
 
         let kc = k.min(engine.objects().snapshot().live());
         let seeds: Vec<(u32, SurfacePoint)> =
             engine.seeds2d(q.pos.xy(), k).into_iter().map(|(_, id, p)| (id, p)).collect();
         assert_eq!(seeds.len(), kc);
-        let (cands, split) = if kc == 0 {
-            (Vec::new(), engine.exec_ranked(q, kc, &seeds, &[], opts).unwrap())
-        } else {
-            let radius = engine.estimate_radius_for(q, &seeds, opts).unwrap();
-            assert!(radius.neighbors.is_empty());
-            assert_eq!(radius.radius.to_bits(), whole.radius.to_bits(), "radius differs");
-            let cands = engine.range2d(q.pos.xy(), radius.radius);
-            let split = engine.exec_ranked(q, kc, &seeds, &cands, opts).unwrap();
-            (cands, split)
-        };
+        let radius = engine.exec_ranked(q, kc, &seeds, &[], opts).unwrap();
+        assert_eq!(radius.radius.to_bits(), whole.radius.to_bits(), "radius differs");
+        assert!(radius.neighbors.is_empty());
+        assert_eq!(radius.stats.candidates, 0);
+        let cands = engine.range2d(q.pos.xy(), radius.radius);
+        let split = engine.exec_ranked(q, kc, &seeds, &cands, opts).unwrap();
 
         assert_eq!(split.radius.to_bits(), whole.radius.to_bits());
         assert_eq!(whole.neighbors.len(), kc);
@@ -1069,7 +1021,7 @@ mod tests {
         let n = split.neighbors.len();
         assert!(kc.min(cands.len()) <= n && n <= (kc + 1).min(cands.len()), "{n} of k {kc}");
         assert_eq!(bits(&whole.neighbors), bits(&split.neighbors[..kc.min(n)]));
-        (whole, split)
+        (whole, radius, split)
     }
 
     /// The sharded-serving keystone: reconstructing a query from the
@@ -1086,8 +1038,20 @@ mod tests {
         // (query seed, ranking iterations it has always taken)
         for (qseed, iterations) in [(1u64, 10), (4, 4), (8, 3)] {
             let q = scene.random_query(qseed);
-            let (whole, split) = both_compositions(&engine, q, 4, &opts);
+            let (whole, radius, split) = both_compositions(&engine, q, 4, &opts);
             assert_eq!(whole.stats.iterations, iterations, "q{qseed}");
+
+            // Ranking no candidates ends at its first termination test:
+            // every iteration the radius-only EXEC counts is a step-2 one.
+            let trace = radius.trace.as_ref().expect("tracing on");
+            let phases: Vec<_> = trace
+                .records
+                .iter()
+                .filter(|r| r.name == "iter")
+                .map(|r| r.get("phase").and_then(|v| v.as_str()))
+                .collect();
+            assert_eq!(phases.len(), radius.stats.iterations, "q{qseed}");
+            assert!(phases.iter().all(|&p| p == Some("radius")), "q{qseed}: {phases:?}");
 
             // One span per step, the iteration and roll-up events, one
             // closing `query` span — and nothing else, all under one id.
@@ -1129,19 +1093,19 @@ mod tests {
         let q = scene.random_query(4);
         let opts = QueryOpts::default();
 
-        let (whole, split) = both_compositions(&engine, q, 0, &opts);
+        let (whole, _, split) = both_compositions(&engine, q, 0, &opts);
         assert!(whole.neighbors.is_empty() && split.neighbors.is_empty());
         assert_eq!(whole.radius, 0.0);
 
         // k beyond the live count clamps to it; every object is a seed,
         // so EXEC has no (k + 1)-th neighbour to return.
-        let (whole, split) = both_compositions(&engine, q, 10, &opts);
+        let (whole, _, split) = both_compositions(&engine, q, 10, &opts);
         assert_eq!((whole.neighbors.len(), split.neighbors.len()), (6, 6));
 
         // An already-expired deadline degrades both compositions to the
         // same seed-resolution bounds.
         let expired = QueryOpts { deadline: Some(Instant::now()), ..QueryOpts::default() };
-        let (whole, split) = both_compositions(&engine, q, 3, &expired);
+        let (whole, _, split) = both_compositions(&engine, q, 3, &expired);
         for r in [&whole, &split] {
             assert_eq!(r.degraded.as_ref().expect("must degrade").reason, "DeadlineExpired");
         }
@@ -1185,8 +1149,7 @@ mod tests {
             engine.seeds2d(a.pos.xy(), 3).into_iter().map(|(_, id, p)| (id, p)).collect();
 
         let traces = [
-            ("query", engine.query(a, 3).trace),
-            ("radius", engine.estimate_radius_for(a, &seeds, &opts).unwrap().trace),
+            ("query", engine.try_query(a, 3).unwrap().trace),
             ("exec", engine.exec_ranked(a, 3, &seeds, &seeds, &opts).unwrap().trace),
             ("range_query", engine.range_query(a, 60.0).trace),
             ("distance", engine.distance_with_accuracy(a, b, 0.9).2),
@@ -1203,7 +1166,7 @@ mod tests {
             ids.push(last.query);
         }
         ids.dedup();
-        assert_eq!(ids.len(), 6, "each op mints its own query id: {ids:?}");
+        assert_eq!(ids.len(), 5, "each op mints its own query id: {ids:?}");
     }
 
     #[test]
@@ -1216,7 +1179,7 @@ mod tests {
         for sched in [StepSchedule::s1(), StepSchedule::s2(), StepSchedule::s3()] {
             let cfg = Mr3Config::default().with_schedule(sched);
             let engine = Mr3Engine::build(&mesh, &scene, &cfg);
-            let res = engine.query(q, 3);
+            let res = engine.try_query(q, 3).unwrap();
             assert_eq!(res.neighbors.len(), 3);
             // Identical distance quality across schedules (3rd neighbour's
             // true distance within mutual slack).
@@ -1241,8 +1204,8 @@ mod tests {
         let on = Mr3Engine::build(&mesh, &scene, &Mr3Config::default());
         let off_cfg = Mr3Config { integrated_io: false, ..Mr3Config::default() };
         let off = Mr3Engine::build(&mesh, &scene, &off_cfg);
-        let pages_on = on.query(q, 8).stats.pages;
-        let pages_off = off.query(q, 8).stats.pages;
+        let pages_on = on.try_query(q, 8).unwrap().stats.pages;
+        let pages_off = off.try_query(q, 8).unwrap().stats.pages;
         assert!(pages_on <= pages_off, "integration on {pages_on} > off {pages_off}");
     }
 
@@ -1344,7 +1307,7 @@ mod tests {
         let scene = SceneBuilder::new(&mesh).object_count(15).seed(43).build();
         let engine = Mr3Engine::build(&mesh, &scene, &Mr3Config::default());
         let q = scene.random_query(8);
-        let a = engine.query(q, 3);
+        let a = engine.try_query(q, 3).unwrap();
         let generous = QueryOpts {
             deadline: Some(Instant::now() + std::time::Duration::from_secs(600)),
             ..QueryOpts::default()
@@ -1366,8 +1329,8 @@ mod tests {
         let scene = SceneBuilder::new(&mesh).object_count(15).seed(2).build();
         let engine = Mr3Engine::build(&mesh, &scene, &Mr3Config::default());
         let q = scene.random_query(6);
-        let a = engine.query(q, 3);
-        let b = engine.query(q, 3);
+        let a = engine.try_query(q, 3).unwrap();
+        let b = engine.try_query(q, 3).unwrap();
         let ids = |r: &QueryResult| r.neighbors.iter().map(|n| n.id).collect::<Vec<_>>();
         assert_eq!(ids(&a), ids(&b));
         assert_eq!(a.stats.pages, b.stats.pages);
@@ -1382,7 +1345,7 @@ mod tests {
         let mesh = TerrainConfig::bh().with_grid(65).build_mesh(7);
         let scene = SceneBuilder::new(&mesh).object_count(40).seed(5).build();
         let engine = Mr3Engine::build(&mesh, &scene, &Mr3Config::default());
-        let res = engine.query(scene.random_query(3), 5);
+        let res = engine.try_query(scene.random_query(3), 5).unwrap();
         let ids: Vec<u32> = res.neighbors.iter().map(|n| n.id).collect();
         assert_eq!(ids, [31, 29, 30, 3, 34]);
         assert!(

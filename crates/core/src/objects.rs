@@ -273,7 +273,8 @@ struct WriteHalf {
     next_txn: u64,
 }
 
-/// Write-path counters, exported as the `sknn_wal_*` metric families.
+/// Write-path counters of the object store: WAL traffic, aborts,
+/// recoveries and the live object count.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct WriteStats {
     /// WAL counters (appends, fsyncs, failed fsyncs, truncations).
@@ -490,7 +491,7 @@ impl ObjectStore {
         self.fault.as_deref().is_some_and(|f| f.kill_requested())
     }
 
-    /// Write-path counters for the `sknn_wal_*` metric families.
+    /// The store's write-path counters.
     pub fn write_stats(&self) -> WriteStats {
         let w = lock_recover(&self.write);
         WriteStats {

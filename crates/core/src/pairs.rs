@@ -198,13 +198,13 @@ mod tests {
         let first = engine.closest_pair().unwrap();
 
         // A deleted object cannot be returned.
-        assert!(engine.delete(first.a).unwrap());
+        assert!(engine.objects().delete(first.a).unwrap());
         let second = engine.closest_pair().unwrap();
         assert!(second.a != first.a && second.b != first.a, "deleted {} returned", first.a);
         assert_eq!(second.stats.candidates, 11 * 10 / 2);
 
         // An inserted one can: a twin of a live object is at distance 0.
-        let twin = engine.insert(scene.object(second.a).point).unwrap();
+        let twin = engine.objects().insert(scene.object(second.a).point).unwrap();
         let third = engine.closest_pair().unwrap();
         assert_eq!((third.a, third.b), (second.a, twin));
         assert_eq!(third.range.ub, 0.0);

@@ -96,8 +96,8 @@ mod tests {
         let fresh = Mr3Engine::build(&mesh, &scene, &cfg);
         let restored = Mr3Engine::build_from(&mesh, &scene, &cfg, loaded);
         let q = scene.random_query(7);
-        let a = fresh.query(q, 4);
-        let b = restored.query(q, 4);
+        let a = fresh.try_query(q, 4).unwrap();
+        let b = restored.try_query(q, 4).unwrap();
         let ids = |r: &crate::metrics::QueryResult| {
             r.neighbors.iter().map(|n| (n.id, n.range)).collect::<Vec<_>>()
         };

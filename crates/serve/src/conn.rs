@@ -2,11 +2,9 @@
 //! reader and the mutex'd reply writer — as the [`edge`](crate::edge)
 //! uses them for every process that serves the protocol.
 
-use crate::protocol::{
-    decode_payload, parse_header, write_frame, Frame, ProtocolError, HEADER_LEN,
-};
+use crate::protocol::{decode_payload, parse_header, Frame, ProtocolError, HEADER_LEN};
 use sknn_obs::Counter;
-use std::io::{self, Read};
+use std::io::{self, Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
@@ -37,14 +35,17 @@ impl ConnWriter {
     }
 
     /// Writes one frame; returns whether the client is still reachable.
-    /// The first failed write bumps `write_errors`.
+    /// The first failed write bumps `write_errors`. A reply whose list
+    /// does not fit one frame goes out as the typed `BadRequest` naming
+    /// the list ([`Frame::encode_whole`]), never cut.
     pub fn send(&self, write_errors: &Counter, frame: &Frame) -> bool {
         if self.dead.load(Ordering::Relaxed) {
             return false;
         }
+        let bytes = frame.encode_whole().unwrap_or_else(|e| Frame::Error(e).encode());
         let mut stream = self.stream.lock().unwrap_or_else(|e| e.into_inner());
         let Some(stream) = stream.as_mut() else { return true };
-        match write_frame(stream, frame) {
+        match stream.write_all(&bytes) {
             Ok(()) => true,
             Err(_) => {
                 self.dead.store(true, Ordering::Relaxed);

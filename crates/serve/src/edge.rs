@@ -580,12 +580,12 @@ pub fn check_edge_contract(p: &Contract<'_>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::{QueryFrame, RadiusFrame};
+    use crate::protocol::{QueryFrame, RangeFrame};
     use crate::Client;
     use std::sync::atomic::AtomicU64;
 
     /// A process whose first job panics and whose every later job is
-    /// answered with a `RADIUS` frame.
+    /// answered with an empty `RANGE` frame.
     #[derive(Default)]
     struct FirstJobPanics {
         stats: EdgeStats,
@@ -617,7 +617,7 @@ mod tests {
                 panic!("first job blew up");
             }
             let (req_id, trace_id) = (job.req_id, job.trace_id);
-            job.reply(&self.stats, &Frame::Radius(RadiusFrame { req_id, trace_id, radius: 1.0 }));
+            job.reply(&self.stats, &Frame::Range(RangeFrame { req_id, trace_id, objects: vec![] }));
         }
     }
 
@@ -663,7 +663,7 @@ mod tests {
             }
             other => panic!("the panicking job must get a typed error, got {other:?}"),
         }
-        assert!(matches!(&replies[1], Ok(Frame::Radius(r)) if r.req_id == 2), "{:?}", replies[1]);
+        assert!(matches!(&replies[1], Ok(Frame::Range(r)) if r.req_id == 2), "{:?}", replies[1]);
         assert_eq!((svc.stats.panics.get(), svc.stats.write_errors.get()), (1, 0));
     }
 

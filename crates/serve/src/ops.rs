@@ -14,8 +14,7 @@
 
 use crate::edge::Job;
 use crate::protocol::{
-    ErrorCode, Frame, RadiusFrame, RangeFrame, ResponseFrame, SeedsFrame, ServerTiming,
-    WireNeighbor, WireObject,
+    ErrorCode, Frame, RangeFrame, ResponseFrame, SeedsFrame, ServerTiming, WireNeighbor, WireObject,
 };
 use crate::server::Server;
 use crate::slowlog::{SlowEntry, SlowOutcome};
@@ -39,9 +38,8 @@ pub enum JobOp {
     Seeds { xy: Point2, k: usize },
     /// Step 3 only: local 2D range collection.
     Range { xy: Point2, radius: f64 },
-    /// Step 2 with explicit merged seeds.
-    Radius { point: SurfacePoint, seeds: Vec<(u32, SurfacePoint)> },
-    /// Steps 2+4 with explicit merged lists (home-shard coupled ranking).
+    /// Steps 2+4 with explicit merged lists (home-shard coupled ranking;
+    /// over no candidates, the step-2 radius alone).
     Exec {
         point: SurfacePoint,
         k: usize,
@@ -89,24 +87,18 @@ impl Server<'_, '_, '_> {
                 ..Default::default()
             }
         };
-        // Fold the engine's per-query trace (records stamped with the
-        // trace id) into the server's ring, so one drain tells the whole
-        // request-scoped story.
-        let absorb = |res: &mut QueryResult| {
-            if let (true, Some(trace)) = (rec.enabled(), res.trace.take()) {
-                rec.absorb(trace);
-            }
-        };
         let (req_id, trace_id) = (job.req_id, job.trace_id);
-        let fault = |e: QueryError| {
-            stats.query_errors.inc();
-            Frame::error(req_id, ErrorCode::FaultBudgetExceeded, &e.to_string())
-        };
+        // The one accounting path of every ranked op, `QUERY` and `EXEC`.
         let ranked = |res: Result<QueryResult, QueryError>| {
             let mut timing = clock();
             match res {
                 Ok(mut res) => {
-                    absorb(&mut res);
+                    // Fold the engine's per-query trace (records stamped
+                    // with the trace id) into the server's ring, so one
+                    // drain tells the whole request-scoped story.
+                    if let (true, Some(trace)) = (rec.enabled(), res.trace.take()) {
+                        rec.absorb(trace);
+                    }
                     let outcome = self.account_ranked(&res, &mut timing);
                     let frame = Frame::Response(ResponseFrame {
                         req_id,
@@ -122,7 +114,12 @@ impl Server<'_, '_, '_> {
                     });
                     (timing, Some(outcome), frame)
                 }
-                Err(e) => (timing, Some(SlowOutcome::Error), fault(e)),
+                Err(e) => {
+                    stats.query_errors.inc();
+                    let frame =
+                        Frame::error(req_id, ErrorCode::FaultBudgetExceeded, &e.to_string());
+                    (timing, Some(SlowOutcome::Error), frame)
+                }
             }
         };
         // Each arm: the engine call, the clock, the frame — and, for the
@@ -144,14 +141,6 @@ impl Server<'_, '_, '_> {
                 let (objs, timing) = (engine.range2d(*xy, *radius), clock());
                 let objects = objs.iter().map(|(id, p)| wire_object(*id, p)).collect();
                 (timing, None, Frame::Range(RangeFrame { req_id, trace_id, objects }))
-            }
-            JobOp::Radius { point, seeds } => {
-                let (res, timing) = (engine.estimate_radius_for(*point, seeds, &opts), clock());
-                let frame = res.map(|mut res| {
-                    absorb(&mut res);
-                    Frame::Radius(RadiusFrame { req_id, trace_id, radius: res.radius })
-                });
-                (timing, None, frame.unwrap_or_else(fault))
             }
         };
         if !matches!(frame, Frame::Error(_)) {

@@ -23,9 +23,9 @@
 //!
 //! [`Client`]: crate::client::Client
 
-use crate::protocol::{read_frame, write_frame, Frame, ProtocolError, RecvError};
+use crate::protocol::{read_frame, Frame, ProtocolError, RecvError};
 use std::collections::HashMap;
-use std::io;
+use std::io::{self, Write};
 use std::net::{Shutdown, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender};
@@ -122,16 +122,16 @@ impl PoolClient {
         self.shared.req_ids.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Sends `frame` (which must carry a `req_id` from
+    /// Sends one encoded frame (which must carry a `req_id` from
     /// [`next_req_id`](Self::next_req_id)) and returns the in-flight
     /// handle to wait on. The pending slot is registered before the
     /// write, so a reply can never race past its waiter.
-    pub fn begin(&self, req_id: u64, frame: &Frame) -> Result<InFlight, PoolError> {
+    pub fn begin(&self, req_id: u64, frame: &[u8]) -> Result<InFlight, PoolError> {
         let (tx, rx) = std::sync::mpsc::sync_channel(1);
         self.shared.pending.lock().unwrap_or_else(|e| e.into_inner()).insert(req_id, tx);
         let mut w = self.shared.write.lock().unwrap_or_else(|e| e.into_inner());
         let send = ensure_conn(&self.shared, &mut w)
-            .and_then(|()| write_frame(w.as_mut().expect("ensured"), frame));
+            .and_then(|()| w.as_mut().expect("ensured").write_all(frame));
         drop(w);
         if let Err(e) = send {
             self.shared.pending.lock().unwrap_or_else(|e| e.into_inner()).remove(&req_id);
@@ -291,7 +291,7 @@ mod tests {
         (addr, h)
     }
 
-    fn query(req_id: u64) -> Frame {
+    fn query(req_id: u64) -> Vec<u8> {
         Frame::Query(crate::protocol::QueryFrame {
             req_id,
             tri: 0,
@@ -303,6 +303,7 @@ mod tests {
             trace_id: req_id,
             within: sknn_geom::Rect2::UNBOUNDED,
         })
+        .encode()
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! ```text
 //! offset  size  field
 //!      0     4  magic  b"SKNN"
-//!      4     2  protocol version (little-endian u16, must be 4)
+//!      4     2  protocol version (little-endian u16, must be 5)
 //!      6     1  frame type tag
 //!      7     1  reserved (must be 0 on send, ignored on receive)
 //!      8     4  payload length (little-endian u32, <= MAX_PAYLOAD)
@@ -36,7 +36,7 @@
 //! # Versioning
 //!
 //! The version travels per frame and exactly one is spoken:
-//! [`MIN_VERSION`]` = `[`VERSION`]` = 4`. [`parse_header`] rejects every
+//! [`MIN_VERSION`]` = `[`VERSION`]` = 5`. [`parse_header`] rejects every
 //! other version with a typed [`ProtocolError::BadVersion`] before looking
 //! at the tag or the payload, and a server answers it with one
 //! [`ErrorCode::BadRequest`] frame before hanging up — a foreign peer gets
@@ -45,7 +45,9 @@
 //! and their encode/decode branches are gone. Version 3 had a `CANCEL`
 //! frame at tag 8 and no tile on `QUERY`; version 4 moved tags 9–15 down
 //! by one, so a mixed fleet fails at the header instead of reading a
-//! renumbered tag as the wrong frame.)
+//! renumbered tag as the wrong frame. Version 4 had a radius-only
+//! `RADIUS` request and reply at tags 12–13, which an `EXEC` over no
+//! candidates replaces; version 5 moved `EXEC` from tag 14 to 12.)
 //!
 //! # Bounds
 //!
@@ -57,7 +59,10 @@
 //! from the other side: the one list encoder stops at the last element
 //! that still fits this frame's [`MAX_PAYLOAD`] beside everything else
 //! the frame carries, so `encode` cannot produce a frame its peer would
-//! reject as oversized — an over-long list arrives truncated instead.
+//! reject as oversized. Only `STATS` may arrive cut that way: a request
+//! or reply goes out through [`Frame::encode_whole`], which refuses to
+//! cut its list and names it in a typed `BadRequest` instead — a query
+//! never runs on, or answers with, a silent prefix.
 
 use sknn_geom::{Point2, Rect2};
 use std::io::{self, Read, Write};
@@ -68,7 +73,7 @@ pub const MAGIC: [u8; 4] = *b"SKNN";
 /// The protocol version every frame is encoded at. Frames carrying any
 /// version in [`MIN_VERSION`]`..=VERSION` are accepted; others are
 /// rejected with [`ProtocolError::BadVersion`].
-pub const VERSION: u16 = 4;
+pub const VERSION: u16 = 5;
 
 /// Oldest protocol version still decoded — the current one.
 pub const MIN_VERSION: u16 = VERSION;
@@ -177,19 +182,23 @@ fn uint_max(width: usize) -> usize {
 }
 
 /// The frame being written: the header, then the payload behind it.
-struct Enc(Vec<u8>);
+struct Enc {
+    buf: Vec<u8>,
+    /// The first list cut short to fit, by its field name.
+    cut: Option<&'static str>,
+}
 
 impl Enc {
     /// Payload bytes still free once `owed` — what the fields behind the
     /// current one need at the least — is set aside; `None` when the
     /// frame has already outgrown [`MAX_PAYLOAD`].
     fn room(&self, owed: usize) -> Option<usize> {
-        (HEADER_LEN + MAX_PAYLOAD as usize).checked_sub(self.0.len() + owed)
+        (HEADER_LEN + MAX_PAYLOAD as usize).checked_sub(self.buf.len() + owed)
     }
 
     /// The low `width` bytes of `v`, little-endian.
     fn uint(&mut self, width: usize, v: u64) {
-        self.0.extend_from_slice(&v.to_le_bytes()[..width]);
+        self.buf.extend_from_slice(&v.to_le_bytes()[..width]);
     }
 
     /// A `width`-byte length, then UTF-8 — cut at a char boundary where
@@ -202,28 +211,32 @@ impl Enc {
             end -= 1;
         }
         self.uint(width, end as u64);
-        self.0.extend_from_slice(&s.as_bytes()[..end]);
+        self.buf.extend_from_slice(&s.as_bytes()[..end]);
     }
 
     /// A `width`-byte count, then the elements — as many as the count can
     /// state *and* this frame can still hold beside the `owed` bytes of
-    /// its later fields, so no list can push a frame past the cap.
-    fn list<T: Wire>(&mut self, width: usize, items: &[T], owed: usize) {
-        let count_at = self.0.len();
+    /// its later fields, so no list can push a frame past the cap. A list
+    /// cut short is noted under its field `name`.
+    fn list<T: Wire>(&mut self, width: usize, items: &[T], owed: usize, name: &'static str) {
+        let count_at = self.buf.len();
         self.uint(width, 0);
         let most = uint_max(width).min(self.room(owed).unwrap_or(0) / T::MIN_LEN);
-        let mut n = 0u64;
+        let mut n = 0usize;
         for item in items.iter().take(most) {
-            let mark = self.0.len();
+            let mark = self.buf.len();
             item.put(self);
             // Only an element longer than its minimum can overshoot.
             if self.room(owed).is_none() {
-                self.0.truncate(mark);
+                self.buf.truncate(mark);
                 break;
             }
             n += 1;
         }
-        self.0[count_at..count_at + width].copy_from_slice(&n.to_le_bytes()[..width]);
+        if n < items.len() {
+            self.cut.get_or_insert(name);
+        }
+        self.buf[count_at..count_at + width].copy_from_slice(&(n as u64).to_le_bytes()[..width]);
     }
 }
 
@@ -401,7 +414,7 @@ macro_rules! wire_record {
                 let mut owed = Self::MIN_LEN;
                 $(
                     owed -= wire_record!(@min $c $(<$e>)?);
-                    wire_record!(@put w, &self.$f, owed, $c $(<$e>)?);
+                    wire_record!(@put w, &self.$f, owed, stringify!($f), $c $(<$e>)?);
                 )*
             }
             fn get(r: &mut Rd<'_>) -> Result<Self, ProtocolError> {
@@ -419,10 +432,10 @@ macro_rules! wire_record {
     (@min list16<$e:ty>) => { 2 };
     (@min list32<$e:ty>) => { 4 };
     (@min $t:ident $(<$e:ty>)?) => { <$t $(<$e>)? as Wire>::MIN_LEN };
-    (@put $w:ident, $v:expr, $owed:ident, str32) => { $w.str(4, $v, $owed) };
-    (@put $w:ident, $v:expr, $owed:ident, list16<$e:ty>) => { $w.list(2, $v, $owed) };
-    (@put $w:ident, $v:expr, $owed:ident, list32<$e:ty>) => { $w.list(4, $v, $owed) };
-    (@put $w:ident, $v:expr, $owed:ident, $t:ident $(<$e:ty>)?) => { Wire::put($v, $w) };
+    (@put $w:ident, $v:expr, $owed:ident, $n:expr, str32) => { $w.str(4, $v, $owed) };
+    (@put $w:ident, $v:expr, $owed:ident, $n:expr, list16<$e:ty>) => { $w.list(2, $v, $owed, $n) };
+    (@put $w:ident, $v:expr, $owed:ident, $n:expr, list32<$e:ty>) => { $w.list(4, $v, $owed, $n) };
+    (@put $w:ident, $v:expr, $owed:ident, $n:expr, $t:ident $(<$e:ty>)?) => { Wire::put($v, $w) };
     (@get $r:ident, str32) => { $r.str(4)? };
     (@get $r:ident, list16<$e:ty>) => { $r.list(2)? };
     (@get $r:ident, list32<$e:ty>) => { $r.list(4)? };
@@ -765,52 +778,15 @@ wire_table! {
             objects: list32<WireObject>,
         }
     ),
-    /// Router → home shard: radius estimation over merged seeds.
-    12 => RadiusRequest(
-        /// Shard op: run MR3 step 2 (radius estimation) on the home shard with
-        /// an explicit, already-merged seed list — the candidate population and
-        /// order are the router's, so the estimate is bit-identical to a single
-        /// engine seeded the same way.
-        RadiusRequestFrame: request -> RadiusFrame {
-            /// Correlation id, echoed in the [`RadiusFrame`] reply.
-            req_id: u64,
-            /// Trace id stamping the shard's obs records.
-            trace_id: u64,
-            /// Containing facet of the query point, or [`LOCATE_TRI`].
-            tri: u32,
-            /// Query point x.
-            x: f64,
-            /// Query point y.
-            y: f64,
-            /// Query point z.
-            z: f64,
-            /// Per-request deadline in milliseconds from arrival; `0` means none.
-            deadline_ms: u32,
-            /// The globally merged seeds, in canonical `(dist, id)` order.
-            seeds: list32<WireObject>,
-        }
-    ),
-    /// Home shard → router: the estimated radius.
-    13 => Radius(
-        /// Reply to [`RadiusRequestFrame`].
-        #[derive(Copy)]
-        RadiusFrame: reply {
-            /// Echo of the request's correlation id.
-            req_id: u64,
-            /// Echo of the request's trace id.
-            trace_id: u64,
-            /// The estimated search radius (bit-exact; may be non-finite).
-            radius: f64,
-        }
-    ),
     /// Router → home shard: coupled ranking over merged candidates; the
     /// reply is a [`Frame::Response`].
-    14 => ExecRequest(
+    12 => ExecRequest(
         /// Shard op: run MR3 steps 2+4 (radius + coupled ranking) on the home
         /// shard over explicit, router-merged seed and candidate lists, replying
         /// with a [`ResponseFrame`] whose neighbors carry up to `k + 1` entries
         /// so the router can re-check the `ub(p_k) ≤ lb(p_{k+1})` termination
-        /// bound itself.
+        /// bound itself. Over no candidates the reply is the step-2 radius
+        /// of the seeds alone, with no neighbors.
         ExecRequestFrame: request -> ResponseFrame {
             /// Correlation id, echoed in the reply.
             req_id: u64,
@@ -862,18 +838,40 @@ impl Frame {
         }
     }
 
-    /// Serializes the frame (header at [`VERSION`] plus payload).
+    /// Serializes the frame (header at [`VERSION`] plus payload), a list
+    /// that does not fit cut to what does (see the module doc).
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = Enc(Vec::with_capacity(HEADER_LEN + 64));
-        w.0.extend_from_slice(&MAGIC);
-        w.0.extend_from_slice(&VERSION.to_le_bytes());
-        w.0.push(self.tag());
-        w.0.push(0); // reserved
-        w.0.extend_from_slice(&0u32.to_le_bytes()); // length back-patched
+        self.put().buf
+    }
+
+    /// The one check on a request's or reply's lists: its bytes whole, or
+    /// — when a list would not fit [`MAX_PAYLOAD`] beside the rest of the
+    /// frame — the typed `BadRequest` that names the list, addressed to
+    /// the frame's correlation id. `STATS` and `TRACE_DUMP` carry no id
+    /// and keep their documented cut.
+    pub fn encode_whole(&self) -> Result<Vec<u8>, ErrorFrame> {
+        let w = self.put();
+        match (w.cut, self.ids()) {
+            (Some(list), Some(Ids::Request(req_id, ..) | Ids::Reply(req_id))) => Err(ErrorFrame {
+                req_id,
+                code: ErrorCode::BadRequest,
+                detail: format!("{list} list does not fit one frame"),
+            }),
+            _ => Ok(w.buf),
+        }
+    }
+
+    fn put(&self) -> Enc {
+        let mut w = Enc { buf: Vec::with_capacity(HEADER_LEN + 64), cut: None };
+        w.buf.extend_from_slice(&MAGIC);
+        w.buf.extend_from_slice(&VERSION.to_le_bytes());
+        w.buf.push(self.tag());
+        w.buf.push(0); // reserved
+        w.buf.extend_from_slice(&0u32.to_le_bytes()); // length back-patched
         self.put_payload(&mut w);
-        let len = (w.0.len() - HEADER_LEN) as u32;
-        w.0[8..12].copy_from_slice(&len.to_le_bytes());
-        w.0
+        let len = (w.buf.len() - HEADER_LEN) as u32;
+        w.buf[8..12].copy_from_slice(&len.to_le_bytes());
+        w
     }
 
     /// Parses exactly one frame from the front of `bytes`, returning the
@@ -1064,17 +1062,6 @@ mod tests {
                 deadline_ms: 0,
             }),
             Frame::Range(RangeFrame { req_id: 3, trace_id: 4, objects: vec![obj(1), obj(2)] }),
-            Frame::RadiusRequest(RadiusRequestFrame {
-                req_id: 5,
-                trace_id: 6,
-                tri: 11,
-                x: 0.0,
-                y: -0.0,
-                z: 9.0,
-                deadline_ms: 50,
-                seeds: vec![obj(4)],
-            }),
-            Frame::Radius(RadiusFrame { req_id: 5, trace_id: 6, radius: 12.25 }),
             Frame::ExecRequest(ExecRequestFrame {
                 req_id: 7,
                 trace_id: 8,
@@ -1209,17 +1196,6 @@ mod tests {
             }),
             Frame::Range(RangeFrame { req_id: 19, trace_id: 20, objects: vec![obj(1), obj(2)] }),
             Frame::Range(RangeFrame { req_id: 21, trace_id: 22, objects: vec![] }),
-            Frame::RadiusRequest(RadiusRequestFrame {
-                req_id: 23,
-                trace_id: 24,
-                tri: 11,
-                x: 0.0,
-                y: -0.0,
-                z: 9.0,
-                deadline_ms: 50,
-                seeds: vec![obj(4)],
-            }),
-            Frame::Radius(RadiusFrame { req_id: 23, trace_id: 24, radius: nan }),
             Frame::ExecRequest(ExecRequestFrame {
                 req_id: 25,
                 trace_id: 26,
@@ -1250,30 +1226,30 @@ mod tests {
     /// `encode()` of each [`golden_frames`] entry, generated at commit
     /// `372efae` (the hand-written codec) and carried to version 4 by
     /// hand: every header's version bytes, tags 9–15 down by one, the
-    /// `Query` row's tile appended, the error row's code byte 6 → 7. A
-    /// field-order, count-width or tag change moves these bytes; a
-    /// round-trip test cannot see one.
+    /// `Query` row's tile appended, the error row's code byte 6 → 7. To
+    /// version 5 likewise: every header's version byte, the two `RADIUS`
+    /// rows gone, the `ExecRequest` rows' tag 14 → 12. A field-order,
+    /// count-width or tag change moves these bytes; a round-trip test
+    /// cannot see one.
     #[rustfmt::skip]
     const GOLDEN_HEX: &[&str] = &[
-        "534b4e4e04000100540000000807060504030201ffffffff0100efbeaddef87f00000000000000800000000000e0584004000000fa000000efbeadde00000000000000000000f8bf00000000000000800000000000a042400000000000005040",
-        "534b4e4e040002008100000007000000000000000900000000000000000000000080284001000000020000000300000004000000050000000600000007000000080000000900011a00446561646c696e654578706972656420e2809420e69c9fe99990020003000000000000000000f83f0000000000000440ffffffff00000000000000800100efbeaddef87f",
-        "534b4e4e040002003d00000008000000000000000a00000000000000000000000000f07f00000000000000000000000000000000000000000000000000000000000000000000000000",
-        "534b4e4e040003001a0000000b00000000000000070f0064c3a97461696c20e29c9320e99baa",
-        "534b4e4e0400040000000000",
-        "534b4e4e04000500250000000200080061636365707465640c0000000000000007006772c3b6c39f65ffffffffffffffff",
-        "534b4e4e04000500020000000000",
-        "534b4e4e0400060000000000",
-        "534b4e4e0400070025000000210000007b2274726163655f6964223a317d0a7b2264c3a97461696c223a22e29c93227d0a",
-        "534b4e4e04000800280000000f0000000000000010000000000000000000000000000c4000000000000000800800000064000000",
-        "534b4e4e04000900640000000f00000000000000100000000000000002000000000000000000e03f07000000150000000000000000001d4000000000000000800100efbeaddef87f000000000000f07f090000001b000000000000000080224000000000000000800100efbeaddef87f",
-        "534b4e4e04000900140000001100000000000000120000000000000000000000",
-        "534b4e4e04000a002c000000130000000000000014000000000000000100efbeaddef87f0000000000000040000000000000f07f00000000",
-        "534b4e4e04000b005400000013000000000000001400000000000000020000000100000003000000000000000000f43f00000000000000800100efbeaddef87f0200000006000000000000000000024000000000000000800100efbeaddef87f",
-        "534b4e4e04000b00140000001500000000000000160000000000000000000000",
-        "534b4e4e04000c0054000000170000000000000018000000000000000b0000000000000000000000000000000000008000000000000022403200000001000000040000000c000000000000000000114000000000000000800100efbeaddef87f",
-        "534b4e4e04000d0018000000170000000000000018000000000000000100efbeaddef87f",
-        "534b4e4e04000e009c00000019000000000000001a00000000000000ffffffff000000000000f83f0000000000000440000000000000008003000000fa000000010000000100000003000000000000000000f43f00000000000000800100efbeaddef87f020000000100000003000000000000000000f43f00000000000000800100efbeaddef87f050000000f000000000000000000154000000000000000800100efbeaddef87f",
-        "534b4e4e04000e003c0000001b000000000000001c0000000000000002000000000000000000f83f00000000000004400000000000000c4000000000000000000000000000000000",
+        "534b4e4e05000100540000000807060504030201ffffffff0100efbeaddef87f00000000000000800000000000e0584004000000fa000000efbeadde00000000000000000000f8bf00000000000000800000000000a042400000000000005040",
+        "534b4e4e050002008100000007000000000000000900000000000000000000000080284001000000020000000300000004000000050000000600000007000000080000000900011a00446561646c696e654578706972656420e2809420e69c9fe99990020003000000000000000000f83f0000000000000440ffffffff00000000000000800100efbeaddef87f",
+        "534b4e4e050002003d00000008000000000000000a00000000000000000000000000f07f00000000000000000000000000000000000000000000000000000000000000000000000000",
+        "534b4e4e050003001a0000000b00000000000000070f0064c3a97461696c20e29c9320e99baa",
+        "534b4e4e0500040000000000",
+        "534b4e4e05000500250000000200080061636365707465640c0000000000000007006772c3b6c39f65ffffffffffffffff",
+        "534b4e4e05000500020000000000",
+        "534b4e4e0500060000000000",
+        "534b4e4e0500070025000000210000007b2274726163655f6964223a317d0a7b2264c3a97461696c223a22e29c93227d0a",
+        "534b4e4e05000800280000000f0000000000000010000000000000000000000000000c4000000000000000800800000064000000",
+        "534b4e4e05000900640000000f00000000000000100000000000000002000000000000000000e03f07000000150000000000000000001d4000000000000000800100efbeaddef87f000000000000f07f090000001b000000000000000080224000000000000000800100efbeaddef87f",
+        "534b4e4e05000900140000001100000000000000120000000000000000000000",
+        "534b4e4e05000a002c000000130000000000000014000000000000000100efbeaddef87f0000000000000040000000000000f07f00000000",
+        "534b4e4e05000b005400000013000000000000001400000000000000020000000100000003000000000000000000f43f00000000000000800100efbeaddef87f0200000006000000000000000000024000000000000000800100efbeaddef87f",
+        "534b4e4e05000b00140000001500000000000000160000000000000000000000",
+        "534b4e4e05000c009c00000019000000000000001a00000000000000ffffffff000000000000f83f0000000000000440000000000000008003000000fa000000010000000100000003000000000000000000f43f00000000000000800100efbeaddef87f020000000100000003000000000000000000f43f00000000000000800100efbeaddef87f050000000f000000000000000000154000000000000000800100efbeaddef87f",
+        "534b4e4e05000c003c0000001b000000000000001c0000000000000002000000000000000000f83f00000000000004400000000000000c4000000000000000000000000000000000",
     ];
 
     fn hex(bytes: &[u8]) -> String {
@@ -1295,10 +1271,11 @@ mod tests {
     }
 
     /// Every tag the header check admits is a frame with a golden entry,
-    /// and the first tag past the table is not — so a fifteenth row cannot
-    /// be added without `parse_header` and the fixture following.
+    /// and the first tag past the table is not — so a thirteenth row
+    /// cannot be added without `parse_header` and the fixture following.
     #[test]
     fn every_tag_up_to_max_decodes_and_the_next_is_unknown() {
+        assert_eq!(MAX_TAG, 12);
         let golden = golden_frames();
         for tag in 1..=MAX_TAG {
             let frame = golden.iter().find(|f| f.tag() == tag);
@@ -1369,5 +1346,41 @@ mod tests {
             panic!("not a STATS")
         };
         assert!(s.entries[..] == entries[..(CAP - 2) / 70], "{} entries", s.entries.len());
+    }
+
+    /// A request or reply is never cut: `encode_whole` names the list
+    /// that would not fit, addressed to the frame's own id. A list that
+    /// fits — and `STATS`, which carries no id — encodes as `encode` does.
+    #[test]
+    fn encode_whole_names_the_list_it_would_have_to_cut() {
+        let fits = (MAX_PAYLOAD as usize - 20) / 32;
+        let objs = |n: usize| {
+            (0..n as u32).map(|id| WireObject { id, tri: 0, x: 0.0, y: 0.0, z: 0.0 }).collect()
+        };
+        let range = |n| Frame::Range(RangeFrame { req_id: 7, trace_id: 2, objects: objs(n) });
+        assert_eq!(range(fits).encode_whole(), Ok(range(fits).encode()));
+        let refused = |f: Frame| f.encode_whole().map(|_| ()).unwrap_err();
+        let want = |req_id, list: &str| ErrorFrame {
+            req_id,
+            code: ErrorCode::BadRequest,
+            detail: format!("{list} list does not fit one frame"),
+        };
+        assert_eq!(refused(range(fits + 1)), want(7, "objects"));
+        let exec = Frame::ExecRequest(ExecRequestFrame {
+            req_id: 9,
+            trace_id: 2,
+            tri: 3,
+            x: 0.0,
+            y: 0.0,
+            z: 0.0,
+            k: 4,
+            deadline_ms: 5,
+            seeds: objs(1),
+            cands: objs(fits),
+        });
+        assert_eq!(refused(exec), want(9, "cands"));
+        let entries = (0..=u16::MAX as u64).map(|i| ("x".to_string(), i)).collect();
+        let stats = Frame::Stats(StatsFrame { entries });
+        assert_eq!(stats.encode_whole(), Ok(stats.encode()));
     }
 }

@@ -77,9 +77,11 @@ pub struct Server<'e, 's, 'm> {
 type EngineRead = fn(&Mr3Engine<'_, '_>) -> f64;
 
 /// The engine-side families a server exports: pager pool, stall and
-/// fault counters, the shared cut cache, and the write path (WAL,
-/// recovery). One row per family — name, kind, help, and how
-/// to read it off the engine at scrape time.
+/// fault counters, the shared cut cache, and the live object count. One
+/// row per family — name, kind, help, and how to read it off the engine
+/// at scrape time. A server has no write frame, so the write path's
+/// counters would only ever describe its genesis commit: durability is
+/// the library's ([`sknn_core::objects`]), not the wire's.
 #[rustfmt::skip]
 const ENGINE_ROWS: &[(&str, MetricKind, &str, EngineRead)] = &[
     ("sknn_store_stall_us_total", Counter, "Cumulative pager stall wall time, microseconds",
@@ -129,23 +131,6 @@ const ENGINE_ROWS: &[(&str, MetricKind, &str, EngineRead)] = &[
         |e| cut(e).in_flight as f64),
     ("sknn_cutcache_hit_rate", Gauge, "Lifetime hits / (hits + misses) of the cut cache",
         |e| cut(e).hit_rate()),
-    ("sknn_wal_appends_total", Counter, "WAL records appended (pending or durable)",
-        |e| e.write_stats().wal.appends as f64),
-    ("sknn_wal_fsyncs_total", Counter, "Successful WAL fsyncs (one per committed mutation)",
-        |e| e.write_stats().wal.fsyncs as f64),
-    ("sknn_wal_failed_fsyncs_total", Counter,
-        "WAL fsyncs failed by the fault injector (aborted commits)",
-        |e| e.write_stats().wal.failed_fsyncs as f64),
-    ("sknn_wal_truncated_records_total", Counter,
-        "Pending WAL records withdrawn by aborted mutations",
-        |e| e.write_stats().wal.truncated as f64),
-    ("sknn_wal_aborted_ops_total", Counter, "Mutations aborted by a failed commit fsync",
-        |e| e.write_stats().aborted_ops as f64),
-    ("sknn_wal_recoveries_total", Counter, "Times the object store was rebuilt from a crash image",
-        |e| e.write_stats().recoveries as f64),
-    ("sknn_wal_replay_records_total", Counter,
-        "Committed WAL op records replayed by the last recovery",
-        |e| e.write_stats().replay_records as f64),
     ("sknn_objects_live", Gauge, "Live objects in the current snapshot",
         |e| e.write_stats().live_objects as f64),
 ];
@@ -269,7 +254,7 @@ impl Service for Server<'_, '_, '_> {
         &self.stats.edge
     }
 
-    /// Every request frame a shard takes — the full query and the four
+    /// Every request frame a shard takes — the full query and the three
     /// decomposed shard ops — validated against the mesh.
     fn claim(&self, frame: Frame) -> Option<Result<JobOp, &'static str>> {
         let finite = |x: f64, y: f64| x.is_finite() && y.is_finite();
@@ -293,9 +278,6 @@ impl Service for Server<'_, '_, '_> {
                     Err("bad range parameters")
                 }
             }
-            Frame::RadiusRequest(r) => self
-                .resolve_surface(r.tri, r.x, r.y, r.z)
-                .and_then(|point| Ok(JobOp::Radius { point, seeds: self.resolve_objs(&r.seeds)? })),
             Frame::ExecRequest(e) => self.resolve_surface(e.tri, e.x, e.y, e.z).and_then(|point| {
                 Ok(JobOp::Exec {
                     point,

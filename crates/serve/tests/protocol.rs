@@ -13,9 +13,8 @@ use proptest::prelude::*;
 use sknn_geom::{Point2, Rect2};
 use sknn_serve::protocol::{
     parse_header, ErrorCode, ErrorFrame, ExecRequestFrame, Frame, ProtocolError, QueryFrame,
-    RadiusFrame, RadiusRequestFrame, RangeFrame, RangeRequestFrame, ResponseFrame, SeedsFrame,
-    SeedsRequestFrame, ServerTiming, StatsFrame, TraceDumpFrame, WireNeighbor, WireObject,
-    HEADER_LEN, MAX_PAYLOAD, VERSION,
+    RangeFrame, RangeRequestFrame, ResponseFrame, SeedsFrame, SeedsRequestFrame, ServerTiming,
+    StatsFrame, TraceDumpFrame, WireNeighbor, WireObject, HEADER_LEN, MAX_PAYLOAD, VERSION,
 };
 
 fn short_string() -> impl Strategy<Value = String> {
@@ -198,7 +197,7 @@ proptest! {
         let _ = Frame::decode(&bytes);
     }
 
-    /// Every shard-operation frame (seeds / range / radius / exec, both
+    /// Every shard-operation frame (seeds / range / exec, both
     /// directions) round-trips byte-identically.
     #[test]
     fn shard_op_frames_round_trip(
@@ -218,11 +217,6 @@ proptest! {
             Frame::Seeds(SeedsFrame { req_id, trace_id, seeds: seeds.clone() }),
             Frame::RangeRequest(RangeRequestFrame { req_id, trace_id, x, y, radius, deadline_ms: k }),
             Frame::Range(RangeFrame { req_id, trace_id, objects: objects.clone() }),
-            Frame::RadiusRequest(RadiusRequestFrame {
-                req_id, trace_id, tri: k, x, y, z: radius, deadline_ms: k,
-                seeds: objects.clone(),
-            }),
-            Frame::Radius(RadiusFrame { req_id, trace_id, radius }),
             Frame::ExecRequest(ExecRequestFrame {
                 req_id, trace_id, tri: k, x, y, z: radius, k, deadline_ms: k,
                 seeds: objects.clone(), cands: objects.clone(),

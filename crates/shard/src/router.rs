@@ -21,9 +21,10 @@
 //!    by `(distance, id)` — the same total order the engines' canonical
 //!    seed selection uses, so the merged top-k is exactly the union
 //!    engine's seed list;
-//! 2. `RADIUS` on the home shard over the merged seeds → the union
-//!    step-2 radius, bit-exact (the estimate is a deterministic function
-//!    of the seed list);
+//! 2. `EXEC` on the home shard over the merged seeds and no candidates
+//!    → the union step-2 radius, bit-exact (the estimate is a
+//!    deterministic function of the seed list; ranking nothing ends at
+//!    its first termination test);
 //! 3. `RANGE` fan-out to every shard whose tile could hold an in-range
 //!    object ([`ShardMap::overlapping`]); concatenate ascending by id —
 //!    ownership is a partition, so this is exactly the union engine's
@@ -35,7 +36,9 @@
 //! Every downstream call is population- and order-explicit, so the final
 //! ids, `lb`/`ub` intervals, and radius are bit-identical to a single
 //! engine — the property `tests/shard_e2e.rs` and `loadgen
-//! --verify-data` enforce.
+//! --verify-data` enforce. A leg whose list would not fit one frame is
+//! not sent: the client gets the typed `BadRequest` naming the list
+//! ([`Frame::encode_whole`]) instead of an answer over a cut list.
 //!
 //! # Admission
 //!
@@ -53,8 +56,8 @@ use sknn_obs::{field, QueryTrace, Recorder, Registry};
 use sknn_serve::edge::{Edge, EdgeConfig, EdgeStats, Handle, Job, Service};
 use sknn_serve::pool::{InFlight, PoolClient, PoolError};
 use sknn_serve::protocol::{
-    ErrorCode, ErrorFrame, ExecRequestFrame, Frame, QueryFrame, RadiusRequestFrame,
-    RangeRequestFrame, Request, ResponseFrame, SeedsRequestFrame, WireObject,
+    ErrorCode, ErrorFrame, ExecRequestFrame, Frame, QueryFrame, RangeRequestFrame, Request,
+    ResponseFrame, SeedsRequestFrame, WireObject,
 };
 use sknn_serve::Client;
 use std::io;
@@ -105,9 +108,9 @@ type RouterJob = Job<QueryFrame>;
 
 /// Why a shard leg ended without a usable partial result.
 enum LegFail {
-    /// The shard answered with a typed error — relay it (code intact,
-    /// detail prefixed with the leg name) so the client sees the real
-    /// cause.
+    /// The shard answered with a typed error, or the leg's list did not
+    /// fit one frame — relay it (code intact, detail prefixed with the
+    /// leg name) so the client sees the real cause.
     Relay(ErrorFrame),
     /// The leg failed at the transport (pool) layer.
     Transport(&'static str, PoolError),
@@ -238,7 +241,8 @@ impl Router {
     }
 
     /// Starts a leg on `shard`: `make` builds the request around a fresh
-    /// wire id and the deadline a leg sent now carries.
+    /// wire id and the deadline a leg sent now carries. A request whose
+    /// list would not fit one frame is refused here, never sent cut.
     fn send<R: Request>(
         &self,
         job: &RouterJob,
@@ -249,7 +253,9 @@ impl Router {
         let deadline_ms = self.leg_deadline_ms(job, what)?;
         let pool = &self.pools[shard];
         let req_id = pool.next_req_id();
-        match pool.begin(req_id, &make(req_id, deadline_ms).into()) {
+        let frame: Frame = make(req_id, deadline_ms).into();
+        let bytes = frame.encode_whole().map_err(|e| LegFail::Relay(prefixed(what, e)))?;
+        match pool.begin(req_id, &bytes) {
             Ok(flight) => Ok(Leg { what, flight, request: PhantomData }),
             Err(e) => Err(LegFail::Transport(what, e)),
         }
@@ -376,17 +382,20 @@ impl Router {
         seeds.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.id.cmp(&b.1.id)));
         seeds.truncate(kc);
         let seed_objs: Vec<WireObject> = seeds.iter().map(|&(_, o)| o).collect();
-        // Step 2 on the home shard over the merged seeds.
+        // Step 2 on the home shard: an EXEC over the merged seeds and no
+        // candidates answers with the radius alone.
         let radius = self
-            .leg(job, "radius leg", home, |req_id, deadline_ms| RadiusRequestFrame {
+            .leg(job, "radius leg", home, |req_id, deadline_ms| ExecRequestFrame {
                 req_id,
                 trace_id,
                 tri,
                 x,
                 y,
                 z,
+                k: kc as u32,
                 deadline_ms,
                 seeds: seed_objs.clone(),
+                cands: Vec::new(),
             })?
             .radius;
         // Step 3 fan-out. NaN sanitizes to ∞ — both mean "range
@@ -559,7 +568,9 @@ mod tests {
     use crate::map::ShardSpec;
     use sknn_core::workload::SurfacePoint;
     use sknn_geom::{Point3, Rect2};
-    use sknn_serve::protocol::{read_frame, write_frame, StatsFrame};
+    use sknn_serve::protocol::{
+        read_frame, write_frame, RangeFrame, SeedsFrame, ServerTiming, StatsFrame, MAX_PAYLOAD,
+    };
     use std::net::TcpListener;
 
     /// A recording fake shard behind a one-worker router: it answers the
@@ -613,5 +624,89 @@ mod tests {
         assert!((1..=BUDGET_MS).contains(&first), "first leg carried {first} ms");
         let ceiling = BUDGET_MS - DELAY.as_millis() as u32 + 50;
         assert!(second <= ceiling, "second leg carried {second} ms, ceiling {ceiling}");
+    }
+
+    /// Two fake shards on one listener, each holding one object: the home
+    /// stops its `QUERY`, the radius `EXEC` (no candidates) answers, and
+    /// `RANGE` comes back with as many objects as one frame holds — too
+    /// many to ride an `EXEC` beside a seed. The client gets a typed
+    /// `BadRequest` naming the list, and no ranking `EXEC` reaches a
+    /// shard over a cut candidate list.
+    #[test]
+    fn a_list_too_long_for_its_frame_is_refused_not_cut() {
+        let port = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = port.local_addr().unwrap().to_string();
+        let (exec_tx, execs) = std::sync::mpsc::channel::<usize>();
+        let obj = |id| WireObject { id, tri: 0, x: 25.0, y: 50.0, z: 0.0 };
+        let full: Vec<WireObject> = (0..(MAX_PAYLOAD - 20) / 32).map(obj).collect();
+        let response = |req_id, trace_id| {
+            let (radius, timing) = (1.0, ServerTiming::default());
+            Frame::Response(ResponseFrame {
+                req_id,
+                trace_id,
+                radius,
+                timing,
+                degraded: None,
+                neighbors: vec![],
+            })
+        };
+        // Two bind-time STATS connections, then one pooled per shard.
+        let fake = std::thread::spawn(move || {
+            for conn in port.incoming().take(4) {
+                let (mut s, full, exec_tx) = (conn.unwrap(), full.clone(), exec_tx.clone());
+                std::thread::spawn(move || {
+                    while let Ok(frame) = read_frame(&mut s) {
+                        let reply = match frame {
+                            Frame::StatsRequest => Frame::Stats(StatsFrame {
+                                entries: vec![("objects".to_string(), 1)],
+                            }),
+                            Frame::Query(q) => response(q.req_id, q.trace_id),
+                            Frame::SeedsRequest(r) => Frame::Seeds(SeedsFrame {
+                                req_id: r.req_id,
+                                trace_id: r.trace_id,
+                                seeds: vec![(0.0, obj(0))],
+                            }),
+                            Frame::ExecRequest(e) => {
+                                exec_tx.send(e.cands.len()).unwrap();
+                                response(e.req_id, e.trace_id)
+                            }
+                            Frame::RangeRequest(r) => Frame::Range(RangeFrame {
+                                req_id: r.req_id,
+                                trace_id: r.trace_id,
+                                objects: full.clone(),
+                            }),
+                            other => panic!("unexpected leg {other:?}"),
+                        };
+                        write_frame(&mut s, &reply).unwrap();
+                    }
+                });
+            }
+        });
+        let half = |x0: f64| Rect2::new(Point2::new(x0, 0.0), Point2::new(x0 + 50.0, 100.0));
+        let map = ShardMap::new(
+            [half(0.0), half(50.0)].map(|tile| ShardSpec { tile, addr: addr.clone() }).to_vec(),
+        );
+        let router = Router::bind(map, "127.0.0.1:0", RouterConfig::default()).unwrap();
+        let handle = router.handle();
+        let reply = std::thread::scope(|scope| {
+            let run = scope.spawn(|| router.run());
+            let mut client = Client::connect(handle.addr()).unwrap();
+            let q = SurfacePoint { tri: 0, pos: Point3::new(25.0, 50.0, 0.0) };
+            client.send_query(1, q, 1, 0).unwrap();
+            let reply = client.recv();
+            handle.shutdown();
+            run.join().unwrap();
+            reply
+        });
+        fake.join().unwrap();
+        match reply {
+            Ok(Frame::Error(e)) => {
+                assert_eq!((e.req_id, e.code), (1, ErrorCode::BadRequest), "{e:?}");
+                assert_eq!(e.detail, "exec leg: cands list does not fit one frame");
+            }
+            other => panic!("expected a typed BadRequest, got {other:?}"),
+        }
+        let seen: Vec<usize> = execs.try_iter().collect();
+        assert_eq!(seen, [0], "only the radius EXEC, over no candidates, may be sent");
     }
 }

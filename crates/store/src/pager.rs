@@ -13,7 +13,7 @@
 //!
 //! # Concurrency architecture
 //!
-//! The pool is built for parallel query batches (`Mr3Engine::query_batch`):
+//! The pool is built for parallel query batches (`Mr3Engine::try_query_batch`):
 //!
 //! * **Sharding** — the pool is split into [`POOL_SHARDS`] CLOCK rings,
 //!   selected by `page_id % shards`. Hits on different shards never touch

@@ -111,7 +111,7 @@ pub struct WalEntry {
     pub end: usize,
 }
 
-/// Cumulative WAL counters (the `sknn_wal_*` metric families).
+/// Cumulative WAL counters (part of the object store's write stats).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WalStats {
     /// Records appended (pending or durable).

@@ -57,7 +57,7 @@ fn main() {
     let mask = ObstacleMask::from_slope_limit(&mesh, 2.2);
     println!("\nslope constraint blocks {:.1}% of facets", mask.blocked_fraction() * 100.0);
     let crew = ConstrainedEngine::build(&mesh, &habitats, mask, 256);
-    let free = engine.query(site, 5);
+    let free = engine.try_query(site, 5).expect("sknn query failed");
     let constrained = crew.query(site, 5);
     println!("rank  unconstrained        slope-constrained");
     for i in 0..5 {

@@ -30,7 +30,7 @@ fn main() {
     // 4. Ask for the 5 nearest objects of a random query point, by
     //    *surface* distance.
     let q = scene.random_query(1);
-    let result = engine.query(q, 5);
+    let result = engine.try_query(q, 5).expect("sknn query failed");
 
     println!("\nquery at ({:.1}, {:.1}, {:.1} m elevation)", q.pos.x, q.pos.y, q.pos.z);
     println!("rank  object  surface-distance range (m)   euclidean (m)");

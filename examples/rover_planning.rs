@@ -21,7 +21,7 @@ fn main() {
     println!("rover at ({:.0}, {:.0}), elevation {:.1} m", rover.pos.x, rover.pos.y, rover.pos.z);
 
     let k = 3;
-    let result = engine.query(rover, k);
+    let result = engine.try_query(rover, k).expect("sknn query failed");
     println!("\ntop {k} sites by surface distance:");
     for (rank, n) in result.neighbors.iter().enumerate() {
         let site = sites.object(n.id);

@@ -30,7 +30,7 @@ fn main() {
     println!("sighting  surface-NN  dist(m)   euclid-NN  dist(m)   agree");
     for (i, s) in sightings.iter().enumerate() {
         // Surface-nearest source via MR3.
-        let res = engine.query(*s, 1);
+        let res = engine.try_query(*s, 1).expect("sknn query failed");
         let surf_id = res.neighbors[0].id;
         let surf_d = exact.pair_distance(*s, scene.object(surf_id).point);
 

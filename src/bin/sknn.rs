@@ -335,7 +335,7 @@ fn main() {
                 ))
             };
             for (i, q) in scene.random_queries(nq, seed ^ 7).into_iter().enumerate() {
-                let res = engine.query(q, k);
+                let res = engine.try_query(q, k).expect("sknn query failed");
                 let trace = res.trace.expect("tracing enabled but no trace returned");
                 let summary = format!(
                     "query {i} at ({:.0}, {:.0}) — k={k}, {} pages\n{}",
@@ -705,10 +705,11 @@ fn main() {
             let rec_engine = build_engine(&cfg).with_object_store(recovered);
             let qs = scene.random_queries(nq, seed ^ 0xBEEF);
             let batch: Vec<_> = qs.iter().map(|&q| (q, k)).collect();
-            let a = engine.query_batch(&batch, threads);
-            let b = rec_engine.query_batch(&batch, threads);
+            let a = engine.try_query_batch(&batch, threads);
+            let b = rec_engine.try_query_batch(&batch, threads);
             let mut mismatches = 0usize;
-            for (i, (ra, rb)) in a.iter().zip(&b).enumerate() {
+            for (i, (ra, rb)) in a.into_iter().zip(b).enumerate() {
+                let (ra, rb) = (ra.expect("sknn query failed"), rb.expect("sknn query failed"));
                 let ka: Vec<_> = ra.neighbors.iter().map(|n| (n.id, n.range)).collect();
                 let kb: Vec<_> = rb.neighbors.iter().map(|n| (n.id, n.range)).collect();
                 if ka != kb {

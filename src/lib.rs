@@ -37,7 +37,7 @@
 //!     .build();
 //! let engine = Mr3Engine::build(&mesh, &scene, &Mr3Config::default());
 //! let q = scene.random_query(1);
-//! let result = engine.query(q, 3);
+//! let result = engine.try_query(q, 3).expect("sknn query failed");
 //! assert_eq!(result.neighbors.len(), 3);
 //! ```
 

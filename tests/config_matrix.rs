@@ -26,7 +26,7 @@ fn all_flag_combinations_preserve_quality() {
             ..Mr3Config::default()
         };
         let engine = Mr3Engine::build(&mesh, &scene, &cfg);
-        let res = engine.query(q, k);
+        let res = engine.try_query(q, k).unwrap();
         assert_eq!(res.neighbors.len(), k, "combo {bits:04b}");
         for n in &res.neighbors {
             let d = exact.pair_distance(q, scene.object(n.id).point);
@@ -65,7 +65,7 @@ fn schedules_and_flags_interact_safely() {
                 cfg.integrated_io = false;
             }
             let engine = Mr3Engine::build(&mesh, &scene, &cfg);
-            let res = engine.query(q, k);
+            let res = engine.try_query(q, k).unwrap();
             for n in &res.neighbors {
                 let d = exact.pair_distance(q, scene.object(n.id).point);
                 assert!(d <= kth * 1.06 + 1e-6, "{name} minimal={minimal}: {d} vs {kth}");
@@ -88,7 +88,7 @@ fn custom_schedule_single_jump() {
         name: "jump",
     });
     let engine = Mr3Engine::build(&mesh, &scene, &cfg);
-    let res = engine.query(q, 3);
+    let res = engine.try_query(q, 3).unwrap();
     assert_eq!(res.neighbors.len(), 3);
     let truth = exact.query(q, 3);
     let kth = truth.neighbors.last().unwrap().range.ub;

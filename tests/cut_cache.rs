@@ -316,11 +316,11 @@ fn warm_means_resident() {
     engine.cold_cache = false;
     let pool = scene.random_queries(32, 9);
 
-    let first: Vec<QueryResult> = pool.iter().map(|&q| engine.query(q, 4)).collect();
+    let first: Vec<QueryResult> = pool.iter().map(|&q| engine.try_query(q, 4).unwrap()).collect();
     let evictions_after_first = engine.cut_cache_snapshot().unwrap().evictions;
     let mut second = Vec::new();
     for &q in &pool {
-        second.push(engine.query(q, 4));
+        second.push(engine.try_query(q, 4).unwrap());
         // Pager stats are reset at query start, so this is the query's own
         // read count.
         assert_eq!(engine.pager().stats().physical_reads, 0, "a warm query read a page");
@@ -375,6 +375,14 @@ fn warm_means_resident() {
 /// One answer: radius bits, then neighbour ids and the exact f64 bit
 /// patterns of both bounds.
 type AnswerBits = (u64, Vec<(u32, u64, u64)>);
+/// `try_query_batch` with every query answered.
+fn answers(
+    engine: &Mr3Engine,
+    batch: &[(SurfacePoint, usize)],
+    threads: usize,
+) -> Vec<QueryResult> {
+    engine.try_query_batch(batch, threads).into_iter().map(Result::unwrap).collect()
+}
 
 fn fingerprint(results: &[QueryResult]) -> Vec<AnswerBits> {
     results
@@ -413,14 +421,14 @@ proptest! {
         let mut starved = Mr3Engine::build(&mesh, &scene, &starved_cfg);
         starved.cold_cache = false;
 
-        let baseline: Vec<QueryResult> = qs.iter().map(|&q| roomy.query(q, k)).collect();
+        let baseline: Vec<QueryResult> = qs.iter().map(|&q| roomy.try_query(q, k).unwrap()).collect();
         let expect = fingerprint(&baseline);
-        let sequential: Vec<QueryResult> = qs.iter().map(|&q| starved.query(q, k)).collect();
+        let sequential: Vec<QueryResult> = qs.iter().map(|&q| starved.try_query(q, k).unwrap()).collect();
         prop_assert!(fingerprint(&sequential) == expect, "starved sequential diverged");
         for (name, engine) in [("roomy", &roomy), ("starved", &starved)] {
             for threads in [1usize, 4, 8] {
                 engine.clear_cut_caches();
-                let got = engine.query_batch(&batch, threads);
+                let got = answers(engine, &batch, threads);
                 prop_assert!(
                     fingerprint(&got) == expect,
                     "{} at {} threads diverged from the sequential default",
@@ -429,7 +437,7 @@ proptest! {
                 );
             }
             // The warm path too: a second pass over whatever stayed resident.
-            let warm = engine.query_batch(&batch, 4);
+            let warm = answers(engine, &batch, 4);
             prop_assert!(fingerprint(&warm) == expect, "{} warm pass diverged", name);
         }
         let (roomy, starved) =

@@ -56,7 +56,7 @@ fn mr3_matches_ground_truth_on_both_terrains() {
         for qseed in [11u64, 22, 33] {
             let q = scene.random_query(qseed);
             for k in [1usize, 3, 7] {
-                let res = engine.query(q, k);
+                let res = engine.try_query(q, k).unwrap();
                 assert_result_quality(label, &scene, &exact, q, &res.neighbors, k);
             }
         }
@@ -95,7 +95,7 @@ fn all_schedules_return_equivalent_answers() {
     for sched in [StepSchedule::s1(), StepSchedule::s2(), StepSchedule::s3()] {
         let name = sched.name;
         let engine = Mr3Engine::build(&mesh, &scene, &Mr3Config::default().with_schedule(sched));
-        let res = engine.query(q, k);
+        let res = engine.try_query(q, k).unwrap();
         for n in &res.neighbors {
             let d = exact.pair_distance(q, scene.object(n.id).point);
             assert!(d <= kth * 1.06 + 1e-6, "{name}: {d} vs kth {kth}");
@@ -112,7 +112,7 @@ fn mr3_is_cheaper_than_ea_in_cpu() {
     let qs = scene.random_queries(3, 12);
     let (mut mr3_cpu, mut ea_cpu) = (0.0, 0.0);
     for &q in &qs {
-        mr3_cpu += mr3.query(q, 10).stats.cpu.as_secs_f64();
+        mr3_cpu += mr3.try_query(q, 10).unwrap().stats.cpu.as_secs_f64();
         ea_cpu += ea.query(q, 10).stats.cpu.as_secs_f64();
     }
     assert!(ea_cpu > 2.0 * mr3_cpu, "EA cpu {ea_cpu:.4}s not clearly above MR3 cpu {mr3_cpu:.4}s");
@@ -124,8 +124,8 @@ fn page_accounting_is_deterministic_and_positive() {
     let scene = SceneBuilder::new(&mesh).object_count(15).seed(2).build();
     let engine = Mr3Engine::build(&mesh, &scene, &Mr3Config::default());
     let q = scene.random_query(1);
-    let a = engine.query(q, 3);
-    let b = engine.query(q, 3);
+    let a = engine.try_query(q, 3).unwrap();
+    let b = engine.try_query(q, 3).unwrap();
     assert!(a.stats.pages > 0);
     assert_eq!(a.stats.pages, b.stats.pages);
     assert_eq!(a.stats.iterations, b.stats.iterations);
@@ -142,12 +142,12 @@ fn degenerate_workloads() {
     let engine = Mr3Engine::build(&mesh, &scene, &Mr3Config::default());
     let q = scene.random_query(1);
     // k = 0 and k beyond the population.
-    assert!(engine.query(q, 0).neighbors.is_empty());
-    let res = engine.query(q, 5);
+    assert!(engine.try_query(q, 0).unwrap().neighbors.is_empty());
+    let res = engine.try_query(q, 5).unwrap();
     assert_eq!(res.neighbors.len(), 1);
     // Query exactly at the object's location: distance ~ 0.
     let at_obj = scene.object(0).point;
-    let res = engine.query(at_obj, 1);
+    let res = engine.try_query(at_obj, 1).unwrap();
     assert!(res.neighbors[0].range.ub < 1e-6);
 }
 
@@ -156,7 +156,7 @@ fn prelude_quickstart_workflow() {
     let mesh = TerrainConfig::bh().with_grid(33).build_mesh(42);
     let scene = SceneBuilder::new(&mesh).object_count(20).seed(7).build();
     let engine = Mr3Engine::build(&mesh, &scene, &Mr3Config::default());
-    let result = engine.query(scene.random_query(1), 3);
+    let result = engine.try_query(scene.random_query(1), 3).unwrap();
     assert_eq!(result.neighbors.len(), 3);
     for w in result.neighbors.windows(2) {
         assert!(w[0].range.ub <= w[1].range.ub + 1e-9);

@@ -45,7 +45,7 @@ fn fixture() -> &'static Fixture {
         let engine = Mr3Engine::build(mesh, scene, &Mr3Config::default());
         let batch: Vec<(SurfacePoint, usize)> =
             (0..6).map(|i| (scene.random_query(100 + i), K)).collect();
-        let baseline = engine.query_batch(&batch, 1);
+        let baseline = engine.try_query_batch(&batch, 1).into_iter().map(Result::unwrap).collect();
         Fixture {
             engine,
             scene,

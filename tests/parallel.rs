@@ -1,7 +1,7 @@
 //! Concurrency invariants of the batch query path.
 //!
-//! `Engine::query_batch` must be bit-identical to a sequential `query`
-//! loop at any thread count: results depend only on the immutable
+//! `Engine::try_query_batch` must be bit-identical to a sequential
+//! `try_query` loop at any thread count: results depend only on the immutable
 //! structures, never on pager pool state or scheduling order. These tests
 //! double as the CI stress job — set `SKNN_STRESS_ITERS` to repeat the
 //! batch comparison (CI runs 20 iterations in `--release` to shake out
@@ -31,6 +31,14 @@ fn install_fault_profile(engine: &Mr3Engine) {
     let profile = FaultProfile::parse(&spec).expect("SKNN_FAULT_PROFILE must be seed:rate:kind");
     engine.pager().set_fault_injector(Some(FaultInjector::from_profile(&profile)));
 }
+/// `try_query_batch` with every query answered.
+fn answers(
+    engine: &Mr3Engine,
+    batch: &[(SurfacePoint, usize)],
+    threads: usize,
+) -> Vec<QueryResult> {
+    engine.try_query_batch(batch, threads).into_iter().map(Result::unwrap).collect()
+}
 
 /// Neighbour ids and the exact f64 bit patterns of both bounds.
 fn fingerprint(results: &[QueryResult]) -> Vec<Vec<(u32, u64, u64)>> {
@@ -53,7 +61,8 @@ fn batch_is_bit_identical_to_sequential() {
     let qs = scene.random_queries(12, 911);
     let batch: Vec<(SurfacePoint, usize)> = qs.iter().map(|&q| (q, k)).collect();
 
-    let sequential: Vec<QueryResult> = qs.iter().map(|&q| engine.query(q, k)).collect();
+    let sequential: Vec<QueryResult> =
+        qs.iter().map(|&q| engine.try_query(q, k).unwrap()).collect();
     let expect = fingerprint(&sequential);
     for n in &sequential {
         assert_eq!(n.neighbors.len(), k.min(scene.num_objects()));
@@ -61,7 +70,7 @@ fn batch_is_bit_identical_to_sequential() {
 
     for iter in 0..stress_iters() {
         for threads in [2usize, 4, 8] {
-            let parallel = engine.query_batch(&batch, threads);
+            let parallel = answers(&engine, &batch, threads);
             assert_eq!(
                 fingerprint(&parallel),
                 expect,
@@ -81,8 +90,8 @@ fn single_thread_batch_matches_query_loop() {
 
     let qs = scene.random_queries(5, 79);
     let batch: Vec<(SurfacePoint, usize)> = qs.iter().map(|&q| (q, 3)).collect();
-    let seq: Vec<QueryResult> = qs.iter().map(|&q| engine.query(q, 3)).collect();
-    assert_eq!(fingerprint(&engine.query_batch(&batch, 1)), fingerprint(&seq));
+    let seq: Vec<QueryResult> = qs.iter().map(|&q| engine.try_query(q, 3).unwrap()).collect();
+    assert_eq!(fingerprint(&answers(&engine, &batch, 1)), fingerprint(&seq));
 }
 
 /// Re-running the same batch on the same engine (warm pool, advanced
@@ -96,8 +105,8 @@ fn batch_is_stable_across_repeated_runs() {
 
     let batch: Vec<(SurfacePoint, usize)> =
         scene.random_queries(6, 315).into_iter().map(|q| (q, 5)).collect();
-    let first = fingerprint(&engine.query_batch(&batch, 4));
+    let first = fingerprint(&answers(&engine, &batch, 4));
     for _ in 0..stress_iters().min(5) {
-        assert_eq!(fingerprint(&engine.query_batch(&batch, 4)), first);
+        assert_eq!(fingerprint(&answers(&engine, &batch, 4)), first);
     }
 }

@@ -295,6 +295,14 @@ fn checkpoint_bounds_replay_and_preserves_identity() {
 // ---------------------------------------------------------------------------
 // Engine-level bit-identity and concurrency
 // ---------------------------------------------------------------------------
+/// `try_query_batch` with every query answered.
+fn answers(
+    engine: &Mr3Engine,
+    batch: &[(SurfacePoint, usize)],
+    threads: usize,
+) -> Vec<QueryResult> {
+    engine.try_query_batch(batch, threads).into_iter().map(Result::unwrap).collect()
+}
 
 /// Neighbour ids and the exact bit patterns of both bounds.
 fn fingerprint(results: &[QueryResult]) -> Vec<Vec<(u32, u64, u64)>> {
@@ -326,15 +334,15 @@ fn recovered_engine_serves_bit_identical_knn_at_any_thread_count() {
 
     let batch: Vec<(SurfacePoint, usize)> =
         scene.random_queries(6, 99).into_iter().map(|q| (q, 5)).collect();
-    let reference = fingerprint(&engine.query_batch(&batch, 1));
+    let reference = fingerprint(&answers(&engine, &batch, 1));
     for threads in [1usize, 4, 8] {
         assert_eq!(
-            fingerprint(&engine.query_batch(&batch, threads)),
+            fingerprint(&answers(&engine, &batch, threads)),
             reference,
             "survivor at {threads} threads"
         );
         assert_eq!(
-            fingerprint(&restarted.query_batch(&batch, threads)),
+            fingerprint(&answers(&restarted, &batch, threads)),
             reference,
             "restarted engine at {threads} threads"
         );
@@ -367,7 +375,7 @@ fn concurrent_mutations_never_disturb_readers() {
             s.spawn(move || {
                 for j in 0..12u64 {
                     let q = scene.random_query(808 + t * 100 + j);
-                    let res = engine.query(q, 4);
+                    let res = engine.try_query(q, 4).unwrap();
                     assert_eq!(res.neighbors.len(), 4, "reader {t} query {j}");
                     for n in &res.neighbors {
                         assert!(
@@ -393,8 +401,8 @@ fn concurrent_mutations_never_disturb_readers() {
     let batch: Vec<(SurfacePoint, usize)> =
         scene.random_queries(5, 909).into_iter().map(|q| (q, 4)).collect();
     assert_eq!(
-        fingerprint(&engine.query_batch(&batch, 4)),
-        fingerprint(&replayed.query_batch(&batch, 4)),
+        fingerprint(&answers(&engine, &batch, 4)),
+        fingerprint(&answers(&replayed, &batch, 4)),
         "post-quiesce answers match a sequential replay"
     );
 }

@@ -18,7 +18,7 @@ fn test_world() -> (TerrainMesh, Mr3Config) {
 }
 
 /// Eight concurrent client threads, each firing queries the server runs
-/// side by side; every response must match a direct `Engine::query`
+/// side by side; every response must match a direct `Engine::try_query`
 /// call bit for bit.
 #[test]
 fn responses_bit_identical_to_direct_queries() {
@@ -57,7 +57,7 @@ fn responses_bit_identical_to_direct_queries() {
                         // The engine's determinism guarantee, measured
                         // across a network hop: identical ids and
                         // bit-identical bounds.
-                        let direct = engine.query(q, K);
+                        let direct = engine.try_query(q, K).unwrap();
                         assert_eq!(resp.neighbors.len(), direct.neighbors.len());
                         for (wire, local) in resp.neighbors.iter().zip(&direct.neighbors) {
                             assert_eq!(wire.id, local.id);
@@ -306,7 +306,7 @@ fn a_query_tile_stops_the_engine_and_a_nan_bound_is_a_bad_request() {
     let server = Server::bind(&engine, "127.0.0.1:0", ServeConfig::default()).unwrap();
     let (addr, handle, stats) = (server.local_addr(), server.handle(), server.stats());
     let q = scene.random_query(3);
-    let full = engine.query(q, 3);
+    let full = engine.try_query(q, 3).unwrap();
     let c = Point2::new(q.pos.x, q.pos.y);
     let half = Point2::new(full.radius / 2.0, full.radius / 2.0);
     let query = |req_id, within| {
@@ -400,7 +400,7 @@ fn panicking_query_gets_a_typed_error_and_the_server_keeps_serving() {
     for (i, frame) in replies.iter().enumerate().skip(1) {
         let Frame::Response(resp) = frame else { panic!("query {i} got {frame:?}") };
         assert!(resp.degraded.is_none());
-        let direct = clean.query(queries[i], K);
+        let direct = clean.try_query(queries[i], K).unwrap();
         assert_eq!(resp.radius.to_bits(), direct.radius.to_bits());
         assert_eq!(resp.neighbors.len(), direct.neighbors.len());
         for (wire, local) in resp.neighbors.iter().zip(&direct.neighbors) {

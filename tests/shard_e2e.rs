@@ -101,8 +101,9 @@ fn with_fleet(
 /// 1, 4, and 8 concurrent client threads. Both router paths must fire
 /// (interior fast path and full straddle merge), no leg may fail, and
 /// each shard must see exactly the legs the plan needs: the home `QUERY`,
-/// and for a straddle `SEEDS` everywhere, `RADIUS` and `EXEC` at home and
-/// `RANGE` where the radius reaches — nothing speculative.
+/// and for a straddle `SEEDS` everywhere, two `EXEC`s at home (the radius
+/// over no candidates, then the ranking) and `RANGE` where the radius
+/// reaches — nothing speculative.
 #[test]
 fn sharded_answers_bit_identical_to_union_engine() {
     const K: usize = 4;
@@ -130,7 +131,7 @@ fn sharded_answers_bit_identical_to_union_engine() {
     // circle stays inside the home tile (then and only then do the
     // shard's local seeds — hence radius, hence the interior test —
     // coincide with the union's).
-    let direct: Vec<_> = queries.iter().map(|&q| union.query(q, K)).collect();
+    let direct: Vec<_> = queries.iter().map(|&q| union.try_query(q, K).unwrap()).collect();
     let expected_interior = queries
         .iter()
         .zip(&direct)
@@ -201,8 +202,9 @@ fn sharded_answers_bit_identical_to_union_engine() {
     assert_eq!(stats.interior.get() + stats.fanned_out.get(), total);
     assert_eq!(stats.merged.get(), stats.fanned_out.get());
     // Exactly the legs the plan needs, per shard: the home QUERY; for a
-    // straddle, SEEDS on every shard, RADIUS and EXEC on the home, and
-    // RANGE on each shard the union radius reaches (NaN ranges all).
+    // straddle, SEEDS on every shard, the radius and the ranking EXEC on
+    // the home, and RANGE on each shard the union radius reaches (NaN
+    // ranges all).
     let mut legs = vec![0u64; tiles.len()];
     for (q, d) in queries.iter().zip(&direct) {
         let xy = Point2::new(q.pos.x, q.pos.y);
@@ -278,13 +280,51 @@ fn a_straddle_is_ranked_once_on_its_home() {
     let xy = Point2::new(near.pos.x, near.pos.y);
     let home = probe.home(xy).unwrap();
     let union = Mr3Engine::build(&mesh, &scene, &cfg);
-    assert!(!probe.interior(home, xy, union.query(near, K).radius), "must straddle");
+    assert!(!probe.interior(home, xy, union.try_query(near, K).unwrap().radius), "must straddle");
 
     let (stats, shards) = with_fleet(&engines, &tiles, |addr| ask_alone(addr, &[near]));
     assert_eq!((stats.fanned_out.get(), stats.merged.get()), (1, 1));
     let mut exec = vec![0u64; tiles.len()];
     exec[home] = 1;
     assert_eq!(ranked(&shards), exec, "the stopped QUERY ranks nothing; EXEC ranks once");
+}
+
+/// Every ranked leg is accounted the same way: the home `QUERY` and both
+/// `EXEC` legs of a straddle — the radius over no candidates and the
+/// ranking — each sample step 2 once, so a shard's `stage_radius_us`
+/// count is its `QUERY` plus `EXEC` legs.
+#[test]
+fn every_query_and_exec_leg_samples_step_two() {
+    const K: usize = 4;
+    let (mesh, cfg) = test_world();
+    let scene = SceneBuilder::new(&mesh).object_count(28).seed(7).build();
+    let tiles = ShardMap::vertical_slabs(mesh.extent(), 2);
+    let probe = probe_map(&tiles);
+    let engines = build_shard_engines(&mesh, &scene, &cfg, &probe);
+    let cut = tiles[0].hi.x;
+    let mut pool = scene.random_queries(64, 5_000);
+    pool.sort_by(|a, b| (a.pos.x - cut).abs().total_cmp(&(b.pos.x - cut).abs()));
+    let queries: Vec<SurfacePoint> =
+        pool[..3].iter().chain(&pool[pool.len() - 3..]).copied().collect();
+
+    let union = Mr3Engine::build(&mesh, &scene, &cfg);
+    let mut want = vec![0u64; tiles.len()];
+    let mut straddles = 0;
+    for &q in &queries {
+        let xy = Point2::new(q.pos.x, q.pos.y);
+        let home = probe.home(xy).unwrap();
+        want[home] += 1;
+        if !probe.interior(home, xy, union.try_query(q, K).unwrap().radius) {
+            want[home] += 2;
+            straddles += 1;
+        }
+    }
+    assert!(0 < straddles && straddles < queries.len(), "both paths must run");
+
+    let (stats, shards) = with_fleet(&engines, &tiles, |addr| ask_alone(addr, &queries));
+    assert_eq!(stats.fanned_out.get(), straddles as u64);
+    let sampled: Vec<u64> = shards.iter().map(|s| s.stage_radius_us.count()).collect();
+    assert_eq!(sampled, want, "step-2 samples per shard");
 }
 
 /// EDF lane ordering under a full queue: with one router worker wedged

@@ -18,7 +18,7 @@ fn untraced_engine_returns_no_trace() {
     let (mesh, seed) = fixture();
     let scene = SceneBuilder::new(&mesh).object_count(40).seed(seed ^ 1).build();
     let engine = Mr3Engine::build(&mesh, &scene, &Mr3Config::default());
-    let res = engine.query(scene.random_query(seed ^ 7), 5);
+    let res = engine.try_query(scene.random_query(seed ^ 7), 5).unwrap();
     assert!(res.trace.is_none());
     assert_eq!(res.neighbors.len(), 5);
 }
@@ -29,7 +29,7 @@ fn traced_query_emits_valid_jsonl_with_step_spans() {
     let scene = SceneBuilder::new(&mesh).object_count(40).seed(seed ^ 1).build();
     let mut engine = Mr3Engine::build(&mesh, &scene, &Mr3Config::default());
     engine.enable_tracing();
-    let res = engine.query(scene.random_query(seed ^ 7), 5);
+    let res = engine.try_query(scene.random_query(seed ^ 7), 5).unwrap();
     let trace = res.trace.expect("tracing enabled but no trace returned");
     assert_eq!(trace.dropped, 0);
 
@@ -64,7 +64,7 @@ fn rank_phase_bounds_converge_monotonically() {
     let mut engine = Mr3Engine::build(&mesh, &scene, &Mr3Config::default());
     engine.enable_tracing();
     for q in scene.random_queries(3, seed ^ 7) {
-        let res = engine.query(q, 5);
+        let res = engine.try_query(q, 5).unwrap();
         let trace = res.trace.expect("trace");
         let rank: Vec<_> = trace.iter_events().into_iter().filter(|e| e.phase == "rank").collect();
         assert!(rank.len() >= 2, "need several rank iterations to observe convergence");
@@ -94,7 +94,7 @@ fn io_attribution_sums_to_query_pages() {
     let scene = SceneBuilder::new(&mesh).object_count(40).seed(seed ^ 1).build();
     let mut engine = Mr3Engine::build(&mesh, &scene, &Mr3Config::default());
     engine.enable_tracing();
-    let res = engine.query(scene.random_query(seed ^ 7), 5);
+    let res = engine.try_query(scene.random_query(seed ^ 7), 5).unwrap();
     let trace = res.trace.expect("trace");
 
     let io = trace.io_by_structure();
@@ -128,8 +128,10 @@ fn concurrent_traced_queries_keep_their_own_records() {
         }
         m
     };
-    let sequential: Vec<_> =
-        batch.iter().map(|&(q, k)| names(&engine.query(q, k).trace.expect("trace"))).collect();
+    let sequential: Vec<_> = batch
+        .iter()
+        .map(|&(q, k)| names(&engine.try_query(q, k).unwrap().trace.expect("trace")))
+        .collect();
     for (i, res) in engine.try_query_batch(&batch, 4).into_iter().enumerate() {
         let trace = res.expect("fault-free query").trace.expect("trace");
         let ids: BTreeSet<u64> = trace.records.iter().map(|r| r.query).collect();
