@@ -6,8 +6,9 @@
 //! region and one group's run to its members, the SDN lower bound in the
 //! three shapes its callers give it, the MSDN's layout on pages, the page
 //! checksum every physical read verifies, the batched point–MBR distance
-//! kernel behind R-tree descent, and the R-tree bulk load behind every
-//! object-store genesis and recovery.
+//! kernel behind R-tree descent, the R-tree bulk load behind every
+//! object-store genesis and recovery, and one object-store move commit at
+//! two store sizes.
 //!
 //! Runs under `cargo bench --bench hot_paths`. Beyond the human report (one
 //! `bench <name> <ns> ns/iter` line per row), two extra modes back the
@@ -22,6 +23,7 @@
 //! A positional argument filters benchmarks by substring. `--budget-ms N`
 //! sets the per-benchmark measurement budget.
 
+use sknn_core::objects::ObjectStore;
 use sknn_core::workload::SceneBuilder;
 use sknn_geodesic::graph::{Dijkstra, DijkstraScratch, Graph, QueuePolicy};
 use sknn_geodesic::{MeshPoint, Pathnet};
@@ -336,6 +338,26 @@ fn main() {
     let points: Vec<(Rect2, u32)> =
         scene.objects().iter().map(|o| (Rect2::from_point(o.point.pos.xy()), o.id)).collect();
     h.bench("rtree/bulk_load_2000", || RTree::bulk_load(points.clone()));
+
+    // --- Object-store commit ------------------------------------------------
+    // One durable move on a 1 000- and a 4 000-object store while a reader
+    // holds the previous snapshot: the WAL append and sync, the copy of
+    // what the move changes, the publish, and the reader's release. Each
+    // object is moved once per `n` iterations, to one of 4 096 targets, so
+    // no two live objects ever share a position.
+    for n in [1000usize, 4000] {
+        let scene = SceneBuilder::new(&mesh).object_count(n).seed(3).build();
+        let store = ObjectStore::genesis(scene.objects(), 64, None);
+        let targets = scene.random_queries(4096, 7);
+        let mut i = 0usize;
+        h.bench(&format!("objects/commit_move_{n}"), || {
+            let held = store.snapshot();
+            let id = (i * 7919 % n) as u32;
+            let moved = store.move_object(id, targets[i % targets.len()]).expect("unfaulted");
+            i += 1;
+            (moved, held.live())
+        });
+    }
 
     if let Some(path) = out {
         std::fs::write(&path, h.json()).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));

@@ -20,6 +20,13 @@
 //! aborts: the WAL's pending records are withdrawn, so the aborted
 //! operation leaves no trace anywhere.
 //!
+//! What a commit copies: the snapshot is persistent, so the new one shares
+//! everything with its predecessor except the one 64-id table chunk its op
+//! writes and the R-tree nodes on the paths its delete and insert walk
+//! (plus any split siblings). A commit therefore costs O(height × fanout)
+//! whatever the number of live objects, and the snapshots readers still
+//! hold never change.
+//!
 //! Recovery ([`ObjectStore::recover`]) rebuilds everything from a
 //! [`CrashImage`] (the durable WAL prefix): replay the committed `Op`
 //! records — the genesis run through the bulk load, the rest through the
@@ -152,14 +159,25 @@ impl ObjOp {
 // Snapshots
 // ---------------------------------------------------------------------------
 
+/// Ids per table chunk: a commit copies the one chunk it changes.
+const CHUNK: usize = 64;
+
 /// An immutable view of the object set: the id table, the live count, and
 /// the `Dxy` R-tree over planar projections. Queries hold one snapshot
 /// for their whole run; mutations publish a fresh one.
+///
+/// Both halves are persistent. The table is a list of shared chunks of
+/// `CHUNK` ids and the R-tree shares its nodes, so the snapshot a commit
+/// publishes shares everything with its predecessor except the one chunk
+/// and the R-tree paths its op changed.
 #[derive(Clone)]
 pub struct ObjectSnapshot {
-    /// `table[id]` is the object's position, `None` once deleted. Ids are
-    /// dense and never reused.
-    table: Vec<Option<SurfacePoint>>,
+    /// Chunk `id / CHUNK`, slot `id % CHUNK` is the object's position,
+    /// `None` once deleted. Ids are dense and never reused; every chunk
+    /// but the last is full.
+    table: Vec<Arc<Vec<Option<SurfacePoint>>>>,
+    /// Ids ever assigned.
+    ids: usize,
     live: usize,
     rtree: RTree<u32>,
 }
@@ -168,12 +186,13 @@ impl ObjectSnapshot {
     /// Position of a live object. Panics for deleted/unknown ids — the
     /// query path only sees ids it got from this snapshot's own R-tree.
     pub fn point(&self, id: u32) -> SurfacePoint {
-        self.table[id as usize].expect("id must be live in this snapshot")
+        self.get(id).expect("id must be live in this snapshot")
     }
 
     /// Position of `id`, or `None` if deleted or never assigned.
     pub fn get(&self, id: u32) -> Option<SurfacePoint> {
-        self.table.get(id as usize).copied().flatten()
+        let id = id as usize;
+        self.table.get(id / CHUNK)?.get(id % CHUNK).copied().flatten()
     }
 
     /// Number of live objects.
@@ -183,12 +202,13 @@ impl ObjectSnapshot {
 
     /// Ids ever assigned (dense upper bound; some may be deleted).
     pub fn id_bound(&self) -> u32 {
-        self.table.len() as u32
+        self.ids as u32
     }
 
     /// Ids of all live objects, ascending.
     pub fn live_ids(&self) -> Vec<u32> {
-        (0..self.table.len() as u32).filter(|&i| self.table[i as usize].is_some()).collect()
+        let slots = self.table.iter().flat_map(|chunk| chunk.iter());
+        (0..).zip(slots).filter_map(|(id, slot)| slot.map(|_| id)).collect()
     }
 
     /// The `Dxy` R-tree over live objects' planar projections.
@@ -207,7 +227,7 @@ impl ObjectSnapshot {
                 self.live
             ));
         }
-        let mut seen = vec![false; self.table.len()];
+        let mut seen = vec![false; self.ids];
         for (rect, id) in self.rtree.iter_all() {
             let p =
                 self.get(id).ok_or_else(|| format!("rtree entry {id} is not live in the table"))?;
@@ -221,19 +241,31 @@ impl ObjectSnapshot {
         Ok(())
     }
 
+    /// The table slot of an assigned id, its chunk copied first if an
+    /// earlier snapshot shares it.
+    fn slot_mut(&mut self, id: u32) -> &mut Option<SurfacePoint> {
+        let id = id as usize;
+        assert!(id < self.ids, "id {id} was never assigned");
+        &mut Arc::make_mut(&mut self.table[id / CHUNK])[id % CHUNK]
+    }
+
     /// Apply one non-genesis op. Panics on log corruption (replaying a
     /// committed log can only fail if the durability layer is broken).
     fn apply(&mut self, op: &ObjOp) {
         match *op {
             ObjOp::Genesis { .. } => panic!("genesis records precede the incremental log"),
             ObjOp::Insert { id, point } => {
-                assert_eq!(id as usize, self.table.len(), "insert ids are dense");
-                self.table.push(Some(point));
+                assert_eq!(id as usize, self.ids, "insert ids are dense");
+                if self.ids.is_multiple_of(CHUNK) {
+                    self.table.push(Arc::new(Vec::with_capacity(CHUNK)));
+                }
+                Arc::make_mut(self.table.last_mut().expect("a chunk with room")).push(Some(point));
+                self.ids += 1;
                 self.rtree.insert(Rect2::from_point(point.pos.xy()), id);
                 self.live += 1;
             }
             ObjOp::Delete { id } => {
-                let old = self.table[id as usize].take().expect("delete of a live object");
+                let old = self.slot_mut(id).take().expect("delete of a live object");
                 assert!(
                     self.rtree.delete(&Rect2::from_point(old.pos.xy()), &id),
                     "rtree and table disagree on object {id}"
@@ -241,7 +273,7 @@ impl ObjectSnapshot {
                 self.live -= 1;
             }
             ObjOp::Move { id, point } => {
-                let old = self.table[id as usize].replace(point).expect("move of a live object");
+                let old = self.slot_mut(id).replace(point).expect("move of a live object");
                 assert!(
                     self.rtree.delete(&Rect2::from_point(old.pos.xy()), &id),
                     "rtree and table disagree on object {id}"
@@ -258,7 +290,11 @@ impl ObjectSnapshot {
         let rtree = RTree::bulk_load(
             objects.iter().map(|&(id, p)| (Rect2::from_point(p.pos.xy()), id)).collect(),
         );
-        Self { table: objects.iter().map(|&(_, p)| Some(p)).collect(), live: objects.len(), rtree }
+        let table = objects
+            .chunks(CHUNK)
+            .map(|chunk| Arc::new(chunk.iter().map(|&(_, p)| Some(p)).collect()))
+            .collect();
+        Self { table, ids: objects.len(), live: objects.len(), rtree }
     }
 }
 
@@ -571,6 +607,37 @@ mod tests {
         assert_eq!(after.get(3), None);
         assert_eq!(after.get(4).unwrap().pos.x, objects[4].point.pos.x + 0.25);
         after.validate().unwrap();
+    }
+
+    /// Table chunks of `snap` that `base` does not share.
+    fn unshared_chunks(snap: &ObjectSnapshot, base: &ObjectSnapshot) -> usize {
+        snap.table
+            .iter()
+            .enumerate()
+            .filter(|&(i, c)| base.table.get(i).is_none_or(|b| !Arc::ptr_eq(b, c)))
+            .count()
+    }
+
+    #[test]
+    fn a_commit_copies_one_table_chunk() {
+        let (objects, store) = scene_store(4000, 17);
+        let before = store.snapshot();
+        assert!(store.move_object(1234, shifted(objects[1234].point, 0.5)).unwrap());
+        let after = store.snapshot();
+        assert_eq!(unshared_chunks(&after, &before), 1, "a move copies its id's chunk");
+        assert!(store.delete(77).unwrap());
+        let id = store.insert(shifted(objects[5].point, 0.25)).unwrap();
+        assert_eq!(id as usize, 4000);
+        let last = store.snapshot();
+        // The delete's chunk and the insert's (partial) last chunk.
+        assert_eq!(unshared_chunks(&last, &after), 2);
+        // The earlier snapshots still hold what they held.
+        assert_eq!(before.get(1234), Some(objects[1234].point));
+        assert_eq!(after.get(77), Some(objects[77].point));
+        assert_eq!((before.id_bound(), after.id_bound(), last.id_bound()), (4000, 4000, 4001));
+        for s in [&before, &after, &last] {
+            s.validate().unwrap();
+        }
     }
 
     #[test]

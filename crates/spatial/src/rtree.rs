@@ -5,6 +5,12 @@
 //! neighbour search (Hjaltason & Samet, TODS'99) — the "distance browsing"
 //! strategy the paper cites for constraint-free k-NN processing.
 //!
+//! The tree is persistent: nodes are reference-counted and a clone shares
+//! all of them. Insert and delete copy a node only when a clone still
+//! shares it, and only along the root-to-leaf paths they change, so a
+//! snapshot published before a mutation never sees it and the mutation
+//! costs O(height × fanout), not O(size).
+//!
 //! Every node visited by a query increments an internal access counter;
 //! the storage layer maps node visits to disk-page accesses.
 
@@ -13,6 +19,7 @@ use sknn_geom::{Point2, Rect2};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
+use std::sync::Arc;
 
 /// Maximum entries per node.
 pub const MAX_FANOUT: usize = 16;
@@ -26,18 +33,32 @@ pub const MIN_FANOUT: usize = 6;
 #[derive(Debug, Clone)]
 enum Node<T> {
     Leaf { rects: Vec<Rect2>, items: Vec<T> },
-    Inner { rects: Vec<Rect2>, children: Vec<usize> },
+    Inner { rects: Vec<Rect2>, children: Vec<Arc<Node<T>>> },
 }
 
 impl<T> Node<T> {
+    fn empty() -> Self {
+        Node::Leaf { rects: Vec::new(), items: Vec::new() }
+    }
+
     fn leaf(entries: Vec<(Rect2, T)>) -> Self {
         let (rects, items) = entries.into_iter().unzip();
         Node::Leaf { rects, items }
     }
 
-    fn inner(entries: Vec<(Rect2, usize)>) -> Self {
+    fn inner(entries: Vec<(Rect2, Arc<Node<T>>)>) -> Self {
         let (rects, children) = entries.into_iter().unzip();
         Node::Inner { rects, children }
+    }
+
+    fn rects(&self) -> &[Rect2] {
+        match self {
+            Node::Leaf { rects, .. } | Node::Inner { rects, .. } => rects,
+        }
+    }
+
+    fn mbr(&self) -> Rect2 {
+        self.rects().iter().fold(Rect2::EMPTY, |m, r| m.union(r))
     }
 }
 
@@ -48,25 +69,19 @@ impl<T> Node<T> {
 /// sum.
 #[derive(Debug)]
 pub struct RTree<T> {
-    nodes: Vec<Node<T>>,
-    root: usize,
+    root: Arc<Node<T>>,
     len: usize,
     height: usize,
-    /// Node slots vacated by deletes, reused by the next split — without
-    /// this, a clone-per-mutation snapshot regime would grow the node
-    /// arena (and every snapshot clone) unboundedly under churn.
-    free: Vec<usize>,
     accesses: AtomicU64,
 }
 
-impl<T: Clone> Clone for RTree<T> {
+/// One `Arc` clone: the copy shares every node until either side mutates.
+impl<T> Clone for RTree<T> {
     fn clone(&self) -> Self {
         Self {
-            nodes: self.nodes.clone(),
-            root: self.root,
+            root: Arc::clone(&self.root),
             len: self.len,
             height: self.height,
-            free: self.free.clone(),
             accesses: AtomicU64::new(self.accesses.load(AtomicOrdering::Relaxed)),
         }
     }
@@ -81,14 +96,7 @@ impl<T: Clone> Default for RTree<T> {
 impl<T: Clone> RTree<T> {
     /// An empty tree.
     pub fn new() -> Self {
-        Self {
-            nodes: vec![Node::Leaf { rects: Vec::new(), items: Vec::new() }],
-            root: 0,
-            len: 0,
-            height: 1,
-            free: Vec::new(),
-            accesses: AtomicU64::new(0),
-        }
+        Self { root: Arc::new(Node::empty()), len: 0, height: 1, accesses: AtomicU64::new(0) }
     }
 
     /// STR bulk load: sort by x, tile into vertical slices, sort each slice
@@ -98,20 +106,18 @@ impl<T: Clone> RTree<T> {
             return Self::new();
         }
         let len = items.len();
-        let mut nodes: Vec<Node<T>> = Vec::new();
 
         // Pack the leaf level.
         let leaf_count = len.div_ceil(MAX_FANOUT);
         let slices = (leaf_count as f64).sqrt().ceil() as usize;
         let per_slice = len.div_ceil(slices);
         items.sort_by(|a, b| cmp_f64(a.0.center().x, b.0.center().x));
-        let mut level: Vec<(Rect2, usize)> = Vec::with_capacity(leaf_count);
+        let mut level: Vec<(Rect2, Arc<Node<T>>)> = Vec::with_capacity(leaf_count);
         for slice in items.chunks_mut(per_slice.max(1)) {
             slice.sort_by(|a, b| cmp_f64(a.0.center().y, b.0.center().y));
             for group in slice.chunks(MAX_FANOUT) {
-                let mbr = group.iter().fold(Rect2::EMPTY, |r, (g, _)| r.union(g));
-                nodes.push(Node::leaf(group.to_vec()));
-                level.push((mbr, nodes.len() - 1));
+                let mbr = mbr_of(group, |e| e.0);
+                level.push((mbr, Arc::new(Node::leaf(group.to_vec()))));
             }
         }
         let mut height = 1;
@@ -122,25 +128,19 @@ impl<T: Clone> RTree<T> {
             let slices = (count as f64).sqrt().ceil() as usize;
             let per_slice = level.len().div_ceil(slices);
             level.sort_by(|a, b| cmp_f64(a.0.center().x, b.0.center().x));
-            let mut next: Vec<(Rect2, usize)> = Vec::with_capacity(count);
-            let mut chunks: Vec<Vec<(Rect2, usize)>> = Vec::new();
-            for slice in level.chunks(per_slice.max(1)) {
-                let mut slice = slice.to_vec();
+            let mut next: Vec<(Rect2, Arc<Node<T>>)> = Vec::with_capacity(count);
+            for slice in level.chunks_mut(per_slice.max(1)) {
                 slice.sort_by(|a, b| cmp_f64(a.0.center().y, b.0.center().y));
                 for group in slice.chunks(MAX_FANOUT) {
-                    chunks.push(group.to_vec());
+                    let mbr = mbr_of(group, |e| e.0);
+                    next.push((mbr, Arc::new(Node::inner(group.to_vec()))));
                 }
-            }
-            for group in chunks {
-                let mbr = group.iter().fold(Rect2::EMPTY, |r, (g, _)| r.union(g));
-                nodes.push(Node::inner(group));
-                next.push((mbr, nodes.len() - 1));
             }
             level = next;
             height += 1;
         }
-        let root = level[0].1;
-        Self { nodes, root, len, height, free: Vec::new(), accesses: AtomicU64::new(0) }
+        let root = level.pop().expect("a non-empty load packs one root").1;
+        Self { root, len, height, accesses: AtomicU64::new(0) }
     }
 
     /// Number of contained items.
@@ -153,7 +153,7 @@ impl<T: Clone> RTree<T> {
         self.len == 0
     }
 
-    /// Extent along y.
+    /// Levels from the root to the leaves; 1 for a lone leaf root.
     pub fn height(&self) -> usize {
         self.height
     }
@@ -183,46 +183,27 @@ impl<T: Clone> RTree<T> {
     /// Insert without advancing `len` — used by [`insert`](Self::insert)
     /// and by delete's reinsertion of condensed orphans (already counted).
     fn insert_no_count(&mut self, rect: Rect2, item: T) {
-        let split = self.insert_at(self.root, rect, item);
-        if let Some((left_mbr, right_mbr, right_id)) = split {
+        if let Some((left_mbr, right_mbr, right)) =
+            Self::insert_at(Arc::make_mut(&mut self.root), rect, item)
+        {
             // Grow the tree: new root over old root and the split sibling.
-            let old_root = self.root;
-            let new_root =
-                self.alloc_node(Node::inner(vec![(left_mbr, old_root), (right_mbr, right_id)]));
-            self.root = new_root;
+            let old_root = Arc::clone(&self.root);
+            self.root = Arc::new(Node::inner(vec![(left_mbr, old_root), (right_mbr, right)]));
             self.height += 1;
         }
     }
 
-    /// Place a node in a free slot if one exists, else grow the arena.
-    fn alloc_node(&mut self, node: Node<T>) -> usize {
-        match self.free.pop() {
-            Some(slot) => {
-                self.nodes[slot] = node;
-                slot
+    /// Recursive insert into a node this tree owns alone; returns
+    /// Some((this_mbr, sibling_mbr, sibling)) when `node` was split. The
+    /// child it descends into is copied first if a clone shares it.
+    fn insert_at(node: &mut Node<T>, rect: Rect2, item: T) -> Option<(Rect2, Rect2, Arc<Node<T>>)> {
+        let overfull = match node {
+            Node::Leaf { rects, items } => {
+                rects.push(rect);
+                items.push(item);
+                rects.len() > MAX_FANOUT
             }
-            None => {
-                self.nodes.push(node);
-                self.nodes.len() - 1
-            }
-        }
-    }
-
-    /// Recursive insert; returns Some((this_mbr, sibling_mbr, sibling_id))
-    /// when `node` was split.
-    fn insert_at(&mut self, node: usize, rect: Rect2, item: T) -> Option<(Rect2, Rect2, usize)> {
-        match &self.nodes[node] {
-            Node::Leaf { .. } => {
-                if let Node::Leaf { rects, items } = &mut self.nodes[node] {
-                    rects.push(rect);
-                    items.push(item);
-                    if rects.len() <= MAX_FANOUT {
-                        return None;
-                    }
-                }
-                Some(self.split_leaf(node))
-            }
-            Node::Inner { rects, .. } => {
+            Node::Inner { rects, children } => {
                 // Choose subtree with least enlargement (ties: smaller area).
                 let mut best = 0usize;
                 let mut best_enl = f64::INFINITY;
@@ -236,58 +217,33 @@ impl<T: Clone> RTree<T> {
                         best_area = area;
                     }
                 }
-                let child = match &self.nodes[node] {
-                    Node::Inner { children, .. } => children[best],
-                    _ => unreachable!(),
-                };
-                let split = self.insert_at(child, rect, item);
-                if let Node::Inner { rects, children } = &mut self.nodes[node] {
-                    rects[best] = rects[best].union(&rect);
-                    if let Some((l_mbr, r_mbr, r_id)) = split {
-                        rects[best] = l_mbr;
-                        children[best] = child;
-                        rects.push(r_mbr);
-                        children.push(r_id);
-                        if rects.len() > MAX_FANOUT {
-                            return Some(self.split_inner(node));
-                        }
-                    }
-                }
-                None
+                let split = Self::insert_at(Arc::make_mut(&mut children[best]), rect, item);
+                rects[best] = rects[best].union(&rect);
+                let (l_mbr, r_mbr, right) = split?;
+                rects[best] = l_mbr;
+                rects.push(r_mbr);
+                children.push(right);
+                rects.len() > MAX_FANOUT
             }
-        }
+        };
+        overfull.then(|| Self::split(node))
     }
 
-    fn split_leaf(&mut self, node: usize) -> (Rect2, Rect2, usize) {
-        let entries = match std::mem::replace(
-            &mut self.nodes[node],
-            Node::Leaf { rects: vec![], items: vec![] },
-        ) {
-            Node::Leaf { rects, items } => rects.into_iter().zip(items).collect::<Vec<_>>(),
-            _ => unreachable!(),
+    /// Quadratic split of an overfull node: `node` keeps one group, the
+    /// other becomes the returned sibling.
+    fn split(node: &mut Node<T>) -> (Rect2, Rect2, Arc<Node<T>>) {
+        let (a_mbr, b_mbr, a, b) = match std::mem::replace(node, Node::empty()) {
+            Node::Leaf { rects, items } => {
+                let (a, b) = quadratic_split(rects.into_iter().zip(items).collect(), |e| e.0);
+                (mbr_of(&a, |e| e.0), mbr_of(&b, |e| e.0), Node::leaf(a), Node::leaf(b))
+            }
+            Node::Inner { rects, children } => {
+                let (a, b) = quadratic_split(rects.into_iter().zip(children).collect(), |e| e.0);
+                (mbr_of(&a, |e| e.0), mbr_of(&b, |e| e.0), Node::inner(a), Node::inner(b))
+            }
         };
-        let (a, b) = quadratic_split(entries, |e| e.0);
-        let a_mbr = mbr_of(&a, |e| e.0);
-        let b_mbr = mbr_of(&b, |e| e.0);
-        self.nodes[node] = Node::leaf(a);
-        let sibling = self.alloc_node(Node::leaf(b));
-        (a_mbr, b_mbr, sibling)
-    }
-
-    fn split_inner(&mut self, node: usize) -> (Rect2, Rect2, usize) {
-        let entries = match std::mem::replace(
-            &mut self.nodes[node],
-            Node::Inner { rects: vec![], children: vec![] },
-        ) {
-            Node::Inner { rects, children } => rects.into_iter().zip(children).collect::<Vec<_>>(),
-            _ => unreachable!(),
-        };
-        let (a, b) = quadratic_split(entries, |e| e.0);
-        let a_mbr = mbr_of(&a, |e| e.0);
-        let b_mbr = mbr_of(&b, |e| e.0);
-        self.nodes[node] = Node::inner(a);
-        let sibling = self.alloc_node(Node::inner(b));
-        (a_mbr, b_mbr, sibling)
+        *node = a;
+        (a_mbr, b_mbr, Arc::new(b))
     }
 
     // ----- deletion -------------------------------------------------------
@@ -296,67 +252,33 @@ impl<T: Clone> RTree<T> {
     /// delete with condensation). Returns whether an entry was removed.
     ///
     /// Underfull non-root nodes along the deletion path are dissolved:
-    /// their surviving entries are collected and reinserted, their slots
-    /// pushed onto the free list for the next split to reuse. The root
+    /// their surviving entries are collected and reinserted. The root
     /// shrinks while it has a single child, so repeated deletes walk the
     /// tree back down exactly as inserts grew it.
     pub fn delete(&mut self, rect: &Rect2, item: &T) -> bool
     where
         T: PartialEq,
     {
+        // Search read-only first, so a miss or a failed branch copies
+        // nothing a clone shares.
         let mut path = Vec::with_capacity(self.height);
-        if !self.find_leaf(self.root, rect, item, &mut path) {
+        if !Self::find_leaf(&self.root, rect, item, &mut path) {
             return false;
         }
-        let leaf = *path.last().unwrap();
-        if let Node::Leaf { rects, items } = &mut self.nodes[leaf] {
-            let i = rects
-                .iter()
-                .zip(items.iter())
-                .position(|(r, it)| r == rect && it == item)
-                .expect("find_leaf certified the entry");
-            rects.remove(i);
-            items.remove(i);
-        }
-        self.len -= 1;
-
-        // Condense bottom-up: dissolve underfull non-root nodes, refresh
-        // the MBRs of survivors. Parents are visited after their child, so
-        // each check sees the removals below it.
         let mut orphans: Vec<(Rect2, T)> = Vec::new();
-        for depth in (1..path.len()).rev() {
-            let node = path[depth];
-            let parent = path[depth - 1];
-            if self.entry_count(node) < MIN_FANOUT {
-                if let Node::Inner { rects, children } = &mut self.nodes[parent] {
-                    let ci = children.iter().position(|&c| c == node).expect("path parent");
-                    rects.remove(ci);
-                    children.remove(ci);
-                }
-                self.drain_subtree(node, &mut orphans);
-            } else {
-                let mbr = self.node_mbr(node);
-                if let Node::Inner { rects, children } = &mut self.nodes[parent] {
-                    let ci = children.iter().position(|&c| c == node).expect("path parent");
-                    rects[ci] = mbr;
-                }
-            }
-        }
+        Self::remove_at(Arc::make_mut(&mut self.root), &path, rect, item, &mut orphans);
+        self.len -= 1;
 
         // Shrink the root while it has one child; an emptied inner root
         // (every child dissolved) collapses back to an empty leaf.
         loop {
-            match &self.nodes[self.root] {
+            match &*self.root {
                 Node::Inner { children, .. } if children.len() == 1 => {
-                    let child = children[0];
-                    let old = self.root;
-                    self.nodes[old] = Node::Leaf { rects: Vec::new(), items: Vec::new() };
-                    self.free.push(old);
-                    self.root = child;
+                    self.root = Arc::clone(&children[0]);
                     self.height -= 1;
                 }
                 Node::Inner { children, .. } if children.is_empty() => {
-                    self.nodes[self.root] = Node::Leaf { rects: Vec::new(), items: Vec::new() };
+                    self.root = Arc::new(Node::empty());
                     self.height = 1;
                     break;
                 }
@@ -372,60 +294,66 @@ impl<T: Clone> RTree<T> {
     }
 
     /// DFS for the leaf holding the exact `(rect, item)` entry; fills
-    /// `path` with the node chain root → leaf when found.
-    fn find_leaf(&self, node: usize, rect: &Rect2, item: &T, path: &mut Vec<usize>) -> bool
+    /// `path` with the child positions root → leaf when found.
+    fn find_leaf(node: &Node<T>, rect: &Rect2, item: &T, path: &mut Vec<usize>) -> bool
     where
         T: PartialEq,
     {
-        path.push(node);
-        match &self.nodes[node] {
+        match node {
             Node::Leaf { rects, items } => {
-                if rects.iter().zip(items.iter()).any(|(r, it)| r == rect && it == item) {
-                    return true;
-                }
+                rects.iter().zip(items.iter()).any(|(r, it)| r == rect && it == item)
             }
             Node::Inner { rects, children } => {
-                for (r, &c) in rects.iter().zip(children.iter()) {
-                    if r.contains_rect(rect) && self.find_leaf(c, rect, item, path) {
-                        return true;
+                for (i, (r, c)) in rects.iter().zip(children.iter()).enumerate() {
+                    if r.contains_rect(rect) {
+                        path.push(i);
+                        if Self::find_leaf(c, rect, item, path) {
+                            return true;
+                        }
+                        path.pop();
                     }
                 }
-            }
-        }
-        path.pop();
-        false
-    }
-
-    fn entry_count(&self, node: usize) -> usize {
-        match &self.nodes[node] {
-            Node::Leaf { rects, .. } | Node::Inner { rects, .. } => rects.len(),
-        }
-    }
-
-    fn node_mbr(&self, node: usize) -> Rect2 {
-        match &self.nodes[node] {
-            Node::Leaf { rects, .. } | Node::Inner { rects, .. } => {
-                rects.iter().fold(Rect2::EMPTY, |m, r| m.union(r))
+                false
             }
         }
     }
 
-    /// Move every leaf entry of `node`'s subtree into `out` and free all
-    /// its node slots.
-    fn drain_subtree(&mut self, node: usize, out: &mut Vec<(Rect2, T)>) {
-        let taken = std::mem::replace(
-            &mut self.nodes[node],
-            Node::Leaf { rects: Vec::new(), items: Vec::new() },
-        );
-        match taken {
-            Node::Leaf { rects, items } => out.extend(rects.into_iter().zip(items)),
-            Node::Inner { children, .. } => {
-                for c in children {
-                    self.drain_subtree(c, out);
+    /// Remove the entry at the end of `path` and condense on the way back
+    /// up: each underfull child is dissolved — unlinked, its entries
+    /// appended to `orphans` — and each surviving child's rectangle is
+    /// refreshed. Children are checked after the removals below them, the
+    /// deepest first, so orphans arrive bottom-up in DFS order.
+    fn remove_at(
+        node: &mut Node<T>,
+        path: &[usize],
+        rect: &Rect2,
+        item: &T,
+        orphans: &mut Vec<(Rect2, T)>,
+    ) where
+        T: PartialEq,
+    {
+        match node {
+            Node::Leaf { rects, items } => {
+                let i = rects
+                    .iter()
+                    .zip(items.iter())
+                    .position(|(r, it)| r == rect && it == item)
+                    .expect("find_leaf certified the entry");
+                rects.remove(i);
+                items.remove(i);
+            }
+            Node::Inner { rects, children } => {
+                let ci = path[0];
+                let child = Arc::make_mut(&mut children[ci]);
+                Self::remove_at(child, &path[1..], rect, item, orphans);
+                if child.rects().len() < MIN_FANOUT {
+                    rects.remove(ci);
+                    drain_subtree(&children.remove(ci), orphans);
+                } else {
+                    rects[ci] = child.mbr();
                 }
             }
         }
-        self.free.push(node);
     }
 
     // ----- invariants -----------------------------------------------------
@@ -438,7 +366,7 @@ impl<T: Clone> RTree<T> {
     /// Returns a description of the first violation, if any.
     pub fn validate(&self) -> Result<(), String> {
         let mut total = 0usize;
-        self.validate_rec(self.root, 1, true, &mut total)?;
+        self.validate_rec(&self.root, 1, true, &mut total)?;
         if total != self.len {
             return Err(format!("len {} but leaves hold {total} entries", self.len));
         }
@@ -447,53 +375,57 @@ impl<T: Clone> RTree<T> {
 
     fn validate_rec(
         &self,
-        node: usize,
+        node: &Node<T>,
         depth: usize,
         is_root: bool,
         total: &mut usize,
     ) -> Result<Rect2, String> {
-        match &self.nodes[node] {
+        match node {
             Node::Leaf { rects, items } => {
                 if rects.len() != items.len() {
                     return Err(format!(
-                        "leaf {node}: SoA arrays diverge ({} rects, {} items)",
+                        "leaf at depth {depth}: SoA arrays diverge ({} rects, {} items)",
                         rects.len(),
                         items.len()
                     ));
                 }
                 if depth != self.height {
-                    return Err(format!("leaf {node} at depth {depth}, height is {}", self.height));
+                    return Err(format!("leaf at depth {depth}, height is {}", self.height));
                 }
                 if rects.len() > MAX_FANOUT {
-                    return Err(format!("leaf {node} overfull: {}", rects.len()));
+                    return Err(format!("leaf at depth {depth} overfull: {}", rects.len()));
                 }
                 if !is_root && rects.is_empty() {
-                    return Err(format!("non-root leaf {node} is empty"));
+                    return Err(format!("non-root leaf at depth {depth} is empty"));
                 }
                 *total += rects.len();
-                Ok(rects.iter().fold(Rect2::EMPTY, |m, r| m.union(r)))
+                Ok(node.mbr())
             }
             Node::Inner { rects, children } => {
                 if rects.len() != children.len() {
                     return Err(format!(
-                        "inner {node}: SoA arrays diverge ({} rects, {} children)",
+                        "inner at depth {depth}: SoA arrays diverge ({} rects, {} children)",
                         rects.len(),
                         children.len()
                     ));
                 }
                 if rects.len() > MAX_FANOUT {
-                    return Err(format!("inner {node} overfull: {}", rects.len()));
+                    return Err(format!("inner at depth {depth} overfull: {}", rects.len()));
                 }
                 let floor = if is_root { 2 } else { 1 };
                 if rects.len() < floor {
-                    return Err(format!("inner {node} underfull: {} < {floor}", rects.len()));
+                    return Err(format!(
+                        "inner at depth {depth} underfull: {} < {floor}",
+                        rects.len()
+                    ));
                 }
                 let mut mbr = Rect2::EMPTY;
-                for (r, &c) in rects.iter().zip(children.iter()) {
+                for (i, (r, c)) in rects.iter().zip(children.iter()).enumerate() {
                     let child_mbr = self.validate_rec(c, depth + 1, false, total)?;
                     if *r != child_mbr {
                         return Err(format!(
-                            "inner {node}: entry rect {r:?} is not child {c}'s MBR {child_mbr:?}"
+                            "inner at depth {depth}: entry rect {r:?} is not child {i}'s MBR \
+                             {child_mbr:?}"
                         ));
                     }
                     mbr = mbr.union(r);
@@ -503,23 +435,18 @@ impl<T: Clone> RTree<T> {
         }
     }
 
-    /// Total node slots in the arena, free or live.
-    pub fn arena_size(&self) -> usize {
-        self.nodes.len()
-    }
-
     // ----- queries --------------------------------------------------------
 
     /// All items whose rectangle intersects `window`.
     pub fn range(&self, window: &Rect2) -> Vec<(Rect2, T)> {
         let mut out = Vec::new();
-        self.range_rec(self.root, window, &mut out);
+        self.range_rec(&self.root, window, &mut out);
         out
     }
 
-    fn range_rec(&self, node: usize, window: &Rect2, out: &mut Vec<(Rect2, T)>) {
+    fn range_rec(&self, node: &Node<T>, window: &Rect2, out: &mut Vec<(Rect2, T)>) {
         self.touch();
-        match &self.nodes[node] {
+        match node {
             Node::Leaf { rects, items } => {
                 for (r, item) in rects.iter().zip(items) {
                     if r.intersects(window) {
@@ -530,7 +457,7 @@ impl<T: Clone> RTree<T> {
             Node::Inner { rects, children } => {
                 for (r, child) in rects.iter().zip(children) {
                     if r.intersects(window) {
-                        self.range_rec(*child, window, out);
+                        self.range_rec(child, window, out);
                     }
                 }
             }
@@ -545,13 +472,13 @@ impl<T: Clone> RTree<T> {
             Point2::new(center.x + radius, center.y + radius),
         );
         let mut out = Vec::new();
-        self.within_rec(self.root, &window, center, radius, &mut out);
+        self.within_rec(&self.root, &window, center, radius, &mut out);
         out
     }
 
     fn within_rec(
         &self,
-        node: usize,
+        node: &Node<T>,
         window: &Rect2,
         center: Point2,
         radius: f64,
@@ -564,7 +491,7 @@ impl<T: Clone> RTree<T> {
         // same predicate (both sides non-negative).
         let mut d2 = [0.0f64; MAX_BATCH];
         let r2 = radius * radius;
-        match &self.nodes[node] {
+        match node {
             Node::Leaf { rects, items } => {
                 let n = min_dists_point_sq(center, rects, &mut d2);
                 for i in 0..n {
@@ -577,7 +504,7 @@ impl<T: Clone> RTree<T> {
                 let n = min_dists_point_sq(center, rects, &mut d2);
                 for i in 0..n {
                     if rects[i].intersects(window) && d2[i] <= r2 {
-                        self.within_rec(children[i], window, center, radius, out);
+                        self.within_rec(&children[i], window, center, radius, out);
                     }
                 }
             }
@@ -588,8 +515,8 @@ impl<T: Clone> RTree<T> {
     /// Best-first (priority-queue) traversal.
     pub fn knn(&self, p: Point2, k: usize) -> Vec<(f64, Rect2, T)> {
         let mut out = Vec::with_capacity(k);
-        let mut heap: BinaryHeap<HeapItem> = BinaryHeap::new();
-        heap.push(HeapItem { dist: 0.0, kind: ItemKind::Node(self.root) });
+        let mut heap: BinaryHeap<HeapItem<'_, T>> = BinaryHeap::new();
+        heap.push(HeapItem { dist: 0.0, kind: ItemKind::Node(&self.root) });
         while let Some(HeapItem { dist, kind }) = heap.pop() {
             match kind {
                 ItemKind::Node(n) => {
@@ -597,7 +524,7 @@ impl<T: Clone> RTree<T> {
                     // Batched kernel: every entry's mindist in one pass,
                     // then the heap pushes read off the lane buffer.
                     let mut d = [0.0f64; MAX_BATCH];
-                    match &self.nodes[n] {
+                    match n {
                         Node::Leaf { rects, .. } => {
                             let cnt = min_dists_point(p, rects, &mut d);
                             for (i, &dist) in d[..cnt].iter().enumerate() {
@@ -607,13 +534,13 @@ impl<T: Clone> RTree<T> {
                         Node::Inner { rects, children } => {
                             let cnt = min_dists_point(p, rects, &mut d);
                             for (i, &dist) in d[..cnt].iter().enumerate() {
-                                heap.push(HeapItem { dist, kind: ItemKind::Node(children[i]) });
+                                heap.push(HeapItem { dist, kind: ItemKind::Node(&children[i]) });
                             }
                         }
                     }
                 }
                 ItemKind::Entry(n, i) => {
-                    if let Node::Leaf { rects, items } = &self.nodes[n] {
+                    if let Node::Leaf { rects, items } = n {
                         out.push((dist, rects[i], items[i].clone()));
                         if out.len() == k {
                             break;
@@ -628,16 +555,29 @@ impl<T: Clone> RTree<T> {
     /// Exhaustive iteration (for verification in tests).
     pub fn iter_all(&self) -> Vec<(Rect2, T)> {
         let mut out = Vec::with_capacity(self.len);
-        let mut stack = vec![self.root];
+        let mut stack: Vec<&Node<T>> = vec![&*self.root];
         while let Some(n) = stack.pop() {
-            match &self.nodes[n] {
+            match n {
                 Node::Leaf { rects, items } => {
                     out.extend(rects.iter().copied().zip(items.iter().cloned()))
                 }
-                Node::Inner { children, .. } => stack.extend(children.iter().copied()),
+                Node::Inner { children, .. } => stack.extend(children.iter().map(|c| &**c)),
             }
         }
         out
+    }
+}
+
+/// Append every leaf entry under `node` to `out`, in DFS order. The
+/// entries are cloned: a clone of the tree may still share the subtree.
+fn drain_subtree<T: Clone>(node: &Node<T>, out: &mut Vec<(Rect2, T)>) {
+    match node {
+        Node::Leaf { rects, items } => out.extend(rects.iter().copied().zip(items.iter().cloned())),
+        Node::Inner { children, .. } => {
+            for c in children {
+                drain_subtree(c, out);
+            }
+        }
     }
 }
 
@@ -706,21 +646,25 @@ fn cmp_f64(a: f64, b: f64) -> Ordering {
     a.partial_cmp(&b).unwrap_or(Ordering::Equal)
 }
 
-#[derive(PartialEq)]
-struct HeapItem {
+struct HeapItem<'a, T> {
     dist: f64,
-    kind: ItemKind,
+    kind: ItemKind<'a, T>,
 }
 
-#[derive(PartialEq, Eq)]
-enum ItemKind {
-    Node(usize),
-    Entry(usize, usize),
+enum ItemKind<'a, T> {
+    Node(&'a Node<T>),
+    Entry(&'a Node<T>, usize),
 }
 
-impl Eq for HeapItem {}
+impl<T> PartialEq for HeapItem<'_, T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
 
-impl Ord for HeapItem {
+impl<T> Eq for HeapItem<'_, T> {}
+
+impl<T> Ord for HeapItem<'_, T> {
     fn cmp(&self, other: &Self) -> Ordering {
         // Min-heap on distance; entries before nodes at equal distance so
         // results pop as early as possible.
@@ -734,7 +678,7 @@ impl Ord for HeapItem {
     }
 }
 
-impl PartialOrd for HeapItem {
+impl<T> PartialOrd for HeapItem<'_, T> {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
@@ -746,6 +690,41 @@ mod tests {
 
     fn pt(x: f64, y: f64) -> Rect2 {
         Rect2::from_point(Point2::new(x, y))
+    }
+
+    fn node_count<T>(node: &Node<T>) -> usize {
+        match node {
+            Node::Leaf { .. } => 1,
+            Node::Inner { children, .. } => {
+                1 + children.iter().map(|c| node_count(c)).sum::<usize>()
+            }
+        }
+    }
+
+    /// Nodes of `tree` that `base` does not share: a pointer walk that
+    /// stops at the first shared node of each branch (its subtree is
+    /// shared whole).
+    fn unshared_nodes<T>(tree: &RTree<T>, base: &RTree<T>) -> usize {
+        fn collect<T>(n: &Arc<Node<T>>, out: &mut std::collections::HashSet<*const Node<T>>) {
+            out.insert(Arc::as_ptr(n));
+            if let Node::Inner { children, .. } = &**n {
+                children.iter().for_each(|c| collect(c, out));
+            }
+        }
+        fn walk<T>(n: &Arc<Node<T>>, base: &std::collections::HashSet<*const Node<T>>) -> usize {
+            if base.contains(&Arc::as_ptr(n)) {
+                return 0;
+            }
+            match &**n {
+                Node::Leaf { .. } => 1,
+                Node::Inner { children, .. } => {
+                    1 + children.iter().map(|c| walk(c, base)).sum::<usize>()
+                }
+            }
+        }
+        let mut seen = std::collections::HashSet::new();
+        collect(&base.root, &mut seen);
+        walk(&tree.root, &seen)
     }
 
     fn grid_points(n: usize) -> Vec<(Rect2, usize)> {
@@ -918,31 +897,36 @@ mod tests {
         }
     }
 
+    /// Scrambled but deterministic point `i` of a 200 × 200 field.
+    fn churn_point(i: usize) -> Rect2 {
+        pt((i * 7919 % 2003) as f64 * 0.1, (i * 104_729 % 1999) as f64 * 0.1)
+    }
+
+    /// A move is what a store commit does to its tree: delete, then
+    /// insert, while the published snapshot still shares every node.
     #[test]
-    fn free_list_bounds_arena_growth_under_churn() {
-        let mut t = RTree::new();
-        for (r, v) in grid_points(10) {
-            t.insert(r, v);
+    fn a_move_on_a_shared_tree_copies_only_its_paths() {
+        let mut t = RTree::bulk_load((0..4000).map(|i| (churn_point(i), i)).collect());
+        let total = node_count(&t.root);
+        for i in 0..200usize {
+            let held = t.clone();
+            let held_entries = held.iter_all();
+            assert_eq!(unshared_nodes(&t, &held), 0, "a clone shares every node");
+            let v = i * 19 % 4000;
+            let r = t.iter_all().into_iter().find(|e| e.1 == v).unwrap().0;
+            assert!(t.delete(&r, &v));
+            t.insert(churn_point(v + 5000 * (i + 1)), v);
+            let copied = unshared_nodes(&t, &held);
+            // The delete path, the insert path (the root is on both) and
+            // one split sibling per level plus a new root at most.
+            assert!(
+                copied <= 3 * t.height(),
+                "move {i} copied {copied} of {total} nodes (height {})",
+                t.height()
+            );
+            held.validate().unwrap();
+            assert_eq!(held.iter_all(), held_entries, "move {i} reached into the held clone");
         }
-        let arena_high = t.arena_size();
-        // Sustained delete/insert churn at constant population must not
-        // grow the arena without bound: freed slots are recycled.
-        let items = grid_points(10);
-        for round in 0..20 {
-            for (r, v) in &items {
-                assert!(t.delete(r, v), "round {round}");
-            }
-            for &(r, v) in &items {
-                t.insert(r, v);
-            }
-            t.validate().unwrap();
-        }
-        assert!(
-            t.arena_size() <= arena_high * 2,
-            "arena grew {} → {} despite the free list",
-            arena_high,
-            t.arena_size()
-        );
     }
 
     #[test]
@@ -950,8 +934,7 @@ mod tests {
         let mut t = RTree::bulk_load(grid_points(12));
         t.validate().unwrap();
         // Corrupt one inner entry's rectangle.
-        let root = t.root;
-        if let Node::Inner { rects, .. } = &mut t.nodes[root] {
+        if let Node::Inner { rects, .. } = Arc::make_mut(&mut t.root) {
             rects[0] = rects[0].union(&pt(1e6, 1e6));
         }
         assert!(t.validate().is_err(), "inflated parent MBR must be flagged");
@@ -964,7 +947,7 @@ mod tests {
         let _ = t.knn(Point2::new(1.0, 1.0), 3);
         // A full scan would touch every node; best-first should touch a
         // small corner of the tree.
-        let total_nodes = t.nodes.len() as u64;
+        let total_nodes = node_count(&t.root) as u64;
         assert!(t.accesses() < total_nodes / 2, "{} vs {}", t.accesses(), total_nodes);
     }
 }
