@@ -3,7 +3,8 @@
 //! Dijkstra over the three graph shapes MR3 actually runs (DMTM front,
 //! pathnet, corridor-restricted front — the last both over its own graph
 //! and masked over the whole front's), pathnet construction over a group
-//! region and one group's run to its members, the SDN lower bound in the
+//! region and one group's run to its members, a cold cut-cache unit load
+//! over one tile and over the whole terrain, the SDN lower bound in the
 //! three shapes its callers give it, the MSDN's layout on pages, the page
 //! checksum every physical read verifies, the batched point–MBR distance
 //! kernel behind R-tree descent, the R-tree bulk load behind every
@@ -23,12 +24,13 @@
 //! A positional argument filters benchmarks by substring. `--budget-ms N`
 //! sets the per-benchmark measurement budget.
 
+use sknn_core::config::Mr3Config;
 use sknn_core::objects::ObjectStore;
 use sknn_core::workload::SceneBuilder;
 use sknn_geodesic::graph::{Dijkstra, DijkstraScratch, Graph, QueuePolicy};
 use sknn_geodesic::{MeshPoint, Pathnet};
 use sknn_geom::{Ellipse2, Point2, Rect2};
-use sknn_multires::{build_dmtm, FrontGraph};
+use sknn_multires::{build_dmtm, CutCache, CutGrid, FrontGraph, PagedDmtm, TileSpan};
 use sknn_sdn::network::{lower_bound, lower_bound_with, LbScratch};
 use sknn_sdn::{Msdn, MsdnConfig, PagedMsdn};
 use sknn_spatial::kernel::{min_dists_point, min_dists_point_sq, MAX_BATCH};
@@ -261,6 +263,27 @@ fn main() {
     h.bench("pathnet/run_members", || {
         black_box(group_net.distances(&terrain, query, &members, &mut scratch).settled)
     });
+
+    // --- Cut-cache unit loads -----------------------------------------------
+    // One cold load at the schedule's 50 % step on the 129² terrain, with
+    // the engine's default lattice: the units of one central tile, and of
+    // the whole extent (the first iteration's region). The cache's units
+    // and the page pool are emptied before every load.
+    let cfg = Mr3Config::default();
+    let unit_pager = Pager::new(cfg.pool_pages);
+    let dmtm = PagedDmtm::build(&unit_pager, build_dmtm(&terrain));
+    let grid = CutGrid::new(terrain.extent(), cfg.cut_cache.tiles, cfg.cut_cache.pad_tiles);
+    let cut_cache = CutCache::new(cfg.cut_cache.capacity_bytes, grid);
+    let step = dmtm.tree().step_for_fraction(0.5);
+    let centre = cfg.cut_cache.tiles / 2;
+    let one_tile = TileSpan { x0: centre, x1: centre + 1, y0: centre, y1: centre + 1 };
+    for (name, span) in [("tile", one_tile), ("full", grid.full_span())] {
+        h.bench(&format!("cutcache/load_units/{name}"), || {
+            cut_cache.clear();
+            unit_pager.clear_pool();
+            cut_cache.touch(&dmtm, &unit_pager, step, span).expect("unfaulted")
+        });
+    }
 
     // --- SDN lower bound ---------------------------------------------------
     // One pair a third of the terrain apart at the full-resolution level

@@ -30,6 +30,10 @@
 //! `--check FILE` parses the file and exits non-zero unless it is one JSON
 //! array whose every record (one per line) carries a host with its
 //! `nproc`.
+//!
+//! `--table FILE` prints the state table of ROADMAP.md from the file: per
+//! workload, the change-side medians of the last record that ran it, with
+//! that record's PR and host.
 
 use sknn_bench::Args;
 use std::collections::BTreeMap;
@@ -61,6 +65,11 @@ fn main() {
             Ok(n) => eprintln!("# {path}: {n} records, each with a host"),
             Err(e) => fail(&format!("{path}: {e}")),
         }
+        return;
+    }
+    if let Some(path) = args.get_opt::<String>("table") {
+        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| fail(&format!("{path}: {e}")));
+        print!("{}", table(&text).unwrap_or_else(|e| fail(&format!("{path}: {e}"))));
         return;
     }
     let pr: u64 = args.get_opt("pr").unwrap_or_else(|| fail("--pr N is required"));
@@ -334,6 +343,56 @@ fn check(text: &str) -> Result<usize, String> {
     Ok(n)
 }
 
+/// The text after the first `key` in `s`.
+fn after<'a>(s: &'a str, key: &str) -> Option<&'a str> {
+    s.split_once(key).map(|(_, tail)| tail)
+}
+
+/// ROADMAP's state table: per workload, the change-side medians of the
+/// last record holding one, with the record's PR and host.
+fn table(text: &str) -> Result<String, String> {
+    check(text)?;
+    let mut latest: BTreeMap<String, String> = BTreeMap::new();
+    for line in text.lines().filter(|l| l.starts_with('{')) {
+        let pr = opt(after(line, "\"pr\":").and_then(number_prefix));
+        let nproc = opt(after(line, "\"nproc\":").and_then(number_prefix));
+        let cpu = after(line, "\"cpu\":\"").and_then(|t| t.split('"').next()).unwrap_or("cpu n/a");
+        let Some(body) = after(line, "\"workloads\":{") else { continue };
+        // `"name":{"seeds":…`: each piece but the last ends with a
+        // workload's name, and the piece after it holds its metrics.
+        let pieces: Vec<&str> = body.split(":{\"seeds\":").collect();
+        for pair in pieces.windows(2) {
+            let name = pair[0].rsplit('"').nth(1).unwrap_or_default();
+            let median = |metric: &str| {
+                let change = after(pair[1], &format!("\"{metric}\":{{\"parent\":"))
+                    .and_then(|t| after(t, "\"change\":"))?;
+                if change.starts_with("null") {
+                    return None;
+                }
+                after(change, "\"median\":").and_then(number_prefix)
+            };
+            if let Some(ops) = median("ops_per_s") {
+                latest.insert(
+                    name.to_string(),
+                    format!(
+                        "| `{name}` | {ops:.1} | {} | {} | {pr} | {nproc} × {cpu} |",
+                        median("op_p50_ms").map_or("null".to_string(), |v| format!("{v:.3}")),
+                        median("peak_rss_mb").map_or("null".to_string(), |v| format!("{v:.1}"))
+                    ),
+                );
+            }
+        }
+    }
+    let mut out = String::from(
+        "| workload | ops/s | op_p50_ms | peak_rss_mb | PR | host |\n|---|---:|---:|---:|---:|---|\n",
+    );
+    for row in latest.values() {
+        out.push_str(row);
+        out.push('\n');
+    }
+    Ok(out)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -363,6 +422,17 @@ change: {\"correct\": true, \"attempted\": 12, \"failed\": 1, \"metrics\": {\"op
         assert_eq!(check(&once), Ok(1));
         assert_eq!(check(&twice), Ok(2));
         assert!(append("[\n{\"pr\":1}", &rec).is_err(), "a cut file is refused, not replaced");
+    }
+
+    #[test]
+    fn the_table_shows_each_workloads_latest_change_median() {
+        let runs = parse_runs(RUNS);
+        let older = record(8, None, "p", &runs).replace("\"median\":120", "\"median\":90");
+        let file = append(&append("", &older).unwrap(), &record(9, None, "p", &runs)).unwrap();
+        let table = table(&file).unwrap();
+        let rows: Vec<&str> = table.lines().skip(2).collect();
+        assert_eq!(rows.len(), 1, "{table}");
+        assert!(rows[0].starts_with("| `warm_cpu` | 120.0 | null | null | 9 | 2 × "), "{table}");
     }
 
     #[test]

@@ -102,6 +102,7 @@ impl<'s, 'm> Mr3Engine<'s, 'm> {
         // lines.
         let budget = cfg.cut_cache.capacity_bytes;
         let cut_cache = CutCache::new((budget / 4 * 3).max(1), cut_grid);
+        cut_cache.directory(dmtm.tree());
         let line_cache = LineCutCache::new((budget / 4).max(1));
         let objects = ObjectStore::genesis(scene.objects(), cfg.pool_pages, None);
         Self {

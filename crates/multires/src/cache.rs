@@ -29,9 +29,11 @@
 
 use crate::front::{FrontGraph, FrontUnit};
 use crate::paged::{FetchScratch, PagedDmtm};
+use crate::tree::DmtmTree;
 use sknn_geom::{Point2, Rect2};
 use sknn_store::{CacheGauges, CacheStats, ManyOutcome, Pager, SingleFlightCache, StoreResult};
 use std::ops::Range;
+use std::sync::OnceLock;
 
 /// A canonical fetch region as half-open ranges of lattice tile indices.
 /// Never empty: [`CutGrid::span`] always covers at least one tile per
@@ -223,6 +225,81 @@ impl CutGrid {
     }
 }
 
+/// One node's row of a [`CutDirectory`]: its lifetime and the tile
+/// columns `x0..x1` and rows `y0..y1` its MBR meets (both empty when it
+/// meets none).
+#[derive(Debug, Clone, Copy)]
+struct DirEntry {
+    birth: u32,
+    death: u32,
+    x0: u32,
+    x1: u32,
+    y0: u32,
+    y1: u32,
+}
+
+impl DirEntry {
+    fn live_at(&self, m: u32) -> bool {
+        self.birth <= m && m < self.death
+    }
+}
+
+/// The resident directory that decides which nodes a tile holds: per
+/// tree node, packed into 24 bytes, its `(birth, death)` steps and the
+/// tile ranges [`CutGrid::tiles_meeting`] gives its MBR. Built once from
+/// `(tree, grid)`, so a unit load reads these rows instead of the tree's
+/// nodes and never evaluates a float comparison.
+#[derive(Debug)]
+pub struct CutDirectory {
+    grid: CutGrid,
+    nodes: Vec<DirEntry>,
+}
+
+impl CutDirectory {
+    /// The directory of `tree`'s nodes over `grid`'s lattice.
+    pub fn build(tree: &DmtmTree, grid: CutGrid) -> Self {
+        let nodes = tree
+            .nodes()
+            .iter()
+            .map(|n| {
+                let (xs, ys) = grid.tiles_meeting(&n.mbr);
+                DirEntry {
+                    birth: n.birth,
+                    death: n.death,
+                    x0: xs.start as u32,
+                    x1: xs.end as u32,
+                    y0: ys.start as u32,
+                    y1: ys.end as u32,
+                }
+            })
+            .collect();
+        Self { grid, nodes }
+    }
+
+    /// The lattice the tile ranges refer to.
+    pub(crate) fn grid(&self) -> &CutGrid {
+        &self.grid
+    }
+
+    /// [`DmtmTree::live_at`] from the directory's copy of the steps.
+    pub(crate) fn live_at(&self, id: u32, m: u32) -> bool {
+        self.nodes[id as usize].live_at(m)
+    }
+
+    /// Every node live at step `m`, ascending, with the tile columns and
+    /// rows its MBR meets.
+    pub(crate) fn live_nodes(
+        &self,
+        m: u32,
+    ) -> impl Iterator<Item = (u32, Range<usize>, Range<usize>)> + '_ {
+        self.nodes
+            .iter()
+            .enumerate()
+            .filter(move |(_, e)| e.live_at(m))
+            .map(|(id, e)| (id as u32, e.x0 as usize..e.x1 as usize, e.y0 as usize..e.y1 as usize))
+    }
+}
+
 /// Identity of a residency unit: resolution step plus lattice tile
 /// (`row * tiles + column`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -231,17 +308,28 @@ struct UnitKey {
     tile: u32,
 }
 
-/// The shared DMTM cut cache. See the module docs for semantics.
+/// The shared DMTM cut cache. See the module docs for semantics. A cache
+/// serves one [`PagedDmtm`]: its units and its directory are that tree's.
 pub struct CutCache {
     inner: SingleFlightCache<UnitKey, FrontUnit>,
     grid: CutGrid,
+    directory: OnceLock<CutDirectory>,
 }
 
 impl CutCache {
     /// A cache of the units of `grid`'s tiles, bounded by
     /// `capacity_bytes`.
     pub fn new(capacity_bytes: usize, grid: CutGrid) -> Self {
-        Self { inner: SingleFlightCache::new(capacity_bytes), grid }
+        Self { inner: SingleFlightCache::new(capacity_bytes), grid, directory: OnceLock::new() }
+    }
+
+    /// The directory of `tree` over the cache's lattice, built on first
+    /// use. Unit loads go through it; an engine calls this once at build
+    /// so no query pays for it.
+    pub fn directory(&self, tree: &DmtmTree) -> &CutDirectory {
+        let dir = self.directory.get_or_init(|| CutDirectory::build(tree, self.grid));
+        assert_eq!(dir.nodes.len(), tree.nodes().len(), "a cut cache serves one tree");
+        dir
     }
 
     /// Make every unit of `span` at step `m` resident and return them in
@@ -259,7 +347,7 @@ impl CutCache {
             span.tiles(self.grid.tiles()).map(|tile| UnitKey { step: m, tile }).collect();
         self.inner.get_many(&keys, |claimed| {
             let tiles: Vec<u32> = claimed.iter().map(|&i| keys[i].tile).collect();
-            let units = dmtm.fetch_units(pager, m, &self.grid, &tiles)?;
+            let units = dmtm.fetch_units(pager, m, self.directory(dmtm.tree()), &tiles)?;
             Ok(units
                 .into_iter()
                 .map(|u| {

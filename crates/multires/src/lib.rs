@@ -45,7 +45,7 @@ pub mod quadric;
 pub mod simplify;
 pub mod tree;
 
-pub use cache::{CutCache, CutGrid, TileSpan};
+pub use cache::{CutCache, CutDirectory, CutGrid, TileSpan};
 pub use front::{FrontGraph, FrontUnit};
 pub use paged::{FetchScratch, PagedDmtm};
 pub use simplify::build_dmtm;

@@ -10,8 +10,14 @@
 //! integrated-I/O-region optimisation). The light per-node **metadata**
 //! (birth/death steps, MBR, parent links, offsets) stays in memory and
 //! plays the role of DM's resident directory: deciding *which* records to
-//! fetch is free, fetching them is charged.
+//! fetch is free, fetching them is charged. For the cut cache's unit
+//! loads the decision reads a [`CutDirectory`], built once from the tree
+//! and the tile lattice: 24 bytes per node holding its `(birth, death)`
+//! steps and the tile ranges its MBR meets, so a load neither walks the
+//! tree's nodes nor compares a float.
 
+use crate::cache::CutDirectory;
+#[cfg(test)]
 use crate::cache::CutGrid;
 use crate::front::{FrontGraph, FrontUnit};
 use crate::tree::DmtmTree;
@@ -19,6 +25,7 @@ use sknn_geom::{Point3, Rect2};
 use sknn_store::{BPlusTree, Pager, StoreResult};
 use sknn_terrain::mesh::{TerrainMesh, TriId};
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Reusable buffers for [`PagedDmtm::fetch_front_with`] and
@@ -216,33 +223,68 @@ impl PagedDmtm {
     }
 
     /// Load the residency units of lattice `tiles` (`row * side + column`
-    /// indices into `grid`) at step `m`: one scan of the resident
-    /// directory assigns every live node to the requested tiles its MBR
-    /// meets, and the payloads of the union of those nodes are read in a
-    /// single [`BPlusTree::get_many`] batch — a subset of what
+    /// indices into `dir`'s grid) at step `m`: the packed directory alone
+    /// assigns every live node to the requested tiles its MBR meets, and
+    /// the payloads of the union of those nodes are read in a single
+    /// [`BPlusTree::get_many`] batch — a subset of what
     /// [`fetch_front`](Self::fetch_front) reads for any region containing
     /// the tiles. Units come back in `tiles` order.
     pub fn fetch_units(
         &self,
         pager: &Pager,
         m: u32,
+        dir: &CutDirectory,
+        tiles: &[u32],
+    ) -> StoreResult<Vec<FrontUnit>> {
+        self.load_units(pager, dir.grid().tiles(), tiles, dir.live_nodes(m), |w| dir.live_at(w, m))
+    }
+
+    /// [`fetch_units`](Self::fetch_units) deciding from the tree itself:
+    /// every node's liveness and one [`CutGrid::tiles_meeting`] per live
+    /// node on every load. The oracle the directory is tested against.
+    #[cfg(test)]
+    fn fetch_units_by_scan(
+        &self,
+        pager: &Pager,
+        m: u32,
         grid: &CutGrid,
         tiles: &[u32],
     ) -> StoreResult<Vec<FrontUnit>> {
-        let side = grid.tiles();
+        let placed =
+            (0..self.tree.nodes().len() as u32).filter(|&id| self.tree.live_at(id, m)).map(|id| {
+                let (xs, ys) = grid.tiles_meeting(&self.tree.node(id).mbr);
+                (id, xs, ys)
+            });
+        self.load_units(pager, grid.tiles(), tiles, placed, |w| self.tree.live_at(w, m))
+    }
+
+    /// The units of `tiles` on a lattice of `side` tiles per axis, given
+    /// every node live at the units' step, ascending, with the tile
+    /// columns and rows it meets (`placed`), and a neighbour's liveness at
+    /// that step (`live`).
+    fn load_units(
+        &self,
+        pager: &Pager,
+        side: usize,
+        tiles: &[u32],
+        placed: impl Iterator<Item = (u32, Range<usize>, Range<usize>)>,
+        live: impl Fn(u32) -> bool,
+    ) -> StoreResult<Vec<FrontUnit>> {
         let mut unit_of_tile = vec![u32::MAX; side * side];
+        // The claimed tiles' bounding box: most nodes miss it outright.
+        let (mut bx, mut by) = (side..0, side..0);
         for (u, &t) in tiles.iter().enumerate() {
             unit_of_tile[t as usize] = u as u32;
+            let (x, y) = (t as usize % side, t as usize / side);
+            bx = bx.start.min(x)..bx.end.max(x + 1);
+            by = by.start.min(y)..by.end.max(y + 1);
         }
         let mut units = vec![FrontUnit::default(); tiles.len()];
         // (storage key, node id) of every node some requested tile holds.
         let mut order: Vec<(u64, u32)> = Vec::new();
-        for (id, node) in self.tree.nodes().iter().enumerate() {
-            let id = id as u32;
-            if !self.tree.live_at(id, m) {
-                continue;
-            }
-            let (xs, ys) = grid.tiles_meeting(&node.mbr);
+        for (id, xs, ys) in placed {
+            let xs = xs.start.max(bx.start)..xs.end.min(bx.end);
+            let ys = ys.start.max(by.start)..ys.end.min(by.end);
             let mut wanted = false;
             for y in ys {
                 for x in xs.clone() {
@@ -270,9 +312,7 @@ impl PagedDmtm {
             let id = order[cursor].1;
             cursor += 1;
             one.clear();
-            one.extend(
-                payload_neighbors(&payload).filter(|&(w, _)| w > id && self.tree.live_at(w, m)),
-            );
+            one.extend(payload_neighbors(&payload).filter(|&(w, _)| w > id && live(w)));
             one.sort_unstable_by(|a, b| a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)));
             one.dedup_by_key(|e| e.0);
             runs.push((id, adj.len() as u32, (adj.len() + one.len()) as u32));
@@ -427,7 +467,9 @@ fn interleave(mut v: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::TileSpan;
     use crate::simplify::build_dmtm;
+    use proptest::prelude::*;
     use sknn_geom::Point2;
     use sknn_terrain::dem::TerrainConfig;
 
@@ -521,10 +563,10 @@ mod tests {
 
     #[test]
     fn derived_front_equals_paged_fetch() {
-        use crate::cache::TileSpan;
         let (pager, paged) = setup();
         let extent = paged.tree().nodes().iter().fold(Rect2::EMPTY, |r, n| r.union(&n.mbr));
-        let grid = CutGrid::new(extent, 4, 0.5);
+        let dir = CutDirectory::build(paged.tree(), CutGrid::new(extent, 4, 0.5));
+        let grid = dir.grid();
         let mut scratch = FetchScratch::default();
         let spans = [
             grid.full_span(),
@@ -536,7 +578,7 @@ mod tests {
             for span in spans {
                 let tiles: Vec<u32> = span.tiles(4).collect();
                 let units: Vec<Arc<FrontUnit>> = paged
-                    .fetch_units(&pager, m, &grid, &tiles)
+                    .fetch_units(&pager, m, &dir, &tiles)
                     .unwrap()
                     .into_iter()
                     .map(Arc::new)
@@ -550,6 +592,87 @@ mod tests {
                 };
                 assert_eq!(bits(&derived.edges), bits(&oracle.edges), "frac {frac} span {span:?}");
                 scratch.recycle(derived);
+            }
+        }
+    }
+
+    /// The tree of a 17² terrain and the terrain's extent, built once.
+    fn shared_tree() -> &'static (DmtmTree, Rect2) {
+        static TREE: std::sync::OnceLock<(DmtmTree, Rect2)> = std::sync::OnceLock::new();
+        TREE.get_or_init(|| {
+            let mesh = TerrainConfig::bh().with_grid(17).build_mesh(4);
+            (build_dmtm(&mesh), mesh.extent())
+        })
+    }
+
+    /// A `FrontUnit`'s fields, `dist` by bit pattern.
+    type UnitBits = (Vec<u32>, Vec<u32>, Vec<u32>, Vec<u64>);
+
+    fn unit_bits(units: &[FrontUnit]) -> Vec<UnitBits> {
+        units
+            .iter()
+            .map(|u| {
+                let dist = u.dist.iter().map(|d| d.to_bits()).collect();
+                (u.ids.clone(), u.offsets.clone(), u.nbr.clone(), dist)
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Units loaded through the packed directory equal the whole-tree
+        /// scan's field for field, and each load charges its pager exactly
+        /// what the scan's load charges its twin — at the finest, a random
+        /// and the coarsest step, on lattices of 1, 16 and 37 tiles per
+        /// side over the terrain's own extent (where the 16-tile lattice
+        /// lines run through vertices, so leaf MBRs lie exactly on them)
+        /// and over a skewed extent whose lines are not representable.
+        #[test]
+        fn directory_loads_equal_the_whole_tree_scan(
+            step_kind in 0usize..3,
+            random_step in any::<u32>(),
+            tiles_pick in 0usize..3,
+            skewed in any::<bool>(),
+            loads in proptest::collection::vec((any::<u64>(), 1u64..=100), 1..4),
+        ) {
+            let (tree, extent) = shared_tree();
+            let side = [1, 16, 37][tiles_pick];
+            let extent = if skewed {
+                Rect2::new(
+                    Point2::new(extent.lo.x - 0.1, extent.lo.y - 0.3),
+                    Point2::new(extent.hi.x + 0.7, extent.hi.y + 0.2),
+                )
+            } else {
+                *extent
+            };
+            let grid = CutGrid::new(extent, side, 0.5);
+            if side == 16 && !skewed {
+                let line = grid.span_rect(TileSpan { x0: 1, x1: 2, y0: 1, y1: 2 }).lo.x;
+                prop_assert!(tree.nodes().iter().any(|n| n.mbr.lo.x == line));
+            }
+            let m = match step_kind {
+                0 => 0,
+                1 => random_step % (tree.num_steps() + 1),
+                _ => tree.num_steps(),
+            };
+            let dir = CutDirectory::build(tree, grid);
+            let (pager, oracle_pager) = (Pager::new(16), Pager::new(16));
+            let paged = PagedDmtm::build(&pager, tree.clone());
+            let oracle = PagedDmtm::build(&oracle_pager, tree.clone());
+            let n = (side * side) as u64;
+            for (seed, percent) in loads {
+                // A seeded subset of the lattice, never empty, ascending.
+                let mix = |t: u64| (seed ^ t).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 33;
+                let mut tiles: Vec<u32> =
+                    (0..n).filter(|&t| mix(t) % 100 < percent).map(|t| t as u32).collect();
+                if tiles.is_empty() {
+                    tiles.push((seed % n) as u32);
+                }
+                let got = paged.fetch_units(&pager, m, &dir, &tiles).unwrap();
+                let want = oracle.fetch_units_by_scan(&oracle_pager, m, &grid, &tiles).unwrap();
+                prop_assert_eq!(unit_bits(&got), unit_bits(&want));
+                prop_assert_eq!(pager.stats(), oracle_pager.stats());
             }
         }
     }

@@ -7,35 +7,36 @@
 //! (axis, level) gets a heap file with one record per simplified segment,
 //! written line by line so a line occupies a contiguous run of pages. The
 //! resident directory holds only line-level metadata (plane value, whole-
-//! line MBR, record addresses); segment geometry is read from pages — and
+//! line MBR, record index range); segment geometry is read from pages — and
 //! charged — when a query touches the line.
 
 use crate::msdn::Msdn;
 use crate::network::{lower_bound, LowerBound};
 use crate::simplify::{SimplifiedLine, SimplifiedSegment};
 use sknn_geom::{Aabb3, Axis, AxisPlane, Point3, Rect2, Segment3};
-use sknn_store::{HeapFile, Pager, RecordId, StoreResult};
-use std::collections::HashMap;
+use sknn_store::{HeapFile, PageId, Pager, StoreResult};
 use std::ops::Range;
 
 struct PagedLine {
     plane: AxisPlane,
     mbr_xy: Rect2,
-    /// The line's segments: a run of its level's `rids`.
+    /// The line's segments: a run of its level's record indices.
     rids: Range<usize>,
 }
 
 struct PagedLevel {
     file: HeapFile,
-    /// Every segment's record address, in line order, as
-    /// [`HeapFile::build`] returned them.
-    rids: Vec<RecordId>,
+    /// Per page of `file`, in order, the index of its first record: the
+    /// file holds the level's segments in line order, so record `i` sits
+    /// on the last page whose first index is `≤ i`, at slot `i - first`.
+    page_first: Vec<usize>,
     lines: Vec<PagedLine>,
 }
 
 impl PagedLevel {
-    fn rids_of(&self, line: &PagedLine) -> &[RecordId] {
-        &self.rids[line.rids.clone()]
+    /// Position in `file.pages()` of the page holding record `i`.
+    fn page_of(&self, i: usize) -> usize {
+        self.page_first.partition_point(|&first| first <= i) - 1
     }
 }
 
@@ -75,7 +76,13 @@ impl PagedMsdn {
                             }
                         })
                         .collect();
-                    PagedLevel { file, rids, lines }
+                    let page_first = rids
+                        .iter()
+                        .enumerate()
+                        .filter(|(_, rid)| rid.slot == 0)
+                        .map(|(i, _)| i)
+                        .collect();
+                    PagedLevel { file, page_first, lines }
                 })
                 .collect()
         };
@@ -165,6 +172,10 @@ impl PagedMsdn {
 
     /// The storage half: read the segments of the given directory lines in
     /// one batched heap read, charging one page read per distinct page.
+    /// Pages are visited in ascending order and their records in slot
+    /// order, which is line order, so each record goes straight to the end
+    /// of its wanted line's segment list: a merge walk over the wanted
+    /// lines in level order, with no hashing.
     pub fn fetch_lines(
         &self,
         pager: &Pager,
@@ -173,15 +184,42 @@ impl PagedMsdn {
         wanted: &[u32],
     ) -> StoreResult<Vec<SimplifiedLine>> {
         let level = self.level(axis, level_idx);
-        let wanted: Vec<&PagedLine> = wanted.iter().map(|&i| &level.lines[i as usize]).collect();
-        let fetched = fetch_segments(pager, level, &wanted)?;
-        Ok(wanted
-            .into_iter()
-            .map(|line| SimplifiedLine {
-                plane: line.plane,
-                segments: level.rids_of(line).iter().map(|rid| fetched[rid]).collect(),
+        let line = |k: usize| &level.lines[wanted[k] as usize];
+        let mut by_record: Vec<usize> = (0..wanted.len()).collect();
+        by_record.sort_by_key(|&k| wanted[k]);
+        // Each line's records fill a run of the file's pages, and in level
+        // order the runs ascend: each adds the pages past the last one.
+        let mut runs: Vec<usize> = Vec::new();
+        for &k in &by_record {
+            let rids = &line(k).rids;
+            if !rids.is_empty() {
+                let from = runs.last().map_or(0, |&j| j + 1).max(level.page_of(rids.start));
+                runs.extend(from..=level.page_of(rids.end - 1));
+            }
+        }
+        let pages: Vec<PageId> = runs.iter().map(|&j| level.file.pages()[j]).collect();
+        let mut out: Vec<SimplifiedLine> = (0..wanted.len())
+            .map(|k| SimplifiedLine {
+                plane: line(k).plane,
+                segments: Vec::with_capacity(line(k).rids.len()),
             })
-            .collect())
+            .collect();
+        let (mut run, mut next) = (0usize, 0usize);
+        level.file.visit_pages(pager, &pages, |rid, bytes| {
+            while pages[run] != rid.page {
+                run += 1;
+            }
+            let i = level.page_first[runs[run]] + rid.slot as usize;
+            while next < by_record.len() && line(by_record[next]).rids.end <= i {
+                next += 1;
+            }
+            let holders = by_record[next..].iter().take_while(|&&k| line(k).rids.start <= i);
+            let mut seg = None;
+            for &k in holders {
+                out[k].segments.push(*seg.get_or_insert_with(|| decode_segment(bytes)));
+            }
+        })?;
+        Ok(out)
     }
 
     /// Page-charged lower bound (fetch + Dijkstra).
@@ -197,32 +235,6 @@ impl PagedMsdn {
         let refs: Vec<&SimplifiedLine> = owned.iter().collect();
         Ok(lower_bound(&refs, a, b, roi, None))
     }
-}
-
-/// Fetch the segments of every wanted line in one batched heap read:
-/// the distinct pages of all record ids, sorted ascending, go through
-/// [`HeapFile::visit_pages`] — each page is still one logical read (the
-/// integrated-I/O dedup as before), but all misses of the fetch share a
-/// single overlapped stall, and the sorted order makes the eviction
-/// sequence deterministic where the old per-page `HashMap` iteration was
-/// not.
-fn fetch_segments(
-    pager: &Pager,
-    level: &PagedLevel,
-    wanted: &[&PagedLine],
-) -> StoreResult<HashMap<RecordId, SimplifiedSegment>> {
-    let want: std::collections::HashSet<RecordId> =
-        wanted.iter().flat_map(|l| level.rids_of(l).iter().copied()).collect();
-    let mut pages: Vec<sknn_store::PageId> = want.iter().map(|rid| rid.page).collect();
-    pages.sort_unstable();
-    pages.dedup();
-    let mut fetched = HashMap::with_capacity(want.len());
-    level.file.visit_pages(pager, &pages, |rid, bytes| {
-        if want.contains(&rid) {
-            fetched.insert(rid, decode_segment(bytes));
-        }
-    })?;
-    Ok(fetched)
 }
 
 /// Bytes of one encoded segment record: twelve little-endian `f64`s.
@@ -350,6 +362,44 @@ mod tests {
         let _ = paged.fetch_lines_between(&pager, 4, a, b, None).unwrap();
         let fine = pager.stats().physical_reads;
         assert!(coarse < fine, "coarse {coarse} vs fine {fine}");
+    }
+
+    /// A batch of lines in any order, duplicates included, holds each
+    /// line's in-memory segments and reads each distinct page of their
+    /// records once — the pages a record-by-record address lookup names.
+    #[test]
+    fn batched_lines_equal_in_memory_lines_and_read_each_page_once() {
+        let (pager, msdn, paged, _) = setup();
+        let level = 4;
+        for axis in [Axis::X, Axis::Y] {
+            let lines = msdn.level_lines(axis, level);
+            let n = lines.len() as u32;
+            let wanted = [n - 1, 0, n / 2, 0, n / 3, n / 2 + 1, n / 2];
+            let (_, rids) = HeapFile::build(
+                &Pager::new(4),
+                lines.iter().flat_map(|l| l.segments.iter().map(encode_segment)),
+            );
+            let mut start = vec![0];
+            start.extend(lines.iter().scan(0, |end, l| {
+                *end += l.segments.len();
+                Some(*end)
+            }));
+            let mut pages: Vec<_> = wanted
+                .iter()
+                .flat_map(|&w| &rids[start[w as usize]..start[w as usize + 1]])
+                .map(|rid| rid.page)
+                .collect();
+            pages.sort_unstable();
+            pages.dedup();
+            pager.clear_pool();
+            pager.reset_stats();
+            let got = paged.fetch_lines(&pager, level, axis, &wanted).unwrap();
+            assert_eq!(pager.stats().logical_reads, pages.len() as u64);
+            for (&w, line) in wanted.iter().zip(&got) {
+                assert_eq!(line.plane, lines[w as usize].plane);
+                assert_eq!(line.segments, lines[w as usize].segments);
+            }
+        }
     }
 
     #[test]
