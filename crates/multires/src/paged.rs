@@ -9,12 +9,14 @@
 //! pages and overlapping candidate regions share pages (the basis of the
 //! integrated-I/O-region optimisation). The light per-node **metadata**
 //! (birth/death steps, MBR, parent links, offsets) stays in memory and
-//! plays the role of DM's resident directory: deciding *which* records to
-//! fetch is free, fetching them is charged. For the cut cache's unit
-//! loads the decision reads a [`CutDirectory`], built once from the tree
-//! and the tile lattice: 24 bytes per node holding its `(birth, death)`
-//! steps and the tile ranges its MBR meets, so a load neither walks the
-//! tree's nodes nor compares a float.
+//! plays the role of DM's resident directory, together with the B+-tree's
+//! own leaf index (`(min key, leaf page)` per leaf, no inner pages):
+//! deciding *which* records and leaves to fetch is free, fetching them is
+//! charged. For the cut cache's unit loads the decision reads a
+//! [`CutDirectory`], built once from the tree and the tile lattice: 24
+//! bytes per node holding its `(birth, death)` steps and the tile ranges
+//! its MBR meets, so a load neither walks the tree's nodes nor compares a
+//! float.
 
 use crate::cache::CutDirectory;
 #[cfg(test)]
@@ -167,8 +169,8 @@ impl PagedDmtm {
     /// the id set is taken by value (no defensive clone), the id→local
     /// index and edge/position buffers are recycled from previous fronts,
     /// and the payload lookups go through [`BPlusTree::get_many`] — one
-    /// descent per leaf run of Morton-adjacent keys instead of one per
-    /// node, which can only lower the page-access count.
+    /// leaf read per run of Morton-adjacent keys instead of one per node,
+    /// which can only lower the page-access count.
     fn fetch_ids_with(
         &self,
         pager: &Pager,

@@ -2,11 +2,13 @@
 //!
 //! The paper stores DMTM nodes in Oracle under "a clustering B+ tree index"
 //! (§5.1). This implementation is bulk-built from key-sorted records into
-//! ~90 %-full leaf pages chained left-to-right, with a static internal
-//! index above them. Values larger than a page spill into overflow chains.
-//! Every page touched during a lookup or scan is charged through the
-//! [`Pager`]'s buffer pool, so tree descent cost shows up in the "pages
-//! accessed" metric exactly as it did in the paper's setup.
+//! ~90 %-full leaf pages. The index above the leaves — one `(min key, leaf
+//! page)` pair per leaf, 16 bytes each — stays resident, like Direct
+//! Mesh's directory: deciding *which* leaves a lookup needs reads no page.
+//! Values larger than [`MAX_INLINE`] spill into a contiguous run of
+//! overflow pages. Every leaf and overflow page a lookup touches is
+//! charged through the [`Pager`]'s buffer pool, so payload reads show up
+//! in the "pages accessed" metric exactly as they did in the paper's setup.
 
 use crate::error::StoreResult;
 use crate::page::codec::*;
@@ -14,18 +16,16 @@ use crate::page::{PageId, PAGE_SIZE};
 use crate::pager::Pager;
 
 const LEAF_TAG: u8 = 1;
-const INNER_TAG: u8 = 0;
 
-// Leaf layout:  [tag u8][count u16][next u64] + entries
+// Leaf layout:  [tag u8][count u16][reserved u64] + entries
 //   entry: key u64, flag u8 (0 inline, 1 overflow), len u32, payload
 //          inline: payload = value bytes
 //          overflow: payload = first overflow PageId u64
+// Nothing reads the reserved word, but its 8 bytes fix how many entries a
+// leaf takes, and with it every DMTM page count the figures report.
 const LEAF_HDR: usize = 1 + 2 + 8;
-// Inner layout: [tag u8][count u16] + entries (min_key u64, child u64)
-const INNER_HDR: usize = 1 + 2;
-const INNER_ENTRY: usize = 16;
-// Overflow page: [next u64][len u16][bytes]
-const OVF_HDR: usize = 8 + 2;
+// Overflow pages hold raw value bytes, `PAGE_SIZE` per page, in a run of
+// consecutive page ids starting at the entry's head.
 
 /// Maximum bytes of a value stored inline in a leaf.
 pub const MAX_INLINE: usize = PAGE_SIZE / 4;
@@ -33,9 +33,9 @@ pub const MAX_INLINE: usize = PAGE_SIZE / 4;
 /// A read-only, bulk-built clustering B+-tree.
 #[derive(Debug)]
 pub struct BPlusTree {
-    root: PageId,
-    first_leaf: PageId,
-    height: usize,
+    /// `(min key, page)` of every leaf in key order (page ids ascend with
+    /// it): the resident index that replaces the inner levels.
+    leaves: Vec<(u64, PageId)>,
     len: usize,
 }
 
@@ -48,27 +48,25 @@ impl BPlusTree {
         for w in records.windows(2) {
             assert!(w[0].0 < w[1].0, "keys must be strictly increasing");
         }
-        // Build leaves.
-        let mut leaves: Vec<(u64, PageId)> = Vec::new(); // (min key, page)
+        let mut leaves: Vec<(u64, PageId)> = Vec::new();
         let mut buf = vec![0u8; PAGE_SIZE];
         let mut used = LEAF_HDR;
         let mut count: u16 = 0;
         let mut min_key = 0u64;
         let target = PAGE_SIZE * 9 / 10;
 
-        let flush = |buf: &mut Vec<u8>, used: &mut usize, count: &mut u16, min_key: u64| {
+        let mut flush = |buf: &mut Vec<u8>, used: &mut usize, count: &mut u16, min_key: u64| {
             if *count == 0 {
-                return None;
+                return;
             }
             buf[0] = LEAF_TAG;
             put_u16(buf, 1, *count);
-            put_u64(buf, 3, PageId::INVALID.0); // next patched later
             let page = pager.alloc();
             pager.write(page, 0, &buf[..*used]);
             buf.iter_mut().for_each(|b| *b = 0);
             *used = LEAF_HDR;
             *count = 0;
-            Some((min_key, page))
+            leaves.push((min_key, page));
         };
 
         for (key, value) in records {
@@ -76,9 +74,7 @@ impl BPlusTree {
                 if value.len() > MAX_INLINE { (1u8, 8usize) } else { (0u8, value.len()) };
             let entry_len = 8 + 1 + 4 + payload_len;
             if used + entry_len > target && count > 0 {
-                if let Some(leaf) = flush(&mut buf, &mut used, &mut count, min_key) {
-                    leaves.push(leaf);
-                }
+                flush(&mut buf, &mut used, &mut count, min_key);
             }
             if count == 0 {
                 min_key = *key;
@@ -95,50 +91,8 @@ impl BPlusTree {
             used += entry_len;
             count += 1;
         }
-        if let Some(leaf) = flush(&mut buf, &mut used, &mut count, min_key) {
-            leaves.push(leaf);
-        }
-        if leaves.is_empty() {
-            // Persist a single empty leaf so lookups have somewhere to land.
-            let mut empty = vec![0u8; LEAF_HDR];
-            empty[0] = LEAF_TAG;
-            put_u64(&mut empty, 3, PageId::INVALID.0);
-            let page = pager.alloc();
-            pager.write(page, 0, &empty);
-            leaves.push((0, page));
-        }
-
-        // Chain the leaves.
-        for w in leaves.windows(2) {
-            let mut next = [0u8; 8];
-            next.copy_from_slice(&w[1].1 .0.to_le_bytes());
-            pager.write(w[0].1, 3, &next);
-        }
-        let first_leaf = leaves[0].1;
-
-        // Build internal levels.
-        let per_inner = (PAGE_SIZE - INNER_HDR) / INNER_ENTRY;
-        let mut level = leaves;
-        let mut height = 1;
-        while level.len() > 1 {
-            let mut next_level = Vec::new();
-            for group in level.chunks(per_inner) {
-                let mut page_buf = vec![0u8; INNER_HDR + group.len() * INNER_ENTRY];
-                page_buf[0] = INNER_TAG;
-                put_u16(&mut page_buf, 1, group.len() as u16);
-                for (i, (k, child)) in group.iter().enumerate() {
-                    put_u64(&mut page_buf, INNER_HDR + i * INNER_ENTRY, *k);
-                    put_u64(&mut page_buf, INNER_HDR + i * INNER_ENTRY + 8, child.0);
-                }
-                let page = pager.alloc();
-                pager.write(page, 0, &page_buf);
-                next_level.push((group[0].0, page));
-            }
-            level = next_level;
-            height += 1;
-        }
-
-        Self { root: level[0].1, first_leaf, height, len: records.len() }
+        flush(&mut buf, &mut used, &mut count, min_key);
+        Self { leaves, len: records.len() }
     }
 
     /// Number of contained items.
@@ -151,55 +105,15 @@ impl BPlusTree {
         self.len == 0
     }
 
-    /// Extent along y.
-    pub fn height(&self) -> usize {
-        self.height
-    }
-
     /// Fetch the value stored under `key`, charging page reads.
     ///
-    /// Costs exactly one page read per tree level (plus overflow pages):
-    /// a single-key [`BPlusTree::get_many`]. Read failures surface as
-    /// [`StoreError`](crate::StoreError).
+    /// A single-key [`BPlusTree::get_many`]: a cold lookup reads the one
+    /// leaf that may hold `key`, plus the value's overflow pages if it
+    /// spilled. Read failures surface as [`StoreError`](crate::StoreError).
     pub fn get(&self, pager: &Pager, key: u64) -> StoreResult<Option<Vec<u8>>> {
         let mut out = None;
         self.get_many(pager, std::slice::from_ref(&key), |_, v| out = Some(v))?;
         Ok(out)
-    }
-
-    /// Descend the internal levels towards `key` *without* reading the
-    /// leaf. Returns the leaf page together with the exclusive upper
-    /// bound of its key range (the next leaf's minimum key, `u64::MAX`
-    /// for the rightmost leaf) — every key below the bound lives in this
-    /// leaf if it exists at all, which is what lets [`Self::get_many`]
-    /// split sorted keys into leaf runs before touching any leaf.
-    fn locate_leaf(&self, pager: &Pager, key: u64) -> StoreResult<(PageId, u64)> {
-        let mut page = self.root;
-        let mut bound = u64::MAX;
-        for _ in 1..self.height {
-            let (child, next_min) = pager.with_page(page, |buf| {
-                debug_assert_eq!(buf[0], INNER_TAG);
-                let count = get_u16(buf, 1) as usize;
-                // Last child whose min key <= key.
-                let mut child = get_u64(buf, INNER_HDR + 8);
-                let mut next_min = None;
-                for i in 0..count {
-                    let k = get_u64(buf, INNER_HDR + i * INNER_ENTRY);
-                    if k <= key {
-                        child = get_u64(buf, INNER_HDR + i * INNER_ENTRY + 8);
-                    } else {
-                        next_min = Some(k);
-                        break;
-                    }
-                }
-                (PageId(child), next_min)
-            })?;
-            page = child;
-            if let Some(b) = next_min {
-                bound = bound.min(b);
-            }
-        }
-        Ok((page, bound))
     }
 
     /// Batched point lookups: fetch the values of `keys` (strictly
@@ -207,11 +121,12 @@ impl BPlusTree {
     /// `visit` in key order. Absent keys are skipped. Returns how many
     /// keys were found.
     ///
-    /// Keys that share a leaf pay **one** descent for the whole run
-    /// instead of one per key, so the page-access count is equal to or
-    /// deterministically lower than a `get` loop — never higher. The
-    /// leaves of all runs are then read through [`Pager::with_pages`],
-    /// which overlaps their simulated stalls.
+    /// The resident leaf index splits the keys into leaf runs without a
+    /// page read. The run leaves are read as one [`Pager::with_pages`]
+    /// batch, then the overflow pages of every found key as one more, so
+    /// a cold batch pays at most two stalls. Every leaf and overflow
+    /// page is still charged once per batch. On a read failure the error
+    /// is returned before `visit` is called at all.
     pub fn get_many(
         &self,
         pager: &Pager,
@@ -221,142 +136,79 @@ impl BPlusTree {
         for w in keys.windows(2) {
             assert!(w[0] < w[1], "keys must be strictly increasing");
         }
-        if keys.is_empty() {
+        if keys.is_empty() || self.leaves.is_empty() {
             return Ok(0);
         }
-        // Phase 1: one inner-only descent per leaf run. The bound from
-        // the descent tells us how many of the following keys land in the
-        // same leaf without reading it.
-        let mut runs: Vec<(PageId, usize, usize)> = Vec::new(); // (leaf, start, end)
+        // Phase 1: leaf runs from the resident index. A key lives in the
+        // last leaf whose min key is <= it (keys below the tree's minimum
+        // land in the leftmost leaf and are absent), and so does every
+        // following key below the next leaf's min key.
+        let mut runs: Vec<(usize, usize)> = Vec::new(); // (start, end) into `keys`
+        let mut leaf_ids: Vec<PageId> = Vec::new();
         let mut i = 0;
         while i < keys.len() {
-            let (leaf, bound) = self.locate_leaf(pager, keys[i])?;
-            let end = i + keys[i..].partition_point(|&k| k < bound);
-            debug_assert!(end > i, "descent bound must cover the descended key");
-            // A key below the tree's minimum resolves to the leftmost leaf
-            // with its bound at that leaf's own min key, so the following
-            // run can land on the same leaf again — extend the previous
-            // run instead of duplicating its page in the batch read.
-            match runs.last_mut() {
-                Some(prev) if prev.0 == leaf => prev.2 = end,
-                _ => runs.push((leaf, i, end)),
-            }
+            let leaf = self.leaves.partition_point(|&(min, _)| min <= keys[i]).saturating_sub(1);
+            let end = match self.leaves.get(leaf + 1) {
+                Some(&(next_min, _)) => i + keys[i..].partition_point(|&k| k < next_min),
+                None => keys.len(),
+            };
+            runs.push((i, end));
+            leaf_ids.push(self.leaves[leaf].1);
             i = end;
         }
-        // Phase 2: batch-read the run leaves (runs are maximal and keys
-        // sorted, so the leaf pages are distinct and ascending) and
-        // collect the hits of each run.
-        let leaf_ids: Vec<PageId> = runs.iter().map(|&(leaf, _, _)| leaf).collect();
-        let mut hits: Vec<(u64, LeafHit)> = Vec::new();
+        // Phase 2: batch-read the run leaves (distinct and ascending: the
+        // runs are maximal and leaf pages ascend with their keys) and
+        // collect each run's hits. A spilled value starts empty and is
+        // filled from its overflow run in phase 3.
+        let mut hits: Vec<(u64, Vec<u8>)> = Vec::new();
+        let mut spills: Vec<(usize, PageId, usize)> = Vec::new(); // (hit, head, len)
         let mut run = 0;
-        pager.with_pages(&leaf_ids, |page, buf| {
-            let (leaf, start, end) = runs[run];
+        pager.with_pages(&leaf_ids, |_, buf| {
+            let (start, end) = runs[run];
             run += 1;
-            debug_assert_eq!(page, leaf);
-            collect_run_hits(buf, &keys[start..end], &mut hits);
+            collect_run_hits(buf, &keys[start..end], &mut hits, &mut spills);
         })?;
-        // Phase 3: resolve overflow chains and emit, still in key order.
+        // Phase 3: one batch over every spilled value's overflow run.
+        // Overflow runs are allocated in key order, so concatenating them
+        // in key order keeps the ids ascending and distinct.
+        let overflow_ids: Vec<PageId> = spills
+            .iter()
+            .flat_map(|&(_, head, len)| {
+                (0..len.div_ceil(PAGE_SIZE) as u64).map(move |p| PageId(head.0 + p))
+            })
+            .collect();
+        if !overflow_ids.is_empty() {
+            let mut spill = 0;
+            pager.with_pages(&overflow_ids, |_, buf| {
+                let (hit, _, len) = spills[spill];
+                let value = &mut hits[hit].1;
+                let take = (len - value.len()).min(PAGE_SIZE);
+                value.extend_from_slice(&buf[..take]);
+                if value.len() == len {
+                    spill += 1;
+                }
+            })?;
+        }
         let found = hits.len();
-        for (k, hit) in hits {
-            match hit {
-                LeafHit::Inline(v) => visit(k, v),
-                LeafHit::Overflow(head, len) => visit(k, read_overflow(pager, head, len)?),
-            }
+        for (k, v) in hits {
+            visit(k, v);
         }
         Ok(found)
     }
-
-    /// Visit all `(key, value)` pairs with `start <= key <= end`, in key
-    /// order, charging page reads along the leaf chain.
-    pub fn scan_range(
-        &self,
-        pager: &Pager,
-        start: u64,
-        end: u64,
-        mut visit: impl FnMut(u64, Vec<u8>),
-    ) -> StoreResult<()> {
-        if start > end {
-            return Ok(());
-        }
-        // Descend to the leaf that may contain `start`.
-        let mut page = self.root;
-        loop {
-            let next = pager.with_page(page, |buf| {
-                if buf[0] == INNER_TAG {
-                    let count = get_u16(buf, 1) as usize;
-                    let mut child = get_u64(buf, INNER_HDR + 8);
-                    for i in 0..count {
-                        let k = get_u64(buf, INNER_HDR + i * INNER_ENTRY);
-                        if k <= start {
-                            child = get_u64(buf, INNER_HDR + i * INNER_ENTRY + 8);
-                        } else {
-                            break;
-                        }
-                    }
-                    Some(PageId(child))
-                } else {
-                    None
-                }
-            })?;
-            match next {
-                Some(p) => page = p,
-                None => break,
-            }
-        }
-        // Walk the leaf chain.
-        loop {
-            let mut done = false;
-            let mut hits: Vec<(u64, LeafHit)> = Vec::new();
-            let next = pager.with_page(page, |buf| {
-                let count = get_u16(buf, 1) as usize;
-                let mut off = LEAF_HDR;
-                for _ in 0..count {
-                    let k = get_u64(buf, off);
-                    let flag = buf[off + 8];
-                    let len = get_u32(buf, off + 9) as usize;
-                    let payload = off + 13;
-                    if k > end {
-                        done = true;
-                        break;
-                    }
-                    if k >= start {
-                        let hit = if flag == 0 {
-                            LeafHit::Inline(buf[payload..payload + len].to_vec())
-                        } else {
-                            LeafHit::Overflow(PageId(get_u64(buf, payload)), len)
-                        };
-                        hits.push((k, hit));
-                    }
-                    off = payload + if flag == 0 { len } else { 8 };
-                }
-                PageId(get_u64(buf, 3))
-            })?;
-            for (k, hit) in hits {
-                match hit {
-                    LeafHit::Inline(v) => visit(k, v),
-                    LeafHit::Overflow(head, len) => visit(k, read_overflow(pager, head, len)?),
-                }
-            }
-            if done || !next.is_valid() {
-                break;
-            }
-            page = next;
-        }
-        let _ = self.first_leaf;
-        Ok(())
-    }
-}
-
-enum LeafHit {
-    Inline(Vec<u8>),
-    Overflow(PageId, usize),
 }
 
 /// Merge-walk a leaf's entries against a sorted run of wanted keys,
-/// appending the found ones to `hits`. Wanted keys the leaf skips past
-/// are absent from the tree (the run bound guarantees they could only
-/// have lived here).
-fn collect_run_hits(buf: &[u8], keys: &[u64], hits: &mut Vec<(u64, LeafHit)>) {
+/// appending the found ones to `hits` — inline values whole, spilled ones
+/// empty with their overflow run noted in `spills`. Wanted keys the leaf
+/// skips past are absent from the tree (the run bound guarantees they
+/// could only have lived here).
+fn collect_run_hits(
+    buf: &[u8],
+    keys: &[u64],
+    hits: &mut Vec<(u64, Vec<u8>)>,
+    spills: &mut Vec<(usize, PageId, usize)>,
+) {
+    debug_assert_eq!(buf[0], LEAF_TAG);
     let count = get_u16(buf, 1) as usize;
     let mut off = LEAF_HDR;
     let mut ki = 0;
@@ -372,55 +224,33 @@ fn collect_run_hits(buf: &[u8], keys: &[u64], hits: &mut Vec<(u64, LeafHit)>) {
             ki += 1; // absent key
         }
         if ki < keys.len() && keys[ki] == k {
-            let hit = if flag == 0 {
-                LeafHit::Inline(buf[payload..payload + len].to_vec())
+            if flag == 0 {
+                hits.push((k, buf[payload..payload + len].to_vec()));
             } else {
-                LeafHit::Overflow(PageId(get_u64(buf, payload)), len)
-            };
-            hits.push((k, hit));
+                spills.push((hits.len(), PageId(get_u64(buf, payload)), len));
+                hits.push((k, Vec::with_capacity(len)));
+            }
             ki += 1;
         }
         off = payload + if flag == 0 { len } else { 8 };
     }
 }
 
+/// Write a spilled value into a fresh run of consecutive pages, returning
+/// the run's first page.
 fn write_overflow(pager: &Pager, value: &[u8]) -> PageId {
-    let chunk = PAGE_SIZE - OVF_HDR;
-    let mut head = PageId::INVALID;
-    let mut prev: Option<PageId> = None;
-    for part in value.chunks(chunk) {
-        let page = pager.alloc();
-        let mut buf = vec![0u8; OVF_HDR + part.len()];
-        put_u64(&mut buf, 0, PageId::INVALID.0);
-        put_u16(&mut buf, 8, part.len() as u16);
-        buf[OVF_HDR..].copy_from_slice(part);
-        pager.write(page, 0, &buf);
-        if let Some(p) = prev {
-            pager.write(p, 0, &page.0.to_le_bytes());
-        } else {
-            head = page;
-        }
-        prev = Some(page);
+    let head = pager.alloc_run(value.len().div_ceil(PAGE_SIZE));
+    for (p, part) in value.chunks(PAGE_SIZE).enumerate() {
+        pager.write(PageId(head.0 + p as u64), 0, part);
     }
     head
-}
-
-fn read_overflow(pager: &Pager, head: PageId, total_len: usize) -> StoreResult<Vec<u8>> {
-    let mut out = Vec::with_capacity(total_len);
-    let mut page = head;
-    while page.is_valid() && out.len() < total_len {
-        page = pager.with_page(page, |buf| {
-            let len = get_u16(buf, 8) as usize;
-            out.extend_from_slice(&buf[OVF_HDR..OVF_HDR + len]);
-            PageId(get_u64(buf, 0))
-        })?;
-    }
-    Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{FaultInjector, FaultKind, StoreError};
+    use std::time::Duration;
 
     fn records(n: u64, stride: u64) -> Vec<(u64, Vec<u8>)> {
         (0..n)
@@ -437,27 +267,11 @@ mod tests {
         let recs = records(5000, 3);
         let tree = BPlusTree::bulk_build(&pager, &recs);
         assert_eq!(tree.len(), 5000);
-        assert!(tree.height() >= 2);
         assert_eq!(tree.get(&pager, 0).unwrap().unwrap(), b"value-0");
         assert_eq!(tree.get(&pager, 2997).unwrap().unwrap(), b"value-2997");
         assert_eq!(tree.get(&pager, 14997).unwrap().unwrap(), b"value-14997");
         assert!(tree.get(&pager, 1).unwrap().is_none());
         assert!(tree.get(&pager, 15000).unwrap().is_none());
-    }
-
-    #[test]
-    fn scan_range_matches_filter() {
-        let pager = Pager::new(64);
-        let recs = records(2000, 2);
-        let tree = BPlusTree::bulk_build(&pager, &recs);
-        let mut got = Vec::new();
-        tree.scan_range(&pager, 101, 499, |k, v| got.push((k, v))).unwrap();
-        let want: Vec<_> = recs.iter().filter(|(k, _)| (101..=499).contains(k)).cloned().collect();
-        assert_eq!(got, want);
-        // Degenerate ranges.
-        let mut n = 0;
-        tree.scan_range(&pager, 10, 5, |_, _| n += 1).unwrap();
-        assert_eq!(n, 0);
     }
 
     #[test]
@@ -469,11 +283,11 @@ mod tests {
         let tree = BPlusTree::bulk_build(&pager, &recs);
         assert_eq!(tree.get(&pager, 2).unwrap().unwrap(), big);
         assert_eq!(tree.get(&pager, 3).unwrap().unwrap(), small);
-        // Overflow reads charge extra pages.
+        // The leaf, then the value's four overflow pages.
         pager.clear_pool();
         pager.reset_stats();
         let _ = tree.get(&pager, 2).unwrap();
-        assert!(pager.stats().physical_reads >= 4); // leaf + 4 overflow-ish
+        assert_eq!(pager.stats().physical_reads, 1 + 4);
     }
 
     #[test]
@@ -481,10 +295,9 @@ mod tests {
         let pager = Pager::new(8);
         let tree = BPlusTree::bulk_build(&pager, &[]);
         assert!(tree.is_empty());
+        assert_eq!(pager.num_pages(), 0);
         assert!(tree.get(&pager, 42).unwrap().is_none());
-        let mut n = 0;
-        tree.scan_range(&pager, 0, u64::MAX, |_, _| n += 1).unwrap();
-        assert_eq!(n, 0);
+        assert_eq!(pager.stats().logical_reads, 0);
     }
 
     #[test]
@@ -546,16 +359,16 @@ mod tests {
             })
             .unwrap();
         assert_eq!((n, found), (5000, 5000));
-        // One descent per leaf run: far fewer pages than per-key descents.
-        assert!(pager.stats().logical_reads < keys.len() as u64);
+        // One read per leaf, and nothing else.
+        assert_eq!(pager.stats().logical_reads, tree.leaves.len() as u64);
+        assert_eq!(pager.stats().physical_reads, tree.leaves.len() as u64);
     }
 
     #[test]
     fn get_many_handles_keys_below_tree_minimum() {
         let pager = Pager::new(64);
-        // Tree keys start at 10: everything below is absent and resolves
-        // to the leftmost leaf with a bound at that leaf's own min key,
-        // which used to duplicate the leaf in the batch read.
+        // Tree keys start at 10: everything below is absent and lands in
+        // the leftmost leaf's run.
         let recs: Vec<(u64, Vec<u8>)> =
             (0..2000u64).map(|i| (10 + i * 10, format!("v{i}").into_bytes())).collect();
         let tree = BPlusTree::bulk_build(&pager, &recs);
@@ -572,9 +385,10 @@ mod tests {
                 (19_990, b"v1998".to_vec()),
             ]
         );
-        // All-absent batches below the minimum work too.
+        // All-absent batches below the minimum work too, and so does the
+        // largest key, which lands in the rightmost leaf's open run.
         let mut n = 0;
-        assert_eq!(tree.get_many(&pager, &[1, 2, 3], |_, _| n += 1).unwrap(), 0);
+        assert_eq!(tree.get_many(&pager, &[1, 2, 3, u64::MAX], |_, _| n += 1).unwrap(), 0);
         assert_eq!(n, 0);
     }
 
@@ -587,13 +401,86 @@ mod tests {
     }
 
     #[test]
-    fn lookups_charge_height_pages_when_cold() {
+    fn a_cold_get_charges_its_leaf_plus_its_overflow_pages() {
         let pager = Pager::new(4096);
-        let recs = records(20000, 1);
+        let mut recs = records(20000, 1);
+        recs[12346].1 = vec![7; PAGE_SIZE + 1];
         let tree = BPlusTree::bulk_build(&pager, &recs);
         pager.clear_pool();
         pager.reset_stats();
         let _ = tree.get(&pager, 12345).unwrap().unwrap();
-        assert_eq!(pager.stats().physical_reads as usize, tree.height());
+        assert_eq!(pager.stats().physical_reads, 1);
+        pager.clear_pool();
+        pager.reset_stats();
+        assert_eq!(tree.get(&pager, 12346).unwrap().unwrap(), vec![7; PAGE_SIZE + 1]);
+        assert_eq!(pager.stats().physical_reads, 1 + 2);
+    }
+
+    /// The leaf index costs no read, so a cold batch pays one stall for
+    /// its leaves and, if any found value spilled, one for the overflow
+    /// pages. `with_pages` charges the configured stall, not measured
+    /// time, so the count is exact.
+    #[test]
+    fn a_cold_get_many_pays_at_most_two_stalls() {
+        const STALL: Duration = Duration::from_millis(1);
+        let pager = Pager::new(4096);
+        let recs: Vec<(u64, Vec<u8>)> = (0..20_000u64)
+            .map(|k| {
+                let len = if k % 1000 == 500 { MAX_INLINE + 1 + k as usize } else { 16 };
+                (k, vec![(k & 0xff) as u8; len])
+            })
+            .collect();
+        let tree = BPlusTree::bulk_build(&pager, &recs);
+        pager.set_read_stall(STALL);
+        // (stalls, leaves read) of one cold batch.
+        let cold_batch = |keys: &[u64]| {
+            pager.clear_pool();
+            pager.reset_stats();
+            let before = pager.stall_ns();
+            let mut got = Vec::new();
+            tree.get_many(&pager, keys, |k, v| got.push((k, v))).unwrap();
+            let want: Vec<_> = keys.iter().map(|&k| recs[k as usize].clone()).collect();
+            assert_eq!(got, want);
+            let overflow: usize = want
+                .iter()
+                .filter(|(_, v)| v.len() > MAX_INLINE)
+                .map(|(_, v)| v.len().div_ceil(PAGE_SIZE))
+                .sum();
+            let leaves = pager.stats().physical_reads - overflow as u64;
+            ((pager.stall_ns() - before) / STALL.as_nanos() as u64, leaves)
+        };
+
+        let inline: Vec<u64> = (0..20_000).step_by(97).filter(|k| k % 1000 != 500).collect();
+        let (stalls, leaves) = cold_batch(&inline);
+        assert!(leaves >= 50, "the keys must span at least 50 leaves, not {leaves}");
+        assert_eq!(stalls, 1, "no overflow hit: the leaf batch alone");
+
+        let spilled: Vec<u64> = (0..20_000).step_by(50).collect();
+        assert_eq!(spilled.iter().filter(|&&k| k % 1000 == 500).count(), 20);
+        let (stalls, leaves) = cold_batch(&spilled);
+        assert!(leaves >= 50, "the keys must span at least 50 leaves, not {leaves}");
+        assert_eq!(stalls, 2, "overflow hits: one more batch for all of them");
+    }
+
+    /// A failed overflow read fails the whole lookup before any value is
+    /// handed out: the inline hits ahead of it are not visited either.
+    #[test]
+    fn a_permanent_overflow_fault_visits_nothing() {
+        let pager = Pager::new(64);
+        let recs: Vec<(u64, Vec<u8>)> =
+            vec![(1, b"inline".to_vec()), (2, vec![9; MAX_INLINE + 1]), (3, b"tail".to_vec())];
+        let tree = BPlusTree::bulk_build(&pager, &recs);
+        let (_, leaf) = tree.leaves[0];
+        let overflow = PageId(leaf.0 - 1); // allocated just before its leaf
+        pager.clear_pool();
+        pager.set_fault_injector(Some(FaultInjector::script().fail_page(
+            overflow.0,
+            FaultKind::Permanent,
+            None,
+        )));
+        let mut visited = 0;
+        let err = tree.get_many(&pager, &[1, 2, 3], |_, _| visited += 1).unwrap_err();
+        assert_eq!(err, StoreError::PermanentRead { page: overflow.0 });
+        assert_eq!(visited, 0);
     }
 }

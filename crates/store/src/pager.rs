@@ -587,13 +587,25 @@ impl Pager {
 
     /// Allocate a fresh zeroed page, tagged with the active scope's tag.
     pub fn alloc(&self) -> PageId {
-        let mut store = self.store_write();
-        let tag = store.alloc_tag;
+        self.alloc_run(1)
+    }
+
+    /// Allocate `n` fresh zeroed pages with consecutive ids under one
+    /// store lock, tagged with the active scope's tag, and return the
+    /// first: the run is `first..first + n` even while other threads
+    /// allocate.
+    pub fn alloc_run(&self, n: usize) -> PageId {
         static ZERO_PAGE_SUM: OnceLock<u64> = OnceLock::new();
-        store.sums.push(*ZERO_PAGE_SUM.get_or_init(|| page_checksum(&[0; PAGE_SIZE])));
-        store.pages.push(vec![0u8; PAGE_SIZE].into_boxed_slice());
-        store.tags.push(tag);
-        PageId(store.pages.len() as u64 - 1)
+        let zero_sum = *ZERO_PAGE_SUM.get_or_init(|| page_checksum(&[0; PAGE_SIZE]));
+        let mut store = self.store_write();
+        let first = PageId(store.pages.len() as u64);
+        let tag = store.alloc_tag;
+        for _ in 0..n {
+            store.sums.push(zero_sum);
+            store.pages.push(vec![0u8; PAGE_SIZE].into_boxed_slice());
+            store.tags.push(tag);
+        }
+        first
     }
 
     /// Number of allocated pages.
@@ -1127,6 +1139,32 @@ mod tests {
         p.write(b, 0, b"world");
         assert_eq!(&p.read_page(a).unwrap()[100..105], b"hello");
         assert_eq!(&p.read_page(b).unwrap()[..5], b"world");
+    }
+
+    /// Runs allocated from racing threads never interleave: every run is
+    /// its own block of consecutive ids, tagged with its scope's tag.
+    #[test]
+    fn alloc_run_is_consecutive_under_racing_allocations() {
+        let p = Pager::new(8);
+        let _scope = p.tag_scope(StructureTag::Dmtm);
+        let runs: Vec<(PageId, usize)> = std::thread::scope(|s| {
+            let workers: Vec<_> = (1..=4usize)
+                .map(|n| {
+                    let p = &p;
+                    s.spawn(move || (0..50).map(|_| (p.alloc_run(n), n)).collect::<Vec<_>>())
+                })
+                .collect();
+            workers.into_iter().flat_map(|w| w.join().unwrap()).collect()
+        });
+        let mut owner = vec![None; p.num_pages()];
+        for (i, &(first, n)) in runs.iter().enumerate() {
+            for id in first.0..first.0 + n as u64 {
+                assert_eq!(owner[id as usize].replace(i), None, "page {id} handed out twice");
+                assert_eq!(p.tag_of(PageId(id)), StructureTag::Dmtm);
+            }
+        }
+        assert!(owner.iter().all(Option::is_some));
+        assert_eq!(p.num_pages(), 50 * (1 + 2 + 3 + 4));
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //!    configured capacity, for any shard count and any interleaving of
 //!    single-page and batched reads (eviction happens *before* insert).
 //! 3. **Batched reads**: `BPlusTree::get_many` returns exactly what a loop
-//!    of `get` calls returns — including values spanning overflow chains —
-//!    while never charging more physical reads.
+//!    of `get` calls returns — including values spanning several overflow
+//!    pages — while never charging more physical reads.
 
 use proptest::prelude::*;
 use sknn_store::{BPlusTree, Pager, PAGE_SIZE};
@@ -86,13 +86,13 @@ fn batched_cold_read_pays_a_single_stall() {
     assert!(elapsed < STALL * 2, "batch paid per-page stalls: {elapsed:?} for {} pages", ids.len());
 }
 
-/// `get_many` on values long enough to force overflow chains agrees with a
-/// loop of `get` calls and never reads more pages.
+/// `get_many` on values long enough to spill over several overflow pages
+/// agrees with a loop of `get` calls and never reads more pages.
 #[test]
 fn get_many_matches_get_loop_on_overflow_values() {
     let pager = Pager::new(256);
-    // Values > MAX_INLINE spill to overflow chains; make them span two
-    // full overflow pages each so chain-following is actually exercised.
+    // Values > MAX_INLINE spill to overflow pages; make them span two
+    // full pages and a partial third so the run assembly is exercised.
     let records: Vec<(u64, Vec<u8>)> =
         (0..40u64).map(|k| (k * 3, vec![(k & 0xff) as u8; PAGE_SIZE * 2 + 123])).collect();
     let tree = BPlusTree::bulk_build(&pager, &records);
@@ -115,13 +115,13 @@ fn get_many_matches_get_loop_on_overflow_values() {
     assert_eq!(found, looped.iter().filter(|v| v.is_some()).count());
     assert!(
         batch_io.physical_reads <= loop_io.physical_reads,
-        "batched descent re-read pages: {} > {}",
+        "batched lookups re-read pages: {} > {}",
         batch_io.physical_reads,
         loop_io.physical_reads
     );
     assert!(
         batch_io.logical_reads < loop_io.logical_reads,
-        "batched descent should skip repeated inner-node reads"
+        "batched lookups should read each shared leaf once"
     );
 }
 
