@@ -4,7 +4,8 @@
 //! pathnet, corridor-restricted front — the last both over its own graph
 //! and masked over the whole front's), pathnet construction over a group
 //! region and one group's run to its members, a cold cut-cache unit load
-//! over one tile and over the whole terrain, the SDN lower bound in the
+//! over one tile and over the whole terrain, a cold fused line-cache load
+//! of one group's X and Y bands, the SDN lower bound in the
 //! three shapes its callers give it, the MSDN's layout on pages, the page
 //! checksum every physical read verifies, the batched point–MBR distance
 //! kernel behind R-tree descent, the R-tree bulk load behind every
@@ -29,10 +30,10 @@ use sknn_core::objects::ObjectStore;
 use sknn_core::workload::SceneBuilder;
 use sknn_geodesic::graph::{Dijkstra, DijkstraScratch, Graph, QueuePolicy};
 use sknn_geodesic::{MeshPoint, Pathnet};
-use sknn_geom::{Ellipse2, Point2, Rect2};
+use sknn_geom::{Axis, Ellipse2, Point2, Rect2};
 use sknn_multires::{build_dmtm, CutCache, CutGrid, FrontGraph, PagedDmtm, TileSpan};
 use sknn_sdn::network::{lower_bound, lower_bound_with, LbScratch};
-use sknn_sdn::{Msdn, MsdnConfig, PagedMsdn};
+use sknn_sdn::{LineBand, LineCutCache, Msdn, MsdnConfig, PagedMsdn};
 use sknn_spatial::kernel::{min_dists_point, min_dists_point_sq, MAX_BATCH};
 use sknn_spatial::RTree;
 use sknn_store::{page_checksum, Pager, PAGE_SIZE};
@@ -284,6 +285,30 @@ fn main() {
             cut_cache.touch(&dmtm, &unit_pager, step, span).expect("unfaulted")
         });
     }
+
+    // --- Line-cache band loads -----------------------------------------------
+    // One cold load of a lower-bound round at the top MSDN level on the
+    // same terrain and lattice: a central group's X and Y bands (members
+    // on both sweep axes, 60 units around the centre), region and bands
+    // snapped as ranking snaps them, both loaded in one fused call. The
+    // cache's lines and the page pool are emptied before every load.
+    let msdn_cfg = MsdnConfig { levels: cfg.msdn_levels.clone(), plane_spacing: cfg.plane_spacing };
+    let line_pager = Pager::new(cfg.pool_pages);
+    let paged_msdn = PagedMsdn::build(&line_pager, &Msdn::build(&terrain, &msdn_cfg));
+    let line_cache = LineCutCache::new((cfg.cut_cache.capacity_bytes / 4).max(1));
+    let group_roi = grid.snap(&region);
+    let (xlo, xhi) = grid.snap_band(0, tc.x - 60.0, tc.x + 60.0);
+    let (ylo, yhi) = grid.snap_band(1, tc.y - 60.0, tc.y + 60.0);
+    let bands = [
+        LineBand { axis: Axis::X, lo: xlo, hi: xhi, roi: Some(&group_roi) },
+        LineBand { axis: Axis::Y, lo: ylo, hi: yhi, roi: Some(&group_roi) },
+    ];
+    let top_level = paged_msdn.num_levels() - 1;
+    h.bench("linecache/load_bands/xy", || {
+        line_cache.clear();
+        line_pager.clear_pool();
+        line_cache.get_or_fetch(&paged_msdn, &line_pager, top_level, &bands).expect("unfaulted")
+    });
 
     // --- SDN lower bound ---------------------------------------------------
     // One pair a third of the terrain apart at the full-resolution level

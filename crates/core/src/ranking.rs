@@ -26,7 +26,7 @@ use sknn_geom::{Aabb3, Ellipse2, Rect2};
 use sknn_multires::{CutCache, CutGrid, FetchScratch, FrontGraph, PagedDmtm};
 use sknn_obs::{field, Recorder};
 use sknn_sdn::network::{lower_bound_with, LbScratch};
-use sknn_sdn::{LineCutCache, Msdn, PagedMsdn, SimplifiedLine};
+use sknn_sdn::{LineBand, LineCutCache, Msdn, PagedMsdn, SimplifiedLine};
 use sknn_store::Pager;
 use sknn_terrain::locate::TriangleLocator;
 use sknn_terrain::mesh::TerrainMesh;
@@ -583,71 +583,82 @@ impl<'a, 'm> RankingContext<'a, 'm> {
         }
 
         if with_lb {
-            let lvl = self.cfg.schedule.msdn_level(iter);
-            // Integrated I/O for SDN data too: one axis-range fetch per
-            // group covers every member; per-candidate line subsets are
-            // sliced in memory.
-            for group in &groups {
-                if self.faults.exceeded() {
-                    return;
-                }
-                let members: Vec<usize> = group.members.iter().map(|&gi| active[gi]).collect();
-                let mut axis_lines: [LineSet; 2] = [Vec::new(), Vec::new()];
-                // A failed axis fetch degrades: its members skip this
-                // round's lower-bound tightening and keep their current
-                // (valid) lower bounds.
-                let mut axis_ok = [true, true];
-                // Canonical fetch region (see `ub_phase_front`);
-                // per-candidate slicing in `lb_phase` keeps the widened
-                // band/region transparent to the lower-bound math.
-                let roi_c = self.grid.snap(&group.region);
-                for (slot, axis) in [(0, Axis::X), (1, Axis::Y)] {
-                    let mut lo = f64::INFINITY;
-                    let mut hi = f64::NEG_INFINITY;
-                    for &ci in &members {
-                        if Msdn::axis_for(q.pos, cands[ci].point.pos) == axis {
-                            let (ca, cb) = (axis.coord(q.pos), axis.coord(cands[ci].point.pos));
-                            lo = lo.min(ca.min(cb));
-                            hi = hi.max(ca.max(cb));
-                        }
-                    }
-                    if lo < hi {
-                        let (blo, bhi) = self.grid.snap_band(slot, lo, hi);
-                        let start = Instant::now();
-                        let fetched = self.lines.get_or_fetch(
-                            self.msdn,
-                            self.pager,
-                            lvl,
-                            axis,
-                            blo,
-                            bhi,
-                            Some(&roi_c),
-                        );
-                        match fetched {
-                            Ok((lines, hit)) => {
-                                count_cut_fetch(stats, hit);
-                                axis_lines[slot] = lines;
-                            }
-                            Err(e) => {
-                                self.absorb_fault("lb", e);
-                                axis_ok[slot] = false;
-                            }
-                        }
-                        stats.stages.rank_fetch_us += us_since(start);
+            self.lb_round(q, cands, &active, &groups, iter, stats);
+        }
+    }
+
+    /// The lower-bound phase of one iteration. Integrated I/O for SDN data
+    /// too: one axis band per group and axis covers every member, and
+    /// per-candidate line subsets are sliced in memory. Every group's X and
+    /// Y bands are planned first and loaded in **one** line-cache call, so
+    /// the round's misses pay one read batch; then each group bounds its
+    /// members as before.
+    fn lb_round(
+        &self,
+        q: &SurfacePoint,
+        cands: &mut [Candidate],
+        active: &[usize],
+        groups: &[IoGroup],
+        iter: usize,
+        stats: &mut QueryStats,
+    ) {
+        if self.faults.exceeded() {
+            return;
+        }
+        // Canonical fetch regions (see `ub_phase_front`); per-candidate
+        // slicing in `lb_phase` keeps the widened band/region transparent
+        // to the lower-bound math.
+        let rois: Vec<Rect2> = groups.iter().map(|g| self.grid.snap(&g.region)).collect();
+        let members: Vec<Vec<usize>> =
+            groups.iter().map(|g| g.members.iter().map(|&gi| active[gi]).collect()).collect();
+        // Per group and axis slot, the index of its band in `bands`.
+        let mut band_of: Vec<[Option<usize>; 2]> = Vec::with_capacity(groups.len());
+        let mut bands: Vec<LineBand<'_>> = Vec::new();
+        for (group, roi) in members.iter().zip(&rois) {
+            let mut slots = [None, None];
+            for (slot, axis) in [(0, Axis::X), (1, Axis::Y)] {
+                let mut lo = f64::INFINITY;
+                let mut hi = f64::NEG_INFINITY;
+                for &ci in group {
+                    if Msdn::axis_for(q.pos, cands[ci].point.pos) == axis {
+                        let (ca, cb) = (axis.coord(q.pos), axis.coord(cands[ci].point.pos));
+                        lo = lo.min(ca.min(cb));
+                        hi = hi.max(ca.max(cb));
                     }
                 }
-                let start = Instant::now();
-                for &ci in &members {
-                    let axis = Msdn::axis_for(q.pos, cands[ci].point.pos);
-                    let slot = if axis == Axis::X { 0 } else { 1 };
-                    if !axis_ok[slot] {
-                        continue;
-                    }
-                    self.lb_phase(q, cands, ci, &axis_lines, stats);
+                if lo < hi {
+                    let (lo, hi) = self.grid.snap_band(slot, lo, hi);
+                    slots[slot] = Some(bands.len());
+                    bands.push(LineBand { axis, lo, hi, roi: Some(roi) });
                 }
-                stats.stages.rank_lb_us += us_since(start);
+            }
+            band_of.push(slots);
+        }
+        let lvl = self.cfg.schedule.msdn_level(iter);
+        let start = Instant::now();
+        let fetched = self.lines.get_or_fetch(self.msdn, self.pager, lvl, &bands);
+        stats.stages.rank_fetch_us += us_since(start);
+        let mut loaded = match fetched {
+            Ok(loaded) => loaded,
+            Err(e) => {
+                // A failed load degrades the whole round: every group keeps
+                // its current (valid) lower bounds.
+                self.absorb_fault("lb", e);
+                return;
+            }
+        };
+        for &(_, hit) in &loaded {
+            count_cut_fetch(stats, hit);
+        }
+        let start = Instant::now();
+        for (group, slots) in members.iter().zip(&band_of) {
+            let axis_lines: [LineSet; 2] =
+                slots.map(|b| b.map_or_else(Vec::new, |b| std::mem::take(&mut loaded[b].0)));
+            for &ci in group {
+                self.lb_phase(q, cands, ci, &axis_lines, stats);
             }
         }
+        stats.stages.rank_lb_us += us_since(start);
     }
 
     /// Upper bounds from a DMTM front at `frac` resolution, one fetch per

@@ -167,11 +167,6 @@ impl<'m> ExactGeodesic<'m> {
         self.run(src, Some(dst), true).1
     }
 
-    /// Exact surface distances from `src` to every mesh vertex.
-    pub fn distances_to_vertices(&self, src: MeshPoint) -> Vec<f64> {
-        self.run(src, None, true).0
-    }
-
     /// Exact pair distance computed *without any pruning*: windows
     /// propagate until the queue drains, mirroring the behaviour of the
     /// Chen–Han algorithm, which always builds the complete sequence tree
@@ -796,7 +791,7 @@ mod tests {
     fn all_vertex_distances_match_dense_pathnet() {
         let mesh = TerrainConfig::ep().with_grid(9).build_mesh(8);
         let geo = ExactGeodesic::new(&mesh);
-        let dist = geo.distances_to_vertices(MeshPoint::Vertex(0));
+        let (dist, _) = geo.run(MeshPoint::Vertex(0), None, true);
         let pn = Pathnet::build(&mesh, 6, None);
         let pd = crate::graph::Dijkstra::run(pn.graph(), 0);
         for (v, (&exact, &approx)) in dist.iter().zip(&pd.dist).enumerate() {

@@ -100,17 +100,6 @@ impl Graph {
         g
     }
 
-    /// [`from_undirected`](Self::from_undirected) with poisoned input
-    /// surfaced as a typed [`GraphError`] instead of a panic.
-    pub fn try_from_undirected(
-        num_nodes: usize,
-        edges: &[(u32, u32, f64)],
-    ) -> Result<Self, GraphError> {
-        let mut g = Self::default();
-        g.try_rebuild_undirected(num_nodes, edges)?;
-        Ok(g)
-    }
-
     /// Rebuild in place from an undirected edge list, reusing the CSR
     /// allocations of the previous build (ranking builds one graph per
     /// fetched front; this keeps it free of fresh allocations once the
@@ -191,12 +180,6 @@ impl Graph {
     /// Neighbors.
     pub fn neighbors(&self, n: u32) -> &[(u32, f64)] {
         &self.edges[self.offsets[n as usize] as usize..self.offsets[n as usize + 1] as usize]
-    }
-
-    /// Smallest strictly-positive edge weight, `f64::INFINITY` when the
-    /// graph has no positive-weight edge. The Dial bucket width.
-    pub fn min_positive_weight(&self) -> f64 {
-        self.min_pos_weight
     }
 }
 
@@ -965,25 +948,26 @@ mod tests {
         // A NaN weight must never reach a priority queue (where any
         // comparison involving it silently mis-orders the heap): graph
         // construction surfaces it as a typed error instead.
-        let err = Graph::try_from_undirected(3, &[(0, 1, 1.0), (1, 2, f64::NAN)])
-            .expect_err("NaN weight accepted");
+        let try_build =
+            |n: usize, edges: &[(u32, u32, f64)]| Graph::default().try_rebuild_undirected(n, edges);
+        let err = try_build(3, &[(0, 1, 1.0), (1, 2, f64::NAN)]).expect_err("NaN weight accepted");
         assert_eq!(err, GraphError::PoisonedWeight { index: 1, endpoints: (1, 2) });
         assert!(err.to_string().contains("poisoned"));
         // Negative weights get their own variant (and the panicking
         // constructor keeps its historical message).
-        let err = Graph::try_from_undirected(2, &[(0, 1, -2.0)]).unwrap_err();
+        let err = try_build(2, &[(0, 1, -2.0)]).unwrap_err();
         assert!(matches!(err, GraphError::NegativeWeight { .. }));
         // Out-of-range endpoints too.
-        let err = Graph::try_from_undirected(2, &[(0, 7, 1.0)]).unwrap_err();
+        let err = try_build(2, &[(0, 7, 1.0)]).unwrap_err();
         assert!(matches!(err, GraphError::NodeOutOfRange { node: 7, .. }));
     }
 
     #[test]
     fn min_positive_weight_ignores_zeros() {
         let g = Graph::from_undirected(3, &[(0, 1, 0.0), (1, 2, 0.25)]);
-        assert_eq!(g.min_positive_weight(), 0.25);
+        assert_eq!(g.min_pos_weight, 0.25);
         let zeros = Graph::from_undirected(2, &[(0, 1, 0.0)]);
-        assert!(zeros.min_positive_weight().is_infinite());
+        assert!(zeros.min_pos_weight.is_infinite());
     }
 
     #[test]
@@ -1103,7 +1087,7 @@ mod tests {
         g.rebuild_undirected(5, &edges);
         let fresh = Graph::from_undirected(5, &edges);
         assert_eq!(g.num_nodes(), fresh.num_nodes());
-        assert_eq!(g.min_positive_weight(), fresh.min_positive_weight());
+        assert_eq!(g.min_pos_weight, fresh.min_pos_weight);
         for v in 0..5u32 {
             assert_eq!(g.neighbors(v), fresh.neighbors(v));
         }
@@ -1111,7 +1095,7 @@ mod tests {
         g.rebuild_undirected(1, &[]);
         assert_eq!(g.num_nodes(), 1);
         assert!(g.neighbors(0).is_empty());
-        assert!(g.min_positive_weight().is_infinite());
+        assert!(g.min_pos_weight.is_infinite());
     }
 
     mod properties {

@@ -5,10 +5,12 @@
 //! files and filtered per region — and concurrent queries over the same
 //! hot band redo that work. This mirrors the DMTM `CutCache`
 //! (`sknn-multires`): the residency unit is one crossing line, keyed
-//! `(level, axis, line)`, held as an `Arc<SimplifiedLine>`. A band fetch
-//! selects its lines from the resident directory and hands out `Arc`s, so
-//! overlapping bands and regions share every line they have in common;
-//! single-flight loading and CLOCK eviction come from `sknn-store`.
+//! `(level, axis, line)`, held as an `Arc<SimplifiedLine>`. A fetch takes
+//! every band a lower-bound round needs at one level — each group's X and
+//! Y bands — selects their lines from the resident directory, loads the
+//! missing ones in one batched read and hands out `Arc`s, so overlapping
+//! bands and regions share every line they have in common; single-flight
+//! loading and CLOCK eviction come from `sknn-store`.
 //!
 //! Bands and regions must be canonicalized (padded + tile-snapped) by the
 //! caller — see the bit-identity discussion in `sknn-multires::cache`.
@@ -20,6 +22,7 @@ use crate::paged::PagedMsdn;
 use crate::simplify::SimplifiedLine;
 use sknn_geom::{Axis, Rect2};
 use sknn_store::{CacheGauges, CacheStats, Pager, SingleFlightCache, StoreResult};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Identity of a residency unit: resolution level, sweep axis, and the
@@ -36,6 +39,21 @@ fn line_weight(line: &SimplifiedLine) -> usize {
     64 + line.segments.len() * 96
 }
 
+/// One band of a [`LineCutCache::get_or_fetch`]: the lines of `axis`
+/// with plane coordinate in the open (canonical) band `(lo, hi)` whose
+/// extent meets the (canonical) `roi`.
+#[derive(Debug, Clone, Copy)]
+pub struct LineBand<'r> {
+    /// Sweep axis of the band's planes.
+    pub axis: Axis,
+    /// Open lower end of the plane-coordinate band.
+    pub lo: f64,
+    /// Open upper end of the plane-coordinate band.
+    pub hi: f64,
+    /// Region the lines must meet; `None` takes every line of the band.
+    pub roi: Option<&'r Rect2>,
+}
+
 /// The shared MSDN line cache; pass canonical bands/regions only.
 pub struct LineCutCache {
     inner: SingleFlightCache<LineKey, SimplifiedLine>,
@@ -47,30 +65,52 @@ impl LineCutCache {
         Self { inner: SingleFlightCache::new(capacity_bytes) }
     }
 
-    /// The simplified lines of `axis` with plane coordinate in the open
-    /// (canonical) band `(lo, hi)` intersecting (canonical) `roi` — the
-    /// lines and order of `msdn.fetch_lines_axis`. Lines nobody holds yet
-    /// are read through `msdn`/`pager` in one batched heap read. The flag
-    /// is `true` when no line had to be loaded.
-    #[allow(clippy::too_many_arguments)]
+    /// The simplified lines of every band at one level — for each band,
+    /// the lines and order of `msdn.fetch_lines_axis` over it — plus a hit
+    /// flag per band. The bands' directory lines are deduplicated and
+    /// resolved in one [`SingleFlightCache::get_many`]; the lines nobody
+    /// holds yet are read in **one** [`PagedMsdn::fetch_lines`] batch, both
+    /// axes together. A band is a hit iff this call loaded none of the
+    /// lines it was the first band to ask for: the count a band-by-band
+    /// load in the same order would report. On `Err` nothing of the load
+    /// is published and no band's lines are returned.
     pub fn get_or_fetch(
         &self,
         msdn: &PagedMsdn,
         pager: &Pager,
         level_idx: usize,
-        axis: Axis,
-        lo: f64,
-        hi: f64,
-        roi: Option<&Rect2>,
-    ) -> StoreResult<(Vec<Arc<SimplifiedLine>>, bool)> {
-        let keys: Vec<LineKey> = msdn
-            .select_lines(level_idx, axis, lo, hi, roi)
-            .into_iter()
-            .map(|line| LineKey { level: level_idx as u32, axis, line })
+        bands: &[LineBand<'_>],
+    ) -> StoreResult<Vec<(Vec<Arc<SimplifiedLine>>, bool)>> {
+        // The union of the bands' lines, each credited to the first band
+        // that asks for it; per band, its lines' positions in the union.
+        let mut index: HashMap<LineKey, usize> = HashMap::new();
+        let (mut keys, mut first_band) = (Vec::new(), Vec::new());
+        let picks: Vec<Vec<usize>> = bands
+            .iter()
+            .enumerate()
+            .map(|(band, b)| {
+                let lines = msdn.select_lines(level_idx, b.axis, b.lo, b.hi, b.roi);
+                lines
+                    .into_iter()
+                    .map(|line| {
+                        let key = LineKey { level: level_idx as u32, axis: b.axis, line };
+                        *index.entry(key).or_insert_with(|| {
+                            keys.push(key);
+                            first_band.push(band);
+                            keys.len() - 1
+                        })
+                    })
+                    .collect()
+            })
             .collect();
+        let mut loaded = vec![false; bands.len()];
         let out = self.inner.get_many(&keys, |claimed| {
-            let wanted: Vec<u32> = claimed.iter().map(|&i| keys[i].line).collect();
-            let lines = msdn.fetch_lines(pager, level_idx, axis, &wanted)?;
+            for &i in claimed {
+                loaded[first_band[i]] = true;
+            }
+            let wanted: Vec<(Axis, u32)> =
+                claimed.iter().map(|&i| (keys[i].axis, keys[i].line)).collect();
+            let lines = msdn.fetch_lines(pager, level_idx, &wanted)?;
             Ok(lines
                 .into_iter()
                 .map(|l| {
@@ -79,7 +119,11 @@ impl LineCutCache {
                 })
                 .collect())
         })?;
-        Ok((out.values, out.hit))
+        Ok(picks
+            .iter()
+            .zip(loaded)
+            .map(|(pick, loaded)| (pick.iter().map(|&i| out.values[i].clone()).collect(), !loaded))
+            .collect())
     }
 
     /// Counter snapshot (per line, not per fetch).

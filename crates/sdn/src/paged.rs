@@ -123,7 +123,7 @@ impl PagedMsdn {
         if ca > cb {
             wanted.reverse();
         }
-        self.fetch_lines(pager, level_idx, axis, &wanted)
+        self.fetch_lines(pager, level_idx, &on_axis(axis, wanted))
     }
 
     /// Fetch all lines of one axis with plane value in `(lo, hi)`,
@@ -141,7 +141,7 @@ impl PagedMsdn {
         roi: Option<&Rect2>,
     ) -> StoreResult<Vec<SimplifiedLine>> {
         let wanted = self.select_lines(level_idx, axis, lo, hi, roi);
-        self.fetch_lines(pager, level_idx, axis, &wanted)
+        self.fetch_lines(pager, level_idx, &on_axis(axis, wanted))
     }
 
     /// The directory half of [`fetch_lines_axis`](Self::fetch_lines_axis):
@@ -170,50 +170,67 @@ impl PagedMsdn {
         wanted
     }
 
-    /// The storage half: read the segments of the given directory lines in
-    /// one batched heap read, charging one page read per distinct page.
-    /// Pages are visited in ascending order and their records in slot
-    /// order, which is line order, so each record goes straight to the end
-    /// of its wanted line's segment list: a merge walk over the wanted
-    /// lines in level order, with no hashing.
+    /// The storage half, and its one entry point: read the segments of the
+    /// given `(axis, directory line)`s of one level — both axes mixed — in
+    /// **one** batched heap read, charging one page read per distinct page,
+    /// and return the lines in `wanted`'s order. Both axis files' page runs
+    /// merge into one sorted page set, so however many bands and axes a
+    /// lower-bound round asks for, its misses pay a single stall. Pages are
+    /// visited in ascending order and, within a file, their records in
+    /// slot order, which is line order, so each record goes straight to
+    /// the end of its wanted line's segment list: a merge walk per axis
+    /// over the wanted lines in level order, with no hashing.
     pub fn fetch_lines(
         &self,
         pager: &Pager,
         level_idx: usize,
-        axis: Axis,
-        wanted: &[u32],
+        wanted: &[(Axis, u32)],
     ) -> StoreResult<Vec<SimplifiedLine>> {
-        let level = self.level(axis, level_idx);
-        let line = |k: usize| &level.lines[wanted[k] as usize];
-        let mut by_record: Vec<usize> = (0..wanted.len()).collect();
-        by_record.sort_by_key(|&k| wanted[k]);
-        // Each line's records fill a run of the file's pages, and in level
+        let levels = [self.level(Axis::X, level_idx), self.level(Axis::Y, level_idx)];
+        let side = |axis: Axis| usize::from(axis == Axis::Y);
+        let line = |k: usize| &levels[side(wanted[k].0)].lines[wanted[k].1 as usize];
+        // Per axis, the positions of `wanted` in level order.
+        let mut by_record: [Vec<usize>; 2] = [Vec::new(), Vec::new()];
+        for (k, &(axis, _)) in wanted.iter().enumerate() {
+            by_record[side(axis)].push(k);
+        }
+        // Each line's records fill a run of its file's pages, and in level
         // order the runs ascend: each adds the pages past the last one.
-        let mut runs: Vec<usize> = Vec::new();
-        for &k in &by_record {
-            let rids = &line(k).rids;
-            if !rids.is_empty() {
-                let from = runs.last().map_or(0, |&j| j + 1).max(level.page_of(rids.start));
-                runs.extend(from..=level.page_of(rids.end - 1));
+        // The batch holds `(page, axis side, page's position in its file)`.
+        let mut batch: Vec<(PageId, usize, usize)> = Vec::new();
+        for (s, level) in levels.iter().enumerate() {
+            by_record[s].sort_by_key(|&k| wanted[k].1);
+            let mut last: Option<usize> = None;
+            for &k in &by_record[s] {
+                let rids = &line(k).rids;
+                if !rids.is_empty() {
+                    let from = last.map_or(0, |j| j + 1).max(level.page_of(rids.start));
+                    let to = level.page_of(rids.end - 1);
+                    batch.extend((from..=to).map(|j| (level.file.pages()[j], s, j)));
+                    last = last.max(Some(to));
+                }
             }
         }
-        let pages: Vec<PageId> = runs.iter().map(|&j| level.file.pages()[j]).collect();
+        batch.sort_unstable_by_key(|&(page, ..)| page);
+        let pages: Vec<PageId> = batch.iter().map(|&(page, ..)| page).collect();
         let mut out: Vec<SimplifiedLine> = (0..wanted.len())
             .map(|k| SimplifiedLine {
                 plane: line(k).plane,
                 segments: Vec::with_capacity(line(k).rids.len()),
             })
             .collect();
-        let (mut run, mut next) = (0usize, 0usize);
-        level.file.visit_pages(pager, &pages, |rid, bytes| {
-            while pages[run] != rid.page {
-                run += 1;
+        let (mut at, mut next) = (0usize, [0usize; 2]);
+        HeapFile::visit_pages(pager, &pages, |rid, bytes| {
+            while pages[at] != rid.page {
+                at += 1;
             }
-            let i = level.page_first[runs[run]] + rid.slot as usize;
-            while next < by_record.len() && line(by_record[next]).rids.end <= i {
-                next += 1;
+            let (_, s, j) = batch[at];
+            let (order, next) = (&by_record[s], &mut next[s]);
+            let i = levels[s].page_first[j] + rid.slot as usize;
+            while *next < order.len() && line(order[*next]).rids.end <= i {
+                *next += 1;
             }
-            let holders = by_record[next..].iter().take_while(|&&k| line(k).rids.start <= i);
+            let holders = order[*next..].iter().take_while(|&&k| line(k).rids.start <= i);
             let mut seg = None;
             for &k in holders {
                 out[k].segments.push(*seg.get_or_insert_with(|| decode_segment(bytes)));
@@ -235,6 +252,11 @@ impl PagedMsdn {
         let refs: Vec<&SimplifiedLine> = owned.iter().collect();
         Ok(lower_bound(&refs, a, b, roi, None))
     }
+}
+
+/// Directory lines of one axis as [`PagedMsdn::fetch_lines`] keys.
+fn on_axis(axis: Axis, lines: Vec<u32>) -> Vec<(Axis, u32)> {
+    lines.into_iter().map(|line| (axis, line)).collect()
 }
 
 /// Bytes of one encoded segment record: twelve little-endian `f64`s.
@@ -272,10 +294,12 @@ fn decode_segment(bytes: &[u8]) -> SimplifiedSegment {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::{LineBand, LineCutCache};
     use crate::msdn::MsdnConfig;
     use sknn_geom::Point2;
     use sknn_terrain::dem::TerrainConfig;
     use sknn_terrain::locate::TriangleLocator;
+    use std::time::Duration;
 
     fn setup() -> (Pager, Msdn, PagedMsdn, sknn_terrain::mesh::TerrainMesh) {
         let mesh = TerrainConfig::bh().with_grid(33).build_mesh(31);
@@ -364,17 +388,14 @@ mod tests {
         assert!(coarse < fine, "coarse {coarse} vs fine {fine}");
     }
 
-    /// A batch of lines in any order, duplicates included, holds each
-    /// line's in-memory segments and reads each distinct page of their
-    /// records once — the pages a record-by-record address lookup names.
-    #[test]
-    fn batched_lines_equal_in_memory_lines_and_read_each_page_once() {
-        let (pager, msdn, paged, _) = setup();
-        let level = 4;
+    /// The heap pages holding the records of `msdn`'s `wanted` lines, the
+    /// oracle for page charges: each axis level is laid out again on a
+    /// scratch pager and its records addressed one by one. Pages of the two
+    /// axes are told apart by axis, as they live in different files.
+    fn record_pages(msdn: &Msdn, level: usize, wanted: &[(Axis, u32)]) -> Vec<(Axis, PageId)> {
+        let mut pages: Vec<(Axis, PageId)> = Vec::new();
         for axis in [Axis::X, Axis::Y] {
             let lines = msdn.level_lines(axis, level);
-            let n = lines.len() as u32;
-            let wanted = [n - 1, 0, n / 2, 0, n / 3, n / 2 + 1, n / 2];
             let (_, rids) = HeapFile::build(
                 &Pager::new(4),
                 lines.iter().flat_map(|l| l.segments.iter().map(encode_segment)),
@@ -384,22 +405,104 @@ mod tests {
                 *end += l.segments.len();
                 Some(*end)
             }));
-            let mut pages: Vec<_> = wanted
-                .iter()
-                .flat_map(|&w| &rids[start[w as usize]..start[w as usize + 1]])
-                .map(|rid| rid.page)
-                .collect();
-            pages.sort_unstable();
-            pages.dedup();
+            pages.extend(
+                wanted
+                    .iter()
+                    .filter(|&&(a, _)| a == axis)
+                    .flat_map(|&(_, w)| &rids[start[w as usize]..start[w as usize + 1]])
+                    .map(|rid| (axis, rid.page)),
+            );
+        }
+        pages.sort_unstable_by_key(|&(axis, page)| (axis == Axis::Y, page));
+        pages.dedup();
+        pages
+    }
+
+    /// A batch of lines of both axes in any order, duplicates included,
+    /// holds each line's in-memory segments and reads each distinct page of
+    /// their records once — the pages a record-by-record address lookup
+    /// names.
+    #[test]
+    fn batched_lines_equal_in_memory_lines_and_read_each_page_once() {
+        let (pager, msdn, paged, _) = setup();
+        let level = 4;
+        let (nx, ny) = (
+            msdn.level_lines(Axis::X, level).len() as u32,
+            msdn.level_lines(Axis::Y, level).len() as u32,
+        );
+        let wanted = [
+            (Axis::X, nx - 1),
+            (Axis::Y, ny / 2),
+            (Axis::X, 0),
+            (Axis::X, nx / 2),
+            (Axis::Y, 0),
+            (Axis::X, 0),
+            (Axis::Y, ny - 1),
+            (Axis::X, nx / 3),
+            (Axis::Y, ny / 2),
+            (Axis::X, nx / 2 + 1),
+            (Axis::X, nx / 2),
+        ];
+        for batch in [&wanted[..], &wanted[..1], &wanted[1..2]] {
             pager.clear_pool();
             pager.reset_stats();
-            let got = paged.fetch_lines(&pager, level, axis, &wanted).unwrap();
-            assert_eq!(pager.stats().logical_reads, pages.len() as u64);
-            for (&w, line) in wanted.iter().zip(&got) {
-                assert_eq!(line.plane, lines[w as usize].plane);
-                assert_eq!(line.segments, lines[w as usize].segments);
+            let got = paged.fetch_lines(&pager, level, batch).unwrap();
+            assert_eq!(pager.stats().logical_reads, record_pages(&msdn, level, batch).len() as u64);
+            assert_eq!(got.len(), batch.len());
+            for (&(axis, w), line) in batch.iter().zip(&got) {
+                let expect = &msdn.level_lines(axis, level)[w as usize];
+                assert_eq!(line.plane, expect.plane);
+                assert_eq!(line.segments, expect.segments);
             }
         }
+    }
+
+    /// A lower-bound round's load — two bands per axis over both axes at
+    /// one level, through the line cache — pays exactly one stall on a
+    /// cold pool, and its physical reads are the distinct pages of the
+    /// lines' records.
+    #[test]
+    fn a_cold_lower_bound_round_pays_one_stall() {
+        const STALL: Duration = Duration::from_millis(1);
+        let (pager, msdn, paged, mesh) = setup();
+        let level = 3;
+        let e = mesh.extent();
+        let roi = Rect2::new(e.lo, Point2::new(e.lo.x + 0.7 * e.width(), e.hi.y));
+        let band = |axis: Axis, from: f64, to: f64| {
+            let (origin, width) =
+                if axis == Axis::X { (e.lo.x, e.width()) } else { (e.lo.y, e.height()) };
+            LineBand { axis, lo: origin + from * width, hi: origin + to * width, roi: Some(&roi) }
+        };
+        let bands = [
+            band(Axis::X, 0.1, 0.4),
+            band(Axis::X, 0.3, 0.8),
+            band(Axis::Y, 0.0, 0.35),
+            band(Axis::Y, 0.6, 0.9),
+        ];
+        let cache = LineCutCache::new(16 << 20);
+        pager.clear_pool();
+        pager.reset_stats();
+        pager.set_read_stall(STALL);
+        let before = pager.stall_ns();
+        let got = cache.get_or_fetch(&paged, &pager, level, &bands).unwrap();
+        let stalled = pager.stall_ns() - before;
+        pager.set_read_stall(Duration::ZERO);
+        assert_eq!(stalled, STALL.as_nanos() as u64, "one stall for the whole round");
+
+        let mut wanted: Vec<(Axis, u32)> = Vec::new();
+        for (b, (lines, hit)) in bands.iter().zip(&got) {
+            let oracle = paged.fetch_lines_axis(&pager, level, b.axis, b.lo, b.hi, b.roi).unwrap();
+            assert!(!lines.is_empty() && !hit, "every band is non-empty and cold");
+            assert_eq!(lines.len(), oracle.len());
+            for (l, o) in lines.iter().zip(&oracle) {
+                assert_eq!((l.plane, &l.segments), (o.plane, &o.segments));
+            }
+            let selected = paged.select_lines(level, b.axis, b.lo, b.hi, b.roi);
+            wanted.extend(selected.into_iter().map(|line| (b.axis, line)));
+        }
+        let pages = record_pages(&msdn, level, &wanted);
+        assert!(pages.iter().any(|p| p.0 == Axis::X) && pages.iter().any(|p| p.0 == Axis::Y));
+        assert_eq!(pager.stats().physical_reads, pages.len() as u64);
     }
 
     #[test]

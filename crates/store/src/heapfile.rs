@@ -141,13 +141,13 @@ impl HeapFile {
         })
     }
 
-    /// Visit every record of a batch of pages (sorted ascending, no
+    /// Visit every record of a batch of heap pages (sorted ascending, no
     /// duplicates) through [`Pager::with_pages`]: each page is one
     /// logical read as with [`HeapFile::visit_page`], but the misses of
     /// the whole batch pay a single overlapped stall — the integrated
-    /// I/O region read as one clustered disk request.
+    /// I/O region read as one clustered disk request. The batch may span
+    /// several heap files of `pager`.
     pub fn visit_pages(
-        &self,
         pager: &Pager,
         pages: &[PageId],
         mut visit: impl FnMut(RecordId, &[u8]),
@@ -262,7 +262,8 @@ mod tests {
         pager.clear_pool();
         pager.reset_stats();
         let mut batched = Vec::new();
-        hf.visit_pages(&pager, &pages, |rid, rec| batched.push((rid, rec.to_vec()))).unwrap();
+        HeapFile::visit_pages(&pager, &pages, |rid, rec| batched.push((rid, rec.to_vec())))
+            .unwrap();
         let batch_stats = pager.stats();
         assert_eq!(batched, one_by_one);
         assert_eq!(batch_stats.logical_reads, loop_stats.logical_reads);

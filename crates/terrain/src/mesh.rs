@@ -4,7 +4,7 @@
 //! level of the DMTM, the graph Dijkstra upper bounds run on, the surface
 //! the MSDN sweep planes cut, and the domain of the exact geodesic engine.
 
-use sknn_geom::{Point2, Point3, Rect2, Triangle3};
+use sknn_geom::{Point3, Rect2, Triangle3};
 
 /// Index of a vertex in a [`TerrainMesh`].
 pub type VertexId = u32;
@@ -219,21 +219,6 @@ impl TerrainMesh {
     pub fn planar_area(&self) -> f64 {
         (0..self.num_triangles() as TriId).map(|t| self.triangle(t).signed_area_xy()).sum()
     }
-
-    /// Nearest mesh vertex to a horizontal position (linear scan; used only
-    /// in tests and one-off embeddings — queries use [`crate::locate`]).
-    pub fn nearest_vertex_xy(&self, p: Point2) -> VertexId {
-        let mut best = 0;
-        let mut best_d = f64::INFINITY;
-        for (i, v) in self.vertices.iter().enumerate() {
-            let d = v.xy().dist_sq(p);
-            if d < best_d {
-                best_d = d;
-                best = i;
-            }
-        }
-        best as VertexId
-    }
 }
 
 /// Mean length over the undirected edges, each visited once from its
@@ -369,12 +354,5 @@ mod tests {
         ];
         let m = TerrainMesh::new(vs, vec![[0, 2, 1]]); // clockwise
         assert!(m.validate().is_err());
-    }
-
-    #[test]
-    fn nearest_vertex() {
-        let m = square();
-        assert_eq!(m.nearest_vertex_xy(Point2::new(0.9, 0.1)), 1);
-        assert_eq!(m.nearest_vertex_xy(Point2::new(0.1, 0.9)), 3);
     }
 }

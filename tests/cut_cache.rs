@@ -3,7 +3,8 @@
 //! * **Bit-identity** — a front derived from resident tile units equals
 //!   `PagedDmtm::fetch_front` of the same region, and a line set handed
 //!   out of the line cache equals `PagedMsdn::fetch_lines_axis`, byte for
-//!   byte (proptests over steps, lattice regions, levels, axes and bands);
+//!   byte, for every band of a fused load (proptests over steps, lattice
+//!   regions, levels, and 1–4 bands over both axes);
 //!   query results under a budget that evicts on every fetch are
 //!   bit-identical to the default budget's at any thread count.
 //! * **Single-flight** — threads fetching overlapping, unequal regions
@@ -11,8 +12,8 @@
 //! * **Bounded memory** — a budget far below the working set evicts
 //!   instead of growing, and what is derived stays equal to the oracle.
 //! * **Fault interaction** — a failed load publishes none of the units it
-//!   had claimed, and the next request after the fault clears loads them
-//!   fresh and correctly.
+//!   had claimed (a fused line load: no line of either axis), and the next
+//!   request after the fault clears loads them fresh and correctly.
 //! * **Warm means resident** — with the default budget a repeated query
 //!   pool reads no page and evicts nothing on its second pass, in a
 //!   fraction of the memory rectangle-keyed cuts needed.
@@ -24,12 +25,12 @@ use surface_knn::core::config::Mr3Config;
 use surface_knn::core::metrics::QueryResult;
 use surface_knn::core::mr3::Mr3Engine;
 use surface_knn::core::workload::{SceneBuilder, SurfacePoint};
-use surface_knn::geom::Axis;
+use surface_knn::geom::{Axis, Rect2};
 use surface_knn::multires::{
     build_dmtm, CutCache, CutGrid, FetchScratch, FrontGraph, PagedDmtm, TileSpan,
 };
 use surface_knn::prelude::*;
-use surface_knn::sdn::{LineCutCache, Msdn, MsdnConfig, PagedMsdn, SimplifiedLine};
+use surface_knn::sdn::{LineBand, LineCutCache, Msdn, MsdnConfig, PagedMsdn, SimplifiedLine};
 use surface_knn::store::{FaultKind, Pager};
 
 const TILES: usize = 8;
@@ -178,43 +179,126 @@ proptest! {
         prop_assert!(tiny.len() <= 8, "tiny cache grew to {} units", tiny.len());
     }
 
-    /// Line sets out of the line cache equal the paged oracle: same lines,
-    /// same order, same segments — roomy and evicting budgets alike.
+    /// Line sets out of the line cache equal the paged oracle: one load of
+    /// 1–4 bands over both axes hands each band the same lines, in the
+    /// same order, with the same segments as a band-by-band
+    /// `fetch_lines_axis` — roomy and evicting budgets alike.
     #[test]
     fn cached_lines_equal_paged_fetch(
         level in 0usize..5,
-        axis_pick in 0usize..2,
-        band in (0.0f64..1.0, 0.0f64..1.0),
-        corners in (0usize..=TILES, 0usize..=TILES, 0usize..=TILES, 0usize..=TILES),
-        whole in 0usize..3,
+        // Per band: axis, two fractions of the extent along it, the
+        // region's lattice corners and whether the region is the extent.
+        drawn in proptest::collection::vec(
+            (
+                0usize..2,
+                (0.0f64..1.0, 0.0f64..1.0),
+                (0usize..=TILES, 0usize..=TILES, 0usize..=TILES, 0usize..=TILES),
+                0usize..3,
+            ),
+            1..5,
+        ),
     ) {
         let f = msdn_fixture(25, 311);
         let roomy = LineCutCache::new(16 << 20);
         let tiny = LineCutCache::new(512);
-        let axis = [Axis::X, Axis::Y][axis_pick];
         let e = f.grid.extent();
-        let (origin, width) = if axis == Axis::X { (e.lo.x, e.width()) } else { (e.lo.y, e.height()) };
-        let (lo, hi) = (band.0.min(band.1), band.0.max(band.1));
-        let (lo, hi) = f.grid.snap_band(axis_pick, origin + lo * width, origin + hi * width);
-        let roi = if whole == 0 {
-            e
-        } else {
-            f.grid.span_rect(span_from(corners.0, corners.1, corners.2, corners.3))
-        };
-        let oracle = f.msdn.fetch_lines_axis(&f.pager, level, axis, lo, hi, Some(&roi)).unwrap();
+        let rois: Vec<Rect2> = drawn
+            .iter()
+            .map(|&(_, _, corners, whole)| if whole == 0 {
+                e
+            } else {
+                f.grid.span_rect(span_from(corners.0, corners.1, corners.2, corners.3))
+            })
+            .collect();
+        let bands: Vec<LineBand> = drawn
+            .iter()
+            .zip(&rois)
+            .map(|(&(axis_pick, band, _, _), roi)| {
+                let axis = [Axis::X, Axis::Y][axis_pick];
+                let (origin, width) =
+                    if axis == Axis::X { (e.lo.x, e.width()) } else { (e.lo.y, e.height()) };
+                let (lo, hi) = (band.0.min(band.1), band.0.max(band.1));
+                let (lo, hi) =
+                    f.grid.snap_band(axis_pick, origin + lo * width, origin + hi * width);
+                LineBand { axis, lo, hi, roi: Some(roi) }
+            })
+            .collect();
+        let oracle: Vec<LineFingerprint> = bands
+            .iter()
+            .map(|b| {
+                let lines =
+                    f.msdn.fetch_lines_axis(&f.pager, level, b.axis, b.lo, b.hi, b.roi).unwrap();
+                line_fingerprint(lines.iter())
+            })
+            .collect();
         for cache in [&roomy, &tiny] {
             for _ in 0..2 {
-                let (lines, _) =
-                    cache.get_or_fetch(&f.msdn, &f.pager, level, axis, lo, hi, Some(&roi)).unwrap();
-                prop_assert_eq!(
-                    line_fingerprint(lines.iter().map(|l| &**l)),
-                    line_fingerprint(oracle.iter())
-                );
+                let got = cache.get_or_fetch(&f.msdn, &f.pager, level, &bands).unwrap();
+                prop_assert_eq!(got.len(), bands.len());
+                for ((lines, _), expect) in got.iter().zip(&oracle) {
+                    prop_assert_eq!(&line_fingerprint(lines.iter().map(|l| &**l)), expect);
+                }
             }
         }
         prop_assert_eq!(roomy.stats().evictions, 0);
-        // The second roomy pass loaded nothing.
-        prop_assert_eq!(roomy.stats().misses as usize, oracle.len());
+        // The first roomy pass loaded each distinct line once, the second
+        // nothing.
+        let distinct: std::collections::HashSet<(bool, u32)> = bands
+            .iter()
+            .flat_map(|b| {
+                f.msdn
+                    .select_lines(level, b.axis, b.lo, b.hi, b.roi)
+                    .into_iter()
+                    .map(move |line| (b.axis == Axis::Y, line))
+            })
+            .collect();
+        prop_assert_eq!(roomy.stats().misses as usize, distinct.len());
+    }
+}
+
+/// A fused load whose only fault is on one axis's page publishes no line
+/// of either axis and leaves no latch; once the fault clears, the same
+/// bands load cleanly and equal the oracle.
+#[test]
+fn a_fault_on_one_axis_publishes_no_line_of_either() {
+    let f = msdn_fixture(25, 313);
+    let level = 3;
+    let e = f.grid.extent();
+    let bands = [
+        LineBand { axis: Axis::X, lo: e.lo.x, hi: e.hi.x, roi: Some(&e) },
+        LineBand { axis: Axis::Y, lo: e.lo.y, hi: e.hi.y, roi: Some(&e) },
+    ];
+    // Physical reads of the X band alone and of both: the fused batch
+    // reads in ascending page order and the X files precede the Y files,
+    // so read `x_reads + 1` is the first Y page.
+    let cold_reads = |bands: &[LineBand]| {
+        f.pager.clear_pool();
+        f.pager.reset_stats();
+        LineCutCache::new(16 << 20).get_or_fetch(&f.msdn, &f.pager, level, bands).unwrap();
+        f.pager.stats().physical_reads
+    };
+    let (x_reads, both_reads) = (cold_reads(&bands[..1]), cold_reads(&bands));
+    assert!(x_reads > 0 && both_reads > x_reads, "both axes read pages");
+
+    let cache = LineCutCache::new(16 << 20);
+    f.pager.clear_pool();
+    f.pager.set_fault_injector(Some(
+        FaultInjector::script().fail_nth_read(x_reads + 1, FaultKind::Permanent),
+    ));
+    let err = cache.get_or_fetch(&f.msdn, &f.pager, level, &bands);
+    assert!(err.is_err(), "a permanent fault on a Y page must fail the load");
+    let stats = cache.stats();
+    assert_eq!(stats.failed_loads, 1, "{stats:?}");
+    assert_eq!(cache.len(), 0, "the failed load published lines");
+    assert_eq!(cache.gauges().loading, 0, "the failed load left a latch");
+
+    f.pager.set_fault_injector(None);
+    f.pager.clear_pool();
+    let got = cache.get_or_fetch(&f.msdn, &f.pager, level, &bands).unwrap();
+    for (b, (lines, hit)) in bands.iter().zip(&got) {
+        assert!(!hit, "a failed load must not satisfy later requests");
+        let oracle = f.msdn.fetch_lines_axis(&f.pager, level, b.axis, b.lo, b.hi, b.roi).unwrap();
+        assert_eq!(line_fingerprint(lines.iter().map(|l| &**l)), line_fingerprint(oracle.iter()));
     }
 }
 
@@ -358,9 +442,8 @@ fn warm_means_resident() {
     let all_lines = LineCutCache::new(usize::MAX);
     for level in 0..msdn.num_levels() {
         for axis in [Axis::X, Axis::Y] {
-            all_lines
-                .get_or_fetch(&msdn, &pager, level, axis, f64::NEG_INFINITY, f64::INFINITY, None)
-                .unwrap();
+            let whole = LineBand { axis, lo: f64::NEG_INFINITY, hi: f64::INFINITY, roi: None };
+            all_lines.get_or_fetch(&msdn, &pager, level, &[whole]).unwrap();
         }
     }
     let everything = all_fronts.gauges().resident_weight + all_lines.gauges().resident_weight;
