@@ -3,8 +3,9 @@
 //! Dijkstra over the three graph shapes MR3 actually runs (DMTM front,
 //! pathnet, corridor-restricted front — the last both over its own graph
 //! and masked over the whole front's), pathnet construction over a group
-//! region and one group's run to its members, a cold cut-cache unit load
-//! over one tile and over the whole terrain, a cold fused line-cache load
+//! region and one group's run to its members, the cut cache's unit-store
+//! build and a cold unit load over one tile and over the whole terrain, a
+//! cold fused line-cache load
 //! of one group's X and Y bands, the SDN lower bound in the
 //! three shapes its callers give it, the MSDN's layout on pages, the page
 //! checksum every physical read verifies, the batched point–MBR distance
@@ -31,7 +32,7 @@ use sknn_core::workload::SceneBuilder;
 use sknn_geodesic::graph::{Dijkstra, DijkstraScratch, Graph, QueuePolicy};
 use sknn_geodesic::{MeshPoint, Pathnet};
 use sknn_geom::{Axis, Ellipse2, Point2, Rect2};
-use sknn_multires::{build_dmtm, CutCache, CutGrid, FrontGraph, PagedDmtm, TileSpan};
+use sknn_multires::{build_dmtm, CutCache, CutGrid, FrontGraph, TileSpan, UnitStore};
 use sknn_sdn::network::{lower_bound, lower_bound_with, LbScratch};
 use sknn_sdn::{LineBand, LineCutCache, Msdn, MsdnConfig, PagedMsdn};
 use sknn_spatial::kernel::{min_dists_point, min_dists_point_sq, MAX_BATCH};
@@ -265,24 +266,33 @@ fn main() {
         black_box(group_net.distances(&terrain, query, &members, &mut scratch).settled)
     });
 
-    // --- Cut-cache unit loads -----------------------------------------------
-    // One cold load at the schedule's 50 % step on the 129² terrain, with
-    // the engine's default lattice: the units of one central tile, and of
-    // the whole extent (the first iteration's region). The cache's units
-    // and the page pool are emptied before every load.
+    // --- Cut-cache unit store ------------------------------------------------
+    // On the 129² terrain with the engine's default lattice: `build_units`
+    // writes every step of the s=1 schedule (its five front fractions and
+    // the pathnet's step 0) onto a fresh pager, the setup cost an engine
+    // build pays; `load_units` is one cold load at the 50 % step of the
+    // units of one central tile, and of the whole extent (the first
+    // iteration's region), with the cache's units and the page pool
+    // emptied before every load.
     let cfg = Mr3Config::default();
-    let unit_pager = Pager::new(cfg.pool_pages);
-    let dmtm = PagedDmtm::build(&unit_pager, build_dmtm(&terrain));
+    let tree = build_dmtm(&terrain);
     let grid = CutGrid::new(terrain.extent(), cfg.cut_cache.tiles, cfg.cut_cache.pad_tiles);
-    let cut_cache = CutCache::new(cfg.cut_cache.capacity_bytes, grid);
-    let step = dmtm.tree().step_for_fraction(0.5);
+    let steps: Vec<u32> =
+        cfg.schedule.dmtm.iter().map(|&frac| tree.step_for_fraction(frac)).collect();
+    h.bench("cutcache/build_units/s1", || {
+        UnitStore::build(&Pager::new(cfg.pool_pages), &tree, grid, &steps)
+    });
+    let unit_pager = Pager::new(cfg.pool_pages);
+    let units = UnitStore::build(&unit_pager, &tree, grid, &steps);
+    let cut_cache = CutCache::new(cfg.cut_cache.capacity_bytes, units);
+    let step = tree.step_for_fraction(0.5);
     let centre = cfg.cut_cache.tiles / 2;
     let one_tile = TileSpan { x0: centre, x1: centre + 1, y0: centre, y1: centre + 1 };
     for (name, span) in [("tile", one_tile), ("full", grid.full_span())] {
         h.bench(&format!("cutcache/load_units/{name}"), || {
             cut_cache.clear();
             unit_pager.clear_pool();
-            cut_cache.touch(&dmtm, &unit_pager, step, span).expect("unfaulted")
+            cut_cache.touch(&unit_pager, step, span).expect("unfaulted")
         });
     }
 

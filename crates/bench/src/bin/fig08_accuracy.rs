@@ -34,24 +34,26 @@ fn main() {
         "Fig 8: distance range accuracy epsilon = lb/ub",
         "lb_source,dmtm_percent,epsilon",
     );
-    let dmtm_levels = [0.005, 0.25, 0.5, 0.75, 1.0, 2.0];
+    // The DMTM levels are the default s=1 schedule's (0.5 % … 200 %): the
+    // engine stores and estimates at its schedule's steps only.
+    let dmtm_levels = engine.config().schedule.dmtm.clone();
     let sdn_labels = ["sdn25", "sdn37.5", "sdn50", "sdn75", "sdn100"];
 
     for (lvl, label) in sdn_labels.iter().enumerate() {
-        for &frac in &dmtm_levels {
+        for (step, &frac) in dmtm_levels.iter().enumerate() {
             let mut eps = Vec::new();
             for &(a, b) in &pair_list {
-                let range = engine.estimate_pair(a, b, frac, lvl);
+                let range = engine.estimate_pair(a, b, step, lvl);
                 eps.push(range.accuracy());
             }
             println!("{label},{},{:.4}", (frac * 100.0) as u32, mean(&eps));
         }
     }
     // Euclidean lower bound: same ub ladder, lb fixed at dE.
-    for &frac in &dmtm_levels {
+    for (step, &frac) in dmtm_levels.iter().enumerate() {
         let mut eps = Vec::new();
         for &(a, b) in &pair_list {
-            let range = engine.estimate_pair(a, b, frac, 0);
+            let range = engine.estimate_pair(a, b, step, 0);
             let euclid = a.pos.dist(b.pos);
             if range.ub.is_finite() && range.ub > 0.0 {
                 eps.push((euclid / range.ub).clamp(0.0, 1.0));

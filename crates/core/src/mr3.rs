@@ -18,7 +18,7 @@ use crate::ranking::{Candidate, RankScratch, RankingContext};
 use crate::resilience::{FaultLog, QueryError, FAULT_BUDGET};
 use crate::workload::{Scene, SurfacePoint};
 use sknn_geom::Rect2;
-use sknn_multires::{CutCache, CutGrid, PagedDmtm};
+use sknn_multires::{CutCache, CutGrid, DmtmTree, UnitStore};
 use sknn_obs::{field, QueryTrace, Recorder, RingRecorder, NOOP};
 use sknn_sdn::{LineCutCache, PagedMsdn};
 use sknn_store::{Pager, StructureTag};
@@ -49,7 +49,9 @@ pub struct Mr3Engine<'s, 'm> {
     /// snapshots. Queries pin one snapshot for their whole run, so
     /// concurrent mutations never shift the ground mid-ranking.
     objects: ObjectStore,
-    dmtm: PagedDmtm,
+    /// The DMTM's resident metadata; its data is on pages as the cut
+    /// cache's units.
+    tree: DmtmTree,
     msdn: PagedMsdn,
     pager: Pager,
     cfg: Mr3Config,
@@ -59,7 +61,8 @@ pub struct Mr3Engine<'s, 'm> {
     /// Fetch-region canonicalizer shared by every query context (see
     /// [`CutCacheConfig`](crate::config::CutCacheConfig)).
     cut_grid: CutGrid,
-    /// Shared process-wide DMTM front cache.
+    /// Shared process-wide DMTM front cache, over the unit store of the
+    /// schedule's steps.
     cut_cache: CutCache,
     /// Shared process-wide MSDN line cache.
     line_cache: LineCutCache,
@@ -88,28 +91,34 @@ impl<'s, 'm> Mr3Engine<'s, 'm> {
         structures: crate::persist::Structures,
     ) -> Self {
         let pager = Pager::new(cfg.pool_pages);
-        // Tag each structure's pages so query I/O is attributable.
-        let dmtm = {
+        let tree = structures.tree;
+        let cut_grid = CutGrid::new(mesh.extent(), cfg.cut_cache.tiles, cfg.cut_cache.pad_tiles);
+        // The DMTM is stored as the cut cache's units, one page run per
+        // step the schedule can ask for: each front fraction's step, and
+        // step 0 for a pathnet level's leaf charge (fractions above 1
+        // clamp to it). Tag each structure's pages so query I/O is
+        // attributable.
+        let units = {
+            let steps: Vec<u32> =
+                cfg.schedule.dmtm.iter().map(|&frac| tree.step_for_fraction(frac)).collect();
             let _tag = pager.tag_scope(StructureTag::Dmtm);
-            PagedDmtm::build(&pager, structures.tree)
+            UnitStore::build(&pager, &tree, cut_grid, &steps)
         };
         let msdn = {
             let _tag = pager.tag_scope(StructureTag::Msdn);
             PagedMsdn::build(&pager, &structures.msdn)
         };
-        let cut_grid = CutGrid::new(mesh.extent(), cfg.cut_cache.tiles, cfg.cut_cache.pad_tiles);
         // The weight budget splits 3:1 between front tiles and crossing
         // lines.
         let budget = cfg.cut_cache.capacity_bytes;
-        let cut_cache = CutCache::new((budget / 4 * 3).max(1), cut_grid);
-        cut_cache.directory(dmtm.tree());
+        let cut_cache = CutCache::new((budget / 4 * 3).max(1), units);
         let line_cache = LineCutCache::new((budget / 4).max(1));
         let objects = ObjectStore::genesis(scene.objects(), cfg.pool_pages, None);
         Self {
             mesh,
             scene,
             objects,
-            dmtm,
+            tree,
             msdn,
             pager,
             cfg: cfg.clone(),
@@ -343,7 +352,7 @@ impl<'s, 'm> Mr3Engine<'s, 'm> {
         let ctx = RankingContext {
             mesh: self.mesh,
             locator: self.scene.locator(),
-            dmtm: &self.dmtm,
+            tree: &self.tree,
             msdn: &self.msdn,
             pager: &self.pager,
             cfg: &self.cfg,
@@ -549,13 +558,8 @@ impl<'s, 'm> Mr3Engine<'s, 'm> {
                 if range.accuracy() >= accuracy {
                     break;
                 }
-                let est = s.ctx.estimate_pair(
-                    &a,
-                    &b,
-                    self.cfg.schedule.dmtm[i],
-                    self.cfg.schedule.msdn_level(i),
-                    &mut s.stats,
-                );
+                let est =
+                    s.ctx.estimate_pair(&a, &b, i, self.cfg.schedule.msdn_level(i), &mut s.stats);
                 range.tighten_lb(est.lb);
                 range.tighten_ub(est.ub);
                 s.stats.iterations += 1;
@@ -565,17 +569,19 @@ impl<'s, 'm> Mr3Engine<'s, 'm> {
         (s.out, s.stats, s.trace)
     }
 
-    /// Fig.-8 support: one-shot range estimation of the pair `(a, b)` at a
-    /// fixed DMTM resolution and MSDN level — no iteration, no pruning.
+    /// Fig.-8 support: one-shot range estimation of the pair `(a, b)` at
+    /// the DMTM resolution of schedule step `dmtm_step` (an index into
+    /// `config().schedule.dmtm`) and MSDN level `msdn_level` — no
+    /// iteration, no pruning.
     pub fn estimate_pair(
         &self,
         a: SurfacePoint,
         b: SurfacePoint,
-        dmtm_frac: f64,
+        dmtm_step: usize,
         msdn_level: usize,
     ) -> crate::bounds::DistRange {
         self.scoped(&QueryOpts::default(), "pair", |s| {
-            s.ctx.estimate_pair(&a, &b, dmtm_frac, msdn_level, &mut s.stats)
+            s.ctx.estimate_pair(&a, &b, dmtm_step, msdn_level, &mut s.stats)
         })
         .out
     }

@@ -81,7 +81,6 @@ impl<'s, 'm> Mr3Engine<'s, 'm> {
                 if self.pair_winner(&pairs).is_some() {
                     break;
                 }
-                let frac = schedule.dmtm[iter];
                 let lvl = schedule.msdn_level(iter);
                 for p in pairs.iter_mut() {
                     if !p.alive || p.range.width() <= 1e-9 {
@@ -94,7 +93,7 @@ impl<'s, 'm> Mr3Engine<'s, 'm> {
                     let est = s.ctx.estimate_pair(
                         &s.objs.point(p.a),
                         &s.objs.point(p.b),
-                        frac,
+                        iter,
                         lvl,
                         &mut s.stats,
                     );

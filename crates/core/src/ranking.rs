@@ -23,7 +23,7 @@ use sknn_geodesic::pathnet::Pathnet;
 use sknn_geodesic::MeshPoint;
 use sknn_geom::Axis;
 use sknn_geom::{Aabb3, Ellipse2, Rect2};
-use sknn_multires::{CutCache, CutGrid, FetchScratch, FrontGraph, PagedDmtm};
+use sknn_multires::{CutCache, CutGrid, DmtmTree, FetchScratch, FrontGraph};
 use sknn_obs::{field, Recorder};
 use sknn_sdn::network::{lower_bound_with, LbScratch};
 use sknn_sdn::{LineBand, LineCutCache, Msdn, PagedMsdn, SimplifiedLine};
@@ -46,8 +46,9 @@ pub struct RankingContext<'a, 'm> {
     /// Bucket grid over the mesh's facets: the pathnet level asks it for
     /// the facets meeting a group region instead of testing every facet.
     pub locator: &'a TriangleLocator,
-    /// The dmtm.
-    pub dmtm: &'a PagedDmtm,
+    /// The DMTM's resident metadata (steps, MBRs, representatives); its
+    /// data comes through [`cuts`](Self::cuts).
+    pub tree: &'a DmtmTree,
     /// The msdn.
     pub msdn: &'a PagedMsdn,
     /// The pager.
@@ -64,8 +65,9 @@ pub struct RankingContext<'a, 'm> {
     /// Absorbed storage faults of this query (graceful degradation: a
     /// failed finer-resolution fetch keeps the last resolution's bounds).
     pub faults: FaultLog,
-    /// Shared process-wide DMTM cut cache. Must have been built over the
-    /// same lattice as [`grid`](Self::grid).
+    /// Shared process-wide DMTM cut cache. Its unit store must hold
+    /// [`tree`](Self::tree)'s units at every step of the schedule, over
+    /// the same lattice as [`grid`](Self::grid).
     pub cuts: &'a CutCache,
     /// Shared process-wide MSDN line cache.
     pub lines: &'a LineCutCache,
@@ -672,7 +674,7 @@ impl<'a, 'm> RankingContext<'a, 'm> {
         frac: f64,
         stats: &mut QueryStats,
     ) {
-        let m = self.dmtm.tree().step_for_fraction(frac);
+        let m = self.tree.step_for_fraction(frac);
         // Canonicalize the fetch region (pad + tile-snap), so hot
         // neighbourhoods converge onto a small set of reusable keys.
         let span = self.grid.span(&region);
@@ -691,7 +693,7 @@ impl<'a, 'm> RankingContext<'a, 'm> {
             scratch.retire_front();
             let start = Instant::now();
             let fetched =
-                self.cuts.get_or_extract(self.dmtm, self.pager, m, span, &mut scratch.fetch);
+                self.cuts.get_or_extract(self.tree, self.pager, m, span, &mut scratch.fetch);
             stats.stages.rank_fetch_us += us_since(start);
             match fetched {
                 Ok((graph, hit)) => {
@@ -714,7 +716,7 @@ impl<'a, 'm> RankingContext<'a, 'm> {
         if fg.num_nodes() == 0 {
             return;
         }
-        let q_emb = self.dmtm.embed(fg, self.mesh, q.tri, q.pos);
+        let q_emb = fg.embed(self.tree, self.mesh, q.tri, q.pos);
         if q_emb.is_empty() {
             return;
         }
@@ -738,7 +740,7 @@ impl<'a, 'm> RankingContext<'a, 'm> {
 
         let pad = self.mesh.mean_edge_length();
         for &ci in members {
-            let exits = self.dmtm.embed(fg, self.mesh, cands[ci].point.tri, cands[ci].point.pos);
+            let exits = fg.embed(self.tree, self.mesh, cands[ci].point.tri, cands[ci].point.pos);
             if exits.is_empty() {
                 continue;
             }
@@ -758,9 +760,11 @@ impl<'a, 'm> RankingContext<'a, 'm> {
                     cands[ci].range.tighten_ub(best);
                     let path = best_node.map(|x| run.path_to(x)).unwrap_or_default();
                     cands[ci].corridor.clear();
-                    cands[ci].corridor.extend(path.iter().map(|&local| {
-                        self.dmtm.tree().node(fg.ids[local as usize]).mbr.expanded(pad)
-                    }));
+                    cands[ci]
+                        .corridor
+                        .extend(path.iter().map(|&local| {
+                            self.tree.node(fg.ids[local as usize]).mbr.expanded(pad)
+                        }));
                 } else {
                     // Disconnected even unrestricted (over-tight fetch
                     // region): keep the previous bound; the region
@@ -807,7 +811,7 @@ impl<'a, 'm> RankingContext<'a, 'm> {
                     cands[ci].corridor.clear();
                     cands[ci]
                         .corridor
-                        .extend(path.iter().map(|&id| self.dmtm.tree().node(id).mbr.expanded(pad)));
+                        .extend(path.iter().map(|&id| self.tree.node(id).mbr.expanded(pad)));
                     done = true;
                     break;
                 }
@@ -837,7 +841,7 @@ impl<'a, 'm> RankingContext<'a, 'm> {
         // No graph is needed: the region's leaf units are made resident
         // (repeat charges for a hot region cost nothing).
         let start = Instant::now();
-        match self.cuts.touch(self.dmtm, self.pager, 0, self.grid.span(&region)) {
+        match self.cuts.touch(self.pager, 0, self.grid.span(&region)) {
             Ok(hit) => count_cut_fetch(stats, hit),
             // The pathnet itself is derived in memory, so a failed
             // leaf-page charge degrades the accounting, not the bound.
@@ -918,30 +922,33 @@ impl<'a, 'm> RankingContext<'a, 'm> {
         cands[ci].lb_path = full.path_mbrs;
     }
 
-    /// Fig.-8 support: one-shot range estimation of a single pair at fixed
-    /// DMTM resolution and MSDN level (no iteration, no pruning).
+    /// Fig.-8 support: one-shot range estimation of a single pair at the
+    /// DMTM resolution of schedule step `dmtm_step` (an index into
+    /// `cfg.schedule.dmtm`, whose steps the unit store holds) and MSDN
+    /// level `msdn_level` (no iteration, no pruning).
     pub fn estimate_pair(
         &self,
         a: &SurfacePoint,
         b: &SurfacePoint,
-        dmtm_frac: f64,
+        dmtm_step: usize,
         msdn_level: usize,
         stats: &mut QueryStats,
     ) -> DistRange {
+        let dmtm_frac = self.cfg.schedule.dmtm[dmtm_step];
         let mut range = DistRange::unbounded();
         range.tighten_lb(a.pos.dist(b.pos));
         stats.ub_estimations += 1;
         stats.lb_estimations += 1;
         // Upper bound.
         if dmtm_frac <= 1.0 {
-            let m = self.dmtm.tree().step_for_fraction(dmtm_frac);
+            let m = self.tree.step_for_fraction(dmtm_frac);
             let scratch = &mut *self.scratch.borrow_mut();
             let whole = self.grid.full_span();
-            match self.cuts.get_or_extract(self.dmtm, self.pager, m, whole, &mut scratch.fetch) {
+            match self.cuts.get_or_extract(self.tree, self.pager, m, whole, &mut scratch.fetch) {
                 Ok((fg, hit)) => {
                     count_cut_fetch(stats, hit);
-                    let src = self.dmtm.embed(&fg, self.mesh, a.tri, a.pos);
-                    let dst = self.dmtm.embed(&fg, self.mesh, b.tri, b.pos);
+                    let src = fg.embed(self.tree, self.mesh, a.tri, a.pos);
+                    let dst = fg.embed(self.tree, self.mesh, b.tri, b.pos);
                     if !src.is_empty() && !dst.is_empty() {
                         let csr = Graph::from_undirected(fg.num_nodes(), &fg.edges);
                         let (d, settled, queue, _) =
@@ -1126,8 +1133,11 @@ mod tests {
             let a = scene.random_query(1);
             let b = scene.random_query(7);
             let mut stats = QueryStats::default();
-            let coarse = c.estimate_pair(&a, &b, 0.005, 0, &mut stats);
-            let fine = c.estimate_pair(&a, &b, 2.0, 4, &mut stats);
+            let last = c.cfg.schedule.len() - 1;
+            assert_eq!(c.cfg.schedule.dmtm[0], 0.005);
+            assert_eq!(c.cfg.schedule.dmtm[last], 2.0);
+            let coarse = c.estimate_pair(&a, &b, 0, 0, &mut stats);
+            let fine = c.estimate_pair(&a, &b, last, 4, &mut stats);
             assert!(fine.accuracy() >= coarse.accuracy() - 0.02);
             assert!(fine.accuracy() > 0.5, "final accuracy {}", fine.accuracy());
             assert!(fine.lb <= fine.ub);
@@ -1247,13 +1257,13 @@ mod tests {
                 engine.scoped(&QueryOpts::default(), "test", |s| -> Result<(), CaseError> {
                 let f = &s.ctx;
 
-                let m = f.dmtm.tree().step_for_fraction([0.1, 0.4, 0.7, 1.0][frac_idx]);
+                let m = f.tree.step_for_fraction([0.1, 0.4, 0.7, 1.0][frac_idx]);
                 let roi = Rect2::from_points([a.pos.xy(), b.pos.xy()].into_iter())
                     .expanded(rng.gen_range(5.0..60.0));
                 let roi = if whole_front { None } else { Some(roi) };
-                let fg = f.dmtm.fetch_front(f.pager, m, roi.as_ref()).expect("fault-free pager");
-                let src = f.dmtm.embed(&fg, f.mesh, a.tri, a.pos);
-                let dst = f.dmtm.embed(&fg, f.mesh, b.tri, b.pos);
+                let fg = FrontGraph::extract(f.tree, m, roi.as_ref());
+                let src = fg.embed(f.tree, f.mesh, a.tri, a.pos);
+                let dst = fg.embed(f.tree, f.mesh, b.tri, b.pos);
                 prop_assume!(!src.is_empty() && !dst.is_empty());
                 let csr = Graph::from_undirected(fg.num_nodes(), &fg.edges);
                 let mut dij = DijkstraScratch::with_policy(policy);
@@ -1275,7 +1285,7 @@ mod tests {
                     .iter()
                     .enumerate()
                     .filter(|(i, _)| i.abs_diff(free_path.len() / 2) >= hole)
-                    .map(|(_, &id)| f.dmtm.tree().node(id).mbr.expanded(pad))
+                    .map(|(_, &id)| f.tree.node(id).mbr.expanded(pad))
                     .collect();
                 let ellipse = Ellipse2::new(a.pos.xy(), b.pos.xy(), free * slack);
                 for (use_corr, use_ell) in [(true, true), (false, true), (false, false)] {

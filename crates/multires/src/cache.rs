@@ -1,15 +1,14 @@
 //! Process-wide cache of DMTM front data, resident by lattice tile.
 //!
-//! Extracting a front — scanning live ids, walking the clustering B+-tree,
-//! decoding payloads — dominates MR3's CPU-bound cost, and concurrent
-//! queries over hot terrain ask for overlapping regions of the same few
-//! resolution steps. [`CutCache`] keeps that data resident in
+//! Reading a front's data from pages dominates MR3's CPU-bound cost, and
+//! concurrent queries over hot terrain ask for overlapping regions of the
+//! same few resolution steps. [`CutCache`] keeps that data resident in
 //! **non-overlapping units**, one [`FrontUnit`] per `(resolution step,
-//! lattice tile)`, and *derives* each requested front from the units of
-//! its region — so overlapping requests share every byte they have in
-//! common instead of each holding a private copy of it. Single-flight
-//! loading and CLOCK eviction come from [`SingleFlightCache`] in
-//! `sknn-store`.
+//! lattice tile)` — read, as stored, from a [`UnitStore`] — and *derives*
+//! each requested front from the units of its region, so overlapping
+//! requests share every byte they have in common instead of each holding
+//! a private copy of it. Single-flight loading and CLOCK eviction come
+//! from [`SingleFlightCache`] in `sknn-store`.
 //!
 //! ## Region canonicalization and bit-identity
 //!
@@ -23,17 +22,18 @@
 //! it meets one of the region's tiles: the ids of a region are exactly
 //! the union of its tiles' ids. A derived front equals
 //! [`PagedDmtm::fetch_front`] of the same region bit for bit (see
-//! [`PagedDmtm::derive_front`]), so query results do not depend on what is
+//! [`FrontGraph::derive`]), so query results do not depend on what is
 //! resident — the cache can only change *when* work happens, never *what*
 //! it produces.
+//!
+//! [`PagedDmtm::fetch_front`]: crate::PagedDmtm::fetch_front
 
-use crate::front::{FrontGraph, FrontUnit};
-use crate::paged::{FetchScratch, PagedDmtm};
+use crate::front::{FetchScratch, FrontGraph, FrontUnit};
 use crate::tree::DmtmTree;
+use crate::units::UnitStore;
 use sknn_geom::{Point2, Rect2};
 use sknn_store::{CacheGauges, CacheStats, ManyOutcome, Pager, SingleFlightCache, StoreResult};
 use std::ops::Range;
-use std::sync::OnceLock;
 
 /// A canonical fetch region as half-open ranges of lattice tile indices.
 /// Never empty: [`CutGrid::span`] always covers at least one tile per
@@ -225,81 +225,6 @@ impl CutGrid {
     }
 }
 
-/// One node's row of a [`CutDirectory`]: its lifetime and the tile
-/// columns `x0..x1` and rows `y0..y1` its MBR meets (both empty when it
-/// meets none).
-#[derive(Debug, Clone, Copy)]
-struct DirEntry {
-    birth: u32,
-    death: u32,
-    x0: u32,
-    x1: u32,
-    y0: u32,
-    y1: u32,
-}
-
-impl DirEntry {
-    fn live_at(&self, m: u32) -> bool {
-        self.birth <= m && m < self.death
-    }
-}
-
-/// The resident directory that decides which nodes a tile holds: per
-/// tree node, packed into 24 bytes, its `(birth, death)` steps and the
-/// tile ranges [`CutGrid::tiles_meeting`] gives its MBR. Built once from
-/// `(tree, grid)`, so a unit load reads these rows instead of the tree's
-/// nodes and never evaluates a float comparison.
-#[derive(Debug)]
-pub struct CutDirectory {
-    grid: CutGrid,
-    nodes: Vec<DirEntry>,
-}
-
-impl CutDirectory {
-    /// The directory of `tree`'s nodes over `grid`'s lattice.
-    pub fn build(tree: &DmtmTree, grid: CutGrid) -> Self {
-        let nodes = tree
-            .nodes()
-            .iter()
-            .map(|n| {
-                let (xs, ys) = grid.tiles_meeting(&n.mbr);
-                DirEntry {
-                    birth: n.birth,
-                    death: n.death,
-                    x0: xs.start as u32,
-                    x1: xs.end as u32,
-                    y0: ys.start as u32,
-                    y1: ys.end as u32,
-                }
-            })
-            .collect();
-        Self { grid, nodes }
-    }
-
-    /// The lattice the tile ranges refer to.
-    pub(crate) fn grid(&self) -> &CutGrid {
-        &self.grid
-    }
-
-    /// [`DmtmTree::live_at`] from the directory's copy of the steps.
-    pub(crate) fn live_at(&self, id: u32, m: u32) -> bool {
-        self.nodes[id as usize].live_at(m)
-    }
-
-    /// Every node live at step `m`, ascending, with the tile columns and
-    /// rows its MBR meets.
-    pub(crate) fn live_nodes(
-        &self,
-        m: u32,
-    ) -> impl Iterator<Item = (u32, Range<usize>, Range<usize>)> + '_ {
-        self.nodes
-            .iter()
-            .enumerate()
-            .filter(move |(_, e)| e.live_at(m))
-            .map(|(id, e)| (id as u32, e.x0 as usize..e.x1 as usize, e.y0 as usize..e.y1 as usize))
-    }
-}
-
 /// Identity of a residency unit: resolution step plus lattice tile
 /// (`row * tiles + column`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -309,45 +234,28 @@ struct UnitKey {
 }
 
 /// The shared DMTM cut cache. See the module docs for semantics. A cache
-/// serves one [`PagedDmtm`]: its units and its directory are that tree's.
+/// serves the units of one [`UnitStore`], and so one tree and one lattice.
 pub struct CutCache {
     inner: SingleFlightCache<UnitKey, FrontUnit>,
-    grid: CutGrid,
-    directory: OnceLock<CutDirectory>,
+    store: UnitStore,
 }
 
 impl CutCache {
-    /// A cache of the units of `grid`'s tiles, bounded by
-    /// `capacity_bytes`.
-    pub fn new(capacity_bytes: usize, grid: CutGrid) -> Self {
-        Self { inner: SingleFlightCache::new(capacity_bytes), grid, directory: OnceLock::new() }
-    }
-
-    /// The directory of `tree` over the cache's lattice, built on first
-    /// use. Unit loads go through it; an engine calls this once at build
-    /// so no query pays for it.
-    pub fn directory(&self, tree: &DmtmTree) -> &CutDirectory {
-        let dir = self.directory.get_or_init(|| CutDirectory::build(tree, self.grid));
-        assert_eq!(dir.nodes.len(), tree.nodes().len(), "a cut cache serves one tree");
-        dir
+    /// A cache of `store`'s units, bounded by `capacity_bytes`.
+    pub fn new(capacity_bytes: usize, store: UnitStore) -> Self {
+        Self { inner: SingleFlightCache::new(capacity_bytes), store }
     }
 
     /// Make every unit of `span` at step `m` resident and return them in
-    /// row-major tile order. The units nobody holds yet are loaded through
-    /// `dmtm`/`pager` in one storage batch; I/O is charged to `pager` only
-    /// for those.
-    fn units(
-        &self,
-        dmtm: &PagedDmtm,
-        pager: &Pager,
-        m: u32,
-        span: TileSpan,
-    ) -> StoreResult<ManyOutcome<FrontUnit>> {
+    /// row-major tile order. The units nobody holds yet are read from the
+    /// store through `pager` in one page batch; I/O is charged to `pager`
+    /// only for those.
+    fn units(&self, pager: &Pager, m: u32, span: TileSpan) -> StoreResult<ManyOutcome<FrontUnit>> {
         let keys: Vec<UnitKey> =
-            span.tiles(self.grid.tiles()).map(|tile| UnitKey { step: m, tile }).collect();
+            span.tiles(self.store.grid().tiles()).map(|tile| UnitKey { step: m, tile }).collect();
         self.inner.get_many(&keys, |claimed| {
             let tiles: Vec<u32> = claimed.iter().map(|&i| keys[i].tile).collect();
-            let units = dmtm.fetch_units(pager, m, self.directory(dmtm.tree()), &tiles)?;
+            let units = self.store.read(pager, m, &tiles)?;
             Ok(units
                 .into_iter()
                 .map(|u| {
@@ -358,33 +266,30 @@ impl CutCache {
         })
     }
 
-    /// The front at step `m` restricted to `span`, derived from resident
-    /// units (loading the missing ones first) into buffers recycled from
-    /// `scratch`. Equal to `dmtm.fetch_front` of the span's rectangle bit
-    /// for bit. The flag is `true` when no unit had to be loaded.
+    /// The front of `tree` at step `m` restricted to `span`, derived from
+    /// resident units (loading the missing ones first) into buffers
+    /// recycled from `scratch`. Equal to [`PagedDmtm::fetch_front`] of
+    /// the span's rectangle bit for bit. The flag is `true` when no unit
+    /// had to be loaded.
+    ///
+    /// [`PagedDmtm::fetch_front`]: crate::PagedDmtm::fetch_front
     pub fn get_or_extract(
         &self,
-        dmtm: &PagedDmtm,
+        tree: &DmtmTree,
         pager: &Pager,
         m: u32,
         span: TileSpan,
         scratch: &mut FetchScratch,
     ) -> StoreResult<(FrontGraph, bool)> {
-        let out = self.units(dmtm, pager, m, span)?;
-        Ok((dmtm.derive_front(m, &out.values, scratch), out.hit))
+        let out = self.units(pager, m, span)?;
+        Ok((FrontGraph::derive(tree, m, &out.values, scratch), out.hit))
     }
 
     /// Make the units of `span` at step `m` resident without deriving a
     /// front — the page charge of a region whose data the caller reads
     /// elsewhere. Returns whether no unit had to be loaded.
-    pub fn touch(
-        &self,
-        dmtm: &PagedDmtm,
-        pager: &Pager,
-        m: u32,
-        span: TileSpan,
-    ) -> StoreResult<bool> {
-        Ok(self.units(dmtm, pager, m, span)?.hit)
+    pub fn touch(&self, pager: &Pager, m: u32, span: TileSpan) -> StoreResult<bool> {
+        Ok(self.units(pager, m, span)?.hit)
     }
 
     /// Counter snapshot (per unit, not per fetch).

@@ -12,6 +12,7 @@ use crate::tree::DmtmTree;
 use sknn_geom::{Point3, Rect2};
 use sknn_terrain::mesh::{TerrainMesh, TriId};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// An extracted resolution front: a weighted graph whose nodes are DMTM
 /// tree nodes and whose edge weights are original-surface path lengths
@@ -33,7 +34,7 @@ pub struct FrontGraph {
 /// step as seen from one lattice tile. Units of different tiles overlap in
 /// ids (a coarse node's MBR meets many tiles) but never in space, and any
 /// ROI-restricted front is derivable from the units of the ROI's tiles
-/// alone — see `PagedDmtm::derive_front`.
+/// alone — see [`FrontGraph::derive`].
 #[derive(Debug, Clone, Default)]
 pub struct FrontUnit {
     /// Node ids live at the step whose MBR meets the tile, ascending.
@@ -57,7 +58,131 @@ impl FrontUnit {
     }
 }
 
+/// Reusable buffers for [`FrontGraph::derive`] (and the paged oracle's
+/// fetch), mirroring the `RankScratch` pattern: a caller that derives
+/// fronts in a loop keeps one of these around and the per-front
+/// allocations (the dense node map, edge and position buffers) disappear
+/// after warm-up. [`FetchScratch::recycle`] harvests the buffers of a
+/// [`FrontGraph`] that is being replaced.
+#[derive(Debug, Default)]
+pub struct FetchScratch {
+    /// (storage key, node id), sorted by key for the paged batched lookup.
+    pub(crate) order: Vec<(u64, u32)>,
+    /// The sorted keys handed to the paged `BPlusTree::get_many`.
+    pub(crate) sorted_keys: Vec<u64>,
+    /// id→local index of the paged extraction.
+    pub(crate) index: HashMap<u32, u32>,
+    /// Recycled `FrontGraph` buffers.
+    pub(crate) edges: Vec<(u32, u32, f64)>,
+    pub(crate) rep_pos: Vec<Point3>,
+    pub(crate) ids: Vec<u32>,
+    /// Dense per-tree-node map of the derivation, valid where
+    /// `slot.stamp == stamp` — stamping makes "clear" free.
+    slots: Vec<Slot>,
+    stamp: u32,
+    /// One bit per tree node: dedups the units' ids and yields them back
+    /// in ascending order. All zero between derivations.
+    bits: Vec<u64>,
+}
+
+/// Where the derivation found a node (which unit, at which position) and
+/// the local index it assigned to it.
+#[derive(Debug, Clone, Copy, Default)]
+struct Slot {
+    stamp: u32,
+    local: u32,
+    unit: u32,
+    pos: u32,
+}
+
+impl FetchScratch {
+    /// Take back the buffers of a front that is no longer needed so the
+    /// next fetch reuses them instead of allocating.
+    pub fn recycle(&mut self, fg: FrontGraph) {
+        let FrontGraph { ids, edges, rep_pos, .. } = fg;
+        if ids.capacity() > self.ids.capacity() {
+            self.ids = ids;
+            self.ids.clear();
+        }
+        self.edges = edges;
+        self.edges.clear();
+        self.rep_pos = rep_pos;
+        self.rep_pos.clear();
+    }
+}
+
 impl FrontGraph {
+    /// Derive the front at step `m` over the region whose tiles `units`
+    /// hold (every tile of the region, any order) — equal to
+    /// [`PagedDmtm::fetch_front`](crate::PagedDmtm::fetch_front) of that
+    /// region bit for bit, without a hash lookup or a sort:
+    ///
+    /// * ids: the union of the units' ids, deduplicated and ordered
+    ///   through a bitmap (a node whose MBR spans several tiles is in
+    ///   several units);
+    /// * edges: extraction emits an edge only from its lower endpoint
+    ///   (`local < wl`, and locals ascend with ids), keeping the tightest
+    ///   of duplicate records. Units store exactly those entries per id,
+    ///   sorted by neighbour, so walking ids in order and each id's
+    ///   entries in order emits the edge list already in `(a, b)` order.
+    pub fn derive(
+        tree: &DmtmTree,
+        m: u32,
+        units: &[Arc<FrontUnit>],
+        scratch: &mut FetchScratch,
+    ) -> Self {
+        let n = tree.nodes().len();
+        if scratch.slots.len() != n {
+            scratch.slots = vec![Slot::default(); n];
+            scratch.bits = vec![0; n.div_ceil(64)];
+            scratch.stamp = 0;
+        }
+        scratch.stamp = scratch.stamp.wrapping_add(1);
+        if scratch.stamp == 0 {
+            scratch.slots.fill(Slot::default());
+            scratch.stamp = 1;
+        }
+        let FetchScratch { slots, stamp, bits, .. } = scratch;
+        let stamp = *stamp;
+        for (u, unit) in units.iter().enumerate() {
+            for (pos, &id) in unit.ids.iter().enumerate() {
+                let slot = &mut slots[id as usize];
+                if slot.stamp != stamp {
+                    *slot = Slot { stamp, local: 0, unit: u as u32, pos: pos as u32 };
+                    bits[id as usize / 64] |= 1 << (id % 64);
+                }
+            }
+        }
+        let mut ids = std::mem::take(&mut scratch.ids);
+        ids.clear();
+        for (w, word) in bits.iter_mut().enumerate() {
+            let mut rest = std::mem::take(word);
+            while rest != 0 {
+                let id = (w * 64) as u32 + rest.trailing_zeros();
+                slots[id as usize].local = ids.len() as u32;
+                ids.push(id);
+                rest &= rest - 1;
+            }
+        }
+        let mut edges = std::mem::take(&mut scratch.edges);
+        edges.clear();
+        for (local, &id) in ids.iter().enumerate() {
+            let slot = slots[id as usize];
+            let unit = &units[slot.unit as usize];
+            let (a, b) = (unit.offsets[slot.pos as usize], unit.offsets[slot.pos as usize + 1]);
+            for k in a as usize..b as usize {
+                let w = slots[unit.nbr[k] as usize];
+                if w.stamp == stamp {
+                    edges.push((local as u32, w.local, unit.dist[k]));
+                }
+            }
+        }
+        let mut rep_pos = std::mem::take(&mut scratch.rep_pos);
+        rep_pos.clear();
+        rep_pos.extend(ids.iter().map(|&id| tree.node(id).rep_pos));
+        Self { ids, edges, rep_pos, step: m }
+    }
+
     /// Local index of tree node `id`, if it is part of this front.
     pub fn local_of(&self, id: u32) -> Option<u32> {
         self.ids.binary_search(&id).ok().map(|i| i as u32)

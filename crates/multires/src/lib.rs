@@ -20,8 +20,10 @@
 //!
 //! Module map: [`quadric`] (error metric), [`simplify`] (collapse driver),
 //! [`tree`] (the decorated collapse tree), [`front`] (cut extraction, ROI
-//! filtering, query-point embedding), [`paged`] (storage layout over
-//! `sknn-store` with page-accurate retrieval).
+//! filtering, query-point embedding), [`units`] (MR3's storage layout:
+//! one page run per schedule step holding every tile's cut-cache unit),
+//! [`cache`] (the shared cut cache over it), [`paged`] (the paper's
+//! Morton-clustered B+-tree layout, read by the EA baseline).
 
 //! ```
 //! use sknn_multires::{build_dmtm, FrontGraph};
@@ -44,9 +46,11 @@ pub mod paged;
 pub mod quadric;
 pub mod simplify;
 pub mod tree;
+pub mod units;
 
-pub use cache::{CutCache, CutDirectory, CutGrid, TileSpan};
-pub use front::{FrontGraph, FrontUnit};
-pub use paged::{FetchScratch, PagedDmtm};
+pub use cache::{CutCache, CutGrid, TileSpan};
+pub use front::{FetchScratch, FrontGraph, FrontUnit};
+pub use paged::PagedDmtm;
 pub use simplify::build_dmtm;
 pub use tree::{DmtmNode, DmtmTree};
+pub use units::UnitStore;

@@ -27,11 +27,10 @@ fn main() {
     println!("pair: euclidean {euclid:.2} m, exact surface distance {exact:.2} m\n");
     println!("dmtm%   msdn%    lb(m)      ub(m)     eps=lb/ub   brackets-exact?");
 
-    let dmtm_levels = [0.005, 0.25, 0.5, 0.75, 1.0, 2.0];
     let msdn_levels = [0.25, 0.375, 0.5, 0.75, 1.0, 1.0];
-    for (i, (&df, &mf)) in dmtm_levels.iter().zip(&msdn_levels).enumerate() {
+    for (i, (&df, &mf)) in cfg.schedule.dmtm.iter().zip(&msdn_levels).enumerate() {
         let lvl = i.min(cfg.msdn_levels.len() - 1);
-        let range = engine.estimate_pair(a, b, df, lvl);
+        let range = engine.estimate_pair(a, b, i, lvl);
         let ok = range.lb <= exact + 1e-6 && exact <= range.ub + 1e-6;
         println!(
             "{:>5.1}  {:>5.1}  {:>9.2}  {:>9.2}   {:>8.3}     {}",

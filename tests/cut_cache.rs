@@ -1,6 +1,7 @@
 //! The shared cut cache's contracts (DESIGN.md §16).
 //!
-//! * **Bit-identity** — a front derived from resident tile units equals
+//! * **Bit-identity** — a front derived from resident tile units (read
+//!   from the unit store's page runs) equals the B+-tree layout's
 //!   `PagedDmtm::fetch_front` of the same region, and a line set handed
 //!   out of the line cache equals `PagedMsdn::fetch_lines_axis`, byte for
 //!   byte, for every band of a fused load (proptests over steps, lattice
@@ -12,8 +13,9 @@
 //! * **Bounded memory** — a budget far below the working set evicts
 //!   instead of growing, and what is derived stays equal to the oracle.
 //! * **Fault interaction** — a failed load publishes none of the units it
-//!   had claimed (a fused line load: no line of either axis), and the next
-//!   request after the fault clears loads them fresh and correctly.
+//!   had claimed (one bad unit page fails the whole load; a fused line
+//!   load: no line of either axis), and the next request after the fault
+//!   clears loads them fresh and correctly.
 //! * **Warm means resident** — with the default budget a repeated query
 //!   pool reads no page and evicts nothing on its second pass, in a
 //!   fraction of the memory rectangle-keyed cuts needed.
@@ -27,7 +29,7 @@ use surface_knn::core::mr3::Mr3Engine;
 use surface_knn::core::workload::{SceneBuilder, SurfacePoint};
 use surface_knn::geom::{Axis, Rect2};
 use surface_knn::multires::{
-    build_dmtm, CutCache, CutGrid, FetchScratch, FrontGraph, PagedDmtm, TileSpan,
+    build_dmtm, CutCache, CutGrid, FetchScratch, FrontGraph, PagedDmtm, TileSpan, UnitStore,
 };
 use surface_knn::prelude::*;
 use surface_knn::sdn::{LineBand, LineCutCache, Msdn, MsdnConfig, PagedMsdn, SimplifiedLine};
@@ -46,6 +48,19 @@ fn dmtm_fixture(grid: usize, seed: u64) -> DmtmFixture {
     let pager = Pager::new(256);
     let dmtm = PagedDmtm::build(&pager, build_dmtm(&mesh));
     DmtmFixture { pager, dmtm, grid: CutGrid::new(mesh.extent(), TILES, 0.5) }
+}
+
+impl DmtmFixture {
+    /// The units of `steps`, stored on the fixture's pager beside the
+    /// B+-tree oracle's pages.
+    fn units(&self, steps: &[u32]) -> UnitStore {
+        UnitStore::build(&self.pager, self.dmtm.tree(), self.grid, steps)
+    }
+
+    /// A cut cache of `capacity` bytes over the units of `steps`.
+    fn cache(&self, capacity: usize, steps: &[u32]) -> CutCache {
+        CutCache::new(capacity, self.units(steps))
+    }
 }
 
 struct MsdnFixture {
@@ -127,7 +142,7 @@ fn assert_front_matches_oracle(
     span: TileSpan,
     scratch: &mut FetchScratch,
 ) {
-    let (derived, _) = cache.get_or_extract(&f.dmtm, &f.pager, step, span, scratch).unwrap();
+    let (derived, _) = cache.get_or_extract(f.dmtm.tree(), &f.pager, step, span, scratch).unwrap();
     let oracle = f.dmtm.fetch_front(&f.pager, step, Some(&f.grid.span_rect(span))).unwrap();
     assert_eq!(
         front_fingerprint(&derived),
@@ -152,10 +167,10 @@ proptest! {
         shape in 0usize..4,
     ) {
         let f = dmtm_fixture(25, 305);
-        let roomy = CutCache::new(64 << 20, f.grid);
-        let tiny = CutCache::new(512, f.grid);
-        let mut scratch = FetchScratch::default();
         let step = pick_step(&f.dmtm, step_pick, random_step);
+        let roomy = f.cache(64 << 20, &[step]);
+        let tiny = f.cache(512, &[step]);
+        let mut scratch = FetchScratch::default();
         let span = match shape {
             0 => f.grid.full_span(),
             1 => span_from(corners.0, corners.0, corners.2, corners.2), // single tile
@@ -305,8 +320,8 @@ fn a_fault_on_one_axis_publishes_no_line_of_either() {
 #[test]
 fn overlapping_regions_load_each_unit_once_across_four_threads() {
     let f = dmtm_fixture(33, 301);
-    let cache = CutCache::new(64 << 20, f.grid);
     let step = f.dmtm.tree().step_for_fraction(0.5);
+    let cache = f.cache(64 << 20, &[step]);
     // Four unequal, mutually overlapping regions; between them they cover
     // columns 0..7 × rows 1..7.
     let spans = [
@@ -361,8 +376,8 @@ fn overlapping_regions_load_each_unit_once_across_four_threads() {
 #[test]
 fn failed_load_publishes_none_of_its_claimed_units() {
     let f = dmtm_fixture(25, 307);
-    let cache = CutCache::new(64 << 20, f.grid);
     let step = f.dmtm.tree().num_steps() / 2;
+    let cache = f.cache(64 << 20, &[step]);
     let mut scratch = FetchScratch::default();
     // One resident neighbour, so the failing request mixes resident and
     // claimed units.
@@ -374,7 +389,7 @@ fn failed_load_publishes_none_of_its_claimed_units() {
     f.pager.clear_pool();
     f.pager.set_fault_injector(Some(FaultInjector::seeded(99, 1.0, FaultKind::Permanent)));
     let span = TileSpan { x0: 1, x1: 5, y0: 1, y1: 4 };
-    let err = cache.get_or_extract(&f.dmtm, &f.pager, step, span, &mut scratch);
+    let err = cache.get_or_extract(f.dmtm.tree(), &f.pager, step, span, &mut scratch);
     assert!(err.is_err(), "a load under permanent faults must fail");
     let stats = cache.stats();
     assert!(stats.failed_loads >= 1, "failed load not counted: {stats:?}");
@@ -385,8 +400,47 @@ fn failed_load_publishes_none_of_its_claimed_units() {
 
     // After the fault clears, the same region loads fresh and correctly.
     f.pager.set_fault_injector(None);
-    let (front, hit) = cache.get_or_extract(&f.dmtm, &f.pager, step, span, &mut scratch).unwrap();
+    let (front, hit) =
+        cache.get_or_extract(f.dmtm.tree(), &f.pager, step, span, &mut scratch).unwrap();
     assert!(!hit, "a failed load must not satisfy later requests");
+    let fresh = f.dmtm.fetch_front(&f.pager, step, Some(&f.grid.span_rect(span))).unwrap();
+    assert_eq!(front_fingerprint(&front), front_fingerprint(&fresh));
+}
+
+/// A permanent fault on one page of a unit load's batch fails the whole
+/// load: no unit of the call is resident and no latch is left. Once the
+/// injector is gone, the same span loads cleanly and equals the B+-tree
+/// layout's fetch.
+#[test]
+fn a_fault_on_one_unit_page_publishes_no_unit_of_the_load() {
+    let f = dmtm_fixture(33, 309);
+    let step = f.dmtm.tree().step_for_fraction(1.0);
+    let span = TileSpan { x0: 1, x1: 7, y0: 2, y1: 6 };
+    let tiles: Vec<u32> = span.tiles(TILES).collect();
+    let units = f.units(&[step]);
+    let pages = units.pages(step, &tiles);
+    assert!(pages.len() > 2, "the span's units fill {} pages", pages.len());
+    let cache = CutCache::new(64 << 20, units);
+    let bad = pages[pages.len() / 2];
+    f.pager.clear_pool();
+    f.pager.set_fault_injector(Some(FaultInjector::script().fail_page(
+        bad.0,
+        FaultKind::Permanent,
+        None,
+    )));
+    let mut scratch = FetchScratch::default();
+    let err = cache.get_or_extract(f.dmtm.tree(), &f.pager, step, span, &mut scratch);
+    assert!(err.is_err(), "a permanent fault on one unit page must fail the load");
+    let stats = cache.stats();
+    assert_eq!(stats.failed_loads, 1, "{stats:?}");
+    assert_eq!(cache.len(), 0, "the failed load published units");
+    assert_eq!(cache.gauges().loading, 0, "the failed load left a latch");
+
+    f.pager.set_fault_injector(None);
+    let (front, hit) =
+        cache.get_or_extract(f.dmtm.tree(), &f.pager, step, span, &mut scratch).unwrap();
+    assert!(!hit, "a failed load must not satisfy later requests");
+    assert_eq!(cache.len(), tiles.len());
     let fresh = f.dmtm.fetch_front(&f.pager, step, Some(&f.grid.span_rect(span))).unwrap();
     assert_eq!(front_fingerprint(&front), front_fingerprint(&fresh));
 }
@@ -416,28 +470,23 @@ fn warm_means_resident() {
     assert_eq!(snap.evictions, 0, "the default budget must hold the whole working set");
 
     // Everything the schedule can ever ask for: every tile of every front
-    // step (plus the pathnet's leaf charge at step 0) and every line.
+    // step (the pathnet's leaf charge is step 0) and every line.
     let pager = Pager::new(cfg.pool_pages);
-    let dmtm = PagedDmtm::build(&pager, build_dmtm(&mesh));
+    let tree = build_dmtm(&mesh);
     let msdn = Msdn::build(
         &mesh,
         &MsdnConfig { levels: cfg.msdn_levels.clone(), plane_spacing: cfg.plane_spacing },
     );
     let msdn = PagedMsdn::build(&pager, &msdn);
     let grid = CutGrid::new(mesh.extent(), cfg.cut_cache.tiles, cfg.cut_cache.pad_tiles);
-    let all_fronts = CutCache::new(usize::MAX, grid);
-    let mut steps: Vec<u32> = cfg
-        .schedule
-        .dmtm
-        .iter()
-        .filter(|&&frac| frac <= 1.0)
-        .map(|&frac| dmtm.tree().step_for_fraction(frac))
-        .chain([0])
-        .collect();
+    let mut steps: Vec<u32> =
+        cfg.schedule.dmtm.iter().map(|&frac| tree.step_for_fraction(frac)).collect();
+    let all_fronts = CutCache::new(usize::MAX, UnitStore::build(&pager, &tree, grid, &steps));
     steps.sort_unstable();
     steps.dedup();
+    assert!(steps.contains(&0), "s=1's pathnet level charges step 0: {steps:?}");
     for step in steps {
-        all_fronts.touch(&dmtm, &pager, step, grid.full_span()).unwrap();
+        all_fronts.touch(&pager, step, grid.full_span()).unwrap();
     }
     let all_lines = LineCutCache::new(usize::MAX);
     for level in 0..msdn.num_levels() {

@@ -104,8 +104,8 @@ proptest! {
         let b = surface_point(f, bx, by);
         prop_assume!(a.pos.dist(b.pos) > 1.0);
         let ds = exact().distance(a.to_mesh_point(), b.to_mesh_point());
-        let fracs = [0.005, 0.25, 0.5, 0.75, 1.0, 2.0];
-        let range = engine().estimate_pair(a, b, fracs[dmtm_idx], level);
+        // `dmtm_idx` indexes the default s=1 schedule: 0.5 % … 200 %.
+        let range = engine().estimate_pair(a, b, dmtm_idx, level);
         prop_assert!(range.lb <= ds + 1e-6, "lb {} > exact {}", range.lb, ds);
         if range.ub.is_finite() {
             prop_assert!(range.ub >= ds - 1e-6, "ub {} < exact {}", range.ub, ds);
