@@ -6,7 +6,8 @@
 //! region and one group's run to its members, the cut cache's unit-store
 //! build and a cold unit load over one tile and over the whole terrain, a
 //! cold fused line-cache load
-//! of one group's X and Y bands, the SDN lower bound in the
+//! of one group's X and Y bands, a ranking iteration's read plan with
+//! every key resident, the SDN lower bound in the
 //! three shapes its callers give it, the MSDN's layout on pages, the page
 //! checksum every physical read verifies, the batched point–MBR distance
 //! kernel behind R-tree descent, the R-tree bulk load behind every
@@ -29,6 +30,7 @@
 use sknn_core::config::Mr3Config;
 use sknn_core::objects::ObjectStore;
 use sknn_core::workload::SceneBuilder;
+use sknn_core::Mr3Engine;
 use sknn_geodesic::graph::{Dijkstra, DijkstraScratch, Graph, QueuePolicy};
 use sknn_geodesic::{MeshPoint, Pathnet};
 use sknn_geom::{Axis, Ellipse2, Point2, Rect2};
@@ -292,7 +294,10 @@ fn main() {
         h.bench(&format!("cutcache/load_units/{name}"), || {
             cut_cache.clear();
             unit_pager.clear_pool();
-            cut_cache.touch(&unit_pager, step, span).expect("unfaulted")
+            let mut load = cut_cache.claim(step, &[span]);
+            unit_pager.read_into(&mut [&mut load]).expect("unfaulted");
+            load.publish();
+            load.finish(&unit_pager).expect("unfaulted")
         });
     }
 
@@ -318,6 +323,26 @@ fn main() {
         line_cache.clear();
         line_pager.clear_pool();
         line_cache.get_or_fetch(&paged_msdn, &line_pager, top_level, &bands).expect("unfaulted")
+    });
+
+    // --- Iteration plan on a warm engine -------------------------------------
+    // What a warm ranking iteration pays before its first bound: a default
+    // engine on the 33² terrain with 30 objects, a query ranked against
+    // its 10 nearest objects as fresh candidates at the schedule's 50 %
+    // iteration — one group over the whole terrain, so every tile's unit
+    // and both axes' lines at that iteration's MSDN level — with every key
+    // already resident. The claim pass over both caches, the grouping and
+    // the query scope around them; no page is read.
+    let plan_scene = SceneBuilder::new(&mesh).object_count(30).seed(1).build();
+    let mut plan_engine = Mr3Engine::build(&mesh, &plan_scene, &cfg);
+    plan_engine.cold_cache = false;
+    let plan_q = plan_scene.random_query(3);
+    let half = cfg.schedule.dmtm.iter().position(|&f| f == 0.5).expect("s=1 has a 50 % step");
+    plan_engine.plan_iteration(plan_q, 10, half).expect("unfaulted");
+    plan_engine.plan_iteration(plan_q, 10, half).expect("unfaulted");
+    assert_eq!(plan_engine.pager().stats().physical_reads, 0, "a warm plan reads no page");
+    h.bench("ranking/plan_iteration/warm", || {
+        plan_engine.plan_iteration(plan_q, 10, half).expect("unfaulted")
     });
 
     // --- SDN lower bound ---------------------------------------------------

@@ -234,6 +234,7 @@ impl<'s, 'm> Mr3Engine<'s, 'm> {
                 field("coalesced", conc.coalesced_misses),
                 field("sf_waits", conc.singleflight_waits),
                 field("contention", conc.shard_contention),
+                field("stalled_batches", self.pager.stalled_batches()),
                 field("shards", self.pager.num_shards() as u64),
             ],
         );
@@ -485,6 +486,31 @@ impl<'s, 'm> Mr3Engine<'s, 'm> {
     /// shard's object table can rebuild the candidate).
     pub fn seeds2d(&self, xy: sknn_geom::Point2, k: usize) -> Vec<(f64, u32, SurfacePoint)> {
         seeds_of(&self.objects.snapshot(), xy, k)
+    }
+
+    /// The read plan of ranking iteration `iter` for `q` against its `n`
+    /// nearest objects in the plane as fresh candidates: regions, I/O
+    /// groups, the claims in both cut caches and their one batched read,
+    /// with no bound computed. A second call on a warm engine finds every
+    /// key resident: the per-iteration overhead of the plan on a warm
+    /// query, which the `ranking/plan_iteration/warm` kernel row times.
+    /// Returns the number of I/O groups.
+    pub fn plan_iteration(
+        &self,
+        q: SurfacePoint,
+        n: usize,
+        iter: usize,
+    ) -> Result<usize, sknn_store::StoreError> {
+        let terrain = self.mesh.extent();
+        let mut cands: Vec<Candidate> = self
+            .seeds2d(q.pos.xy(), n)
+            .into_iter()
+            .map(|(_, id, point)| Candidate::new(&q, id, point, &terrain))
+            .collect();
+        self.scoped(&QueryOpts::default(), "plan", |s| {
+            s.ctx.plan_only(&q, &mut cands, iter, &mut s.stats)
+        })
+        .out
     }
 
     /// MR3 step 3 in isolation: every live object within 2D plan distance

@@ -23,11 +23,11 @@ use sknn_geodesic::pathnet::Pathnet;
 use sknn_geodesic::MeshPoint;
 use sknn_geom::Axis;
 use sknn_geom::{Aabb3, Ellipse2, Rect2};
-use sknn_multires::{CutCache, CutGrid, DmtmTree, FetchScratch, FrontGraph};
+use sknn_multires::{CutCache, CutGrid, DmtmTree, FetchScratch, FrontGraph, FrontUnit, TileSpan};
 use sknn_obs::{field, Recorder};
 use sknn_sdn::network::{lower_bound_with, LbScratch};
 use sknn_sdn::{LineBand, LineCutCache, Msdn, PagedMsdn, SimplifiedLine};
-use sknn_store::Pager;
+use sknn_store::{PageSink, Pager, StoreResult};
 use sknn_terrain::locate::TriangleLocator;
 use sknn_terrain::mesh::TerrainMesh;
 use std::cell::{Cell, RefCell};
@@ -152,6 +152,19 @@ struct CachedFront {
 /// The lines of one axis band: `Arc`s out of the shared line cache.
 type LineSet = Vec<Arc<SimplifiedLine>>;
 
+/// What one iteration's plan read, handed to its phases: no phase looks a
+/// key up in a shared cache or reads a page of its own.
+struct IterationFetch {
+    /// The iteration's DMTM step; `None` at a pathnet level.
+    step: Option<u32>,
+    /// Per group, its snapped region and the units its front is derived
+    /// from; `None` when the cached front serves the group, and at a
+    /// pathnet level.
+    fronts: Vec<Option<(Rect2, Vec<Arc<FrontUnit>>)>>,
+    /// Per group, its X and Y lines (none without a lower-bound phase).
+    lines: Vec<[LineSet; 2]>,
+}
+
 impl RankScratch {
     /// Prepare the scratch for reuse by a *different* query (the engine's
     /// scratch pool): the cached front must not carry over — a front
@@ -182,6 +195,7 @@ struct IterSnapshot {
     dummy_lb_hits: usize,
     settled: usize,
     physical_reads: u64,
+    stalled_batches: u64,
 }
 
 impl IterSnapshot {
@@ -192,6 +206,7 @@ impl IterSnapshot {
             dummy_lb_hits: stats.dummy_lb_hits,
             settled: stats.settled,
             physical_reads: pager.stats().physical_reads,
+            stalled_batches: pager.stalled_batches(),
         }
     }
 }
@@ -470,11 +485,11 @@ impl<'a, 'm> RankingContext<'a, 'm> {
     /// actual VA-file termination quantity (minimum lower bound among
     /// alive candidates ranked beyond k by upper bound); it is what
     /// `kth_ub` must drop below, but is not itself monotone because the
-    /// set it minimises over shrinks. `pages` is the shared pager's
-    /// physical-read delta over the iteration: exact for a query running
-    /// alone, approximate under concurrency (other queries' reads and
-    /// stat resets land in it) until the per-query ledger of ROADMAP
-    /// item 3 exists.
+    /// set it minimises over shrinks. `pages` and `stalls` are the shared
+    /// pager's physical-read and stalled-batch deltas over the iteration:
+    /// exact for a query running alone, approximate under concurrency
+    /// (other queries' reads and stat resets land in them) until the
+    /// per-query ledger of ROADMAP item 3 exists.
     #[allow(clippy::too_many_arguments)]
     fn emit_iter(
         &self,
@@ -522,6 +537,7 @@ impl<'a, 'm> RankingContext<'a, 'm> {
                     "pages",
                     self.pager.stats().physical_reads.saturating_sub(snap.physical_reads),
                 ),
+                field("stalls", self.pager.stalled_batches().saturating_sub(snap.stalled_batches)),
             ],
         );
     }
@@ -536,11 +552,78 @@ impl<'a, 'm> RankingContext<'a, 'm> {
         with_lb: bool,
         stats: &mut QueryStats,
     ) {
+        let Some((groups, members)) = self.group_iteration(q, cands) else { return };
+        let start = Instant::now();
+        let planned = self.plan_iteration(q, cands, &groups, &members, iter, with_lb, stats);
+        stats.stages.rank_fetch_us += us_since(start);
+        let IterationFetch { step, fronts, lines } = match planned {
+            Ok(fetch) => fetch,
+            Err(e) => {
+                // A failed read degrades the whole iteration: every
+                // candidate keeps its current (valid) bounds, and no front
+                // is cached.
+                self.scratch.borrow_mut().retire_front();
+                self.absorb_fault("iter", e);
+                return;
+            }
+        };
+        for ((group, members), front) in groups.iter().zip(&members).zip(fronts) {
+            // The front phase times its derivation into `rank_fetch_us`;
+            // the rest of the group's time is bound computation.
+            let start = Instant::now();
+            let fetch_before = stats.stages.rank_fetch_us;
+            match step {
+                Some(m) => self.ub_phase_front(q, cands, members, m, front, stats),
+                None => self.ub_phase_pathnet(q, cands, members, group.region, stats),
+            }
+            let compute = us_since(start).saturating_sub(stats.stages.rank_fetch_us - fetch_before);
+            if step.is_some() {
+                stats.stages.rank_ub_us += compute;
+            } else {
+                stats.stages.rank_pathnet_us += compute;
+            }
+        }
+        if with_lb {
+            // Integrated I/O for SDN data too: per-candidate line subsets
+            // are sliced in memory from the group's bands.
+            let start = Instant::now();
+            for (members, axis_lines) in members.iter().zip(&lines) {
+                for &ci in members {
+                    self.lb_phase(q, cands, ci, axis_lines, stats);
+                }
+            }
+            stats.stages.rank_lb_us += us_since(start);
+        }
+    }
+
+    /// An iteration's grouping and [`plan`](Self::plan_iteration) with
+    /// no phase after it: what a ranking iteration pays before its first
+    /// bound. Returns the number of I/O groups.
+    pub(crate) fn plan_only(
+        &self,
+        q: &SurfacePoint,
+        cands: &mut [Candidate],
+        iter: usize,
+        stats: &mut QueryStats,
+    ) -> StoreResult<usize> {
+        let Some((groups, members)) = self.group_iteration(q, cands) else { return Ok(0) };
+        self.plan_iteration(q, cands, &groups, &members, iter, true, stats)?;
+        Ok(groups.len())
+    }
+
+    /// Refresh the active candidates' I/O regions from their upper bounds
+    /// and merge them into integrated I/O groups: the groups, and per
+    /// group its members as indices into `cands`. `None` when no
+    /// candidate is active.
+    fn group_iteration(
+        &self,
+        q: &SurfacePoint,
+        cands: &mut [Candidate],
+    ) -> Option<(Vec<IoGroup>, Vec<Vec<usize>>)> {
         let terrain = self.mesh.extent();
-        // Refresh I/O regions from the current upper bounds.
         let active: Vec<usize> = (0..cands.len()).filter(|&i| !cands[i].out).collect();
         if active.is_empty() {
-            return;
+            return None;
         }
         for &i in &active {
             cands[i].region = if self.cfg.ellipse_prune {
@@ -560,63 +643,123 @@ impl<'a, 'm> RankingContext<'a, 'm> {
             2.0 // never merges
         };
         let groups: Vec<IoGroup> = merge_regions(&regions, threshold);
-
-        let frac = self.cfg.schedule.dmtm[iter];
-        for group in &groups {
-            if self.faults.exceeded() {
-                return;
-            }
-            let members: Vec<usize> = group.members.iter().map(|&gi| active[gi]).collect();
-            // The phases time their own fetches into `rank_fetch_us`; the
-            // rest of the group's time is bound computation.
-            let start = Instant::now();
-            let fetch_before = stats.stages.rank_fetch_us;
-            if frac <= 1.0 {
-                self.ub_phase_front(q, cands, &members, group.region, frac, stats);
-            } else {
-                self.ub_phase_pathnet(q, cands, &members, group.region, stats);
-            }
-            let compute = us_since(start).saturating_sub(stats.stages.rank_fetch_us - fetch_before);
-            if frac <= 1.0 {
-                stats.stages.rank_ub_us += compute;
-            } else {
-                stats.stages.rank_pathnet_us += compute;
-            }
-        }
-
-        if with_lb {
-            self.lb_round(q, cands, &active, &groups, iter, stats);
-        }
+        let members =
+            groups.iter().map(|g| g.members.iter().map(|&gi| active[gi]).collect()).collect();
+        Some((groups, members))
     }
 
-    /// The lower-bound phase of one iteration. Integrated I/O for SDN data
-    /// too: one axis band per group and axis covers every member, and
-    /// per-candidate line subsets are sliced in memory. Every group's X and
-    /// Y bands are planned first and loaded in **one** line-cache call, so
-    /// the round's misses pay one read batch; then each group bounds its
-    /// members as before.
-    fn lb_round(
+    /// Plan and read one iteration's whole fetch, before any bound is
+    /// computed: every group's DMTM units — unless the cached front will
+    /// serve the group, decided group by group exactly as
+    /// [`ub_phase_front`](Self::ub_phase_front) then consumes the plan —
+    /// and, with `with_lb`, every group's X and Y line bands at the
+    /// iteration's MSDN level. The keys nobody holds are claimed in both
+    /// shared caches, the union of their pages is read in **one** batch,
+    /// and both claims are published before any key led by another thread
+    /// is waited on. Each loaded key is credited to the first group or
+    /// band that asked for it. On `Err` nothing of the batch is published
+    /// and no latch is left.
+    #[allow(clippy::too_many_arguments)]
+    fn plan_iteration(
         &self,
         q: &SurfacePoint,
-        cands: &mut [Candidate],
-        active: &[usize],
+        cands: &[Candidate],
         groups: &[IoGroup],
+        members: &[Vec<usize>],
         iter: usize,
+        with_lb: bool,
         stats: &mut QueryStats,
-    ) {
-        if self.faults.exceeded() {
-            return;
+    ) -> StoreResult<IterationFetch> {
+        let frac = self.cfg.schedule.dmtm[iter];
+        // A pathnet level derives its graph from the mesh in memory and
+        // only charges the region's leaf units (step 0).
+        let step = (frac <= 1.0).then(|| self.tree.step_for_fraction(frac));
+        let m = step.unwrap_or(0);
+        // Canonical fetch regions (pad + tile-snap), so hot neighbourhoods
+        // converge onto a small set of reusable keys.
+        let spans: Vec<TileSpan> = groups.iter().map(|g| self.grid.span(&g.region)).collect();
+        let rois: Vec<Rect2> = spans.iter().map(|&s| self.grid.span_rect(s)).collect();
+
+        // Front cache: rebuilding the front per group per iteration is the
+        // dominant redundant work — the step repeats across consecutive
+        // schedule levels and regions only shrink, so a previously fetched
+        // front frequently covers the request outright. A group whose
+        // front misses leaves its own front cached for the next group.
+        let mut cached = self.scratch.borrow().front_cache.as_ref().map(|c| (c.step, c.roi));
+        // Per group, the index of its span in `asked`.
+        let mut asks: Vec<Option<usize>> = Vec::with_capacity(groups.len());
+        let mut asked: Vec<TileSpan> = Vec::with_capacity(groups.len());
+        for (span, roi) in spans.iter().zip(&rois) {
+            let served =
+                matches!((step, cached), (Some(m), Some((s, r))) if s == m && r.contains_rect(roi));
+            if served {
+                asks.push(None);
+                continue;
+            }
+            if step.is_some() {
+                cached = Some((m, *roi));
+            }
+            asks.push(Some(asked.len()));
+            asked.push(*span);
         }
-        // Canonical fetch regions (see `ub_phase_front`); per-candidate
-        // slicing in `lb_phase` keeps the widened band/region transparent
-        // to the lower-bound math.
-        let rois: Vec<Rect2> = groups.iter().map(|g| self.grid.snap(&g.region)).collect();
-        let members: Vec<Vec<usize>> =
-            groups.iter().map(|g| g.members.iter().map(|&gi| active[gi]).collect()).collect();
-        // Per group and axis slot, the index of its band in `bands`.
-        let mut band_of: Vec<[Option<usize>; 2]> = Vec::with_capacity(groups.len());
-        let mut bands: Vec<LineBand<'_>> = Vec::new();
-        for (group, roi) in members.iter().zip(&rois) {
+
+        let (band_of, bands) = if with_lb {
+            self.line_bands(q, cands, members, &rois)
+        } else {
+            (Vec::new(), Vec::new())
+        };
+
+        let mut units = self.cuts.claim(m, &asked);
+        let level = self.cfg.schedule.msdn_level(iter);
+        let mut lines = with_lb.then(|| self.lines.claim(self.msdn, level, &bands));
+        {
+            let mut sinks: Vec<&mut dyn PageSink> = vec![&mut units];
+            sinks.extend(lines.as_mut().map(|l| l as &mut dyn PageSink));
+            self.pager.read_into(&mut sinks)?;
+        }
+        units.publish();
+        if let Some(lines) = lines.as_mut() {
+            lines.publish();
+        }
+        let mut units = units.finish(self.pager)?;
+        let mut lines = lines.map(|l| l.finish(self.pager)).transpose()?.unwrap_or_default();
+        for &hit in units.iter().map(|(_, hit)| hit).chain(lines.iter().map(|(_, hit)| hit)) {
+            count_cut_fetch(stats, hit);
+        }
+        let fronts = asks
+            .iter()
+            .zip(rois)
+            .map(|(ask, roi)| {
+                let ask = ask.filter(|_| step.is_some())?;
+                Some((roi, std::mem::take(&mut units[ask].0)))
+            })
+            .collect();
+        let lines = band_of
+            .iter()
+            .map(|slots| {
+                slots.map(|b| b.map_or_else(Vec::new, |b| std::mem::take(&mut lines[b].0)))
+            })
+            .collect();
+        Ok(IterationFetch { step, fronts, lines })
+    }
+
+    /// One axis band per group and axis, covering every member whose
+    /// separating planes run along that axis, snapped like the group's
+    /// region `rois[g]`; the widened band and region stay transparent to
+    /// the lower-bound math because `lb_phase` slices each candidate's
+    /// exact interval. Returns per group the index of each axis's band in
+    /// the band list (`None` when no member needs it), and the list.
+    #[allow(clippy::type_complexity)]
+    fn line_bands<'r>(
+        &self,
+        q: &SurfacePoint,
+        cands: &[Candidate],
+        members: &[Vec<usize>],
+        rois: &'r [Rect2],
+    ) -> (Vec<[Option<usize>; 2]>, Vec<LineBand<'r>>) {
+        let mut band_of: Vec<[Option<usize>; 2]> = Vec::with_capacity(members.len());
+        let mut bands: Vec<LineBand<'r>> = Vec::new();
+        for (group, roi) in members.iter().zip(rois) {
             let mut slots = [None, None];
             for (slot, axis) in [(0, Axis::X), (1, Axis::Y)] {
                 let mut lo = f64::INFINITY;
@@ -636,83 +779,37 @@ impl<'a, 'm> RankingContext<'a, 'm> {
             }
             band_of.push(slots);
         }
-        let lvl = self.cfg.schedule.msdn_level(iter);
-        let start = Instant::now();
-        let fetched = self.lines.get_or_fetch(self.msdn, self.pager, lvl, &bands);
-        stats.stages.rank_fetch_us += us_since(start);
-        let mut loaded = match fetched {
-            Ok(loaded) => loaded,
-            Err(e) => {
-                // A failed load degrades the whole round: every group keeps
-                // its current (valid) lower bounds.
-                self.absorb_fault("lb", e);
-                return;
-            }
-        };
-        for &(_, hit) in &loaded {
-            count_cut_fetch(stats, hit);
-        }
-        let start = Instant::now();
-        for (group, slots) in members.iter().zip(&band_of) {
-            let axis_lines: [LineSet; 2] =
-                slots.map(|b| b.map_or_else(Vec::new, |b| std::mem::take(&mut loaded[b].0)));
-            for &ci in group {
-                self.lb_phase(q, cands, ci, &axis_lines, stats);
-            }
-        }
-        stats.stages.rank_lb_us += us_since(start);
+        (band_of, bands)
     }
 
-    /// Upper bounds from a DMTM front at `frac` resolution, one fetch per
-    /// group (or none at all when the cached front already covers it).
+    /// Upper bounds from the DMTM front at step `m`: derived from the units
+    /// the plan read for this group, or the cached front when the plan
+    /// left the group none.
     fn ub_phase_front(
         &self,
         q: &SurfacePoint,
         cands: &mut [Candidate],
         members: &[usize],
-        region: Rect2,
-        frac: f64,
+        m: u32,
+        front: Option<(Rect2, Vec<Arc<FrontUnit>>)>,
         stats: &mut QueryStats,
     ) {
-        let m = self.tree.step_for_fraction(frac);
-        // Canonicalize the fetch region (pad + tile-snap), so hot
-        // neighbourhoods converge onto a small set of reusable keys.
-        let span = self.grid.span(&region);
-        let region = self.grid.span_rect(span);
         let scratch = &mut *self.scratch.borrow_mut();
-
-        // Front cache: rebuilding the front per group per iteration is the
-        // dominant redundant work — the step repeats across consecutive
-        // schedule levels and regions only shrink, so a previously fetched
-        // front frequently covers the request outright.
-        let hit = matches!(scratch.front_cache.as_ref(),
-            Some(c) if c.step == m && c.roi.contains_rect(&region));
-        if hit {
-            stats.front_cache_hits += 1;
-        } else {
-            scratch.retire_front();
-            let start = Instant::now();
-            let fetched =
-                self.cuts.get_or_extract(self.tree, self.pager, m, span, &mut scratch.fetch);
-            stats.stages.rank_fetch_us += us_since(start);
-            match fetched {
-                Ok((graph, hit)) => {
-                    count_cut_fetch(stats, hit);
-                    let mut csr = std::mem::take(&mut scratch.spare_csr);
-                    csr.rebuild_undirected(graph.num_nodes(), &graph.edges);
-                    scratch.front_cache = Some(CachedFront { step: m, roi: region, graph, csr });
-                }
-                Err(e) => {
-                    // Degrade: this group keeps its previous upper bounds
-                    // (still valid, just looser) and no front is cached.
-                    self.absorb_fault("ub", e);
-                    return;
-                }
+        match front {
+            None => stats.front_cache_hits += 1,
+            Some((roi, units)) => {
+                scratch.retire_front();
+                let start = Instant::now();
+                let graph = FrontGraph::derive(self.tree, m, &units, &mut scratch.fetch);
+                stats.stages.rank_fetch_us += us_since(start);
+                let mut csr = std::mem::take(&mut scratch.spare_csr);
+                csr.rebuild_undirected(graph.num_nodes(), &graph.edges);
+                scratch.front_cache = Some(CachedFront { step: m, roi, graph, csr });
             }
         }
         let RankScratch { front_cache, masked, shared, .. } = scratch;
         let CachedFront { graph: fg, csr, .. } =
-            front_cache.as_ref().expect("front cache populated above");
+            front_cache.as_ref().expect("derived above, or the cached front the plan counted on");
         if fg.num_nodes() == 0 {
             return;
         }
@@ -826,8 +923,8 @@ impl<'a, 'm> RankingContext<'a, 'm> {
 
     /// Upper bounds from the pathnet (the >100 % level): approximate
     /// surface distances over Steiner-augmented facets within the group
-    /// region. Page charges come from fetching the leaf-level terrain
-    /// records for the region.
+    /// region. Its page charge — the region's leaf-level units — is the
+    /// plan's.
     fn ub_phase_pathnet(
         &self,
         q: &SurfacePoint,
@@ -836,18 +933,6 @@ impl<'a, 'm> RankingContext<'a, 'm> {
         region: Rect2,
         stats: &mut QueryStats,
     ) {
-        // Charge the I/O of reading the original-resolution terrain in the
-        // (canonical) region — the pathnet is derived from it on the fly.
-        // No graph is needed: the region's leaf units are made resident
-        // (repeat charges for a hot region cost nothing).
-        let start = Instant::now();
-        match self.cuts.touch(self.pager, 0, self.grid.span(&region)) {
-            Ok(hit) => count_cut_fetch(stats, hit),
-            // The pathnet itself is derived in memory, so a failed
-            // leaf-page charge degrades the accounting, not the bound.
-            Err(e) => self.absorb_fault("ub", e),
-        }
-        stats.stages.rank_fetch_us += us_since(start);
         let mesh = self.mesh;
         let facets = self.locator.triangles_meeting(mesh, &region);
         let net = Pathnet::build_region(mesh, self.cfg.pathnet_steiner, facets);

@@ -27,8 +27,8 @@ pub const FAULT_BUDGET: usize = 16;
 /// bounds because storage faults were absorbed along the way.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Degraded {
-    /// Ranking phase of the first absorbed fault (`"ub"`, `"lb"`,
-    /// `"pair_ub"`, `"pair_lb"`).
+    /// Ranking phase of the first absorbed fault (`"iter"` for a ranking
+    /// iteration's read batch, `"pair_ub"`, `"pair_lb"`).
     pub phase: &'static str,
     /// Number of storage faults absorbed during the query.
     pub faults: usize,

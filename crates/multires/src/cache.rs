@@ -32,8 +32,11 @@ use crate::front::{FetchScratch, FrontGraph, FrontUnit};
 use crate::tree::DmtmTree;
 use crate::units::UnitStore;
 use sknn_geom::{Point2, Rect2};
-use sknn_store::{CacheGauges, CacheStats, ManyOutcome, Pager, SingleFlightCache, StoreResult};
+use sknn_store::{
+    CacheGauges, CacheStats, Claim, PageId, PageSink, Pager, SingleFlightCache, StoreResult,
+};
 use std::ops::Range;
+use std::sync::Arc;
 
 /// A canonical fetch region as half-open ranges of lattice tile indices.
 /// Never empty: [`CutGrid::span`] always covers at least one tile per
@@ -246,31 +249,44 @@ impl CutCache {
         Self { inner: SingleFlightCache::new(capacity_bytes), store }
     }
 
-    /// Make every unit of `span` at step `m` resident and return them in
-    /// row-major tile order. The units nobody holds yet are read from the
-    /// store through `pager` in one page batch; I/O is charged to `pager`
-    /// only for those.
-    fn units(&self, pager: &Pager, m: u32, span: TileSpan) -> StoreResult<ManyOutcome<FrontUnit>> {
-        let keys: Vec<UnitKey> =
-            span.tiles(self.store.grid().tiles()).map(|tile| UnitKey { step: m, tile }).collect();
-        self.inner.get_many(&keys, |claimed| {
-            let tiles: Vec<u32> = claimed.iter().map(|&i| keys[i].tile).collect();
-            let units = self.store.read(pager, m, &tiles)?;
-            Ok(units
-                .into_iter()
-                .map(|u| {
-                    let weight = u.weight();
-                    (u, weight)
-                })
-                .collect())
-        })
+    /// Claim the units of every span at step `m` — each tile once, however
+    /// many spans hold it — for a read the caller batches: the returned
+    /// load's [`pages`](PageSink::pages) are those of the units nobody
+    /// holds yet, to be read (together with other structures' pages, in
+    /// one [`Pager::read_into`]) and then [`publish`](UnitLoad::publish)ed
+    /// and [`finish`](UnitLoad::finish)ed.
+    pub fn claim(&self, m: u32, spans: &[TileSpan]) -> UnitLoad<'_> {
+        let side = self.store.grid().tiles();
+        // Per tile, its position in `keys`.
+        let mut at = vec![usize::MAX; side * side];
+        let count = |s: &TileSpan| (s.x1 - s.x0) * (s.y1 - s.y0);
+        let total: usize = spans.iter().map(count).sum();
+        let (mut keys, mut first_span) = (Vec::with_capacity(total), Vec::with_capacity(total));
+        let mut picks = Vec::with_capacity(spans.len());
+        for (s, span) in spans.iter().enumerate() {
+            let mut pick = Vec::with_capacity(count(span));
+            for tile in span.tiles(side) {
+                let slot = &mut at[tile as usize];
+                if *slot == usize::MAX {
+                    *slot = keys.len();
+                    keys.push(UnitKey { step: m, tile });
+                    first_span.push(s);
+                }
+                pick.push(*slot);
+            }
+            picks.push(pick);
+        }
+        let claim = self.inner.claim(&keys);
+        let tiles: Vec<u32> = claim.claimed().iter().map(|&i| keys[i].tile).collect();
+        let pages = if tiles.is_empty() { Vec::new() } else { self.store.pages(m, &tiles) };
+        UnitLoad { cache: self, m, keys, first_span, picks, claim, pages, bytes: Vec::new() }
     }
 
     /// The front of `tree` at step `m` restricted to `span`, derived from
-    /// resident units (loading the missing ones first) into buffers
-    /// recycled from `scratch`. Equal to [`PagedDmtm::fetch_front`] of
-    /// the span's rectangle bit for bit. The flag is `true` when no unit
-    /// had to be loaded.
+    /// resident units (loading the missing ones first, in one page batch)
+    /// into buffers recycled from `scratch`. Equal to
+    /// [`PagedDmtm::fetch_front`] of the span's rectangle bit for bit. The
+    /// flag is `true` when no unit had to be loaded.
     ///
     /// [`PagedDmtm::fetch_front`]: crate::PagedDmtm::fetch_front
     pub fn get_or_extract(
@@ -281,15 +297,11 @@ impl CutCache {
         span: TileSpan,
         scratch: &mut FetchScratch,
     ) -> StoreResult<(FrontGraph, bool)> {
-        let out = self.units(pager, m, span)?;
-        Ok((FrontGraph::derive(tree, m, &out.values, scratch), out.hit))
-    }
-
-    /// Make the units of `span` at step `m` resident without deriving a
-    /// front — the page charge of a region whose data the caller reads
-    /// elsewhere. Returns whether no unit had to be loaded.
-    pub fn touch(&self, pager: &Pager, m: u32, span: TileSpan) -> StoreResult<bool> {
-        Ok(self.units(pager, m, span)?.hit)
+        let mut load = self.claim(m, &[span]);
+        pager.read_into(&mut [&mut load])?;
+        load.publish();
+        let (units, hit) = load.finish(pager)?.pop().expect("one span, one unit list");
+        Ok((FrontGraph::derive(tree, m, &units, scratch), hit))
     }
 
     /// Counter snapshot (per unit, not per fetch).
@@ -321,6 +333,72 @@ impl CutCache {
     pub fn is_empty(&self) -> bool {
         self.inner.is_empty()
     }
+}
+
+/// A [`CutCache::claim`] of one step's units for a list of spans: the
+/// units it latched are read through its [`PageSink`] side, decoded and
+/// published by [`publish`](Self::publish), and every span's units are
+/// handed out by [`finish`](Self::finish). Dropped before the publish — a
+/// failed read — it unlatches every unit and publishes none.
+pub struct UnitLoad<'c> {
+    cache: &'c CutCache,
+    m: u32,
+    /// The spans' distinct units, in the order the spans first ask.
+    keys: Vec<UnitKey>,
+    /// Per unit, the span that asked for it first.
+    first_span: Vec<usize>,
+    /// Per span, its units' positions in `keys`, row-major.
+    picks: Vec<Vec<usize>>,
+    claim: Claim<'c, UnitKey, FrontUnit>,
+    /// The pages of the claimed units, ascending.
+    pages: Vec<PageId>,
+    /// Their bytes back to back, as the read feeds them.
+    bytes: Vec<u8>,
+}
+
+impl PageSink for UnitLoad<'_> {
+    fn pages(&self) -> &[PageId] {
+        &self.pages
+    }
+
+    fn feed(&mut self, _: PageId, bytes: &[u8]) {
+        self.bytes.extend_from_slice(bytes);
+    }
+}
+
+impl UnitLoad<'_> {
+    /// Decode the claimed units from the bytes the read fed and publish
+    /// them, waking their waiters.
+    pub fn publish(&mut self) {
+        let tiles: Vec<u32> = self.claim.claimed().iter().map(|&i| self.keys[i].tile).collect();
+        let units = self.cache.store.decode(self.m, &tiles, &self.pages, &self.bytes);
+        self.claim.publish(weighed(units));
+    }
+
+    /// Per span, its units in row-major tile order, and whether this load
+    /// read none of the units the span was first to ask for — the count a
+    /// span-by-span load in the same order would report. Units another
+    /// thread was loading are waited for now, and read here if their
+    /// leader failed, so call this only once every claim of the batch, in
+    /// every cache, is published.
+    pub fn finish(self, pager: &Pager) -> StoreResult<Vec<(Vec<Arc<FrontUnit>>, bool)>> {
+        let UnitLoad { cache, m, keys, first_span, picks, claim, .. } = self;
+        claim.hand_out(&keys, &first_span, &picks, |claimed| {
+            let tiles: Vec<u32> = claimed.iter().map(|&i| keys[i].tile).collect();
+            Ok(weighed(cache.store.read(pager, m, &tiles)?))
+        })
+    }
+}
+
+/// Units with their cache weights.
+fn weighed(units: Vec<FrontUnit>) -> Vec<(FrontUnit, usize)> {
+    units
+        .into_iter()
+        .map(|u| {
+            let weight = u.weight();
+            (u, weight)
+        })
+        .collect()
 }
 
 #[cfg(test)]

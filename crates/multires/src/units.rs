@@ -102,22 +102,29 @@ impl UnitStore {
     ///
     /// Panics when `m` is not a stored step.
     pub fn read(&self, pager: &Pager, m: u32, tiles: &[u32]) -> StoreResult<Vec<FrontUnit>> {
-        let run = self.run(m);
         let pages = self.pages(m, tiles);
         let mut buf = Vec::with_capacity(pages.len() * PAGE_SIZE);
         pager.with_pages(&pages, |_, bytes| buf.extend_from_slice(bytes))?;
+        Ok(self.decode(m, tiles, &pages, &buf))
+    }
+
+    /// The units of `tiles` at step `m`, in `tiles` order, decoded from
+    /// `bytes`: the bytes of `pages` — [`pages`](Self::pages) of a set of
+    /// tiles holding `tiles` — back to back.
+    pub fn decode(&self, m: u32, tiles: &[u32], pages: &[PageId], bytes: &[u8]) -> Vec<FrontUnit> {
+        let run = self.run(m);
         // A unit's pages are consecutive in the run and all in `pages`, so
-        // its bytes are contiguous in `buf`.
-        Ok(tiles
+        // its bytes are contiguous in `bytes`.
+        tiles
             .iter()
             .map(|&t| {
                 let (a, b) = (run.offsets[t as usize], run.offsets[t as usize + 1]);
                 let page = PageId(run.first.0 + (a / PAGE_SIZE) as u64);
                 let at = pages.binary_search(&page).expect("page of a claimed tile") * PAGE_SIZE
                     + a % PAGE_SIZE;
-                decode(&buf[at..at + (b - a)])
+                decode(&bytes[at..at + (b - a)])
             })
-            .collect())
+            .collect()
     }
 }
 

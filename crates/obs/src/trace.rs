@@ -13,13 +13,15 @@
 //! * `{"t":"event","name":"iter","phase":"rank","i":…,"dmtm_frac":…,
 //!   "msdn_level":…,"alive":…,"kth_ub":…,"next_lb":…,"resolve_lb":…,
 //!   "resolved":…,"ub_est":…,"lb_est":…,"dummy_lb":…,"settled":…,
-//!   "pages":…}` — one per ranking iteration (phase `radius` for step 2,
-//!   `rank` for step 4, `range` for surface range queries);
+//!   "pages":…,"stalls":…}` — one per ranking iteration (phase `radius`
+//!   for step 2, `rank` for step 4, `range` for surface range queries;
+//!   `stalls` = read batches that paid the disk stall);
 //! * `{"t":"event","name":"io","structure":"dmtm","logical":…,
 //!   "physical":…,"hits":…,"evictions":…}` — per-structure page
 //!   attribution, plus a `{"t":"event","name":"pool","hit_rate":…,
 //!   "evictions":…,"logical":…,"physical":…,"coalesced":…,"sf_waits":…,
-//!   "contention":…,"shards":…}` buffer-pool roll-up (`coalesced` =
+//!   "contention":…,"stalled_batches":…,"shards":…}` buffer-pool roll-up
+//!   (`stalled_batches` as `stalls`, over the query; `coalesced` =
 //!   misses served without their own stall — single-flight waiters and
 //!   batched-read members; `sf_waits` = waits on another thread's
 //!   in-flight read; `contention` = shard-lock acquisitions that would
@@ -82,6 +84,9 @@ pub struct IterEvent {
     pub settled: u64,
     /// Physical pages read this iteration.
     pub pages: u64,
+    /// Read batches this iteration that paid the disk stall (at most one
+    /// per iteration when it runs alone).
+    pub stalls: u64,
 }
 
 impl QueryTrace {
@@ -124,6 +129,7 @@ impl QueryTrace {
                 dummy_lb: r.get_u64("dummy_lb").unwrap_or(0),
                 settled: r.get_u64("settled").unwrap_or(0),
                 pages: r.get_u64("pages").unwrap_or(0),
+                stalls: r.get_u64("stalls").unwrap_or(0),
             })
             .collect()
     }

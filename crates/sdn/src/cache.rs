@@ -18,10 +18,12 @@
 //! the (superset) cached band, so widening is transparent to the
 //! lower-bound math.
 
-use crate::paged::PagedMsdn;
+use crate::paged::{LineRead, PagedMsdn};
 use crate::simplify::SimplifiedLine;
 use sknn_geom::{Axis, Rect2};
-use sknn_store::{CacheGauges, CacheStats, Pager, SingleFlightCache, StoreResult};
+use sknn_store::{
+    CacheGauges, CacheStats, Claim, PageId, PageSink, Pager, SingleFlightCache, StoreResult,
+};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -39,7 +41,7 @@ fn line_weight(line: &SimplifiedLine) -> usize {
     64 + line.segments.len() * 96
 }
 
-/// One band of a [`LineCutCache::get_or_fetch`]: the lines of `axis`
+/// One band of a [`LineCutCache::claim`]: the lines of `axis`
 /// with plane coordinate in the open (canonical) band `(lo, hi)` whose
 /// extent meets the (canonical) `roi`.
 #[derive(Debug, Clone, Copy)]
@@ -67,13 +69,10 @@ impl LineCutCache {
 
     /// The simplified lines of every band at one level — for each band,
     /// the lines and order of `msdn.fetch_lines_axis` over it — plus a hit
-    /// flag per band. The bands' directory lines are deduplicated and
-    /// resolved in one [`SingleFlightCache::get_many`]; the lines nobody
-    /// holds yet are read in **one** [`PagedMsdn::fetch_lines`] batch, both
-    /// axes together. A band is a hit iff this call loaded none of the
-    /// lines it was the first band to ask for: the count a band-by-band
-    /// load in the same order would report. On `Err` nothing of the load
-    /// is published and no band's lines are returned.
+    /// flag per band: a [`claim`](Self::claim) read alone. The lines
+    /// nobody holds yet are read in **one** page batch, both axes
+    /// together. On `Err` nothing of the load is published and no band's
+    /// lines are returned.
     pub fn get_or_fetch(
         &self,
         msdn: &PagedMsdn,
@@ -81,6 +80,26 @@ impl LineCutCache {
         level_idx: usize,
         bands: &[LineBand<'_>],
     ) -> StoreResult<Vec<(Vec<Arc<SimplifiedLine>>, bool)>> {
+        let mut load = self.claim(msdn, level_idx, bands);
+        pager.read_into(&mut [&mut load])?;
+        load.publish();
+        load.finish(pager)
+    }
+
+    /// Claim the lines of every band at one level for a read the caller
+    /// batches. The bands' directory lines are deduplicated, each
+    /// credited to the first band that asks for it, and classified in one
+    /// [`SingleFlightCache::claim`]; the returned load's
+    /// [`pages`](PageSink::pages) are the heap pages of the lines nobody
+    /// holds yet, to be read (together with other structures' pages, in
+    /// one [`Pager::read_into`]) and then [`publish`](LineLoad::publish)ed
+    /// and [`finish`](LineLoad::finish)ed.
+    pub fn claim<'c>(
+        &'c self,
+        msdn: &'c PagedMsdn,
+        level_idx: usize,
+        bands: &[LineBand<'_>],
+    ) -> LineLoad<'c> {
         // The union of the bands' lines, each credited to the first band
         // that asks for it; per band, its lines' positions in the union.
         let mut index: HashMap<LineKey, usize> = HashMap::new();
@@ -103,27 +122,11 @@ impl LineCutCache {
                     .collect()
             })
             .collect();
-        let mut loaded = vec![false; bands.len()];
-        let out = self.inner.get_many(&keys, |claimed| {
-            for &i in claimed {
-                loaded[first_band[i]] = true;
-            }
-            let wanted: Vec<(Axis, u32)> =
-                claimed.iter().map(|&i| (keys[i].axis, keys[i].line)).collect();
-            let lines = msdn.fetch_lines(pager, level_idx, &wanted)?;
-            Ok(lines
-                .into_iter()
-                .map(|l| {
-                    let weight = line_weight(&l);
-                    (l, weight)
-                })
-                .collect())
-        })?;
-        Ok(picks
-            .iter()
-            .zip(loaded)
-            .map(|(pick, loaded)| (pick.iter().map(|&i| out.values[i].clone()).collect(), !loaded))
-            .collect())
+        let claim = self.inner.claim(&keys);
+        let wanted: Vec<(Axis, u32)> =
+            claim.claimed().iter().map(|&i| (keys[i].axis, keys[i].line)).collect();
+        let read = msdn.read_lines(level_idx, &wanted);
+        LineLoad { msdn, level_idx, keys, first_band, picks, claim, read }
     }
 
     /// Counter snapshot (per line, not per fetch).
@@ -155,4 +158,67 @@ impl LineCutCache {
     pub fn is_empty(&self) -> bool {
         self.inner.is_empty()
     }
+}
+
+/// A [`LineCutCache::claim`] of one level's lines for a list of bands:
+/// the lines it latched are read through its [`PageSink`] side,
+/// published by [`publish`](Self::publish), and every band's lines are
+/// handed out by [`finish`](Self::finish). Dropped before the publish — a
+/// failed read — it unlatches every line and publishes none.
+pub struct LineLoad<'c> {
+    msdn: &'c PagedMsdn,
+    level_idx: usize,
+    /// The bands' distinct lines, in the order the bands first ask.
+    keys: Vec<LineKey>,
+    /// Per line, the band that asked for it first.
+    first_band: Vec<usize>,
+    /// Per band, its lines' positions in `keys`, in band order.
+    picks: Vec<Vec<usize>>,
+    claim: Claim<'c, LineKey, SimplifiedLine>,
+    /// The record walk of the claimed lines.
+    read: LineRead<'c>,
+}
+
+impl PageSink for LineLoad<'_> {
+    fn pages(&self) -> &[PageId] {
+        self.read.pages()
+    }
+
+    fn feed(&mut self, page: PageId, bytes: &[u8]) {
+        self.read.feed(page, bytes);
+    }
+}
+
+impl LineLoad<'_> {
+    /// Publish the claimed lines the read assembled, waking their
+    /// waiters.
+    pub fn publish(&mut self) {
+        self.claim.publish(weighed(self.read.finish()));
+    }
+
+    /// Per band, its lines in band order, and whether this load read none
+    /// of the lines the band was first to ask for — the count a
+    /// band-by-band load in the same order would report. Lines another
+    /// thread was loading are waited for now, and read here if their
+    /// leader failed, so call this only once every claim of the batch, in
+    /// every cache, is published.
+    pub fn finish(self, pager: &Pager) -> StoreResult<Vec<(Vec<Arc<SimplifiedLine>>, bool)>> {
+        let LineLoad { msdn, level_idx, keys, first_band, picks, claim, .. } = self;
+        claim.hand_out(&keys, &first_band, &picks, |claimed| {
+            let wanted: Vec<(Axis, u32)> =
+                claimed.iter().map(|&i| (keys[i].axis, keys[i].line)).collect();
+            Ok(weighed(msdn.fetch_lines(pager, level_idx, &wanted)?))
+        })
+    }
+}
+
+/// Lines with their cache weights.
+fn weighed(lines: Vec<SimplifiedLine>) -> Vec<(SimplifiedLine, usize)> {
+    lines
+        .into_iter()
+        .map(|l| {
+            let weight = line_weight(&l);
+            (l, weight)
+        })
+        .collect()
 }

@@ -49,9 +49,9 @@ pub mod network;
 pub mod paged;
 pub mod simplify;
 
-pub use cache::{LineBand, LineCutCache};
+pub use cache::{LineBand, LineCutCache, LineLoad};
 pub use crossing::CrossingLine;
 pub use msdn::{Msdn, MsdnConfig};
 pub use network::{lower_bound, LowerBound};
-pub use paged::PagedMsdn;
+pub use paged::{LineRead, PagedMsdn};
 pub use simplify::{simplify_line, SimplifiedLine, SimplifiedSegment};

@@ -14,7 +14,7 @@ use crate::msdn::Msdn;
 use crate::network::{lower_bound, LowerBound};
 use crate::simplify::{SimplifiedLine, SimplifiedSegment};
 use sknn_geom::{Aabb3, Axis, AxisPlane, Point3, Rect2, Segment3};
-use sknn_store::{HeapFile, PageId, Pager, StoreResult};
+use sknn_store::{HeapFile, PageId, PageSink, Pager, StoreResult};
 use std::ops::Range;
 
 struct PagedLine {
@@ -173,21 +173,27 @@ impl PagedMsdn {
     /// The storage half, and its one entry point: read the segments of the
     /// given `(axis, directory line)`s of one level — both axes mixed — in
     /// **one** batched heap read, charging one page read per distinct page,
-    /// and return the lines in `wanted`'s order. Both axis files' page runs
-    /// merge into one sorted page set, so however many bands and axes a
-    /// lower-bound round asks for, its misses pay a single stall. Pages are
-    /// visited in ascending order and, within a file, their records in
-    /// slot order, which is line order, so each record goes straight to
-    /// the end of its wanted line's segment list: a merge walk per axis
-    /// over the wanted lines in level order, with no hashing.
+    /// and return the lines in `wanted`'s order: a
+    /// [`read_lines`](Self::read_lines) read alone.
     pub fn fetch_lines(
         &self,
         pager: &Pager,
         level_idx: usize,
         wanted: &[(Axis, u32)],
     ) -> StoreResult<Vec<SimplifiedLine>> {
+        let mut read = self.read_lines(level_idx, wanted);
+        pager.read_into(&mut [&mut read])?;
+        Ok(read.finish())
+    }
+
+    /// Plan the read of the given `(axis, directory line)`s of one level:
+    /// the returned [`LineRead`]'s [`pages`](PageSink::pages) are the
+    /// distinct heap pages of their records, both axis files' page runs
+    /// merged into one sorted set, so however many bands and axes a
+    /// lower-bound round asks for — and whatever else the caller batches
+    /// with them — its misses pay a single stall.
+    pub fn read_lines(&self, level_idx: usize, wanted: &[(Axis, u32)]) -> LineRead<'_> {
         let levels = [self.level(Axis::X, level_idx), self.level(Axis::Y, level_idx)];
-        let side = |axis: Axis| usize::from(axis == Axis::Y);
         let line = |k: usize| &levels[side(wanted[k].0)].lines[wanted[k].1 as usize];
         // Per axis, the positions of `wanted` in level order.
         let mut by_record: [Vec<usize>; 2] = [Vec::new(), Vec::new()];
@@ -212,31 +218,23 @@ impl PagedMsdn {
             }
         }
         batch.sort_unstable_by_key(|&(page, ..)| page);
-        let pages: Vec<PageId> = batch.iter().map(|&(page, ..)| page).collect();
-        let mut out: Vec<SimplifiedLine> = (0..wanted.len())
+        let pages = batch.iter().map(|&(page, ..)| page).collect();
+        let out = (0..wanted.len())
             .map(|k| SimplifiedLine {
                 plane: line(k).plane,
                 segments: Vec::with_capacity(line(k).rids.len()),
             })
             .collect();
-        let (mut at, mut next) = (0usize, [0usize; 2]);
-        HeapFile::visit_pages(pager, &pages, |rid, bytes| {
-            while pages[at] != rid.page {
-                at += 1;
-            }
-            let (_, s, j) = batch[at];
-            let (order, next) = (&by_record[s], &mut next[s]);
-            let i = levels[s].page_first[j] + rid.slot as usize;
-            while *next < order.len() && line(order[*next]).rids.end <= i {
-                *next += 1;
-            }
-            let holders = order[*next..].iter().take_while(|&&k| line(k).rids.start <= i);
-            let mut seg = None;
-            for &k in holders {
-                out[k].segments.push(*seg.get_or_insert_with(|| decode_segment(bytes)));
-            }
-        })?;
-        Ok(out)
+        LineRead {
+            levels,
+            wanted: wanted.to_vec(),
+            by_record,
+            batch,
+            pages,
+            out,
+            at: 0,
+            next: [0; 2],
+        }
     }
 
     /// Page-charged lower bound (fetch + Dijkstra).
@@ -251,6 +249,68 @@ impl PagedMsdn {
         let owned = self.fetch_lines_between(pager, level_idx, a, b, roi)?;
         let refs: Vec<&SimplifiedLine> = owned.iter().collect();
         Ok(lower_bound(&refs, a, b, roi, None))
+    }
+}
+
+/// Index of an axis's level in [`LineRead::levels`].
+fn side(axis: Axis) -> usize {
+    usize::from(axis == Axis::Y)
+}
+
+/// A planned read of MSDN lines ([`PagedMsdn::read_lines`]): fed its
+/// pages in ascending order, it walks their records into the wanted lines,
+/// and [`finish`](Self::finish) hands the lines out in the order asked.
+pub struct LineRead<'a> {
+    levels: [&'a PagedLevel; 2],
+    wanted: Vec<(Axis, u32)>,
+    /// Per axis side, the positions of `wanted` in level order.
+    by_record: [Vec<usize>; 2],
+    /// Per page to read, `(page, axis side, page's position in its file)`.
+    batch: Vec<(PageId, usize, usize)>,
+    pages: Vec<PageId>,
+    out: Vec<SimplifiedLine>,
+    /// Position in `batch` of the page fed last.
+    at: usize,
+    /// Per axis side, the first position of `by_record` whose line may
+    /// still hold a record to come.
+    next: [usize; 2],
+}
+
+impl PageSink for LineRead<'_> {
+    fn pages(&self) -> &[PageId] {
+        &self.pages
+    }
+
+    /// Pages come in ascending order and, within a file, their records in
+    /// slot order, which is line order, so each record goes straight to
+    /// the end of its wanted lines' segment lists: a merge walk per axis
+    /// over the wanted lines in level order, with no hashing.
+    fn feed(&mut self, page: PageId, bytes: &[u8]) {
+        let LineRead { levels, wanted, by_record, batch, out, at, next, .. } = self;
+        while batch[*at].0 != page {
+            *at += 1;
+        }
+        let (_, s, j) = batch[*at];
+        let line = |k: usize| &levels[side(wanted[k].0)].lines[wanted[k].1 as usize];
+        let (order, next) = (&by_record[s], &mut next[s]);
+        HeapFile::records(page, bytes, |rid, rec| {
+            let i = levels[s].page_first[j] + rid.slot as usize;
+            while *next < order.len() && line(order[*next]).rids.end <= i {
+                *next += 1;
+            }
+            let holders = order[*next..].iter().take_while(|&&k| line(k).rids.start <= i);
+            let mut seg = None;
+            for &k in holders {
+                out[k].segments.push(*seg.get_or_insert_with(|| decode_segment(rec)));
+            }
+        });
+    }
+}
+
+impl LineRead<'_> {
+    /// The wanted lines, in the order asked, once every page was fed.
+    pub fn finish(&mut self) -> Vec<SimplifiedLine> {
+        std::mem::take(&mut self.out)
     }
 }
 

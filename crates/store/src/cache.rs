@@ -11,16 +11,19 @@
 //!   recently used) or *Cooling* (resident, reference bit cleared by the
 //!   CLOCK hand; next sweep evicts it). A hit on a Cooling entry warms it
 //!   back up.
-//! * **Batched single-flight loading** — [`SingleFlightCache::get_many`]
-//!   is the one load path. A request names every key it needs; one lock
-//!   pass classifies each as resident, *Loading* elsewhere, or *claimed*
-//!   (Absent: this thread latches it); **one** loader call materializes
-//!   all claimed keys, so the caller can fetch them in a single storage
-//!   batch; the values are published and waiters woken; only then does
-//!   the thread wait on the keys other threads lead. A leader therefore
-//!   never blocks while holding unpublished latches, which is what makes
+//! * **Batched single-flight loading, split in two** —
+//!   [`SingleFlightCache::claim`] is one lock pass that classifies every
+//!   key a request needs as resident, *Loading* elsewhere, or *claimed*
+//!   (Absent: this thread latches it), and returns a [`Claim`]. The caller
+//!   materializes all claimed keys — so it can fetch them in a single
+//!   storage batch, even together with another cache's claims — and
+//!   publishes them through the claim, which wakes their waiters; only
+//!   then does it wait on the keys other threads lead.
+//!   [`SingleFlightCache::get_many`] is that sequence for one cache and
+//!   one loader. A thread therefore never blocks while holding
+//!   unpublished latches — in any cache — which is what makes
 //!   overlapping, unequal key sets deadlock-free. A failing or panicking
-//!   leader removes *all* its latches through a drop guard and publishes
+//!   leader's claim drops, removing *all* its latches and publishing
 //!   nothing; its waiters wake, find the keys Absent and claim them.
 //! * **Bounded weight with CLOCK eviction** — each shard carries a weight
 //!   budget (the callers pass approximate byte sizes). Inserting over
@@ -107,15 +110,6 @@ pub struct CacheGauges {
     pub resident_weight: u64,
 }
 
-/// What a [`SingleFlightCache::get_or_load`] returned and how.
-pub struct CacheOutcome<V> {
-    /// The shared value.
-    pub value: Arc<V>,
-    /// `true` when served without running a load (resident entry or a
-    /// single-flight wait on another thread's load).
-    pub hit: bool,
-}
-
 /// What a [`SingleFlightCache::get_many`] returned and how.
 pub struct ManyOutcome<V> {
     /// The shared values, one per requested key, in request order.
@@ -125,26 +119,141 @@ pub struct ManyOutcome<V> {
     pub hit: bool,
 }
 
-/// Removes the *Loading* entries of every claimed key (waking waiters)
-/// unless disarmed, so a failing — or panicking — leader can never leave a
-/// latched entry behind: waiters wake, find the keys Absent, and claim
-/// them themselves.
-struct LoadGuard<'c, K: Hash + Eq + Clone, V> {
+/// One lock pass of [`SingleFlightCache::claim`] over a key set: each
+/// key is resident (its value is here), *Loading* under another thread
+/// ([`elsewhere`](Self::elsewhere)) or latched by this claim
+/// ([`claimed`](Self::claimed)). The claim publishes the latched keys'
+/// values with [`publish`](Self::publish); dropped before that — a failed
+/// or panicking load — it removes every latch it holds (waking waiters,
+/// who find the keys Absent and claim them) and publishes nothing.
+pub struct Claim<'c, K: Hash + Eq + Clone, V> {
     cache: &'c SingleFlightCache<K, V>,
-    keys: Vec<K>,
-    armed: bool,
+    /// Per requested key, its value: the resident ones from the claim,
+    /// the claimed ones once published.
+    values: Vec<Option<Arc<V>>>,
+    /// Indices (into the requested keys) this claim latched, ascending.
+    claimed: Vec<usize>,
+    /// Indices of the keys another thread was loading, ascending.
+    elsewhere: Vec<usize>,
+    /// The latched keys and their shards, in `claimed` order; emptied by
+    /// the publish.
+    latched: Vec<(K, usize)>,
 }
 
-impl<K: Hash + Eq + Clone, V> Drop for LoadGuard<'_, K, V> {
+impl<'c, K: Hash + Eq + Clone, V> Claim<'c, K, V> {
+    /// Indices of the keys this claim latched: the ones its caller loads.
+    pub fn claimed(&self) -> &[usize] {
+        &self.claimed
+    }
+
+    /// Indices of the keys another thread was loading at the claim. They
+    /// are reported, not waited on: a thread waits only once everything
+    /// it latched, in every cache, is published or unlatched.
+    pub fn elsewhere(&self) -> &[usize] {
+        &self.elsewhere
+    }
+
+    /// Per requested key, its value if it was resident or has been
+    /// published by this claim.
+    pub fn values(&self) -> &[Option<Arc<V>>] {
+        &self.values
+    }
+
+    /// Publish the claimed keys' `(value, weight)`, in
+    /// [`claimed`](Self::claimed) order, and wake their waiters.
+    pub fn publish(&mut self, loaded: Vec<(V, usize)>) {
+        let n = self.latched.len();
+        assert_eq!(loaded.len(), n, "one value per claimed key");
+        let cache = self.cache;
+        for ((key, s), (&i, (value, weight))) in
+            self.latched.drain(..).zip(self.claimed.iter().zip(loaded))
+        {
+            let value = Arc::new(value);
+            let shard = &cache.shards[s];
+            let mut st = lock_recover(&shard.state);
+            cache.evict_for(&mut st, weight);
+            st.map
+                .insert(key.clone(), Entry::Resident { value: value.clone(), weight, warm: true });
+            st.ring.push(key);
+            st.weight += weight;
+            drop(st);
+            shard.done.notify_all();
+            self.values[i] = Some(value);
+        }
+        if n > 0 {
+            cache.misses.fetch_add(n as u64, Relaxed);
+            cache.in_flight.fetch_sub(1, Relaxed);
+        }
+    }
+
+    /// Resolve the claim and hand its values out to the asks it was made
+    /// for: a request whose `keys` are several asks' keys (a ranking
+    /// iteration's groups, or bands) deduplicated in the order the asks
+    /// name them, `first_ask[i]` the first ask naming key `i` and
+    /// `picks[a]` ask `a`'s keys as positions in `keys`. Keys loading
+    /// elsewhere are waited for, and loaded with `load` (as in
+    /// [`SingleFlightCache::get_many`]) if their leader failed. Returns
+    /// per ask its values in pick order, and whether none of the keys it
+    /// was first to name was loaded by this thread — the count an
+    /// ask-by-ask load in the same order would report. Call only once
+    /// everything this thread latched, in any cache, is published or
+    /// unlatched; panics if this claim still holds latches.
+    #[allow(clippy::type_complexity)]
+    pub fn hand_out<E>(
+        self,
+        keys: &[K],
+        first_ask: &[usize],
+        picks: &[Vec<usize>],
+        mut load: impl FnMut(&[usize]) -> Result<Vec<(V, usize)>, E>,
+    ) -> Result<Vec<(Vec<Arc<V>>, bool)>, E> {
+        let mut loaded = vec![false; picks.len()];
+        for &i in &self.claimed {
+            loaded[first_ask[i]] = true;
+        }
+        let values = self.resolve(keys, |claimed| {
+            for &i in claimed {
+                loaded[first_ask[i]] = true;
+            }
+            load(claimed)
+        })?;
+        Ok(share(values, picks).into_iter().zip(loaded).map(|(v, loaded)| (v, !loaded)).collect())
+    }
+
+    /// Every value of `keys` — the keys this claim was made over — in
+    /// request order, once the ones loading elsewhere have landed: wait
+    /// for each, and claim and `load` those whose leader failed.
+    fn resolve<E>(
+        mut self,
+        keys: &[K],
+        mut load: impl FnMut(&[usize]) -> Result<Vec<(V, usize)>, E>,
+    ) -> Result<Vec<Arc<V>>, E> {
+        assert!(self.latched.is_empty(), "publish a claim before resolving it");
+        let cache: &'c SingleFlightCache<K, V> = self.cache;
+        while let Some(&first) = self.elsewhere.first() {
+            // Wait for one key led elsewhere to leave the Loading state,
+            // then re-classify the rest (most will have landed meanwhile).
+            cache.wait_loaded(&keys[first]);
+            let todo = std::mem::take(&mut self.elsewhere);
+            self = cache.claim_at(keys, &todo, std::mem::take(&mut self.values), false);
+            if !self.claimed.is_empty() {
+                let values = load(&self.claimed)?;
+                self.publish(values);
+            }
+        }
+        let values = std::mem::take(&mut self.values);
+        Ok(values.into_iter().map(|v| v.expect("every key resolved")).collect())
+    }
+}
+
+impl<K: Hash + Eq + Clone, V> Drop for Claim<'_, K, V> {
     fn drop(&mut self) {
-        // Here rather than after the loader call, so a panicking loader
-        // cannot leave the gauge raised.
-        self.cache.in_flight.fetch_sub(1, Relaxed);
-        if !self.armed {
+        if self.latched.is_empty() {
             return;
         }
-        for key in &self.keys {
-            let shard = self.cache.shard(key);
+        self.cache.failed_loads.fetch_add(1, Relaxed);
+        self.cache.in_flight.fetch_sub(1, Relaxed);
+        for (key, s) in &self.latched {
+            let shard = &self.cache.shards[*s];
             let mut st = lock_recover(&shard.state);
             // Remove only a Loading latch — never a Resident entry another
             // (post-clear) leader may have published meanwhile.
@@ -155,6 +264,40 @@ impl<K: Hash + Eq + Clone, V> Drop for LoadGuard<'_, K, V> {
             shard.done.notify_all();
         }
     }
+}
+
+/// Share the resolved `values` — one per distinct key of a request — out
+/// to the request's asks: `picks[a]` lists ask `a`'s keys (each once) as
+/// positions in `values`, and ask `a` gets their values in that order.
+/// Each value moves to the last ask naming it and is cloned for the
+/// earlier ones, so a key only one ask names costs no reference count.
+/// The keys are the asks' own, deduplicated in the order the asks name
+/// them, so a lone ask's pick is `0..values.len()`.
+fn share<V>(values: Vec<Arc<V>>, picks: &[Vec<usize>]) -> Vec<Vec<Arc<V>>> {
+    if let [only] = picks {
+        // One ask names every key, in key order (the keys are its own).
+        debug_assert!(only.iter().copied().eq(0..values.len()));
+        return vec![values];
+    }
+    let mut last = vec![0; values.len()];
+    for (a, pick) in picks.iter().enumerate() {
+        for &i in pick {
+            last[i] = a;
+        }
+    }
+    let mut values: Vec<Option<Arc<V>>> = values.into_iter().map(Some).collect();
+    picks
+        .iter()
+        .enumerate()
+        .map(|(a, pick)| {
+            pick.iter()
+                .map(|&i| {
+                    let value = if last[i] == a { values[i].take() } else { values[i].clone() };
+                    value.expect("an ask names a key once, and its last ask takes it")
+                })
+                .collect()
+        })
+        .collect()
 }
 
 /// The cache. `K` is the canonical identity of a materialized object
@@ -210,140 +353,98 @@ impl<K: Hash + Eq + Clone, V> SingleFlightCache<K, V> {
         &self.shards[self.shard_index(key)]
     }
 
-    /// Fetch `key`, running `load` under single-flight if it is Absent: a
-    /// [`get_many`](Self::get_many) of one key. `load` returns the value
-    /// and its weight; it runs with no cache locks held. On `Err` the
-    /// latch is released and nothing is published.
-    pub fn get_or_load<E>(
+    /// One lock pass per shard over `keys` (distinct): classify each as
+    /// resident, *Loading* elsewhere, or Absent — which this thread then
+    /// latches. See [`Claim`] for what the caller owes the latches.
+    pub fn claim(&self, keys: &[K]) -> Claim<'_, K, V> {
+        let all: Vec<usize> = (0..keys.len()).collect();
+        self.claim_at(keys, &all, vec![None; keys.len()], true)
+    }
+
+    /// [`claim`](Self::claim) of the keys at `todo`, filling `values`.
+    /// Only a request's first pass counts its *Loading* keys as waits.
+    fn claim_at(
         &self,
-        key: K,
-        load: impl FnOnce() -> Result<(V, usize), E>,
-    ) -> Result<CacheOutcome<V>, E> {
-        // One key is claimed at most once per request, so the loader runs
-        // at most once.
-        let mut load = Some(load);
-        let out = self.get_many(std::slice::from_ref(&key), |_| {
-            (load.take().expect("a single key is claimed at most once"))().map(|v| vec![v])
-        })?;
-        let value = out.values.into_iter().next().expect("one value per key");
-        Ok(CacheOutcome { value, hit: out.hit })
+        keys: &[K],
+        todo: &[usize],
+        mut values: Vec<Option<Arc<V>>>,
+        count_waits: bool,
+    ) -> Claim<'_, K, V> {
+        let shard_of: Vec<usize> = todo.iter().map(|&i| self.shard_index(&keys[i])).collect();
+        // Claimed keys as `(index, shard)`.
+        let (mut claimed, mut elsewhere) = (Vec::new(), Vec::new());
+        for (s, shard) in self.shards.iter().enumerate() {
+            let mut st: Option<MutexGuard<'_, ShardState<K, V>>> = None;
+            for (&i, _) in todo.iter().zip(&shard_of).filter(|&(_, &at)| at == s) {
+                let st = st.get_or_insert_with(|| lock_recover(&shard.state));
+                match st.map.get_mut(&keys[i]) {
+                    Some(Entry::Resident { value, warm, .. }) => {
+                        *warm = true; // Cooling -> Warm (and Warm stays Warm)
+                        values[i] = Some(value.clone());
+                    }
+                    Some(Entry::Loading) => elsewhere.push(i),
+                    None => {
+                        st.map.insert(keys[i].clone(), Entry::Loading);
+                        claimed.push((i, s));
+                    }
+                }
+            }
+        }
+        self.hits.fetch_add((todo.len() - claimed.len() - elsewhere.len()) as u64, Relaxed);
+        if count_waits {
+            self.waits.fetch_add(elsewhere.len() as u64, Relaxed);
+        }
+        claimed.sort_unstable();
+        elsewhere.sort_unstable();
+        if !claimed.is_empty() {
+            self.in_flight.fetch_add(1, Relaxed);
+        }
+        let latched = claimed.iter().map(|&(i, s)| (keys[i].clone(), s)).collect();
+        let claimed = claimed.into_iter().map(|(i, _)| i).collect();
+        Claim { cache: self, values, claimed, elsewhere, latched }
     }
 
     /// Fetch every key of `keys` (distinct), loading the Absent ones under
-    /// single-flight — see the module docs for the protocol. `load` is
-    /// handed the indices (into `keys`) of the keys this thread claimed
-    /// and returns their `(value, weight)` in the same order; it runs with
-    /// no cache locks held. It is called once per request, and again only
-    /// for keys whose leader on another thread failed. On `Err` every
-    /// claimed key is unlatched and nothing of that load is published.
+    /// single-flight: a [`claim`](Self::claim), one `load` of the claimed
+    /// keys, their publish, and only then a wait on the keys other threads
+    /// lead. `load` is handed the indices (into `keys`) of the keys this
+    /// thread claimed and returns their `(value, weight)` in the same
+    /// order; it runs with no cache locks held. It is called once per
+    /// request, and again only for keys whose leader on another thread
+    /// failed. On `Err` every claimed key is unlatched and nothing of that
+    /// load is published.
     pub fn get_many<E>(
         &self,
         keys: &[K],
         mut load: impl FnMut(&[usize]) -> Result<Vec<(V, usize)>, E>,
     ) -> Result<ManyOutcome<V>, E> {
-        let shard_of: Vec<usize> = keys.iter().map(|k| self.shard_index(k)).collect();
-        let mut values: Vec<Option<Arc<V>>> = keys.iter().map(|_| None).collect();
-        // Keys still to resolve; after the first round, the keys that were
-        // Loading under another thread.
-        let mut todo: Vec<usize> = (0..keys.len()).collect();
-        let mut first_round = true;
-        let mut loaded = false;
-        loop {
-            // One lock pass per shard: classify resident / loading
-            // elsewhere / claimed.
-            let mut claimed: Vec<usize> = Vec::new();
-            let mut pending: Vec<usize> = Vec::new();
-            for (s, shard) in self.shards.iter().enumerate() {
-                let mut st: Option<MutexGuard<'_, ShardState<K, V>>> = None;
-                for &i in todo.iter().filter(|&&i| shard_of[i] == s) {
-                    let st = st.get_or_insert_with(|| lock_recover(&shard.state));
-                    match st.map.get_mut(&keys[i]) {
-                        Some(Entry::Resident { value, warm, .. }) => {
-                            *warm = true; // Cooling -> Warm (and Warm stays Warm)
-                            values[i] = Some(value.clone());
-                        }
-                        Some(Entry::Loading) => pending.push(i),
-                        None => {
-                            st.map.insert(keys[i].clone(), Entry::Loading);
-                            claimed.push(i);
-                        }
-                    }
-                }
-            }
-            self.hits.fetch_add((todo.len() - claimed.len() - pending.len()) as u64, Relaxed);
-            if first_round {
-                self.waits.fetch_add(pending.len() as u64, Relaxed);
-                first_round = false;
-            }
-            if !claimed.is_empty() {
-                loaded = true;
-                self.lead(keys, &shard_of, &claimed, &mut load, &mut values)?;
-            }
-            let Some(&first) = pending.first() else { break };
-            // Everything this thread leads is published; now wait for one
-            // key led elsewhere to leave the Loading state, then re-classify
-            // the rest (most will have landed meanwhile).
-            let shard = &self.shards[shard_of[first]];
-            let mut st = lock_recover(&shard.state);
-            while matches!(st.map.get(&keys[first]), Some(Entry::Loading)) {
-                // Bounded wait so a lost notification degrades to a
-                // re-check instead of a hang.
-                let (guard, _) = shard
-                    .done
-                    .wait_timeout(st, Duration::from_millis(50))
-                    .unwrap_or_else(|e| e.into_inner());
-                st = guard;
-            }
-            drop(st);
-            todo = pending;
+        let mut claim = self.claim(keys);
+        let mut loaded = !claim.claimed.is_empty();
+        if loaded {
+            // On `Err` the claim drops: unlatch + notify, waiters re-claim.
+            let values = load(&claim.claimed)?;
+            claim.publish(values);
         }
-        let values = values.into_iter().map(|v| v.expect("every key resolved")).collect();
+        let values = claim.resolve(keys, |claimed| {
+            loaded = true;
+            load(claimed)
+        })?;
         Ok(ManyOutcome { values, hit: !loaded })
     }
 
-    /// Run one loader call for the `claimed` keys (already latched by this
-    /// thread) and publish its values. The guard unlatches every claimed
-    /// key on the exit paths that do not publish (error or panic).
-    fn lead<E>(
-        &self,
-        keys: &[K],
-        shard_of: &[usize],
-        claimed: &[usize],
-        load: &mut impl FnMut(&[usize]) -> Result<Vec<(V, usize)>, E>,
-        values: &mut [Option<Arc<V>>],
-    ) -> Result<(), E> {
-        self.in_flight.fetch_add(1, Relaxed);
-        let mut guard = LoadGuard {
-            cache: self,
-            keys: claimed.iter().map(|&i| keys[i].clone()).collect(),
-            armed: true,
-        };
-        let loaded = match load(claimed) {
-            Ok(loaded) => loaded,
-            Err(e) => {
-                self.failed_loads.fetch_add(1, Relaxed);
-                return Err(e); // guard drop: unlatch + notify, waiters re-claim
-            }
-        };
-        assert_eq!(loaded.len(), claimed.len(), "loader must return one value per claimed key");
-        for (&i, (value, weight)) in claimed.iter().zip(loaded) {
-            let value = Arc::new(value);
-            let shard = &self.shards[shard_of[i]];
-            let mut st = lock_recover(&shard.state);
-            self.evict_for(&mut st, weight);
-            st.map.insert(
-                keys[i].clone(),
-                Entry::Resident { value: value.clone(), weight, warm: true },
-            );
-            st.ring.push(keys[i].clone());
-            st.weight += weight;
-            drop(st);
-            shard.done.notify_all();
-            values[i] = Some(value);
+    /// Block while `key` is *Loading* under another thread.
+    fn wait_loaded(&self, key: &K) {
+        let shard = self.shard(key);
+        let mut st = lock_recover(&shard.state);
+        while matches!(st.map.get(key), Some(Entry::Loading)) {
+            // Bounded wait so a lost notification degrades to a re-check
+            // instead of a hang.
+            let (guard, _) = shard
+                .done
+                .wait_timeout(st, Duration::from_millis(50))
+                .unwrap_or_else(|e| e.into_inner());
+            st = guard;
         }
-        guard.armed = false;
-        self.misses.fetch_add(claimed.len() as u64, Relaxed);
-        Ok(())
     }
 
     /// CLOCK sweep making room for `incoming` weight: Warm entries cool,
@@ -458,15 +559,28 @@ mod tests {
         SingleFlightCache::new(capacity)
     }
 
+    /// A one-key [`get_many`](SingleFlightCache::get_many): the value and
+    /// whether no load ran.
+    fn get_one<E>(
+        c: &SingleFlightCache<u64, u64>,
+        key: u64,
+        load: impl FnOnce() -> Result<(u64, usize), E>,
+    ) -> Result<(Arc<u64>, bool), E> {
+        let mut load = Some(load);
+        let out =
+            c.get_many(&[key], |_| (load.take().expect("one key loads once"))().map(|v| vec![v]))?;
+        Ok((out.values[0].clone(), out.hit))
+    }
+
     #[test]
     fn miss_then_hit() {
         let c = cache(1024);
-        let out = c.get_or_load::<()>(7, || Ok((70, 8))).unwrap();
-        assert!(!out.hit);
-        assert_eq!(*out.value, 70);
-        let out = c.get_or_load::<()>(7, || panic!("must not reload")).unwrap();
-        assert!(out.hit);
-        assert_eq!(*out.value, 70);
+        let (value, hit) = get_one::<()>(&c, 7, || Ok((70, 8))).unwrap();
+        assert!(!hit);
+        assert_eq!(*value, 70);
+        let (value, hit) = get_one::<()>(&c, 7, || panic!("must not reload")).unwrap();
+        assert!(hit);
+        assert_eq!(*value, 70);
         let s = c.stats();
         assert_eq!((s.hits, s.misses), (1, 1));
     }
@@ -474,13 +588,13 @@ mod tests {
     #[test]
     fn failed_load_leaves_no_entry() {
         let c = cache(1024);
-        let r = c.get_or_load(3, || Err::<(u64, usize), &str>("boom"));
+        let r = get_one(&c, 3, || Err::<(u64, usize), &str>("boom"));
         assert_eq!(r.err(), Some("boom"));
         assert_eq!(c.len(), 0);
         assert_eq!(c.stats().failed_loads, 1);
         // The key is loadable again — no poisoned latch.
-        let out = c.get_or_load::<()>(3, || Ok((30, 8))).unwrap();
-        assert!(!out.hit);
+        let (_, hit) = get_one::<()>(&c, 3, || Ok((30, 8))).unwrap();
+        assert!(!hit);
         assert_eq!(c.gauges().loading, 0);
     }
 
@@ -490,7 +604,7 @@ mod tests {
         // weight-8 entries means each shard holds at most one entry.
         let c = cache(8 * CACHE_SHARDS);
         for k in 0..64u64 {
-            let _ = c.get_or_load::<()>(k, || Ok((k, 8))).unwrap();
+            let _ = get_one::<()>(&c, k, || Ok((k, 8))).unwrap();
         }
         let g = c.gauges();
         assert!(g.resident_weight <= c.capacity() as u64, "{g:?}");
@@ -522,17 +636,17 @@ mod tests {
             }
         }
         let (a, b, x, y) = (same[0], same[1], same[2], same[3]);
-        let _ = c.get_or_load::<()>(a, || Ok((a, 1))).unwrap();
-        let _ = c.get_or_load::<()>(b, || Ok((b, 1))).unwrap();
+        let _ = get_one::<()>(&c, a, || Ok((a, 1))).unwrap();
+        let _ = get_one::<()>(&c, b, || Ok((b, 1))).unwrap();
         // Inserting `x` over budget sweeps: both Warm entries cool, the
         // hand wraps and evicts `a`; `b` is left *Cooling*, `x` Warm.
-        let _ = c.get_or_load::<()>(x, || Ok((x, 1))).unwrap();
+        let _ = get_one::<()>(&c, x, || Ok((x, 1))).unwrap();
         // Inserting `y` must now take the Cooling `b`, not the Warm `x`.
-        let _ = c.get_or_load::<()>(y, || Ok((y, 1))).unwrap();
-        let out = c.get_or_load::<()>(x, || Ok((999, 1))).unwrap();
-        assert_eq!(*out.value, x, "warm entry must survive the sweep");
-        let out = c.get_or_load::<()>(b, || Ok((999, 1))).unwrap();
-        assert_eq!(*out.value, 999, "cooling entry must have been evicted");
+        let _ = get_one::<()>(&c, y, || Ok((y, 1))).unwrap();
+        let (value, _) = get_one::<()>(&c, x, || Ok((999, 1))).unwrap();
+        assert_eq!(*value, x, "warm entry must survive the sweep");
+        let (value, _) = get_one::<()>(&c, b, || Ok((999, 1))).unwrap();
+        assert_eq!(*value, 999, "cooling entry must have been evicted");
     }
 
     #[test]
@@ -544,15 +658,14 @@ mod tests {
                 let c = Arc::clone(&c);
                 let loads = Arc::clone(&loads);
                 s.spawn(move || {
-                    let out = c
-                        .get_or_load::<()>(42, || {
-                            loads.fetch_add(1, Relaxed);
-                            // Stretch the flight window so peers really wait.
-                            std::thread::sleep(Duration::from_millis(30));
-                            Ok((420, 8))
-                        })
-                        .unwrap();
-                    assert_eq!(*out.value, 420);
+                    let (value, _) = get_one::<()>(&c, 42, || {
+                        loads.fetch_add(1, Relaxed);
+                        // Stretch the flight window so peers really wait.
+                        std::thread::sleep(Duration::from_millis(30));
+                        Ok((420, 8))
+                    })
+                    .unwrap();
+                    assert_eq!(*value, 420);
                 });
             }
         });
@@ -565,7 +678,7 @@ mod tests {
     #[test]
     fn get_many_loads_the_absent_keys_in_one_call() {
         let c = cache(4096);
-        let _ = c.get_or_load::<()>(2, || Ok((20, 8))).unwrap();
+        let _ = get_one::<()>(&c, 2, || Ok((20, 8))).unwrap();
         let mut calls = 0;
         let out = c
             .get_many::<()>(&[1, 2, 3], |claimed| {
@@ -634,18 +747,98 @@ mod tests {
     }
 
     #[test]
+    fn a_published_claim_makes_its_keys_resident() {
+        let c = cache(4096);
+        let _ = get_one::<()>(&c, 2, || Ok((20, 8))).unwrap();
+        let mut claim = c.claim(&[1, 2, 3]);
+        assert_eq!((claim.claimed(), claim.elsewhere()), (&[0, 2][..], &[][..]));
+        assert_eq!(
+            claim.values()[1].as_deref(),
+            Some(&20),
+            "the resident key's value is handed out"
+        );
+        assert_eq!(c.gauges().loading, 2);
+        claim.publish(vec![(10, 8), (30, 8)]);
+        let values: Vec<u64> = claim.values().iter().map(|v| **v.as_ref().unwrap()).collect();
+        assert_eq!(values, [10, 20, 30]);
+        drop(claim);
+        let again = c.claim(&[3, 1, 2]);
+        assert!(again.claimed().is_empty() && again.elsewhere().is_empty());
+        let s = c.stats();
+        assert_eq!((s.misses, s.failed_loads), (3, 0), "{s:?}");
+        assert_eq!(c.gauges().loading, 0);
+    }
+
+    /// Three asks over keys 1..=4: each ask gets its own values in pick
+    /// order, and an ask is a hit iff none of the keys it was first to
+    /// name was loaded.
+    #[test]
+    fn hand_out_shares_values_and_credits_the_first_ask() {
+        let c = cache(4096);
+        let _ = get_one::<()>(&c, 3, || Ok((30, 8))).unwrap();
+        // Asks [1, 2], [2, 3] and [3, 4]: keys 1, 2, 3, 4 first named by
+        // asks 0, 0, 1, 2.
+        let keys = [1, 2, 3, 4];
+        let picks = [vec![0, 1], vec![1, 2], vec![2, 3]];
+        let mut claim = c.claim(&keys);
+        assert_eq!(claim.claimed(), [0, 1, 3]);
+        claim.publish(vec![(10, 8), (20, 8), (40, 8)]);
+        let out = claim.hand_out::<()>(&keys, &[0, 0, 1, 2], &picks, |_| unreachable!()).unwrap();
+        let got: Vec<(Vec<u64>, bool)> =
+            out.into_iter().map(|(v, hit)| (v.iter().map(|v| **v).collect(), hit)).collect();
+        assert_eq!(got, [(vec![10, 20], false), (vec![20, 30], true), (vec![30, 40], false)]);
+    }
+
+    #[test]
+    fn keys_loading_elsewhere_are_reported_not_waited_on() {
+        let c = cache(4096);
+        let mut first = c.claim(&[1, 2]);
+        // The same thread asks again while holding the latches: a wait
+        // would never return, a report does.
+        let mut second = c.claim(&[2, 3]);
+        assert_eq!((second.claimed(), second.elsewhere()), (&[1][..], &[0][..]));
+        assert!(second.values()[0].is_none());
+        first.publish(vec![(10, 8), (20, 8)]);
+        second.publish(vec![(30, 8)]);
+        assert_eq!(c.stats().singleflight_waits, 1);
+        assert_eq!((c.len(), c.gauges().loading), (3, 0));
+    }
+
+    #[test]
+    fn a_dropped_claim_unlatches_and_a_waiter_reclaims() {
+        let c = cache(4096);
+        let claim = c.claim(&[5, 6]);
+        assert_eq!(claim.claimed(), [0, 1]);
+        std::thread::scope(|s| {
+            let waiter = s.spawn(|| {
+                // Finds key 5 Loading, waits, then claims and loads it.
+                c.get_many::<()>(&[5], |claimed| Ok(claimed.iter().map(|_| (50, 8)).collect()))
+                    .unwrap()
+            });
+            std::thread::sleep(Duration::from_millis(20));
+            drop(claim);
+            let out = waiter.join().unwrap();
+            assert!(!out.hit, "the waiter loaded the key itself");
+            assert_eq!(*out.values[0], 50);
+        });
+        let s = c.stats();
+        assert_eq!((s.failed_loads, s.misses), (1, 1), "{s:?}");
+        assert_eq!((c.len(), c.gauges().loading, c.loads_in_flight()), (1, 0, 0));
+    }
+
+    #[test]
     fn clear_empties_residents() {
         let c = cache(4096);
         for k in 0..5u64 {
-            let _ = c.get_or_load::<()>(k, || Ok((k, 8))).unwrap();
+            let _ = get_one::<()>(&c, k, || Ok((k, 8))).unwrap();
         }
         assert_eq!(c.len(), 5);
         c.clear();
         assert!(c.is_empty());
         assert_eq!(c.gauges().resident_weight, 0);
         // Reload works.
-        let out = c.get_or_load::<()>(1, || Ok((11, 8))).unwrap();
-        assert!(!out.hit);
-        assert_eq!(*out.value, 11);
+        let (value, hit) = get_one::<()>(&c, 1, || Ok((11, 8))).unwrap();
+        assert!(!hit);
+        assert_eq!(*value, 11);
     }
 }

@@ -130,37 +130,21 @@ impl HeapFile {
         page: PageId,
         mut visit: impl FnMut(RecordId, &[u8]),
     ) -> StoreResult<()> {
-        pager.with_page(page, |buf| {
-            let count = get_u16(buf, 0);
-            let mut off = HDR;
-            for s in 0..count {
-                let len = get_u16(buf, off) as usize;
-                visit(RecordId { page, slot: s }, &buf[off + 2..off + 2 + len]);
-                off += 2 + len;
-            }
-        })
+        pager.with_page(page, |buf| Self::records(page, buf, &mut visit))
     }
 
-    /// Visit every record of a batch of heap pages (sorted ascending, no
-    /// duplicates) through [`Pager::with_pages`]: each page is one
-    /// logical read as with [`HeapFile::visit_page`], but the misses of
-    /// the whole batch pay a single overlapped stall — the integrated
-    /// I/O region read as one clustered disk request. The batch may span
-    /// several heap files of `pager`.
-    pub fn visit_pages(
-        pager: &Pager,
-        pages: &[PageId],
-        mut visit: impl FnMut(RecordId, &[u8]),
-    ) -> StoreResult<()> {
-        pager.with_pages(pages, |page, buf| {
-            let count = get_u16(buf, 0);
-            let mut off = HDR;
-            for s in 0..count {
-                let len = get_u16(buf, off) as usize;
-                visit(RecordId { page, slot: s }, &buf[off + 2..off + 2 + len]);
-                off += 2 + len;
-            }
-        })
+    /// Visit the records of heap page `page`, given its bytes `buf`, in
+    /// slot order: a batched read ([`Pager::with_pages`], or a
+    /// [`PageSink`](crate::PageSink) of [`Pager::read_into`]) walks each
+    /// page it is handed this way.
+    pub fn records(page: PageId, buf: &[u8], mut visit: impl FnMut(RecordId, &[u8])) {
+        let count = get_u16(buf, 0);
+        let mut off = HDR;
+        for s in 0..count {
+            let len = get_u16(buf, off) as usize;
+            visit(RecordId { page, slot: s }, &buf[off + 2..off + 2 + len]);
+            off += 2 + len;
+        }
     }
 
     /// Visit every record in the file in record order.
@@ -247,7 +231,7 @@ mod tests {
     }
 
     #[test]
-    fn visit_pages_matches_per_page_visits() {
+    fn batched_records_match_per_page_visits() {
         let pager = Pager::new(64);
         let recs: Vec<[u8; 4]> = (0..800u32).map(u32::to_le_bytes).collect();
         let (hf, _) = HeapFile::build(&pager, &recs);
@@ -262,7 +246,10 @@ mod tests {
         pager.clear_pool();
         pager.reset_stats();
         let mut batched = Vec::new();
-        HeapFile::visit_pages(&pager, &pages, |rid, rec| batched.push((rid, rec.to_vec())))
+        pager
+            .with_pages(&pages, |page, buf| {
+                HeapFile::records(page, buf, |rid, rec| batched.push((rid, rec.to_vec())))
+            })
             .unwrap();
         let batch_stats = pager.stats();
         assert_eq!(batched, one_by_one);

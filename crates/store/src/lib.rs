@@ -54,14 +54,12 @@ pub mod pager;
 pub mod wal;
 
 pub use bptree::BPlusTree;
-pub use cache::{
-    CacheGauges, CacheOutcome, CacheStats, ManyOutcome, SingleFlightCache, CACHE_SHARDS,
-};
+pub use cache::{CacheGauges, CacheStats, Claim, ManyOutcome, SingleFlightCache, CACHE_SHARDS};
 pub use error::{StoreError, StoreResult};
 pub use fault::{FaultInjector, FaultKind, FaultProfile, FaultStats, RetryPolicy};
 pub use heapfile::{HeapFile, RecordId};
 pub use page::{PageId, PAGE_SIZE};
 pub use pager::{
-    page_checksum, ConcurrencyStats, IoStats, Pager, StructureTag, TagScope, POOL_SHARDS,
+    page_checksum, ConcurrencyStats, IoStats, PageSink, Pager, StructureTag, TagScope, POOL_SHARDS,
 };
 pub use wal::{CrashImage, Lsn, RedoPlan, Wal, WalEntry, WalMark, WalRecord, WalStats};

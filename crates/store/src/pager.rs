@@ -374,6 +374,16 @@ struct FaultCounters {
     permanent: AtomicU64,
 }
 
+/// One structure's share of a [`Pager::read_into`] batch: the pages it
+/// needs and where their bytes go.
+pub trait PageSink {
+    /// The pages to read, ascending, each once.
+    fn pages(&self) -> &[PageId];
+    /// The bytes of one of [`pages`](Self::pages), handed over in
+    /// ascending page order.
+    fn feed(&mut self, page: PageId, bytes: &[u8]);
+}
+
 /// The simulated disk: a page allocator, page contents, a sharded
 /// single-flight buffer pool, and I/O statistics.
 #[derive(Debug)]
@@ -390,6 +400,9 @@ pub struct Pager {
     coalesced_misses: Counter,
     /// Shard-lock acquisitions that would have blocked.
     shard_contention: Counter,
+    /// Read batches that paid the simulated stall; see
+    /// [`Pager::stalled_batches`].
+    stalled_batches: Counter,
     /// Wall-clock penalty per physical read, in nanoseconds (zero by
     /// default). Slept with *no* pager locks held so concurrent reads
     /// overlap their stalls — the I/O-bound regime the paper's disk
@@ -505,6 +518,7 @@ impl Pager {
             singleflight_waits: Counter::default(),
             coalesced_misses: Counter::default(),
             shard_contention: Counter::default(),
+            stalled_batches: Counter::default(),
             read_stall_ns: AtomicU64::new(0),
             stall_ns: AtomicU64::new(0),
             fault: RwLock::new(None),
@@ -866,6 +880,7 @@ impl Pager {
                 FlightClaim::Led(lease) => {
                     let read = self.read_attempts(page, tag_idx);
                     if read.is_ok() {
+                        self.stalled_batches.add(1);
                         let stall = self.read_stall();
                         if stall > Duration::ZERO {
                             // Pay the simulated disk latency with no locks
@@ -972,6 +987,7 @@ impl Pager {
         }
         if !served.is_empty() {
             self.coalesced_misses.add(served.len() as u64 - 1);
+            self.stalled_batches.add(1);
             let stall = self.read_stall();
             if stall > Duration::ZERO {
                 std::thread::sleep(stall);
@@ -996,6 +1012,40 @@ impl Pager {
             f(id, &store.pages[id.0 as usize]);
         }
         Ok(())
+    }
+
+    /// Read the union of `sinks`' pages in **one**
+    /// [`with_pages`](Self::with_pages) batch — so the misses of every
+    /// structure the sinks read pay one stall between them — and hand each
+    /// page's bytes, ascending, to every sink that asked for it. On a read
+    /// failure no sink is fed and the first error is returned.
+    pub fn read_into(&self, sinks: &mut [&mut dyn PageSink]) -> StoreResult<()> {
+        let mut pages: Vec<PageId> = sinks.iter().flat_map(|s| s.pages().iter().copied()).collect();
+        if pages.is_empty() {
+            return Ok(());
+        }
+        pages.sort_unstable();
+        pages.dedup();
+        let mut next = vec![0usize; sinks.len()];
+        self.with_pages(&pages, |page, bytes| {
+            for (sink, next) in sinks.iter_mut().zip(&mut next) {
+                if sink.pages().get(*next) == Some(&page) {
+                    *next += 1;
+                    sink.feed(page, bytes);
+                }
+            }
+        })
+    }
+
+    /// Read batches that paid the simulated disk stall since the last
+    /// [`reset_stats`](Self::reset_stats): one per
+    /// [`with_pages`](Self::with_pages) call that served a miss, however
+    /// many it served, and one per [`with_page`](Self::with_page) miss.
+    /// Counted whether or not a stall is configured, so the count is the
+    /// same on any host. Single-flight waits and retry backoff are not
+    /// batches.
+    pub fn stalled_batches(&self) -> u64 {
+        self.stalled_batches.since_reset()
     }
 
     /// Copy a whole page out (convenience for tests).
@@ -1112,7 +1162,12 @@ impl Pager {
         for per_tag in [&c.logical, &c.physical, &c.writes, &c.evictions] {
             per_tag.iter().for_each(Counter::reset);
         }
-        for counter in [&self.singleflight_waits, &self.coalesced_misses, &self.shard_contention] {
+        for counter in [
+            &self.singleflight_waits,
+            &self.coalesced_misses,
+            &self.shard_contention,
+            &self.stalled_batches,
+        ] {
             counter.reset();
         }
     }
@@ -1341,6 +1396,62 @@ mod tests {
         let a = p.alloc();
         let b = p.alloc();
         let _ = p.with_pages(&[b, a], |_, _| ());
+    }
+
+    /// A sink that records what it was fed.
+    struct Recorder {
+        pages: Vec<PageId>,
+        fed: Vec<(PageId, u8)>,
+    }
+
+    impl PageSink for Recorder {
+        fn pages(&self) -> &[PageId] {
+            &self.pages
+        }
+
+        fn feed(&mut self, page: PageId, bytes: &[u8]) {
+            self.fed.push((page, bytes[0]));
+        }
+    }
+
+    /// Two sinks' overlapping page sets are read as their union, in one
+    /// stalled batch, and each sink is fed exactly its own pages, in order;
+    /// a warm re-read stalls nothing, and a failed one feeds no sink.
+    #[test]
+    fn read_into_feeds_each_sink_its_pages_in_one_stalled_batch() {
+        let p = Pager::new(16);
+        let ids: Vec<_> = (0..6u8)
+            .map(|i| {
+                let id = p.alloc();
+                p.write(id, 0, &[i]);
+                id
+            })
+            .collect();
+        let sink =
+            |at: &[usize]| Recorder { pages: at.iter().map(|&i| ids[i]).collect(), fed: vec![] };
+        let (mut a, mut b) = (sink(&[0, 2, 3]), sink(&[1, 3, 5]));
+        p.clear_pool();
+        p.reset_stats();
+        p.read_into(&mut [&mut a, &mut b]).unwrap();
+        assert_eq!(a.fed, [(ids[0], 0), (ids[2], 2), (ids[3], 3)]);
+        assert_eq!(b.fed, [(ids[1], 1), (ids[3], 3), (ids[5], 5)]);
+        let s = p.stats();
+        assert_eq!((s.logical_reads, s.physical_reads), (5, 5), "the shared page is read once");
+        assert_eq!(p.stalled_batches(), 1);
+        p.read_into(&mut [&mut a]).unwrap();
+        assert_eq!(p.stalled_batches(), 1, "a warm batch pays no stall");
+        p.with_page(ids[4], |_| ()).unwrap();
+        assert_eq!(p.stalled_batches(), 2, "a with_page miss is a batch of its own");
+
+        p.clear_pool();
+        p.set_fault_injector(Some(FaultInjector::script().fail_page(
+            ids[5].0,
+            FaultKind::Permanent,
+            None,
+        )));
+        let (mut a, mut b) = (sink(&[0, 2]), sink(&[5]));
+        assert!(p.read_into(&mut [&mut a, &mut b]).is_err());
+        assert!(a.fed.is_empty() && b.fed.is_empty(), "a failed batch feeds no sink");
     }
 
     #[test]

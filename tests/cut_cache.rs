@@ -14,8 +14,13 @@
 //!   instead of growing, and what is derived stays equal to the oracle.
 //! * **Fault interaction** — a failed load publishes none of the units it
 //!   had claimed (one bad unit page fails the whole load; a fused line
-//!   load: no line of either axis), and the next request after the fault
-//!   clears loads them fresh and correctly.
+//!   load: no line of either axis; a ranking iteration's one batch: no
+//!   unit and no line), and the next request after the fault clears loads
+//!   them fresh and correctly.
+//! * **One stall per iteration** — a cold ranking iteration claims its
+//!   units and lines in both caches and reads them in one batch, so it
+//!   pays at most one stall; overlapping plans on four threads load each
+//!   key of either cache exactly once, without deadlock.
 //! * **Warm means resident** — with the default budget a repeated query
 //!   pool reads no page and evicts nothing on its second pass, in a
 //!   fraction of the memory rectangle-keyed cuts needed.
@@ -27,13 +32,14 @@ use surface_knn::core::config::Mr3Config;
 use surface_knn::core::metrics::QueryResult;
 use surface_knn::core::mr3::Mr3Engine;
 use surface_knn::core::workload::{SceneBuilder, SurfacePoint};
+use surface_knn::geodesic::ExactGeodesic;
 use surface_knn::geom::{Axis, Rect2};
 use surface_knn::multires::{
     build_dmtm, CutCache, CutGrid, FetchScratch, FrontGraph, PagedDmtm, TileSpan, UnitStore,
 };
 use surface_knn::prelude::*;
 use surface_knn::sdn::{LineBand, LineCutCache, Msdn, MsdnConfig, PagedMsdn, SimplifiedLine};
-use surface_knn::store::{FaultKind, Pager};
+use surface_knn::store::{FaultKind, PageId, PageSink, Pager, StructureTag};
 
 const TILES: usize = 8;
 
@@ -445,6 +451,255 @@ fn a_fault_on_one_unit_page_publishes_no_unit_of_the_load() {
     assert_eq!(front_fingerprint(&front), front_fingerprint(&fresh));
 }
 
+/// One pager holding both structures, as an engine lays them out: the
+/// units of the 50 % step first, then the MSDN.
+struct BothFixture {
+    pager: Pager,
+    grid: CutGrid,
+    step: u32,
+    cuts: CutCache,
+    msdn: PagedMsdn,
+}
+
+fn both_fixture(grid: usize, seed: u64) -> BothFixture {
+    let mesh = TerrainConfig::bh().with_grid(grid).build_mesh(seed);
+    let pager = Pager::new(256);
+    let tree = build_dmtm(&mesh);
+    let lattice = CutGrid::new(mesh.extent(), TILES, 0.5);
+    let step = tree.step_for_fraction(0.5);
+    let units = {
+        let _tag = pager.tag_scope(StructureTag::Dmtm);
+        UnitStore::build(&pager, &tree, lattice, &[step])
+    };
+    let msdn = {
+        let _tag = pager.tag_scope(StructureTag::Msdn);
+        let cfg = Mr3Config::default();
+        PagedMsdn::build(
+            &pager,
+            &Msdn::build(&mesh, &MsdnConfig { levels: cfg.msdn_levels, plane_spacing: None }),
+        )
+    };
+    BothFixture { pager, grid: lattice, step, cuts: CutCache::new(64 << 20, units), msdn }
+}
+
+/// A band over the whole extent along `axis`, restricted to `roi`.
+fn whole_band<'r>(axis: Axis, e: &Rect2, roi: &'r Rect2) -> LineBand<'r> {
+    let (lo, hi) = if axis == Axis::X { (e.lo.x, e.hi.x) } else { (e.lo.y, e.hi.y) };
+    LineBand { axis, lo, hi, roi: Some(roi) }
+}
+
+/// A ranking iteration's batch that misses units and lines fails whole
+/// on one bad MSDN page: no unit and no line of it is published, no
+/// latch is left, each cache counts one failed load. In an engine the
+/// same fault degrades the iteration, the answer's bounds still bracket
+/// the exact distances, and once the injector is gone the query is
+/// bit-identical to a fault-free engine's.
+#[test]
+fn a_fault_in_the_iteration_batch_publishes_nothing_in_either_cache() {
+    let f = both_fixture(25, 317);
+    let (step, level) = (f.step, 2);
+    let e = f.grid.extent();
+    let roi = f.grid.span_rect(TileSpan { x0: 1, x1: 6, y0: 0, y1: 5 });
+    let spans = [TileSpan { x0: 1, x1: 4, y0: 0, y1: 3 }, TileSpan { x0: 3, x1: 6, y0: 2, y1: 5 }];
+    let bands = [whole_band(Axis::X, &e, &roi), whole_band(Axis::Y, &e, &roi)];
+    // A page of the lines the batch reads, found on a throwaway cache.
+    let probe = LineCutCache::new(16 << 20);
+    let bad = {
+        let load = probe.claim(&f.msdn, level, &bands);
+        load.pages()[load.pages().len() / 2]
+    };
+    assert_eq!(f.pager.tag_of(bad), StructureTag::Msdn);
+
+    let lines = LineCutCache::new(16 << 20);
+    f.pager.set_fault_injector(Some(FaultInjector::script().fail_page(
+        bad.0,
+        FaultKind::Permanent,
+        None,
+    )));
+    let mut units = f.cuts.claim(step, &spans);
+    let mut band_lines = lines.claim(&f.msdn, level, &bands);
+    assert!(!units.pages().is_empty() && !band_lines.pages().is_empty(), "misses both");
+    let err = f.pager.read_into(&mut [&mut units, &mut band_lines]);
+    assert!(err.is_err(), "a permanent fault on one MSDN page must fail the batch");
+    drop((units, band_lines));
+    assert_eq!((f.cuts.len(), lines.len()), (0, 0), "the failed batch published keys");
+    assert_eq!(f.cuts.gauges().loading + lines.gauges().loading, 0, "a latch was left");
+    assert_eq!((f.cuts.stats().failed_loads, lines.stats().failed_loads), (1, 1));
+    f.pager.set_fault_injector(None);
+
+    // The engine: find a ranking iteration whose batch misses both caches
+    // and fail its last read, which is an MSDN page (the MSDN's pages
+    // follow the units', and a batch reads in page order).
+    let mesh = TerrainConfig::bh().with_grid(25).build_mesh(319);
+    let scene = SceneBuilder::new(&mesh).object_count(30).seed(7).build();
+    let cfg = Mr3Config::default();
+    let (q, k) = (scene.random_query(11), 4);
+    let clean = Mr3Engine::build(&mesh, &scene, &cfg).try_query(q, k).unwrap();
+    let mut engine = Mr3Engine::build(&mesh, &scene, &cfg);
+    engine.enable_tracing();
+    let iters = engine.try_query(q, k).unwrap().trace.expect("traced").iter_events();
+    engine.disable_tracing();
+    let mut before = 0;
+    let mut found = None;
+    for e in &iters {
+        let last = before + e.pages;
+        before = last;
+        if e.pages == 0 {
+            continue;
+        }
+        let failed = engine.cut_cache_snapshot().unwrap().failed_loads;
+        engine.pager().set_fault_injector(Some(
+            FaultInjector::script().fail_nth_read(last, FaultKind::Permanent),
+        ));
+        let got = engine.try_query(q, k).unwrap();
+        engine.pager().set_fault_injector(None);
+        let snap = engine.cut_cache_snapshot().unwrap();
+        assert_eq!(snap.loading, 0, "a failed batch left a latch");
+        if snap.failed_loads - failed == 2 {
+            found = Some(got);
+            break;
+        }
+    }
+    let got = found.expect("a cold query has an iteration missing units and lines");
+    let degraded = got.degraded.expect("the failed iteration degrades the query");
+    assert_eq!((degraded.phase, degraded.faults), ("iter", 1), "{degraded}");
+    let page: u64 = degraded.reason.rsplit(' ').next().unwrap().parse().unwrap();
+    assert_eq!(engine.pager().tag_of(PageId(page)), StructureTag::Msdn, "{degraded}");
+    let exact = ExactGeodesic::new(&mesh);
+    for n in &got.neighbors {
+        let d = exact.distance(q.to_mesh_point(), scene.object(n.id).point.to_mesh_point());
+        assert!(n.range.lb <= d + 1e-6 && d <= n.range.ub + 1e-6, "{n:?} misses {d}");
+    }
+    let again = engine.try_query(q, k).unwrap();
+    assert!(again.degraded.is_none());
+    assert_eq!(fingerprint(&[again]), fingerprint(&[clean]));
+}
+
+/// A cold ranking iteration reads its units and lines in one batch: with
+/// a 1 ms stall per batch, every iteration pays at most one stall, and a
+/// query's stalled batches — all of its stall — are at most its
+/// iterations.
+#[test]
+fn a_cold_iteration_pays_one_stall() {
+    const STALL: Duration = Duration::from_millis(1);
+    let mesh = TerrainConfig::bh().with_grid(33).build_mesh(17);
+    let scene = SceneBuilder::new(&mesh).object_count(30).seed(5).build();
+    let mut engine = Mr3Engine::build(&mesh, &scene, &Mr3Config::default());
+    engine.enable_tracing();
+    engine.pager().set_read_stall(STALL);
+    for q in scene.random_queries(6, 3) {
+        let before = engine.pager().stall_ns();
+        let r = engine.try_query(q, 5).unwrap();
+        let stalled = engine.pager().stall_ns() - before;
+        // Pager stats are reset at query start: the query's own batches.
+        let batches = engine.pager().stalled_batches();
+        let iters = r.trace.expect("traced").iter_events();
+        assert_eq!(iters.len(), r.stats.iterations);
+        for e in &iters {
+            assert!(e.stalls <= 1, "iteration {} {} paid {} stalls", e.phase, e.i, e.stalls);
+        }
+        assert_eq!(batches, iters.iter().map(|e| e.stalls).sum::<u64>());
+        assert_eq!(stalled, batches * STALL.as_nanos() as u64);
+        assert!(
+            stalled <= r.stats.iterations as u64 * STALL.as_nanos() as u64,
+            "{stalled} ns of stall over {} iterations",
+            r.stats.iterations
+        );
+        assert!(batches > 0, "a cold query reads pages");
+    }
+}
+
+/// Four threads run overlapping iteration plans — units of unequal spans
+/// and lines of unequal bands, claimed in both caches and read in one
+/// batch — three times each: every unit and every line loads exactly
+/// once between them, and nobody deadlocks on a key led by a thread that
+/// waits on one of its own.
+#[test]
+fn overlapping_unit_and_line_plans_load_each_key_once_across_four_threads() {
+    let f = both_fixture(33, 321);
+    let (step, level) = (f.step, 3);
+    let lines = LineCutCache::new(16 << 20);
+    let e = f.grid.extent();
+    let spans = [
+        TileSpan { x0: 0, x1: 4, y0: 1, y1: 5 },
+        TileSpan { x0: 2, x1: 7, y0: 2, y1: 6 },
+        TileSpan { x0: 1, x1: 5, y0: 3, y1: 7 },
+        TileSpan { x0: 3, x1: 6, y0: 1, y1: 7 },
+    ];
+    let rois: Vec<Rect2> = spans.iter().map(|&s| f.grid.span_rect(s)).collect();
+    let band = |axis: Axis, from: f64, to: f64, roi| {
+        let (origin, width) =
+            if axis == Axis::X { (e.lo.x, e.width()) } else { (e.lo.y, e.height()) };
+        let (lo, hi) = f.grid.snap_band(
+            usize::from(axis == Axis::Y),
+            origin + from * width,
+            origin + to * width,
+        );
+        LineBand { axis, lo, hi, roi: Some(roi) }
+    };
+    let plans: Vec<[LineBand; 2]> = rois
+        .iter()
+        .enumerate()
+        .map(|(t, roi)| {
+            let from = 0.15 * t as f64;
+            [band(Axis::X, from, from + 0.45, roi), band(Axis::Y, 0.5 - from / 2.0, 0.9, roi)]
+        })
+        .collect();
+    let mut units = std::collections::BTreeSet::new();
+    let mut distinct_lines = std::collections::BTreeSet::new();
+    for (span, bands) in spans.iter().zip(&plans) {
+        units.extend(span.tiles(TILES));
+        for b in bands {
+            let picked = f.msdn.select_lines(level, b.axis, b.lo, b.hi, b.roi);
+            distinct_lines.extend(picked.into_iter().map(|l| (b.axis == Axis::Y, l)));
+        }
+    }
+
+    let (done_tx, done_rx) = mpsc::channel();
+    std::thread::scope(|s| {
+        let workers: Vec<_> = spans
+            .iter()
+            .zip(&plans)
+            .map(|(&span, bands)| {
+                let (f, lines) = (&f, &lines);
+                s.spawn(move || {
+                    for _ in 0..3 {
+                        let mut u = f.cuts.claim(step, &[span]);
+                        let mut l = lines.claim(&f.msdn, level, bands);
+                        f.pager.read_into(&mut [&mut u, &mut l]).unwrap();
+                        std::thread::sleep(Duration::from_millis(5));
+                        u.publish();
+                        l.publish();
+                        let got = u.finish(&f.pager).unwrap();
+                        assert_eq!(got[0].0.len(), span.tiles(TILES).count());
+                        let got = l.finish(&f.pager).unwrap();
+                        for (b, (lines, _)) in bands.iter().zip(&got) {
+                            let oracle =
+                                f.msdn.fetch_lines_axis(&f.pager, level, b.axis, b.lo, b.hi, b.roi);
+                            let oracle = line_fingerprint(oracle.unwrap().iter());
+                            assert_eq!(line_fingerprint(lines.iter().map(|l| &**l)), oracle);
+                        }
+                    }
+                })
+            })
+            .collect();
+        s.spawn(move || {
+            for w in workers {
+                w.join().expect("plan thread panicked");
+            }
+            done_tx.send(()).unwrap();
+        });
+        done_rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("overlapping plans did not finish within 10 s: deadlock");
+    });
+    let (cut, line) = (f.cuts.stats(), lines.stats());
+    assert_eq!(cut.misses as usize, units.len(), "every unit loads exactly once: {cut:?}");
+    assert_eq!(line.misses as usize, distinct_lines.len(), "every line loads once: {line:?}");
+    assert_eq!((cut.failed_loads, line.failed_loads), (0, 0));
+    assert_eq!(f.cuts.gauges().loading + lines.gauges().loading, 0);
+}
+
 #[test]
 fn warm_means_resident() {
     let mesh = TerrainConfig::bh().with_grid(33).build_mesh(17);
@@ -485,8 +740,9 @@ fn warm_means_resident() {
     steps.sort_unstable();
     steps.dedup();
     assert!(steps.contains(&0), "s=1's pathnet level charges step 0: {steps:?}");
+    let mut scratch = FetchScratch::default();
     for step in steps {
-        all_fronts.touch(&pager, step, grid.full_span()).unwrap();
+        all_fronts.get_or_extract(&tree, &pager, step, grid.full_span(), &mut scratch).unwrap();
     }
     let all_lines = LineCutCache::new(usize::MAX);
     for level in 0..msdn.num_levels() {
