@@ -344,6 +344,17 @@ fn main() {
     h.bench("ranking/plan_iteration/warm", || {
         plan_engine.plan_iteration(plan_q, 10, half).expect("unfaulted")
     });
+    // The same plan with nothing resident: a cold-cache engine empties the
+    // page pool and both caches before every call, and no read stall is
+    // set. The claims, the one batch and the decode of the iteration's own
+    // keys and of the look-ahead's — the 75 % step's units and the next
+    // MSDN level's lines over the same group.
+    let cold_plan = Mr3Engine::build(&mesh, &plan_scene, &cfg);
+    cold_plan.plan_iteration(plan_q, 10, half).expect("unfaulted");
+    assert!(cold_plan.pager().stats().physical_reads > 0, "a cold plan reads pages");
+    h.bench("ranking/plan_iteration/cold", || {
+        cold_plan.plan_iteration(plan_q, 10, half).expect("unfaulted")
+    });
 
     // --- SDN lower bound ---------------------------------------------------
     // One pair a third of the terrain apart at the full-resolution level

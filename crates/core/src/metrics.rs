@@ -85,6 +85,17 @@ pub struct QueryStats {
     pub cut_cache_hits: usize,
     /// Cut fetches this query led an extraction for (shared-cache misses).
     pub cut_cache_misses: usize,
+    /// Pages a stalling iteration's batch read only because its look-ahead
+    /// asked for them: the next schedule step's units and lines over the
+    /// iteration's own groups.
+    pub ahead_pages: u64,
+    /// Units and lines the look-ahead loaded (never credited to
+    /// [`cut_cache_misses`](Self::cut_cache_misses)).
+    pub ahead_keys: usize,
+    /// Of [`ahead_keys`](Self::ahead_keys), those the next iteration asked
+    /// for and found resident: the prefetched-used share; the rest was
+    /// prefetched and wasted.
+    pub ahead_used: usize,
     /// Per-step wall-clock breakdown (always measured, tracing or not).
     pub stages: StageTimes,
 }

@@ -23,11 +23,13 @@ use sknn_geodesic::pathnet::Pathnet;
 use sknn_geodesic::MeshPoint;
 use sknn_geom::Axis;
 use sknn_geom::{Aabb3, Ellipse2, Rect2};
-use sknn_multires::{CutCache, CutGrid, DmtmTree, FetchScratch, FrontGraph, FrontUnit, TileSpan};
+use sknn_multires::{
+    CutCache, CutGrid, DmtmTree, FetchScratch, FrontGraph, FrontUnit, TileSpan, UnitLoad,
+};
 use sknn_obs::{field, Recorder};
 use sknn_sdn::network::{lower_bound_with, LbScratch};
-use sknn_sdn::{LineBand, LineCutCache, Msdn, PagedMsdn, SimplifiedLine};
-use sknn_store::{PageSink, Pager, StoreResult};
+use sknn_sdn::{LineBand, LineCutCache, LineLoad, Msdn, PagedMsdn, SimplifiedLine};
+use sknn_store::{PageId, PageSink, Pager, StoreResult};
 use sknn_terrain::locate::TriangleLocator;
 use sknn_terrain::mesh::TerrainMesh;
 use std::cell::{Cell, RefCell};
@@ -136,6 +138,9 @@ pub struct RankScratch {
     lb: LbScratch,
     /// Dijkstra state for the per-group shared pathnet run.
     pathnet: DijkstraScratch,
+    /// What the last stalling iteration's look-ahead loaded, until the
+    /// next plan counts how much of it was used.
+    ahead: Option<Lookahead>,
 }
 
 /// A front owned by this query — derived from the shared cache's resident
@@ -165,6 +170,64 @@ struct IterationFetch {
     lines: Vec<[LineSet; 2]>,
 }
 
+/// The keys a stalling iteration's look-ahead loaded for the iteration
+/// after it: accounting only, never consulted for what to read.
+#[derive(Debug)]
+struct Lookahead {
+    /// The iteration the keys were loaded for.
+    iter: usize,
+    /// The units' step and their tiles, ascending.
+    step: u32,
+    tiles: Vec<u32>,
+    /// The lines' MSDN level and their `(is Y axis, line)`, ascending.
+    level: usize,
+    lines: Vec<(bool, u32)>,
+}
+
+impl Lookahead {
+    /// The keys the published look-ahead loads claimed for iteration
+    /// `iter`: units at a step, lines at a level.
+    fn of(
+        iter: usize,
+        (step, units): (u32, Option<&UnitLoad>),
+        (level, lines): (usize, Option<&LineLoad>),
+    ) -> Self {
+        let mut tiles: Vec<u32> =
+            units.iter().flat_map(|u| u.tiles()).filter_map(|(t, c)| c.then_some(t)).collect();
+        let mut lines: Vec<(bool, u32)> = lines
+            .iter()
+            .flat_map(|l| l.lines())
+            .filter_map(|(axis, line, c)| c.then_some((axis == Axis::Y, line)))
+            .collect();
+        tiles.sort_unstable();
+        lines.sort_unstable();
+        Self { iter, step, tiles, level, lines }
+    }
+
+    /// How many of these keys a plan at `step` and `level` asked for and
+    /// found resident (keys it claimed had to be read again).
+    fn used(&self, step: u32, units: &UnitLoad, level: usize, lines: Option<&LineLoad>) -> usize {
+        let tiles = if step == self.step {
+            units
+                .tiles()
+                .filter(|&(t, claimed)| !claimed && self.tiles.binary_search(&t).is_ok())
+                .count()
+        } else {
+            0
+        };
+        let lines = match lines {
+            Some(lines) if level == self.level => lines
+                .lines()
+                .filter(|&(axis, line, claimed)| {
+                    !claimed && self.lines.binary_search(&(axis == Axis::Y, line)).is_ok()
+                })
+                .count(),
+            _ => 0,
+        };
+        tiles + lines
+    }
+}
+
 impl RankScratch {
     /// Prepare the scratch for reuse by a *different* query (the engine's
     /// scratch pool): the cached front must not carry over — a front
@@ -174,6 +237,7 @@ impl RankScratch {
     /// (and all the Dijkstra/fetch buffers) are worth keeping warm.
     pub fn reset_for_reuse(&mut self) {
         self.retire_front();
+        self.ahead = None;
     }
 
     /// Drop the cached front, keeping its buffers for the next fetch so
@@ -196,6 +260,7 @@ struct IterSnapshot {
     settled: usize,
     physical_reads: u64,
     stalled_batches: u64,
+    ahead_pages: u64,
 }
 
 impl IterSnapshot {
@@ -207,6 +272,7 @@ impl IterSnapshot {
             settled: stats.settled,
             physical_reads: pager.stats().physical_reads,
             stalled_batches: pager.stalled_batches(),
+            ahead_pages: stats.ahead_pages,
         }
     }
 }
@@ -489,7 +555,8 @@ impl<'a, 'm> RankingContext<'a, 'm> {
     /// pager's physical-read and stalled-batch deltas over the iteration:
     /// exact for a query running alone, approximate under concurrency
     /// (other queries' reads and stat resets land in them) until the
-    /// per-query ledger of ROADMAP item 3 exists.
+    /// per-query ledger of ROADMAP item 3 exists. `ahead_pages` are the
+    /// pages of the iteration's batch only its look-ahead asked for.
     #[allow(clippy::too_many_arguments)]
     fn emit_iter(
         &self,
@@ -538,6 +605,7 @@ impl<'a, 'm> RankingContext<'a, 'm> {
                     self.pager.stats().physical_reads.saturating_sub(snap.physical_reads),
                 ),
                 field("stalls", self.pager.stalled_batches().saturating_sub(snap.stalled_batches)),
+                field("ahead_pages", stats.ahead_pages - snap.ahead_pages),
             ],
         );
     }
@@ -654,11 +722,24 @@ impl<'a, 'm> RankingContext<'a, 'm> {
     /// [`ub_phase_front`](Self::ub_phase_front) then consumes the plan —
     /// and, with `with_lb`, every group's X and Y line bands at the
     /// iteration's MSDN level. The keys nobody holds are claimed in both
-    /// shared caches, the union of their pages is read in **one** batch,
-    /// and both claims are published before any key led by another thread
-    /// is waited on. Each loaded key is credited to the first group or
-    /// band that asked for it. On `Err` nothing of the batch is published
-    /// and no latch is left.
+    /// shared caches and the union of their pages is read in **one**
+    /// batch. Each loaded key is credited to the first group or band that
+    /// asked for it.
+    ///
+    /// A batch that has pages to read stalls anyway, so it also carries
+    /// the next schedule step's keys over this iteration's groups (the
+    /// look-ahead): every group's units at the next step, and its bands at
+    /// the next MSDN level, where those differ from this iteration's.
+    /// Regions only shrink as upper bounds tighten and the alive set only
+    /// shrinks, so the next iteration then finds most of its keys
+    /// resident. Every claim of the batch is published before any key led
+    /// by another thread is waited on; the look-ahead's loads are dropped
+    /// unfinished, so nothing of them is ever waited on.
+    ///
+    /// On `Err` nothing of the batch is published and no latch is left. A
+    /// failure on a page only the look-ahead asked for drops the
+    /// look-ahead and reads the iteration's own keys alone: only a failure
+    /// of its own keys degrades the iteration.
     #[allow(clippy::too_many_arguments)]
     fn plan_iteration(
         &self,
@@ -670,11 +751,7 @@ impl<'a, 'm> RankingContext<'a, 'm> {
         with_lb: bool,
         stats: &mut QueryStats,
     ) -> StoreResult<IterationFetch> {
-        let frac = self.cfg.schedule.dmtm[iter];
-        // A pathnet level derives its graph from the mesh in memory and
-        // only charges the region's leaf units (step 0).
-        let step = (frac <= 1.0).then(|| self.tree.step_for_fraction(frac));
-        let m = step.unwrap_or(0);
+        let (step, m) = self.step_of(iter);
         // Canonical fetch regions (pad + tile-snap), so hot neighbourhoods
         // converge onto a small set of reusable keys.
         let spans: Vec<TileSpan> = groups.iter().map(|g| self.grid.span(&g.region)).collect();
@@ -712,7 +789,36 @@ impl<'a, 'm> RankingContext<'a, 'm> {
         let mut units = self.cuts.claim(m, &asked);
         let level = self.cfg.schedule.msdn_level(iter);
         let mut lines = with_lb.then(|| self.lines.claim(self.msdn, level, &bands));
-        {
+        let prev = self.scratch.borrow_mut().ahead.take().filter(|a| a.iter == iter);
+        if let Some(prev) = prev {
+            stats.ahead_used += prev.used(m, &units, level, lines.as_ref());
+        }
+
+        let stalls =
+            !units.pages().is_empty() || lines.as_ref().is_some_and(|l| !l.pages().is_empty());
+        let next = (stalls && iter + 1 < self.cfg.schedule.len()).then_some(iter + 1);
+        let next_step = next.map(|n| self.step_of(n).1).filter(|&s| s != m);
+        let next_level =
+            next.map(|n| self.cfg.schedule.msdn_level(n)).filter(|&l| with_lb && l != level);
+        let mut ahead_units = next_step.map(|s| self.cuts.claim(s, &spans));
+        let mut ahead_lines = next_level.map(|l| self.lines.claim(self.msdn, l, &bands));
+        let batch = {
+            let mut sinks: Vec<&mut dyn PageSink> = vec![&mut units];
+            sinks.extend(lines.as_mut().map(|l| l as &mut dyn PageSink));
+            sinks.extend(ahead_units.as_mut().map(|l| l as &mut dyn PageSink));
+            sinks.extend(ahead_lines.as_mut().map(|l| l as &mut dyn PageSink));
+            self.pager.read_into(&mut sinks)
+        };
+        if let Err(e) = batch {
+            let page = PageId(e.page());
+            let own = units.pages().binary_search(&page).is_ok()
+                || lines.as_ref().is_some_and(|l| l.pages().binary_search(&page).is_ok());
+            if own {
+                return Err(e);
+            }
+            // Unlatch the look-ahead's keys (the next iteration meets the
+            // fault itself) and read this iteration's keys alone.
+            (ahead_units, ahead_lines) = (None, None);
             let mut sinks: Vec<&mut dyn PageSink> = vec![&mut units];
             sinks.extend(lines.as_mut().map(|l| l as &mut dyn PageSink));
             self.pager.read_into(&mut sinks)?;
@@ -720,6 +826,23 @@ impl<'a, 'm> RankingContext<'a, 'm> {
         units.publish();
         if let Some(lines) = lines.as_mut() {
             lines.publish();
+        }
+        if ahead_units.is_some() || ahead_lines.is_some() {
+            let mut own: Vec<PageId> = units.pages().to_vec();
+            own.extend(lines.iter().flat_map(|l| l.pages()));
+            own.sort_unstable();
+            let ahead = ahead_units.iter().flat_map(|a| a.pages());
+            let ahead = ahead.chain(ahead_lines.iter().flat_map(|a| a.pages()));
+            stats.ahead_pages += ahead.filter(|p| own.binary_search(p).is_err()).count() as u64;
+            ahead_units.iter_mut().for_each(UnitLoad::publish);
+            ahead_lines.iter_mut().for_each(LineLoad::publish);
+            let next = Lookahead::of(
+                iter + 1,
+                (next_step.unwrap_or(m), ahead_units.as_ref()),
+                (next_level.unwrap_or(level), ahead_lines.as_ref()),
+            );
+            stats.ahead_keys += next.tiles.len() + next.lines.len();
+            self.scratch.borrow_mut().ahead = Some(next);
         }
         let mut units = units.finish(self.pager)?;
         let mut lines = lines.map(|l| l.finish(self.pager)).transpose()?.unwrap_or_default();
@@ -741,6 +864,16 @@ impl<'a, 'm> RankingContext<'a, 'm> {
             })
             .collect();
         Ok(IterationFetch { step, fronts, lines })
+    }
+
+    /// Iteration `iter`'s DMTM step — `None` at a pathnet level, which
+    /// derives its graph from the mesh in memory — and the step whose
+    /// units it reads: a pathnet level charges the region's leaf units
+    /// (step 0).
+    fn step_of(&self, iter: usize) -> (Option<u32>, u32) {
+        let frac = self.cfg.schedule.dmtm[iter];
+        let step = (frac <= 1.0).then(|| self.tree.step_for_fraction(frac));
+        (step, step.unwrap_or(0))
     }
 
     /// One axis band per group and axis, covering every member whose

@@ -367,6 +367,14 @@ impl PageSink for UnitLoad<'_> {
 }
 
 impl UnitLoad<'_> {
+    /// The load's distinct tiles, in the order its spans first ask, each
+    /// with whether this load claimed it (reads it) rather than finding
+    /// it resident or loading elsewhere.
+    pub fn tiles(&self) -> impl Iterator<Item = (u32, bool)> + '_ {
+        let mut claimed = self.claim.claimed().iter().peekable();
+        self.keys.iter().enumerate().map(move |(i, k)| (k.tile, claimed.next_if_eq(&&i).is_some()))
+    }
+
     /// Decode the claimed units from the bytes the read fed and publish
     /// them, waking their waiters.
     pub fn publish(&mut self) {

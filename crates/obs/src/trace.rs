@@ -13,9 +13,11 @@
 //! * `{"t":"event","name":"iter","phase":"rank","i":…,"dmtm_frac":…,
 //!   "msdn_level":…,"alive":…,"kth_ub":…,"next_lb":…,"resolve_lb":…,
 //!   "resolved":…,"ub_est":…,"lb_est":…,"dummy_lb":…,"settled":…,
-//!   "pages":…,"stalls":…}` — one per ranking iteration (phase `radius`
-//!   for step 2, `rank` for step 4, `range` for surface range queries;
-//!   `stalls` = read batches that paid the disk stall);
+//!   "pages":…,"stalls":…,"ahead_pages":…}` — one per ranking iteration
+//!   (phase `radius` for step 2, `rank` for step 4, `range` for surface
+//!   range queries; `stalls` = read batches that paid the disk stall;
+//!   `ahead_pages` = pages of the batch only the next step's look-ahead
+//!   asked for);
 //! * `{"t":"event","name":"io","structure":"dmtm","logical":…,
 //!   "physical":…,"hits":…,"evictions":…}` — per-structure page
 //!   attribution, plus a `{"t":"event","name":"pool","hit_rate":…,
@@ -87,6 +89,10 @@ pub struct IterEvent {
     /// Read batches this iteration that paid the disk stall (at most one
     /// per iteration when it runs alone).
     pub stalls: u64,
+    /// Pages of this iteration's batch that only its look-ahead — the
+    /// next schedule step's units and lines over this iteration's groups —
+    /// asked for.
+    pub ahead_pages: u64,
 }
 
 impl QueryTrace {
@@ -130,6 +136,7 @@ impl QueryTrace {
                 settled: r.get_u64("settled").unwrap_or(0),
                 pages: r.get_u64("pages").unwrap_or(0),
                 stalls: r.get_u64("stalls").unwrap_or(0),
+                ahead_pages: r.get_u64("ahead_pages").unwrap_or(0),
             })
             .collect()
     }

@@ -190,6 +190,17 @@ impl PageSink for LineLoad<'_> {
 }
 
 impl LineLoad<'_> {
+    /// The load's distinct lines, in the order its bands first ask, each
+    /// with whether this load claimed it (reads it) rather than finding
+    /// it resident or loading elsewhere.
+    pub fn lines(&self) -> impl Iterator<Item = (Axis, u32, bool)> + '_ {
+        let mut claimed = self.claim.claimed().iter().peekable();
+        self.keys
+            .iter()
+            .enumerate()
+            .map(move |(i, k)| (k.axis, k.line, claimed.next_if_eq(&&i).is_some()))
+    }
+
     /// Publish the claimed lines the read assembled, waking their
     /// waiters.
     pub fn publish(&mut self) {

@@ -19,8 +19,11 @@
 //!   them fresh and correctly.
 //! * **One stall per iteration** — a cold ranking iteration claims its
 //!   units and lines in both caches and reads them in one batch, so it
-//!   pays at most one stall; overlapping plans on four threads load each
-//!   key of either cache exactly once, without deadlock.
+//!   pays at most one stall; a batch that stalls also carries the next
+//!   schedule step's keys, so no run stalls twice in a row, and a fault
+//!   on a page only that look-ahead asked for degrades the next
+//!   iteration, not the carrier; overlapping plans on four threads load
+//!   each key of either cache exactly once, without deadlock.
 //! * **Warm means resident** — with the default budget a repeated query
 //!   pool reads no page and evicts nothing on its second pass, in a
 //!   fraction of the memory rectangle-keyed cuts needed.
@@ -37,6 +40,7 @@ use surface_knn::geom::{Axis, Rect2};
 use surface_knn::multires::{
     build_dmtm, CutCache, CutGrid, FetchScratch, FrontGraph, PagedDmtm, TileSpan, UnitStore,
 };
+use surface_knn::obs::IterEvent;
 use surface_knn::prelude::*;
 use surface_knn::sdn::{LineBand, LineCutCache, Msdn, MsdnConfig, PagedMsdn, SimplifiedLine};
 use surface_knn::store::{FaultKind, PageId, PageSink, Pager, StructureTag};
@@ -529,7 +533,10 @@ fn a_fault_in_the_iteration_batch_publishes_nothing_in_either_cache() {
 
     // The engine: find a ranking iteration whose batch misses both caches
     // and fail its last read, which is an MSDN page (the MSDN's pages
-    // follow the units', and a batch reads in page order).
+    // follow the units', and a batch reads in page order). Only a batch
+    // that carries no look-ahead page qualifies: a look-ahead page may be
+    // the batch's last, and a fault on one re-reads the iteration's own
+    // keys alone and degrades nothing.
     let mesh = TerrainConfig::bh().with_grid(25).build_mesh(319);
     let scene = SceneBuilder::new(&mesh).object_count(30).seed(7).build();
     let cfg = Mr3Config::default();
@@ -544,7 +551,7 @@ fn a_fault_in_the_iteration_batch_publishes_nothing_in_either_cache() {
     for e in &iters {
         let last = before + e.pages;
         before = last;
-        if e.pages == 0 {
+        if e.pages == 0 || e.ahead_pages > 0 {
             continue;
         }
         let failed = engine.cut_cache_snapshot().unwrap().failed_loads;
@@ -606,6 +613,118 @@ fn a_cold_iteration_pays_one_stall() {
             r.stats.iterations
         );
         assert!(batches > 0, "a cold query reads pages");
+    }
+}
+
+/// A cold iteration that stalls also reads the next schedule step's units
+/// and lines over its own groups, so the next iteration of the run finds
+/// its keys resident: on the one-stall fixture no run (radius or rank)
+/// stalls in two consecutive iterations, and a query's stalled batches
+/// are at most the sum over its runs of half their iterations, rounded
+/// up.
+#[test]
+fn a_cold_ranking_run_never_stalls_twice_in_a_row() {
+    const STALL: Duration = Duration::from_millis(1);
+    let mesh = TerrainConfig::bh().with_grid(33).build_mesh(17);
+    let scene = SceneBuilder::new(&mesh).object_count(30).seed(5).build();
+    let mut engine = Mr3Engine::build(&mesh, &scene, &Mr3Config::default());
+    engine.enable_tracing();
+    engine.pager().set_read_stall(STALL);
+    for q in scene.random_queries(6, 3) {
+        let r = engine.try_query(q, 5).unwrap();
+        let batches = engine.pager().stalled_batches();
+        let iters = r.trace.expect("traced").iter_events();
+        // A run is a maximal stretch of one phase's events from `i == 0`.
+        let mut runs: Vec<Vec<u64>> = Vec::new();
+        for e in &iters {
+            assert!(matches!(e.phase, "radius" | "rank"), "{}", e.phase);
+            if e.i == 0 {
+                runs.push(Vec::new());
+            }
+            runs.last_mut().expect("a run starts at i == 0").push(e.stalls);
+        }
+        for (run, stalls) in runs.iter().enumerate() {
+            for (i, pair) in stalls.windows(2).enumerate() {
+                assert!(
+                    !(pair[0] == 1 && pair[1] == 1),
+                    "run {run}: iterations {i} and {} both stalled ({stalls:?})",
+                    i + 1
+                );
+            }
+        }
+        let bound: usize = runs.iter().map(|r| r.len().div_ceil(2)).sum();
+        assert!(batches as usize <= bound, "{batches} stalled batches over runs {runs:?}");
+    }
+}
+
+/// A permanent fault on a DMTM page that only the next schedule step's
+/// units use fails the batch of the iteration that looks ahead onto it.
+/// That iteration drops its look-ahead, reads its own keys alone and
+/// computes exactly the fault-free bounds; the next iteration asks for
+/// the page itself and degrades, naming it. No latch is left and the
+/// answer still brackets the exact distances.
+#[test]
+fn a_fault_on_a_lookahead_page_degrades_only_its_own_iteration() {
+    let mesh = TerrainConfig::bh().with_grid(33).build_mesh(17);
+    let scene = SceneBuilder::new(&mesh).object_count(30).seed(5).build();
+    let cfg = Mr3Config::default();
+    let (q, k) = (scene.random_queries(6, 3)[0], 5);
+
+    // The engine lays its unit store out first on a fresh pager, so a
+    // store built the same way names the engine's pages. The page: the
+    // first of the unit at the query's tile at the radius run's second
+    // step. Iteration 0's groups cover the query, so its look-ahead asks
+    // for that unit; so does iteration 1, whose regions contain the query.
+    let tree = build_dmtm(&mesh);
+    let grid = CutGrid::new(mesh.extent(), cfg.cut_cache.tiles, cfg.cut_cache.pad_tiles);
+    let steps: Vec<u32> = cfg.schedule.dmtm.iter().map(|&f| tree.step_for_fraction(f)).collect();
+    assert_ne!(steps[0], steps[1], "the look-ahead reads a step of its own");
+    let layout = Pager::new(cfg.pool_pages);
+    let store = UnitStore::build(&layout, &tree, grid, &steps);
+    let (cols, rows) = grid.tiles_meeting(&Rect2::new(q.pos.xy(), q.pos.xy()));
+    let tile = (rows.start * grid.tiles() + cols.start) as u32;
+    let bad = store.pages(steps[1], &[tile])[0];
+
+    let mut engine = Mr3Engine::build(&mesh, &scene, &cfg);
+    engine.enable_tracing();
+    assert_eq!(engine.pager().tag_of(bad), StructureTag::Dmtm);
+    assert_eq!(engine.pager().read_page(bad).unwrap(), layout.read_page(bad).unwrap());
+    let clean = engine.try_query(q, k).unwrap();
+    let clean_iters = clean.trace.as_ref().expect("traced").iter_events();
+    assert!(clean_iters[0].ahead_pages > 0, "iteration 0 looks ahead: {:?}", clean_iters[0]);
+
+    engine.pager().set_fault_injector(Some(FaultInjector::script().fail_page(
+        bad.0,
+        FaultKind::Permanent,
+        None,
+    )));
+    let got = engine.try_query(q, k).unwrap();
+    engine.pager().set_fault_injector(None);
+    let trace = got.trace.as_ref().expect("traced");
+    let iters = trace.iter_events();
+    let bounds = |e: &IterEvent| (e.phase, e.i, e.alive, e.kth_ub, e.next_lb, e.resolve_lb);
+    assert_eq!((iters[0].phase, iters[0].i), ("radius", 0));
+    assert_eq!(bounds(&iters[0]), bounds(&clean_iters[0]), "the carrier iteration moved");
+    assert_eq!(iters[0].ahead_pages, 0, "the failed look-ahead was read again");
+
+    // The first fault lands after iteration 0's event and before
+    // iteration 1's: it is iteration 1's, and it names the page.
+    let names: Vec<&str> = trace.records.iter().map(|r| r.name).collect();
+    let fault = names.iter().position(|&n| n == "fault").expect("a fault was absorbed");
+    assert_eq!(names[..fault].iter().filter(|&&n| n == "iter").count(), 1, "{names:?}");
+    let record = &trace.records[fault];
+    assert_eq!(record.get("phase").and_then(|v| v.as_str()), Some("iter"));
+    assert_eq!(record.get_u64("page"), Some(bad.0));
+    assert_eq!((iters[1].phase, iters[1].i, iters[1].ub_est), ("radius", 1, 0));
+    let degraded = got.degraded.as_ref().expect("iteration 1 degrades the query");
+    assert_eq!(degraded.phase, "iter", "{degraded}");
+    assert!(degraded.reason.ends_with(&format!(" {}", bad.0)), "{degraded}");
+
+    assert_eq!(engine.cut_cache_snapshot().unwrap().loading, 0, "a latch was left");
+    let exact = ExactGeodesic::new(&mesh);
+    for n in &got.neighbors {
+        let d = exact.distance(q.to_mesh_point(), scene.object(n.id).point.to_mesh_point());
+        assert!(n.range.lb <= d + 1e-6 && d <= n.range.ub + 1e-6, "{n:?} misses {d}");
     }
 }
 
