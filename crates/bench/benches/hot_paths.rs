@@ -338,22 +338,42 @@ fn main() {
     plan_engine.cold_cache = false;
     let plan_q = plan_scene.random_query(3);
     let half = cfg.schedule.dmtm.iter().position(|&f| f == 0.5).expect("s=1 has a 50 % step");
-    plan_engine.plan_iteration(plan_q, 10, half).expect("unfaulted");
-    plan_engine.plan_iteration(plan_q, 10, half).expect("unfaulted");
+    plan_engine.plan_iteration(plan_q, 10, half, &[]).expect("unfaulted");
+    plan_engine.plan_iteration(plan_q, 10, half, &[]).expect("unfaulted");
     assert_eq!(plan_engine.pager().stats().physical_reads, 0, "a warm plan reads no page");
     h.bench("ranking/plan_iteration/warm", || {
-        plan_engine.plan_iteration(plan_q, 10, half).expect("unfaulted")
+        plan_engine.plan_iteration(plan_q, 10, half, &[]).expect("unfaulted")
     });
     // The same plan with nothing resident: a cold-cache engine empties the
     // page pool and both caches before every call, and no read stall is
     // set. The claims, the one batch and the decode of the iteration's own
-    // keys and of the look-ahead's — the 75 % step's units and the next
+    // keys and of the look-ahead's: fresh candidates are unbounded, so it
+    // carries the next step only — the 75 % step's units and the next
     // MSDN level's lines over the same group.
     let cold_plan = Mr3Engine::build(&mesh, &plan_scene, &cfg);
-    cold_plan.plan_iteration(plan_q, 10, half).expect("unfaulted");
+    cold_plan.plan_iteration(plan_q, 10, half, &[]).expect("unfaulted");
     assert!(cold_plan.pager().stats().physical_reads > 0, "a cold plan reads pages");
     h.bench("ranking/plan_iteration/cold", || {
-        cold_plan.plan_iteration(plan_q, 10, half).expect("unfaulted")
+        cold_plan.plan_iteration(plan_q, 10, half, &[]).expect("unfaulted")
+    });
+    // The same cold plan for candidates with finite upper bounds — each
+    // candidate's pair estimate at the 25 % step, the bound the 50 %
+    // iteration of a run plans over. Every region is a prune ellipse's
+    // MBR, so the batch carries the rest of the schedule: the 75 %, 100 %
+    // and pathnet steps' units and the later MSDN levels' lines over the
+    // bounded groups.
+    let quarter = half - 1;
+    let ubs: Vec<f64> = cold_plan
+        .seeds2d(plan_q.pos.xy(), 10)
+        .into_iter()
+        .map(|(_, _, p)| {
+            cold_plan.estimate_pair(plan_q, p, quarter, cfg.schedule.msdn_level(quarter)).ub
+        })
+        .collect();
+    assert!(ubs.iter().all(|ub| ub.is_finite()), "every candidate is bounded");
+    cold_plan.plan_iteration(plan_q, 10, half, &ubs).expect("unfaulted");
+    h.bench("ranking/plan_iteration/cold_bounded", || {
+        cold_plan.plan_iteration(plan_q, 10, half, &ubs).expect("unfaulted")
     });
 
     // --- SDN lower bound ---------------------------------------------------

@@ -86,15 +86,19 @@ pub struct QueryStats {
     /// Cut fetches this query led an extraction for (shared-cache misses).
     pub cut_cache_misses: usize,
     /// Pages a stalling iteration's batch read only because its look-ahead
-    /// asked for them: the next schedule step's units and lines over the
+    /// asked for them: later schedule steps' units and lines over the
     /// iteration's own groups.
     pub ahead_pages: u64,
-    /// Units and lines the look-ahead loaded (never credited to
-    /// [`cut_cache_misses`](Self::cut_cache_misses)).
+    /// Later schedule steps the look-aheads carried, summed over the
+    /// query's batches: one per batch while a region is unbounded, the
+    /// rest of the schedule once every region is bounded.
+    pub ahead_steps: usize,
+    /// Units and lines the look-aheads loaded, each key once per run
+    /// (never credited to [`cut_cache_misses`](Self::cut_cache_misses)).
     pub ahead_keys: usize,
-    /// Of [`ahead_keys`](Self::ahead_keys), those the next iteration asked
-    /// for and found resident: the prefetched-used share; the rest was
-    /// prefetched and wasted.
+    /// Of [`ahead_keys`](Self::ahead_keys), those a later iteration of the
+    /// same run asked for and found resident: the prefetched-used share;
+    /// the rest was prefetched and wasted.
     pub ahead_used: usize,
     /// Per-step wall-clock breakdown (always measured, tracing or not).
     pub stages: StageTimes,

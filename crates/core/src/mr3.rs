@@ -489,17 +489,20 @@ impl<'s, 'm> Mr3Engine<'s, 'm> {
     }
 
     /// The read plan of ranking iteration `iter` for `q` against its `n`
-    /// nearest objects in the plane as fresh candidates: regions, I/O
-    /// groups, the claims in both cut caches and their one batched read,
-    /// with no bound computed. A second call on a warm engine finds every
-    /// key resident: the per-iteration overhead of the plan on a warm
-    /// query, which the `ranking/plan_iteration/warm` kernel row times.
-    /// Returns the number of I/O groups.
+    /// nearest objects in the plane as candidates: regions, I/O groups,
+    /// the claims in both cut caches and their one batched read, with no
+    /// bound computed. The `i`-th nearest candidate gets upper bound
+    /// `ubs[i]`; those past the end of `ubs` start fresh (unbounded). A
+    /// second call on a warm engine finds every key resident: the
+    /// per-iteration overhead of the plan on a warm query, which the
+    /// `ranking/plan_iteration/warm` kernel row times. Returns the number
+    /// of I/O groups.
     pub fn plan_iteration(
         &self,
         q: SurfacePoint,
         n: usize,
         iter: usize,
+        ubs: &[f64],
     ) -> Result<usize, sknn_store::StoreError> {
         let terrain = self.mesh.extent();
         let mut cands: Vec<Candidate> = self
@@ -507,6 +510,9 @@ impl<'s, 'm> Mr3Engine<'s, 'm> {
             .into_iter()
             .map(|(_, id, point)| Candidate::new(&q, id, point, &terrain))
             .collect();
+        for (c, &ub) in cands.iter_mut().zip(ubs) {
+            c.range.tighten_ub(ub);
+        }
         self.scoped(&QueryOpts::default(), "plan", |s| {
             s.ctx.plan_only(&q, &mut cands, iter, &mut s.stats)
         })

@@ -138,9 +138,9 @@ pub struct RankScratch {
     lb: LbScratch,
     /// Dijkstra state for the per-group shared pathnet run.
     pathnet: DijkstraScratch,
-    /// What the last stalling iteration's look-ahead loaded, until the
-    /// next plan counts how much of it was used.
-    ahead: Option<Lookahead>,
+    /// What the current run's look-aheads loaded and no later iteration
+    /// of it has used yet.
+    ahead: Lookahead,
 }
 
 /// A front owned by this query — derived from the shared cache's resident
@@ -170,61 +170,67 @@ struct IterationFetch {
     lines: Vec<[LineSet; 2]>,
 }
 
-/// The keys a stalling iteration's look-ahead loaded for the iteration
-/// after it: accounting only, never consulted for what to read.
-#[derive(Debug)]
+/// The keys the current run's look-aheads loaded that no later iteration
+/// of the run has asked for yet: accounting only, never consulted for
+/// what to read.
+#[derive(Debug, Default)]
 struct Lookahead {
-    /// The iteration the keys were loaded for.
-    iter: usize,
-    /// The units' step and their tiles, ascending.
-    step: u32,
-    tiles: Vec<u32>,
-    /// The lines' MSDN level and their `(is Y axis, line)`, ascending.
-    level: usize,
-    lines: Vec<(bool, u32)>,
+    /// `(step, tile)` of the units, ascending.
+    tiles: Vec<(u32, u32)>,
+    /// `(MSDN level, is Y axis, line)` of the lines, ascending.
+    lines: Vec<(usize, bool, u32)>,
 }
 
 impl Lookahead {
-    /// The keys the published look-ahead loads claimed for iteration
-    /// `iter`: units at a step, lines at a level.
-    fn of(
-        iter: usize,
-        (step, units): (u32, Option<&UnitLoad>),
-        (level, lines): (usize, Option<&LineLoad>),
-    ) -> Self {
-        let mut tiles: Vec<u32> =
-            units.iter().flat_map(|u| u.tiles()).filter_map(|(t, c)| c.then_some(t)).collect();
-        let mut lines: Vec<(bool, u32)> = lines
-            .iter()
-            .flat_map(|l| l.lines())
-            .filter_map(|(axis, line, c)| c.then_some((axis == Axis::Y, line)))
-            .collect();
-        tiles.sort_unstable();
-        lines.sort_unstable();
-        Self { iter, step, tiles, level, lines }
+    /// Add the keys the published look-ahead loads claimed: units per
+    /// step, lines per level. Returns how many were new, so a key loaded
+    /// twice counts once.
+    fn record(&mut self, units: &[(u32, UnitLoad)], lines: &[(usize, LineLoad)]) -> usize {
+        let before = self.tiles.len() + self.lines.len();
+        for (step, load) in units {
+            self.tiles.extend(load.tiles().filter_map(|(t, c)| c.then_some((*step, t))));
+        }
+        for (level, load) in lines {
+            self.lines.extend(
+                load.lines()
+                    .filter_map(|(axis, line, c)| c.then_some((*level, axis == Axis::Y, line))),
+            );
+        }
+        self.tiles.sort_unstable();
+        self.tiles.dedup();
+        self.lines.sort_unstable();
+        self.lines.dedup();
+        self.tiles.len() + self.lines.len() - before
     }
 
     /// How many of these keys a plan at `step` and `level` asked for and
-    /// found resident (keys it claimed had to be read again).
-    fn used(&self, step: u32, units: &UnitLoad, level: usize, lines: Option<&LineLoad>) -> usize {
-        let tiles = if step == self.step {
-            units
-                .tiles()
-                .filter(|&(t, claimed)| !claimed && self.tiles.binary_search(&t).is_ok())
-                .count()
-        } else {
-            0
-        };
-        let lines = match lines {
-            Some(lines) if level == self.level => lines
-                .lines()
-                .filter(|&(axis, line, claimed)| {
-                    !claimed && self.lines.binary_search(&(axis == Axis::Y, line)).is_ok()
-                })
-                .count(),
-            _ => 0,
-        };
-        tiles + lines
+    /// found resident (keys it claimed had to be read again). Those keys
+    /// are dropped, so each is credited once.
+    fn used(
+        &mut self,
+        step: u32,
+        units: &UnitLoad,
+        level: usize,
+        lines: Option<&LineLoad>,
+    ) -> usize {
+        let before = self.tiles.len() + self.lines.len();
+        if before == 0 {
+            return 0;
+        }
+        let mut found: Vec<(u32, u32)> =
+            units.tiles().filter_map(|(t, claimed)| (!claimed).then_some((step, t))).collect();
+        found.sort_unstable();
+        self.tiles.retain(|k| found.binary_search(k).is_err());
+        let mut found: Vec<(usize, bool, u32)> = lines
+            .into_iter()
+            .flat_map(LineLoad::lines)
+            .filter_map(|(axis, line, claimed)| {
+                (!claimed).then_some((level, axis == Axis::Y, line))
+            })
+            .collect();
+        found.sort_unstable();
+        self.lines.retain(|k| found.binary_search(k).is_err());
+        before - self.tiles.len() - self.lines.len()
     }
 }
 
@@ -237,7 +243,7 @@ impl RankScratch {
     /// (and all the Dijkstra/fetch buffers) are worth keeping warm.
     pub fn reset_for_reuse(&mut self) {
         self.retire_front();
-        self.ahead = None;
+        self.ahead = Lookahead::default();
     }
 
     /// Drop the cached front, keeping its buffers for the next fetch so
@@ -261,6 +267,7 @@ struct IterSnapshot {
     physical_reads: u64,
     stalled_batches: u64,
     ahead_pages: u64,
+    ahead_steps: usize,
 }
 
 impl IterSnapshot {
@@ -273,6 +280,7 @@ impl IterSnapshot {
             physical_reads: pager.stats().physical_reads,
             stalled_batches: pager.stalled_batches(),
             ahead_pages: stats.ahead_pages,
+            ahead_steps: stats.ahead_steps,
         }
     }
 }
@@ -556,7 +564,8 @@ impl<'a, 'm> RankingContext<'a, 'm> {
     /// exact for a query running alone, approximate under concurrency
     /// (other queries' reads and stat resets land in them) until the
     /// per-query ledger of ROADMAP item 3 exists. `ahead_pages` are the
-    /// pages of the iteration's batch only its look-ahead asked for.
+    /// pages of the iteration's batch only its look-ahead asked for, and
+    /// `ahead_steps` the later schedule steps that look-ahead carried.
     #[allow(clippy::too_many_arguments)]
     fn emit_iter(
         &self,
@@ -606,6 +615,7 @@ impl<'a, 'm> RankingContext<'a, 'm> {
                 ),
                 field("stalls", self.pager.stalled_batches().saturating_sub(snap.stalled_batches)),
                 field("ahead_pages", stats.ahead_pages - snap.ahead_pages),
+                field("ahead_steps", stats.ahead_steps - snap.ahead_steps),
             ],
         );
     }
@@ -727,19 +737,23 @@ impl<'a, 'm> RankingContext<'a, 'm> {
     /// asked for it.
     ///
     /// A batch that has pages to read stalls anyway, so it also carries
-    /// the next schedule step's keys over this iteration's groups (the
-    /// look-ahead): every group's units at the next step, and its bands at
-    /// the next MSDN level, where those differ from this iteration's.
-    /// Regions only shrink as upper bounds tighten and the alive set only
-    /// shrinks, so the next iteration then finds most of its keys
-    /// resident. Every claim of the batch is published before any key led
-    /// by another thread is waited on; the look-ahead's loads are dropped
-    /// unfinished, so nothing of them is ever waited on.
+    /// later schedule steps' keys over this iteration's groups (the
+    /// look-ahead): every group's units at each later step, and its bands
+    /// at each later MSDN level, each step and level once and only where
+    /// it differs from this iteration's. Once every member's upper bound
+    /// is finite, every region is a prune ellipse's MBR, and regions only
+    /// shrink as bounds tighten while the alive set only shrinks: the
+    /// batch carries the rest of the schedule, and the run's later
+    /// iterations find most of their keys resident. While some region is
+    /// still the whole terrain — a run's first iteration — it carries the
+    /// next step only. Every claim of the batch is published before any
+    /// key led by another thread is waited on; the look-ahead's loads are
+    /// dropped unfinished, so nothing of them is ever waited on.
     ///
     /// On `Err` nothing of the batch is published and no latch is left. A
-    /// failure on a page only the look-ahead asked for drops the
-    /// look-ahead and reads the iteration's own keys alone: only a failure
-    /// of its own keys degrades the iteration.
+    /// failure on a page only the look-ahead asked for drops every
+    /// look-ahead load and reads the iteration's own keys alone: only a
+    /// failure of its own keys degrades the iteration.
     #[allow(clippy::too_many_arguments)]
     fn plan_iteration(
         &self,
@@ -789,24 +803,48 @@ impl<'a, 'm> RankingContext<'a, 'm> {
         let mut units = self.cuts.claim(m, &asked);
         let level = self.cfg.schedule.msdn_level(iter);
         let mut lines = with_lb.then(|| self.lines.claim(self.msdn, level, &bands));
-        let prev = self.scratch.borrow_mut().ahead.take().filter(|a| a.iter == iter);
-        if let Some(prev) = prev {
-            stats.ahead_used += prev.used(m, &units, level, lines.as_ref());
+        {
+            let ahead = &mut self.scratch.borrow_mut().ahead;
+            if iter == 0 {
+                // A new run: what an earlier run loaded is not this run's.
+                *ahead = Lookahead::default();
+            }
+            stats.ahead_used += ahead.used(m, &units, level, lines.as_ref());
         }
 
+        // The later schedule steps the batch carries, if it stalls: the
+        // rest of the schedule once every member's upper bound is finite
+        // (every region is a prune-ellipse MBR, and those only shrink),
+        // else only the next step (a region is still the whole terrain).
         let stalls =
             !units.pages().is_empty() || lines.as_ref().is_some_and(|l| !l.pages().is_empty());
-        let next = (stalls && iter + 1 < self.cfg.schedule.len()).then_some(iter + 1);
-        let next_step = next.map(|n| self.step_of(n).1).filter(|&s| s != m);
-        let next_level =
-            next.map(|n| self.cfg.schedule.msdn_level(n)).filter(|&l| with_lb && l != level);
-        let mut ahead_units = next_step.map(|s| self.cuts.claim(s, &spans));
-        let mut ahead_lines = next_level.map(|l| self.lines.claim(self.msdn, l, &bands));
+        let bounded = members.iter().flatten().all(|&ci| cands[ci].range.ub.is_finite());
+        let rest = self.cfg.schedule.len() - iter - 1;
+        let carried = if !stalls {
+            0
+        } else if bounded {
+            rest
+        } else {
+            rest.min(1)
+        };
+        // Each step and level once, and none this batch already claims.
+        let mut ahead_units: Vec<(u32, UnitLoad)> = Vec::new();
+        let mut ahead_lines: Vec<(usize, LineLoad)> = Vec::new();
+        for n in iter + 1..=iter + carried {
+            let s = self.step_of(n).1;
+            if s != m && ahead_units.iter().all(|(t, _)| *t != s) {
+                ahead_units.push((s, self.cuts.claim(s, &spans)));
+            }
+            let l = self.cfg.schedule.msdn_level(n);
+            if with_lb && l != level && ahead_lines.iter().all(|(t, _)| *t != l) {
+                ahead_lines.push((l, self.lines.claim(self.msdn, l, &bands)));
+            }
+        }
         let batch = {
             let mut sinks: Vec<&mut dyn PageSink> = vec![&mut units];
             sinks.extend(lines.as_mut().map(|l| l as &mut dyn PageSink));
-            sinks.extend(ahead_units.as_mut().map(|l| l as &mut dyn PageSink));
-            sinks.extend(ahead_lines.as_mut().map(|l| l as &mut dyn PageSink));
+            sinks.extend(ahead_units.iter_mut().map(|(_, l)| l as &mut dyn PageSink));
+            sinks.extend(ahead_lines.iter_mut().map(|(_, l)| l as &mut dyn PageSink));
             self.pager.read_into(&mut sinks)
         };
         if let Err(e) = batch {
@@ -816,9 +854,10 @@ impl<'a, 'm> RankingContext<'a, 'm> {
             if own {
                 return Err(e);
             }
-            // Unlatch the look-ahead's keys (the next iteration meets the
-            // fault itself) and read this iteration's keys alone.
-            (ahead_units, ahead_lines) = (None, None);
+            // Unlatch every look-ahead key (the iteration that asks for
+            // the page meets the fault itself) and read this iteration's
+            // keys alone.
+            (ahead_units, ahead_lines) = (Vec::new(), Vec::new());
             let mut sinks: Vec<&mut dyn PageSink> = vec![&mut units];
             sinks.extend(lines.as_mut().map(|l| l as &mut dyn PageSink));
             self.pager.read_into(&mut sinks)?;
@@ -827,22 +866,17 @@ impl<'a, 'm> RankingContext<'a, 'm> {
         if let Some(lines) = lines.as_mut() {
             lines.publish();
         }
-        if ahead_units.is_some() || ahead_lines.is_some() {
+        if !ahead_units.is_empty() || !ahead_lines.is_empty() {
             let mut own: Vec<PageId> = units.pages().to_vec();
             own.extend(lines.iter().flat_map(|l| l.pages()));
             own.sort_unstable();
-            let ahead = ahead_units.iter().flat_map(|a| a.pages());
-            let ahead = ahead.chain(ahead_lines.iter().flat_map(|a| a.pages()));
+            let ahead = ahead_units.iter().flat_map(|(_, a)| a.pages());
+            let ahead = ahead.chain(ahead_lines.iter().flat_map(|(_, a)| a.pages()));
             stats.ahead_pages += ahead.filter(|p| own.binary_search(p).is_err()).count() as u64;
-            ahead_units.iter_mut().for_each(UnitLoad::publish);
-            ahead_lines.iter_mut().for_each(LineLoad::publish);
-            let next = Lookahead::of(
-                iter + 1,
-                (next_step.unwrap_or(m), ahead_units.as_ref()),
-                (next_level.unwrap_or(level), ahead_lines.as_ref()),
-            );
-            stats.ahead_keys += next.tiles.len() + next.lines.len();
-            self.scratch.borrow_mut().ahead = Some(next);
+            stats.ahead_steps += carried;
+            ahead_units.iter_mut().for_each(|(_, a)| a.publish());
+            ahead_lines.iter_mut().for_each(|(_, a)| a.publish());
+            stats.ahead_keys += self.scratch.borrow_mut().ahead.record(&ahead_units, &ahead_lines);
         }
         let mut units = units.finish(self.pager)?;
         let mut lines = lines.map(|l| l.finish(self.pager)).transpose()?.unwrap_or_default();

@@ -13,11 +13,12 @@
 //! * `{"t":"event","name":"iter","phase":"rank","i":…,"dmtm_frac":…,
 //!   "msdn_level":…,"alive":…,"kth_ub":…,"next_lb":…,"resolve_lb":…,
 //!   "resolved":…,"ub_est":…,"lb_est":…,"dummy_lb":…,"settled":…,
-//!   "pages":…,"stalls":…,"ahead_pages":…}` — one per ranking iteration
-//!   (phase `radius` for step 2, `rank` for step 4, `range` for surface
-//!   range queries; `stalls` = read batches that paid the disk stall;
-//!   `ahead_pages` = pages of the batch only the next step's look-ahead
-//!   asked for);
+//!   "pages":…,"stalls":…,"ahead_pages":…,"ahead_steps":…}` — one per
+//!   ranking iteration (phase `radius` for step 2, `rank` for step 4,
+//!   `range` for surface range queries; `stalls` = read batches that paid
+//!   the disk stall; `ahead_pages` = pages of the batch only its
+//!   look-ahead asked for; `ahead_steps` = later schedule steps that
+//!   look-ahead carried);
 //! * `{"t":"event","name":"io","structure":"dmtm","logical":…,
 //!   "physical":…,"hits":…,"evictions":…}` — per-structure page
 //!   attribution, plus a `{"t":"event","name":"pool","hit_rate":…,
@@ -89,10 +90,14 @@ pub struct IterEvent {
     /// Read batches this iteration that paid the disk stall (at most one
     /// per iteration when it runs alone).
     pub stalls: u64,
-    /// Pages of this iteration's batch that only its look-ahead — the
-    /// next schedule step's units and lines over this iteration's groups —
+    /// Pages of this iteration's batch that only its look-ahead — later
+    /// schedule steps' units and lines over this iteration's groups —
     /// asked for.
     pub ahead_pages: u64,
+    /// Later schedule steps this iteration's look-ahead carried: 0 for a
+    /// batch that reads nothing, 1 while a region is unbounded (a run's
+    /// first iteration), the rest of the schedule once all are bounded.
+    pub ahead_steps: u64,
 }
 
 impl QueryTrace {
@@ -137,6 +142,7 @@ impl QueryTrace {
                 pages: r.get_u64("pages").unwrap_or(0),
                 stalls: r.get_u64("stalls").unwrap_or(0),
                 ahead_pages: r.get_u64("ahead_pages").unwrap_or(0),
+                ahead_steps: r.get_u64("ahead_steps").unwrap_or(0),
             })
             .collect()
     }

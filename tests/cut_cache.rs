@@ -20,10 +20,12 @@
 //! * **One stall per iteration** — a cold ranking iteration claims its
 //!   units and lines in both caches and reads them in one batch, so it
 //!   pays at most one stall; a batch that stalls also carries the next
-//!   schedule step's keys, so no run stalls twice in a row, and a fault
-//!   on a page only that look-ahead asked for degrades the next
-//!   iteration, not the carrier; overlapping plans on four threads load
-//!   each key of either cache exactly once, without deadlock.
+//!   schedule step's keys, and once its regions are bounded the rest of
+//!   the schedule's, so no run stalls twice in a row and none more than
+//!   twice; a fault on a page only a look-ahead asked for, at any depth,
+//!   degrades the iteration that asks for it, not the carriers;
+//!   overlapping plans on four threads load each key of either cache
+//!   exactly once, without deadlock.
 //! * **Warm means resident** — with the default budget a repeated query
 //!   pool reads no page and evicts nothing on its second pass, in a
 //!   fraction of the memory rectangle-keyed cuts needed.
@@ -532,11 +534,15 @@ fn a_fault_in_the_iteration_batch_publishes_nothing_in_either_cache() {
     f.pager.set_fault_injector(None);
 
     // The engine: find a ranking iteration whose batch misses both caches
-    // and fail its last read, which is an MSDN page (the MSDN's pages
-    // follow the units', and a batch reads in page order). Only a batch
-    // that carries no look-ahead page qualifies: a look-ahead page may be
-    // the batch's last, and a fault on one re-reads the iteration's own
-    // keys alone and degrades nothing.
+    // and fail a read of its own lines. A batch reads in page order and
+    // the MSDN's pages follow the units', but a stalling batch also
+    // carries look-ahead pages, which may come last; a fault on one of
+    // those re-reads the iteration's own keys alone and degrades nothing,
+    // dropping only the look-ahead's loads. So the search walks the
+    // batch's reads back from its last and takes the first whose fault
+    // degrades the query: a page of the iteration's own lines. It
+    // qualifies when its fault dropped two more loads (the iteration's
+    // units and lines) than a fault on the look-ahead's pages alone.
     let mesh = TerrainConfig::bh().with_grid(25).build_mesh(319);
     let scene = SceneBuilder::new(&mesh).object_count(30).seed(7).build();
     let cfg = Mr3Config::default();
@@ -548,23 +554,31 @@ fn a_fault_in_the_iteration_batch_publishes_nothing_in_either_cache() {
     engine.disable_tracing();
     let mut before = 0;
     let mut found = None;
-    for e in &iters {
-        let last = before + e.pages;
-        before = last;
-        if e.pages == 0 || e.ahead_pages > 0 {
-            continue;
-        }
-        let failed = engine.cut_cache_snapshot().unwrap().failed_loads;
-        engine.pager().set_fault_injector(Some(
-            FaultInjector::script().fail_nth_read(last, FaultKind::Permanent),
-        ));
-        let got = engine.try_query(q, k).unwrap();
-        engine.pager().set_fault_injector(None);
-        let snap = engine.cut_cache_snapshot().unwrap();
-        assert_eq!(snap.loading, 0, "a failed batch left a latch");
-        if snap.failed_loads - failed == 2 {
-            found = Some(got);
-            break;
+    'iterations: for e in &iters {
+        let reads = before + 1..=before + e.pages;
+        before += e.pages;
+        // Loads dropped by a fault on a page only the look-ahead asked for
+        // (none when it asked for no page of its own).
+        let mut ahead_only = (e.ahead_pages == 0).then_some(0);
+        for n in reads.rev() {
+            let failed = engine.cut_cache_snapshot().unwrap().failed_loads;
+            engine.pager().set_fault_injector(Some(
+                FaultInjector::script().fail_nth_read(n, FaultKind::Permanent),
+            ));
+            let got = engine.try_query(q, k).unwrap();
+            engine.pager().set_fault_injector(None);
+            let snap = engine.cut_cache_snapshot().unwrap();
+            assert_eq!(snap.loading, 0, "a failed batch left a latch");
+            let dropped = snap.failed_loads - failed;
+            if got.degraded.is_none() {
+                ahead_only = Some(dropped);
+                continue;
+            }
+            if ahead_only.map(|a| a + 2) == Some(dropped) {
+                found = Some(got);
+                break 'iterations;
+            }
+            continue 'iterations;
         }
     }
     let got = found.expect("a cold query has an iteration missing units and lines");
@@ -654,6 +668,134 @@ fn a_cold_ranking_run_never_stalls_twice_in_a_row() {
         }
         let bound: usize = runs.iter().map(|r| r.len().div_ceil(2)).sum();
         assert!(batches as usize <= bound, "{batches} stalled batches over runs {runs:?}");
+    }
+}
+
+/// Once every region of an iteration is bounded, a batch that stalls
+/// carries the rest of the schedule over its groups; while a region is
+/// still the whole terrain (a run's first iteration) it carries the next
+/// step only. On the one-stall fixture every run (radius or rank) then
+/// stalls at most twice: at its first iteration, which carries the
+/// second, and at its next stalling iteration, which carries the rest.
+#[test]
+fn a_cold_run_stalls_at_most_twice() {
+    const STALL: Duration = Duration::from_millis(1);
+    let mesh = TerrainConfig::bh().with_grid(33).build_mesh(17);
+    let scene = SceneBuilder::new(&mesh).object_count(30).seed(5).build();
+    let mut engine = Mr3Engine::build(&mesh, &scene, &Mr3Config::default());
+    engine.enable_tracing();
+    engine.pager().set_read_stall(STALL);
+    for q in scene.random_queries(6, 3) {
+        let r = engine.try_query(q, 5).unwrap();
+        let iters = r.trace.expect("traced").iter_events();
+        // A run is a maximal stretch of one phase's events from `i == 0`.
+        let mut runs: Vec<Vec<&IterEvent>> = Vec::new();
+        for e in &iters {
+            if e.i == 0 {
+                runs.push(Vec::new());
+            }
+            runs.last_mut().expect("a run starts at i == 0").push(e);
+        }
+        for run in &runs {
+            let stalls: Vec<u64> = run.iter().map(|e| e.stalls).collect();
+            let carried: Vec<u64> = run.iter().map(|e| e.ahead_steps).collect();
+            assert!(
+                stalls.iter().sum::<u64>() <= 2,
+                "{} run stalled {stalls:?}, carrying {carried:?} steps",
+                run[0].phase
+            );
+            assert_eq!(run[0].ahead_steps, run[0].stalls, "a first iteration carries one step");
+            for e in run.iter().filter(|e| e.stalls == 0) {
+                assert_eq!(e.ahead_steps, 0, "a batch that reads nothing carries nothing");
+            }
+        }
+    }
+}
+
+/// A permanent fault on a unit page that only a step two or more ahead
+/// uses — the full-resolution unit at the query's tile, which every
+/// bounded batch from the 50 % iteration on carries — fails each batch
+/// that looks ahead onto it. Each such carrier drops every look-ahead
+/// load, reads its own keys alone and computes exactly the fault-free
+/// bounds; the iteration that asks for the page itself degrades, naming
+/// it. No latch is left and the answer still brackets the exact
+/// distances.
+#[test]
+fn a_fault_on_a_page_carried_steps_ahead_degrades_only_the_iteration_asking() {
+    let mesh = TerrainConfig::bh().with_grid(33).build_mesh(17);
+    let scene = SceneBuilder::new(&mesh).object_count(30).seed(5).build();
+    let cfg = Mr3Config::default();
+    let k = 5;
+
+    // As in `a_fault_on_a_lookahead_page_degrades_only_its_own_iteration`:
+    // a store built like the engine's names its pages. Every group's
+    // region contains the query, so every iteration at the full-resolution
+    // step (or the pathnet level, which asks for the same units) asks for
+    // the query tile's unit.
+    let tree = build_dmtm(&mesh);
+    let grid = CutGrid::new(mesh.extent(), cfg.cut_cache.tiles, cfg.cut_cache.pad_tiles);
+    let steps: Vec<u32> = cfg.schedule.dmtm.iter().map(|&f| tree.step_for_fraction(f)).collect();
+    let full = tree.step_for_fraction(1.0);
+    let half = cfg.schedule.dmtm.iter().position(|&f| f == 0.5).expect("s=1 has a 50 % step");
+    assert!(steps[..=half + 1].iter().all(|&s| s != full), "the page is two or more ahead");
+    let layout = Pager::new(cfg.pool_pages);
+    let store = UnitStore::build(&layout, &tree, grid, &steps);
+
+    let mut engine = Mr3Engine::build(&mesh, &scene, &cfg);
+    engine.enable_tracing();
+    // The first query with an iteration that asks for the full step.
+    let (q, bad, clean, ask) = scene
+        .random_queries(6, 3)
+        .into_iter()
+        .find_map(|q| {
+            let (cols, rows) = grid.tiles_meeting(&Rect2::new(q.pos.xy(), q.pos.xy()));
+            let tile = (rows.start * grid.tiles() + cols.start) as u32;
+            let bad = store.pages(full, &[tile])[0];
+            let clean = engine.try_query(q, k).unwrap().trace.expect("traced").iter_events();
+            let ask = clean.iter().position(|e| e.dmtm_frac >= 1.0)?;
+            Some((q, bad, clean, ask))
+        })
+        .expect("some query refines to the full step");
+    assert_eq!(engine.pager().tag_of(bad), StructureTag::Dmtm);
+    assert_eq!(engine.pager().read_page(bad).unwrap(), layout.read_page(bad).unwrap());
+    let carriers: Vec<usize> = (0..ask).filter(|&j| clean[j].ahead_steps >= 2).collect();
+    assert!(!carriers.is_empty(), "no batch carried the full step: {clean:?}");
+
+    engine.pager().set_fault_injector(Some(FaultInjector::script().fail_page(
+        bad.0,
+        FaultKind::Permanent,
+        None,
+    )));
+    let got = engine.try_query(q, k).unwrap();
+    engine.pager().set_fault_injector(None);
+    let trace = got.trace.as_ref().expect("traced");
+    let iters = trace.iter_events();
+    let bounds = |e: &IterEvent| (e.phase, e.i, e.alive, e.kth_ub, e.next_lb, e.resolve_lb);
+    for j in 0..ask {
+        assert_eq!(bounds(&iters[j]), bounds(&clean[j]), "iteration {j} moved");
+    }
+    for &j in &carriers {
+        assert_eq!((iters[j].ahead_steps, iters[j].ahead_pages), (0, 0), "{:?}", iters[j]);
+    }
+
+    // The first fault lands before the asking iteration's event and after
+    // every earlier one, and names the page.
+    let names: Vec<&str> = trace.records.iter().map(|r| r.name).collect();
+    let fault = names.iter().position(|&n| n == "fault").expect("a fault was absorbed");
+    assert_eq!(names[..fault].iter().filter(|&&n| n == "iter").count(), ask, "{names:?}");
+    let record = &trace.records[fault];
+    assert_eq!(record.get("phase").and_then(|v| v.as_str()), Some("iter"));
+    assert_eq!(record.get_u64("page"), Some(bad.0));
+    assert_eq!(iters[ask].ub_est, 0, "the asking iteration computed a bound");
+    let degraded = got.degraded.as_ref().expect("the asking iteration degrades the query");
+    assert_eq!(degraded.phase, "iter", "{degraded}");
+    assert!(degraded.reason.ends_with(&format!(" {}", bad.0)), "{degraded}");
+
+    assert_eq!(engine.cut_cache_snapshot().unwrap().loading, 0, "a latch was left");
+    let exact = ExactGeodesic::new(&mesh);
+    for n in &got.neighbors {
+        let d = exact.distance(q.to_mesh_point(), scene.object(n.id).point.to_mesh_point());
+        assert!(n.range.lb <= d + 1e-6 && d <= n.range.ub + 1e-6, "{n:?} misses {d}");
     }
 }
 
