@@ -66,11 +66,6 @@ impl DistRange {
             self.lb
         }
     }
-
-    /// Is this range certainly smaller than `other` (no overlap)?
-    pub fn certainly_before(&self, other: &DistRange) -> bool {
-        self.ub <= other.lb
-    }
 }
 
 #[cfg(test)]
@@ -112,15 +107,5 @@ mod tests {
         let u = DistRange::unbounded();
         assert_eq!(u.accuracy(), 0.0);
         assert_eq!(u.estimate(), 0.0);
-    }
-
-    #[test]
-    fn ordering_test() {
-        let a = DistRange::new(1.0, 2.0);
-        let b = DistRange::new(2.0, 3.0);
-        let c = DistRange::new(1.5, 2.5);
-        assert!(a.certainly_before(&b));
-        assert!(!a.certainly_before(&c));
-        assert!(!c.certainly_before(&a));
     }
 }

@@ -177,8 +177,8 @@ impl<'s, 'm> Mr3Engine<'s, 'm> {
     }
 
     /// Emit per-structure I/O attribution and the buffer-pool roll-up for
-    /// the query that just ran (pager stats are per-query: they were reset
-    /// at query start).
+    /// the query that just ran: the pager and R-tree windows this thread
+    /// opened at query start hold its traffic alone.
     fn emit_io(&self, rec: &dyn Recorder, qid: u64, stats: &QueryStats, rtree_accesses: u64) {
         // Dijkstra queue-traffic roll-up: how much priority-queue work the
         // query's bound estimations did, and how much of it was wasted on

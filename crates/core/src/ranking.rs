@@ -559,11 +559,10 @@ impl<'a, 'm> RankingContext<'a, 'm> {
     /// actual VA-file termination quantity (minimum lower bound among
     /// alive candidates ranked beyond k by upper bound); it is what
     /// `kth_ub` must drop below, but is not itself monotone because the
-    /// set it minimises over shrinks. `pages` and `stalls` are the shared
-    /// pager's physical-read and stalled-batch deltas over the iteration:
-    /// exact for a query running alone, approximate under concurrency
-    /// (other queries' reads and stat resets land in them) until the
-    /// per-query ledger of ROADMAP item 3 exists. `ahead_pages` are the
+    /// set it minimises over shrinks. `pages` and `stalls` are the
+    /// physical reads and stalled batches this query charged during the
+    /// iteration, read from the pager window its thread opened at query
+    /// start: exact whatever runs beside it. `ahead_pages` are the
     /// pages of the iteration's batch only its look-ahead asked for, and
     /// `ahead_steps` the later schedule steps that look-ahead carried.
     #[allow(clippy::too_many_arguments)]
@@ -609,11 +608,8 @@ impl<'a, 'm> RankingContext<'a, 'm> {
                 field("lb_est", stats.lb_estimations - snap.lb_estimations),
                 field("dummy_lb", stats.dummy_lb_hits - snap.dummy_lb_hits),
                 field("settled", stats.settled - snap.settled),
-                field(
-                    "pages",
-                    self.pager.stats().physical_reads.saturating_sub(snap.physical_reads),
-                ),
-                field("stalls", self.pager.stalled_batches().saturating_sub(snap.stalled_batches)),
+                field("pages", self.pager.stats().physical_reads - snap.physical_reads),
+                field("stalls", self.pager.stalled_batches() - snap.stalled_batches),
                 field("ahead_pages", stats.ahead_pages - snap.ahead_pages),
                 field("ahead_steps", stats.ahead_steps - snap.ahead_steps),
             ],

@@ -44,11 +44,6 @@ impl Pool {
         Self { threads: threads.max(1) }
     }
 
-    /// A pool sized to the host.
-    pub fn host_sized() -> Self {
-        Self::new(available_threads())
-    }
-
     /// Worker count.
     pub fn threads(&self) -> usize {
         self.threads
@@ -181,7 +176,6 @@ mod tests {
         let p = Pool::new(0);
         assert_eq!(p.threads(), 1);
         assert_eq!(Pool::new(4).map(&[1u8, 2, 3], |_, x| x + 1), vec![2, 3, 4]);
-        assert!(Pool::host_sized().threads() >= 1);
         assert!(available_threads() >= 1);
     }
 

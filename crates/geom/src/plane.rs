@@ -56,13 +56,6 @@ impl AxisPlane {
         self.axis.coord(p) - self.value
     }
 
-    /// Whether the plane strictly separates `a` and `b` along its axis.
-    pub fn separates(&self, a: Point3, b: Point3) -> bool {
-        let sa = self.side(a);
-        let sb = self.side(b);
-        (sa < 0.0 && sb > 0.0) || (sa > 0.0 && sb < 0.0)
-    }
-
     /// Intersection of the plane with segment `(a, b)`, if the segment
     /// crosses (or touches) the plane.
     pub fn intersect_segment(&self, a: Point3, b: Point3) -> Option<Point3> {
@@ -111,17 +104,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn side_and_separates() {
+    fn side_is_signed() {
         let pl = AxisPlane::new(Axis::Y, 1.0);
         let below = Point3::new(0.0, 0.0, 0.0);
         let above = Point3::new(0.0, 2.0, 0.0);
         assert!(pl.side(below) < 0.0);
         assert!(pl.side(above) > 0.0);
-        assert!(pl.separates(below, above));
-        assert!(!pl.separates(below, below));
-        // On-plane point does not *strictly* separate.
-        let on = Point3::new(0.0, 1.0, 0.0);
-        assert!(!pl.separates(below, on));
+        assert_eq!(pl.side(Point3::new(0.0, 1.0, 0.0)), 0.0);
     }
 
     #[test]

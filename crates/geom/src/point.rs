@@ -54,16 +54,6 @@ impl Point2 {
             *self / n
         }
     }
-
-    /// Angle (radians, in `[0, π/2]`) between the vector and the x-axis,
-    /// folding all quadrants together. Used by the MSDN plane-orientation
-    /// heuristic from the paper (§3.3).
-    pub fn axis_angle(&self) -> f64 {
-        if self.x == 0.0 && self.y == 0.0 {
-            return 0.0;
-        }
-        (self.y.abs()).atan2(self.x.abs())
-    }
 }
 
 impl Add for Point2 {
@@ -219,17 +209,6 @@ mod tests {
         let b = Point2::new(0.0, 1.0);
         assert!(a.cross(b) > 0.0);
         assert!(b.cross(a) < 0.0);
-    }
-
-    #[test]
-    fn axis_angle_quadrant_folding() {
-        // 30 degrees in every quadrant folds to the same angle.
-        let deg30 = 30f64.to_radians();
-        for (sx, sy) in [(1.0, 1.0), (-1.0, 1.0), (1.0, -1.0), (-1.0, -1.0)] {
-            let v = Point2::new(sx * deg30.cos(), sy * deg30.sin());
-            assert!((v.axis_angle() - deg30).abs() < 1e-12);
-        }
-        assert_eq!(Point2::new(0.0, 0.0).axis_angle(), 0.0);
     }
 
     #[test]

@@ -70,11 +70,6 @@ impl Segment3 {
         Aabb3::from_points([self.a, self.b])
     }
 
-    /// Midpoint of the segment.
-    pub fn midpoint(&self) -> Point3 {
-        (self.a + self.b) * 0.5
-    }
-
     /// Closest point on the segment to `p`.
     pub fn closest_point(&self, p: Point3) -> Point3 {
         let d = self.b - self.a;
@@ -159,12 +154,11 @@ mod tests {
     }
 
     #[test]
-    fn segment3_mbr_and_midpoint() {
+    fn segment3_mbr() {
         let s = Segment3::new(Point3::new(0.0, 2.0, -1.0), Point3::new(4.0, 0.0, 3.0));
         let m = s.mbr();
         assert_eq!(m.lo, Point3::new(0.0, 0.0, -1.0));
         assert_eq!(m.hi, Point3::new(4.0, 2.0, 3.0));
-        assert_eq!(s.midpoint(), Point3::new(2.0, 1.0, 1.0));
     }
 
     #[test]

@@ -70,15 +70,14 @@ impl Server<'_, '_, '_> {
         let (engine, stats) = (self.engine, &*self.stats);
         let opts =
             QueryOpts { deadline: job.deadline, trace_id: job.trace_id, ..QueryOpts::default() };
-        let stall_before_ns = engine.pager().stall_ns();
+        // The engine call runs on this thread, so its pager window holds
+        // this job's own stall; an op that reads no page reads 0.
+        engine.pager().reset_stats();
         let exec_start = Instant::now();
-        // Read by each arm the moment its engine call returns. The pager's
-        // stall clock is cumulative and shared, so the difference across
-        // the call is the stall wall time of everything that ran
-        // meanwhile, this job's own included. `linger_us` and `batch` are
-        // reserved wire fields: always 0 and 1.
+        // Read by each arm the moment its engine call returns. `linger_us`
+        // and `batch` are reserved wire fields: always 0 and 1.
         let clock = || {
-            let stall_ns = engine.pager().stall_ns().saturating_sub(stall_before_ns);
+            let stall_ns = engine.pager().window_stall_ns();
             ServerTiming {
                 queue_us: queue_us(&job),
                 exec_us: micros_u32(exec_start.elapsed()),

@@ -478,9 +478,8 @@ wire_record! {
     /// Server-side timing attached to every successful response: queue +
     /// exec partition the request's time in the server. The four
     /// engine-stage fields are per-request wall time inside the engine call;
-    /// `stall_us` is the pager's shared stall clock differenced around it
-    /// (stalls of concurrent requests overlap, so per-request attribution is
-    /// not defined).
+    /// `stall_us` is the part of it this request's own reads spent stalled
+    /// in the pager, whatever concurrent requests stalled meanwhile.
     #[derive(Copy, Eq, Default)]
     pub struct ServerTiming {
         /// Microseconds the request waited in the admission queue (arrival to
@@ -499,7 +498,7 @@ wire_record! {
         range_us: u32,
         /// Engine step 4 (iterative ranking) wall time for this request.
         rank_us: u32,
-        /// Pager stall wall time that passed during this request's engine call.
+        /// Pager stall wall time of this request's own reads.
         stall_us: u32,
         /// Reserved: always 1 (a request is executed on its own). Kept for
         /// the wire layout.

@@ -11,15 +11,15 @@
 //! snapshot published before a mutation never sees it and the mutation
 //! costs O(height × fanout), not O(size).
 //!
-//! Every node visited by a query increments an internal access counter;
-//! the storage layer maps node visits to disk-page accesses.
+//! Every node a query visits is charged to the calling thread's access
+//! window on the tree; the storage layer maps them to disk-page accesses.
 
 use crate::kernel::{min_dists_point, min_dists_point_sq, MAX_BATCH};
 use sknn_geom::{Point2, Rect2};
+use std::cell::RefCell;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 /// Maximum entries per node.
 pub const MAX_FANOUT: usize = 16;
@@ -62,29 +62,23 @@ impl<T> Node<T> {
     }
 }
 
+thread_local! {
+    /// This thread's node-access window on each live tree lineage it has
+    /// used, keyed by the lineage's token (held weakly).
+    static WINDOWS: RefCell<Vec<(Weak<()>, u64)>> = const { RefCell::new(Vec::new()) };
+}
+
 /// An R-tree mapping rectangles to payloads.
 ///
-/// The access counter is atomic so concurrent queries over a shared tree
-/// (batch execution) stay `Sync`; counts from overlapping queries simply
-/// sum.
-#[derive(Debug)]
+/// A clone shares every node until either side mutates, and its access
+/// windows, which are per thread: concurrent queries over a shared tree
+/// (batch execution) each count their own.
+#[derive(Debug, Clone)]
 pub struct RTree<T> {
     root: Arc<Node<T>>,
     len: usize,
     height: usize,
-    accesses: AtomicU64,
-}
-
-/// One `Arc` clone: the copy shares every node until either side mutates.
-impl<T> Clone for RTree<T> {
-    fn clone(&self) -> Self {
-        Self {
-            root: Arc::clone(&self.root),
-            len: self.len,
-            height: self.height,
-            accesses: AtomicU64::new(self.accesses.load(AtomicOrdering::Relaxed)),
-        }
-    }
+    token: Arc<()>,
 }
 
 impl<T: Clone> Default for RTree<T> {
@@ -96,7 +90,7 @@ impl<T: Clone> Default for RTree<T> {
 impl<T: Clone> RTree<T> {
     /// An empty tree.
     pub fn new() -> Self {
-        Self { root: Arc::new(Node::empty()), len: 0, height: 1, accesses: AtomicU64::new(0) }
+        Self { root: Arc::new(Node::empty()), len: 0, height: 1, token: Arc::default() }
     }
 
     /// STR bulk load: sort by x, tile into vertical slices, sort each slice
@@ -140,7 +134,7 @@ impl<T: Clone> RTree<T> {
             height += 1;
         }
         let root = level.pop().expect("a non-empty load packs one root").1;
-        Self { root, len, height, accesses: AtomicU64::new(0) }
+        Self { root, len, height, token: Arc::default() }
     }
 
     /// Number of contained items.
@@ -158,18 +152,36 @@ impl<T: Clone> RTree<T> {
         self.height
     }
 
-    /// Cumulative node accesses made by queries so far.
+    /// Node accesses this thread's queries made on the tree since its last
+    /// [`reset_accesses`](Self::reset_accesses).
     pub fn accesses(&self) -> u64 {
-        self.accesses.load(AtomicOrdering::Relaxed)
+        self.with_window(|n| *n)
     }
 
-    /// Reset the node-access counter (typically per query).
+    /// Zero this thread's node-access window on the tree (typically at
+    /// query start); other threads' windows are untouched.
     pub fn reset_accesses(&self) {
-        self.accesses.store(0, AtomicOrdering::Relaxed);
+        self.with_window(|n| *n = 0);
     }
 
     fn touch(&self) {
-        self.accesses.fetch_add(1, AtomicOrdering::Relaxed);
+        self.with_window(|n| *n += 1);
+    }
+
+    /// Run `f` on this thread's window on the tree, opened at zero.
+    fn with_window<R>(&self, f: impl FnOnce(&mut u64) -> R) -> R {
+        WINDOWS.with_borrow_mut(|windows| {
+            let key = Arc::as_ptr(&self.token);
+            let at = windows.iter().position(|(t, _)| std::ptr::eq(t.as_ptr(), key));
+            let at = at.unwrap_or_else(|| {
+                // Dropped trees' windows go; their weak keys kept the
+                // addresses from being reused until now.
+                windows.retain(|(t, _)| t.strong_count() > 0);
+                windows.push((Arc::downgrade(&self.token), 0));
+                windows.len() - 1
+            });
+            f(&mut windows[at].1)
+        })
     }
 
     // ----- insertion ------------------------------------------------------

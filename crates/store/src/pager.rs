@@ -9,7 +9,12 @@
 //! Every page carries a [`StructureTag`] assigned at allocation time (see
 //! [`Pager::tag_scope`]), so read traffic is attributable per on-disk
 //! structure — the DMTM B+-tree, the MSDN heap files, and so on — both
-//! globally and per query (reset the stats between queries).
+//! over the pager's lifetime and per query.
+//!
+//! Each event is charged into a process-wide row (`lifetime_*`,
+//! [`Pager::stall_ns`], [`Pager::fault_stats`]) and the calling thread's
+//! window, which [`Pager::reset_stats`] zeroes and the other readers read:
+//! a query runs on one thread, so its reset opens an exact ledger.
 //!
 //! # Concurrency architecture
 //!
@@ -69,9 +74,12 @@
 use crate::error::{StoreError, StoreResult};
 use crate::fault::{FaultInjector, FaultKind, FaultStats, RetryPolicy};
 use crate::page::{PageId, PAGE_SIZE};
+use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{
+    Arc, Condvar, Mutex, MutexGuard, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard, Weak,
+};
 use std::time::{Duration, Instant};
 
 /// Number of buffer-pool shards (capped by the pool capacity so every
@@ -217,16 +225,16 @@ pub struct IoStats {
 }
 
 impl IoStats {
-    /// Buffer-pool hits. Saturates at 0: a concurrent query's stat reset
-    /// can land between the reads of the two windowed counters.
+    /// Buffer-pool hits. Saturates at 0 for the lifetime readers: their
+    /// counters are loaded one by one while other threads charge them.
     pub fn hits(&self) -> u64 {
         self.logical_reads.saturating_sub(self.physical_reads)
     }
 }
 
-/// Counters describing how much the concurrent pool machinery did since
-/// the last [`Pager::reset_stats`]. All zero on a single thread outside
-/// of [`Pager::with_pages`] batches.
+/// Counters describing how much the concurrent pool machinery did, in the
+/// calling thread's window or over the pager's lifetime. All zero on a
+/// single thread outside of [`Pager::with_pages`] batches.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ConcurrencyStats {
     /// Times a thread waited for another thread's in-flight read of the
@@ -324,54 +332,48 @@ impl ShardPool {
     }
 }
 
-/// A monotone event counter with a movable zero. `total` only ever rises
-/// — it is what `/metrics` exports as a Prometheus counter — and
-/// [`Pager::reset_stats`] records the current total as the baseline that
-/// the windowed readers subtract.
-#[derive(Debug, Default)]
-struct Counter {
-    total: AtomicU64,
-    base: AtomicU64,
+// Columns of the event table, one per event the pager counts; the four
+// page events take one column per structure tag (`+ tag index`).
+const TAGS: usize = StructureTag::COUNT;
+const LOGICAL: usize = 0;
+const PHYSICAL: usize = TAGS;
+const WRITES: usize = 2 * TAGS;
+const EVICTIONS: usize = 3 * TAGS;
+const SF_WAITS: usize = 4 * TAGS;
+const COALESCED: usize = SF_WAITS + 1;
+const CONTENTION: usize = SF_WAITS + 2;
+const STALLED_BATCHES: usize = SF_WAITS + 3;
+/// Wall-clock nanoseconds stalled: simulated disk stalls, injected read
+/// latency, retry backoff, and single-flight waits.
+const STALL_NS: usize = SF_WAITS + 4;
+const INJECTED: usize = SF_WAITS + 5;
+const RETRIES: usize = SF_WAITS + 6;
+const EXHAUSTED: usize = SF_WAITS + 7;
+const CHECKSUM: usize = SF_WAITS + 8;
+const PERMANENT: usize = SF_WAITS + 9;
+const EVENTS: usize = SF_WAITS + 10;
+
+type Row = [u64; EVENTS];
+type Totals = [AtomicU64; EVENTS];
+
+thread_local! {
+    /// This thread's window on each live pager it has used, keyed by the
+    /// pager's process-wide row (held weakly).
+    static WINDOWS: RefCell<Vec<(Weak<Totals>, Row)>> = const { RefCell::new(Vec::new()) };
 }
 
-impl Counter {
-    fn add(&self, n: u64) {
-        self.total.fetch_add(n, Relaxed);
-    }
-
-    /// Events since construction.
-    fn total(&self) -> u64 {
-        self.total.load(Relaxed)
-    }
-
-    /// Events since the last [`reset`](Self::reset). Saturating: a reset
-    /// racing this read may publish a baseline above the total just read.
-    fn since_reset(&self) -> u64 {
-        self.total().saturating_sub(self.base.load(Relaxed))
-    }
-
-    fn reset(&self) {
-        self.base.store(self.total(), Relaxed);
-    }
+/// The page traffic of `row` over the tag indices `tags`.
+fn io_of(row: &Row, tags: std::ops::Range<usize>) -> IoStats {
+    let sum = |col: usize| tags.clone().map(|t| row[col + t]).sum();
+    IoStats { physical_reads: sum(PHYSICAL), logical_reads: sum(LOGICAL), writes: sum(WRITES) }
 }
 
-/// Per-tag counter block (global totals are derived by summing).
-#[derive(Debug, Default)]
-struct TagCounters {
-    logical: [Counter; StructureTag::COUNT],
-    physical: [Counter; StructureTag::COUNT],
-    writes: [Counter; StructureTag::COUNT],
-    evictions: [Counter; StructureTag::COUNT],
-}
-
-/// Atomic backing of [`FaultStats`].
-#[derive(Debug, Default)]
-struct FaultCounters {
-    injected: AtomicU64,
-    retries: AtomicU64,
-    exhausted: AtomicU64,
-    checksum: AtomicU64,
-    permanent: AtomicU64,
+fn concurrency(row: &Row) -> ConcurrencyStats {
+    ConcurrencyStats {
+        singleflight_waits: row[SF_WAITS],
+        coalesced_misses: row[COALESCED],
+        shard_contention: row[CONTENTION],
+    }
 }
 
 /// One structure's share of a [`Pager::read_into`] batch: the pages it
@@ -395,31 +397,17 @@ pub struct Pager {
     /// flight mutex and a shard lock are never held at the same time.
     flight: Mutex<HashSet<u64>>,
     flight_done: Condvar,
-    counters: TagCounters,
-    singleflight_waits: Counter,
-    coalesced_misses: Counter,
-    /// Shard-lock acquisitions that would have blocked.
-    shard_contention: Counter,
-    /// Read batches that paid the simulated stall; see
-    /// [`Pager::stalled_batches`].
-    stalled_batches: Counter,
+    /// The process-wide row of the event table (see [`Pager::charge`]).
+    events: Arc<Totals>,
     /// Wall-clock penalty per physical read, in nanoseconds (zero by
     /// default). Slept with *no* pager locks held so concurrent reads
     /// overlap their stalls — the I/O-bound regime the paper's disk
     /// numbers imply.
     read_stall_ns: AtomicU64,
-    /// Cumulative wall-clock nanoseconds threads spent stalled in this
-    /// pager: simulated disk stalls, injected read latency, retry
-    /// backoff, and single-flight waits. Monotonic over the pager's
-    /// lifetime (like the fault counters, deliberately *not* cleared by
-    /// [`Pager::reset_stats`]), so callers attribute stall time to a
-    /// window by differencing [`Pager::stall_ns`] around it.
-    stall_ns: AtomicU64,
     /// Optional deterministic fault source, consulted per read attempt.
     fault: RwLock<Option<FaultInjector>>,
     /// Retry budget for transient faults.
     retry: Mutex<RetryPolicy>,
-    fault_counters: FaultCounters,
 }
 
 /// Recover a mutex guard even when a holder panicked: every critical
@@ -514,16 +502,10 @@ impl Pager {
             shards,
             flight: Mutex::new(HashSet::new()),
             flight_done: Condvar::new(),
-            counters: TagCounters::default(),
-            singleflight_waits: Counter::default(),
-            coalesced_misses: Counter::default(),
-            shard_contention: Counter::default(),
-            stalled_batches: Counter::default(),
+            events: Arc::new(std::array::from_fn(|_| AtomicU64::new(0))),
             read_stall_ns: AtomicU64::new(0),
-            stall_ns: AtomicU64::new(0),
             fault: RwLock::new(None),
             retry: Mutex::new(RetryPolicy::default()),
-            fault_counters: FaultCounters::default(),
         }
     }
 
@@ -540,18 +522,57 @@ impl Pager {
         Duration::from_nanos(self.read_stall_ns.load(Relaxed))
     }
 
-    /// Add a stalled wall-clock interval to the cumulative stall counter.
-    fn charge_stall(&self, d: Duration) {
-        self.stall_ns.fetch_add(d.as_nanos().min(u128::from(u64::MAX)) as u64, Relaxed);
+    /// Charge `n` events of column `col` into the process-wide row and the
+    /// calling thread's window: an atomic add and a thread-local one.
+    fn charge(&self, col: usize, n: u64) {
+        self.events[col].fetch_add(n, Relaxed);
+        self.with_window(|row| row[col] += n);
     }
 
-    /// Cumulative wall-clock nanoseconds spent stalled in the pager —
+    /// Run `f` on the calling thread's window on this pager, opening it at
+    /// zero on first use.
+    fn with_window<R>(&self, f: impl FnOnce(&mut Row) -> R) -> R {
+        WINDOWS.with_borrow_mut(|windows| {
+            let key = Arc::as_ptr(&self.events);
+            let at = windows.iter().position(|(p, _)| std::ptr::eq(p.as_ptr(), key));
+            let at = at.unwrap_or_else(|| {
+                // Dropped pagers' windows go; their weak keys kept the
+                // addresses from being reused until now.
+                windows.retain(|(p, _)| p.strong_count() > 0);
+                windows.push((Arc::downgrade(&self.events), [0; EVENTS]));
+                windows.len() - 1
+            });
+            f(&mut windows[at].1)
+        })
+    }
+
+    /// The calling thread's window.
+    fn window(&self) -> Row {
+        self.with_window(|row| *row)
+    }
+
+    /// The process-wide row.
+    fn lifetime(&self) -> Row {
+        std::array::from_fn(|col| self.events[col].load(Relaxed))
+    }
+
+    /// Add a stalled wall-clock interval to the stall clocks.
+    fn charge_stall(&self, d: Duration) {
+        self.charge(STALL_NS, d.as_nanos().min(u128::from(u64::MAX)) as u64);
+    }
+
+    /// Wall-clock nanoseconds every thread spent stalled in the pager —
     /// simulated disk stalls, injected latency, retry backoff, and
-    /// single-flight waits — since construction. Monotonic: a per-query
-    /// [`Pager::reset_stats`] does not clear it, so a serving batch
-    /// attributes its stall share by differencing around the engine call.
+    /// single-flight waits — since construction. Process-wide and
+    /// monotonic: [`Pager::reset_stats`] does not clear it.
     pub fn stall_ns(&self) -> u64 {
-        self.stall_ns.load(Relaxed)
+        self.events[STALL_NS].load(Relaxed)
+    }
+
+    /// The part of [`stall_ns`](Self::stall_ns) this thread spent since its
+    /// last [`reset_stats`](Self::reset_stats): its own stall alone.
+    pub fn window_stall_ns(&self) -> u64 {
+        self.window()[STALL_NS]
     }
 
     /// Install (or with `None` remove) the deterministic fault source
@@ -570,15 +591,16 @@ impl Pager {
         *lock_recover(&self.retry)
     }
 
-    /// Fault and retry counters, cumulative since construction (a
-    /// per-query [`Pager::reset_stats`] does not clear them).
+    /// Fault and retry counters of every thread, cumulative since
+    /// construction ([`Pager::reset_stats`] does not clear them).
     pub fn fault_stats(&self) -> FaultStats {
+        let row = self.lifetime();
         FaultStats {
-            injected: self.fault_counters.injected.load(Relaxed),
-            retries: self.fault_counters.retries.load(Relaxed),
-            exhausted: self.fault_counters.exhausted.load(Relaxed),
-            checksum_failures: self.fault_counters.checksum.load(Relaxed),
-            permanent_failures: self.fault_counters.permanent.load(Relaxed),
+            injected: row[INJECTED],
+            retries: row[RETRIES],
+            exhausted: row[EXHAUSTED],
+            checksum_failures: row[CHECKSUM],
+            permanent_failures: row[PERMANENT],
         }
     }
 
@@ -646,7 +668,7 @@ impl Pager {
         store.sums[id.0 as usize] = page_checksum(&store.pages[id.0 as usize]);
         let t = store.tags[id.0 as usize].idx();
         drop(store);
-        self.counters.writes[t].add(1);
+        self.charge(WRITES + t, 1);
     }
 
     /// Flip one bit of a page *without* refreshing its checksum — latent
@@ -669,7 +691,7 @@ impl Pager {
         match shard.try_lock() {
             Ok(guard) => guard,
             Err(std::sync::TryLockError::WouldBlock) => {
-                self.shard_contention.add(1);
+                self.charge(CONTENTION, 1);
                 lock_recover(shard)
             }
             Err(std::sync::TryLockError::Poisoned(e)) => e.into_inner(),
@@ -687,8 +709,7 @@ impl Pager {
     fn pool_insert(&self, page: u64) {
         let victim = self.lock_shard(self.shard_of(page)).insert(page);
         if let Some(victim) = victim {
-            let vt = self.tag_idx(victim);
-            self.counters.evictions[vt].add(1);
+            self.charge(EVICTIONS + self.tag_idx(victim), 1);
         }
     }
 
@@ -775,7 +796,7 @@ impl Pager {
         loop {
             attempt += 1;
             if attempt > 1 {
-                self.fault_counters.retries.fetch_add(1, Relaxed);
+                self.charge(RETRIES, 1);
                 if policy.backoff > Duration::ZERO {
                     // Linear backoff, slept with no pager locks held.
                     let pause = policy.backoff * (attempt - 1);
@@ -791,7 +812,7 @@ impl Pager {
                 }
             };
             if fault.is_some() {
-                self.fault_counters.injected.fetch_add(1, Relaxed);
+                self.charge(INJECTED, 1);
             }
             let outcome = match fault {
                 None => self.verify_page(page),
@@ -834,25 +855,25 @@ impl Pager {
                     // Charged only on success: failed attempts are not
                     // pages served, and the paper metric must not drift
                     // under injected faults.
-                    self.counters.physical[tag_idx].add(1);
+                    self.charge(PHYSICAL + tag_idx, 1);
                     return Ok(());
                 }
                 Err(e @ StoreError::PermanentRead { .. }) => {
-                    self.fault_counters.permanent.fetch_add(1, Relaxed);
+                    self.charge(PERMANENT, 1);
                     return Err(e);
                 }
                 Err(e @ StoreError::Checksum { .. }) if fault.is_none() => {
                     // Latent corruption of the stored bytes: rereading
                     // returns the same bytes, so retrying is useless.
-                    self.fault_counters.checksum.fetch_add(1, Relaxed);
+                    self.charge(CHECKSUM, 1);
                     return Err(e);
                 }
                 Err(e) => {
                     if matches!(e, StoreError::Checksum { .. }) {
-                        self.fault_counters.checksum.fetch_add(1, Relaxed);
+                        self.charge(CHECKSUM, 1);
                     }
                     if attempt > policy.max_retries {
-                        self.fault_counters.exhausted.fetch_add(1, Relaxed);
+                        self.charge(EXHAUSTED, 1);
                         return Err(match e {
                             StoreError::TransientRead { page, .. } => {
                                 StoreError::TransientRead { page, attempts: attempt }
@@ -880,7 +901,7 @@ impl Pager {
                 FlightClaim::Led(lease) => {
                     let read = self.read_attempts(page, tag_idx);
                     if read.is_ok() {
-                        self.stalled_batches.add(1);
+                        self.charge(STALLED_BATCHES, 1);
                         let stall = self.read_stall();
                         if stall > Duration::ZERO {
                             // Pay the simulated disk latency with no locks
@@ -897,7 +918,7 @@ impl Pager {
                 FlightClaim::Lost => {
                     let mut flight = lock_recover(&self.flight);
                     if flight.contains(&page) {
-                        self.singleflight_waits.add(1);
+                        self.charge(SF_WAITS, 1);
                         let waited = Instant::now();
                         while flight.contains(&page) {
                             flight =
@@ -911,7 +932,7 @@ impl Pager {
                     // the page was already evicted, loop around and lead
                     // it ourselves.
                     if self.pool_touch(page) {
-                        self.coalesced_misses.add(1);
+                        self.charge(COALESCED, 1);
                         return Ok(());
                     }
                 }
@@ -925,7 +946,7 @@ impl Pager {
     /// write pages. Errors surface as [`StoreError`] without running `f`.
     pub fn with_page<R>(&self, id: PageId, f: impl FnOnce(&[u8]) -> R) -> StoreResult<R> {
         let t = self.tag_idx(id.0);
-        self.counters.logical[t].add(1);
+        self.charge(LOGICAL + t, 1);
         self.wait_resident(id.0, t)?;
         let store = self.store_read();
         Ok(f(&store.pages[id.0 as usize]))
@@ -963,7 +984,7 @@ impl Pager {
         let mut misses: Vec<(u64, usize)> = Vec::new();
         for &id in ids {
             let t = self.tag_idx(id.0);
-            self.counters.logical[t].add(1);
+            self.charge(LOGICAL + t, 1);
             if !self.pool_touch(id.0) {
                 misses.push((id.0, t));
             }
@@ -986,8 +1007,8 @@ impl Pager {
             }
         }
         if !served.is_empty() {
-            self.coalesced_misses.add(served.len() as u64 - 1);
-            self.stalled_batches.add(1);
+            self.charge(COALESCED, served.len() as u64 - 1);
+            self.charge(STALLED_BATCHES, 1);
             let stall = self.read_stall();
             if stall > Duration::ZERO {
                 std::thread::sleep(stall);
@@ -1037,15 +1058,21 @@ impl Pager {
         })
     }
 
-    /// Read batches that paid the simulated disk stall since the last
-    /// [`reset_stats`](Self::reset_stats): one per
+    /// Read batches this thread paid the simulated disk stall for since its
+    /// last [`reset_stats`](Self::reset_stats): one per
     /// [`with_pages`](Self::with_pages) call that served a miss, however
     /// many it served, and one per [`with_page`](Self::with_page) miss.
     /// Counted whether or not a stall is configured, so the count is the
     /// same on any host. Single-flight waits and retry backoff are not
     /// batches.
     pub fn stalled_batches(&self) -> u64 {
-        self.stalled_batches.since_reset()
+        self.window()[STALLED_BATCHES]
+    }
+
+    /// [`stalled_batches`](Self::stalled_batches) of every thread since
+    /// construction.
+    pub fn lifetime_stalled_batches(&self) -> u64 {
+        self.events[STALLED_BATCHES].load(Relaxed)
     }
 
     /// Copy a whole page out (convenience for tests).
@@ -1053,71 +1080,47 @@ impl Pager {
         self.with_page(id, |b| b.to_vec())
     }
 
-    fn io_of(&self, t: usize, read: fn(&Counter) -> u64) -> IoStats {
-        IoStats {
-            physical_reads: read(&self.counters.physical[t]),
-            logical_reads: read(&self.counters.logical[t]),
-            writes: read(&self.counters.writes[t]),
-        }
-    }
-
-    fn io_all(&self, read: fn(&Counter) -> u64) -> IoStats {
-        (0..StructureTag::COUNT).map(|t| self.io_of(t, read)).fold(IoStats::default(), |a, b| {
-            IoStats {
-                physical_reads: a.physical_reads + b.physical_reads,
-                logical_reads: a.logical_reads + b.logical_reads,
-                writes: a.writes + b.writes,
-            }
-        })
-    }
-
-    fn concurrency(&self, read: fn(&Counter) -> u64) -> ConcurrencyStats {
-        ConcurrencyStats {
-            singleflight_waits: read(&self.singleflight_waits),
-            coalesced_misses: read(&self.coalesced_misses),
-            shard_contention: read(&self.shard_contention),
-        }
-    }
-
-    /// Statistics since the last [`reset_stats`](Self::reset_stats), all
-    /// structures combined.
+    /// This thread's traffic since its last
+    /// [`reset_stats`](Self::reset_stats), all structures combined.
     pub fn stats(&self) -> IoStats {
-        self.io_all(Counter::since_reset)
+        io_of(&self.window(), 0..TAGS)
     }
 
-    /// Statistics since construction, untouched by
+    /// Every thread's traffic since construction, untouched by
     /// [`reset_stats`](Self::reset_stats) — monotone, so a scraper may
-    /// export them as counters.
+    /// export it as counters.
     pub fn lifetime_stats(&self) -> IoStats {
-        self.io_all(Counter::total)
+        io_of(&self.lifetime(), 0..TAGS)
     }
 
-    /// Statistics for one structure's pages since the last reset.
+    /// This thread's traffic on one structure's pages since its last reset.
     pub fn stats_for(&self, tag: StructureTag) -> IoStats {
-        self.io_of(tag.idx(), Counter::since_reset)
+        io_of(&self.window(), tag.idx()..tag.idx() + 1)
     }
 
-    /// Per-structure statistics for every tag with any traffic, in
+    /// This thread's per-structure traffic for every tag with any, in
     /// [`StructureTag::ALL`] order.
     pub fn io_by_structure(&self) -> Vec<(StructureTag, IoStats)> {
+        let row = self.window();
         StructureTag::ALL
             .into_iter()
-            .map(|t| (t, self.stats_for(t)))
+            .map(|t| (t, io_of(&row, t.idx()..t.idx() + 1)))
             .filter(|(_, s)| *s != IoStats::default())
             .collect()
     }
 
-    /// Pages pushed out of the buffer pool since the last reset.
+    /// Pages this thread pushed out of the buffer pool since its last reset.
     pub fn evictions(&self) -> u64 {
-        self.counters.evictions.iter().map(Counter::since_reset).sum()
+        let row = self.window();
+        (0..TAGS).map(|t| row[EVICTIONS + t]).sum()
     }
 
-    /// Evictions of one structure's pages since the last reset.
+    /// This thread's evictions of one structure's pages since its last reset.
     pub fn evictions_for(&self, tag: StructureTag) -> u64 {
-        self.counters.evictions[tag.idx()].since_reset()
+        self.window()[EVICTIONS + tag.idx()]
     }
 
-    /// Buffer-pool hit rate since the last reset (0.0 when idle).
+    /// This thread's buffer-pool hit rate since its last reset (0.0 when idle).
     pub fn hit_rate(&self) -> f64 {
         let s = self.stats();
         if s.logical_reads == 0 {
@@ -1127,16 +1130,16 @@ impl Pager {
         }
     }
 
-    /// Concurrency counters since the last reset: single-flight waits,
-    /// coalesced misses, and total shard-lock contention.
+    /// This thread's concurrency counters since its last reset:
+    /// single-flight waits, coalesced misses, and shard-lock contention.
     pub fn concurrency_stats(&self) -> ConcurrencyStats {
-        self.concurrency(Counter::since_reset)
+        concurrency(&self.window())
     }
 
-    /// Concurrency counters since construction (monotone; see
-    /// [`lifetime_stats`](Self::lifetime_stats)).
+    /// Every thread's concurrency counters since construction (monotone;
+    /// see [`lifetime_stats`](Self::lifetime_stats)).
     pub fn lifetime_concurrency_stats(&self) -> ConcurrencyStats {
-        self.concurrency(Counter::total)
+        concurrency(&self.lifetime())
     }
 
     /// Number of buffer-pool shards.
@@ -1150,26 +1153,13 @@ impl Pager {
         (0..self.shards.len()).map(|i| self.lock_shard(i).map.len()).sum()
     }
 
-    /// Restart the window the stats readers report (e.g. before timing a
-    /// query): the per-structure breakdown, eviction counts and
-    /// concurrency counters all read zero afterwards, while the lifetime
-    /// totals keep rising. The pool contents are kept: a warm cache across
-    /// queries is realistic. Page tags persist — they describe what a page
-    /// *is*, not traffic. Fault counters persist too: they describe the
-    /// run, not one query (see [`Pager::fault_stats`]).
+    /// Zero the calling thread's window (e.g. at query start): the windowed
+    /// readers then count only what this thread charges, while other
+    /// threads' windows and the lifetime totals keep rising. The pool
+    /// contents are kept: a warm cache across queries is realistic. Page
+    /// tags persist — they describe what a page *is*, not traffic.
     pub fn reset_stats(&self) {
-        let c = &self.counters;
-        for per_tag in [&c.logical, &c.physical, &c.writes, &c.evictions] {
-            per_tag.iter().for_each(Counter::reset);
-        }
-        for counter in [
-            &self.singleflight_waits,
-            &self.coalesced_misses,
-            &self.shard_contention,
-            &self.stalled_batches,
-        ] {
-            counter.reset();
-        }
+        self.with_window(|row| *row = [0; EVENTS]);
     }
 
     /// Drop every cached page (cold-start a query).

@@ -19,7 +19,8 @@ use std::time::{Duration, Instant};
 
 /// Four threads miss the same cold page at once: one leader pays the stall
 /// and the physical read, the other three wait on the in-flight latch and
-/// are recorded as coalesced misses.
+/// are recorded as coalesced misses. The reads happen on the worker
+/// threads, so the counts are lifetime deltas, not this thread's window.
 #[test]
 fn concurrent_misses_pay_one_stall_and_one_physical_read() {
     const THREADS: usize = 4;
@@ -29,7 +30,7 @@ fn concurrent_misses_pay_one_stall_and_one_physical_read() {
     let page = pager.alloc();
     pager.set_read_stall(STALL);
     pager.clear_pool();
-    pager.reset_stats();
+    let (io_before, conc_before) = (pager.lifetime_stats(), pager.lifetime_concurrency_stats());
 
     let barrier = Barrier::new(THREADS);
     let start = Instant::now();
@@ -43,17 +44,18 @@ fn concurrent_misses_pay_one_stall_and_one_physical_read() {
     });
     let elapsed = start.elapsed();
 
-    let io = pager.stats();
-    let conc = pager.concurrency_stats();
-    assert_eq!(io.logical_reads, THREADS as u64);
-    assert_eq!(io.physical_reads, 1, "only the leader performs the read");
-    assert_eq!(io.hits(), (THREADS - 1) as u64);
+    let (io, conc) = (pager.lifetime_stats(), pager.lifetime_concurrency_stats());
+    let logical = io.logical_reads - io_before.logical_reads;
+    let physical = io.physical_reads - io_before.physical_reads;
+    assert_eq!(logical, THREADS as u64);
+    assert_eq!(physical, 1, "only the leader performs the read");
+    assert_eq!(logical - physical, (THREADS - 1) as u64, "every other reader hits");
     assert_eq!(
-        conc.singleflight_waits,
+        conc.singleflight_waits - conc_before.singleflight_waits,
         (THREADS - 1) as u64,
         "every non-leader blocks on the in-flight latch"
     );
-    assert_eq!(conc.coalesced_misses, (THREADS - 1) as u64);
+    assert_eq!(conc.coalesced_misses - conc_before.coalesced_misses, (THREADS - 1) as u64);
     // The stalls overlapped: total wall time is ~one stall, not N stalls.
     assert!(
         elapsed < STALL * 3,

@@ -205,6 +205,7 @@ fn main() {
             // Build the batch vector outside the timed region so 1-thread
             // and N-thread qps lines measure the same work.
             let batch: Vec<_> = qs.iter().map(|&q| (q, k)).collect();
+            let conc_before = engine.pager().lifetime_concurrency_stats();
             let start = std::time::Instant::now();
             // try_query surfaces fault-budget exhaustion as a value (the
             // point of --fault-profile); fault-free it matches query.
@@ -214,6 +215,7 @@ fn main() {
                 qs.iter().map(|&q| engine.try_query(q, k)).collect()
             };
             let elapsed = start.elapsed();
+            let conc_after = engine.pager().lifetime_concurrency_stats();
             for (i, (q, outcome)) in qs.iter().zip(&results).enumerate() {
                 println!("query {i} at ({:.0}, {:.0}):", q.pos.x, q.pos.y);
                 let res = match outcome {
@@ -268,16 +270,13 @@ fn main() {
                 );
             }
             if threads > 1 {
-                // Per-query stat resets race across workers, so these
-                // counters cover the tail window of the batch — enough to
-                // see the single-flight machinery at work.
-                let c = engine.pager().concurrency_stats();
+                // Every worker's events, as lifetime deltas over the batch.
                 println!(
-                    "pool concurrency (tail window): {} single-flight waits, \
+                    "pool concurrency (batch): {} single-flight waits, \
                      {} coalesced misses, {} contended shard locks over {} shards",
-                    c.singleflight_waits,
-                    c.coalesced_misses,
-                    c.shard_contention,
+                    conc_after.singleflight_waits - conc_before.singleflight_waits,
+                    conc_after.coalesced_misses - conc_before.coalesced_misses,
+                    conc_after.shard_contention - conc_before.shard_contention,
                     engine.pager().num_shards()
                 );
             }

@@ -11,6 +11,12 @@
 //! the determinism contract is unchanged: the pager's retry budget
 //! absorbs every fault, so results stay bit-identical — the CI fault
 //! matrix pins this down at two seeds.
+//!
+//! The per-query counters are exact at any thread count too: a query runs
+//! on one worker thread and reads the pager and R-tree windows that thread
+//! opened at query start. So a batch's per-query pool counts sum to the
+//! pager's lifetime deltas over the batch (conservation), and each
+//! query's R-tree accesses equal its sequential run's.
 
 use surface_knn::core::config::Mr3Config;
 use surface_knn::core::metrics::QueryResult;
@@ -108,5 +114,79 @@ fn batch_is_stable_across_repeated_runs() {
     let first = fingerprint(&answers(&engine, &batch, 4));
     for _ in 0..stress_iters().min(5) {
         assert_eq!(fingerprint(&answers(&engine, &batch, 4)), first);
+    }
+}
+
+/// The per-query totals of a traced query's `pool` event: logical reads,
+/// physical reads and stalled batches.
+fn pool_counts(res: &QueryResult) -> [u64; 3] {
+    let trace = res.trace.as_ref().expect("a traced query");
+    let pool = trace.records.iter().find(|r| r.name == "pool").expect("a pool event");
+    ["logical", "physical", "stalled_batches"].map(|key| pool.get_u64(key).expect(key))
+}
+
+/// The same three counts over the pager's lifetime, every thread's.
+fn lifetime_counts(engine: &Mr3Engine) -> [u64; 3] {
+    let io = engine.pager().lifetime_stats();
+    [io.logical_reads, io.physical_reads, engine.pager().lifetime_stalled_batches()]
+}
+
+/// Conservation: what the queries of a cold batch report in their `pool`
+/// events sums to exactly what the pager served over the batch, at 1, 4
+/// and 8 threads. Under a shared window, concurrent queries' reads and
+/// resets would land in each other's counts.
+#[test]
+fn per_query_pool_counts_sum_to_the_batch_lifetime_deltas() {
+    let mesh = TerrainConfig::bh().with_grid(25).build_mesh(909);
+    let scene = SceneBuilder::new(&mesh).object_count(30).seed(910).build();
+    let mut engine = Mr3Engine::build(&mesh, &scene, &Mr3Config::default());
+    engine.enable_tracing();
+    install_fault_profile(&engine);
+    assert!(engine.cold_cache, "every query starts from an empty pool");
+
+    let batch: Vec<(SurfacePoint, usize)> =
+        scene.random_queries(16, 912).into_iter().map(|q| (q, 4)).collect();
+    for iter in 0..stress_iters() {
+        for threads in [1usize, 4, 8] {
+            let before = lifetime_counts(&engine);
+            let reported = answers(&engine, &batch, threads)
+                .iter()
+                .map(pool_counts)
+                .fold([0; 3], |sum, q| std::array::from_fn(|i| sum[i] + q[i]));
+            let after = lifetime_counts(&engine);
+            let served: [u64; 3] = std::array::from_fn(|i| after[i] - before[i]);
+            assert_eq!(
+                reported, served,
+                "[logical, physical, stalled batches] at {threads} threads (iter {iter})"
+            );
+            assert!(served[1] > 0, "a cold batch reads pages");
+        }
+    }
+}
+
+/// A query's R-tree node accesses, from its `io` event (none means 0).
+fn rtree_accesses(res: &QueryResult) -> u64 {
+    let trace = res.trace.as_ref().expect("a traced query");
+    trace.io_by_structure().into_iter().find(|&(s, _, _)| s == "rtree").map_or(0, |(_, n, _)| n)
+}
+
+/// Each query's R-tree node accesses at 8 threads equal its sequential
+/// run's, query by query: the tree's access windows are per thread.
+#[test]
+fn per_query_rtree_accesses_match_sequential_at_eight_threads() {
+    let mesh = TerrainConfig::bh().with_grid(25).build_mesh(909);
+    let scene = SceneBuilder::new(&mesh).object_count(30).seed(910).build();
+    let mut engine = Mr3Engine::build(&mesh, &scene, &Mr3Config::default());
+    engine.enable_tracing();
+    install_fault_profile(&engine);
+
+    let batch: Vec<(SurfacePoint, usize)> =
+        scene.random_queries(16, 913).into_iter().map(|q| (q, 4)).collect();
+    let sequential: Vec<u64> =
+        batch.iter().map(|&(q, k)| rtree_accesses(&engine.try_query(q, k).unwrap())).collect();
+    assert!(sequential.iter().all(|&n| n > 0), "every query visits the tree: {sequential:?}");
+    for iter in 0..stress_iters() {
+        let parallel: Vec<u64> = answers(&engine, &batch, 8).iter().map(rtree_accesses).collect();
+        assert_eq!(parallel, sequential, "R-tree accesses at 8 threads (iter {iter})");
     }
 }

@@ -3,7 +3,8 @@
 //! layer adds on top of the engine — bit-identical results under
 //! concurrent execution, typed load shedding instead of hangs, graceful
 //! drain that answers everything admitted, a panicking query that fails
-//! alone, and no reply waiting for a stranger's — plus the serving
+//! alone, no reply waiting for a stranger's, and each reply's stall its
+//! own — plus the serving
 //! edge's own contract suite, run here against a `Server`.
 
 use std::time::Duration;
@@ -457,6 +458,61 @@ fn a_fast_reply_does_not_wait_for_a_stalled_stranger() {
     assert!(matches!(&first, Ok(Frame::Seeds(s)) if s.req_id == 2), "first reply: {first:?}");
     assert!(matches!(&second, Ok(Frame::Response(r)) if r.req_id == 1), "then: {second:?}");
     assert!(waited < STALL / 2, "SEEDS took {waited:?} beside a query stalling {STALL:?} a miss");
+}
+
+/// Each response's `stall_us` is its own request's pager stall, read from
+/// its worker thread's window. Four workers run cold queries side by side
+/// under a 1 ms read stall, so their stalls overlap; the per-response
+/// stalls still sum to no more than the pager's stall clock advanced over
+/// the run. A stall clock differenced around each engine call would count
+/// every overlapping stall once per request that saw it.
+#[test]
+fn concurrent_responses_report_only_their_own_stall() {
+    const CLIENTS: usize = 4;
+    const PER_CLIENT: usize = 5;
+    let (mesh, cfg) = test_world();
+    let scene = SceneBuilder::new(&mesh).object_count(30).seed(7).build();
+    let engine = Mr3Engine::build(&mesh, &scene, &cfg); // cold cache: every query pays misses
+    engine.pager().set_read_stall(Duration::from_millis(1));
+    let serve_cfg = ServeConfig { exec_threads: 4, ..ServeConfig::default() };
+    let server = Server::bind(&engine, "127.0.0.1:0", serve_cfg).unwrap();
+    let addr = server.local_addr();
+    let handle = server.handle();
+
+    let stall_before_ns = engine.pager().stall_ns();
+    let reported_us: u64 = std::thread::scope(|scope| {
+        let run = scope.spawn(|| server.run());
+        let clients: Vec<_> = (0..CLIENTS)
+            .map(|c| {
+                let scene = &scene;
+                scope.spawn(move || {
+                    let mut client =
+                        Client::connect_with_timeout(addr, Duration::from_secs(30)).unwrap();
+                    let queries = scene.random_queries(PER_CLIENT, 2000 + c as u64);
+                    let mut stall_us = 0u64;
+                    for (i, &q) in queries.iter().enumerate() {
+                        client.send_query(i as u64, q, 4, 0).unwrap();
+                        let frame = client.recv().unwrap();
+                        let Frame::Response(resp) = frame else {
+                            panic!("expected a response, got {frame:?}");
+                        };
+                        stall_us += resp.timing.stall_us as u64;
+                    }
+                    stall_us
+                })
+            })
+            .collect();
+        let total = clients.into_iter().map(|c| c.join().unwrap()).sum();
+        handle.shutdown();
+        run.join().unwrap();
+        total
+    });
+    let stalled_us = (engine.pager().stall_ns() - stall_before_ns) / 1_000;
+    assert!(reported_us > 0, "cold queries stall");
+    assert!(
+        reported_us <= stalled_us,
+        "responses report {reported_us} µs of stall; the pager stalled {stalled_us} µs"
+    );
 }
 
 /// The edge contract suite (`serve::edge::check_edge_contract`) against

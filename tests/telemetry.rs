@@ -403,8 +403,9 @@ fn metrics_endpoint_parses_and_healthz_flips_during_drain() {
 }
 
 /// The pager's `/metrics` families are Prometheus *counters*: every
-/// query's scope restarts the pager's stats window, and the exported
-/// totals must keep rising through that. Five identical queries, a scrape
+/// request zeroes its worker thread's pager window, and so does every
+/// query's scope, while the exported totals — the pager's process-wide
+/// row — must keep rising through that. Five identical queries, a scrape
 /// after each: the series never steps back, and ends at least five
 /// queries' worth of logical reads above where it started.
 #[test]
