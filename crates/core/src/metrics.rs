@@ -87,18 +87,22 @@ pub struct QueryStats {
     pub cut_cache_misses: usize,
     /// Pages a stalling iteration's batch read only because its look-ahead
     /// asked for them: later schedule steps' units and lines over the
-    /// iteration's own groups.
+    /// iteration's own groups, and a radius iteration's lines for the
+    /// ranking run after it (over the step-3 disc).
     pub ahead_pages: u64,
-    /// Later schedule steps the look-aheads carried, summed over the
-    /// query's batches: one per batch while a region is unbounded, the
-    /// rest of the schedule once every region is bounded.
+    /// Later schedule steps of their own run the look-aheads carried,
+    /// summed over the query's batches: one per batch while a region is
+    /// unbounded, the rest of the schedule once every region is bounded.
+    /// The lines a radius batch carries for the ranking run are not steps
+    /// of its run and count none.
     pub ahead_steps: usize,
-    /// Units and lines the look-aheads loaded, each key once per run
+    /// Units and lines the look-aheads loaded, each key once per query
     /// (never credited to [`cut_cache_misses`](Self::cut_cache_misses)).
     pub ahead_keys: usize,
     /// Of [`ahead_keys`](Self::ahead_keys), those a later iteration of the
-    /// same run asked for and found resident: the prefetched-used share;
-    /// the rest was prefetched and wasted.
+    /// query — of the same run, or the ranking run after a radius run —
+    /// asked for and found resident: the prefetched-used share; the rest
+    /// was prefetched and wasted.
     pub ahead_used: usize,
     /// Per-step wall-clock breakdown (always measured, tracing or not).
     pub stages: StageTimes,

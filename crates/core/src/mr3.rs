@@ -440,7 +440,7 @@ impl<'s, 'm> Mr3Engine<'s, 'm> {
                 return (Vec::new(), 0.0);
             }
             let seeds = s.seeds(&q, k);
-            let (radius, refined) = s.radius(&q, &seeds);
+            let (radius, refined) = s.radius(&q, &seeds, true);
             if within.is_some_and(|w| !w.contains_disc(q.pos.xy(), radius)) {
                 s.root.push(field("stopped", "step2"));
                 return (Vec::new(), radius);
@@ -458,9 +458,14 @@ impl<'s, 'm> Mr3Engine<'s, 'm> {
     /// [`try_query`](Self::try_query) in a sequential loop: results depend
     /// only on the engine's immutable structures, and each query carries
     /// its own ranking scratch, so one failing query does not disturb the
-    /// others. The shared buffer pool and access counters do race under
-    /// concurrency, so the *cost* fields (`stats.pages`, pager stats)
-    /// describe the batch in aggregate rather than any one query.
+    /// others. The cost fields are exact per query too: a query runs on
+    /// one worker thread and reads the pager and R-tree windows that
+    /// thread opened at query start, so `stats.pages` and the trace's
+    /// per-query `pool` counts are its own, and the batch's `pool` counts
+    /// sum to the pager's lifetime deltas over it (`tests/parallel.rs`).
+    /// What they count still depends on scheduling: the buffer pool and
+    /// cut caches are shared, so a page read by one query is a hit for the
+    /// others, charged to whichever query first touches it.
     pub fn try_query_batch(
         &self,
         batch: &[(SurfacePoint, usize)],
@@ -561,7 +566,7 @@ impl<'s, 'm> Mr3Engine<'s, 'm> {
             // seeds came first, because the refined seed bounds must carry
             // over into step 4's candidates, exactly as in a single-engine
             // run.
-            let (radius, refined) = s.radius(&q, seeds);
+            let (radius, refined) = s.radius(&q, seeds, !cands.is_empty());
             (s.rank(&q, cands, &refined, k, k + 1), radius)
         })
         .into_knn()
@@ -734,14 +739,20 @@ impl Scope<'_, '_> {
 
     /// Step 2: rank the seeds to bound the k-th neighbour's distance.
     /// Returns the search radius and the refined seed candidates, whose
-    /// bounds [`rank`](Self::rank) carries over.
-    fn radius(&mut self, q: &SurfacePoint, seeds: &[(u32, SurfacePoint)]) -> (f64, Vec<Candidate>) {
+    /// bounds [`rank`](Self::rank) carries over. `rank_follows` says step 4
+    /// runs in this scope, so the radius run may read ahead for it.
+    fn radius(
+        &mut self,
+        q: &SurfacePoint,
+        seeds: &[(u32, SurfacePoint)],
+        rank_follows: bool,
+    ) -> (f64, Vec<Candidate>) {
         let step = Instant::now();
         let before = self.stats.stages;
         let terrain = self.ctx.mesh.extent();
         let mut cands: Vec<Candidate> =
             seeds.iter().map(|&(id, p)| Candidate::new(q, id, p, &terrain)).collect();
-        let radius = self.ctx.estimate_radius(q, &mut cands, &mut self.stats);
+        let radius = self.ctx.estimate_radius(q, &mut cands, rank_follows, &mut self.stats);
         self.stats.stages.radius_us = step.elapsed().as_micros() as u64;
         if self.ctx.rec.enabled() {
             let mut fields =

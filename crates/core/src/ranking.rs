@@ -138,7 +138,7 @@ pub struct RankScratch {
     lb: LbScratch,
     /// Dijkstra state for the per-group shared pathnet run.
     pathnet: DijkstraScratch,
-    /// What the current run's look-aheads loaded and no later iteration
+    /// What the current query's look-aheads loaded and no later iteration
     /// of it has used yet.
     ahead: Lookahead,
 }
@@ -170,9 +170,25 @@ struct IterationFetch {
     lines: Vec<[LineSet; 2]>,
 }
 
-/// The keys the current run's look-aheads loaded that no later iteration
-/// of the run has asked for yet: accounting only, never consulted for
-/// what to read.
+/// Which MSDN lines a run's iterations plan.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum LinePlan {
+    /// Each group's X and Y bands at the iteration's level, for its
+    /// lower-bound phase: ranking and range runs.
+    Bands,
+    /// None: a radius run with no ranking run after it in the query.
+    Skip,
+    /// None of its own, but a bounded batch that stalls also carries the
+    /// lines the ranking run after it in the query asks for first (see
+    /// [`RankingContext::plan_iteration`]): a radius run before step 4.
+    RankAhead,
+}
+
+/// The keys the current query's look-aheads loaded that no later
+/// iteration of the query has asked for yet: accounting only, never
+/// consulted for what to read. One ledger per query
+/// ([`RankScratch::reset_for_reuse`] clears it), so a ranking run's use
+/// of the lines a radius run carried for it is credited too.
 #[derive(Debug, Default)]
 struct Lookahead {
     /// `(step, tile)` of the units, ascending.
@@ -389,7 +405,7 @@ impl<'a, 'm> RankingContext<'a, 'm> {
                 break;
             }
             let snap = IterSnapshot::take(stats, self.pager);
-            self.refine_iteration(q, cands, i, true, stats);
+            self.refine_iteration(q, cands, i, LinePlan::Bands, stats);
             stats.iterations += 1;
             if self.rec.enabled() {
                 // Apply this round's eliminations before observing, so the
@@ -407,12 +423,18 @@ impl<'a, 'm> RankingContext<'a, 'm> {
     /// radius stops improving, and return `max ub` — a safe radius that
     /// certainly contains k objects by surface distance. Lower bounds are
     /// not needed to bound a radius, so the MSDN phase is skipped.
+    ///
+    /// With `rank_follows` — step 4 ranks the step-3 candidates in the
+    /// same query — a bounded batch that stalls also carries the lines
+    /// that ranking run's first two iterations ask for.
     pub fn estimate_radius(
         &self,
         q: &SurfacePoint,
         cands: &mut [Candidate],
+        rank_follows: bool,
         stats: &mut QueryStats,
     ) -> f64 {
+        let plan = if rank_follows { LinePlan::RankAhead } else { LinePlan::Skip };
         let mut prev = f64::INFINITY;
         for i in 0..self.cfg.schedule.len() {
             // Radius estimation must deliver at least one finite upper
@@ -422,7 +444,7 @@ impl<'a, 'm> RankingContext<'a, 'm> {
                 break;
             }
             let snap = IterSnapshot::take(stats, self.pager);
-            self.refine_iteration(q, cands, i, false, stats);
+            self.refine_iteration(q, cands, i, plan, stats);
             stats.iterations += 1;
             let radius = max_ub(cands);
             let done = radius.is_finite() && radius >= prev * 0.95;
@@ -471,7 +493,7 @@ impl<'a, 'm> RankingContext<'a, 'm> {
                 break;
             }
             let snap = IterSnapshot::take(stats, self.pager);
-            self.refine_iteration(q, cands, i, true, stats);
+            self.refine_iteration(q, cands, i, LinePlan::Bands, stats);
             stats.iterations += 1;
             classify(cands, &mut inside);
             if self.rec.enabled() {
@@ -563,8 +585,10 @@ impl<'a, 'm> RankingContext<'a, 'm> {
     /// physical reads and stalled batches this query charged during the
     /// iteration, read from the pager window its thread opened at query
     /// start: exact whatever runs beside it. `ahead_pages` are the
-    /// pages of the iteration's batch only its look-ahead asked for, and
-    /// `ahead_steps` the later schedule steps that look-ahead carried.
+    /// pages of the iteration's batch only its look-ahead asked for —
+    /// a radius iteration's include the lines it carried for the ranking
+    /// run — and `ahead_steps` the later schedule steps of its own run
+    /// that look-ahead carried.
     #[allow(clippy::too_many_arguments)]
     fn emit_iter(
         &self,
@@ -623,12 +647,12 @@ impl<'a, 'm> RankingContext<'a, 'm> {
         q: &SurfacePoint,
         cands: &mut [Candidate],
         iter: usize,
-        with_lb: bool,
+        plan: LinePlan,
         stats: &mut QueryStats,
     ) {
         let Some((groups, members)) = self.group_iteration(q, cands) else { return };
         let start = Instant::now();
-        let planned = self.plan_iteration(q, cands, &groups, &members, iter, with_lb, stats);
+        let planned = self.plan_iteration(q, cands, &groups, &members, iter, plan, stats);
         stats.stages.rank_fetch_us += us_since(start);
         let IterationFetch { step, fronts, lines } = match planned {
             Ok(fetch) => fetch,
@@ -657,7 +681,7 @@ impl<'a, 'm> RankingContext<'a, 'm> {
                 stats.stages.rank_pathnet_us += compute;
             }
         }
-        if with_lb {
+        if plan == LinePlan::Bands {
             // Integrated I/O for SDN data too: per-candidate line subsets
             // are sliced in memory from the group's bands.
             let start = Instant::now();
@@ -681,7 +705,7 @@ impl<'a, 'm> RankingContext<'a, 'm> {
         stats: &mut QueryStats,
     ) -> StoreResult<usize> {
         let Some((groups, members)) = self.group_iteration(q, cands) else { return Ok(0) };
-        self.plan_iteration(q, cands, &groups, &members, iter, true, stats)?;
+        self.plan_iteration(q, cands, &groups, &members, iter, LinePlan::Bands, stats)?;
         Ok(groups.len())
     }
 
@@ -726,8 +750,8 @@ impl<'a, 'm> RankingContext<'a, 'm> {
     /// computed: every group's DMTM units — unless the cached front will
     /// serve the group, decided group by group exactly as
     /// [`ub_phase_front`](Self::ub_phase_front) then consumes the plan —
-    /// and, with `with_lb`, every group's X and Y line bands at the
-    /// iteration's MSDN level. The keys nobody holds are claimed in both
+    /// and, with [`LinePlan::Bands`], every group's X and Y line bands at
+    /// the iteration's MSDN level. The keys nobody holds are claimed in both
     /// shared caches and the union of their pages is read in **one**
     /// batch. Each loaded key is credited to the first group or band that
     /// asked for it.
@@ -742,9 +766,21 @@ impl<'a, 'm> RankingContext<'a, 'm> {
     /// batch carries the rest of the schedule, and the run's later
     /// iterations find most of their keys resident. While some region is
     /// still the whole terrain — a run's first iteration — it carries the
-    /// next step only. Every claim of the batch is published before any
-    /// key led by another thread is waited on; the look-ahead's loads are
-    /// dropped unfinished, so nothing of them is ever waited on.
+    /// next step only.
+    ///
+    /// With [`LinePlan::RankAhead`] a bounded radius batch that stalls
+    /// also carries the lines the ranking run after it asks for in its
+    /// first two iterations: every line at those iterations' MSDN levels
+    /// in the snapped band `[q − r, q + r]` of either axis, `r` the
+    /// seeds' current largest upper bound. Upper bounds only shrink, so
+    /// the step-3 radius is at most `r`; every step-3 candidate then lies
+    /// within `r` of the query on both axes, so its dominant-axis interval
+    /// lies in `[q − r, q + r]`, and snapping is monotone: the ranking
+    /// run's bands lie in the carried ones (DESIGN §16).
+    ///
+    /// Every claim of the batch is published before any key led by
+    /// another thread is waited on; the look-ahead's loads are dropped
+    /// unfinished, so nothing of them is ever waited on.
     ///
     /// On `Err` nothing of the batch is published and no latch is left. A
     /// failure on a page only the look-ahead asked for drops every
@@ -758,9 +794,10 @@ impl<'a, 'm> RankingContext<'a, 'm> {
         groups: &[IoGroup],
         members: &[Vec<usize>],
         iter: usize,
-        with_lb: bool,
+        plan: LinePlan,
         stats: &mut QueryStats,
     ) -> StoreResult<IterationFetch> {
+        let with_lb = plan == LinePlan::Bands;
         let (step, m) = self.step_of(iter);
         // Canonical fetch regions (pad + tile-snap), so hot neighbourhoods
         // converge onto a small set of reusable keys.
@@ -801,10 +838,6 @@ impl<'a, 'm> RankingContext<'a, 'm> {
         let mut lines = with_lb.then(|| self.lines.claim(self.msdn, level, &bands));
         {
             let ahead = &mut self.scratch.borrow_mut().ahead;
-            if iter == 0 {
-                // A new run: what an earlier run loaded is not this run's.
-                *ahead = Lookahead::default();
-            }
             stats.ahead_used += ahead.used(m, &units, level, lines.as_ref());
         }
 
@@ -834,6 +867,19 @@ impl<'a, 'm> RankingContext<'a, 'm> {
             let l = self.cfg.schedule.msdn_level(n);
             if with_lb && l != level && ahead_lines.iter().all(|(t, _)| *t != l) {
                 ahead_lines.push((l, self.lines.claim(self.msdn, l, &bands)));
+            }
+        }
+        if plan == LinePlan::RankAhead && stalls && bounded {
+            let r = max_ub(cands);
+            let disc = [(0, Axis::X), (1, Axis::Y)].map(|(slot, axis)| {
+                let c = axis.coord(q.pos);
+                let (lo, hi) = self.grid.snap_band(slot, c - r, c + r);
+                LineBand { axis, lo, hi, roi: None }
+            });
+            for l in [0, 1].map(|n| self.cfg.schedule.msdn_level(n)) {
+                if ahead_lines.iter().all(|(t, _)| *t != l) {
+                    ahead_lines.push((l, self.lines.claim(self.msdn, l, &disc)));
+                }
             }
         }
         let batch = {
@@ -1364,7 +1410,7 @@ mod tests {
                 .map(|&(_, _, id)| Candidate::new(&q, id, scene.object(id).point, &terrain))
                 .collect();
             let mut stats = QueryStats::default();
-            let radius = c.estimate_radius(&q, &mut cands, &mut stats);
+            let radius = c.estimate_radius(&q, &mut cands, false, &mut stats);
             assert!(radius.is_finite() && radius > 0.0);
             // The radius must cover the 4 seeds' exact distances.
             let geo = sknn_geodesic::ExactGeodesic::new(c.mesh);

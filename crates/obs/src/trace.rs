@@ -91,12 +91,14 @@ pub struct IterEvent {
     /// per iteration when it runs alone).
     pub stalls: u64,
     /// Pages of this iteration's batch that only its look-ahead — later
-    /// schedule steps' units and lines over this iteration's groups —
-    /// asked for.
+    /// schedule steps' units and lines over this iteration's groups, and
+    /// a radius iteration's lines for the ranking run after it — asked
+    /// for.
     pub ahead_pages: u64,
-    /// Later schedule steps this iteration's look-ahead carried: 0 for a
-    /// batch that reads nothing, 1 while a region is unbounded (a run's
-    /// first iteration), the rest of the schedule once all are bounded.
+    /// Later schedule steps of its own run this iteration's look-ahead
+    /// carried: 0 for a batch that reads nothing, 1 while a region is
+    /// unbounded (a run's first iteration), the rest of the schedule once
+    /// all are bounded.
     pub ahead_steps: u64,
 }
 

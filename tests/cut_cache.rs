@@ -22,8 +22,12 @@
 //!   pays at most one stall; a batch that stalls also carries the next
 //!   schedule step's keys, and once its regions are bounded the rest of
 //!   the schedule's, so no run stalls twice in a row and none more than
-//!   twice; a fault on a page only a look-ahead asked for, at any depth,
-//!   degrades the iteration that asks for it, not the carriers;
+//!   twice; a bounded radius batch that stalls also carries the lines of
+//!   the ranking run's first two iterations over the step-3 disc, so a
+//!   query stalls at most three times, and a radius-only run reads no
+//!   line; a fault on a page only a look-ahead asked for, at any depth
+//!   or for the next run, degrades the iteration that asks for it, not
+//!   the carriers;
 //!   overlapping plans on four threads load each key of either cache
 //!   exactly once, without deadlock.
 //! * **Warm means resident** — with the default budget a repeated query
@@ -35,7 +39,7 @@ use std::sync::mpsc;
 use std::time::Duration;
 use surface_knn::core::config::Mr3Config;
 use surface_knn::core::metrics::QueryResult;
-use surface_knn::core::mr3::Mr3Engine;
+use surface_knn::core::mr3::{Mr3Engine, QueryOpts};
 use surface_knn::core::workload::{SceneBuilder, SurfacePoint};
 use surface_knn::geodesic::ExactGeodesic;
 use surface_knn::geom::{Axis, Rect2};
@@ -709,6 +713,186 @@ fn a_cold_run_stalls_at_most_twice() {
                 assert_eq!(e.ahead_steps, 0, "a batch that reads nothing carries nothing");
             }
         }
+    }
+}
+
+/// The radius run's bounded batches, by index into `iters`: radius
+/// iterations that stalled while every seed's upper bound was finite. A
+/// radius event reports every seed (its `kth_ub`, at k = all seeds, is
+/// their largest upper bound), so iteration `i`'s batch was bounded when
+/// event `i − 1`'s `kth_ub` is finite.
+fn bounded_radius_stalls(iters: &[IterEvent]) -> Vec<usize> {
+    (1..iters.len())
+        .filter(|&j| {
+            let (before, e) = (&iters[j - 1], &iters[j]);
+            e.phase == "radius" && e.i > 0 && before.kth_ub.is_finite() && e.stalls == 1
+        })
+        .collect()
+}
+
+/// A bounded radius batch that stalls also carries the lines the ranking
+/// run's first two iterations ask for, over the step-3 disc at the
+/// seeds' current largest upper bound. On the one-stall fixture a cold
+/// query then pays at most three stalled batches — the radius run's
+/// first and bounded iterations and one bounded ranking iteration — and
+/// once the radius run had a bounded batch that stalled, the ranking
+/// run's first two iterations read nothing.
+#[test]
+fn a_cold_query_stalls_at_most_three_times() {
+    const STALL: Duration = Duration::from_millis(1);
+    let mesh = TerrainConfig::bh().with_grid(33).build_mesh(17);
+    let scene = SceneBuilder::new(&mesh).object_count(30).seed(5).build();
+    let mut engine = Mr3Engine::build(&mesh, &scene, &Mr3Config::default());
+    engine.enable_tracing();
+    engine.pager().set_read_stall(STALL);
+    let mut batches = Vec::new();
+    let mut reads = Vec::new();
+    for q in scene.random_queries(6, 3) {
+        let r = engine.try_query(q, 5).unwrap();
+        batches.push(engine.pager().stalled_batches());
+        let iters = r.trace.expect("traced").iter_events();
+        if !bounded_radius_stalls(&iters).is_empty() {
+            let first = iters.iter().filter(|e| e.phase == "rank" && e.i < 2);
+            reads.extend(first.map(|e| (batches.len() - 1, e.i, e.stalls, e.pages)));
+        }
+    }
+    let total: u64 = batches.iter().sum();
+    assert!(
+        batches.iter().all(|&b| b <= 3),
+        "stalled batches per query {batches:?}, {total} in total"
+    );
+    assert!(!reads.is_empty(), "no radius run had a bounded batch that stalled");
+    for &(query, i, stalls, pages) in &reads {
+        assert_eq!((stalls, pages), (0, 0), "query {query}: rank iteration {i} read");
+    }
+}
+
+/// The radius-only `EXEC` leg (no candidates, so no ranking run follows in
+/// its scope) carries no line for one: it reads DMTM pages alone, as it
+/// always has.
+#[test]
+fn a_radius_only_exec_reads_no_msdn_page() {
+    let mesh = TerrainConfig::bh().with_grid(33).build_mesh(17);
+    let scene = SceneBuilder::new(&mesh).object_count(30).seed(5).build();
+    let engine = Mr3Engine::build(&mesh, &scene, &Mr3Config::default());
+    engine.pager().set_read_stall(Duration::from_millis(1));
+    let k = 5;
+    for q in scene.random_queries(6, 3) {
+        let seeds: Vec<(u32, SurfacePoint)> =
+            engine.seeds2d(q.pos.xy(), k).into_iter().map(|(_, id, p)| (id, p)).collect();
+        let r = engine.exec_ranked(q, k, &seeds, &[], &QueryOpts::default()).unwrap();
+        assert!(r.neighbors.is_empty() && r.radius.is_finite());
+        let msdn = engine.pager().stats_for(StructureTag::Msdn).physical_reads;
+        let dmtm = engine.pager().stats_for(StructureTag::Dmtm).physical_reads;
+        assert_eq!(msdn, 0, "the radius-only leg read MSDN pages");
+        assert!(dmtm > 0, "a cold radius run reads units");
+        assert_eq!(r.stats.pages, dmtm, "it reads DMTM pages alone");
+    }
+}
+
+/// A permanent fault on an MSDN page that only the radius run's carry for
+/// the ranking run reads — a level-0 line of the step-3 disc — fails the
+/// bounded radius batch that carries it. That carrier drops every
+/// look-ahead load, reads its own units alone and degrades nothing: the
+/// radius run's bounds and radius equal the fault-free run's. The ranking
+/// run's first iteration asks for the page itself and degrades, naming
+/// it. No latch is left and the answer still brackets the exact
+/// distances.
+#[test]
+fn a_fault_on_a_line_carried_for_the_ranking_run_degrades_only_the_iteration_asking() {
+    let mesh = TerrainConfig::bh().with_grid(33).build_mesh(17);
+    let scene = SceneBuilder::new(&mesh).object_count(30).seed(5).build();
+    let cfg = Mr3Config::default();
+    let k = 5;
+
+    // A pager laid out like the engine's — its unit store, then its MSDN —
+    // names the engine's pages.
+    let tree = build_dmtm(&mesh);
+    let grid = CutGrid::new(mesh.extent(), cfg.cut_cache.tiles, cfg.cut_cache.pad_tiles);
+    let steps: Vec<u32> = cfg.schedule.dmtm.iter().map(|&f| tree.step_for_fraction(f)).collect();
+    let layout = Pager::new(cfg.pool_pages);
+    UnitStore::build(&layout, &tree, grid, &steps);
+    let msdn = PagedMsdn::build(
+        &layout,
+        &Msdn::build(
+            &mesh,
+            &MsdnConfig { levels: cfg.msdn_levels.clone(), plane_spacing: cfg.plane_spacing },
+        ),
+    );
+    let level = cfg.schedule.msdn_level(0);
+    assert!((1..cfg.schedule.len()).all(|n| cfg.schedule.msdn_level(n) != level));
+
+    let mut engine = Mr3Engine::build(&mesh, &scene, &cfg);
+    engine.enable_tracing();
+    // The first query, and the first level-0 page of its carried disc,
+    // whose fault degrades the query: a page the ranking run asks for.
+    // Only the ranking run's first iteration asks for level-0 lines, and
+    // it finds the carried ones resident, so only the carry reads it.
+    let mut found = None;
+    'queries: for q in scene.random_queries(6, 3) {
+        let clean = engine.try_query(q, k).unwrap();
+        let iters = clean.trace.as_ref().expect("traced").iter_events();
+        let Some(&carrier) = bounded_radius_stalls(&iters).first() else { continue };
+        let r = iters[carrier - 1].kth_ub;
+        let disc = [(0, Axis::X), (1, Axis::Y)].map(|(slot, axis)| {
+            let c = axis.coord(q.pos);
+            let (lo, hi) = grid.snap_band(slot, c - r, c + r);
+            LineBand { axis, lo, hi, roi: None }
+        });
+        let probe = LineCutCache::new(64 << 20);
+        for bad in probe.claim(&msdn, level, &disc).pages().to_vec() {
+            engine.pager().set_fault_injector(Some(FaultInjector::script().fail_page(
+                bad.0,
+                FaultKind::Permanent,
+                None,
+            )));
+            let got = engine.try_query(q, k).unwrap();
+            engine.pager().set_fault_injector(None);
+            if got.degraded.is_some() {
+                found = Some((q, bad, clean, carrier, got));
+                break 'queries;
+            }
+        }
+    }
+    let (q, bad, clean, carrier, got) = found.expect("a carried line page the ranking run uses");
+    assert_eq!(engine.pager().tag_of(bad), StructureTag::Msdn);
+    assert_eq!(engine.pager().read_page(bad).unwrap(), layout.read_page(bad).unwrap());
+
+    let clean_iters = clean.trace.as_ref().expect("traced").iter_events();
+    let trace = got.trace.as_ref().expect("traced");
+    let iters = trace.iter_events();
+    let bounds = |e: &IterEvent| (e.phase, e.i, e.alive, e.kth_ub, e.next_lb, e.resolve_lb);
+    let radius_run = clean_iters.iter().take_while(|e| e.phase == "radius").count();
+    for j in 0..radius_run {
+        assert_eq!(bounds(&iters[j]), bounds(&clean_iters[j]), "radius iteration {j} moved");
+    }
+    assert_eq!(got.radius.to_bits(), clean.radius.to_bits(), "the radius moved");
+    let e = &iters[carrier];
+    assert!(clean_iters[carrier].ahead_pages > 0, "{:?}", clean_iters[carrier]);
+    assert_eq!((e.ahead_pages, e.ahead_steps), (0, 0), "the carrier kept a look-ahead: {e:?}");
+    assert_eq!(e.ub_est, clean_iters[carrier].ub_est, "the carrier degraded");
+
+    // The first fault lands after the radius run, before the ranking
+    // run's first event, and names the page.
+    let names: Vec<&str> = trace.records.iter().map(|r| r.name).collect();
+    let fault = names.iter().position(|&n| n == "fault").expect("a fault was absorbed");
+    assert_eq!(names[..fault].iter().filter(|&&n| n == "iter").count(), radius_run, "{names:?}");
+    let record = &trace.records[fault];
+    assert_eq!(record.get("phase").and_then(|v| v.as_str()), Some("iter"));
+    assert_eq!(record.get_u64("page"), Some(bad.0));
+    assert_eq!(
+        (iters[radius_run].phase, iters[radius_run].i, iters[radius_run].ub_est),
+        ("rank", 0, 0)
+    );
+    let degraded = got.degraded.as_ref().expect("the asking iteration degrades the query");
+    assert_eq!((degraded.phase, degraded.faults), ("iter", 1), "{degraded}");
+    assert!(degraded.reason.ends_with(&format!(" {}", bad.0)), "{degraded}");
+
+    assert_eq!(engine.cut_cache_snapshot().unwrap().loading, 0, "a latch was left");
+    let exact = ExactGeodesic::new(&mesh);
+    for n in &got.neighbors {
+        let d = exact.distance(q.to_mesh_point(), scene.object(n.id).point.to_mesh_point());
+        assert!(n.range.lb <= d + 1e-6 && d <= n.range.ub + 1e-6, "{n:?} misses {d}");
     }
 }
 
