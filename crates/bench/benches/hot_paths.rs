@@ -4,7 +4,8 @@
 //! pathnet, corridor-restricted front — the last both over its own graph
 //! and masked over the whole front's), pathnet construction over a group
 //! region and one group's run to its members, the cut cache's unit-store
-//! build and a cold unit load over one tile and over the whole terrain, a
+//! build and a cold unit load over one tile and over the whole terrain,
+//! one cold ranking iteration's whole fetch on the benchmark's scene, a
 //! cold fused line-cache load
 //! of one group's X and Y bands, a ranking iteration's read plan with
 //! every key resident, the SDN lower bound in the
@@ -300,6 +301,27 @@ fn main() {
             load.finish(&unit_pager).expect("unfaulted")
         });
     }
+
+    // --- One cold iteration's whole fetch ----------------------------------
+    // The benchmark's scene (this terrain, 400 objects) on a cold-cache
+    // engine with no read stall: the 25 % iteration of a query's 5 nearest
+    // objects, bounded by their pair estimates at the first step, as a
+    // radius run's second iteration is. Caches and pool are emptied before
+    // every call; the plan and claims, the one batch (carrying the rest of
+    // the schedule, every region being bounded), the decode and publish
+    // of every unit and line, and each group's front derivation and CSR.
+    let cold_scene = SceneBuilder::new(&terrain).object_count(400).seed(1).build();
+    let cold_engine = Mr3Engine::build(&terrain, &cold_scene, &cfg);
+    let cold_q = cold_scene.random_query(3);
+    let cold_ubs: Vec<f64> = cold_engine
+        .seeds2d(cold_q.pos.xy(), 5)
+        .into_iter()
+        .map(|(_, _, p)| cold_engine.estimate_pair(cold_q, p, 0, cfg.schedule.msdn_level(0)).ub)
+        .collect();
+    assert!(cold_ubs.iter().all(|ub| ub.is_finite()), "every candidate is bounded");
+    h.bench("cutcache/cold_iteration", || {
+        cold_engine.fetch_iteration(cold_q, 5, 1, &cold_ubs).expect("unfaulted")
+    });
 
     // --- Line-cache band loads -----------------------------------------------
     // One cold load of a lower-bound round at the top MSDN level on the

@@ -29,7 +29,10 @@
 //!
 //! `--check FILE` parses the file and exits non-zero unless it is one JSON
 //! array whose every record (one per line) carries a host with its
-//! `nproc`.
+//! `nproc`, and every record but the newest names its commit. A record is
+//! written before its change is committed, so its `commit` may be `null`
+//! until the next record is appended; record mode refuses to append while
+//! the newest record's commit is still `null`.
 //!
 //! `--table FILE` prints the state table of ROADMAP.md from the file: per
 //! workload, the change-side medians of the last record that ran it, with
@@ -61,8 +64,10 @@ fn main() {
     let args = Args::parse();
     if let Some(path) = args.get_opt::<String>("check") {
         let text = std::fs::read_to_string(&path).unwrap_or_else(|e| fail(&format!("{path}: {e}")));
-        match check(&text) {
-            Ok(n) => eprintln!("# {path}: {n} records, each with a host"),
+        match check(&text).and_then(|n| commits_named(&text).map(|()| n)) {
+            Ok(n) => eprintln!(
+                "# {path}: {n} records, each with a host and all but the newest with a commit"
+            ),
             Err(e) => fail(&format!("{path}: {e}")),
         }
         return;
@@ -86,7 +91,7 @@ fn main() {
     let record = record(pr, commit.as_deref(), &parent, &runs);
     let old = std::fs::read_to_string(&file).unwrap_or_default();
     let new = append(&old, &record).unwrap_or_else(|e| fail(&format!("{file}: {e}")));
-    if let Err(e) = check(&new) {
+    if let Err(e) = check(&new).and_then(|_| commits_named(&new)) {
         fail(&format!("refusing to write an invalid file: {e}"));
     }
     std::fs::write(&file, new).unwrap_or_else(|e| fail(&format!("{file}: {e}")));
@@ -343,6 +348,21 @@ fn check(text: &str) -> Result<usize, String> {
     Ok(n)
 }
 
+/// Every record line but the last names its commit.
+fn commits_named(text: &str) -> Result<(), String> {
+    let records: Vec<(usize, &str)> =
+        text.lines().enumerate().filter(|(_, l)| l.starts_with('{')).collect();
+    for &(i, line) in records.iter().rev().skip(1) {
+        if !after(line, "\"commit\":").is_some_and(|c| c.starts_with('"')) {
+            return Err(format!(
+                "record on line {} has no commit; only the newest record may lack one",
+                i + 1
+            ));
+        }
+    }
+    Ok(())
+}
+
 /// The text after the first `key` in `s`.
 fn after<'a>(s: &'a str, key: &str) -> Option<&'a str> {
     s.split_once(key).map(|(_, tail)| tail)
@@ -440,6 +460,19 @@ change: {\"correct\": true, \"attempted\": 12, \"failed\": 1, \"metrics\": {\"op
         assert!(check("[\n{\"pr\":1,\"host\":null}\n]\n").is_err());
         assert!(check("[\n{\"pr\":1,\"host\":{\"nproc\":2}\n]\n").is_err(), "not JSON");
         assert_eq!(check("[\n{\"pr\":1,\"host\":{\"nproc\":2}}\n]\n"), Ok(1));
+    }
+
+    #[test]
+    fn only_the_newest_record_may_lack_a_commit() {
+        let runs = parse_runs(RUNS);
+        let (named, unnamed) =
+            (record(8, Some("abc1234"), "p", &runs), record(9, None, "p", &runs));
+        let ok = append(&append("", &named).unwrap(), &unnamed).unwrap();
+        assert_eq!(commits_named(&ok), Ok(()));
+        assert_eq!(commits_named(&append("", &unnamed).unwrap()), Ok(()));
+        let bad = append(&ok, &record(10, Some("def5678"), "p", &runs)).unwrap();
+        let err = commits_named(&bad).unwrap_err();
+        assert!(err.contains("line 3"), "{err}");
     }
 
     #[test]

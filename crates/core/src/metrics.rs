@@ -25,11 +25,27 @@ pub struct StageTimes {
     pub range_us: u64,
     /// Step 4: iterative multi-resolution ranking of the candidate set.
     pub rank_us: u64,
-    /// Inside steps 2 + 4: cut materialisation — DMTM front fetches, MSDN
-    /// line fetches and the pathnet's leaf-page charge.
+    /// Inside steps 2 + 4: cut materialisation, wall time — every
+    /// iteration's planned batch (DMTM units, MSDN lines, the look-ahead's
+    /// keys and the pathnet's leaf-unit charge, stall included) and each
+    /// group's front derivation with its CSR build. Equal, up to one
+    /// microsecond of truncation per iteration, to the three `fetch_*`
+    /// clocks plus the query's pager stall.
     pub rank_fetch_us: u64,
-    /// Inside steps 2 + 4: upper bounds over fetched fronts (embedding,
-    /// graph build, Dijkstra runs).
+    /// Inside `rank_fetch_us`: the claims, the plan around them and the
+    /// pager's own work in the batched read (pool, copy, checksum) — the
+    /// batch less its loads' decode and its stall.
+    pub fetch_read_us: u64,
+    /// Inside `rank_fetch_us`: the unit and line loads' decode — their
+    /// page feeds (the line record walk, the unit word copy), `publish`
+    /// (the cache insert) and `finish` (hand-out, and waits on keys other
+    /// threads lead). Zero for a query whose keys are all resident.
+    pub fetch_decode_us: u64,
+    /// Inside `rank_fetch_us`: `FrontGraph::derive` and the front's CSR
+    /// build.
+    pub fetch_derive_us: u64,
+    /// Inside steps 2 + 4: upper bounds over derived fronts (embedding and
+    /// Dijkstra runs; the CSR build is `fetch_derive_us`).
     pub rank_ub_us: u64,
     /// Inside steps 2 + 4: lower bounds over fetched lines (slicing,
     /// network build, Dijkstra runs).

@@ -509,6 +509,31 @@ impl<'s, 'm> Mr3Engine<'s, 'm> {
         iter: usize,
         ubs: &[f64],
     ) -> Result<usize, sknn_store::StoreError> {
+        self.iteration_fetch(q, n, iter, ubs, false)
+    }
+
+    /// [`plan_iteration`](Self::plan_iteration) followed by each group's
+    /// front derivation and CSR build: the whole cut fetch of one ranking
+    /// iteration, which the `cutcache/cold_iteration` kernel row times on
+    /// a cold-cache engine.
+    pub fn fetch_iteration(
+        &self,
+        q: SurfacePoint,
+        n: usize,
+        iter: usize,
+        ubs: &[f64],
+    ) -> Result<usize, sknn_store::StoreError> {
+        self.iteration_fetch(q, n, iter, ubs, true)
+    }
+
+    fn iteration_fetch(
+        &self,
+        q: SurfacePoint,
+        n: usize,
+        iter: usize,
+        ubs: &[f64],
+        derive: bool,
+    ) -> Result<usize, sknn_store::StoreError> {
         let terrain = self.mesh.extent();
         let mut cands: Vec<Candidate> = self
             .seeds2d(q.pos.xy(), n)
@@ -519,7 +544,7 @@ impl<'s, 'm> Mr3Engine<'s, 'm> {
             c.range.tighten_ub(ub);
         }
         self.scoped(&QueryOpts::default(), "plan", |s| {
-            s.ctx.plan_only(&q, &mut cands, iter, &mut s.stats)
+            s.ctx.plan_only(&q, &mut cands, iter, derive, &mut s.stats)
         })
         .out
     }
@@ -886,12 +911,16 @@ pub struct RangeResult {
     pub degraded: Option<crate::resilience::Degraded>,
 }
 
-/// The ranking-phase split (`rank_*` of [`StageTimes`]) accumulated between
-/// two readings, as span fields: what one ranking step spent fetching
-/// cuts, on upper bounds, on lower bounds and in the pathnet.
+/// The ranking-phase split (`rank_*` and `fetch_*` of [`StageTimes`])
+/// accumulated between two readings, as span fields: what one ranking
+/// step spent fetching cuts — reading, decoding and deriving — on upper
+/// bounds, on lower bounds and in the pathnet.
 fn rank_phase_fields(before: &StageTimes, after: &StageTimes) -> Vec<sknn_obs::Field> {
     vec![
         field("fetch_us", after.rank_fetch_us - before.rank_fetch_us),
+        field("fetch_read_us", after.fetch_read_us - before.fetch_read_us),
+        field("fetch_decode_us", after.fetch_decode_us - before.fetch_decode_us),
+        field("fetch_derive_us", after.fetch_derive_us - before.fetch_derive_us),
         field("ub_us", after.rank_ub_us - before.rank_ub_us),
         field("lb_us", after.rank_lb_us - before.rank_lb_us),
         field("pathnet_us", after.rank_pathnet_us - before.rank_pathnet_us),

@@ -14,7 +14,7 @@
 
 use crate::bounds::DistRange;
 use crate::config::Mr3Config;
-use crate::metrics::QueryStats;
+use crate::metrics::{QueryStats, StageTimes};
 use crate::regions::{candidate_region, merge_regions, IoGroup};
 use crate::resilience::FaultLog;
 use crate::workload::SurfacePoint;
@@ -284,6 +284,7 @@ struct IterSnapshot {
     stalled_batches: u64,
     ahead_pages: u64,
     ahead_steps: usize,
+    stages: StageTimes,
 }
 
 impl IterSnapshot {
@@ -297,6 +298,7 @@ impl IterSnapshot {
             stalled_batches: pager.stalled_batches(),
             ahead_pages: stats.ahead_pages,
             ahead_steps: stats.ahead_steps,
+            stages: stats.stages,
         }
     }
 }
@@ -588,7 +590,9 @@ impl<'a, 'm> RankingContext<'a, 'm> {
     /// pages of the iteration's batch only its look-ahead asked for —
     /// a radius iteration's include the lines it carried for the ranking
     /// run — and `ahead_steps` the later schedule steps of its own run
-    /// that look-ahead carried.
+    /// that look-ahead carried. `fetch_read_us`, `fetch_decode_us` and
+    /// `fetch_derive_us` are the iteration's share of the three fetch
+    /// clocks of [`StageTimes`].
     #[allow(clippy::too_many_arguments)]
     fn emit_iter(
         &self,
@@ -636,6 +640,15 @@ impl<'a, 'm> RankingContext<'a, 'm> {
                 field("stalls", self.pager.stalled_batches() - snap.stalled_batches),
                 field("ahead_pages", stats.ahead_pages - snap.ahead_pages),
                 field("ahead_steps", stats.ahead_steps - snap.ahead_steps),
+                field("fetch_read_us", stats.stages.fetch_read_us - snap.stages.fetch_read_us),
+                field(
+                    "fetch_decode_us",
+                    stats.stages.fetch_decode_us - snap.stages.fetch_decode_us,
+                ),
+                field(
+                    "fetch_derive_us",
+                    stats.stages.fetch_derive_us - snap.stages.fetch_derive_us,
+                ),
             ],
         );
     }
@@ -651,9 +664,7 @@ impl<'a, 'm> RankingContext<'a, 'm> {
         stats: &mut QueryStats,
     ) {
         let Some((groups, members)) = self.group_iteration(q, cands) else { return };
-        let start = Instant::now();
         let planned = self.plan_iteration(q, cands, &groups, &members, iter, plan, stats);
-        stats.stages.rank_fetch_us += us_since(start);
         let IterationFetch { step, fronts, lines } = match planned {
             Ok(fetch) => fetch,
             Err(e) => {
@@ -666,8 +677,9 @@ impl<'a, 'm> RankingContext<'a, 'm> {
             }
         };
         for ((group, members), front) in groups.iter().zip(&members).zip(fronts) {
-            // The front phase times its derivation into `rank_fetch_us`;
-            // the rest of the group's time is bound computation.
+            // The front phase times its derivation and CSR build into
+            // `rank_fetch_us`; the rest of the group's time is bound
+            // computation.
             let start = Instant::now();
             let fetch_before = stats.stages.rank_fetch_us;
             match step {
@@ -696,16 +708,24 @@ impl<'a, 'm> RankingContext<'a, 'm> {
 
     /// An iteration's grouping and [`plan`](Self::plan_iteration) with
     /// no phase after it: what a ranking iteration pays before its first
-    /// bound. Returns the number of I/O groups.
+    /// bound — and with `derive`, each group's front derivation and CSR
+    /// build too: its whole fetch. Returns the number of I/O groups.
     pub(crate) fn plan_only(
         &self,
         q: &SurfacePoint,
         cands: &mut [Candidate],
         iter: usize,
+        derive: bool,
         stats: &mut QueryStats,
     ) -> StoreResult<usize> {
         let Some((groups, members)) = self.group_iteration(q, cands) else { return Ok(0) };
-        self.plan_iteration(q, cands, &groups, &members, iter, LinePlan::Bands, stats)?;
+        let fetch =
+            self.plan_iteration(q, cands, &groups, &members, iter, LinePlan::Bands, stats)?;
+        if let (true, Some(m)) = (derive, fetch.step) {
+            for front in fetch.fronts {
+                self.derive_front(m, front, stats);
+            }
+        }
         Ok(groups.len())
     }
 
@@ -786,6 +806,8 @@ impl<'a, 'm> RankingContext<'a, 'm> {
     /// failure on a page only the look-ahead asked for drops every
     /// look-ahead load and reads the iteration's own keys alone: only a
     /// failure of its own keys degrades the iteration.
+    ///
+    /// Its wall time goes to `rank_fetch_us`, split by a [`FetchClock`].
     #[allow(clippy::too_many_arguments)]
     fn plan_iteration(
         &self,
@@ -795,6 +817,25 @@ impl<'a, 'm> RankingContext<'a, 'm> {
         members: &[Vec<usize>],
         iter: usize,
         plan: LinePlan,
+        stats: &mut QueryStats,
+    ) -> StoreResult<IterationFetch> {
+        let clock = FetchClock::start(self.pager);
+        let fetch = self.plan_batch(q, cands, groups, members, iter, plan, &clock, stats);
+        clock.stop(self.pager, &mut stats.stages);
+        fetch
+    }
+
+    /// [`plan_iteration`](Self::plan_iteration) under `clock`.
+    #[allow(clippy::too_many_arguments)]
+    fn plan_batch(
+        &self,
+        q: &SurfacePoint,
+        cands: &[Candidate],
+        groups: &[IoGroup],
+        members: &[Vec<usize>],
+        iter: usize,
+        plan: LinePlan,
+        clock: &FetchClock,
         stats: &mut QueryStats,
     ) -> StoreResult<IterationFetch> {
         let with_lb = plan == LinePlan::Bands;
@@ -887,7 +928,7 @@ impl<'a, 'm> RankingContext<'a, 'm> {
             sinks.extend(lines.as_mut().map(|l| l as &mut dyn PageSink));
             sinks.extend(ahead_units.iter_mut().map(|(_, l)| l as &mut dyn PageSink));
             sinks.extend(ahead_lines.iter_mut().map(|(_, l)| l as &mut dyn PageSink));
-            self.pager.read_into(&mut sinks)
+            clock.read(self.pager, sinks)
         };
         if let Err(e) = batch {
             let page = PageId(e.page());
@@ -902,12 +943,14 @@ impl<'a, 'm> RankingContext<'a, 'm> {
             (ahead_units, ahead_lines) = (Vec::new(), Vec::new());
             let mut sinks: Vec<&mut dyn PageSink> = vec![&mut units];
             sinks.extend(lines.as_mut().map(|l| l as &mut dyn PageSink));
-            self.pager.read_into(&mut sinks)?;
+            clock.read(self.pager, sinks)?;
         }
-        units.publish();
-        if let Some(lines) = lines.as_mut() {
-            lines.publish();
-        }
+        clock.decode(self.pager, || {
+            units.publish();
+            if let Some(lines) = lines.as_mut() {
+                lines.publish();
+            }
+        });
         if !ahead_units.is_empty() || !ahead_lines.is_empty() {
             let mut own: Vec<PageId> = units.pages().to_vec();
             own.extend(lines.iter().flat_map(|l| l.pages()));
@@ -916,12 +959,17 @@ impl<'a, 'm> RankingContext<'a, 'm> {
             let ahead = ahead.chain(ahead_lines.iter().flat_map(|(_, a)| a.pages()));
             stats.ahead_pages += ahead.filter(|p| own.binary_search(p).is_err()).count() as u64;
             stats.ahead_steps += carried;
-            ahead_units.iter_mut().for_each(|(_, a)| a.publish());
-            ahead_lines.iter_mut().for_each(|(_, a)| a.publish());
+            clock.decode(self.pager, || {
+                ahead_units.iter_mut().for_each(|(_, a)| a.publish());
+                ahead_lines.iter_mut().for_each(|(_, a)| a.publish());
+            });
             stats.ahead_keys += self.scratch.borrow_mut().ahead.record(&ahead_units, &ahead_lines);
         }
-        let mut units = units.finish(self.pager)?;
-        let mut lines = lines.map(|l| l.finish(self.pager)).transpose()?.unwrap_or_default();
+        let (mut units, mut lines) = clock.decode(self.pager, || {
+            let units = units.finish(self.pager)?;
+            let lines = lines.map(|l| l.finish(self.pager)).transpose()?.unwrap_or_default();
+            StoreResult::Ok((units, lines))
+        })?;
         for &hit in units.iter().map(|(_, hit)| hit).chain(lines.iter().map(|(_, hit)| hit)) {
             count_cut_fetch(stats, hit);
         }
@@ -991,6 +1039,31 @@ impl<'a, 'm> RankingContext<'a, 'm> {
         (band_of, bands)
     }
 
+    /// Make the group's front at step `m` the cached one: derived, with
+    /// its CSR graph, from the units the plan read for the group, or —
+    /// when the plan left it none — the cached front as it is.
+    fn derive_front(
+        &self,
+        m: u32,
+        front: Option<(Rect2, Vec<Arc<FrontUnit>>)>,
+        stats: &mut QueryStats,
+    ) {
+        let Some((roi, units)) = front else {
+            stats.front_cache_hits += 1;
+            return;
+        };
+        let scratch = &mut *self.scratch.borrow_mut();
+        scratch.retire_front();
+        let start = Instant::now();
+        let graph = FrontGraph::derive(self.tree, m, &units, &mut scratch.fetch);
+        let mut csr = std::mem::take(&mut scratch.spare_csr);
+        csr.rebuild_undirected(graph.num_nodes(), &graph.edges);
+        let derive = us_since(start);
+        stats.stages.fetch_derive_us += derive;
+        stats.stages.rank_fetch_us += derive;
+        scratch.front_cache = Some(CachedFront { step: m, roi, graph, csr });
+    }
+
     /// Upper bounds from the DMTM front at step `m`: derived from the units
     /// the plan read for this group, or the cached front when the plan
     /// left the group none.
@@ -1003,19 +1076,8 @@ impl<'a, 'm> RankingContext<'a, 'm> {
         front: Option<(Rect2, Vec<Arc<FrontUnit>>)>,
         stats: &mut QueryStats,
     ) {
+        self.derive_front(m, front, stats);
         let scratch = &mut *self.scratch.borrow_mut();
-        match front {
-            None => stats.front_cache_hits += 1,
-            Some((roi, units)) => {
-                scratch.retire_front();
-                let start = Instant::now();
-                let graph = FrontGraph::derive(self.tree, m, &units, &mut scratch.fetch);
-                stats.stages.rank_fetch_us += us_since(start);
-                let mut csr = std::mem::take(&mut scratch.spare_csr);
-                csr.rebuild_undirected(graph.num_nodes(), &graph.edges);
-                scratch.front_cache = Some(CachedFront { step: m, roi, graph, csr });
-            }
-        }
         let RankScratch { front_cache, masked, shared, .. } = scratch;
         let CachedFront { graph: fg, csr, .. } =
             front_cache.as_ref().expect("derived above, or the cached front the plan counted on");
@@ -1291,6 +1353,88 @@ fn count_cut_fetch(stats: &mut QueryStats, hit: bool) {
 
 fn us_since(start: Instant) -> u64 {
     start.elapsed().as_micros() as u64
+}
+
+/// The clock of one iteration's fetch. Its wall time goes to
+/// `rank_fetch_us` and splits three ways: the pager's stall; the decode —
+/// the loads' feeds, `publish` and `finish`, less any stall inside them —
+/// into `fetch_decode_us`; and the rest, the claims, the plan around them
+/// and [`Pager::read_into`]'s own work, into `fetch_read_us`. A batch that
+/// fed no page decoded nothing: handing out resident keys is read time.
+/// Each part is truncated to whole microseconds once per iteration, and
+/// the read takes the remainder, so `fetch_read_us + fetch_decode_us`
+/// plus the stall's whole microseconds is the iteration's `rank_fetch_us`
+/// exactly.
+struct FetchClock {
+    start: Instant,
+    stall_ns: u64,
+    decode_ns: Cell<u64>,
+    fed: Cell<bool>,
+}
+
+impl FetchClock {
+    fn start(pager: &Pager) -> Self {
+        Self {
+            start: Instant::now(),
+            stall_ns: pager.window_stall_ns(),
+            decode_ns: Cell::new(0),
+            fed: Cell::new(false),
+        }
+    }
+
+    /// One [`Pager::read_into`] of `sinks`, their feeds timed as decode.
+    fn read(&self, pager: &Pager, sinks: Vec<&mut dyn PageSink>) -> StoreResult<()> {
+        if sinks.iter().all(|s| s.pages().is_empty()) {
+            return Ok(());
+        }
+        let mut timed: Vec<TimedSink> =
+            sinks.into_iter().map(|sink| TimedSink { sink, clock: self }).collect();
+        let mut sinks: Vec<&mut dyn PageSink> =
+            timed.iter_mut().map(|t| t as &mut dyn PageSink).collect();
+        pager.read_into(&mut sinks)
+    }
+
+    /// Run `f` as decode work: its wall time less the stall it paid.
+    fn decode<T>(&self, pager: &Pager, f: impl FnOnce() -> T) -> T {
+        if !self.fed.get() {
+            return f();
+        }
+        let (start, stall) = (Instant::now(), pager.window_stall_ns());
+        let out = f();
+        let stalled = pager.window_stall_ns() - stall;
+        let ns = (start.elapsed().as_nanos() as u64).saturating_sub(stalled);
+        self.decode_ns.set(self.decode_ns.get() + ns);
+        out
+    }
+
+    fn stop(self, pager: &Pager, stages: &mut StageTimes) {
+        let wall = us_since(self.start);
+        let unstalled = wall.saturating_sub((pager.window_stall_ns() - self.stall_ns) / 1000);
+        let decode = (self.decode_ns.get() / 1000).min(unstalled);
+        stages.rank_fetch_us += wall;
+        stages.fetch_decode_us += decode;
+        stages.fetch_read_us += unstalled - decode;
+    }
+}
+
+/// A load whose feeds a [`FetchClock`] times.
+struct TimedSink<'s, 'c> {
+    sink: &'s mut dyn PageSink,
+    clock: &'c FetchClock,
+}
+
+impl PageSink for TimedSink<'_, '_> {
+    fn pages(&self) -> &[PageId] {
+        self.sink.pages()
+    }
+
+    fn feed(&mut self, page: PageId, bytes: &[u8]) {
+        let start = Instant::now();
+        self.sink.feed(page, bytes);
+        let ns = &self.clock.decode_ns;
+        ns.set(ns.get() + start.elapsed().as_nanos() as u64);
+        self.clock.fed.set(true);
+    }
 }
 
 fn max_ub(cands: &[Candidate]) -> f64 {

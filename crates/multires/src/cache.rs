@@ -30,7 +30,7 @@
 
 use crate::front::{FetchScratch, FrontGraph, FrontUnit};
 use crate::tree::DmtmTree;
-use crate::units::UnitStore;
+use crate::units::{UnitRead, UnitStore};
 use sknn_geom::{Point2, Rect2};
 use sknn_store::{
     CacheGauges, CacheStats, Claim, PageId, PageSink, Pager, SingleFlightCache, StoreResult,
@@ -278,8 +278,8 @@ impl CutCache {
         }
         let claim = self.inner.claim(&keys);
         let tiles: Vec<u32> = claim.claimed().iter().map(|&i| keys[i].tile).collect();
-        let pages = if tiles.is_empty() { Vec::new() } else { self.store.pages(m, &tiles) };
-        UnitLoad { cache: self, m, keys, first_span, picks, claim, pages, bytes: Vec::new() }
+        let read = self.store.read_units(m, &tiles);
+        UnitLoad { cache: self, m, keys, first_span, picks, claim, read }
     }
 
     /// The front of `tree` at step `m` restricted to `span`, derived from
@@ -350,19 +350,17 @@ pub struct UnitLoad<'c> {
     /// Per span, its units' positions in `keys`, row-major.
     picks: Vec<Vec<usize>>,
     claim: Claim<'c, UnitKey, FrontUnit>,
-    /// The pages of the claimed units, ascending.
-    pages: Vec<PageId>,
-    /// Their bytes back to back, as the read feeds them.
-    bytes: Vec<u8>,
+    /// The read of the claimed units.
+    read: UnitRead,
 }
 
 impl PageSink for UnitLoad<'_> {
     fn pages(&self) -> &[PageId] {
-        &self.pages
+        self.read.pages()
     }
 
-    fn feed(&mut self, _: PageId, bytes: &[u8]) {
-        self.bytes.extend_from_slice(bytes);
+    fn feed(&mut self, page: PageId, bytes: &[u8]) {
+        self.read.feed(page, bytes);
     }
 }
 
@@ -375,12 +373,10 @@ impl UnitLoad<'_> {
         self.keys.iter().enumerate().map(move |(i, k)| (k.tile, claimed.next_if_eq(&&i).is_some()))
     }
 
-    /// Decode the claimed units from the bytes the read fed and publish
-    /// them, waking their waiters.
+    /// Publish the claimed units the read assembled, waking their
+    /// waiters.
     pub fn publish(&mut self) {
-        let tiles: Vec<u32> = self.claim.claimed().iter().map(|&i| self.keys[i].tile).collect();
-        let units = self.cache.store.decode(self.m, &tiles, &self.pages, &self.bytes);
-        self.claim.publish(weighed(units));
+        self.claim.publish(weighed(self.read.finish()));
     }
 
     /// Per span, its units in row-major tile order, and whether this load

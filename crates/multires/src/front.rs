@@ -35,26 +35,87 @@ pub struct FrontGraph {
 /// ids (a coarse node's MBR meets many tiles) but never in space, and any
 /// ROI-restricted front is derivable from the units of the ROI's tiles
 /// alone — see [`FrontGraph::derive`].
-#[derive(Debug, Clone, Default)]
+///
+/// A unit is its stored words, one buffer: `[n, e, ids, offsets, nbr,
+/// dist]` with `n` ids, `n + 1` offsets, `e` neighbours and `e` distances
+/// as low/high word pairs — the [`UnitStore`](crate::UnitStore) encoding
+/// read as `u32`s, so a read is one allocation and one word copy per unit
+/// and the accessors read the fields in place.
+#[derive(Debug, Clone)]
 pub struct FrontUnit {
+    words: Vec<u32>,
+}
+
+impl FrontUnit {
+    /// A unit from the words the unit store wrote.
+    pub(crate) fn from_words(words: Vec<u32>) -> Self {
+        Self { words }
+    }
+
+    /// A unit from its fields, as the unit store would store them.
+    #[cfg(test)]
+    pub(crate) fn from_fields(ids: &[u32], offsets: &[u32], nbr: &[u32], dist: &[f64]) -> Self {
+        let mut words = vec![ids.len() as u32, nbr.len() as u32];
+        words.extend_from_slice(ids);
+        words.extend_from_slice(offsets);
+        words.extend_from_slice(nbr);
+        words.extend(dist.iter().flat_map(|d| [d.to_bits() as u32, (d.to_bits() >> 32) as u32]));
+        Self { words }
+    }
+
+    fn n(&self) -> usize {
+        self.words[0] as usize
+    }
+
+    fn e(&self) -> usize {
+        self.words[1] as usize
+    }
+
     /// Node ids live at the step whose MBR meets the tile, ascending.
-    pub ids: Vec<u32>,
-    /// CSR offsets into `nbr`/`dist`: id `ids[i]` owns entries
-    /// `offsets[i]..offsets[i + 1]` (`ids.len() + 1` offsets).
-    pub offsets: Vec<u32>,
+    pub fn ids(&self) -> &[u32] {
+        &self.words[2..2 + self.n()]
+    }
+
+    /// CSR offsets into [`nbr`](Self::nbr) and [`dist`](Self::dist): id
+    /// `ids()[i]` owns entries `offsets()[i]..offsets()[i + 1]`.
+    pub fn offsets(&self) -> &[u32] {
+        let n = self.n();
+        &self.words[2 + n..3 + 2 * n]
+    }
+
     /// Per id, its recorded neighbours that are live at the step and have
     /// a larger id (the only direction extraction emits an edge from),
     /// ascending by neighbour id, duplicates collapsed to the tighter
     /// record.
-    pub nbr: Vec<u32>,
-    /// Recorded distance of each `nbr` entry.
-    pub dist: Vec<f64>,
-}
+    pub fn nbr(&self) -> &[u32] {
+        let at = 3 + 2 * self.n();
+        &self.words[at..at + self.e()]
+    }
 
-impl FrontUnit {
-    /// Approximate resident bytes (cache weight).
+    /// Recorded distance of entry `k` of [`nbr`](Self::nbr).
+    pub fn dist(&self, k: usize) -> f64 {
+        let at = 3 + 2 * self.n() + self.e() + 2 * k;
+        f64::from_bits(u64::from(self.words[at]) | u64::from(self.words[at + 1]) << 32)
+    }
+
+    /// The entries of id `ids()[pos]`: its `(neighbour, distance)` pairs,
+    /// read in place.
+    pub fn entries(&self, pos: usize) -> impl Iterator<Item = (u32, f64)> + '_ {
+        let (n, e) = (self.n(), self.e());
+        let (a, b) = (self.words[2 + n + pos] as usize, self.words[3 + n + pos] as usize);
+        let nbr = &self.words[3 + 2 * n..][a..b];
+        let dist = &self.words[3 + 2 * n + e..][2 * a..2 * b];
+        nbr.iter()
+            .zip(dist.chunks_exact(2))
+            .map(|(&w, d)| (w, f64::from_bits(u64::from(d[0]) | u64::from(d[1]) << 32)))
+    }
+
+    /// Approximate resident bytes (cache weight): `48 + 4·(2n + 1 + e) +
+    /// 8·e`, a four-array layout's figure, so which unit the cache evicts
+    /// does not depend on how a unit is held.
     pub fn weight(&self) -> usize {
-        48 + (self.ids.len() + self.offsets.len() + self.nbr.len()) * 4 + self.dist.len() * 8
+        let (n, e) = (self.n(), self.e());
+        48 + 4 * (2 * n + 1 + e) + 8 * e
     }
 }
 
@@ -145,7 +206,7 @@ impl FrontGraph {
         let FetchScratch { slots, stamp, bits, .. } = scratch;
         let stamp = *stamp;
         for (u, unit) in units.iter().enumerate() {
-            for (pos, &id) in unit.ids.iter().enumerate() {
+            for (pos, &id) in unit.ids().iter().enumerate() {
                 let slot = &mut slots[id as usize];
                 if slot.stamp != stamp {
                     *slot = Slot { stamp, local: 0, unit: u as u32, pos: pos as u32 };
@@ -168,12 +229,10 @@ impl FrontGraph {
         edges.clear();
         for (local, &id) in ids.iter().enumerate() {
             let slot = slots[id as usize];
-            let unit = &units[slot.unit as usize];
-            let (a, b) = (unit.offsets[slot.pos as usize], unit.offsets[slot.pos as usize + 1]);
-            for k in a as usize..b as usize {
-                let w = slots[unit.nbr[k] as usize];
+            for (w, d) in units[slot.unit as usize].entries(slot.pos as usize) {
+                let w = slots[w as usize];
                 if w.stamp == stamp {
-                    edges.push((local as u32, w.local, unit.dist[k]));
+                    edges.push((local as u32, w.local, d));
                 }
             }
         }

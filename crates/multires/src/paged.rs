@@ -183,7 +183,7 @@ impl PagedDmtm {
         for (u, &t) in tiles.iter().enumerate() {
             unit_of_tile[t as usize] = u as u32;
         }
-        let mut units = vec![FrontUnit::default(); tiles.len()];
+        let mut unit_ids: Vec<Vec<u32>> = vec![Vec::new(); tiles.len()];
         // (storage key, node id) of every node some requested tile holds.
         let mut order: Vec<(u64, u32)> = Vec::new();
         for id in (0..self.tree.nodes().len() as u32).filter(|&id| self.tree.live_at(id, m)) {
@@ -193,7 +193,7 @@ impl PagedDmtm {
                 for x in xs.clone() {
                     let u = unit_of_tile[y * side + x];
                     if u != u32::MAX {
-                        units[u as usize].ids.push(id);
+                        unit_ids[u as usize].push(id);
                         wanted = true;
                     }
                 }
@@ -220,16 +220,20 @@ impl PagedDmtm {
             adj.insert(id, one);
         })?;
         assert_eq!(found, order.len(), "node payload missing");
-        for unit in &mut units {
-            unit.offsets.push(0);
-            for &id in &unit.ids {
-                for &(w, d) in &adj[&id] {
-                    unit.nbr.push(w);
-                    unit.dist.push(d);
+        let units = unit_ids
+            .iter()
+            .map(|ids| {
+                let (mut offsets, mut nbr, mut dist) = (vec![0], Vec::new(), Vec::new());
+                for &id in ids {
+                    for &(w, d) in &adj[&id] {
+                        nbr.push(w);
+                        dist.push(d);
+                    }
+                    offsets.push(nbr.len() as u32);
                 }
-                unit.offsets.push(unit.nbr.len() as u32);
-            }
-        }
+                FrontUnit::from_fields(ids, &offsets, &nbr, &dist)
+            })
+            .collect();
         Ok(units)
     }
 }

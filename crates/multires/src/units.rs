@@ -9,9 +9,10 @@
 //! idea of storing a LOD's data where that LOD is read, at the granularity
 //! the cache keys by. The resident directory is, per step, the run's
 //! first page and each tile's byte range (2 KB at 16² tiles). A load of any
-//! set of tiles is then one [`Pager::with_pages`] over the pages of their
-//! byte ranges and a decode: no B+-tree walk, no liveness filter, no sort,
-//! no dedup and no tile placement on the query path.
+//! set of tiles is then one batched read of the pages of their byte ranges
+//! (`UnitRead`), each unit's words copied straight out of its pages: no
+//! B+-tree walk, no liveness filter, no sort, no dedup and no tile
+//! placement on the query path.
 //!
 //! ## Encoding
 //!
@@ -23,7 +24,7 @@
 use crate::cache::CutGrid;
 use crate::front::FrontUnit;
 use crate::tree::DmtmTree;
-use sknn_store::{PageId, Pager, StoreResult, PAGE_SIZE};
+use sknn_store::{PageId, PageSink, Pager, StoreResult, PAGE_SIZE};
 
 /// One step's run: its first page and, per tile in row-major order, where
 /// the tile's unit starts (`tiles + 1` byte offsets, so tile `t` is
@@ -102,29 +103,82 @@ impl UnitStore {
     ///
     /// Panics when `m` is not a stored step.
     pub fn read(&self, pager: &Pager, m: u32, tiles: &[u32]) -> StoreResult<Vec<FrontUnit>> {
-        let pages = self.pages(m, tiles);
-        let mut buf = Vec::with_capacity(pages.len() * PAGE_SIZE);
-        pager.with_pages(&pages, |_, bytes| buf.extend_from_slice(bytes))?;
-        Ok(self.decode(m, tiles, &pages, &buf))
+        let mut read = self.read_units(m, tiles);
+        pager.read_into(&mut [&mut read])?;
+        Ok(read.finish())
     }
 
-    /// The units of `tiles` at step `m`, in `tiles` order, decoded from
-    /// `bytes`: the bytes of `pages` — [`pages`](Self::pages) of a set of
-    /// tiles holding `tiles` — back to back.
-    pub fn decode(&self, m: u32, tiles: &[u32], pages: &[PageId], bytes: &[u8]) -> Vec<FrontUnit> {
+    /// A planned [`read`](Self::read) of `tiles` at step `m`, for the
+    /// caller to batch: its [`pages`](PageSink::pages) are
+    /// [`pages`](Self::pages) of `tiles`.
+    pub(crate) fn read_units(&self, m: u32, tiles: &[u32]) -> UnitRead {
+        if tiles.is_empty() {
+            return UnitRead::default();
+        }
         let run = self.run(m);
-        // A unit's pages are consecutive in the run and all in `pages`, so
-        // its bytes are contiguous in `bytes`.
-        tiles
-            .iter()
-            .map(|&t| {
-                let (a, b) = (run.offsets[t as usize], run.offsets[t as usize + 1]);
-                let page = PageId(run.first.0 + (a / PAGE_SIZE) as u64);
-                let at = pages.binary_search(&page).expect("page of a claimed tile") * PAGE_SIZE
-                    + a % PAGE_SIZE;
-                decode(&bytes[at..at + (b - a)])
-            })
-            .collect()
+        let ranges: Vec<(usize, usize)> =
+            tiles.iter().map(|&t| (run.offsets[t as usize], run.offsets[t as usize + 1])).collect();
+        let mut order: Vec<usize> = (0..ranges.len()).collect();
+        order.sort_by_key(|&u| ranges[u].0);
+        let words = vec![Vec::new(); ranges.len()];
+        UnitRead { first: run.first.0, pages: self.pages(m, tiles), ranges, order, next: 0, words }
+    }
+}
+
+/// A planned read of one step's units ([`UnitStore::read_units`]): fed
+/// its pages in ascending order, it copies each unit's words straight out
+/// of them, and [`finish`](Self::finish) hands the units out in the order
+/// asked.
+#[derive(Debug, Default)]
+pub(crate) struct UnitRead {
+    /// The step run's first page.
+    first: u64,
+    pages: Vec<PageId>,
+    /// Per unit asked for, its byte range in the run.
+    ranges: Vec<(usize, usize)>,
+    /// The positions of `ranges`, by range start.
+    order: Vec<usize>,
+    /// The first position of `order` whose unit may still have bytes to
+    /// come.
+    next: usize,
+    words: Vec<Vec<u32>>,
+}
+
+impl PageSink for UnitRead {
+    fn pages(&self) -> &[PageId] {
+        &self.pages
+    }
+
+    /// A unit's bytes are contiguous in the run and all its pages are
+    /// read, and every stored word is 4-aligned in the run (a unit's size
+    /// is a multiple of 4), so the page's share of each unit it holds is
+    /// whole words, appended in page order.
+    fn feed(&mut self, page: PageId, bytes: &[u8]) {
+        let from = (page.0 - self.first) as usize * PAGE_SIZE;
+        let to = from + PAGE_SIZE;
+        for &u in &self.order[self.next..] {
+            let (a, b) = self.ranges[u];
+            if a >= to {
+                break;
+            }
+            let share = &bytes[a.max(from) - from..b.min(to) - from];
+            let words = &mut self.words[u];
+            // The unit's one allocation, at its first page.
+            words.reserve_exact((b - a) / 4 - words.len());
+            words.extend(
+                share.chunks_exact(4).map(|w| u32::from_le_bytes(w.try_into().expect("4 bytes"))),
+            );
+        }
+        while self.order.get(self.next).is_some_and(|&u| self.ranges[u].1 <= to) {
+            self.next += 1;
+        }
+    }
+}
+
+impl UnitRead {
+    /// The units asked for, in the order asked, once every page was fed.
+    pub(crate) fn finish(&mut self) -> Vec<FrontUnit> {
+        std::mem::take(&mut self.words).into_iter().map(FrontUnit::from_words).collect()
     }
 }
 
@@ -182,27 +236,6 @@ fn encode_step(tree: &DmtmTree, grid: &CutGrid, m: u32) -> (Vec<u8>, Vec<usize>)
     (bytes, offsets)
 }
 
-/// One unit from its encoded bytes.
-fn decode(bytes: &[u8]) -> FrontUnit {
-    let words = |from: usize, n: usize| -> Vec<u32> {
-        bytes[from..from + 4 * n]
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
-            .collect()
-    };
-    let head = words(0, 2);
-    let (n, e) = (head[0] as usize, head[1] as usize);
-    let ids = words(8, n);
-    let offsets = words(8 + 4 * n, n + 1);
-    let at = 8 + 4 * (2 * n + 1);
-    let nbr = words(at, e);
-    let dist = bytes[at + 4 * e..at + 12 * e]
-        .chunks_exact(8)
-        .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
-        .collect();
-    FrontUnit { ids, offsets, nbr, dist }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -232,8 +265,8 @@ mod tests {
         units
             .iter()
             .map(|u| {
-                let dist = u.dist.iter().map(|d| d.to_bits()).collect();
-                (u.ids.clone(), u.offsets.clone(), u.nbr.clone(), dist)
+                let dist = (0..u.nbr().len()).map(|k| u.dist(k).to_bits()).collect();
+                (u.ids().to_vec(), u.offsets().to_vec(), u.nbr().to_vec(), dist)
             })
             .collect()
     }
@@ -252,6 +285,30 @@ mod tests {
         assert_eq!(fine.len() + coarse.len(), pager.num_pages(), "the two runs are all the pages");
         assert!(coarse.len() < fine.len(), "a coarser step stores fewer bytes");
         assert!(fine.windows(2).all(|w| w[1].0 == w[0].0 + 1), "a step's run is contiguous");
+    }
+
+    /// A unit weighs what four separate arrays of its fields would —
+    /// `48 + 4·(2n + 1 + e) + 8·e` for `n` ids and `e` entries — so no
+    /// eviction depends on how a resident unit is held; and its fields
+    /// are exactly its stored bytes.
+    #[test]
+    fn unit_weight_is_unchanged() {
+        let (tree, extent) = shared_tree();
+        let grid = CutGrid::new(*extent, 16, 0.5);
+        let pager = Pager::new(64);
+        let steps =
+            [0, tree.step_for_fraction(0.25), tree.step_for_fraction(0.5), tree.num_steps()];
+        let store = UnitStore::build(&pager, tree, grid, &steps);
+        let all: Vec<u32> = grid.full_span().tiles(16).collect();
+        for run in &store.runs {
+            for (&t, unit) in all.iter().zip(store.read(&pager, run.step, &all).unwrap()) {
+                let (n, e) = (unit.ids().len(), unit.nbr().len());
+                assert_eq!(unit.offsets().len(), n + 1);
+                let stored = run.offsets[t as usize + 1] - run.offsets[t as usize];
+                assert_eq!(stored, 8 + 4 * (2 * n + 1) + 12 * e, "step {} tile {t}", run.step);
+                assert_eq!(unit.weight(), 48 + 4 * (2 * n + 1 + e) + 8 * e);
+            }
+        }
     }
 
     #[test]
@@ -345,11 +402,11 @@ mod tests {
             unit_bits(&got),
             unit_bits(&oracle.load_units(&oracle_pager, &grid, m, &all).unwrap())
         );
-        let holder = got.iter().find(|u| u.ids.contains(&id)).expect("a tile holds the node");
-        let pos = holder.ids.iter().position(|&i| i == id).unwrap();
-        let own = holder.offsets[pos] as usize..holder.offsets[pos + 1] as usize;
+        let holder = got.iter().find(|u| u.ids().contains(&id)).expect("a tile holds the node");
+        let pos = holder.ids().iter().position(|&i| i == id).unwrap();
+        let own = holder.offsets()[pos] as usize..holder.offsets()[pos + 1] as usize;
         let entries: Vec<(u32, f64)> =
-            own.map(|k| (holder.nbr[k], holder.dist[k])).filter(|e| e.0 == w).collect();
+            own.map(|k| (holder.nbr()[k], holder.dist(k))).filter(|e| e.0 == w).collect();
         assert_eq!(entries, vec![(w, d / 2.0)]);
     }
 

@@ -13,12 +13,15 @@
 //! * `{"t":"event","name":"iter","phase":"rank","i":…,"dmtm_frac":…,
 //!   "msdn_level":…,"alive":…,"kth_ub":…,"next_lb":…,"resolve_lb":…,
 //!   "resolved":…,"ub_est":…,"lb_est":…,"dummy_lb":…,"settled":…,
-//!   "pages":…,"stalls":…,"ahead_pages":…,"ahead_steps":…}` — one per
+//!   "pages":…,"stalls":…,"ahead_pages":…,"ahead_steps":…,
+//!   "fetch_read_us":…,"fetch_decode_us":…,"fetch_derive_us":…}` — one per
 //!   ranking iteration (phase `radius` for step 2, `rank` for step 4,
 //!   `range` for surface range queries; `stalls` = read batches that paid
 //!   the disk stall; `ahead_pages` = pages of the batch only its
 //!   look-ahead asked for; `ahead_steps` = later schedule steps that
-//!   look-ahead carried);
+//!   look-ahead carried; the `fetch_*` clocks = the iteration's cut fetch
+//!   less its stall, split into the read, the loads' decode and the front
+//!   derivation);
 //! * `{"t":"event","name":"io","structure":"dmtm","logical":…,
 //!   "physical":…,"hits":…,"evictions":…}` — per-structure page
 //!   attribution, plus a `{"t":"event","name":"pool","hit_rate":…,
@@ -100,6 +103,15 @@ pub struct IterEvent {
     /// unbounded (a run's first iteration), the rest of the schedule once
     /// all are bounded.
     pub ahead_steps: u64,
+    /// Microseconds of this iteration's fetch in the claims, the plan and
+    /// the batched read, stall excluded.
+    pub fetch_read_us: u64,
+    /// Microseconds of this iteration's fetch decoding and publishing the
+    /// loaded units and lines.
+    pub fetch_decode_us: u64,
+    /// Microseconds of this iteration's fetch deriving fronts and their
+    /// CSR graphs.
+    pub fetch_derive_us: u64,
 }
 
 impl QueryTrace {
@@ -145,6 +157,9 @@ impl QueryTrace {
                 stalls: r.get_u64("stalls").unwrap_or(0),
                 ahead_pages: r.get_u64("ahead_pages").unwrap_or(0),
                 ahead_steps: r.get_u64("ahead_steps").unwrap_or(0),
+                fetch_read_us: r.get_u64("fetch_read_us").unwrap_or(0),
+                fetch_decode_us: r.get_u64("fetch_decode_us").unwrap_or(0),
+                fetch_derive_us: r.get_u64("fetch_derive_us").unwrap_or(0),
             })
             .collect()
     }

@@ -160,25 +160,36 @@ impl<'c, K: Hash + Eq + Clone, V> Claim<'c, K, V> {
     }
 
     /// Publish the claimed keys' `(value, weight)`, in
-    /// [`claimed`](Self::claimed) order, and wake their waiters.
+    /// [`claimed`](Self::claimed) order, and wake their waiters: one lock
+    /// and one wake per touched shard, each shard's keys inserted in
+    /// claimed order — the CLOCK ring and eviction sequence a key-by-key
+    /// publish would leave.
     pub fn publish(&mut self, loaded: Vec<(V, usize)>) {
         let n = self.latched.len();
         assert_eq!(loaded.len(), n, "one value per claimed key");
         let cache = self.cache;
+        let mut entries = Vec::with_capacity(n);
         for ((key, s), (&i, (value, weight))) in
             self.latched.drain(..).zip(self.claimed.iter().zip(loaded))
         {
             let value = Arc::new(value);
+            self.values[i] = Some(value.clone());
+            entries.push((s, key, value, weight));
+        }
+        // Stable, so each shard's keys keep their claimed order.
+        entries.sort_by_key(|e| e.0);
+        let mut entries = entries.into_iter().peekable();
+        while let Some(&(s, ..)) = entries.peek() {
             let shard = &cache.shards[s];
             let mut st = lock_recover(&shard.state);
-            cache.evict_for(&mut st, weight);
-            st.map
-                .insert(key.clone(), Entry::Resident { value: value.clone(), weight, warm: true });
-            st.ring.push(key);
-            st.weight += weight;
+            while let Some((_, key, value, weight)) = entries.next_if(|e| e.0 == s) {
+                cache.evict_for(&mut st, weight);
+                st.map.insert(key.clone(), Entry::Resident { value, weight, warm: true });
+                st.ring.push(key);
+                st.weight += weight;
+            }
             drop(st);
             shard.done.notify_all();
-            self.values[i] = Some(value);
         }
         if n > 0 {
             cache.misses.fetch_add(n as u64, Relaxed);
@@ -824,6 +835,48 @@ mod tests {
         let s = c.stats();
         assert_eq!((s.failed_loads, s.misses), (1, 1), "{s:?}");
         assert_eq!((c.len(), c.gauges().loading, c.loads_in_flight()), (1, 0, 0));
+    }
+
+    /// One claim latches a key on every shard, a waiter blocks on each,
+    /// and a single publish — one wake per shard — hands every waiter the
+    /// published value.
+    #[test]
+    fn one_publish_wakes_waiters_on_every_shard() {
+        let c = cache(4096);
+        let mut keys: Vec<u64> = Vec::new();
+        for k in 0..1024u64 {
+            if keys.iter().all(|&o| c.shard_index(&o) != c.shard_index(&k)) {
+                keys.push(k);
+            }
+        }
+        assert_eq!(keys.len(), CACHE_SHARDS, "a key on every shard");
+        let mut claim = c.claim(&keys);
+        assert_eq!(claim.claimed().len(), CACHE_SHARDS);
+        std::thread::scope(|s| {
+            let waiters: Vec<_> = keys
+                .iter()
+                .map(|&k| {
+                    let c = &c;
+                    s.spawn(move || {
+                        c.get_many(&[k], |_| Err::<Vec<(u64, usize)>, _>("a waiter loaded"))
+                            .unwrap()
+                    })
+                })
+                .collect();
+            // Every waiter has found its key Loading.
+            while c.stats().singleflight_waits < CACHE_SHARDS as u64 {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            claim.publish(keys.iter().map(|&k| (k * 10, 8)).collect());
+            for (&k, waiter) in keys.iter().zip(waiters) {
+                let out = waiter.join().unwrap();
+                assert!(out.hit, "key {k} arrived through the publish");
+                assert_eq!(*out.values[0], k * 10);
+            }
+        });
+        let s = c.stats();
+        assert_eq!((s.misses, s.failed_loads), (CACHE_SHARDS as u64, 0), "{s:?}");
+        assert_eq!((c.len(), c.gauges().loading, c.loads_in_flight()), (CACHE_SHARDS, 0, 0));
     }
 
     #[test]

@@ -572,7 +572,7 @@ impl Pager {
     /// The part of [`stall_ns`](Self::stall_ns) this thread spent since its
     /// last [`reset_stats`](Self::reset_stats): its own stall alone.
     pub fn window_stall_ns(&self) -> u64 {
-        self.window()[STALL_NS]
+        self.with_window(|row| row[STALL_NS])
     }
 
     /// Install (or with `None` remove) the deterministic fault source

@@ -261,9 +261,12 @@ fn main() {
                     answered.iter().map(f).sum::<u64>() / answered.len() as u64
                 };
                 println!(
-                    "ranking phases (mean us/query): cut fetch {}, upper bounds {}, \
-                     lower bounds {}, pathnet {}",
+                    "ranking phases (mean us/query): cut fetch {} (read {}, decode {}, \
+                     derive {}), upper bounds {}, lower bounds {}, pathnet {}",
                     mean(|s| s.rank_fetch_us),
+                    mean(|s| s.fetch_read_us),
+                    mean(|s| s.fetch_decode_us),
+                    mean(|s| s.fetch_derive_us),
                     mean(|s| s.rank_ub_us),
                     mean(|s| s.rank_lb_us),
                     mean(|s| s.rank_pathnet_us),

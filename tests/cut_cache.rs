@@ -33,6 +33,9 @@
 //! * **Warm means resident** — with the default budget a repeated query
 //!   pool reads no page and evicts nothing on its second pass, in a
 //!   fraction of the memory rectangle-keyed cuts needed.
+//! * **The fetch clocks add up** — a cold query's read, decode and derive
+//!   clocks plus its stall make up its cut-fetch time, and a query whose
+//!   keys are all resident decodes nothing.
 
 use proptest::prelude::*;
 use std::sync::mpsc;
@@ -631,6 +634,50 @@ fn a_cold_iteration_pays_one_stall() {
             r.stats.iterations
         );
         assert!(batches > 0, "a cold query reads pages");
+    }
+}
+
+/// The cut fetch's three clocks and the query's stall make up its wall
+/// clock: on a cold query `fetch_read_us + fetch_decode_us +
+/// fetch_derive_us` plus the pager stall equals `rank_fetch_us` within
+/// the one microsecond each iteration's truncation may lose, and the
+/// `iter` events' clocks sum to the query's. A query whose keys are all
+/// resident decodes nothing.
+#[test]
+fn the_fetch_clocks_add_up_to_the_fetch() {
+    const STALL: Duration = Duration::from_micros(500);
+    let mesh = TerrainConfig::bh().with_grid(33).build_mesh(17);
+    let scene = SceneBuilder::new(&mesh).object_count(30).seed(5).build();
+    let mut engine = Mr3Engine::build(&mesh, &scene, &Mr3Config::default());
+    engine.enable_tracing();
+    engine.pager().set_read_stall(STALL);
+    let pool = scene.random_queries(6, 3);
+    for &q in &pool {
+        let r = engine.try_query(q, 5).unwrap();
+        // Pager stats are reset at query start: the query's own stall.
+        let stall_ns = engine.pager().window_stall_ns();
+        assert!(stall_ns > 0, "a cold query stalls");
+        let s = r.stats.stages;
+        assert!(s.fetch_decode_us > 0 && s.fetch_derive_us > 0, "{s:?}");
+        let parts = (s.fetch_read_us + s.fetch_decode_us + s.fetch_derive_us) as f64;
+        let gap = parts + stall_ns as f64 / 1e3 - s.rank_fetch_us as f64;
+        assert!(gap.abs() <= r.stats.iterations as f64, "{gap} us over {s:?}, {stall_ns} ns");
+        let iters = r.trace.expect("traced").iter_events();
+        let sum = |f: fn(&IterEvent) -> u64| iters.iter().map(f).sum::<u64>();
+        assert_eq!(sum(|e| e.fetch_read_us), s.fetch_read_us);
+        assert_eq!(sum(|e| e.fetch_decode_us), s.fetch_decode_us);
+        assert_eq!(sum(|e| e.fetch_derive_us), s.fetch_derive_us);
+    }
+
+    engine.pager().set_read_stall(Duration::ZERO);
+    engine.cold_cache = false;
+    for &q in &pool {
+        engine.try_query(q, 5).unwrap();
+        let r = engine.try_query(q, 5).unwrap();
+        let reads = engine.pager().stats().physical_reads;
+        assert_eq!((reads, r.stats.cut_cache_misses), (0, 0), "every key resident");
+        assert_eq!(r.stats.stages.fetch_decode_us, 0, "{:?}", r.stats.stages);
+        assert!(r.stats.stages.fetch_derive_us > 0, "a resident front is still derived");
     }
 }
 
