@@ -232,7 +232,6 @@ impl<'s, 'm> Mr3Engine<'s, 'm> {
                 field("logical", self.pager.stats().logical_reads),
                 field("physical", self.pager.stats().physical_reads),
                 field("coalesced", conc.coalesced_misses),
-                field("sf_waits", conc.singleflight_waits),
                 field("contention", conc.shard_contention),
                 field("stalled_batches", self.pager.stalled_batches()),
                 field("shards", self.pager.num_shards() as u64),

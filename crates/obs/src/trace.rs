@@ -25,13 +25,12 @@
 //! * `{"t":"event","name":"io","structure":"dmtm","logical":…,
 //!   "physical":…,"hits":…,"evictions":…}` — per-structure page
 //!   attribution, plus a `{"t":"event","name":"pool","hit_rate":…,
-//!   "evictions":…,"logical":…,"physical":…,"coalesced":…,"sf_waits":…,
+//!   "evictions":…,"logical":…,"physical":…,"coalesced":…,
 //!   "contention":…,"stalled_batches":…,"shards":…}` buffer-pool roll-up
 //!   (`stalled_batches` as `stalls`, over the query; `coalesced` =
-//!   misses served without their own stall — single-flight waiters and
-//!   batched-read members; `sf_waits` = waits on another thread's
-//!   in-flight read; `contention` = shard-lock acquisitions that would
-//!   have blocked).
+//!   misses served without their own stall — a read batch's served
+//!   misses beyond its first; `contention` = shard-lock acquisitions that
+//!   would have blocked).
 
 use crate::hist::LogHistogram;
 use crate::record::{Record, RecordKind};
@@ -246,13 +245,10 @@ impl QueryTrace {
                     r.get_u64("evictions").unwrap_or(0),
                 ));
                 // Concurrency counters (absent in traces from older
-                // engines): batched/overlapped misses, single-flight
-                // waits, shard-lock contention.
+                // engines): batched/overlapped misses, shard-lock
+                // contention.
                 if let Some(coalesced) = r.get_u64("coalesced") {
                     out.push_str(&format!(", {coalesced} coalesced misses"));
-                }
-                if let Some(waits) = r.get_u64("sf_waits") {
-                    out.push_str(&format!(", {waits} single-flight waits"));
                 }
                 if let Some(contention) = r.get_u64("contention") {
                     out.push_str(&format!(
@@ -333,7 +329,6 @@ mod tests {
                         field("hit_rate", 0.43),
                         field("evictions", 2u64),
                         field("coalesced", 4u64),
-                        field("sf_waits", 1u64),
                         field("contention", 0u64),
                         field("shards", 8u64),
                     ],
@@ -382,7 +377,6 @@ mod tests {
         assert!(s.contains("dmtm"));
         assert!(s.contains("hit rate"));
         assert!(s.contains("4 coalesced misses"));
-        assert!(s.contains("1 single-flight waits"));
         assert!(s.contains("contended shard locks"));
     }
 

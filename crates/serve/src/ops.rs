@@ -3,7 +3,7 @@
 //! ([`Service::serve`](crate::edge::Service::serve)); nothing a query
 //! computes is shared with the queries running beside it, so nothing
 //! waits for them either — what concurrent queries do share (the cut
-//! cache, the pager's single-flight reads) they share inside the engine,
+//! cache, the pager's buffer pool) they share inside the engine,
 //! whoever runs next to whom.
 //!
 //! Each job carries two clocks from the same monotonic source, `enqueued`

@@ -90,9 +90,6 @@ const ENGINE_ROWS: &[(&str, MetricKind, &str, EngineRead)] = &[
         |e| e.pager().lifetime_stats().logical_reads as f64),
     ("sknn_store_physical_reads_total", Counter, "Buffer-pool misses fetched from disk",
         |e| e.pager().lifetime_stats().physical_reads as f64),
-    ("sknn_store_singleflight_waits_total", Counter,
-        "Threads that waited on another's in-flight read",
-        |e| e.pager().lifetime_concurrency_stats().singleflight_waits as f64),
     ("sknn_store_coalesced_misses_total", Counter, "Misses that did not pay their own stall",
         |e| e.pager().lifetime_concurrency_stats().coalesced_misses as f64),
     ("sknn_store_shard_contention_total", Counter,

@@ -13,8 +13,7 @@ pub type StoreResult<T> = Result<T, StoreError>;
 /// A failure on the physical read path.
 ///
 /// The variants carry the page so errors stay attributable; they are
-/// `Clone + Eq` so a single-flight leader's error can be compared and
-/// reported by every coalesced reader.
+/// `Copy + Eq` so a caller can report and compare them freely.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StoreError {
     /// The page read back does not match the checksum recorded when it was

@@ -3,20 +3,23 @@
 //! A [`FaultInjector`] is installed on a [`Pager`](crate::Pager) and
 //! consulted once per physical read *attempt* (initial read or retry),
 //! and handed to the object store to be consulted once per WAL fsync.
-//! Every decision is a pure function of the injector's seed, the
-//! page id, and the operation's cumulative attempt number — never of
-//! wall-clock time or thread scheduling — so a failing run is reproducible
-//! from its `seed:rate:kind` profile alone, at any thread count.
+//! Every decision is a pure function of the injector's seed, the page id,
+//! the page's cumulative attempt number and the read's own attempt number
+//! — never of wall-clock time — so a failing run is reproducible from its
+//! `seed:rate:kind` profile alone. (Under concurrency, which read meets
+//! which of a page's draws depends on the interleaving; the recovery
+//! bound below does not.)
 //!
 //! Two ways to drive it:
 //!
 //! * **Profiles** ([`FaultProfile`], parsed from `seed:rate:kind`): every
 //!   attempt faults with probability `rate`, decided by a seeded hash.
-//!   Rate-driven *transient* and *bit-flip* read faults are guaranteed to
-//!   clear by a page's next attempt-multiple-of-three, so any read
-//!   sequence succeeds within three attempts — a fault that never clears
-//!   is not transient. Use `permanent` to model faults that stick. The
-//!   write kind (`fsync`) fires on WAL fsyncs only.
+//!   Rate-driven *transient* and *bit-flip* read faults never fire on a
+//!   read's own third attempt (nor any later multiple of three), so every
+//!   read succeeds within three attempts, whatever other reads of the same
+//!   page do meanwhile — a fault that never clears is not transient. Use
+//!   `permanent` to model faults that stick. The write kind (`fsync`)
+//!   fires on WAL fsyncs only.
 //! * **Scripts** ([`FaultInjector::script`] plus `fail_nth_read` /
 //!   `fail_page` / `fail_nth_fsync` / `kill_at_lsn` rules): exact
 //!   schedules for deterministic tests — *these* can exhaust the retry
@@ -40,8 +43,8 @@ pub enum FaultKind {
     BitFlip,
     /// The read succeeds but takes extra wall-clock time (slow sector).
     Latency,
-    /// The reading thread panics mid-read — exercises the single-flight
-    /// lease's panic guard. Only sensible from test scripts.
+    /// The reading thread panics mid-read — pins that a panicking reader
+    /// leaves the pager usable. Only sensible from test scripts.
     Panic,
     /// A WAL fsync fails: no pending log byte becomes durable and the
     /// committing operation must abort (the commit record is withdrawn).
@@ -181,8 +184,8 @@ pub struct FaultInjector {
     /// Extra wall-clock charged by `Latency` faults.
     latency: Duration,
     rules: Mutex<Vec<FaultRule>>,
-    /// Cumulative read attempts per page — the deterministic "time" axis
-    /// of rate decisions. Interleaving cannot reorder one page's attempts.
+    /// Cumulative read attempts per page — the hash's "time" axis, so
+    /// repeated reads of one page draw fresh decisions.
     attempts: Mutex<HashMap<u64, u64>>,
     /// Global attempt counter driving `NthRead` rules.
     reads: Mutex<u64>,
@@ -200,7 +203,7 @@ impl FaultInjector {
     }
 
     /// Rate-driven injector: each attempt faults with probability `rate`,
-    /// decided by `splitmix64(seed, page, attempt)`.
+    /// decided by `splitmix64(seed, page, the page's cumulative attempt)`.
     pub fn seeded(seed: u64, rate: f64, kind: FaultKind) -> Self {
         Self {
             seed,
@@ -257,9 +260,11 @@ impl FaultInjector {
         self.latency
     }
 
-    /// Decide the fate of one physical read attempt of `page`. Advances
-    /// the page's attempt counter; `None` means the attempt succeeds.
-    pub fn decide(&self, page: u64) -> Option<FaultKind> {
+    /// Decide the fate of one physical read attempt of `page`;
+    /// `read_attempt` is the attempt's number within its own read
+    /// (1-based). Advances the page's attempt counter; `None` means the
+    /// attempt succeeds.
+    pub fn decide(&self, page: u64, read_attempt: u32) -> Option<FaultKind> {
         let read_no = {
             let mut reads = self.reads.lock().unwrap_or_else(|e| e.into_inner());
             *reads += 1;
@@ -299,13 +304,14 @@ impl FaultInjector {
         if self.rate <= 0.0 || self.kind.is_write_side() {
             return None;
         }
-        // Rate-driven transient faults always clear on a page's
-        // attempt-multiples-of-three, bounding any run of consecutive
-        // faults at two — so a read under the default retry budget (3)
-        // always succeeds eventually. Permanent faults have no such
-        // escape: they model errors that stick.
+        // Rate-driven transient faults always clear on a read's own
+        // attempt-multiples-of-three, bounding any run of one read's
+        // consecutive faults at two — so a read under the default retry
+        // budget (3) always succeeds, however the attempts of concurrent
+        // reads of the page interleave with its own. Permanent faults
+        // have no such escape: they model errors that stick.
         let recoverable = matches!(self.kind, FaultKind::Transient | FaultKind::BitFlip);
-        if recoverable && attempt % 3 == 0 {
+        if recoverable && read_attempt.is_multiple_of(3) {
             return None;
         }
         let h =
@@ -392,7 +398,7 @@ mod tests {
     fn decisions_are_deterministic_and_seed_dependent() {
         let roll = |seed: u64| -> Vec<bool> {
             let inj = FaultInjector::seeded(seed, 0.5, FaultKind::Transient);
-            (0..64).map(|p| inj.decide(p % 8).is_some()).collect()
+            (0..64).map(|p| inj.decide(p % 8, 1).is_some()).collect()
         };
         assert_eq!(roll(1), roll(1), "same seed, same schedule");
         assert_ne!(roll(1), roll(2), "different seeds diverge");
@@ -400,23 +406,34 @@ mod tests {
 
     #[test]
     fn transient_rate_faults_always_clear_within_three_attempts() {
-        // Even at rate 1.0 a page's read sequence must reach a clean
-        // attempt within three tries.
+        // Even at rate 1.0 every read must reach a clean attempt within
+        // three tries.
         let inj = FaultInjector::seeded(9, 1.0, FaultKind::Transient);
         for page in 0..32u64 {
-            let mut cleared = false;
-            for _ in 0..3 {
-                if inj.decide(page).is_none() {
-                    cleared = true;
-                    break;
-                }
-            }
+            let cleared = (1..=3).any(|attempt| inj.decide(page, attempt).is_none());
             assert!(cleared, "page {page} never cleared");
         }
         // Permanent faults at rate 1.0 never clear.
         let inj = FaultInjector::seeded(9, 1.0, FaultKind::Permanent);
-        for _ in 0..8 {
-            assert_eq!(inj.decide(3), Some(FaultKind::Permanent));
+        for attempt in 1..=8 {
+            assert_eq!(inj.decide(3, attempt), Some(FaultKind::Permanent));
+        }
+    }
+
+    /// The escape belongs to the read, not to the page: two reads of one
+    /// page whose attempts interleave (A1 A2 B1 B2 A3 B3) each clear on
+    /// their own third attempt, though the page's cumulative count is then
+    /// 5 and 6.
+    #[test]
+    fn a_reads_third_attempt_is_clean_whatever_other_reads_did() {
+        for kind in [FaultKind::Transient, FaultKind::BitFlip] {
+            let inj = FaultInjector::seeded(9, 1.0, kind);
+            let page = 11;
+            for (read, attempt) in [('A', 1), ('A', 2), ('B', 1), ('B', 2)] {
+                assert_eq!(inj.decide(page, attempt), Some(kind), "{read}{attempt} at rate 1.0");
+            }
+            assert_eq!(inj.decide(page, 3), None, "A3 is clean");
+            assert_eq!(inj.decide(page, 3), None, "B3 is clean");
         }
     }
 
@@ -427,11 +444,11 @@ mod tests {
             FaultKind::Transient,
             Some(2),
         );
-        assert_eq!(inj.decide(0), None); // read 1
-        assert_eq!(inj.decide(0), Some(FaultKind::Permanent)); // read 2
-        assert_eq!(inj.decide(5), Some(FaultKind::Transient)); // page rule 1/2
-        assert_eq!(inj.decide(5), Some(FaultKind::Transient)); // page rule 2/2
-        assert_eq!(inj.decide(5), None); // exhausted
+        assert_eq!(inj.decide(0, 1), None); // read 1
+        assert_eq!(inj.decide(0, 1), Some(FaultKind::Permanent)); // read 2
+        assert_eq!(inj.decide(5, 1), Some(FaultKind::Transient)); // page rule 1/2
+        assert_eq!(inj.decide(5, 2), Some(FaultKind::Transient)); // page rule 2/2
+        assert_eq!(inj.decide(5, 3), None); // exhausted
     }
 
     #[test]
@@ -449,7 +466,7 @@ mod tests {
         // An fsync profile at rate 1.0 must leave every read clean...
         let inj = FaultInjector::seeded(4, 1.0, FaultKind::FsyncFault);
         for page in 0..16u64 {
-            assert_eq!(inj.decide(page), None);
+            assert_eq!(inj.decide(page, 1), None);
         }
         // ...while failing every fsync.
         assert!(inj.decide_fsync());

@@ -8,11 +8,14 @@
 //! deterministically:
 //!
 //! * [`page`] — 8 KiB pages addressed by [`page::PageId`];
-//! * [`pager`] — the page store plus a sharded, single-flight buffer pool
-//!   with CLOCK eviction; every cache miss is a *physical read* (the
-//!   paper's "page accessed"), hits are free, and batched reads
+//! * [`pager`] — the page store plus a sharded buffer pool with CLOCK
+//!   eviction; every cache miss is a *physical read* (the paper's "page
+//!   accessed"), hits are free, and batched reads
 //!   ([`pager::Pager::with_pages`], [`bptree::BPlusTree::get_many`])
 //!   overlap their simulated stalls without changing the page counts;
+//! * [`cache`] — the store's one single-flight mechanism: a process-wide
+//!   object cache that loads each missing key once across threads (the
+//!   DMTM and MSDN cut caches);
 //! * [`error`] / [`fault`] — the failure model: the physical read path
 //!   returns typed [`StoreError`]s instead of panicking, every page is
 //!   checksummed ([`page_checksum`], verified on each physical read), and

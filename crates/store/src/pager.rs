@@ -30,17 +30,17 @@
 //!   sweeps the hand, clearing ref bits until it finds a victim. Eviction
 //!   happens *before* the insert reuses the victim's slot, so a shard
 //!   never exceeds its capacity (asserted in debug builds).
-//! * **Single-flight misses** — a per-page in-flight latch. The first
-//!   thread to miss a page becomes its *leader*: it pays the physical read
-//!   and the simulated stall. Threads that miss the same page while the
-//!   read is in flight wait on a condvar instead of issuing their own read
-//!   (`singleflight_waits`), and on wake-up count a free hit
-//!   (`coalesced_misses`). Misses on *other* pages proceed in parallel.
-//! * **Batched reads** — [`Pager::with_pages`] takes a sorted page set,
-//!   claims every miss up front and pays **one** stall for the whole
-//!   batch, modelling overlapped disk requests (the per-page
-//!   `physical_reads` are still charged individually, so the page-access
-//!   metric is unchanged; only wall-clock time improves).
+//! * **One read path** — [`Pager::with_pages`] takes a sorted page set,
+//!   reads every miss and pays **one** stall for the whole batch,
+//!   modelling overlapped disk requests (the per-page `physical_reads`
+//!   are still charged individually, so the page-access metric is
+//!   unchanged; only wall-clock time improves). [`Pager::with_page`] is
+//!   a batch of one. The pool holds page ids, not bytes — every page's
+//!   bytes stay in the page store — so there is no page latch: two
+//!   threads that miss the same page both read it, each in its own batch
+//!   and window, and their stalls overlap. Misses that must be loaded
+//!   once across threads are the cut caches' job
+//!   ([`SingleFlightCache`](crate::SingleFlightCache)).
 //!
 //! # Failure model
 //!
@@ -56,31 +56,24 @@
 //! * transient faults (including checksum failures from injected bit
 //!   flips) are retried with bounded backoff per [`RetryPolicy`]; when
 //!   the budget is exhausted a typed [`StoreError`] surfaces;
-//! * a failed or panicking single-flight *leader* releases its claim
-//!   without publishing the page (the lease is a drop guard), so waiters
-//!   wake, re-run the claim, and either lead the read themselves or
-//!   surface their own error — they are never stranded.
+//! * a failed page is not admitted, the healthy pages of its batch are,
+//!   and a panicking reader holds nothing another reader waits on.
 //!
 //! Failed attempts are **not** physical reads: the paper's page-access
 //! metric counts only successfully served pages, so a fault-free and a
 //! transiently-faulty run report identical page counts. Retry traffic is
 //! tracked separately in [`FaultStats`].
-//!
-//! Metric parity: on a single thread the flight registry is always empty
-//! and the counters reduce exactly to the classic hit/miss bookkeeping, so
-//! per-query `logical_reads` / `physical_reads` stay deterministic and
-//! comparable across runs.
 
 use crate::error::{StoreError, StoreResult};
 use crate::fault::{FaultInjector, FaultKind, FaultStats, RetryPolicy};
 use crate::page::{PageId, PAGE_SIZE};
 use std::cell::RefCell;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{
-    Arc, Condvar, Mutex, MutexGuard, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard, Weak,
+    Arc, Mutex, MutexGuard, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard, Weak,
 };
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Number of buffer-pool shards (capped by the pool capacity so every
 /// shard holds at least one page). A fixed constant keeps eviction — and
@@ -232,17 +225,12 @@ impl IoStats {
     }
 }
 
-/// Counters describing how much the concurrent pool machinery did, in the
-/// calling thread's window or over the pager's lifetime. All zero on a
-/// single thread outside of [`Pager::with_pages`] batches.
+/// Counters describing how much the pool's batching and locking did, in
+/// the calling thread's window or over the pager's lifetime.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ConcurrencyStats {
-    /// Times a thread waited for another thread's in-flight read of the
-    /// same page instead of issuing its own.
-    pub singleflight_waits: u64,
-    /// Misses that did not pay their own stall: single-flight waiters
-    /// served by the leader's read, plus batch members beyond the first
-    /// in a [`Pager::with_pages`] call.
+    /// Misses that did not pay their own stall: the members beyond the
+    /// first of each [`Pager::with_pages`] batch's served misses.
     pub coalesced_misses: u64,
     /// Shard-lock acquisitions that found the lock held (a `try_lock`
     /// that would block). Measures hit-path contention.
@@ -294,7 +282,7 @@ impl ShardPool {
     /// return the victim (if any). The pool never exceeds `cap`.
     fn insert(&mut self, page: u64) -> Option<u64> {
         if self.touch(page) {
-            return None; // already cached (racing leader completed first)
+            return None; // a concurrent reader of the same miss admitted it first
         }
         let victim = if self.slots.len() < self.cap {
             self.map.insert(page, self.slots.len());
@@ -339,19 +327,18 @@ const LOGICAL: usize = 0;
 const PHYSICAL: usize = TAGS;
 const WRITES: usize = 2 * TAGS;
 const EVICTIONS: usize = 3 * TAGS;
-const SF_WAITS: usize = 4 * TAGS;
-const COALESCED: usize = SF_WAITS + 1;
-const CONTENTION: usize = SF_WAITS + 2;
-const STALLED_BATCHES: usize = SF_WAITS + 3;
+const COALESCED: usize = 4 * TAGS;
+const CONTENTION: usize = COALESCED + 1;
+const STALLED_BATCHES: usize = COALESCED + 2;
 /// Wall-clock nanoseconds stalled: simulated disk stalls, injected read
-/// latency, retry backoff, and single-flight waits.
-const STALL_NS: usize = SF_WAITS + 4;
-const INJECTED: usize = SF_WAITS + 5;
-const RETRIES: usize = SF_WAITS + 6;
-const EXHAUSTED: usize = SF_WAITS + 7;
-const CHECKSUM: usize = SF_WAITS + 8;
-const PERMANENT: usize = SF_WAITS + 9;
-const EVENTS: usize = SF_WAITS + 10;
+/// latency and retry backoff.
+const STALL_NS: usize = COALESCED + 3;
+const INJECTED: usize = COALESCED + 4;
+const RETRIES: usize = COALESCED + 5;
+const EXHAUSTED: usize = COALESCED + 6;
+const CHECKSUM: usize = COALESCED + 7;
+const PERMANENT: usize = COALESCED + 8;
+const EVENTS: usize = COALESCED + 9;
 
 type Row = [u64; EVENTS];
 type Totals = [AtomicU64; EVENTS];
@@ -369,11 +356,7 @@ fn io_of(row: &Row, tags: std::ops::Range<usize>) -> IoStats {
 }
 
 fn concurrency(row: &Row) -> ConcurrencyStats {
-    ConcurrencyStats {
-        singleflight_waits: row[SF_WAITS],
-        coalesced_misses: row[COALESCED],
-        shard_contention: row[CONTENTION],
-    }
+    ConcurrencyStats { coalesced_misses: row[COALESCED], shard_contention: row[CONTENTION] }
 }
 
 /// One structure's share of a [`Pager::read_into`] batch: the pages it
@@ -387,21 +370,16 @@ pub trait PageSink {
 }
 
 /// The simulated disk: a page allocator, page contents, a sharded
-/// single-flight buffer pool, and I/O statistics.
+/// buffer pool, and I/O statistics.
 #[derive(Debug)]
 pub struct Pager {
     store: RwLock<PageStore>,
     shards: Vec<Mutex<ShardPool>>,
-    /// Pages with a read in flight. Guarded by its own mutex; the condvar
-    /// wakes waiters when any in-flight read completes. Lock order: the
-    /// flight mutex and a shard lock are never held at the same time.
-    flight: Mutex<HashSet<u64>>,
-    flight_done: Condvar,
     /// The process-wide row of the event table (see [`Pager::charge`]).
     events: Arc<Totals>,
-    /// Wall-clock penalty per physical read, in nanoseconds (zero by
-    /// default). Slept with *no* pager locks held so concurrent reads
-    /// overlap their stalls — the I/O-bound regime the paper's disk
+    /// Wall-clock penalty per read batch that misses, in nanoseconds
+    /// (zero by default). Slept with *no* pager locks held so concurrent
+    /// reads overlap their stalls — the I/O-bound regime the paper's disk
     /// numbers imply.
     read_stall_ns: AtomicU64,
     /// Optional deterministic fault source, consulted per read attempt.
@@ -442,34 +420,6 @@ impl Drop for TagScope<'_> {
     }
 }
 
-/// Removes a page from the flight registry (waking waiters) when dropped,
-/// so a failing — or panicking — leader cannot strand its waiters on the
-/// condvar: they wake, find the page absent, and re-run the claim.
-struct FlightLease<'p> {
-    pager: &'p Pager,
-    page: u64,
-}
-
-impl Drop for FlightLease<'_> {
-    fn drop(&mut self) {
-        let mut flight = lock_recover(&self.pager.flight);
-        flight.remove(&self.page);
-        drop(flight);
-        self.pager.flight_done.notify_all();
-    }
-}
-
-/// Outcome of a [`Pager::claim_flight`] attempt.
-enum FlightClaim<'p> {
-    /// We won the claim: pay the physical read, then drop the lease.
-    Led(FlightLease<'p>),
-    /// Another thread already holds the page's claim — wait for its read
-    /// to complete instead of issuing our own.
-    Lost,
-    /// The page became resident while we were claiming; nothing to do.
-    Resident,
-}
-
 impl Pager {
     /// Create a pager whose buffer pool holds `pool_pages` pages, split
     /// over [`POOL_SHARDS`] shards (fewer if the pool is tiny).
@@ -500,8 +450,6 @@ impl Pager {
                 alloc_tag: StructureTag::Other,
             }),
             shards,
-            flight: Mutex::new(HashSet::new()),
-            flight_done: Condvar::new(),
             events: Arc::new(std::array::from_fn(|_| AtomicU64::new(0))),
             read_stall_ns: AtomicU64::new(0),
             fault: RwLock::new(None),
@@ -509,11 +457,13 @@ impl Pager {
         }
     }
 
-    /// Make every buffer-pool miss cost `stall` of real wall-clock time,
-    /// simulating the seek+transfer latency of the disk the paper models.
-    /// The sleep happens with no pager locks held, so reads on other
-    /// threads (and their stalls) overlap exactly as overlapping disk
-    /// requests would. `Duration::ZERO` (the default) disables it.
+    /// Make every read batch that misses the buffer pool cost `stall` of
+    /// real wall-clock time — once per [`with_pages`](Self::with_pages)
+    /// call, however many misses it serves — simulating the seek+transfer
+    /// latency of the disk the paper models. The sleep happens with no
+    /// pager locks held, so reads on other threads (and their stalls)
+    /// overlap exactly as overlapping disk requests would.
+    /// `Duration::ZERO` (the default) disables it.
     pub fn set_read_stall(&self, stall: Duration) {
         self.read_stall_ns.store(stall.as_nanos().min(u128::from(u64::MAX)) as u64, Relaxed);
     }
@@ -562,9 +512,9 @@ impl Pager {
     }
 
     /// Wall-clock nanoseconds every thread spent stalled in the pager —
-    /// simulated disk stalls, injected latency, retry backoff, and
-    /// single-flight waits — since construction. Process-wide and
-    /// monotonic: [`Pager::reset_stats`] does not clear it.
+    /// simulated disk stalls, injected latency and retry backoff — since
+    /// construction. Process-wide and monotonic: [`Pager::reset_stats`]
+    /// does not clear it.
     pub fn stall_ns(&self) -> u64 {
         self.events[STALL_NS].load(Relaxed)
     }
@@ -713,62 +663,6 @@ impl Pager {
         }
     }
 
-    /// Try to claim leadership of `page`'s read. The claim is atomic: a
-    /// single flight-lock critical section does the contains-check *and*
-    /// the insert (`HashSet::insert` returning `false` means another
-    /// leader holds the claim), so exactly one thread can ever hold a
-    /// page's lease — losers get [`FlightClaim::Lost`] and must wait.
-    fn claim_flight(&self, page: u64) -> FlightClaim<'_> {
-        if !lock_recover(&self.flight).insert(page) {
-            return FlightClaim::Lost;
-        }
-        let lease = FlightLease { pager: self, page };
-        // Double-check under our claim: between our miss and the claim, a
-        // previous leader may have inserted the page and left the flight.
-        // Holding the claim excludes any new leader, so this is race-free.
-        if self.pool_touch(page) {
-            drop(lease); // deregister + notify
-            FlightClaim::Resident
-        } else {
-            FlightClaim::Led(lease)
-        }
-    }
-
-    /// Batch variant of [`claim_flight`](Self::claim_flight): claim
-    /// leadership of every miss in `misses` inside **one** flight-lock
-    /// critical section. The per-page loop used to take the flight mutex
-    /// once per miss, which under concurrent batches made that mutex a
-    /// measurable contention point; one critical section claims the whole
-    /// batch at the cost of a single acquisition. Returns the claims won
-    /// (to lead) and the pages another thread is already reading (to
-    /// defer). The resident double-check of `claim_flight` runs after the
-    /// lock is released — dropping a lease deregisters the claim, so
-    /// pages published meanwhile are simply dropped from the led set.
-    #[allow(clippy::type_complexity)]
-    fn claim_flight_batch(
-        &self,
-        misses: Vec<(u64, usize)>,
-    ) -> (Vec<(u64, usize, FlightLease<'_>)>, Vec<(u64, usize)>) {
-        let mut led = Vec::new();
-        let mut deferred = Vec::new();
-        {
-            let mut flight = lock_recover(&self.flight);
-            for (page, t) in misses {
-                if flight.insert(page) {
-                    led.push((page, t, FlightLease { pager: self, page }));
-                } else {
-                    deferred.push((page, t));
-                }
-            }
-        }
-        // Double-check under our claims (see `claim_flight`): between the
-        // miss and the claim a previous leader may have published the
-        // page. Holding the claim excludes any new leader, so this is
-        // race-free; `retain` drops the lease of each resident page.
-        led.retain(|&(page, _, _)| !self.pool_touch(page));
-        (led, deferred)
-    }
-
     /// Verify a page's bytes against its checksum sidecar. Failure means
     /// the stored bytes themselves are corrupt — rereading cannot help,
     /// so the error is surfaced without retry.
@@ -784,12 +678,11 @@ impl Pager {
         }
     }
 
-    /// A single-flight leader's read of `page`: consult the fault
-    /// injector, verify the checksum, and retry transient failures within
-    /// the [`RetryPolicy`]. On success the physical read is charged; the
-    /// caller pays the stall and publishes the page. The caller holds the
-    /// flight lease throughout and drops it afterwards (also on error or
-    /// unwind), so waiters always wake.
+    /// A miss's physical read of `page`: consult the fault injector with
+    /// this read's own attempt number, verify the checksum, and retry
+    /// transient failures within the [`RetryPolicy`]. On success the
+    /// physical read is charged; the caller pays the stall and admits the
+    /// page.
     fn read_attempts(&self, page: u64, tag_idx: usize) -> StoreResult<()> {
         let policy = self.retry_policy();
         let mut attempt: u32 = 0;
@@ -808,7 +701,7 @@ impl Pager {
                 let guard = self.fault.read().unwrap_or_else(|e| e.into_inner());
                 match guard.as_ref() {
                     None => (None, Duration::ZERO),
-                    Some(inj) => (inj.decide(page), inj.latency()),
+                    Some(inj) => (inj.decide(page, attempt), inj.latency()),
                 }
             };
             if fault.is_some() {
@@ -844,7 +737,7 @@ impl Pager {
                 }
                 Some(FaultKind::Permanent) => Err(StoreError::PermanentRead { page }),
                 Some(FaultKind::Panic) => {
-                    panic!("injected fault: panic while leading the read of page {page}")
+                    panic!("injected fault: panic mid-read of page {page}")
                 }
                 // The write-side kind never reaches the read path (the
                 // injector filters it out of `decide`); treat it as clean.
@@ -886,70 +779,15 @@ impl Pager {
         }
     }
 
-    /// Block until `page` is resident, observing single-flight: wait for
-    /// an in-flight read, or become the leader and pay the physical read
-    /// plus its stall. `logical_reads` are *not* counted here. On error
-    /// the claim is released before returning, so a failed leader's
-    /// waiters re-run the claim and surface their own error.
-    fn wait_resident(&self, page: u64, tag_idx: usize) -> StoreResult<()> {
-        loop {
-            if self.pool_touch(page) {
-                return Ok(());
-            }
-            match self.claim_flight(page) {
-                FlightClaim::Resident => return Ok(()),
-                FlightClaim::Led(lease) => {
-                    let read = self.read_attempts(page, tag_idx);
-                    if read.is_ok() {
-                        self.charge(STALLED_BATCHES, 1);
-                        let stall = self.read_stall();
-                        if stall > Duration::ZERO {
-                            // Pay the simulated disk latency with no locks
-                            // held so other threads' reads (and their
-                            // stalls) proceed in parallel.
-                            std::thread::sleep(stall);
-                            self.charge_stall(stall);
-                        }
-                        self.pool_insert(page);
-                    }
-                    drop(lease);
-                    return read;
-                }
-                FlightClaim::Lost => {
-                    let mut flight = lock_recover(&self.flight);
-                    if flight.contains(&page) {
-                        self.charge(SF_WAITS, 1);
-                        let waited = Instant::now();
-                        while flight.contains(&page) {
-                            flight =
-                                self.flight_done.wait(flight).unwrap_or_else(|e| e.into_inner());
-                        }
-                        self.charge_stall(waited.elapsed());
-                    }
-                    drop(flight);
-                    // Count the coalesced miss only once the pool confirms
-                    // the leader's read served us; if the leader failed or
-                    // the page was already evicted, loop around and lead
-                    // it ourselves.
-                    if self.pool_touch(page) {
-                        self.charge(COALESCED, 1);
-                        return Ok(());
-                    }
-                }
-            }
-        }
-    }
-
-    /// Read a page through the buffer pool, handing its bytes to `f`.
+    /// Read a page through the buffer pool, handing its bytes to `f`: a
+    /// [`with_pages`](Self::with_pages) batch of one.
     ///
     /// `f` runs under the store's read lock; it must not allocate or
     /// write pages. Errors surface as [`StoreError`] without running `f`.
     pub fn with_page<R>(&self, id: PageId, f: impl FnOnce(&[u8]) -> R) -> StoreResult<R> {
-        let t = self.tag_idx(id.0);
-        self.charge(LOGICAL + t, 1);
-        self.wait_resident(id.0, t)?;
-        let store = self.store_read();
-        Ok(f(&store.pages[id.0 as usize]))
+        let (mut f, mut out) = (Some(f), None);
+        self.with_pages(&[id], |_, bytes| out = f.take().map(|f| f(bytes)))?;
+        Ok(out.expect("with_pages hands over every page it was asked for"))
     }
 
     /// Read a batch of pages through the buffer pool, handing each page's
@@ -959,28 +797,22 @@ impl Pager {
     /// callers coalesce and sort their page sets, which also makes the
     /// access order, and with it the eviction sequence, deterministic.
     ///
-    /// Every page still costs one `logical_read`, and every served miss
-    /// one `physical_read` — the paper's page-access metric is identical
-    /// to a `with_page` loop. What changes is wall-clock time: all misses
-    /// of the batch are claimed up front and pay a **single** overlapped
-    /// stall (like a queued batch of disk requests), with the extra
-    /// misses counted as `coalesced_misses`. Pages another thread is
-    /// already reading are not waited on until our own claims are
-    /// published, so two overlapping batches cannot deadlock.
+    /// Every page costs one `logical_read`, and every served miss one
+    /// `physical_read` — the paper's page-access metric is identical to a
+    /// [`with_page`](Self::with_page) loop. What changes is wall-clock
+    /// time: every miss of the batch is read, then the batch pays a
+    /// **single** overlapped stall (like a queued batch of disk requests),
+    /// with the served misses beyond the first counted as
+    /// `coalesced_misses`.
     ///
-    /// On a read failure the first error is returned, every healthy claim
-    /// of the batch is still published (waiters are never stranded), and
-    /// `f` is not called for any page.
+    /// On a read failure the first error is returned, every healthy miss
+    /// of the batch is still admitted to the pool, and `f` is not called
+    /// for any page.
     pub fn with_pages(&self, ids: &[PageId], mut f: impl FnMut(PageId, &[u8])) -> StoreResult<()> {
         assert!(
             ids.windows(2).all(|w| w[0].0 < w[1].0),
             "with_pages requires sorted, de-duplicated page ids"
         );
-        // Phase 1: account logical reads; claim every miss we can lead —
-        // all claims in one flight-lock critical section
-        // ([`claim_flight_batch`](Self::claim_flight_batch)). Pages in
-        // flight elsewhere are deferred, not waited on — waiting while
-        // holding unpublished claims could deadlock two batches.
         let mut misses: Vec<(u64, usize)> = Vec::new();
         for &id in ids {
             let t = self.tag_idx(id.0);
@@ -989,20 +821,15 @@ impl Pager {
                 misses.push((id.0, t));
             }
         }
-        let (led, deferred) = self.claim_flight_batch(misses);
-        // Phase 2: attempt every claimed read (faults and retries are
-        // per page), then pay one stall covering all served misses — the
-        // overlapped-I/O model. Only then publish the pages and release
-        // the claims so our waiters (and deferred peers) can proceed;
-        // failed claims release without publishing.
+        // Faults and retries are per page; one stall covers every served
+        // miss — the overlapped-I/O model.
         let mut first_err: Option<StoreError> = None;
-        let mut served: Vec<(u64, FlightLease<'_>)> = Vec::new();
-        for (page, t, lease) in led {
+        let mut served: Vec<u64> = Vec::with_capacity(misses.len());
+        for (page, t) in misses {
             match self.read_attempts(page, t) {
-                Ok(()) => served.push((page, lease)),
+                Ok(()) => served.push(page),
                 Err(e) => {
                     first_err.get_or_insert(e);
-                    drop(lease); // wake waiters: they re-claim and fail themselves
                 }
             }
         }
@@ -1014,20 +841,13 @@ impl Pager {
                 std::thread::sleep(stall);
                 self.charge_stall(stall);
             }
-            for &(page, _) in &served {
+            for page in served {
                 self.pool_insert(page);
             }
-            served.clear(); // drop the leases: deregister + notify
         }
         if let Some(e) = first_err {
             return Err(e);
         }
-        // Phase 3: wait for pages another thread was already reading
-        // (re-leading them ourselves if they were evicted meanwhile).
-        for &(page, t) in &deferred {
-            self.wait_resident(page, t)?;
-        }
-        // Phase 4: visit in caller order under the store read lock.
         let store = self.store_read();
         for &id in ids {
             f(id, &store.pages[id.0 as usize]);
@@ -1063,8 +883,7 @@ impl Pager {
     /// [`with_pages`](Self::with_pages) call that served a miss, however
     /// many it served, and one per [`with_page`](Self::with_page) miss.
     /// Counted whether or not a stall is configured, so the count is the
-    /// same on any host. Single-flight waits and retry backoff are not
-    /// batches.
+    /// same on any host. Retry backoff is not a batch.
     pub fn stalled_batches(&self) -> u64 {
         self.window()[STALLED_BATCHES]
     }
@@ -1130,8 +949,8 @@ impl Pager {
         }
     }
 
-    /// This thread's concurrency counters since its last reset:
-    /// single-flight waits, coalesced misses, and shard-lock contention.
+    /// This thread's concurrency counters since its last reset: coalesced
+    /// misses and shard-lock contention.
     pub fn concurrency_stats(&self) -> ConcurrencyStats {
         concurrency(&self.window())
     }

@@ -1,10 +1,12 @@
-//! Concurrency semantics of the sharded single-flight buffer pool.
+//! Concurrency semantics of the sharded buffer pool.
 //!
 //! Three guarantees are pinned down here:
 //!
-//! 1. **Single-flight**: N threads missing the same cold page pay exactly
-//!    one physical read and one stall between them; the N-1 losers block on
-//!    the in-flight latch instead of issuing duplicate reads.
+//! 1. **No page latch, exact windows**: N threads missing the same cold
+//!    page each pay their own physical read and stall, each in its own
+//!    window; the windows sum to the pager's lifetime deltas, and the
+//!    stalls overlap rather than queue. (Loading a missing key once across
+//!    threads is the cut caches' job, `SingleFlightCache`.)
 //! 2. **Eviction at capacity**: the pool never holds more pages than its
 //!    configured capacity, for any shard count and any interleaving of
 //!    single-page and batched reads (eviction happens *before* insert).
@@ -13,16 +15,16 @@
 //!    pages — while never charging more physical reads.
 
 use proptest::prelude::*;
-use sknn_store::{BPlusTree, Pager, PAGE_SIZE};
+use sknn_store::{BPlusTree, IoStats, Pager, PAGE_SIZE};
 use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
-/// Four threads miss the same cold page at once: one leader pays the stall
-/// and the physical read, the other three wait on the in-flight latch and
-/// are recorded as coalesced misses. The reads happen on the worker
-/// threads, so the counts are lifetime deltas, not this thread's window.
+/// Four threads miss the same cold page at once. Each pays its own
+/// physical read and stall, charged to its own window; the four windows
+/// sum to the pager's lifetime deltas, and the stalls overlap: the wall
+/// time is about one stall, not four.
 #[test]
-fn concurrent_misses_pay_one_stall_and_one_physical_read() {
+fn concurrent_misses_each_pay_their_own_read_and_stall_in_their_own_window() {
     const THREADS: usize = 4;
     const STALL: Duration = Duration::from_millis(200);
 
@@ -30,37 +32,47 @@ fn concurrent_misses_pay_one_stall_and_one_physical_read() {
     let page = pager.alloc();
     pager.set_read_stall(STALL);
     pager.clear_pool();
-    let (io_before, conc_before) = (pager.lifetime_stats(), pager.lifetime_concurrency_stats());
+    let io_before = pager.lifetime_stats();
+    let (batches_before, stall_before) = (pager.lifetime_stalled_batches(), pager.stall_ns());
+    let coalesced_before = pager.lifetime_concurrency_stats().coalesced_misses;
 
     let barrier = Barrier::new(THREADS);
     let start = Instant::now();
-    std::thread::scope(|s| {
-        for _ in 0..THREADS {
-            s.spawn(|| {
-                barrier.wait();
-                pager.with_page(page, |_| ()).unwrap();
-            });
-        }
+    let windows: Vec<(IoStats, u64, u64, u64)> = std::thread::scope(|s| {
+        let workers: Vec<_> = (0..THREADS)
+            .map(|_| {
+                s.spawn(|| {
+                    pager.reset_stats();
+                    barrier.wait();
+                    pager.with_page(page, |_| ()).unwrap();
+                    let coalesced = pager.concurrency_stats().coalesced_misses;
+                    (pager.stats(), pager.stalled_batches(), pager.window_stall_ns(), coalesced)
+                })
+            })
+            .collect();
+        workers.into_iter().map(|w| w.join().unwrap()).collect()
     });
     let elapsed = start.elapsed();
 
-    let (io, conc) = (pager.lifetime_stats(), pager.lifetime_concurrency_stats());
-    let logical = io.logical_reads - io_before.logical_reads;
-    let physical = io.physical_reads - io_before.physical_reads;
-    assert_eq!(logical, THREADS as u64);
-    assert_eq!(physical, 1, "only the leader performs the read");
-    assert_eq!(logical - physical, (THREADS - 1) as u64, "every other reader hits");
-    assert_eq!(
-        conc.singleflight_waits - conc_before.singleflight_waits,
-        (THREADS - 1) as u64,
-        "every non-leader blocks on the in-flight latch"
-    );
-    assert_eq!(conc.coalesced_misses - conc_before.coalesced_misses, (THREADS - 1) as u64);
+    for &(io, batches, stall_ns, coalesced) in &windows {
+        assert_eq!((io.logical_reads, io.physical_reads), (1, 1), "every reader reads the page");
+        assert_eq!(batches, 1, "in a stalled batch of its own");
+        assert!(stall_ns >= STALL.as_nanos() as u64, "and pays its own stall");
+        assert_eq!(coalesced, 0, "a batch of one coalesces nothing");
+    }
+    let io = pager.lifetime_stats();
+    let sum = |f: fn(&(IoStats, u64, u64, u64)) -> u64| windows.iter().map(f).sum::<u64>();
+    assert_eq!(sum(|w| w.0.logical_reads), io.logical_reads - io_before.logical_reads);
+    assert_eq!(sum(|w| w.0.physical_reads), io.physical_reads - io_before.physical_reads);
+    assert_eq!(sum(|w| w.1), pager.lifetime_stalled_batches() - batches_before);
+    assert_eq!(sum(|w| w.2), pager.stall_ns() - stall_before);
+    assert_eq!(pager.lifetime_concurrency_stats().coalesced_misses, coalesced_before);
     // The stalls overlapped: total wall time is ~one stall, not N stalls.
     assert!(
         elapsed < STALL * 3,
         "stalls were serialised: {elapsed:?} for {THREADS} threads at {STALL:?} each"
     );
+    assert_eq!(pager.cached_pages(), 1, "the page is admitted once");
 }
 
 /// A cold `with_pages` batch pays one stall for the whole run, not one per

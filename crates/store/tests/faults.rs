@@ -1,7 +1,7 @@
 //! Deterministic fault-injection suite for the physical read path.
 //!
-//! Every scenario runs under a watchdog so a regression in single-flight
-//! wakeup can only *fail* the suite, never hang it. The scripted
+//! The concurrent scenarios run under a watchdog so a reader left waiting
+//! on another can only *fail* the suite, never hang it. The scripted
 //! [`FaultInjector`] rules make each scenario exact: the same attempts
 //! fault on every run, at any thread count.
 
@@ -126,9 +126,9 @@ fn bit_flip_caught_and_retried() {
     assert_eq!(fs.retries, 1, "and recovered on the retry");
 }
 
-/// Four threads coalesce on one permanently failing page: every reader —
-/// leader and waiters alike — gets the typed error instead of hanging on
-/// the single-flight latch or seeing stale bytes.
+/// Four threads read one permanently failing page at once: each reads it
+/// itself, and every one gets the typed error instead of hanging or
+/// seeing stale bytes.
 #[test]
 fn permanent_failure_surfaces_to_all_coalesced_readers() {
     bounded("permanent-coalesced", || {
@@ -164,17 +164,17 @@ fn permanent_failure_surfaces_to_all_coalesced_readers() {
     });
 }
 
-/// A leader whose read fails must wake its waiters and release the claim
-/// so one of them can lead the next attempt. Scripted so only the very
-/// first physical attempt faults: exactly one thread observes the error,
-/// the rest re-claim and are served.
+/// One reader's failure is its own. Scripted so only the very first
+/// physical attempt (counted across threads) faults: exactly one of four
+/// concurrent readers observes the error, and the others' reads — each
+/// its own — are served.
 #[test]
 fn failed_leader_wakes_waiters_who_reclaim() {
     bounded("failed-leader", || {
         const THREADS: usize = 4;
         let (pager, id) = pager_with_page();
-        // Permanent is never retried, so the first leader fails fast and
-        // the recovery is entirely the waiters' re-claim.
+        // Permanent is never retried, so the first read fails fast and
+        // the others are served by their own attempts.
         let inj = FaultInjector::script().fail_nth_read(1, FaultKind::Permanent);
         pager.set_fault_injector(Some(inj));
 
@@ -192,7 +192,7 @@ fn failed_leader_wakes_waiters_who_reclaim() {
         });
 
         let failed = results.iter().filter(|r| r.is_err()).count();
-        assert_eq!(failed, 1, "exactly the first leader fails: {results:?}");
+        assert_eq!(failed, 1, "exactly the first reader fails: {results:?}");
         for r in results.iter().filter(|r| r.is_ok()) {
             assert_eq!(*r.as_ref().unwrap(), 0xAB);
         }
@@ -203,9 +203,9 @@ fn failed_leader_wakes_waiters_who_reclaim() {
     });
 }
 
-/// A leader that *panics* inside the flight critical section must not
-/// strand its waiters: the lease's unwind guard releases the claim, a
-/// waiter re-leads, and every other thread is served.
+/// A reader that *panics* mid-read leaves the pager usable: it holds
+/// nothing the other readers wait on, so exactly one thread panics and
+/// every other thread is served.
 #[test]
 fn panicking_leader_does_not_strand_waiters() {
     bounded("panicking-leader", || {
@@ -228,7 +228,7 @@ fn panicking_leader_does_not_strand_waiters() {
         });
 
         let panicked = results.iter().filter(|r| r.is_err()).count();
-        assert_eq!(panicked, 1, "exactly the first leader panics: {results:?}");
+        assert_eq!(panicked, 1, "exactly the first reader panics: {results:?}");
         assert_eq!(results.iter().filter(|r| matches!(r, Ok(0xAB))).count(), THREADS - 1);
     });
 }
@@ -276,4 +276,43 @@ fn rate_driven_transient_profile_never_exhausts_default_budget() {
         }
         assert_eq!(pager.fault_stats().exhausted, 0, "seed {seed}");
     }
+}
+
+/// The recovery bound holds per read, however the attempts of concurrent
+/// reads of one page interleave: four threads read the same page at rate
+/// 1.0, every read faults on its first two attempts and is served on its
+/// third, and no read exhausts the budget. The retry backoff keeps each
+/// read in flight long enough for the others' attempts to land between
+/// its own; the counts hold under any interleaving.
+#[test]
+fn concurrent_reads_of_one_page_each_recover_within_three_attempts() {
+    bounded("concurrent-transient", || {
+        const THREADS: usize = 4;
+        for seed in [1u64, 7, 42, 1234] {
+            let (pager, id) = pager_with_page();
+            pager.set_retry_policy(RetryPolicy {
+                max_retries: 3,
+                backoff: Duration::from_millis(5),
+            });
+            pager.set_fault_injector(Some(FaultInjector::seeded(seed, 1.0, FaultKind::Transient)));
+            let physical_before = pager.lifetime_stats().physical_reads;
+            let barrier = Barrier::new(THREADS);
+            let bytes: Vec<u8> = std::thread::scope(|s| {
+                let handles: Vec<_> = (0..THREADS)
+                    .map(|_| {
+                        s.spawn(|| {
+                            barrier.wait();
+                            pager.with_page(id, |b| b[0]).unwrap()
+                        })
+                    })
+                    .collect();
+                handles.into_iter().map(|h| h.join().unwrap()).collect()
+            });
+            assert_eq!(bytes, vec![0xAB; THREADS], "seed {seed}");
+            let reads = pager.lifetime_stats().physical_reads - physical_before;
+            let fs = pager.fault_stats();
+            assert_eq!(fs.exhausted, 0, "seed {seed}");
+            assert_eq!(fs.retries, 2 * reads, "seed {seed}: every read cleared on attempt 3");
+        }
+    });
 }

@@ -5,8 +5,9 @@
 //! sknn knn --k 5 --queries 3           surface k-NN queries
 //!          [--threads N]               run the batch on N threads
 //!          [--stall-ms MS]             simulate MS ms of disk latency per
-//!                                      buffer-pool miss (I/O-bound regime;
-//!                                      prints pool concurrency counters)
+//!                                      read batch that misses the buffer
+//!                                      pool (I/O-bound regime; prints pool
+//!                                      concurrency counters)
 //!          [--fault-profile S:R:K]     inject storage faults: seed S, rate
 //!                                      R in [0,1], kind K (transient|
 //!                                      permanent|bitflip|latency); prints
@@ -33,7 +34,7 @@
 //!                                      port P (0 = ephemeral, printed)
 //!          [--slow-ms 100]             slow-query capture threshold
 //!          [--slow-log slow.jsonl]     write the slow-query log at drain
-//!          [--stall-ms MS]             per-miss read stall (I/O regime)
+//!          [--stall-ms MS]             read stall per missing batch
 //! sknn mutate --ops 200                dynamic-object write workload:
 //!          [--k 5] [--queries 5]       seeded insert/move/delete mix through
 //!          [--threads 1]               the WAL'd object store, write-
@@ -275,9 +276,8 @@ fn main() {
             if threads > 1 {
                 // Every worker's events, as lifetime deltas over the batch.
                 println!(
-                    "pool concurrency (batch): {} single-flight waits, \
-                     {} coalesced misses, {} contended shard locks over {} shards",
-                    conc_after.singleflight_waits - conc_before.singleflight_waits,
+                    "pool concurrency (batch): {} coalesced misses, \
+                     {} contended shard locks over {} shards",
                     conc_after.coalesced_misses - conc_before.coalesced_misses,
                     conc_after.shard_contention - conc_before.shard_contention,
                     engine.pager().num_shards()
@@ -850,7 +850,8 @@ fn fault_injector(args: &Args, env_fallback: bool) -> Option<(String, FaultInjec
 }
 
 /// Puts an engine's pager in the requested I/O regime: `stall_ms` of
-/// simulated disk latency per buffer-pool miss, and read-side faults.
+/// simulated disk latency per read batch that misses the buffer pool, and
+/// read-side faults.
 fn set_io_regime(
     engine: &Mr3Engine<'_, '_>,
     stall_ms: f64,

@@ -193,7 +193,7 @@ fn slow_query_dump_returns_valid_jsonl_with_trace_ids() {
 /// reorganised, but not one name may change or go missing (dashboards,
 /// `sknn top --check` and the router's `objects` lookup read them by
 /// name).
-const SERVER_FAMILIES: [&str; 48] = [
+const SERVER_FAMILIES: [&str; 47] = [
     "sknn_cutcache_cooling_entries",
     "sknn_cutcache_evictions_total",
     "sknn_cutcache_extractions_in_flight",
@@ -240,7 +240,6 @@ const SERVER_FAMILIES: [&str; 48] = [
     "sknn_store_logical_reads_total",
     "sknn_store_physical_reads_total",
     "sknn_store_shard_contention_total",
-    "sknn_store_singleflight_waits_total",
     "sknn_store_stall_us_total",
 ];
 const SERVER_STATS_KEYS: [&str; 26] = [
