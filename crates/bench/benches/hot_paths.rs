@@ -2,8 +2,10 @@
 //! Dijkstra priority queue (Dial buckets vs binary heap), multi-source
 //! Dijkstra over the three graph shapes MR3 actually runs (DMTM front,
 //! pathnet, corridor-restricted front — the last both over its own graph
-//! and masked over the whole front's), pathnet construction over a group
-//! region and one group's run to its members, the cut cache's unit-store
+//! and masked over the whole front's), a candidate's goal-directed run
+//! masked to its prune ellipse, the whole-mesh pathnet constructor under a
+//! region filter and one group's run to its members over the region's net
+//! searched in place, the cut cache's unit-store
 //! build and a cold unit load over one tile and over the whole terrain,
 //! one cold ranking iteration's whole fetch on the benchmark's scene, a
 //! cold fused line-cache load
@@ -32,7 +34,8 @@ use sknn_core::config::Mr3Config;
 use sknn_core::objects::ObjectStore;
 use sknn_core::workload::SceneBuilder;
 use sknn_core::Mr3Engine;
-use sknn_geodesic::graph::{Dijkstra, DijkstraScratch, Graph, QueuePolicy};
+use sknn_geodesic::graph::{potential, Dijkstra, DijkstraScratch, Graph, QueuePolicy};
+use sknn_geodesic::pathnet::{PathnetScratch, RegionNet};
 use sknn_geodesic::{MeshPoint, Pathnet};
 use sknn_geom::{Axis, Ellipse2, Point2, Rect2};
 use sknn_multires::{build_dmtm, CutCache, CutGrid, FrontGraph, TileSpan, UnitStore};
@@ -232,12 +235,51 @@ fn main() {
         });
     }
 
+    // A candidate's run the way ranking aims it: masked to the prune
+    // ellipse of a bound 20 % above the pair's front distance, from the
+    // query's embedding to the candidate's, keyed by the potential of each
+    // node's representative towards the candidate (A*).
+    let front_locator = TriangleLocator::build(&mesh);
+    let on_surface = |fx: f64, fy: f64| {
+        let p = Point2::new(ext.lo.x + fx * ext.width(), ext.lo.y + fy * ext.height());
+        let tri = front_locator.locate(&mesh, p).expect("point inside the terrain");
+        (tri, front_locator.lift(&mesh, p).expect("located"))
+    };
+    let ((qt, qp), (ct, cp)) = (on_surface(0.2, 0.3), on_surface(0.8, 0.7));
+    let q_emb = front.embed(&tree, &mesh, qt, qp);
+    let c_emb = front.embed(&tree, &mesh, ct, cp);
+    let free = Dijkstra::run_masked_scratch(
+        &front_graph,
+        &q_emb,
+        &c_emb,
+        |_| true,
+        &mut DijkstraScratch::new(),
+    )
+    .best_exit(&c_emb)
+    .0;
+    let ellipse = Ellipse2::new(qp.xy(), cp.xy(), 1.2 * free);
+    let in_ellipse: Vec<bool> = front.rep_pos.iter().map(|p| ellipse.contains(p.xy())).collect();
+    for policy in [QueuePolicy::Heap, QueuePolicy::Bucket] {
+        let mut scratch = DijkstraScratch::with_policy(policy);
+        h.bench(&format!("dijkstra/goal_ellipse/{policy}"), || {
+            let run = Dijkstra::run_masked_toward(
+                &front_graph,
+                &q_emb,
+                &c_emb,
+                |v| in_ellipse[v as usize],
+                |v| potential(front.rep_pos[v as usize], cp),
+                &mut scratch,
+            );
+            black_box((run.settled, run.queue.pushes))
+        });
+    }
+
     // --- Pathnet over a group region --------------------------------------
     // Ranking's shape: a 16 × 16-cell rectangle (512 facets) on the
     // benchmark's 129² terrain, where a group region holds ≈ 525. The
-    // whole-mesh constructor under a facet filter against the region
-    // constructor over the locator's list; then one group's run from the
-    // region's centre to eight members around it, stopped at the members.
+    // whole-mesh constructor under a facet filter; then one group's run
+    // over the region's net searched in place, from the region's centre
+    // to eight members around it, aimed at them and stopped at them.
     let terrain = TerrainConfig::bh().with_grid(129).build_mesh(2);
     let terrain_locator = TriangleLocator::build(&terrain);
     let tc = terrain.extent().center();
@@ -247,12 +289,6 @@ fn main() {
         let filter = |t: u32| terrain.triangle(t).mbr_xy().intersects(&region);
         black_box(Pathnet::build(&terrain, 1, Some(&filter)).num_nodes())
     });
-    h.bench("pathnet/build_region", || {
-        let facets = terrain_locator.triangles_meeting(&terrain, &region);
-        black_box(Pathnet::build_region(&terrain, 1, facets).num_nodes())
-    });
-    let group_net =
-        Pathnet::build_region(&terrain, 1, terrain_locator.triangles_meeting(&terrain, &region));
     let surface = |p: Point2| {
         let tri = terrain_locator.locate(&terrain, p).expect("point inside the terrain");
         MeshPoint::Interior { tri, pos: terrain_locator.lift(&terrain, p).expect("located") }
@@ -264,9 +300,10 @@ fn main() {
             surface(Point2::new(tc.x + 60.0 * a.cos(), tc.y + 60.0 * a.sin()))
         })
         .collect();
-    let mut scratch = DijkstraScratch::new();
-    h.bench("pathnet/run_members", || {
-        black_box(group_net.distances(&terrain, query, &members, &mut scratch).settled)
+    let group_net = RegionNet::new(&terrain, 1, region);
+    let mut scratch = PathnetScratch::new();
+    h.bench("pathnet/region_members", || {
+        black_box(group_net.distances(query, &members, &mut scratch).settled)
     });
 
     // --- Cut-cache unit store ------------------------------------------------

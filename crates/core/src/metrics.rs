@@ -50,7 +50,9 @@ pub struct StageTimes {
     /// Inside steps 2 + 4: lower bounds over fetched lines (slicing,
     /// network build, Dijkstra runs).
     pub rank_lb_us: u64,
-    /// Inside steps 2 + 4: pathnet build and its Dijkstra run.
+    /// Inside steps 2 + 4: the pathnet level's runs — per group, the
+    /// region's net searched in place, aimed at the members, and the
+    /// members' read-offs. No graph is built.
     pub rank_pathnet_us: u64,
 }
 

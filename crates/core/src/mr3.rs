@@ -351,7 +351,6 @@ impl<'s, 'm> Mr3Engine<'s, 'm> {
             self.scratch_pool.lock().unwrap_or_else(|e| e.into_inner()).pop().unwrap_or_default();
         let ctx = RankingContext {
             mesh: self.mesh,
-            locator: self.scene.locator(),
             tree: &self.tree,
             msdn: &self.msdn,
             pager: &self.pager,

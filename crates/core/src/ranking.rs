@@ -18,11 +18,11 @@ use crate::metrics::{QueryStats, StageTimes};
 use crate::regions::{candidate_region, merge_regions, IoGroup};
 use crate::resilience::FaultLog;
 use crate::workload::SurfacePoint;
-use sknn_geodesic::graph::{Dijkstra, DijkstraScratch, Graph, QueueCounters};
-use sknn_geodesic::pathnet::Pathnet;
+use sknn_geodesic::graph::{potential, Dijkstra, DijkstraScratch, Graph, QueueCounters};
+use sknn_geodesic::pathnet::{Pathnet, PathnetScratch, RegionNet};
 use sknn_geodesic::MeshPoint;
 use sknn_geom::Axis;
-use sknn_geom::{Aabb3, Ellipse2, Rect2};
+use sknn_geom::{Aabb3, Ellipse2, Point3, Rect2};
 use sknn_multires::{
     CutCache, CutGrid, DmtmTree, FetchScratch, FrontGraph, FrontUnit, TileSpan, UnitLoad,
 };
@@ -30,7 +30,6 @@ use sknn_obs::{field, Recorder};
 use sknn_sdn::network::{lower_bound_with, LbScratch};
 use sknn_sdn::{LineBand, LineCutCache, LineLoad, Msdn, PagedMsdn, SimplifiedLine};
 use sknn_store::{PageId, PageSink, Pager, StoreResult};
-use sknn_terrain::locate::TriangleLocator;
 use sknn_terrain::mesh::TerrainMesh;
 use std::cell::{Cell, RefCell};
 use std::sync::{Arc, Mutex};
@@ -45,9 +44,6 @@ use std::time::Instant;
 pub struct RankingContext<'a, 'm> {
     /// The mesh.
     pub mesh: &'m TerrainMesh,
-    /// Bucket grid over the mesh's facets: the pathnet level asks it for
-    /// the facets meeting a group region instead of testing every facet.
-    pub locator: &'a TriangleLocator,
     /// The DMTM's resident metadata (steps, MBRs, representatives); its
     /// data comes through [`cuts`](Self::cuts).
     pub tree: &'a DmtmTree,
@@ -136,8 +132,8 @@ pub struct RankScratch {
     fetch: FetchScratch,
     /// Layer table and Dijkstra buffers for SDN lower bounds.
     lb: LbScratch,
-    /// Dijkstra state for the per-group shared pathnet run.
-    pathnet: DijkstraScratch,
+    /// State of the per-group in-place pathnet run.
+    pathnet: PathnetScratch,
     /// What the current query's look-aheads loaded and no later iteration
     /// of it has used yet.
     ahead: Lookahead,
@@ -1168,7 +1164,8 @@ impl<'a, 'm> RankingContext<'a, 'm> {
                         }
                         true
                     };
-                    filtered_dijkstra(fg, csr, allowed, &q_emb, &exits, masked)
+                    let goal = cands[ci].point.pos;
+                    filtered_dijkstra(fg, csr, allowed, &q_emb, &exits, goal, masked)
                 };
                 stats.settled += settled;
                 stats.absorb_queue(&queue);
@@ -1194,8 +1191,8 @@ impl<'a, 'm> RankingContext<'a, 'm> {
 
     /// Upper bounds from the pathnet (the >100 % level): approximate
     /// surface distances over Steiner-augmented facets within the group
-    /// region. Its page charge — the region's leaf-level units — is the
-    /// plan's.
+    /// region, searched in place. Its page charge — the region's
+    /// leaf-level units — is the plan's.
     fn ub_phase_pathnet(
         &self,
         q: &SurfacePoint,
@@ -1204,17 +1201,15 @@ impl<'a, 'm> RankingContext<'a, 'm> {
         region: Rect2,
         stats: &mut QueryStats,
     ) {
-        let mesh = self.mesh;
-        let facets = self.locator.triangles_meeting(mesh, &region);
-        let net = Pathnet::build_region(mesh, self.cfg.pathnet_steiner, facets);
-        // Every member shares the query as source, so one Dijkstra serves
-        // the whole group and stops once the members' nodes are settled;
-        // the distances are bit-identical to per-pair `Pathnet::distance`
-        // calls.
+        let net = RegionNet::new(self.mesh, self.cfg.pathnet_steiner, region);
+        // Every member shares the query as source, so one run serves the
+        // whole group, aimed at the members, and stops once their nodes
+        // are settled; the distances are bit-identical to per-pair
+        // `Pathnet::distance` calls over the net built for the region.
         let dests: Vec<MeshPoint> =
             members.iter().map(|&ci| cands[ci].point.to_mesh_point()).collect();
         let scratch = &mut *self.scratch.borrow_mut();
-        let run = net.distances(mesh, q.to_mesh_point(), &dests, &mut scratch.pathnet);
+        let run = net.distances(q.to_mesh_point(), &dests, &mut scratch.pathnet);
         stats.absorb_queue(&run.queue);
         stats.settled += run.settled;
         for (&ci, &d) in members.iter().zip(&run.dist) {
@@ -1307,8 +1302,15 @@ impl<'a, 'm> RankingContext<'a, 'm> {
                     let dst = fg.embed(self.tree, self.mesh, b.tri, b.pos);
                     if !src.is_empty() && !dst.is_empty() {
                         let csr = Graph::from_undirected(fg.num_nodes(), &fg.edges);
-                        let (d, settled, queue, _) =
-                            filtered_dijkstra(&fg, &csr, |_| true, &src, &dst, &mut scratch.masked);
+                        let (d, settled, queue, _) = filtered_dijkstra(
+                            &fg,
+                            &csr,
+                            |_| true,
+                            &src,
+                            &dst,
+                            b.pos,
+                            &mut scratch.masked,
+                        );
                         stats.settled += settled;
                         stats.absorb_queue(&queue);
                         if d.is_finite() {
@@ -1441,23 +1443,31 @@ fn max_ub(cands: &[Candidate]) -> f64 {
     cands.iter().map(|c| c.range.ub).fold(f64::NEG_INFINITY, f64::max)
 }
 
-/// Dijkstra over a front graph restricted to `allowed` nodes. Returns the
-/// best source-to-exit distance, settled count, queue counters, and the
-/// tree-node-id path.
+/// Dijkstra over a front graph restricted to `allowed` nodes, aimed at
+/// `goal`, the point `exits` embed. Returns the best source-to-exit
+/// distance, settled count, queue counters, and the tree-node-id path.
 ///
 /// No graph is built: the run is masked over `csr`, the front's own
 /// adjacency, asks `allowed` only of the nodes it reaches, and stops once
 /// no exit still queued can matter — so its cost is what it settles, not
-/// the size of the front.
+/// the size of the front. It keys each node by its distance plus the
+/// potential of its representative towards `goal` (A*): a front link's
+/// recorded length is at least the straight line between its ends, and
+/// an exit's cost at least the straight line from its representative to
+/// `goal` (DESIGN §5), so the total and path are plain Dijkstra's.
+#[allow(clippy::too_many_arguments)]
 fn filtered_dijkstra(
     fg: &FrontGraph,
     csr: &Graph,
     allowed: impl Fn(usize) -> bool,
     sources: &[(u32, f64)],
     exits: &[(u32, f64)],
+    goal: Point3,
     dij: &mut DijkstraScratch,
 ) -> (f64, usize, QueueCounters, Vec<u32>) {
-    let run = Dijkstra::run_masked_scratch(csr, sources, exits, |v| allowed(v as usize), dij);
+    let allowed = |v: u32| allowed(v as usize);
+    let h = |v: u32| potential(fg.rep_pos[v as usize], goal);
+    let run = Dijkstra::run_masked_toward(csr, sources, exits, allowed, h, dij);
     // A node the mask rejects is never entered and reads as infinitely
     // far, so the mask needs no second look here.
     let (best, best_node) = run.best_exit(exits);
@@ -1712,7 +1722,7 @@ mod tests {
                 let (free, free_settled, free_path) =
                     filter_and_rebuild(&fg, &|_| true, &src, &dst, policy);
                 let (got, settled, _, path) =
-                    filtered_dijkstra(&fg, &csr, |_| true, &src, &dst, &mut dij);
+                    filtered_dijkstra(&fg, &csr, |_| true, &src, &dst, b.pos, &mut dij);
                 prop_assert_eq!(got.to_bits(), free.to_bits());
                 prop_assert_eq!(&path, &free_path);
                 prop_assert!(settled <= free_settled);
@@ -1735,7 +1745,7 @@ mod tests {
                     let (want, want_settled, want_path) =
                         filter_and_rebuild(&fg, &allowed, &src, &dst, policy);
                     let (got, settled, _, path) =
-                        filtered_dijkstra(&fg, &csr, allowed, &src, &dst, &mut dij);
+                        filtered_dijkstra(&fg, &csr, allowed, &src, &dst, b.pos, &mut dij);
                     prop_assert_eq!(got.to_bits(), want.to_bits());
                     prop_assert_eq!(&path, &want_path);
                     prop_assert!(settled <= want_settled);

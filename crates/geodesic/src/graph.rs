@@ -14,6 +14,7 @@
 //! by property tests here and in `tests/queue_equivalence.rs`); they
 //! differ only in constant factors on the relaxation hot path.
 
+use sknn_geom::Point3;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::fmt;
@@ -310,8 +311,10 @@ const RING_BUCKETS: usize = 2048;
 /// sorted once, descending, and drained by `O(1)` pops off its tail —
 /// ascending `(dist, node)` order, reproducing the binary heap's pop
 /// order exactly, which is what makes the two policies bit-identical.
-/// Zero-weight edges re-enter the *current* bucket (never an earlier one)
-/// and mark it for a re-sort. Keys beyond the ring land in an overflow
+/// Zero-weight edges — and a goal-directed run's keys, whose increments
+/// are `w − (h(u) − h(v)) ≥ 0` rather than `≥ w` — re-enter the *current*
+/// bucket (never an earlier one), at their place in its descending order
+/// once it is sorted. Keys beyond the ring land in an overflow
 /// band; when the ring drains, the band re-seeds it at a new base
 /// ("wide-range" graphs). A graph with no positive-weight edge degrades
 /// to scanning the band.
@@ -389,12 +392,15 @@ impl Pq for BucketQueue {
             if b.is_empty() {
                 self.touched.push(rel as u32);
             }
-            b.push((dist, node));
             self.in_ring += 1;
-            // A zero-weight edge can land in the cursor's (already sorted)
-            // bucket; flag it for a re-sort before the next pop.
-            if rel == self.cur {
-                self.cur_sorted = false;
+            // A zero-weight edge, or a goal-directed run's key, can land
+            // in the cursor's (already sorted) bucket: it goes to its place
+            // in the descending order.
+            if rel == self.cur && self.cur_sorted {
+                let at = b.partition_point(|&e| key_lt((dist, node), e));
+                b.insert(at, (dist, node));
+            } else {
+                b.push((dist, node));
             }
         }
     }
@@ -451,6 +457,92 @@ pub struct Dijkstra {
     pub queue: QueueCounters,
 }
 
+/// Slack `ε` of a goal-directed run's potential `h = (1 − ε)·|p − goal|`.
+/// Every link a goal-directed run crosses is at least as long as the
+/// straight line between its ends, so `h` is consistent in exact
+/// arithmetic; the slack keeps it so in floating point: each link of
+/// length `w` leaves a margin of `ε·w`, far above the rounding of a
+/// distance of terrain size.
+const POTENTIAL_SLACK: f64 = 1e-6;
+
+/// A goal-directed run's potential of a node at `p`: `(1 − ε)·|p − goal|`,
+/// a lower bound of every path from `p` to `goal` (dE ≤ dS).
+#[inline]
+pub fn potential(p: Point3, goal: Point3) -> f64 {
+    potential_sq(p.dist_sq(goal))
+}
+
+/// [`potential`] of a squared straight-line distance: the same bits, as
+/// the square root is correctly rounded.
+#[inline]
+pub(crate) fn potential_sq(d2: f64) -> f64 {
+    (1.0 - POTENTIAL_SLACK) * d2.sqrt()
+}
+
+/// Per-node run state, SoA and indexed by node, each entry meaningful only
+/// when its stamp matches the run's generation (see [`DijkstraScratch`]).
+#[derive(Debug, Default)]
+struct Labels {
+    dist: Vec<f64>,
+    prev: Vec<u32>,
+    /// Generation at which `dist`/`prev`/`heur` were last written.
+    seen: Vec<u32>,
+    /// Generation at which the node was settled.
+    done: Vec<u32>,
+    /// Generation at which a run listed the node as a target.
+    wanted: Vec<u32>,
+    /// Potential of the node, written when a goal-directed run first
+    /// reaches it.
+    heur: Vec<f64>,
+}
+
+/// The arrays of [`Labels`] as slices, for the relaxation loop.
+struct LabelView<'a> {
+    dist: &'a mut [f64],
+    prev: &'a mut [u32],
+    seen: &'a mut [u32],
+    done: &'a mut [u32],
+    wanted: &'a mut [u32],
+    heur: &'a mut [f64],
+}
+
+impl Labels {
+    /// Grow to `n` nodes; `heur` only as far as a goal-directed run has
+    /// needed it.
+    fn grow(&mut self, n: usize, goal: bool) {
+        if self.seen.len() < n {
+            self.dist.resize(n, f64::INFINITY);
+            self.prev.resize(n, u32::MAX);
+            self.seen.resize(n, 0);
+            self.done.resize(n, 0);
+            self.wanted.resize(n, 0);
+        }
+        if goal && self.heur.len() < n {
+            self.heur.resize(n, 0.0);
+        }
+    }
+
+    fn view(&mut self) -> LabelView<'_> {
+        LabelView {
+            dist: &mut self.dist,
+            prev: &mut self.prev,
+            seen: &mut self.seen,
+            done: &mut self.done,
+            wanted: &mut self.wanted,
+            heur: &mut self.heur,
+        }
+    }
+
+    #[inline]
+    fn get_dist(&self, v: usize, gen: u32) -> f64 {
+        if self.seen[v] == gen {
+            self.dist[v]
+        } else {
+            f64::INFINITY
+        }
+    }
+}
+
 /// Reusable Dijkstra working state.
 ///
 /// [`Dijkstra::run_multi`] allocates three O(n) arrays per call; query
@@ -472,14 +564,7 @@ pub struct Dijkstra {
 /// in a front of thousands.
 #[derive(Debug, Default)]
 pub struct DijkstraScratch {
-    dist: Vec<f64>,
-    prev: Vec<u32>,
-    /// Generation at which `dist`/`prev` were last written, per node.
-    seen: Vec<u32>,
-    /// Generation at which the node was settled, per node.
-    done: Vec<u32>,
-    /// Generation at which a run listed the node as a target, per node.
-    wanted: Vec<u32>,
+    labels: Labels,
     /// Generation at which a masked run last asked whether the node is
     /// admitted, and the answer it got, per node.
     asked: Vec<u32>,
@@ -504,13 +589,9 @@ impl DijkstraScratch {
 
     /// Prepare for a run over `n` nodes: grow the arrays if needed and
     /// open a fresh generation.
-    fn begin(&mut self, n: usize) {
-        if self.seen.len() < n {
-            self.dist.resize(n, f64::INFINITY);
-            self.prev.resize(n, u32::MAX);
-            self.seen.resize(n, 0);
-            self.done.resize(n, 0);
-            self.wanted.resize(n, 0);
+    fn begin(&mut self, n: usize, goal: bool) {
+        self.labels.grow(n, goal);
+        if self.asked.len() < n {
             self.asked.resize(n, 0);
             self.admitted.resize(n, false);
         }
@@ -518,21 +599,19 @@ impl DijkstraScratch {
         // entries; on wrap-around all stamps are hard-reset once.
         self.generation = self.generation.wrapping_add(1);
         if self.generation == 0 {
-            self.seen.fill(0);
-            self.done.fill(0);
-            self.wanted.fill(0);
+            self.labels.seen.fill(0);
+            self.labels.done.fill(0);
+            self.labels.wanted.fill(0);
             self.asked.fill(0);
             self.generation = 1;
         }
     }
 
+    /// Distance to `node` after the last run; `f64::INFINITY` when
+    /// unreached.
     #[inline]
-    fn get_dist(&self, v: usize) -> f64 {
-        if self.seen[v] == self.generation {
-            self.dist[v]
-        } else {
-            f64::INFINITY
-        }
+    pub(crate) fn dist(&self, node: u32) -> f64 {
+        self.labels.get_dist(node as usize, self.generation)
     }
 }
 
@@ -550,14 +629,14 @@ pub struct ScratchRun<'s> {
 impl ScratchRun<'_> {
     /// Distance to `node`; `f64::INFINITY` when unreached.
     pub fn dist(&self, node: u32) -> f64 {
-        self.scratch.get_dist(node as usize)
+        self.scratch.dist(node)
     }
 
     /// Predecessor of `node`; `u32::MAX` for sources and unreached nodes.
     pub fn prev(&self, node: u32) -> u32 {
-        let v = node as usize;
-        if self.scratch.seen[v] == self.scratch.generation {
-            self.scratch.prev[v]
+        let (v, labels) = (node as usize, &self.scratch.labels);
+        if labels.seen[v] == self.scratch.generation {
+            labels.prev[v]
         } else {
             u32::MAX
         }
@@ -585,10 +664,8 @@ impl ScratchRun<'_> {
         }
         let mut path = vec![target];
         let mut cur = target;
-        while self.scratch.prev[cur as usize] != u32::MAX
-            && self.scratch.seen[cur as usize] == self.scratch.generation
-        {
-            cur = self.scratch.prev[cur as usize];
+        while self.prev(cur) != u32::MAX {
+            cur = self.prev(cur);
             path.push(cur);
         }
         path.reverse();
@@ -596,9 +673,95 @@ impl ScratchRun<'_> {
     }
 }
 
-/// The shared relaxation core: SoA state (`dist`/`prev`/`seen`/`done`
-/// stamped with `gen`), generic over the queue so each policy gets a
-/// monomorphized, fully inlined loop.
+/// Where a run's links come from: a CSR [`Graph`], or a net the run
+/// generates as it reaches it (the in-place region pathnet). Nodes are
+/// indices into the scratch's state arrays, `< len()`.
+pub(crate) trait Adjacency {
+    /// Nodes appear as the run reaches them: the state arrays grow to
+    /// [`len`](Self::len) after each [`load`](Self::load).
+    const GROWS: bool;
+    /// Keys are `g + h`, `h` being [`potential`](Self::potential); plain
+    /// Dijkstra (`h = 0`) when `false`.
+    const GOAL: bool;
+    /// Nodes so far.
+    fn len(&self) -> usize;
+    /// Width of the bucket queue's buckets (any positive width keeps it
+    /// exact; a good one keeps buckets short).
+    fn bucket_width(&self) -> f64;
+    /// Make [`edges`](Self::edges) the `(neighbour, weight)` links of `u`.
+    fn load(&mut self, u: u32);
+    /// The links [`load`](Self::load) made current.
+    fn edges(&self) -> &[(u32, f64)];
+    /// The potential of `v`: consistent (`h(u) ≤ w(u, v) + h(v)` on every
+    /// link) and, for a run with exits, at most each exit's cost.
+    fn potential(&self, v: u32) -> f64;
+}
+
+/// A CSR graph as an [`Adjacency`], with potential `h` when `GOAL`.
+struct Csr<'g, H, const GOAL: bool> {
+    graph: &'g Graph,
+    lo: usize,
+    hi: usize,
+    h: H,
+}
+
+/// The potential of a plain run.
+fn zero(_: u32) -> f64 {
+    0.0
+}
+
+impl<'g> Csr<'g, fn(u32) -> f64, false> {
+    fn plain(graph: &'g Graph) -> Self {
+        Self { graph, lo: 0, hi: 0, h: zero }
+    }
+}
+
+impl<'g, H: Fn(u32) -> f64> Csr<'g, H, true> {
+    fn toward(graph: &'g Graph, h: H) -> Self {
+        Self { graph, lo: 0, hi: 0, h }
+    }
+}
+
+impl<H: Fn(u32) -> f64, const G: bool> Adjacency for Csr<'_, H, G> {
+    const GROWS: bool = false;
+    const GOAL: bool = G;
+
+    #[inline]
+    fn len(&self) -> usize {
+        self.graph.num_nodes()
+    }
+
+    fn bucket_width(&self) -> f64 {
+        self.graph.min_pos_weight
+    }
+
+    #[inline]
+    fn load(&mut self, u: u32) {
+        let u = u as usize;
+        debug_assert!(u < self.len());
+        // SAFETY: u < n (the core's invariant) and the CSR is well-formed
+        // (offsets non-decreasing, terminated at edges.len()).
+        unsafe {
+            self.lo = *self.graph.offsets.get_unchecked(u) as usize;
+            self.hi = *self.graph.offsets.get_unchecked(u + 1) as usize;
+        }
+    }
+
+    #[inline]
+    fn edges(&self) -> &[(u32, f64)] {
+        // SAFETY: `lo..hi` is a node's CSR range (see `load`).
+        unsafe { self.graph.edges.get_unchecked(self.lo..self.hi) }
+    }
+
+    #[inline]
+    fn potential(&self, v: u32) -> f64 {
+        (self.h)(v)
+    }
+}
+
+/// The one relaxation loop: SoA state stamped with `gen`, generic over the
+/// queue and the [`Adjacency`] so each pair gets a monomorphized, fully
+/// inlined loop.
 ///
 /// Nodes `admit` rejects are never entered, as sources or as neighbours —
 /// the run equals one over the subgraph induced by the admitted nodes,
@@ -613,100 +776,125 @@ impl ScratchRun<'_> {
 /// `wanted` are all settled (at once for `k = 0`): a settled node's state
 /// is final, so each of them reads as after the run to exhaustion.
 ///
+/// A goal-directed run (`A::GOAL`) keys a node `g + h` (A*), `h` its
+/// potential, clamped to the popped key so the queue stays monotone. With
+/// `h` consistent a settled label is final, and with `h` at most each
+/// exit's cost the stop above holds as it stands; the labels are the
+/// plain run's, bit for bit, because both are the least solution of the
+/// same Bellman equations (DESIGN §5). Only predecessors depend on the
+/// order of settling: an equal-cost relaxation keeps the predecessor with
+/// the smaller `(label, id)`, the one plain Dijkstra — which over links of
+/// positive length settles in that order — keeps, so paths equal its paths
+/// too.
+///
 /// # Safety invariants (all checked at build / begin time)
-/// * `graph` CSR is well-formed: `offsets` is non-decreasing with
-///   `offsets[n] == edges.len()`, every edge target `< n` (validated by
-///   `try_rebuild_undirected`, the only writer).
-/// * The SoA arrays have length `>= n` (`DijkstraScratch::begin`).
-/// * Popped nodes are `< n`: only sources (asserted below) and validated
-///   edge targets are ever pushed.
+/// * Every node `adj` names is `< adj.len()`, and after each `load` the
+///   state arrays are at least `adj.len()` long (`DijkstraScratch::begin`,
+///   [`Labels::grow`]); a CSR's edge targets were validated `< n` by
+///   `try_rebuild_undirected`, the only writer.
+/// * Popped nodes are `< adj.len()`: only sources (asserted below) and
+///   `adj`'s neighbours are ever pushed.
 #[inline]
 #[allow(clippy::too_many_arguments)]
-fn run_core<Q: Pq>(
-    graph: &Graph,
+fn run_core<Q: Pq, A: Adjacency>(
+    adj: &mut A,
     sources: &[(u32, f64)],
     mut left: Option<usize>,
-    wanted: &[u32],
     exits: &[(u32, f64)],
     mut admit: impl FnMut(u32) -> bool,
-    dist: &mut [f64],
-    prev: &mut [u32],
-    seen: &mut [u32],
-    done: &mut [u32],
+    labels: &mut Labels,
     gen: u32,
     q: &mut Q,
 ) -> (usize, QueueCounters) {
-    let n = graph.num_nodes();
     let mut counters = QueueCounters::default();
     if left == Some(0) {
         return (0, counters);
     }
-    for &(s, d0) in sources {
-        let si = s as usize;
-        assert!(si < n, "source {s} out of range (num_nodes {n})");
-        let cur = if seen[si] == gen { dist[si] } else { f64::INFINITY };
-        if d0 < cur && admit(s) {
-            dist[si] = d0;
-            prev[si] = u32::MAX;
-            seen[si] = gen;
-            q.push(d0, s);
+    let mut s = labels.view();
+    for &(src, d0) in sources {
+        let si = src as usize;
+        assert!(si < adj.len(), "source {src} out of range (num_nodes {})", adj.len());
+        let fresh = s.seen[si] != gen;
+        if d0 < (if fresh { f64::INFINITY } else { s.dist[si] }) && admit(src) {
+            if A::GOAL && fresh {
+                s.heur[si] = adj.potential(src);
+            }
+            s.dist[si] = d0;
+            s.prev[si] = u32::MAX;
+            s.seen[si] = gen;
+            q.push(if A::GOAL { d0 + s.heur[si] } else { d0 }, src);
             counters.pushes += 1;
         }
     }
     let mut settled = 0usize;
     let mut best_exit = f64::INFINITY;
-    while let Some((d, node)) = q.pop() {
+    while let Some((key, node)) = q.pop() {
         counters.pops += 1;
-        if d > best_exit {
+        if key > best_exit {
             break;
         }
         let u = node as usize;
-        debug_assert!(u < n);
-        // SAFETY: u < n (sources asserted above, edge targets validated at
-        // graph build); `done` has length >= n.
-        if unsafe { *done.get_unchecked(u) } == gen {
+        debug_assert!(u < adj.len());
+        // SAFETY: u < adj.len() <= the arrays' length (see above).
+        if unsafe { *s.done.get_unchecked(u) } == gen {
             counters.stale_pops += 1;
             continue;
         }
-        unsafe { *done.get_unchecked_mut(u) = gen };
+        unsafe { *s.done.get_unchecked_mut(u) = gen };
         settled += 1;
         if let Some(k) = left.as_mut() {
-            if wanted[u] == gen {
+            if s.wanted[u] == gen {
                 *k -= 1;
                 if *k == 0 {
                     break;
                 }
             }
         }
+        // The label, not the key: they differ by `h` in a goal-directed
+        // run, and a plain run pops each node's first entry at its label.
+        let d = unsafe { *s.dist.get_unchecked(u) };
         for &(x, exit_cost) in exits {
             if x == node {
                 best_exit = best_exit.min(d + exit_cost);
             }
         }
-        // SAFETY: u < n and the CSR is well-formed (offsets non-decreasing,
-        // terminated at edges.len()), so the slice bounds are in range.
-        let (lo, hi) = unsafe {
-            (*graph.offsets.get_unchecked(u) as usize, *graph.offsets.get_unchecked(u + 1) as usize)
-        };
-        let adj = unsafe { graph.edges.get_unchecked(lo..hi) };
-        for &(nb, w) in adj {
+        adj.load(node);
+        if A::GROWS && s.seen.len() < adj.len() {
+            labels.grow(adj.len(), A::GOAL);
+            s = labels.view();
+        }
+        let adj = &*adj;
+        for &(nb, w) in adj.edges() {
             let nd = d + w;
             let v = nb as usize;
-            debug_assert!(v < n);
-            // SAFETY: edge targets were validated < n at graph build and
-            // every SoA array has length >= n.
+            debug_assert!(v < adj.len());
+            // SAFETY: v < adj.len() <= the arrays' length (see above).
             unsafe {
-                let cur = if *seen.get_unchecked(v) == gen {
-                    *dist.get_unchecked(v)
-                } else {
-                    f64::INFINITY
-                };
-                if nd < cur && admit(nb) {
-                    *dist.get_unchecked_mut(v) = nd;
-                    *prev.get_unchecked_mut(v) = node;
-                    *seen.get_unchecked_mut(v) = gen;
-                    q.push(nd, nb);
-                    counters.pushes += 1;
+                let fresh = *s.seen.get_unchecked(v) != gen;
+                let cur = if fresh { f64::INFINITY } else { *s.dist.get_unchecked(v) };
+                if nd < cur {
+                    if admit(nb) {
+                        let key = if A::GOAL {
+                            if fresh {
+                                *s.heur.get_unchecked_mut(v) = adj.potential(nb);
+                            }
+                            (nd + *s.heur.get_unchecked(v)).max(key)
+                        } else {
+                            nd
+                        };
+                        *s.dist.get_unchecked_mut(v) = nd;
+                        *s.prev.get_unchecked_mut(v) = node;
+                        *s.seen.get_unchecked_mut(v) = gen;
+                        q.push(key, nb);
+                        counters.pushes += 1;
+                    }
+                } else if A::GOAL && nd == cur {
+                    // The tie rule: Dijkstra's predecessor is the first
+                    // of the equal-cost ones it settles.
+                    let p = *s.prev.get_unchecked(v);
+                    if p != u32::MAX && key_lt((d, node), (*s.dist.get_unchecked(p as usize), p)) {
+                        *s.prev.get_unchecked_mut(v) = node;
+                    }
                 }
             }
         }
@@ -714,40 +902,30 @@ fn run_core<Q: Pq>(
     (settled, counters)
 }
 
-/// One run against `scratch` under its queue policy. `MASKED` routes
-/// admission through `allowed`, memoised per node in the scratch; without
-/// it every node is admitted and `allowed` is never called. `targets` are
-/// stamped in the scratch and counted once each, however often listed.
-fn run_scratch<'s, const MASKED: bool>(
-    graph: &Graph,
+/// One run of `adj` against `scratch` under its queue policy. `MASKED`
+/// routes admission through `allowed`, memoised per node in the scratch;
+/// without it every node is admitted and `allowed` is never called.
+/// `targets` are stamped in the scratch and counted once each, however
+/// often listed.
+pub(crate) fn run_scratch<A: Adjacency, const MASKED: bool>(
+    adj: &mut A,
     sources: &[(u32, f64)],
     targets: Option<&[u32]>,
     exits: &[(u32, f64)],
     allowed: impl Fn(u32) -> bool,
-    scratch: &'s mut DijkstraScratch,
-) -> ScratchRun<'s> {
-    let n = graph.num_nodes();
-    scratch.begin(n);
-    let DijkstraScratch {
-        dist,
-        prev,
-        seen,
-        done,
-        wanted,
-        asked,
-        admitted,
-        generation,
-        heap,
-        bucket,
-        policy,
-    } = &mut *scratch;
+    scratch: &mut DijkstraScratch,
+) -> (usize, QueueCounters) {
+    let n = adj.len();
+    scratch.begin(n, A::GOAL);
+    let DijkstraScratch { labels, asked, admitted, generation, heap, bucket, policy } =
+        &mut *scratch;
     let gen = *generation;
     let left = targets.map(|ts| {
         let mut k = 0;
         for &t in ts {
             assert!((t as usize) < n, "target {t} out of range (num_nodes {n})");
-            if wanted[t as usize] != gen {
-                wanted[t as usize] = gen;
+            if labels.wanted[t as usize] != gen {
+                labels.wanted[t as usize] = gen;
                 k += 1;
             }
         }
@@ -764,19 +942,16 @@ fn run_scratch<'s, const MASKED: bool>(
         }
         admitted[i]
     };
-    let (settled, queue) = match policy {
+    match policy {
         QueuePolicy::Heap => {
             heap.clear();
-            run_core(graph, sources, left, wanted, exits, admit, dist, prev, seen, done, gen, heap)
+            run_core(adj, sources, left, exits, admit, labels, gen, heap)
         }
         QueuePolicy::Bucket => {
-            bucket.reset(graph.min_pos_weight);
-            run_core(
-                graph, sources, left, wanted, exits, admit, dist, prev, seen, done, gen, bucket,
-            )
+            bucket.reset(adj.bucket_width());
+            run_core(adj, sources, left, exits, admit, labels, gen, bucket)
         }
-    };
-    ScratchRun { scratch, settled, queue }
+    }
 }
 
 impl Dijkstra {
@@ -830,7 +1005,10 @@ impl Dijkstra {
         targets: Option<&[u32]>,
         scratch: &'s mut DijkstraScratch,
     ) -> ScratchRun<'s> {
-        run_scratch::<false>(graph, sources, targets, &[], |_| true, scratch)
+        let mut adj = Csr::plain(graph);
+        let (settled, queue) =
+            run_scratch::<_, false>(&mut adj, sources, targets, &[], |_| true, scratch);
+        ScratchRun { scratch, settled, queue }
     }
 
     /// Multi-source Dijkstra over the subgraph induced by the nodes
@@ -852,7 +1030,32 @@ impl Dijkstra {
         allowed: impl Fn(u32) -> bool,
         scratch: &'s mut DijkstraScratch,
     ) -> ScratchRun<'s> {
-        run_scratch::<true>(graph, sources, None, exits, allowed, scratch)
+        let mut adj = Csr::plain(graph);
+        let (settled, queue) =
+            run_scratch::<_, true>(&mut adj, sources, None, exits, allowed, scratch);
+        ScratchRun { scratch, settled, queue }
+    }
+
+    /// [`run_masked_scratch`](Self::run_masked_scratch) aimed at its exits
+    /// by the potential `h` (A*): the same best exit, total and path, bit
+    /// for bit, settling what lies towards the exits rather than a disc.
+    /// `h` must be consistent and at most each exit's cost — [`potential`]
+    /// of the node's position towards the goal the exits embed, when every
+    /// link is at least as long as the straight line between its ends and
+    /// every exit cost at least the straight line from its node to the
+    /// goal — and is asked once per admitted node the run reaches.
+    pub fn run_masked_toward<'s>(
+        graph: &Graph,
+        sources: &[(u32, f64)],
+        exits: &[(u32, f64)],
+        allowed: impl Fn(u32) -> bool,
+        h: impl Fn(u32) -> f64,
+        scratch: &'s mut DijkstraScratch,
+    ) -> ScratchRun<'s> {
+        let mut adj = Csr::toward(graph, h);
+        let (settled, queue) =
+            run_scratch::<_, true>(&mut adj, sources, None, exits, allowed, scratch);
+        ScratchRun { scratch, settled, queue }
     }
 
     /// Reconstruct the node path ending at `target` (source first). Empty
@@ -1139,6 +1342,167 @@ mod tests {
                 }
             }
             best
+        }
+
+        /// A graph whose every link is at least as long as the straight
+        /// line between its ends — the property a goal-directed run
+        /// needs — and of positive length. Nodes sit at distinct points of
+        /// a plane lattice of pitch 1 (`ties`) or a space lattice of pitch
+        /// 0.1 (so coordinates round); a link is the straight line
+        /// exactly, the straight line rounded up to a whole number (many
+        /// equal-cost paths), or the straight line plus a random detour.
+        /// Also the positions and the sources: random ones, and those of
+        /// the tie gadget [`TIE`] appends, apart from the rest.
+        ///
+        /// The gadget forces an equal-cost tie that a run aimed at its
+        /// node `v` settles out of Dijkstra's order: sources `u₁` (entry
+        /// 0, 3 from `v` in a straight line) and `u₂` (entry 1, √2 from
+        /// `v` by a link of length 2) both reach `v` at 3. Dijkstra settles
+        /// `u₁` first and keeps it; a run aimed at `v` settles `u₂` first
+        /// (key 1 + √2 against 3), so only the tie rule makes `u₁` the
+        /// predecessor.
+        fn lattice_graph(
+            seed: u64,
+            n: usize,
+            m: usize,
+            ties: bool,
+        ) -> (Graph, Vec<Point3>, Vec<(u32, f64)>) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let pitch = if ties { 1.0 } else { 0.1 };
+            let mut pos: Vec<Point3> = Vec::with_capacity(n);
+            while pos.len() < n {
+                let mut c = || rng.gen_range(0..8) as f64 * pitch;
+                let p = Point3::new(c(), c(), if ties { 0.0 } else { c() });
+                if !pos.contains(&p) {
+                    pos.push(p);
+                }
+            }
+            let mut edges: Vec<(u32, u32, f64)> = Vec::new();
+            for _ in 0..m {
+                let (a, b) = (rng.gen_range(0..n) as u32, rng.gen_range(0..n) as u32);
+                if a == b {
+                    continue;
+                }
+                let d = pos[a as usize].dist(pos[b as usize]);
+                let w = match rng.gen_range(0..10) {
+                    0..=3 => d,
+                    4..=7 => d.ceil(),
+                    _ => d + rng.gen_range(0.0..2.0),
+                };
+                edges.push((a, b, w));
+            }
+            let mut sources: Vec<(u32, f64)> = (0..rng.gen_range(1usize..4))
+                .map(|_| (rng.gen_range(0..n) as u32, rng.gen_range(0..3) as f64 * pitch))
+                .collect();
+            let [u1, u2, v] = TIE.map(|i| (n + i) as u32);
+            let at = |x: f64, y: f64| Point3::new(100.0 + x, y, 0.0);
+            pos.extend([at(3.0, 0.0), at(1.0, 1.0), at(0.0, 0.0)]);
+            edges.extend([(u1, v, 3.0), (u2, v, 2.0)]);
+            sources.extend([(u1, 0.0), (u2, 1.0)]);
+            (Graph::from_undirected(n + 3, &edges), pos, sources)
+        }
+
+        /// The tie gadget's `u₁`, `u₂` and `v`, after the lattice's `n`
+        /// nodes.
+        const TIE: [usize; 3] = [0, 1, 2];
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(96))]
+            /// A masked run aimed at its exits' goal equals the plain
+            /// masked run: the same best exit and total, bit for bit, the
+            /// same path, the same label at every exit the plain run
+            /// settled at or below that total — and it settles no more,
+            /// under either queue.
+            #[test]
+            fn goal_directed_masked_run_matches_the_plain_one(
+                seed in any::<u64>(),
+                n in 2usize..40,
+                m in 0usize..140,
+                ties in any::<bool>(),
+                admit_pct in 40u32..101,
+            ) {
+                let (g, pos, sources) = lattice_graph(seed, n, m, ties);
+                let mut rng = StdRng::seed_from_u64(seed ^ 0x60A1);
+                // The goal: a lattice node, or the tie gadget's `v`.
+                let goal = pos[if rng.gen_range(0..2) == 0 { rng.gen_range(0..n) } else { n + TIE[2] }];
+                let mask: Vec<bool> =
+                    (0..n + 3).map(|v| v >= n || rng.gen_range(0u32..100) < admit_pct).collect();
+                // Exit costs at least the straight line to the goal.
+                let exits: Vec<(u32, f64)> = (0..rng.gen_range(1usize..5))
+                    .map(|_| {
+                        let x = rng.gen_range(0..n + 3) as u32;
+                        let extra = rng.gen_range(0..3) as f64 * rng.gen_range(0..2) as f64;
+                        (x, pos[x as usize].dist(goal) + extra)
+                    })
+                    .collect();
+                for policy in [QueuePolicy::Heap, QueuePolicy::Bucket] {
+                    let (mut plain, mut aimed) =
+                        (DijkstraScratch::with_policy(policy), DijkstraScratch::with_policy(policy));
+                    let want = Dijkstra::run_masked_scratch(&g, &sources, &exits, |v| mask[v as usize], &mut plain);
+                    let got = Dijkstra::run_masked_toward(
+                        &g,
+                        &sources,
+                        &exits,
+                        |v| mask[v as usize],
+                        |v| potential(pos[v as usize], goal),
+                        &mut aimed,
+                    );
+                    let (best, best_node) = want.best_exit(&exits);
+                    let (got_best, got_node) = got.best_exit(&exits);
+                    prop_assert_eq!(got_best.to_bits(), best.to_bits());
+                    prop_assert_eq!(got_node, best_node);
+                    if let Some(x) = best_node {
+                        prop_assert_eq!(got.path_to(x), want.path_to(x));
+                    }
+                    for &(x, cost) in &exits {
+                        if want.dist(x) + cost <= best {
+                            prop_assert_eq!(got.dist(x).to_bits(), want.dist(x).to_bits());
+                        }
+                    }
+                    prop_assert!(got.settled <= want.settled);
+                }
+            }
+
+            /// A member run aimed at its targets (the potential towards the
+            /// nearest one) reads every target's label and path as the
+            /// plain member run does, under either queue.
+            #[test]
+            fn goal_directed_member_run_matches_the_plain_one(
+                seed in any::<u64>(),
+                n in 2usize..40,
+                m in 0usize..140,
+                ties in any::<bool>(),
+            ) {
+                let (g, pos, sources) = lattice_graph(seed, n, m, ties);
+                let mut rng = StdRng::seed_from_u64(seed ^ 0x3E3B);
+                let mut targets: Vec<u32> =
+                    (0..rng.gen_range(0usize..5)).map(|_| rng.gen_range(0..n + 3) as u32).collect();
+                if rng.gen_range(0..2) == 0 {
+                    targets.push((n + TIE[2]) as u32);
+                }
+                let h = |v: u32| {
+                    let p = pos[v as usize];
+                    targets.iter().map(|&t| potential(p, pos[t as usize])).fold(f64::INFINITY, f64::min)
+                };
+                for policy in [QueuePolicy::Heap, QueuePolicy::Bucket] {
+                    let (mut plain, mut aimed) =
+                        (DijkstraScratch::with_policy(policy), DijkstraScratch::with_policy(policy));
+                    let want = Dijkstra::run_multi_scratch(&g, &sources, Some(&targets), &mut plain);
+                    let (settled, queue) = run_scratch::<_, false>(
+                        &mut Csr::toward(&g, h),
+                        &sources,
+                        Some(&targets),
+                        &[],
+                        |_| true,
+                        &mut aimed,
+                    );
+                    let got = ScratchRun { scratch: &aimed, settled, queue };
+                    for &t in &targets {
+                        prop_assert_eq!(got.dist(t).to_bits(), want.dist(t).to_bits());
+                        prop_assert_eq!(got.path_to(t), want.path_to(t));
+                    }
+                }
+            }
         }
 
         proptest! {

@@ -52,29 +52,6 @@ impl TriangleLocator {
         self.buckets[r * self.nx + c].iter().copied().find(|&t| mesh.triangle(t).contains_xy(p))
     }
 
-    /// Ascending ids of the facets whose projected MBR meets `rect` —
-    /// exactly the set `mesh.triangle(t).mbr_xy().intersects(rect)`
-    /// selects, found through the buckets `rect` overlaps rather than by
-    /// testing every facet.
-    pub fn triangles_meeting(&self, mesh: &TerrainMesh, rect: &Rect2) -> Vec<TriId> {
-        let (c0, r0) = clamp_cell(self.extent, self.nx, self.ny, self.cell_w, self.cell_h, rect.lo);
-        let (c1, r1) = clamp_cell(self.extent, self.nx, self.ny, self.cell_w, self.cell_h, rect.hi);
-        let mut out: Vec<TriId> = Vec::new();
-        for r in r0..=r1 {
-            for c in c0..=c1 {
-                out.extend(
-                    self.buckets[r * self.nx + c]
-                        .iter()
-                        .filter(|&&t| mesh.triangle(t).mbr_xy().intersects(rect)),
-                );
-            }
-        }
-        // A facet sits in every bucket its MBR overlaps.
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
-
     /// Lift a horizontal position onto the surface (barycentric elevation).
     pub fn lift(&self, mesh: &TerrainMesh, p: Point2) -> Option<Point3> {
         let t = self.locate(mesh, p)?;
@@ -124,31 +101,6 @@ mod tests {
                 assert!(mesh.triangle(t).contains_xy(p));
             }
         }
-    }
-
-    #[test]
-    fn triangles_meeting_equals_the_mbr_scan() {
-        let mesh = TerrainConfig::bh().with_grid(17).build_mesh(7);
-        let loc = TriangleLocator::build(&mesh);
-        let e = mesh.extent();
-        let at = |fx: f64, fy: f64| Point2::new(e.lo.x + e.width() * fx, e.lo.y + e.height() * fy);
-        let rects = [
-            Rect2::new(at(0.2, 0.3), at(0.45, 0.5)),
-            // A degenerate rectangle on a grid line, the terrain corner,
-            // one hanging over the edge, the whole terrain, and a miss.
-            Rect2::new(at(0.5, 0.1), at(0.5, 0.9)),
-            Rect2::new(at(0.0, 0.0), at(0.0, 0.0)),
-            Rect2::new(at(0.9, 0.9), at(1.5, 1.5)),
-            Rect2::new(at(-1.0, -1.0), at(2.0, 2.0)),
-            Rect2::new(at(1.5, 1.5), at(2.0, 2.0)),
-        ];
-        for rect in &rects {
-            let scan: Vec<TriId> = (0..mesh.num_triangles() as TriId)
-                .filter(|&t| mesh.triangle(t).mbr_xy().intersects(rect))
-                .collect();
-            assert_eq!(loc.triangles_meeting(&mesh, rect), scan, "{rect:?}");
-        }
-        assert!(loc.triangles_meeting(&mesh, &rects[5]).is_empty());
     }
 
     #[test]
