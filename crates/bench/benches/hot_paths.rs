@@ -364,8 +364,9 @@ fn main() {
     // One cold load of a lower-bound round at the top MSDN level on the
     // same terrain and lattice: a central group's X and Y bands (members
     // on both sweep axes, 60 units around the centre), region and bands
-    // snapped as ranking snaps them, both loaded in one fused call. The
-    // cache's lines and the page pool are emptied before every load.
+    // snapped as ranking snaps them, both claimed and read in one batch,
+    // then published and handed out, as an iteration does. The cache's
+    // lines and the page pool are emptied before every load.
     let msdn_cfg = MsdnConfig { levels: cfg.msdn_levels.clone(), plane_spacing: cfg.plane_spacing };
     let line_pager = Pager::new(cfg.pool_pages);
     let paged_msdn = PagedMsdn::build(&line_pager, &Msdn::build(&terrain, &msdn_cfg));
@@ -381,7 +382,10 @@ fn main() {
     h.bench("linecache/load_bands/xy", || {
         line_cache.clear();
         line_pager.clear_pool();
-        line_cache.get_or_fetch(&paged_msdn, &line_pager, top_level, &bands).expect("unfaulted")
+        let mut load = line_cache.claim(&paged_msdn, top_level, &bands);
+        line_pager.read_into(&mut [&mut load]).expect("unfaulted");
+        load.publish();
+        load.finish(&line_pager).expect("unfaulted")
     });
 
     // --- Iteration plan on a warm engine -------------------------------------

@@ -19,7 +19,7 @@ use crate::regions::{candidate_region, merge_regions, IoGroup};
 use crate::resilience::FaultLog;
 use crate::workload::SurfacePoint;
 use sknn_geodesic::graph::{potential, Dijkstra, DijkstraScratch, Graph, QueueCounters};
-use sknn_geodesic::pathnet::{Pathnet, PathnetScratch, RegionNet};
+use sknn_geodesic::pathnet::{PathnetScratch, RegionNet};
 use sknn_geodesic::MeshPoint;
 use sknn_geom::Axis;
 use sknn_geom::{Aabb3, Ellipse2, Point3, Rect2};
@@ -1291,13 +1291,21 @@ impl<'a, 'm> RankingContext<'a, 'm> {
         stats.ub_estimations += 1;
         stats.lb_estimations += 1;
         // Upper bound.
+        let scratch = &mut *self.scratch.borrow_mut();
         if dmtm_frac <= 1.0 {
+            // The whole terrain's units at step `m`, read the way an
+            // iteration reads its groups': claim, one batch, publish.
             let m = self.tree.step_for_fraction(dmtm_frac);
-            let scratch = &mut *self.scratch.borrow_mut();
-            let whole = self.grid.full_span();
-            match self.cuts.get_or_extract(self.tree, self.pager, m, whole, &mut scratch.fetch) {
-                Ok((fg, hit)) => {
+            let mut load = self.cuts.claim(m, &[self.grid.full_span()]);
+            let fetched = self.pager.read_into(&mut [&mut load]).and_then(|()| {
+                load.publish();
+                load.finish(self.pager)
+            });
+            match fetched {
+                Ok(mut spans) => {
+                    let (units, hit) = spans.pop().expect("one span, one unit list");
                     count_cut_fetch(stats, hit);
+                    let fg = FrontGraph::derive(self.tree, m, &units, &mut scratch.fetch);
                     let src = fg.embed(self.tree, self.mesh, a.tri, a.pos);
                     let dst = fg.embed(self.tree, self.mesh, b.tri, b.pos);
                     if !src.is_empty() && !dst.is_empty() {
@@ -1323,8 +1331,10 @@ impl<'a, 'm> RankingContext<'a, 'm> {
                 Err(e) => self.absorb_fault("pair_ub", e),
             }
         } else {
-            let net = Pathnet::build(self.mesh, self.cfg.pathnet_steiner, None);
-            let d = net.distance(self.mesh, a.to_mesh_point(), b.to_mesh_point());
+            // The whole-mesh net, searched in place.
+            let net = RegionNet::new(self.mesh, self.cfg.pathnet_steiner, self.mesh.extent());
+            let (src, dst) = (a.to_mesh_point(), b.to_mesh_point());
+            let d = net.distances(src, &[dst], &mut scratch.pathnet).dist[0];
             if d.is_finite() {
                 range.tighten_ub(d);
             }
@@ -1483,6 +1493,7 @@ mod tests {
     use crate::mr3::{Mr3Engine, QueryOpts};
     use crate::workload::{Scene, SceneBuilder};
     use sknn_geodesic::graph::QueuePolicy;
+    use sknn_geodesic::pathnet::Pathnet;
     use sknn_terrain::dem::TerrainConfig;
 
     /// Run `body` over a scene of `objects` objects on the small EP
@@ -1589,6 +1600,29 @@ mod tests {
             assert!(fine.accuracy() >= coarse.accuracy() - 0.02);
             assert!(fine.accuracy() > 0.5, "final accuracy {}", fine.accuracy());
             assert!(fine.lb <= fine.ub);
+        });
+    }
+
+    /// The pair estimator's pathnet step searches the whole-mesh net in
+    /// place: its upper bound is the built net's `Pathnet::distance`, bit
+    /// for bit.
+    #[test]
+    fn pair_pathnet_bound_equals_the_built_whole_mesh_net() {
+        let mesh = TerrainConfig::ep().with_grid(33).build_mesh(77);
+        let scene = SceneBuilder::new(&mesh).object_count(2).seed(5).build();
+        let engine = Mr3Engine::build(&mesh, &scene, &Mr3Config::default());
+        engine.scoped(&QueryOpts::default(), "test", |s| {
+            let c = &s.ctx;
+            let net = Pathnet::build(c.mesh, c.cfg.pathnet_steiner, None);
+            let last = c.cfg.schedule.len() - 1;
+            assert!(c.cfg.schedule.dmtm[last] > 1.0, "the last step is the pathnet's");
+            for i in 0..8 {
+                let (a, b) = (scene.random_query(2 * i), scene.random_query(2 * i + 1));
+                let ub = c.estimate_pair(&a, &b, last, 0, &mut QueryStats::default()).ub;
+                let want = net.distance(c.mesh, a.to_mesh_point(), b.to_mesh_point());
+                assert!(want.is_finite(), "pair {i} is connected");
+                assert_eq!(ub.to_bits(), want.to_bits(), "pair {i}: {ub} vs {want}");
+            }
         });
     }
 

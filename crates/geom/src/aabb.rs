@@ -127,13 +127,6 @@ impl Rect2 {
         (dx * dx + dy * dy).sqrt()
     }
 
-    /// Minimum distance between two rectangles (0 when they intersect).
-    pub fn min_dist_rect(&self, other: &Rect2) -> f64 {
-        let dx = (self.lo.x - other.hi.x).max(0.0).max(other.lo.x - self.hi.x);
-        let dy = (self.lo.y - other.hi.y).max(0.0).max(other.lo.y - self.hi.y);
-        (dx * dx + dy * dy).sqrt()
-    }
-
     /// Fraction of the *smaller* rectangle's area covered by the overlap,
     /// in `[0, 1]`. This is the ">= 80 % overlapped" test MR3 uses when
     /// deciding to merge candidate I/O regions (paper §4.2). Degenerate
@@ -293,15 +286,6 @@ mod tests {
         assert_eq!(a.min_dist_point(Point2::new(1.0, 1.0)), 0.0);
         assert_eq!(a.min_dist_point(Point2::new(5.0, 2.0)), 3.0);
         assert_eq!(a.min_dist_point(Point2::new(5.0, 6.0)), 5.0);
-    }
-
-    #[test]
-    fn rect_min_dist_rect_disjoint_and_overlapping() {
-        let a = r(0.0, 0.0, 1.0, 1.0);
-        let b = r(4.0, 5.0, 6.0, 7.0);
-        assert_eq!(a.min_dist_rect(&b), 5.0); // dx=3, dy=4
-        let c = r(0.5, 0.5, 2.0, 2.0);
-        assert_eq!(a.min_dist_rect(&c), 0.0);
     }
 
     #[test]

@@ -8,7 +8,11 @@
 //! each requested front from the units of its region, so overlapping
 //! requests share every byte they have in common instead of each holding
 //! a private copy of it. Single-flight loading and CLOCK eviction come
-//! from [`SingleFlightCache`] in `sknn-store`.
+//! from [`SingleFlightCache`] in `sknn-store`. A read is a
+//! [`claim`](CutCache::claim), one [`Pager::read_into`] of the claimed
+//! units' pages (batched with whatever else the caller reads), then
+//! [`UnitLoad::publish`] and [`UnitLoad::finish`]; the caller derives
+//! each span's front from the units `finish` hands it.
 //!
 //! ## Region canonicalization and bit-identity
 //!
@@ -27,9 +31,9 @@
 //! it produces.
 //!
 //! [`PagedDmtm::fetch_front`]: crate::PagedDmtm::fetch_front
+//! [`FrontGraph::derive`]: crate::FrontGraph::derive
 
-use crate::front::{FetchScratch, FrontGraph, FrontUnit};
-use crate::tree::DmtmTree;
+use crate::front::FrontUnit;
 use crate::units::{UnitRead, UnitStore};
 use sknn_geom::{Point2, Rect2};
 use sknn_store::{
@@ -280,28 +284,6 @@ impl CutCache {
         let tiles: Vec<u32> = claim.claimed().iter().map(|&i| keys[i].tile).collect();
         let read = self.store.read_units(m, &tiles);
         UnitLoad { cache: self, m, keys, first_span, picks, claim, read }
-    }
-
-    /// The front of `tree` at step `m` restricted to `span`, derived from
-    /// resident units (loading the missing ones first, in one page batch)
-    /// into buffers recycled from `scratch`. Equal to
-    /// [`PagedDmtm::fetch_front`] of the span's rectangle bit for bit. The
-    /// flag is `true` when no unit had to be loaded.
-    ///
-    /// [`PagedDmtm::fetch_front`]: crate::PagedDmtm::fetch_front
-    pub fn get_or_extract(
-        &self,
-        tree: &DmtmTree,
-        pager: &Pager,
-        m: u32,
-        span: TileSpan,
-        scratch: &mut FetchScratch,
-    ) -> StoreResult<(FrontGraph, bool)> {
-        let mut load = self.claim(m, &[span]);
-        pager.read_into(&mut [&mut load])?;
-        load.publish();
-        let (units, hit) = load.finish(pager)?.pop().expect("one span, one unit list");
-        Ok((FrontGraph::derive(tree, m, &units, scratch), hit))
     }
 
     /// Counter snapshot (per unit, not per fetch).

@@ -5,12 +5,14 @@
 //! files and filtered per region — and concurrent queries over the same
 //! hot band redo that work. This mirrors the DMTM `CutCache`
 //! (`sknn-multires`): the residency unit is one crossing line, keyed
-//! `(level, axis, line)`, held as an `Arc<SimplifiedLine>`. A fetch takes
-//! every band a lower-bound round needs at one level — each group's X and
-//! Y bands — selects their lines from the resident directory, loads the
-//! missing ones in one batched read and hands out `Arc`s, so overlapping
-//! bands and regions share every line they have in common; single-flight
-//! loading and CLOCK eviction come from `sknn-store`.
+//! `(level, axis, line)`, held as an `Arc<SimplifiedLine>`. A
+//! [`LineCutCache::claim`] takes every band a lower-bound round needs at
+//! one level — each group's X and Y bands — and selects their lines from
+//! the resident directory; the caller reads the missing ones in one
+//! [`Pager::read_into`] (batched with whatever else it reads), then
+//! [`LineLoad::publish`]es them and [`LineLoad::finish`] hands out `Arc`s,
+//! so overlapping bands and regions share every line they have in common;
+//! single-flight loading and CLOCK eviction come from `sknn-store`.
 //!
 //! Bands and regions must be canonicalized (padded + tile-snapped) by the
 //! caller — see the bit-identity discussion in `sknn-multires::cache`.
@@ -65,25 +67,6 @@ impl LineCutCache {
     /// A cache bounded by `capacity_bytes`.
     pub fn new(capacity_bytes: usize) -> Self {
         Self { inner: SingleFlightCache::new(capacity_bytes) }
-    }
-
-    /// The simplified lines of every band at one level — for each band,
-    /// the lines and order of `msdn.fetch_lines_axis` over it — plus a hit
-    /// flag per band: a [`claim`](Self::claim) read alone. The lines
-    /// nobody holds yet are read in **one** page batch, both axes
-    /// together. On `Err` nothing of the load is published and no band's
-    /// lines are returned.
-    pub fn get_or_fetch(
-        &self,
-        msdn: &PagedMsdn,
-        pager: &Pager,
-        level_idx: usize,
-        bands: &[LineBand<'_>],
-    ) -> StoreResult<Vec<(Vec<Arc<SimplifiedLine>>, bool)>> {
-        let mut load = self.claim(msdn, level_idx, bands);
-        pager.read_into(&mut [&mut load])?;
-        load.publish();
-        load.finish(pager)
     }
 
     /// Claim the lines of every band at one level for a read the caller

@@ -126,27 +126,11 @@ impl PagedMsdn {
         self.fetch_lines(pager, level_idx, &on_axis(axis, wanted))
     }
 
-    /// Fetch all lines of one axis with plane value in `(lo, hi)`,
-    /// ROI-restricted, ascending by plane value. This is the integrated-
-    /// I/O entry point: one fetch covers every candidate of a merged
-    /// region, and per-candidate subsets are sliced from the result in
-    /// memory.
-    pub fn fetch_lines_axis(
-        &self,
-        pager: &Pager,
-        level_idx: usize,
-        axis: Axis,
-        lo: f64,
-        hi: f64,
-        roi: Option<&Rect2>,
-    ) -> StoreResult<Vec<SimplifiedLine>> {
-        let wanted = self.select_lines(level_idx, axis, lo, hi, roi);
-        self.fetch_lines(pager, level_idx, &on_axis(axis, wanted))
-    }
-
-    /// The directory half of [`fetch_lines_axis`](Self::fetch_lines_axis):
-    /// which lines (indices into the level's directory) the fetch returns,
-    /// in the order it returns them. No I/O.
+    /// The lines of one axis with plane value in the open band `(lo, hi)`
+    /// whose whole-line MBR meets `roi` (every line of the band when
+    /// `None`), as indices into the level's directory, ascending by plane
+    /// value. No I/O: [`fetch_lines`](Self::fetch_lines) reads them, or a
+    /// [`LineCutCache::claim`](crate::LineCutCache::claim) over the band.
     pub fn select_lines(
         &self,
         level_idx: usize,
@@ -544,21 +528,24 @@ mod tests {
         pager.reset_stats();
         pager.set_read_stall(STALL);
         let before = pager.stall_ns();
-        let got = cache.get_or_fetch(&paged, &pager, level, &bands).unwrap();
+        let mut load = cache.claim(&paged, level, &bands);
+        pager.read_into(&mut [&mut load]).unwrap();
+        load.publish();
+        let got = load.finish(&pager).unwrap();
         let stalled = pager.stall_ns() - before;
         pager.set_read_stall(Duration::ZERO);
         assert_eq!(stalled, STALL.as_nanos() as u64, "one stall for the whole round");
 
         let mut wanted: Vec<(Axis, u32)> = Vec::new();
         for (b, (lines, hit)) in bands.iter().zip(&got) {
-            let oracle = paged.fetch_lines_axis(&pager, level, b.axis, b.lo, b.hi, b.roi).unwrap();
+            let selected = on_axis(b.axis, paged.select_lines(level, b.axis, b.lo, b.hi, b.roi));
+            let oracle = paged.fetch_lines(&pager, level, &selected).unwrap();
             assert!(!lines.is_empty() && !hit, "every band is non-empty and cold");
             assert_eq!(lines.len(), oracle.len());
             for (l, o) in lines.iter().zip(&oracle) {
                 assert_eq!((l.plane, &l.segments), (o.plane, &o.segments));
             }
-            let selected = paged.select_lines(level, b.axis, b.lo, b.hi, b.roi);
-            wanted.extend(selected.into_iter().map(|line| (b.axis, line)));
+            wanted.extend(selected);
         }
         let pages = record_pages(&msdn, level, &wanted);
         assert!(pages.iter().any(|p| p.0 == Axis::X) && pages.iter().any(|p| p.0 == Axis::Y));

@@ -18,9 +18,8 @@
 //!   materializes all claimed keys — so it can fetch them in a single
 //!   storage batch, even together with another cache's claims — and
 //!   publishes them through the claim, which wakes their waiters; only
-//!   then does it wait on the keys other threads lead.
-//!   [`SingleFlightCache::get_many`] is that sequence for one cache and
-//!   one loader. A thread therefore never blocks while holding
+//!   then does it wait on the keys other threads lead
+//!   ([`Claim::hand_out`]). A thread therefore never blocks while holding
 //!   unpublished latches — in any cache — which is what makes
 //!   overlapping, unequal key sets deadlock-free. A failing or panicking
 //!   leader's claim drops, removing *all* its latches and publishing
@@ -110,15 +109,6 @@ pub struct CacheGauges {
     pub resident_weight: u64,
 }
 
-/// What a [`SingleFlightCache::get_many`] returned and how.
-pub struct ManyOutcome<V> {
-    /// The shared values, one per requested key, in request order.
-    pub values: Vec<Arc<V>>,
-    /// `true` when this request ran no load: every key was resident or
-    /// arrived through another thread's load.
-    pub hit: bool,
-}
-
 /// One lock pass of [`SingleFlightCache::claim`] over a key set: each
 /// key is resident (its value is here), *Loading* under another thread
 /// ([`elsewhere`](Self::elsewhere)) or latched by this claim
@@ -202,8 +192,9 @@ impl<'c, K: Hash + Eq + Clone, V> Claim<'c, K, V> {
     /// iteration's groups, or bands) deduplicated in the order the asks
     /// name them, `first_ask[i]` the first ask naming key `i` and
     /// `picks[a]` ask `a`'s keys as positions in `keys`. Keys loading
-    /// elsewhere are waited for, and loaded with `load` (as in
-    /// [`SingleFlightCache::get_many`]) if their leader failed. Returns
+    /// elsewhere are waited for, and if their leader failed, claimed
+    /// again and loaded with `load`, which is handed their indices into
+    /// `keys` and returns their `(value, weight)` in that order. Returns
     /// per ask its values in pick order, and whether none of the keys it
     /// was first to name was loaded by this thread — the count an
     /// ask-by-ask load in the same order would report. Call only once
@@ -211,36 +202,20 @@ impl<'c, K: Hash + Eq + Clone, V> Claim<'c, K, V> {
     /// unlatched; panics if this claim still holds latches.
     #[allow(clippy::type_complexity)]
     pub fn hand_out<E>(
-        self,
+        mut self,
         keys: &[K],
         first_ask: &[usize],
         picks: &[Vec<usize>],
         mut load: impl FnMut(&[usize]) -> Result<Vec<(V, usize)>, E>,
     ) -> Result<Vec<(Vec<Arc<V>>, bool)>, E> {
+        assert!(self.latched.is_empty(), "publish a claim before handing it out");
+        let cache: &'c SingleFlightCache<K, V> = self.cache;
         let mut loaded = vec![false; picks.len()];
-        for &i in &self.claimed {
-            loaded[first_ask[i]] = true;
-        }
-        let values = self.resolve(keys, |claimed| {
-            for &i in claimed {
+        loop {
+            for &i in &self.claimed {
                 loaded[first_ask[i]] = true;
             }
-            load(claimed)
-        })?;
-        Ok(share(values, picks).into_iter().zip(loaded).map(|(v, loaded)| (v, !loaded)).collect())
-    }
-
-    /// Every value of `keys` — the keys this claim was made over — in
-    /// request order, once the ones loading elsewhere have landed: wait
-    /// for each, and claim and `load` those whose leader failed.
-    fn resolve<E>(
-        mut self,
-        keys: &[K],
-        mut load: impl FnMut(&[usize]) -> Result<Vec<(V, usize)>, E>,
-    ) -> Result<Vec<Arc<V>>, E> {
-        assert!(self.latched.is_empty(), "publish a claim before resolving it");
-        let cache: &'c SingleFlightCache<K, V> = self.cache;
-        while let Some(&first) = self.elsewhere.first() {
+            let Some(&first) = self.elsewhere.first() else { break };
             // Wait for one key led elsewhere to leave the Loading state,
             // then re-classify the rest (most will have landed meanwhile).
             cache.wait_loaded(&keys[first]);
@@ -252,7 +227,8 @@ impl<'c, K: Hash + Eq + Clone, V> Claim<'c, K, V> {
             }
         }
         let values = std::mem::take(&mut self.values);
-        Ok(values.into_iter().map(|v| v.expect("every key resolved")).collect())
+        let values = values.into_iter().map(|v| v.expect("every key resolved")).collect();
+        Ok(share(values, picks).into_iter().zip(loaded).map(|(v, loaded)| (v, !loaded)).collect())
     }
 }
 
@@ -415,34 +391,6 @@ impl<K: Hash + Eq + Clone, V> SingleFlightCache<K, V> {
         Claim { cache: self, values, claimed, elsewhere, latched }
     }
 
-    /// Fetch every key of `keys` (distinct), loading the Absent ones under
-    /// single-flight: a [`claim`](Self::claim), one `load` of the claimed
-    /// keys, their publish, and only then a wait on the keys other threads
-    /// lead. `load` is handed the indices (into `keys`) of the keys this
-    /// thread claimed and returns their `(value, weight)` in the same
-    /// order; it runs with no cache locks held. It is called once per
-    /// request, and again only for keys whose leader on another thread
-    /// failed. On `Err` every claimed key is unlatched and nothing of that
-    /// load is published.
-    pub fn get_many<E>(
-        &self,
-        keys: &[K],
-        mut load: impl FnMut(&[usize]) -> Result<Vec<(V, usize)>, E>,
-    ) -> Result<ManyOutcome<V>, E> {
-        let mut claim = self.claim(keys);
-        let mut loaded = !claim.claimed.is_empty();
-        if loaded {
-            // On `Err` the claim drops: unlatch + notify, waiters re-claim.
-            let values = load(&claim.claimed)?;
-            claim.publish(values);
-        }
-        let values = claim.resolve(keys, |claimed| {
-            loaded = true;
-            load(claimed)
-        })?;
-        Ok(ManyOutcome { values, hit: !loaded })
-    }
-
     /// Block while `key` is *Loading* under another thread.
     fn wait_loaded(&self, key: &K) {
         let shard = self.shard(key);
@@ -570,17 +518,37 @@ mod tests {
         SingleFlightCache::new(capacity)
     }
 
-    /// A one-key [`get_many`](SingleFlightCache::get_many): the value and
-    /// whether no load ran.
+    /// The path both cut caches take, for one cache, one loader and one
+    /// ask: a [`claim`](SingleFlightCache::claim), one `load` of the
+    /// claimed keys, their publish, then [`Claim::hand_out`], which waits
+    /// on the keys other threads lead and loads those whose leader
+    /// failed. The values in request order, and whether no load ran.
+    fn fetch<E>(
+        c: &SingleFlightCache<u64, u64>,
+        keys: &[u64],
+        mut load: impl FnMut(&[usize]) -> Result<Vec<(u64, usize)>, E>,
+    ) -> Result<(Vec<Arc<u64>>, bool), E> {
+        let mut claim = c.claim(keys);
+        if !claim.claimed().is_empty() {
+            // On `Err` the claim drops: unlatch + notify, waiters re-claim.
+            let values = load(claim.claimed())?;
+            claim.publish(values);
+        }
+        let pick: Vec<usize> = (0..keys.len()).collect();
+        let mut asks = claim.hand_out(keys, &vec![0; keys.len()], &[pick], load)?;
+        Ok(asks.pop().expect("one ask"))
+    }
+
+    /// A one-key [`fetch`]: the value and whether no load ran.
     fn get_one<E>(
         c: &SingleFlightCache<u64, u64>,
         key: u64,
         load: impl FnOnce() -> Result<(u64, usize), E>,
     ) -> Result<(Arc<u64>, bool), E> {
         let mut load = Some(load);
-        let out =
-            c.get_many(&[key], |_| (load.take().expect("one key loads once"))().map(|v| vec![v]))?;
-        Ok((out.values[0].clone(), out.hit))
+        let (values, hit) =
+            fetch(c, &[key], |_| (load.take().expect("one key loads once"))().map(|v| vec![v]))?;
+        Ok((values[0].clone(), hit))
     }
 
     #[test]
@@ -687,41 +655,40 @@ mod tests {
     }
 
     #[test]
-    fn get_many_loads_the_absent_keys_in_one_call() {
+    fn a_claim_loads_the_absent_keys_in_one_call() {
         let c = cache(4096);
         let _ = get_one::<()>(&c, 2, || Ok((20, 8))).unwrap();
         let mut calls = 0;
-        let out = c
-            .get_many::<()>(&[1, 2, 3], |claimed| {
-                calls += 1;
-                // Key 2 is resident: only 1 and 3 are claimed.
-                let mut idx = claimed.to_vec();
-                idx.sort_unstable();
-                assert_eq!(idx, [0, 2]);
-                Ok(claimed.iter().map(|&i| ([1u64, 2, 3][i] * 10, 8)).collect())
-            })
-            .unwrap();
+        let (values, hit) = fetch::<()>(&c, &[1, 2, 3], |claimed| {
+            calls += 1;
+            // Key 2 is resident: only 1 and 3 are claimed.
+            let mut idx = claimed.to_vec();
+            idx.sort_unstable();
+            assert_eq!(idx, [0, 2]);
+            Ok(claimed.iter().map(|&i| ([1u64, 2, 3][i] * 10, 8)).collect())
+        })
+        .unwrap();
         assert_eq!(calls, 1);
-        assert!(!out.hit);
-        assert_eq!(out.values.iter().map(|v| **v).collect::<Vec<_>>(), [10, 20, 30]);
+        assert!(!hit);
+        assert_eq!(values.iter().map(|v| **v).collect::<Vec<_>>(), [10, 20, 30]);
         let s = c.stats();
         assert_eq!((s.hits, s.misses), (1, 3));
         // Everything resident now: a pure hit, no loader call.
-        let out = c.get_many::<()>(&[3, 1], |_| panic!("must not reload")).unwrap();
-        assert!(out.hit);
-        assert_eq!(out.values.iter().map(|v| **v).collect::<Vec<_>>(), [30, 10]);
+        let (values, hit) = fetch::<()>(&c, &[3, 1], |_| panic!("must not reload")).unwrap();
+        assert!(hit);
+        assert_eq!(values.iter().map(|v| **v).collect::<Vec<_>>(), [30, 10]);
     }
 
     #[test]
-    fn failed_get_many_unlatches_every_claimed_key() {
+    fn a_failed_load_unlatches_every_claimed_key() {
         let c = cache(4096);
-        let r = c.get_many(&[1, 2, 3], |_| Err::<Vec<(u64, usize)>, &str>("boom"));
+        let r = fetch(&c, &[1, 2, 3], |_| Err::<Vec<(u64, usize)>, &str>("boom"));
         assert_eq!(r.err(), Some("boom"));
         assert_eq!(c.len(), 0);
         assert_eq!(c.gauges().loading, 0, "a failed load must leave no latch");
         assert_eq!(c.stats().failed_loads, 1);
-        let out = c.get_many::<()>(&[3, 2, 1], |cl| Ok(cl.iter().map(|_| (7, 8)).collect()));
-        assert!(!out.unwrap().hit);
+        let out = fetch::<()>(&c, &[3, 2, 1], |cl| Ok(cl.iter().map(|_| (7, 8)).collect()));
+        assert!(!out.unwrap().1);
         assert_eq!(c.len(), 3);
     }
 
@@ -738,14 +705,13 @@ mod tests {
                 let loads = Arc::clone(&loads);
                 s.spawn(move || {
                     let keys: Vec<u64> = (t * 2..t * 2 + 6).collect();
-                    let out = c
-                        .get_many::<()>(&keys, |claimed| {
-                            loads.fetch_add(claimed.len() as u64, Relaxed);
-                            std::thread::sleep(Duration::from_millis(20));
-                            Ok(claimed.iter().map(|&i| (keys[i] * 10, 8)).collect())
-                        })
-                        .unwrap();
-                    for (k, v) in keys.iter().zip(&out.values) {
+                    let (values, _) = fetch::<()>(&c, &keys, |claimed| {
+                        loads.fetch_add(claimed.len() as u64, Relaxed);
+                        std::thread::sleep(Duration::from_millis(20));
+                        Ok(claimed.iter().map(|&i| (keys[i] * 10, 8)).collect())
+                    })
+                    .unwrap();
+                    for (k, v) in keys.iter().zip(&values) {
                         assert_eq!(**v, k * 10);
                     }
                 });
@@ -823,14 +789,14 @@ mod tests {
         std::thread::scope(|s| {
             let waiter = s.spawn(|| {
                 // Finds key 5 Loading, waits, then claims and loads it.
-                c.get_many::<()>(&[5], |claimed| Ok(claimed.iter().map(|_| (50, 8)).collect()))
+                fetch::<()>(&c, &[5], |claimed| Ok(claimed.iter().map(|_| (50, 8)).collect()))
                     .unwrap()
             });
             std::thread::sleep(Duration::from_millis(20));
             drop(claim);
-            let out = waiter.join().unwrap();
-            assert!(!out.hit, "the waiter loaded the key itself");
-            assert_eq!(*out.values[0], 50);
+            let (values, hit) = waiter.join().unwrap();
+            assert!(!hit, "the waiter loaded the key itself");
+            assert_eq!(*values[0], 50);
         });
         let s = c.stats();
         assert_eq!((s.failed_loads, s.misses), (1, 1), "{s:?}");
@@ -858,8 +824,7 @@ mod tests {
                 .map(|&k| {
                     let c = &c;
                     s.spawn(move || {
-                        c.get_many(&[k], |_| Err::<Vec<(u64, usize)>, _>("a waiter loaded"))
-                            .unwrap()
+                        fetch(c, &[k], |_| Err::<Vec<(u64, usize)>, _>("a waiter loaded")).unwrap()
                     })
                 })
                 .collect();
@@ -869,9 +834,9 @@ mod tests {
             }
             claim.publish(keys.iter().map(|&k| (k * 10, 8)).collect());
             for (&k, waiter) in keys.iter().zip(waiters) {
-                let out = waiter.join().unwrap();
-                assert!(out.hit, "key {k} arrived through the publish");
-                assert_eq!(*out.values[0], k * 10);
+                let (values, hit) = waiter.join().unwrap();
+                assert!(hit, "key {k} arrived through the publish");
+                assert_eq!(*values[0], k * 10);
             }
         });
         let s = c.stats();

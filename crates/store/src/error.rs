@@ -59,12 +59,6 @@ impl StoreError {
             StoreError::FsyncFailed { .. } => u64::MAX,
         }
     }
-
-    /// Whether retrying the read could plausibly succeed. `false` means
-    /// the caller should degrade or fail, not spin.
-    pub fn is_transient(&self) -> bool {
-        matches!(self, StoreError::TransientRead { .. })
-    }
 }
 
 impl fmt::Display for StoreError {
@@ -104,8 +98,5 @@ mod tests {
             assert!(e.to_string().contains('7'), "{e}");
             assert_eq!(e.page(), 7);
         }
-        assert!(errs[1].is_transient());
-        assert!(!errs[0].is_transient());
-        assert!(!errs[2].is_transient());
     }
 }

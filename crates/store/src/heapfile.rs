@@ -11,7 +11,6 @@
 //! once, with its final bytes, so its checksum is computed once; like the
 //! B+-tree, a heap file is read-only after [`HeapFile::build`].
 
-use crate::error::StoreResult;
 use crate::page::codec::*;
 use crate::page::{PageId, PAGE_SIZE};
 use crate::pager::Pager;
@@ -98,45 +97,12 @@ impl HeapFile {
         self.pages.len()
     }
 
-    /// Fetch one record, charging the page read. Read failures surface as
-    /// [`StoreError`](crate::StoreError).
-    pub fn get(&self, pager: &Pager, rid: RecordId) -> StoreResult<Option<Vec<u8>>> {
-        if !self.pages.contains(&rid.page) {
-            return Ok(None);
-        }
-        pager.with_page(rid.page, |buf| {
-            let count = get_u16(buf, 0);
-            if rid.slot >= count {
-                return None;
-            }
-            let mut off = HDR;
-            for s in 0..count {
-                let len = get_u16(buf, off) as usize;
-                if s == rid.slot {
-                    return Some(buf[off + 2..off + 2 + len].to_vec());
-                }
-                off += 2 + len;
-            }
-            None
-        })
-    }
-
-    /// Visit every record on `page` with a single page read. Batch access
-    /// is what the integrated-I/O-region optimisation buys: candidates whose
-    /// regions merged read each shared page once.
-    pub fn visit_page(
-        &self,
-        pager: &Pager,
-        page: PageId,
-        mut visit: impl FnMut(RecordId, &[u8]),
-    ) -> StoreResult<()> {
-        pager.with_page(page, |buf| Self::records(page, buf, &mut visit))
-    }
-
     /// Visit the records of heap page `page`, given its bytes `buf`, in
     /// slot order: a batched read ([`Pager::with_pages`], or a
     /// [`PageSink`](crate::PageSink) of [`Pager::read_into`]) walks each
-    /// page it is handed this way.
+    /// page it is handed this way. Batch access is what the
+    /// integrated-I/O-region optimisation buys: candidates whose regions
+    /// merged read each shared page once.
     pub fn records(page: PageId, buf: &[u8], mut visit: impl FnMut(RecordId, &[u8])) {
         let count = get_u16(buf, 0);
         let mut off = HDR;
@@ -145,14 +111,6 @@ impl HeapFile {
             visit(RecordId { page, slot: s }, &buf[off + 2..off + 2 + len]);
             off += 2 + len;
         }
-    }
-
-    /// Visit every record in the file in record order.
-    pub fn scan(&self, pager: &Pager, mut visit: impl FnMut(RecordId, &[u8])) -> StoreResult<()> {
-        for &page in &self.pages {
-            self.visit_page(pager, page, |rid, rec| visit(rid, rec))?;
-        }
-        Ok(())
     }
 
     /// Pages backing this file, in order.
@@ -165,25 +123,41 @@ impl HeapFile {
 mod tests {
     use super::*;
 
+    /// Every record of `hf`, in record order, from one batched read of
+    /// its pages.
+    fn read_all(pager: &Pager, hf: &HeapFile) -> Vec<(RecordId, Vec<u8>)> {
+        let mut out = Vec::new();
+        pager
+            .with_pages(hf.pages(), |page, buf| {
+                HeapFile::records(page, buf, |rid, rec| out.push((rid, rec.to_vec())))
+            })
+            .unwrap();
+        out
+    }
+
     #[test]
-    fn build_and_get_roundtrip() {
+    fn build_and_read_roundtrip() {
         let pager = Pager::new(16);
         let recs: Vec<String> =
             (0..1000u32).map(|i| format!("record-{i}-{}", "x".repeat((i % 50) as usize))).collect();
         let (hf, rids) = HeapFile::build(&pager, &recs);
         assert_eq!(hf.len(), 1000);
         assert!(hf.num_pages() > 1);
-        for (rid, want) in rids.iter().zip(&recs) {
-            assert_eq!(hf.get(&pager, *rid).unwrap().unwrap(), want.as_bytes());
+        let read = read_all(&pager, &hf);
+        assert_eq!(read.len(), rids.len());
+        for ((rid, want), (got_rid, got)) in rids.iter().zip(&recs).zip(&read) {
+            assert_eq!((got_rid, &got[..]), (rid, want.as_bytes()));
         }
     }
 
     #[test]
-    fn get_missing_slot_or_page() {
+    fn missing_slot_or_page_is_not_in_the_file() {
         let pager = Pager::new(4);
         let (hf, rids) = HeapFile::build(&pager, [b"a"]);
-        assert!(hf.get(&pager, RecordId { page: rids[0].page, slot: 99 }).unwrap().is_none());
-        assert!(hf.get(&pager, RecordId { page: PageId(9999), slot: 0 }).unwrap().is_none());
+        let slots: Vec<u16> = read_all(&pager, &hf).iter().map(|(rid, _)| rid.slot).collect();
+        assert_eq!(slots, [0], "slot 99 of the page holds no record");
+        assert_eq!(hf.pages(), [rids[0].page]);
+        assert!(!hf.pages().contains(&PageId(9999)));
     }
 
     /// A record that fills its page to the last byte stays on it.
@@ -209,11 +183,10 @@ mod tests {
         let pager = Pager::new(16);
         let recs: Vec<[u8; 4]> = (0..500u32).map(u32::to_le_bytes).collect();
         let (hf, _) = HeapFile::build(&pager, &recs);
-        let mut seen = Vec::new();
-        hf.scan(&pager, |_, rec| {
-            seen.push(u32::from_le_bytes(rec.try_into().unwrap()));
-        })
-        .unwrap();
+        let seen: Vec<u32> = read_all(&pager, &hf)
+            .iter()
+            .map(|(_, rec)| u32::from_le_bytes(rec[..].try_into().unwrap()))
+            .collect();
         assert_eq!(seen, (0..500).collect::<Vec<_>>());
     }
 
@@ -221,11 +194,12 @@ mod tests {
     fn batch_page_visit_charges_one_read() {
         let pager = Pager::new(16);
         let recs: Vec<[u8; 4]> = (0..100u32).map(u32::to_le_bytes).collect();
-        let (hf, rids) = HeapFile::build(&pager, &recs);
+        let (_, rids) = HeapFile::build(&pager, &recs);
         pager.clear_pool();
         pager.reset_stats();
         let mut n = 0;
-        hf.visit_page(&pager, rids[0].page, |_, _| n += 1).unwrap();
+        let page = rids[0].page;
+        pager.with_pages(&[page], |_, buf| HeapFile::records(page, buf, |_, _| n += 1)).unwrap();
         assert!(n > 1);
         assert_eq!(pager.stats().physical_reads, 1);
     }
@@ -240,7 +214,11 @@ mod tests {
         pager.reset_stats();
         let mut one_by_one = Vec::new();
         for &p in &pages {
-            hf.visit_page(&pager, p, |rid, rec| one_by_one.push((rid, rec.to_vec()))).unwrap();
+            pager
+                .with_page(p, |buf| {
+                    HeapFile::records(p, buf, |rid, rec| one_by_one.push((rid, rec.to_vec())))
+                })
+                .unwrap();
         }
         let loop_stats = pager.stats();
         pager.clear_pool();

@@ -15,7 +15,9 @@
 //!   overlap their simulated stalls without changing the page counts;
 //! * [`cache`] — the store's one single-flight mechanism: a process-wide
 //!   object cache that loads each missing key once across threads (the
-//!   DMTM and MSDN cut caches);
+//!   DMTM and MSDN cut caches), read one way: a [`Claim`], one
+//!   [`Pager::read_into`] of the claimed keys' pages, a publish, then
+//!   [`Claim::hand_out`];
 //! * [`error`] / [`fault`] — the failure model: the physical read path
 //!   returns typed [`StoreError`]s instead of panicking, every page is
 //!   checksummed ([`page_checksum`], verified on each physical read), and
@@ -25,7 +27,9 @@
 //! * [`bptree`] — a clustering B+-tree (bulk-built, a resident leaf index
 //!   in place of inner pages, variable-length values spilling into
 //!   contiguous overflow runs) used to store DMTM nodes keyed by node id;
-//! * [`heapfile`] — bulk-built slotted-page heap files for SDN segments;
+//! * [`heapfile`] — bulk-built slotted-page heap files for SDN segments,
+//!   read in batches: the pages from [`Pager::with_pages`] or
+//!   [`Pager::read_into`], walked by [`HeapFile::records`];
 //! * [`wal`] — the checksummed, fsync-on-commit log that is the dynamic
 //!   object set's only durable copy.
 //!
@@ -57,7 +61,7 @@ pub mod pager;
 pub mod wal;
 
 pub use bptree::BPlusTree;
-pub use cache::{CacheGauges, CacheStats, Claim, ManyOutcome, SingleFlightCache, CACHE_SHARDS};
+pub use cache::{CacheGauges, CacheStats, Claim, SingleFlightCache, CACHE_SHARDS};
 pub use error::{StoreError, StoreResult};
 pub use fault::{FaultInjector, FaultKind, FaultProfile, FaultStats, RetryPolicy};
 pub use heapfile::{HeapFile, RecordId};

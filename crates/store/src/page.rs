@@ -8,16 +8,6 @@ pub const PAGE_SIZE: usize = 8192;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PageId(pub u64);
 
-impl PageId {
-    /// The invalid.
-    pub const INVALID: PageId = PageId(u64::MAX);
-
-    /// Is valid.
-    pub fn is_valid(&self) -> bool {
-        *self != Self::INVALID
-    }
-}
-
 /// Little-endian integer codecs used by every on-page layout in this crate.
 pub mod codec {
     /// Put u16.
@@ -49,28 +39,11 @@ pub mod codec {
     pub fn get_u64(buf: &[u8], off: usize) -> u64 {
         u64::from_le_bytes(buf[off..off + 8].try_into().unwrap())
     }
-
-    /// Put f64.
-    pub fn put_f64(buf: &mut [u8], off: usize, v: f64) {
-        buf[off..off + 8].copy_from_slice(&v.to_le_bytes());
-    }
-
-    /// Get f64.
-    pub fn get_f64(buf: &[u8], off: usize) -> f64 {
-        f64::from_le_bytes(buf[off..off + 8].try_into().unwrap())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::codec::*;
-    use super::*;
-
-    #[test]
-    fn invalid_page_id() {
-        assert!(!PageId::INVALID.is_valid());
-        assert!(PageId(0).is_valid());
-    }
 
     #[test]
     fn codec_roundtrip() {
@@ -78,10 +51,8 @@ mod tests {
         put_u16(&mut buf, 0, 0xBEEF);
         put_u32(&mut buf, 2, 0xDEADBEEF);
         put_u64(&mut buf, 6, u64::MAX - 3);
-        put_f64(&mut buf, 14, -1234.5678);
         assert_eq!(get_u16(&buf, 0), 0xBEEF);
         assert_eq!(get_u32(&buf, 2), 0xDEADBEEF);
         assert_eq!(get_u64(&buf, 6), u64::MAX - 3);
-        assert_eq!(get_f64(&buf, 14), -1234.5678);
     }
 }

@@ -894,11 +894,6 @@ impl Pager {
         self.events[STALLED_BATCHES].load(Relaxed)
     }
 
-    /// Copy a whole page out (convenience for tests).
-    pub fn read_page(&self, id: PageId) -> StoreResult<Vec<u8>> {
-        self.with_page(id, |b| b.to_vec())
-    }
-
     /// This thread's traffic since its last
     /// [`reset_stats`](Self::reset_stats), all structures combined.
     pub fn stats(&self) -> IoStats {
@@ -910,11 +905,6 @@ impl Pager {
     /// export it as counters.
     pub fn lifetime_stats(&self) -> IoStats {
         io_of(&self.lifetime(), 0..TAGS)
-    }
-
-    /// This thread's traffic on one structure's pages since its last reset.
-    pub fn stats_for(&self, tag: StructureTag) -> IoStats {
-        io_of(&self.window(), tag.idx()..tag.idx() + 1)
     }
 
     /// This thread's per-structure traffic for every tag with any, in
@@ -1001,8 +991,8 @@ mod tests {
         assert_ne!(a, b);
         p.write(a, 100, b"hello");
         p.write(b, 0, b"world");
-        assert_eq!(&p.read_page(a).unwrap()[100..105], b"hello");
-        assert_eq!(&p.read_page(b).unwrap()[..5], b"world");
+        assert_eq!(&p.with_page(a, <[u8]>::to_vec).unwrap()[100..105], b"hello");
+        assert_eq!(&p.with_page(b, <[u8]>::to_vec).unwrap()[..5], b"world");
     }
 
     /// Runs allocated from racing threads never interleave: every run is
@@ -1138,9 +1128,10 @@ mod tests {
         // 3 dmtm pages read twice (whether the second round hits depends
         // on eviction) — just pin the logical split, which is
         // deterministic.
-        assert_eq!(p.stats_for(StructureTag::Dmtm).logical_reads, 6);
-        assert_eq!(p.stats_for(StructureTag::Msdn).logical_reads, 2);
-        assert_eq!(p.stats_for(StructureTag::Other), IoStats::default());
+        let of = |tag| per.iter().find(|(t, _)| *t == tag).map_or(IoStats::default(), |p| p.1);
+        assert_eq!(of(StructureTag::Dmtm).logical_reads, 6);
+        assert_eq!(of(StructureTag::Msdn).logical_reads, 2);
+        assert_eq!(of(StructureTag::Other), IoStats::default());
     }
 
     #[test]
@@ -1378,11 +1369,11 @@ mod tests {
         let p = Pager::new(4);
         let a = p.alloc();
         p.write(a, 0, b"first");
-        assert_eq!(&p.read_page(a).unwrap()[..5], b"first");
+        assert_eq!(&p.with_page(a, <[u8]>::to_vec).unwrap()[..5], b"first");
         p.write(a, 0, b"newer");
         p.clear_pool();
         // Re-verified on the cold read; the refreshed checksum matches.
-        assert_eq!(&p.read_page(a).unwrap()[..5], b"newer");
+        assert_eq!(&p.with_page(a, <[u8]>::to_vec).unwrap()[..5], b"newer");
     }
 
     #[test]

@@ -72,7 +72,7 @@ fn transient_fault_exhausts_retry_budget() {
 
     let err = pager.with_page(id, |_| ()).unwrap_err();
     assert_eq!(err, StoreError::TransientRead { page: id.0, attempts: 4 }, "1 initial + 3 retries");
-    assert!(err.is_transient());
+    assert!(matches!(err, StoreError::TransientRead { .. }));
 
     let fs = pager.fault_stats();
     assert_eq!(fs.injected, 4);

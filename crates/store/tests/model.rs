@@ -84,7 +84,8 @@ proptest! {
     }
 
     /// Heap files return exactly what they were built from, in order, and
-    /// every record is retrievable by its id.
+    /// every record is retrievable by its id, through one batched read of
+    /// the file's pages walked by `HeapFile::records`.
     #[test]
     fn heapfile_agrees_with_vec(
         recs in proptest::collection::vec(
@@ -95,12 +96,19 @@ proptest! {
         let pager = Pager::new(32);
         let (hf, rids) = HeapFile::build(&pager, &recs);
         prop_assert_eq!(hf.len(), recs.len());
-        for (rid, want) in rids.iter().zip(&recs) {
-            let got = hf.get(&pager, *rid).unwrap();
-            prop_assert_eq!(got.as_deref(), Some(want.as_slice()));
-        }
+        let mut by_id = BTreeMap::new();
         let mut scanned = Vec::new();
-        hf.scan(&pager, |_, bytes| scanned.push(bytes.to_vec())).unwrap();
+        pager
+            .with_pages(hf.pages(), |page, buf| {
+                HeapFile::records(page, buf, |rid, bytes| {
+                    by_id.insert(rid, bytes.to_vec());
+                    scanned.push(bytes.to_vec());
+                })
+            })
+            .unwrap();
+        for (rid, want) in rids.iter().zip(&recs) {
+            prop_assert_eq!(by_id.get(rid), Some(want));
+        }
         prop_assert_eq!(scanned, recs);
     }
 
@@ -147,7 +155,7 @@ proptest! {
         prop_assert_eq!(pager.num_pages(), allocated_before + images.len());
         prop_assert_eq!(pager.lifetime_stats().writes - writes, images.len() as u64);
         for (&page, image) in hf.pages().iter().zip(&images) {
-            prop_assert_eq!(&pager.read_page(page).unwrap(), image);
+            prop_assert_eq!(&pager.with_page(page, <[u8]>::to_vec).unwrap(), image);
         }
     }
 
@@ -189,7 +197,7 @@ proptest! {
         let p = pager.alloc();
         pager.write(p, off1, &data1);
         pager.write(p, off2, &data2);
-        let page = pager.read_page(p).unwrap();
+        let page = pager.with_page(p, <[u8]>::to_vec).unwrap();
         prop_assert_eq!(&page[off1..off1 + data1.len()], data1.as_slice());
         prop_assert_eq!(&page[off2..off2 + data2.len()], data2.as_slice());
     }

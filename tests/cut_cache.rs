@@ -3,9 +3,11 @@
 //! * **Bit-identity** — a front derived from resident tile units (read
 //!   from the unit store's page runs) equals the B+-tree layout's
 //!   `PagedDmtm::fetch_front` of the same region, and a line set handed
-//!   out of the line cache equals `PagedMsdn::fetch_lines_axis`, byte for
-//!   byte, for every band of a fused load (proptests over steps, lattice
-//!   regions, levels, and 1–4 bands over both axes);
+//!   out of the line cache equals `PagedMsdn::fetch_lines` of the band's
+//!   `select_lines`, byte for byte, for every band of a fused load
+//!   (proptests over steps, lattice regions, levels, and 1–4 bands over
+//!   both axes). Both caches are read the way a ranking iteration reads
+//!   them: a claim, one `Pager::read_into`, publish, finish;
 //!   query results under a budget that evicts on every fetch are
 //!   bit-identical to the default budget's at any thread count.
 //! * **Single-flight** — threads fetching overlapping, unequal regions
@@ -38,7 +40,7 @@
 //!   keys are all resident decodes nothing.
 
 use proptest::prelude::*;
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 use surface_knn::core::config::Mr3Config;
 use surface_knn::core::metrics::QueryResult;
@@ -47,12 +49,13 @@ use surface_knn::core::workload::{SceneBuilder, SurfacePoint};
 use surface_knn::geodesic::ExactGeodesic;
 use surface_knn::geom::{Axis, Rect2};
 use surface_knn::multires::{
-    build_dmtm, CutCache, CutGrid, FetchScratch, FrontGraph, PagedDmtm, TileSpan, UnitStore,
+    build_dmtm, CutCache, CutGrid, DmtmTree, FetchScratch, FrontGraph, PagedDmtm, TileSpan,
+    UnitStore,
 };
 use surface_knn::obs::IterEvent;
 use surface_knn::prelude::*;
 use surface_knn::sdn::{LineBand, LineCutCache, Msdn, MsdnConfig, PagedMsdn, SimplifiedLine};
-use surface_knn::store::{FaultKind, PageId, PageSink, Pager, StructureTag};
+use surface_knn::store::{FaultKind, PageId, PageSink, Pager, StoreResult, StructureTag};
 
 const TILES: usize = 8;
 
@@ -130,6 +133,57 @@ fn line_fingerprint<'a>(lines: impl Iterator<Item = &'a SimplifiedLine>) -> Line
         .collect()
 }
 
+/// The front of `span` at `step`, read the way a ranking iteration reads
+/// it — a claim, one `Pager::read_into`, publish, finish — and derived
+/// from its units; the flag is `true` when no unit was read.
+fn extract(
+    cache: &CutCache,
+    tree: &DmtmTree,
+    pager: &Pager,
+    step: u32,
+    span: TileSpan,
+    scratch: &mut FetchScratch,
+) -> StoreResult<(FrontGraph, bool)> {
+    let mut load = cache.claim(step, &[span]);
+    pager.read_into(&mut [&mut load])?;
+    load.publish();
+    let (units, hit) = load.finish(pager)?.pop().expect("one span, one unit list");
+    Ok((FrontGraph::derive(tree, step, &units, scratch), hit))
+}
+
+/// Every band's lines at `level` through the line cache's claim path, in
+/// one batch, each with whether none of the lines it was first to ask for
+/// was read.
+fn fetch_bands(
+    cache: &LineCutCache,
+    msdn: &PagedMsdn,
+    pager: &Pager,
+    level: usize,
+    bands: &[LineBand],
+) -> StoreResult<Vec<(Vec<Arc<SimplifiedLine>>, bool)>> {
+    let mut load = cache.claim(msdn, level, bands);
+    pager.read_into(&mut [&mut load])?;
+    load.publish();
+    load.finish(pager)
+}
+
+/// The uncached oracle of one band: its `select_lines`, read by
+/// `fetch_lines`.
+fn band_lines(
+    msdn: &PagedMsdn,
+    pager: &Pager,
+    level: usize,
+    b: &LineBand,
+) -> StoreResult<Vec<SimplifiedLine>> {
+    let lines = msdn.select_lines(level, b.axis, b.lo, b.hi, b.roi);
+    msdn.fetch_lines(pager, level, &lines.into_iter().map(|l| (b.axis, l)).collect::<Vec<_>>())
+}
+
+/// This thread's physical reads of `tag`'s pages since its last reset.
+fn physical_reads_of(pager: &Pager, tag: StructureTag) -> u64 {
+    pager.io_by_structure().iter().find(|(t, _)| *t == tag).map_or(0, |(_, s)| s.physical_reads)
+}
+
 /// A non-empty span from four lattice coordinates in `0..=TILES`.
 fn span_from(a: usize, b: usize, c: usize, d: usize) -> TileSpan {
     let order = |p: usize, q: usize| {
@@ -161,7 +215,7 @@ fn assert_front_matches_oracle(
     span: TileSpan,
     scratch: &mut FetchScratch,
 ) {
-    let (derived, _) = cache.get_or_extract(f.dmtm.tree(), &f.pager, step, span, scratch).unwrap();
+    let (derived, _) = extract(cache, f.dmtm.tree(), &f.pager, step, span, scratch).unwrap();
     let oracle = f.dmtm.fetch_front(&f.pager, step, Some(&f.grid.span_rect(span))).unwrap();
     assert_eq!(
         front_fingerprint(&derived),
@@ -216,7 +270,7 @@ proptest! {
     /// Line sets out of the line cache equal the paged oracle: one load of
     /// 1–4 bands over both axes hands each band the same lines, in the
     /// same order, with the same segments as a band-by-band
-    /// `fetch_lines_axis` — roomy and evicting budgets alike.
+    /// `select_lines` + `fetch_lines` — roomy and evicting budgets alike.
     #[test]
     fn cached_lines_equal_paged_fetch(
         level in 0usize..5,
@@ -261,13 +315,13 @@ proptest! {
             .iter()
             .map(|b| {
                 let lines =
-                    f.msdn.fetch_lines_axis(&f.pager, level, b.axis, b.lo, b.hi, b.roi).unwrap();
+                    band_lines(&f.msdn, &f.pager, level, b).unwrap();
                 line_fingerprint(lines.iter())
             })
             .collect();
         for cache in [&roomy, &tiny] {
             for _ in 0..2 {
-                let got = cache.get_or_fetch(&f.msdn, &f.pager, level, &bands).unwrap();
+                let got = fetch_bands(cache, &f.msdn, &f.pager, level, &bands).unwrap();
                 prop_assert_eq!(got.len(), bands.len());
                 for ((lines, _), expect) in got.iter().zip(&oracle) {
                     prop_assert_eq!(&line_fingerprint(lines.iter().map(|l| &**l)), expect);
@@ -308,7 +362,7 @@ fn a_fault_on_one_axis_publishes_no_line_of_either() {
     let cold_reads = |bands: &[LineBand]| {
         f.pager.clear_pool();
         f.pager.reset_stats();
-        LineCutCache::new(16 << 20).get_or_fetch(&f.msdn, &f.pager, level, bands).unwrap();
+        fetch_bands(&LineCutCache::new(16 << 20), &f.msdn, &f.pager, level, bands).unwrap();
         f.pager.stats().physical_reads
     };
     let (x_reads, both_reads) = (cold_reads(&bands[..1]), cold_reads(&bands));
@@ -319,7 +373,7 @@ fn a_fault_on_one_axis_publishes_no_line_of_either() {
     f.pager.set_fault_injector(Some(
         FaultInjector::script().fail_nth_read(x_reads + 1, FaultKind::Permanent),
     ));
-    let err = cache.get_or_fetch(&f.msdn, &f.pager, level, &bands);
+    let err = fetch_bands(&cache, &f.msdn, &f.pager, level, &bands);
     assert!(err.is_err(), "a permanent fault on a Y page must fail the load");
     let stats = cache.stats();
     assert_eq!(stats.failed_loads, 1, "{stats:?}");
@@ -328,10 +382,10 @@ fn a_fault_on_one_axis_publishes_no_line_of_either() {
 
     f.pager.set_fault_injector(None);
     f.pager.clear_pool();
-    let got = cache.get_or_fetch(&f.msdn, &f.pager, level, &bands).unwrap();
+    let got = fetch_bands(&cache, &f.msdn, &f.pager, level, &bands).unwrap();
     for (b, (lines, hit)) in bands.iter().zip(&got) {
         assert!(!hit, "a failed load must not satisfy later requests");
-        let oracle = f.msdn.fetch_lines_axis(&f.pager, level, b.axis, b.lo, b.hi, b.roi).unwrap();
+        let oracle = band_lines(&f.msdn, &f.pager, level, b).unwrap();
         assert_eq!(line_fingerprint(lines.iter().map(|l| &**l)), line_fingerprint(oracle.iter()));
     }
 }
@@ -408,7 +462,7 @@ fn failed_load_publishes_none_of_its_claimed_units() {
     f.pager.clear_pool();
     f.pager.set_fault_injector(Some(FaultInjector::seeded(99, 1.0, FaultKind::Permanent)));
     let span = TileSpan { x0: 1, x1: 5, y0: 1, y1: 4 };
-    let err = cache.get_or_extract(f.dmtm.tree(), &f.pager, step, span, &mut scratch);
+    let err = extract(&cache, f.dmtm.tree(), &f.pager, step, span, &mut scratch);
     assert!(err.is_err(), "a load under permanent faults must fail");
     let stats = cache.stats();
     assert!(stats.failed_loads >= 1, "failed load not counted: {stats:?}");
@@ -419,8 +473,7 @@ fn failed_load_publishes_none_of_its_claimed_units() {
 
     // After the fault clears, the same region loads fresh and correctly.
     f.pager.set_fault_injector(None);
-    let (front, hit) =
-        cache.get_or_extract(f.dmtm.tree(), &f.pager, step, span, &mut scratch).unwrap();
+    let (front, hit) = extract(&cache, f.dmtm.tree(), &f.pager, step, span, &mut scratch).unwrap();
     assert!(!hit, "a failed load must not satisfy later requests");
     let fresh = f.dmtm.fetch_front(&f.pager, step, Some(&f.grid.span_rect(span))).unwrap();
     assert_eq!(front_fingerprint(&front), front_fingerprint(&fresh));
@@ -448,7 +501,7 @@ fn a_fault_on_one_unit_page_publishes_no_unit_of_the_load() {
         None,
     )));
     let mut scratch = FetchScratch::default();
-    let err = cache.get_or_extract(f.dmtm.tree(), &f.pager, step, span, &mut scratch);
+    let err = extract(&cache, f.dmtm.tree(), &f.pager, step, span, &mut scratch);
     assert!(err.is_err(), "a permanent fault on one unit page must fail the load");
     let stats = cache.stats();
     assert_eq!(stats.failed_loads, 1, "{stats:?}");
@@ -456,8 +509,7 @@ fn a_fault_on_one_unit_page_publishes_no_unit_of_the_load() {
     assert_eq!(cache.gauges().loading, 0, "the failed load left a latch");
 
     f.pager.set_fault_injector(None);
-    let (front, hit) =
-        cache.get_or_extract(f.dmtm.tree(), &f.pager, step, span, &mut scratch).unwrap();
+    let (front, hit) = extract(&cache, f.dmtm.tree(), &f.pager, step, span, &mut scratch).unwrap();
     assert!(!hit, "a failed load must not satisfy later requests");
     assert_eq!(cache.len(), tiles.len());
     let fresh = f.dmtm.fetch_front(&f.pager, step, Some(&f.grid.span_rect(span))).unwrap();
@@ -829,8 +881,8 @@ fn a_radius_only_exec_reads_no_msdn_page() {
             engine.seeds2d(q.pos.xy(), k).into_iter().map(|(_, id, p)| (id, p)).collect();
         let r = engine.exec_ranked(q, k, &seeds, &[], &QueryOpts::default()).unwrap();
         assert!(r.neighbors.is_empty() && r.radius.is_finite());
-        let msdn = engine.pager().stats_for(StructureTag::Msdn).physical_reads;
-        let dmtm = engine.pager().stats_for(StructureTag::Dmtm).physical_reads;
+        let msdn = physical_reads_of(engine.pager(), StructureTag::Msdn);
+        let dmtm = physical_reads_of(engine.pager(), StructureTag::Dmtm);
         assert_eq!(msdn, 0, "the radius-only leg read MSDN pages");
         assert!(dmtm > 0, "a cold radius run reads units");
         assert_eq!(r.stats.pages, dmtm, "it reads DMTM pages alone");
@@ -903,7 +955,10 @@ fn a_fault_on_a_line_carried_for_the_ranking_run_degrades_only_the_iteration_ask
     }
     let (q, bad, clean, carrier, got) = found.expect("a carried line page the ranking run uses");
     assert_eq!(engine.pager().tag_of(bad), StructureTag::Msdn);
-    assert_eq!(engine.pager().read_page(bad).unwrap(), layout.read_page(bad).unwrap());
+    assert_eq!(
+        engine.pager().with_page(bad, <[u8]>::to_vec).unwrap(),
+        layout.with_page(bad, <[u8]>::to_vec).unwrap()
+    );
 
     let clean_iters = clean.trace.as_ref().expect("traced").iter_events();
     let trace = got.trace.as_ref().expect("traced");
@@ -988,7 +1043,10 @@ fn a_fault_on_a_page_carried_steps_ahead_degrades_only_the_iteration_asking() {
         })
         .expect("some query refines to the full step");
     assert_eq!(engine.pager().tag_of(bad), StructureTag::Dmtm);
-    assert_eq!(engine.pager().read_page(bad).unwrap(), layout.read_page(bad).unwrap());
+    assert_eq!(
+        engine.pager().with_page(bad, <[u8]>::to_vec).unwrap(),
+        layout.with_page(bad, <[u8]>::to_vec).unwrap()
+    );
     let carriers: Vec<usize> = (0..ask).filter(|&j| clean[j].ahead_steps >= 2).collect();
     assert!(!carriers.is_empty(), "no batch carried the full step: {clean:?}");
 
@@ -1061,7 +1119,10 @@ fn a_fault_on_a_lookahead_page_degrades_only_its_own_iteration() {
     let mut engine = Mr3Engine::build(&mesh, &scene, &cfg);
     engine.enable_tracing();
     assert_eq!(engine.pager().tag_of(bad), StructureTag::Dmtm);
-    assert_eq!(engine.pager().read_page(bad).unwrap(), layout.read_page(bad).unwrap());
+    assert_eq!(
+        engine.pager().with_page(bad, <[u8]>::to_vec).unwrap(),
+        layout.with_page(bad, <[u8]>::to_vec).unwrap()
+    );
     let clean = engine.try_query(q, k).unwrap();
     let clean_iters = clean.trace.as_ref().expect("traced").iter_events();
     assert!(clean_iters[0].ahead_pages > 0, "iteration 0 looks ahead: {:?}", clean_iters[0]);
@@ -1166,8 +1227,7 @@ fn overlapping_unit_and_line_plans_load_each_key_once_across_four_threads() {
                         assert_eq!(got[0].0.len(), span.tiles(TILES).count());
                         let got = l.finish(&f.pager).unwrap();
                         for (b, (lines, _)) in bands.iter().zip(&got) {
-                            let oracle =
-                                f.msdn.fetch_lines_axis(&f.pager, level, b.axis, b.lo, b.hi, b.roi);
+                            let oracle = band_lines(&f.msdn, &f.pager, level, b);
                             let oracle = line_fingerprint(oracle.unwrap().iter());
                             assert_eq!(line_fingerprint(lines.iter().map(|l| &**l)), oracle);
                         }
@@ -1234,13 +1294,13 @@ fn warm_means_resident() {
     assert!(steps.contains(&0), "s=1's pathnet level charges step 0: {steps:?}");
     let mut scratch = FetchScratch::default();
     for step in steps {
-        all_fronts.get_or_extract(&tree, &pager, step, grid.full_span(), &mut scratch).unwrap();
+        extract(&all_fronts, &tree, &pager, step, grid.full_span(), &mut scratch).unwrap();
     }
     let all_lines = LineCutCache::new(usize::MAX);
     for level in 0..msdn.num_levels() {
         for axis in [Axis::X, Axis::Y] {
             let whole = LineBand { axis, lo: f64::NEG_INFINITY, hi: f64::INFINITY, roi: None };
-            all_lines.get_or_fetch(&msdn, &pager, level, &[whole]).unwrap();
+            fetch_bands(&all_lines, &msdn, &pager, level, &[whole]).unwrap();
         }
     }
     let everything = all_fronts.gauges().resident_weight + all_lines.gauges().resident_weight;
