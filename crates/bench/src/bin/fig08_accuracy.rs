@@ -7,7 +7,10 @@
 //! curve saturates near ε ≈ 0.78; SDN 100 % with the pathnet reaches
 //! ε ≈ 0.97; DMTM 50 % already achieves ε ≈ 0.87.
 //!
-//! Output: `lb_source,dmtm_percent,epsilon`.
+//! Output: `lb_source,dmtm_percent,epsilon`, then one
+//! `digest,lb_ub_fnv1a,0x…` row: FNV-1a over the `lb` and `ub` bits of
+//! every range estimated, in order — a bit-level check of the estimates
+//! the rounded ε rows can hide.
 
 use sknn_bench::{bh_mesh, mean, scene_with_density, start_figure, Args};
 use sknn_core::config::Mr3Config;
@@ -38,12 +41,14 @@ fn main() {
     // engine stores and estimates at its schedule's steps only.
     let dmtm_levels = engine.config().schedule.dmtm.clone();
     let sdn_labels = ["sdn25", "sdn37.5", "sdn50", "sdn75", "sdn100"];
+    let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
 
     for (lvl, label) in sdn_labels.iter().enumerate() {
         for (step, &frac) in dmtm_levels.iter().enumerate() {
             let mut eps = Vec::new();
             for &(a, b) in &pair_list {
                 let range = engine.estimate_pair(a, b, step, lvl);
+                digest = fnv1a(fnv1a(digest, range.lb.to_bits()), range.ub.to_bits());
                 eps.push(range.accuracy());
             }
             println!("{label},{},{:.4}", (frac * 100.0) as u32, mean(&eps));
@@ -54,6 +59,7 @@ fn main() {
         let mut eps = Vec::new();
         for &(a, b) in &pair_list {
             let range = engine.estimate_pair(a, b, step, 0);
+            digest = fnv1a(fnv1a(digest, range.lb.to_bits()), range.ub.to_bits());
             let euclid = a.pos.dist(b.pos);
             if range.ub.is_finite() && range.ub > 0.0 {
                 eps.push((euclid / range.ub).clamp(0.0, 1.0));
@@ -61,4 +67,10 @@ fn main() {
         }
         println!("euclid,{},{:.4}", (frac * 100.0) as u32, mean(&eps));
     }
+    println!("digest,lb_ub_fnv1a,{digest:#018x}");
+}
+
+/// FNV-1a state `h` advanced over `word`'s little-endian bytes.
+fn fnv1a(h: u64, word: u64) -> u64 {
+    word.to_le_bytes().iter().fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
 }

@@ -7,12 +7,15 @@
 //! lattice tile)` — read, as stored, from a [`UnitStore`] — and *derives*
 //! each requested front from the units of its region, so overlapping
 //! requests share every byte they have in common instead of each holding
-//! a private copy of it. Single-flight loading and CLOCK eviction come
-//! from [`SingleFlightCache`] in `sknn-store`. A read is a
-//! [`claim`](CutCache::claim), one [`Pager::read_into`] of the claimed
-//! units' pages (batched with whatever else the caller reads), then
-//! [`UnitLoad::publish`] and [`UnitLoad::finish`]; the caller derives
-//! each span's front from the units `finish` hands it.
+//! a private copy of it. Single-flight loading, CLOCK eviction and the
+//! claim rule — the spans' union in first-span order, each span's units
+//! and its hit flag — come from [`SingleFlightCache`] in `sknn-store`;
+//! this module only maps spans to `(step, tile)` keys and reads pages
+//! (`UnitRead`). A read is a [`claim`](CutCache::claim), one
+//! [`Pager::read_into`] of the claimed units' pages (batched with
+//! whatever else the caller reads), then [`UnitLoad::publish`] and
+//! [`UnitLoad::finish`]; the caller derives each span's front from the
+//! units `finish` hands it.
 //!
 //! ## Region canonicalization and bit-identity
 //!
@@ -36,10 +39,8 @@
 use crate::front::FrontUnit;
 use crate::units::{UnitRead, UnitStore};
 use sknn_geom::{Point2, Rect2};
-use sknn_store::{
-    CacheGauges, CacheStats, Claim, PageId, PageSink, Pager, SingleFlightCache, StoreResult,
-};
-use std::ops::Range;
+use sknn_store::{Claim, PageId, PageSink, Pager, SingleFlightCache, StoreResult};
+use std::ops::{Deref, Range};
 use std::sync::Arc;
 
 /// A canonical fetch region as half-open ranges of lattice tile indices.
@@ -235,85 +236,47 @@ impl CutGrid {
 /// Identity of a residency unit: resolution step plus lattice tile
 /// (`row * tiles + column`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct UnitKey {
+pub struct UnitKey {
     step: u32,
     tile: u32,
 }
 
 /// The shared DMTM cut cache. See the module docs for semantics. A cache
 /// serves the units of one [`UnitStore`], and so one tree and one lattice.
+/// Its counters, gauges and `clear` are the inner [`SingleFlightCache`]'s.
 pub struct CutCache {
     inner: SingleFlightCache<UnitKey, FrontUnit>,
     store: UnitStore,
 }
 
+impl Deref for CutCache {
+    type Target = SingleFlightCache<UnitKey, FrontUnit>;
+
+    fn deref(&self) -> &Self::Target {
+        &self.inner
+    }
+}
+
 impl CutCache {
     /// A cache of `store`'s units, bounded by `capacity_bytes`.
     pub fn new(capacity_bytes: usize, store: UnitStore) -> Self {
-        Self { inner: SingleFlightCache::new(capacity_bytes), store }
+        Self { inner: SingleFlightCache::new(capacity_bytes, FrontUnit::weight), store }
     }
 
-    /// Claim the units of every span at step `m` — each tile once, however
-    /// many spans hold it — for a read the caller batches: the returned
-    /// load's [`pages`](PageSink::pages) are those of the units nobody
-    /// holds yet, to be read (together with other structures' pages, in
-    /// one [`Pager::read_into`]) and then [`publish`](UnitLoad::publish)ed
-    /// and [`finish`](UnitLoad::finish)ed.
+    /// Claim the units of every span at step `m` — each span one ask of
+    /// the [`SingleFlightCache::claim`], its tiles row-major — for a read
+    /// the caller batches: the returned load's [`pages`](PageSink::pages)
+    /// are those of the units nobody holds yet, to be read (together with
+    /// other structures' pages, in one [`Pager::read_into`]) and then
+    /// [`publish`](UnitLoad::publish)ed and [`finish`](UnitLoad::finish)ed.
     pub fn claim(&self, m: u32, spans: &[TileSpan]) -> UnitLoad<'_> {
         let side = self.store.grid().tiles();
-        // Per tile, its position in `keys`.
-        let mut at = vec![usize::MAX; side * side];
-        let count = |s: &TileSpan| (s.x1 - s.x0) * (s.y1 - s.y0);
-        let total: usize = spans.iter().map(count).sum();
-        let (mut keys, mut first_span) = (Vec::with_capacity(total), Vec::with_capacity(total));
-        let mut picks = Vec::with_capacity(spans.len());
-        for (s, span) in spans.iter().enumerate() {
-            let mut pick = Vec::with_capacity(count(span));
-            for tile in span.tiles(side) {
-                let slot = &mut at[tile as usize];
-                if *slot == usize::MAX {
-                    *slot = keys.len();
-                    keys.push(UnitKey { step: m, tile });
-                    first_span.push(s);
-                }
-                pick.push(*slot);
-            }
-            picks.push(pick);
-        }
-        let claim = self.inner.claim(&keys);
-        let tiles: Vec<u32> = claim.claimed().iter().map(|&i| keys[i].tile).collect();
+        let claim = self
+            .inner
+            .claim(spans.iter().map(|s| s.tiles(side).map(|tile| UnitKey { step: m, tile })));
+        let tiles: Vec<u32> = claim.keys().filter_map(|(k, c)| c.then_some(k.tile)).collect();
         let read = self.store.read_units(m, &tiles);
-        UnitLoad { cache: self, m, keys, first_span, picks, claim, read }
-    }
-
-    /// Counter snapshot (per unit, not per fetch).
-    pub fn stats(&self) -> CacheStats {
-        self.inner.stats()
-    }
-
-    /// Occupancy snapshot.
-    pub fn gauges(&self) -> CacheGauges {
-        self.inner.gauges()
-    }
-
-    /// Unit loads currently running.
-    pub fn loads_in_flight(&self) -> u64 {
-        self.inner.loads_in_flight()
-    }
-
-    /// Drop every resident unit (cold-cache mode between queries).
-    pub fn clear(&self) {
-        self.inner.clear();
-    }
-
-    /// Resident units.
-    pub fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    /// Whether no unit is resident.
-    pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
+        UnitLoad { cache: self, m, claim, read }
     }
 }
 
@@ -325,12 +288,6 @@ impl CutCache {
 pub struct UnitLoad<'c> {
     cache: &'c CutCache,
     m: u32,
-    /// The spans' distinct units, in the order the spans first ask.
-    keys: Vec<UnitKey>,
-    /// Per unit, the span that asked for it first.
-    first_span: Vec<usize>,
-    /// Per span, its units' positions in `keys`, row-major.
-    picks: Vec<Vec<usize>>,
     claim: Claim<'c, UnitKey, FrontUnit>,
     /// The read of the claimed units.
     read: UnitRead,
@@ -351,40 +308,27 @@ impl UnitLoad<'_> {
     /// with whether this load claimed it (reads it) rather than finding
     /// it resident or loading elsewhere.
     pub fn tiles(&self) -> impl Iterator<Item = (u32, bool)> + '_ {
-        let mut claimed = self.claim.claimed().iter().peekable();
-        self.keys.iter().enumerate().map(move |(i, k)| (k.tile, claimed.next_if_eq(&&i).is_some()))
+        self.claim.keys().map(|(k, claimed)| (k.tile, claimed))
     }
 
     /// Publish the claimed units the read assembled, waking their
     /// waiters.
     pub fn publish(&mut self) {
-        self.claim.publish(weighed(self.read.finish()));
+        self.claim.publish(self.read.finish());
     }
 
     /// Per span, its units in row-major tile order, and whether this load
-    /// read none of the units the span was first to ask for — the count a
-    /// span-by-span load in the same order would report. Units another
-    /// thread was loading are waited for now, and read here if their
-    /// leader failed, so call this only once every claim of the batch, in
-    /// every cache, is published.
+    /// read none of the units the span was first to ask for (see
+    /// [`Claim::hand_out`]). Units another thread was loading are waited
+    /// for now, and read here if their leader failed, so call this only
+    /// once every claim of the batch, in every cache, is published.
     pub fn finish(self, pager: &Pager) -> StoreResult<Vec<(Vec<Arc<FrontUnit>>, bool)>> {
-        let UnitLoad { cache, m, keys, first_span, picks, claim, .. } = self;
-        claim.hand_out(&keys, &first_span, &picks, |claimed| {
-            let tiles: Vec<u32> = claimed.iter().map(|&i| keys[i].tile).collect();
-            Ok(weighed(cache.store.read(pager, m, &tiles)?))
+        let UnitLoad { cache, m, claim, .. } = self;
+        claim.hand_out(|keys| {
+            let tiles: Vec<u32> = keys.iter().map(|k| k.tile).collect();
+            cache.store.read(pager, m, &tiles)
         })
     }
-}
-
-/// Units with their cache weights.
-fn weighed(units: Vec<FrontUnit>) -> Vec<(FrontUnit, usize)> {
-    units
-        .into_iter()
-        .map(|u| {
-            let weight = u.weight();
-            (u, weight)
-        })
-        .collect()
 }
 
 #[cfg(test)]

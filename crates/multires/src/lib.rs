@@ -48,7 +48,7 @@ pub mod simplify;
 pub mod tree;
 pub mod units;
 
-pub use cache::{CutCache, CutGrid, TileSpan, UnitLoad};
+pub use cache::{CutCache, CutGrid, TileSpan, UnitKey, UnitLoad};
 pub use front::{FetchScratch, FrontGraph, FrontUnit};
 pub use paged::PagedDmtm;
 pub use simplify::build_dmtm;

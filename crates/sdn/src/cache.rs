@@ -11,8 +11,11 @@
 //! the resident directory; the caller reads the missing ones in one
 //! [`Pager::read_into`] (batched with whatever else it reads), then
 //! [`LineLoad::publish`]es them and [`LineLoad::finish`] hands out `Arc`s,
-//! so overlapping bands and regions share every line they have in common;
-//! single-flight loading and CLOCK eviction come from `sknn-store`.
+//! so overlapping bands and regions share every line they have in common.
+//! Single-flight loading, CLOCK eviction and the claim rule (the bands'
+//! union in first-band order, each band's lines and its hit flag) come
+//! from `sknn-store`; this module maps bands to keys and reads pages
+//! ([`LineRead`]).
 //!
 //! Bands and regions must be canonicalized (padded + tile-snapped) by the
 //! caller — see the bit-identity discussion in `sknn-multires::cache`.
@@ -23,16 +26,14 @@
 use crate::paged::{LineRead, PagedMsdn};
 use crate::simplify::SimplifiedLine;
 use sknn_geom::{Axis, Rect2};
-use sknn_store::{
-    CacheGauges, CacheStats, Claim, PageId, PageSink, Pager, SingleFlightCache, StoreResult,
-};
-use std::collections::HashMap;
+use sknn_store::{Claim, PageId, PageSink, Pager, SingleFlightCache, StoreResult};
+use std::ops::Deref;
 use std::sync::Arc;
 
 /// Identity of a residency unit: resolution level, sweep axis, and the
 /// line's index in that level's directory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct LineKey {
+pub struct LineKey {
     level: u32,
     axis: Axis,
     line: u32,
@@ -58,21 +59,29 @@ pub struct LineBand<'r> {
     pub roi: Option<&'r Rect2>,
 }
 
-/// The shared MSDN line cache; pass canonical bands/regions only.
+/// The shared MSDN line cache; pass canonical bands/regions only. Its
+/// counters, gauges and `clear` are the inner [`SingleFlightCache`]'s.
 pub struct LineCutCache {
     inner: SingleFlightCache<LineKey, SimplifiedLine>,
+}
+
+impl Deref for LineCutCache {
+    type Target = SingleFlightCache<LineKey, SimplifiedLine>;
+
+    fn deref(&self) -> &Self::Target {
+        &self.inner
+    }
 }
 
 impl LineCutCache {
     /// A cache bounded by `capacity_bytes`.
     pub fn new(capacity_bytes: usize) -> Self {
-        Self { inner: SingleFlightCache::new(capacity_bytes) }
+        Self { inner: SingleFlightCache::new(capacity_bytes, line_weight) }
     }
 
     /// Claim the lines of every band at one level for a read the caller
-    /// batches. The bands' directory lines are deduplicated, each
-    /// credited to the first band that asks for it, and classified in one
-    /// [`SingleFlightCache::claim`]; the returned load's
+    /// batches: each band one ask of the [`SingleFlightCache::claim`], its
+    /// directory lines in `select_lines` order. The returned load's
     /// [`pages`](PageSink::pages) are the heap pages of the lines nobody
     /// holds yet, to be read (together with other structures' pages, in
     /// one [`Pager::read_into`]) and then [`publish`](LineLoad::publish)ed
@@ -83,63 +92,15 @@ impl LineCutCache {
         level_idx: usize,
         bands: &[LineBand<'_>],
     ) -> LineLoad<'c> {
-        // The union of the bands' lines, each credited to the first band
-        // that asks for it; per band, its lines' positions in the union.
-        let mut index: HashMap<LineKey, usize> = HashMap::new();
-        let (mut keys, mut first_band) = (Vec::new(), Vec::new());
-        let picks: Vec<Vec<usize>> = bands
-            .iter()
-            .enumerate()
-            .map(|(band, b)| {
-                let lines = msdn.select_lines(level_idx, b.axis, b.lo, b.hi, b.roi);
-                lines
-                    .into_iter()
-                    .map(|line| {
-                        let key = LineKey { level: level_idx as u32, axis: b.axis, line };
-                        *index.entry(key).or_insert_with(|| {
-                            keys.push(key);
-                            first_band.push(band);
-                            keys.len() - 1
-                        })
-                    })
-                    .collect()
-            })
-            .collect();
-        let claim = self.inner.claim(&keys);
+        let level = level_idx as u32;
+        let claim = self.inner.claim(bands.iter().map(|b| {
+            let lines = msdn.select_lines(level_idx, b.axis, b.lo, b.hi, b.roi);
+            lines.into_iter().map(move |line| LineKey { level, axis: b.axis, line })
+        }));
         let wanted: Vec<(Axis, u32)> =
-            claim.claimed().iter().map(|&i| (keys[i].axis, keys[i].line)).collect();
+            claim.keys().filter_map(|(k, c)| c.then_some((k.axis, k.line))).collect();
         let read = msdn.read_lines(level_idx, &wanted);
-        LineLoad { msdn, level_idx, keys, first_band, picks, claim, read }
-    }
-
-    /// Counter snapshot (per line, not per fetch).
-    pub fn stats(&self) -> CacheStats {
-        self.inner.stats()
-    }
-
-    /// Occupancy snapshot.
-    pub fn gauges(&self) -> CacheGauges {
-        self.inner.gauges()
-    }
-
-    /// Line loads currently running.
-    pub fn loads_in_flight(&self) -> u64 {
-        self.inner.loads_in_flight()
-    }
-
-    /// Drop every resident line (cold-cache mode between queries).
-    pub fn clear(&self) {
-        self.inner.clear();
-    }
-
-    /// Resident lines.
-    pub fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    /// Whether no line is resident.
-    pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
+        LineLoad { msdn, level_idx, claim, read }
     }
 }
 
@@ -151,12 +112,6 @@ impl LineCutCache {
 pub struct LineLoad<'c> {
     msdn: &'c PagedMsdn,
     level_idx: usize,
-    /// The bands' distinct lines, in the order the bands first ask.
-    keys: Vec<LineKey>,
-    /// Per line, the band that asked for it first.
-    first_band: Vec<usize>,
-    /// Per band, its lines' positions in `keys`, in band order.
-    picks: Vec<Vec<usize>>,
     claim: Claim<'c, LineKey, SimplifiedLine>,
     /// The record walk of the claimed lines.
     read: LineRead<'c>,
@@ -177,42 +132,25 @@ impl LineLoad<'_> {
     /// with whether this load claimed it (reads it) rather than finding
     /// it resident or loading elsewhere.
     pub fn lines(&self) -> impl Iterator<Item = (Axis, u32, bool)> + '_ {
-        let mut claimed = self.claim.claimed().iter().peekable();
-        self.keys
-            .iter()
-            .enumerate()
-            .map(move |(i, k)| (k.axis, k.line, claimed.next_if_eq(&&i).is_some()))
+        self.claim.keys().map(|(k, claimed)| (k.axis, k.line, claimed))
     }
 
     /// Publish the claimed lines the read assembled, waking their
     /// waiters.
     pub fn publish(&mut self) {
-        self.claim.publish(weighed(self.read.finish()));
+        self.claim.publish(self.read.finish());
     }
 
     /// Per band, its lines in band order, and whether this load read none
-    /// of the lines the band was first to ask for — the count a
-    /// band-by-band load in the same order would report. Lines another
-    /// thread was loading are waited for now, and read here if their
-    /// leader failed, so call this only once every claim of the batch, in
-    /// every cache, is published.
+    /// of the lines the band was first to ask for (see
+    /// [`Claim::hand_out`]). Lines another thread was loading are waited
+    /// for now, and read here if their leader failed, so call this only
+    /// once every claim of the batch, in every cache, is published.
     pub fn finish(self, pager: &Pager) -> StoreResult<Vec<(Vec<Arc<SimplifiedLine>>, bool)>> {
-        let LineLoad { msdn, level_idx, keys, first_band, picks, claim, .. } = self;
-        claim.hand_out(&keys, &first_band, &picks, |claimed| {
-            let wanted: Vec<(Axis, u32)> =
-                claimed.iter().map(|&i| (keys[i].axis, keys[i].line)).collect();
-            Ok(weighed(msdn.fetch_lines(pager, level_idx, &wanted)?))
+        let LineLoad { msdn, level_idx, claim, .. } = self;
+        claim.hand_out(|keys| {
+            let wanted: Vec<(Axis, u32)> = keys.iter().map(|k| (k.axis, k.line)).collect();
+            msdn.fetch_lines(pager, level_idx, &wanted)
         })
     }
-}
-
-/// Lines with their cache weights.
-fn weighed(lines: Vec<SimplifiedLine>) -> Vec<(SimplifiedLine, usize)> {
-    lines
-        .into_iter()
-        .map(|l| {
-            let weight = line_weight(&l);
-            (l, weight)
-        })
-        .collect()
 }

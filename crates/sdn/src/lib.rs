@@ -49,7 +49,7 @@ pub mod network;
 pub mod paged;
 pub mod simplify;
 
-pub use cache::{LineBand, LineCutCache, LineLoad};
+pub use cache::{LineBand, LineCutCache, LineKey, LineLoad};
 pub use crossing::CrossingLine;
 pub use msdn::{Msdn, MsdnConfig};
 pub use network::{lower_bound, LowerBound};

@@ -16,7 +16,7 @@
 use crate::crossing::{plane_positions, CrossingLine};
 use crate::network::{lower_bound, LowerBound};
 use crate::simplify::{simplify_line, SimplifiedLine};
-use sknn_geom::{Aabb3, Axis, AxisPlane, Point3, Rect2};
+use sknn_geom::{Axis, AxisPlane, Point3, Rect2};
 use sknn_terrain::mesh::TerrainMesh;
 
 /// MSDN build parameters.
@@ -150,25 +150,6 @@ impl Msdn {
         lower_bound(&lines, a, b, roi, None)
     }
 
-    /// Corridor-restricted "dummy" lower bound (see §4.2.2): admissible
-    /// only for the negative test. Returns `None` when no prior path is
-    /// available.
-    pub fn dummy_lower_bound(
-        &self,
-        level_idx: usize,
-        a: Point3,
-        b: Point3,
-        roi: Option<&Rect2>,
-        prior_path: &[Aabb3],
-        width: f64,
-    ) -> Option<LowerBound> {
-        if prior_path.is_empty() {
-            return None;
-        }
-        let lines = self.lines_between(level_idx, a, b);
-        Some(lower_bound(&lines, a, b, roi, Some((prior_path, width))))
-    }
-
     /// Borrow a level's lines for external storage layers.
     pub fn level_lines(&self, axis: Axis, level_idx: usize) -> &[SimplifiedLine] {
         &self.level(axis, level_idx).lines
@@ -178,6 +159,7 @@ impl Msdn {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::network::{lower_bound_with, LbScratch};
     use sknn_geodesic::exact::ExactGeodesic;
     use sknn_geodesic::mesh_net::MeshPoint;
     use sknn_geom::Point2;
@@ -272,17 +254,21 @@ mod tests {
         assert!(lb4 > euclid * 1.02, "full-res SDN bound {lb4} barely above euclid {euclid}");
     }
 
+    /// The corridor ("dummy") bound at the next level, over the level's
+    /// lines between the points and the previous level's witness chain
+    /// (the way the ranking's lower-bound phase asks for it), is at least
+    /// that level's full bound and uses no more segments.
     #[test]
     fn dummy_lower_bound_dominates() {
         let (mesh, loc, msdn) = setup();
         let a = loc.lift(&mesh, Point2::new(25.0, 20.0)).unwrap();
         let b = loc.lift(&mesh, Point2::new(140.0, 145.0)).unwrap();
         let full = msdn.lower_bound(2, a, b, None);
-        let dummy = msdn.dummy_lower_bound(3, a, b, None, &full.path_mbrs, 10.0).unwrap();
+        let lines = msdn.lines_between(3, a, b);
+        let corridor = Some((&full.path_mbrs[..], 10.0));
+        let dummy = lower_bound_with(&lines, a, b, None, corridor, &mut LbScratch::new());
         let full_next = msdn.lower_bound(3, a, b, None);
         assert!(dummy.value >= full_next.value - 1e-9);
         assert!(dummy.segments_used <= full_next.segments_used);
-        // No prior path -> no dummy bound.
-        assert!(msdn.dummy_lower_bound(3, a, b, None, &[], 10.0).is_none());
     }
 }

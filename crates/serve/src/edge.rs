@@ -57,6 +57,10 @@ use std::time::{Duration, Instant};
 /// endpoint.
 const METRICS_DRAIN_GRACE: Duration = Duration::from_millis(250);
 
+/// Socket read timeout of a connection's reader: the granularity at which
+/// a reader blocked on an idle socket notices the shutdown flag.
+const POLL_INTERVAL: Duration = Duration::from_millis(20);
+
 crate::metrics_table! {
     /// The metrics every serving process has, declared once and stamped
     /// under the process's own prefix ([`Service::PREFIX`]). One more —
@@ -196,7 +200,7 @@ pub trait Service: Sync {
     fn serve(&self, job: Job<Self::Payload>, rec: &dyn Recorder);
 }
 
-/// The five values [`crate::ServeConfig`] and the router's config have
+/// The four values [`crate::ServeConfig`] and the router's config have
 /// in common; each `bind` fills this from its own config.
 #[derive(Debug, Clone)]
 pub struct EdgeConfig {
@@ -204,9 +208,6 @@ pub struct EdgeConfig {
     pub queue_depth: usize,
     /// Starvation floor of the EDF lanes (zero = pure EDF).
     pub starvation_floor: Duration,
-    /// Socket read timeout — the granularity at which blocked readers
-    /// notice the shutdown flag.
-    pub poll_interval: Duration,
     /// Where to serve `/metrics` and `/healthz`; `None` disables.
     pub metrics_addr: Option<String>,
     /// `instance` label on every exported family; empty = no label.
@@ -313,7 +314,7 @@ impl Edge {
     /// Reader thread for one connection.
     fn serve_conn<S: Service>(&self, svc: &S, stream: TcpStream, lanes: &Lanes<S::Payload>) {
         let _ = stream.set_nodelay(true);
-        let _ = stream.set_read_timeout(Some(self.cfg.poll_interval));
+        let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
         let writer = match stream.try_clone() {
             Ok(w) => Arc::new(ConnWriter::new(w)),
             Err(_) => return,
@@ -630,7 +631,6 @@ mod tests {
         let cfg = EdgeConfig {
             queue_depth: 4,
             starvation_floor: Duration::ZERO,
-            poll_interval: Duration::from_millis(20),
             metrics_addr: None,
             instance: String::new(),
         };

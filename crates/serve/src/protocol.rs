@@ -36,7 +36,7 @@
 //! # Versioning
 //!
 //! The version travels per frame and exactly one is spoken:
-//! [`MIN_VERSION`]` = `[`VERSION`]` = 5`. [`parse_header`] rejects every
+//! [`VERSION`]` = 5`. [`parse_header`] rejects every
 //! other version with a typed [`ProtocolError::BadVersion`] before looking
 //! at the tag or the payload, and a server answers it with one
 //! [`ErrorCode::BadRequest`] frame before hanging up — a foreign peer gets
@@ -70,13 +70,9 @@ use std::io::{self, Read, Write};
 /// Frame magic: the first four bytes of every frame.
 pub const MAGIC: [u8; 4] = *b"SKNN";
 
-/// The protocol version every frame is encoded at. Frames carrying any
-/// version in [`MIN_VERSION`]`..=VERSION` are accepted; others are
-/// rejected with [`ProtocolError::BadVersion`].
+/// The one protocol version: every frame is encoded at it, and a frame
+/// carrying any other is rejected with [`ProtocolError::BadVersion`].
 pub const VERSION: u16 = 5;
-
-/// Oldest protocol version still decoded — the current one.
-pub const MIN_VERSION: u16 = VERSION;
 
 /// Size of the fixed frame header in bytes.
 pub const HEADER_LEN: usize = 12;
@@ -129,7 +125,7 @@ impl std::fmt::Display for ErrorCode {
 pub enum ProtocolError {
     /// The first four bytes were not [`MAGIC`].
     BadMagic([u8; 4]),
-    /// The version field was outside [`MIN_VERSION`]`..=`[`VERSION`].
+    /// The version field was not [`VERSION`].
     BadVersion(u16),
     /// The frame type tag is not one this version defines.
     UnknownFrameType(u8),
@@ -156,7 +152,7 @@ impl std::fmt::Display for ProtocolError {
         match self {
             ProtocolError::BadMagic(m) => write!(f, "bad frame magic {m:?}"),
             ProtocolError::BadVersion(v) => {
-                write!(f, "unsupported protocol version {v} (supported {MIN_VERSION}..={VERSION})")
+                write!(f, "unsupported protocol version {v} (supported {VERSION})")
             }
             ProtocolError::UnknownFrameType(t) => write!(f, "unknown frame type {t}"),
             ProtocolError::Oversized { len } => {
@@ -904,7 +900,7 @@ pub fn parse_header(header: &[u8; HEADER_LEN]) -> Result<(u8, u32), ProtocolErro
         return Err(ProtocolError::BadMagic(m));
     }
     let version = u16::from_le_bytes([header[4], header[5]]);
-    if !(MIN_VERSION..=VERSION).contains(&version) {
+    if version != VERSION {
         return Err(ProtocolError::BadVersion(version));
     }
     let tag = header[6];

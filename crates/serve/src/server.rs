@@ -28,9 +28,6 @@ pub struct ServeConfig {
     /// Requests executed concurrently: the worker threads, each running
     /// one request's engine call at a time.
     pub exec_threads: usize,
-    /// Socket read timeout — the granularity at which blocked readers
-    /// notice the shutdown flag.
-    pub poll_interval: Duration,
     /// Where to serve `/metrics` and `/healthz` (e.g. `"127.0.0.1:0"`);
     /// `None` disables the endpoint.
     pub metrics_addr: Option<String>,
@@ -55,7 +52,6 @@ impl Default for ServeConfig {
         Self {
             queue_depth: 64,
             exec_threads: sknn_exec::available_threads(),
-            poll_interval: Duration::from_millis(20),
             metrics_addr: None,
             slow_threshold: Duration::from_millis(100),
             slow_capacity: 256,
@@ -149,7 +145,6 @@ impl<'e, 's, 'm> Server<'e, 's, 'm> {
             EdgeConfig {
                 queue_depth: cfg.queue_depth,
                 starvation_floor: cfg.starvation_floor,
-                poll_interval: cfg.poll_interval,
                 metrics_addr: cfg.metrics_addr.clone(),
                 instance: cfg.instance.clone(),
             },

@@ -76,9 +76,6 @@ pub struct RouterConfig {
     pub workers: usize,
     /// Starvation floor of the EDF admission lanes (zero = pure EDF).
     pub starvation_floor: Duration,
-    /// Socket read timeout — the granularity at which blocked readers
-    /// notice the shutdown flag.
-    pub poll_interval: Duration,
     /// Where to serve `/metrics` and `/healthz`; `None` disables.
     pub metrics_addr: Option<String>,
     /// Per-leg wait budget for queries that carry no deadline (a leg
@@ -95,7 +92,6 @@ impl Default for RouterConfig {
             queue_depth: 256,
             workers: 8,
             starvation_floor: Duration::from_millis(50),
-            poll_interval: Duration::from_millis(20),
             metrics_addr: None,
             leg_timeout: Duration::from_secs(30),
             instance: "router".to_string(),
@@ -150,7 +146,6 @@ impl Router {
             EdgeConfig {
                 queue_depth: cfg.queue_depth,
                 starvation_floor: cfg.starvation_floor,
-                poll_interval: cfg.poll_interval,
                 metrics_addr: cfg.metrics_addr.clone(),
                 instance: cfg.instance.clone(),
             },

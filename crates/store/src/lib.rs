@@ -15,9 +15,11 @@
 //!   overlap their simulated stalls without changing the page counts;
 //! * [`cache`] — the store's one single-flight mechanism: a process-wide
 //!   object cache that loads each missing key once across threads (the
-//!   DMTM and MSDN cut caches), read one way: a [`Claim`], one
+//!   DMTM and MSDN cut caches), read one way: a [`Claim`] over a
+//!   request's asks (one key list per span or band), one
 //!   [`Pager::read_into`] of the claimed keys' pages, a publish, then
-//!   [`Claim::hand_out`];
+//!   [`Claim::hand_out`], which gives each ask its values and its
+//!   first-ask hit flag — the rule lives here, not in the callers;
 //! * [`error`] / [`fault`] — the failure model: the physical read path
 //!   returns typed [`StoreError`]s instead of panicking, every page is
 //!   checksummed ([`page_checksum`], verified on each physical read), and
