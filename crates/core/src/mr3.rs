@@ -39,9 +39,11 @@ const TRACE_RING_CAPACITY: usize = 4096;
 /// [`Pager`], the cut caches, atomic counters), so independent queries
 /// may run concurrently through `&self` — see
 /// [`try_query_batch`](Self::try_query_batch). Query *results* depend only on the immutable
-/// structures; the shared mutable state only feeds cost counters, which
-/// become aggregate (not per-query-exact) under concurrency. Each traced
-/// query records into a ring of its own.
+/// structures. Cost counters are exact per query under concurrency too,
+/// each query reading the stats windows its own thread opened; what a
+/// query counts still depends on scheduling, because the buffer pool and
+/// the cut caches are shared. Each traced query records into a ring of
+/// its own.
 pub struct Mr3Engine<'s, 'm> {
     mesh: &'m TerrainMesh,
     scene: &'s Scene<'m>,

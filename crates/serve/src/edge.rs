@@ -2,14 +2,14 @@
 //! once. A shard [`Server`](crate::Server) and the `sknn-shard` router
 //! both bind an [`Edge`] and hand it a [`Service`]; the edge owns the
 //! listener (and the optional metrics listener), the accept loop, one
-//! reader thread per connection, admission into the EDF lanes, `STATS`,
+//! reader thread per connection, admission into the FIFO lanes, `STATS`,
 //! `TRACE_DUMP`, framing errors, the shutdown [`Handle`] and
 //! the drain. It reads a request frame's ids and deadline itself
 //! ([`Frame::request_header`]) and asks the process one question —
 //! [`Service::claim`]: *is this yours, and if so what is its payload, or
 //! why is it a `BadRequest`* — and runs the one
 //! worker loop both processes share: pop the lanes, stamp the pickup,
-//! refuse what expired while queued, and hand the rest to
+//! refuse what spent half its deadline queued, and hand the rest to
 //! [`Service::serve`] one job at a time, a panic in which fails that
 //! request alone.
 //!
@@ -23,11 +23,13 @@
 //!  └─ one reader thread per connection
 //! ```
 //!
-//! Admission is the bounded deadline-aware queue: a reader `try_push`es
-//! each request, and a full queue means an immediate typed `Overloaded`
+//! Admission is one bounded FIFO queue: a reader `try_push`es each
+//! request, and a full queue means an immediate typed `Overloaded`
 //! reply — load shedding is a fast "no", never a hang or an unbounded
-//! buffer. An admitted request is answered exactly once: nothing
-//! withdraws it from the queue.
+//! buffer. Workers take jobs in arrival order; a job that spent half its
+//! deadline queued is answered `DeadlineExpired` at dequeue instead of
+//! taking a worker. An admitted request is answered exactly once:
+//! nothing withdraws it from the queue.
 //!
 //! Graceful drain is ordering, not machinery: setting the shutdown flag
 //! stops the accept loop and makes every reader exit at its next frame
@@ -141,6 +143,15 @@ impl<P> Job<P> {
     pub fn refuse(&self, stats: &EdgeStats, code: ErrorCode, detail: &str) -> bool {
         self.reply(stats, &Frame::error(self.req_id, code, detail))
     }
+
+    /// Whether the job, just picked up, spent half its budget queued.
+    /// Refusing only at the deadline serves jobs with no slack left, and
+    /// on-time goodput collapses past saturation (EXPERIMENTS "What
+    /// admission buys").
+    fn spent(&self) -> bool {
+        let waited = self.recv_at.duration_since(self.enqueued);
+        self.deadline.is_some_and(|d| waited >= d.saturating_duration_since(self.recv_at))
+    }
 }
 
 #[cfg(test)]
@@ -191,8 +202,8 @@ pub trait Service: Sync {
     /// How many jobs are served concurrently (worker threads).
     fn workers(&self) -> usize;
 
-    /// Called for a job whose deadline passed while it was queued, before
-    /// the edge answers it `DeadlineExpired`.
+    /// Called for a job that spent half its deadline queued, before the
+    /// edge answers it `DeadlineExpired`.
     fn expired(&self, _job: &Job<Self::Payload>) {}
 
     /// Answers one live job exactly once. A panic in here is caught by
@@ -200,14 +211,12 @@ pub trait Service: Sync {
     fn serve(&self, job: Job<Self::Payload>, rec: &dyn Recorder);
 }
 
-/// The four values [`crate::ServeConfig`] and the router's config have
+/// The three values [`crate::ServeConfig`] and the router's config have
 /// in common; each `bind` fills this from its own config.
 #[derive(Debug, Clone)]
 pub struct EdgeConfig {
     /// Admission queue bound; arrivals beyond it are shed.
     pub queue_depth: usize,
-    /// Starvation floor of the EDF lanes (zero = pure EDF).
-    pub starvation_floor: Duration,
     /// Where to serve `/metrics` and `/healthz`; `None` disables.
     pub metrics_addr: Option<String>,
     /// `instance` label on every exported family; empty = no label.
@@ -261,7 +270,7 @@ impl Edge {
             Some(ring) => ring,
             None => &NOOP,
         };
-        let lanes = Lanes::new(self.cfg.queue_depth.max(1), self.cfg.starvation_floor);
+        let lanes = Lanes::new(self.cfg.queue_depth);
         let registry = if self.cfg.instance.is_empty() {
             Registry::new()
         } else {
@@ -413,13 +422,12 @@ fn work<S: Service>(svc: &S, lanes: &Lanes<S::Payload>, rec: &dyn Recorder) {
     while let Some(mut job) = lanes.pop() {
         job.recv_at = Instant::now();
         stats.queue_us.record(job.recv_at.duration_since(job.enqueued).as_micros() as u64);
-        // A request whose budget burned away in the queue is answered
-        // now instead of occupying a worker to produce a reply nobody
-        // wants.
-        if job.deadline.is_some_and(|d| job.recv_at >= d) {
+        // A request whose budget went to the queue is answered now
+        // instead of occupying a worker to produce a reply nobody wants.
+        if job.spent() {
             stats.expired.inc();
             svc.expired(&job);
-            job.refuse(stats, ErrorCode::DeadlineExpired, "deadline expired while queued");
+            job.refuse(stats, ErrorCode::DeadlineExpired, "half the deadline spent queued");
             continue;
         }
         // A panic fails this request only: unanswered, its client would
@@ -475,8 +483,9 @@ pub struct Contract<'a> {
 /// what is parked and the next arrival is `Overloaded`; `/healthz` flips to 503
 /// while the admitted backlog is still unanswered and a frame finished
 /// after the flip is `ShuttingDown`; every admitted request gets exactly
-/// one reply on its own connection, then EOF. Begins the drain itself;
-/// the caller joins `run` afterwards. Panics on the first violated
+/// one reply on its own connection, in arrival order (a deadlined
+/// request parked behind deadline-less ones included), then EOF. Begins
+/// the drain itself; the caller joins `run` afterwards. Panics on the first violated
 /// expectation.
 pub fn check_edge_contract(p: &Contract<'_>) {
     use crate::protocol::{read_frame, QueryFrame, RecvError};
@@ -541,7 +550,10 @@ pub fn check_edge_contract(p: &Contract<'_>) {
         std::thread::sleep(Duration::from_millis(1));
     }
     for id in 1..=p.parked {
-        a.send(&request(id)).expect("send");
+        // The last one carries a deadline that cannot pass; it still
+        // waits its turn behind the deadline-less ones.
+        let deadline_ms = if id == p.parked { 60_000 } else { 0 };
+        a.send(&deadlined(id, deadline_ms)).expect("send");
     }
     assert_eq!(queue_depth(&mut a), p.parked, "queue_depth is what is parked");
 
@@ -567,14 +579,13 @@ pub fn check_edge_contract(p: &Contract<'_>) {
     assert_eq!(error_of(reply), (77, ErrorCode::ShuttingDown));
 
     (p.hold)(false);
-    let mut answered: Vec<u64> = (0..=p.parked)
+    let answered: Vec<u64> = (0..=p.parked)
         .map(|_| match a.recv().expect("drain answers what was admitted") {
             Frame::Response(r) => r.req_id,
             other => panic!("expected a response, got {other:?}"),
         })
         .collect();
-    answered.sort_unstable();
-    assert!(answered.into_iter().eq(0..=p.parked), "one reply per admitted request");
+    assert!(answered.into_iter().eq(0..=p.parked), "one reply per admitted request, in order");
     assert!(matches!(a.recv(), Err(RecvError::Closed)), "then the connection closes");
 }
 
@@ -628,12 +639,7 @@ mod tests {
     /// is the watchdog against a dead worker.
     #[test]
     fn a_panicking_job_fails_alone_and_its_worker_serves_on() {
-        let cfg = EdgeConfig {
-            queue_depth: 4,
-            starvation_floor: Duration::ZERO,
-            metrics_addr: None,
-            instance: String::new(),
-        };
+        let cfg = EdgeConfig { queue_depth: 4, metrics_addr: None, instance: String::new() };
         let edge = Edge::bind("127.0.0.1:0", cfg).unwrap();
         let handle = edge.handle();
         let svc = FirstJobPanics::default();
@@ -667,11 +673,27 @@ mod tests {
         assert_eq!((svc.stats.panics.get(), svc.stats.write_errors.get()), (1, 0));
     }
 
+    /// Refused at dequeue: a job that waited as long as it has left.
+    #[test]
+    fn a_job_that_spent_half_its_budget_queued_is_refused() {
+        let t0 = Instant::now();
+        let ms = |n| Duration::from_millis(n);
+        let spent = |deadline: Option<u64>, waited| {
+            let mut job = Job::detached(1, 2, deadline.map(|d| t0 + ms(d)), t0);
+            job.recv_at = t0 + ms(waited);
+            job.spent()
+        };
+        assert!(!spent(Some(100), 49), "more left than waited");
+        assert!(spent(Some(100), 50), "half spent");
+        assert!(spent(Some(100), 150), "past the deadline");
+        assert!(!spent(None, 60_000), "no deadline, never refused");
+    }
+
     /// The gauge has no state of its own: it follows the lanes through
     /// push and pop.
     #[test]
     fn queue_depth_gauge_is_the_lanes_length() {
-        let lanes = Lanes::new(4, Duration::ZERO);
+        let lanes = Lanes::new(4);
         let reg = Registry::new();
         register_queue_depth(&reg, "sknn_test_", &lanes);
         let gauge = || {

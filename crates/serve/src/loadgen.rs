@@ -71,6 +71,12 @@ pub struct RunReport {
     pub ok: u64,
     /// Successful responses carrying a degradation marker.
     pub degraded: u64,
+    /// Successful responses that reached the client after their deadline
+    /// (`deadline_ms` past the send); counted in `ok` as well.
+    pub late: u64,
+    /// Engine time (`ServerTiming.exec_us`) the late responses cost, ms:
+    /// work done for answers nobody was waiting for any more.
+    pub late_exec_ms: f64,
     /// Typed `Overloaded` rejections (shed at admission).
     pub overloaded: u64,
     /// Typed `DeadlineExpired` replies.
@@ -86,7 +92,8 @@ pub struct RunReport {
     pub mismatches: u64,
     /// Completed responses per second.
     pub achieved_qps: f64,
-    /// Latency of successful responses.
+    /// Latency of admitted requests: successful responses and
+    /// `DeadlineExpired` replies.
     pub latency: LatencyMs,
     /// Server-reported per-stage latency summaries, in [`STAGE_NAMES`]
     /// order. Empty when no request succeeded.
@@ -126,6 +133,8 @@ struct ConnTally {
     sent: u64,
     ok: u64,
     degraded: u64,
+    late: u64,
+    late_exec_ms: f64,
     overloaded: u64,
     expired: u64,
     missing: u64,
@@ -139,9 +148,18 @@ struct ConnTally {
 }
 
 impl ConnTally {
-    /// Folds one response's server timing into the stage vectors and
-    /// checks the containment invariant against the client round trip.
-    fn record_stages(&mut self, timing: &ServerTiming, e2e_ms: f64) {
+    /// Folds an admitted request's round trip into the latencies; for a
+    /// response also its server timing, the containment invariant
+    /// against the client round trip, and whether it came too late.
+    fn record_reply(&mut self, frame: &Frame, e2e_ms: f64, deadline_ms: u32) {
+        let timing = match frame {
+            Frame::Response(r) => &r.timing,
+            Frame::Error(e) if e.code == ErrorCode::DeadlineExpired => {
+                return self.latencies_ms.push(e2e_ms);
+            }
+            _ => return,
+        };
+        self.latencies_ms.push(e2e_ms);
         for (vec, us) in self.stage_ms.iter_mut().zip(stage_values(timing)) {
             vec.push(us as f64 / 1e3);
         }
@@ -150,6 +168,10 @@ impl ConnTally {
         // to whole µs independently of the client's clock read.
         if server_path_ms > e2e_ms + 0.001 {
             self.stage_sum_violations += 1;
+        }
+        if deadline_ms > 0 && e2e_ms > deadline_ms as f64 {
+            self.late += 1;
+            self.late_exec_ms += timing.exec_us as f64 / 1e3;
         }
     }
 }
@@ -226,6 +248,8 @@ pub fn run(
         report.sent += t.sent;
         report.ok += t.ok;
         report.degraded += t.degraded;
+        report.late += t.late;
+        report.late_exec_ms += t.late_exec_ms;
         report.overloaded += t.overloaded;
         report.expired += t.expired;
         report.missing += t.missing;
@@ -320,11 +344,8 @@ fn run_closed_conn(
         match client.recv() {
             Ok(frame) => {
                 if classify(&mut tally, &frame, expect).is_some() {
-                    if let Frame::Response(r) = &frame {
-                        let e2e_ms = sent_at.elapsed().as_secs_f64() * 1e3;
-                        tally.latencies_ms.push(e2e_ms);
-                        tally.record_stages(&r.timing, e2e_ms);
-                    }
+                    let e2e_ms = sent_at.elapsed().as_secs_f64() * 1e3;
+                    tally.record_reply(&frame, e2e_ms, cfg.deadline_ms);
                 }
             }
             Err(RecvError::Protocol(_)) => {
@@ -353,6 +374,9 @@ fn run_open_conn(
     let mut recv_client = Client::connect_with_timeout(&cfg.addr, Duration::from_secs(10))?;
     let mut send_client = recv_client.try_clone()?;
     let interval = Duration::from_secs_f64(cfg.connections.max(1) as f64 / cfg.qps);
+    // Each connection is offset by its share of the interval, so the
+    // aggregate arrivals are evenly spaced, not one burst per tick.
+    let phase = conn as f64 / cfg.connections.max(1) as f64;
     let (time_tx, time_rx) = mpsc::channel::<(usize, Instant)>();
 
     let mut tally = ConnTally::default();
@@ -361,7 +385,7 @@ fn run_open_conn(
         let sender = scope.spawn(move || -> io::Result<u64> {
             let t0 = Instant::now();
             for (i, &q) in queries.iter().enumerate() {
-                let due = t0 + interval.mul_f64(i as f64);
+                let due = t0 + interval.mul_f64(i as f64 + phase);
                 let now = Instant::now();
                 if due > now {
                     std::thread::sleep(due - now);
@@ -383,10 +407,9 @@ fn run_open_conn(
                     }
                     if let Some(idx) = classify(&mut tally, &frame, expect) {
                         outcomes += 1;
-                        if let (Frame::Response(r), Some(at)) = (&frame, send_times.get(&idx)) {
+                        if let Some(at) = send_times.get(&idx) {
                             let e2e_ms = at.elapsed().as_secs_f64() * 1e3;
-                            tally.latencies_ms.push(e2e_ms);
-                            tally.record_stages(&r.timing, e2e_ms);
+                            tally.record_reply(&frame, e2e_ms, cfg.deadline_ms);
                         }
                     }
                 }

@@ -94,7 +94,7 @@ pub enum ErrorCode {
     /// The admission queue was full; the request was shed without being
     /// executed. Retry against a less-loaded server (or later).
     Overloaded = 1,
-    /// The deadline expired while the request was still queued; it was
+    /// The request spent half its deadline (or all of it) queued; it was
     /// dropped at dequeue without being executed.
     DeadlineExpired = 2,
     /// The query ran but storage faults exceeded the engine's per-query

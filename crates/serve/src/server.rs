@@ -41,10 +41,6 @@ pub struct ServeConfig {
     /// metrics family (shard id or `"router"` in a fleet); empty means
     /// no label (single-process deployments keep their old schema).
     pub instance: String,
-    /// Starvation floor of the EDF admission lanes: once the oldest
-    /// queued request has waited this long, it is dispatched next
-    /// regardless of deadlines. Zero disables the floor (pure EDF).
-    pub starvation_floor: Duration,
 }
 
 impl Default for ServeConfig {
@@ -56,7 +52,6 @@ impl Default for ServeConfig {
             slow_threshold: Duration::from_millis(100),
             slow_capacity: 256,
             instance: String::new(),
-            starvation_floor: Duration::from_millis(50),
         }
     }
 }
@@ -144,7 +139,6 @@ impl<'e, 's, 'm> Server<'e, 's, 'm> {
             addr,
             EdgeConfig {
                 queue_depth: cfg.queue_depth,
-                starvation_floor: cfg.starvation_floor,
                 metrics_addr: cfg.metrics_addr.clone(),
                 instance: cfg.instance.clone(),
             },

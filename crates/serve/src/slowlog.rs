@@ -21,7 +21,7 @@ pub enum SlowOutcome {
     Ok,
     /// Completed with a degradation marker.
     Degraded,
-    /// Dropped at dequeue: deadline expired while queued.
+    /// Dropped at dequeue: half the deadline spent queued.
     Expired,
     /// The engine returned a typed error.
     Error,

@@ -43,11 +43,12 @@
 //! # Admission
 //!
 //! The router binds the same serving edge as its shards
-//! ([`sknn_serve::edge`]): EDF-with-starvation-floor admission lanes, a
-//! bounded queue, typed `Overloaded`/`ShuttingDown`/`DeadlineExpired`
-//! errors, and graceful drain. It takes `QUERY` frames only; each of the
-//! edge's `workers` threads drives one query's orchestration at a time.
-//! Shard connections are persistent multiplexed [`PoolClient`]s.
+//! ([`sknn_serve::edge`]): one bounded FIFO admission queue, typed
+//! `Overloaded`/`ShuttingDown`/`DeadlineExpired` errors, and graceful
+//! drain. It takes `QUERY` frames only; each of the edge's `workers`
+//! threads drives one query's orchestration at a time, and every leg it
+//! sends carries the query's remaining slack as its deadline. Shard
+//! connections are persistent multiplexed [`PoolClient`]s.
 
 use crate::map::ShardMap;
 use crate::stats::RouterStats;
@@ -66,6 +67,10 @@ use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+/// Per-leg wait budget for queries that carry no deadline (a leg for a
+/// deadlined query waits at most its remaining slack).
+const LEG_TIMEOUT: Duration = Duration::from_secs(30);
+
 /// Router knobs. Defaults suit a local fleet; tests override freely.
 #[derive(Debug, Clone)]
 pub struct RouterConfig {
@@ -74,13 +79,8 @@ pub struct RouterConfig {
     /// Orchestration workers — each drives one query's legs end to end,
     /// so this bounds the router's in-flight fan-outs.
     pub workers: usize,
-    /// Starvation floor of the EDF admission lanes (zero = pure EDF).
-    pub starvation_floor: Duration,
     /// Where to serve `/metrics` and `/healthz`; `None` disables.
     pub metrics_addr: Option<String>,
-    /// Per-leg wait budget for queries that carry no deadline (a leg
-    /// for a deadlined query waits at most its remaining slack).
-    pub leg_timeout: Duration,
     /// Instance name stamped as an `instance` label on every exported
     /// metrics family; empty means no label.
     pub instance: String,
@@ -88,14 +88,7 @@ pub struct RouterConfig {
 
 impl Default for RouterConfig {
     fn default() -> Self {
-        Self {
-            queue_depth: 256,
-            workers: 8,
-            starvation_floor: Duration::from_millis(50),
-            metrics_addr: None,
-            leg_timeout: Duration::from_secs(30),
-            instance: "router".to_string(),
-        }
+        Self { queue_depth: 256, workers: 8, metrics_addr: None, instance: "router".to_string() }
     }
 }
 
@@ -145,7 +138,6 @@ impl Router {
             addr,
             EdgeConfig {
                 queue_depth: cfg.queue_depth,
-                starvation_floor: cfg.starvation_floor,
                 metrics_addr: cfg.metrics_addr.clone(),
                 instance: cfg.instance.clone(),
             },
@@ -211,12 +203,12 @@ impl Router {
         job.reply(&self.stats, frame)
     }
 
-    /// A leg's wait budget: the query's remaining slack, capped at the
-    /// configured per-leg timeout.
+    /// A leg's wait budget: the query's remaining slack, capped at
+    /// [`LEG_TIMEOUT`].
     fn remaining(&self, job: &RouterJob) -> Duration {
         match job.deadline {
-            Some(d) => d.saturating_duration_since(Instant::now()).min(self.cfg.leg_timeout),
-            None => self.cfg.leg_timeout,
+            Some(d) => d.saturating_duration_since(Instant::now()).min(LEG_TIMEOUT),
+            None => LEG_TIMEOUT,
         }
     }
 

@@ -780,13 +780,16 @@ fn main() {
                     surface_knn::serve::loadgen::run(gen_scene, &pass, verify_engine.as_ref())
                         .expect("loadgen pass failed");
                 println!(
-                    "{}{}: {} sent, {} ok ({} degraded), {} overloaded, {} expired, \
-                     {:.1} qps, p50 {:.2} ms, p95 {:.2} ms, p99 {:.2} ms{}",
+                    "{}{}: {} sent, {} ok ({} degraded, {} late costing {:.1} engine ms), \
+                     {} overloaded, {} expired, {:.1} qps, p50 {:.2} ms, p95 {:.2} ms, \
+                     p99 {:.2} ms{}",
                     report.mode,
                     if qps > 0.0 { format!("@{qps:.0}") } else { String::new() },
                     report.sent,
                     report.ok,
                     report.degraded,
+                    report.late,
+                    report.late_exec_ms,
                     report.overloaded,
                     report.expired,
                     report.achieved_qps,

@@ -327,12 +327,13 @@ fn every_query_and_exec_leg_samples_step_two() {
     assert_eq!(sampled, want, "step-2 samples per shard");
 }
 
-/// EDF lane ordering under a full queue: with one router worker wedged
-/// on a slow query, four deadlined queries fill the queue (depth 4) and
-/// must drain earliest-deadline-first — not in arrival order — while a
-/// fifth arrival is shed with a typed `Overloaded`.
+/// The router's admission queue under load: with one router worker
+/// wedged on a slow query, four deadlined queries fill the queue (depth
+/// 4) and drain in arrival order — their deadlines, given out of that
+/// order, change nothing — while a fifth arrival is shed with a typed
+/// `Overloaded`.
 #[test]
-fn edf_orders_a_full_router_queue_and_sheds_overflow() {
+fn a_full_router_queue_drains_in_arrival_order_and_sheds_overflow() {
     const K: usize = 2;
     let (mesh, cfg) = test_world();
     let scene = SceneBuilder::new(&mesh).object_count(16).seed(13).build();
@@ -354,12 +355,7 @@ fn edf_orders_a_full_router_queue_and_sheds_overflow() {
         let router = Router::bind(
             map,
             "127.0.0.1:0",
-            RouterConfig {
-                workers: 1,
-                queue_depth: 4,
-                starvation_floor: Duration::ZERO, // pure EDF
-                ..RouterConfig::default()
-            },
+            RouterConfig { workers: 1, queue_depth: 4, ..RouterConfig::default() },
         )
         .unwrap();
         let addr = router.local_addr();
@@ -376,9 +372,9 @@ fn edf_orders_a_full_router_queue_and_sheds_overflow() {
             wedge.send_query(100, queries[0], K as u32, 0).unwrap();
             std::thread::sleep(Duration::from_millis(50));
 
-            // Deadlines deliberately out of arrival order. Expected
-            // drain: req 4 (10 s), req 2 (20 s), req 3 (35 s), req 1
-            // (50 s). The fifth arrival finds the queue full.
+            // Deadlines deliberately out of arrival order; the drain
+            // is arrival order all the same. The fifth arrival finds the
+            // queue full.
             let mut client = Client::connect(addr).unwrap();
             for (req_id, deadline_ms) in [(1, 50_000), (2, 20_000), (3, 35_000), (4, 10_000)] {
                 client.send_query(req_id, queries[req_id as usize], K as u32, deadline_ms).unwrap();
@@ -404,7 +400,7 @@ fn edf_orders_a_full_router_queue_and_sheds_overflow() {
                 }
             }
             assert_eq!(shed_req, Some(5), "the overflow arrival is the one shed");
-            assert_eq!(order, vec![4, 2, 3, 1], "queue must drain earliest-deadline-first");
+            assert_eq!(order, vec![1, 2, 3, 4], "the queue drains in arrival order");
 
             let Frame::Response(w) = wedge.recv().unwrap() else {
                 panic!("wedge query must still complete");
