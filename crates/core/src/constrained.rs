@@ -20,11 +20,12 @@
 //! Ranking then terminates with the usual `ub(p_k) <= lb(p_{k+1})` test.
 
 use crate::bounds::DistRange;
+use crate::ea::{charge_terrain, leaf_units};
 use crate::metrics::{CpuTimer, Neighbor, QueryResult, QueryStats};
 use crate::workload::{Scene, SurfacePoint};
 use sknn_geodesic::graph::Dijkstra;
 use sknn_geodesic::pathnet::Pathnet;
-use sknn_multires::{build_dmtm, PagedDmtm};
+use sknn_multires::UnitStore;
 use sknn_sdn::{Msdn, MsdnConfig, PagedMsdn};
 use sknn_store::Pager;
 use sknn_terrain::mesh::{TerrainMesh, TriId};
@@ -91,8 +92,8 @@ pub struct ConstrainedEngine<'s, 'm> {
     scene: &'s Scene<'m>,
     mask: ObstacleMask,
     pathnet: Pathnet,
-    /// Leaf-level terrain store for page accounting of pathnet regions.
-    terrain_store: PagedDmtm,
+    /// Leaf-level terrain units for page accounting of pathnet regions.
+    terrain: UnitStore,
     /// 100 % SDN for (unconstrained, hence still valid) lower bounds.
     msdn: PagedMsdn,
     pager: Pager,
@@ -109,13 +110,13 @@ impl<'s, 'm> ConstrainedEngine<'s, 'm> {
         pool_pages: usize,
     ) -> Self {
         let pager = Pager::new(pool_pages);
-        let terrain_store = PagedDmtm::build(&pager, build_dmtm(mesh));
+        let terrain = leaf_units(&pager, mesh);
         let msdn_cfg = MsdnConfig { levels: vec![1.0], plane_spacing: None };
         let msdn = PagedMsdn::build(&pager, &Msdn::build(mesh, &msdn_cfg));
         let mask_ref = &mask;
         let filter = move |t: TriId| !mask_ref.is_blocked(t);
         let pathnet = Pathnet::build(mesh, 1, Some(&filter));
-        Self { mesh, scene, mask, pathnet, terrain_store, msdn, pager, cold_cache: true }
+        Self { mesh, scene, mask, pathnet, terrain, msdn, pager, cold_cache: true }
     }
 
     /// The traversability mask in force.
@@ -127,8 +128,8 @@ impl<'s, 'm> ConstrainedEngine<'s, 'm> {
     /// by one multi-source Dijkstra over the obstacle-filtered pathnet.
     /// `f64::INFINITY` marks unreachable objects (cut off by obstacles).
     fn constrained_dists(&self, q: SurfacePoint, stats: &mut QueryStats) -> Vec<f64> {
-        // Page charge: the traversable region's terrain records.
-        let _ = self.terrain_store.fetch_front(&self.pager, 0, None);
+        // Page charge: the whole model's leaf units.
+        charge_terrain(&self.pager, &self.terrain, self.terrain.grid().full_span());
         if self.mask.is_blocked(q.tri) {
             return vec![f64::INFINITY; self.scene.num_objects()];
         }

@@ -12,13 +12,16 @@
 //! (Kanai–Suzuki with a 3 % error budget) — no coarse levels, no
 //! progressive ranges. This is exactly what makes it an order of magnitude
 //! slower: each candidate pays a full-resolution shortest-path search.
+//! EA also reads the DMTM the way MR3 does: its terrain reads are MR3's
+//! unit store at step 0 over MR3's tile lattice.
 
 use crate::bounds::DistRange;
+use crate::config::CutCacheConfig;
 use crate::metrics::{CpuTimer, Neighbor, QueryResult, QueryStats};
 use crate::workload::{Scene, SurfacePoint};
 use sknn_geodesic::{kanai_suzuki, KanaiConfig};
 use sknn_geom::Rect2;
-use sknn_multires::{build_dmtm, PagedDmtm};
+use sknn_multires::{build_dmtm, CutGrid, TileSpan, UnitStore};
 use sknn_sdn::{Msdn, MsdnConfig, PagedMsdn};
 use sknn_store::Pager;
 use sknn_terrain::mesh::TerrainMesh;
@@ -27,8 +30,8 @@ use sknn_terrain::mesh::TerrainMesh;
 pub struct EaEngine<'s, 'm> {
     mesh: &'m TerrainMesh,
     scene: &'s Scene<'m>,
-    /// Leaf-level terrain pages (EA reads the original model).
-    terrain_store: PagedDmtm,
+    /// Leaf-level terrain units (EA reads the original model).
+    terrain: UnitStore,
     /// 100 % SDN only.
     msdn: PagedMsdn,
     pager: Pager,
@@ -41,13 +44,13 @@ impl<'s, 'm> EaEngine<'s, 'm> {
     /// Build the benchmark engine (full-resolution structures only).
     pub fn build(mesh: &'m TerrainMesh, scene: &'s Scene<'m>, pool_pages: usize) -> Self {
         let pager = Pager::new(pool_pages);
-        let terrain_store = PagedDmtm::build(&pager, build_dmtm(mesh));
+        let terrain = leaf_units(&pager, mesh);
         let msdn_cfg = MsdnConfig { levels: vec![1.0], plane_spacing: None };
         let msdn = PagedMsdn::build(&pager, &Msdn::build(mesh, &msdn_cfg));
         Self {
             mesh,
             scene,
-            terrain_store,
+            terrain,
             msdn,
             pager,
             // 3 % error budget: "we allow 3% error in shortest surface
@@ -75,7 +78,7 @@ impl<'s, 'm> EaEngine<'s, 'm> {
         if r.distance.is_finite() {
             let ell = sknn_geom::Ellipse2::new(q.pos.xy(), p.pos.xy(), r.distance);
             let region = ell.mbr().intersection(&self.mesh.extent());
-            let _ = self.terrain_store.fetch_front(&self.pager, 0, Some(&region));
+            charge_terrain(&self.pager, &self.terrain, self.terrain.grid().span(&region));
         }
         r.distance
     }
@@ -107,7 +110,7 @@ impl<'s, 'm> EaEngine<'s, 'm> {
         let mut neighbors: Vec<Neighbor> = Vec::new();
         if k > 0 {
             // The first global-optimum search reads the whole model once.
-            let _ = self.terrain_store.fetch_front(&self.pager, 0, None);
+            charge_terrain(&self.pager, &self.terrain, self.terrain.grid().full_span());
 
             // Step 1: 2D k-NN seeds.
             let seeds = self.scene.dxy().knn(q.pos.xy(), k);
@@ -183,6 +186,22 @@ impl<'s, 'm> EaEngine<'s, 'm> {
     }
 }
 
+/// The leaf units (step 0) of `mesh`'s DMTM over MR3's default tile
+/// lattice, stored on `pager`: the terrain layout MR3 reads its pathnet
+/// level's charge from.
+pub(crate) fn leaf_units(pager: &Pager, mesh: &TerrainMesh) -> UnitStore {
+    let cut = CutCacheConfig::default();
+    let grid = CutGrid::new(mesh.extent(), cut.tiles, cut.pad_tiles);
+    UnitStore::build(pager, &build_dmtm(mesh), grid, &[0])
+}
+
+/// Charge the read of `span`'s leaf units. The units themselves are not
+/// used, so a failed read charges what it read and nothing else.
+pub(crate) fn charge_terrain(pager: &Pager, terrain: &UnitStore, span: TileSpan) {
+    let tiles: Vec<u32> = span.tiles(terrain.grid().tiles()).collect();
+    let _ = terrain.read(pager, 0, &tiles);
+}
+
 fn kth_smallest(known: &[(u32, f64)], k: usize) -> f64 {
     if known.len() < k {
         return f64::INFINITY;
@@ -224,7 +243,11 @@ mod tests {
         let ea = EaEngine::build(&mesh, &scene, 256);
         let res = ea.query(scene.random_query(1), 3);
         // EA touches the whole model at least once.
-        assert!(res.stats.pages > 10, "pages {}", res.stats.pages);
+        let grid = ea.terrain.grid();
+        let all: Vec<u32> = grid.full_span().tiles(grid.tiles()).collect();
+        let model = ea.terrain.pages(0, &all).len() as u64;
+        let reads = ea.pager.stats().physical_reads;
+        assert!(reads >= model, "{reads} physical reads, {model} model pages");
         assert!(res.stats.ub_estimations >= 3);
     }
 

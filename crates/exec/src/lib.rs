@@ -30,42 +30,12 @@ pub fn available_threads() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }
 
-/// A fork/join pool configuration. The pool is *scoped*: threads live only
-/// for the duration of each [`map`](Pool::map) call, so a `Pool` is just a
-/// validated thread count and is trivially `Copy`.
-#[derive(Debug, Clone, Copy)]
-pub struct Pool {
-    threads: usize,
-}
-
-impl Pool {
-    /// A pool of `threads` workers (clamped to at least 1).
-    pub fn new(threads: usize) -> Self {
-        Self { threads: threads.max(1) }
-    }
-
-    /// Worker count.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Apply `f` to every item, in parallel across the pool's workers,
-    /// returning the results in item order. Equivalent to
-    /// `items.iter().enumerate().map(|(i, t)| f(i, t)).collect()` — the
-    /// sequential loop is exactly what runs when the pool has one thread
-    /// (or one item), so the two paths are trivially result-identical.
-    pub fn map<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &T) -> R + Sync,
-    {
-        par_map(self.threads, items, f)
-    }
-}
-
-/// [`Pool::map`] as a free function: map `f` over `items` on `threads`
-/// scoped workers, preserving item order in the result.
+/// Map `f` over `items` on `threads` scoped workers (clamped to at least
+/// 1 and at most one per item), returning the results in item order.
+/// Equivalent to `items.iter().enumerate().map(|(i, t)| f(i, t)).collect()`
+/// — the sequential loop is exactly what runs on one thread (or one
+/// item), so the two paths are trivially result-identical. Threads live
+/// only for the duration of the call.
 pub fn par_map<T, R, F>(threads: usize, items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
@@ -172,10 +142,9 @@ mod tests {
     }
 
     #[test]
-    fn pool_wrapper_clamps_and_maps() {
-        let p = Pool::new(0);
-        assert_eq!(p.threads(), 1);
-        assert_eq!(Pool::new(4).map(&[1u8, 2, 3], |_, x| x + 1), vec![2, 3, 4]);
+    fn zero_threads_clamp_to_one_and_map() {
+        assert_eq!(par_map(0, &[1u8, 2, 3], |_, x| x + 1), vec![2, 3, 4]);
+        assert_eq!(par_map(4, &[1u8, 2, 3], |_, x| x + 1), vec![2, 3, 4]);
         assert!(available_threads() >= 1);
     }
 

@@ -127,12 +127,6 @@ impl FrontUnit {
 /// [`FrontGraph`] that is being replaced.
 #[derive(Debug, Default)]
 pub struct FetchScratch {
-    /// (storage key, node id), sorted by key for the paged batched lookup.
-    pub(crate) order: Vec<(u64, u32)>,
-    /// The sorted keys handed to the paged `BPlusTree::get_many`.
-    pub(crate) sorted_keys: Vec<u64>,
-    /// id→local index of the paged extraction.
-    pub(crate) index: HashMap<u32, u32>,
     /// Recycled `FrontGraph` buffers.
     pub(crate) edges: Vec<(u32, u32, f64)>,
     pub(crate) rep_pos: Vec<Point3>,

@@ -22,8 +22,9 @@
 //! [`tree`] (the decorated collapse tree), [`front`] (cut extraction, ROI
 //! filtering, query-point embedding), [`units`] (MR3's storage layout:
 //! one page run per schedule step holding every tile's cut-cache unit),
-//! [`cache`] (the shared cut cache over it), [`paged`] (the paper's
-//! Morton-clustered B+-tree layout, read by the EA baseline).
+//! [`cache`] (the shared cut cache over it), [`paged`] (the node
+//! payloads in Morton order on a heap file: the oracle the units are
+//! tested against).
 
 //! ```
 //! use sknn_multires::{build_dmtm, FrontGraph};

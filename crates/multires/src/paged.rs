@@ -1,23 +1,21 @@
-//! Storage layout of the DMTM over the simulated disk: the paper's
-//! clustering B+-tree.
+//! The DMTM's node payloads on the simulated disk, in Morton order.
 //!
 //! The paper stores DMTM nodes in the database under a clustering B+-tree
-//! (§5.1) and measures query cost in *disk pages accessed*. We reproduce
-//! that for the EA baseline and the constrained engine: each node's
-//! **payload** — its adjacency entries with distances, the bulk of the
-//! structure — is serialised into a [`BPlusTree`] record, clustered by the
-//! Morton (Z-order) code of the node's representative so that spatially
-//! coherent retrieval (an ROI at some LOD) touches few pages. The light
-//! per-node **metadata** (birth/death steps, MBR, parent links, offsets)
-//! stays in memory and plays the role of DM's resident directory, together
-//! with the B+-tree's own leaf index (`(min key, leaf page)` per leaf, no
-//! inner pages): deciding *which* records and leaves to fetch is free,
-//! fetching them is charged.
+//! (§5.1). Here each node's **payload** — its adjacency entries with
+//! distances, the bulk of the structure — is one [`HeapFile`] record,
+//! written in the Morton (Z-order) order of the node's representative, so
+//! spatially coherent retrieval (an ROI at some LOD) touches few pages.
+//! The light per-node **metadata** (birth/death steps, MBR, parent links)
+//! stays in memory and plays the role of DM's resident directory, with
+//! one [`RecordId`] per node: deciding *which* records and pages to fetch
+//! is free, fetching them is charged. DESIGN §4 says why this is a heap
+//! file and not the paper's B+-tree.
 //!
-//! MR3 does not read this layout: its cut cache asks for one unit per
-//! `(schedule step, lattice tile)`, and [`UnitStore`](crate::UnitStore)
-//! stores exactly those. The tree's unit assembly survives here only as
-//! the test oracle the unit store is checked against.
+//! No engine reads this layout: MR3, EA and the constrained engine read
+//! the unit store ([`UnitStore`](crate::UnitStore)), one unit per
+//! `(schedule step, lattice tile)`. `PagedDmtm` is the oracle derived
+//! fronts and stored units are tested against, and the benchmark's
+//! per-layer probe of a paged front fetch.
 
 #[cfg(test)]
 use crate::cache::CutGrid;
@@ -26,41 +24,42 @@ use crate::front::FrontUnit;
 use crate::front::{FetchScratch, FrontGraph};
 use crate::tree::DmtmTree;
 use sknn_geom::{Point3, Rect2};
-use sknn_store::{BPlusTree, Pager, StoreResult};
+use sknn_store::{HeapFile, PageId, Pager, RecordId, StoreResult};
+use std::collections::HashMap;
 
 /// DMTM with payloads resident on the simulated disk.
 pub struct PagedDmtm {
     tree: DmtmTree,
-    btree: BPlusTree,
-    /// Node id -> storage key.
-    keys: Vec<u64>,
+    /// Node id -> its payload record. Records were written in Morton
+    /// order, so sorting by record id sorts by Morton code.
+    records: Vec<RecordId>,
 }
 
 impl PagedDmtm {
-    /// Serialise a tree's node payloads into `pager` pages.
+    /// Serialise a tree's node payloads into `pager` pages, one heap-file
+    /// record per node in Morton order.
+    ///
+    /// # Panics
+    /// Panics when a node's payload (4 bytes plus 12 per adjacency entry)
+    /// does not fit in one page. On BH and EP terrains of 129² and 257²
+    /// points (seed 5) the largest is 4 564 bytes, against 8 192-byte
+    /// pages.
     pub fn build(pager: &Pager, tree: DmtmTree) -> Self {
         let extent = tree
             .nodes()
             .iter()
             .fold(Rect2::EMPTY, |r, n| r.union(&Rect2::from_point(n.rep_pos.xy())));
-        let mut keyed: Vec<(u64, u32)> = tree
-            .nodes()
-            .iter()
-            .enumerate()
-            .map(|(id, n)| {
-                let code = morton(&extent, n.rep_pos);
-                ((code << 24) | id as u64, id as u32)
-            })
+        let mut order: Vec<(u64, u32)> = (0..tree.nodes().len() as u32)
+            .map(|id| (morton(&extent, tree.node(id).rep_pos), id))
             .collect();
-        keyed.sort_unstable_by_key(|&(k, _)| k);
-        let mut keys = vec![0u64; tree.nodes().len()];
-        let mut records = Vec::with_capacity(keyed.len());
-        for (k, id) in keyed {
-            keys[id as usize] = k;
-            records.push((k, serialize_payload(&tree, id)));
+        order.sort_unstable();
+        let (_, rids) =
+            HeapFile::build(pager, order.iter().map(|&(_, id)| serialize_payload(&tree, id)));
+        let mut records = vec![RecordId { page: PageId(0), slot: 0 }; order.len()];
+        for (&(_, id), rid) in order.iter().zip(rids) {
+            records[id as usize] = rid;
         }
-        let btree = BPlusTree::bulk_build(pager, &records);
-        Self { tree, btree, keys }
+        Self { tree, records }
     }
 
     /// The resident metadata (no payload access is charged through this).
@@ -68,11 +67,10 @@ impl PagedDmtm {
         &self.tree
     }
 
-    /// Fetch the front after `m` collapses within `roi`, charging one page
-    /// read per B+-tree page touched. Fetches happen in storage-key order
-    /// to exploit the Morton clustering. Read failures surface as
-    /// [`StoreError`](sknn_store::StoreError) so the engine can degrade
-    /// to a coarser, already-materialized resolution.
+    /// Fetch the front after `m` collapses within `roi`: one batched read
+    /// of the distinct pages holding the wanted nodes' records, so a cold
+    /// fetch pays one stall. Read failures surface as
+    /// [`StoreError`](sknn_store::StoreError), with no front.
     pub fn fetch_front(
         &self,
         pager: &Pager,
@@ -92,47 +90,16 @@ impl PagedDmtm {
     ) -> StoreResult<FrontGraph> {
         let mut ids = std::mem::take(&mut scratch.ids);
         ids.clear();
-        self.live_ids_into(m, roi, &mut ids);
-        self.fetch_ids_with(pager, m, ids, scratch)
-    }
-
-    /// Live node ids at step `m` intersecting `roi` (metadata only), into
-    /// a reused buffer.
-    fn live_ids_into(&self, m: u32, roi: Option<&Rect2>, out: &mut Vec<u32>) {
-        out.extend((0..self.tree.nodes().len() as u32).filter(|&id| {
+        ids.extend((0..self.tree.nodes().len() as u32).filter(|&id| {
             self.tree.live_at(id, m) && roi.is_none_or(|r| r.intersects(&self.tree.node(id).mbr))
         }));
-    }
-
-    /// Fetch the payloads of an ascending id set and assemble the front:
-    /// the id set is taken by value (no defensive clone), the id→local
-    /// index and edge/position buffers are recycled from previous fronts,
-    /// and the payload lookups go through [`BPlusTree::get_many`] — one
-    /// leaf read per run of Morton-adjacent keys instead of one per node,
-    /// which can only lower the page-access count.
-    fn fetch_ids_with(
-        &self,
-        pager: &Pager,
-        m: u32,
-        ids: Vec<u32>,
-        scratch: &mut FetchScratch,
-    ) -> StoreResult<FrontGraph> {
-        let FetchScratch { order, sorted_keys, index, .. } = scratch;
-        order.clear();
-        order.extend(ids.iter().map(|&id| (self.keys[id as usize], id)));
-        order.sort_unstable_by_key(|&(k, _)| k);
-        sorted_keys.clear();
-        sorted_keys.extend(order.iter().map(|&(k, _)| k));
-        index.clear();
-        index.extend(ids.iter().enumerate().map(|(i, &id)| (id, i as u32)));
+        let index: HashMap<u32, u32> =
+            ids.iter().enumerate().map(|(i, &id)| (id, i as u32)).collect();
         let mut edges = std::mem::take(&mut scratch.edges);
         edges.clear();
-        let mut cursor = 0usize;
-        let fetched = self.btree.get_many(pager, sorted_keys, |_, payload| {
-            let id = order[cursor].1;
-            cursor += 1;
+        let read = self.read_payloads(pager, &ids, |id, payload| {
             let local = index[&id];
-            for (w, d) in payload_neighbors(&payload) {
+            for (w, d) in payload_neighbors(payload) {
                 if let Some(&wl) = index.get(&w) {
                     if self.tree.live_at(w, m) && local < wl {
                         edges.push((local, wl, d));
@@ -140,20 +107,13 @@ impl PagedDmtm {
                 }
             }
         });
-        match fetched {
-            // Every known id has a payload record: a clean lookup that
-            // finds fewer is a build-time programmer error, not an I/O
-            // fault.
-            Ok(found) => assert_eq!(found, order.len(), "node payload missing"),
-            Err(e) => {
-                // Return the partially-filled buffers to the scratch so a
-                // degraded caller's next fetch still reuses them.
-                edges.clear();
-                scratch.edges = edges;
-                scratch.ids = ids;
-                scratch.ids.clear();
-                return Err(e);
-            }
+        if let Err(e) = read {
+            // Hand the buffers back so a degraded caller's next fetch
+            // still reuses them.
+            edges.clear();
+            ids.clear();
+            (scratch.edges, scratch.ids) = (edges, ids);
+            return Err(e);
         }
         edges.sort_by(|a, b| (a.0, a.1).cmp(&(b.0, b.1)).then(a.2.total_cmp(&b.2)));
         edges.dedup_by(|a, b| a.0 == b.0 && a.1 == b.1);
@@ -163,13 +123,39 @@ impl PagedDmtm {
         Ok(FrontGraph { ids, edges, rep_pos, step: m })
     }
 
+    /// Hand each node of `ids` its payload, in record (Morton) order,
+    /// after one [`Pager::with_pages`] batch over the distinct pages of
+    /// their records. On a read failure nothing is handed out.
+    fn read_payloads(
+        &self,
+        pager: &Pager,
+        ids: &[u32],
+        mut visit: impl FnMut(u32, &[u8]),
+    ) -> StoreResult<()> {
+        let mut order: Vec<(RecordId, u32)> =
+            ids.iter().map(|&id| (self.records[id as usize], id)).collect();
+        order.sort_unstable();
+        let mut pages: Vec<PageId> = order.iter().map(|&(rid, _)| rid.page).collect();
+        pages.dedup();
+        let mut next = order.iter().peekable();
+        pager.with_pages(&pages, |page, buf| {
+            HeapFile::records(page, buf, |rid, payload| {
+                if let Some((_, id)) = next.next_if(|&&(want, _)| want == rid) {
+                    visit(*id, payload);
+                }
+            })
+        })?;
+        assert!(next.next().is_none(), "node payload missing");
+        Ok(())
+    }
+
     /// The residency units of lattice `tiles` (`row * side + column`
-    /// indices into `grid`) at step `m`, assembled from the tree's
-    /// payloads: every node live at `m` goes to the requested tiles its
-    /// MBR meets ([`CutGrid::tiles_meeting`]), and the payloads of the
-    /// union of those nodes are read in a single [`BPlusTree::get_many`]
-    /// batch. Units come back in `tiles` order. The oracle
-    /// [`UnitStore`](crate::UnitStore) reads are tested against.
+    /// indices into `grid`) at step `m`, assembled from the payloads:
+    /// every node live at `m` goes to the requested tiles its MBR meets
+    /// ([`CutGrid::tiles_meeting`]), and the payloads of the union of
+    /// those nodes are read in one batch. Units come back in `tiles`
+    /// order. The oracle [`UnitStore`](crate::UnitStore) reads are tested
+    /// against.
     #[cfg(test)]
     pub(crate) fn load_units(
         &self,
@@ -184,42 +170,36 @@ impl PagedDmtm {
             unit_of_tile[t as usize] = u as u32;
         }
         let mut unit_ids: Vec<Vec<u32>> = vec![Vec::new(); tiles.len()];
-        // (storage key, node id) of every node some requested tile holds.
-        let mut order: Vec<(u64, u32)> = Vec::new();
+        // Every node some requested tile holds.
+        let mut wanted: Vec<u32> = Vec::new();
         for id in (0..self.tree.nodes().len() as u32).filter(|&id| self.tree.live_at(id, m)) {
             let (xs, ys) = grid.tiles_meeting(&self.tree.node(id).mbr);
-            let mut wanted = false;
+            let mut held = false;
             for y in ys {
                 for x in xs.clone() {
                     let u = unit_of_tile[y * side + x];
                     if u != u32::MAX {
                         unit_ids[u as usize].push(id);
-                        wanted = true;
+                        held = true;
                     }
                 }
             }
-            if wanted {
-                order.push((self.keys[id as usize], id));
+            if held {
+                wanted.push(id);
             }
         }
-        order.sort_unstable_by_key(|&(k, _)| k);
-        let sorted_keys: Vec<u64> = order.iter().map(|&(k, _)| k).collect();
 
         // Per fetched node, its neighbours in the form the units store
         // them.
-        let mut adj: std::collections::HashMap<u32, Vec<(u32, f64)>> = Default::default();
-        let mut cursor = 0usize;
-        let found = self.btree.get_many(pager, &sorted_keys, |_, payload| {
-            let id = order[cursor].1;
-            cursor += 1;
-            let mut one: Vec<(u32, f64)> = payload_neighbors(&payload)
+        let mut adj: HashMap<u32, Vec<(u32, f64)>> = Default::default();
+        self.read_payloads(pager, &wanted, |id, payload| {
+            let mut one: Vec<(u32, f64)> = payload_neighbors(payload)
                 .filter(|&(w, _)| w > id && self.tree.live_at(w, m))
                 .collect();
             one.sort_unstable_by(|a, b| a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)));
             one.dedup_by_key(|e| e.0);
             adj.insert(id, one);
         })?;
-        assert_eq!(found, order.len(), "node payload missing");
         let units = unit_ids
             .iter()
             .map(|ids| {
@@ -284,7 +264,9 @@ mod tests {
     use super::*;
     use crate::simplify::build_dmtm;
     use sknn_geom::Point2;
+    use sknn_store::{FaultInjector, FaultKind, StoreError};
     use sknn_terrain::dem::TerrainConfig;
+    use std::time::Duration;
 
     fn setup() -> (Pager, PagedDmtm) {
         let mesh = TerrainConfig::bh().with_grid(17).build_mesh(4);
@@ -372,6 +354,88 @@ mod tests {
             assert_eq!(fresh.step, reused.step);
             prev = Some(reused);
         }
+    }
+
+    /// The distinct heap pages holding the records of the nodes live at
+    /// `m` within `roi`.
+    fn wanted_pages(paged: &PagedDmtm, m: u32, roi: Option<&Rect2>) -> Vec<PageId> {
+        let mut pages: Vec<PageId> = FrontGraph::extract(paged.tree(), m, roi)
+            .ids
+            .iter()
+            .map(|&id| paged.records[id as usize].page)
+            .collect();
+        pages.sort_unstable();
+        pages.dedup();
+        pages
+    }
+
+    #[test]
+    fn a_cold_fetch_reads_the_distinct_pages_of_its_records_in_one_stall() {
+        const STALL: Duration = Duration::from_millis(1);
+        let (pager, paged) = setup();
+        let roi = Rect2::new(Point2::new(0.0, 0.0), Point2::new(40.0, 40.0));
+        for (frac, roi) in [(1.0, Some(&roi)), (0.3, None), (1.0, None)] {
+            let m = paged.tree().step_for_fraction(frac);
+            let pages = wanted_pages(&paged, m, roi);
+            pager.clear_pool();
+            pager.reset_stats();
+            pager.set_read_stall(STALL);
+            let before = pager.stall_ns();
+            paged.fetch_front(&pager, m, roi).unwrap();
+            let stalled = pager.stall_ns() - before;
+            pager.set_read_stall(Duration::ZERO);
+            let io = pager.stats();
+            assert_eq!(io.physical_reads, pages.len() as u64, "fraction {frac}");
+            assert_eq!(io.logical_reads, pages.len() as u64, "fraction {frac}");
+            assert_eq!(stalled, STALL.as_nanos() as u64, "one stall for the whole fetch");
+        }
+    }
+
+    /// A per-node loop reads each node's page on its own; the batched
+    /// fetch reads each distinct page once, so it never reads more, on a
+    /// pool too small to hold the loop's pages as well as on a large one.
+    #[test]
+    fn a_batched_fetch_never_reads_more_pages_than_a_per_node_loop() {
+        for pool in [4, 256] {
+            let mesh = TerrainConfig::bh().with_grid(17).build_mesh(4);
+            let pager = Pager::new(pool);
+            let paged = PagedDmtm::build(&pager, build_dmtm(&mesh));
+            let m = paged.tree().step_for_fraction(0.6);
+            pager.clear_pool();
+            pager.reset_stats();
+            for &id in &FrontGraph::extract(paged.tree(), m, None).ids {
+                pager.with_page(paged.records[id as usize].page, |_| ()).unwrap();
+            }
+            let looped = pager.stats().physical_reads;
+            pager.clear_pool();
+            pager.reset_stats();
+            let front = paged.fetch_front(&pager, m, None).unwrap();
+            let batched = pager.stats().physical_reads;
+            assert_eq!(front.ids, FrontGraph::extract(paged.tree(), m, None).ids);
+            assert!(batched <= looped, "pool {pool}: batched {batched} > looped {looped}");
+            assert_eq!(batched, wanted_pages(&paged, m, None).len() as u64);
+        }
+    }
+
+    #[test]
+    fn a_permanent_fault_on_one_page_returns_the_error_and_no_front() {
+        let (pager, paged) = setup();
+        let m = paged.tree().step_for_fraction(1.0);
+        let pages = wanted_pages(&paged, m, None);
+        let bad = pages[pages.len() / 2];
+        pager.clear_pool();
+        pager.set_fault_injector(Some(FaultInjector::script().fail_page(
+            bad.0,
+            FaultKind::Permanent,
+            None,
+        )));
+        let mut scratch = FetchScratch::default();
+        let err = paged.fetch_front_with(&pager, m, None, &mut scratch).unwrap_err();
+        assert_eq!(err, StoreError::PermanentRead { page: bad.0 });
+        assert!(scratch.ids.is_empty() && scratch.edges.is_empty(), "no partial front kept");
+        pager.set_fault_injector(None);
+        let front = paged.fetch_front_with(&pager, m, None, &mut scratch).unwrap();
+        assert_eq!(front.ids, FrontGraph::extract(paged.tree(), m, None).ids);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! first page and each tile's byte range (2 KB at 16² tiles). A load of any
 //! set of tiles is then one batched read of the pages of their byte ranges
 //! (`UnitRead`), each unit's words copied straight out of its pages: no
-//! B+-tree walk, no liveness filter, no sort, no dedup and no tile
+//! per-node record walk, no liveness filter, no sort, no dedup and no tile
 //! placement on the query path.
 //!
 //! ## Encoding
@@ -375,7 +375,7 @@ mod tests {
 
     /// A tree whose adjacency records repeat a neighbour (a bundle read
     /// from disk may; the collapse driver never writes one) stores the
-    /// tighter record once, as the B+-tree's assembly and extraction do.
+    /// tighter record once, as the paged assembly and extraction do.
     #[test]
     fn duplicate_entries_collapse_to_the_tighter_record() {
         let (tree, extent) = shared_tree();
@@ -413,7 +413,7 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
-        /// The unit store's reads equal the Morton B+-tree's unit assembly
+        /// The unit store's reads equal the Morton payload file's unit assembly
         /// field for field, for every stored step — the finest, a random
         /// and the coarsest — and reads of 1, 16 or all tiles, on lattices
         /// of 1, 16 and 37 tiles per side over the terrain's own extent
@@ -421,7 +421,7 @@ mod tests {
         /// MBRs lie exactly on them) and over a skewed extent whose lines
         /// are not representable.
         #[test]
-        fn unit_reads_equal_the_btree_loads(
+        fn unit_reads_equal_the_paged_loads(
             random_step in any::<u32>(),
             tiles_pick in 0usize..3,
             skewed in any::<bool>(),

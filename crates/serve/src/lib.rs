@@ -12,7 +12,7 @@
 //!   typed errors, never panics or unbounded allocations.
 //! * [`edge`] — the serving edge, shared with the shard router in
 //!   `sknn-shard`: accept loop, per-connection readers, admission
-//!   control over the EDF lanes (bounded queue; a full queue is an
+//!   control over the lanes (one bounded FIFO; a full queue is an
 //!   immediate typed `Overloaded`, never a hang), the metrics endpoint,
 //!   the worker loop (`workers × (pop → serve → reply)`, a
 //!   deadline spent in the queue refused at dequeue, a panicking job

@@ -1,15 +1,16 @@
 //! Slotted-page heap files.
 //!
-//! SDN crossing-line segments are stored in heap files: a file is
-//! bulk-built from its records, which fill slotted pages greedily in
-//! record order and are addressed by a stable [`RecordId`]. Consecutive
-//! records land on the same page, so data given in a spatially coherent
-//! order (the SDN writes per plane, in line order) exhibits the locality
-//! the paper's integrated-I/O-region optimisation exploits.
+//! SDN crossing-line segments and DMTM node payloads are stored in heap
+//! files: a file is bulk-built from its records, which fill slotted pages
+//! greedily in record order and are addressed by a stable [`RecordId`].
+//! Consecutive records land on the same page, so data given in a
+//! spatially coherent order (the SDN writes per plane, in line order; the
+//! DMTM in Morton order) exhibits the locality the paper's
+//! integrated-I/O-region optimisation exploits.
 //!
 //! Each page is allocated when the fill reaches it and written exactly
-//! once, with its final bytes, so its checksum is computed once; like the
-//! B+-tree, a heap file is read-only after [`HeapFile::build`].
+//! once, with its final bytes, so its checksum is computed once; a heap
+//! file is read-only after [`HeapFile::build`].
 
 use crate::page::codec::*;
 use crate::page::{PageId, PAGE_SIZE};

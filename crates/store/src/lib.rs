@@ -3,16 +3,15 @@
 //!
 //! The paper's evaluation (§5) reports *disk page accesses* as a primary
 //! cost metric: terrain structures (DMTM, MSDN) live in an Oracle database
-//! used purely as a page store, with all indexes "implemented by us" and a
-//! clustering B+-tree over DMTM nodes. This crate reproduces that setup
-//! deterministically:
+//! used purely as a page store, with all indexes "implemented by us".
+//! This crate reproduces that setup deterministically:
 //!
 //! * [`page`] — 8 KiB pages addressed by [`page::PageId`];
 //! * [`pager`] — the page store plus a sharded buffer pool with CLOCK
 //!   eviction; every cache miss is a *physical read* (the paper's "page
 //!   accessed"), hits are free, and batched reads
-//!   ([`pager::Pager::with_pages`], [`bptree::BPlusTree::get_many`])
-//!   overlap their simulated stalls without changing the page counts;
+//!   ([`pager::Pager::with_pages`], [`Pager::read_into`]) overlap their
+//!   simulated stalls without changing the page counts;
 //! * [`cache`] — the store's one single-flight mechanism: a process-wide
 //!   object cache that loads each missing key once across threads (the
 //!   DMTM and MSDN cut caches), read one way: a [`Claim`] over a
@@ -26,11 +25,9 @@
 //!   a seeded deterministic [`FaultInjector`] can fail, corrupt, delay, or
 //!   panic reads for resilience testing, with transient faults absorbed by
 //!   a bounded [`RetryPolicy`];
-//! * [`bptree`] — a clustering B+-tree (bulk-built, a resident leaf index
-//!   in place of inner pages, variable-length values spilling into
-//!   contiguous overflow runs) used to store DMTM nodes keyed by node id;
-//! * [`heapfile`] — bulk-built slotted-page heap files for SDN segments,
-//!   read in batches: the pages from [`Pager::with_pages`] or
+//! * [`heapfile`] — the store's one record structure: bulk-built
+//!   slotted-page heap files (SDN segments, DMTM node payloads), read in
+//!   batches: the pages from [`Pager::with_pages`] or
 //!   [`Pager::read_into`], walked by [`HeapFile::records`];
 //! * [`wal`] — the checksummed, fsync-on-commit log that is the dynamic
 //!   object set's only durable copy.
@@ -39,21 +36,30 @@
 //! exactly what makes page counts reproducible across runs and machines.
 
 //! ```
-//! use sknn_store::{BPlusTree, Pager};
+//! use sknn_store::{HeapFile, Pager};
 //!
 //! let pager = Pager::new(16); // 16-page sharded buffer pool
-//! let records: Vec<(u64, Vec<u8>)> =
-//!     (0..1000).map(|k| (k, format!("row-{k}").into_bytes())).collect();
-//! let tree = BPlusTree::bulk_build(&pager, &records);
+//! let records: Vec<String> = (0..1000).map(|k| format!("row-{k}")).collect();
+//! let (file, rids) = HeapFile::build(&pager, &records);
 //!
 //! pager.clear_pool();
 //! pager.reset_stats();
-//! assert_eq!(tree.get(&pager, 42).unwrap().unwrap(), b"row-42");
-//! // The resident leaf index names the leaf: a cold lookup reads only it.
+//! // The record id names the page: a cold read of record 42 reads only it.
+//! let mut got = Vec::new();
+//! pager
+//!     .with_pages(&[rids[42].page], |page, buf| {
+//!         HeapFile::records(page, buf, |rid, bytes| {
+//!             if rid == rids[42] {
+//!                 got = bytes.to_vec();
+//!             }
+//!         })
+//!     })
+//!     .unwrap();
+//! assert_eq!(got, b"row-42");
 //! assert_eq!(pager.stats().physical_reads, 1);
+//! assert!(file.num_pages() > 1);
 //! ```
 
-pub mod bptree;
 pub mod cache;
 pub mod error;
 pub mod fault;
@@ -62,7 +68,6 @@ pub mod page;
 pub mod pager;
 pub mod wal;
 
-pub use bptree::BPlusTree;
 pub use cache::{CacheGauges, CacheStats, Claim, SingleFlightCache, CACHE_SHARDS};
 pub use error::{StoreError, StoreResult};
 pub use fault::{FaultInjector, FaultKind, FaultProfile, FaultStats, RetryPolicy};

@@ -8,7 +8,7 @@ pub const PAGE_SIZE: usize = 8192;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PageId(pub u64);
 
-/// Little-endian integer codecs used by every on-page layout in this crate.
+/// Little-endian integer codecs of the heap-file page layout.
 pub mod codec {
     /// Put u16.
     pub fn put_u16(buf: &mut [u8], off: usize, v: u16) {
@@ -18,26 +18,6 @@ pub mod codec {
     /// Get u16.
     pub fn get_u16(buf: &[u8], off: usize) -> u16 {
         u16::from_le_bytes(buf[off..off + 2].try_into().unwrap())
-    }
-
-    /// Put u32.
-    pub fn put_u32(buf: &mut [u8], off: usize, v: u32) {
-        buf[off..off + 4].copy_from_slice(&v.to_le_bytes());
-    }
-
-    /// Get u32.
-    pub fn get_u32(buf: &[u8], off: usize) -> u32 {
-        u32::from_le_bytes(buf[off..off + 4].try_into().unwrap())
-    }
-
-    /// Put u64.
-    pub fn put_u64(buf: &mut [u8], off: usize, v: u64) {
-        buf[off..off + 8].copy_from_slice(&v.to_le_bytes());
-    }
-
-    /// Get u64.
-    pub fn get_u64(buf: &[u8], off: usize) -> u64 {
-        u64::from_le_bytes(buf[off..off + 8].try_into().unwrap())
     }
 }
 
@@ -49,10 +29,8 @@ mod tests {
     fn codec_roundtrip() {
         let mut buf = vec![0u8; 64];
         put_u16(&mut buf, 0, 0xBEEF);
-        put_u32(&mut buf, 2, 0xDEADBEEF);
-        put_u64(&mut buf, 6, u64::MAX - 3);
+        put_u16(&mut buf, 7, 0x1234);
         assert_eq!(get_u16(&buf, 0), 0xBEEF);
-        assert_eq!(get_u32(&buf, 2), 0xDEADBEEF);
-        assert_eq!(get_u64(&buf, 6), u64::MAX - 3);
+        assert_eq!(get_u16(&buf, 7), 0x1234);
     }
 }

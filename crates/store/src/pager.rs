@@ -8,7 +8,7 @@
 //!
 //! Every page carries a [`StructureTag`] assigned at allocation time (see
 //! [`Pager::tag_scope`]), so read traffic is attributable per on-disk
-//! structure — the DMTM B+-tree, the MSDN heap files, and so on — both
+//! structure — the DMTM unit runs, the MSDN heap files, and so on — both
 //! over the pager's lifetime and per query.
 //!
 //! Each event is charged into a process-wide row (`lifetime_*`,
@@ -155,7 +155,7 @@ pub fn page_checksum(bytes: &[u8]) -> u64 {
 /// lifetime; all subsequent traffic on the page is attributed to it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum StructureTag {
-    /// The multi-resolution terrain model's B+-tree of front payloads.
+    /// The multi-resolution terrain model's unit runs.
     Dmtm,
     /// The surface-distance network's per-(axis, level) heap files.
     Msdn,

@@ -10,12 +10,11 @@
 //! 2. **Eviction at capacity**: the pool never holds more pages than its
 //!    configured capacity, for any shard count and any interleaving of
 //!    single-page and batched reads (eviction happens *before* insert).
-//! 3. **Batched reads**: `BPlusTree::get_many` returns exactly what a loop
-//!    of `get` calls returns — including values spanning several overflow
-//!    pages — while never charging more physical reads.
+//! 3. **Batched reads**: a cold `with_pages` batch pays one stall for all
+//!    its misses.
 
 use proptest::prelude::*;
-use sknn_store::{BPlusTree, IoStats, Pager, PAGE_SIZE};
+use sknn_store::{IoStats, Pager};
 use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
@@ -98,45 +97,6 @@ fn batched_cold_read_pays_a_single_stall() {
     assert_eq!(io.physical_reads, ids.len() as u64);
     assert_eq!(conc.coalesced_misses, (ids.len() - 1) as u64);
     assert!(elapsed < STALL * 2, "batch paid per-page stalls: {elapsed:?} for {} pages", ids.len());
-}
-
-/// `get_many` on values long enough to spill over several overflow pages
-/// agrees with a loop of `get` calls and never reads more pages.
-#[test]
-fn get_many_matches_get_loop_on_overflow_values() {
-    let pager = Pager::new(256);
-    // Values > MAX_INLINE spill to overflow pages; make them span two
-    // full pages and a partial third so the run assembly is exercised.
-    let records: Vec<(u64, Vec<u8>)> =
-        (0..40u64).map(|k| (k * 3, vec![(k & 0xff) as u8; PAGE_SIZE * 2 + 123])).collect();
-    let tree = BPlusTree::bulk_build(&pager, &records);
-
-    // Mix of present (multiples of 3) and absent keys, strictly increasing.
-    let keys: Vec<u64> = (0..90u64).collect();
-
-    pager.clear_pool();
-    pager.reset_stats();
-    let looped: Vec<Option<Vec<u8>>> = keys.iter().map(|&k| tree.get(&pager, k).unwrap()).collect();
-    let loop_io = pager.stats();
-
-    pager.clear_pool();
-    pager.reset_stats();
-    let mut batched: Vec<Option<Vec<u8>>> = vec![None; keys.len()];
-    let found = tree.get_many(&pager, &keys, |k, v| batched[k as usize] = Some(v)).unwrap();
-    let batch_io = pager.stats();
-
-    assert_eq!(batched, looped);
-    assert_eq!(found, looped.iter().filter(|v| v.is_some()).count());
-    assert!(
-        batch_io.physical_reads <= loop_io.physical_reads,
-        "batched lookups re-read pages: {} > {}",
-        batch_io.physical_reads,
-        loop_io.physical_reads
-    );
-    assert!(
-        batch_io.logical_reads < loop_io.logical_reads,
-        "batched lookups should read each shared leaf once"
-    );
 }
 
 proptest! {

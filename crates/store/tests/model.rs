@@ -3,85 +3,11 @@
 //! must obey its own invariants.
 
 use proptest::prelude::*;
-use sknn_store::bptree::MAX_INLINE;
-use sknn_store::{BPlusTree, HeapFile, Pager, PAGE_SIZE};
+use sknn_store::{HeapFile, Pager, PAGE_SIZE};
 use std::collections::BTreeMap;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// B+-tree point and batched lookups agree with a BTreeMap across
-    /// arbitrary key/value distributions (including values that spill
-    /// over up to three overflow pages), and a cold batch reads exactly
-    /// the distinct leaves its keys fall in plus the overflow pages of the
-    /// keys it finds. The leaf oracle is the documented fill rule: an
-    /// 11-byte header, 13 bytes per entry plus its inline value (or an
-    /// 8-byte overflow head), a new leaf once 90 % of the page would be
-    /// exceeded.
-    #[test]
-    fn bptree_agrees_with_btreemap(
-        entries in proptest::collection::btree_map(
-            any::<u64>(),
-            // Half inline, half spilled; the bytes vary so a misplaced
-            // overflow page shows.
-            (0usize..=MAX_INLINE, MAX_INLINE + 1..=3 * PAGE_SIZE, any::<u8>()).prop_map(
-                |(short, long, b)| {
-                    let n = if b % 2 == 0 { short } else { long };
-                    (0..n).map(|i| b.wrapping_add(i as u8)).collect::<Vec<u8>>()
-                },
-            ),
-            0..200,
-        ),
-        probes in proptest::collection::vec(any::<u64>(), 1..40),
-    ) {
-        let pager = Pager::new(64);
-        let model: BTreeMap<u64, Vec<u8>> = entries;
-        let records: Vec<(u64, Vec<u8>)> =
-            model.iter().map(|(&k, v)| (k, v.clone())).collect();
-        let tree = BPlusTree::bulk_build(&pager, &records);
-        prop_assert_eq!(tree.len(), model.len());
-        // Point lookups: members and non-members.
-        for k in probes.iter().copied().chain(model.keys().copied().take(10)) {
-            prop_assert_eq!(tree.get(&pager, k).unwrap(), model.get(&k).cloned());
-        }
-
-        // Batched lookups of the same probe set, from a cold pool.
-        let mut keys: Vec<u64> =
-            probes.iter().copied().chain(model.keys().copied().step_by(3)).collect();
-        keys.sort_unstable();
-        keys.dedup();
-        pager.clear_pool();
-        pager.reset_stats();
-        let mut got = Vec::new();
-        let found = tree.get_many(&pager, &keys, |k, v| got.push((k, v))).unwrap();
-        let want: Vec<(u64, Vec<u8>)> =
-            keys.iter().filter_map(|k| model.get(k).map(|v| (*k, v.clone()))).collect();
-        prop_assert_eq!(found, want.len());
-        prop_assert_eq!(&got, &want);
-
-        let mut leaf_mins: Vec<u64> = Vec::new();
-        let mut used = PAGE_SIZE;
-        for (&k, v) in &model {
-            let entry = 13 + if v.len() > MAX_INLINE { 8 } else { v.len() };
-            if used + entry > PAGE_SIZE * 9 / 10 {
-                leaf_mins.push(k);
-                used = 11;
-            }
-            used += entry;
-        }
-        let mut leaves: Vec<usize> = keys
-            .iter()
-            .map(|&k| leaf_mins.partition_point(|&min| min <= k).saturating_sub(1))
-            .collect();
-        leaves.dedup();
-        let overflow: usize = want
-            .iter()
-            .filter(|(_, v)| v.len() > MAX_INLINE)
-            .map(|(_, v)| v.len().div_ceil(PAGE_SIZE))
-            .sum();
-        let expected = if model.is_empty() { 0 } else { leaves.len() + overflow };
-        prop_assert_eq!(pager.stats().physical_reads as usize, expected);
-    }
 
     /// Heap files return exactly what they were built from, in order, and
     /// every record is retrievable by its id, through one batched read of

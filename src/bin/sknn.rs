@@ -209,12 +209,9 @@ fn main() {
             let conc_before = engine.pager().lifetime_concurrency_stats();
             let start = std::time::Instant::now();
             // try_query surfaces fault-budget exhaustion as a value (the
-            // point of --fault-profile); fault-free it matches query.
-            let results = if threads > 1 {
-                engine.try_query_batch(&batch, threads)
-            } else {
-                qs.iter().map(|&q| engine.try_query(q, k)).collect()
-            };
+            // point of --fault-profile); fault-free it matches query. One
+            // thread runs the plain loop.
+            let results = engine.try_query_batch(&batch, threads);
             let elapsed = start.elapsed();
             let conc_after = engine.pager().lifetime_concurrency_stats();
             for (i, (q, outcome)) in qs.iter().zip(&results).enumerate() {

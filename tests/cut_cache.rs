@@ -1,7 +1,7 @@
 //! The shared cut cache's contracts (DESIGN.md §16).
 //!
 //! * **Bit-identity** — a front derived from resident tile units (read
-//!   from the unit store's page runs) equals the B+-tree layout's
+//!   from the unit store's page runs) equals the Morton payload layout's
 //!   `PagedDmtm::fetch_front` of the same region, and a line set handed
 //!   out of the line cache equals `PagedMsdn::fetch_lines` of the band's
 //!   `select_lines`, byte for byte, for every band of a fused load
@@ -74,7 +74,7 @@ fn dmtm_fixture(grid: usize, seed: u64) -> DmtmFixture {
 
 impl DmtmFixture {
     /// The units of `steps`, stored on the fixture's pager beside the
-    /// B+-tree oracle's pages.
+    /// payload oracle's pages.
     fn units(&self, steps: &[u32]) -> UnitStore {
         UnitStore::build(&self.pager, self.dmtm.tree(), self.grid, steps)
     }
@@ -481,7 +481,7 @@ fn failed_load_publishes_none_of_its_claimed_units() {
 
 /// A permanent fault on one page of a unit load's batch fails the whole
 /// load: no unit of the call is resident and no latch is left. Once the
-/// injector is gone, the same span loads cleanly and equals the B+-tree
+/// injector is gone, the same span loads cleanly and equals the payload
 /// layout's fetch.
 #[test]
 fn a_fault_on_one_unit_page_publishes_no_unit_of_the_load() {

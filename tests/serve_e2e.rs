@@ -7,6 +7,9 @@
 //! own — plus the serving
 //! edge's own contract suite, run here against a `Server`.
 
+mod common;
+
+use common::ShutdownOnDrop;
 use std::time::Duration;
 use surface_knn::prelude::*;
 use surface_knn::serve::edge::{check_edge_contract, Contract};
@@ -39,6 +42,7 @@ fn responses_bit_identical_to_direct_queries() {
     const K: usize = 4;
     std::thread::scope(|scope| {
         let run = scope.spawn(|| server.run());
+        let _shutdown = ShutdownOnDrop(vec![handle.clone()]);
         let clients: Vec<_> = (0..CLIENTS)
             .map(|c| {
                 let engine = &engine;
@@ -116,6 +120,7 @@ fn full_queue_sheds_with_typed_overloaded() {
     const PER_CLIENT: usize = 20;
     let outcomes: Vec<(u64, u64)> = std::thread::scope(|scope| {
         let run = scope.spawn(|| server.run());
+        let _shutdown = ShutdownOnDrop(vec![handle.clone()]);
 
         // Every miss of the first query (a cold pool) stalls, so the
         // worker is held until the stall is lifted. Frames are
@@ -213,6 +218,7 @@ fn graceful_shutdown_drains_admitted_requests() {
     const N: usize = 12;
     std::thread::scope(|scope| {
         let run = scope.spawn(|| server.run());
+        let _shutdown = ShutdownOnDrop(vec![handle.clone()]);
         let mut client = Client::connect(addr).unwrap();
         let queries = scene.random_queries(N, 3000);
         for (i, &q) in queries.iter().enumerate() {
@@ -273,6 +279,7 @@ fn foreign_protocol_version_gets_a_typed_error_and_a_closed_socket() {
 
     std::thread::scope(|scope| {
         let run = scope.spawn(|| server.run());
+        let _shutdown = ShutdownOnDrop(vec![handle.clone()]);
         let mut sock = std::net::TcpStream::connect(addr).unwrap();
         sock.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
         let mut v1 = Frame::StatsRequest.encode();
@@ -318,6 +325,7 @@ fn a_query_tile_stops_the_engine_and_a_nan_bound_is_a_bad_request() {
 
     let replies = std::thread::scope(|scope| {
         let run = scope.spawn(|| server.run());
+        let _shutdown = ShutdownOnDrop(vec![handle.clone()]);
         let mut client = Client::connect(addr).unwrap();
         let replies: Vec<Frame> = [(1, Rect2::new(c - half, c + half)), (2, nan)]
             .map(|(req_id, within)| {
@@ -376,6 +384,7 @@ fn panicking_query_gets_a_typed_error_and_the_server_keeps_serving() {
     let queries = scene.random_queries(3, 4000);
     let replies: Result<Vec<Frame>, String> = std::thread::scope(|scope| {
         let run = scope.spawn(|| server.run());
+        let _shutdown = ShutdownOnDrop(vec![handle.clone()]);
         let mut client = Client::connect_with_timeout(addr, Duration::from_secs(20)).unwrap();
         let replies = queries
             .iter()
@@ -439,6 +448,7 @@ fn a_fast_reply_does_not_wait_for_a_stalled_stranger() {
 
     let (first, waited, second) = std::thread::scope(|scope| {
         let run = scope.spawn(|| server.run());
+        let _shutdown = ShutdownOnDrop(vec![handle.clone()]);
         let mut client = Client::connect_with_timeout(addr, Duration::from_secs(30)).unwrap();
         let q = scene.random_query(7000);
         let (x, y) = (q.pos.x, q.pos.y);
@@ -482,6 +492,7 @@ fn concurrent_responses_report_only_their_own_stall() {
     let stall_before_ns = engine.pager().stall_ns();
     let reported_us: u64 = std::thread::scope(|scope| {
         let run = scope.spawn(|| server.run());
+        let _shutdown = ShutdownOnDrop(vec![handle.clone()]);
         let clients: Vec<_> = (0..CLIENTS)
             .map(|c| {
                 let scene = &scene;
@@ -533,6 +544,7 @@ fn server_obeys_the_edge_contract() {
     let server = Server::bind(&engine, "127.0.0.1:0", serve_cfg).unwrap();
     std::thread::scope(|scope| {
         let run = scope.spawn(|| server.run());
+        let _shutdown = ShutdownOnDrop(vec![server.handle()]);
         check_edge_contract(&Contract {
             handle: server.handle(),
             metrics: server.metrics_addr().unwrap(),

@@ -6,6 +6,9 @@
 //! alike, under concurrent clients — with the home shard deciding which
 //! is which, so no shard sees a leg its query does not need.
 
+mod common;
+
+use common::ShutdownOnDrop;
 use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::Duration;
@@ -72,6 +75,7 @@ fn with_fleet(
     );
     let (router_stats, driven) = std::thread::scope(|outer| {
         let runs: Vec<_> = servers.iter().map(|s| outer.spawn(|| s.run())).collect();
+        let _shutdown = ShutdownOnDrop(servers.iter().map(Server::handle).collect());
         // Binding reads every shard's STATS, so the shards run first.
         let router = Router::bind(map, "127.0.0.1:0", RouterConfig::default()).unwrap();
         let driven = std::thread::scope(|inner| {
@@ -352,6 +356,7 @@ fn a_full_router_queue_drains_in_arrival_order_and_sheds_overflow() {
         let srun = outer.spawn(|| {
             let _ = server.run();
         });
+        let _shutdown = ShutdownOnDrop(vec![shandle.clone()]);
         let router = Router::bind(
             map,
             "127.0.0.1:0",
@@ -365,6 +370,7 @@ fn a_full_router_queue_drains_in_arrival_order_and_sheds_overflow() {
             let rrun = inner.spawn(|| {
                 let _ = router.run();
             });
+            let _shutdown = ShutdownOnDrop(vec![rhandle.clone()]);
 
             // Wedge the single worker: its home leg is stuck behind the
             // shard's 200 ms-per-miss stall.
@@ -492,6 +498,7 @@ fn router_keeps_its_metric_names_and_obeys_the_edge_contract() {
 
     std::thread::scope(|outer| {
         let srun = outer.spawn(|| server.run());
+        let _shutdown = ShutdownOnDrop(vec![server.handle()]);
         let router = Router::bind(
             map,
             "127.0.0.1:0",
@@ -506,6 +513,7 @@ fn router_keeps_its_metric_names_and_obeys_the_edge_contract() {
         let metrics = router.metrics_addr().unwrap();
         std::thread::scope(|inner| {
             let rrun = inner.spawn(|| router.run());
+            let _shutdown = ShutdownOnDrop(vec![router.handle()]);
 
             let timeout = Duration::from_secs(5);
             let scrape = promtext::http_get(&metrics.to_string(), "/metrics", timeout).unwrap();

@@ -4,6 +4,9 @@
 //! Prometheus metrics endpoint with its drain-aware health check, and
 //! the slow-query capture dumped over the wire as JSONL.
 
+mod common;
+
+use common::ShutdownOnDrop;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 use surface_knn::prelude::*;
@@ -43,6 +46,7 @@ fn trace_ids_survive_batching_and_stages_partition_latency() {
     let echoes: Mutex<Vec<(u64, u64)>> = Mutex::new(Vec::new()); // (trace_id, e2e_us)
     let trace = std::thread::scope(|scope| {
         let run = scope.spawn(|| server.run());
+        let _shutdown = ShutdownOnDrop(vec![handle.clone()]);
         let clients: Vec<_> = (0..CLIENTS)
             .map(|c| {
                 let scene = &scene;
@@ -141,6 +145,7 @@ fn slow_query_dump_returns_valid_jsonl_with_trace_ids() {
     const N: usize = 10;
     std::thread::scope(|scope| {
         let run = scope.spawn(|| server.run());
+        let _shutdown = ShutdownOnDrop(vec![handle.clone()]);
         let mut client = Client::connect(addr).unwrap();
         let queries = scene.random_queries(N, 5000);
         for (i, &q) in queries.iter().enumerate() {
@@ -303,6 +308,7 @@ fn metrics_endpoint_parses_and_healthz_flips_during_drain() {
     const N: usize = 12;
     std::thread::scope(|scope| {
         let run = scope.spawn(|| server.run());
+        let _shutdown = ShutdownOnDrop(vec![handle.clone()]);
         let mut client = Client::connect(addr).unwrap();
 
         // Healthy while serving.
@@ -436,6 +442,7 @@ fn store_counters_survive_per_query_stat_resets() {
 
     std::thread::scope(|scope| {
         let run = scope.spawn(|| server.run());
+        let _shutdown = ShutdownOnDrop(vec![handle.clone()]);
         let mut client = Client::connect(addr).unwrap();
         let first = scrape();
         let mut last = first;
