@@ -312,7 +312,7 @@ fn main() {
     // the pathnet's step 0) onto a fresh pager, the setup cost an engine
     // build pays; `load_units` is one cold load at the 50 % step of the
     // units of one central tile, and of the whole extent (the first
-    // iteration's region), with the cache's units and the page pool
+    // iteration's region), with the cache's units and the pager window
     // emptied before every load.
     let cfg = Mr3Config::default();
     let tree = build_dmtm(&terrain);
@@ -331,7 +331,7 @@ fn main() {
     for (name, span) in [("tile", one_tile), ("full", grid.full_span())] {
         h.bench(&format!("cutcache/load_units/{name}"), || {
             cut_cache.clear();
-            unit_pager.clear_pool();
+            unit_pager.reset_stats();
             let mut load = cut_cache.claim(step, &[span]);
             unit_pager.read_into(&mut [&mut load]).expect("unfaulted");
             load.publish();
@@ -340,13 +340,13 @@ fn main() {
     }
 
     // --- One cold iteration's whole fetch ----------------------------------
-    // The benchmark's scene (this terrain, 400 objects) on a cold-cache
-    // engine with no read stall: the 25 % iteration of a query's 5 nearest
-    // objects, bounded by their pair estimates at the first step, as a
-    // radius run's second iteration is. Caches and pool are emptied before
-    // every call; the plan and claims, the one batch (carrying the rest of
-    // the schedule, every region being bounded), the decode and publish
-    // of every unit and line, and each group's front derivation and CSR.
+    // The benchmark's scene (this terrain, 400 objects) on a cold-cache engine
+    // with no read stall: the 25 % iteration of a query's 5 nearest objects,
+    // bounded by their pair estimates at the first step, as a radius run's
+    // second iteration is. Caches and window are emptied before every call;
+    // the plan and claims, the one batch (carrying the rest of the schedule,
+    // every region being bounded), the decode and publish of every unit and
+    // line, and each group's front derivation and CSR.
     let cold_scene = SceneBuilder::new(&terrain).object_count(400).seed(1).build();
     let cold_engine = Mr3Engine::build(&terrain, &cold_scene, &cfg);
     let cold_q = cold_scene.random_query(3);
@@ -366,7 +366,7 @@ fn main() {
     // on both sweep axes, 60 units around the centre), region and bands
     // snapped as ranking snaps them, both claimed and read in one batch,
     // then published and handed out, as an iteration does. The cache's
-    // lines and the page pool are emptied before every load.
+    // lines and the pager window are emptied before every load.
     let msdn_cfg = MsdnConfig { levels: cfg.msdn_levels.clone(), plane_spacing: cfg.plane_spacing };
     let line_pager = Pager::new(cfg.pool_pages);
     let paged_msdn = PagedMsdn::build(&line_pager, &Msdn::build(&terrain, &msdn_cfg));
@@ -381,7 +381,7 @@ fn main() {
     let top_level = paged_msdn.num_levels() - 1;
     h.bench("linecache/load_bands/xy", || {
         line_cache.clear();
-        line_pager.clear_pool();
+        line_pager.reset_stats();
         let mut load = line_cache.claim(&paged_msdn, top_level, &bands);
         line_pager.read_into(&mut [&mut load]).expect("unfaulted");
         load.publish();
@@ -407,12 +407,12 @@ fn main() {
     h.bench("ranking/plan_iteration/warm", || {
         plan_engine.plan_iteration(plan_q, 10, half, &[]).expect("unfaulted")
     });
-    // The same plan with nothing resident: a cold-cache engine empties the
-    // page pool and both caches before every call, and no read stall is
-    // set. The claims, the one batch and the decode of the iteration's own
-    // keys and of the look-ahead's: fresh candidates are unbounded, so it
-    // carries the next step only — the 75 % step's units and the next
-    // MSDN level's lines over the same group.
+    // The same plan with nothing resident: a cold-cache engine empties both
+    // caches and opens an empty pager window before every call, and no read
+    // stall is set. The claims, the one batch and the decode of the
+    // iteration's own keys and of the look-ahead's: fresh candidates are
+    // unbounded, so it carries the next step only — the 75 % step's units and
+    // the next MSDN level's lines over the same group.
     let cold_plan = Mr3Engine::build(&mesh, &plan_scene, &cfg);
     cold_plan.plan_iteration(plan_q, 10, half, &[]).expect("unfaulted");
     assert!(cold_plan.pager().stats().physical_reads > 0, "a cold plan reads pages");

@@ -64,7 +64,7 @@ fn main() {
     for max_slope in [4.0, 3.0, 2.2, 1.8] {
         let mask = ObstacleMask::from_slope_limit(&mesh, max_slope);
         let frac = mask.blocked_fraction();
-        let con = ConstrainedEngine::build(&mesh, &scene, mask, 256);
+        let con = ConstrainedEngine::build(&mesh, &scene, mask);
         let mut total = Vec::new();
         let mut cpu = Vec::new();
         let mut pages = Vec::new();

@@ -17,16 +17,11 @@ fn main() {
     let seed: u64 = args.get("seed", 3);
     let nq: usize = args.get("queries", 3);
     let density: f64 = args.get("density", 4.0);
-    // The paper's regime is "data far larger than the buffer cache": a
-    // generous pool would absorb every re-fetch and hide the integration
-    // effect entirely. Keep the pool small relative to the structures.
-    let pool: usize = args.get("pool", 48);
 
     let mesh = bh_mesh(grid, seed);
     let scene = scene_with_density(&mesh, density, seed + 1);
     eprintln!("# mesh: {} vertices, {} objects", mesh.num_vertices(), scene.num_objects());
-    let base =
-        Mr3Config { pool_pages: pool, ..Mr3Config::default().with_schedule(StepSchedule::s2()) };
+    let base = Mr3Config::default().with_schedule(StepSchedule::s2());
     let mut sink = TraceSink::from_args(&args);
     let mut on = Mr3Engine::build(&mesh, &scene, &base);
     let off_cfg = Mr3Config { integrated_io: false, ..base.clone() };

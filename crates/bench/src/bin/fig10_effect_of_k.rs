@@ -54,7 +54,7 @@ fn main() {
                     (name, engine)
                 })
                 .collect();
-        let ea = EaEngine::build(&mesh, &scene, 256);
+        let ea = EaEngine::build(&mesh, &scene);
         let qs = queries(&scene, nq, seed + 2);
 
         for k in (3..=kmax).step_by(3) {

@@ -66,7 +66,7 @@ fn main() {
                     mean(&pages)
                 );
             }
-            let ea = EaEngine::build(&mesh, &scene, 256);
+            let ea = EaEngine::build(&mesh, &scene);
             let mut total = Vec::new();
             let mut cpu = Vec::new();
             let mut pages = Vec::new();

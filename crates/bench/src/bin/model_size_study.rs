@@ -29,7 +29,7 @@ fn main() {
         let scene = scene_with_density(&mesh, 4.0, seed + 1);
         let qs = queries(&scene, nq, seed + 2);
         let (mr3, t_mr3_build) = time_it(|| Mr3Engine::build(&mesh, &scene, &Mr3Config::default()));
-        let (ea, t_ea_build) = time_it(|| EaEngine::build(&mesh, &scene, 256));
+        let (ea, t_ea_build) = time_it(|| EaEngine::build(&mesh, &scene));
         type Runner<'a> =
             Box<dyn Fn(sknn_core::workload::SurfacePoint) -> sknn_core::metrics::QueryResult + 'a>;
         let runners: Vec<(&str, Runner, f64)> = vec![

@@ -148,7 +148,7 @@ fn main() {
             };
             loadgen::run(&scene, &cfg, None).expect("closed-loop pass")
         };
-        closed(8, 25, seed ^ 0xA); // warm the cut cache and the pool
+        closed(8, 25, seed ^ 0xA); // warm the cut caches
         let l_ms = closed(1, 200, seed ^ 0xB).latency.p50;
         let c_conns = 8;
         let per_conn = ((SECONDS * workers as f64 * 1e3 / l_ms) / c_conns as f64).ceil() as usize;

@@ -100,7 +100,9 @@ pub struct Mr3Config {
     /// Use the corridor-restricted dummy lower bound before a full one
     /// (§4.2.2).
     pub dummy_lower_bound: bool,
-    /// Buffer-pool capacity in pages.
+    /// Unused: it sized the buffer pool that each query's own page window
+    /// replaced. Kept only because the frozen benchmark harness passes it
+    /// on (`probes.rs`, `write_mix.rs`; ROADMAP item 11).
     pub pool_pages: usize,
     /// Steiner points per edge for the pathnet (>100 %) level.
     pub pathnet_steiner: usize,

@@ -97,26 +97,19 @@ pub struct ConstrainedEngine<'s, 'm> {
     /// 100 % SDN for (unconstrained, hence still valid) lower bounds.
     msdn: PagedMsdn,
     pager: Pager,
-    /// Drop cached pages before each query (cold-cache measurement).
-    pub cold_cache: bool,
 }
 
 impl<'s, 'm> ConstrainedEngine<'s, 'm> {
     /// Build the engine: obstacle-filtered pathnet + SDN + terrain store.
-    pub fn build(
-        mesh: &'m TerrainMesh,
-        scene: &'s Scene<'m>,
-        mask: ObstacleMask,
-        pool_pages: usize,
-    ) -> Self {
-        let pager = Pager::new(pool_pages);
+    pub fn build(mesh: &'m TerrainMesh, scene: &'s Scene<'m>, mask: ObstacleMask) -> Self {
+        let pager = Pager::new(0);
         let terrain = leaf_units(&pager, mesh);
         let msdn_cfg = MsdnConfig { levels: vec![1.0], plane_spacing: None };
         let msdn = PagedMsdn::build(&pager, &Msdn::build(mesh, &msdn_cfg));
         let mask_ref = &mask;
         let filter = move |t: TriId| !mask_ref.is_blocked(t);
         let pathnet = Pathnet::build(mesh, 1, Some(&filter));
-        Self { mesh, scene, mask, pathnet, terrain, msdn, pager, cold_cache: true }
+        Self { mesh, scene, mask, pathnet, terrain, msdn, pager }
     }
 
     /// The traversability mask in force.
@@ -129,7 +122,7 @@ impl<'s, 'm> ConstrainedEngine<'s, 'm> {
     /// `f64::INFINITY` marks unreachable objects (cut off by obstacles).
     fn constrained_dists(&self, q: SurfacePoint, stats: &mut QueryStats) -> Vec<f64> {
         // Page charge: the whole model's leaf units.
-        charge_terrain(&self.pager, &self.terrain, self.terrain.grid().full_span());
+        charge_terrain(&self.pager, &self.terrain);
         if self.mask.is_blocked(q.tri) {
             return vec![f64::INFINITY; self.scene.num_objects()];
         }
@@ -159,9 +152,6 @@ impl<'s, 'm> ConstrainedEngine<'s, 'm> {
     /// returned.
     pub fn query(&self, q: SurfacePoint, k: usize) -> QueryResult {
         let mut stats = QueryStats::default();
-        if self.cold_cache {
-            self.pager.clear_pool();
-        }
         self.pager.reset_stats();
         let timer = CpuTimer::start();
 
@@ -216,7 +206,7 @@ mod tests {
     fn no_obstacles_matches_unconstrained_ordering() {
         let mesh = flatish();
         let scene = SceneBuilder::new(&mesh).object_count(15).seed(2).build();
-        let engine = ConstrainedEngine::build(&mesh, &scene, ObstacleMask::none(&mesh), 256);
+        let engine = ConstrainedEngine::build(&mesh, &scene, ObstacleMask::none(&mesh));
         let q = scene.random_query(1);
         let res = engine.query(q, 4);
         assert_eq!(res.neighbors.len(), 4);
@@ -243,8 +233,8 @@ mod tests {
         );
         let mask = ObstacleMask::from_region(&mesh, &wall);
         assert!(mask.blocked_fraction() > 0.0);
-        let free = ConstrainedEngine::build(&mesh, &scene, ObstacleMask::none(&mesh), 256);
-        let walled = ConstrainedEngine::build(&mesh, &scene, mask, 256);
+        let free = ConstrainedEngine::build(&mesh, &scene, ObstacleMask::none(&mesh));
+        let walled = ConstrainedEngine::build(&mesh, &scene, mask);
 
         // A query on the left; compare distances to objects on the right.
         let q = scene
@@ -280,7 +270,7 @@ mod tests {
         let half =
             Rect2::new(Point2::new(e.lo.x + e.width() * 0.5, e.lo.y), Point2::new(e.hi.x, e.hi.y));
         let mask = ObstacleMask::from_region(&mesh, &half);
-        let engine = ConstrainedEngine::build(&mesh, &scene, mask, 256);
+        let engine = ConstrainedEngine::build(&mesh, &scene, mask);
         let q = scene
             .surface_point(Point2::new(e.lo.x + e.width() * 0.2, e.lo.y + e.height() * 0.5))
             .unwrap();
@@ -300,7 +290,7 @@ mod tests {
         let mesh = flatish();
         let scene = SceneBuilder::new(&mesh).object_count(5).seed(1).build();
         let mask = ObstacleMask::from_region(&mesh, &mesh.extent());
-        let engine = ConstrainedEngine::build(&mesh, &scene, mask, 64);
+        let engine = ConstrainedEngine::build(&mesh, &scene, mask);
         let q = scene.random_query(1);
         assert!(engine.query(q, 3).neighbors.is_empty());
     }

@@ -21,7 +21,7 @@ use crate::metrics::{CpuTimer, Neighbor, QueryResult, QueryStats};
 use crate::workload::{Scene, SurfacePoint};
 use sknn_geodesic::{kanai_suzuki, KanaiConfig};
 use sknn_geom::Rect2;
-use sknn_multires::{build_dmtm, CutGrid, TileSpan, UnitStore};
+use sknn_multires::{build_dmtm, CutGrid, UnitStore};
 use sknn_sdn::{Msdn, MsdnConfig, PagedMsdn};
 use sknn_store::Pager;
 use sknn_terrain::mesh::TerrainMesh;
@@ -36,14 +36,12 @@ pub struct EaEngine<'s, 'm> {
     msdn: PagedMsdn,
     pager: Pager,
     kanai: KanaiConfig,
-    /// The cold cache.
-    pub cold_cache: bool,
 }
 
 impl<'s, 'm> EaEngine<'s, 'm> {
     /// Build the benchmark engine (full-resolution structures only).
-    pub fn build(mesh: &'m TerrainMesh, scene: &'s Scene<'m>, pool_pages: usize) -> Self {
-        let pager = Pager::new(pool_pages);
+    pub fn build(mesh: &'m TerrainMesh, scene: &'s Scene<'m>) -> Self {
+        let pager = Pager::new(0);
         let terrain = leaf_units(&pager, mesh);
         let msdn_cfg = MsdnConfig { levels: vec![1.0], plane_spacing: None };
         let msdn = PagedMsdn::build(&pager, &Msdn::build(mesh, &msdn_cfg));
@@ -57,7 +55,6 @@ impl<'s, 'm> EaEngine<'s, 'm> {
             // calculation (i.e., ... terminates once it reaches 97%
             // accuracy)".
             kanai: KanaiConfig { tolerance: 0.03, ..KanaiConfig::default() },
-            cold_cache: true,
         }
     }
 
@@ -66,20 +63,14 @@ impl<'s, 'm> EaEngine<'s, 'm> {
         &self.pager
     }
 
-    /// Full-resolution upper bound via Kanai–Suzuki, charging the pages of
-    /// the terrain region the search touches: the whole model for the
-    /// initial global round, then the prune-ellipse region for refinement.
+    /// Full-resolution upper bound via Kanai–Suzuki. Its refinement
+    /// region is charged nothing: every prune-ellipse span lies inside the
+    /// whole model `query` reads first in the same window, so its pages
+    /// could only hit.
     fn kanai_ub(&self, q: SurfacePoint, p: SurfacePoint, stats: &mut QueryStats) -> f64 {
         let r = kanai_suzuki(self.mesh, q.to_mesh_point(), p.to_mesh_point(), &self.kanai);
         stats.settled += r.nodes_processed;
         stats.ub_estimations += 1;
-        // Charge the refinement region reads (the global round is charged
-        // once per query in `query`).
-        if r.distance.is_finite() {
-            let ell = sknn_geom::Ellipse2::new(q.pos.xy(), p.pos.xy(), r.distance);
-            let region = ell.mbr().intersection(&self.mesh.extent());
-            charge_terrain(&self.pager, &self.terrain, self.terrain.grid().span(&region));
-        }
         r.distance
     }
 
@@ -99,9 +90,6 @@ impl<'s, 'm> EaEngine<'s, 'm> {
     /// Answer a surface k-NN query at full resolution.
     pub fn query(&self, q: SurfacePoint, k: usize) -> QueryResult {
         let mut stats = QueryStats::default();
-        if self.cold_cache {
-            self.pager.clear_pool();
-        }
         self.pager.reset_stats();
         self.scene.dxy().reset_accesses();
         let timer = CpuTimer::start();
@@ -110,7 +98,7 @@ impl<'s, 'm> EaEngine<'s, 'm> {
         let mut neighbors: Vec<Neighbor> = Vec::new();
         if k > 0 {
             // The first global-optimum search reads the whole model once.
-            charge_terrain(&self.pager, &self.terrain, self.terrain.grid().full_span());
+            charge_terrain(&self.pager, &self.terrain);
 
             // Step 1: 2D k-NN seeds.
             let seeds = self.scene.dxy().knn(q.pos.xy(), k);
@@ -195,11 +183,13 @@ pub(crate) fn leaf_units(pager: &Pager, mesh: &TerrainMesh) -> UnitStore {
     UnitStore::build(pager, &build_dmtm(mesh), grid, &[0])
 }
 
-/// Charge the read of `span`'s leaf units. The units themselves are not
-/// used, so a failed read charges what it read and nothing else.
-pub(crate) fn charge_terrain(pager: &Pager, terrain: &UnitStore, span: TileSpan) {
-    let tiles: Vec<u32> = span.tiles(terrain.grid().tiles()).collect();
-    let _ = terrain.read(pager, 0, &tiles);
+/// Charge the read of the whole model's leaf units' pages. The units
+/// themselves are not used, so nothing is decoded, and a failed read
+/// charges what it read and nothing else.
+pub(crate) fn charge_terrain(pager: &Pager, terrain: &UnitStore) {
+    let grid = terrain.grid();
+    let tiles: Vec<u32> = grid.full_span().tiles(grid.tiles()).collect();
+    let _ = pager.with_pages(&terrain.pages(0, &tiles), |_, _| ());
 }
 
 fn kth_smallest(known: &[(u32, f64)], k: usize) -> f64 {
@@ -222,7 +212,7 @@ mod tests {
     fn ea_matches_ground_truth_within_tolerance() {
         let mesh = TerrainConfig::ep().with_grid(17).build_mesh(99);
         let scene = SceneBuilder::new(&mesh).object_count(20).seed(4).build();
-        let ea = EaEngine::build(&mesh, &scene, 256);
+        let ea = EaEngine::build(&mesh, &scene);
         let exact = ChEngine::new(&scene);
         let q = scene.random_query(8);
         let k = 4;
@@ -240,7 +230,7 @@ mod tests {
     fn ea_reads_many_pages() {
         let mesh = TerrainConfig::ep().with_grid(17).build_mesh(99);
         let scene = SceneBuilder::new(&mesh).object_count(15).seed(2).build();
-        let ea = EaEngine::build(&mesh, &scene, 256);
+        let ea = EaEngine::build(&mesh, &scene);
         let res = ea.query(scene.random_query(1), 3);
         // EA touches the whole model at least once.
         let grid = ea.terrain.grid();
@@ -265,7 +255,7 @@ mod tests {
     fn k_zero_and_oversized() {
         let mesh = TerrainConfig::ep().with_grid(9).build_mesh(12);
         let scene = SceneBuilder::new(&mesh).object_count(3).seed(1).build();
-        let ea = EaEngine::build(&mesh, &scene, 64);
+        let ea = EaEngine::build(&mesh, &scene);
         assert!(ea.query(scene.random_query(1), 0).neighbors.is_empty());
         assert_eq!(ea.query(scene.random_query(1), 9).neighbors.len(), 3);
     }

@@ -33,7 +33,7 @@ pub struct StageTimes {
     /// clocks plus the query's pager stall.
     pub rank_fetch_us: u64,
     /// Inside `rank_fetch_us`: the claims, the plan around them and the
-    /// pager's own work in the batched read (pool, copy, checksum) — the
+    /// pager's own work in the batched read (window, copy, checksum) — the
     /// batch less its loads' decode and its stall.
     pub fetch_read_us: u64,
     /// Inside `rank_fetch_us`: the unit and line loads' decode — their
@@ -74,7 +74,8 @@ pub struct QueryStats {
     /// and scheduling delays — the per-query latency that batch execution
     /// aggregates into percentiles.
     pub wall: Duration,
-    /// Physical disk pages read (buffer-pool misses + index node visits).
+    /// Physical disk pages read (each page once per query + index node
+    /// visits).
     pub pages: u64,
     /// Resolution iterations executed by the ranking engine.
     pub iterations: usize,

@@ -35,15 +35,14 @@ const TRACE_RING_CAPACITY: usize = 4096;
 /// The MR3 surface k-NN query engine.
 ///
 /// The engine is `Sync`: every query-path structure is either immutable
-/// (mesh, scene, DMTM, MSDN) or internally synchronised (the mutex-backed
-/// [`Pager`], the cut caches, atomic counters), so independent queries
-/// may run concurrently through `&self` — see
+/// (mesh, scene, DMTM, MSDN) or internally synchronised (the [`Pager`]
+/// with its per-thread windows, the cut caches, atomic counters), so
+/// independent queries may run concurrently through `&self` — see
 /// [`try_query_batch`](Self::try_query_batch). Query *results* depend only on the immutable
 /// structures. Cost counters are exact per query under concurrency too,
 /// each query reading the stats windows its own thread opened; what a
-/// query counts still depends on scheduling, because the buffer pool and
-/// the cut caches are shared. Each traced query records into a ring of
-/// its own.
+/// query counts still depends on scheduling, because the cut caches are
+/// shared. Each traced query records into a ring of its own.
 pub struct Mr3Engine<'s, 'm> {
     mesh: &'m TerrainMesh,
     scene: &'s Scene<'m>,
@@ -73,8 +72,9 @@ pub struct Mr3Engine<'s, 'm> {
     scratch_pool: Mutex<Vec<RankScratch>>,
     /// Query sequence number stamped on trace records.
     query_seq: AtomicU64,
-    /// Drop cached pages before each query (cold-cache measurement, the
-    /// regime of the paper's figures).
+    /// Empty the shared cut caches before each query (cold-cache
+    /// measurement, the regime of the paper's figures). The pager needs no
+    /// clearing: every query opens an empty window.
     pub cold_cache: bool,
 }
 
@@ -92,7 +92,7 @@ impl<'s, 'm> Mr3Engine<'s, 'm> {
         cfg: &Mr3Config,
         structures: crate::persist::Structures,
     ) -> Self {
-        let pager = Pager::new(cfg.pool_pages);
+        let pager = Pager::new(0);
         let tree = structures.tree;
         let cut_grid = CutGrid::new(mesh.extent(), cfg.cut_cache.tiles, cfg.cut_cache.pad_tiles);
         // The DMTM is stored as the cut cache's units, one page run per
@@ -115,7 +115,7 @@ impl<'s, 'm> Mr3Engine<'s, 'm> {
         let budget = cfg.cut_cache.capacity_bytes;
         let cut_cache = CutCache::new((budget / 4 * 3).max(1), units);
         let line_cache = LineCutCache::new((budget / 4).max(1));
-        let objects = ObjectStore::genesis(scene.objects(), cfg.pool_pages, None);
+        let objects = ObjectStore::genesis(scene.objects(), 0, None);
         Self {
             mesh,
             scene,
@@ -159,8 +159,8 @@ impl<'s, 'm> Mr3Engine<'s, 'm> {
     }
 
     /// Drop every resident cut from the shared caches (counters keep
-    /// running). The cold-cache query path calls this alongside the buffer
-    /// pool clear so page-count determinism holds per query.
+    /// running). The cold-cache query path calls this so page-count
+    /// determinism holds per query.
     pub fn clear_cut_caches(&self) {
         self.cut_cache.clear();
         self.line_cache.clear();
@@ -178,9 +178,9 @@ impl<'s, 'm> Mr3Engine<'s, 'm> {
         self.tracing = false;
     }
 
-    /// Emit per-structure I/O attribution and the buffer-pool roll-up for
-    /// the query that just ran: the pager and R-tree windows this thread
-    /// opened at query start hold its traffic alone.
+    /// Emit per-structure I/O attribution and the pager window's roll-up
+    /// for the query that just ran: the pager and R-tree windows this
+    /// thread opened at query start hold its traffic alone.
     fn emit_io(&self, rec: &dyn Recorder, qid: u64, stats: &QueryStats, rtree_accesses: u64) {
         // Dijkstra queue-traffic roll-up: how much priority-queue work the
         // query's bound estimations did, and how much of it was wasted on
@@ -204,7 +204,6 @@ impl<'s, 'm> Mr3Engine<'s, 'm> {
                     field("logical", io.logical_reads),
                     field("physical", io.physical_reads),
                     field("hits", io.hits()),
-                    field("evictions", self.pager.evictions_for(tag)),
                 ],
             );
         }
@@ -220,23 +219,18 @@ impl<'s, 'm> Mr3Engine<'s, 'm> {
                     field("logical", rtree),
                     field("physical", rtree),
                     field("hits", 0u64),
-                    field("evictions", 0u64),
                 ],
             );
         }
-        let conc = self.pager.concurrency_stats();
         rec.event(
             "pool",
             qid,
             vec![
                 field("hit_rate", self.pager.hit_rate()),
-                field("evictions", self.pager.evictions()),
                 field("logical", self.pager.stats().logical_reads),
                 field("physical", self.pager.stats().physical_reads),
-                field("coalesced", conc.coalesced_misses),
-                field("contention", conc.shard_contention),
+                field("coalesced", self.pager.concurrency_stats().coalesced_misses),
                 field("stalled_batches", self.pager.stalled_batches()),
-                field("shards", self.pager.num_shards() as u64),
             ],
         );
         // Shared cut-cache roll-up (cumulative counters + instant gauges).
@@ -332,7 +326,6 @@ impl<'s, 'm> Mr3Engine<'s, 'm> {
             id => id,
         };
         if self.cold_cache {
-            self.pager.clear_pool();
             self.clear_cut_caches();
         }
         self.pager.reset_stats();
@@ -463,9 +456,9 @@ impl<'s, 'm> Mr3Engine<'s, 'm> {
     /// thread opened at query start, so `stats.pages` and the trace's
     /// per-query `pool` counts are its own, and the batch's `pool` counts
     /// sum to the pager's lifetime deltas over it (`tests/parallel.rs`).
-    /// What they count still depends on scheduling: the buffer pool and
-    /// cut caches are shared, so a page read by one query is a hit for the
-    /// others, charged to whichever query first touches it.
+    /// What they count still depends on scheduling: the cut caches are
+    /// shared, so a unit or line one query loaded is resident for the
+    /// others, and its pages are charged to whichever query loaded it.
     pub fn try_query_batch(
         &self,
         batch: &[(SurfacePoint, usize)],

@@ -294,12 +294,10 @@ mod tests {
     fn roi_fetch_reads_fewer_pages() {
         let (pager, paged) = setup();
         let m = paged.tree().step_for_fraction(1.0);
-        pager.clear_pool();
         pager.reset_stats();
         let _ = paged.fetch_front(&pager, m, None).unwrap();
         let full_pages = pager.stats().physical_reads;
         let roi = Rect2::new(Point2::new(0.0, 0.0), Point2::new(40.0, 40.0));
-        pager.clear_pool();
         pager.reset_stats();
         let _ = paged.fetch_front(&pager, m, Some(&roi)).unwrap();
         let roi_pages = pager.stats().physical_reads;
@@ -307,18 +305,23 @@ mod tests {
         assert!(roi_pages > 0);
     }
 
+    /// A window charges each page once: fetching the same front again in
+    /// it reads nothing physically, and a new window reads it all again.
     #[test]
-    fn warm_pool_fetches_are_cheaper() {
+    fn a_window_reads_each_page_once() {
         let (pager, paged) = setup();
         let m = paged.tree().step_for_fraction(0.2);
-        pager.clear_pool();
         pager.reset_stats();
         let _ = paged.fetch_front(&pager, m, None).unwrap();
-        let cold = pager.stats().physical_reads;
+        let cold = pager.stats();
+        let _ = paged.fetch_front(&pager, m, None).unwrap();
+        let again = pager.stats();
+        assert!(cold.physical_reads > 0);
+        assert_eq!(again.physical_reads, cold.physical_reads, "the second fetch only hits");
+        assert_eq!(again.logical_reads, 2 * cold.logical_reads);
         pager.reset_stats();
         let _ = paged.fetch_front(&pager, m, None).unwrap();
-        let warm = pager.stats().physical_reads;
-        assert!(warm < cold / 2, "warm {warm} vs cold {cold}");
+        assert_eq!(pager.stats(), cold, "a new window reads cold");
     }
 
     #[test]
@@ -326,11 +329,9 @@ mod tests {
         let (pager, paged) = setup();
         let fine = paged.tree().step_for_fraction(1.0);
         let coarse = paged.tree().step_for_fraction(0.05);
-        pager.clear_pool();
         pager.reset_stats();
         let _ = paged.fetch_front(&pager, fine, None).unwrap();
         let fine_pages = pager.stats().physical_reads;
-        pager.clear_pool();
         pager.reset_stats();
         let _ = paged.fetch_front(&pager, coarse, None).unwrap();
         let coarse_pages = pager.stats().physical_reads;
@@ -377,7 +378,6 @@ mod tests {
         for (frac, roi) in [(1.0, Some(&roi)), (0.3, None), (1.0, None)] {
             let m = paged.tree().step_for_fraction(frac);
             let pages = wanted_pages(&paged, m, roi);
-            pager.clear_pool();
             pager.reset_stats();
             pager.set_read_stall(STALL);
             let before = pager.stall_ns();
@@ -391,30 +391,27 @@ mod tests {
         }
     }
 
-    /// A per-node loop reads each node's page on its own; the batched
-    /// fetch reads each distinct page once, so it never reads more, on a
-    /// pool too small to hold the loop's pages as well as on a large one.
+    /// A per-node loop reads each node's page on its own call; in one
+    /// window it still reads each distinct page once, as the batched fetch
+    /// does, so the batch never reads more pages, only in fewer stalls.
     #[test]
     fn a_batched_fetch_never_reads_more_pages_than_a_per_node_loop() {
-        for pool in [4, 256] {
-            let mesh = TerrainConfig::bh().with_grid(17).build_mesh(4);
-            let pager = Pager::new(pool);
-            let paged = PagedDmtm::build(&pager, build_dmtm(&mesh));
-            let m = paged.tree().step_for_fraction(0.6);
-            pager.clear_pool();
-            pager.reset_stats();
-            for &id in &FrontGraph::extract(paged.tree(), m, None).ids {
-                pager.with_page(paged.records[id as usize].page, |_| ()).unwrap();
-            }
-            let looped = pager.stats().physical_reads;
-            pager.clear_pool();
-            pager.reset_stats();
-            let front = paged.fetch_front(&pager, m, None).unwrap();
-            let batched = pager.stats().physical_reads;
-            assert_eq!(front.ids, FrontGraph::extract(paged.tree(), m, None).ids);
-            assert!(batched <= looped, "pool {pool}: batched {batched} > looped {looped}");
-            assert_eq!(batched, wanted_pages(&paged, m, None).len() as u64);
+        let mesh = TerrainConfig::bh().with_grid(17).build_mesh(4);
+        let pager = Pager::new(256);
+        let paged = PagedDmtm::build(&pager, build_dmtm(&mesh));
+        let m = paged.tree().step_for_fraction(0.6);
+        pager.reset_stats();
+        for &id in &FrontGraph::extract(paged.tree(), m, None).ids {
+            pager.with_page(paged.records[id as usize].page, |_| ()).unwrap();
         }
+        let (looped, loop_batches) = (pager.stats().physical_reads, pager.stalled_batches());
+        pager.reset_stats();
+        let front = paged.fetch_front(&pager, m, None).unwrap();
+        let batched = pager.stats().physical_reads;
+        assert_eq!(front.ids, FrontGraph::extract(paged.tree(), m, None).ids);
+        assert_eq!(batched, looped);
+        assert_eq!(batched, wanted_pages(&paged, m, None).len() as u64);
+        assert_eq!((pager.stalled_batches(), loop_batches), (1, looped));
     }
 
     #[test]
@@ -423,7 +420,7 @@ mod tests {
         let m = paged.tree().step_for_fraction(1.0);
         let pages = wanted_pages(&paged, m, None);
         let bad = pages[pages.len() / 2];
-        pager.clear_pool();
+        pager.reset_stats();
         pager.set_fault_injector(Some(FaultInjector::script().fail_page(
             bad.0,
             FaultKind::Permanent,

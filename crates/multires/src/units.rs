@@ -327,7 +327,6 @@ mod tests {
         let pages = store.pages(m, &tiles);
         let all = store.pages(m, &grid.full_span().tiles(16).collect::<Vec<_>>());
         assert!(pages.len() > 1 && pages.len() < all.len(), "{} of {}", pages.len(), all.len());
-        pager.clear_pool();
         pager.reset_stats();
         pager.set_read_stall(STALL);
         let before = pager.stall_ns();

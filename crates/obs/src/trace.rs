@@ -23,14 +23,13 @@
 //!   less its stall, split into the read, the loads' decode and the front
 //!   derivation);
 //! * `{"t":"event","name":"io","structure":"dmtm","logical":…,
-//!   "physical":…,"hits":…,"evictions":…}` — per-structure page
-//!   attribution, plus a `{"t":"event","name":"pool","hit_rate":…,
-//!   "evictions":…,"logical":…,"physical":…,"coalesced":…,
-//!   "contention":…,"stalled_batches":…,"shards":…}` buffer-pool roll-up
-//!   (`stalled_batches` as `stalls`, over the query; `coalesced` =
-//!   misses served without their own stall — a read batch's served
-//!   misses beyond its first; `contention` = shard-lock acquisitions that
-//!   would have blocked).
+//!   "physical":…,"hits":…}` — per-structure page attribution (`physical`
+//!   = distinct pages the query read, `hits` = its repeat reads of
+//!   them), plus a `{"t":"event","name":"pool","hit_rate":…,"logical":…,
+//!   "physical":…,"coalesced":…,"stalled_batches":…}` roll-up of the
+//!   query's pager window (`stalled_batches` as `stalls`, over the query;
+//!   `coalesced` = misses served without their own stall — a read batch's
+//!   served misses beyond its first).
 
 use crate::hist::LogHistogram;
 use crate::record::{Record, RecordKind};
@@ -240,22 +239,12 @@ impl QueryTrace {
         for r in &self.records {
             if r.name == "pool" {
                 out.push_str(&format!(
-                    "buffer pool: hit rate {:.1}%, {} evictions",
+                    "page window: hit rate {:.1}%",
                     r.get_f64("hit_rate").unwrap_or(0.0) * 100.0,
-                    r.get_u64("evictions").unwrap_or(0),
                 ));
-                // Concurrency counters (absent in traces from older
-                // engines): batched/overlapped misses, shard-lock
-                // contention.
+                // Absent in traces from older engines.
                 if let Some(coalesced) = r.get_u64("coalesced") {
                     out.push_str(&format!(", {coalesced} coalesced misses"));
-                }
-                if let Some(contention) = r.get_u64("contention") {
-                    out.push_str(&format!(
-                        ", {} contended shard locks ({} shards)",
-                        contention,
-                        r.get_u64("shards").unwrap_or(0)
-                    ));
                 }
                 out.push('\n');
             }
@@ -325,13 +314,7 @@ mod tests {
                     kind: RecordKind::Event,
                     name: "pool",
                     query: 0,
-                    fields: vec![
-                        field("hit_rate", 0.43),
-                        field("evictions", 2u64),
-                        field("coalesced", 4u64),
-                        field("contention", 0u64),
-                        field("shards", 8u64),
-                    ],
+                    fields: vec![field("hit_rate", 0.43), field("coalesced", 4u64)],
                 },
             ],
             dropped: 0,
@@ -377,16 +360,15 @@ mod tests {
         assert!(s.contains("dmtm"));
         assert!(s.contains("hit rate"));
         assert!(s.contains("4 coalesced misses"));
-        assert!(s.contains("contended shard locks"));
     }
 
-    /// Traces without the concurrency fields (older engines) still render.
+    /// Traces without the coalesced count (older engines) still render.
     #[test]
     fn summary_tolerates_missing_pool_counters() {
         let mut t = sample_trace();
         for r in &mut t.records {
             if r.name == "pool" {
-                r.fields.retain(|f| f.key == "hit_rate" || f.key == "evictions");
+                r.fields.retain(|f| f.key == "hit_rate");
             }
         }
         let s = t.convergence_summary();

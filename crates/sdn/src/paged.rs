@@ -402,12 +402,10 @@ mod tests {
         let loc = TriangleLocator::build(&mesh);
         let a = loc.lift(&mesh, Point2::new(15.0, 75.0)).unwrap();
         let b = loc.lift(&mesh, Point2::new(300.0, 170.0)).unwrap();
-        pager.clear_pool();
         pager.reset_stats();
         let _ = paged.fetch_lines_between(&pager, 4, a, b, None).unwrap();
         let full = pager.stats().physical_reads;
         let roi = Rect2::new(Point2::new(0.0, 40.0), Point2::new(320.0, 200.0));
-        pager.clear_pool();
         pager.reset_stats();
         let _ = paged.fetch_lines_between(&pager, 4, a, b, Some(&roi)).unwrap();
         let restricted = pager.stats().physical_reads;
@@ -421,11 +419,9 @@ mod tests {
         let loc = TriangleLocator::build(&mesh);
         let a = loc.lift(&mesh, Point2::new(12.0, 20.0)).unwrap();
         let b = loc.lift(&mesh, Point2::new(300.0, 280.0)).unwrap();
-        pager.clear_pool();
         pager.reset_stats();
         let _ = paged.fetch_lines_between(&pager, 0, a, b, None).unwrap();
         let coarse = pager.stats().physical_reads;
-        pager.clear_pool();
         pager.reset_stats();
         let _ = paged.fetch_lines_between(&pager, 4, a, b, None).unwrap();
         let fine = pager.stats().physical_reads;
@@ -488,7 +484,6 @@ mod tests {
             (Axis::X, nx / 2),
         ];
         for batch in [&wanted[..], &wanted[..1], &wanted[1..2]] {
-            pager.clear_pool();
             pager.reset_stats();
             let got = paged.fetch_lines(&pager, level, batch).unwrap();
             assert_eq!(pager.stats().logical_reads, record_pages(&msdn, level, batch).len() as u64);
@@ -524,7 +519,6 @@ mod tests {
             band(Axis::Y, 0.6, 0.9),
         ];
         let cache = LineCutCache::new(16 << 20);
-        pager.clear_pool();
         pager.reset_stats();
         pager.set_read_stall(STALL);
         let before = pager.stall_ns();

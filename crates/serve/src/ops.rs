@@ -3,8 +3,7 @@
 //! ([`Service::serve`](crate::edge::Service::serve)); nothing a query
 //! computes is shared with the queries running beside it, so nothing
 //! waits for them either — what concurrent queries do share (the cut
-//! cache, the pager's buffer pool) they share inside the engine,
-//! whoever runs next to whom.
+//! caches) they share inside the engine, whoever runs next to whom.
 //!
 //! Each job carries two clocks from the same monotonic source, `enqueued`
 //! (admission) and `recv_at` (worker pickup), and its engine call is

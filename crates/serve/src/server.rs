@@ -67,7 +67,7 @@ pub struct Server<'e, 's, 'm> {
 
 type EngineRead = fn(&Mr3Engine<'_, '_>) -> f64;
 
-/// The engine-side families a server exports: pager pool, stall and
+/// The engine-side families a server exports: pager read, stall and
 /// fault counters, the shared cut cache, and the live object count. One
 /// row per family — name, kind, help, and how to read it off the engine
 /// at scrape time. A server has no write frame, so the write path's
@@ -79,13 +79,10 @@ const ENGINE_ROWS: &[(&str, MetricKind, &str, EngineRead)] = &[
         |e| (e.pager().stall_ns() / 1_000) as f64),
     ("sknn_store_logical_reads_total", Counter, "Page read requests, hit or miss",
         |e| e.pager().lifetime_stats().logical_reads as f64),
-    ("sknn_store_physical_reads_total", Counter, "Buffer-pool misses fetched from disk",
+    ("sknn_store_physical_reads_total", Counter, "Pages fetched from disk, once per query each",
         |e| e.pager().lifetime_stats().physical_reads as f64),
     ("sknn_store_coalesced_misses_total", Counter, "Misses that did not pay their own stall",
         |e| e.pager().lifetime_concurrency_stats().coalesced_misses as f64),
-    ("sknn_store_shard_contention_total", Counter,
-        "Shard-lock acquisitions that found the lock held",
-        |e| e.pager().lifetime_concurrency_stats().shard_contention as f64),
     ("sknn_store_faults_injected_total", Counter, "Storage faults fired by the injector",
         |e| e.pager().fault_stats().injected as f64),
     ("sknn_store_fault_retries_total", Counter, "Read attempts beyond a read's first",

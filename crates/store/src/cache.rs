@@ -3,8 +3,7 @@
 //! This is the storage-layer core of the shared LOD cut cache: a sharded
 //! map from a key (one non-overlapping residency unit — a DMTM lattice
 //! tile at a resolution step, or one MSDN crossing line — in the callers)
-//! to an immutable, `Arc`-shared value, with the same concurrency
-//! discipline as the buffer pool in [`pager`](crate::pager):
+//! to an immutable, `Arc`-shared value:
 //!
 //! * **Entry state machine** — every key is *Absent* (not in the map),
 //!   *Loading* (one thread is materializing it), *Warm* (resident,
@@ -51,8 +50,7 @@ use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
-/// Number of cache shards — fixed (like
-/// [`POOL_SHARDS`](crate::pager::POOL_SHARDS)) so behaviour does not depend on the host.
+/// Number of cache shards — fixed so behaviour does not depend on the host.
 pub const CACHE_SHARDS: usize = 8;
 
 /// See `pager::lock_recover`: every critical section here leaves the data

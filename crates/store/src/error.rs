@@ -18,8 +18,8 @@ pub type StoreResult<T> = Result<T, StoreError>;
 pub enum StoreError {
     /// The page read back does not match the checksum recorded when it was
     /// written: the bytes served by the "disk" are not the bytes stored.
-    /// Detected before the page is admitted to the buffer pool, so corrupt
-    /// data is never served to a caller.
+    /// Detected before the page is admitted to the reader's window, so
+    /// corrupt data is never served to a caller.
     Checksum {
         /// Page whose verification failed.
         page: u64,

@@ -196,7 +196,6 @@ mod tests {
         let pager = Pager::new(16);
         let recs: Vec<[u8; 4]> = (0..100u32).map(u32::to_le_bytes).collect();
         let (_, rids) = HeapFile::build(&pager, &recs);
-        pager.clear_pool();
         pager.reset_stats();
         let mut n = 0;
         let page = rids[0].page;
@@ -211,7 +210,6 @@ mod tests {
         let recs: Vec<[u8; 4]> = (0..800u32).map(u32::to_le_bytes).collect();
         let (hf, _) = HeapFile::build(&pager, &recs);
         let pages: Vec<_> = hf.pages().to_vec();
-        pager.clear_pool();
         pager.reset_stats();
         let mut one_by_one = Vec::new();
         for &p in &pages {
@@ -222,7 +220,6 @@ mod tests {
                 .unwrap();
         }
         let loop_stats = pager.stats();
-        pager.clear_pool();
         pager.reset_stats();
         let mut batched = Vec::new();
         pager

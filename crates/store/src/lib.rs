@@ -7,9 +7,9 @@
 //! This crate reproduces that setup deterministically:
 //!
 //! * [`page`] — 8 KiB pages addressed by [`page::PageId`];
-//! * [`pager`] — the page store plus a sharded buffer pool with CLOCK
-//!   eviction; every cache miss is a *physical read* (the paper's "page
-//!   accessed"), hits are free, and batched reads
+//! * [`pager`] — the page store and its per-thread windows; a page's
+//!   first read in a query window is a *physical read* (the paper's "page
+//!   accessed"), later reads in that window are free hits, and batched reads
 //!   ([`pager::Pager::with_pages`], [`Pager::read_into`]) overlap their
 //!   simulated stalls without changing the page counts;
 //! * [`cache`] — the store's one single-flight mechanism: a process-wide
@@ -38,11 +38,10 @@
 //! ```
 //! use sknn_store::{HeapFile, Pager};
 //!
-//! let pager = Pager::new(16); // 16-page sharded buffer pool
+//! let pager = Pager::new(16);
 //! let records: Vec<String> = (0..1000).map(|k| format!("row-{k}")).collect();
 //! let (file, rids) = HeapFile::build(&pager, &records);
 //!
-//! pager.clear_pool();
 //! pager.reset_stats();
 //! // The record id names the page: a cold read of record 42 reads only it.
 //! let mut got = Vec::new();
@@ -74,6 +73,6 @@ pub use fault::{FaultInjector, FaultKind, FaultProfile, FaultStats, RetryPolicy}
 pub use heapfile::{HeapFile, RecordId};
 pub use page::{PageId, PAGE_SIZE};
 pub use pager::{
-    page_checksum, ConcurrencyStats, IoStats, PageSink, Pager, StructureTag, TagScope, POOL_SHARDS,
+    page_checksum, ConcurrencyStats, IoStats, PageSink, Pager, StructureTag, TagScope,
 };
 pub use wal::{CrashImage, Lsn, RedoPlan, Wal, WalEntry, WalMark, WalRecord, WalStats};

@@ -1,46 +1,39 @@
-//! The page store and its concurrent buffer pool.
+//! The page store and its per-query read ledger.
 //!
-//! A [`Pager`] owns every page of the simulated database. Reads go through
-//! a fixed-capacity buffer pool: a miss counts as one *physical read*
-//! (the paper's "disk pages accessed"), a hit is free. Writes happen at
-//! structure-build time and are tracked separately — the evaluation only
-//! ever measures read traffic of queries.
+//! A [`Pager`] owns every page of the simulated database. Every page a
+//! query asks for is a *logical read*; the first time a query window is
+//! served a page it is a *physical read* (the paper's "disk pages
+//! accessed"), and every later ask for it in the same window is a free
+//! hit. Writes happen at structure-build time and are tracked separately
+//! — the evaluation only ever measures read traffic of queries.
 //!
 //! Every page carries a [`StructureTag`] assigned at allocation time (see
 //! [`Pager::tag_scope`]), so read traffic is attributable per on-disk
 //! structure — the DMTM unit runs, the MSDN heap files, and so on — both
 //! over the pager's lifetime and per query.
 //!
+//! # Windows
+//!
 //! Each event is charged into a process-wide row (`lifetime_*`,
 //! [`Pager::stall_ns`], [`Pager::fault_stats`]) and the calling thread's
-//! window, which [`Pager::reset_stats`] zeroes and the other readers read:
-//! a query runs on one thread, so its reset opens an exact ledger.
+//! window, which [`Pager::reset_stats`] opens empty and the other readers
+//! read. A window also holds the set of pages it has been served, so a
+//! query running on one thread charges each page physically at most once,
+//! whatever other threads read meanwhile: its reset opens an exact
+//! ledger. Residency across queries is the cut caches' job
+//! ([`SingleFlightCache`](crate::SingleFlightCache)); the pager keeps no
+//! shared copy of any page.
 //!
-//! # Concurrency architecture
-//!
-//! The pool is built for parallel query batches (`Mr3Engine::try_query_batch`):
-//!
-//! * **Sharding** — the pool is split into [`POOL_SHARDS`] CLOCK rings,
-//!   selected by `page_id % shards`. Hits on different shards never touch
-//!   the same lock. The shard count is a fixed constant (not derived from
-//!   the host CPU count) so per-query eviction behaviour — and therefore
-//!   the paper's page-access metric — is deterministic across machines.
-//! * **O(1) CLOCK eviction** — each shard keeps a ring of (page, ref-bit)
-//!   slots plus a page→slot map. A hit sets the ref bit; a full insert
-//!   sweeps the hand, clearing ref bits until it finds a victim. Eviction
-//!   happens *before* the insert reuses the victim's slot, so a shard
-//!   never exceeds its capacity (asserted in debug builds).
 //! * **One read path** — [`Pager::with_pages`] takes a sorted page set,
-//!   reads every miss and pays **one** stall for the whole batch,
-//!   modelling overlapped disk requests (the per-page `physical_reads`
-//!   are still charged individually, so the page-access metric is
-//!   unchanged; only wall-clock time improves). [`Pager::with_page`] is
-//!   a batch of one. The pool holds page ids, not bytes — every page's
-//!   bytes stay in the page store — so there is no page latch: two
-//!   threads that miss the same page both read it, each in its own batch
-//!   and window, and their stalls overlap. Misses that must be loaded
-//!   once across threads are the cut caches' job
-//!   ([`SingleFlightCache`](crate::SingleFlightCache)).
+//!   reads every page new to the window and pays **one** stall for the
+//!   whole batch, modelling overlapped disk requests (the per-page
+//!   `physical_reads` are still charged individually, so the page-access
+//!   metric is unchanged; only wall-clock time improves).
+//!   [`Pager::with_page`] is a batch of one. Every page's bytes stay in
+//!   the page store, so there is no page latch and no mutex on the hit
+//!   path (only the page store's read lock, for the page's tag): two
+//!   threads that need the same page both read it, each in its own batch
+//!   and window, and their stalls overlap.
 //!
 //! # Failure model
 //!
@@ -48,7 +41,7 @@
 //!
 //! * every page keeps a [`page_checksum`] in a pager-maintained frame
 //!   sidecar, recomputed on write and verified on every physical read —
-//!   corrupt bytes are never admitted to the pool or served to a caller
+//!   corrupt bytes are never admitted to a window or served to a caller
 //!   (any change inside one aligned 8-byte word, so any bit flip, is
 //!   always detected);
 //! * an optional, seeded [`FaultInjector`] decides per read *attempt*
@@ -56,8 +49,9 @@
 //! * transient faults (including checksum failures from injected bit
 //!   flips) are retried with bounded backoff per [`RetryPolicy`]; when
 //!   the budget is exhausted a typed [`StoreError`] surfaces;
-//! * a failed page is not admitted, the healthy pages of its batch are,
-//!   and a panicking reader holds nothing another reader waits on.
+//! * a failed page is not admitted to the window, the healthy pages of
+//!   its batch are, and a panicking reader holds nothing another reader
+//!   waits on.
 //!
 //! Failed attempts are **not** physical reads: the paper's page-access
 //! metric counts only successfully served pages, so a fault-free and a
@@ -68,17 +62,11 @@ use crate::error::{StoreError, StoreResult};
 use crate::fault::{FaultInjector, FaultKind, FaultStats, RetryPolicy};
 use crate::page::{PageId, PAGE_SIZE};
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{
     Arc, Mutex, MutexGuard, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard, Weak,
 };
 use std::time::Duration;
-
-/// Number of buffer-pool shards (capped by the pool capacity so every
-/// shard holds at least one page). A fixed constant keeps eviction — and
-/// with it the paper's disk-page metric — machine-independent.
-pub const POOL_SHARDS: usize = 8;
 
 const P1: u64 = 0x9E37_79B1_85EB_CA87;
 const P2: u64 = 0xC2B2_AE3D_27D4_EB4F;
@@ -163,7 +151,7 @@ pub enum StructureTag {
     Heap,
     /// The Dxy R-tree (kept for attribution symmetry: the in-memory
     /// R-tree counts its own node accesses rather than paging through
-    /// the pool, but traces report it under this tag).
+    /// the pager, but traces report it under this tag).
     Rtree,
     /// Pages allocated outside any tag scope.
     #[default]
@@ -206,10 +194,12 @@ impl StructureTag {
     }
 }
 
-/// Read/write traffic counters.
+/// Read/write traffic counters. In a window, `physical_reads` counts the
+/// distinct pages it was served; over the lifetime, the sum of every
+/// window's.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IoStats {
-    /// Buffer-pool misses: pages fetched from "disk".
+    /// Pages fetched from "disk": each page's first serving in a window.
     pub physical_reads: u64,
     /// All page read requests, hit or miss.
     pub logical_reads: u64,
@@ -218,23 +208,21 @@ pub struct IoStats {
 }
 
 impl IoStats {
-    /// Buffer-pool hits. Saturates at 0 for the lifetime readers: their
-    /// counters are loaded one by one while other threads charge them.
+    /// Reads of a page the window had already been served. Saturates at 0
+    /// for the lifetime readers: their counters are loaded one by one
+    /// while other threads charge them.
     pub fn hits(&self) -> u64 {
         self.logical_reads.saturating_sub(self.physical_reads)
     }
 }
 
-/// Counters describing how much the pool's batching and locking did, in
-/// the calling thread's window or over the pager's lifetime.
+/// How much the read batching saved, in the calling thread's window or
+/// over the pager's lifetime.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ConcurrencyStats {
     /// Misses that did not pay their own stall: the members beyond the
     /// first of each [`Pager::with_pages`] batch's served misses.
     pub coalesced_misses: u64,
-    /// Shard-lock acquisitions that found the lock held (a `try_lock`
-    /// that would block). Measures hit-path contention.
-    pub shard_contention: u64,
 }
 
 /// Page contents and allocation metadata. Mutated only at build time
@@ -252,101 +240,52 @@ struct PageStore {
     alloc_tag: StructureTag,
 }
 
-/// One CLOCK ring: `slots` holds (page, referenced) pairs, `map` finds a
-/// page's slot in O(1). The ring grows up to `cap` slots and then evicts.
-#[derive(Debug)]
-struct ShardPool {
-    cap: usize,
-    slots: Vec<(u64, bool)>,
-    map: HashMap<u64, usize>,
-    hand: usize,
-}
-
-impl ShardPool {
-    fn new(cap: usize) -> Self {
-        debug_assert!(cap >= 1);
-        Self { cap, slots: Vec::with_capacity(cap), map: HashMap::new(), hand: 0 }
-    }
-
-    /// Mark `page` referenced if cached. Returns whether it was a hit.
-    fn touch(&mut self, page: u64) -> bool {
-        if let Some(&slot) = self.map.get(&page) {
-            self.slots[slot].1 = true;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Insert `page`, evicting first if the shard is at capacity, and
-    /// return the victim (if any). The pool never exceeds `cap`.
-    fn insert(&mut self, page: u64) -> Option<u64> {
-        if self.touch(page) {
-            return None; // a concurrent reader of the same miss admitted it first
-        }
-        let victim = if self.slots.len() < self.cap {
-            self.map.insert(page, self.slots.len());
-            self.slots.push((page, true));
-            None
-        } else {
-            // CLOCK sweep: clear ref bits until an unreferenced victim
-            // turns up (terminates within two passes), then reuse its slot.
-            loop {
-                let (cached, referenced) = &mut self.slots[self.hand];
-                if *referenced {
-                    *referenced = false;
-                    self.hand = (self.hand + 1) % self.slots.len();
-                } else {
-                    let victim = *cached;
-                    self.map.remove(&victim);
-                    self.slots[self.hand] = (page, true);
-                    self.map.insert(page, self.hand);
-                    self.hand = (self.hand + 1) % self.slots.len();
-                    break Some(victim);
-                }
-            }
-        };
-        debug_assert!(
-            self.map.len() <= self.cap && self.slots.len() <= self.cap,
-            "shard pool exceeded its capacity"
-        );
-        victim
-    }
-
-    fn clear(&mut self) {
-        self.slots.clear();
-        self.map.clear();
-        self.hand = 0;
-    }
-}
-
-// Columns of the event table, one per event the pager counts; the four
+// Columns of the event table, one per event the pager counts; the three
 // page events take one column per structure tag (`+ tag index`).
 const TAGS: usize = StructureTag::COUNT;
 const LOGICAL: usize = 0;
 const PHYSICAL: usize = TAGS;
 const WRITES: usize = 2 * TAGS;
-const EVICTIONS: usize = 3 * TAGS;
-const COALESCED: usize = 4 * TAGS;
-const CONTENTION: usize = COALESCED + 1;
-const STALLED_BATCHES: usize = COALESCED + 2;
+const COALESCED: usize = 3 * TAGS;
+const STALLED_BATCHES: usize = COALESCED + 1;
 /// Wall-clock nanoseconds stalled: simulated disk stalls, injected read
 /// latency and retry backoff.
-const STALL_NS: usize = COALESCED + 3;
-const INJECTED: usize = COALESCED + 4;
-const RETRIES: usize = COALESCED + 5;
-const EXHAUSTED: usize = COALESCED + 6;
-const CHECKSUM: usize = COALESCED + 7;
-const PERMANENT: usize = COALESCED + 8;
-const EVENTS: usize = COALESCED + 9;
+const STALL_NS: usize = COALESCED + 2;
+const INJECTED: usize = COALESCED + 3;
+const RETRIES: usize = COALESCED + 4;
+const EXHAUSTED: usize = COALESCED + 5;
+const CHECKSUM: usize = COALESCED + 6;
+const PERMANENT: usize = COALESCED + 7;
+const EVENTS: usize = COALESCED + 8;
 
 type Row = [u64; EVENTS];
 type Totals = [AtomicU64; EVENTS];
 
+/// One thread's window on one pager: its row of the event table and the
+/// pages it has been served, a bitset over page ids grown on demand.
+struct Window {
+    row: Row,
+    served: Vec<u64>,
+}
+
+impl Window {
+    fn has_served(&self, page: u64) -> bool {
+        self.served.get((page / 64) as usize).is_some_and(|w| w >> (page % 64) & 1 == 1)
+    }
+
+    fn mark_served(&mut self, page: u64) {
+        let word = (page / 64) as usize;
+        if word >= self.served.len() {
+            self.served.resize(word + 1, 0);
+        }
+        self.served[word] |= 1 << (page % 64);
+    }
+}
+
 thread_local! {
     /// This thread's window on each live pager it has used, keyed by the
     /// pager's process-wide row (held weakly).
-    static WINDOWS: RefCell<Vec<(Weak<Totals>, Row)>> = const { RefCell::new(Vec::new()) };
+    static WINDOWS: RefCell<Vec<(Weak<Totals>, Window)>> = const { RefCell::new(Vec::new()) };
 }
 
 /// The page traffic of `row` over the tag indices `tags`.
@@ -356,7 +295,7 @@ fn io_of(row: &Row, tags: std::ops::Range<usize>) -> IoStats {
 }
 
 fn concurrency(row: &Row) -> ConcurrencyStats {
-    ConcurrencyStats { coalesced_misses: row[COALESCED], shard_contention: row[CONTENTION] }
+    ConcurrencyStats { coalesced_misses: row[COALESCED] }
 }
 
 /// One structure's share of a [`Pager::read_into`] batch: the pages it
@@ -369,12 +308,11 @@ pub trait PageSink {
     fn feed(&mut self, page: PageId, bytes: &[u8]);
 }
 
-/// The simulated disk: a page allocator, page contents, a sharded
-/// buffer pool, and I/O statistics.
+/// The simulated disk: a page allocator, page contents, and I/O
+/// statistics.
 #[derive(Debug)]
 pub struct Pager {
     store: RwLock<PageStore>,
-    shards: Vec<Mutex<ShardPool>>,
     /// The process-wide row of the event table (see [`Pager::charge`]).
     events: Arc<Totals>,
     /// Wall-clock penalty per read batch that misses, in nanoseconds
@@ -421,27 +359,11 @@ impl Drop for TagScope<'_> {
 }
 
 impl Pager {
-    /// Create a pager whose buffer pool holds `pool_pages` pages, split
-    /// over [`POOL_SHARDS`] shards (fewer if the pool is tiny).
-    ///
-    /// The paper's machine had 1.3 GB of RAM but the datasets are orders of
-    /// magnitude larger; a pool of a few hundred pages reproduces the
-    /// "mostly cold" regime the page-access numbers imply.
-    pub fn new(pool_pages: usize) -> Self {
-        Self::with_shards(pool_pages, POOL_SHARDS)
-    }
-
-    /// Like [`Pager::new`] but with an explicit shard count (capped by the
-    /// pool capacity; mainly for tests that pin eviction behaviour).
-    pub fn with_shards(pool_pages: usize, shards: usize) -> Self {
-        let capacity = pool_pages.max(1);
-        let shards = shards.clamp(1, capacity);
-        // Split the capacity so the shard capacities sum exactly to the
-        // pool capacity and every shard holds at least one page.
-        let (base, extra) = (capacity / shards, capacity % shards);
-        let shards = (0..shards)
-            .map(|i| Mutex::new(ShardPool::new(base + usize::from(i < extra))))
-            .collect();
+    /// Create an empty pager. The argument is ignored: it sized the
+    /// buffer pool a query window's page set replaced, and stays only
+    /// because the frozen benchmark harness calls `Pager::new(usize)`
+    /// (ROADMAP item 11).
+    pub fn new(_pool_pages: usize) -> Self {
         Self {
             store: RwLock::new(PageStore {
                 pages: Vec::new(),
@@ -449,7 +371,6 @@ impl Pager {
                 tags: Vec::new(),
                 alloc_tag: StructureTag::Other,
             }),
-            shards,
             events: Arc::new(std::array::from_fn(|_| AtomicU64::new(0))),
             read_stall_ns: AtomicU64::new(0),
             fault: RwLock::new(None),
@@ -457,7 +378,7 @@ impl Pager {
         }
     }
 
-    /// Make every read batch that misses the buffer pool cost `stall` of
+    /// Make every read batch that reads a page new to its window cost `stall` of
     /// real wall-clock time — once per [`with_pages`](Self::with_pages)
     /// call, however many misses it serves — simulating the seek+transfer
     /// latency of the disk the paper models. The sleep happens with no
@@ -476,12 +397,12 @@ impl Pager {
     /// calling thread's window: an atomic add and a thread-local one.
     fn charge(&self, col: usize, n: u64) {
         self.events[col].fetch_add(n, Relaxed);
-        self.with_window(|row| row[col] += n);
+        self.with_window(|w| w.row[col] += n);
     }
 
-    /// Run `f` on the calling thread's window on this pager, opening it at
-    /// zero on first use.
-    fn with_window<R>(&self, f: impl FnOnce(&mut Row) -> R) -> R {
+    /// Run `f` on the calling thread's window on this pager, opening it
+    /// empty on first use.
+    fn with_window<R>(&self, f: impl FnOnce(&mut Window) -> R) -> R {
         WINDOWS.with_borrow_mut(|windows| {
             let key = Arc::as_ptr(&self.events);
             let at = windows.iter().position(|(p, _)| std::ptr::eq(p.as_ptr(), key));
@@ -489,7 +410,8 @@ impl Pager {
                 // Dropped pagers' windows go; their weak keys kept the
                 // addresses from being reused until now.
                 windows.retain(|(p, _)| p.strong_count() > 0);
-                windows.push((Arc::downgrade(&self.events), [0; EVENTS]));
+                let empty = Window { row: [0; EVENTS], served: Vec::new() };
+                windows.push((Arc::downgrade(&self.events), empty));
                 windows.len() - 1
             });
             f(&mut windows[at].1)
@@ -498,7 +420,7 @@ impl Pager {
 
     /// The calling thread's window.
     fn window(&self) -> Row {
-        self.with_window(|row| *row)
+        self.with_window(|w| w.row)
     }
 
     /// The process-wide row.
@@ -522,7 +444,7 @@ impl Pager {
     /// The part of [`stall_ns`](Self::stall_ns) this thread spent since its
     /// last [`reset_stats`](Self::reset_stats): its own stall alone.
     pub fn window_stall_ns(&self) -> u64 {
-        self.with_window(|row| row[STALL_NS])
+        self.with_window(|w| w.row[STALL_NS])
     }
 
     /// Install (or with `None` remove) the deterministic fault source
@@ -609,8 +531,7 @@ impl Pager {
     }
 
     /// Overwrite bytes within a page. Counts one write and refreshes the
-    /// page's checksum. Not routed through the buffer pool: structures
-    /// are built once, then queried.
+    /// page's checksum. Structures are built once, then queried.
     pub fn write(&self, id: PageId, offset: usize, bytes: &[u8]) {
         assert!(offset + bytes.len() <= PAGE_SIZE, "write past page end");
         let mut store = self.store_write();
@@ -624,43 +545,11 @@ impl Pager {
     /// Flip one bit of a page *without* refreshing its checksum — latent
     /// media corruption, for fault drills and tests. The next physical
     /// read of the page fails verification with
-    /// [`StoreError::Checksum`]; a still-buffered copy keeps serving hits
-    /// (the cached frame was verified when it was admitted).
+    /// [`StoreError::Checksum`]; a window that was already served the page
+    /// keeps hitting it (the page was verified when that window read it).
     pub fn corrupt_byte(&self, id: PageId, offset: usize) {
         assert!(offset < PAGE_SIZE, "corrupt_byte past page end");
         self.store_write().pages[id.0 as usize][offset] ^= 0x01;
-    }
-
-    fn shard_of(&self, page: u64) -> usize {
-        (page % self.shards.len() as u64) as usize
-    }
-
-    /// Lock a shard, counting acquisitions that would have blocked.
-    fn lock_shard(&self, idx: usize) -> MutexGuard<'_, ShardPool> {
-        let shard = &self.shards[idx];
-        match shard.try_lock() {
-            Ok(guard) => guard,
-            Err(std::sync::TryLockError::WouldBlock) => {
-                self.charge(CONTENTION, 1);
-                lock_recover(shard)
-            }
-            Err(std::sync::TryLockError::Poisoned(e)) => e.into_inner(),
-        }
-    }
-
-    /// Hit check: mark `page` referenced in its shard if cached.
-    fn pool_touch(&self, page: u64) -> bool {
-        self.lock_shard(self.shard_of(page)).touch(page)
-    }
-
-    /// Insert `page` into its shard (evicting first if full) and account
-    /// the eviction. The shard lock is dropped before the victim's tag
-    /// lookup so the shard and store locks never nest.
-    fn pool_insert(&self, page: u64) {
-        let victim = self.lock_shard(self.shard_of(page)).insert(page);
-        if let Some(victim) = victim {
-            self.charge(EVICTIONS + self.tag_idx(victim), 1);
-        }
     }
 
     /// Verify a page's bytes against its checksum sidecar. Failure means
@@ -682,7 +571,7 @@ impl Pager {
     /// this read's own attempt number, verify the checksum, and retry
     /// transient failures within the [`RetryPolicy`]. On success the
     /// physical read is charged; the caller pays the stall and admits the
-    /// page.
+    /// page to the window.
     fn read_attempts(&self, page: u64, tag_idx: usize) -> StoreResult<()> {
         let policy = self.retry_policy();
         let mut attempt: u32 = 0;
@@ -779,7 +668,7 @@ impl Pager {
         }
     }
 
-    /// Read a page through the buffer pool, handing its bytes to `f`: a
+    /// Read a page through the window, handing its bytes to `f`: a
     /// [`with_pages`](Self::with_pages) batch of one.
     ///
     /// `f` runs under the store's read lock; it must not allocate or
@@ -790,15 +679,16 @@ impl Pager {
         Ok(out.expect("with_pages hands over every page it was asked for"))
     }
 
-    /// Read a batch of pages through the buffer pool, handing each page's
-    /// bytes to `f` in the given order.
+    /// Read a batch of pages through the calling thread's window, handing
+    /// each page's bytes to `f` in the given order.
     ///
     /// `ids` must be sorted ascending with no duplicates (asserted) — the
-    /// callers coalesce and sort their page sets, which also makes the
-    /// access order, and with it the eviction sequence, deterministic.
+    /// callers coalesce and sort their page sets.
     ///
-    /// Every page costs one `logical_read`, and every served miss one
-    /// `physical_read` — the paper's page-access metric is identical to a
+    /// Every page costs one `logical_read`. A page the window was already
+    /// served is a hit: no verify, no stall. Every other page is a miss,
+    /// read and verified, and once served it costs one `physical_read` and
+    /// joins the window — the paper's page-access metric is identical to a
     /// [`with_page`](Self::with_page) loop. What changes is wall-clock
     /// time: every miss of the batch is read, then the batch pays a
     /// **single** overlapped stall (like a queued batch of disk requests),
@@ -806,8 +696,8 @@ impl Pager {
     /// `coalesced_misses`.
     ///
     /// On a read failure the first error is returned, every healthy miss
-    /// of the batch is still admitted to the pool, and `f` is not called
-    /// for any page.
+    /// of the batch still joins the window, the failed page does not, and
+    /// `f` is not called for any page.
     pub fn with_pages(&self, ids: &[PageId], mut f: impl FnMut(PageId, &[u8])) -> StoreResult<()> {
         assert!(
             ids.windows(2).all(|w| w[0].0 < w[1].0),
@@ -817,32 +707,32 @@ impl Pager {
         for &id in ids {
             let t = self.tag_idx(id.0);
             self.charge(LOGICAL + t, 1);
-            if !self.pool_touch(id.0) {
+            if !self.with_window(|w| w.has_served(id.0)) {
                 misses.push((id.0, t));
             }
         }
         // Faults and retries are per page; one stall covers every served
         // miss — the overlapped-I/O model.
         let mut first_err: Option<StoreError> = None;
-        let mut served: Vec<u64> = Vec::with_capacity(misses.len());
+        let mut served = 0u64;
         for (page, t) in misses {
             match self.read_attempts(page, t) {
-                Ok(()) => served.push(page),
+                Ok(()) => {
+                    served += 1;
+                    self.with_window(|w| w.mark_served(page));
+                }
                 Err(e) => {
                     first_err.get_or_insert(e);
                 }
             }
         }
-        if !served.is_empty() {
-            self.charge(COALESCED, served.len() as u64 - 1);
+        if served > 0 {
+            self.charge(COALESCED, served - 1);
             self.charge(STALLED_BATCHES, 1);
             let stall = self.read_stall();
             if stall > Duration::ZERO {
                 std::thread::sleep(stall);
                 self.charge_stall(stall);
-            }
-            for page in served {
-                self.pool_insert(page);
             }
         }
         if let Some(e) = first_err {
@@ -880,8 +770,9 @@ impl Pager {
 
     /// Read batches this thread paid the simulated disk stall for since its
     /// last [`reset_stats`](Self::reset_stats): one per
-    /// [`with_pages`](Self::with_pages) call that served a miss, however
-    /// many it served, and one per [`with_page`](Self::with_page) miss.
+    /// [`with_pages`](Self::with_pages) call that served a page new to the
+    /// window, however many it served, and one per
+    /// [`with_page`](Self::with_page) miss.
     /// Counted whether or not a stall is configured, so the count is the
     /// same on any host. Retry backoff is not a batch.
     pub fn stalled_batches(&self) -> u64 {
@@ -918,18 +809,14 @@ impl Pager {
             .collect()
     }
 
-    /// Pages this thread pushed out of the buffer pool since its last reset.
+    /// Always 0: a window evicts nothing. Kept only because the frozen
+    /// benchmark harness reads it (ROADMAP item 11).
     pub fn evictions(&self) -> u64 {
-        let row = self.window();
-        (0..TAGS).map(|t| row[EVICTIONS + t]).sum()
+        0
     }
 
-    /// This thread's evictions of one structure's pages since its last reset.
-    pub fn evictions_for(&self, tag: StructureTag) -> u64 {
-        self.window()[EVICTIONS + tag.idx()]
-    }
-
-    /// This thread's buffer-pool hit rate since its last reset (0.0 when idle).
+    /// The share of this thread's reads since its last reset that hit a
+    /// page the window had already been served (0.0 when idle).
     pub fn hit_rate(&self) -> f64 {
         let s = self.stats();
         if s.logical_reads == 0 {
@@ -939,8 +826,7 @@ impl Pager {
         }
     }
 
-    /// This thread's concurrency counters since its last reset: coalesced
-    /// misses and shard-lock contention.
+    /// This thread's coalesced misses since its last reset.
     pub fn concurrency_stats(&self) -> ConcurrencyStats {
         concurrency(&self.window())
     }
@@ -951,31 +837,17 @@ impl Pager {
         concurrency(&self.lifetime())
     }
 
-    /// Number of buffer-pool shards.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Pages currently cached across all shards (never exceeds the pool
-    /// capacity — the eviction invariant the property tests pin).
-    pub fn cached_pages(&self) -> usize {
-        (0..self.shards.len()).map(|i| self.lock_shard(i).map.len()).sum()
-    }
-
-    /// Zero the calling thread's window (e.g. at query start): the windowed
-    /// readers then count only what this thread charges, while other
-    /// threads' windows and the lifetime totals keep rising. The pool
-    /// contents are kept: a warm cache across queries is realistic. Page
-    /// tags persist — they describe what a page *is*, not traffic.
+    /// Open the calling thread's window empty (e.g. at query start): its
+    /// counters go to zero and its page set is emptied, so the windowed
+    /// readers count only what this thread charges from here on and every
+    /// page's next read is physical, while other threads' windows and the
+    /// lifetime totals keep rising. Page tags persist — they describe what
+    /// a page *is*, not traffic.
     pub fn reset_stats(&self) {
-        self.with_window(|row| *row = [0; EVENTS]);
-    }
-
-    /// Drop every cached page (cold-start a query).
-    pub fn clear_pool(&self) {
-        for i in 0..self.shards.len() {
-            self.lock_shard(i).clear();
-        }
+        self.with_window(|w| {
+            w.row = [0; EVENTS];
+            w.served.clear();
+        });
     }
 }
 
@@ -1041,33 +913,17 @@ mod tests {
         assert_eq!(s.hits(), s.logical_reads - s.physical_reads);
     }
 
+    /// A reset opens an empty window: a page this thread was served
+    /// before it is read physically again, on any pager it holds.
     #[test]
-    fn clock_eviction_recycles_cold_pages() {
-        // Pool of 2 → 2 shards of capacity 1; pages 0 and 2 share shard 0.
-        let p = Pager::new(2);
-        let a = p.alloc();
-        let b = p.alloc();
-        let c = p.alloc();
-        p.reset_stats();
-        p.with_page(a, |_| ()).unwrap(); // miss
-        p.with_page(b, |_| ()).unwrap(); // miss (other shard)
-        p.with_page(a, |_| ()).unwrap(); // hit
-        p.with_page(c, |_| ()).unwrap(); // miss, evicts a from their shared shard
-        p.with_page(a, |_| ()).unwrap(); // miss (was evicted)
-        p.with_page(b, |_| ()).unwrap(); // hit (own shard untouched)
-        assert_eq!(p.stats().physical_reads, 4);
-        assert!(p.cached_pages() <= 2);
-    }
-
-    #[test]
-    fn clear_pool_forces_cold_reads() {
+    fn reset_stats_forces_cold_reads() {
         let p = Pager::new(8);
         let a = p.alloc();
         p.with_page(a, |_| ()).unwrap();
-        p.clear_pool();
         p.reset_stats();
         p.with_page(a, |_| ()).unwrap();
-        assert_eq!(p.stats().physical_reads, 1);
+        p.with_page(a, |_| ()).unwrap();
+        assert_eq!((p.stats().logical_reads, p.stats().physical_reads), (2, 1));
     }
 
     #[test]
@@ -1125,34 +981,17 @@ mod tests {
         for (_, s) in &per {
             assert_eq!(s.hits(), s.logical_reads - s.physical_reads);
         }
-        // 3 dmtm pages read twice (whether the second round hits depends
-        // on eviction) — just pin the logical split, which is
-        // deterministic.
+        // 3 dmtm pages read twice: the second round hits.
         let of = |tag| per.iter().find(|(t, _)| *t == tag).map_or(IoStats::default(), |p| p.1);
-        assert_eq!(of(StructureTag::Dmtm).logical_reads, 6);
-        assert_eq!(of(StructureTag::Msdn).logical_reads, 2);
+        assert_eq!(
+            (of(StructureTag::Dmtm).logical_reads, of(StructureTag::Dmtm).physical_reads),
+            (6, 3)
+        );
+        assert_eq!(
+            (of(StructureTag::Msdn).logical_reads, of(StructureTag::Msdn).physical_reads),
+            (2, 2)
+        );
         assert_eq!(of(StructureTag::Other), IoStats::default());
-    }
-
-    #[test]
-    fn evictions_counted_at_pool_capacity() {
-        let p = Pager::new(2);
-        let pages: Vec<_> = {
-            let _s = p.tag_scope(StructureTag::Dmtm);
-            (0..3).map(|_| p.alloc()).collect()
-        };
-        p.reset_stats();
-        p.with_page(pages[0], |_| ()).unwrap(); // miss, shard 0 = {0}
-        p.with_page(pages[1], |_| ()).unwrap(); // miss, shard 1 = {1}
-        assert_eq!(p.evictions(), 0, "no eviction below capacity");
-        p.with_page(pages[2], |_| ()).unwrap(); // miss, evicts page 0 (same shard)
-        assert_eq!(p.evictions(), 1);
-        assert_eq!(p.evictions_for(StructureTag::Dmtm), 1);
-        assert_eq!(p.evictions_for(StructureTag::Msdn), 0);
-        // Victim really is gone: re-reading it is a physical read.
-        let before = p.stats().physical_reads;
-        p.with_page(pages[0], |_| ()).unwrap();
-        assert_eq!(p.stats().physical_reads, before + 1);
     }
 
     #[test]
@@ -1171,7 +1010,6 @@ mod tests {
     fn with_pages_matches_with_page_loop_counters() {
         let p = Pager::new(16);
         let ids: Vec<_> = (0..6).map(|_| p.alloc()).collect();
-        p.clear_pool();
         p.reset_stats();
         p.with_pages(&ids, |_, _| ()).unwrap();
         let s = p.stats();
@@ -1179,14 +1017,13 @@ mod tests {
         assert_eq!(s.physical_reads, 6, "every cold page is still one physical read");
         // The 5 misses beyond the first shared the batch's single stall.
         assert_eq!(p.concurrency_stats().coalesced_misses, 5);
-        // Warm re-batch: all hits, nothing coalesced.
-        p.reset_stats();
+        // Re-batch in the same window: all hits, nothing coalesced.
         let mut seen = Vec::new();
         p.with_pages(&ids, |id, _| seen.push(id)).unwrap();
         assert_eq!(seen, ids, "pages visited in caller order");
         let s = p.stats();
-        assert_eq!((s.logical_reads, s.physical_reads), (6, 0));
-        assert_eq!(p.concurrency_stats().coalesced_misses, 0);
+        assert_eq!((s.logical_reads, s.physical_reads), (12, 6));
+        assert_eq!(p.concurrency_stats().coalesced_misses, 5);
     }
 
     #[test]
@@ -1230,7 +1067,6 @@ mod tests {
         let sink =
             |at: &[usize]| Recorder { pages: at.iter().map(|&i| ids[i]).collect(), fed: vec![] };
         let (mut a, mut b) = (sink(&[0, 2, 3]), sink(&[1, 3, 5]));
-        p.clear_pool();
         p.reset_stats();
         p.read_into(&mut [&mut a, &mut b]).unwrap();
         assert_eq!(a.fed, [(ids[0], 0), (ids[2], 2), (ids[3], 3)]);
@@ -1243,7 +1079,7 @@ mod tests {
         p.with_page(ids[4], |_| ()).unwrap();
         assert_eq!(p.stalled_batches(), 2, "a with_page miss is a batch of its own");
 
-        p.clear_pool();
+        p.reset_stats();
         p.set_fault_injector(Some(FaultInjector::script().fail_page(
             ids[5].0,
             FaultKind::Permanent,
@@ -1259,7 +1095,7 @@ mod tests {
         use std::time::{Duration, Instant};
         let p = Pager::new(4);
         let a = p.alloc();
-        p.clear_pool();
+        p.reset_stats();
         p.set_read_stall(Duration::from_millis(20));
         let t = Instant::now();
         p.with_page(a, |_| ()).unwrap(); // miss: pays the stall
@@ -1269,7 +1105,7 @@ mod tests {
         assert!(t.elapsed() < Duration::from_millis(20));
     }
 
-    /// The stall is slept outside the pool locks: a second thread must be
+    /// The stall is slept with no pager lock held: a second thread must be
     /// able to get a hit while the first is mid-stall.
     #[test]
     fn read_stall_does_not_hold_the_lock() {
@@ -1277,7 +1113,7 @@ mod tests {
         let p = Pager::new(4);
         let a = p.alloc();
         let b = p.alloc();
-        p.with_page(b, |_| ()).unwrap(); // b resident
+        p.with_page(b, |_| ()).unwrap(); // b served to this window
         p.set_read_stall(Duration::from_millis(50));
         std::thread::scope(|s| {
             s.spawn(|| p.with_page(a, |_| ()).unwrap()); // miss: stalls 50 ms
@@ -1371,7 +1207,7 @@ mod tests {
         p.write(a, 0, b"first");
         assert_eq!(&p.with_page(a, <[u8]>::to_vec).unwrap()[..5], b"first");
         p.write(a, 0, b"newer");
-        p.clear_pool();
+        p.reset_stats();
         // Re-verified on the cold read; the refreshed checksum matches.
         assert_eq!(&p.with_page(a, <[u8]>::to_vec).unwrap()[..5], b"newer");
     }
@@ -1381,12 +1217,12 @@ mod tests {
         let p = Pager::new(4);
         let a = p.alloc();
         p.write(a, 10, b"payload");
-        p.with_page(a, |_| ()).unwrap(); // admitted while healthy
+        p.with_page(a, |_| ()).unwrap(); // served to the window while healthy
         p.corrupt_byte(a, 11);
-        // The buffered frame was verified at admission: hits still serve.
+        // The window verified the page when it read it: hits still serve.
         p.with_page(a, |_| ()).unwrap();
-        // A cold read re-verifies and refuses to serve corrupt bytes.
-        p.clear_pool();
+        // A new window reads cold, re-verifies and refuses corrupt bytes.
+        p.reset_stats();
         match p.with_page(a, |_| ()) {
             Err(StoreError::Checksum { page, stored, computed }) => {
                 assert_eq!(page, a.0);

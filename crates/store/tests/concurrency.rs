@@ -1,4 +1,4 @@
-//! Concurrency semantics of the sharded buffer pool.
+//! Concurrency semantics of the pager's per-thread windows.
 //!
 //! Three guarantees are pinned down here:
 //!
@@ -7,14 +7,16 @@
 //!    window; the windows sum to the pager's lifetime deltas, and the
 //!    stalls overlap rather than queue. (Loading a missing key once across
 //!    threads is the cut caches' job, `SingleFlightCache`.)
-//! 2. **Eviction at capacity**: the pool never holds more pages than its
-//!    configured capacity, for any shard count and any interleaving of
-//!    single-page and batched reads (eviction happens *before* insert).
+//! 2. **Each page once per window**: a window's physical reads are the
+//!    distinct pages it was served since its last reset, for any mix of
+//!    single reads, sorted batches and resets on one thread, and for any
+//!    interleaving of threads reading overlapping page sets.
 //! 3. **Batched reads**: a cold `with_pages` batch pays one stall for all
 //!    its misses.
 
 use proptest::prelude::*;
-use sknn_store::{IoStats, Pager};
+use sknn_store::{IoStats, PageId, Pager};
+use std::collections::BTreeSet;
 use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
@@ -30,7 +32,7 @@ fn concurrent_misses_each_pay_their_own_read_and_stall_in_their_own_window() {
     let pager = Pager::new(8);
     let page = pager.alloc();
     pager.set_read_stall(STALL);
-    pager.clear_pool();
+    pager.reset_stats();
     let io_before = pager.lifetime_stats();
     let (batches_before, stall_before) = (pager.lifetime_stalled_batches(), pager.stall_ns());
     let coalesced_before = pager.lifetime_concurrency_stats().coalesced_misses;
@@ -71,7 +73,68 @@ fn concurrent_misses_each_pay_their_own_read_and_stall_in_their_own_window() {
         elapsed < STALL * 3,
         "stalls were serialised: {elapsed:?} for {THREADS} threads at {STALL:?} each"
     );
-    assert_eq!(pager.cached_pages(), 1, "the page is admitted once");
+}
+
+/// Four threads read overlapping random page sets at once, in single
+/// reads and batches. However the reads interleave, each window's
+/// physical reads are its own distinct pages, and the windows sum to the
+/// lifetime delta: no thread's read serves or evicts another's.
+#[test]
+fn overlapping_readers_each_charge_their_own_distinct_pages() {
+    const THREADS: u64 = 4;
+    const N_PAGES: u64 = 48;
+    let pager = Pager::new(8);
+    let ids: Vec<PageId> = (0..N_PAGES).map(|_| pager.alloc()).collect();
+    let before = pager.lifetime_stats().physical_reads;
+    let barrier = Barrier::new(THREADS as usize);
+    let reads: Vec<u64> = std::thread::scope(|s| {
+        let workers: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let (pager, ids, barrier) = (&pager, &ids, &barrier);
+                s.spawn(move || {
+                    pager.reset_stats();
+                    barrier.wait();
+                    let mut distinct = BTreeSet::new();
+                    for (i, batch) in batches(t, 60).into_iter().enumerate() {
+                        let picks: Vec<PageId> = batch.iter().map(|&p| ids[p]).collect();
+                        if i % 3 == 0 {
+                            pager.with_page(picks[0], |_| ()).unwrap();
+                            distinct.insert(picks[0]);
+                        } else {
+                            pager.with_pages(&picks, |_, _| ()).unwrap();
+                            distinct.extend(picks);
+                        }
+                        std::thread::yield_now();
+                    }
+                    let io = pager.stats();
+                    assert_eq!(io.physical_reads, distinct.len() as u64, "thread {t}");
+                    assert_eq!(io.hits() + io.physical_reads, io.logical_reads);
+                    io.physical_reads
+                })
+            })
+            .collect();
+        workers.into_iter().map(|w| w.join().unwrap()).collect()
+    });
+    assert_eq!(reads.iter().sum::<u64>(), pager.lifetime_stats().physical_reads - before);
+}
+
+/// `n` sorted, de-duplicated batches of page indices below 48 drawn from
+/// `seed`, each of one to six pages.
+fn batches(seed: u64, n: usize) -> Vec<Vec<usize>> {
+    let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+    let mut next = move || {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        x
+    };
+    (0..n)
+        .map(|_| {
+            let len = 1 + (next() % 6) as usize;
+            let set: BTreeSet<usize> = (0..len).map(|_| (next() % 48) as usize).collect();
+            set.into_iter().collect()
+        })
+        .collect()
 }
 
 /// A cold `with_pages` batch pays one stall for the whole run, not one per
@@ -83,7 +146,6 @@ fn batched_cold_read_pays_a_single_stall() {
     let pager = Pager::new(16);
     let ids: Vec<_> = (0..5).map(|_| pager.alloc()).collect();
     pager.set_read_stall(STALL);
-    pager.clear_pool();
     pager.reset_stats();
 
     let start = Instant::now();
@@ -102,44 +164,52 @@ fn batched_cold_read_pays_a_single_stall() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The pool never exceeds its capacity — across shard counts, for any
-    /// interleaving of single-page reads and sorted batch reads.
+    /// The window against its model, a set of served pages: over any mix
+    /// of single reads, sorted batches and resets, a window's physical
+    /// reads are its distinct pages since the last reset, its stalled
+    /// batches are the calls that read a page new to it, and every read is
+    /// a hit or a physical read.
     #[test]
-    fn pool_never_exceeds_capacity(
-        shards in 1usize..9,
-        cap in 1usize..20,
-        ops in proptest::collection::vec((any::<u64>(), 0usize..6), 1..120),
+    fn a_window_charges_each_page_once(
+        ops in proptest::collection::vec((any::<u64>(), 0usize..7), 1..120),
     ) {
         const N_PAGES: usize = 40;
-        let pager = Pager::with_shards(cap, shards);
+        let pager = Pager::new(8);
         let ids: Vec<_> = (0..N_PAGES).map(|_| pager.alloc()).collect();
         pager.reset_stats();
+        let (mut served, mut stalled) = (BTreeSet::new(), 0u64);
 
         for &(seed, batch) in &ops {
+            if batch == 6 {
+                pager.reset_stats();
+                served.clear();
+                stalled = 0;
+                continue;
+            }
+            // A sorted, deduplicated batch from the seed; 0 is a single read.
+            let mut picks: Vec<_> = (0..batch.max(1))
+                .map(|j| {
+                    let x = seed
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(j as u64 * 1442695040888963407);
+                    ids[(x as usize) % N_PAGES]
+                })
+                .collect();
+            picks.sort();
+            picks.dedup();
+            if picks.iter().any(|p| !served.contains(p)) {
+                stalled += 1;
+            }
+            served.extend(picks.iter().copied());
             if batch == 0 {
-                pager.with_page(ids[(seed as usize) % N_PAGES], |_| ()).unwrap();
+                pager.with_page(picks[0], |_| ()).unwrap();
             } else {
-                // Build a sorted, deduplicated batch from the seed.
-                let mut picks: Vec<_> = (0..batch)
-                    .map(|j| {
-                        let x = seed
-                            .wrapping_mul(6364136223846793005)
-                            .wrapping_add(j as u64 * 1442695040888963407);
-                        ids[(x as usize) % N_PAGES]
-                    })
-                    .collect();
-                picks.sort();
-                picks.dedup();
                 pager.with_pages(&picks, |_, _| ()).unwrap();
             }
-            prop_assert!(
-                pager.cached_pages() <= cap,
-                "pool holds {} pages with capacity {} ({} shards)",
-                pager.cached_pages(), cap, shards,
-            );
+            let io = pager.stats();
+            prop_assert_eq!(io.physical_reads, served.len() as u64);
+            prop_assert_eq!(pager.stalled_batches(), stalled);
+            prop_assert_eq!(io.hits() + io.physical_reads, io.logical_reads);
         }
-        let io = pager.stats();
-        prop_assert_eq!(io.hits() + io.physical_reads, io.logical_reads);
-        prop_assert_eq!(pager.num_shards(), shards.min(cap));
     }
 }

@@ -32,7 +32,6 @@ fn pager_with_page() -> (Pager, sknn_store::PageId) {
     pager.set_retry_policy(RetryPolicy { max_retries: 3, backoff: Duration::ZERO });
     let id = pager.alloc();
     pager.write(id, 0, &[0xAB; 64]);
-    pager.clear_pool();
     pager.reset_stats();
     (pager, id)
 }
@@ -90,7 +89,7 @@ fn latent_corruption_is_detected_before_serve() {
     // Warm read proves the page is fine, then corrupt one stored byte.
     assert_eq!(pager.with_page(id, |b| b[3]).unwrap(), 0xAB);
     pager.corrupt_byte(id, 3);
-    pager.clear_pool();
+    pager.reset_stats();
 
     let mut served = false;
     let err = pager.with_page(id, |_| served = true).unwrap_err();
@@ -240,7 +239,7 @@ fn batched_read_surfaces_member_failure() {
     let pager = Pager::new(16);
     pager.set_retry_policy(RetryPolicy { max_retries: 3, backoff: Duration::ZERO });
     let ids: Vec<_> = (0..5).map(|_| pager.alloc()).collect();
-    pager.clear_pool();
+    pager.reset_stats();
     pager.set_fault_injector(Some(FaultInjector::script().fail_page(
         ids[2].0,
         FaultKind::Permanent,
@@ -266,7 +265,6 @@ fn rate_driven_transient_profile_never_exhausts_default_budget() {
         let pager = Pager::new(32);
         pager.set_retry_policy(RetryPolicy { max_retries: 3, backoff: Duration::ZERO });
         let ids: Vec<_> = (0..24).map(|_| pager.alloc()).collect();
-        pager.clear_pool();
         pager.reset_stats();
         pager.set_fault_injector(Some(FaultInjector::seeded(seed, 1.0, FaultKind::Transient)));
         for (i, &id) in ids.iter().enumerate() {

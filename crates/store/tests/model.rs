@@ -85,31 +85,6 @@ proptest! {
         }
     }
 
-    /// Buffer-pool accounting: physical <= logical, hits + physical ==
-    /// logical, and a pool large enough to hold everything makes repeated
-    /// reads free.
-    #[test]
-    fn pool_accounting_invariants(
-        n_pages in 1usize..30,
-        accesses in proptest::collection::vec(0usize..30, 1..200),
-        pool in 1usize..40,
-    ) {
-        let pager = Pager::new(pool);
-        let ids: Vec<_> = (0..n_pages).map(|_| pager.alloc()).collect();
-        pager.reset_stats();
-        for &a in &accesses {
-            pager.with_page(ids[a % n_pages], |_| ()).unwrap();
-        }
-        let s = pager.stats();
-        prop_assert_eq!(s.logical_reads as usize, accesses.len());
-        prop_assert!(s.physical_reads <= s.logical_reads);
-        prop_assert_eq!(s.hits() + s.physical_reads, s.logical_reads);
-        if pool >= n_pages {
-            // Every page faults at most once.
-            prop_assert!(s.physical_reads as usize <= n_pages);
-        }
-    }
-
     /// Writes never corrupt neighbouring bytes.
     #[test]
     fn page_writes_are_isolated(

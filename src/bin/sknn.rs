@@ -5,9 +5,9 @@
 //! sknn knn --k 5 --queries 3           surface k-NN queries
 //!          [--threads N]               run the batch on N threads
 //!          [--stall-ms MS]             simulate MS ms of disk latency per
-//!                                      read batch that misses the buffer
-//!                                      pool (I/O-bound regime; prints pool
-//!                                      concurrency counters)
+//!                                      read batch that reads a page new to
+//!                                      its query (I/O-bound regime; prints
+//!                                      the batch's coalesced misses)
 //!          [--fault-profile S:R:K]     inject storage faults: seed S, rate
 //!                                      R in [0,1], kind K (transient|
 //!                                      permanent|bitflip|latency); prints
@@ -273,11 +273,8 @@ fn main() {
             if threads > 1 {
                 // Every worker's events, as lifetime deltas over the batch.
                 println!(
-                    "pool concurrency (batch): {} coalesced misses, \
-                     {} contended shard locks over {} shards",
+                    "pool concurrency (batch): {} coalesced misses",
                     conc_after.coalesced_misses - conc_before.coalesced_misses,
-                    conc_after.shard_contention - conc_before.shard_contention,
-                    engine.pager().num_shards()
                 );
             }
             if let (true, Some(s)) = (cache_stats, engine.cut_cache_snapshot()) {
@@ -401,7 +398,7 @@ fn main() {
                 "slope limit {max_slope}: {:.1}% of facets blocked",
                 mask.blocked_fraction() * 100.0
             );
-            let engine = ConstrainedEngine::build(&mesh, &scene, mask, 256);
+            let engine = ConstrainedEngine::build(&mesh, &scene, mask);
             let q = scene.random_query(seed ^ 7);
             let res = engine.query(q, k);
             if res.neighbors.is_empty() {
@@ -461,7 +458,7 @@ fn main() {
             let slow_log_out: String = args.get("slow-log", String::new());
 
             let mut engine = build_engine(&cfg);
-            // Serving is the warm regime: the buffer pool persists across
+            // Serving is the warm regime: the cut caches persist across
             // requests instead of being wiped per query.
             engine.cold_cache = false;
             let faults = fault_injector(&args, true);
@@ -627,7 +624,7 @@ fn main() {
             if let Some((spec, injector)) = fault_injector(&args, false) {
                 engine = engine.with_object_store(ObjectStore::genesis(
                     scene.objects(),
-                    cfg.pool_pages,
+                    0,
                     Some(std::sync::Arc::new(injector)),
                 ));
                 eprintln!("# write-fault injection active: {spec}");
@@ -690,7 +687,7 @@ fn main() {
             let image = store.crash_image();
             let rec_start = std::time::Instant::now();
             let (recovered, report) =
-                ObjectStore::recover(&image, cfg.pool_pages, None).expect("recovery failed");
+                ObjectStore::recover(&image, 0, None).expect("recovery failed");
             let rec_elapsed = rec_start.elapsed();
             println!(
                 "recovery: {} WAL op records replayed ({} after genesis), {} txns \
@@ -850,7 +847,8 @@ fn fault_injector(args: &Args, env_fallback: bool) -> Option<(String, FaultInjec
 }
 
 /// Puts an engine's pager in the requested I/O regime: `stall_ms` of
-/// simulated disk latency per read batch that misses the buffer pool, and
+/// simulated disk latency per read batch that reads a page new to its
+/// query, and
 /// read-side faults.
 fn set_io_regime(
     engine: &Mr3Engine<'_, '_>,

@@ -360,7 +360,6 @@ fn a_fault_on_one_axis_publishes_no_line_of_either() {
     // reads in ascending page order and the X files precede the Y files,
     // so read `x_reads + 1` is the first Y page.
     let cold_reads = |bands: &[LineBand]| {
-        f.pager.clear_pool();
         f.pager.reset_stats();
         fetch_bands(&LineCutCache::new(16 << 20), &f.msdn, &f.pager, level, bands).unwrap();
         f.pager.stats().physical_reads
@@ -369,7 +368,7 @@ fn a_fault_on_one_axis_publishes_no_line_of_either() {
     assert!(x_reads > 0 && both_reads > x_reads, "both axes read pages");
 
     let cache = LineCutCache::new(16 << 20);
-    f.pager.clear_pool();
+    f.pager.reset_stats();
     f.pager.set_fault_injector(Some(
         FaultInjector::script().fail_nth_read(x_reads + 1, FaultKind::Permanent),
     ));
@@ -381,7 +380,7 @@ fn a_fault_on_one_axis_publishes_no_line_of_either() {
     assert_eq!(cache.gauges().loading, 0, "the failed load left a latch");
 
     f.pager.set_fault_injector(None);
-    f.pager.clear_pool();
+    f.pager.reset_stats();
     let got = fetch_bands(&cache, &f.msdn, &f.pager, level, &bands).unwrap();
     for (b, (lines, hit)) in bands.iter().zip(&got) {
         assert!(!hit, "a failed load must not satisfy later requests");
@@ -459,7 +458,7 @@ fn failed_load_publishes_none_of_its_claimed_units() {
     let before = cache.len();
 
     // Permanent faults at rate 1: the load must fail...
-    f.pager.clear_pool();
+    f.pager.reset_stats();
     f.pager.set_fault_injector(Some(FaultInjector::seeded(99, 1.0, FaultKind::Permanent)));
     let span = TileSpan { x0: 1, x1: 5, y0: 1, y1: 4 };
     let err = extract(&cache, f.dmtm.tree(), &f.pager, step, span, &mut scratch);
@@ -494,7 +493,7 @@ fn a_fault_on_one_unit_page_publishes_no_unit_of_the_load() {
     assert!(pages.len() > 2, "the span's units fill {} pages", pages.len());
     let cache = CutCache::new(64 << 20, units);
     let bad = pages[pages.len() / 2];
-    f.pager.clear_pool();
+    f.pager.reset_stats();
     f.pager.set_fault_injector(Some(FaultInjector::script().fail_page(
         bad.0,
         FaultKind::Permanent,

@@ -67,7 +67,7 @@ fn mr3_matches_ground_truth_on_both_terrains() {
 fn ea_matches_ground_truth_on_both_terrains() {
     for (label, mesh) in scenes() {
         let scene = SceneBuilder::new(&mesh).object_count(20).seed(6).build();
-        let ea = EaEngine::build(&mesh, &scene, 256);
+        let ea = EaEngine::build(&mesh, &scene);
         let exact = ChEngine::new(&scene);
         for qseed in [4u64, 8] {
             let q = scene.random_query(qseed);
@@ -108,7 +108,7 @@ fn mr3_is_cheaper_than_ea_in_cpu() {
     let mesh = TerrainConfig::bh().with_grid(33).build_mesh(3003);
     let scene = SceneBuilder::new(&mesh).object_count(40).seed(4).build();
     let mr3 = Mr3Engine::build(&mesh, &scene, &Mr3Config::default());
-    let ea = EaEngine::build(&mesh, &scene, 256);
+    let ea = EaEngine::build(&mesh, &scene);
     let qs = scene.random_queries(3, 12);
     let (mut mr3_cpu, mut ea_cpu) = (0.0, 0.0);
     for &q in &qs {

@@ -2,7 +2,7 @@
 //!
 //! `Engine::try_query_batch` must be bit-identical to a sequential
 //! `try_query` loop at any thread count: results depend only on the immutable
-//! structures, never on pager pool state or scheduling order. These tests
+//! structures, never on cache state or scheduling order. These tests
 //! double as the CI stress job — set `SKNN_STRESS_ITERS` to repeat the
 //! batch comparison (CI runs 20 iterations in `--release` to shake out
 //! interleaving-dependent failures that a single pass can miss), and
@@ -15,10 +15,12 @@
 //! The per-query counters are exact at any thread count too: a query runs
 //! on one worker thread and reads the pager and R-tree windows that thread
 //! opened at query start. So a batch's per-query pool counts sum to the
-//! pager's lifetime deltas over the batch (conservation), and each
-//! query's R-tree accesses equal its sequential run's.
+//! pager's lifetime deltas over the batch (conservation), each query's
+//! R-tree accesses equal its sequential run's, and so do EA's per-query
+//! pages: a window charges each page once, whatever other threads read.
 
 use surface_knn::core::config::Mr3Config;
+use surface_knn::core::ea::EaEngine;
 use surface_knn::core::metrics::QueryResult;
 use surface_knn::core::mr3::Mr3Engine;
 use surface_knn::core::workload::{SceneBuilder, SurfacePoint};
@@ -100,7 +102,7 @@ fn single_thread_batch_matches_query_loop() {
     assert_eq!(fingerprint(&answers(&engine, &batch, 1)), fingerprint(&seq));
 }
 
-/// Re-running the same batch on the same engine (warm pool, advanced
+/// Re-running the same batch on the same engine (warm caches, advanced
 /// query-id counter) must still reproduce the same answers.
 #[test]
 fn batch_is_stable_across_repeated_runs() {
@@ -142,7 +144,7 @@ fn per_query_pool_counts_sum_to_the_batch_lifetime_deltas() {
     let mut engine = Mr3Engine::build(&mesh, &scene, &Mr3Config::default());
     engine.enable_tracing();
     install_fault_profile(&engine);
-    assert!(engine.cold_cache, "every query starts from an empty pool");
+    assert!(engine.cold_cache, "every query starts from empty cut caches");
 
     let batch: Vec<(SurfacePoint, usize)> =
         scene.random_queries(16, 912).into_iter().map(|q| (q, 4)).collect();
@@ -188,5 +190,24 @@ fn per_query_rtree_accesses_match_sequential_at_eight_threads() {
     for iter in 0..stress_iters() {
         let parallel: Vec<u64> = answers(&engine, &batch, 8).iter().map(rtree_accesses).collect();
         assert_eq!(parallel, sequential, "R-tree accesses at 8 threads (iter {iter})");
+    }
+}
+
+/// EA's per-query pages at 4 threads equal its sequential run's, query by
+/// query. EA has no cut cache, so everything it charges is its pager
+/// window's: a page another thread read meanwhile is neither free nor
+/// lost for it.
+#[test]
+fn ea_pages_at_four_threads_match_sequential() {
+    let mesh = TerrainConfig::bh().with_grid(17).build_mesh(909);
+    let scene = SceneBuilder::new(&mesh).object_count(20).seed(910).build();
+    let ea = EaEngine::build(&mesh, &scene);
+    let qs = scene.random_queries(8, 914);
+    let pages =
+        |threads| surface_knn::exec::par_map(threads, &qs, |_, &q| ea.query(q, 4).stats.pages);
+    let sequential = pages(1);
+    assert!(sequential.iter().all(|&p| p > 0), "every query reads pages: {sequential:?}");
+    for iter in 0..stress_iters() {
+        assert_eq!(pages(4), sequential, "EA pages at 4 threads (iter {iter})");
     }
 }

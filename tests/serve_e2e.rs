@@ -29,7 +29,7 @@ fn responses_bit_identical_to_direct_queries() {
     let (mesh, cfg) = test_world();
     let scene = SceneBuilder::new(&mesh).object_count(30).seed(7).build();
     let mut engine = Mr3Engine::build(&mesh, &scene, &cfg);
-    engine.cold_cache = false; // serving regime: warm shared pool
+    engine.cold_cache = false; // serving regime: warm shared cut caches
     let engine = engine;
 
     let server = Server::bind(&engine, "127.0.0.1:0", ServeConfig::default()).unwrap();
@@ -122,7 +122,7 @@ fn full_queue_sheds_with_typed_overloaded() {
         let run = scope.spawn(|| server.run());
         let _shutdown = ShutdownOnDrop(vec![handle.clone()]);
 
-        // Every miss of the first query (a cold pool) stalls, so the
+        // Every read batch of the first query (cold caches) stalls, so the
         // worker is held until the stall is lifted. Frames are
         // processed in order per connection: once STATS reads an empty
         // queue the first query is admitted *and* picked up.
@@ -427,7 +427,7 @@ fn panicking_query_gets_a_typed_error_and_the_server_keeps_serving() {
 }
 
 /// No reply waits for a stranger. One connection sends a `QUERY` that
-/// stalls on every miss of a cold pool and then a `SEEDS` request, which
+/// stalls on every read batch of cold caches and then a `SEEDS` request, which
 /// reads only the in-memory object snapshot: with two workers the `SEEDS`
 /// reply overtakes the query's, well inside a single stall — it is not
 /// held back until whatever was picked up around the same time returns.
@@ -527,8 +527,8 @@ fn concurrent_responses_report_only_their_own_stall() {
 }
 
 /// The edge contract suite (`serve::edge::check_edge_contract`) against
-/// a shard server: one worker, held by a per-miss read stall on a cold
-/// pool.
+/// a shard server: one worker, held by a per-batch read stall on cold
+/// caches.
 #[test]
 fn server_obeys_the_edge_contract() {
     let (mesh, cfg) = test_world();

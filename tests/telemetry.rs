@@ -198,7 +198,7 @@ fn slow_query_dump_returns_valid_jsonl_with_trace_ids() {
 /// reorganised, but not one name may change or go missing (dashboards,
 /// `sknn top --check` and the router's `objects` lookup read them by
 /// name).
-const SERVER_FAMILIES: [&str; 47] = [
+const SERVER_FAMILIES: [&str; 46] = [
     "sknn_cutcache_cooling_entries",
     "sknn_cutcache_evictions_total",
     "sknn_cutcache_extractions_in_flight",
@@ -244,7 +244,6 @@ const SERVER_FAMILIES: [&str; 47] = [
     "sknn_store_faults_injected_total",
     "sknn_store_logical_reads_total",
     "sknn_store_physical_reads_total",
-    "sknn_store_shard_contention_total",
     "sknn_store_stall_us_total",
 ];
 const SERVER_STATS_KEYS: [&str; 26] = [
@@ -277,7 +276,7 @@ const SERVER_STATS_KEYS: [&str; 26] = [
 ];
 
 /// The metrics endpoint serves parseable Prometheus text containing the
-/// per-stage histograms and pool counters while queries run — exactly
+/// per-stage histograms and pager counters while queries run — exactly
 /// the pinned families, each carrying the configured `instance` label —
 /// and its `/healthz` flips to 503 the moment graceful drain begins,
 /// while the admitted backlog is still being answered.
@@ -332,7 +331,7 @@ fn metrics_endpoint_parses_and_healthz_flips_during_drain() {
             assert_eq!(s.labels.get("instance").map(String::as_str), Some("shard7"), "{s:?}");
         }
         // The completed query put a sample in the exec histogram, and the
-        // stall clock advanced (cold pool + injected read stall).
+        // stall clock advanced (cold caches + injected read stall).
         let exec_count = samples
             .iter()
             .find(|s| s.name == "sknn_serve_exec_us_count")
@@ -340,7 +339,7 @@ fn metrics_endpoint_parses_and_healthz_flips_during_drain() {
         assert!(exec_count.value >= 1.0);
         let stall =
             samples.iter().find(|s| s.name == "sknn_store_stall_us_total").expect("stall counter");
-        assert!(stall.value > 0.0, "2ms/miss stall on a cold pool must register");
+        assert!(stall.value > 0.0, "2ms/batch stall on cold caches must register");
 
         // Pipeline a backlog of slow queries, barrier on admission, then
         // begin the drain while they are still queued.

@@ -111,8 +111,8 @@ fn io_attribution_sums_to_query_pages() {
 /// A trace belongs to its query: in a traced 4-thread batch every result
 /// carries one query id, one closing `query` span, and the same record
 /// names its sequential run emits. `io` events are left out — which
-/// structures a query charges reads to depends on what the shared pool
-/// held when it ran.
+/// structures a query charges reads to depends on what the shared cut
+/// caches held when it ran.
 #[test]
 fn concurrent_traced_queries_keep_their_own_records() {
     let (mesh, seed) = fixture();
