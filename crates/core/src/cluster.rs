@@ -146,6 +146,7 @@ fn accumulate(into: &mut QueryStats, from: &QueryStats) {
     into.ub_estimations += from.ub_estimations;
     into.lb_estimations += from.lb_estimations;
     into.dummy_lb_hits += from.dummy_lb_hits;
+    into.lb_jobs_shared += from.lb_jobs_shared;
     into.cpu += from.cpu;
 }
 

@@ -34,7 +34,9 @@ pub struct StageTimes {
     pub rank_fetch_us: u64,
     /// Inside `rank_fetch_us`: the claims, the plan around them and the
     /// pager's own work in the batched read (window, copy, checksum) — the
-    /// batch less its loads' decode and its stall.
+    /// batch less its loads' decode and its stall. The stall subtracted is
+    /// the nominal `read_stall` the pager charges; the sleep's overshoot
+    /// past it (≈ 90 µs per stalled batch on a 2-vCPU VM) lands here.
     pub fetch_read_us: u64,
     /// Inside `rank_fetch_us`: the unit and line loads' decode — their
     /// page feeds (the line record walk, the unit word copy), `publish`
@@ -48,7 +50,11 @@ pub struct StageTimes {
     /// Dijkstra runs; the CSR build is `fetch_derive_us`).
     pub rank_ub_us: u64,
     /// Inside steps 2 + 4: lower bounds over fetched lines (slicing,
-    /// network build, Dijkstra runs).
+    /// network build, Dijkstra runs), summed over the lower-bound jobs on
+    /// whichever thread ran each. A job a helper ran overlaps the query's
+    /// own upper-bound and fetch time, so this may overlap `rank_ub_us`
+    /// and `rank_fetch_us`, and the `rank_*` phases may sum past the
+    /// steps' wall time.
     pub rank_lb_us: u64,
     /// Inside steps 2 + 4: the pathnet level's runs — per group, the
     /// region's net searched in place, aimed at the members, and the
@@ -68,7 +74,9 @@ impl StageTimes {
 /// Cost counters of one query.
 #[derive(Debug, Clone, Default)]
 pub struct QueryStats {
-    /// Measured CPU time (see [`CpuTimer`] for exactly what is measured).
+    /// Measured CPU time (see [`CpuTimer`] for exactly what is measured):
+    /// the query's thread, plus each lower-bound job whose result a
+    /// helper thread computed, timed on that helper.
     pub cpu: Duration,
     /// Measured wall-clock time of the query, including real pager stalls
     /// and scheduling delays — the per-query latency that batch execution
@@ -96,6 +104,10 @@ pub struct QueryStats {
     pub lb_estimations: usize,
     /// Dummy (corridor) lower bounds that sufficed without confirmation.
     pub dummy_lb_hits: usize,
+    /// Lower-bound jobs (one per member per ranking iteration with a
+    /// lower-bound phase) whose result a helper thread computed while the
+    /// query's thread ran the upper bounds.
+    pub lb_jobs_shared: usize,
     /// Front-graph fetches answered by the per-query front cache instead
     /// of re-extracting (and re-paging) the DMTM front.
     pub front_cache_hits: usize,

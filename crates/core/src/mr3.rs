@@ -325,6 +325,9 @@ impl<'s, 'm> Mr3Engine<'s, 'm> {
             0 => self.query_seq.fetch_add(1, Ordering::Relaxed),
             id => id,
         };
+        // Counted as running until it returns: offers of lower-bound jobs
+        // wake helpers only while a host thread is left over.
+        let _busy = sknn_exec::Busy::hold();
         if self.cold_cache {
             self.clear_cut_caches();
         }
@@ -360,6 +363,7 @@ impl<'s, 'm> Mr3Engine<'s, 'm> {
             deadline: opts.deadline,
             deadline_hit: std::cell::Cell::new(false),
             pool: &self.scratch_pool,
+            share: None,
         };
         let mut scope = Scope { objs, ctx, stats: QueryStats::default(), root: Vec::new() };
 

@@ -14,10 +14,11 @@
 
 use crate::bounds::DistRange;
 use crate::config::Mr3Config;
-use crate::metrics::{QueryStats, StageTimes};
+use crate::metrics::{CpuTimer, QueryStats, StageTimes};
 use crate::regions::{candidate_region, merge_regions, IoGroup};
 use crate::resilience::FaultLog;
 use crate::workload::SurfacePoint;
+use sknn_exec::{Helpers, Offer};
 use sknn_geodesic::graph::{potential, Dijkstra, DijkstraScratch, Graph, QueueCounters};
 use sknn_geodesic::pathnet::{PathnetScratch, RegionNet};
 use sknn_geodesic::MeshPoint;
@@ -33,7 +34,7 @@ use sknn_store::{PageId, PageSink, Pager, StoreResult};
 use sknn_terrain::mesh::TerrainMesh;
 use std::cell::{Cell, RefCell};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Shared immutable state for ranking runs.
 ///
@@ -84,6 +85,12 @@ pub struct RankingContext<'a, 'm> {
     /// per-query allocation burst of fresh Dijkstra/fetch buffers — a
     /// measurable allocator contention point under multi-threaded batches.
     pub pool: &'a Mutex<Vec<RankScratch>>,
+    /// Who runs each ranking iteration's lower-bound jobs beside the
+    /// query's thread: `None` — the engine's choice — offers them to the
+    /// process-wide helpers while a host thread is spare; a set given
+    /// here is offered every job, whatever else runs (tests force the
+    /// sharing decision with it, on with helpers and off with none).
+    pub(crate) share: Option<&'a Helpers>,
 }
 
 /// Upper bound on pooled scratches — enough for any realistic thread
@@ -130,7 +137,8 @@ pub struct RankScratch {
     /// Buffers for DMTM front fetches (key ordering, id→local index,
     /// edge/position vectors), recycled from replaced cached fronts.
     fetch: FetchScratch,
-    /// Layer table and Dijkstra buffers for SDN lower bounds.
+    /// Layer table and Dijkstra buffers for the lower-bound jobs this
+    /// thread runs (each helper keeps its own).
     lb: LbScratch,
     /// State of the per-group in-place pathnet run.
     pathnet: PathnetScratch,
@@ -275,6 +283,7 @@ struct IterSnapshot {
     ub_estimations: usize,
     lb_estimations: usize,
     dummy_lb_hits: usize,
+    lb_jobs_shared: usize,
     settled: usize,
     physical_reads: u64,
     stalled_batches: u64,
@@ -289,6 +298,7 @@ impl IterSnapshot {
             ub_estimations: stats.ub_estimations,
             lb_estimations: stats.lb_estimations,
             dummy_lb_hits: stats.dummy_lb_hits,
+            lb_jobs_shared: stats.lb_jobs_shared,
             settled: stats.settled,
             physical_reads: pager.stats().physical_reads,
             stalled_batches: pager.stalled_batches(),
@@ -310,8 +320,9 @@ pub struct Candidate {
     pub range: DistRange,
     /// Current I/O region (prune-ellipse MBR clipped to the terrain).
     pub region: Rect2,
-    /// Witness chain of the last full lower bound (for the dummy bound).
-    lb_path: Vec<Aabb3>,
+    /// Witness chain of the last full lower bound (for the dummy bound),
+    /// shared with the lower-bound job that reads it.
+    lb_path: Arc<[Aabb3]>,
     /// Refined search region: MBRs along the last upper-bound path.
     corridor: Vec<Rect2>,
     /// Permanently eliminated from the top k.
@@ -335,7 +346,7 @@ impl Candidate {
             point,
             range,
             region: *terrain,
-            lb_path: Vec::new(),
+            lb_path: Arc::new([]),
             corridor: Vec::new(),
             out: false,
         }
@@ -588,7 +599,8 @@ impl<'a, 'm> RankingContext<'a, 'm> {
     /// run — and `ahead_steps` the later schedule steps of its own run
     /// that look-ahead carried. `fetch_read_us`, `fetch_decode_us` and
     /// `fetch_derive_us` are the iteration's share of the three fetch
-    /// clocks of [`StageTimes`].
+    /// clocks of [`StageTimes`], and `lb_jobs_shared` its lower-bound
+    /// jobs whose result a helper thread computed.
     #[allow(clippy::too_many_arguments)]
     fn emit_iter(
         &self,
@@ -631,6 +643,7 @@ impl<'a, 'm> RankingContext<'a, 'm> {
                 field("ub_est", stats.ub_estimations - snap.ub_estimations),
                 field("lb_est", stats.lb_estimations - snap.lb_estimations),
                 field("dummy_lb", stats.dummy_lb_hits - snap.dummy_lb_hits),
+                field("lb_jobs_shared", stats.lb_jobs_shared - snap.lb_jobs_shared),
                 field("settled", stats.settled - snap.settled),
                 field("pages", self.pager.stats().physical_reads - snap.physical_reads),
                 field("stalls", self.pager.stalled_batches() - snap.stalled_batches),
@@ -672,6 +685,13 @@ impl<'a, 'm> RankingContext<'a, 'm> {
                 return;
             }
         };
+        // Each member's lower-bound job reads its region, `lb` and witness
+        // chain and its group's lines: nothing the upper-bound phase
+        // writes (it tightens `ub` and the corridor only, and
+        // `tighten_ub` never moves `lb`). So the jobs are offered to
+        // spare cores before that phase and their results applied after
+        // it, in member order, exactly where they were computed before.
+        let lb = (plan == LinePlan::Bands).then(|| self.offer_lb(q, cands, &members, lines));
         for ((group, members), front) in groups.iter().zip(&members).zip(fronts) {
             // The front phase times its derivation and CSR build into
             // `rank_fetch_us`; the rest of the group's time is bound
@@ -689,16 +709,74 @@ impl<'a, 'm> RankingContext<'a, 'm> {
                 stats.stages.rank_pathnet_us += compute;
             }
         }
-        if plan == LinePlan::Bands {
-            // Integrated I/O for SDN data too: per-candidate line subsets
-            // are sliced in memory from the group's bands.
-            let start = Instant::now();
-            for (members, axis_lines) in members.iter().zip(&lines) {
-                for &ci in members {
-                    self.lb_phase(q, cands, ci, axis_lines, stats);
+        if let Some(offer) = lb {
+            self.apply_lb(cands, &members, &offer, stats);
+        }
+    }
+
+    /// Offer one lower-bound job per member, in member order: to every
+    /// helper of [`share`](Self::share) when one is given, else to the
+    /// process-wide helpers while a host thread is spare. Integrated I/O
+    /// for SDN data too: each group's lines move into one `Arc` its
+    /// members' jobs share, and each job slices its own from them.
+    fn offer_lb(
+        &self,
+        q: &SurfacePoint,
+        cands: &[Candidate],
+        members: &[Vec<usize>],
+        lines: Vec<[LineSet; 2]>,
+    ) -> Offer<LbJob, LbOut, LbScratch> {
+        let width = self.mesh.mean_edge_length() * 2.0;
+        let mut jobs = Vec::with_capacity(members.iter().map(Vec::len).sum());
+        for (members, lines) in members.iter().zip(lines) {
+            let lines = Arc::new(lines);
+            jobs.extend(members.iter().map(|&ci| {
+                let c = &cands[ci];
+                let dummy = self.cfg.dummy_lower_bound && !c.lb_path.is_empty();
+                LbJob {
+                    lines: Arc::clone(&lines),
+                    q: q.pos,
+                    c: c.point.pos,
+                    roi: c.region,
+                    lb: c.range.lb,
+                    corridor: dummy.then(|| (Arc::clone(&c.lb_path), width)),
+                }
+            }));
+        }
+        match self.share {
+            None => Helpers::offer_spare(jobs, lb_job),
+            Some(helpers) => helpers.offer(jobs, lb_job, helpers.threads()),
+        }
+    }
+
+    /// Finish the offered lower-bound jobs on this thread (never waiting
+    /// on a helper) and apply their results in member order. A helper's
+    /// job adds its thread CPU time to the query's.
+    fn apply_lb(
+        &self,
+        cands: &mut [Candidate],
+        members: &[Vec<usize>],
+        offer: &Offer<LbJob, LbOut, LbScratch>,
+        stats: &mut QueryStats,
+    ) {
+        let scratch = &mut self.scratch.borrow_mut().lb;
+        for (done, &ci) in offer.finish(scratch).zip(members.iter().flatten()) {
+            let out = done.value;
+            stats.settled += out.settled;
+            stats.absorb_queue(&out.queue);
+            stats.stages.rank_lb_us += out.us;
+            if done.helped {
+                stats.lb_jobs_shared += 1;
+                stats.cpu += out.cpu;
+            }
+            match &out.full {
+                None => stats.dummy_lb_hits += 1,
+                Some((value, path)) => {
+                    stats.lb_estimations += 1;
+                    cands[ci].range.tighten_lb(*value);
+                    cands[ci].lb_path = Arc::clone(path);
                 }
             }
-            stats.stages.rank_lb_us += us_since(start);
         }
     }
 
@@ -999,7 +1077,7 @@ impl<'a, 'm> RankingContext<'a, 'm> {
     /// One axis band per group and axis, covering every member whose
     /// separating planes run along that axis, snapped like the group's
     /// region `rois[g]`; the widened band and region stay transparent to
-    /// the lower-bound math because `lb_phase` slices each candidate's
+    /// the lower-bound math because `lb_job` slices each candidate's
     /// exact interval. Returns per group the index of each axis's band in
     /// the band list (`None` when no member needs it), and the list.
     #[allow(clippy::type_complexity)]
@@ -1220,59 +1298,6 @@ impl<'a, 'm> RankingContext<'a, 'm> {
         }
     }
 
-    /// Lower bound for one candidate, slicing its separating lines from
-    /// the group's prefetched axis ranges, with the dummy-bound shortcut
-    /// of §4.2.2.
-    fn lb_phase(
-        &self,
-        q: &SurfacePoint,
-        cands: &mut [Candidate],
-        ci: usize,
-        axis_lines: &[LineSet; 2],
-        stats: &mut QueryStats,
-    ) {
-        let roi = cands[ci].region;
-        let axis = Msdn::axis_for(q.pos, cands[ci].point.pos);
-        let slot = if axis == Axis::X { 0 } else { 1 };
-        let (ca, cb) = (axis.coord(q.pos), axis.coord(cands[ci].point.pos));
-        let (lo, hi) = (ca.min(cb), ca.max(cb));
-        // Slice this candidate's exact plane interval out of the group's
-        // canonical (widened) band; out-of-band or out-of-region lines
-        // contribute nothing to `lower_bound` (their segments fail its ROI
-        // filter), so the widening never changes the computed bound.
-        let mut lines: Vec<&SimplifiedLine> = axis_lines[slot]
-            .iter()
-            .map(|l| &**l)
-            .filter(|l| l.plane.value > lo && l.plane.value < hi)
-            .collect();
-        if ca > cb {
-            lines.reverse();
-        }
-        let width = self.mesh.mean_edge_length() * 2.0;
-        let lb = &mut self.scratch.borrow_mut().lb;
-
-        if self.cfg.dummy_lower_bound && !cands[ci].lb_path.is_empty() {
-            let corridor = Some((&cands[ci].lb_path[..], width));
-            let dummy =
-                lower_bound_with(&lines, q.pos, cands[ci].point.pos, Some(&roi), corridor, lb);
-            stats.settled += dummy.nodes_settled;
-            stats.absorb_queue(&dummy.queue);
-            // The dummy bound over-estimates the true lower bound. If even
-            // it cannot push this candidate's range above its current lb,
-            // the full bound cannot either — skip the full computation.
-            if dummy.value <= cands[ci].range.lb + 1e-9 {
-                stats.dummy_lb_hits += 1;
-                return;
-            }
-        }
-        stats.lb_estimations += 1;
-        let full = lower_bound_with(&lines, q.pos, cands[ci].point.pos, Some(&roi), None, lb);
-        stats.settled += full.nodes_settled;
-        stats.absorb_queue(&full.queue);
-        cands[ci].range.tighten_lb(full.value);
-        cands[ci].lb_path = full.path_mbrs;
-    }
-
     /// Fig.-8 support: one-shot range estimation of a single pair at the
     /// DMTM resolution of schedule step `dmtm_step` (an index into
     /// `cfg.schedule.dmtm`, whose steps the unit store holds) and MSDN
@@ -1361,6 +1386,89 @@ fn count_cut_fetch(stats: &mut QueryStats, hit: bool) {
     } else {
         stats.cut_cache_misses += 1;
     }
+}
+
+/// One member's lower-bound job: everything [`lb_job`] reads, owned, so
+/// a helper thread can run it beside the query's thread.
+struct LbJob {
+    /// Its group's X and Y lines.
+    lines: Arc<[LineSet; 2]>,
+    /// The query's position and the member's.
+    q: Point3,
+    c: Point3,
+    /// The member's I/O region.
+    roi: Rect2,
+    /// The member's lower bound before the job.
+    lb: f64,
+    /// The member's last witness chain and the corridor width around it,
+    /// when the dummy bound is tried first.
+    corridor: Option<(Arc<[Aabb3]>, f64)>,
+}
+
+/// What one [`LbJob`] computed.
+struct LbOut {
+    /// The full lower bound and its witness chain; `None` when the dummy
+    /// bound showed the full one could not raise `lb`.
+    full: Option<(f64, Arc<[Aabb3]>)>,
+    /// Nodes settled and queue operations of the job's runs.
+    settled: usize,
+    queue: QueueCounters,
+    /// The job's CPU time when a helper ran it (a query's own clock
+    /// covers the query's thread), and its wall time.
+    cpu: Duration,
+    us: u64,
+}
+
+/// Lower bound for one candidate, slicing its separating lines from the
+/// group's prefetched axis ranges, with the dummy-bound shortcut of
+/// §4.2.2. A pure function of the job: it reads no page and no shared
+/// state, so any thread may run it.
+fn lb_job(job: &LbJob, scratch: &mut LbScratch) -> LbOut {
+    let (start, timer) = (Instant::now(), sknn_exec::on_helper().then(CpuTimer::start));
+    let axis = Msdn::axis_for(job.q, job.c);
+    let slot = if axis == Axis::X { 0 } else { 1 };
+    let (ca, cb) = (axis.coord(job.q), axis.coord(job.c));
+    let (lo, hi) = (ca.min(cb), ca.max(cb));
+    // Slice this candidate's exact plane interval out of the group's
+    // canonical (widened) band; out-of-band or out-of-region lines
+    // contribute nothing to `lower_bound` (their segments fail its ROI
+    // filter), so the widening never changes the computed bound.
+    let mut lines: Vec<&SimplifiedLine> = job.lines[slot]
+        .iter()
+        .map(|l| &**l)
+        .filter(|l| l.plane.value > lo && l.plane.value < hi)
+        .collect();
+    if ca > cb {
+        lines.reverse();
+    }
+    let mut out = LbOut {
+        full: None,
+        settled: 0,
+        queue: QueueCounters::default(),
+        cpu: Duration::ZERO,
+        us: 0,
+    };
+    let roi = Some(&job.roi);
+    // The dummy bound over-estimates the true lower bound. If even it
+    // cannot push this candidate's range above its current lb, the full
+    // bound cannot either — skip the full computation.
+    let dummy_suffices = job.corridor.as_ref().is_some_and(|(path, width)| {
+        let dummy = lower_bound_with(&lines, job.q, job.c, roi, Some((path, *width)), scratch);
+        out.settled += dummy.nodes_settled;
+        out.queue.absorb(&dummy.queue);
+        dummy.value <= job.lb + 1e-9
+    });
+    if !dummy_suffices {
+        let full = lower_bound_with(&lines, job.q, job.c, roi, None, scratch);
+        out.settled += full.nodes_settled;
+        out.queue.absorb(&full.queue);
+        out.full = Some((full.value, full.path_mbrs.into()));
+    }
+    if let Some(timer) = timer {
+        timer.stop_into(&mut out.cpu);
+    }
+    out.us = us_since(start);
+    out
 }
 
 fn us_since(start: Instant) -> u64 {
@@ -1562,6 +1670,75 @@ mod tests {
                 }
             }
         });
+    }
+
+    /// Who runs the lower-bound jobs moves no bit: `rank_top_k` with
+    /// every job offered to a helper equals the run with none offered —
+    /// every candidate's bounds, witness chain and elimination, the
+    /// work counters — and a job a helper ran charges no page, so the
+    /// query's page counts are equal too. Runs until a helper has taken
+    /// at least one job (a host with a spare thread must see one).
+    #[test]
+    fn ranking_is_bit_identical_whoever_runs_the_lower_bounds() {
+        let mesh = TerrainConfig::ep().with_grid(17).build_mesh(77);
+        let scene = SceneBuilder::new(&mesh).object_count(16).seed(3).build();
+        let engine = Mr3Engine::build(&mesh, &scene, &Mr3Config::default());
+        assert!(engine.cold_cache, "each run reads its pages itself");
+        let q = scene.random_query(5);
+        // The context borrows the helpers for as long as it may borrow the
+        // engine.
+        let rank = |helpers: &'static Helpers| {
+            engine
+                .scoped(&QueryOpts::default(), "test", |s| {
+                    s.ctx.share = Some(helpers);
+                    let terrain = s.ctx.mesh.extent();
+                    let mut cands: Vec<Candidate> = scene
+                        .objects()
+                        .iter()
+                        .map(|o| Candidate::new(&q, o.id, o.point, &terrain))
+                        .collect();
+                    let mut stats = QueryStats::default();
+                    s.ctx.rank_top_k(&q, &mut cands, 3, &mut stats);
+                    (cands, stats, s.ctx.pager.stats())
+                })
+                .out
+        };
+        let key = |(cands, stats, io): &(Vec<Candidate>, QueryStats, sknn_store::IoStats)| {
+            let cands: Vec<_> = cands
+                .iter()
+                .map(|c| {
+                    (c.id, c.range.lb.to_bits(), c.range.ub.to_bits(), c.lb_path.to_vec(), c.out)
+                })
+                .collect();
+            let counters = (
+                stats.settled,
+                stats.queue_pushes,
+                stats.queue_pops,
+                stats.stale_pops,
+                stats.lb_estimations,
+                stats.dummy_lb_hits,
+                stats.ub_estimations,
+                stats.iterations,
+            );
+            (cands, counters, io.physical_reads, io.logical_reads)
+        };
+        let off = rank(Box::leak(Box::new(Helpers::new(0))));
+        assert_eq!(off.1.lb_jobs_shared, 0);
+        assert!(off.1.lb_estimations > 0 && off.2.physical_reads > 0);
+        let want = format!("{:?}", key(&off));
+        let helpers = Box::leak(Box::new(Helpers::new(1)));
+        let mut shared = 0;
+        for _ in 0..200 {
+            let on = rank(helpers);
+            assert_eq!(format!("{:?}", key(&on)), want, "the run with a helper");
+            shared += on.1.lb_jobs_shared;
+            if shared > 0 {
+                break;
+            }
+        }
+        if sknn_exec::available_threads() > 1 {
+            assert!(shared > 0, "a helper on a spare thread never took a job");
+        }
     }
 
     #[test]

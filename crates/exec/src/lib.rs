@@ -1,14 +1,22 @@
 #![warn(missing_docs)]
-//! Structured parallelism for batch query execution.
+//! Structured parallelism for query execution.
 //!
 //! The engine answers independent queries over shared immutable
 //! structures, so batch throughput is an embarrassingly parallel map.
 //! The vendored dependency registry has no real `rayon`, and the work
-//! here does not need one: this crate provides a scoped, chunk-claiming
-//! fork/join built from `std::thread::scope`, an atomic work cursor, and
-//! an `mpsc` channel — nothing else.
+//! here does not need one. This crate provides two things, built from
+//! `std` alone:
 //!
-//! Design points:
+//! * [`par_map`], a scoped, chunk-claiming fork/join over a batch of
+//!   queries, from `std::thread::scope`, an atomic work cursor and an
+//!   `mpsc` channel;
+//! * [`Helpers`], work sharing *inside* one query: parked helper threads
+//!   that take jobs of an [`Offer`] while the query's thread does other
+//!   work, gated by a process-wide [`Busy`] count so they only run on
+//!   cores no query holds. The query's thread never waits on a helper
+//!   (see the [`share`] module).
+//!
+//! `par_map`'s design points:
 //!
 //! * **Scoped**: workers borrow the items and the closure directly; no
 //!   `'static` bounds, no `Arc` wrapping of the engine.
@@ -21,6 +29,10 @@
 //!   output-identical to the sequential loop.
 //! * **Panic-transparent**: a panicking item panics the caller (via the
 //!   scope join), it is not swallowed.
+
+pub mod share;
+
+pub use share::{on_helper, Busy, Done, Helpers, Offer};
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;

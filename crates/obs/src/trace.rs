@@ -12,11 +12,13 @@
 //!   `step4_rank`), plus a closing `query` span with the totals;
 //! * `{"t":"event","name":"iter","phase":"rank","i":…,"dmtm_frac":…,
 //!   "msdn_level":…,"alive":…,"kth_ub":…,"next_lb":…,"resolve_lb":…,
-//!   "resolved":…,"ub_est":…,"lb_est":…,"dummy_lb":…,"settled":…,
-//!   "pages":…,"stalls":…,"ahead_pages":…,"ahead_steps":…,
+//!   "resolved":…,"ub_est":…,"lb_est":…,"dummy_lb":…,"lb_jobs_shared":…,
+//!   "settled":…,"pages":…,"stalls":…,"ahead_pages":…,"ahead_steps":…,
 //!   "fetch_read_us":…,"fetch_decode_us":…,"fetch_derive_us":…}` — one per
 //!   ranking iteration (phase `radius` for step 2, `rank` for step 4,
-//!   `range` for surface range queries; `stalls` = read batches that paid
+//!   `range` for surface range queries; `lb_jobs_shared` = lower-bound
+//!   jobs, one per `lb_est` or `dummy_lb`, whose result a helper thread
+//!   computed beside the query's thread; `stalls` = read batches that paid
 //!   the disk stall; `ahead_pages` = pages of the batch only its
 //!   look-ahead asked for; `ahead_steps` = later schedule steps that
 //!   look-ahead carried; the `fetch_*` clocks = the iteration's cut fetch
@@ -84,6 +86,9 @@ pub struct IterEvent {
     pub lb_est: u64,
     /// Dummy (corridor) lower bounds that sufficed this iteration.
     pub dummy_lb: u64,
+    /// Of this iteration's lower-bound jobs (`lb_est + dummy_lb`), those
+    /// whose result a helper thread computed.
+    pub lb_jobs_shared: u64,
     /// Dijkstra nodes settled this iteration.
     pub settled: u64,
     /// Physical pages read this iteration.
@@ -150,6 +155,7 @@ impl QueryTrace {
                 ub_est: r.get_u64("ub_est").unwrap_or(0),
                 lb_est: r.get_u64("lb_est").unwrap_or(0),
                 dummy_lb: r.get_u64("dummy_lb").unwrap_or(0),
+                lb_jobs_shared: r.get_u64("lb_jobs_shared").unwrap_or(0),
                 settled: r.get_u64("settled").unwrap_or(0),
                 pages: r.get_u64("pages").unwrap_or(0),
                 stalls: r.get_u64("stalls").unwrap_or(0),
@@ -227,6 +233,9 @@ impl QueryTrace {
                 settled_hist.summary(),
                 pages_hist.summary()
             ));
+            let jobs: u64 = iters.iter().map(|e| e.lb_est + e.dummy_lb).sum();
+            let shared: u64 = iters.iter().map(|e| e.lb_jobs_shared).sum();
+            out.push_str(&format!("  lower-bound jobs run by a helper: {shared} of {jobs}\n"));
         }
 
         let io = self.io_by_structure();
@@ -295,6 +304,7 @@ mod tests {
                         field("ub_est", 12u64),
                         field("lb_est", 9u64),
                         field("dummy_lb", 3u64),
+                        field("lb_jobs_shared", 5u64),
                         field("settled", 1234u64),
                         field("pages", 17u64),
                     ],
@@ -348,6 +358,7 @@ mod tests {
         assert_eq!(e.kth_ub, 250.0);
         assert!(!e.resolved);
         assert_eq!(e.dummy_lb, 3);
+        assert_eq!(e.lb_jobs_shared, 5);
 
         assert_eq!(t.io_by_structure(), vec![("dmtm", 30, 17)]);
     }
@@ -360,6 +371,7 @@ mod tests {
         assert!(s.contains("dmtm"));
         assert!(s.contains("hit rate"));
         assert!(s.contains("4 coalesced misses"));
+        assert!(s.contains("lower-bound jobs run by a helper: 5 of 12"));
     }
 
     /// Traces without the coalesced count (older engines) still render.

@@ -526,10 +526,6 @@ impl Pager {
         self.store_read().tags[id.0 as usize]
     }
 
-    fn tag_idx(&self, page: u64) -> usize {
-        self.store_read().tags[page as usize].idx()
-    }
-
     /// Overwrite bytes within a page. Counts one write and refreshes the
     /// page's checksum. Structures are built once, then queried.
     pub fn write(&self, id: PageId, offset: usize, bytes: &[u8]) {
@@ -703,13 +699,24 @@ impl Pager {
             ids.windows(2).all(|w| w[0].0 < w[1].0),
             "with_pages requires sorted, de-duplicated page ids"
         );
-        let mut misses: Vec<(u64, usize)> = Vec::new();
-        for &id in ids {
-            let t = self.tag_idx(id.0);
-            self.charge(LOGICAL + t, 1);
-            if !self.with_window(|w| w.has_served(id.0)) {
-                misses.push((id.0, t));
+        // One tag pass under one store guard, then the logical charges and
+        // the served-set test in one window borrow.
+        let mut misses: Vec<(u64, usize)> = {
+            let store = self.store_read();
+            ids.iter().map(|id| (id.0, store.tags[id.0 as usize].idx())).collect()
+        };
+        let mut logical = [0u64; TAGS];
+        for &(_, t) in &misses {
+            logical[t] += 1;
+        }
+        self.with_window(|w| {
+            for (t, &n) in logical.iter().enumerate() {
+                w.row[LOGICAL + t] += n;
             }
+            misses.retain(|&(page, _)| !w.has_served(page));
+        });
+        for (t, &n) in logical.iter().enumerate().filter(|(_, &n)| n > 0) {
+            self.events[LOGICAL + t].fetch_add(n, Relaxed);
         }
         // Faults and retries are per page; one stall covers every served
         // miss — the overlapped-I/O model.

@@ -253,21 +253,25 @@ fn main() {
             );
             // Where the ranking steps (2 + 4) spent their time, mean per
             // answered query.
-            let answered: Vec<_> = results.iter().flatten().map(|r| r.stats.stages).collect();
+            // Lower-bound time sums its jobs, a helper's included, so it
+            // may overlap the fetch and upper-bound times.
+            let answered: Vec<_> = results.iter().flatten().map(|r| &r.stats).collect();
             if !answered.is_empty() {
-                let mean = |f: fn(&surface_knn::core::metrics::StageTimes) -> u64| {
-                    answered.iter().map(f).sum::<u64>() / answered.len() as u64
+                let mean = |f: fn(&surface_knn::core::metrics::QueryStats) -> u64| {
+                    answered.iter().map(|s| f(s)).sum::<u64>() / answered.len() as u64
                 };
                 println!(
                     "ranking phases (mean us/query): cut fetch {} (read {}, decode {}, \
-                     derive {}), upper bounds {}, lower bounds {}, pathnet {}",
-                    mean(|s| s.rank_fetch_us),
-                    mean(|s| s.fetch_read_us),
-                    mean(|s| s.fetch_decode_us),
-                    mean(|s| s.fetch_derive_us),
-                    mean(|s| s.rank_ub_us),
-                    mean(|s| s.rank_lb_us),
-                    mean(|s| s.rank_pathnet_us),
+                     derive {}), upper bounds {}, lower bounds {} ({} jobs by a helper), \
+                     pathnet {}",
+                    mean(|s| s.stages.rank_fetch_us),
+                    mean(|s| s.stages.fetch_read_us),
+                    mean(|s| s.stages.fetch_decode_us),
+                    mean(|s| s.stages.fetch_derive_us),
+                    mean(|s| s.stages.rank_ub_us),
+                    mean(|s| s.stages.rank_lb_us),
+                    mean(|s| s.lb_jobs_shared as u64),
+                    mean(|s| s.stages.rank_pathnet_us),
                 );
             }
             if threads > 1 {
