@@ -7,6 +7,7 @@
 //! region filter and one group's run to its members over the region's net
 //! searched in place, the cut cache's unit-store
 //! build and a cold unit load over one tile and over the whole terrain,
+//! the whole-terrain front's derivation and CSR from resident units,
 //! one cold ranking iteration's whole fetch on the benchmark's scene, a
 //! cold fused line-cache load
 //! of one group's X and Y bands, a ranking iteration's read plan with
@@ -38,7 +39,7 @@ use sknn_geodesic::graph::{potential, Dijkstra, DijkstraScratch, Graph, QueuePol
 use sknn_geodesic::pathnet::{PathnetScratch, RegionNet};
 use sknn_geodesic::{MeshPoint, Pathnet};
 use sknn_geom::{Axis, Ellipse2, Point2, Rect2};
-use sknn_multires::{build_dmtm, CutCache, CutGrid, FrontGraph, TileSpan, UnitStore};
+use sknn_multires::{build_dmtm, CutCache, CutGrid, FetchScratch, FrontGraph, TileSpan, UnitStore};
 use sknn_sdn::network::{lower_bound, lower_bound_with, LbScratch};
 use sknn_sdn::{LineBand, LineCutCache, Msdn, MsdnConfig, PagedMsdn};
 use sknn_spatial::kernel::{min_dists_point, min_dists_point_sq, MAX_BATCH};
@@ -338,6 +339,27 @@ fn main() {
             load.finish(&unit_pager).expect("unfaulted")
         });
     }
+
+    // --- The whole-terrain front -------------------------------------------
+    // What the engine's table of whole-terrain fronts saves each query that
+    // shares one: the front over the whole lattice at the step a radius
+    // run's second iteration uses (the 25 % step), derived from resident
+    // units with recycled buffers, and its CSR rebuilt in place, as a
+    // ranking iteration derives a front.
+    let second = tree.step_for_fraction(cfg.schedule.dmtm[1]);
+    let mut load = cut_cache.claim(second, &[grid.full_span()]);
+    unit_pager.read_into(&mut [&mut load]).expect("unfaulted");
+    load.publish();
+    let (whole_units, _) = load.finish(&unit_pager).expect("unfaulted").pop().expect("one span");
+    let mut fetch = FetchScratch::default();
+    let mut csr = Graph::default();
+    h.bench("front/derive_whole", || {
+        let front = FrontGraph::derive(&tree, second, &whole_units, &mut fetch);
+        csr.rebuild_undirected(front.num_nodes(), &front.edges);
+        let nodes = front.num_nodes();
+        fetch.recycle(front);
+        black_box((nodes, csr.num_nodes()))
+    });
 
     // --- One cold iteration's whole fetch ----------------------------------
     // The benchmark's scene (this terrain, 400 objects) on a cold-cache engine

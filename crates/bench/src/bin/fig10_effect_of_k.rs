@@ -8,10 +8,11 @@
 //! accesses; s=3 behaves most like single-step filter-and-refine; the BH
 //! (rugged) panels cost more than EP (mild).
 //!
-//! Output: `terrain,algo,k,total_seconds,cpu_seconds,pages`.
+//! Output: `terrain,algo,k,total_seconds,cpu_seconds,pages`; each cell's
+//! CPU time is the median of [`CELL_RUNS`](sknn_bench::CELL_RUNS) runs.
 
 use sknn_bench::{
-    bh_mesh, ep_mesh, mean, queries, scene_with_density, start_figure, Args, TraceSink,
+    bh_mesh, cell, ep_mesh, queries, scene_with_density, start_figure, Args, TraceSink,
 };
 use sknn_core::config::{Mr3Config, StepSchedule};
 use sknn_core::ea::EaEngine;
@@ -59,35 +60,17 @@ fn main() {
 
         for k in (3..=kmax).step_by(3) {
             for (name, engine) in &engines {
-                let mut total = Vec::new();
-                let mut cpu = Vec::new();
-                let mut pages = Vec::new();
-                for &q in &qs {
+                let (total, cpu, pages) = cell(&qs, disk, |run, q| {
                     let r = engine.try_query(q, k).expect("sknn query failed");
-                    total.push(r.stats.total_time(disk).as_secs_f64());
-                    cpu.push(r.stats.cpu.as_secs_f64());
-                    pages.push(r.stats.pages as f64);
-                    if let (Some(sink), Some(trace)) = (sink.as_mut(), r.trace.as_ref()) {
+                    if let (0, Some(sink), Some(trace)) = (run, sink.as_mut(), r.trace.as_ref()) {
                         sink.record(trace);
                     }
-                }
-                println!(
-                    "{terrain},{name},{k},{:.4},{:.4},{:.0}",
-                    mean(&total),
-                    mean(&cpu),
-                    mean(&pages)
-                );
+                    r.stats
+                });
+                println!("{terrain},{name},{k},{total:.4},{cpu:.4},{pages:.0}");
             }
-            let mut total = Vec::new();
-            let mut cpu = Vec::new();
-            let mut pages = Vec::new();
-            for &q in &qs {
-                let r = ea.query(q, k);
-                total.push(r.stats.total_time(disk).as_secs_f64());
-                cpu.push(r.stats.cpu.as_secs_f64());
-                pages.push(r.stats.pages as f64);
-            }
-            println!("{terrain},EA,{k},{:.4},{:.4},{:.0}", mean(&total), mean(&cpu), mean(&pages));
+            let (total, cpu, pages) = cell(&qs, disk, |_, q| ea.query(q, k).stats);
+            println!("{terrain},EA,{k},{total:.4},{cpu:.4},{pages:.0}");
         }
     }
 }

@@ -6,9 +6,11 @@
 //! region); EA rises steeply as density falls; s=2 edges s=1 at high
 //! densities where the search region is so small that I/O dominates.
 //!
-//! Output: `terrain,algo,density,total_seconds,cpu_seconds,pages`.
+//! Output: `terrain,algo,density,total_seconds,cpu_seconds,pages`; each
+//! cell's CPU time is the median of [`CELL_RUNS`](sknn_bench::CELL_RUNS)
+//! runs.
 
-use sknn_bench::{bh_mesh, ep_mesh, mean, queries, scene_with_density, start_figure, Args};
+use sknn_bench::{bh_mesh, cell, ep_mesh, queries, scene_with_density, start_figure, Args};
 use sknn_core::config::{Mr3Config, StepSchedule};
 use sknn_core::ea::EaEngine;
 use sknn_core::mr3::Mr3Engine;
@@ -50,33 +52,14 @@ fn main() {
                 let name = format!("MR3 {}", sched.name);
                 let engine =
                     Mr3Engine::build(&mesh, &scene, &Mr3Config::default().with_schedule(sched));
-                let mut total = Vec::new();
-                let mut cpu = Vec::new();
-                let mut pages = Vec::new();
-                for &q in &qs {
-                    let r = engine.try_query(q, k).expect("sknn query failed");
-                    total.push(r.stats.total_time(disk).as_secs_f64());
-                    cpu.push(r.stats.cpu.as_secs_f64());
-                    pages.push(r.stats.pages as f64);
-                }
-                println!(
-                    "{terrain},{name},{o},{:.4},{:.4},{:.0}",
-                    mean(&total),
-                    mean(&cpu),
-                    mean(&pages)
-                );
+                let (total, cpu, pages) = cell(&qs, disk, |_, q| {
+                    engine.try_query(q, k).expect("sknn query failed").stats
+                });
+                println!("{terrain},{name},{o},{total:.4},{cpu:.4},{pages:.0}");
             }
             let ea = EaEngine::build(&mesh, &scene);
-            let mut total = Vec::new();
-            let mut cpu = Vec::new();
-            let mut pages = Vec::new();
-            for &q in &qs {
-                let r = ea.query(q, k);
-                total.push(r.stats.total_time(disk).as_secs_f64());
-                cpu.push(r.stats.cpu.as_secs_f64());
-                pages.push(r.stats.pages as f64);
-            }
-            println!("{terrain},EA,{o},{:.4},{:.4},{:.0}", mean(&total), mean(&cpu), mean(&pages));
+            let (total, cpu, pages) = cell(&qs, disk, |_, q| ea.query(q, k).stats);
+            println!("{terrain},EA,{o},{total:.4},{cpu:.4},{pages:.0}");
         }
     }
 }

@@ -3,9 +3,11 @@
 //! size, because EA pays per candidate a cost proportional to the model
 //! while MR3 touches just-enough data at just-enough resolution.
 //!
-//! Output: `vertices,algo,total_seconds,cpu_seconds,pages,build_seconds`.
+//! Output: `vertices,algo,total_seconds,cpu_seconds,pages,build_seconds`;
+//! each cell's CPU time is the median of [`CELL_RUNS`](sknn_bench::CELL_RUNS)
+//! runs.
 
-use sknn_bench::{bh_mesh, mean, queries, scene_with_density, start_figure, time_it, Args};
+use sknn_bench::{bh_mesh, cell, queries, scene_with_density, start_figure, time_it, Args};
 use sknn_core::config::Mr3Config;
 use sknn_core::ea::EaEngine;
 use sknn_core::mr3::Mr3Engine;
@@ -41,23 +43,8 @@ fn main() {
             ("EA", Box::new(|q| ea.query(q, k)), t_ea_build.as_secs_f64()),
         ];
         for (name, run, build) in runners {
-            let mut total = Vec::new();
-            let mut cpu = Vec::new();
-            let mut pages = Vec::new();
-            for &q in &qs {
-                let r = run(q);
-                total.push(r.stats.total_time(disk).as_secs_f64());
-                cpu.push(r.stats.cpu.as_secs_f64());
-                pages.push(r.stats.pages as f64);
-            }
-            println!(
-                "{},{name},{:.4},{:.4},{:.0},{:.3}",
-                mesh.num_vertices(),
-                mean(&total),
-                mean(&cpu),
-                mean(&pages),
-                build
-            );
+            let (total, cpu, pages) = cell(&qs, disk, |_, q| run(q).stats);
+            println!("{},{name},{total:.4},{cpu:.4},{pages:.0},{build:.3}", mesh.num_vertices());
         }
         grid = (grid - 1) * 2 + 1;
     }

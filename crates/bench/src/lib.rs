@@ -12,6 +12,7 @@
 //! --trace-out F    append per-query JSONL traces to file F
 //! ```
 
+use sknn_core::metrics::QueryStats;
 use sknn_core::mr3::Mr3Engine;
 use sknn_core::workload::{Scene, SceneBuilder, SurfacePoint};
 use sknn_obs::{LogHistogram, QueryTrace};
@@ -210,6 +211,35 @@ pub fn percentile(xs: &[f64], p: f64) -> f64 {
     v.sort_by(f64::total_cmp);
     let idx = ((p.clamp(0.0, 100.0) / 100.0) * (v.len() - 1) as f64).round() as usize;
     v[idx]
+}
+
+/// Runs of each cell of the timing figures (Figs. 10-11,
+/// `model_size_study`). On a shared host one whole-binary run can be
+/// 5-15 % slower than the next, so a cell's CPU time is the median over
+/// its runs, not one run.
+pub const CELL_RUNS: usize = 3;
+
+/// One cell of a timing figure: `(total_seconds, cpu_seconds, pages)` per
+/// query over `qs`, where `answer(r, q)` answers `q` in run `r` of
+/// [`CELL_RUNS`]. `cpu_seconds` is the median over the runs of the mean
+/// CPU per query; `pages` is the first run's mean (a cold query reads the
+/// same pages every run); `total_seconds` adds `disk` per page to the CPU.
+pub fn cell(
+    qs: &[SurfacePoint],
+    disk: Duration,
+    mut answer: impl FnMut(usize, SurfacePoint) -> QueryStats,
+) -> (f64, f64, f64) {
+    let mut cpus = Vec::with_capacity(CELL_RUNS);
+    let mut pages = 0.0;
+    for r in 0..CELL_RUNS {
+        let stats: Vec<QueryStats> = qs.iter().map(|&q| answer(r, q)).collect();
+        cpus.push(mean(&stats.iter().map(|s| s.cpu.as_secs_f64()).collect::<Vec<_>>()));
+        if r == 0 {
+            pages = mean(&stats.iter().map(|s| s.pages as f64).collect::<Vec<_>>());
+        }
+    }
+    let cpu = percentile(&cpus, 50.0);
+    (cpu + disk.as_secs_f64() * pages, cpu, pages)
 }
 
 /// Emit a CSV header + note on stderr.

@@ -147,6 +147,8 @@ fn accumulate(into: &mut QueryStats, from: &QueryStats) {
     into.lb_estimations += from.lb_estimations;
     into.dummy_lb_hits += from.dummy_lb_hits;
     into.lb_jobs_shared += from.lb_jobs_shared;
+    into.whole_fronts += from.whole_fronts;
+    into.shared_fronts += from.shared_fronts;
     into.cpu += from.cpu;
 }
 

@@ -111,6 +111,15 @@ pub struct QueryStats {
     /// Front-graph fetches answered by the per-query front cache instead
     /// of re-extracting (and re-paging) the DMTM front.
     pub front_cache_hits: usize,
+    /// Groups over the whole terrain that the per-query front cache did
+    /// not serve: each took the engine's whole-terrain front at its step
+    /// ([`shared_fronts`](Self::shared_fronts)) or derived and published
+    /// it.
+    pub whole_fronts: usize,
+    /// Of [`whole_fronts`](Self::whole_fronts), those served by a front
+    /// another query (or an earlier run of this one) derived: no units
+    /// claimed, nothing derived.
+    pub shared_fronts: usize,
     /// Cut fetches (DMTM fronts + MSDN line bands) served by the shared
     /// process-wide cut cache without running an extraction.
     pub cut_cache_hits: usize,

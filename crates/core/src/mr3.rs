@@ -14,7 +14,7 @@
 use crate::config::Mr3Config;
 use crate::metrics::{CpuTimer, Neighbor, QueryResult, QueryStats, StageTimes};
 use crate::objects::{ObjectSnapshot, ObjectStore, WriteStats};
-use crate::ranking::{Candidate, RankScratch, RankingContext};
+use crate::ranking::{Candidate, RankScratch, RankingContext, WholeFronts};
 use crate::resilience::{FaultLog, QueryError, FAULT_BUDGET};
 use crate::workload::{Scene, SurfacePoint};
 use sknn_geom::Rect2;
@@ -67,6 +67,9 @@ pub struct Mr3Engine<'s, 'm> {
     cut_cache: CutCache,
     /// Shared process-wide MSDN line cache.
     line_cache: LineCutCache,
+    /// The whole-terrain front of each schedule step a query derived, for
+    /// every later query's iterations over the whole terrain.
+    whole_fronts: WholeFronts,
     /// Recycled per-query ranking scratches, returned by each query's
     /// ranking context when it drops.
     scratch_pool: Mutex<Vec<RankScratch>>,
@@ -128,6 +131,7 @@ impl<'s, 'm> Mr3Engine<'s, 'm> {
             cut_grid,
             cut_cache,
             line_cache,
+            whole_fronts: WholeFronts::default(),
             scratch_pool: Mutex::new(Vec::new()),
             query_seq: AtomicU64::new(0),
             cold_cache: true,
@@ -158,12 +162,20 @@ impl<'s, 'm> Mr3Engine<'s, 'm> {
         Some(s)
     }
 
-    /// Drop every resident cut from the shared caches (counters keep
-    /// running). The cold-cache query path calls this so page-count
-    /// determinism holds per query.
+    /// Drop every resident cut from the shared caches and every
+    /// whole-terrain front (counters keep running). The cold-cache query
+    /// path calls this so page-count determinism holds per query: a cold
+    /// query derives its first whole-terrain front from units it reads.
     pub fn clear_cut_caches(&self) {
         self.cut_cache.clear();
         self.line_cache.clear();
+        self.whole_fronts.clear();
+    }
+
+    /// The DMTM steps whose whole-terrain front a query derived and
+    /// published since the caches were last cleared, in publish order.
+    pub fn whole_front_steps(&self) -> Vec<u32> {
+        self.whole_fronts.steps()
     }
 
     /// Turn on per-query tracing: subsequent queries carry a
@@ -358,6 +370,7 @@ impl<'s, 'm> Mr3Engine<'s, 'm> {
             scratch: RefCell::new(scratch),
             cuts: &self.cut_cache,
             lines: &self.line_cache,
+            whole: &self.whole_fronts,
             grid: self.cut_grid,
             faults: FaultLog::new(FAULT_BUDGET),
             deadline: opts.deadline,

@@ -70,6 +70,8 @@ pub struct RankingContext<'a, 'm> {
     pub cuts: &'a CutCache,
     /// Shared process-wide MSDN line cache.
     pub lines: &'a LineCutCache,
+    /// The engine's whole-terrain fronts, one per DMTM step at most.
+    pub(crate) whole: &'a WholeFronts,
     /// Fetch-region canonicalizer (pad + tile-snap): every fetch asks for
     /// a canonical region, so what a cut contains — and therefore every
     /// result — does not depend on what the shared caches hold.
@@ -124,10 +126,11 @@ pub struct RankScratch {
     /// superset, and every front-graph path is a real surface path, so a
     /// superset front still yields valid (if anything tighter) upper
     /// bounds. Invalidated by fetching at a different step (resolution
-    /// advance) or a region the cached one does not contain.
-    front_cache: Option<CachedFront>,
-    /// CSR buffers of the last replaced cached front, rebuilt in place for
-    /// the next one.
+    /// advance) or a region the cached one does not contain. Shared with
+    /// the engine's [`WholeFronts`] when it covers the whole terrain.
+    front_cache: Option<Arc<CachedFront>>,
+    /// CSR buffers of the last replaced cached front this query owned
+    /// alone, rebuilt in place for the next one.
     spare_csr: Graph,
     /// Dijkstra state of the per-candidate corridor/ellipse-masked runs.
     masked: DijkstraScratch,
@@ -147,15 +150,64 @@ pub struct RankScratch {
     ahead: Lookahead,
 }
 
-/// A front owned by this query — derived from the shared cache's resident
-/// units — and the one CSR adjacency every Dijkstra over it runs on, built
-/// when it is fetched.
+/// A front derived from the shared cache's resident units, and the one
+/// CSR adjacency every Dijkstra over it runs on, built when it is derived.
 #[derive(Debug)]
-struct CachedFront {
+pub(crate) struct CachedFront {
     step: u32,
     roi: Rect2,
     graph: FrontGraph,
     csr: Graph,
+}
+
+/// The engine's whole-terrain fronts: at most one per DMTM step, each
+/// published by the first query that derived it and reused by every later
+/// one. Units are canonical per `(step, tile)`, so the front over the
+/// whole lattice at a step is a pure function of the step, and a shared
+/// front is bit-identical to the one a query would derive (DESIGN §16).
+/// Bounded by the schedule's steps; [`clear`](Self::clear) empties it.
+#[derive(Debug, Default)]
+pub(crate) struct WholeFronts(Mutex<Vec<Arc<CachedFront>>>);
+
+impl WholeFronts {
+    /// The front at step `m`, if one is published.
+    fn get(&self, m: u32) -> Option<Arc<CachedFront>> {
+        self.fronts().iter().find(|f| f.step == m).cloned()
+    }
+
+    /// Publish `front` unless its step already holds one: of two racing
+    /// derivations the first is kept (both are bit-identical).
+    fn publish(&self, front: &Arc<CachedFront>) {
+        let mut fronts = self.fronts();
+        if fronts.iter().all(|f| f.step != front.step) {
+            fronts.push(Arc::clone(front));
+        }
+    }
+
+    /// Drop every front (queries holding one keep theirs).
+    pub(crate) fn clear(&self) {
+        self.fronts().clear();
+    }
+
+    /// The steps that hold a front, in publish order.
+    pub(crate) fn steps(&self) -> Vec<u32> {
+        self.fronts().iter().map(|f| f.step).collect()
+    }
+
+    fn fronts(&self) -> std::sync::MutexGuard<'_, Vec<Arc<CachedFront>>> {
+        self.0.lock().unwrap_or_else(|e| e.into_inner())
+    }
+}
+
+/// Where one group's front at the iteration's DMTM step comes from.
+enum GroupFront {
+    /// The query's cached front contains the group's region.
+    Cached,
+    /// The engine's whole-terrain front at the step.
+    Shared(Arc<CachedFront>),
+    /// Derived from the units the plan read over the snapped region;
+    /// published to the engine's table when `whole`.
+    Derive { roi: Rect2, units: Vec<Arc<FrontUnit>>, whole: bool },
 }
 
 /// The lines of one axis band: `Arc`s out of the shared line cache.
@@ -166,10 +218,8 @@ type LineSet = Vec<Arc<SimplifiedLine>>;
 struct IterationFetch {
     /// The iteration's DMTM step; `None` at a pathnet level.
     step: Option<u32>,
-    /// Per group, its snapped region and the units its front is derived
-    /// from; `None` when the cached front serves the group, and at a
-    /// pathnet level.
-    fronts: Vec<Option<(Rect2, Vec<Arc<FrontUnit>>)>>,
+    /// Per group, where its front comes from; empty at a pathnet level.
+    fronts: Vec<GroupFront>,
     /// Per group, its X and Y lines (none without a lower-bound phase).
     lines: Vec<[LineSet; 2]>,
 }
@@ -266,10 +316,11 @@ impl RankScratch {
         self.ahead = Lookahead::default();
     }
 
-    /// Drop the cached front, keeping its buffers for the next fetch so
-    /// steady-state refinement allocates nothing per fetch.
+    /// Drop the cached front, keeping its buffers for the next fetch — if
+    /// no one else holds it — so steady-state refinement allocates nothing
+    /// per fetch.
     fn retire_front(&mut self) {
-        if let Some(old) = self.front_cache.take() {
+        if let Some(old) = self.front_cache.take().and_then(Arc::into_inner) {
             self.fetch.recycle(old.graph);
             self.spare_csr = old.csr;
         }
@@ -284,6 +335,8 @@ struct IterSnapshot {
     lb_estimations: usize,
     dummy_lb_hits: usize,
     lb_jobs_shared: usize,
+    shared_fronts: usize,
+    whole_fronts: usize,
     settled: usize,
     physical_reads: u64,
     stalled_batches: u64,
@@ -299,6 +352,8 @@ impl IterSnapshot {
             lb_estimations: stats.lb_estimations,
             dummy_lb_hits: stats.dummy_lb_hits,
             lb_jobs_shared: stats.lb_jobs_shared,
+            shared_fronts: stats.shared_fronts,
+            whole_fronts: stats.whole_fronts,
             settled: stats.settled,
             physical_reads: pager.stats().physical_reads,
             stalled_batches: pager.stalled_batches(),
@@ -600,7 +655,10 @@ impl<'a, 'm> RankingContext<'a, 'm> {
     /// that look-ahead carried. `fetch_read_us`, `fetch_decode_us` and
     /// `fetch_derive_us` are the iteration's share of the three fetch
     /// clocks of [`StageTimes`], and `lb_jobs_shared` its lower-bound
-    /// jobs whose result a helper thread computed.
+    /// jobs whose result a helper thread computed. `whole_fronts` are its
+    /// groups over the whole terrain that the query's cached front did
+    /// not serve, and `shared_fronts` those of them the engine's
+    /// whole-terrain front served: the rest were derived.
     #[allow(clippy::too_many_arguments)]
     fn emit_iter(
         &self,
@@ -644,6 +702,8 @@ impl<'a, 'm> RankingContext<'a, 'm> {
                 field("lb_est", stats.lb_estimations - snap.lb_estimations),
                 field("dummy_lb", stats.dummy_lb_hits - snap.dummy_lb_hits),
                 field("lb_jobs_shared", stats.lb_jobs_shared - snap.lb_jobs_shared),
+                field("shared_fronts", stats.shared_fronts - snap.shared_fronts),
+                field("whole_fronts", stats.whole_fronts - snap.whole_fronts),
                 field("settled", stats.settled - snap.settled),
                 field("pages", self.pager.stats().physical_reads - snap.physical_reads),
                 field("stalls", self.pager.stalled_batches() - snap.stalled_batches),
@@ -692,15 +752,16 @@ impl<'a, 'm> RankingContext<'a, 'm> {
         // spare cores before that phase and their results applied after
         // it, in member order, exactly where they were computed before.
         let lb = (plan == LinePlan::Bands).then(|| self.offer_lb(q, cands, &members, lines));
-        for ((group, members), front) in groups.iter().zip(&members).zip(fronts) {
+        let mut fronts = fronts.into_iter();
+        for (group, members) in groups.iter().zip(&members) {
             // The front phase times its derivation and CSR build into
             // `rank_fetch_us`; the rest of the group's time is bound
             // computation.
             let start = Instant::now();
             let fetch_before = stats.stages.rank_fetch_us;
-            match step {
-                Some(m) => self.ub_phase_front(q, cands, members, m, front, stats),
-                None => self.ub_phase_pathnet(q, cands, members, group.region, stats),
+            match (step, fronts.next()) {
+                (Some(m), Some(front)) => self.ub_phase_front(q, cands, members, m, front, stats),
+                _ => self.ub_phase_pathnet(q, cands, members, group.region, stats),
             }
             let compute = us_since(start).saturating_sub(stats.stages.rank_fetch_us - fetch_before);
             if step.is_some() {
@@ -841,10 +902,11 @@ impl<'a, 'm> RankingContext<'a, 'm> {
     }
 
     /// Plan and read one iteration's whole fetch, before any bound is
-    /// computed: every group's DMTM units — unless the cached front will
-    /// serve the group, decided group by group exactly as
-    /// [`ub_phase_front`](Self::ub_phase_front) then consumes the plan —
-    /// and, with [`LinePlan::Bands`], every group's X and Y line bands at
+    /// computed: every group's DMTM units — unless the cached front or,
+    /// for a group over the whole terrain, the engine's whole-terrain
+    /// front at the step will serve the group, decided group by group
+    /// exactly as [`ub_phase_front`](Self::ub_phase_front) then consumes
+    /// the plan — and, with [`LinePlan::Bands`], every group's X and Y line bands at
     /// the iteration's MSDN level. The keys nobody holds are claimed in both
     /// shared caches and the union of their pages is read in **one**
     /// batch. Each loaded key is credited to the first group or band that
@@ -923,23 +985,30 @@ impl<'a, 'm> RankingContext<'a, 'm> {
         // dominant redundant work — the step repeats across consecutive
         // schedule levels and regions only shrink, so a previously fetched
         // front frequently covers the request outright. A group whose
-        // front misses leaves its own front cached for the next group.
+        // front misses leaves its own front cached for the next group. The
+        // first iterations of every run ask for the same whole-terrain
+        // front, which the engine's table serves once any query derived it.
         let mut cached = self.scratch.borrow().front_cache.as_ref().map(|c| (c.step, c.roi));
-        // Per group, the index of its span in `asked`.
-        let mut asks: Vec<Option<usize>> = Vec::with_capacity(groups.len());
+        let full = self.grid.full_span();
+        // Per group, its front's source; a derivation holds the index of
+        // its span in `asked` until the units are read.
+        let mut asks: Vec<GroupFront> = Vec::with_capacity(groups.len());
         let mut asked: Vec<TileSpan> = Vec::with_capacity(groups.len());
-        for (span, roi) in spans.iter().zip(&rois) {
-            let served =
-                matches!((step, cached), (Some(m), Some((s, r))) if s == m && r.contains_rect(roi));
-            if served {
-                asks.push(None);
-                continue;
+        for (&span, &roi) in spans.iter().zip(&rois) {
+            let whole = span == full;
+            if let Some(m) = step {
+                if matches!(cached, Some((s, r)) if s == m && r.contains_rect(&roi)) {
+                    asks.push(GroupFront::Cached);
+                    continue;
+                }
+                cached = Some((m, roi));
+                if let Some(front) = whole.then(|| self.whole.get(m)).flatten() {
+                    asks.push(GroupFront::Shared(front));
+                    continue;
+                }
             }
-            if step.is_some() {
-                cached = Some((m, *roi));
-            }
-            asks.push(Some(asked.len()));
-            asked.push(*span);
+            asks.push(GroupFront::Derive { roi, units: vec![], whole });
+            asked.push(span);
         }
 
         let (band_of, bands) = if with_lb {
@@ -1039,7 +1108,7 @@ impl<'a, 'm> RankingContext<'a, 'm> {
             });
             stats.ahead_keys += self.scratch.borrow_mut().ahead.record(&ahead_units, &ahead_lines);
         }
-        let (mut units, mut lines) = clock.decode(self.pager, || {
+        let (units, mut lines) = clock.decode(self.pager, || {
             let units = units.finish(self.pager)?;
             let lines = lines.map(|l| l.finish(self.pager)).transpose()?.unwrap_or_default();
             StoreResult::Ok((units, lines))
@@ -1047,14 +1116,17 @@ impl<'a, 'm> RankingContext<'a, 'm> {
         for &hit in units.iter().map(|(_, hit)| hit).chain(lines.iter().map(|(_, hit)| hit)) {
             count_cut_fetch(stats, hit);
         }
-        let fronts = asks
-            .iter()
-            .zip(rois)
-            .map(|(ask, roi)| {
-                let ask = ask.filter(|_| step.is_some())?;
-                Some((roi, std::mem::take(&mut units[ask].0)))
-            })
-            .collect();
+        let fronts = if step.is_some() {
+            let mut read = units.into_iter().map(|(units, _)| units);
+            for ask in &mut asks {
+                if let GroupFront::Derive { units, .. } = ask {
+                    *units = read.next().expect("one unit list per derived group");
+                }
+            }
+            asks
+        } else {
+            Vec::new()
+        };
         let lines = band_of
             .iter()
             .map(|slots| {
@@ -1113,48 +1185,59 @@ impl<'a, 'm> RankingContext<'a, 'm> {
         (band_of, bands)
     }
 
-    /// Make the group's front at step `m` the cached one: derived, with
-    /// its CSR graph, from the units the plan read for the group, or —
-    /// when the plan left it none — the cached front as it is.
-    fn derive_front(
-        &self,
-        m: u32,
-        front: Option<(Rect2, Vec<Arc<FrontUnit>>)>,
-        stats: &mut QueryStats,
-    ) {
-        let Some((roi, units)) = front else {
-            stats.front_cache_hits += 1;
-            return;
-        };
+    /// Make the group's front at step `m` the cached one: the cached front
+    /// as it is, the engine's whole-terrain front, or derived, with its
+    /// CSR graph, from the units the plan read for the group — and then
+    /// published to the engine's table when it covers the whole terrain.
+    fn derive_front(&self, m: u32, front: GroupFront, stats: &mut QueryStats) {
         let scratch = &mut *self.scratch.borrow_mut();
-        scratch.retire_front();
-        let start = Instant::now();
-        let graph = FrontGraph::derive(self.tree, m, &units, &mut scratch.fetch);
-        let mut csr = std::mem::take(&mut scratch.spare_csr);
-        csr.rebuild_undirected(graph.num_nodes(), &graph.edges);
-        let derive = us_since(start);
-        stats.stages.fetch_derive_us += derive;
-        stats.stages.rank_fetch_us += derive;
-        scratch.front_cache = Some(CachedFront { step: m, roi, graph, csr });
+        let front = match front {
+            GroupFront::Cached => {
+                stats.front_cache_hits += 1;
+                return;
+            }
+            GroupFront::Shared(front) => {
+                stats.shared_fronts += 1;
+                stats.whole_fronts += 1;
+                scratch.retire_front();
+                front
+            }
+            GroupFront::Derive { roi, units, whole } => {
+                scratch.retire_front();
+                let start = Instant::now();
+                let graph = FrontGraph::derive(self.tree, m, &units, &mut scratch.fetch);
+                let mut csr = std::mem::take(&mut scratch.spare_csr);
+                csr.rebuild_undirected(graph.num_nodes(), &graph.edges);
+                let derive = us_since(start);
+                stats.stages.fetch_derive_us += derive;
+                stats.stages.rank_fetch_us += derive;
+                let front = Arc::new(CachedFront { step: m, roi, graph, csr });
+                if whole {
+                    stats.whole_fronts += 1;
+                    self.whole.publish(&front);
+                }
+                front
+            }
+        };
+        scratch.front_cache = Some(front);
     }
 
-    /// Upper bounds from the DMTM front at step `m`: derived from the units
-    /// the plan read for this group, or the cached front when the plan
-    /// left the group none.
+    /// Upper bounds from the DMTM front at step `m`, from the source the
+    /// plan chose for this group (see [`derive_front`](Self::derive_front)).
     fn ub_phase_front(
         &self,
         q: &SurfacePoint,
         cands: &mut [Candidate],
         members: &[usize],
         m: u32,
-        front: Option<(Rect2, Vec<Arc<FrontUnit>>)>,
+        front: GroupFront,
         stats: &mut QueryStats,
     ) {
         self.derive_front(m, front, stats);
         let scratch = &mut *self.scratch.borrow_mut();
         let RankScratch { front_cache, masked, shared, .. } = scratch;
         let CachedFront { graph: fg, csr, .. } =
-            front_cache.as_ref().expect("derived above, or the cached front the plan counted on");
+            front_cache.as_deref().expect("derived above, or the front the plan counted on");
         if fg.num_nodes() == 0 {
             return;
         }
@@ -1739,6 +1822,93 @@ mod tests {
         if sknn_exec::available_threads() > 1 {
             assert!(shared > 0, "a helper on a spare thread never took a job");
         }
+    }
+
+    /// A shared whole-terrain front moves no bit. The same radius and rank
+    /// runs, on an engine whose table holds every whole-terrain front they
+    /// ask for and on the same engine with its caches and table emptied
+    /// before each query (so each derives its first one itself), give
+    /// equal bounds, witness chains, eliminations and work counters.
+    #[test]
+    fn shared_whole_fronts_are_bit_identical_to_derived_ones() {
+        let mesh = TerrainConfig::bh().with_grid(17).build_mesh(77);
+        let scene = SceneBuilder::new(&mesh).object_count(16).seed(3).build();
+        let mut engine = Mr3Engine::build(&mesh, &scene, &Mr3Config::default());
+        engine.cold_cache = false;
+        let queries: Vec<SurfacePoint> = (0..4).map(|i| scene.random_query(i)).collect();
+        let run = |q: &SurfacePoint| {
+            engine
+                .scoped(&QueryOpts::default(), "test", |s| {
+                    let terrain = s.ctx.mesh.extent();
+                    let fresh = || -> Vec<Candidate> {
+                        let objects = scene.objects().iter();
+                        objects.map(|o| Candidate::new(q, o.id, o.point, &terrain)).collect()
+                    };
+                    let mut stats = QueryStats::default();
+                    let mut seeds = fresh();
+                    seeds.truncate(4);
+                    s.ctx.estimate_radius(q, &mut seeds, true, &mut stats);
+                    let mut cands = fresh();
+                    s.ctx.rank_top_k(q, &mut cands, 3, &mut stats);
+                    let bits = seeds
+                        .iter()
+                        .chain(&cands)
+                        .map(|c| {
+                            let (lb, ub) = (c.range.lb.to_bits(), c.range.ub.to_bits());
+                            (c.id, lb, ub, c.lb_path.to_vec(), c.out)
+                        })
+                        .collect::<Vec<_>>();
+                    let counters = (
+                        stats.settled,
+                        stats.queue_pushes,
+                        stats.queue_pops,
+                        stats.stale_pops,
+                        stats.lb_estimations,
+                        stats.dummy_lb_hits,
+                        stats.ub_estimations,
+                        stats.iterations,
+                        stats.front_cache_hits,
+                        stats.whole_fronts,
+                    );
+                    (format!("{:?}", (bits, counters)), stats.shared_fronts)
+                })
+                .out
+        };
+        queries.iter().for_each(|q| drop(run(q)));
+        let full: Vec<_> = queries.iter().map(run).collect();
+        let shared: usize = full.iter().map(|(_, shared)| shared).sum();
+        assert!(shared > 0, "a full table serves the runs' whole-terrain fronts");
+        for (q, (want, _)) in queries.iter().zip(&full) {
+            engine.clear_cut_caches();
+            assert!(engine.whole_front_steps().is_empty());
+            let (got, _) = run(q);
+            assert_eq!(&got, want, "the query deriving its own whole-terrain fronts");
+        }
+    }
+
+    /// The engine's table keeps one front per step: a second front at a
+    /// step already held is dropped, and clearing the table leaves the
+    /// fronts queries hold alone.
+    #[test]
+    fn the_table_holds_one_front_per_step() {
+        let front = |step: u32| {
+            let graph = FrontGraph { ids: vec![step], edges: vec![], rep_pos: vec![], step };
+            let roi =
+                Rect2::new(sknn_geom::Point2::new(0.0, 0.0), sknn_geom::Point2::new(1.0, 1.0));
+            Arc::new(CachedFront { step, roi, graph, csr: Graph::default() })
+        };
+        let table = WholeFronts::default();
+        let (first, second) = (front(5), front(5));
+        table.publish(&first);
+        table.publish(&second);
+        table.publish(&front(7));
+        assert_eq!(table.steps(), [5, 7]);
+        assert!(Arc::ptr_eq(&table.get(5).expect("published"), &first), "the first is kept");
+        assert_eq!(Arc::strong_count(&second), 1, "the second is not held");
+        assert!(table.get(6).is_none());
+        table.clear();
+        assert!(table.steps().is_empty() && table.get(5).is_none());
+        assert_eq!(Arc::strong_count(&first), 1);
     }
 
     #[test]

@@ -13,12 +13,15 @@
 //! * `{"t":"event","name":"iter","phase":"rank","i":…,"dmtm_frac":…,
 //!   "msdn_level":…,"alive":…,"kth_ub":…,"next_lb":…,"resolve_lb":…,
 //!   "resolved":…,"ub_est":…,"lb_est":…,"dummy_lb":…,"lb_jobs_shared":…,
-//!   "settled":…,"pages":…,"stalls":…,"ahead_pages":…,"ahead_steps":…,
+//!   "shared_fronts":…,"whole_fronts":…,"settled":…,"pages":…,"stalls":…,"ahead_pages":…,"ahead_steps":…,
 //!   "fetch_read_us":…,"fetch_decode_us":…,"fetch_derive_us":…}` — one per
 //!   ranking iteration (phase `radius` for step 2, `rank` for step 4,
 //!   `range` for surface range queries; `lb_jobs_shared` = lower-bound
 //!   jobs, one per `lb_est` or `dummy_lb`, whose result a helper thread
-//!   computed beside the query's thread; `stalls` = read batches that paid
+//!   computed beside the query's thread; `whole_fronts` = groups over the
+//!   whole terrain the query's own cached front did not serve, and
+//!   `shared_fronts` = those the engine's whole-terrain front at the step
+//!   served, the rest being derived; `stalls` = read batches that paid
 //!   the disk stall; `ahead_pages` = pages of the batch only its
 //!   look-ahead asked for; `ahead_steps` = later schedule steps that
 //!   look-ahead carried; the `fetch_*` clocks = the iteration's cut fetch
@@ -89,6 +92,12 @@ pub struct IterEvent {
     /// Of this iteration's lower-bound jobs (`lb_est + dummy_lb`), those
     /// whose result a helper thread computed.
     pub lb_jobs_shared: u64,
+    /// This iteration's groups over the whole terrain that the query's own
+    /// cached front did not serve.
+    pub whole_fronts: u64,
+    /// Of [`whole_fronts`](Self::whole_fronts), those the engine's
+    /// whole-terrain front at the step served (the rest were derived).
+    pub shared_fronts: u64,
     /// Dijkstra nodes settled this iteration.
     pub settled: u64,
     /// Physical pages read this iteration.
@@ -156,6 +165,8 @@ impl QueryTrace {
                 lb_est: r.get_u64("lb_est").unwrap_or(0),
                 dummy_lb: r.get_u64("dummy_lb").unwrap_or(0),
                 lb_jobs_shared: r.get_u64("lb_jobs_shared").unwrap_or(0),
+                whole_fronts: r.get_u64("whole_fronts").unwrap_or(0),
+                shared_fronts: r.get_u64("shared_fronts").unwrap_or(0),
                 settled: r.get_u64("settled").unwrap_or(0),
                 pages: r.get_u64("pages").unwrap_or(0),
                 stalls: r.get_u64("stalls").unwrap_or(0),
@@ -236,6 +247,9 @@ impl QueryTrace {
             let jobs: u64 = iters.iter().map(|e| e.lb_est + e.dummy_lb).sum();
             let shared: u64 = iters.iter().map(|e| e.lb_jobs_shared).sum();
             out.push_str(&format!("  lower-bound jobs run by a helper: {shared} of {jobs}\n"));
+            let whole: u64 = iters.iter().map(|e| e.whole_fronts).sum();
+            let shared: u64 = iters.iter().map(|e| e.shared_fronts).sum();
+            out.push_str(&format!("  whole-terrain fronts shared: {shared} of {whole}\n"));
         }
 
         let io = self.io_by_structure();
@@ -305,6 +319,8 @@ mod tests {
                         field("lb_est", 9u64),
                         field("dummy_lb", 3u64),
                         field("lb_jobs_shared", 5u64),
+                        field("shared_fronts", 1u64),
+                        field("whole_fronts", 2u64),
                         field("settled", 1234u64),
                         field("pages", 17u64),
                     ],
@@ -359,6 +375,7 @@ mod tests {
         assert!(!e.resolved);
         assert_eq!(e.dummy_lb, 3);
         assert_eq!(e.lb_jobs_shared, 5);
+        assert_eq!((e.shared_fronts, e.whole_fronts), (1, 2));
 
         assert_eq!(t.io_by_structure(), vec![("dmtm", 30, 17)]);
     }
@@ -372,6 +389,7 @@ mod tests {
         assert!(s.contains("hit rate"));
         assert!(s.contains("4 coalesced misses"));
         assert!(s.contains("lower-bound jobs run by a helper: 5 of 12"));
+        assert!(s.contains("whole-terrain fronts shared: 1 of 2"));
     }
 
     /// Traces without the coalesced count (older engines) still render.

@@ -260,14 +260,19 @@ fn main() {
                 let mean = |f: fn(&surface_knn::core::metrics::QueryStats) -> u64| {
                     answered.iter().map(|s| f(s)).sum::<u64>() / answered.len() as u64
                 };
+                let fronts = |f: fn(&surface_knn::core::metrics::QueryStats) -> usize| {
+                    answered.iter().map(|s| f(s)).sum::<usize>() as f64 / answered.len() as f64
+                };
                 println!(
                     "ranking phases (mean us/query): cut fetch {} (read {}, decode {}, \
-                     derive {}), upper bounds {}, lower bounds {} ({} jobs by a helper), \
-                     pathnet {}",
+                     derive {}; {:.1} of {:.1} whole-terrain fronts shared), upper bounds {}, \
+                     lower bounds {} ({} jobs by a helper), pathnet {}",
                     mean(|s| s.stages.rank_fetch_us),
                     mean(|s| s.stages.fetch_read_us),
                     mean(|s| s.stages.fetch_decode_us),
                     mean(|s| s.stages.fetch_derive_us),
+                    fronts(|s| s.shared_fronts),
+                    fronts(|s| s.whole_fronts),
                     mean(|s| s.stages.rank_ub_us),
                     mean(|s| s.stages.rank_lb_us),
                     mean(|s| s.lb_jobs_shared as u64),

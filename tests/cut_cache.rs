@@ -38,6 +38,9 @@
 //! * **The fetch clocks add up** — a cold query's read, decode and derive
 //!   clocks plus its stall make up its cut-fetch time, and a query whose
 //!   keys are all resident decodes nothing.
+//! * **Cold means derived** — `cold_cache` empties the engine's
+//!   whole-terrain fronts too: a cold query derives its first one from
+//!   the units it reads, and a warm query shares it.
 
 use proptest::prelude::*;
 use std::sync::{mpsc, Arc};
@@ -729,6 +732,43 @@ fn the_fetch_clocks_add_up_to_the_fetch() {
         assert_eq!((reads, r.stats.cut_cache_misses), (0, 0), "every key resident");
         assert_eq!(r.stats.stages.fetch_decode_us, 0, "{:?}", r.stats.stages);
         assert!(r.stats.stages.fetch_derive_us > 0, "a resident front is still derived");
+    }
+}
+
+/// `cold_cache` empties the engine's whole-terrain fronts with the cut
+/// caches: a cold query's first whole-terrain front is derived from the
+/// units it reads, never taken from the query before it, and published
+/// for the queries after it; a warm query shares it.
+#[test]
+fn a_cold_query_derives_its_first_whole_terrain_front() {
+    let mesh = TerrainConfig::bh().with_grid(33).build_mesh(17);
+    let scene = SceneBuilder::new(&mesh).object_count(30).seed(5).build();
+    let mut engine = Mr3Engine::build(&mesh, &scene, &Mr3Config::default());
+    engine.enable_tracing();
+    // The first iteration over the whole terrain, and the query's totals.
+    let first_whole = |engine: &Mr3Engine, q| {
+        let r = engine.try_query(q, 5).unwrap();
+        let iters = r.trace.expect("traced").iter_events();
+        assert_eq!(iters.iter().map(|e| e.whole_fronts).sum::<u64>(), r.stats.whole_fronts as u64);
+        assert_eq!(
+            iters.iter().map(|e| e.shared_fronts).sum::<u64>(),
+            r.stats.shared_fronts as u64
+        );
+        let e = iters.into_iter().find(|e| e.whole_fronts > 0).expect("a run starts unbounded");
+        assert!(!engine.whole_front_steps().is_empty(), "the query published its fronts");
+        e
+    };
+    let pool = scene.random_queries(4, 3);
+    for &q in &pool {
+        let e = first_whole(&engine, q);
+        assert_eq!((e.phase, e.i), ("radius", 0));
+        assert_eq!(e.shared_fronts, 0, "a cold query derives its first whole-terrain front");
+        assert!(e.pages > 0, "from units it reads");
+    }
+    engine.cold_cache = false;
+    for &q in &pool {
+        let e = first_whole(&engine, q);
+        assert_eq!(e.shared_fronts, e.whole_fronts, "a warm query shares it");
     }
 }
 

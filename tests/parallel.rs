@@ -88,6 +88,46 @@ fn batch_is_bit_identical_to_sequential() {
     }
 }
 
+/// Threads racing to fill the engine's whole-terrain front table answer
+/// as the sequential run does: a warm engine whose caches and table are
+/// emptied before each batch, at 4 and 8 threads. However the race goes,
+/// the table ends with at most one front per step.
+#[test]
+fn racing_to_fill_the_front_table_keeps_answers_bit_identical() {
+    let mesh = TerrainConfig::bh().with_grid(25).build_mesh(909);
+    let scene = SceneBuilder::new(&mesh).object_count(30).seed(910).build();
+    let mut engine = Mr3Engine::build(&mesh, &scene, &Mr3Config::default());
+    engine.cold_cache = false;
+    install_fault_profile(&engine);
+
+    let k = 4;
+    let qs = scene.random_queries(12, 911);
+    let batch: Vec<(SurfacePoint, usize)> = qs.iter().map(|&q| (q, k)).collect();
+    engine.clear_cut_caches();
+    let sequential: Vec<QueryResult> =
+        qs.iter().map(|&q| engine.try_query(q, k).unwrap()).collect();
+    let expect = fingerprint(&sequential);
+
+    for iter in 0..stress_iters() {
+        for threads in [4usize, 8] {
+            engine.clear_cut_caches();
+            let parallel = answers(&engine, &batch, threads);
+            assert_eq!(
+                fingerprint(&parallel),
+                expect,
+                "batch at {threads} threads diverged from sequential (iter {iter})"
+            );
+            let shared: usize = parallel.iter().map(|r| r.stats.shared_fronts).sum();
+            assert!(shared > 0, "later queries share the published fronts");
+            let mut steps = engine.whole_front_steps();
+            let held = steps.len();
+            steps.sort_unstable();
+            steps.dedup();
+            assert!(held > 0 && steps.len() == held, "one front per step: {held} for {steps:?}");
+        }
+    }
+}
+
 /// A 1-thread batch takes the sequential fast path and must agree too.
 #[test]
 fn single_thread_batch_matches_query_loop() {
