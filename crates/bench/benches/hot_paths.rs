@@ -382,6 +382,20 @@ fn main() {
         cold_engine.fetch_iteration(cold_q, 5, 1, &cold_ubs).expect("unfaulted")
     });
 
+    // --- One warm pair estimate -------------------------------------------
+    // `Mr3Engine::estimate_pair` at the 25 % step (MSDN level 1) on the same
+    // scene, on a warm engine whose whole-terrain table and line cache a
+    // first call filled: the query scope, the front from the table, the
+    // band's lines from the line cache, the Dijkstra run over the front and
+    // the lower bound. No page is read.
+    let mut pair_engine = Mr3Engine::build(&terrain, &cold_scene, &cfg);
+    pair_engine.cold_cache = false;
+    let (pair_p, pair_level) = (cold_scene.random_query(4), cfg.schedule.msdn_level(1));
+    pair_engine.estimate_pair(cold_q, pair_p, 1, pair_level);
+    pair_engine.estimate_pair(cold_q, pair_p, 1, pair_level);
+    assert_eq!(pair_engine.pager().stats().physical_reads, 0, "a warm pair estimate reads no page");
+    h.bench("pair/estimate_warm", || pair_engine.estimate_pair(cold_q, pair_p, 1, pair_level).ub);
+
     // --- Line-cache band loads -----------------------------------------------
     // One cold load of a lower-bound round at the top MSDN level on the
     // same terrain and lattice: a central group's X and Y bands (members
@@ -467,8 +481,8 @@ fn main() {
     // are ranking's two calls per candidate — the separating lines under
     // the candidate's ellipse MBR, the second also under the corridor of
     // the previous level's witness chain, both on the engine's scratch;
-    // `whole_line` is the one-shot call of `estimate_pair` and the EA
-    // baseline: no region, a fresh scratch.
+    // `whole_line` is `PagedMsdn::lower_bound`'s call with no region, on a
+    // fresh scratch.
     let msdn = Msdn::build(&mesh, &MsdnConfig::default());
     let locator = TriangleLocator::build(&mesh);
     let lift = |fx: f64, fy: f64| {

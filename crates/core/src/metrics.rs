@@ -72,7 +72,7 @@ impl StageTimes {
 }
 
 /// Cost counters of one query.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct QueryStats {
     /// Measured CPU time (see [`CpuTimer`] for exactly what is measured):
     /// the query's thread, plus each lower-bound job whose result a

@@ -327,42 +327,10 @@ impl RankScratch {
     }
 }
 
-/// Per-iteration deltas of the cost counters, captured before a
-/// refinement round so the emitted `iter` event carries this round's
-/// work rather than running totals.
-struct IterSnapshot {
-    ub_estimations: usize,
-    lb_estimations: usize,
-    dummy_lb_hits: usize,
-    lb_jobs_shared: usize,
-    shared_fronts: usize,
-    whole_fronts: usize,
-    settled: usize,
-    physical_reads: u64,
-    stalled_batches: u64,
-    ahead_pages: u64,
-    ahead_steps: usize,
-    stages: StageTimes,
-}
-
-impl IterSnapshot {
-    fn take(stats: &QueryStats, pager: &Pager) -> Self {
-        Self {
-            ub_estimations: stats.ub_estimations,
-            lb_estimations: stats.lb_estimations,
-            dummy_lb_hits: stats.dummy_lb_hits,
-            lb_jobs_shared: stats.lb_jobs_shared,
-            shared_fronts: stats.shared_fronts,
-            whole_fronts: stats.whole_fronts,
-            settled: stats.settled,
-            physical_reads: pager.stats().physical_reads,
-            stalled_batches: pager.stalled_batches(),
-            ahead_pages: stats.ahead_pages,
-            ahead_steps: stats.ahead_steps,
-            stages: stats.stages,
-        }
-    }
-}
+/// The counters a traced iteration starts from: the query's stats, and
+/// its pager window's physical reads and stalled batches. The `iter`
+/// event carries the differences, so it holds the iteration's own work.
+type IterStart = (QueryStats, u64, u64);
 
 /// Per-candidate ranking state.
 #[derive(Debug, Clone)]
@@ -468,15 +436,15 @@ impl<'a, 'm> RankingContext<'a, 'm> {
             if self.faults.exceeded() || self.deadline_expired() {
                 break;
             }
-            let snap = IterSnapshot::take(stats, self.pager);
+            let start = self.iter_start(stats);
             self.refine_iteration(q, cands, i, LinePlan::Bands, stats);
             stats.iterations += 1;
-            if self.rec.enabled() {
+            if let Some(start) = &start {
                 // Apply this round's eliminations before observing, so the
                 // event reflects the post-iteration state. `mark_out` is
                 // idempotent — the next loop head repeats it harmlessly.
                 self.mark_out(cands, k);
-                self.emit_iter("rank", i, k, cands, self.is_resolved(cands, k), &snap, stats);
+                self.emit_iter("rank", i, k, cands, self.is_resolved(cands, k), start, stats);
             }
         }
         self.mark_out(cands, k);
@@ -507,13 +475,13 @@ impl<'a, 'm> RankingContext<'a, 'm> {
             if self.faults.exceeded() || (prev.is_finite() && self.deadline_expired()) {
                 break;
             }
-            let snap = IterSnapshot::take(stats, self.pager);
+            let start = self.iter_start(stats);
             self.refine_iteration(q, cands, i, plan, stats);
             stats.iterations += 1;
             let radius = max_ub(cands);
             let done = radius.is_finite() && radius >= prev * 0.95;
-            if self.rec.enabled() {
-                self.emit_iter("radius", i, cands.len(), cands, done, &snap, stats);
+            if let Some(start) = &start {
+                self.emit_iter("radius", i, cands.len(), cands, done, start, stats);
             }
             if done {
                 return radius;
@@ -556,13 +524,13 @@ impl<'a, 'm> RankingContext<'a, 'm> {
             if cands.iter().all(|c| c.out) || self.faults.exceeded() || self.deadline_expired() {
                 break;
             }
-            let snap = IterSnapshot::take(stats, self.pager);
+            let start = self.iter_start(stats);
             self.refine_iteration(q, cands, i, LinePlan::Bands, stats);
             stats.iterations += 1;
             classify(cands, &mut inside);
-            if self.rec.enabled() {
+            if let Some(start) = &start {
                 let done = cands.iter().all(|c| c.out);
-                self.emit_iter("range", i, cands.len(), cands, done, &snap, stats);
+                self.emit_iter("range", i, cands.len(), cands, done, start, stats);
             }
         }
         let mut undecided = Vec::new();
@@ -634,6 +602,13 @@ impl<'a, 'm> RankingContext<'a, 'm> {
 
     // ----- trace emission -------------------------------------------------
 
+    /// What an iteration's `iter` event diffs against; `None`, and no
+    /// pager read, when tracing is off.
+    fn iter_start(&self, stats: &QueryStats) -> Option<IterStart> {
+        let pager = self.pager;
+        self.rec.enabled().then(|| (*stats, pager.stats().physical_reads, pager.stalled_batches()))
+    }
+
     /// Emit one `iter` trace event describing the post-iteration state.
     ///
     /// The bound fields are chosen for their convergence guarantees:
@@ -667,9 +642,10 @@ impl<'a, 'm> RankingContext<'a, 'm> {
         k: usize,
         cands: &[Candidate],
         resolved: bool,
-        snap: &IterSnapshot,
+        start: &IterStart,
         stats: &QueryStats,
     ) {
+        let (snap, pages, stalls) = start;
         let alive = cands.iter().filter(|c| !c.out).count();
         let mut alive_ubs: Vec<f64> = cands.iter().filter(|c| !c.out).map(|c| c.range.ub).collect();
         alive_ubs.sort_by(f64::total_cmp);
@@ -705,8 +681,8 @@ impl<'a, 'm> RankingContext<'a, 'm> {
                 field("shared_fronts", stats.shared_fronts - snap.shared_fronts),
                 field("whole_fronts", stats.whole_fronts - snap.whole_fronts),
                 field("settled", stats.settled - snap.settled),
-                field("pages", self.pager.stats().physical_reads - snap.physical_reads),
-                field("stalls", self.pager.stalled_batches() - snap.stalled_batches),
+                field("pages", self.pager.stats().physical_reads - pages),
+                field("stalls", self.pager.stalled_batches() - stalls),
                 field("ahead_pages", stats.ahead_pages - snap.ahead_pages),
                 field("ahead_steps", stats.ahead_steps - snap.ahead_steps),
                 field("fetch_read_us", stats.stages.fetch_read_us - snap.stages.fetch_read_us),
@@ -904,9 +880,9 @@ impl<'a, 'm> RankingContext<'a, 'm> {
     /// Plan and read one iteration's whole fetch, before any bound is
     /// computed: every group's DMTM units — unless the cached front or,
     /// for a group over the whole terrain, the engine's whole-terrain
-    /// front at the step will serve the group, decided group by group
-    /// exactly as [`ub_phase_front`](Self::ub_phase_front) then consumes
-    /// the plan — and, with [`LinePlan::Bands`], every group's X and Y line bands at
+    /// front at the step will serve the group, decided group by group by
+    /// [`front_source`](Self::front_source), as
+    /// [`ub_phase_front`](Self::ub_phase_front) then consumes the plan — and, with [`LinePlan::Bands`], every group's X and Y line bands at
     /// the iteration's MSDN level. The keys nobody holds are claimed in both
     /// shared caches and the union of their pages is read in **one**
     /// batch. Each loaded key is credited to the first group or band that
@@ -988,27 +964,16 @@ impl<'a, 'm> RankingContext<'a, 'm> {
         // front misses leaves its own front cached for the next group. The
         // first iterations of every run ask for the same whole-terrain
         // front, which the engine's table serves once any query derived it.
-        let mut cached = self.scratch.borrow().front_cache.as_ref().map(|c| (c.step, c.roi));
-        let full = self.grid.full_span();
-        // Per group, its front's source; a derivation holds the index of
-        // its span in `asked` until the units are read.
+        // A pathnet level reads every group's units (its charge).
+        let mut held = self.scratch.borrow().front_cache.as_ref().map(|c| (c.step, c.roi));
         let mut asks: Vec<GroupFront> = Vec::with_capacity(groups.len());
         let mut asked: Vec<TileSpan> = Vec::with_capacity(groups.len());
-        for (&span, &roi) in spans.iter().zip(&rois) {
-            let whole = span == full;
-            if let Some(m) = step {
-                if matches!(cached, Some((s, r)) if s == m && r.contains_rect(&roi)) {
-                    asks.push(GroupFront::Cached);
-                    continue;
-                }
-                cached = Some((m, roi));
-                if let Some(front) = whole.then(|| self.whole.get(m)).flatten() {
-                    asks.push(GroupFront::Shared(front));
-                    continue;
-                }
+        for &span in &spans {
+            let ask = step.map(|m| self.front_source(m, span, &mut held));
+            if matches!(ask, None | Some(GroupFront::Derive { .. })) {
+                asked.push(span);
             }
-            asks.push(GroupFront::Derive { roi, units: vec![], whole });
-            asked.push(span);
+            asks.extend(ask);
         }
 
         let (band_of, bands) = if with_lb {
@@ -1116,24 +1081,19 @@ impl<'a, 'm> RankingContext<'a, 'm> {
         for &hit in units.iter().map(|(_, hit)| hit).chain(lines.iter().map(|(_, hit)| hit)) {
             count_cut_fetch(stats, hit);
         }
-        let fronts = if step.is_some() {
-            let mut read = units.into_iter().map(|(units, _)| units);
-            for ask in &mut asks {
-                if let GroupFront::Derive { units, .. } = ask {
-                    *units = read.next().expect("one unit list per derived group");
-                }
+        let mut read = units.into_iter().map(|(units, _)| units);
+        for ask in &mut asks {
+            if let GroupFront::Derive { units, .. } = ask {
+                *units = read.next().expect("one unit list per derived group");
             }
-            asks
-        } else {
-            Vec::new()
-        };
+        }
         let lines = band_of
             .iter()
             .map(|slots| {
                 slots.map(|b| b.map_or_else(Vec::new, |b| std::mem::take(&mut lines[b].0)))
             })
             .collect();
-        Ok(IterationFetch { step, fronts, lines })
+        Ok(IterationFetch { step, fronts: asks, lines })
     }
 
     /// Iteration `iter`'s DMTM step — `None` at a pathnet level, which
@@ -1144,6 +1104,25 @@ impl<'a, 'm> RankingContext<'a, 'm> {
         let frac = self.cfg.schedule.dmtm[iter];
         let step = (frac <= 1.0).then(|| self.tree.step_for_fraction(frac));
         (step, step.unwrap_or(0))
+    }
+
+    /// Where a group's front at step `m` over `span` comes from, `held`
+    /// being the step and region of the front the query holds when the
+    /// group's turn comes (the group's own front after it): that front
+    /// if it is at `m` and contains the span's region, else the engine's
+    /// whole-terrain front at `m` for a span over the whole terrain, else
+    /// derived from the span's units.
+    fn front_source(&self, m: u32, span: TileSpan, held: &mut Option<(u32, Rect2)>) -> GroupFront {
+        let roi = self.grid.span_rect(span);
+        if matches!(*held, Some((s, r)) if s == m && r.contains_rect(&roi)) {
+            return GroupFront::Cached;
+        }
+        *held = Some((m, roi));
+        let whole = span == self.grid.full_span();
+        match whole.then(|| self.whole.get(m)).flatten() {
+            Some(front) => GroupFront::Shared(front),
+            None => GroupFront::Derive { roi, units: vec![], whole },
+        }
     }
 
     /// One axis band per group and axis, covering every member whose
@@ -1384,7 +1363,12 @@ impl<'a, 'm> RankingContext<'a, 'm> {
     /// Fig.-8 support: one-shot range estimation of a single pair at the
     /// DMTM resolution of schedule step `dmtm_step` (an index into
     /// `cfg.schedule.dmtm`, whose steps the unit store holds) and MSDN
-    /// level `msdn_level` (no iteration, no pruning).
+    /// level `msdn_level` (no iteration, no pruning). Read the way an
+    /// iteration reads one group over the whole terrain: its front from
+    /// [`front_source`](Self::front_source), the lines of the pair's band
+    /// from the line cache, and the keys nobody holds in one batch (a
+    /// pathnet level reads no unit). A failed read leaves the pair its
+    /// Euclidean lower bound and an unbounded upper bound.
     pub fn estimate_pair(
         &self,
         a: &SurfacePoint,
@@ -1393,70 +1377,76 @@ impl<'a, 'm> RankingContext<'a, 'm> {
         msdn_level: usize,
         stats: &mut QueryStats,
     ) -> DistRange {
-        let dmtm_frac = self.cfg.schedule.dmtm[dmtm_step];
         let mut range = DistRange::unbounded();
         range.tighten_lb(a.pos.dist(b.pos));
         stats.ub_estimations += 1;
         stats.lb_estimations += 1;
+        let (step, m) = self.step_of(dmtm_step);
+        let full = [self.grid.full_span()];
+        let mut held = self.scratch.borrow().front_cache.as_ref().map(|c| (c.step, c.roi));
+        let front = step.map(|m| self.front_source(m, full[0], &mut held));
+        let derive = matches!(front, Some(GroupFront::Derive { .. }));
+        // Every line of the pair's band, as `PagedMsdn::lower_bound` with
+        // no region reads them.
+        let axis = Msdn::axis_for(a.pos, b.pos);
+        let (ca, cb) = (axis.coord(a.pos), axis.coord(b.pos));
+        let band = LineBand { axis, lo: ca.min(cb), hi: ca.max(cb), roi: None };
+        let clock = FetchClock::start(self.pager);
+        let mut units = self.cuts.claim(m, if derive { &full } else { &[] });
+        let mut lines = self.lines.claim(self.msdn, msdn_level, &[band]);
+        let read = clock.read(self.pager, vec![&mut units, &mut lines]).and_then(|()| {
+            clock.decode(self.pager, || {
+                units.publish();
+                lines.publish();
+                StoreResult::Ok((units.finish(self.pager)?, lines.finish(self.pager)?))
+            })
+        });
+        clock.stop(self.pager, &mut stats.stages);
+        let (mut units, mut lines) = match read {
+            Ok(read) => read,
+            Err(e) => {
+                self.absorb_fault("pair", e);
+                return range;
+            }
+        };
+        for &hit in units.iter().map(|(_, hit)| hit).chain(lines.iter().map(|(_, hit)| hit)) {
+            count_cut_fetch(stats, hit);
+        }
         // Upper bound.
-        let scratch = &mut *self.scratch.borrow_mut();
-        if dmtm_frac <= 1.0 {
-            // The whole terrain's units at step `m`, read the way an
-            // iteration reads its groups': claim, one batch, publish.
-            let m = self.tree.step_for_fraction(dmtm_frac);
-            let mut load = self.cuts.claim(m, &[self.grid.full_span()]);
-            let fetched = self.pager.read_into(&mut [&mut load]).and_then(|()| {
-                load.publish();
-                load.finish(self.pager)
-            });
-            match fetched {
-                Ok(mut spans) => {
-                    let (units, hit) = spans.pop().expect("one span, one unit list");
-                    count_cut_fetch(stats, hit);
-                    let fg = FrontGraph::derive(self.tree, m, &units, &mut scratch.fetch);
-                    let src = fg.embed(self.tree, self.mesh, a.tri, a.pos);
-                    let dst = fg.embed(self.tree, self.mesh, b.tri, b.pos);
-                    if !src.is_empty() && !dst.is_empty() {
-                        let csr = Graph::from_undirected(fg.num_nodes(), &fg.edges);
-                        let (d, settled, queue, _) = filtered_dijkstra(
-                            &fg,
-                            &csr,
-                            |_| true,
-                            &src,
-                            &dst,
-                            b.pos,
-                            &mut scratch.masked,
-                        );
-                        stats.settled += settled;
-                        stats.absorb_queue(&queue);
-                        if d.is_finite() {
-                            range.tighten_ub(d);
-                        }
-                    }
-                    scratch.fetch.recycle(fg);
-                }
-                // Degrade: the pair keeps an unbounded (valid) upper bound.
-                Err(e) => self.absorb_fault("pair_ub", e),
+        if let (Some(m), Some(mut front)) = (step, front) {
+            if let GroupFront::Derive { units: read, .. } = &mut front {
+                *read = units.pop().expect("one span, one unit list").0;
+            }
+            self.derive_front(m, front, stats);
+            let RankScratch { front_cache, masked, .. } = &mut *self.scratch.borrow_mut();
+            let CachedFront { graph: fg, csr, .. } = front_cache.as_deref().expect("derived above");
+            let src = fg.embed(self.tree, self.mesh, a.tri, a.pos);
+            let dst = fg.embed(self.tree, self.mesh, b.tri, b.pos);
+            if !src.is_empty() && !dst.is_empty() {
+                let (d, settled, queue, _) =
+                    filtered_dijkstra(fg, csr, |_| true, &src, &dst, b.pos, masked);
+                stats.settled += settled;
+                stats.absorb_queue(&queue);
+                range.tighten_ub(d);
             }
         } else {
             // The whole-mesh net, searched in place.
             let net = RegionNet::new(self.mesh, self.cfg.pathnet_steiner, self.mesh.extent());
             let (src, dst) = (a.to_mesh_point(), b.to_mesh_point());
-            let d = net.distances(src, &[dst], &mut scratch.pathnet).dist[0];
-            if d.is_finite() {
-                range.tighten_ub(d);
-            }
+            let scratch = &mut self.scratch.borrow_mut().pathnet;
+            range.tighten_ub(net.distances(src, &[dst], scratch).dist[0]);
         }
-        // Lower bound.
-        match self.msdn.lower_bound(self.pager, msdn_level, a.pos, b.pos, None) {
-            Ok(lb) => {
-                stats.settled += lb.nodes_settled;
-                stats.absorb_queue(&lb.queue);
-                range.tighten_lb(lb.value);
-            }
-            // Degrade: the Euclidean lower bound seeded above stands.
-            Err(e) => self.absorb_fault("pair_lb", e),
+        // Lower bound, over the band's lines from `a` to `b`.
+        let (mut lines, _) = lines.pop().expect("one band, one line list");
+        if ca > cb {
+            lines.reverse();
         }
+        let lines: Vec<&SimplifiedLine> = lines.iter().map(|l| &**l).collect();
+        let lb =
+            lower_bound_with(&lines, a.pos, b.pos, None, None, &mut self.scratch.borrow_mut().lb);
+        stats.settled += lb.nodes_settled;
+        stats.absorb_queue(&lb.queue);
+        range.tighten_lb(lb.value);
         range
     }
 }

@@ -28,7 +28,7 @@ pub const FAULT_BUDGET: usize = 16;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Degraded {
     /// Ranking phase of the first absorbed fault (`"iter"` for a ranking
-    /// iteration's read batch, `"pair_ub"`, `"pair_lb"`).
+    /// iteration's read batch, `"pair"` for a pair estimate's).
     pub phase: &'static str,
     /// Number of storage faults absorbed during the query.
     pub faults: usize,

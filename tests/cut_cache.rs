@@ -41,6 +41,12 @@
 //! * **Cold means derived** — `cold_cache` empties the engine's
 //!   whole-terrain fronts too: a cold query derives its first one from
 //!   the units it reads, and a warm query shares it.
+//! * **One pair path** — a pair estimate reads like an iteration's group
+//!   over the whole terrain: its range equals the private path it
+//!   replaced (a front extracted and searched over a fresh CSR, and
+//!   `PagedMsdn::lower_bound`) bit for bit, a cold estimate pays one
+//!   stall for that path's pages, a warm one reads nothing, and a failed
+//!   batch leaves the Euclidean range and no latch.
 
 use proptest::prelude::*;
 use std::sync::{mpsc, Arc};
@@ -49,7 +55,8 @@ use surface_knn::core::config::Mr3Config;
 use surface_knn::core::metrics::QueryResult;
 use surface_knn::core::mr3::{Mr3Engine, QueryOpts};
 use surface_knn::core::workload::{SceneBuilder, SurfacePoint};
-use surface_knn::geodesic::ExactGeodesic;
+use surface_knn::core::{ClosestPair, DistRange};
+use surface_knn::geodesic::{Dijkstra, ExactGeodesic, Graph, Pathnet};
 use surface_knn::geom::{Axis, Rect2};
 use surface_knn::multires::{
     build_dmtm, CutCache, CutGrid, DmtmTree, FetchScratch, FrontGraph, PagedDmtm, TileSpan,
@@ -1424,4 +1431,227 @@ proptest! {
         prop_assert!(roomy.hits > 0 && roomy.evictions == 0, "roomy: {:?}", roomy);
         prop_assert!(starved.evictions > 0, "starved budget never evicted: {:?}", starved);
     }
+}
+
+/// The pair path's oracle: the structures an engine over `mesh` builds,
+/// laid out on a pager of its own, and the pair rule the engine once ran
+/// privately — the whole front at the step extracted and searched over a
+/// fresh CSR (the best exit of Dijkstra's run from `a`'s embedding), the
+/// whole-mesh pathnet above 100 %, and `PagedMsdn::lower_bound` over every
+/// line of the pair's band.
+struct PairOracle<'m> {
+    mesh: &'m TerrainMesh,
+    cfg: Mr3Config,
+    tree: DmtmTree,
+    pager: Pager,
+    units: UnitStore,
+    tiles: Vec<u32>,
+    msdn: PagedMsdn,
+    net: Pathnet,
+}
+
+impl<'m> PairOracle<'m> {
+    fn new(mesh: &'m TerrainMesh, cfg: &Mr3Config) -> Self {
+        let Structures { tree, msdn } = Structures::build(mesh, cfg);
+        let pager = Pager::new(cfg.pool_pages);
+        let grid = CutGrid::new(mesh.extent(), cfg.cut_cache.tiles, cfg.cut_cache.pad_tiles);
+        let steps: Vec<u32> =
+            cfg.schedule.dmtm.iter().map(|&f| tree.step_for_fraction(f)).collect();
+        let units = UnitStore::build(&pager, &tree, grid, &steps);
+        let tiles = grid.full_span().tiles(grid.tiles()).collect();
+        let msdn = PagedMsdn::build(&pager, &msdn);
+        let net = Pathnet::build(mesh, cfg.pathnet_steiner, None);
+        Self { mesh, cfg: cfg.clone(), tree, pager, units, tiles, msdn, net }
+    }
+
+    /// The pair's `(lb, ub)` bits at schedule step `i` and MSDN `level`,
+    /// and the pages the replaced path read: the whole terrain's units at
+    /// a DMTM step (none at a pathnet level), and the band's lines.
+    fn range(&self, a: &SurfacePoint, b: &SurfacePoint, i: usize, level: usize) -> (PairBits, u64) {
+        let mut range = DistRange::unbounded();
+        range.tighten_lb(a.pos.dist(b.pos));
+        let frac = self.cfg.schedule.dmtm[i];
+        let mut pages = 0;
+        if frac <= 1.0 {
+            let m = self.tree.step_for_fraction(frac);
+            let fg = FrontGraph::extract(&self.tree, m, None);
+            let src = fg.embed(&self.tree, self.mesh, a.tri, a.pos);
+            let dst = fg.embed(&self.tree, self.mesh, b.tri, b.pos);
+            let csr = Graph::from_undirected(fg.num_nodes(), &fg.edges);
+            let run = Dijkstra::run_multi(&csr, &src, None);
+            let best = dst.iter().map(|&(x, cost)| run.dist[x as usize] + cost);
+            range.tighten_ub(best.fold(f64::INFINITY, f64::min));
+            pages += self.units.pages(m, &self.tiles).len() as u64;
+        } else {
+            range.tighten_ub(self.net.distance(self.mesh, a.to_mesh_point(), b.to_mesh_point()));
+        }
+        self.pager.reset_stats();
+        range.tighten_lb(
+            self.msdn.lower_bound(&self.pager, level, a.pos, b.pos, None).unwrap().value,
+        );
+        (pair_bits(&range), pages + self.pager.stats().physical_reads)
+    }
+}
+
+type PairBits = (u64, u64);
+
+/// `n` query pairs of `scene` lying over half the terrain's width apart,
+/// so every MSDN level has lines between them.
+fn far_pairs(scene: &Scene, n: usize) -> Vec<(SurfacePoint, SurfacePoint)> {
+    let width = scene.mesh().extent().width();
+    let pairs = (0..).map(|i| (scene.random_query(2 * i), scene.random_query(2 * i + 1)));
+    pairs.filter(|(a, b)| a.pos.dist(b.pos) > width / 2.0).take(n).collect()
+}
+
+fn pair_bits(range: &DistRange) -> PairBits {
+    (range.lb.to_bits(), range.ub.to_bits())
+}
+
+/// A pair estimate reads the way an iteration reads one group over the
+/// whole terrain, and its range is the replaced path's, bit for bit: at
+/// every (step, level) of s=1, on a cold engine (each estimate derives its
+/// front from the units it reads) and on a warm one whose table holds
+/// every whole-terrain front (each estimate shares it).
+#[test]
+fn pair_estimates_equal_the_replaced_path() {
+    let mesh = TerrainConfig::bh().with_grid(33).build_mesh(17);
+    let scene = SceneBuilder::new(&mesh).object_count(2).seed(5).build();
+    let cfg = Mr3Config::default();
+    let oracle = PairOracle::new(&mesh, &cfg);
+    let pairs = far_pairs(&scene, 3);
+    let cold = Mr3Engine::build(&mesh, &scene, &cfg);
+    let mut warm = Mr3Engine::build(&mesh, &scene, &cfg);
+    warm.cold_cache = false;
+    let (a, b) = pairs[0];
+    for i in 0..cfg.schedule.len() {
+        warm.estimate_pair(a, b, i, 0);
+    }
+    let mut steps = warm.whole_front_steps();
+    steps.sort_unstable();
+    let mut want: Vec<u32> = cfg
+        .schedule
+        .dmtm
+        .iter()
+        .filter(|&&f| f <= 1.0)
+        .map(|&f| oracle.tree.step_for_fraction(f))
+        .collect();
+    want.sort_unstable();
+    want.dedup();
+    assert_eq!(steps, want, "the warm engine's table is full");
+    for (i, &frac) in cfg.schedule.dmtm.iter().enumerate() {
+        for level in 0..oracle.msdn.num_levels() {
+            for (a, b) in &pairs {
+                let (want, _) = oracle.range(a, b, i, level);
+                for (name, engine) in [("cold", &cold), ("warm", &warm)] {
+                    let got = engine.estimate_pair(*a, *b, i, level);
+                    assert_eq!(pair_bits(&got), want, "{name}: step {i} ({frac}), level {level}");
+                }
+            }
+        }
+    }
+}
+
+/// One pair batch: a cold pair estimate claims its units and lines
+/// together and reads them in one `Pager::read_into`, so it pays one
+/// stalled batch for exactly the pages the replaced path read in two. A
+/// warm estimate, and a warm `distance_with_accuracy`, read no page.
+#[test]
+fn a_cold_pair_estimate_pays_one_stall() {
+    let mesh = TerrainConfig::bh().with_grid(33).build_mesh(17);
+    let scene = SceneBuilder::new(&mesh).object_count(2).seed(5).build();
+    let cfg = Mr3Config::default();
+    let oracle = PairOracle::new(&mesh, &cfg);
+    let (a, b) = far_pairs(&scene, 1)[0];
+    let cold = Mr3Engine::build(&mesh, &scene, &cfg);
+    let mut warm = Mr3Engine::build(&mesh, &scene, &cfg);
+    warm.cold_cache = false;
+    for i in 0..cfg.schedule.len() {
+        let level = cfg.schedule.msdn_level(i);
+        let (want, pages) = oracle.range(&a, &b, i, level);
+        let got = cold.estimate_pair(a, b, i, level);
+        assert_eq!(pair_bits(&got), want, "step {i}");
+        // Pager stats are reset at query start: the estimate's own reads.
+        let pager = cold.pager();
+        assert_eq!(pager.stalled_batches(), 1, "step {i}: one batch");
+        assert_eq!(pager.stats().physical_reads, pages, "step {i}: the replaced path's pages");
+        if cfg.schedule.dmtm[i] > 1.0 {
+            assert_eq!(
+                physical_reads_of(pager, StructureTag::Dmtm),
+                0,
+                "a pathnet level reads no unit"
+            );
+        }
+
+        warm.estimate_pair(a, b, i, level);
+        let again = warm.estimate_pair(a, b, i, level);
+        assert_eq!(pair_bits(&again), want, "step {i}, warm");
+        let pager = warm.pager();
+        assert_eq!(
+            (pager.stats().physical_reads, pager.stalled_batches()),
+            (0, 0),
+            "step {i}, warm"
+        );
+    }
+    let (first, _, _) = warm.distance_with_accuracy(a, b, 1.0);
+    let (second, stats, _) = warm.distance_with_accuracy(a, b, 1.0);
+    assert_eq!(pair_bits(&second), pair_bits(&first));
+    assert_eq!(stats.pages, 0, "a warm distance_with_accuracy read a page");
+}
+
+/// One pair batch, one way to degrade: a failed read of the pair's batch
+/// leaves the pair its Euclidean lower bound and an unbounded upper
+/// bound, under one absorbed fault of phase `pair`, and publishes
+/// nothing and leaves no latch: the next estimate on the same engine
+/// reads the keys again and returns the fault-free bits.
+#[test]
+fn a_fault_in_the_pair_batch_leaves_the_euclidean_range() {
+    let mesh = TerrainConfig::bh().with_grid(33).build_mesh(17);
+    let scene = SceneBuilder::new(&mesh).object_count(2).seed(5).build();
+    let cfg = Mr3Config::default();
+    let (a, b) = far_pairs(&scene, 1)[0];
+    let level = cfg.schedule.msdn_level(0);
+    let clean = Mr3Engine::build(&mesh, &scene, &cfg).estimate_pair(a, b, 0, level);
+    let mut engine = Mr3Engine::build(&mesh, &scene, &cfg);
+    engine.cold_cache = false;
+    let fail_first = || Some(FaultInjector::script().fail_nth_read(1, FaultKind::Permanent));
+
+    engine.pager().set_fault_injector(fail_first());
+    let got = engine.estimate_pair(a, b, 0, level);
+    engine.pager().set_fault_injector(None);
+    assert_eq!(pair_bits(&got), (a.pos.dist(b.pos).to_bits(), f64::INFINITY.to_bits()));
+    let snap = engine.cut_cache_snapshot().unwrap();
+    assert_eq!((snap.loading, snap.warm_entries + snap.cooling_entries), (0, 0), "{snap:?}");
+
+    // The same fault under a traced progressive estimate: one absorbed.
+    engine.enable_tracing();
+    engine.pager().set_fault_injector(fail_first());
+    let (_, _, trace) = engine.distance_with_accuracy(a, b, 1.0);
+    engine.pager().set_fault_injector(None);
+    engine.disable_tracing();
+    let trace = trace.expect("traced");
+    let faults: Vec<_> = trace.records.iter().filter(|r| r.name == "fault").collect();
+    assert_eq!(faults.len(), 1, "{faults:?}");
+    assert_eq!(faults[0].get("phase").and_then(|v| v.as_str()), Some("pair"));
+    assert_eq!(faults[0].get_u64("absorbed"), Some(1));
+
+    assert_eq!(engine.cut_cache_snapshot().unwrap().loading, 0, "a latch was left");
+    let again = engine.estimate_pair(a, b, 0, level);
+    assert_eq!(pair_bits(&again), pair_bits(&clean));
+}
+
+/// Closest pair on a warm engine: a second run answers bit for bit like
+/// the first, reads no page, and takes its fronts from the whole-terrain
+/// table the first run filled.
+#[test]
+fn a_warm_closest_pair_shares_the_whole_terrain_fronts() {
+    let mesh = TerrainConfig::bh().with_grid(33).build_mesh(17);
+    let scene = SceneBuilder::new(&mesh).object_count(10).seed(5).build();
+    let mut engine = Mr3Engine::build(&mesh, &scene, &Mr3Config::default());
+    engine.cold_cache = false;
+    let key = |p: &ClosestPair| (p.a, p.b, p.proven, pair_bits(&p.range));
+    let first = engine.closest_pair().expect("ten objects");
+    let second = engine.closest_pair().expect("ten objects");
+    assert_eq!(key(&second), key(&first));
+    assert_eq!(second.stats.pages, 0, "a warm closest pair read a page");
+    assert!(second.stats.shared_fronts > 0, "{:?}", second.stats);
 }
