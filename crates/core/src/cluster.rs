@@ -149,6 +149,7 @@ fn accumulate(into: &mut QueryStats, from: &QueryStats) {
     into.lb_jobs_shared += from.lb_jobs_shared;
     into.whole_fronts += from.whole_fronts;
     into.shared_fronts += from.shared_fronts;
+    into.derived_fronts += from.derived_fronts;
     into.cpu += from.cpu;
 }
 

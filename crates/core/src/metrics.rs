@@ -112,14 +112,19 @@ pub struct QueryStats {
     /// of re-extracting (and re-paging) the DMTM front.
     pub front_cache_hits: usize,
     /// Groups over the whole terrain that the per-query front cache did
-    /// not serve: each took the engine's whole-terrain front at its step
+    /// not serve: each was served by a whole-terrain front
     /// ([`shared_fronts`](Self::shared_fronts)) or derived and published
     /// it.
     pub whole_fronts: usize,
-    /// Of [`whole_fronts`](Self::whole_fronts), those served by a front
-    /// another query (or an earlier run of this one) derived: no units
+    /// Groups the per-query front cache did not serve that a view of a
+    /// whole-terrain front at their step served — the engine's table's, or
+    /// the one the query holds — masked to the group's region: no units
     /// claimed, nothing derived.
     pub shared_fronts: usize,
+    /// Fronts the query derived from units itself: a group's own region,
+    /// or the whole lattice when the engine's table lacked the step and
+    /// every unit of it was resident.
+    pub derived_fronts: usize,
     /// Cut fetches (DMTM fronts + MSDN line bands) served by the shared
     /// process-wide cut cache without running an extraction.
     pub cut_cache_hits: usize,

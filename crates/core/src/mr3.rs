@@ -536,6 +536,27 @@ impl<'s, 'm> Mr3Engine<'s, 'm> {
         self.iteration_fetch(q, n, iter, ubs, true)
     }
 
+    /// The upper-bound phase of the first I/O group of ranking iteration
+    /// `iter`, candidates as for [`plan_iteration`](Self::plan_iteration),
+    /// after the iteration's plan: over the front the plan serves the
+    /// group — on a warm engine, a view of the whole-terrain front at the
+    /// step — or, with `derive`, over the front derived with its CSR from
+    /// the units of the group's own span, as a bounded group's bounds were
+    /// computed before views. The `front/view_bounded` kernel rows time
+    /// both. Returns the nodes the phase settled.
+    pub fn bound_first_group(
+        &self,
+        q: SurfacePoint,
+        n: usize,
+        iter: usize,
+        ubs: &[f64],
+        derive: bool,
+    ) -> Result<usize, sknn_store::StoreError> {
+        self.with_candidates(q, n, ubs, |ctx, cands, stats| {
+            ctx.bound_first_group(&q, cands, iter, derive, stats)
+        })
+    }
+
     fn iteration_fetch(
         &self,
         q: SurfacePoint,
@@ -544,6 +565,20 @@ impl<'s, 'm> Mr3Engine<'s, 'm> {
         ubs: &[f64],
         derive: bool,
     ) -> Result<usize, sknn_store::StoreError> {
+        self.with_candidates(q, n, ubs, |ctx, cands, stats| {
+            ctx.plan_only(&q, cands, iter, derive, stats)
+        })
+    }
+
+    /// Run `body` in a query scope over `q`'s `n` nearest objects in the
+    /// plane as candidates, the `i`-th bounded by `ubs[i]`.
+    fn with_candidates<T>(
+        &self,
+        q: SurfacePoint,
+        n: usize,
+        ubs: &[f64],
+        body: impl FnOnce(&RankingContext<'_, 'm>, &mut [Candidate], &mut QueryStats) -> T,
+    ) -> T {
         let terrain = self.mesh.extent();
         let mut cands: Vec<Candidate> = self
             .seeds2d(q.pos.xy(), n)
@@ -553,10 +588,7 @@ impl<'s, 'm> Mr3Engine<'s, 'm> {
         for (c, &ub) in cands.iter_mut().zip(ubs) {
             c.range.tighten_ub(ub);
         }
-        self.scoped(&QueryOpts::default(), "plan", |s| {
-            s.ctx.plan_only(&q, &mut cands, iter, derive, &mut s.stats)
-        })
-        .out
+        self.scoped(&QueryOpts::default(), "plan", |s| body(&s.ctx, &mut cands, &mut s.stats)).out
     }
 
     /// MR3 step 3 in isolation: every live object within 2D plan distance

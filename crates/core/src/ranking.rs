@@ -120,15 +120,15 @@ impl Drop for RankingContext<'_, '_> {
 /// results.
 #[derive(Debug, Default)]
 pub struct RankScratch {
-    /// DMTM front graph cached across refinement calls. Hit when the
-    /// resolution step matches and the cached fetch region contains the
-    /// requested one — a front fetched for an enclosing region is a
-    /// superset, and every front-graph path is a real surface path, so a
-    /// superset front still yields valid (if anything tighter) upper
-    /// bounds. Invalidated by fetching at a different step (resolution
-    /// advance) or a region the cached one does not contain. Shared with
-    /// the engine's [`WholeFronts`] when it covers the whole terrain.
-    front_cache: Option<Arc<CachedFront>>,
+    /// DMTM front held across refinement calls. Hit when the resolution
+    /// step matches and the held region contains the requested one — a
+    /// front fetched for an enclosing region is a superset, and every
+    /// front-graph path is a real surface path, so a superset front still
+    /// yields valid (if anything tighter) upper bounds. Invalidated by
+    /// fetching at a different step (resolution advance) or a region the
+    /// held one does not contain. Its front is shared with the engine's
+    /// [`WholeFronts`] when it covers the whole terrain.
+    front_cache: Option<HeldFront>,
     /// CSR buffers of the last replaced cached front this query owned
     /// alone, rebuilt in place for the next one.
     spare_csr: Graph,
@@ -152,12 +152,77 @@ pub struct RankScratch {
 
 /// A front derived from the shared cache's resident units, and the one
 /// CSR adjacency every Dijkstra over it runs on, built when it is derived.
+/// Its edge list went back to the fetch buffers once the CSR was built.
 #[derive(Debug)]
 pub(crate) struct CachedFront {
     step: u32,
-    roi: Rect2,
     graph: FrontGraph,
     csr: Graph,
+    /// Of a whole-terrain front, per node the lattice tiles its MBR meets
+    /// ([`CutGrid::tiles_meeting`] as `[x0, x1, y0, y1]`, half-open, read
+    /// off the units by [`FetchScratch::tile_ranges`]): the rule the unit
+    /// store places nodes into tiles by, so the nodes whose tiles meet a
+    /// span are exactly those the span's units hold. `None` for a front
+    /// derived over a region.
+    tiles: Option<Vec<[u16; 4]>>,
+}
+
+/// The front a query holds, and the span of the region it stands for: its
+/// own derived front over that span, or a whole-terrain front viewed
+/// through the span.
+#[derive(Debug)]
+struct HeldFront {
+    front: Arc<CachedFront>,
+    span: TileSpan,
+}
+
+impl HeldFront {
+    /// What a plan knows of it.
+    fn holding(&self) -> Holding {
+        Holding { step: self.front.step, span: self.span, whole: self.front.tiles.is_some() }
+    }
+
+    /// The nodes a run over the held span may enter: `None` when that is
+    /// every node of the front — a front derived over the span, or a
+    /// whole-terrain front held for the whole lattice.
+    fn mask(&self, full: TileSpan) -> Option<Mask<'_>> {
+        let tiles = self.front.tiles.as_deref()?;
+        (self.span != full).then_some(Mask { tiles, span: self.span })
+    }
+}
+
+/// The step and region of the front a query holds, and whether it is a
+/// whole-terrain front: what a plan tracks group by group.
+#[derive(Debug, Clone, Copy)]
+struct Holding {
+    step: u32,
+    span: TileSpan,
+    whole: bool,
+}
+
+/// A view of a whole-terrain front: its nodes whose tiles meet `span`.
+/// Those are the nodes [`FrontGraph::derive`] takes from the span's units,
+/// in the same ascending order, and every unit holds a node's whole entry
+/// list, so the view's links are the derived front's links. A run that
+/// enters only the view's nodes settles, relaxes and ties as it does over
+/// the derived front (DESIGN §16).
+#[derive(Debug, Clone, Copy)]
+struct Mask<'f> {
+    tiles: &'f [[u16; 4]],
+    span: TileSpan,
+}
+
+impl Mask<'_> {
+    fn admits(&self, local: usize) -> bool {
+        let [x0, x1, y0, y1] = self.tiles[local].map(usize::from);
+        let s = self.span;
+        x0 < s.x1 && s.x0 < x1 && y0 < s.y1 && s.y0 < y1
+    }
+}
+
+/// Whether a run may enter node `local`: every node without a mask.
+fn admits(mask: Option<Mask<'_>>, local: usize) -> bool {
+    mask.is_none_or(|m| m.admits(local))
 }
 
 /// The engine's whole-terrain fronts: at most one per DMTM step, each
@@ -201,13 +266,17 @@ impl WholeFronts {
 
 /// Where one group's front at the iteration's DMTM step comes from.
 enum GroupFront {
-    /// The query's cached front contains the group's region.
+    /// The query's held front contains the group's region: the group
+    /// runs on it as held, through the region it holds.
     Cached,
-    /// The engine's whole-terrain front at the step.
-    Shared(Arc<CachedFront>),
-    /// Derived from the units the plan read over the snapped region;
-    /// published to the engine's table when `whole`.
-    Derive { roi: Rect2, units: Vec<Arc<FrontUnit>>, whole: bool },
+    /// A whole-terrain front at the step viewed through the group's span:
+    /// the engine's table's, or with `None` the one the query holds when
+    /// the group's turn comes (an earlier group may derive it).
+    View { front: Option<Arc<CachedFront>>, span: TileSpan },
+    /// Derived from the units the plan read: over the group's span, or
+    /// with `whole` over the whole lattice, then published to the
+    /// engine's table and viewed through the span.
+    Derive { span: TileSpan, units: Vec<Arc<FrontUnit>>, whole: bool },
 }
 
 /// The lines of one axis band: `Arc`s out of the shared line cache.
@@ -320,7 +389,7 @@ impl RankScratch {
     /// no one else holds it — so steady-state refinement allocates nothing
     /// per fetch.
     fn retire_front(&mut self) {
-        if let Some(old) = self.front_cache.take().and_then(Arc::into_inner) {
+        if let Some(old) = self.front_cache.take().and_then(|held| Arc::into_inner(held.front)) {
             self.fetch.recycle(old.graph);
             self.spare_csr = old.csr;
         }
@@ -630,10 +699,10 @@ impl<'a, 'm> RankingContext<'a, 'm> {
     /// that look-ahead carried. `fetch_read_us`, `fetch_decode_us` and
     /// `fetch_derive_us` are the iteration's share of the three fetch
     /// clocks of [`StageTimes`], and `lb_jobs_shared` its lower-bound
-    /// jobs whose result a helper thread computed. `whole_fronts` are its
-    /// groups over the whole terrain that the query's cached front did
-    /// not serve, and `shared_fronts` those of them the engine's
-    /// whole-terrain front served: the rest were derived.
+    /// jobs whose result a helper thread computed. `shared_fronts` are its
+    /// groups a view of a whole-terrain front served, `derived_fronts` the
+    /// fronts it derived from units, and `whole_fronts` its groups over
+    /// the whole terrain that the query's held front did not serve.
     #[allow(clippy::too_many_arguments)]
     fn emit_iter(
         &self,
@@ -679,6 +748,7 @@ impl<'a, 'm> RankingContext<'a, 'm> {
                 field("dummy_lb", stats.dummy_lb_hits - snap.dummy_lb_hits),
                 field("lb_jobs_shared", stats.lb_jobs_shared - snap.lb_jobs_shared),
                 field("shared_fronts", stats.shared_fronts - snap.shared_fronts),
+                field("derived_fronts", stats.derived_fronts - snap.derived_fronts),
                 field("whole_fronts", stats.whole_fronts - snap.whole_fronts),
                 field("settled", stats.settled - snap.settled),
                 field("pages", self.pager.stats().physical_reads - pages),
@@ -834,10 +904,42 @@ impl<'a, 'm> RankingContext<'a, 'm> {
             self.plan_iteration(q, cands, &groups, &members, iter, LinePlan::Bands, stats)?;
         if let (true, Some(m)) = (derive, fetch.step) {
             for front in fetch.fronts {
-                self.derive_front(m, front, stats);
+                self.hold_front(m, front, stats);
             }
         }
         Ok(groups.len())
+    }
+
+    /// The upper-bound phase of an iteration's first I/O group after its
+    /// plan: over the front the plan serves it, or with `derive` over the
+    /// front derived, with its CSR, from the units of the group's own
+    /// span — a bounded group's path before views. Returns the nodes the
+    /// phase settled.
+    pub(crate) fn bound_first_group(
+        &self,
+        q: &SurfacePoint,
+        cands: &mut [Candidate],
+        iter: usize,
+        derive: bool,
+        stats: &mut QueryStats,
+    ) -> StoreResult<usize> {
+        let Some((groups, members)) = self.group_iteration(q, cands) else { return Ok(0) };
+        let fetch =
+            self.plan_iteration(q, cands, &groups, &members, iter, LinePlan::Skip, stats)?;
+        let (Some(m), Some(mut front)) = (fetch.step, fetch.fronts.into_iter().next()) else {
+            return Ok(0);
+        };
+        if derive {
+            let span = self.grid.span(&groups[0].region);
+            let mut load = self.cuts.claim(m, &[span]);
+            self.pager.read_into(&mut [&mut load])?;
+            load.publish();
+            let (units, _) = load.finish(self.pager)?.pop().expect("one span");
+            front = GroupFront::Derive { span, units, whole: false };
+        }
+        let settled = stats.settled;
+        self.ub_phase_front(q, cands, &members[0], m, front, stats);
+        Ok(stats.settled - settled)
     }
 
     /// Refresh the active candidates' I/O regions from their upper bounds
@@ -961,17 +1063,19 @@ impl<'a, 'm> RankingContext<'a, 'm> {
         // dominant redundant work — the step repeats across consecutive
         // schedule levels and regions only shrink, so a previously fetched
         // front frequently covers the request outright. A group whose
-        // front misses leaves its own front cached for the next group. The
-        // first iterations of every run ask for the same whole-terrain
-        // front, which the engine's table serves once any query derived it.
-        // A pathnet level reads every group's units (its charge).
-        let mut held = self.scratch.borrow().front_cache.as_ref().map(|c| (c.step, c.roi));
+        // front misses leaves its own front held for the next group. Every
+        // other group views the whole-terrain front at the step, which the
+        // engine's table serves once any query derived it. A pathnet level
+        // reads every group's units (its charge).
+        let mut held = self.scratch.borrow().front_cache.as_ref().map(HeldFront::holding);
         let mut asks: Vec<GroupFront> = Vec::with_capacity(groups.len());
         let mut asked: Vec<TileSpan> = Vec::with_capacity(groups.len());
         for &span in &spans {
             let ask = step.map(|m| self.front_source(m, span, &mut held));
-            if matches!(ask, None | Some(GroupFront::Derive { .. })) {
-                asked.push(span);
+            match ask {
+                None | Some(GroupFront::Derive { whole: false, .. }) => asked.push(span),
+                Some(GroupFront::Derive { whole: true, .. }) => asked.push(self.grid.full_span()),
+                Some(_) => {}
             }
             asks.extend(ask);
         }
@@ -1107,22 +1211,36 @@ impl<'a, 'm> RankingContext<'a, 'm> {
     }
 
     /// Where a group's front at step `m` over `span` comes from, `held`
-    /// being the step and region of the front the query holds when the
-    /// group's turn comes (the group's own front after it): that front
-    /// if it is at `m` and contains the span's region, else the engine's
-    /// whole-terrain front at `m` for a span over the whole terrain, else
-    /// derived from the span's units.
-    fn front_source(&self, m: u32, span: TileSpan, held: &mut Option<(u32, Rect2)>) -> GroupFront {
-        let roi = self.grid.span_rect(span);
-        if matches!(*held, Some((s, r)) if s == m && r.contains_rect(&roi)) {
-            return GroupFront::Cached;
-        }
-        *held = Some((m, roi));
-        let whole = span == self.grid.full_span();
-        match whole.then(|| self.whole.get(m)).flatten() {
-            Some(front) => GroupFront::Shared(front),
-            None => GroupFront::Derive { roi, units: vec![], whole },
-        }
+    /// being what the query holds when the group's turn comes (the
+    /// group's own front after it): the held front if it is at `m` and
+    /// its region contains the span's; else a view through the span of
+    /// the whole-terrain front at `m` — the held one, or the engine's
+    /// table's; else derived. The table lacking the step, the group
+    /// derives the whole front when every unit of the whole lattice at
+    /// `m` is resident — a claim of it reads no page — and its own span's
+    /// front otherwise, so a cold query reads no page it would not read
+    /// for its own span.
+    fn front_source(&self, m: u32, span: TileSpan, held: &mut Option<Holding>) -> GroupFront {
+        let holds_whole = match *held {
+            Some(h) if h.step == m => {
+                if self.grid.span_rect(h.span).contains_rect(&self.grid.span_rect(span)) {
+                    return GroupFront::Cached;
+                }
+                h.whole
+            }
+            _ => false,
+        };
+        let full = self.grid.full_span();
+        let source = match holds_whole.then_some(None).or_else(|| self.whole.get(m).map(Some)) {
+            Some(front) => GroupFront::View { front, span },
+            None => {
+                let whole = span == full || self.cuts.all_resident(m, full);
+                GroupFront::Derive { span, units: vec![], whole }
+            }
+        };
+        let whole = !matches!(source, GroupFront::Derive { whole: false, .. });
+        *held = Some(Holding { step: m, span, whole });
+        source
     }
 
     /// One axis band per group and axis, covering every member whose
@@ -1164,45 +1282,55 @@ impl<'a, 'm> RankingContext<'a, 'm> {
         (band_of, bands)
     }
 
-    /// Make the group's front at step `m` the cached one: the cached front
-    /// as it is, the engine's whole-terrain front, or derived, with its
-    /// CSR graph, from the units the plan read for the group — and then
-    /// published to the engine's table when it covers the whole terrain.
-    fn derive_front(&self, m: u32, front: GroupFront, stats: &mut QueryStats) {
+    /// Make the group's front at step `m` the held one: the held front as
+    /// it is, a whole-terrain front viewed through the group's span, or
+    /// derived, with its CSR graph, from the units the plan read for the
+    /// group — and then published to the engine's table when it covers
+    /// the whole terrain.
+    fn hold_front(&self, m: u32, front: GroupFront, stats: &mut QueryStats) {
         let scratch = &mut *self.scratch.borrow_mut();
-        let front = match front {
+        let (front, span) = match front {
             GroupFront::Cached => {
                 stats.front_cache_hits += 1;
                 return;
             }
-            GroupFront::Shared(front) => {
+            GroupFront::View { front, span } => {
                 stats.shared_fronts += 1;
-                stats.whole_fronts += 1;
-                scratch.retire_front();
-                front
+                let held = || scratch.front_cache.as_ref().map(|h| Arc::clone(&h.front));
+                (front.or_else(held).expect("the plan counted on the held whole front"), span)
             }
-            GroupFront::Derive { roi, units, whole } => {
+            GroupFront::Derive { span, units, whole } => {
+                stats.derived_fronts += 1;
                 scratch.retire_front();
                 let start = Instant::now();
-                let graph = FrontGraph::derive(self.tree, m, &units, &mut scratch.fetch);
+                let mut graph = FrontGraph::derive(self.tree, m, &units, &mut scratch.fetch);
                 let mut csr = std::mem::take(&mut scratch.spare_csr);
                 csr.rebuild_undirected(graph.num_nodes(), &graph.edges);
+                scratch.fetch.recycle_edges(&mut graph);
+                let side = self.grid.tiles();
+                let tiles = whole.then(|| scratch.fetch.tile_ranges(&graph, &units, side));
                 let derive = us_since(start);
                 stats.stages.fetch_derive_us += derive;
                 stats.stages.rank_fetch_us += derive;
-                let front = Arc::new(CachedFront { step: m, roi, graph, csr });
+                let front = Arc::new(CachedFront { step: m, graph, csr, tiles });
                 if whole {
-                    stats.whole_fronts += 1;
                     self.whole.publish(&front);
                 }
-                front
+                (front, span)
             }
         };
-        scratch.front_cache = Some(front);
+        if span == self.grid.full_span() {
+            stats.whole_fronts += 1;
+        }
+        scratch.retire_front();
+        scratch.front_cache = Some(HeldFront { front, span });
     }
 
     /// Upper bounds from the DMTM front at step `m`, from the source the
-    /// plan chose for this group (see [`derive_front`](Self::derive_front)).
+    /// plan chose for this group (see [`hold_front`](Self::hold_front)).
+    /// Every run enters only the nodes of the held front's region, and the
+    /// embeddings keep only those nodes: over a view, the runs the derived
+    /// front would give, bit for bit.
     fn ub_phase_front(
         &self,
         q: &SurfacePoint,
@@ -1212,15 +1340,21 @@ impl<'a, 'm> RankingContext<'a, 'm> {
         front: GroupFront,
         stats: &mut QueryStats,
     ) {
-        self.derive_front(m, front, stats);
+        self.hold_front(m, front, stats);
         let scratch = &mut *self.scratch.borrow_mut();
         let RankScratch { front_cache, masked, shared, .. } = scratch;
-        let CachedFront { graph: fg, csr, .. } =
-            front_cache.as_deref().expect("derived above, or the front the plan counted on");
+        let held = front_cache.as_ref().expect("held above, or the front the plan counted on");
+        let CachedFront { graph: fg, csr, .. } = &*held.front;
+        let mask = held.mask(self.grid.full_span());
         if fg.num_nodes() == 0 {
             return;
         }
-        let q_emb = fg.embed(self.tree, self.mesh, q.tri, q.pos);
+        let embed = |p: &SurfacePoint| -> Vec<(u32, f64)> {
+            let mut entries = fg.embed(self.tree, self.mesh, p.tri, p.pos);
+            entries.retain(|&(local, _)| admits(mask, local as usize));
+            entries
+        };
+        let q_emb = embed(q);
         if q_emb.is_empty() {
             return;
         }
@@ -1234,7 +1368,8 @@ impl<'a, 'm> RankingContext<'a, 'm> {
                 && (!self.cfg.corridor_refinement || c.corridor.is_empty())
         };
         let shared_run = if members.iter().any(|&ci| unrestricted(&cands[ci])) {
-            let run = Dijkstra::run_multi_scratch(csr, &q_emb, None, shared);
+            let admitted = |v: u32| admits(mask, v as usize);
+            let run = Dijkstra::run_masked_scratch(csr, &q_emb, &[], admitted, shared);
             stats.settled += run.settled;
             stats.absorb_queue(&run.queue);
             Some(run)
@@ -1244,7 +1379,7 @@ impl<'a, 'm> RankingContext<'a, 'm> {
 
         let pad = self.mesh.mean_edge_length();
         for &ci in members {
-            let exits = fg.embed(self.tree, self.mesh, cands[ci].point.tri, cands[ci].point.pos);
+            let exits = embed(&cands[ci].point);
             if exits.is_empty() {
                 continue;
             }
@@ -1291,6 +1426,9 @@ impl<'a, 'm> RankingContext<'a, 'm> {
                     // the mutations below — no clone).
                     let corridor = &cands[ci].corridor;
                     let allowed = |local: usize| -> bool {
+                        if !admits(mask, local) {
+                            return false;
+                        }
                         let p = fg.rep_pos[local].xy();
                         if use_ell {
                             if let Some(e) = &ellipse {
@@ -1383,7 +1521,7 @@ impl<'a, 'm> RankingContext<'a, 'm> {
         stats.lb_estimations += 1;
         let (step, m) = self.step_of(dmtm_step);
         let full = [self.grid.full_span()];
-        let mut held = self.scratch.borrow().front_cache.as_ref().map(|c| (c.step, c.roi));
+        let mut held = self.scratch.borrow().front_cache.as_ref().map(HeldFront::holding);
         let front = step.map(|m| self.front_source(m, full[0], &mut held));
         let derive = matches!(front, Some(GroupFront::Derive { .. }));
         // Every line of the pair's band, as `PagedMsdn::lower_bound` with
@@ -1417,9 +1555,11 @@ impl<'a, 'm> RankingContext<'a, 'm> {
             if let GroupFront::Derive { units: read, .. } = &mut front {
                 *read = units.pop().expect("one span, one unit list").0;
             }
-            self.derive_front(m, front, stats);
+            self.hold_front(m, front, stats);
             let RankScratch { front_cache, masked, .. } = &mut *self.scratch.borrow_mut();
-            let CachedFront { graph: fg, csr, .. } = front_cache.as_deref().expect("derived above");
+            // Held for the whole lattice, so no node is masked.
+            let CachedFront { graph: fg, csr, .. } =
+                &*front_cache.as_ref().expect("held above").front;
             let src = fg.embed(self.tree, self.mesh, a.tri, a.pos);
             let dst = fg.embed(self.tree, self.mesh, b.tri, b.pos);
             if !src.is_empty() && !dst.is_empty() {
@@ -1673,6 +1813,8 @@ mod tests {
     use super::*;
     use crate::mr3::{Mr3Engine, QueryOpts};
     use crate::workload::{Scene, SceneBuilder};
+    use rand::rngs::StdRng;
+    use rand::{Rng, RngCore, SeedableRng};
     use sknn_geodesic::graph::QueuePolicy;
     use sknn_geodesic::pathnet::Pathnet;
     use sknn_terrain::dem::TerrainConfig;
@@ -1883,9 +2025,7 @@ mod tests {
     fn the_table_holds_one_front_per_step() {
         let front = |step: u32| {
             let graph = FrontGraph { ids: vec![step], edges: vec![], rep_pos: vec![], step };
-            let roi =
-                Rect2::new(sknn_geom::Point2::new(0.0, 0.0), sknn_geom::Point2::new(1.0, 1.0));
-            Arc::new(CachedFront { step, roi, graph, csr: Graph::default() })
+            Arc::new(CachedFront { step, graph, csr: Graph::default(), tiles: Some(vec![[0; 4]]) })
         };
         let table = WholeFronts::default();
         let (first, second) = (front(5), front(5));
@@ -1899,6 +2039,214 @@ mod tests {
         table.clear();
         assert!(table.steps().is_empty() && table.get(5).is_none());
         assert_eq!(Arc::strong_count(&first), 1);
+    }
+
+    /// The units of `span` at step `m`, read and published if not resident.
+    fn units_of(c: &RankingContext<'_, '_>, m: u32, span: TileSpan) -> Vec<Arc<FrontUnit>> {
+        let mut load = c.cuts.claim(m, &[span]);
+        c.pager.read_into(&mut [&mut load]).expect("unfaulted");
+        load.publish();
+        load.finish(c.pager).expect("unfaulted").pop().expect("one span").0
+    }
+
+    /// Run the upper-bound phase of each `(front, members)` group in turn
+    /// from a query holding no front, on a copy of `cands`: every
+    /// candidate's upper-bound bits, and those with its corridor and the
+    /// work counters.
+    fn run_groups(
+        c: &RankingContext<'_, '_>,
+        q: &SurfacePoint,
+        cands: &[Candidate],
+        m: u32,
+        groups: Vec<(GroupFront, Vec<usize>)>,
+    ) -> (Vec<u64>, String) {
+        c.scratch.borrow_mut().retire_front();
+        let mut cands = cands.to_vec();
+        let mut stats = QueryStats::default();
+        for (front, members) in groups {
+            c.ub_phase_front(q, &mut cands, &members, m, front, &mut stats);
+        }
+        let ubs: Vec<u64> = cands.iter().map(|c| c.range.ub.to_bits()).collect();
+        let corridors: Vec<&Vec<Rect2>> = cands.iter().map(|c| &c.corridor).collect();
+        let counters = (
+            stats.settled,
+            stats.queue_pushes,
+            stats.queue_pops,
+            stats.stale_pops,
+            stats.ub_estimations,
+            stats.front_cache_hits,
+        );
+        let all = format!("{:?}", (&ubs, corridors, counters));
+        (ubs, all)
+    }
+
+    /// A random span of the lattice around `at`, one to five tiles a side.
+    fn span_near(c: &RankingContext<'_, '_>, at: sknn_geom::Point2, rng: &mut StdRng) -> TileSpan {
+        let r = c.grid.extent().width() / c.grid.tiles() as f64 * rng.gen_range(0.0..2.0);
+        c.grid.span(&Rect2::new(at, at).expanded(r))
+    }
+
+    /// A sub-span of `s`.
+    fn inside(s: TileSpan, rng: &mut StdRng) -> TileSpan {
+        let (x0, y0) = (rng.gen_range(s.x0..s.x1), rng.gen_range(s.y0..s.y1));
+        TileSpan {
+            x0,
+            x1: rng.gen_range(x0 + 1..s.x1 + 1),
+            y0,
+            y1: rng.gen_range(y0 + 1..s.y1 + 1),
+        }
+    }
+
+    /// A view of the whole-terrain front through a group's span runs as
+    /// the front derived from the span's units: for every DMTM step of
+    /// `s1` on a 33² and a 65² scene, over random groups — members with
+    /// and without a finite upper bound and a corridor, so the shared
+    /// run and every attempt of the relaxation ladder — and a second
+    /// group the first one's region contains (held-front hits, masked to
+    /// the held region), every member's upper-bound bits and corridor,
+    /// the settled nodes, queue counters and estimations are equal.
+    #[test]
+    fn views_are_bit_identical_to_derived_fronts() {
+        for grid in [33, 65] {
+            let mesh = TerrainConfig::bh().with_grid(grid).build_mesh(5);
+            let scene = SceneBuilder::new(&mesh).object_count(24).seed(grid as u64).build();
+            let engine = Mr3Engine::build(&mesh, &scene, &Mr3Config::default());
+            engine.scoped(&QueryOpts::default(), "test", |s| {
+                let c = &s.ctx;
+                let (terrain, full) = (c.mesh.extent(), c.grid.full_span());
+                let mut rng = StdRng::seed_from_u64(grid as u64);
+                let steps = c.cfg.schedule.dmtm.iter().filter(|&&f| f <= 1.0);
+                for m in steps.map(|&f| c.tree.step_for_fraction(f)) {
+                    let units = units_of(c, m, full);
+                    let derive = GroupFront::Derive { span: full, units, whole: true };
+                    c.hold_front(m, derive, &mut QueryStats::default());
+                    let whole = c.whole.get(m).expect("published");
+                    for case in 0..8u64 {
+                        let q = scene.random_query(rng.next_u64());
+                        let mut cands: Vec<Candidate> = scene
+                            .objects()
+                            .iter()
+                            .map(|o| Candidate::new(&q, o.id, o.point, &terrain))
+                            .collect();
+                        // Bounds and corridors from an unmasked round, then
+                        // some of them dropped.
+                        let all: Vec<usize> = (0..cands.len()).collect();
+                        let round =
+                            GroupFront::View { front: Some(Arc::clone(&whole)), span: full };
+                        c.ub_phase_front(
+                            &q,
+                            &mut cands,
+                            &all,
+                            m,
+                            round,
+                            &mut QueryStats::default(),
+                        );
+                        for cand in &mut cands {
+                            match rng.gen_range(0usize..4) {
+                                0 => cand.range = DistRange::unbounded(),
+                                1 => cand.corridor.clear(),
+                                2 => cand.range.ub *= rng.gen_range(0.6..1.0),
+                                _ => {}
+                            }
+                        }
+                        let outer = span_near(c, q.pos.xy(), &mut rng);
+                        let inner = inside(outer, &mut rng);
+                        let mut members: Vec<usize> = (0..cands.len()).collect();
+                        members.retain(|_| rng.gen_range(0usize..2) == 0);
+                        let second: Vec<usize> = members.iter().copied().rev().collect();
+                        let derived = run_groups(
+                            c,
+                            &q,
+                            &cands,
+                            m,
+                            vec![
+                                (
+                                    GroupFront::Derive {
+                                        span: outer,
+                                        units: units_of(c, m, outer),
+                                        whole: false,
+                                    },
+                                    members.clone(),
+                                ),
+                                (GroupFront::Cached, second.clone()),
+                                (
+                                    GroupFront::Derive {
+                                        span: inner,
+                                        units: units_of(c, m, inner),
+                                        whole: false,
+                                    },
+                                    members.clone(),
+                                ),
+                            ],
+                        );
+                        let viewed = run_groups(
+                            c,
+                            &q,
+                            &cands,
+                            m,
+                            vec![
+                                (
+                                    GroupFront::View {
+                                        front: Some(Arc::clone(&whole)),
+                                        span: outer,
+                                    },
+                                    members.clone(),
+                                ),
+                                (GroupFront::Cached, second.clone()),
+                                (GroupFront::View { front: None, span: inner }, members.clone()),
+                            ],
+                        );
+                        assert_eq!(viewed, derived, "{grid}² step {m} case {case}");
+                    }
+                }
+            });
+        }
+    }
+
+    /// The mask is what makes a view the derived front: a group whose
+    /// region leaves a shorter path outside it gets a different (tighter)
+    /// upper bound from the unmasked whole-terrain front, and the view
+    /// through its span gives the derived front's bound.
+    #[test]
+    fn an_unmasked_whole_front_leaves_the_region_and_a_view_does_not() {
+        let mesh = TerrainConfig::bh().with_grid(33).build_mesh(5);
+        let scene = SceneBuilder::new(&mesh).object_count(24).seed(33).build();
+        let engine = Mr3Engine::build(&mesh, &scene, &Mr3Config::default());
+        engine.scoped(&QueryOpts::default(), "test", |s| {
+            let c = &s.ctx;
+            let (terrain, full) = (c.mesh.extent(), c.grid.full_span());
+            let m = c.tree.step_for_fraction(1.0);
+            let units = units_of(c, m, full);
+            c.hold_front(
+                m,
+                GroupFront::Derive { span: full, units, whole: true },
+                &mut QueryStats::default(),
+            );
+            let whole = c.whole.get(m).expect("published");
+            let mut rng = StdRng::seed_from_u64(7);
+            let mut found = 0;
+            for _ in 0..64 {
+                let q = scene.random_query(rng.next_u64());
+                let cands: Vec<Candidate> = scene
+                    .objects()
+                    .iter()
+                    .map(|o| Candidate::new(&q, o.id, o.point, &terrain))
+                    .collect();
+                let span = span_near(c, q.pos.xy(), &mut rng);
+                let members: Vec<usize> = (0..cands.len()).collect();
+                let run = |front| run_groups(c, &q, &cands, m, vec![(front, members.clone())]);
+                let units = units_of(c, m, span);
+                let derived = run(GroupFront::Derive { span, units, whole: false });
+                let unmasked =
+                    run(GroupFront::View { front: Some(Arc::clone(&whole)), span: full });
+                if unmasked.0 != derived.0 {
+                    found += 1;
+                    let viewed = run(GroupFront::View { front: Some(Arc::clone(&whole)), span });
+                    assert_eq!(viewed, derived);
+                }
+            }
+            assert!(found > 0, "no group's unmasked run left its region");
+        });
     }
 
     #[test]

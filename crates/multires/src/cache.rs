@@ -278,6 +278,16 @@ impl CutCache {
         let read = self.store.read_units(m, &tiles);
         UnitLoad { cache: self, m, claim, read }
     }
+
+    /// Whether every unit of `span` at step `m` is resident: a lookup
+    /// that latches, warms and counts nothing
+    /// ([`SingleFlightCache::all_resident`]), stopping at the first unit
+    /// that is not. A [`claim`](Self::claim) of the span would then read
+    /// no page.
+    pub fn all_resident(&self, m: u32, span: TileSpan) -> bool {
+        let side = self.store.grid().tiles();
+        self.inner.all_resident(span.tiles(side).map(|tile| UnitKey { step: m, tile }))
+    }
 }
 
 /// A [`CutCache::claim`] of one step's units for a list of spans: the

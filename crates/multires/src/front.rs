@@ -152,18 +152,59 @@ struct Slot {
 
 impl FetchScratch {
     /// Take back the buffers of a front that is no longer needed so the
-    /// next fetch reuses them instead of allocating.
+    /// next fetch reuses them instead of allocating, keeping the larger of
+    /// each pair of buffers.
     pub fn recycle(&mut self, fg: FrontGraph) {
         let FrontGraph { ids, edges, rep_pos, .. } = fg;
-        if ids.capacity() > self.ids.capacity() {
-            self.ids = ids;
-            self.ids.clear();
-        }
-        self.edges = edges;
-        self.edges.clear();
-        self.rep_pos = rep_pos;
-        self.rep_pos.clear();
+        keep_larger(&mut self.ids, ids);
+        keep_larger(&mut self.edges, edges);
+        keep_larger(&mut self.rep_pos, rep_pos);
     }
+
+    /// Take back `fg`'s edge list alone, once its CSR adjacency is built
+    /// and nothing reads the list again, keeping the larger buffer.
+    pub fn recycle_edges(&mut self, fg: &mut FrontGraph) {
+        keep_larger(&mut self.edges, std::mem::take(&mut fg.edges));
+    }
+
+    /// Per node of `fg` — the front the last [`FrontGraph::derive`] with
+    /// this scratch made from `units`, the unit of every tile of a lattice
+    /// `side` tiles a side in row-major order — the tiles whose units
+    /// hold it, as `[x0, x1, y0, y1]` half-open. The unit store puts a
+    /// node in exactly the tiles
+    /// [`CutGrid::tiles_meeting`](crate::CutGrid::tiles_meeting) its MBR,
+    /// a rectangle of tiles, so these are those ranges, read off the units
+    /// rather than recomputed from each MBR.
+    ///
+    /// Panics unless `units` holds `side²` units and `side < 65 535`.
+    pub fn tile_ranges(
+        &self,
+        fg: &FrontGraph,
+        units: &[Arc<FrontUnit>],
+        side: usize,
+    ) -> Vec<[u16; 4]> {
+        assert_eq!(units.len(), side * side, "the unit of every tile");
+        assert!(side < usize::from(u16::MAX), "at most 65 534 tiles a side");
+        let mut ranges = vec![[u16::MAX, 0, u16::MAX, 0]; fg.num_nodes()];
+        for (tile, unit) in units.iter().enumerate() {
+            let (x, y) = ((tile % side) as u16, (tile / side) as u16);
+            for &id in unit.ids() {
+                let slot = self.slots[id as usize];
+                debug_assert_eq!(slot.stamp, self.stamp, "a node of the last derivation");
+                let r = &mut ranges[slot.local as usize];
+                *r = [r[0].min(x), r[1].max(x + 1), r[2].min(y), r[3].max(y + 1)];
+            }
+        }
+        ranges
+    }
+}
+
+/// Keep the larger-capacity of `buf` and `other`, emptied.
+fn keep_larger<T>(buf: &mut Vec<T>, other: Vec<T>) {
+    if other.capacity() > buf.capacity() {
+        *buf = other;
+    }
+    buf.clear();
 }
 
 impl FrontGraph {

@@ -372,6 +372,38 @@ mod tests {
         }
     }
 
+    /// The tile ranges read off a whole-lattice derivation's units are
+    /// `CutGrid::tiles_meeting` of each node's MBR, at every stored step,
+    /// on the terrain's own lattice and on a skewed one whose lines are
+    /// not representable.
+    #[test]
+    fn tile_ranges_are_the_tiles_each_mbr_meets() {
+        let (tree, extent) = shared_tree();
+        let skewed = Rect2::new(
+            Point2::new(extent.lo.x - 0.1, extent.lo.y - 0.3),
+            Point2::new(extent.hi.x + 0.7, extent.hi.y + 0.2),
+        );
+        let steps = [0, tree.step_for_fraction(0.3), tree.num_steps()];
+        for (extent, side) in [(*extent, 16), (skewed, 7)] {
+            let grid = CutGrid::new(extent, side, 0.5);
+            let pager = Pager::new(16);
+            let store = UnitStore::build(&pager, tree, grid, &steps);
+            let all: Vec<u32> = grid.full_span().tiles(side).collect();
+            let mut scratch = FetchScratch::default();
+            for m in steps {
+                let units: Vec<Arc<FrontUnit>> =
+                    store.read(&pager, m, &all).unwrap().into_iter().map(Arc::new).collect();
+                let front = FrontGraph::derive(tree, m, &units, &mut scratch);
+                let ranges = scratch.tile_ranges(&front, &units, side);
+                for (&id, range) in front.ids.iter().zip(ranges) {
+                    let (xs, ys) = grid.tiles_meeting(&tree.node(id).mbr);
+                    let want = [xs.start, xs.end, ys.start, ys.end].map(|t| t as u16);
+                    assert_eq!(range, want, "step {m} node {id}");
+                }
+            }
+        }
+    }
+
     /// A tree whose adjacency records repeat a neighbour (a bundle read
     /// from disk may; the collapse driver never writes one) stores the
     /// tighter record once, as the paged assembly and extraction do.

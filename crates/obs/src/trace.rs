@@ -13,15 +13,17 @@
 //! * `{"t":"event","name":"iter","phase":"rank","i":…,"dmtm_frac":…,
 //!   "msdn_level":…,"alive":…,"kth_ub":…,"next_lb":…,"resolve_lb":…,
 //!   "resolved":…,"ub_est":…,"lb_est":…,"dummy_lb":…,"lb_jobs_shared":…,
-//!   "shared_fronts":…,"whole_fronts":…,"settled":…,"pages":…,"stalls":…,"ahead_pages":…,"ahead_steps":…,
+//!   "shared_fronts":…,"derived_fronts":…,"whole_fronts":…,"settled":…,"pages":…,"stalls":…,
+//!   "ahead_pages":…,"ahead_steps":…,
 //!   "fetch_read_us":…,"fetch_decode_us":…,"fetch_derive_us":…}` — one per
 //!   ranking iteration (phase `radius` for step 2, `rank` for step 4,
 //!   `range` for surface range queries; `lb_jobs_shared` = lower-bound
 //!   jobs, one per `lb_est` or `dummy_lb`, whose result a helper thread
-//!   computed beside the query's thread; `whole_fronts` = groups over the
-//!   whole terrain the query's own cached front did not serve, and
-//!   `shared_fronts` = those the engine's whole-terrain front at the step
-//!   served, the rest being derived; `stalls` = read batches that paid
+//!   computed beside the query's thread; `shared_fronts` = groups a view
+//!   of a whole-terrain front at the step served, masked to the group's
+//!   region; `derived_fronts` = fronts the query derived from units;
+//!   `whole_fronts` = groups over the whole terrain the query's own held
+//!   front did not serve; `stalls` = read batches that paid
 //!   the disk stall; `ahead_pages` = pages of the batch only its
 //!   look-ahead asked for; `ahead_steps` = later schedule steps that
 //!   look-ahead carried; the `fetch_*` clocks = the iteration's cut fetch
@@ -93,11 +95,13 @@ pub struct IterEvent {
     /// whose result a helper thread computed.
     pub lb_jobs_shared: u64,
     /// This iteration's groups over the whole terrain that the query's own
-    /// cached front did not serve.
+    /// held front did not serve.
     pub whole_fronts: u64,
-    /// Of [`whole_fronts`](Self::whole_fronts), those the engine's
-    /// whole-terrain front at the step served (the rest were derived).
+    /// This iteration's groups a view of a whole-terrain front at the step
+    /// served (nothing claimed, nothing derived).
     pub shared_fronts: u64,
+    /// Fronts this iteration derived from units.
+    pub derived_fronts: u64,
     /// Dijkstra nodes settled this iteration.
     pub settled: u64,
     /// Physical pages read this iteration.
@@ -167,6 +171,7 @@ impl QueryTrace {
                 lb_jobs_shared: r.get_u64("lb_jobs_shared").unwrap_or(0),
                 whole_fronts: r.get_u64("whole_fronts").unwrap_or(0),
                 shared_fronts: r.get_u64("shared_fronts").unwrap_or(0),
+                derived_fronts: r.get_u64("derived_fronts").unwrap_or(0),
                 settled: r.get_u64("settled").unwrap_or(0),
                 pages: r.get_u64("pages").unwrap_or(0),
                 stalls: r.get_u64("stalls").unwrap_or(0),
@@ -247,9 +252,13 @@ impl QueryTrace {
             let jobs: u64 = iters.iter().map(|e| e.lb_est + e.dummy_lb).sum();
             let shared: u64 = iters.iter().map(|e| e.lb_jobs_shared).sum();
             out.push_str(&format!("  lower-bound jobs run by a helper: {shared} of {jobs}\n"));
-            let whole: u64 = iters.iter().map(|e| e.whole_fronts).sum();
-            let shared: u64 = iters.iter().map(|e| e.shared_fronts).sum();
-            out.push_str(&format!("  whole-terrain fronts shared: {shared} of {whole}\n"));
+            let sum = |f: fn(&IterEvent) -> u64| iters.iter().map(f).sum::<u64>();
+            out.push_str(&format!(
+                "  group fronts: {} shared, {} derived; {} whole-terrain\n",
+                sum(|e| e.shared_fronts),
+                sum(|e| e.derived_fronts),
+                sum(|e| e.whole_fronts),
+            ));
         }
 
         let io = self.io_by_structure();
@@ -320,6 +329,7 @@ mod tests {
                         field("dummy_lb", 3u64),
                         field("lb_jobs_shared", 5u64),
                         field("shared_fronts", 1u64),
+                        field("derived_fronts", 3u64),
                         field("whole_fronts", 2u64),
                         field("settled", 1234u64),
                         field("pages", 17u64),
@@ -375,7 +385,7 @@ mod tests {
         assert!(!e.resolved);
         assert_eq!(e.dummy_lb, 3);
         assert_eq!(e.lb_jobs_shared, 5);
-        assert_eq!((e.shared_fronts, e.whole_fronts), (1, 2));
+        assert_eq!((e.shared_fronts, e.derived_fronts, e.whole_fronts), (1, 3, 2));
 
         assert_eq!(t.io_by_structure(), vec![("dmtm", 30, 17)]);
     }
@@ -389,7 +399,7 @@ mod tests {
         assert!(s.contains("hit rate"));
         assert!(s.contains("4 coalesced misses"));
         assert!(s.contains("lower-bound jobs run by a helper: 5 of 12"));
-        assert!(s.contains("whole-terrain fronts shared: 1 of 2"));
+        assert!(s.contains("group fronts: 1 shared, 3 derived; 2 whole-terrain"));
     }
 
     /// Traces without the coalesced count (older engines) still render.

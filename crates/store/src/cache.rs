@@ -453,6 +453,20 @@ impl<K: Hash + Eq + Clone, V> SingleFlightCache<K, V> {
         claim
     }
 
+    /// Whether every key of `keys` is resident, stopping at the first that
+    /// is not (Absent, or *Loading* under any claim). A plain lookup: it
+    /// takes each key's shard lock for that key's lookup alone, latches
+    /// nothing, warms nothing and moves no counter, so the cache reads
+    /// the same before and after. Unlike a [`claim`](Self::claim) that
+    /// finds nothing to latch, a key another claim is loading counts as
+    /// not resident.
+    pub fn all_resident(&self, keys: impl IntoIterator<Item = K>) -> bool {
+        keys.into_iter().all(|key| {
+            let st = lock_recover(&self.shard(&key).state);
+            matches!(st.map.get(&key), Some(Entry::Resident { .. }))
+        })
+    }
+
     /// Block while `key` is *Loading* under another thread.
     fn wait_loaded(&self, key: &K) {
         let shard = self.shard(key);
@@ -955,6 +969,29 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `all_resident` is a claim that latches nothing and waits on
+        /// nothing, asked without side effects: on random caches — keys
+        /// resident (some cooled by a small budget's sweep) and keys
+        /// latched by another open claim — it answers whether a claim of
+        /// the same keys would find every one resident, and leaves the
+        /// counters and gauges as they were.
+        #[test]
+        fn all_resident_is_a_claim_without_side_effects(
+            keys in vec(0..16u64, 0..13).prop_map(distinct),
+            resident in vec(0..16u64, 0..12),
+            latched in vec(0..16u64, 0..6),
+            small in any::<bool>(),
+        ) {
+            let c = cache(if small { 48 } else { 1 << 20 });
+            let _other = open_world(&c, &resident, &latched);
+            let (stats, gauges) = (c.stats(), c.gauges());
+            let answer = c.all_resident(keys.iter().copied());
+            prop_assert_eq!(c.stats(), stats);
+            prop_assert_eq!(c.gauges(), gauges);
+            let claim = c.claim([keys.clone()]);
+            prop_assert_eq!(answer, claim.claimed.is_empty() && claim.elsewhere.is_empty());
+        }
 
         /// One claim over 1-4 asks of up to 12 keys from a 16-key space,
         /// some keys resident and some latched by another open claim that

@@ -265,13 +265,14 @@ fn main() {
                 };
                 println!(
                     "ranking phases (mean us/query): cut fetch {} (read {}, decode {}, \
-                     derive {}; {:.1} of {:.1} whole-terrain fronts shared), upper bounds {}, \
-                     lower bounds {} ({} jobs by a helper), pathnet {}",
+                     derive {}; fronts {:.1} shared, {:.1} derived, {:.1} whole-terrain), \
+                     upper bounds {}, lower bounds {} ({} jobs by a helper), pathnet {}",
                     mean(|s| s.stages.rank_fetch_us),
                     mean(|s| s.stages.fetch_read_us),
                     mean(|s| s.stages.fetch_decode_us),
                     mean(|s| s.stages.fetch_derive_us),
                     fronts(|s| s.shared_fronts),
+                    fronts(|s| s.derived_fronts),
                     fronts(|s| s.whole_fronts),
                     mean(|s| s.stages.rank_ub_us),
                     mean(|s| s.stages.rank_lb_us),

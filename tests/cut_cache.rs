@@ -41,6 +41,11 @@
 //! * **Cold means derived** — `cold_cache` empties the engine's
 //!   whole-terrain fronts too: a cold query derives its first one from
 //!   the units it reads, and a warm query shares it.
+//! * **Every front a view** — once a warm engine's units are all
+//!   resident, one query derives each DMTM step's whole-terrain front
+//!   once and a later query derives nothing, answering as a cold engine
+//!   does; a cold query reads, stalls and settles exactly as before views
+//!   (pinned per query on two fixtures).
 //! * **One pair path** — a pair estimate reads like an iteration's group
 //!   over the whole terrain: its range equals the private path it
 //!   replaced (a front extracted and searched over a fresh CSR, and
@@ -776,6 +781,133 @@ fn a_cold_query_derives_its_first_whole_terrain_front() {
     for &q in &pool {
         let e = first_whole(&engine, q);
         assert_eq!(e.shared_fronts, e.whole_fronts, "a warm query shares it");
+    }
+}
+
+/// Once every unit of a warm engine is resident, one query derives the
+/// whole-terrain front of each DMTM step it visits, once — its bounded
+/// groups view it instead of deriving their own — and leaves them in the
+/// engine's table; a later query claims no DMTM unit for a front and
+/// derives nothing. The answers are a cold engine's, bit for bit.
+#[test]
+fn once_every_unit_is_resident_each_step_is_derived_once() {
+    let mesh = TerrainConfig::bh().with_grid(33).build_mesh(17);
+    let scene = SceneBuilder::new(&mesh).object_count(30).seed(5).build();
+    let cfg = Mr3Config::default();
+    let mut engine = Mr3Engine::build(&mesh, &scene, &cfg);
+    engine.cold_cache = false;
+    engine.enable_tracing();
+    let tree = build_dmtm(&mesh);
+    let fronts: Vec<f64> = cfg.schedule.dmtm.iter().copied().filter(|&f| f <= 1.0).collect();
+    let mut steps: Vec<u32> = fronts.iter().map(|&f| tree.step_for_fraction(f)).collect();
+    steps.sort_unstable();
+    let pool = scene.random_queries(4, 3);
+    // Fresh candidates ask for the whole lattice at every front step: the
+    // plans leave every unit resident and derive nothing.
+    for i in 0..fronts.len() {
+        engine.plan_iteration(pool[0], 10, i, &[]).unwrap();
+    }
+    assert!(engine.whole_front_steps().is_empty());
+
+    let k = 8;
+    let first = engine.try_query(pool[0], k).unwrap();
+    let iters = first.trace.clone().expect("traced").iter_events();
+    let mut visited: Vec<u32> = iters
+        .iter()
+        .filter(|e| e.dmtm_frac <= 1.0)
+        .map(|e| tree.step_for_fraction(e.dmtm_frac))
+        .collect();
+    visited.sort_unstable();
+    visited.dedup();
+    assert_eq!(visited, steps, "the query visits every front step");
+    let mut published = engine.whole_front_steps();
+    published.sort_unstable();
+    assert_eq!(published, steps, "one whole-terrain front per step");
+    assert_eq!(first.stats.derived_fronts, steps.len(), "each step derived once");
+    assert!(first.stats.shared_fronts > 0, "{:?}", first.stats);
+    assert!(iters.iter().any(|e| e.phase == "rank" && e.whole_fronts == 0 && e.shared_fronts > 0));
+
+    let mut warm = vec![first];
+    for &q in &pool {
+        let r = engine.try_query(q, k).unwrap();
+        assert_eq!((r.stats.derived_fronts, r.stats.stages.fetch_derive_us), (0, 0));
+        let trace = r.trace.clone().expect("traced");
+        let dmtm = trace.io_by_structure().into_iter().find(|io| io.0 == "dmtm");
+        assert!(dmtm.is_none_or(|(_, _, physical)| physical == 0), "{dmtm:?}");
+        assert!(trace.iter_events().iter().all(|e| e.derived_fronts == 0));
+        warm.push(r);
+    }
+    let cold = Mr3Engine::build(&mesh, &scene, &cfg);
+    let want: Vec<QueryResult> =
+        [pool[0]].iter().chain(&pool).map(|&q| cold.try_query(q, k).unwrap()).collect();
+    assert_eq!(fingerprint(&warm), fingerprint(&want));
+}
+
+/// Views change what a cold query derives, never what it reads or
+/// settles: on the suite's fixtures each cold query's physical pages,
+/// stalled batches and settled nodes are those of the engine before
+/// views (pinned).
+#[test]
+fn a_cold_query_reads_stalls_and_settles_as_before_views() {
+    /// Physical pages, stalled batches and settled nodes of one query.
+    type Pinned = (u64, u64, usize);
+    /// Grid, mesh seed, scene seed, queries, query seed, k, and per query
+    /// what it pinned.
+    type Fixture = (usize, u64, u64, usize, u64, usize, &'static [Pinned]);
+    let fixtures: [Fixture; 2] = [
+        (
+            33,
+            17,
+            5,
+            6,
+            3,
+            5,
+            &[
+                (56, 3, 1907),
+                (96, 3, 7662),
+                (91, 3, 7419),
+                (68, 3, 6327),
+                (68, 3, 8079),
+                (77, 3, 4543),
+            ],
+        ),
+        (
+            25,
+            909,
+            910,
+            12,
+            911,
+            4,
+            &[
+                (30, 2, 354),
+                (22, 2, 261),
+                (43, 3, 1142),
+                (59, 3, 1890),
+                (65, 3, 1478),
+                (23, 2, 82),
+                (80, 3, 3567),
+                (96, 3, 3783),
+                (62, 3, 2143),
+                (86, 3, 2809),
+                (62, 3, 1915),
+                (27, 2, 348),
+            ],
+        ),
+    ];
+    for (grid, mesh_seed, scene_seed, n, query_seed, k, want) in fixtures {
+        let mesh = TerrainConfig::bh().with_grid(grid).build_mesh(mesh_seed);
+        let scene = SceneBuilder::new(&mesh).object_count(30).seed(scene_seed).build();
+        let engine = Mr3Engine::build(&mesh, &scene, &Mr3Config::default());
+        let got: Vec<Pinned> = scene
+            .random_queries(n, query_seed)
+            .into_iter()
+            .map(|q| {
+                let r = engine.try_query(q, k).unwrap();
+                let pager = engine.pager();
+                (pager.stats().physical_reads, pager.stalled_batches(), r.stats.settled)
+            })
+            .collect();
+        assert_eq!(got, want, "{grid}²");
     }
 }
 

@@ -89,14 +89,18 @@ fn batch_is_bit_identical_to_sequential() {
 }
 
 /// Threads racing to fill the engine's whole-terrain front table answer
-/// as the sequential run does: a warm engine whose caches and table are
-/// emptied before each batch, at 4 and 8 threads. However the race goes,
-/// the table ends with at most one front per step.
+/// as the sequential run does, at 4 and 8 threads: on a warm engine whose
+/// caches and table are emptied before each batch, and on one whose units
+/// are all resident and whose table is empty, so that bounded groups race
+/// to derive and publish every front step. However the race goes, the
+/// table ends with at most one front per step — with every unit resident,
+/// exactly one per front step of the schedule.
 #[test]
 fn racing_to_fill_the_front_table_keeps_answers_bit_identical() {
     let mesh = TerrainConfig::bh().with_grid(25).build_mesh(909);
     let scene = SceneBuilder::new(&mesh).object_count(30).seed(910).build();
-    let mut engine = Mr3Engine::build(&mesh, &scene, &Mr3Config::default());
+    let cfg = Mr3Config::default();
+    let mut engine = Mr3Engine::build(&mesh, &scene, &cfg);
     engine.cold_cache = false;
     install_fault_profile(&engine);
 
@@ -107,6 +111,15 @@ fn racing_to_fill_the_front_table_keeps_answers_bit_identical() {
     let sequential: Vec<QueryResult> =
         qs.iter().map(|&q| engine.try_query(q, k).unwrap()).collect();
     let expect = fingerprint(&sequential);
+    let front_steps = cfg.schedule.dmtm.iter().filter(|&&f| f <= 1.0).count();
+    let one_per_step = |engine: &Mr3Engine| {
+        let mut steps = engine.whole_front_steps();
+        let held = steps.len();
+        steps.sort_unstable();
+        steps.dedup();
+        assert!(held > 0 && steps.len() == held, "one front per step: {held} for {steps:?}");
+        held
+    };
 
     for iter in 0..stress_iters() {
         for threads in [4usize, 8] {
@@ -119,11 +132,23 @@ fn racing_to_fill_the_front_table_keeps_answers_bit_identical() {
             );
             let shared: usize = parallel.iter().map(|r| r.stats.shared_fronts).sum();
             assert!(shared > 0, "later queries share the published fronts");
-            let mut steps = engine.whole_front_steps();
-            let held = steps.len();
-            steps.sort_unstable();
-            steps.dedup();
-            assert!(held > 0 && steps.len() == held, "one front per step: {held} for {steps:?}");
+            one_per_step(&engine);
+
+            // Every unit resident, no front published: fresh candidates'
+            // plans read the whole lattice at every front step.
+            engine.clear_cut_caches();
+            for i in 0..front_steps {
+                engine.plan_iteration(qs[0], 10, i, &[]).unwrap();
+            }
+            let parallel = answers(&engine, &batch, threads);
+            assert_eq!(
+                fingerprint(&parallel),
+                expect,
+                "batch at {threads} threads racing over resident units diverged (iter {iter})"
+            );
+            let derived: usize = parallel.iter().map(|r| r.stats.derived_fronts).sum();
+            assert!(derived >= front_steps, "{derived} fronts derived for {front_steps} steps");
+            assert_eq!(one_per_step(&engine), front_steps);
         }
     }
 }
