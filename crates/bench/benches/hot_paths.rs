@@ -401,10 +401,8 @@ fn main() {
     // resident and the whole-terrain front of the 75 % step published:
     // the first I/O group of the 75 % iteration for the query's 5 nearest
     // objects, bounded by their pair estimates at the first step — its
-    // plan and upper-bound phase over a view of the whole-terrain front
-    // (`view`), and over the front derived with its CSR from its own
-    // span's resident units (`derived`, the path before views). Both
-    // settle the same nodes; no page is read.
+    // plan and upper-bound phase over a view of the whole-terrain front.
+    // No page is read.
     let mut view_engine = Mr3Engine::build(&terrain, &cold_scene, &cfg);
     view_engine.cold_cache = false;
     let fronts = cfg.schedule.dmtm.iter().filter(|&&f| f <= 1.0).count();
@@ -412,12 +410,11 @@ fn main() {
         view_engine.plan_iteration(cold_q, 5, i, &[]).expect("unfaulted");
     }
     let i75 = cfg.schedule.dmtm.iter().position(|&f| f == 0.75).expect("s=1 has a 75 % step");
-    let bound = |derive| view_engine.bound_first_group(cold_q, 5, i75, &cold_ubs, derive);
-    let settled = bound(false).expect("unfaulted");
-    assert_eq!(bound(true).expect("unfaulted"), settled, "a view settles what its front does");
+    let bound = || view_engine.bound_first_group(cold_q, 5, i75, &cold_ubs).expect("unfaulted");
+    // The first call derives the step's whole-terrain front; later ones view it.
+    bound();
     assert!(view_engine.whole_front_steps().contains(&tree.step_for_fraction(0.75)));
-    h.bench("front/view_bounded/view", || bound(false).expect("unfaulted"));
-    h.bench("front/view_bounded/derived", || bound(true).expect("unfaulted"));
+    h.bench("front/view_bounded/view", bound);
     assert_eq!(view_engine.pager().stats().physical_reads, 0, "a warm group reads no page");
 
     // --- Line-cache band loads -----------------------------------------------

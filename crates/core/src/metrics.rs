@@ -141,14 +141,6 @@ pub struct QueryStats {
     /// The lines a radius batch carries for the ranking run are not steps
     /// of its run and count none.
     pub ahead_steps: usize,
-    /// Units and lines the look-aheads loaded, each key once per query
-    /// (never credited to [`cut_cache_misses`](Self::cut_cache_misses)).
-    pub ahead_keys: usize,
-    /// Of [`ahead_keys`](Self::ahead_keys), those a later iteration of the
-    /// query — of the same run, or the ranking run after a radius run —
-    /// asked for and found resident: the prefetched-used share; the rest
-    /// was prefetched and wasted.
-    pub ahead_used: usize,
     /// Per-step wall-clock breakdown (always measured, tracing or not).
     pub stages: StageTimes,
 }

@@ -538,22 +538,19 @@ impl<'s, 'm> Mr3Engine<'s, 'm> {
 
     /// The upper-bound phase of the first I/O group of ranking iteration
     /// `iter`, candidates as for [`plan_iteration`](Self::plan_iteration),
-    /// after the iteration's plan: over the front the plan serves the
+    /// after the iteration's plan, over the front the plan serves the
     /// group — on a warm engine, a view of the whole-terrain front at the
-    /// step — or, with `derive`, over the front derived with its CSR from
-    /// the units of the group's own span, as a bounded group's bounds were
-    /// computed before views. The `front/view_bounded` kernel rows time
-    /// both. Returns the nodes the phase settled.
+    /// step. The `front/view_bounded/view` kernel row times it. Returns
+    /// the nodes the phase settled.
     pub fn bound_first_group(
         &self,
         q: SurfacePoint,
         n: usize,
         iter: usize,
         ubs: &[f64],
-        derive: bool,
     ) -> Result<usize, sknn_store::StoreError> {
         self.with_candidates(q, n, ubs, |ctx, cands, stats| {
-            ctx.bound_first_group(&q, cands, iter, derive, stats)
+            ctx.bound_first_group(&q, cands, iter, stats)
         })
     }
 

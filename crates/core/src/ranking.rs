@@ -83,7 +83,7 @@ pub struct RankingContext<'a, 'm> {
     /// and the query's bounds are valid but looser than scheduled.
     pub deadline_hit: Cell<bool>,
     /// Engine scratch pool this context returns its [`RankScratch`] to on
-    /// drop (after [`RankScratch::reset_for_reuse`]). Pooling removes the
+    /// drop, its held front retired. Pooling removes the
     /// per-query allocation burst of fresh Dijkstra/fetch buffers — a
     /// measurable allocator contention point under multi-threaded batches.
     pub pool: &'a Mutex<Vec<RankScratch>>,
@@ -107,7 +107,12 @@ impl Drop for RankingContext<'_, '_> {
             return;
         }
         let mut s = std::mem::take(&mut *self.scratch.borrow_mut());
-        s.reset_for_reuse();
+        // The held front must not carry over to a *different* query: a
+        // front held under one query's key sequence could satisfy another
+        // query's containment check and make its Dijkstra inputs depend on
+        // query execution order, breaking bit-reproducibility. Its buffers
+        // (and all the Dijkstra/fetch buffers) are worth keeping warm.
+        s.retire_front();
         let mut pool = self.pool.lock().unwrap_or_else(|e| e.into_inner());
         if pool.len() < SCRATCH_POOL_CAP {
             pool.push(s);
@@ -145,9 +150,6 @@ pub struct RankScratch {
     lb: LbScratch,
     /// State of the per-group in-place pathnet run.
     pathnet: PathnetScratch,
-    /// What the current query's look-aheads loaded and no later iteration
-    /// of it has used yet.
-    ahead: Lookahead,
 }
 
 /// A front derived from the shared cache's resident units, and the one
@@ -307,84 +309,7 @@ enum LinePlan {
     RankAhead,
 }
 
-/// The keys the current query's look-aheads loaded that no later
-/// iteration of the query has asked for yet: accounting only, never
-/// consulted for what to read. One ledger per query
-/// ([`RankScratch::reset_for_reuse`] clears it), so a ranking run's use
-/// of the lines a radius run carried for it is credited too.
-#[derive(Debug, Default)]
-struct Lookahead {
-    /// `(step, tile)` of the units, ascending.
-    tiles: Vec<(u32, u32)>,
-    /// `(MSDN level, is Y axis, line)` of the lines, ascending.
-    lines: Vec<(usize, bool, u32)>,
-}
-
-impl Lookahead {
-    /// Add the keys the published look-ahead loads claimed: units per
-    /// step, lines per level. Returns how many were new, so a key loaded
-    /// twice counts once.
-    fn record(&mut self, units: &[(u32, UnitLoad)], lines: &[(usize, LineLoad)]) -> usize {
-        let before = self.tiles.len() + self.lines.len();
-        for (step, load) in units {
-            self.tiles.extend(load.tiles().filter_map(|(t, c)| c.then_some((*step, t))));
-        }
-        for (level, load) in lines {
-            self.lines.extend(
-                load.lines()
-                    .filter_map(|(axis, line, c)| c.then_some((*level, axis == Axis::Y, line))),
-            );
-        }
-        self.tiles.sort_unstable();
-        self.tiles.dedup();
-        self.lines.sort_unstable();
-        self.lines.dedup();
-        self.tiles.len() + self.lines.len() - before
-    }
-
-    /// How many of these keys a plan at `step` and `level` asked for and
-    /// found resident (keys it claimed had to be read again). Those keys
-    /// are dropped, so each is credited once.
-    fn used(
-        &mut self,
-        step: u32,
-        units: &UnitLoad,
-        level: usize,
-        lines: Option<&LineLoad>,
-    ) -> usize {
-        let before = self.tiles.len() + self.lines.len();
-        if before == 0 {
-            return 0;
-        }
-        let mut found: Vec<(u32, u32)> =
-            units.tiles().filter_map(|(t, claimed)| (!claimed).then_some((step, t))).collect();
-        found.sort_unstable();
-        self.tiles.retain(|k| found.binary_search(k).is_err());
-        let mut found: Vec<(usize, bool, u32)> = lines
-            .into_iter()
-            .flat_map(LineLoad::lines)
-            .filter_map(|(axis, line, claimed)| {
-                (!claimed).then_some((level, axis == Axis::Y, line))
-            })
-            .collect();
-        found.sort_unstable();
-        self.lines.retain(|k| found.binary_search(k).is_err());
-        before - self.tiles.len() - self.lines.len()
-    }
-}
-
 impl RankScratch {
-    /// Prepare the scratch for reuse by a *different* query (the engine's
-    /// scratch pool): the cached front must not carry over — a front
-    /// cached under one query's key sequence could satisfy another query's
-    /// containment check and make its Dijkstra inputs depend on query
-    /// execution order, breaking bit-reproducibility — but its buffers
-    /// (and all the Dijkstra/fetch buffers) are worth keeping warm.
-    pub fn reset_for_reuse(&mut self) {
-        self.retire_front();
-        self.ahead = Lookahead::default();
-    }
-
     /// Drop the cached front, keeping its buffers for the next fetch — if
     /// no one else holds it — so steady-state refinement allocates nothing
     /// per fetch.
@@ -911,32 +836,21 @@ impl<'a, 'm> RankingContext<'a, 'm> {
     }
 
     /// The upper-bound phase of an iteration's first I/O group after its
-    /// plan: over the front the plan serves it, or with `derive` over the
-    /// front derived, with its CSR, from the units of the group's own
-    /// span — a bounded group's path before views. Returns the nodes the
+    /// plan, over the front the plan serves it. Returns the nodes the
     /// phase settled.
     pub(crate) fn bound_first_group(
         &self,
         q: &SurfacePoint,
         cands: &mut [Candidate],
         iter: usize,
-        derive: bool,
         stats: &mut QueryStats,
     ) -> StoreResult<usize> {
         let Some((groups, members)) = self.group_iteration(q, cands) else { return Ok(0) };
         let fetch =
             self.plan_iteration(q, cands, &groups, &members, iter, LinePlan::Skip, stats)?;
-        let (Some(m), Some(mut front)) = (fetch.step, fetch.fronts.into_iter().next()) else {
+        let (Some(m), Some(front)) = (fetch.step, fetch.fronts.into_iter().next()) else {
             return Ok(0);
         };
-        if derive {
-            let span = self.grid.span(&groups[0].region);
-            let mut load = self.cuts.claim(m, &[span]);
-            self.pager.read_into(&mut [&mut load])?;
-            load.publish();
-            let (units, _) = load.finish(self.pager)?.pop().expect("one span");
-            front = GroupFront::Derive { span, units, whole: false };
-        }
         let settled = stats.settled;
         self.ub_phase_front(q, cands, &members[0], m, front, stats);
         Ok(stats.settled - settled)
@@ -980,11 +894,12 @@ impl<'a, 'm> RankingContext<'a, 'm> {
     }
 
     /// Plan and read one iteration's whole fetch, before any bound is
-    /// computed: every group's DMTM units — unless the cached front or,
-    /// for a group over the whole terrain, the engine's whole-terrain
-    /// front at the step will serve the group, decided group by group by
-    /// [`front_source`](Self::front_source), as
-    /// [`ub_phase_front`](Self::ub_phase_front) then consumes the plan — and, with [`LinePlan::Bands`], every group's X and Y line bands at
+    /// computed: every group's DMTM units — unless the held front or a
+    /// view through the group's span of the whole-terrain front at the
+    /// step (the held one or the engine's table's) will serve the group,
+    /// decided group by group by [`front_source`](Self::front_source), as
+    /// [`ub_phase_front`](Self::ub_phase_front) then consumes the plan —
+    /// and, with [`LinePlan::Bands`], every group's X and Y line bands at
     /// the iteration's MSDN level. The keys nobody holds are claimed in both
     /// shared caches and the union of their pages is read in **one**
     /// batch. Each loaded key is credited to the first group or band that
@@ -1089,10 +1004,6 @@ impl<'a, 'm> RankingContext<'a, 'm> {
         let mut units = self.cuts.claim(m, &asked);
         let level = self.cfg.schedule.msdn_level(iter);
         let mut lines = with_lb.then(|| self.lines.claim(self.msdn, level, &bands));
-        {
-            let ahead = &mut self.scratch.borrow_mut().ahead;
-            stats.ahead_used += ahead.used(m, &units, level, lines.as_ref());
-        }
 
         // The later schedule steps the batch carries, if it stalls: the
         // rest of the schedule once every member's upper bound is finite
@@ -1175,7 +1086,6 @@ impl<'a, 'm> RankingContext<'a, 'm> {
                 ahead_units.iter_mut().for_each(|(_, a)| a.publish());
                 ahead_lines.iter_mut().for_each(|(_, a)| a.publish());
             });
-            stats.ahead_keys += self.scratch.borrow_mut().ahead.record(&ahead_units, &ahead_lines);
         }
         let (units, mut lines) = clock.decode(self.pager, || {
             let units = units.finish(self.pager)?;

@@ -314,13 +314,6 @@ impl PageSink for UnitLoad<'_> {
 }
 
 impl UnitLoad<'_> {
-    /// The load's distinct tiles, in the order its spans first ask, each
-    /// with whether this load claimed it (reads it) rather than finding
-    /// it resident or loading elsewhere.
-    pub fn tiles(&self) -> impl Iterator<Item = (u32, bool)> + '_ {
-        self.claim.keys().map(|(k, claimed)| (k.tile, claimed))
-    }
-
     /// Publish the claimed units the read assembled, waking their
     /// waiters.
     pub fn publish(&mut self) {

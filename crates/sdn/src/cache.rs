@@ -128,13 +128,6 @@ impl PageSink for LineLoad<'_> {
 }
 
 impl LineLoad<'_> {
-    /// The load's distinct lines, in the order its bands first ask, each
-    /// with whether this load claimed it (reads it) rather than finding
-    /// it resident or loading elsewhere.
-    pub fn lines(&self) -> impl Iterator<Item = (Axis, u32, bool)> + '_ {
-        self.claim.keys().map(|(k, claimed)| (k.axis, k.line, claimed))
-    }
-
     /// Publish the claimed lines the read assembled, waking their
     /// waiters.
     pub fn publish(&mut self) {

@@ -44,8 +44,9 @@
 //! * **Every front a view** — once a warm engine's units are all
 //!   resident, one query derives each DMTM step's whole-terrain front
 //!   once and a later query derives nothing, answering as a cold engine
-//!   does; a cold query reads, stalls and settles exactly as before views
-//!   (pinned per query on two fixtures).
+//!   does; a cold query reads, stalls and settles exactly as before views,
+//!   and its look-aheads carry the same pages and steps (pinned per query
+//!   on two fixtures).
 //! * **One pair path** — a pair estimate reads like an iteration's group
 //!   over the whole terrain: its range equals the private path it
 //!   replaced (a front extracted and searched over a fresh CSR, and
@@ -846,11 +847,13 @@ fn once_every_unit_is_resident_each_step_is_derived_once() {
 /// Views change what a cold query derives, never what it reads or
 /// settles: on the suite's fixtures each cold query's physical pages,
 /// stalled batches and settled nodes are those of the engine before
-/// views (pinned).
+/// views, and its look-aheads carry the same pages and schedule steps:
+/// a moved carry rule moves them (pinned).
 #[test]
 fn a_cold_query_reads_stalls_and_settles_as_before_views() {
-    /// Physical pages, stalled batches and settled nodes of one query.
-    type Pinned = (u64, u64, usize);
+    /// Physical pages, stalled batches, settled nodes, look-ahead pages and
+    /// carried steps of one query.
+    type Pinned = (u64, u64, usize, u64, usize);
     /// Grid, mesh seed, scene seed, queries, query seed, k, and per query
     /// what it pinned.
     type Fixture = (usize, u64, u64, usize, u64, usize, &'static [Pinned]);
@@ -863,12 +866,12 @@ fn a_cold_query_reads_stalls_and_settles_as_before_views() {
             3,
             5,
             &[
-                (56, 3, 1907),
-                (96, 3, 7662),
-                (91, 3, 7419),
-                (68, 3, 6327),
-                (68, 3, 8079),
-                (77, 3, 4543),
+                (56, 3, 1907, 46, 7),
+                (96, 3, 7662, 99, 7),
+                (91, 3, 7419, 92, 7),
+                (68, 3, 6327, 58, 7),
+                (68, 3, 8079, 69, 7),
+                (77, 3, 4543, 77, 7),
             ],
         ),
         (
@@ -879,18 +882,18 @@ fn a_cold_query_reads_stalls_and_settles_as_before_views() {
             911,
             4,
             &[
-                (30, 2, 354),
-                (22, 2, 261),
-                (43, 3, 1142),
-                (59, 3, 1890),
-                (65, 3, 1478),
-                (23, 2, 82),
-                (80, 3, 3567),
-                (96, 3, 3783),
-                (62, 3, 2143),
-                (86, 3, 2809),
-                (62, 3, 1915),
-                (27, 2, 348),
+                (30, 2, 354, 25, 4),
+                (22, 2, 261, 19, 4),
+                (43, 3, 1142, 43, 7),
+                (59, 3, 1890, 56, 7),
+                (65, 3, 1478, 65, 7),
+                (23, 2, 82, 19, 4),
+                (80, 3, 3567, 67, 7),
+                (96, 3, 3783, 92, 7),
+                (62, 3, 2143, 53, 7),
+                (86, 3, 2809, 87, 7),
+                (62, 3, 1915, 57, 7),
+                (27, 2, 348, 23, 4),
             ],
         ),
     ];
@@ -904,7 +907,9 @@ fn a_cold_query_reads_stalls_and_settles_as_before_views() {
             .map(|q| {
                 let r = engine.try_query(q, k).unwrap();
                 let pager = engine.pager();
-                (pager.stats().physical_reads, pager.stalled_batches(), r.stats.settled)
+                let s = &r.stats;
+                let reads = pager.stats().physical_reads;
+                (reads, pager.stalled_batches(), s.settled, s.ahead_pages, s.ahead_steps)
             })
             .collect();
         assert_eq!(got, want, "{grid}²");
